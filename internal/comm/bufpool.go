@@ -2,13 +2,16 @@ package comm
 
 import "sync"
 
-// bufPool is the cluster-wide arena behind the fabric's transient buffers:
-// payload clones made by sendRaw, collective accumulators, and the
-// []Payload result slices of gather-style operations. Buffers are keyed by
-// capacity class (next power of two), checked out under a mutex (any rank
-// goroutine may allocate), and recycled all at once by Comm.EpochDone —
-// the point where every rank has agreed, via barrier, that no buffer
-// handed out during the epoch is still referenced.
+// bufPool is the arena behind the fabric's transient buffers: payload
+// clones made by sendRaw, collective accumulators, the []Payload result
+// slices of gather-style operations, and — as a TCPTransport's receive
+// arena — the buffers its reader goroutines decode incoming frames into.
+// A Cluster shares one pool among its ranks; over TCP every rank has its
+// Comm's pool and its transport's arena. Buffers are keyed by capacity
+// class (next power of two), checked out under a mutex (any rank or
+// reader goroutine may allocate), and recycled all at once by
+// Comm.EpochDone — the point where every rank has agreed, via barrier,
+// that no buffer handed out during the epoch is still referenced.
 //
 // Steady state is allocation-free: after the first epoch has sized the
 // free lists, every checkout pops an existing buffer and every recycle

@@ -499,9 +499,10 @@ func (c *Comm) Exchange(peer int, p Payload, cat Category) Payload {
 }
 
 // EpochDone marks a cluster-wide epoch boundary: all ranks synchronize,
-// rank 0 recycles the cluster's payload-buffer pool, and all ranks
-// synchronize again before continuing. Every rank must call it at the same
-// point (it is a collective, like Barrier).
+// the payload-buffer pools are recycled — the Comm's own (by rank 0 alone
+// when the cluster shares one) and the transport's receive arena, if it
+// has one — and all ranks synchronize again before continuing. Every rank
+// must call it at the same point (it is a collective, like Barrier).
 //
 // After EpochDone returns, payloads received earlier — including the float
 // slices of collective results — must not be read again: their buffers are
@@ -519,12 +520,11 @@ func (c *Comm) EpochDone() {
 	}
 	c.recycleRequests()
 	c.tr.Barrier()
-	if c.poolShared {
-		if c.rank == 0 {
-			c.pool.recycle()
-		}
-	} else {
+	if !c.poolShared || c.rank == 0 {
 		c.pool.recycle()
+	}
+	if er, ok := c.tr.(epochRecycler); ok {
+		er.EpochRecycle()
 	}
 	c.tr.Barrier()
 }

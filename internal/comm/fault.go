@@ -20,6 +20,12 @@ import (
 // barriers.
 type epochTicker interface{ EpochTick() }
 
+// epochRecycler is implemented by transports that hand Recv's callers
+// pooled buffers (the TCP fabric's receive arena); Comm.EpochDone calls it
+// between its two barriers, when no rank still reads a payload of the
+// epoch. A wrapper that does not forward it leaves the arena growing.
+type epochRecycler interface{ EpochRecycle() }
+
 // aborter is implemented by transports that can broadcast a failure
 // announcement to every peer (the TCP fabric's abort frame).
 type aborter interface{ Abort(reason string) }
@@ -173,6 +179,13 @@ func (t *FaultTransport) EpochTick() {
 	}
 	if et, ok := t.inner.(epochTicker); ok {
 		et.EpochTick()
+	}
+}
+
+// EpochRecycle forwards the arena recycle to the wrapped transport.
+func (t *FaultTransport) EpochRecycle() {
+	if er, ok := t.inner.(epochRecycler); ok {
+		er.EpochRecycle()
 	}
 }
 

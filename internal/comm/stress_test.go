@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -130,4 +131,109 @@ func TestReduceScatterThenAllGatherRoundTrip(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// arenaChurn runs epochs of mixed collectives and returns a digest folded
+// over every bit the rank received. Frame sizes change every epoch, so the
+// receive arena's size classes are reused out of order, and the broadcast
+// spans several frameChunks. Everything an epoch received is read at its
+// very end, just before EpochDone — the last moment the buffers are valid —
+// so a recycle that ran early, or an epoch-N+1 frame decoded into a buffer
+// of epoch N, shows as a digest mismatch and, under -race, as a data race
+// between a reader goroutine and the rank.
+func arenaChurn(c *Comm, epochs int) uint64 {
+	w := c.World()
+	me, p := c.Rank(), c.Size()
+	digest := uint64(14695981039346656037)
+	fold := func(bits uint64) { digest = (digest ^ bits) * 1099511628211 }
+	ramp := func(n int, seed float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = seed + float64(i)/3
+		}
+		return x
+	}
+	var held []Payload
+	for e := 0; e < epochs; e++ {
+		held = held[:0]
+		root := e % p
+		var in Payload
+		if me == root {
+			in = Payload{Floats: ramp(frameChunk/8+977*e+5, float64(e)), Ints: make([]int, 100+e)}
+			for i := range in.Ints {
+				in.Ints[i] = i - e
+			}
+		}
+		held = append(held, w.Broadcast(root, in, CatDenseComm))
+
+		req := w.IBroadcast((e+1)%p, Payload{Floats: ramp(10000-e, 0.5)}, CatDenseComm)
+
+		held = append(held, Payload{Floats: w.AllReduce(ramp(3000+e, float64(me)), CatDenseComm)})
+
+		counts := make([]int, p)
+		for i := range counts {
+			counts[i] = 200 + 10*i + e
+		}
+		total := 0
+		for _, n := range counts {
+			total += n
+		}
+		held = append(held, Payload{Floats: w.ReduceScatter(ramp(total, float64(me+e)), counts, CatDenseComm)})
+
+		held = append(held, w.AllGather(Payload{Floats: ramp(500*(me+1)+e, float64(me))}, CatDenseComm)...)
+
+		parts := make([]Payload, p)
+		for i := range parts {
+			parts[i] = Payload{Floats: ramp(50*(me*p+i)+e, float64(i)), Ints: []int{me, i, e}}
+		}
+		for i, got := range w.AllToAll(parts, CatSparseComm) {
+			if i != me {
+				held = append(held, got)
+			}
+		}
+
+		ex := make([]Payload, p)
+		from := make([]bool, p)
+		nxt, prv := (me+1)%p, (me-1+p)%p
+		ex[nxt] = Payload{Floats: ramp(4000+7*e, float64(me)), Ints: []int{e}}
+		from[prv] = true
+		held = append(held, w.ExchangeIndexed(ex, from, CatSparseComm)[prv])
+
+		c.ChargeTime(CatSpMM, 1e-6)
+		held = append(held, req.Wait())
+
+		for _, pl := range held {
+			fold(uint64(len(pl.Floats))<<32 | uint64(len(pl.Ints)))
+			for _, f := range pl.Floats {
+				fold(math.Float64bits(f))
+			}
+			for _, v := range pl.Ints {
+				fold(uint64(v))
+			}
+		}
+		c.EpochDone()
+	}
+	return digest
+}
+
+// TestTCPArenaStress: the per-peer reader goroutines fill buffers from the
+// receive arena while the ranks run 24 epochs of mixed collectives and
+// recycle it at every epoch boundary; every rank's digest must equal the
+// in-process fabric's bit for bit. Run under -race (the CI determinism
+// loop does) it is also the proof that no reader writes a buffer its rank
+// can still read.
+func TestTCPArenaStress(t *testing.T) {
+	const p, epochs = 4, 24
+	var want, got [p]uint64
+	runCluster(t, p, func(c *Comm) error {
+		want[c.Rank()] = arenaChurn(c, epochs)
+		return nil
+	})
+	runTCP(t, p, func(c *Comm) error {
+		got[c.Rank()] = arenaChurn(c, epochs)
+		return nil
+	})
+	if got != want {
+		t.Fatalf("digests over TCP %x differ from in-process %x", got, want)
+	}
 }

@@ -34,12 +34,34 @@ import (
 // Each connection gets a reader goroutine that demultiplexes incoming
 // frames into a per-peer payload inbox (buffered, like the in-process
 // mailboxes) and a per-peer barrier-token channel. Every frame is written
-// with a single conn.Write call under a per-peer mutex, so a rank that
-// dies mid-operation can never leave a torn frame on the wire, and the
-// heartbeat goroutine can share connections with the collective path.
-// Barrier is a dissemination barrier over the same connections: ⌈lg P⌉
-// rounds, round k sending a token to (rank+2^k) mod P and waiting for one
-// from (rank−2^k) mod P.
+// under a per-peer mutex — a data frame as one conn.Write per frameChunk
+// bytes, every other frame as a single write — so frames never interleave
+// and the heartbeat goroutine can share connections with the collective
+// path. A rank that dies mid-frame leaves a truncated frame, which the
+// peer's reader reports as an unexpected EOF (a *PeerError), never as
+// data. Barrier is a dissemination barrier over the same connections:
+// ⌈lg P⌉ rounds, round k sending a token to (rank+2^k) mod P and waiting
+// for one from (rank−2^k) mod P.
+//
+// Data frames move in bulk. The sender encodes header and words into one
+// fixed frameChunk-sized buffer and writes it whenever it fills, so the
+// staging bytes stay cache-resident whatever the frame size. The reader
+// decodes words straight out of its frameChunk-sized bufio buffer (Peek,
+// decode, Discard — no intermediate copy) into buffers drawn from the
+// rank's receive arena, a bufPool that Comm.EpochDone recycles between its
+// two barriers. Steady-state epochs therefore allocate no payload memory,
+// and a received payload stays valid until the next EpochDone.
+//
+// Why no epoch-N+1 frame can land in a buffer still referenced from epoch
+// N: collectives are SPMD, so every frame a peer sent this rank during
+// epoch N was consumed by a matching Recv — and so fully decoded — before
+// this rank entered EpochDone's first barrier. The arena is recycled after
+// that barrier and before this rank enters the second; a peer leaves the
+// second barrier only after this rank entered it, and only then sends its
+// first epoch-N+1 frame. Every epoch-N+1 frame is therefore decoded after
+// the recycle (never into a buffer the recycle would hand out twice), and
+// the recycle runs only once every rank has entered EpochDone, i.e. has
+// finished reading its epoch-N payloads.
 //
 // Failure model: a heartbeat goroutine sends a 'V' frame to every peer at
 // HeartbeatInterval, and every blocked Recv/Barrier enforces
@@ -54,7 +76,8 @@ import (
 // Frames (all integers little-endian):
 //
 //	'D' u32 nFloats, u32 nInts, then nFloats float64 bit patterns and
-//	    nInts int64 values — one Payload, bit-exact.
+//	    nInts int64 values — one Payload, bit-exact. nFloats + nInts may
+//	    not exceed maxFrameWords.
 //	'B' barrier token, no body.
 //	'V' heartbeat, no body — refreshes the peer's last-heard clock.
 //	'A' u16 reasonLen, reason — the sending rank is failing; reason is
@@ -72,6 +95,24 @@ const (
 	frameIdentify  = 'I'
 	frameHello     = 'H'
 	framePeers     = 'P'
+)
+
+// maxFrameWords bounds the payload (floats plus ints) of one data frame:
+// 512 MiB of words, over a hundred times the largest block the trainers
+// exchange on this repo's datasets. The header's u32 counts could otherwise
+// demand 64 GiB from a receiver on the strength of nine corrupt bytes, and
+// a longer payload would silently truncate on send.
+const maxFrameWords = 1 << 26
+
+// frameChunk is the size of each reader's bufio buffer and of the send
+// staging buffer: large enough that a multi-megabyte frame costs few
+// syscalls, small enough to stay in L2 while it is encoded or decoded.
+const frameChunk = 256 << 10
+
+// Bodiless frames, shared by every transport.
+var (
+	barrierFrame   = []byte{frameBarrier}
+	heartbeatFrame = []byte{frameHeartbeat}
 )
 
 // tcpInboxDepth bounds buffered received payloads per peer before the
@@ -127,7 +168,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 }
 
 // TCPTransport is one rank's endpoint on the TCP fabric. Create it with
-// DialTCP or DialTCPOpts; it satisfies Transport.
+// DialTCP or DialTCPOpts; it satisfies Transport. Like every Transport it
+// is driven by one goroutine (the rank's): Send, Recv and Barrier share
+// the staging chunk and the watchdog timer without locking.
 type TCPTransport struct {
 	rank, world int
 	opts        TCPOptions
@@ -138,7 +181,9 @@ type TCPTransport struct {
 	barrierCh   []chan struct{} // barrierCh[peer]
 	readErr     []chan error    // readErr[peer], posted once when reader exits
 	lastHeard   []atomic.Int64  // lastHeard[peer], UnixNano of last frame
-	sendBuf     []byte          // reused frame buffer (rank goroutine only)
+	sendChunk   []byte          // frameChunk bytes of send staging
+	arena       *bufPool        // received payload buffers; see EpochRecycle
+	watchdog    *time.Timer     // ProgressTimeout timer, nil when disabled
 
 	hbStop    chan struct{}
 	abortOnce sync.Once
@@ -155,40 +200,35 @@ func (t *TCPTransport) Rank() int { return t.rank }
 // Size returns the world size.
 func (t *TCPTransport) Size() int { return t.world }
 
-// Send serializes p to dst as a single conn.Write, so a failure can never
-// leave a partial frame for the peer to misparse. It returns once the
-// frame is handed to the kernel: the caller may reuse or recycle p's
-// backing arrays immediately.
+// Send serializes p to dst. It returns once the frame is handed to the
+// kernel: the caller may reuse or recycle p's backing arrays immediately.
+// A payload over maxFrameWords is a caller bug and panics before anything
+// is written.
 func (t *TCPTransport) Send(dst int, p Payload) {
-	need := 9 + 8*len(p.Floats) + 8*len(p.Ints)
-	if cap(t.sendBuf) < need {
-		t.sendBuf = make([]byte, need)
+	if err := checkFrameWords(uint64(len(p.Floats)), uint64(len(p.Ints))); err != nil {
+		panic(fmt.Sprintf("comm: rank %d sending to rank %d: %v", t.rank, dst, err))
 	}
-	b := t.sendBuf[:need]
-	b[0] = frameData
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(p.Floats)))
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(p.Ints)))
-	off := 9
-	for _, f := range p.Floats {
-		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(f))
-		off += 8
-	}
-	for _, v := range p.Ints {
-		binary.LittleEndian.PutUint64(b[off:], uint64(int64(v)))
-		off += 8
-	}
-	if err := t.writeFrame(dst, b); err != nil {
+	t.wmu[dst].Lock()
+	err := writeDataFrame(t.conns[dst], t.sendChunk, p)
+	t.wmu[dst].Unlock()
+	if err != nil {
 		panic(t.failure("send", dst, err))
 	}
 }
 
-// writeFrame writes one complete frame under the peer's write mutex.
+// writeFrame writes one complete bodiless frame under the peer's write
+// mutex.
 func (t *TCPTransport) writeFrame(dst int, frame []byte) error {
 	t.wmu[dst].Lock()
 	defer t.wmu[dst].Unlock()
 	_, err := t.conns[dst].Write(frame)
 	return err
 }
+
+// EpochRecycle returns every payload buffer handed out by Recv since the
+// previous call to the receive arena. Comm.EpochDone calls it between its
+// two barriers; see the header comment for why that is safe.
+func (t *TCPTransport) EpochRecycle() { t.arena.recycle() }
 
 // failure builds the *PeerError for a failed operation on peer. If some
 // rank already broadcast an abort, its root cause wins over the local
@@ -243,26 +283,34 @@ func (t *TCPTransport) silence(peer int) time.Duration {
 	return time.Duration(time.Now().UnixNano() - t.lastHeard[peer].Load())
 }
 
-// progressTimer arms the ProgressTimeout watchdog for one blocked
-// operation. A nil timer (and nil channel) means the check is disabled;
-// a nil channel blocks forever in select, which is exactly right.
-func (t *TCPTransport) progressTimer() (*time.Timer, <-chan time.Time) {
-	if t.opts.ProgressTimeout <= 0 {
-		return nil, nil
+// armWatchdog starts the ProgressTimeout watchdog for one blocked
+// operation and returns its channel; pair it with disarmWatchdog. A nil
+// channel means the check is disabled, and blocks forever in select, which
+// is exactly right. Every blocked operation reuses the transport's one
+// timer: a stopped or reset timer never delivers a stale tick.
+func (t *TCPTransport) armWatchdog() <-chan time.Time {
+	if t.watchdog == nil {
+		return nil
 	}
-	timer := time.NewTimer(t.opts.ProgressTimeout)
-	return timer, timer.C
+	t.watchdog.Reset(t.opts.ProgressTimeout)
+	return t.watchdog.C
+}
+
+func (t *TCPTransport) disarmWatchdog() {
+	if t.watchdog != nil {
+		t.watchdog.Stop()
+	}
 }
 
 // checkProgress runs when the watchdog fires: if the peer has been silent
 // for a full ProgressTimeout it returns the error to panic with;
 // otherwise it re-arms the timer for the remaining window.
-func (t *TCPTransport) checkProgress(timer *time.Timer, op string, peer int) *PeerError {
+func (t *TCPTransport) checkProgress(op string, peer int) *PeerError {
 	quiet := t.silence(peer)
 	if quiet >= t.opts.ProgressTimeout {
 		return t.failure(op, peer, fmt.Errorf("no frames or heartbeats for %v (progress timeout %v)", quiet.Round(time.Millisecond), t.opts.ProgressTimeout))
 	}
-	timer.Reset(t.opts.ProgressTimeout - quiet)
+	t.watchdog.Reset(t.opts.ProgressTimeout - quiet)
 	return nil
 }
 
@@ -277,10 +325,8 @@ func (t *TCPTransport) Recv(src int) Payload {
 		return p
 	default:
 	}
-	timer, timeout := t.progressTimer()
-	if timer != nil {
-		defer timer.Stop()
-	}
+	timeout := t.armWatchdog()
+	defer t.disarmWatchdog()
 	for {
 		select {
 		case p := <-t.inbox[src]:
@@ -301,7 +347,7 @@ func (t *TCPTransport) Recv(src int) Payload {
 			}
 			panic(t.failure("recv", src, nil))
 		case <-timeout:
-			if pe := t.checkProgress(timer, "recv", src); pe != nil {
+			if pe := t.checkProgress("recv", src); pe != nil {
 				panic(pe)
 			}
 		}
@@ -313,7 +359,7 @@ func (t *TCPTransport) Barrier() {
 	for k := uint(0); 1<<k < t.world; k++ {
 		to := (t.rank + 1<<k) % t.world
 		from := (t.rank - 1<<k + t.world) % t.world
-		if err := t.writeFrame(to, []byte{frameBarrier}); err != nil {
+		if err := t.writeFrame(to, barrierFrame); err != nil {
 			panic(t.failure("barrier", to, err))
 		}
 		t.awaitToken(from)
@@ -328,10 +374,8 @@ func (t *TCPTransport) awaitToken(from int) {
 		return
 	default:
 	}
-	timer, timeout := t.progressTimer()
-	if timer != nil {
-		defer timer.Stop()
-	}
+	timeout := t.armWatchdog()
+	defer t.disarmWatchdog()
 	for {
 		select {
 		case <-t.barrierCh[from]:
@@ -352,7 +396,7 @@ func (t *TCPTransport) awaitToken(from int) {
 			}
 			panic(t.failure("barrier", from, nil))
 		case <-timeout:
-			if pe := t.checkProgress(timer, "barrier", from); pe != nil {
+			if pe := t.checkProgress("barrier", from); pe != nil {
 				panic(pe)
 			}
 		}
@@ -386,7 +430,6 @@ func (t *TCPTransport) Close() error {
 func (t *TCPTransport) heartbeatLoop() {
 	tick := time.NewTicker(t.opts.HeartbeatInterval)
 	defer tick.Stop()
-	frame := []byte{frameHeartbeat}
 	for {
 		select {
 		case <-t.hbStop:
@@ -397,7 +440,7 @@ func (t *TCPTransport) heartbeatLoop() {
 					continue
 				}
 				t.wmu[peer].Lock()
-				c.Write(frame)
+				c.Write(heartbeatFrame)
 				t.wmu[peer].Unlock()
 			}
 		}
@@ -409,7 +452,7 @@ func (t *TCPTransport) heartbeatLoop() {
 // dies (peer exit or Close). Every frame — heartbeats included —
 // refreshes the peer's last-heard clock.
 func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, frameChunk)
 	for {
 		typ, err := r.ReadByte()
 		if err != nil {
@@ -430,7 +473,7 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 			}
 			t.raiseAbort(peer, reason)
 		case frameData:
-			p, err := readPayloadBody(r)
+			p, err := readDataFrame(r, t.arena)
 			if err != nil {
 				t.readErr[peer] <- err
 				return
@@ -443,36 +486,112 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 	}
 }
 
-// readPayloadBody decodes the body of a data frame. Zero-length sides
-// decode to nil, preserving Payload nil-ness conventions.
-func readPayloadBody(r io.Reader) (Payload, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Payload{}, err
+// checkFrameWords enforces maxFrameWords on a data frame's two counts,
+// on the way out and on the way in.
+func checkFrameWords(nFloats, nInts uint64) error {
+	if nFloats+nInts > maxFrameWords {
+		return fmt.Errorf("data frame of %d floats + %d ints exceeds maxFrameWords (%d)", nFloats, nInts, maxFrameWords)
+	}
+	return nil
+}
+
+// writeDataFrame encodes p as one 'D' frame through chunk, writing the
+// chunk to w each time it fills and once more at the end. The caller has
+// checked the frame size and holds the peer's write mutex.
+func writeDataFrame(w io.Writer, chunk []byte, p Payload) error {
+	chunk[0] = frameData
+	binary.LittleEndian.PutUint32(chunk[1:5], uint32(len(p.Floats)))
+	binary.LittleEndian.PutUint32(chunk[5:9], uint32(len(p.Ints)))
+	off := 9
+	floats, ints := p.Floats, p.Ints
+	for {
+		// Ints only start once the floats are exhausted: while floats
+		// remain, they have left less than a word of room.
+		n := min(len(floats), (len(chunk)-off)/8)
+		for _, f := range floats[:n] {
+			binary.LittleEndian.PutUint64(chunk[off:], math.Float64bits(f))
+			off += 8
+		}
+		floats = floats[n:]
+		n = min(len(ints), (len(chunk)-off)/8)
+		for _, v := range ints[:n] {
+			binary.LittleEndian.PutUint64(chunk[off:], uint64(int64(v)))
+			off += 8
+		}
+		ints = ints[n:]
+		if _, err := w.Write(chunk[:off]); err != nil {
+			return err
+		}
+		if len(floats)+len(ints) == 0 {
+			return nil
+		}
+		off = 0
+	}
+}
+
+// readDataFrame decodes the rest of a data frame (the type byte is already
+// consumed) into buffers from arena. Zero-length sides decode to nil,
+// preserving Payload nil-ness conventions. The header is checked against
+// maxFrameWords before anything is allocated.
+func readDataFrame(r *bufio.Reader, arena *bufPool) (Payload, error) {
+	hdr, err := r.Peek(8)
+	if err != nil {
+		return Payload{}, midFrame(err)
 	}
 	nf := binary.LittleEndian.Uint32(hdr[0:4])
 	ni := binary.LittleEndian.Uint32(hdr[4:8])
-	var p Payload
-	var buf [8]byte
-	if nf > 0 {
-		p.Floats = make([]float64, nf)
-		for i := range p.Floats {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return Payload{}, err
-			}
-			p.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
-		}
+	r.Discard(8)
+	if err := checkFrameWords(uint64(nf), uint64(ni)); err != nil {
+		return Payload{}, err
 	}
-	if ni > 0 {
-		p.Ints = make([]int, ni)
-		for i := range p.Ints {
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return Payload{}, err
-			}
-			p.Ints[i] = int(int64(binary.LittleEndian.Uint64(buf[:])))
+	p := Payload{Floats: arena.getFloats(int(nf)), Ints: arena.getInts(int(ni))}
+	for dst := p.Floats; len(dst) > 0; {
+		b, err := peekWords(r, len(dst))
+		if err != nil {
+			return Payload{}, err
 		}
+		n := len(b) / 8
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		r.Discard(len(b))
+		dst = dst[n:]
+	}
+	for dst := p.Ints; len(dst) > 0; {
+		b, err := peekWords(r, len(dst))
+		if err != nil {
+			return Payload{}, err
+		}
+		n := len(b) / 8
+		for i := range dst[:n] {
+			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+		r.Discard(len(b))
+		dst = dst[n:]
 	}
 	return p, nil
+}
+
+// peekWords returns r's buffered bytes for up to want whole words, reading
+// from the connection only when less than one word is buffered. The caller
+// decodes the words in place and Discards them.
+func peekWords(r *bufio.Reader, want int) ([]byte, error) {
+	if r.Buffered() < 8 {
+		if _, err := r.Peek(8); err != nil {
+			return nil, midFrame(err)
+		}
+	}
+	b, _ := r.Peek(8 * min(want, r.Buffered()/8))
+	return b, nil
+}
+
+// midFrame converts the clean EOF of a stream that ended inside a frame
+// into io.ErrUnexpectedEOF.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // writeString writes a u16-length-prefixed string.
@@ -660,6 +779,12 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 	t.barrierCh = make([]chan struct{}, world)
 	t.readErr = make([]chan error, world)
 	t.lastHeard = make([]atomic.Int64, world)
+	t.sendChunk = make([]byte, frameChunk)
+	t.arena = newBufPool()
+	if t.opts.ProgressTimeout > 0 {
+		t.watchdog = time.NewTimer(t.opts.ProgressTimeout)
+		t.watchdog.Stop()
+	}
 	for i := 0; i < world; i++ {
 		if i == rank {
 			continue

@@ -17,13 +17,21 @@ import "fmt"
 //     frames over persistent per-peer connections, rendezvous through a
 //     coordinator listener — the deployable path with wall-clock timing.
 //
-// Contract: Send must be safe to call before the matching Recv (it must
-// not rendezvous-block — collectives send eagerly and rely on at least
-// mailboxDepth messages of buffering per (src, dst) pair), messages
-// between a (src, dst) pair arrive in order, and the payload handed to
-// Recv's caller must remain valid until the next EpochDone. Barrier must
-// synchronize all ranks. Close releases sockets and goroutines; the
-// in-process fabric has nothing to release.
+// Contract: one goroutine (the rank's) drives an endpoint. Send must be
+// safe to call before the matching Recv (it must not rendezvous-block —
+// collectives send eagerly and rely on at least mailboxDepth messages of
+// buffering per (src, dst) pair), and messages between a (src, dst) pair
+// arrive in order. Barrier must synchronize all ranks. Close releases
+// sockets and goroutines; the in-process fabric has nothing to release.
+//
+// Buffer lifetime: the payload handed to Recv's caller is valid until the
+// next Comm.EpochDone and not after. Both fabrics hand out pooled buffers
+// — the in-process fabric clones through the cluster's bufPool, the TCP
+// fabric decodes into its rank's receive arena — and EpochDone recycles
+// them between its two barriers: the cluster pool directly, a transport's
+// own arena through the optional EpochRecycle method (see epochRecycler),
+// which a wrapping transport must forward. A caller that never invokes
+// EpochDone never recycles, and its payloads stay valid indefinitely.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -44,7 +52,7 @@ type Transport interface {
 // inprocTransport is one rank's endpoint on a Cluster's channel fabric.
 // Sends deep-copy through the cluster-wide buffer pool, so received
 // payloads stay valid until EpochDone recycles the pool — the same
-// lifetime the TCP transport provides with per-rank receive arenas.
+// lifetime the TCP transport provides with its per-rank receive arena.
 type inprocTransport struct {
 	cluster *Cluster
 	rank    int

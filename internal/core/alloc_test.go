@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/sparse"
@@ -24,31 +26,24 @@ type rankRunner interface {
 	runRanks(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) error
 }
 
-// steadyStateAllocs drives warmup+measured epochs across all ranks of tr
-// in lockstep and returns the average allocations of one full epoch
-// (epoch + endEpoch on every rank).
-func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float64 {
-	t.Helper()
-	const warmup = 3
-	const runs = 5
-	total := warmup + (runs + 1) // AllocsPerRun invokes its func runs+1 times
+// lockstep returns the body every rank runs — total epochs, each started
+// by the driver — and the driver's function that runs one epoch on all
+// ranks and waits for it.
+func lockstep(ranks, total int) (body func(ops layerOps, cfg nn.Config, prob Problem) error, oneEpoch func()) {
 	start := make(chan struct{}, ranks)
 	done := make(chan struct{}, ranks)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
-			eng := newEngine(ops, cfg, prob)
-			weights := nn.InitWeights(cfg)
-			for i := 0; i < total; i++ {
-				<-start
-				eng.epoch(weights)
-				ops.endEpoch()
-				done <- struct{}{}
-			}
-			return nil
-		})
-	}()
-	oneEpoch := func() {
+	body = func(ops layerOps, cfg nn.Config, prob Problem) error {
+		eng := newEngine(ops, cfg, prob)
+		weights := nn.InitWeights(cfg)
+		for i := 0; i < total; i++ {
+			<-start
+			eng.epoch(weights)
+			ops.endEpoch()
+			done <- struct{}{}
+		}
+		return nil
+	}
+	oneEpoch = func() {
 		for i := 0; i < ranks; i++ {
 			start <- struct{}{}
 		}
@@ -56,6 +51,20 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 			<-done
 		}
 	}
+	return body, oneEpoch
+}
+
+// steadyStateAllocs drives warmup+measured epochs across all ranks of tr
+// in lockstep and returns the average allocations of one full epoch
+// (epoch + endEpoch on every rank).
+func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float64 {
+	t.Helper()
+	const warmup = 3
+	const runs = 5
+	// AllocsPerRun invokes its func runs+1 times.
+	body, oneEpoch := lockstep(ranks, warmup+runs+1)
+	errCh := make(chan error, 1)
+	go func() { errCh <- tr.runRanks(p, body) }()
 	for i := 0; i < warmup; i++ {
 		oneEpoch()
 	}
@@ -157,5 +166,82 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 					tc.name, avg, tc.ranks)
 			}
 		})
+	}
+}
+
+// TestSteadyStateAllocsTCP is the same contract over the real-socket
+// fabric: once the per-rank receive arenas are sized, an epoch of 1d and
+// of 2d-overlap over loopback TCP at P = 4 allocates no payload memory.
+// The bound is bytes, not objects: goroutine wake-ups on the socket path
+// may allocate a few small runtime objects, a per-frame payload buffer
+// would blow through it at once (before the arena, one epoch of this
+// problem allocated ≈ 2.9 MB across the world). The wrapped variant puts
+// an empty-plan FaultTransport around every endpoint, proving EpochDone's
+// recycle reaches the arena through a wrapper.
+func TestSteadyStateAllocsTCP(t *testing.T) {
+	release := parallel.AcquireBackend(parallel.BackendSerial)
+	defer release()
+	const ranks = 4
+	const maxBytesPerEpoch = 64 << 10
+	cost := comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta}
+	algos := []struct {
+		name string
+		mk   func() Trainer
+	}{
+		{"1d", func() Trainer { return NewOneD(ranks, testMach) }},
+		{"2d-overlap", func() Trainer { tr := NewTwoD(ranks, testMach); tr.Overlap = true; return tr }},
+	}
+	for _, algo := range algos {
+		for _, wrapped := range []bool{false, true} {
+			name := algo.name
+			if wrapped {
+				name += "-faultwrapped"
+			}
+			t.Run(name, func(t *testing.T) {
+				comms, err := comm.LocalTCPComms(ranks, cost)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() {
+					for _, c := range comms {
+						c.Transport().Close()
+					}
+				}()
+				defer parallel.EnterRanks(ranks)()
+				p := testProblem(t, 1024, 32, 32, 8, 1, 73)
+
+				const warmup, runs = 3, 5
+				body, oneEpoch := lockstep(ranks, warmup+runs)
+				errCh := make(chan error, ranks)
+				for _, c := range comms {
+					if wrapped {
+						c = comm.NewTransportComm(comm.NewFaultTransport(c.Transport(), nil), cost)
+					}
+					tr := algo.mk()
+					if err := SetTransportComm(tr, c); err != nil {
+						t.Fatal(err)
+					}
+					go func() { errCh <- tr.(rankRunner).runRanks(p, body) }()
+				}
+				for i := 0; i < warmup; i++ {
+					oneEpoch()
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					oneEpoch()
+				}
+				runtime.ReadMemStats(&after)
+				for i := 0; i < ranks; i++ {
+					if err := <-errCh; err != nil {
+						t.Fatal(err)
+					}
+				}
+				if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > maxBytesPerEpoch {
+					t.Fatalf("%s steady-state epoch allocates %d bytes across %d ranks over TCP, want ≤ %d",
+						name, perEpoch, ranks, maxBytesPerEpoch)
+				}
+			})
+		}
 	}
 }
