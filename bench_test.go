@@ -27,6 +27,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/nn"
 	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -338,6 +339,69 @@ func BenchmarkSpMMTPlan(b *testing.B) {
 				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 			})
 		})
+	}
+}
+
+// setupScale is the R-MAT scale of the set-up benchmarks' graphs: the
+// wall-clock benchmark's (benchmark/workloads.go), cut by 3 under -short.
+func setupScale(full int) int {
+	if testing.Short() {
+		return full - 3
+	}
+	return full
+}
+
+// setupSink keeps the set-up benchmarks' results alive.
+var setupSink *sparse.CSR
+
+// BenchmarkNewCSR times the COO→CSR builder alone on the summa2d_dense
+// recipe's edge list, repeated edges included. MB/s counts the 16 bytes
+// (column index and value) of every nonzero of the result.
+func BenchmarkNewCSR(b *testing.B) {
+	g := RandomDataset(setupScale(13), 50, 1, 1, 1, 1).Graph
+	entries := make([]sparse.Coord, len(g.Edges))
+	for k, e := range g.Edges {
+		entries[k] = sparse.Coord{Row: e[0], Col: e[1], Val: 1}
+	}
+	b.SetBytes(int64(sparse.NewCSR(g.NumVertices, g.NumVertices, entries).NNZ()) * 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setupSink = sparse.NewCSR(g.NumVertices, g.NumVertices, entries)
+	}
+}
+
+// BenchmarkNormalizedAdjacency times what every Train call, cagnet-worker
+// rank and minibatch step pays before its first epoch — edge list to
+// D^{-1/2}(A+I)D^{-1/2} — on the graphs of two wall-clock workloads.
+func BenchmarkNormalizedAdjacency(b *testing.B) {
+	for _, tc := range []struct {
+		name       string
+		edgeFactor int
+	}{{"serial_wide", 32}, {"summa2d_dense", 50}} {
+		b.Run(tc.name, func(b *testing.B) {
+			g := RandomDataset(setupScale(13), tc.edgeFactor, 1, 1, 1, 1).Graph
+			b.SetBytes(int64(g.NormalizedAdjacency().NNZ()) * 16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				setupSink = g.NormalizedAdjacency()
+			}
+		})
+	}
+}
+
+// BenchmarkReorderSym times the relabel of the halo1d_ldg workload: its
+// community graph's operator under the LDG partition's contiguous order.
+func BenchmarkReorderSym(b *testing.B) {
+	g := graph.CommunityRMAT(64, setupScale(8), 8, 3, rand.New(rand.NewSource(1)))
+	a := g.NormalizedAdjacency()
+	_, order := partition.LDG(g, 4, rand.New(rand.NewSource(1))).ContigLayout()
+	b.SetBytes(int64(a.NNZ()) * 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		setupSink = sparse.ReorderSym(a, order)
 	}
 }
 

@@ -106,6 +106,7 @@ func (s AnalogSpec) Build() *Dataset {
 	g := RMAT(s.Scale, s.EdgeFactor, DefaultRMAT, rng)
 	// Symmetrize: GNN adjacencies are undirected in all three datasets.
 	sym := New(g.NumVertices)
+	sym.Edges = make([][2]int, 0, 2*len(g.Edges))
 	for _, e := range g.Edges {
 		sym.AddUndirectedEdge(e[0], e[1])
 	}

@@ -79,6 +79,7 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	n := 1 << uint(scale)
 	g := New(n)
 	edges := edgeFactor * n
+	g.Edges = make([][2]int, 0, max(edges, 0))
 	for e := 0; e < edges; e++ {
 		u, v := 0, 0
 		for level := 0; level < scale; level++ {
@@ -151,6 +152,8 @@ func CommunityRMAT(k, scalePer, localFactor, globalFactor int, rng *rand.Rand) *
 	per := 1 << uint(scalePer)
 	n := k * per
 	g := New(n)
+	// Every local and cross-community edge is stored in both directions.
+	g.Edges = make([][2]int, 0, max(2*n*(localFactor+globalFactor), 0))
 	for c := 0; c < k; c++ {
 		local := RMAT(scalePer, localFactor, DefaultRMAT, rng)
 		base := c * per

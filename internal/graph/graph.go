@@ -54,19 +54,20 @@ func (g *Graph) AddUndirectedEdge(u, v int) {
 // deduplication).
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// Adjacency returns the graph's adjacency matrix with unit weights.
-// Duplicate edges collapse to a single unit entry.
+// Adjacency returns the graph's adjacency matrix with unit weights, built
+// in O(edges + vertices) by sparse.NewCSR's counting sort. Duplicate edges
+// collapse to a single unit entry.
 func (g *Graph) Adjacency() *sparse.CSR {
-	seen := make(map[[2]int]struct{}, len(g.Edges))
-	entries := make([]sparse.Coord, 0, len(g.Edges))
-	for _, e := range g.Edges {
-		if _, dup := seen[e]; dup {
-			continue
-		}
-		seen[e] = struct{}{}
-		entries = append(entries, sparse.Coord{Row: e[0], Col: e[1], Val: 1})
+	entries := make([]sparse.Coord, len(g.Edges))
+	for k, e := range g.Edges {
+		entries[k] = sparse.Coord{Row: e[0], Col: e[1], Val: 1}
 	}
-	return sparse.NewCSR(g.NumVertices, g.NumVertices, entries)
+	a := sparse.NewCSR(g.NumVertices, g.NumVertices, entries)
+	// NewCSR summed repeated edges to their multiplicity.
+	for k := range a.Val {
+		a.Val[k] = 1
+	}
+	return a
 }
 
 // NormalizedAdjacency returns D^{-1/2}(A+I)D^{-1/2}, the matrix the paper

@@ -301,6 +301,37 @@ func TestEdgecutRandomUpperBound(t *testing.T) {
 	}
 }
 
+// TestEdgecutMatchesMapOracle checks the bitset dedup of (part, vertex)
+// pairs against the hash map it replaced, on a graph with repeated edges
+// and a part count that is not a power of two.
+func TestEdgecutMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.CommunityRMAT(8, 5, 8, 3, rng)
+	for _, p := range []int{1, 3, 4, 7, 64, 65} {
+		a := RandomAssignment(g.NumVertices, p, rng)
+		recv := make([]int, p)
+		seen := map[[2]int]struct{}{}
+		for _, e := range g.Edges {
+			key := [2]int{a.Parts[e[0]], e[1]}
+			if _, dup := seen[key]; key[0] != a.Parts[e[1]] && !dup {
+				seen[key] = struct{}{}
+				recv[key[0]]++
+			}
+		}
+		st := Edgecut(g, a)
+		total := 0
+		for i, want := range recv {
+			total += want
+			if st.PerPartRecvRows[i] != want {
+				t.Fatalf("P=%d: part %d receives %d rows, oracle %d", p, i, st.PerPartRecvRows[i], want)
+			}
+		}
+		if st.TotalRecvRows != total {
+			t.Fatalf("P=%d: TotalRecvRows = %d, oracle %d", p, st.TotalRecvRows, total)
+		}
+	}
+}
+
 func TestAssignmentValidate(t *testing.T) {
 	a := Assignment{Parts: []int{0, 5}, P: 2}
 	if err := a.Validate(); err == nil {

@@ -269,7 +269,8 @@ func Edgecut(g *graph.Graph, a Assignment) EdgecutStats {
 	}
 	stats := EdgecutStats{PerPartRecvRows: make([]int, a.P)}
 	perPartCut := make([]int, a.P)
-	seen := make(map[[2]int]struct{})
+	// Bit v·P + i records that part i already receives vertex v's row.
+	seen := make([]uint64, (g.NumVertices*a.P+63)/64)
 	for _, e := range g.Edges {
 		pu, pv := a.Parts[e[0]], a.Parts[e[1]]
 		if pu == pv {
@@ -277,9 +278,9 @@ func Edgecut(g *graph.Graph, a Assignment) EdgecutStats {
 		}
 		stats.TotalCut++
 		perPartCut[pu]++
-		key := [2]int{pu, e[1]}
-		if _, dup := seen[key]; !dup {
-			seen[key] = struct{}{}
+		bit := e[1]*a.P + pu
+		if seen[bit/64]&(1<<(bit%64)) == 0 {
+			seen[bit/64] |= 1 << (bit % 64)
 			stats.PerPartRecvRows[pu]++
 		}
 	}

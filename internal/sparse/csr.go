@@ -55,50 +55,66 @@ func ConvertCSR[T dense.Elem](a *CSR) *CSROf[T] {
 	return out
 }
 
-// NewCSR builds a CSR matrix from coordinate entries. Duplicate (row, col)
-// entries are summed. Entries out of range cause a panic.
+// NewCSR builds a CSR matrix from coordinate entries in O(len(entries) +
+// rows + cols) time by a stable two-pass counting sort: entries are bucketed
+// by column, then by row, so each row ends with its columns ascending and
+// equal (row, col) entries adjacent in input order. Duplicates are summed in
+// that order — ((v₀ + v₁) + v₂) + … as they appear in entries — so the
+// result's bits depend on nothing but the input. A sum of zero stays a stored
+// entry. Entries out of range cause a panic.
 func NewCSR(rows, cols int, entries []Coord) *CSR {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("sparse: negative dimensions %dx%d", rows, cols))
+	}
+	// Pass 1, by column: t is the transpose, each of its rows (a column of
+	// the result) holding that column's entries in input order.
+	t := &CSR{
+		Rows:   cols,
+		Cols:   rows,
+		RowPtr: make([]int, cols+1),
+		ColIdx: make([]int, len(entries)),
+		Val:    make([]float64, len(entries)),
 	}
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			panic(fmt.Sprintf("sparse: entry (%d,%d) out of range for %dx%d", e.Row, e.Col, rows, cols))
 		}
+		t.RowPtr[e.Col+1]++
 	}
-	sorted := make([]Coord, len(entries))
-	copy(sorted, entries)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Row != sorted[j].Row {
-			return sorted[i].Row < sorted[j].Row
-		}
-		return sorted[i].Col < sorted[j].Col
-	})
-	// Sum duplicates in place.
-	dedup := sorted[:0]
-	for _, e := range sorted {
-		if n := len(dedup); n > 0 && dedup[n-1].Row == e.Row && dedup[n-1].Col == e.Col {
-			dedup[n-1].Val += e.Val
-		} else {
-			dedup = append(dedup, e)
-		}
+	next := cursors(t.RowPtr)
+	for _, e := range entries {
+		t.ColIdx[next[e.Col]], t.Val[next[e.Col]] = e.Row, e.Val
+		next[e.Col]++
 	}
-	m := &CSR{
-		Rows:   rows,
-		Cols:   cols,
-		RowPtr: make([]int, rows+1),
-		ColIdx: make([]int, len(dedup)),
-		Val:    make([]float64, len(dedup)),
-	}
-	for i, e := range dedup {
-		m.RowPtr[e.Row+1]++
-		m.ColIdx[i] = e.Col
-		m.Val[i] = e.Val
-	}
+	// Pass 2, by row: Transpose scatters t's rows in order, which is stable.
+	m := t.Transpose()
+	// Sum each run of equal columns left to right, compacting in place.
+	n := 0
 	for i := 0; i < rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		m.RowPtr[i] = n
+		for k := lo; k < hi; k++ {
+			if n > m.RowPtr[i] && m.ColIdx[n-1] == m.ColIdx[k] {
+				m.Val[n-1] += m.Val[k]
+				continue
+			}
+			m.ColIdx[n], m.Val[n] = m.ColIdx[k], m.Val[k]
+			n++
+		}
 	}
+	m.RowPtr[rows] = n
+	m.ColIdx, m.Val = m.ColIdx[:n], m.Val[:n]
 	return m
+}
+
+// cursors turns the per-bucket counts stored at ptr[i+1] into CSR offsets
+// in place and returns a copy of the bucket starts, one write cursor per
+// bucket for a counting sort's scatter pass.
+func cursors(ptr []int) []int {
+	for i := 1; i < len(ptr); i++ {
+		ptr[i] += ptr[i-1]
+	}
+	return append([]int(nil), ptr[:len(ptr)-1]...)
 }
 
 // NNZ returns the number of stored nonzeros.
@@ -154,10 +170,7 @@ func (m *CSROf[T]) Transpose() *CSROf[T] {
 	for _, c := range m.ColIdx {
 		out.RowPtr[c+1]++
 	}
-	for i := 0; i < m.Cols; i++ {
-		out.RowPtr[i+1] += out.RowPtr[i]
-	}
-	next := append([]int(nil), out.RowPtr[:m.Cols]...)
+	next := cursors(out.RowPtr)
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			c := m.ColIdx[k]

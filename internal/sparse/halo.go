@@ -107,7 +107,7 @@ func BuildHaloPlan(at *CSR, offsets []int, skip int) *HaloPlan {
 // ReorderSym applies the symmetric permutation given by order (order[new]
 // = old) to the square matrix m: entry (i, j) of the result equals
 // m[order[i]][order[j]]. It relabels a graph's vertices so a partitioner's
-// parts become contiguous index blocks.
+// parts become contiguous index blocks, in O(nnz + n).
 func ReorderSym(m *CSR, order []int) *CSR {
 	if m.Rows != m.Cols {
 		panic(fmt.Sprintf("sparse: ReorderSym needs a square matrix, got %dx%d", m.Rows, m.Cols))
@@ -125,11 +125,26 @@ func ReorderSym(m *CSR, order []int) *CSR {
 		}
 		inv[oldIdx] = newIdx
 	}
-	entries := make([]Coord, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
+	// NewCSR's counting sort without the COO detour: bucket the relabelled
+	// entries by new column into the transpose t, then Transpose by new row.
+	n := m.Rows
+	t := &CSR{
+		Rows:   n,
+		Cols:   n,
+		RowPtr: make([]int, n+1),
+		ColIdx: make([]int, m.NNZ()),
+		Val:    make([]float64, m.NNZ()),
+	}
+	for _, c := range m.ColIdx {
+		t.RowPtr[inv[c]+1]++
+	}
+	next := cursors(t.RowPtr)
+	for i := 0; i < n; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			entries = append(entries, Coord{Row: inv[i], Col: inv[m.ColIdx[k]], Val: m.Val[k]})
+			c := inv[m.ColIdx[k]]
+			t.ColIdx[next[c]], t.Val[next[c]] = inv[i], m.Val[k]
+			next[c]++
 		}
 	}
-	return NewCSR(m.Rows, m.Cols, entries)
+	return t.Transpose()
 }

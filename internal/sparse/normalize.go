@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // NormalizeSymmetric returns D^{-1/2} (A + I) D^{-1/2}, the symmetric
@@ -10,23 +11,41 @@ import (
 // its "modified adjacency matrix" (§III-B). D is the diagonal degree matrix
 // of A + I. Vertices that remain isolated after adding the self-loop cannot
 // occur (the self-loop guarantees degree ≥ 1).
+//
+// It is one O(nnz + n) merge pass over a's rows (whose columns ascend, as
+// CSROf promises): each row is copied with its diagonal entry incremented,
+// or inserted in column order where a has none, and then scaled.
 func NormalizeSymmetric(a *CSR) *CSR {
 	if a.Rows != a.Cols {
 		panic(fmt.Sprintf("sparse: NormalizeSymmetric needs a square matrix, got %dx%d", a.Rows, a.Cols))
 	}
 	n := a.Rows
-	entries := a.Entries()
-	// Add self-loops, relying on NewCSR to merge duplicates.
-	for i := 0; i < n; i++ {
-		entries = append(entries, Coord{Row: i, Col: i, Val: 1})
+	ai := &CSR{
+		Rows:   n,
+		Cols:   n,
+		RowPtr: make([]int, n+1),
+		ColIdx: make([]int, 0, a.NNZ()+n),
+		Val:    make([]float64, 0, a.NNZ()+n),
 	}
-	ai := NewCSR(n, n, entries)
-	// Modified degrees: row sums of A + I.
 	dinv := make([]float64, n)
 	for i := 0; i < n; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		diag := lo + sort.SearchInts(a.ColIdx[lo:hi], i)
+		ai.ColIdx = append(append(ai.ColIdx, a.ColIdx[lo:diag]...), i)
+		ai.Val = append(ai.Val, a.Val[lo:diag]...)
+		if diag < hi && a.ColIdx[diag] == i {
+			ai.Val = append(ai.Val, a.Val[diag]+1)
+			diag++
+		} else {
+			ai.Val = append(ai.Val, 1)
+		}
+		ai.ColIdx = append(ai.ColIdx, a.ColIdx[diag:hi]...)
+		ai.Val = append(ai.Val, a.Val[diag:hi]...)
+		ai.RowPtr[i+1] = len(ai.Val)
+		// Modified degree: the row sum of A + I.
 		var s float64
-		for k := ai.RowPtr[i]; k < ai.RowPtr[i+1]; k++ {
-			s += ai.Val[k]
+		for _, v := range ai.Val[ai.RowPtr[i]:] {
+			s += v
 		}
 		dinv[i] = 1 / math.Sqrt(s)
 	}
