@@ -34,6 +34,7 @@ func lockstep(ranks, total int) (body func(ops layerOps, cfg nn.Config, prob Pro
 	done := make(chan struct{}, ranks)
 	body = func(ops layerOps, cfg nn.Config, prob Problem) error {
 		eng := newEngine(ops, cfg, prob)
+		eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 		weights := nn.InitWeights(cfg)
 		for i := 0; i < total; i++ {
 			<-start
@@ -108,6 +109,7 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 				ops = sops
 			}
 			eng := newEngine(ops, cfg, p)
+			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 			weights := nn.InitWeights(cfg)
 			for i := 0; i < 2; i++ {
 				eng.epoch(weights)

@@ -39,6 +39,15 @@ func bitEqualResults(t *testing.T, got, want *Result) {
 	}
 }
 
+// resumeTrainers are the five trainers the resume properties run over.
+var resumeTrainers = map[string]func() Trainer{
+	"serial": func() Trainer { return NewSerial() },
+	"1d":     func() Trainer { return NewOneD(4, testMach) },
+	"1.5d":   func() Trainer { return NewOneFiveD(4, 2, testMach) },
+	"2d":     func() Trainer { return NewTwoD(4, testMach) },
+	"3d":     func() Trainer { return NewThreeD(8, testMach) },
+}
+
 // TestCheckpointResumeBitIdentical is the resume property for every
 // trainer: train 3 epochs with checkpointing, then rerun with the same
 // directory asking for 6 — the engine resumes from the epoch-3 snapshot,
@@ -46,14 +55,7 @@ func bitEqualResults(t *testing.T, got, want *Result) {
 // epochs. Adam exercises the full optimizer-state round trip (step count
 // plus two moment buffers per layer).
 func TestCheckpointResumeBitIdentical(t *testing.T) {
-	trainers := map[string]func() Trainer{
-		"serial": func() Trainer { return NewSerial() },
-		"1d":     func() Trainer { return NewOneD(4, testMach) },
-		"1.5d":   func() Trainer { return NewOneFiveD(4, 2, testMach) },
-		"2d":     func() Trainer { return NewTwoD(4, testMach) },
-		"3d":     func() Trainer { return NewThreeD(8, testMach) },
-	}
-	for name, mk := range trainers {
+	for name, mk := range resumeTrainers {
 		t.Run(name, func(t *testing.T) {
 			prob := testProblem(t, 40, 6, 5, 4, 6, 21)
 			prob.Config.Optimizer = "adam"
@@ -87,20 +89,33 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 
 // TestCheckpointResumeNoop: resuming a run whose checkpoint already
 // covers every requested epoch trains zero further epochs but still
-// reports the full history.
+// reports the full history and produces the output. That output comes from
+// a forward pass over T¹ = Aᵀ·H⁰, which no snapshot carries: with zero
+// epochs left, the rebuild on resume is the only thing that can supply it.
 func TestCheckpointResumeNoop(t *testing.T) {
-	prob := testProblem(t, 30, 5, 4, 3, 4, 31)
-	dir := t.TempDir()
-	prob.Checkpoint = checkpoint.Options{Dir: dir}
-	want, err := NewSerial().Train(prob)
-	if err != nil {
-		t.Fatal(err)
+	for name, mk := range resumeTrainers {
+		t.Run(name, func(t *testing.T) {
+			prob := testProblem(t, 40, 5, 4, 3, 4, 31)
+			prob.Checkpoint = checkpoint.Options{Dir: t.TempDir()}
+			want, err := mk().Train(prob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mk().Train(prob) // resumes from the final snapshot
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ResumedEpoch != prob.Config.Epochs {
+				t.Fatalf("resumed at epoch %d, want %d (zero epochs left)", got.ResumedEpoch, prob.Config.Epochs)
+			}
+			bitEqualResults(t, got, want)
+			for i, w := range want.Output.Data {
+				if g := got.Output.Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("Output.Data[%d] = %v, want %v (bitwise)", i, g, w)
+				}
+			}
+		})
 	}
-	got, err := NewSerial().Train(prob) // resumes from the final snapshot
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitEqualResults(t, got, want)
 }
 
 // TestCheckpointEveryInterval: Every=2 over 5 epochs writes snapshots at

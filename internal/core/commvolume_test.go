@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/comm"
@@ -8,9 +9,18 @@ import (
 )
 
 // perEpochWords measures the per-epoch modeled communication words of a
-// trainer by differencing a 2-epoch and a 1-epoch run (subtracting away
-// setup, the final forward pass, and the output gather).
+// trainer, per-rank maximum by category, by differencing a 2-epoch and a
+// 1-epoch run (subtracting away setup, the once-per-run input aggregation
+// T¹, the final forward pass, and the output gather) — the steady-state
+// epoch.
 func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Category]int64 {
+	t.Helper()
+	return perEpochWordsBy(t, mk, p, (*comm.Cluster).MaxWordsByCategory)
+}
+
+// perEpochWordsBy is perEpochWords with the cluster-wide statistic chosen
+// by the caller (per-rank maximum, or sum over ranks).
+func perEpochWordsBy(t *testing.T, mk func() DistTrainer, p Problem, stat func(*comm.Cluster) map[comm.Category]int64) map[comm.Category]int64 {
 	t.Helper()
 	run := func(epochs int) map[comm.Category]int64 {
 		pp := p
@@ -19,7 +29,7 @@ func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Cate
 		if _, err := tr.Train(pp); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Cluster().MaxWordsByCategory()
+		return stat(tr.Cluster())
 	}
 	one := run(1)
 	two := run(2)
@@ -40,14 +50,18 @@ func commWorkload(p Problem) costmodel.Workload {
 }
 
 // TestOneDVolumeMatchesAnalytic checks the measured per-epoch 1D dense
-// traffic against the §IV-A-5 bound within a constant factor.
+// traffic against the §IV-A-5 bound within a constant factor. The bound
+// charges each of L layers edgecut·f + n·f + f²; a steady-state epoch
+// aggregates L−1 of them (T¹ is a constant of the run) and all-reduces all
+// L weight gradients: (L−1)(edgecut·f + n·f) + L·f².
 func TestOneDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 320, 16, 16, 8, 1, 41)
 	for _, ranks := range []int{4, 8, 16} {
 		words := perEpochWords(t, func() DistTrainer { return NewOneD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm])
 		w := commWorkload(p)
-		predicted := costmodel.OneD(w, ranks, costmodel.OneDRandomEdgecut(w.N, ranks)).Words
+		L := float64(w.Layers)
+		predicted := costmodel.OneD(w, ranks, costmodel.OneDRandomEdgecut(w.N, ranks)).Words*(L-1)/L + w.F*w.F
 		ratio := measured / predicted
 		if ratio < 0.4 || ratio > 2.5 {
 			t.Fatalf("P=%d: measured 1D dense words %v vs analytic %v (ratio %.2f)",
@@ -73,13 +87,17 @@ func TestOneDDenseTrafficFlatAcrossP(t *testing.T) {
 // TestTwoDVolumeMatchesAnalytic checks measured 2D traffic against the
 // §IV-C-5 bound. Sparse payloads serialize index structure alongside
 // values, so the sparse measurement runs up to ~2.5x the nnz-only bound.
+// A steady-state epoch runs no SUMMA SpMM for layer 1, forward or backward,
+// so two sweeps of nnz/√P sparse + nf/√P dense panels come off the bound;
+// the layer's T·W panels, row gathers and f² terms stay.
 func TestTwoDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 320, 16, 16, 8, 1, 43)
 	w := commWorkload(p)
 	for _, ranks := range []int{4, 16} {
 		words := perEpochWords(t, func() DistTrainer { return NewTwoD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm] + words[comm.CatSparseComm] + words[comm.CatTranspose])
-		predicted := costmodel.TwoD(w, ranks).Words
+		predicted := costmodel.TwoD(w, ranks).Words -
+			2*(float64(w.NNZ)+float64(w.N)*w.F)/math.Sqrt(float64(ranks))
 		ratio := measured / predicted
 		if ratio < 0.3 || ratio > 3.0 {
 			t.Fatalf("P=%d: measured 2D words %v vs analytic %v (ratio %.2f)",
@@ -102,8 +120,14 @@ func TestTwoDDenseTrafficScalesWithSqrtP(t *testing.T) {
 	}
 }
 
-// TestTwoDBeatsOneDPastCrossover verifies §VI-d: the 2D algorithm moves
-// fewer words than 1D once √P ≥ 5, and more below the crossover.
+// TestTwoDBeatsOneDPastCrossover verifies §VI-d's crossover — 2D moves
+// fewer words than 1D past it, more below — at the place the steady-state
+// epoch puts it. With edgecut ≈ n and nnz ≈ nf the paper's per-layer costs
+// are 2nf for 1D and 10nf/√P for 2D, hence 5/√P and √P ≥ 5. Aggregating
+// layer 1 once per run takes a whole layer, 2nf, off 1D but only the two
+// SUMMA SpMMs, 4nf/√P, off 2D (its T·W panels, row gathers and the
+// transpose stay), so the ratio is (10L−4)/(2(L−1)√P): 8/√P for this
+// L = 2 network — crossover at √P = 8, tending back to 5 as L grows.
 func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 	// Use a workload shaped like the paper's assumption nnz ≈ nf: degree
 	// comparable to average feature width.
@@ -111,10 +135,10 @@ func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 	total := func(words map[comm.Category]int64) int64 {
 		return words[comm.CatDenseComm] + words[comm.CatSparseComm] + words[comm.CatTranspose]
 	}
-	oneD := perEpochWords(t, func() DistTrainer { return NewOneD(36, testMach) }, p)
-	twoD := perEpochWords(t, func() DistTrainer { return NewTwoD(36, testMach) }, p)
+	oneD := perEpochWords(t, func() DistTrainer { return NewOneD(100, testMach) }, p)
+	twoD := perEpochWords(t, func() DistTrainer { return NewTwoD(100, testMach) }, p)
 	if total(twoD) >= total(oneD) {
-		t.Fatalf("past crossover (P=36): 2D words %d should beat 1D words %d", total(twoD), total(oneD))
+		t.Fatalf("past crossover (P=100): 2D words %d should beat 1D words %d", total(twoD), total(oneD))
 	}
 	oneDSmall := perEpochWords(t, func() DistTrainer { return NewOneD(4, testMach) }, p)
 	twoDSmall := perEpochWords(t, func() DistTrainer { return NewTwoD(4, testMach) }, p)
@@ -125,14 +149,17 @@ func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 }
 
 // TestThreeDVolumeMatchesAnalytic checks measured 3D traffic against the
-// §IV-D-5 bound.
+// §IV-D-5 bound, less the two Split-3D-SpMMs layer 1 no longer runs in a
+// steady-state epoch: each is nnz/P^{2/3} of sparse panels plus nf/P^{2/3}
+// of dense panels plus the nf/P^{2/3} fiber reduce-scatter.
 func TestThreeDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 512, 16, 16, 8, 1, 46)
 	w := commWorkload(p)
 	for _, ranks := range []int{8, 27} {
 		words := perEpochWords(t, func() DistTrainer { return NewThreeD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm] + words[comm.CatSparseComm])
-		predicted := costmodel.ThreeD(w, ranks).Words
+		predicted := costmodel.ThreeD(w, ranks).Words -
+			2*(float64(w.NNZ)+2*float64(w.N)*w.F)/math.Pow(float64(ranks), 2.0/3)
 		ratio := measured / predicted
 		if ratio < 0.2 || ratio > 3.0 {
 			t.Fatalf("P=%d: measured 3D words %v vs analytic %v (ratio %.2f)",
@@ -171,5 +198,77 @@ func TestSparseCommStructure(t *testing.T) {
 	threeD := perEpochWords(t, func() DistTrainer { return NewThreeD(8, testMach) }, p)
 	if threeD[comm.CatSparseComm] == 0 {
 		t.Fatal("3D must broadcast sparse blocks")
+	}
+}
+
+// TestSteadyStateWordsDropInputLayer pins the steady-state epoch's words,
+// summed over ranks, to the exact word: what an epoch moved while layer 1
+// was aggregated every epoch (the `before` figures, recorded with this test
+// body at the commit before the engine kept T¹), less the forward
+// aggregation Aᵀ·H⁰ and the backward aggregation A·G¹, written out
+// collective by collective below. Everything else — weight all-reduces,
+// T·W panels, row gathers (2D/3D now gather G¹ where they gathered A·G¹:
+// same shape), the transpose exchange — must not move. Sums over ranks, not
+// per-rank maxima, because only sums subtract.
+//
+// Charging rules (internal/comm): a broadcast charges every member of a
+// group of more than one the payload's words — a dense block is
+// rows·cols + 2, a CSR block rows + 3 + 2·nnz; a reduce-scatter charges
+// every member the full input length; an all-reduce charges it twice.
+func TestSteadyStateWordsDropInputLayer(t *testing.T) {
+	p := testProblem(t, 64, 8, 6, 4, 1, 51)
+	n, nnz := int64(p.A.Rows), int64(p.A.NNZ())
+	f0, f1 := int64(p.Config.Widths[0]), int64(p.Config.Widths[1])
+	type words = map[comm.Category]int64
+	const dcomm, scomm, trpose, misc = comm.CatDenseComm, comm.CatSparseComm, comm.CatTranspose, comm.CatMisc
+
+	// 1.5D blockMul of an n x f operand, T teams of c: each of the T stage
+	// blocks is broadcast once, to the T members of one layer group; then
+	// every rank all-reduces its team's rows within the team, and the c
+	// members of a team together account for c·(its rows) = c·n in all.
+	blockMul := func(T, c, f int64) words { return words{dcomm: T*(n*f+2*T) + 2*c*n*f} }
+	// 2D SUMMA SpMM against an n x f operand on a q x q grid: each of the
+	// q² sparse blocks (their rows sum to q·n, their nonzeros to nnz) is a
+	// panel for the q ranks of its grid row, each of the q² dense blocks
+	// for the q ranks of its grid column.
+	summa := func(q, f int64) words {
+		return words{scomm: q * (3*q*q + q*n + 2*nnz), dcomm: q * (n*f + 2*q*q)}
+	}
+	// 3D Split-3D-SpMM on a c x c x c mesh: c³ sparse blocks (rows sum to
+	// c²·n) and c³ dense blocks, each a panel for c ranks, then the fiber
+	// reduce-scatter of every rank's (n/c) x (f/c) partial sum.
+	split := func(c, f int64) words {
+		return words{scomm: c * (3*c*c*c + c*c*n + 2*nnz), dcomm: c*(n*f+2*c*c*c) + c*n*f}
+	}
+	cases := []struct {
+		name     string
+		mk       func() DistTrainer
+		before   words
+		fwd, bwd words // the layer-1 aggregations an epoch no longer runs
+	}{
+		// 1D, P = 4: forward, P broadcasts of one block row of H⁰ each, to
+		// all P ranks; backward, the reduce-scatter of the n x f¹ outer
+		// product on every rank.
+		{"1d", func() DistTrainer { return NewOneD(4, testMach) },
+			words{dcomm: 6784, misc: 8},
+			words{dcomm: 4 * (n*f0 + 2*4)}, words{dcomm: 4 * n * f1}},
+		{"1.5d", func() DistTrainer { return NewOneFiveD(4, 2, testMach) },
+			words{dcomm: 9824, misc: 8},
+			blockMul(2, 2, f0), blockMul(2, 2, f1)},
+		{"2d", func() DistTrainer { return NewTwoD(4, testMach) },
+			words{dcomm: 7936, scomm: 13408, trpose: 834, misc: 8},
+			summa(2, f0), summa(2, f1)},
+		{"3d", func() DistTrainer { return NewThreeD(8, testMach) },
+			words{dcomm: 11776, scomm: 14528, misc: 16},
+			split(2, f0), split(2, f1)},
+	}
+	for _, tc := range cases {
+		got := perEpochWordsBy(t, tc.mk, p, (*comm.Cluster).SumWordsByCategory)
+		for _, cat := range []comm.Category{dcomm, scomm, trpose, misc} {
+			if want := tc.before[cat] - tc.fwd[cat] - tc.bwd[cat]; got[cat] != want {
+				t.Errorf("%s %v: steady-state epoch moves %d words over all ranks, want %d − %d − %d = %d",
+					tc.name, cat, got[cat], tc.before[cat], tc.fwd[cat], tc.bwd[cat], want)
+			}
+		}
 	}
 }

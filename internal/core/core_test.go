@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -263,6 +264,50 @@ func TestDirectedGraphTrainers(t *testing.T) {
 	}
 	checkEquivalence(t, NewOneD(4, testMach), p)
 	checkEquivalence(t, NewTwoD(4, testMach), p)
+}
+
+// TestSymmetricOnlyTrainersRejectDirected: 1.5D and 3D read Aᵀ blocks
+// straight out of A, so a directed adjacency — here a row-normalized
+// directed R-MAT, wrong in structure and in value — must be refused with an
+// error naming the algorithm, not trained into a different model. A
+// symmetric structure with one asymmetric value is refused too, and the
+// same graph symmetrized is accepted. (TestDirectedGraphTrainers has the
+// other half: serial, 1D and 2D train directed graphs.)
+func TestSymmetricOnlyTrainersRejectDirected(t *testing.T) {
+	g := graph.RMAT(6, 4, graph.DefaultRMAT, rand.New(rand.NewSource(23)))
+	ds := graph.Synthetic("directed-rmat", g, 6, 4, 3, 24)
+	p := Problem{
+		A:        sparse.RowStochastic(ds.Graph.Adjacency()),
+		Features: ds.Features,
+		Labels:   ds.Labels,
+		Config:   nn.Config{Widths: []int{6, 4, 3}, LR: 0.05, Epochs: 1, Seed: 25},
+	}
+	sym := graph.New(g.NumVertices)
+	for _, e := range g.Edges {
+		sym.AddUndirectedEdge(e[0], e[1])
+	}
+	symmetric := p
+	symmetric.A = sym.NormalizedAdjacency()
+	skewed := symmetric
+	skewed.A = symmetric.A.Clone()
+	for k := skewed.A.RowPtr[0]; k < skewed.A.RowPtr[1]; k++ {
+		if skewed.A.ColIdx[k] != 0 {
+			skewed.A.Val[k] *= 1.5 // A[0,j] ≠ A[j,0], structure intact
+			break
+		}
+	}
+	for _, tr := range []Trainer{NewOneFiveD(4, 2, testMach), NewThreeD(8, testMach)} {
+		for name, bad := range map[string]Problem{"directed": p, "asymmetric values": skewed} {
+			_, err := tr.Train(bad)
+			if err == nil {
+				t.Fatalf("%s trained on a %s adjacency", tr.Name(), name)
+			}
+			if want := "the " + tr.Name() + " trainer needs a symmetric adjacency"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s on a %s adjacency: error %q does not say %q", tr.Name(), name, err, want)
+			}
+		}
+		checkEquivalence(t, tr, symmetric)
+	}
 }
 
 // TestTrainersWithIdentityOutput exercises the element-wise-output path

@@ -29,6 +29,11 @@ type layerOps interface {
 
 	// forwardAggregate returns this rank's block of T = Aᵀ·X, where x is
 	// this rank's block of X and l is the 1-based layer (for cost charges).
+	// The engine calls it with l = 1 once per (A, H⁰) — see aggregateInput —
+	// and keeps that result across endEpoch, so at l = 1 the implementation
+	// returns storage endEpoch does not recycle (Workspace.Keep) and counts
+	// it as resident; for l > 1 the result is epoch-scoped like every other
+	// temporary.
 	forwardAggregate(x *dense.Matrix, l int) *dense.Matrix
 
 	// multiplyWeight returns this rank's block of Z = T·W for the
@@ -52,12 +57,17 @@ type layerOps interface {
 	// activationBackward returns G^l = act'(∂L/∂H^l, Z^l).
 	activationBackward(act dense.Activation, dH, z *dense.Matrix, cache *actCache, l int) *dense.Matrix
 
-	// backwardAggregate returns this rank's block of AG = A·G^l. Layouts
-	// that gather full rows of AG here may cache them for the weightGrad
-	// and inputGrad calls that immediately follow.
+	// backwardAggregate returns this rank's block of AG = A·G^l. Called
+	// only for l > 1: layer 1 needs no backward aggregation (see epoch).
+	// Layouts that gather full rows of AG here may cache them for the
+	// weightGrad and inputGrad calls that immediately follow.
 	backwardAggregate(g *dense.Matrix, l int) *dense.Matrix
 
-	// weightGrad returns the fully replicated Y^l = (H^{l-1})ᵀ(A G^l).
+	// weightGrad returns the fully replicated Y^l = hPrevᵀ·ag. For l > 1
+	// the operands are (H^{l-1}, A G^l), ag being what backwardAggregate(l)
+	// just returned; at l = 1 they are (T¹, G¹), with no backwardAggregate
+	// call before it — a layout whose product reads full rows of ag (2D,
+	// 3D) gathers them itself on that path.
 	weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix
 
 	// inputGrad returns this rank's block of ∂L/∂H^{l-1} = (A G^l)(W^l)ᵀ
@@ -133,6 +143,10 @@ type engine struct {
 	trainMask []bool
 	valMask   []bool
 
+	// t1 is this rank's block of T¹ = Aᵀ·H⁰, set by aggregateInput. H⁰ is
+	// the input, so T¹ is a constant of the run, not of the epoch.
+	t1 *dense.Matrix
+
 	// Reused per-epoch bookkeeping, sized on first use: activations,
 	// pre-activations, activation caches, weight gradients, the 1-slot
 	// loss-reduction buffer, the drain-vote buffer, and the accuracy mask
@@ -168,10 +182,18 @@ func (e *engine) meta(algo string, world int) *engine {
 	return e
 }
 
+// aggregateInput computes T¹ = Aᵀ·H⁰ for the ops' current (A, H⁰). Every
+// epoch and the final forward pass read it, so whoever drives epoch or
+// forward calls this first: run once per run, the mini-batch trainer once
+// per step, after retargeting the ops at the step's subgraph.
+func (e *engine) aggregateInput() {
+	e.t1 = e.ops.forwardAggregate(e.ops.input(), 1)
+}
+
 // epoch runs one forward pass, loss reduction, backward recursion, and
 // optimizer step, updating weights in place. It returns the global loss,
 // the output-layer activation block, and its cache (for accuracy
-// tracking).
+// tracking). aggregateInput must have run for the ops' current input.
 func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCache) {
 	L := e.cfg.Layers()
 	if len(e.h) != L+1 {
@@ -182,13 +204,15 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 		e.scalar = make([]float64, 1)
 	}
 	H, Z, caches, dW := e.h, e.z, e.caches, e.dW
-	H[0] = e.ops.input()
 
-	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l). Activations are
-	// retained for backpropagation — the O(nfL) memory cost the paper's
-	// conclusion discusses.
+	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l), with Aᵀ H⁰ = T¹ already
+	// aggregated. Activations are retained for backpropagation — the O(nfL)
+	// memory cost the paper's conclusion discusses.
 	for l := 1; l <= L; l++ {
-		t := e.ops.forwardAggregate(H[l-1], l)
+		t := e.t1
+		if l > 1 {
+			t = e.ops.forwardAggregate(H[l-1], l)
+		}
 		Z[l] = e.ops.multiplyWeight(t, weights[l-1], l)
 		H[l], caches[l] = e.ops.activationForward(e.cfg.Activation(l), Z[l], l)
 	}
@@ -201,15 +225,19 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 	//   G^l   = act.Backward(∂L/∂H^l, Z^l)
 	//   Y^l   = (H^{l-1})ᵀ (A G^l)
 	//   ∂L/∂H^{l-1} = (A G^l)(W^l)ᵀ
+	// The recursion ends at l = 1, where no input gradient is wanted and
+	//   Y¹ = (H⁰)ᵀ (A G¹) = (Aᵀ H⁰)ᵀ G¹ = (T¹)ᵀ G¹
+	// by transposition alone (A need not be symmetric): the widest layer's
+	// backward aggregation is never computed.
 	e.ops.beforeBackward()
-	for l := L; l >= 1; l-- {
+	for l := L; l > 1; l-- {
 		g := e.ops.activationBackward(e.cfg.Activation(l), dH, Z[l], caches[l], l)
 		ag := e.ops.backwardAggregate(g, l)
 		dW[l-1] = e.ops.weightGrad(H[l-1], ag, l)
-		if l > 1 {
-			dH = e.ops.inputGrad(ag, weights[l-1], l)
-		}
+		dH = e.ops.inputGrad(ag, weights[l-1], l)
 	}
+	g := e.ops.activationBackward(e.cfg.Activation(1), dH, Z[1], caches[1], 1)
+	dW[0] = e.ops.weightGrad(e.t1, g, 1)
 
 	// Weight update: gradients are replicated, so the optimizer runs
 	// identically on every rank with no communication (§III-D).
@@ -218,11 +246,14 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 }
 
 // forward runs inference with fixed weights and returns this rank's block
-// of H^L.
+// of H^L. Like epoch, it starts from the T¹ aggregateInput left.
 func (e *engine) forward(weights []*dense.Matrix) *dense.Matrix {
-	out := e.ops.input()
+	var out *dense.Matrix
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		t := e.ops.forwardAggregate(out, l)
+		t := e.t1
+		if l > 1 {
+			t = e.ops.forwardAggregate(out, l)
+		}
 		z := e.ops.multiplyWeight(t, weights[l-1], l)
 		out, _ = e.ops.activationForward(e.cfg.Activation(l), z, l)
 	}
@@ -265,6 +296,9 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 
+	// T¹ is derived state: a resumed run rebuilds it here, no snapshot
+	// carries it.
+	e.aggregateInput()
 	drained := 0
 	for epoch := start; epoch < e.cfg.Epochs; epoch++ {
 		loss, hOut, cache := e.epoch(weights)

@@ -25,6 +25,7 @@ func benchEngineEpochSerial(b *testing.B, backend parallel.Backend) {
 	cfg := p.Config.WithDefaults()
 	ops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
 	eng := newEngine(ops, cfg, p)
+	eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 	weights := nn.InitWeights(cfg)
 	for i := 0; i < 2; i++ {
 		eng.epoch(weights)
@@ -80,6 +81,7 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 				ops = sops
 			}
 			eng := newEngine(ops, cfg, p)
+			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 			weights := nn.InitWeights(cfg)
 			for i := 0; i < 2; i++ {
 				eng.epoch(weights)
@@ -108,6 +110,7 @@ func benchEngineEpochDist(b *testing.B, tr rankRunner, ranks int, backend parall
 	go func() {
 		errCh <- tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
 			eng := newEngine(ops, cfg, prob)
+			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 			weights := nn.InitWeights(cfg)
 			for i := 0; i < warmup+b.N; i++ {
 				<-start

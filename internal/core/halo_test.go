@@ -80,16 +80,17 @@ func TestHaloLedgerMatchesEdgecutBound(t *testing.T) {
 		}
 
 		// Tie to the published formula: with uniform widths, the halo
-		// component of the ledger equals the edgecut·f term of
-		// costmodel.OneD (per training forward plus the final inference
-		// forward), L·rᵢ·f per epoch.
+		// component of the ledger is the edgecut·f term of costmodel.OneD
+		// for one layer, rᵢ·f, counted once for the input layer (T¹ is
+		// fetched once per run) and, for each of the other L−1 layers,
+		// once per training forward plus the final inference forward.
 		w := costmodel.Workload{N: n, NNZ: int64(p.A.NNZ()), F: f, Layers: len(widths) - 1}
 		for r := 0; r < ranks; r++ {
 			got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm] -
 				costmodel.OneDHaloDenseWords(widths, n, ranks, 0, epochs)
 			ri := float64(stats.PerPartRecvRows[r])
-			perEpoch := costmodel.OneD(w, ranks, ri).Words - costmodel.OneD(w, ranks, 0).Words
-			want := int64(math.Round(float64(epochs+1) * perEpoch))
+			perLayer := (costmodel.OneD(w, ranks, ri).Words - costmodel.OneD(w, ranks, 0).Words) / float64(w.Layers)
+			want := int64(math.Round(float64(1+(epochs+1)*(w.Layers-1)) * perLayer))
 			if got != want {
 				t.Fatalf("P=%d rank %d: halo component %d words, costmodel.OneD edgecut term %d",
 					ranks, r, got, want)

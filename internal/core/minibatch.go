@@ -110,6 +110,7 @@ func (t *MiniBatch) Train(ds *graph.Dataset, cfg nn.Config, mask []bool) (*Resul
 			// SGD normalization) and runs one engine epoch on the sampled
 			// subproblem.
 			ops.retarget(subA, subH, subLabels, seedMask, len(seeds))
+			eng.aggregateInput() // T¹ belongs to this step's (A, H⁰) only
 			loss, _, _ := eng.epoch(weights)
 			ops.endEpoch() // release the step's workspace checkouts
 			epochLoss += loss
@@ -120,7 +121,9 @@ func (t *MiniBatch) Train(ds *graph.Dataset, cfg nn.Config, mask []bool) (*Resul
 
 	// Inference is exact full-graph propagation with the trained weights.
 	fullOps := newSerialOps(cfg, ds.Graph.NormalizedAdjacency(), ds.Features, ds.Labels, mask, len(trainIdx))
-	out := (&engine{ops: fullOps, cfg: cfg}).forward(weights)
+	full := &engine{ops: fullOps, cfg: cfg}
+	full.aggregateInput()
+	out := full.forward(weights)
 	return &Result{
 		Weights:  weights,
 		Output:   out,

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/sampling"
@@ -79,5 +82,70 @@ func TestMiniBatchValidation(t *testing.T) {
 func TestMiniBatchName(t *testing.T) {
 	if NewMiniBatch(1, nil, 0).Name() != "minibatch" {
 		t.Fatal("name wrong")
+	}
+}
+
+// TestMiniBatchInputAggregateNotReused: T¹ = Aᵀ·H⁰ belongs to one step's
+// sampled (A, H⁰). One epoch over two batches is two consecutive steps on
+// different subgraphs; the reference below repeats them with a fresh ops
+// and engine per step, which cannot carry anything from one subgraph to
+// the next, and the trainer — which reuses one ops/engine pair for the whole
+// run — must reproduce it bit for bit.
+func TestMiniBatchInputAggregateNotReused(t *testing.T) {
+	ds, err := graph.LearnableSpec{
+		Communities: 3, PerCommunity: 60,
+		IntraDegree: 6, InterDegree: 2,
+		Features: 6, FeatureNoise: 0.5, Seed: 87,
+	}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := ds.Graph.NumVertices
+	cfg := nn.Config{Widths: []int{6, 8, 3}, LR: 0.3, Epochs: 1, Seed: 88}
+	fanouts := sampling.Fanouts{2, 2}
+	const seed, batch = 89, 90 // 180 training vertices: exactly two steps
+
+	got, err := NewMiniBatch(batch, fanouts, seed).Train(ds, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg = cfg.WithDefaults()
+	rng := rand.New(rand.NewSource(seed))
+	weights := nn.InitWeights(cfg)
+	opt := cfg.NewOptimizer()
+	perm := rng.Perm(n)
+	var lossSum float64
+	var sizes []int
+	for start := 0; start < n; start += batch {
+		seeds := perm[start : start+batch]
+		sub, order, seedMask := sampling.SampleSubgraph(ds.Graph, seeds, fanouts, rng)
+		sizes = append(sizes, sub.NumVertices)
+		subH := dense.New(sub.NumVertices, ds.Features.Cols)
+		subLabels := make([]int, sub.NumVertices)
+		for newID, origID := range order {
+			copy(subH.Row(newID), ds.Features.Row(origID))
+			subLabels[newID] = ds.Labels[origID]
+		}
+		ops := &serialOps{cfg: cfg, ws: dense.NewWorkspace(), cnt: make([]float64, 8)}
+		ops.retarget(sub.NormalizedAdjacency(), subH, subLabels, seedMask, len(seeds))
+		eng := &engine{ops: ops, cfg: cfg, opt: opt}
+		eng.aggregateInput()
+		loss, _, _ := eng.epoch(weights)
+		lossSum += loss
+	}
+	if len(sizes) != 2 || sizes[0] == sizes[1] {
+		t.Fatalf("want two steps on subgraphs of different sizes, got sizes %v", sizes)
+	}
+
+	if g, w := got.Losses[0], lossSum/2; math.Float64bits(g) != math.Float64bits(w) {
+		t.Fatalf("epoch loss %v, per-step-fresh reference %v (bitwise)", g, w)
+	}
+	for l := range weights {
+		for j, w := range weights[l].Data {
+			if g := got.Weights[l].Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("W[%d].Data[%d] = %v, per-step-fresh reference %v (bitwise)", l, j, g, w)
+			}
+		}
 	}
 }

@@ -40,8 +40,10 @@ type mixedOps struct {
 	ws  *dense.WorkspaceOf[float32]
 	cnt []float64
 
-	// Persistent typed state: converted input features (h32[0]), per-layer
-	// weight/gradient buffers, and the f64 output of the final gather.
+	// Persistent typed state: converted input features (h32[0]), their
+	// aggregate (t32[1]), per-layer weight/gradient buffers, and the f64
+	// output of the final gather.
+	t32   []*dense.Of[float32] // T^l = Aᵀ·H^{l-1} this epoch (t32[1] is kept for the whole run)
 	h32   []*dense.Of[float32] // H^l this epoch (h32[0] is the converted input)
 	z32   []*dense.Of[float32] // Z^l this epoch (unset for fused ReLU layers)
 	w32   []*dense.Of[float32] // W^l downcast from the f64 master weights
@@ -50,7 +52,6 @@ type mixedOps struct {
 	out64 *dense.Matrix   // f64 conversion of the final output
 
 	// Epoch-transient pointers into workspace buffers.
-	t32  *dense.Of[float32] // T = Aᵀ·H^{l-1} of the current layer
 	dh32 *dense.Of[float32] // upstream gradient ∂L/∂H^l
 	g32  *dense.Of[float32] // G^l after activation backward
 	ag32 *dense.Of[float32] // A·G^l
@@ -75,6 +76,7 @@ func newMixedOps(cfg nn.Config, p Problem, o KernelOptions) *mixedOps {
 		norm:     p.lossNormalizer(),
 		ws:       dense.NewWorkspaceOf[float32](),
 		cnt:      make([]float64, 8),
+		t32:      make([]*dense.Of[float32], L+1),
 		h32:      make([]*dense.Of[float32], L+1),
 		z32:      make([]*dense.Of[float32], L+1),
 		w32:      make([]*dense.Of[float32], L),
@@ -119,7 +121,10 @@ func (m *mixedOps) input() *dense.Matrix { return m.hdr }
 func (m *mixedOps) forwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
 	t := m.ws.GetUninit(m.at32.Rows, m.cfg.Widths[l-1])
 	sparse.SpMM(t, m.at32, m.h32[l-1])
-	m.t32 = t
+	if l == 1 {
+		t = m.ws.Keep(t) // T¹ outlives endEpoch: the engine reuses it every epoch
+	}
+	m.t32[l] = t
 	return m.hdr
 }
 
@@ -127,12 +132,13 @@ func (m *mixedOps) multiplyWeight(_, w *dense.Matrix, l int) *dense.Matrix {
 	// Downcast the current f64 master weights; the optimizer updated them
 	// since the last epoch.
 	dense.Convert(m.w32[l-1], w)
-	z := m.ws.GetUninit(m.t32.Rows, m.cfg.Widths[l])
+	t := m.t32[l]
+	z := m.ws.GetUninit(t.Rows, m.cfg.Widths[l])
 	if m.fusedReLU(l) {
-		dense.MulBiasReLU(z, m.t32, m.w32[l-1], nil)
+		dense.MulBiasReLU(z, t, m.w32[l-1], nil)
 		m.h32[l] = z // z holds H^l; backward masks on it (h > 0 ⟺ z > 0)
 	} else {
-		dense.Mul(z, m.t32, m.w32[l-1])
+		dense.Mul(z, t, m.w32[l-1])
 		m.z32[l] = z
 	}
 	return m.hdr
@@ -200,7 +206,11 @@ func (m *mixedOps) backwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
 }
 
 func (m *mixedOps) weightGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
-	dense.TMul(m.dw32[l-1], m.h32[l-1], m.ag32)
+	if l == 1 {
+		dense.TMul(m.dw32[0], m.t32[1], m.g32) // Y¹ = (T¹)ᵀ G¹
+	} else {
+		dense.TMul(m.dw32[l-1], m.h32[l-1], m.ag32)
+	}
 	// Upcast for the optimizer: master weights and optimizer state stay f64.
 	dense.Convert(m.dw64[l-1], m.dw32[l-1])
 	return m.dw64[l-1]

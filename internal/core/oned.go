@@ -295,6 +295,11 @@ func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.atBlk[j].NNZ()), rows, fPrev))
 		}
 	}
+	if l == 1 {
+		// T¹ outlives endEpoch: the engine reuses it every epoch.
+		T = r.ws.Keep(T)
+		r.memBase += matWords(T)
+	}
 	return T
 }
 
@@ -339,7 +344,7 @@ func (r *oneDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix,
 	return g
 }
 
-// backwardAggregate is the large 1D outer product (§IV-A-3): each rank
+// backwardAggregate (l > 1) is the large 1D outer product (§IV-A-3): each rank
 // forms the low-rank n x f product A(:, my rows)·G_i = (Aᵀ_i)ᵀ G_i over the
 // precomputed transpose plan, then the partial sums are reduce-scattered
 // back to block rows. The outer product materializes an n x f dense
@@ -360,7 +365,8 @@ func (r *oneDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 }
 
 // weightGrad is the small 1D outer product (§IV-A-4): Y^l = (H^{l-1})ᵀ(A G^l),
-// reusing the aggregated product, finished with an f×f all-reduce.
+// reusing the aggregated product — or Y¹ = (T¹)ᵀG¹, both operands already
+// in block rows — finished with an f×f all-reduce.
 func (r *oneDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
 	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
 	yLocal := r.ws.GetUninit(fPrev, fl)

@@ -24,7 +24,8 @@ import (
 // all-reduce (≈ ncf/P words) completes each product. The paper analyzes but
 // does not implement 1.5D, arguing d = O(f) makes the memory cost hard to
 // justify (§IV-B); this implementation lets the repo quantify that
-// trade-off. A must be symmetric, as for the 3D trainer.
+// trade-off. A must be symmetric, as for the 3D trainer; Train rejects any
+// other.
 type OneFiveD struct {
 	p       int
 	c       int
@@ -83,6 +84,9 @@ func (t *OneFiveD) runRanks(p Problem, body func(ops layerOps, cfg nn.Config, pr
 	}
 	if t.c < 1 || t.p%t.c != 0 {
 		return fmt.Errorf("core: 1.5d trainer needs c ≥ 1 dividing P, got P=%d c=%d", t.p, t.c)
+	}
+	if err := requireSymmetric(p.A, t.Name()); err != nil {
+		return err
 	}
 	teams := t.p / t.c
 	n := p.A.Rows
@@ -359,7 +363,14 @@ func (r *oneFiveDRank) rank() int { return r.comm.Rank() }
 func (r *oneFiveDRank) input() *dense.Matrix { return r.h0 }
 
 func (r *oneFiveDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	return r.blockMul(x)
+	t := r.blockMul(x)
+	if l == 1 {
+		// T¹ outlives endEpoch: the engine reuses it every epoch. With
+		// c > 1 it arrives in a fabric payload, so Keep copies it out.
+		t = r.ws.Keep(t)
+		r.memBase += matWords(t)
+	}
+	return t
 }
 
 func (r *oneFiveDRank) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
@@ -403,7 +414,8 @@ func (r *oneFiveDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 	return r.blockMul(g)
 }
 
-// weightGrad: Y^l = Σ_teams (H_j)ᵀ(AG_j): layer-0 members contribute their
+// weightGrad: Y^l = Σ_teams (H_j)ᵀ(AG_j) — at l = 1, Σ_teams (T¹_j)ᵀG¹_j,
+// both team-replicated like H and AG: layer-0 members contribute their
 // team's term once; the world all-reduce replicates Y everywhere.
 func (r *oneFiveDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
 	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]

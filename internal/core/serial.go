@@ -171,6 +171,9 @@ func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	default:
 		sparse.SpMMT(t, s.a, x)
 	}
+	if l == 1 {
+		t = s.ws.Keep(t) // T¹ outlives endEpoch: the engine reuses it every epoch
+	}
 	return t
 }
 

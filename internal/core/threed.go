@@ -22,7 +22,8 @@ import (
 // The paper analyzes but does not implement this algorithm (§IV-D-5); this
 // implementation completes the family. A must be symmetric (A = Aᵀ), which
 // holds for the normalized adjacency of every dataset in the paper, so
-// backward reuses the forward blocks without a transpose step.
+// backward reuses the forward blocks without a transpose step; Train
+// rejects any other A.
 type ThreeD struct {
 	p       int
 	mach    costmodel.Machine
@@ -62,6 +63,9 @@ func (t *ThreeD) runRanks(p Problem, body func(ops layerOps, cfg nn.Config, prob
 	}
 	if !partition.IsPerfectCube(t.p) {
 		return fmt.Errorf("core: 3d trainer needs a perfect-cube rank count, got %d", t.p)
+	}
+	if err := requireSymmetric(p.A, t.Name()); err != nil {
+		return err
 	}
 	cfg := p.Config.WithDefaults()
 	n := p.A.Rows
@@ -138,7 +142,8 @@ type threeDRank struct {
 
 	// agRow caches the full-row gather of the latest backwardAggregate
 	// result, reused by the weightGrad and inputGrad calls that follow it
-	// (§IV-D-4 gathers AG once for both products).
+	// (§IV-D-4 gathers AG once for both products). At l = 1, where no
+	// backwardAggregate runs, weightGrad fills it with the rows of G¹.
 	agRow *dense.Matrix
 }
 
@@ -322,7 +327,14 @@ func (r *threeDRank) input() *dense.Matrix { return r.h0 }
 
 // forwardAggregate computes T = Aᵀ X via Split-3D-SpMM.
 func (r *threeDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	return r.split3DSpMM(x)
+	t := r.split3DSpMM(x)
+	if l == 1 {
+		// T¹ outlives endEpoch: the engine reuses it every epoch. It
+		// arrives in the reduce-scatter's payload, so Keep copies it out.
+		t = r.ws.Keep(t)
+		r.memBase += matWords(t)
+	}
+	return t
 }
 
 // multiplyWeight computes Z = T W within each mesh layer.
@@ -402,7 +414,7 @@ func (r *threeDRank) activationBackward(act dense.Activation, dH, z *dense.Matri
 	return g
 }
 
-// backwardAggregate computes AG = A·G^l. A is symmetric, so the Aᵀ blocks
+// backwardAggregate (l > 1) computes AG = A·G^l. A is symmetric, so the Aᵀ blocks
 // serve directly — the 3D trainer's structural shortcut for undirected
 // graphs. The full-row gather is cached for weightGrad/inputGrad.
 func (r *threeDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
@@ -414,9 +426,14 @@ func (r *threeDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 // weightGrad computes Y^l = (H^{l-1})ᵀ(AG): local partial from the
 // gathered AG rows, all-reduce over the plane of ranks sharing my feature
 // column (summing over both grid rows and layers), then all-gather along
-// the layer row to replicate Y (§IV-D-4).
+// the layer row to replicate Y (§IV-D-4). At l = 1 the operands are
+// (T¹, G¹), laid out like H⁰ and AG¹: the same product serves once the
+// rows of G¹ are gathered, as backwardAggregate would have done for AG¹.
 func (r *threeDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
 	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
+	if l == 1 {
+		r.agRow = r.gatherRows(ag, fl)
+	}
 	partial := r.ws.GetUninit(hPrev.Cols, fl)
 	dense.TMul(partial, hPrev, r.agRow)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, fl))

@@ -31,6 +31,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
@@ -44,9 +45,9 @@ import (
 // (already normalized, self-loops added), input features H⁰, labels, and
 // the network configuration.
 type Problem struct {
-	// A is the n x n modified adjacency matrix. The 3D trainer requires A
-	// to be symmetric (all the paper's datasets are); 1D and 2D handle
-	// general directed A.
+	// A is the n x n modified adjacency matrix. The 1.5D and 3D trainers
+	// require A to be symmetric (all the paper's datasets are) and reject
+	// any other; serial, 1D and 2D handle general directed A.
 	A        *sparse.CSR
 	Features *dense.Matrix
 	Labels   []int
@@ -134,6 +135,35 @@ func (p Problem) Validate() error {
 	for i, l := range p.Labels {
 		if l < 0 || l >= k {
 			return fmt.Errorf("core: label[%d] = %d out of range for %d classes", i, l, k)
+		}
+	}
+	return nil
+}
+
+// requireSymmetric rejects an adjacency with A ≠ Aᵀ on behalf of the named
+// trainer. The 1.5D and 3D trainers read their Aᵀ blocks straight out of A,
+// so on a directed graph they would train a different model without a
+// word; serial, 1D and 2D transpose explicitly and take any A. One pass
+// over the nonzeros: rows are visited in order and every row's columns
+// ascend, so entry (i, j) must meet the next unread entry of row j, and
+// that entry must be (j, i) with the same value (up to rounding).
+func requireSymmetric(a *sparse.CSR, algo string) error {
+	next := append([]int(nil), a.RowPtr[:a.Rows]...)
+	for i := 0; i < a.Rows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			j, v := a.ColIdx[k], a.Val[k]
+			m := next[j]
+			var mirror string
+			if m == a.RowPtr[j+1] || a.ColIdx[m] != i {
+				mirror = "is absent"
+			} else if w := a.Val[m]; math.Abs(v-w) > 1e-12*math.Max(math.Abs(v), math.Abs(w)) {
+				mirror = fmt.Sprintf("= %g", w)
+			}
+			if mirror != "" {
+				return fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): A[%d,%d] = %g but A[%d,%d] %s; use serial, 1d or 2d for a directed graph",
+					algo, i, j, v, j, i, mirror)
+			}
+			next[j]++
 		}
 	}
 	return nil

@@ -140,7 +140,8 @@ type twoDRank struct {
 
 	// agRow caches the full-row gather of the latest backwardAggregate
 	// result, reused by the weightGrad and inputGrad calls that follow it
-	// (§IV-C-4 gathers AG once for both products).
+	// (§IV-C-4 gathers AG once for both products). At l = 1, where no
+	// backwardAggregate runs, weightGrad fills it with the rows of G¹.
 	agRow *dense.Matrix
 }
 
@@ -330,7 +331,13 @@ func (r *twoDRank) input() *dense.Matrix { return r.h0 }
 
 // forwardAggregate computes T = Aᵀ X via SUMMA SpMM.
 func (r *twoDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	return r.summaSpMM(r.atBlk, r.atPay, x)
+	t := r.summaSpMM(r.atBlk, r.atPay, x)
+	if l == 1 {
+		// T¹ outlives endEpoch: the engine reuses it every epoch.
+		t = r.ws.Keep(t)
+		r.memBase += matWords(t)
+	}
+	return t
 }
 
 // multiplyWeight computes Z = T W via the partial SUMMA.
@@ -417,7 +424,7 @@ func (r *twoDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix,
 	return g
 }
 
-// backwardAggregate computes AG = A·G^l via SUMMA SpMM and caches its
+// backwardAggregate (l > 1) computes AG = A·G^l via SUMMA SpMM and caches its
 // full-row gather for the weightGrad/inputGrad pair (§IV-C-4).
 func (r *twoDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 	ag := r.summaSpMM(r.aBlk, r.aPay, g)
@@ -427,9 +434,15 @@ func (r *twoDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 
 // weightGrad computes Y^l = (H^{l-1})ᵀ(AG): local partial from the
 // gathered AG rows, sum down process columns, then replicate along rows
-// (2D dense SUMMA + all-gather, §IV-C-4).
+// (2D dense SUMMA + all-gather, §IV-C-4). At l = 1 the operands are
+// (T¹, G¹): T¹ is laid out like H⁰ and G¹ like AG¹, so the same product
+// serves once the rows of G¹ are gathered — the one all-gather
+// backwardAggregate would have done on AG¹.
 func (r *twoDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
 	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
+	if l == 1 {
+		r.agRow = r.gatherRows(ag, fl)
+	}
 	partial := r.ws.GetUninit(hPrev.Cols, fl)
 	dense.TMul(partial, hPrev, r.agRow)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, fl))

@@ -192,6 +192,34 @@ func TestTwoDOverOneDWordRatio(t *testing.T) {
 	}
 }
 
+// TestTwoDOverOneDSteadyWordRatio: with the input layer aggregated once per
+// run, L = 2 crosses over at √P = 8, deep networks approach the paper's
+// √P = 5 from above, and the ratio equals what the per-layer terms give
+// directly.
+func TestTwoDOverOneDSteadyWordRatio(t *testing.T) {
+	if r := TwoDOverOneDSteadyWordRatio(2, 64); math.Abs(r-1) > 1e-12 {
+		t.Fatalf("L=2 ratio at P=64 = %v, want 1 (the crossover)", r)
+	}
+	if !math.IsInf(TwoDOverOneDSteadyWordRatio(1, 64), 1) {
+		t.Fatal("L=1: 1D moves no vertex-sized data, ratio must be +Inf")
+	}
+	for _, L := range []int{2, 3, 8, 64} {
+		got := TwoDOverOneDSteadyWordRatio(L, 25)
+		// Units of nf: 2D pays 10/√P per layer less 4/√P, 1D pays 2 per
+		// layer less 2.
+		want := (10*float64(L) - 4) / 5 / (2*float64(L) - 2)
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("L=%d: ratio %v, per-layer terms give %v", L, got, want)
+		}
+		if got <= TwoDOverOneDWordRatio(25) {
+			t.Fatalf("L=%d: steady ratio %v must stay above the paper's %v", L, got, TwoDOverOneDWordRatio(25))
+		}
+	}
+	if r := TwoDOverOneDSteadyWordRatio(64, 25); r > 1.05 {
+		t.Fatalf("deep networks must approach the paper's crossover, got ratio %v at P=25", r)
+	}
+}
+
 // TestTwoDRatioMatchesAsymptotics verifies the paper's simplified claim:
 // with edgecut ≈ n, nnz ≈ nf, f ≪ n, the 2D/1D word ratio approaches 5/√P.
 func TestTwoDRatioMatchesAsymptotics(t *testing.T) {
@@ -316,29 +344,39 @@ func TestGcdLg(t *testing.T) {
 }
 
 // TestOneDHaloDenseWords pins the exact ledger predictor: hand-computed
-// small case, the p=1 all-reduce degeneration, and consistency with the
+// small cases, the p=1 all-reduce degeneration, and consistency with the
 // published OneD bound — with uniform widths, the recvRows-dependent part
-// is exactly the L·edgecut·f term of §IV-A-5.
+// is the edgecut·f term of §IV-A-5, once for the input layer and once per
+// forward pass for each of the other L−1.
 func TestOneDHaloDenseWords(t *testing.T) {
 	widths := []int{3, 2} // L = 1
-	// One epoch + final forward, p ≥ 2: fwd = r·3, bwd = n·2 + 2·3·2.
-	if got, want := OneDHaloDenseWords(widths, 10, 4, 5, 1), int64(2*(5*3)+10*2+12); got != want {
+	// p ≥ 2, one epoch + final forward. The only layer is the input layer:
+	// its fetch r·3 happens once, no epoch and no final pass repeats it,
+	// and its backward has no reduce-scatter — only the all-reduce 2·3·2.
+	if got, want := OneDHaloDenseWords(widths, 10, 4, 5, 1), int64(5*3+2*3*2); got != want {
 		t.Fatalf("p=4: got %d, want %d", got, want)
 	}
 	// p = 1: no halo rows, all-reduce collapses to a single reduce charge.
-	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(10*2+6); got != want {
+	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(3*2); got != want {
 		t.Fatalf("p=1: got %d, want %d", got, want)
 	}
-	// Uniform widths: pred(r) − pred(0) per epoch = OneD's edgecut·f term.
+	// L = 2, two epochs. Once: r·f⁰ = 5·3. Per epoch: the layer-2 fetch
+	// r·f¹ = 5·2, the layer-2 reduce-scatter n·f² = 10·4, and both
+	// all-reduces 2·(3·2 + 2·4). Final forward: the layer-2 fetch again.
+	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 10, 4, 5, 2), int64(15+2*(10+40+28)+10); got != want {
+		t.Fatalf("L=2: got %d, want %d", got, want)
+	}
+	// Uniform widths: pred(r) − pred(0) = r·f·(1 + (epochs+1)(L−1)), and
+	// r·f is OneD's edgecut term for one layer.
 	uniform := []int{8, 8, 8}
 	w := Workload{N: 100, NNZ: 600, F: 8, Layers: 2}
 	for _, r := range []int{0, 7, 99} {
 		epochs := 3
 		haloPart := OneDHaloDenseWords(uniform, 100, 4, r, epochs) -
 			OneDHaloDenseWords(uniform, 100, 4, 0, epochs)
-		edgeTerm := OneD(w, 4, float64(r)).Words - OneD(w, 4, 0).Words
-		if float64(haloPart) != float64(epochs+1)*edgeTerm {
-			t.Fatalf("r=%d: halo part %d vs (epochs+1)·edgecut term %v", r, haloPart, edgeTerm)
+		perLayer := (OneD(w, 4, float64(r)).Words - OneD(w, 4, 0).Words) / float64(w.Layers)
+		if want := float64(1+(epochs+1)*(w.Layers-1)) * perLayer; float64(haloPart) != want {
+			t.Fatalf("r=%d: halo part %d vs (1 + (epochs+1)(L−1))·edgecut·f = %v", r, haloPart, want)
 		}
 	}
 	// More epochs cost more; more recv rows cost more.

@@ -108,6 +108,26 @@ func (w *WorkspaceOf[T]) Wrap(r, c int, data []T) *Of[T] {
 	return m
 }
 
+// Keep takes m, checked out since the last Reset, out of the epoch scope
+// and returns its contents in storage the caller owns from then on. A Get
+// buffer is handed over in place — the arena forgets it, nothing is copied,
+// and the caller holds exactly the memory the arena held — while anything
+// else (a Wrap header around foreign data, such as a fabric payload its
+// pool will recycle) is copied.
+func (w *WorkspaceOf[T]) Keep(m *Of[T]) *Of[T] {
+	if w != nil {
+		for i, u := range w.used {
+			if u == m {
+				last := len(w.used) - 1
+				w.used[i], w.used[last] = w.used[last], nil
+				w.used = w.used[:last]
+				return m
+			}
+		}
+	}
+	return m.Clone()
+}
+
 // Reset returns every matrix checked out since the previous Reset to the
 // arena. Callers must not touch previously checked-out matrices afterwards:
 // Get buffers will be recycled (and re-zeroed) for later checkouts, and

@@ -65,6 +65,44 @@ func TestWorkspaceWrap(t *testing.T) {
 	}
 }
 
+// TestWorkspaceKeep: a kept Get buffer is the same memory, survives Reset
+// untouched, and is never handed out again; a kept Wrap (foreign data) is a
+// copy, since its owner may recycle the original.
+func TestWorkspaceKeep(t *testing.T) {
+	ws := NewWorkspace()
+	other := ws.Get(4, 4)
+	m := ws.Get(4, 4)
+	m.Fill(7)
+	if kept := ws.Keep(m); kept != m {
+		t.Fatal("Keep of a Get buffer must hand over the buffer itself, not a copy")
+	}
+	ws.Reset()
+	a, b := ws.Get(4, 4), ws.Get(4, 4) // same capacity class: would reuse m if it had been recycled
+	if &a.Data[0] == &m.Data[0] || &b.Data[0] == &m.Data[0] {
+		t.Fatal("a kept buffer was handed out again after Reset")
+	}
+	if &a.Data[0] != &other.Data[0] {
+		t.Fatal("the buffer that was not kept should have been recycled")
+	}
+	if m.Rows != 4 || m.At(3, 3) != 7 {
+		t.Fatalf("kept buffer changed across Reset: %v", m)
+	}
+
+	data := []float64{1, 2, 3, 4}
+	w := ws.Wrap(2, 2, data)
+	kept := ws.Keep(w)
+	data[0] = 99 // the owner recycles its buffer
+	ws.Reset()
+	if kept.At(0, 0) != 1 || kept.At(1, 1) != 4 {
+		t.Fatalf("kept Wrap must be a private copy, got %v", kept.Data)
+	}
+
+	var none *Workspace
+	if k := none.Keep(FromSlice(1, 2, []float64{5, 6})); k.At(0, 1) != 6 {
+		t.Fatal("nil workspace Keep must still return the contents")
+	}
+}
+
 func TestWorkspaceNilSafe(t *testing.T) {
 	var ws *Workspace
 	m := ws.Get(2, 2)

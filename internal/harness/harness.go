@@ -439,11 +439,16 @@ type CrossoverRow struct {
 	OneDWords     int64
 	TwoDWords     int64
 	MeasuredRatio float64 // 2D/1D
-	AnalyticRatio float64 // 5/√P (§IV-C-5 simplification)
+	// AnalyticRatio is the §IV-C-5 simplification for a steady-state
+	// epoch, (5L−2)/((L−1)√P): costmodel.TwoDOverOneDSteadyWordRatio.
+	AnalyticRatio float64
 }
 
 // Crossover sweeps rank counts on the amazon analog and reports where 2D
-// overtakes 1D (§VI-d: √P ≥ 5).
+// overtakes 1D. The paper's §VI-d puts it at √P ≥ 5 with every layer paying
+// both aggregations; a steady-state epoch skips the input layer's, which is
+// most of 1D's traffic on a wide-input dataset and less of 2D's, so the
+// measured crossover sits further out.
 func Crossover(o Options) ([]CrossoverRow, error) {
 	o = o.WithDefaults()
 	spec, err := o.dataset("amazon-sim")
@@ -470,7 +475,7 @@ func Crossover(o Options) ([]CrossoverRow, error) {
 			OneDWords:     oneD.CommWords(),
 			TwoDWords:     twoD.CommWords(),
 			MeasuredRatio: float64(twoD.CommWords()) / float64(oneD.CommWords()),
-			AnalyticRatio: costmodel.TwoDOverOneDWordRatio(p),
+			AnalyticRatio: costmodel.TwoDOverOneDSteadyWordRatio(len(ds.LayerWidths())-1, p),
 		})
 	}
 	return out, nil

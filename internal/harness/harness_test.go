@@ -284,19 +284,23 @@ func TestCrossoverQuick(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	// Measured ratio must fall with P, tracking 5/√P qualitatively.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].MeasuredRatio >= rows[i-1].MeasuredRatio {
+	// Measured ratio must fall with P, tracking the steady-state
+	// (5L−2)/((L−1)√P) = 8/√P of this L = 2 network: the input layer, 112
+	// of the dataset's 152 feature columns, is aggregated once per run, so
+	// a 1D epoch keeps only its narrow layer while 2D still broadcasts the
+	// T¹ panels for T¹·W¹ — the measurement sits above the uniform-width
+	// formula, by more as P grows. The whole quick sweep (√P ≤ 6) lies
+	// below the crossover at √P = 8, so 1D wins every row.
+	for i, r := range rows {
+		if i > 0 && r.MeasuredRatio >= rows[i-1].MeasuredRatio {
 			t.Fatalf("2D/1D ratio should fall with P: %+v", rows)
 		}
-	}
-	// At P=4 1D wins; at P=36 (past crossover) 2D wins.
-	if rows[0].MeasuredRatio <= 1 {
-		t.Fatalf("at P=4, 1D should win: ratio %v", rows[0].MeasuredRatio)
-	}
-	last := rows[len(rows)-1]
-	if last.P >= 36 && last.MeasuredRatio >= 1 {
-		t.Fatalf("at P=%d, 2D should win: ratio %v", last.P, last.MeasuredRatio)
+		if rel := r.MeasuredRatio / r.AnalyticRatio; rel < 1 || rel > 1.5 {
+			t.Fatalf("P=%d: measured ratio %v vs analytic %v (×%.2f)", r.P, r.MeasuredRatio, r.AnalyticRatio, rel)
+		}
+		if r.MeasuredRatio <= 1 {
+			t.Fatalf("at P=%d, 1D should win: ratio %v", r.P, r.MeasuredRatio)
+		}
 	}
 }
 
