@@ -178,7 +178,7 @@ func BenchmarkCrossover(b *testing.B) {
 				ratio = float64(twoD.CommWords()) / float64(oneD.CommWords())
 			}
 			b.ReportMetric(ratio, "2d/1d-words")
-			b.ReportMetric(costmodel.TwoDOverOneDSteadyWordRatio(len(ds.LayerWidths())-1, p), "(5L-2)/((L-1)sqrtP)")
+			b.ReportMetric(costmodel.TwoDOverOneDSteadyWordRatio(len(ds.LayerWidths())-1, p), "5(2L-1)/(2(L-1)sqrtP)")
 		})
 	}
 }

@@ -604,9 +604,11 @@ func configureRowDecomposition(trainer core.Trainer, problem *core.Problem, ds *
 
 // PredictWords evaluates the paper's closed-form §IV per-epoch word bounds
 // for a dataset at rank count p, keyed by algorithm name. It requires no
-// training run — the formulas depend only on n, nnz, f, and L. They charge
-// every layer a forward and a backward aggregation; the engine aggregates
-// the input layer once per run, so a steady-state epoch moves less (see
+// training run — the formulas depend only on n, nnz, f, and L. They are the
+// uncached, fixed-order bounds: every layer pays a forward and a backward
+// aggregation, at one average width f. The engine aggregates the input
+// layer (and, in 2D/3D, its row panels) once per run and every other layer
+// at min(f^{l-1}, f^l), so a steady-state epoch moves less (see
 // costmodel/analytic.go).
 func PredictWords(ds *graph.Dataset, p int) map[string]float64 {
 	a := ds.Graph.Adjacency()

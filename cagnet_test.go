@@ -3,6 +3,7 @@ package cagnet
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -112,6 +113,27 @@ func TestTrainOptionValidation(t *testing.T) {
 	}
 	if _, err := Train(ds, TrainOptions{Machine: "cray", Ranks: 1, Epochs: 1}); err == nil {
 		t.Fatal("expected unknown-machine error")
+	}
+	// A negative rank count used to panic in comm.NewCluster.
+	for _, algo := range []string{"1d", "1.5d", "2d", "3d"} {
+		_, err := Train(ds, TrainOptions{Algorithm: algo, Ranks: -2, Epochs: 1})
+		if err == nil || !strings.Contains(err.Error(), algo) {
+			t.Fatalf("%s with Ranks -2: want an error naming the algorithm, got %v", algo, err)
+		}
+	}
+	// Checkpoint knobs without a directory used to be ignored silently.
+	for _, ck := range []CheckpointOptions{{Every: 1}, {Keep: 2}} {
+		for _, o := range []TrainOptions{
+			{Algorithm: "serial"},
+			{Algorithm: "1d", Ranks: 4},
+			{Algorithm: "2d", Ranks: 4, Transport: "tcp"},
+		} {
+			o.Epochs, o.Checkpoint = 1, ck
+			_, err := Train(ds, o)
+			if err == nil || !strings.Contains(err.Error(), "Dir") {
+				t.Fatalf("%s/%s with Checkpoint %+v and no Dir: want an error naming Dir, got %v", o.Algorithm, o.Transport, ck, err)
+			}
+		}
 	}
 }
 

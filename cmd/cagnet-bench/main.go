@@ -282,7 +282,7 @@ func runCrossover(o harness.Options) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== §VI-d: 1D vs 2D words per steady-state epoch (paper: crossover at √P ≥ 5; input layer aggregated once: √P ≥ (5L−2)/(L−1)) ==")
+	fmt.Println("== §VI-d: 1D vs 2D words per steady-state epoch (paper: crossover at √P ≥ 5; input layer and its row panels aggregated once: √P ≥ 5(2L−1)/(2(L−1))) ==")
 	var cells [][]string
 	for _, r := range rows {
 		winner := "1d"
@@ -297,7 +297,7 @@ func runCrossover(o harness.Options) (any, error) {
 		})
 	}
 	fmt.Println(harness.Table(
-		[]string{"P", "1d-words", "2d-words", "2d/1d", "(5L-2)/((L-1)sqrtP)", "winner"}, cells))
+		[]string{"P", "1d-words", "2d-words", "2d/1d", "5(2L-1)/(2(L-1)sqrtP)", "winner"}, cells))
 	return rows, nil
 }
 

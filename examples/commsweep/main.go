@@ -58,8 +58,9 @@ func main() {
 			pred["1d"], pred["1.5d"], pred["2d"], pred["3d"])
 	}
 	fmt.Println("\n1D stays flat while 2D shrinks ~√P: the paper's headline result.")
-	fmt.Println("The analytic bounds charge every layer both aggregations; measured epochs")
-	fmt.Println("aggregate the 64-wide input layer once per run, not per epoch, and sit below them.")
+	fmt.Println("The analytic bounds are the uncached form: every layer pays both aggregations at the")
+	fmt.Println("average width. Measured epochs aggregate the 64-wide input layer once per run, not per")
+	fmt.Println("epoch, and every other layer at min(f_in, f_out), and sit below them.")
 }
 
 func isCube(p int) bool {

@@ -11,8 +11,8 @@ import (
 // perEpochWords measures the per-epoch modeled communication words of a
 // trainer, per-rank maximum by category, by differencing a 2-epoch and a
 // 1-epoch run (subtracting away setup, the once-per-run input aggregation
-// T¹, the final forward pass, and the output gather) — the steady-state
-// epoch.
+// T¹ with its 2D/3D row-panel gather, the final forward pass, and the
+// output gather) — the steady-state epoch.
 func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Category]int64 {
 	t.Helper()
 	return perEpochWordsBy(t, mk, p, (*comm.Cluster).MaxWordsByCategory)
@@ -49,19 +49,28 @@ func commWorkload(p Problem) costmodel.Workload {
 	}
 }
 
+// aggWidth is the width the steady-state epoch of a two-layer network
+// aggregates at: layer 2's narrower side (layer 1 is aggregated once per
+// run, not per epoch).
+func aggWidth(p Problem) float64 {
+	w := p.Config.Widths
+	return float64(min(w[1], w[2]))
+}
+
 // TestOneDVolumeMatchesAnalytic checks the measured per-epoch 1D dense
 // traffic against the §IV-A-5 bound within a constant factor. The bound
 // charges each of L layers edgecut·f + n·f + f²; a steady-state epoch
-// aggregates L−1 of them (T¹ is a constant of the run) and all-reduces all
-// L weight gradients: (L−1)(edgecut·f + n·f) + L·f².
+// aggregates L−1 of them (T¹ is a constant of the run), each at
+// m = min(f^{l-1}, f^l) in both directions, and all-reduces all L weight
+// gradients: (L−1)(edgecut·m + n·m) + L·f².
 func TestOneDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 320, 16, 16, 8, 1, 41)
 	for _, ranks := range []int{4, 8, 16} {
 		words := perEpochWords(t, func() DistTrainer { return NewOneD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm])
 		w := commWorkload(p)
-		L := float64(w.Layers)
-		predicted := costmodel.OneD(w, ranks, costmodel.OneDRandomEdgecut(w.N, ranks)).Words*(L-1)/L + w.F*w.F
+		L, m := float64(w.Layers), aggWidth(p)
+		predicted := (L-1)*(costmodel.OneDRandomEdgecut(w.N, ranks)*m+float64(w.N)*m) + L*w.F*w.F
 		ratio := measured / predicted
 		if ratio < 0.4 || ratio > 2.5 {
 			t.Fatalf("P=%d: measured 1D dense words %v vs analytic %v (ratio %.2f)",
@@ -88,16 +97,19 @@ func TestOneDDenseTrafficFlatAcrossP(t *testing.T) {
 // §IV-C-5 bound. Sparse payloads serialize index structure alongside
 // values, so the sparse measurement runs up to ~2.5x the nnz-only bound.
 // A steady-state epoch runs no SUMMA SpMM for layer 1, forward or backward,
-// so two sweeps of nnz/√P sparse + nf/√P dense panels come off the bound;
-// the layer's T·W panels, row gathers and f² terms stay.
+// so two sweeps of nnz/√P sparse + nf/√P dense panels come off the bound,
+// and so do the T¹·W¹ panels, n·f⁰/√P, gathered once per run; layer 2's two
+// sweeps move dense panels of its narrower side m, not of f. The hidden
+// layer's X·W panels, the row gathers and the f² terms stay.
 func TestTwoDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 320, 16, 16, 8, 1, 43)
 	w := commWorkload(p)
+	n, f0, m := float64(w.N), float64(p.Config.Widths[0]), aggWidth(p)
 	for _, ranks := range []int{4, 16} {
 		words := perEpochWords(t, func() DistTrainer { return NewTwoD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm] + words[comm.CatSparseComm] + words[comm.CatTranspose])
 		predicted := costmodel.TwoD(w, ranks).Words -
-			2*(float64(w.NNZ)+float64(w.N)*w.F)/math.Sqrt(float64(ranks))
+			(2*(float64(w.NNZ)+n*w.F)+n*f0+2*n*(w.F-m))/math.Sqrt(float64(ranks))
 		ratio := measured / predicted
 		if ratio < 0.3 || ratio > 3.0 {
 			t.Fatalf("P=%d: measured 2D words %v vs analytic %v (ratio %.2f)",
@@ -125,9 +137,13 @@ func TestTwoDDenseTrafficScalesWithSqrtP(t *testing.T) {
 // epoch puts it. With edgecut ≈ n and nnz ≈ nf the paper's per-layer costs
 // are 2nf for 1D and 10nf/√P for 2D, hence 5/√P and √P ≥ 5. Aggregating
 // layer 1 once per run takes a whole layer, 2nf, off 1D but only the two
-// SUMMA SpMMs, 4nf/√P, off 2D (its T·W panels, row gathers and the
-// transpose stay), so the ratio is (10L−4)/(2(L−1)√P): 8/√P for this
-// L = 2 network — crossover at √P = 8, tending back to 5 as L grows.
+// SUMMA SpMMs and the T¹·W¹ panels, 5nf/√P, off 2D (its row gathers and the
+// transpose stay), so the one-width ratio is (10L−5)/(2(L−1)√P): 7.5/√P for
+// an L = 2 network, tending back to 5 as L grows. This network narrows
+// (12 → 9), so layer 2 multiplies first and all of 1D's remaining traffic
+// shrinks to width 9 while only the SUMMA panels of 2D's do: measured
+// 2D/1D is 1.08 at P = 64, 0.90 at P = 81 — the crossover sits between
+// √P = 8 and 9.
 func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 	// Use a workload shaped like the paper's assumption nnz ≈ nf: degree
 	// comparable to average feature width.
@@ -150,16 +166,19 @@ func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 
 // TestThreeDVolumeMatchesAnalytic checks measured 3D traffic against the
 // §IV-D-5 bound, less the two Split-3D-SpMMs layer 1 no longer runs in a
-// steady-state epoch: each is nnz/P^{2/3} of sparse panels plus nf/P^{2/3}
-// of dense panels plus the nf/P^{2/3} fiber reduce-scatter.
+// steady-state epoch — each is nnz/P^{2/3} of sparse panels plus nf/P^{2/3}
+// of dense panels plus the nf/P^{2/3} fiber reduce-scatter — less the
+// T¹·W¹ panels n·f⁰/P^{2/3}, and with layer 2's two Split-3D-SpMMs moving
+// dense panels and reduce-scatters of its narrower side m, not of f.
 func TestThreeDVolumeMatchesAnalytic(t *testing.T) {
 	p := testProblem(t, 512, 16, 16, 8, 1, 46)
 	w := commWorkload(p)
+	n, f0, m := float64(w.N), float64(p.Config.Widths[0]), aggWidth(p)
 	for _, ranks := range []int{8, 27} {
 		words := perEpochWords(t, func() DistTrainer { return NewThreeD(ranks, testMach) }, p)
 		measured := float64(words[comm.CatDenseComm] + words[comm.CatSparseComm])
 		predicted := costmodel.ThreeD(w, ranks).Words -
-			2*(float64(w.NNZ)+2*float64(w.N)*w.F)/math.Pow(float64(ranks), 2.0/3)
+			(2*(float64(w.NNZ)+2*n*w.F)+n*f0+4*n*(w.F-m))/math.Pow(float64(ranks), 2.0/3)
 		ratio := measured / predicted
 		if ratio < 0.2 || ratio > 3.0 {
 			t.Fatalf("P=%d: measured 3D words %v vs analytic %v (ratio %.2f)",
@@ -202,72 +221,138 @@ func TestSparseCommStructure(t *testing.T) {
 }
 
 // TestSteadyStateWordsDropInputLayer pins the steady-state epoch's words,
-// summed over ranks, to the exact word: what an epoch moved while layer 1
-// was aggregated every epoch (the `before` figures, recorded with this test
-// body at the commit before the engine kept T¹), less the forward
-// aggregation Aᵀ·H⁰ and the backward aggregation A·G¹, written out
-// collective by collective below. Everything else — weight all-reduces,
-// T·W panels, row gathers (2D/3D now gather G¹ where they gathered A·G¹:
-// same shape), the transpose exchange — must not move. Sums over ranks, not
-// per-rank maxima, because only sums subtract.
+// summed over ranks, to the exact word, as a chain of subtractions from what
+// an epoch moved while every layer aggregated H^{l-1} forward and G^l
+// backward each epoch (the `before` figures, recorded with this test's
+// measurement at f8a34f7, the commit before the engine kept T¹):
+//
+//   - less the input layer's forward aggregation Aᵀ·H⁰ and backward
+//     aggregation A·G¹ (`input`): T¹ is a constant of the run;
+//   - less what the per-layer product order saves (`order`): layer 2
+//     aggregates at min(f¹, f²) in both directions — forward narrower when
+//     it multiplies first (f² < f¹), backward narrower when it aggregates
+//     first — and in 2D/3D the T¹ row panels no longer cross the network
+//     after epoch one, nor does the row gather of A·G² when the aggregate-
+//     first output layer's log-softmax backward already holds G² in full
+//     rows.
+//
+// Everything else — weight all-reduces, the hidden layers' X·W panels, the
+// activation row gathers, the gather of G¹ for Y¹, every sparse panel, the
+// transpose exchange — must not move. Sums over ranks, not per-rank maxima,
+// because only sums subtract.
 //
 // Charging rules (internal/comm): a broadcast charges every member of a
 // group of more than one the payload's words — a dense block is
 // rows·cols + 2, a CSR block rows + 3 + 2·nnz; a reduce-scatter charges
-// every member the full input length; an all-reduce charges it twice.
+// every member the full input length; an all-reduce charges it twice; an
+// all-gather charges every member the words of all parts.
 func TestSteadyStateWordsDropInputLayer(t *testing.T) {
-	p := testProblem(t, 64, 8, 6, 4, 1, 51)
-	n, nnz := int64(p.A.Rows), int64(p.A.NNZ())
-	f0, f1 := int64(p.Config.Widths[0]), int64(p.Config.Widths[1])
 	type words = map[comm.Category]int64
 	const dcomm, scomm, trpose, misc = comm.CatDenseComm, comm.CatSparseComm, comm.CatTranspose, comm.CatMisc
-
-	// 1.5D blockMul of an n x f operand, T teams of c: each of the T stage
-	// blocks is broadcast once, to the T members of one layer group; then
-	// every rank all-reduces its team's rows within the team, and the c
-	// members of a team together account for c·(its rows) = c·n in all.
-	blockMul := func(T, c, f int64) words { return words{dcomm: T*(n*f+2*T) + 2*c*n*f} }
-	// 2D SUMMA SpMM against an n x f operand on a q x q grid: each of the
-	// q² sparse blocks (their rows sum to q·n, their nonzeros to nnz) is a
-	// panel for the q ranks of its grid row, each of the q² dense blocks
-	// for the q ranks of its grid column.
-	summa := func(q, f int64) words {
-		return words{scomm: q * (3*q*q + q*n + 2*nnz), dcomm: q * (n*f + 2*q*q)}
-	}
-	// 3D Split-3D-SpMM on a c x c x c mesh: c³ sparse blocks (rows sum to
-	// c²·n) and c³ dense blocks, each a panel for c ranks, then the fiber
-	// reduce-scatter of every rank's (n/c) x (f/c) partial sum.
-	split := func(c, f int64) words {
-		return words{scomm: c * (3*c*c*c + c*c*n + 2*nnz), dcomm: c*(n*f+2*c*c*c) + c*n*f}
-	}
-	cases := []struct {
-		name     string
-		mk       func() DistTrainer
-		before   words
-		fwd, bwd words // the layer-1 aggregations an epoch no longer runs
-	}{
-		// 1D, P = 4: forward, P broadcasts of one block row of H⁰ each, to
-		// all P ranks; backward, the reduce-scatter of the n x f¹ outer
-		// product on every rank.
-		{"1d", func() DistTrainer { return NewOneD(4, testMach) },
-			words{dcomm: 6784, misc: 8},
-			words{dcomm: 4 * (n*f0 + 2*4)}, words{dcomm: 4 * n * f1}},
-		{"1.5d", func() DistTrainer { return NewOneFiveD(4, 2, testMach) },
-			words{dcomm: 9824, misc: 8},
-			blockMul(2, 2, f0), blockMul(2, 2, f1)},
-		{"2d", func() DistTrainer { return NewTwoD(4, testMach) },
-			words{dcomm: 7936, scomm: 13408, trpose: 834, misc: 8},
-			summa(2, f0), summa(2, f1)},
-		{"3d", func() DistTrainer { return NewThreeD(8, testMach) },
-			words{dcomm: 11776, scomm: 14528, misc: 16},
-			split(2, f0), split(2, f1)},
-	}
-	for _, tc := range cases {
-		got := perEpochWordsBy(t, tc.mk, p, (*comm.Cluster).SumWordsByCategory)
+	sub := func(a, b words) words {
+		out := words{}
 		for _, cat := range []comm.Category{dcomm, scomm, trpose, misc} {
-			if want := tc.before[cat] - tc.fwd[cat] - tc.bwd[cat]; got[cat] != want {
-				t.Errorf("%s %v: steady-state epoch moves %d words over all ranks, want %d − %d − %d = %d",
-					tc.name, cat, got[cat], tc.before[cat], tc.fwd[cat], tc.bwd[cat], want)
+			out[cat] = a[cat] - b[cat]
+		}
+		return out
+	}
+	for _, widths := range [][]int{{8, 6, 4}, {4, 6, 8}} {
+		p := edgeProblem(t, 64, widths, 1, 51)
+		n, nnz := int64(p.A.Rows), int64(p.A.NNZ())
+		f0, f1, f2 := int64(widths[0]), int64(widths[1]), int64(widths[2])
+		lo, hi := min(f1, f2), max(f1, f2) // layer 2 aggregates at lo where it used to at hi, in one direction
+		narrowing := f2 < f1
+
+		// 1D, P ranks. Forward: P broadcasts of one block row each, to all
+		// P ranks. Backward: the reduce-scatter of the n x f outer product
+		// on every rank.
+		oneDFwd := func(P, f int64) words { return words{dcomm: P * (n*f + 2*P)} }
+		oneDBwd := func(P, f int64) words { return words{dcomm: P * n * f} }
+		// 1.5D blockMul of an n x f operand, T teams of c, either direction:
+		// each of the T stage blocks is broadcast once, to the T members of
+		// one layer group; then every rank all-reduces its team's rows
+		// within the team, and the c members of a team together account for
+		// c·(its rows) = c·n in all.
+		blockMul := func(T, c, f int64) words { return words{dcomm: T*(n*f+2*T) + 2*c*n*f} }
+		// 2D on a q x q grid. The q² blocks of an n x f dense matrix, each a
+		// panel for the q ranks of a grid row or column, cost the same
+		// whether they are a SUMMA SpMM's dense panels, a partial SUMMA's
+		// X·W panels or a row all-gather; the q² sparse blocks of a SUMMA
+		// SpMM (rows summing to q·n, nonzeros to nnz) go to the q ranks of
+		// their grid row.
+		panels := func(q, f int64) words { return words{dcomm: q * (n*f + 2*q*q)} }
+		summa := func(q, f int64) words {
+			return words{scomm: q * (3*q*q + q*n + 2*nnz), dcomm: panels(q, f)[dcomm]}
+		}
+		// 3D Split-3D-SpMM on a c x c x c mesh: c³ sparse blocks (rows sum
+		// to c²·n) and c³ dense blocks, each a panel for c ranks, then the
+		// fiber reduce-scatter of every rank's (n/c) x (f/c) partial sum.
+		// X·W panels and row gathers again cost what the dense panels do.
+		panels3 := func(c, f int64) words { return words{dcomm: c * (n*f + 2*c*c*c)} }
+		split := func(c, f int64) words {
+			return words{scomm: c * (3*c*c*c + c*c*n + 2*nnz), dcomm: panels3(c, f)[dcomm] + c*n*f}
+		}
+		// What aggregating once at lo instead of hi saves, given the cost of
+		// that one aggregation as a function of its width.
+		narrower := func(agg func(f int64) words) words { return sub(agg(hi), agg(lo)) }
+
+		cases := []struct {
+			name   string
+			mk     func() DistTrainer
+			before map[bool]words // by narrowing
+			input  words          // the two layer-1 aggregations
+			order  words
+		}{
+			{"1d", func() DistTrainer { return NewOneD(4, testMach) },
+				map[bool]words{true: {dcomm: 6784, misc: 8}, false: {dcomm: 6784, misc: 8}},
+				words{dcomm: oneDFwd(4, f0)[dcomm] + oneDBwd(4, f1)[dcomm]},
+				narrower(func(f int64) words {
+					if narrowing {
+						return oneDFwd(4, f)
+					}
+					return oneDBwd(4, f)
+				})},
+			{"1.5d", func() DistTrainer { return NewOneFiveD(4, 2, testMach) },
+				map[bool]words{true: {dcomm: 9824, misc: 8}, false: {dcomm: 9824, misc: 8}},
+				words{dcomm: blockMul(2, 2, f0)[dcomm] + blockMul(2, 2, f1)[dcomm]},
+				narrower(func(f int64) words { return blockMul(2, 2, f) })},
+			{"2d", func() DistTrainer { return NewTwoD(4, testMach) },
+				map[bool]words{
+					true:  {dcomm: 7936, scomm: 11680, trpose: 642, misc: 8},
+					false: {dcomm: 8960, scomm: 11680, trpose: 642, misc: 8}},
+				words{dcomm: summa(2, f0)[dcomm] + summa(2, f1)[dcomm], scomm: 2 * summa(2, 0)[scomm]},
+				func() words {
+					// The SUMMA SpMM's dense panels narrow (its sparse panels
+					// are the same either way) and the T¹ panels go; the
+					// aggregate-first order also drops the gather of A·G².
+					w := words{dcomm: narrower(func(f int64) words { return panels(2, f) })[dcomm] + panels(2, f0)[dcomm]}
+					if !narrowing {
+						w[dcomm] += panels(2, f2)[dcomm]
+					}
+					return w
+				}()},
+			{"3d", func() DistTrainer { return NewThreeD(8, testMach) },
+				map[bool]words{
+					true:  {dcomm: 11776, scomm: 12800, misc: 16},
+					false: {dcomm: 12800, scomm: 12800, misc: 16}},
+				words{dcomm: split(2, f0)[dcomm] + split(2, f1)[dcomm], scomm: 2 * split(2, 0)[scomm]},
+				func() words {
+					w := words{dcomm: narrower(func(f int64) words { return words{dcomm: split(2, f)[dcomm]} })[dcomm] + panels3(2, f0)[dcomm]}
+					if !narrowing {
+						w[dcomm] += panels3(2, f2)[dcomm]
+					}
+					return w
+				}()},
+		}
+		for _, tc := range cases {
+			got := perEpochWordsBy(t, tc.mk, p, (*comm.Cluster).SumWordsByCategory)
+			before := tc.before[narrowing]
+			want := sub(sub(before, tc.input), tc.order)
+			for _, cat := range []comm.Category{dcomm, scomm, trpose, misc} {
+				if got[cat] != want[cat] {
+					t.Errorf("%v %s %v: steady-state epoch moves %d words over all ranks, want %d − %d − %d = %d",
+						widths, tc.name, cat, got[cat], before[cat], tc.input[cat], tc.order[cat], want[cat])
+				}
 			}
 		}
 	}

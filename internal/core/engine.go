@@ -27,18 +27,22 @@ type layerOps interface {
 	// input returns this rank's block of the input features H⁰.
 	input() *dense.Matrix
 
-	// forwardAggregate returns this rank's block of T = Aᵀ·X, where x is
-	// this rank's block of X and l is the 1-based layer (for cost charges).
-	// The engine calls it with l = 1 once per (A, H⁰) — see aggregateInput —
-	// and keeps that result across endEpoch, so at l = 1 the implementation
-	// returns storage endEpoch does not recycle (Workspace.Keep) and counts
-	// it as resident; for l > 1 the result is epoch-scoped like every other
-	// temporary.
+	// forwardAggregate returns this rank's block of Aᵀ·X, where x is this
+	// rank's block of X: H^{l-1} when layer l aggregates first, H^{l-1}·W^l
+	// when it multiplies first (see aggregatesFirst). Its width — buffers,
+	// reduce-scatter counts, SpMM charges — is x.Cols, never a configured
+	// layer width; l is the 1-based layer. The engine calls it with l = 1
+	// once per (A, H⁰) — see aggregateInput — and keeps that result across
+	// endEpoch, so at l = 1 the implementation returns storage endEpoch does
+	// not recycle (Workspace.Keep) and counts it as resident; for l > 1 the
+	// result is epoch-scoped like every other temporary.
 	forwardAggregate(x *dense.Matrix, l int) *dense.Matrix
 
-	// multiplyWeight returns this rank's block of Z = T·W for the
-	// replicated weight matrix w of layer l.
-	multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix
+	// multiplyWeight returns this rank's block of X·W for the replicated
+	// weight matrix w of layer l: x is T^l = Aᵀ·H^{l-1} when the layer
+	// aggregates first (the product is then Z^l), H^{l-1} when it
+	// multiplies first.
+	multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix
 
 	// activationForward applies act to z, returning this rank's H block
 	// plus any full-row cache the layout needs again in backward (nil for
@@ -54,26 +58,29 @@ type layerOps interface {
 	// the backward recursion (the 2D transpose exchange).
 	beforeBackward()
 
-	// activationBackward returns G^l = act'(∂L/∂H^l, Z^l).
-	activationBackward(act dense.Activation, dH, z *dense.Matrix, cache *actCache, l int) *dense.Matrix
+	// activationBackward returns G^l = act'(∂L/∂H^l) from the layer's
+	// forward output h = H^l (dense.Activation.Backward reads the output).
+	activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix
 
-	// backwardAggregate returns this rank's block of AG = A·G^l. Called
-	// only for l > 1: layer 1 needs no backward aggregation (see epoch).
-	// Layouts that gather full rows of AG here may cache them for the
-	// weightGrad and inputGrad calls that immediately follow.
-	backwardAggregate(g *dense.Matrix, l int) *dense.Matrix
+	// backwardAggregate returns this rank's block of A·X at width x.Cols:
+	// X is G^l in a multiply-first layer (the result feeds weightGrad and
+	// inputGrad), G^l·(W^l)ᵀ in an aggregate-first one (the result is
+	// ∂L/∂H^{l-1}). Never called at l = 1.
+	backwardAggregate(x *dense.Matrix, l int) *dense.Matrix
 
-	// weightGrad returns the fully replicated Y^l = hPrevᵀ·ag. For l > 1
-	// the operands are (H^{l-1}, A G^l), ag being what backwardAggregate(l)
-	// just returned; at l = 1 they are (T¹, G¹), with no backwardAggregate
-	// call before it — a layout whose product reads full rows of ag (2D,
-	// 3D) gathers them itself on that path.
-	weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix
+	// weightGrad returns the fully replicated Y^l = hPrevᵀ·g. The operands
+	// are (H^{l-1}, A·G^l) after a backwardAggregate in a multiply-first
+	// layer, and (T^l, G^l) straight from activationBackward in an
+	// aggregate-first one. A layout whose product reads full rows of g (2D,
+	// 3D) gathers them here unless it already holds them — a row-wise
+	// activation backward computed G^l on full rows — and inputGrad(g)
+	// reuses that gather.
+	weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix
 
-	// inputGrad returns this rank's block of ∂L/∂H^{l-1} = (A G^l)(W^l)ᵀ
-	// for the replicated w. Called only for l > 1, always after
-	// weightGrad(l).
-	inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix
+	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
+	// ∂L/∂H^{l-1} when g is A·G^l, its pre-aggregation form when g is G^l.
+	// Called only for l > 1, always after weightGrad(·, g, l).
+	inputGrad(g, w *dense.Matrix, l int) *dense.Matrix
 
 	// endEpoch charges per-epoch overhead after the optimizer step.
 	endEpoch()
@@ -100,8 +107,6 @@ type layerOps interface {
 // forced an all-gather, so backward reuses the gathered rows instead of
 // re-communicating.
 type actCache struct {
-	// zRow holds full rows of the pre-activation Z.
-	zRow *dense.Matrix
 	// hRow holds full rows of the post-activation H.
 	hRow *dense.Matrix
 }
@@ -147,12 +152,12 @@ type engine struct {
 	// the input, so T¹ is a constant of the run, not of the epoch.
 	t1 *dense.Matrix
 
-	// Reused per-epoch bookkeeping, sized on first use: activations,
-	// pre-activations, activation caches, weight gradients, the 1-slot
-	// loss-reduction buffer, the drain-vote buffer, and the accuracy mask
-	// list.
+	// Reused per-epoch bookkeeping, sized on first use: activations, the
+	// aggregates T^l of the aggregate-first layers, activation caches,
+	// weight gradients, the 1-slot loss-reduction buffer, the drain-vote
+	// buffer, and the accuracy mask list.
 	h        []*dense.Matrix
-	z        []*dense.Matrix
+	t        []*dense.Matrix
 	caches   []*actCache
 	dW       []*dense.Matrix
 	scalar   []float64
@@ -182,12 +187,46 @@ func (e *engine) meta(algo string, world int) *engine {
 	return e
 }
 
+// aggregatesFirst reports the product order of layer l of a network with
+// the given widths f⁰..f^L. Z^l = Aᵀ·H^{l-1}·W^l associates either way, and
+// every decomposition's aggregation cost — SpMM columns and words on the
+// network — is linear in the width of the dense matrix aggregated, so each
+// layer aggregates on its narrower side:
+//
+//   - aggregate first (f^{l-1} ≤ f^l): T^l = Aᵀ·H^{l-1}, Z^l = T^l·W^l;
+//     backward Y^l = (T^l)ᵀ·G^l and ∂L/∂H^{l-1} = A·(G^l·(W^l)ᵀ), both
+//     aggregations at width f^{l-1};
+//   - multiply first (f^l < f^{l-1}): Z^l = Aᵀ·(H^{l-1}·W^l); backward
+//     Y^l = (H^{l-1})ᵀ·(A·G^l) and ∂L/∂H^{l-1} = (A·G^l)·(W^l)ᵀ, both at
+//     width f^l.
+//
+// Layer 1 aggregates first whatever its widths: T¹ = Aᵀ·H⁰ is a constant of
+// the run, so that order costs no aggregation at all after aggregateInput.
+// The order is a function of the widths alone — every rank, the Reference
+// oracle and a resumed run choose alike.
+func aggregatesFirst(widths []int, l int) bool {
+	return l == 1 || widths[l-1] <= widths[l]
+}
+
 // aggregateInput computes T¹ = Aᵀ·H⁰ for the ops' current (A, H⁰). Every
 // epoch and the final forward pass read it, so whoever drives epoch or
 // forward calls this first: run once per run, the mini-batch trainer once
 // per step, after retargeting the ops at the step's subgraph.
 func (e *engine) aggregateInput() {
 	e.t1 = e.ops.forwardAggregate(e.ops.input(), 1)
+}
+
+// preActivation returns Z^l = Aᵀ·H^{l-1}·W^l in layer l's product order,
+// and the aggregate T^l when that order forms one (nil otherwise).
+func (e *engine) preActivation(hPrev, w *dense.Matrix, l int) (z, t *dense.Matrix) {
+	if !aggregatesFirst(e.cfg.Widths, l) {
+		return e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l), l), nil
+	}
+	t = e.t1
+	if l > 1 {
+		t = e.ops.forwardAggregate(hPrev, l)
+	}
+	return e.ops.multiplyWeight(t, w, l), t
 }
 
 // epoch runs one forward pass, loss reduction, backward recursion, and
@@ -198,46 +237,48 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 	L := e.cfg.Layers()
 	if len(e.h) != L+1 {
 		e.h = make([]*dense.Matrix, L+1)
-		e.z = make([]*dense.Matrix, L+1)
+		e.t = make([]*dense.Matrix, L+1)
 		e.caches = make([]*actCache, L+1)
 		e.dW = make([]*dense.Matrix, L)
 		e.scalar = make([]float64, 1)
 	}
-	H, Z, caches, dW := e.h, e.z, e.caches, e.dW
+	H, T, caches, dW := e.h, e.t, e.caches, e.dW
 
-	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l), with Aᵀ H⁰ = T¹ already
-	// aggregated. Activations are retained for backpropagation — the O(nfL)
-	// memory cost the paper's conclusion discusses.
+	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l). Activations — and T^l
+	// where the layer forms it — are retained for backpropagation: the
+	// O(nfL) memory cost the paper's conclusion discusses.
 	for l := 1; l <= L; l++ {
-		t := e.t1
-		if l > 1 {
-			t = e.ops.forwardAggregate(H[l-1], l)
-		}
-		Z[l] = e.ops.multiplyWeight(t, weights[l-1], l)
-		H[l], caches[l] = e.ops.activationForward(e.cfg.Activation(l), Z[l], l)
+		var z *dense.Matrix
+		z, T[l] = e.preActivation(H[l-1], weights[l-1], l)
+		H[l], caches[l] = e.ops.activationForward(e.cfg.Activation(l), z, l)
 	}
 
 	local, dH := e.ops.lossGrad(H[L])
 	e.scalar[0] = local
 	loss := e.ops.reduce(e.scalar)[0]
 
-	// Backward (§III-D):
-	//   G^l   = act.Backward(∂L/∂H^l, Z^l)
-	//   Y^l   = (H^{l-1})ᵀ (A G^l)
-	//   ∂L/∂H^{l-1} = (A G^l)(W^l)ᵀ
-	// The recursion ends at l = 1, where no input gradient is wanted and
-	//   Y¹ = (H⁰)ᵀ (A G¹) = (Aᵀ H⁰)ᵀ G¹ = (T¹)ᵀ G¹
-	// by transposition alone (A need not be symmetric): the widest layer's
-	// backward aggregation is never computed.
+	// Backward (§III-D), G^l = act.Backward(∂L/∂H^l, H^l), then in the
+	// layer's product order (aggregatesFirst):
+	//   multiply first:  AG = A G^l,  Y^l = (H^{l-1})ᵀ AG,  ∂L/∂H^{l-1} = AG (W^l)ᵀ
+	//   aggregate first: Y^l = (T^l)ᵀ G^l,  ∂L/∂H^{l-1} = A (G^l (W^l)ᵀ)
+	// where Y^l = (H^{l-1})ᵀ (A G^l) = (Aᵀ H^{l-1})ᵀ G^l by transposition
+	// alone (A need not be symmetric). The recursion ends at l = 1, where no
+	// input gradient is wanted: the widest layer is never aggregated.
 	e.ops.beforeBackward()
-	for l := L; l > 1; l-- {
-		g := e.ops.activationBackward(e.cfg.Activation(l), dH, Z[l], caches[l], l)
-		ag := e.ops.backwardAggregate(g, l)
-		dW[l-1] = e.ops.weightGrad(H[l-1], ag, l)
-		dH = e.ops.inputGrad(ag, weights[l-1], l)
+	for l := L; l >= 1; l-- {
+		w := weights[l-1]
+		g := e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
+		if aggregatesFirst(e.cfg.Widths, l) {
+			dW[l-1] = e.ops.weightGrad(T[l], g, l)
+			if l > 1 {
+				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l), l)
+			}
+		} else {
+			ag := e.ops.backwardAggregate(g, l)
+			dW[l-1] = e.ops.weightGrad(H[l-1], ag, l)
+			dH = e.ops.inputGrad(ag, w, l)
+		}
 	}
-	g := e.ops.activationBackward(e.cfg.Activation(1), dH, Z[1], caches[1], 1)
-	dW[0] = e.ops.weightGrad(e.t1, g, 1)
 
 	// Weight update: gradients are replicated, so the optimizer runs
 	// identically on every rank with no communication (§III-D).
@@ -250,11 +291,7 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 func (e *engine) forward(weights []*dense.Matrix) *dense.Matrix {
 	var out *dense.Matrix
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		t := e.t1
-		if l > 1 {
-			t = e.ops.forwardAggregate(out, l)
-		}
-		z := e.ops.multiplyWeight(t, weights[l-1], l)
+		z, _ := e.preActivation(out, weights[l-1], l)
 		out, _ = e.ops.activationForward(e.cfg.Activation(l), z, l)
 	}
 	return out

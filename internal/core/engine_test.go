@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dense"
@@ -319,6 +320,29 @@ func TestNewTrainerReplicated(t *testing.T) {
 	}
 	if _, err := NewTrainerReplicated("2d", 4, 1, testMach); err != nil {
 		t.Fatalf("c=1 must be accepted everywhere: %v", err)
+	}
+}
+
+// TestNewTrainerRejectsNonPositiveRanks: a rank count below 1 is an error
+// naming the algorithm, not a panic out of comm.NewCluster. The serial
+// trainer has no ranks and ignores the count.
+func TestNewTrainerRejectsNonPositiveRanks(t *testing.T) {
+	for _, algo := range []string{"serial", "1d", "1.5d", "2d", "3d"} {
+		for _, p := range []int{0, -2} {
+			tr, err := NewTrainerReplicated(algo, p, 0, testMach)
+			if algo == "serial" {
+				if err != nil || tr == nil {
+					t.Fatalf("serial with p=%d: %v", p, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), algo) {
+				t.Fatalf("%s with p=%d: want an error naming the algorithm, got %v", algo, p, err)
+			}
+		}
+	}
+	if _, err := NewTrainerReplicated("4d", -2, 0, testMach); err == nil || !strings.Contains(err.Error(), "unknown trainer") {
+		t.Fatalf("unknown algorithm with p=-2: want the unknown-trainer error, got %v", err)
 	}
 }
 

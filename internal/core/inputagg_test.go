@@ -33,6 +33,44 @@ func (c *countingOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 	return c.layerOps.backwardAggregate(g, l)
 }
 
+// everyTrainer returns, by name, one runner per trainer and exchange mode —
+// serial, serial-f32, 1d/1.5d × {plain, halo, overlap, halo+overlap}, 2d/3d
+// × {plain, overlap} — each executing body on every rank of p.
+func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) map[string]func() error {
+	cfg := p.Config.WithDefaults()
+	cases := map[string]func() error{
+		"serial": func() error {
+			return body(newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer()), cfg, p)
+		},
+		"serial-f32": func() error {
+			return body(newMixedOps(cfg, p, KernelOptions{Precision: PrecisionF32}), cfg, p)
+		},
+	}
+	for _, halo := range []bool{false, true} {
+		for _, overlap := range []bool{false, true} {
+			suffix := ""
+			if halo {
+				suffix += "-halo"
+			}
+			if overlap {
+				suffix += "-overlap"
+			}
+			oneD, oneFiveD := NewOneD(4, testMach), NewOneFiveD(4, 2, testMach)
+			oneD.Halo, oneD.Overlap = halo, overlap
+			oneFiveD.Halo, oneFiveD.Overlap = halo, overlap
+			cases["1d"+suffix] = func() error { return oneD.runRanks(p, body) }
+			cases["1.5d"+suffix] = func() error { return oneFiveD.runRanks(p, body) }
+			if !halo {
+				twoD, threeD := NewTwoD(4, testMach), NewThreeD(8, testMach)
+				twoD.Overlap, threeD.Overlap = overlap, overlap
+				cases["2d"+suffix] = func() error { return twoD.runRanks(p, body) }
+				cases["3d"+suffix] = func() error { return threeD.runRanks(p, body) }
+			}
+		}
+	}
+	return cases
+}
+
 // TestInputAggregatedOncePerRun: over a whole run() of E epochs — final
 // inference pass included — every rank of every trainer, in every exchange
 // mode, aggregates the input layer forward exactly once and backward never,
@@ -53,38 +91,7 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 		_, err := newEngine(c, cfg, prob).run()
 		return err
 	}
-	cfg := p.Config.WithDefaults()
-	cases := map[string]func() error{
-		"serial": func() error {
-			return counted(newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer()), cfg, p)
-		},
-		"serial-f32": func() error {
-			return counted(newMixedOps(cfg, p, KernelOptions{Precision: PrecisionF32}), cfg, p)
-		},
-	}
-	for _, halo := range []bool{false, true} {
-		for _, overlap := range []bool{false, true} {
-			suffix := ""
-			if halo {
-				suffix += "-halo"
-			}
-			if overlap {
-				suffix += "-overlap"
-			}
-			oneD, oneFiveD := NewOneD(4, testMach), NewOneFiveD(4, 2, testMach)
-			oneD.Halo, oneD.Overlap = halo, overlap
-			oneFiveD.Halo, oneFiveD.Overlap = halo, overlap
-			cases["1d"+suffix] = func() error { return oneD.runRanks(p, counted) }
-			cases["1.5d"+suffix] = func() error { return oneFiveD.runRanks(p, counted) }
-			if !halo {
-				twoD, threeD := NewTwoD(4, testMach), NewThreeD(8, testMach)
-				twoD.Overlap, threeD.Overlap = overlap, overlap
-				cases["2d"+suffix] = func() error { return twoD.runRanks(p, counted) }
-				cases["3d"+suffix] = func() error { return threeD.runRanks(p, counted) }
-			}
-		}
-	}
-	for name, run := range cases {
+	for name, run := range everyTrainer(p, counted) {
 		t.Run(name, func(t *testing.T) {
 			ranks = nil
 			if err := run(); err != nil {
@@ -106,6 +113,161 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// scheduleOps records one rank's layerOps calls over a run, in order, as
+// "method layer" — with the operand's column count appended for the two
+// aggregations, whose width is the point.
+type scheduleOps struct {
+	layerOps
+	calls []string
+}
+
+func (s *scheduleOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	out := s.layerOps.forwardAggregate(x, l)
+	cols := out.Cols
+	if m, ok := s.layerOps.(*mixedOps); ok {
+		// The float32 ops return one empty handle; the product sits in
+		// their own per-layer state.
+		if aggregatesFirst(m.cfg.Widths, l) {
+			cols = m.t32[l].Cols
+		} else {
+			cols = m.z32[l].Cols
+		}
+	}
+	s.calls = append(s.calls, fmt.Sprintf("fwdAgg %d @%d", l, cols))
+	return out
+}
+
+func (s *scheduleOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	out := s.layerOps.backwardAggregate(x, l)
+	cols := out.Cols
+	if m, ok := s.layerOps.(*mixedOps); ok {
+		cols = m.cur.Cols
+	}
+	s.calls = append(s.calls, fmt.Sprintf("bwdAgg %d @%d", l, cols))
+	return out
+}
+
+func (s *scheduleOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	s.calls = append(s.calls, fmt.Sprintf("mulW %d", l))
+	return s.layerOps.multiplyWeight(x, w, l)
+}
+
+func (s *scheduleOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	s.calls = append(s.calls, fmt.Sprintf("wGrad %d", l))
+	return s.layerOps.weightGrad(hPrev, g, l)
+}
+
+func (s *scheduleOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	s.calls = append(s.calls, fmt.Sprintf("inGrad %d", l))
+	return s.layerOps.inputGrad(g, w, l)
+}
+
+// featureShare returns how many of f feature columns the rank behind ops
+// holds: all of them in the row-partitioned layouts, its grid column's
+// Block1D share in 2D and 3D.
+func featureShare(ops layerOps, f int) int {
+	switch r := ops.(type) {
+	case *twoDRank:
+		return r.fBlk(f).Size(r.pj)
+	case *threeDRank:
+		return r.fBlk(f).Size(r.pj)
+	}
+	return f
+}
+
+// wantSchedule derives the calls of one run of E epochs from the widths
+// alone: T¹ once; per epoch, every layer forward in its product order, then
+// every layer backward in it; the final inference pass forward again. Every
+// aggregation of layer l ≥ 2 runs at min(f^{l-1}, f^l).
+func wantSchedule(ops layerOps, widths []int, epochs int) []string {
+	L := len(widths) - 1
+	agg := func(dir string, l int) string {
+		f := widths[0]
+		if l > 1 {
+			f = min(widths[l-1], widths[l])
+		}
+		return fmt.Sprintf("%s %d @%d", dir, l, featureShare(ops, f))
+	}
+	var forward, backward []string
+	for l := 1; l <= L; l++ {
+		mul := fmt.Sprintf("mulW %d", l)
+		switch {
+		case l == 1:
+			forward = append(forward, mul)
+		case widths[l-1] <= widths[l]:
+			forward = append(forward, agg("fwdAgg", l), mul)
+		default:
+			forward = append(forward, mul, agg("fwdAgg", l))
+		}
+	}
+	for l := L; l >= 1; l-- {
+		wGrad, inGrad := fmt.Sprintf("wGrad %d", l), fmt.Sprintf("inGrad %d", l)
+		switch {
+		case l == 1:
+			backward = append(backward, wGrad)
+		case widths[l-1] <= widths[l]:
+			backward = append(backward, wGrad, inGrad, agg("bwdAgg", l))
+		default:
+			backward = append(backward, agg("bwdAgg", l), wGrad, inGrad)
+		}
+	}
+	want := []string{agg("fwdAgg", 1)}
+	for e := 0; e < epochs; e++ {
+		want = append(append(want, forward...), backward...)
+	}
+	return append(want, forward...)
+}
+
+// TestAggregationScheduleFollowsWidths: on every rank of every trainer, in
+// every exchange mode, the whole run's sequence of layerOps products is the
+// one derived from the widths — each layer in its own product order, each
+// aggregation at min(f^{l-1}, f^l) — for narrowing, widening, equal and
+// mixed-order networks.
+func TestAggregationScheduleFollowsWidths(t *testing.T) {
+	const epochs = 2
+	shapes := map[string][]int{
+		"narrowing": {8, 6, 4},
+		"widening":  {4, 6, 8},
+		"equal":     {6, 6, 6},
+		"mixed":     {8, 4, 6, 6, 3},
+	}
+	for shape, widths := range shapes {
+		p := edgeProblem(t, 64, widths, epochs, 62)
+		var mu sync.Mutex
+		var ranks []*scheduleOps
+		recorded := func(ops layerOps, cfg nn.Config, prob Problem) error {
+			s := &scheduleOps{layerOps: ops}
+			mu.Lock()
+			ranks = append(ranks, s)
+			mu.Unlock()
+			_, err := newEngine(s, cfg, prob).run()
+			return err
+		}
+		for name, run := range everyTrainer(p, recorded) {
+			t.Run(shape+"/"+name, func(t *testing.T) {
+				ranks = nil
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+				if len(ranks) == 0 {
+					t.Fatal("no rank ran")
+				}
+				for r, s := range ranks {
+					want := wantSchedule(s.layerOps, widths, epochs)
+					if len(s.calls) != len(want) {
+						t.Fatalf("rank %d of %d made %d calls, want %d:\n%v\n%v", r, len(ranks), len(s.calls), len(want), s.calls, want)
+					}
+					for i := range want {
+						if s.calls[i] != want[i] {
+							t.Fatalf("rank %d of %d, call %d: %q, want %q\n%v", r, len(ranks), i, s.calls[i], want[i], want)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -159,6 +321,141 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 				}
 				tolerance.AssertClose(t, "dW1", probe.dW1, want, 1e-14, 1e-10)
 			})
+		}
+	}
+}
+
+// backwardRecord collects, over every rank of one trainer, the global
+// matrices one epoch's backward pass read and produced, by layer: H^l, the
+// upstream gradient ∂L/∂H^l as activationBackward received it, G^l, and the
+// replicated Y^l.
+type backwardRecord struct {
+	mu           sync.Mutex
+	h, dH, g, dW []*dense.Matrix
+}
+
+// backwardProbe writes one rank's blocks into the shared record.
+type backwardProbe struct {
+	layerOps
+	rec *backwardRecord
+}
+
+// place copies this rank's block into the global matrix it is a block of.
+func (b *backwardProbe) place(full, blk *dense.Matrix) {
+	r0, c0 := 0, 0
+	switch r := b.layerOps.(type) {
+	case *oneDRank:
+		r0 = r.lo
+	case *twoDRank:
+		r0, c0 = r.vBlk.Lo(r.pi), r.fBlk(full.Cols).Lo(r.pj)
+	}
+	b.rec.mu.Lock()
+	full.SetSubMatrix(r0, c0, blk)
+	b.rec.mu.Unlock()
+}
+
+func (b *backwardProbe) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
+	h, cache := b.layerOps.activationForward(act, z, l)
+	b.place(b.rec.h[l], h)
+	return h, cache
+}
+
+func (b *backwardProbe) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
+	b.place(b.rec.dH[l], dH)
+	g := b.layerOps.activationBackward(act, dH, h, cache, l)
+	b.place(b.rec.g[l], g)
+	return g
+}
+
+func (b *backwardProbe) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	dW := b.layerOps.weightGrad(hPrev, g, l)
+	if b.rank() == 0 {
+		b.rec.dW[l] = dW.Clone()
+	}
+	return dW
+}
+
+// TestHiddenLayerGradientsMatchDirectFormula: at every layer l ≥ 2, in
+// either product order, the engine's Y^l and ∂L/∂H^{l-1} against the
+// paper's (H^{l-1})ᵀ·(A·G^l) and (A·G^l)·(W^l)ᵀ evaluated with the
+// reference kernels on the same G^l, H^{l-1} and W^l — serial, 1D and 2D,
+// on a symmetric and on a row-stochastic directed graph. The reorderings
+// rest on associativity and transposition, never on A = Aᵀ: the same
+// reference with Aᵀ in A's place must agree on the symmetric graph and be
+// told apart on the directed one, or the comparison proves nothing.
+func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
+	const n = 48
+	shapes := map[string][]int{
+		"narrowing": {7, 5, 3},
+		"widening":  {3, 5, 7},
+		"mixed":     {7, 4, 6, 6, 3},
+	}
+	for shape, widths := range shapes {
+		L := len(widths) - 1
+		sym := edgeProblem(t, n, widths, 1, 75)
+		ds := graph.Synthetic("directed", graph.ErdosRenyi(n, 5, rand.New(rand.NewSource(76))), widths[0], 1, widths[L], 77)
+		directed := Problem{
+			A: sparse.RowStochastic(ds.Graph.Adjacency()), Features: ds.Features, Labels: ds.Labels, Config: sym.Config,
+		}
+		for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
+			cfg := p.Config.WithDefaults()
+			serialOps := newSerialOps(cfg, p.A, p.Features, p.Labels, nil, n)
+			// Unfused, so ∂L/∂H^{l-1} reaches activationBackward unmasked.
+			serialOps.configure(KernelOptions{Fused: "off"})
+			var rec *backwardRecord
+			probed := func(ops layerOps, cfg nn.Config, prob Problem) error {
+				eng := newEngine(&backwardProbe{layerOps: ops, rec: rec}, cfg, prob)
+				eng.aggregateInput()
+				eng.epoch(nn.InitWeights(cfg))
+				return nil
+			}
+			trainers := map[string]func() error{
+				"serial": func() error { return probed(serialOps, cfg, p) },
+				"1d":     func() error { return NewOneD(4, testMach).runRanks(p, probed) },
+				"2d":     func() error { return NewTwoD(4, testMach).runRanks(p, probed) },
+			}
+			for trainer, run := range trainers {
+				t.Run(shape+"/"+graphName+"/"+trainer, func(t *testing.T) {
+					rec = &backwardRecord{
+						h: make([]*dense.Matrix, L+1), dH: make([]*dense.Matrix, L+1),
+						g: make([]*dense.Matrix, L+1), dW: make([]*dense.Matrix, L+1),
+					}
+					rec.h[0] = p.Features
+					for l := 1; l <= L; l++ {
+						rec.h[l], rec.dH[l], rec.g[l] = dense.New(n, widths[l]), dense.New(n, widths[l]), dense.New(n, widths[l])
+					}
+					if err := run(); err != nil {
+						t.Fatal(err)
+					}
+					weights := nn.InitWeights(cfg) // the W^l the epoch differentiated at
+					for l := 2; l <= L; l++ {
+						direct := func(a *sparse.CSR) (dW, dH *dense.Matrix) {
+							ag := dense.New(n, widths[l])
+							sparse.RefSpMM(ag, a, rec.g[l])
+							dW, dH = dense.New(widths[l-1], widths[l]), dense.New(n, widths[l-1])
+							dense.RefTMul(dW, rec.h[l-1], ag)
+							dense.RefMul(dH, ag, weights[l-1].T())
+							return dW, dH
+						}
+						wantW, wantH := direct(p.A)
+						if wantW.MaxAbs() == 0 || wantH.MaxAbs() == 0 {
+							t.Fatalf("layer %d: a reference gradient is identically zero: the comparison would prove nothing", l)
+						}
+						tolerance.AssertClose(t, fmt.Sprintf("dW%d", l), rec.dW[l], wantW, 1e-14, 1e-10)
+						tolerance.AssertClose(t, fmt.Sprintf("dH%d", l-1), rec.dH[l-1], wantH, 1e-14, 1e-10)
+
+						mutW, mutH := direct(p.A.Transpose())
+						errW := tolerance.Close("dW", rec.dW[l], mutW, 1e-14, 1e-10)
+						errH := tolerance.Close("dH", rec.dH[l-1], mutH, 1e-14, 1e-10)
+						if graphName == "directed" && (errW == nil || errH == nil) {
+							t.Fatalf("layer %d: the gradients also match the formulas with Aᵀ for A on a directed graph (dW: %v, dH: %v)", l, errW, errH)
+						}
+						if graphName == "symmetric" && (errW != nil || errH != nil) {
+							t.Fatalf("layer %d: A = Aᵀ here, yet the Aᵀ reference disagrees (dW: %v, dH: %v)", l, errW, errH)
+						}
+					}
+				})
+			}
 		}
 	}
 }

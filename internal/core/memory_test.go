@@ -13,20 +13,24 @@ func peakMem(t *testing.T, tr DistTrainer, p Problem) int64 {
 	return tr.Cluster().MaxPeakMemWords()
 }
 
-// TestOneDMemoryDominatedByOuterProduct: the 1D backward materializes an
-// n x f dense intermediate per rank (§IV-A-3), so its peak must dwarf the
-// 2D/3D peaks at equal P.
+// TestMemoryOrderingAcrossAlgorithms: the 1D backward materializes an n x f
+// dense intermediate per rank whatever P is (§IV-A-3) — at the operand's
+// width, min(f¹, f²) for this network's one aggregated layer — while
+// everything a 2D or 3D rank holds shrinks with P. At P = 64 that one
+// intermediate alone outweighs the whole 2D and 3D footprints, the T¹ row
+// panels (n·f⁰/√P words) a 2D rank keeps for the run included.
 func TestMemoryOrderingAcrossAlgorithms(t *testing.T) {
 	p := testProblem(t, 512, 16, 16, 8, 1, 91)
 	const ranks = 64
 	oneD := peakMem(t, NewOneD(ranks, testMach), p)
 	twoD := peakMem(t, NewTwoD(ranks, testMach), p)
 	threeD := peakMem(t, NewThreeD(ranks, testMach), p)
-	if oneD <= 2*twoD {
-		t.Fatalf("1D peak (%d) should dwarf 2D peak (%d): n x f outer product", oneD, twoD)
+	outer := int64(512 * min(16, 8))
+	if oneD < outer {
+		t.Fatalf("1D peak (%d) below its own n x f outer product (%d)", oneD, outer)
 	}
-	if oneD <= 2*threeD {
-		t.Fatalf("1D peak (%d) should dwarf 3D peak (%d)", oneD, threeD)
+	if twoD >= outer || threeD >= outer {
+		t.Fatalf("2D peak (%d) and 3D peak (%d) should both sit below 1D's outer product alone (%d)", twoD, threeD, outer)
 	}
 }
 

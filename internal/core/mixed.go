@@ -43,18 +43,19 @@ type mixedOps struct {
 	// Persistent typed state: converted input features (h32[0]), their
 	// aggregate (t32[1]), per-layer weight/gradient buffers, and the f64
 	// output of the final gather.
-	t32   []*dense.Of[float32] // T^l = Aᵀ·H^{l-1} this epoch (t32[1] is kept for the whole run)
+	t32   []*dense.Of[float32] // T^l = Aᵀ·H^{l-1} this epoch, aggregate-first layers (t32[1] is kept for the whole run)
 	h32   []*dense.Of[float32] // H^l this epoch (h32[0] is the converted input)
-	z32   []*dense.Of[float32] // Z^l this epoch (unset for fused ReLU layers)
+	z32   []*dense.Of[float32] // layer l's latest forward product: H^{l-1}·W^l, then Z^l (unset for fused ReLU layers)
 	w32   []*dense.Of[float32] // W^l downcast from the f64 master weights
 	dw32  []*dense.Of[float32]
 	dw64  []*dense.Matrix // f64 weight gradients handed to the optimizer
 	out64 *dense.Matrix   // f64 conversion of the final output
 
-	// Epoch-transient pointers into workspace buffers.
-	dh32 *dense.Of[float32] // upstream gradient ∂L/∂H^l
-	g32  *dense.Of[float32] // G^l after activation backward
-	ag32 *dense.Of[float32] // A·G^l
+	// cur is the float32 matrix behind the handle the latest backward step
+	// returned. The engine feeds each backward step's result to the next
+	// (∂L/∂H^l → G^l → A·G^l or G^l·(W^l)ᵀ → ∂L/∂H^{l-1}, in either product
+	// order), so one pointer follows the chain.
+	cur *dense.Of[float32]
 
 	maskedAhead int
 
@@ -109,22 +110,26 @@ func newMixedOps(cfg nn.Config, p Problem, o KernelOptions) *mixedOps {
 	return m
 }
 
-// fusedReLU reports whether layer l runs the fused ReLU epilogues.
-func (m *mixedOps) fusedReLU(l int) bool {
-	return m.fused && m.cfg.Activation(l).Name() == "relu"
-}
-
 func (m *mixedOps) rank() int { return 0 }
 
 func (m *mixedOps) input() *dense.Matrix { return m.hdr }
 
 func (m *mixedOps) forwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
-	t := m.ws.GetUninit(m.at32.Rows, m.cfg.Widths[l-1])
-	sparse.SpMM(t, m.at32, m.h32[l-1])
+	first := aggregatesFirst(m.cfg.Widths, l)
+	x := m.z32[l] // H^{l-1}·W^l, from multiplyWeight
+	if first {
+		x = m.h32[l-1]
+	}
+	t := m.ws.GetUninit(m.at32.Rows, x.Cols)
+	sparse.SpMM(t, m.at32, x)
 	if l == 1 {
 		t = m.ws.Keep(t) // T¹ outlives endEpoch: the engine reuses it every epoch
 	}
-	m.t32[l] = t
+	if first {
+		m.t32[l] = t
+	} else {
+		m.z32[l] = t
+	}
 	return m.hdr
 }
 
@@ -132,20 +137,23 @@ func (m *mixedOps) multiplyWeight(_, w *dense.Matrix, l int) *dense.Matrix {
 	// Downcast the current f64 master weights; the optimizer updated them
 	// since the last epoch.
 	dense.Convert(m.w32[l-1], w)
-	t := m.t32[l]
-	z := m.ws.GetUninit(t.Rows, m.cfg.Widths[l])
-	if m.fusedReLU(l) {
-		dense.MulBiasReLU(z, t, m.w32[l-1], nil)
-		m.h32[l] = z // z holds H^l; backward masks on it (h > 0 ⟺ z > 0)
+	x := m.h32[l-1]
+	if aggregatesFirst(m.cfg.Widths, l) {
+		x = m.t32[l]
+	}
+	z := m.ws.GetUninit(x.Rows, w.Cols)
+	if m.fused && fusesForward(m.cfg, l) {
+		dense.MulBiasReLU(z, x, m.w32[l-1], nil)
+		m.h32[l] = z // z holds H^l
 	} else {
-		dense.Mul(z, t, m.w32[l-1])
+		dense.Mul(z, x, m.w32[l-1])
 		m.z32[l] = z
 	}
 	return m.hdr
 }
 
 func (m *mixedOps) activationForward(act dense.Activation, _ *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	if m.fusedReLU(l) {
+	if m.fused && fusesForward(m.cfg, l) {
 		return m.hdr, nil // multiplyWeight already produced H^l
 	}
 	z := m.z32[l]
@@ -169,7 +177,7 @@ func (m *mixedOps) lossGrad(_ *dense.Matrix) (float64, *dense.Matrix) {
 	hOut := m.h32[L]
 	grad := m.ws.Get(hOut.Rows, hOut.Cols)
 	loss := nn.NLLLossMaskedIntoOf(grad, hOut, m.labels, m.mask, 0, m.norm)
-	m.dh32 = grad
+	m.cur = grad
 	return loss, m.hdr
 }
 
@@ -177,57 +185,55 @@ func (m *mixedOps) beforeBackward() {}
 
 func (m *mixedOps) activationBackward(act dense.Activation, _, _ *dense.Matrix, _ *actCache, l int) *dense.Matrix {
 	if m.maskedAhead == l {
-		m.maskedAhead = 0
-		m.g32 = m.dh32 // inputGrad(l+1) already applied the ReLU mask
+		m.maskedAhead = 0 // inputGrad(l+1) already applied the ReLU mask: cur is G^l
 		return m.hdr
 	}
-	g := m.ws.GetUninit(m.dh32.Rows, m.dh32.Cols)
+	dH := m.cur
+	g := m.ws.GetUninit(dH.Rows, dH.Cols)
 	switch act.Name() {
 	case "relu":
-		// Mask on H^l: bit-identical to masking on Z^l, and H^l exists on
-		// both the fused and unfused forward paths.
-		dense.ReLUBackwardOf(g, m.dh32, m.h32[l])
+		dense.ReLUBackwardOf(g, dH, m.h32[l])
 	case "log_softmax":
-		dense.LogSoftmaxBackwardOf(g, m.dh32, m.z32[l])
+		dense.LogSoftmaxBackwardOf(g, dH, m.h32[l])
 	case "identity":
-		copy(g.Data, m.dh32.Data)
+		copy(g.Data, dH.Data)
 	default:
 		panic(fmt.Sprintf("core: activation %q has no float32 kernel", act.Name()))
 	}
-	m.g32 = g
+	m.cur = g
 	return m.hdr
 }
 
 func (m *mixedOps) backwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
-	ag := m.ws.GetUninit(m.at32.Rows, m.cfg.Widths[l])
-	m.kern.SpMM(ag, m.g32)
-	m.ag32 = ag
+	ax := m.ws.GetUninit(m.at32.Rows, m.cur.Cols)
+	m.kern.SpMM(ax, m.cur)
+	m.cur = ax
 	return m.hdr
 }
 
 func (m *mixedOps) weightGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
-	if l == 1 {
-		dense.TMul(m.dw32[0], m.t32[1], m.g32) // Y¹ = (T¹)ᵀ G¹
-	} else {
-		dense.TMul(m.dw32[l-1], m.h32[l-1], m.ag32)
+	hPrev := m.h32[l-1] // Y^l = (H^{l-1})ᵀ·(A·G^l)
+	if aggregatesFirst(m.cfg.Widths, l) {
+		hPrev = m.t32[l] // Y^l = (T^l)ᵀ·G^l
 	}
+	dense.TMul(m.dw32[l-1], hPrev, m.cur)
 	// Upcast for the optimizer: master weights and optimizer state stay f64.
 	dense.Convert(m.dw64[l-1], m.dw32[l-1])
 	return m.dw64[l-1]
 }
 
 func (m *mixedOps) inputGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
-	dH := m.ws.GetUninit(m.ag32.Rows, m.cfg.Widths[l-1])
+	dH := m.ws.GetUninit(m.cur.Rows, m.cfg.Widths[l-1])
 	switch {
-	case m.fusedReLU(l-1) && m.h32[l-1] != nil:
-		dense.MulTReLUMask(dH, m.ag32, m.w32[l-1], m.h32[l-1])
+	case m.fused && fusesBackward(m.cfg, l):
+		dense.MulTReLUMask(dH, m.cur, m.w32[l-1], m.h32[l-1])
 		m.maskedAhead = l - 1
 	case m.unrolled:
-		dense.MulTUnrolled(dH, m.ag32, m.w32[l-1])
+		dense.MulTUnrolled(dH, m.cur, m.w32[l-1])
 	default:
-		dense.MulT(dH, m.ag32, m.w32[l-1])
+		dense.MulT(dH, m.cur, m.w32[l-1])
 	}
-	m.dh32 = dH
+	m.cur = dH
 	return m.hdr
 }
 

@@ -207,7 +207,7 @@ func (r *oneDRank) rank() int { return r.comm.Rank() }
 
 func (r *oneDRank) input() *dense.Matrix { return r.h0 }
 
-// forwardAggregate computes T_i = Σ_j Aᵀ_ij X_j — with a broadcast per
+// forwardAggregate computes (Aᵀ·X)_i = Σ_j Aᵀ_ij X_j — with a broadcast per
 // block row of X (Algorithm 1), or, in halo mode, with an indexed
 // point-to-point exchange of only the rows this rank's Aᵀ blocks touch
 // (§IV-A-1). All paths accumulate blocks in the same order with the same
@@ -220,8 +220,8 @@ func (r *oneDRank) input() *dense.Matrix { return r.h0 }
 func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	world := r.comm.World()
 	rows := r.hi - r.lo
-	fPrev := r.cfg.Widths[l-1]
-	T := r.ws.Get(rows, fPrev)
+	f := x.Cols
+	T := r.ws.Get(rows, f)
 	me := r.comm.Rank()
 	switch {
 	case r.halo && r.overlap:
@@ -232,7 +232,7 @@ func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 		// SpMMTime totals, with the diagonal block's charge apportioned
 		// to the two passes by nnz share so only the timeline placement
 		// moves, never the modeled compute cost.
-		diagTime := r.mach.SpMMTime(int64(r.plan.Blocks[me].NNZ()), rows, fPrev)
+		diagTime := r.mach.SpMMTime(int64(r.plan.Blocks[me].NNZ()), rows, f)
 		interiorShare := 0.0
 		if nnz := r.plan.Blocks[me].NNZ(); nnz > 0 {
 			interiorShare = diagTime * float64(r.interiorNNZ) / float64(nnz)
@@ -247,14 +247,14 @@ func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 			if j == me {
 				xj = x // uncompacted diagonal block, no gather
 			} else {
-				xj = r.ws.Wrap(len(r.plan.Need[j]), fPrev, recvd[j].Floats)
+				xj = r.ws.Wrap(len(r.plan.Need[j]), f, recvd[j].Floats)
 			}
 			r.recordMem(matWords(T) + matWords(xj))
 			sparse.SpMMAddRowList(T, blk, xj, r.frontier)
 			if j == me {
 				r.comm.ChargeTime(comm.CatSpMM, diagTime-interiorShare)
 			} else {
-				r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, fPrev))
+				r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 			}
 		}
 	case r.halo:
@@ -265,11 +265,11 @@ func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 			if j == me {
 				xj = x // uncompacted diagonal block, no gather
 			} else {
-				xj = r.ws.Wrap(len(r.plan.Need[j]), fPrev, recvd[j].Floats)
+				xj = r.ws.Wrap(len(r.plan.Need[j]), f, recvd[j].Floats)
 			}
 			r.recordMem(matWords(T) + matWords(xj))
 			sparse.SpMMAdd(T, blk, xj)
-			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, fPrev))
+			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 		}
 	default:
 		var req *comm.Request
@@ -292,7 +292,7 @@ func (r *oneDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 			}
 			r.recordMem(matWords(T) + matWords(xj))
 			sparse.SpMMAdd(T, r.atBlk[j], xj)
-			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.atBlk[j].NNZ()), rows, fPrev))
+			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.atBlk[j].NNZ()), rows, f))
 		}
 	}
 	if l == 1 {
@@ -314,11 +314,11 @@ func (r *oneDRank) bcastStage(j int, x *dense.Matrix) *comm.Request {
 	return r.comm.World().IBroadcast(j, in, comm.CatDenseComm)
 }
 
-// multiplyWeight computes Z_i = T_i W (W replicated: no communication).
-func (r *oneDRank) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
-	z := r.ws.GetUninit(t.Rows, r.cfg.Widths[l])
-	dense.Mul(z, t, w)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(t.Rows, r.cfg.Widths[l-1], r.cfg.Widths[l]))
+// multiplyWeight computes (X·W)_i = X_i W (W replicated: no communication).
+func (r *oneDRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	z := r.ws.GetUninit(x.Rows, w.Cols)
+	dense.Mul(z, x, w)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(x.Rows, w.Rows, w.Cols))
 	return z
 }
 
@@ -338,50 +338,50 @@ func (r *oneDRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 func (r *oneDRank) beforeBackward() {}
 
 // activationBackward: local, like the forward (row-partitioned).
-func (r *oneDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix, _ *actCache, l int) *dense.Matrix {
-	g := r.ws.GetUninit(z.Rows, z.Cols)
-	act.Backward(g, dH, z)
+func (r *oneDRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
+	g := r.ws.GetUninit(h.Rows, h.Cols)
+	act.Backward(g, dH, h)
 	return g
 }
 
-// backwardAggregate (l > 1) is the large 1D outer product (§IV-A-3): each rank
-// forms the low-rank n x f product A(:, my rows)·G_i = (Aᵀ_i)ᵀ G_i over the
+// backwardAggregate is the large 1D outer product (§IV-A-3): each rank forms
+// the low-rank n x f product A(:, my rows)·X_i = (Aᵀ_i)ᵀ X_i over the
 // precomputed transpose plan, then the partial sums are reduce-scattered
 // back to block rows. The outer product materializes an n x f dense
-// intermediate per rank — the memory cost §IV-A-3 discusses.
-func (r *oneDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
+// intermediate per rank — the memory cost §IV-A-3 discusses — at the
+// operand's width f = min(f^{l-1}, f^l).
+func (r *oneDRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	world := r.comm.World()
 	rows := r.hi - r.lo
-	fl := r.cfg.Widths[l]
-	agFull := r.ws.Get(r.n, fl)
-	r.recordMem(matWords(agFull))
-	r.atPlan.SpMMTAdd(agFull, g)
-	r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.atLocal.NNZ()), rows, fl))
+	f := x.Cols
+	full := r.ws.Get(r.n, f)
+	r.recordMem(matWords(full))
+	r.atPlan.SpMMTAdd(full, x)
+	r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.atLocal.NNZ()), rows, f))
 	for j := range r.rsCounts {
-		r.rsCounts[j] = r.blk.Size(j) * fl
+		r.rsCounts[j] = r.blk.Size(j) * f
 	}
-	return r.ws.Wrap(rows, fl,
-		world.ReduceScatter(agFull.Data, r.rsCounts, comm.CatDenseComm))
+	return r.ws.Wrap(rows, f,
+		world.ReduceScatter(full.Data, r.rsCounts, comm.CatDenseComm))
 }
 
 // weightGrad is the small 1D outer product (§IV-A-4): Y^l = (H^{l-1})ᵀ(A G^l),
-// reusing the aggregated product — or Y¹ = (T¹)ᵀG¹, both operands already
-// in block rows — finished with an f×f all-reduce.
-func (r *oneDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
+// reusing the aggregated product — or Y^l = (T^l)ᵀG^l; either way both
+// operands are already in block rows — finished with an f×f all-reduce.
+func (r *oneDRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	fPrev, fl := hPrev.Cols, g.Cols
 	yLocal := r.ws.GetUninit(fPrev, fl)
-	dense.TMul(yLocal, hPrev, ag)
+	dense.TMul(yLocal, hPrev, g)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(fPrev, hPrev.Rows, fl))
 	return r.ws.Wrap(fPrev, fl,
 		r.comm.World().AllReduce(yLocal.Data, comm.CatDenseComm))
 }
 
-// inputGrad computes ∂L/∂H^{l-1} = (A G^l)(W^l)ᵀ: local (W replicated).
-func (r *oneDRank) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
-	dH := r.ws.GetUninit(ag.Rows, fPrev)
-	dense.MulT(dH, ag, w)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(ag.Rows, fl, fPrev))
+// inputGrad computes g·(W^l)ᵀ: local (W replicated).
+func (r *oneDRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	dH := r.ws.GetUninit(g.Rows, w.Rows)
+	dense.MulT(dH, g, w)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
 	return dH
 }
 
@@ -410,7 +410,7 @@ func (r *oneDRank) gatherOutput(hOut *dense.Matrix) *dense.Matrix {
 	if r.comm.Rank() != 0 {
 		return nil
 	}
-	full := dense.New(r.n, r.cfg.Widths[r.cfg.Layers()])
+	full := dense.New(r.n, hOut.Cols)
 	for j, part := range parts {
 		full.SetSubMatrix(r.blk.Lo(j), 0, payloadMat(part))
 	}

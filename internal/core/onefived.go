@@ -373,10 +373,10 @@ func (r *oneFiveDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	return t
 }
 
-func (r *oneFiveDRank) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
-	z := r.ws.GetUninit(t.Rows, r.cfg.Widths[l])
-	dense.Mul(z, t, w)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(t.Rows, r.cfg.Widths[l-1], r.cfg.Widths[l]))
+func (r *oneFiveDRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	z := r.ws.GetUninit(x.Rows, w.Cols)
+	dense.Mul(z, x, w)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(x.Rows, w.Rows, w.Cols))
 	return z
 }
 
@@ -402,37 +402,36 @@ func (r *oneFiveDRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 
 func (r *oneFiveDRank) beforeBackward() {}
 
-func (r *oneFiveDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix, _ *actCache, l int) *dense.Matrix {
-	g := r.ws.GetUninit(z.Rows, z.Cols)
-	act.Backward(g, dH, z)
+func (r *oneFiveDRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
+	g := r.ws.GetUninit(h.Rows, h.Cols)
+	act.Backward(g, dH, h)
 	return g
 }
 
-// backwardAggregate: AG = A·G = Aᵀ·G by symmetry — same pattern as
-// forward, no outer product and no transpose needed.
-func (r *oneFiveDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
-	return r.blockMul(g)
+// backwardAggregate: A·X = Aᵀ·X by symmetry — same pattern as forward, no
+// outer product and no transpose needed.
+func (r *oneFiveDRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.blockMul(x)
 }
 
-// weightGrad: Y^l = Σ_teams (H_j)ᵀ(AG_j) — at l = 1, Σ_teams (T¹_j)ᵀG¹_j,
-// both team-replicated like H and AG: layer-0 members contribute their
-// team's term once; the world all-reduce replicates Y everywhere.
-func (r *oneFiveDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
+// weightGrad: Y^l = Σ_teams (H_j)ᵀ(AG_j), or Σ_teams (T^l_j)ᵀG^l_j — all
+// four team-replicated: layer-0 members contribute their team's term once;
+// the world all-reduce replicates Y everywhere.
+func (r *oneFiveDRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	fPrev, fl := hPrev.Cols, g.Cols
 	partial := r.ws.Get(fPrev, fl)
 	if r.layer == 0 {
-		dense.TMul(partial, hPrev, ag)
+		dense.TMul(partial, hPrev, g)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(fPrev, hPrev.Rows, fl))
 	}
 	return r.ws.Wrap(fPrev, fl,
 		r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
 }
 
-func (r *oneFiveDRank) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
-	dH := r.ws.GetUninit(ag.Rows, fPrev)
-	dense.MulT(dH, ag, w)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(ag.Rows, fl, fPrev))
+func (r *oneFiveDRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	dH := r.ws.GetUninit(g.Rows, w.Rows)
+	dense.MulT(dH, g, w)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
 	return dH
 }
 
@@ -466,7 +465,7 @@ func (r *oneFiveDRank) gatherOutput(hOut *dense.Matrix) *dense.Matrix {
 	if r.comm.Rank() != 0 {
 		return nil
 	}
-	full := dense.New(r.n, r.cfg.Widths[r.cfg.Layers()])
+	full := dense.New(r.n, hOut.Cols)
 	for rank, part := range parts {
 		if rank%r.c != 0 {
 			continue // replicas carry identical blocks; keep layer 0's

@@ -70,7 +70,9 @@ type serialOps struct {
 
 	// Kernel dispatch state (see KernelOptions). fused folds the ReLU
 	// epilogue into the weight multiply and the ReLU mask into the
-	// input-gradient multiply — both bit-identical to the separate passes.
+	// input-gradient multiply — both bit-identical to the separate passes,
+	// and each possible only where that multiply is the last step before
+	// the activation (see fusesForward, fusesBackward).
 	// unrolled swaps the input-gradient dot products for the
 	// 4-accumulator variant (tolerance-validated, opt-in).
 	fused    bool
@@ -123,8 +125,8 @@ func (s *serialOps) configure(o KernelOptions) KernelChoice {
 	return choice
 }
 
-// maxHiddenWidth is the widest operand the backward aggregation multiplies —
-// the dense-column count the format selector's cost model sees.
+// maxHiddenWidth bounds the width of the operands the backward aggregation
+// multiplies — the dense-column count the format selector's cost model sees.
 func maxHiddenWidth(cfg nn.Config) int {
 	w := 0
 	for l := 1; l <= cfg.Layers(); l++ {
@@ -152,9 +154,18 @@ func (s *serialOps) setH(l int, h *dense.Matrix) {
 	s.hs[l] = h
 }
 
-// fusedReLU reports whether layer l runs the fused ReLU epilogues.
-func (s *serialOps) fusedReLU(l int) bool {
-	return s.fused && s.cfg.Activation(l).Name() == "relu"
+// fusesForward reports whether layer l's ReLU can ride in the epilogue of
+// multiplyWeight(l): only where that multiply produces Z^l, i.e. the layer
+// aggregates first.
+func fusesForward(cfg nn.Config, l int) bool {
+	return aggregatesFirst(cfg.Widths, l) && cfg.Activation(l).Name() == "relu"
+}
+
+// fusesBackward reports whether layer l−1's ReLU mask can ride in the
+// epilogue of inputGrad(l): only where that multiply produces ∂L/∂H^{l-1},
+// i.e. layer l multiplies first (otherwise the aggregation still follows).
+func fusesBackward(cfg nn.Config, l int) bool {
+	return !aggregatesFirst(cfg.Widths, l) && cfg.Activation(l-1).Name() == "relu"
 }
 
 func (s *serialOps) rank() int { return 0 }
@@ -162,7 +173,7 @@ func (s *serialOps) rank() int { return 0 }
 func (s *serialOps) input() *dense.Matrix { return s.h0 }
 
 func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	t := s.ws.GetUninit(s.a.Rows, s.cfg.Widths[l-1])
+	t := s.ws.GetUninit(s.a.Rows, x.Cols)
 	switch {
 	case s.ref && s.at != nil:
 		s.at.RefSpMMT(t, x)
@@ -177,24 +188,23 @@ func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	return t
 }
 
-func (s *serialOps) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
-	z := s.ws.GetUninit(t.Rows, s.cfg.Widths[l])
-	if s.fusedReLU(l) {
+func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	z := s.ws.GetUninit(x.Rows, w.Cols)
+	if s.fused && fusesForward(s.cfg, l) {
 		// Fused epilogue: z holds H^l = relu(T·W) straight out of the
 		// accumulation sweep. Bit-identical to Mul + ReLU (the epilogue
-		// runs after each element's sum completes), and backward can mask
-		// on H^l because relu(z) > 0 ⟺ z > 0.
-		dense.MulBiasReLU(z, t, w, nil)
+		// runs after each element's sum completes).
+		dense.MulBiasReLU(z, x, w, nil)
 	} else if s.ref {
-		dense.RefMul(z, t, w)
+		dense.RefMul(z, x, w)
 	} else {
-		dense.Mul(z, t, w)
+		dense.Mul(z, x, w)
 	}
 	return z
 }
 
 func (s *serialOps) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	if s.fusedReLU(l) {
+	if s.fused && fusesForward(s.cfg, l) {
 		s.setH(l, z) // multiplyWeight already applied the activation
 		return z, nil
 	}
@@ -211,56 +221,57 @@ func (s *serialOps) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 
 func (s *serialOps) beforeBackward() {}
 
-func (s *serialOps) activationBackward(act dense.Activation, dH, z *dense.Matrix, _ *actCache, l int) *dense.Matrix {
+func (s *serialOps) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
 	if s.maskedAhead == l {
 		// inputGrad(l+1) already applied the ReLU mask in its fused
 		// epilogue; dH is G^l.
 		s.maskedAhead = 0
 		return dH
 	}
-	g := s.ws.GetUninit(z.Rows, z.Cols)
-	act.Backward(g, dH, z)
+	g := s.ws.GetUninit(h.Rows, h.Cols)
+	act.Backward(g, dH, h)
 	return g
 }
 
-func (s *serialOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
-	// AG = A·G, reused for both Y and ∂L/∂H (§IV-A-4).
-	ag := s.ws.GetUninit(s.a.Rows, s.cfg.Widths[l])
+func (s *serialOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	// A·G^l is reused for both Y and ∂L/∂H (§IV-A-4); A·(G^l(W^l)ᵀ) is
+	// ∂L/∂H^{l-1} itself.
+	ax := s.ws.GetUninit(s.a.Rows, x.Cols)
 	switch {
 	case s.ref:
-		sparse.RefSpMM(ag, s.a, g)
+		sparse.RefSpMM(ax, s.a, x)
 	case s.kern != nil:
-		s.kern.SpMM(ag, g)
+		s.kern.SpMM(ax, x)
 	default:
-		sparse.SpMM(ag, s.a, g)
+		sparse.SpMM(ax, s.a, x)
 	}
-	return ag
+	return ax
 }
 
-func (s *serialOps) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	dW := s.ws.GetUninit(s.cfg.Widths[l-1], s.cfg.Widths[l])
+func (s *serialOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	dW := s.ws.GetUninit(hPrev.Cols, g.Cols)
 	if s.ref {
-		dense.RefTMul(dW, hPrev, ag)
+		dense.RefTMul(dW, hPrev, g)
 	} else {
-		dense.TMul(dW, hPrev, ag)
+		dense.TMul(dW, hPrev, g)
 	}
 	return dW
 }
 
-func (s *serialOps) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
-	dH := s.ws.GetUninit(ag.Rows, s.cfg.Widths[l-1])
+func (s *serialOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	dH := s.ws.GetUninit(g.Rows, w.Rows)
 	switch {
-	case s.fusedReLU(l-1) && l-1 < len(s.hs) && s.hs[l-1] != nil:
+	case s.fused && fusesBackward(s.cfg, l) && l-1 < len(s.hs) && s.hs[l-1] != nil:
 		// Fused backward epilogue: ∂L/∂H^{l-1} ⊙ relu'(Z^{l-1}) in one
 		// sweep, masking on H^{l-1} (h > 0 ⟺ z > 0) and skipping the dot
 		// product entirely for dead units. Bit-identical to MulT followed
 		// by ReLU.Backward.
-		dense.MulTReLUMask(dH, ag, w, s.hs[l-1])
+		dense.MulTReLUMask(dH, g, w, s.hs[l-1])
 		s.maskedAhead = l - 1
 	case s.unrolled:
-		dense.MulTUnrolled(dH, ag, w)
+		dense.MulTUnrolled(dH, g, w)
 	default:
-		dense.MulT(dH, ag, w)
+		dense.MulT(dH, g, w)
 	}
 	return dH
 }

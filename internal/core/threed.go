@@ -140,11 +140,16 @@ type threeDRank struct {
 	cnt      []float64
 	cacheBuf []actCache
 
-	// agRow caches the full-row gather of the latest backwardAggregate
-	// result, reused by the weightGrad and inputGrad calls that follow it
-	// (§IV-D-4 gathers AG once for both products). At l = 1, where no
-	// backwardAggregate runs, weightGrad fills it with the rows of G¹.
-	agRow *dense.Matrix
+	// t1Rows holds this rank's full rows of T¹ (n/∛P² x f⁰), gathered along
+	// the layer row once with T¹ itself, so Z¹ = T¹·W¹ needs no panel
+	// broadcast in any epoch.
+	t1Rows *dense.Matrix
+
+	// rows holds the full rows of the block rowsOf: what the
+	// weightGrad/inputGrad pair reads (§IV-D-4 gathers once for both
+	// products). A row-wise activationBackward leaves G's rows here with G;
+	// otherwise fullRows gathers on first use. Cleared at endEpoch.
+	rowsOf, rows *dense.Matrix
 }
 
 // recordMem reports the resident footprint: persistent blocks plus the
@@ -265,81 +270,117 @@ func (r *threeDRank) splitStage(q int, x *dense.Matrix) (aReq, xReq *comm.Reques
 	return aReq, xReq
 }
 
-// partialSplit3D computes my block of T·W for replicated W: T blocks
+// partialSplit3D computes my block of X·W for replicated W: X blocks
 // broadcast along layer rows, as in the 2D partial SUMMA but within each
 // mesh layer.
-func (r *threeDRank) partialSplit3D(tBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
+func (r *threeDRank) partialSplit3D(xBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
 	rowsB := r.fBlk(w.Rows)
 	colsB := r.fBlk(w.Cols)
-	out := r.ws.Get(tBlk.Rows, colsB.Size(r.pj))
-	var tReq *comm.Request
+	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
+	var xReq *comm.Request
 	if r.overlap {
-		tReq = r.partialStage(0, tBlk)
+		xReq = r.partialStage(0, xBlk)
 	}
 	for q := 0; q < r.mesh.C; q++ {
-		var tQ *dense.Matrix
+		var xQ *dense.Matrix
 		if r.overlap {
-			tQ = wrapMat(r.ws, tReq.Wait())
+			xQ = wrapMat(r.ws, xReq.Wait())
 			if q+1 < r.mesh.C {
-				tReq = r.partialStage(q+1, tBlk)
+				xReq = r.partialStage(q+1, xBlk)
 			}
 		} else {
-			var tIn comm.Payload
+			var xIn comm.Payload
 			if q == r.pj {
-				tIn = matPayloadInto(tBlk, r.dims)
+				xIn = matPayloadInto(xBlk, r.dims)
 			}
-			tQ = wrapMat(r.ws, r.rowGroup.Broadcast(q, tIn, comm.CatDenseComm))
+			xQ = wrapMat(r.ws, r.rowGroup.Broadcast(q, xIn, comm.CatDenseComm))
 		}
 		wSlice := r.ws.GetUninit(rowsB.Size(q), colsB.Size(r.pj))
 		w.SubMatrixInto(wSlice, rowsB.Lo(q), rowsB.Hi(q), colsB.Lo(r.pj), colsB.Hi(r.pj))
-		dense.MulAdd(out, tQ, wSlice)
-		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(tQ.Rows, tQ.Cols, wSlice.Cols))
+		dense.MulAdd(out, xQ, wSlice)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xQ.Rows, xQ.Cols, wSlice.Cols))
 	}
 	return out
 }
 
-// partialStage issues stage q's asynchronous T broadcast along the layer
-// row.
-func (r *threeDRank) partialStage(q int, tBlk *dense.Matrix) *comm.Request {
-	var tIn comm.Payload
+// partialStage issues stage q's asynchronous panel broadcast along the
+// layer row.
+func (r *threeDRank) partialStage(q int, xBlk *dense.Matrix) *comm.Request {
+	var xIn comm.Payload
 	if q == r.pj {
-		tIn = matPayloadInto(tBlk, r.dims)
+		xIn = matPayloadInto(xBlk, r.dims)
 	}
-	return r.rowGroup.IBroadcast(q, tIn, comm.CatDenseComm)
+	return r.rowGroup.IBroadcast(q, xIn, comm.CatDenseComm)
 }
 
 // gatherRows all-gathers my feature-column blocks along the layer row,
-// returning full rows (n/∛P² x f).
-func (r *threeDRank) gatherRows(x *dense.Matrix, f int) *dense.Matrix {
-	fB := r.fBlk(f)
+// returning full rows (n/∛P² x f, f the sum of the blocks' widths).
+func (r *threeDRank) gatherRows(x *dense.Matrix) *dense.Matrix {
 	parts := r.rowGroup.AllGather(matPayloadInto(x, r.dims), comm.CatDenseComm)
+	f := 0
+	for _, part := range parts {
+		f += part.Ints[1]
+	}
 	out := r.ws.GetUninit(x.Rows, f)
-	for j, part := range parts {
-		out.SetSubMatrix(0, fB.Lo(j), wrapMat(r.ws, part))
+	c0 := 0
+	for _, part := range parts {
+		out.SetSubMatrix(0, c0, wrapMat(r.ws, part))
+		c0 += part.Ints[1]
 	}
 	r.recordMem(matWords(out))
 	return out
+}
+
+// fullRows returns the full rows of block x: the ones a row-wise
+// activationBackward left with it, or a gather, remembered so the second
+// of the weightGrad/inputGrad pair reuses it.
+func (r *threeDRank) fullRows(x *dense.Matrix) *dense.Matrix {
+	if r.rowsOf != x {
+		r.rowsOf, r.rows = x, r.gatherRows(x)
+	}
+	return r.rows
+}
+
+// colBlockOf copies my column block of x's full rows out of them.
+func (r *threeDRank) colBlockOf(xRow *dense.Matrix) *dense.Matrix {
+	fB := r.fBlk(xRow.Cols)
+	x := r.ws.GetUninit(xRow.Rows, fB.Size(r.pj))
+	xRow.SubMatrixInto(x, 0, xRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
+	return x
 }
 
 func (r *threeDRank) rank() int { return r.comm.Rank() }
 
 func (r *threeDRank) input() *dense.Matrix { return r.h0 }
 
-// forwardAggregate computes T = Aᵀ X via Split-3D-SpMM.
+// forwardAggregate computes Aᵀ X via Split-3D-SpMM.
 func (r *threeDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	t := r.split3DSpMM(x)
 	if l == 1 {
-		// T¹ outlives endEpoch: the engine reuses it every epoch. It
-		// arrives in the reduce-scatter's payload, so Keep copies it out.
+		// T¹ outlives endEpoch: the engine reuses it every epoch — the block
+		// in weightGrad, its full rows in multiplyWeight. The block arrives
+		// in the reduce-scatter's payload, so Keep copies it out.
 		t = r.ws.Keep(t)
-		r.memBase += matWords(t)
+		r.t1Rows = r.ws.Keep(r.gatherRows(t))
+		r.memBase += matWords(t) + matWords(r.t1Rows)
 	}
 	return t
 }
 
-// multiplyWeight computes Z = T W within each mesh layer.
-func (r *threeDRank) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
-	return r.partialSplit3D(t, w)
+// multiplyWeight computes X W within each mesh layer — except Z¹ = T¹ W¹,
+// whose row panels forwardAggregate gathered for the whole run: a local
+// GEMM against W¹[:, colBlk(pj)].
+func (r *threeDRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	if l > 1 {
+		return r.partialSplit3D(x, w)
+	}
+	colsB := r.fBlk(w.Cols)
+	wCols := r.ws.GetUninit(w.Rows, colsB.Size(r.pj))
+	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
+	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
+	dense.Mul(z, r.t1Rows, wCols)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
+	return z
 }
 
 // activationForward applies σ. Row-wise activations all-gather along the
@@ -351,16 +392,12 @@ func (r *threeDRank) activationForward(act dense.Activation, z *dense.Matrix, l 
 		act.Forward(h, z)
 		return h, nil
 	}
-	fNext := r.cfg.Widths[l]
-	zRow := r.gatherRows(z, fNext)
+	zRow := r.gatherRows(z)
 	hRow := r.ws.GetUninit(zRow.Rows, zRow.Cols)
 	act.Forward(hRow, zRow)
-	fB := r.fBlk(fNext)
-	h := r.ws.GetUninit(hRow.Rows, fB.Size(r.pj))
-	hRow.SubMatrixInto(h, 0, hRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
 	cache := &r.cacheBuf[l]
-	cache.zRow, cache.hRow = zRow, hRow
-	return h, cache
+	cache.hRow = hRow
+	return r.colBlockOf(hRow), cache
 }
 
 // lossGrad computes this block's loss contribution and ∂L/∂H^L: each rank
@@ -373,7 +410,7 @@ func (r *threeDRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 // localLossGrad computes this block's loss contribution and, if grad is
 // non-nil, writes -1/n into the label positions owned by this block.
 func (r *threeDRank) localLossGrad(hOut *dense.Matrix, grad *dense.Matrix) float64 {
-	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()])
+	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()]) // class count: the label space, not an operand
 	cLo, cHi := fB.Lo(r.pj), fB.Hi(r.pj)
 	rLo, _ := r.subRange(r.pi, r.pk)
 	inv := 1.0 / float64(r.norm)
@@ -396,70 +433,63 @@ func (r *threeDRank) localLossGrad(hOut *dense.Matrix, grad *dense.Matrix) float
 
 func (r *threeDRank) beforeBackward() {}
 
-// activationBackward computes G = act'(∂L/∂H, Z); row-wise activations
-// gather dH along the layer row and reuse the cached full-row Z.
-func (r *threeDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix, cache *actCache, l int) *dense.Matrix {
+// activationBackward computes G = act'(∂L/∂H) from H; row-wise activations
+// gather dH along the layer row and reuse the cached full-row H. G's full
+// rows stay with it for the weightGrad/inputGrad pair of an aggregate-first
+// layer.
+func (r *threeDRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
 	if !act.RowWise() {
 		g := r.ws.GetUninit(dH.Rows, dH.Cols)
-		act.Backward(g, dH, z)
+		act.Backward(g, dH, h)
 		return g
 	}
-	fl := r.cfg.Widths[l]
-	dHRow := r.gatherRows(dH, fl)
+	dHRow := r.gatherRows(dH)
 	gRow := r.ws.GetUninit(dHRow.Rows, dHRow.Cols)
-	act.Backward(gRow, dHRow, cache.zRow)
-	fB := r.fBlk(fl)
-	g := r.ws.GetUninit(gRow.Rows, fB.Size(r.pj))
-	gRow.SubMatrixInto(g, 0, gRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
+	act.Backward(gRow, dHRow, cache.hRow)
+	g := r.colBlockOf(gRow)
+	r.rowsOf, r.rows = g, gRow
 	return g
 }
 
-// backwardAggregate (l > 1) computes AG = A·G^l. A is symmetric, so the Aᵀ blocks
-// serve directly — the 3D trainer's structural shortcut for undirected
-// graphs. The full-row gather is cached for weightGrad/inputGrad.
-func (r *threeDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
-	ag := r.split3DSpMM(g)
-	r.agRow = r.gatherRows(ag, r.cfg.Widths[l])
-	return ag
+// backwardAggregate computes A·X. A is symmetric, so the Aᵀ blocks serve
+// directly — the 3D trainer's structural shortcut for undirected graphs.
+func (r *threeDRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.split3DSpMM(x)
 }
 
-// weightGrad computes Y^l = (H^{l-1})ᵀ(AG): local partial from the
-// gathered AG rows, all-reduce over the plane of ranks sharing my feature
-// column (summing over both grid rows and layers), then all-gather along
-// the layer row to replicate Y (§IV-D-4). At l = 1 the operands are
-// (T¹, G¹), laid out like H⁰ and AG¹: the same product serves once the
-// rows of G¹ are gathered, as backwardAggregate would have done for AG¹.
-func (r *threeDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
-	if l == 1 {
-		r.agRow = r.gatherRows(ag, fl)
-	}
-	partial := r.ws.GetUninit(hPrev.Cols, fl)
-	dense.TMul(partial, hPrev, r.agRow)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, fl))
+// weightGrad computes Y^l = hPrevᵀ·g: local partial from g's full rows,
+// all-reduce over the plane of ranks sharing my feature column (summing
+// over both grid rows and layers), then all-gather along the layer row to
+// replicate Y (§IV-D-4). (H^{l-1}, A G^l) and (T^l, G^l) are laid out
+// alike, so one product serves both orders.
+func (r *threeDRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
+	dense.TMul(partial, hPrev, gRow)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, gRow.Cols))
 	planeSum := r.planeGroup.AllReduce(partial.Data, comm.CatDenseComm)
 	r.dims[0], r.dims[1] = partial.Rows, partial.Cols
 	yParts := r.rowGroup.AllGather(
 		comm.Payload{Floats: planeSum, Ints: r.dims[:2]},
 		comm.CatDenseComm)
-	dW := r.ws.GetUninit(fPrev, fl)
-	fPB := r.fBlk(fPrev)
+	fPB := r.fBlk(r.cfg.Widths[l-1]) // W^l's rows: the same in either product order
+	dW := r.ws.GetUninit(fPB.Items(), gRow.Cols)
 	for j, part := range yParts {
 		dW.SetSubMatrix(fPB.Lo(j), 0, wrapMat(r.ws, part))
 	}
 	return dW
 }
 
-// inputGrad computes ∂L/∂H^{l-1} = AG·(W^l)ᵀ from the already-gathered
-// full-row AG with no extra communication.
-func (r *threeDRank) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
-	fl := r.cfg.Widths[l]
-	fPB := r.fBlk(r.cfg.Widths[l-1])
-	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), fl)
-	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, fl)
-	dH := r.ws.GetUninit(r.agRow.Rows, wRowBlk.Rows)
-	dense.MulT(dH, r.agRow, wRowBlk)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(r.agRow.Rows, fl, wRowBlk.Rows))
+// inputGrad computes my block of g·(W^l)ᵀ from g's full rows — already
+// gathered by weightGrad — with no communication.
+func (r *threeDRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	fPB := r.fBlk(w.Rows)
+	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), w.Cols)
+	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, w.Cols)
+	dH := r.ws.GetUninit(gRow.Rows, wRowBlk.Rows)
+	dense.MulT(dH, gRow, wRowBlk)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(gRow.Rows, w.Cols, wRowBlk.Rows))
 	return dH
 }
 
@@ -470,6 +500,7 @@ func (r *threeDRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
 	r.csrs.reset()
+	r.rowsOf, r.rows = nil, nil
 	r.comm.EpochDone()
 }
 
@@ -478,9 +509,7 @@ func (r *threeDRank) endEpoch() {
 // masks) otherwise. Only column-0 ranks count, so each (pi, pk) row
 // sub-slice is counted once.
 func (r *threeDRank) correctCounts(hOut *dense.Matrix, cache *actCache, masks ...[]bool) []float64 {
-	hRow := cache.hRowOr(func() *dense.Matrix {
-		return r.gatherRows(hOut, r.cfg.Widths[r.cfg.Layers()])
-	})
+	hRow := cache.hRowOr(func() *dense.Matrix { return r.gatherRows(hOut) })
 	counts := countBuf(r.cnt, len(masks))
 	if r.pj != 0 {
 		return counts

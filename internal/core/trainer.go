@@ -131,6 +131,9 @@ func (p Problem) Validate() error {
 	if p.ValMask != nil && nn.CountMask(p.ValMask, 0) == 0 {
 		return fmt.Errorf("core: val mask selects no vertices")
 	}
+	if c := p.Checkpoint; !c.Enabled() && (c.Every > 0 || c.Keep > 0) {
+		return fmt.Errorf("core: checkpoint Every=%d Keep=%d without a Dir would write nothing: set Checkpoint.Dir or leave both zero", c.Every, c.Keep)
+	}
 	k := p.Config.Widths[len(p.Config.Widths)-1]
 	for i, l := range p.Labels {
 		if l < 0 || l >= k {
@@ -221,7 +224,8 @@ func NewTrainer(name string, p int, mach costmodel.Machine) (Trainer, error) {
 // NewTrainerReplicated is NewTrainer with an explicit 1.5D replication
 // factor c: 0 selects the default (2, falling back to 1 on odd p);
 // otherwise c must divide p. Algorithms other than "1.5d" reject c > 1,
-// which would silently do nothing.
+// which would silently do nothing, and every distributed algorithm rejects
+// p < 1.
 func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Trainer, error) {
 	if name != "1.5d" && c > 1 {
 		return nil, fmt.Errorf("core: replication factor %d only applies to the 1.5d trainer, not %q", c, name)
@@ -229,6 +233,12 @@ func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Traine
 	switch name {
 	case "serial":
 		return NewSerial(), nil
+	case "1d", "1.5d", "2d", "3d":
+		if p < 1 {
+			return nil, fmt.Errorf("core: the %s trainer needs at least 1 rank, got %d", name, p)
+		}
+	}
+	switch name {
 	case "1d":
 		return NewOneD(p, mach), nil
 	case "1.5d":

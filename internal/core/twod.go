@@ -15,12 +15,13 @@ import (
 // of A, H, and G live on a √P x √P process grid, W is replicated.
 //
 // Each forward layer runs a SUMMA SpMM (row broadcasts of Aᵀ blocks, column
-// broadcasts of H blocks) followed by a "partial SUMMA" against the
-// replicated W (row broadcasts of the intermediate product T). Row-wise
-// activations (log_softmax) add an all-gather along process rows. Backward
-// runs the same pattern with A — obtained by a pairwise transpose exchange
-// across the grid diagonal, the "trpose" category of Figure 3 — plus the
-// (H)ᵀ(AG) dense SUMMA with its f×f all-gather.
+// broadcasts of dense blocks) and a "partial SUMMA" against the replicated
+// W (row broadcasts of the dense operand's panels), in the order the engine
+// picks per layer. Row-wise activations (log_softmax) add an all-gather
+// along process rows. Backward runs the same pattern with A — obtained by a
+// pairwise transpose exchange across the grid diagonal, the "trpose"
+// category of Figure 3 — plus the dense SUMMA for Y with its f×f
+// all-gather.
 type TwoD struct {
 	p       int
 	mach    costmodel.Machine
@@ -138,11 +139,16 @@ type twoDRank struct {
 	cnt      []float64
 	cacheBuf []actCache // per-layer actCache storage, reused every epoch
 
-	// agRow caches the full-row gather of the latest backwardAggregate
-	// result, reused by the weightGrad and inputGrad calls that follow it
-	// (§IV-C-4 gathers AG once for both products). At l = 1, where no
-	// backwardAggregate runs, weightGrad fills it with the rows of G¹.
-	agRow *dense.Matrix
+	// t1Rows holds this rank's full rows of T¹ (n/√P x f⁰), gathered along
+	// the process row once with T¹ itself, so Z¹ = T¹·W¹ needs no panel
+	// broadcast in any epoch.
+	t1Rows *dense.Matrix
+
+	// rows holds the full rows (n/√P x f) of the block rowsOf: what the
+	// weightGrad/inputGrad pair reads (§IV-C-4 gathers once for both
+	// products). A row-wise activationBackward leaves G's rows here with G;
+	// otherwise fullRows gathers on first use. Cleared at endEpoch.
+	rowsOf, rows *dense.Matrix
 }
 
 // recordMem reports the resident footprint: persistent blocks plus the
@@ -265,89 +271,125 @@ func (r *twoDRank) summaStage(k int, aPay comm.Payload, x *dense.Matrix) (aReq, 
 	return aReq, xReq
 }
 
-// partialSumma computes my block of T·W for the replicated W: T blocks
+// partialSumma computes my block of X·W for the replicated W: X blocks
 // broadcast along process rows (Algorithm 2, second phase). The k-th stage
-// multiplies T's k-th column block against W[rowBlk(k), colBlk(pj)]. In
-// overlap mode stage k+1's T broadcast is in flight while stage k's GEMM
+// multiplies X's k-th column block against W[rowBlk(k), colBlk(pj)]. In
+// overlap mode stage k+1's broadcast is in flight while stage k's GEMM
 // runs; the dims scratch is safe for the same single-root reason as in
 // summaStage (only stage pj writes it).
-func (r *twoDRank) partialSumma(tBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
-	rowsB := r.fBlk(w.Rows) // W rows = T's feature dimension, split by pc
+func (r *twoDRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
+	rowsB := r.fBlk(w.Rows) // W rows = X's feature dimension, split by pc
 	colsB := r.fBlk(w.Cols)
-	rows := r.vBlk.Size(r.pi)
-	out := r.ws.Get(rows, colsB.Size(r.pj))
-	var tReq *comm.Request
+	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
+	var xReq *comm.Request
 	if r.overlap {
-		tReq = r.partialStage(0, tBlk)
+		xReq = r.partialStage(0, xBlk)
 	}
 	for k := 0; k < r.grid.Pc; k++ {
-		var tK *dense.Matrix
+		var xK *dense.Matrix
 		if r.overlap {
-			tK = wrapMat(r.ws, tReq.Wait())
+			xK = wrapMat(r.ws, xReq.Wait())
 			if k+1 < r.grid.Pc {
-				tReq = r.partialStage(k+1, tBlk)
+				xReq = r.partialStage(k+1, xBlk)
 			}
 		} else {
-			var tIn comm.Payload
+			var xIn comm.Payload
 			if k == r.pj {
-				tIn = matPayloadInto(tBlk, r.dims)
+				xIn = matPayloadInto(xBlk, r.dims)
 			}
-			tK = wrapMat(r.ws, r.rowGroup.Broadcast(k, tIn, comm.CatDenseComm))
+			xK = wrapMat(r.ws, r.rowGroup.Broadcast(k, xIn, comm.CatDenseComm))
 		}
 		wSlice := r.ws.GetUninit(rowsB.Size(k), colsB.Size(r.pj))
 		w.SubMatrixInto(wSlice, rowsB.Lo(k), rowsB.Hi(k), colsB.Lo(r.pj), colsB.Hi(r.pj))
-		dense.MulAdd(out, tK, wSlice)
-		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(rows, tK.Cols, wSlice.Cols))
+		dense.MulAdd(out, xK, wSlice)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xK.Rows, xK.Cols, wSlice.Cols))
 	}
 	return out
 }
 
-// partialStage issues stage k's asynchronous T broadcast along the process
-// row.
-func (r *twoDRank) partialStage(k int, tBlk *dense.Matrix) *comm.Request {
-	var tIn comm.Payload
+// partialStage issues stage k's asynchronous panel broadcast along the
+// process row.
+func (r *twoDRank) partialStage(k int, xBlk *dense.Matrix) *comm.Request {
+	var xIn comm.Payload
 	if k == r.pj {
-		tIn = matPayloadInto(tBlk, r.dims)
+		xIn = matPayloadInto(xBlk, r.dims)
 	}
-	return r.rowGroup.IBroadcast(k, tIn, comm.CatDenseComm)
+	return r.rowGroup.IBroadcast(k, xIn, comm.CatDenseComm)
 }
 
-// gatherRows all-gathers the row blocks of a 2D-partitioned matrix along my
-// process row, returning my full rows (n/√P x f).
-func (r *twoDRank) gatherRows(x *dense.Matrix, f int) *dense.Matrix {
-	fB := r.fBlk(f)
+// gatherRows all-gathers the column blocks of a 2D-partitioned matrix along
+// my process row, returning my full rows (n/√P x f, f the sum of the
+// blocks' widths).
+func (r *twoDRank) gatherRows(x *dense.Matrix) *dense.Matrix {
 	parts := r.rowGroup.AllGather(matPayloadInto(x, r.dims), comm.CatDenseComm)
-	out := r.ws.GetUninit(r.vBlk.Size(r.pi), f)
-	for j, part := range parts {
-		out.SetSubMatrix(0, fB.Lo(j), wrapMat(r.ws, part))
+	f := 0
+	for _, part := range parts {
+		f += part.Ints[1]
+	}
+	out := r.ws.GetUninit(x.Rows, f)
+	c0 := 0
+	for _, part := range parts {
+		out.SetSubMatrix(0, c0, wrapMat(r.ws, part))
+		c0 += part.Ints[1]
 	}
 	r.recordMem(matWords(out))
 	return out
+}
+
+// fullRows returns the full rows of block x: the ones a row-wise
+// activationBackward left with it, or a gather, remembered so the second
+// of the weightGrad/inputGrad pair reuses it.
+func (r *twoDRank) fullRows(x *dense.Matrix) *dense.Matrix {
+	if r.rowsOf != x {
+		r.rowsOf, r.rows = x, r.gatherRows(x)
+	}
+	return r.rows
+}
+
+// colBlockOf copies my column block of x's full rows out of them.
+func (r *twoDRank) colBlockOf(xRow *dense.Matrix) *dense.Matrix {
+	fB := r.fBlk(xRow.Cols)
+	x := r.ws.GetUninit(xRow.Rows, fB.Size(r.pj))
+	xRow.SubMatrixInto(x, 0, xRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
+	return x
 }
 
 func (r *twoDRank) rank() int { return r.comm.Rank() }
 
 func (r *twoDRank) input() *dense.Matrix { return r.h0 }
 
-// forwardAggregate computes T = Aᵀ X via SUMMA SpMM.
+// forwardAggregate computes Aᵀ X via SUMMA SpMM.
 func (r *twoDRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	t := r.summaSpMM(r.atBlk, r.atPay, x)
 	if l == 1 {
-		// T¹ outlives endEpoch: the engine reuses it every epoch.
+		// T¹ outlives endEpoch: the engine reuses it every epoch — the block
+		// in weightGrad, its full rows in multiplyWeight.
 		t = r.ws.Keep(t)
-		r.memBase += matWords(t)
+		r.t1Rows = r.ws.Keep(r.gatherRows(t))
+		r.memBase += matWords(t) + matWords(r.t1Rows)
 	}
 	return t
 }
 
-// multiplyWeight computes Z = T W via the partial SUMMA.
-func (r *twoDRank) multiplyWeight(t, w *dense.Matrix, l int) *dense.Matrix {
-	return r.partialSumma(t, w)
+// multiplyWeight computes X W via the partial SUMMA — except Z¹ = T¹ W¹,
+// whose row panels forwardAggregate gathered for the whole run: a local
+// GEMM against W¹[:, colBlk(pj)].
+func (r *twoDRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	if l > 1 {
+		return r.partialSumma(x, w)
+	}
+	colsB := r.fBlk(w.Cols)
+	wCols := r.ws.GetUninit(w.Rows, colsB.Size(r.pj))
+	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
+	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
+	dense.Mul(z, r.t1Rows, wCols)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
+	return z
 }
 
 // activationForward applies σ. Element-wise activations need no
 // communication; row-wise activations all-gather Z along the process row,
-// apply, and keep my column block, caching the gathered rows for backward
+// apply, and keep my column block, caching the full-row H for backward
 // (§IV-C-2).
 func (r *twoDRank) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
 	if !act.RowWise() {
@@ -355,16 +397,12 @@ func (r *twoDRank) activationForward(act dense.Activation, z *dense.Matrix, l in
 		act.Forward(h, z)
 		return h, nil
 	}
-	fNext := r.cfg.Widths[l]
-	zRow := r.gatherRows(z, fNext)
+	zRow := r.gatherRows(z)
 	hRow := r.ws.GetUninit(zRow.Rows, zRow.Cols)
 	act.Forward(hRow, zRow)
-	fB := r.fBlk(fNext)
-	h := r.ws.GetUninit(hRow.Rows, fB.Size(r.pj))
-	hRow.SubMatrixInto(h, 0, hRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
 	cache := &r.cacheBuf[l]
-	cache.zRow, cache.hRow = zRow, hRow
-	return h, cache
+	cache.hRow = hRow
+	return r.colBlockOf(hRow), cache
 }
 
 // lossGrad computes this block's loss contribution and ∂L/∂H^L: each rank
@@ -378,7 +416,7 @@ func (r *twoDRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 // localLossGrad computes this block's loss contribution and, if grad is
 // non-nil, writes -1/n into the label positions owned by this block.
 func (r *twoDRank) localLossGrad(hOut *dense.Matrix, grad *dense.Matrix) float64 {
-	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()])
+	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()]) // class count: the label space, not an operand
 	cLo, cHi := fB.Lo(r.pj), fB.Hi(r.pj)
 	rLo := r.vBlk.Lo(r.pi)
 	inv := 1.0 / float64(r.norm)
@@ -405,70 +443,61 @@ func (r *twoDRank) beforeBackward() {
 	r.transposeExchange()
 }
 
-// activationBackward computes G = act'(∂L/∂H, Z). Row-wise activations
-// need full rows: all-gather dH along the row and reuse the cached
-// full-row Z (the σ' all-gather of §IV-C-3).
-func (r *twoDRank) activationBackward(act dense.Activation, dH, z *dense.Matrix, cache *actCache, l int) *dense.Matrix {
+// activationBackward computes G = act'(∂L/∂H) from H. Row-wise activations
+// need full rows: all-gather dH along the row and reuse the cached full-row
+// H (the σ' all-gather of §IV-C-3). G's full rows stay with it for the
+// weightGrad/inputGrad pair of an aggregate-first layer.
+func (r *twoDRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
 	if !act.RowWise() {
 		g := r.ws.GetUninit(dH.Rows, dH.Cols)
-		act.Backward(g, dH, z)
+		act.Backward(g, dH, h)
 		return g
 	}
-	fl := r.cfg.Widths[l]
-	dHRow := r.gatherRows(dH, fl)
+	dHRow := r.gatherRows(dH)
 	gRow := r.ws.GetUninit(dHRow.Rows, dHRow.Cols)
-	act.Backward(gRow, dHRow, cache.zRow)
-	fB := r.fBlk(fl)
-	g := r.ws.GetUninit(gRow.Rows, fB.Size(r.pj))
-	gRow.SubMatrixInto(g, 0, gRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
+	act.Backward(gRow, dHRow, cache.hRow)
+	g := r.colBlockOf(gRow)
+	r.rowsOf, r.rows = g, gRow
 	return g
 }
 
-// backwardAggregate (l > 1) computes AG = A·G^l via SUMMA SpMM and caches its
-// full-row gather for the weightGrad/inputGrad pair (§IV-C-4).
-func (r *twoDRank) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
-	ag := r.summaSpMM(r.aBlk, r.aPay, g)
-	r.agRow = r.gatherRows(ag, r.cfg.Widths[l])
-	return ag
+// backwardAggregate computes A·X via SUMMA SpMM.
+func (r *twoDRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.summaSpMM(r.aBlk, r.aPay, x)
 }
 
-// weightGrad computes Y^l = (H^{l-1})ᵀ(AG): local partial from the
-// gathered AG rows, sum down process columns, then replicate along rows
-// (2D dense SUMMA + all-gather, §IV-C-4). At l = 1 the operands are
-// (T¹, G¹): T¹ is laid out like H⁰ and G¹ like AG¹, so the same product
-// serves once the rows of G¹ are gathered — the one all-gather
-// backwardAggregate would have done on AG¹.
-func (r *twoDRank) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	fPrev, fl := r.cfg.Widths[l-1], r.cfg.Widths[l]
-	if l == 1 {
-		r.agRow = r.gatherRows(ag, fl)
-	}
-	partial := r.ws.GetUninit(hPrev.Cols, fl)
-	dense.TMul(partial, hPrev, r.agRow)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, fl))
+// weightGrad computes Y^l = hPrevᵀ·g: local partial from g's full rows, sum
+// down process columns, then replicate along rows (2D dense SUMMA +
+// all-gather, §IV-C-4). (H^{l-1}, A G^l) and (T^l, G^l) are laid out alike,
+// so one product serves both orders.
+func (r *twoDRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
+	dense.TMul(partial, hPrev, gRow)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, gRow.Cols))
 	colSum := r.colGroup.AllReduce(partial.Data, comm.CatDenseComm)
 	r.dims[0], r.dims[1] = partial.Rows, partial.Cols
 	yParts := r.rowGroup.AllGather(
 		comm.Payload{Floats: colSum, Ints: r.dims[:2]},
 		comm.CatDenseComm)
-	dW := r.ws.GetUninit(fPrev, fl)
-	fPB := r.fBlk(fPrev)
+	fPB := r.fBlk(r.cfg.Widths[l-1]) // W^l's rows: the same in either product order
+	dW := r.ws.GetUninit(fPB.Items(), gRow.Cols)
 	for j, part := range yParts {
 		dW.SetSubMatrix(fPB.Lo(j), 0, wrapMat(r.ws, part))
 	}
 	return dW
 }
 
-// inputGrad computes ∂L/∂H^{l-1} = AG·(W^l)ᵀ from the already-gathered
-// full-row AG with no extra communication.
-func (r *twoDRank) inputGrad(ag, w *dense.Matrix, l int) *dense.Matrix {
-	fl := r.cfg.Widths[l]
-	fPB := r.fBlk(r.cfg.Widths[l-1])
-	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), fl)
-	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, fl)
-	dH := r.ws.GetUninit(r.agRow.Rows, wRowBlk.Rows)
-	dense.MulT(dH, r.agRow, wRowBlk)
-	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(r.agRow.Rows, fl, wRowBlk.Rows))
+// inputGrad computes my block of g·(W^l)ᵀ from g's full rows — already
+// gathered by weightGrad — with no communication.
+func (r *twoDRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	fPB := r.fBlk(w.Rows)
+	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), w.Cols)
+	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, w.Cols)
+	dH := r.ws.GetUninit(gRow.Rows, wRowBlk.Rows)
+	dense.MulT(dH, gRow, wRowBlk)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(gRow.Rows, w.Cols, wRowBlk.Rows))
 	return dH
 }
 
@@ -479,6 +508,7 @@ func (r *twoDRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
 	r.csrs.reset()
+	r.rowsOf, r.rows = nil, nil
 	r.comm.EpochDone()
 }
 
@@ -487,9 +517,7 @@ func (r *twoDRank) endEpoch() {
 // masks) otherwise. Only column-0 ranks count, so each global row is
 // counted once.
 func (r *twoDRank) correctCounts(hOut *dense.Matrix, cache *actCache, masks ...[]bool) []float64 {
-	hRow := cache.hRowOr(func() *dense.Matrix {
-		return r.gatherRows(hOut, r.cfg.Widths[r.cfg.Layers()])
-	})
+	hRow := cache.hRowOr(func() *dense.Matrix { return r.gatherRows(hOut) })
 	counts := countBuf(r.cnt, len(masks))
 	if r.pj != 0 {
 		return counts

@@ -24,18 +24,25 @@ func (w Workload) AvgDegree() float64 {
 }
 
 // The per-epoch bounds below are the paper's, term for term: L layers, each
-// charged a forward aggregation Aᵀ·H^{l-1} and a backward aggregation
-// A·G^l — the uncached form, what an epoch costs when nothing is kept from
-// the one before (a run's first epoch comes closest: it pays the input
-// layer's forward aggregation). H⁰ is the input, so the training engine
-// aggregates T¹ = Aᵀ·H⁰ once per run and forms the layer-1 weight gradient
-// as (T¹)ᵀ·G¹ = (H⁰)ᵀ·A·G¹ without a backward aggregation
-// (core/engine.go); a steady-state epoch therefore carries the
-// aggregation terms of L − 1 layers — the sparse and dense panels, the
-// edgecut·f fetch, the n·f reduce-scatter — and the weight-sized terms (f²
-// all-reduces, and in 2D/3D the layer's T·W panels and row gathers) of all
-// L. The functions keep the published form; callers comparing them with a
-// measured steady-state epoch subtract one layer's aggregation.
+// charged a forward aggregation Aᵀ·H^{l-1} at width f^{l-1} and a backward
+// aggregation A·G^l at width f^l — the uncached, fixed-order form, what an
+// epoch costs when nothing is kept from the one before and every layer
+// aggregates before it multiplies (a run's first epoch comes closest: it
+// pays the input layer's forward aggregation). The training engine
+// (core/engine.go) departs from it in two exact ways. H⁰ is the input, so
+// T¹ = Aᵀ·H⁰ is aggregated once per run and the layer-1 weight gradient is
+// (T¹)ᵀ·G¹ = (H⁰)ᵀ·A·G¹ with no backward aggregation; and because the
+// products associate, every other layer aggregates on its narrower side —
+// Aᵀ·(H^{l-1}·W^l) and A·G^l at width f^l when f^l < f^{l-1},
+// Aᵀ·H^{l-1} and A·(G^l·(W^l)ᵀ) at width f^{l-1} otherwise. A steady-state
+// epoch therefore carries the aggregation terms — the sparse and dense
+// panels, the edgecut·f fetch, the n·f reduce-scatter — of L − 1 layers,
+// each with f = min(f^{l-1}, f^l) in both directions, and the weight-sized
+// terms (f² all-reduces, and in 2D/3D the hidden layers' X·W panels and the
+// row gathers; the T¹ row panels are gathered once per run) of all L. The
+// functions keep the published form, which with one average width f cannot
+// see the second saving at all; callers comparing them with a measured
+// steady-state epoch subtract one layer's aggregation.
 
 // CommCost is a closed-form per-epoch communication bound: Msgs α-units and
 // Words β-units.
@@ -95,13 +102,14 @@ func OneDRandomEdgecut(n, p int) float64 {
 // It is the implementable, exact counterpart of OneD's per-epoch bound
 // L·(edgecut·f + n·f + f²), in the steady-state form described above
 // CommCost. Once per run, the input layer's halo exchange fetches
-// recvRows·f⁰. Per epoch, every forward layer l ≥ 2 charges
-// recvRows·f^{l-1} (replacing the broadcast's ≈ n·f^{l-1}), every backward
-// layer l ≥ 2 the reduce-scatter's n·f^l, and every layer — the first
-// included — the weight all-reduce's 2·f^{l-1}·f^l: reduce plus broadcast,
-// the constant-factor rounding noted on Group.AllReduce (1·f^{l-1}·f^l
-// when p = 1, where the broadcast half is free). The final forward pass
-// fetches for the layers l ≥ 2 once more.
+// recvRows·f⁰. Per epoch, every layer l ≥ 2 aggregates at width
+// m_l = min(f^{l-1}, f^l) in both directions — its forward fetch charges
+// recvRows·m_l (replacing the broadcast's ≈ n·m_l), its backward
+// reduce-scatter n·m_l — and every layer, the first included, charges the
+// weight all-reduce's 2·f^{l-1}·f^l: reduce plus broadcast, the
+// constant-factor rounding noted on Group.AllReduce (1·f^{l-1}·f^l when
+// p = 1, where the broadcast half is free). The final forward pass fetches
+// for the layers l ≥ 2 once more.
 func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
 	allReduce := int64(2)
 	if p <= 1 {
@@ -110,8 +118,9 @@ func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
 	var fwd, bwd int64
 	for l := 1; l < len(widths); l++ {
 		if l > 1 {
-			fwd += int64(recvRows) * int64(widths[l-1])
-			bwd += int64(n) * int64(widths[l])
+			m := int64(min(widths[l-1], widths[l]))
+			fwd += int64(recvRows) * m
+			bwd += int64(n) * m
 		}
 		bwd += allReduce * int64(widths[l-1]) * int64(widths[l])
 	}
@@ -218,19 +227,27 @@ func TwoDOverOneDWordRatio(p int) float64 {
 }
 
 // TwoDOverOneDSteadyWordRatio is TwoDOverOneDWordRatio for a steady-state
-// epoch of an L-layer network, under the same assumptions. Per layer the
+// epoch of an L-layer network, under the same assumptions (one width f, so
+// the per-layer product order changes no aggregation's width). Per layer the
 // paper has 2nf words for 1D and 10nf/√P for 2D. Aggregating the input
-// layer once per run takes a whole layer off 1D but only the layer's two
-// SUMMA SpMMs, 4nf/√P, off 2D — its T·W panels and row gathers recur every
-// epoch — so the ratio is (10L−4)/(2(L−1)√P) = (5L−2)/((L−1)√P): a
-// crossover at √P ≥ 8 for L = 2, tending to the paper's 5 as L grows. With
-// L = 1 a 1D epoch moves no vertex-sized data at all and the ratio is +Inf.
+// layer once per run takes a whole layer off 1D; off 2D it takes the
+// layer's two SUMMA SpMMs, 4nf/√P, and — the T¹ row panels being gathered
+// once per run — the T¹·W¹ panels, nf/√P; the gather of G¹ for Y¹ and the
+// activation's row gathers recur every epoch. The ratio is
+// (10L−5)/(2(L−1)√P) = 5(2L−1)/(2(L−1)√P): a crossover at √P ≥ 7.5 for
+// L = 2, tending to the paper's 5 as L grows. With L = 1 a 1D epoch moves
+// no vertex-sized data at all and the ratio is +Inf.
+//
+// Real networks are not uniform, and there the product order moves the
+// ratio further than this formula shows: each aggregation term on either
+// side carries min(f^{l-1}, f^l), and an aggregate-first log-softmax output
+// layer spares 2D one more row gather (A·G^L is never gathered).
 func TwoDOverOneDSteadyWordRatio(layers, p int) float64 {
 	if layers <= 1 {
 		return math.Inf(1)
 	}
 	L := float64(layers)
-	return (5*L - 2) / ((L - 1) * math.Sqrt(float64(p)))
+	return 5 * (2*L - 1) / (2 * (L - 1) * math.Sqrt(float64(p)))
 }
 
 func lgf(p int) float64 {

@@ -193,21 +193,25 @@ func TestTwoDOverOneDWordRatio(t *testing.T) {
 }
 
 // TestTwoDOverOneDSteadyWordRatio: with the input layer aggregated once per
-// run, L = 2 crosses over at √P = 8, deep networks approach the paper's
-// √P = 5 from above, and the ratio equals what the per-layer terms give
-// directly.
+// run and its T¹ row panels gathered once with it, L = 2 crosses over at
+// √P = 7.5 — 2D already wins on the 8 x 8 grid, where the per-epoch panel
+// broadcast left a tie — deep networks approach the paper's √P = 5 from
+// above, and the ratio equals what the per-layer terms give directly.
 func TestTwoDOverOneDSteadyWordRatio(t *testing.T) {
-	if r := TwoDOverOneDSteadyWordRatio(2, 64); math.Abs(r-1) > 1e-12 {
-		t.Fatalf("L=2 ratio at P=64 = %v, want 1 (the crossover)", r)
+	if r := TwoDOverOneDSteadyWordRatio(2, 64); math.Abs(r-7.5/8) > 1e-12 {
+		t.Fatalf("L=2 ratio at P=64 = %v, want 7.5/8", r)
+	}
+	if TwoDOverOneDSteadyWordRatio(2, 49) <= 1 {
+		t.Fatal("L=2: 1D must still win on the 7 x 7 grid, below √P = 7.5")
 	}
 	if !math.IsInf(TwoDOverOneDSteadyWordRatio(1, 64), 1) {
 		t.Fatal("L=1: 1D moves no vertex-sized data, ratio must be +Inf")
 	}
 	for _, L := range []int{2, 3, 8, 64} {
 		got := TwoDOverOneDSteadyWordRatio(L, 25)
-		// Units of nf: 2D pays 10/√P per layer less 4/√P, 1D pays 2 per
-		// layer less 2.
-		want := (10*float64(L) - 4) / 5 / (2*float64(L) - 2)
+		// Units of nf: 2D pays 10/√P per layer less 4/√P + 1/√P, 1D pays 2
+		// per layer less 2.
+		want := (10*float64(L) - 5) / 5 / (2*float64(L) - 2)
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("L=%d: ratio %v, per-layer terms give %v", L, got, want)
 		}
@@ -344,10 +348,10 @@ func TestGcdLg(t *testing.T) {
 }
 
 // TestOneDHaloDenseWords pins the exact ledger predictor: hand-computed
-// small cases, the p=1 all-reduce degeneration, and consistency with the
-// published OneD bound — with uniform widths, the recvRows-dependent part
-// is the edgecut·f term of §IV-A-5, once for the input layer and once per
-// forward pass for each of the other L−1.
+// small cases in both product orders, the p=1 all-reduce degeneration, and
+// consistency with the published OneD bound — with uniform widths, the
+// recvRows-dependent part is the edgecut·f term of §IV-A-5, once for the
+// input layer and once per forward pass for each of the other L−1.
 func TestOneDHaloDenseWords(t *testing.T) {
 	widths := []int{3, 2} // L = 1
 	// p ≥ 2, one epoch + final forward. The only layer is the input layer:
@@ -360,11 +364,19 @@ func TestOneDHaloDenseWords(t *testing.T) {
 	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(3*2); got != want {
 		t.Fatalf("p=1: got %d, want %d", got, want)
 	}
-	// L = 2, two epochs. Once: r·f⁰ = 5·3. Per epoch: the layer-2 fetch
-	// r·f¹ = 5·2, the layer-2 reduce-scatter n·f² = 10·4, and both
-	// all-reduces 2·(3·2 + 2·4). Final forward: the layer-2 fetch again.
-	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 10, 4, 5, 2), int64(15+2*(10+40+28)+10); got != want {
-		t.Fatalf("L=2: got %d, want %d", got, want)
+	// L = 2, two epochs, layer 2 widening (aggregate first, both ways at
+	// f¹ = 2). Once: r·f⁰ = 5·3. Per epoch: the layer-2 fetch r·f¹ = 5·2,
+	// the layer-2 reduce-scatter n·f¹ = 10·2 (of G²·(W²)ᵀ, not the 10·4 of
+	// G²), and both all-reduces 2·(3·2 + 2·4). Final forward: the layer-2
+	// fetch again.
+	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 10, 4, 5, 2), int64(15+2*(10+20+28)+10); got != want {
+		t.Fatalf("L=2 widening: got %d, want %d", got, want)
+	}
+	// The same with layer 2 narrowing (multiply first, both ways at f² = 2).
+	// Once: 5·4. Per epoch: the fetch of H¹·W², r·f² = 5·2 (not the 5·3 of
+	// H¹), the reduce-scatter n·f² = 10·2, the all-reduces 2·(4·3 + 3·2).
+	if got, want := OneDHaloDenseWords([]int{4, 3, 2}, 10, 4, 5, 2), int64(20+2*(10+20+36)+10); got != want {
+		t.Fatalf("L=2 narrowing: got %d, want %d", got, want)
 	}
 	// Uniform widths: pred(r) − pred(0) = r·f·(1 + (epochs+1)(L−1)), and
 	// r·f is OneD's edgecut term for one layer.

@@ -26,7 +26,11 @@ func activationInline[T Elem](z *Of[T]) bool {
 // Activation is a differentiable elementwise-or-rowwise nonlinearity used
 // between GNN layers. Forward computes dst = σ(z); Backward computes
 // dst = grad ⊙ σ'(z) for elementwise activations, or the full
-// row-Jacobian-vector product for rowwise ones such as LogSoftmax.
+// row-Jacobian-vector product for rowwise ones such as LogSoftmax. Backward
+// reads the forward output y = σ(z), not z: every activation here has its
+// derivative as a function of y (1[y > 0], 1, exp(y)), so a trainer keeps
+// one matrix per layer for the backward pass, and log-softmax need not
+// repeat the forward's log-sum-exp.
 //
 // RowWise reports whether σ couples values within a row. The paper's
 // communication analysis distinguishes the two: elementwise activations need
@@ -42,8 +46,9 @@ type Activation interface {
 	// Forward writes σ(z) into dst. dst may alias z.
 	Forward(dst, z *Matrix)
 	// Backward writes the gradient of the loss with respect to z into dst,
-	// given upstream gradient grad and pre-activation z. dst may alias grad.
-	Backward(dst, grad, z *Matrix)
+	// given upstream gradient grad and the forward output y = σ(z). dst may
+	// alias grad.
+	Backward(dst, grad, y *Matrix)
 	// RowWise reports whether the activation couples elements within a row.
 	RowWise() bool
 }
@@ -83,12 +88,12 @@ func reluForwardRows[T Elem](dst, z *Of[T], lo, hi int) {
 	}
 }
 
-// Backward implements Activation: dst = grad ⊙ 1[z > 0].
-func (ReLU) Backward(dst, grad, z *Matrix) { ReLUBackwardOf(dst, grad, z) }
+// Backward implements Activation: dst = grad ⊙ 1[y > 0].
+func (ReLU) Backward(dst, grad, y *Matrix) { ReLUBackwardOf(dst, grad, y) }
 
 // ReLUBackwardOf writes grad ⊙ 1[z > 0] into dst for any element type.
-// Because relu(z) > 0 ⟺ z > 0, callers on the fused path may pass the
-// forward output h as z and get a bit-identical mask.
+// Because relu(z) > 0 ⟺ z > 0, the forward output and the pre-activation
+// give bit-identical masks.
 func ReLUBackwardOf[T Elem](dst, grad, z *Of[T]) {
 	sameShape3(dst, grad, z, "ReLU.Backward")
 	if activationInline(z) {
@@ -133,14 +138,14 @@ func (Identity) Forward(dst, z *Matrix) {
 }
 
 // Backward implements Activation.
-func (Identity) Backward(dst, grad, z *Matrix) {
-	sameShape3(dst, grad, z, "Identity.Backward")
-	if activationInline(z) {
+func (Identity) Backward(dst, grad, y *Matrix) {
+	sameShape3(dst, grad, y, "Identity.Backward")
+	if activationInline(y) {
 		copy(dst.Data, grad.Data)
 		return
 	}
-	activationRows(z, func(lo, hi int) {
-		copy(dst.Data[lo*z.Cols:hi*z.Cols], grad.Data[lo*z.Cols:hi*z.Cols])
+	activationRows(y, func(lo, hi int) {
+		copy(dst.Data[lo*y.Cols:hi*y.Cols], grad.Data[lo*y.Cols:hi*y.Cols])
 	})
 }
 
@@ -206,38 +211,40 @@ func logSumExp[T Elem](z []T) float64 {
 // Backward implements Activation. For y = log_softmax(z),
 // dL/dz[i,j] = grad[i,j] - softmax(z)[i,j] * sum_k grad[i,k].
 //
-// softmax(z)[i,j] is recomputed per element as exp(z[i,j] - lse(z[i,:])) —
-// the exact value the former scratch row held — so the kernel needs no
-// per-call scratch allocation and remains bit-identical to the buffered
-// form. Reads of z[i,j] and grad[i,j] happen before the dst[i,j] write, so
-// dst may alias grad (or z) as documented.
-func (LogSoftmax) Backward(dst, grad, z *Matrix) { LogSoftmaxBackwardOf(dst, grad, z) }
+// softmax(z)[i,j] is exp(y[i,j]): the forward stored y[i,j] = z[i,j] − lse
+// rounded once, which is the very argument a recomputation from z would
+// hand to exp, so in float64 reading y is bit-identical to recomputing the
+// log-sum-exp and costs one exp sweep instead of two. Reads of y[i,j] and
+// grad[i,j] happen before the dst[i,j] write, so dst may alias grad (or y)
+// as documented.
+func (LogSoftmax) Backward(dst, grad, y *Matrix) { LogSoftmaxBackwardOf(dst, grad, y) }
 
-// LogSoftmaxBackwardOf is the generic log-softmax backward sweep, with the
-// row reductions (log-sum-exp and gradient sum) accumulated in float64.
-func LogSoftmaxBackwardOf[T Elem](dst, grad, z *Of[T]) {
-	sameShape3(dst, grad, z, "LogSoftmax.Backward")
-	if activationInline(z) {
-		logSoftmaxBackwardRows(dst, grad, z, 0, z.Rows)
+// LogSoftmaxBackwardOf is the generic log-softmax backward sweep over the
+// forward output y, with the gradient row sum accumulated in float64. For
+// float32 the stored y carries one more rounding than z − lse in double,
+// so the result moves by an ulp of y against a recomputation from z.
+func LogSoftmaxBackwardOf[T Elem](dst, grad, y *Of[T]) {
+	sameShape3(dst, grad, y, "LogSoftmax.Backward")
+	if activationInline(y) {
+		logSoftmaxBackwardRows(dst, grad, y, 0, y.Rows)
 		return
 	}
-	activationRows(z, func(lo, hi int) {
-		logSoftmaxBackwardRows(dst, grad, z, lo, hi)
+	activationRows(y, func(lo, hi int) {
+		logSoftmaxBackwardRows(dst, grad, y, lo, hi)
 	})
 }
 
-func logSoftmaxBackwardRows[T Elem](dst, grad, z *Of[T], lo, hi int) {
+func logSoftmaxBackwardRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
-		zrow := z.Row(i)
+		yrow := y.Row(i)
 		grow := grad.Row(i)
 		drow := dst.Row(i)
-		lse := logSumExp(zrow)
 		var gsum float64
 		for _, g := range grow {
 			gsum += float64(g)
 		}
 		for j := range drow {
-			drow[j] = T(float64(grow[j]) - math.Exp(float64(zrow[j])-lse)*gsum)
+			drow[j] = T(float64(grow[j]) - math.Exp(float64(yrow[j]))*gsum)
 		}
 	}
 }

@@ -110,8 +110,9 @@ func TestLogSoftmaxBackwardNumerical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	z := randMatrix(rng, 4, 5)
 	grad := randMatrix(rng, 4, 5)
-	got := New(4, 5)
-	LogSoftmax{}.Backward(got, grad, z)
+	got, y := New(4, 5), New(4, 5)
+	LogSoftmax{}.Forward(y, z)
+	LogSoftmax{}.Backward(got, grad, y)
 	want := numericalActGrad(LogSoftmax{}, z, grad)
 	if MaxAbsDiff(got, want) > 1e-5 {
 		t.Fatalf("LogSoftmax backward differs from numerical gradient by %v", MaxAbsDiff(got, want))
@@ -163,45 +164,71 @@ func TestRowWiseFlags(t *testing.T) {
 	}
 }
 
-// TestLogSoftmaxBackwardScratchFree: the backward kernel recomputes
-// softmax per element instead of buffering a scratch row; this regression
-// test pins the allocation count at zero (satellite of PR 4) and checks
-// the recomputed form against an explicitly buffered reference.
-func TestLogSoftmaxBackwardScratchFree(t *testing.T) {
+// logSoftmaxBackwardFromZ is the backward kernel as it stood before it read
+// the forward output: softmax recomputed from the pre-activation z, one
+// log-sum-exp per row and exp(z − lse) per element. Kept as the oracle.
+func logSoftmaxBackwardFromZ[T Elem](dst, grad, z *Of[T]) {
+	for i := 0; i < z.Rows; i++ {
+		zrow, grow, drow := z.Row(i), grad.Row(i), dst.Row(i)
+		lse := logSumExp(zrow)
+		var gsum float64
+		for _, g := range grow {
+			gsum += float64(g)
+		}
+		for j := range drow {
+			drow[j] = T(float64(grow[j]) - math.Exp(float64(zrow[j])-lse)*gsum)
+		}
+	}
+}
+
+// TestLogSoftmaxBackwardFromOutputExact: the backward sweep over the forward
+// output y is bit-for-bit the recomputation from z in float64 — y[j] is the
+// rounded z[j] − lse, the very number the old kernel passed to exp — over
+// benign, large-magnitude, wide-spread and constant rows; it allocates
+// nothing; and in float32, where y carries one extra rounding, it stays
+// within an ulp-scale relative distance of the old kernel.
+func TestLogSoftmaxBackwardFromOutputExact(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
 	rng := rand.New(rand.NewSource(21))
-	z := New(40, 9)
-	grad := New(40, 9)
+	z, grad := New(44, 9), New(44, 9)
 	for i := range z.Data {
 		z.Data[i] = rng.NormFloat64()
 		grad.Data[i] = rng.NormFloat64()
 	}
-	dst := New(40, 9)
-	LogSoftmax{}.Backward(dst, grad, z)
-
-	// Buffered reference: the pre-PR-4 implementation with a scratch row.
-	want := New(40, 9)
-	tmp := make([]float64, z.Cols)
-	for i := 0; i < z.Rows; i++ {
-		zrow, grow, drow := z.Row(i), grad.Row(i), want.Row(i)
-		logSoftmaxRow(tmp, zrow)
-		var gsum float64
-		for _, g := range grow {
-			gsum += g
-		}
-		for j := range drow {
-			drow[j] = grow[j] - math.Exp(tmp[j])*gsum
+	for j := 0; j < z.Cols; j++ {
+		z.Set(40, j, 700+float64(j))      // exp overflows without the max shift
+		z.Set(41, j, -745*float64(j))     // softmax underflows to 0 beyond j = 1
+		z.Set(42, j, 3.25)                // uniform row
+		z.Set(43, j, 1e-300*float64(j+1)) // near-zero spread
+	}
+	y, got, want := New(44, 9), New(44, 9), New(44, 9)
+	LogSoftmax{}.Forward(y, z)
+	LogSoftmax{}.Backward(got, grad, y)
+	logSoftmaxBackwardFromZ(want, grad, z)
+	for i := range got.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: backward from y = %x, from z = %x", i,
+				math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
 		}
 	}
-	if MaxAbsDiff(dst, want) != 0 {
-		t.Fatalf("scratch-free backward differs from buffered reference")
-	}
-
 	if avg := testing.AllocsPerRun(10, func() {
-		LogSoftmax{}.Backward(dst, grad, z)
+		LogSoftmax{}.Backward(got, grad, y)
 	}); avg != 0 {
 		t.Fatalf("LogSoftmax.Backward allocates %.1f times per call, want 0", avg)
+	}
+
+	z32, g32 := NewOf[float32](40, 9), NewOf[float32](40, 9)
+	Convert(z32, z.RowSlice(0, 40))
+	Convert(g32, grad.RowSlice(0, 40))
+	y32, got32, want32 := NewOf[float32](40, 9), NewOf[float32](40, 9), NewOf[float32](40, 9)
+	LogSoftmaxForwardOf(y32, z32)
+	LogSoftmaxBackwardOf(got32, g32, y32)
+	logSoftmaxBackwardFromZ(want32, g32, z32)
+	for i := range got32.Data {
+		if d := math.Abs(float64(got32.Data[i] - want32.Data[i])); d > 1e-5*(1+math.Abs(float64(want32.Data[i]))) {
+			t.Fatalf("float32 element %d: backward from y = %v, from z = %v", i, got32.Data[i], want32.Data[i])
+		}
 	}
 }
 
@@ -212,11 +239,11 @@ func TestActivationsAllocFreeSerial(t *testing.T) {
 	defer release()
 	z := New(32, 16)
 	g := New(32, 16)
-	dst := New(32, 16)
+	dst, y := New(32, 16), New(32, 16)
 	for _, act := range []Activation{ReLU{}, Identity{}, LogSoftmax{}} {
 		if avg := testing.AllocsPerRun(10, func() {
-			act.Forward(dst, z)
-			act.Backward(dst, g, z)
+			act.Forward(y, z)
+			act.Backward(dst, g, y)
 		}); avg != 0 {
 			t.Fatalf("%s allocates %.1f times per sweep, want 0", act.Name(), avg)
 		}

@@ -440,14 +440,15 @@ type CrossoverRow struct {
 	TwoDWords     int64
 	MeasuredRatio float64 // 2D/1D
 	// AnalyticRatio is the §IV-C-5 simplification for a steady-state
-	// epoch, (5L−2)/((L−1)√P): costmodel.TwoDOverOneDSteadyWordRatio.
+	// epoch, 5(2L−1)/(2(L−1)√P): costmodel.TwoDOverOneDSteadyWordRatio.
 	AnalyticRatio float64
 }
 
 // Crossover sweeps rank counts on the amazon analog and reports where 2D
 // overtakes 1D. The paper's §VI-d puts it at √P ≥ 5 with every layer paying
-// both aggregations; a steady-state epoch skips the input layer's, which is
-// most of 1D's traffic on a wide-input dataset and less of 2D's, so the
+// both aggregations at its own widths; a steady-state epoch skips the input
+// layer's, which is most of 1D's traffic on a wide-input dataset and less
+// of 2D's, and aggregates every other layer at min(f^{l-1}, f^l), so the
 // measured crossover sits further out.
 func Crossover(o Options) ([]CrossoverRow, error) {
 	o = o.WithDefaults()

@@ -285,17 +285,19 @@ func TestCrossoverQuick(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	// Measured ratio must fall with P, tracking the steady-state
-	// (5L−2)/((L−1)√P) = 8/√P of this L = 2 network: the input layer, 112
-	// of the dataset's 152 feature columns, is aggregated once per run, so
-	// a 1D epoch keeps only its narrow layer while 2D still broadcasts the
-	// T¹ panels for T¹·W¹ — the measurement sits above the uniform-width
-	// formula, by more as P grows. The whole quick sweep (√P ≤ 6) lies
-	// below the crossover at √P = 8, so 1D wins every row.
+	// 5(2L−1)/(2(L−1)√P) = 7.5/√P of this L = 2 network from both sides. The
+	// formula knows one width; the dataset's layer 2 widens (16 → 24) into a
+	// log-softmax, so it aggregates first: 2D's backward SUMMA panels run at
+	// 16 columns and A·G² is never gathered, which at P = 4 puts the
+	// measurement a fifth below the formula. What pulls it above as P grows
+	// is the sparse panels' row-pointer words, n per SUMMA sweep whatever P
+	// is, against dense terms that shrink with √P. The whole quick sweep
+	// (√P ≤ 6) lies below the crossover at √P = 7.5, so 1D wins every row.
 	for i, r := range rows {
 		if i > 0 && r.MeasuredRatio >= rows[i-1].MeasuredRatio {
 			t.Fatalf("2D/1D ratio should fall with P: %+v", rows)
 		}
-		if rel := r.MeasuredRatio / r.AnalyticRatio; rel < 1 || rel > 1.5 {
+		if rel := r.MeasuredRatio / r.AnalyticRatio; rel < 0.8 || rel > 1.2 {
 			t.Fatalf("P=%d: measured ratio %v vs analytic %v (×%.2f)", r.P, r.MeasuredRatio, r.AnalyticRatio, rel)
 		}
 		if r.MeasuredRatio <= 1 {

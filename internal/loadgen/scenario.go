@@ -130,19 +130,34 @@ func InferWorkload(ds *graph.Dataset, weight int) (Workload, error) {
 }
 
 // Forward computes the full-graph GCN forward pass H^L with fixed
-// weights: per layer, T = Aᵀ·H, Z = T·W, H = σ(Z). It allocates its own
-// temporaries, so concurrent callers never share state.
+// weights: per layer Z = Aᵀ·H·W in the training engine's product order —
+// aggregate first (T = Aᵀ·H, Z = T·W) at layer 1 and wherever the layer
+// does not narrow, multiply first (Z = Aᵀ·(H·W)) where it does — so the
+// result is the trainer's output bit for bit, then H = σ(Z). It allocates
+// its own temporaries, so concurrent callers never share state.
 func Forward(a *sparse.CSR, plan *sparse.TransposePlan, feats *dense.Matrix, weights []*dense.Matrix, cfg nn.Config) *dense.Matrix {
+	aggregate := func(x *dense.Matrix) *dense.Matrix {
+		t := dense.New(a.Rows, x.Cols)
+		if plan != nil {
+			plan.SpMMT(t, x)
+		} else {
+			sparse.SpMMT(t, a, x)
+		}
+		return t
+	}
+	multiply := func(x, w *dense.Matrix) *dense.Matrix {
+		z := dense.New(x.Rows, w.Cols)
+		dense.Mul(z, x, w)
+		return z
+	}
 	h := feats
 	for l := 1; l <= cfg.Layers(); l++ {
-		t := dense.New(a.Rows, h.Cols)
-		if plan != nil {
-			plan.SpMMT(t, h)
+		var z *dense.Matrix
+		if w := weights[l-1]; l == 1 || w.Rows <= w.Cols {
+			z = multiply(aggregate(h), w)
 		} else {
-			sparse.SpMMT(t, a, h)
+			z = aggregate(multiply(h, w))
 		}
-		z := dense.New(t.Rows, cfg.Widths[l])
-		dense.Mul(z, t, weights[l-1])
 		out := dense.New(z.Rows, z.Cols)
 		cfg.Activation(l).Forward(out, z)
 		h = out
