@@ -9,7 +9,6 @@ package cagnet
 //	BenchmarkAblationReplication — 1.5D replication factor sweep (§IV-B)
 //	BenchmarkAblationGridAspect  — rectangular-grid forward cost (§IV-C-6)
 //	BenchmarkAblationPermutation — random-permutation load balance (§I)
-//	BenchmarkAblationHypersparse — CSR vs DCSR storage for 2D blocks (§VI-a)
 
 import (
 	"fmt"
@@ -23,7 +22,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 func BenchmarkAblationTranspose(b *testing.B) {
@@ -91,40 +89,6 @@ func BenchmarkAblationGridAspect(b *testing.B) {
 				words = costmodel.TwoDRect(w, aspect[0], aspect[1]).Words
 			}
 			b.ReportMetric(words, "fwd-words")
-		})
-	}
-}
-
-// BenchmarkAblationHypersparse measures the storage ratio of CSR to DCSR
-// for 2D-partitioned adjacency blocks as P grows: hypersparsity makes the
-// CSR row-pointer array the dominant cost at scale (§VI-a).
-func BenchmarkAblationHypersparse(b *testing.B) {
-	ds := benchDataset(b, "amazon-sim")
-	a := ds.Graph.NormalizedAdjacency()
-	for _, p := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			grid := partition.NewSquareGrid(p)
-			rows := partition.NewBlock1D(a.Rows, grid.Pr)
-			cols := partition.NewBlock1D(a.Cols, grid.Pc)
-			var csrW, dcsrW int64
-			var emptyFrac float64
-			for i := 0; i < b.N; i++ {
-				csrW, dcsrW = 0, 0
-				emptyRows, totalRows := 0, 0
-				for gi := 0; gi < grid.Pr; gi++ {
-					for gj := 0; gj < grid.Pc; gj++ {
-						blk := a.ExtractBlock(rows.Lo(gi), rows.Hi(gi), cols.Lo(gj), cols.Hi(gj))
-						d := sparse.DCSRFromCSR(blk)
-						csrW += d.CSRWords()
-						dcsrW += d.Words()
-						emptyRows += blk.Rows - d.NonEmptyRows()
-						totalRows += blk.Rows
-					}
-				}
-				emptyFrac = float64(emptyRows) / float64(totalRows)
-			}
-			b.ReportMetric(float64(csrW)/float64(dcsrW), "csr/dcsr-words")
-			b.ReportMetric(100*emptyFrac, "empty-rows-%")
 		})
 	}
 }

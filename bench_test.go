@@ -437,10 +437,10 @@ func benchmarkEpochs(b *testing.B, algo string, ranks int) {
 func BenchmarkEpochSerial(b *testing.B) { benchmarkEpochs(b, "serial", 1) }
 
 // BenchmarkEpochSerialWide measures the serial epoch on the wide-feature
-// R-MAT analog (f = 256, the kernel sweep's dataset) under each kernel
-// dispatch configuration. The sub-benchmark ratios are the wall-clock
-// version of `cagnet-bench -exp kernels`: reference is the pre-optimization
-// scalar baseline, default adds the fused four-source sweeps, f32 the
+// R-MAT analog (f = 256, the kernel sweep's dataset) on each kernel path.
+// The sub-benchmark ratios are the wall-clock version of
+// `cagnet-bench -exp kernels`: reference is the pre-optimization scalar
+// baseline, default adds the fused four-source sweeps, f32 the
 // mixed-precision storage.
 func BenchmarkEpochSerialWide(b *testing.B) {
 	configs := []struct {
@@ -449,7 +449,6 @@ func BenchmarkEpochSerialWide(b *testing.B) {
 	}{
 		{"reference", core.KernelOptions{Reference: true}},
 		{"default", core.KernelOptions{}},
-		{"auto", core.KernelOptions{Format: sparse.FormatAuto}},
 		{"f32", core.KernelOptions{Precision: core.PrecisionF32}},
 	}
 	spec := graph.AnalogSpec{

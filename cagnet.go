@@ -36,7 +36,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/sparse"
 )
 
 // Algorithms lists the supported training algorithms in the order the
@@ -59,14 +58,6 @@ var Optimizers = nn.Optimizers
 // wall-clock timing and a wire-fitted α/β). Both run the identical
 // collective algorithms and produce bit-identical training results.
 var Transports = []string{"inproc", "tcp"}
-
-// Formats lists the selectable sparse storage formats for the serial
-// trainer's backward aggregation: "csr" (default), "bcsr", "sell", and
-// "auto" (per-graph cost-model choice).
-var Formats = []string{
-	string(sparse.FormatCSR), string(sparse.FormatBCSR),
-	string(sparse.FormatSELL), string(sparse.FormatAuto),
-}
 
 // Precisions lists the selectable arithmetic precisions: "f64" (default,
 // bit-identical everywhere) and "f32" (mixed precision, serial only,
@@ -184,23 +175,6 @@ type TrainOptions struct {
 	// reductions (log-sum-exp, loss). Tolerance-validated, not
 	// bit-identical. Serial algorithm only; distributed trainers reject it.
 	Precision string
-	// Format selects the sparse storage for the serial trainer's backward
-	// aggregation A·G: "csr" (default, "" accepted), "bcsr" (register
-	// blocking for graphs with dense block structure), "sell" (SELL-C-σ,
-	// vectorization-friendly for skewed degree distributions), or "auto"
-	// (the cost model picks per graph from its sparsity statistics). All
-	// formats are bit-identical to CSR. Serial algorithm only.
-	Format string
-	// Fused controls the fused bias+ReLU epilogues: "" or "on" (default)
-	// folds the activation and its backward masking into the GEMM
-	// accumulation loops, "off" runs the separate passes. Both settings are
-	// bit-identical; "off" exists to measure the fusion win. Serial
-	// algorithm only.
-	Fused string
-	// Unrolled enables the 4-accumulator unrolled input-gradient GEMM.
-	// Tolerance-validated, not bit-identical (the partial sums reassociate
-	// the reduction). Serial algorithm only.
-	Unrolled bool
 	// Transport selects the fabric the ranks communicate over: "" or
 	// "inproc" (default) runs them as goroutines on the simulated channel
 	// fabric; "tcp" runs each rank's collectives over real loopback TCP
@@ -275,6 +249,9 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Machine == "" {
 		o.Machine = costmodel.Summit.Name
 	}
+	if o.Precision == "" {
+		o.Precision = core.PrecisionF64
+	}
 	return o
 }
 
@@ -327,14 +304,10 @@ type TrainReport struct {
 	FittedBeta  float64
 	// WireSamples counts the per-collective measurements behind the fit.
 	WireSamples int
-	// Precision, Format, Fused, and Unrolled record the kernel
-	// configuration the run actually used, after defaults and the auto
-	// format selector resolved (core.KernelChoice). Distributed runs always
-	// report the default f64/csr/fused configuration.
+	// Precision is the arithmetic precision the run trained in: the
+	// TrainOptions.Precision it was given, "f64" when that was empty.
+	// Distributed runs always report "f64".
 	Precision string
-	Format    string
-	Fused     bool
-	Unrolled  bool
 
 	result *core.Result
 }
@@ -390,12 +363,7 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 			return nil, err
 		}
 	}
-	if err := core.SetKernelOptions(trainer, core.KernelOptions{
-		Precision: opts.Precision,
-		Format:    sparse.Format(opts.Format),
-		Fused:     opts.Fused,
-		Unrolled:  opts.Unrolled,
-	}); err != nil {
+	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: opts.Precision}); err != nil {
 		return nil, err
 	}
 	var res *core.Result
@@ -414,7 +382,6 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	if order != nil && res.Output != nil {
 		res.Output = core.RestoreRows(res.Output, order)
 	}
-	choice := core.ChoiceOf(trainer)
 	report := &TrainReport{
 		Losses:        res.Losses,
 		Accuracy:      res.Accuracy,
@@ -424,10 +391,7 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		OutputCols:    res.Output.Cols,
 		ResumedEpoch:  res.ResumedEpoch,
 		DrainedEpoch:  res.DrainedEpoch,
-		Precision:     choice.Precision,
-		Format:        choice.Format,
-		Fused:         choice.Fused,
-		Unrolled:      choice.Unrolled,
+		Precision:     opts.Precision,
 		result:        res,
 	}
 	if wire != nil {

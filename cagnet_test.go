@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/tolerance"
 )
 
 func TestDatasetsList(t *testing.T) {
@@ -440,6 +442,56 @@ func TestTrainOverlap(t *testing.T) {
 	}
 	if _, err := Train(ds, TrainOptions{Algorithm: "serial", Overlap: true}); err == nil {
 		t.Fatal("expected error for overlap on serial")
+	}
+}
+
+// TestTrainPrecision pins TrainOptions.Precision end to end: "f32" trains
+// the serial algorithm within the mixed-precision tolerances of "f64" and
+// is rejected by every distributed algorithm on either transport (the
+// kernel options are checked before the trainer or the fabric starts);
+// "" and "f64" are the default everywhere.
+func TestTrainPrecision(t *testing.T) {
+	ds := RandomDataset(7, 5, 8, 4, 3, 13)
+	ranks := map[string]int{"serial": 1, "1d": 4, "1.5d": 4, "2d": 4, "3d": 8}
+	var f64 *TrainReport
+	for _, algo := range Algorithms {
+		for _, precision := range []string{"", "f64"} {
+			rep, err := Train(ds, TrainOptions{Algorithm: algo, Ranks: ranks[algo], Epochs: 3, Precision: precision})
+			if err != nil {
+				t.Fatalf("%s with Precision %q: %v", algo, precision, err)
+			}
+			if rep.Precision != "f64" {
+				t.Fatalf("%s with Precision %q reports %q, want f64", algo, precision, rep.Precision)
+			}
+			if algo == "serial" {
+				f64 = rep
+			}
+		}
+	}
+
+	f32, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 3, Precision: "f32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f32.Precision != "f32" {
+		t.Fatalf("serial f32 run reports precision %q", f32.Precision)
+	}
+	tolerance.AssertCloseSlice(t, "f32 losses", f32.Losses, f64.Losses, 1e-3, 1e-3)
+	tolerance.AssertClose(t, "f32 output", f32.Result().Output, f64.Result().Output, 5e-2, 5e-2)
+	if math.Abs(f32.Accuracy-f64.Accuracy) > 0.05 {
+		t.Fatalf("f32 accuracy %v vs f64 %v", f32.Accuracy, f64.Accuracy)
+	}
+
+	rejected := []TrainOptions{{Algorithm: "1d", Transport: "tcp", Precision: "f32"}, {Algorithm: "serial", Precision: "f16"}}
+	for _, algo := range Algorithms[1:] {
+		rejected = append(rejected, TrainOptions{Algorithm: algo, Precision: "f32"})
+	}
+	for _, o := range rejected {
+		o.Ranks, o.Epochs = ranks[o.Algorithm], 1
+		_, err := Train(ds, o)
+		if err == nil || !strings.Contains(err.Error(), "precision") {
+			t.Fatalf("%s/%s with Precision %q: want an error naming precision, got %v", o.Algorithm, o.Transport, o.Precision, err)
+		}
 	}
 }
 

@@ -357,21 +357,20 @@ func runKernels(o harness.Options) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Kernel dispatch: wall-clock epoch time per precision/format/fusion choice ==")
+	fmt.Println("== Kernels: wall-clock epoch time of the serial trainer per kernel path ==")
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
-			r.Name, r.Dataset, r.Precision, r.Format,
-			strconv.FormatBool(r.Fused), strconv.FormatBool(r.Unrolled),
+			r.Name, r.Dataset, r.Precision,
 			harness.FormatFloat(r.WallSecPerEpoch),
 			harness.FormatFloat(r.Speedup),
 		})
 	}
 	fmt.Println(harness.Table(
-		[]string{"config", "dataset", "precision", "format", "fused", "unrolled", "wall s/epoch", "speedup"}, cells))
+		[]string{"config", "dataset", "precision", "wall s/epoch", "speedup"}, cells))
 	fmt.Println("speedups are measured against the f64-reference baseline (the scalar")
-	fmt.Println("one-source kernels) in the same process; f64 rows are bit-identical to")
-	fmt.Println("it, f32 and unrolled rows are tolerance-validated.")
+	fmt.Println("one-source kernels) in the same process; f64-default is bit-identical")
+	fmt.Println("to it, f32 is tolerance-validated.")
 	fmt.Println()
 	return rows, nil
 }

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 //	go test ./cmd/cagnet-bench -run SchemaGolden -update
 func TestSnapshotJSONSchemaGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every experiment in quick mode (~10s)")
+		t.Skip("runs every experiment in quick mode (~15 s)")
 	}
 	opts := harness.Options{Machine: costmodel.SummitSim, Quick: true, Optimizer: "sgd"}
 	runners := map[string]func(harness.Options) (any, error){
@@ -52,6 +52,21 @@ func TestSnapshotJSONSchemaGolden(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		snapshot.Experiments[name] = data
+	}
+
+	// The kernel sweep is exactly the three remaining paths, reference first.
+	rows := snapshot.Experiments["kernels"].([]harness.KernelRow)
+	names := []string{"f64-reference", "f64-default", "f32"}
+	if len(rows) != len(names) {
+		t.Fatalf("kernel sweep has %d rows, want %v", len(rows), names)
+	}
+	for i, r := range rows {
+		if r.Name != names[i] || r.WallSecPerEpoch <= 0 {
+			t.Errorf("kernel row %d = %+v, want %s with wall_sec_per_epoch > 0", i, r, names[i])
+		}
+	}
+	if rows[0].Speedup != 1 {
+		t.Errorf("baseline row Speedup = %v, want 1", rows[0].Speedup)
 	}
 
 	buf, err := json.MarshalIndent(snapshot, "", "  ")

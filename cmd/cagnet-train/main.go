@@ -7,15 +7,15 @@
 //	cagnet-train [-dataset reddit-sim] [-algo 2d] [-ranks 16] [-epochs 10]
 //	             [-lr 0.01] [-optimizer sgd] [-replication 0] [-val 0]
 //	             [-halo] [-partitioner block] [-overlap] [-machine summit-v100]
-//	             [-precision f64] [-format csr] [-fused on] [-unrolled]
-//	             [-transport inproc] [-backend parallel] [-workers 0] [-quick]
+//	             [-precision f64] [-transport inproc] [-backend parallel]
+//	             [-workers 0] [-quick]
 //	             [-checkpoint-dir DIR] [-checkpoint-every N]
 //
 // Flag combinations that would have no effect are rejected up front —
 // before the dataset build — rather than silently ignored: -halo and
-// -partitioner need the row decompositions (1d, 1.5d), the kernel flags
-// (-precision, -format, -fused, -unrolled) need -algo serial, and
-// -overlap and -transport tcp need a distributed algorithm.
+// -partitioner need the row decompositions (1d, 1.5d), -precision f32
+// needs -algo serial, and -overlap and -transport tcp need a distributed
+// algorithm.
 package main
 
 import (
@@ -43,9 +43,6 @@ func main() {
 	partitioner := flag.String("partitioner", "", "1d/1.5d vertex partitioner: block (default), random, ldg")
 	overlap := flag.Bool("overlap", false, "hide communication behind compute with non-blocking collectives (bit-identical results)")
 	precision := flag.String("precision", "", "kernel precision: f64 (default) or f32 mixed precision (serial algo only)")
-	format := flag.String("format", "", "sparse format for the backward aggregation: csr (default), bcsr, sell, auto (serial algo only)")
-	fused := flag.String("fused", "", "fused bias+ReLU epilogues: on (default) or off (serial algo only)")
-	unrolled := flag.Bool("unrolled", false, "use the 4-accumulator unrolled input-gradient GEMM (serial algo only)")
 	valFrac := flag.Float64("val", 0, "fraction of vertices held out for validation tracking (0 disables)")
 	transport := flag.String("transport", "", "rank fabric: inproc (default; simulated channels) or tcp (real loopback sockets with wall-clock timing and a wire-fitted alpha/beta)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training-state snapshots; resumes from the latest one when present (empty disables)")
@@ -64,8 +61,7 @@ func main() {
 	}
 	if err := validateFlags(flagCombo{
 		algo: *algo, halo: *halo, partitioner: *partitioner, overlap: *overlap,
-		precision: *precision, format: *format, fused: *fused, unrolled: *unrolled,
-		transport: *transport, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
+		precision: *precision, transport: *transport, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -129,9 +125,6 @@ func main() {
 		HaloExchange:      *halo,
 		Overlap:           *overlap,
 		Precision:         *precision,
-		Format:            *format,
-		Fused:             *fused,
-		Unrolled:          *unrolled,
 		Transport:         *transport,
 		ValMask:           valMask,
 		Machine:           *machine,
@@ -141,8 +134,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("kernels: precision=%s format=%s fused=%v unrolled=%v\n\n",
-		report.Precision, report.Format, report.Fused, report.Unrolled)
+	fmt.Printf("kernels: precision=%s\n\n", report.Precision)
 	for i, loss := range report.Losses {
 		if report.ValAccuracy != nil {
 			fmt.Printf("epoch %3d  loss %.6f  train-acc %.4f  val-acc %.4f\n",
@@ -186,9 +178,6 @@ type flagCombo struct {
 	partitioner string
 	overlap     bool
 	precision   string
-	format      string
-	fused       string
-	unrolled    bool
 	transport   string
 	ckptDir     string
 	ckptEvery   int
@@ -207,20 +196,8 @@ func validateFlags(f flagCombo) error {
 	if f.overlap && f.algo == "serial" {
 		return fmt.Errorf("-overlap needs a distributed algorithm; -algo serial has no communication to hide")
 	}
-	if f.algo != "serial" {
-		for _, k := range []struct {
-			set  bool
-			name string
-		}{
-			{f.precision != "", "-precision"},
-			{f.format != "", "-format"},
-			{f.fused != "", "-fused"},
-			{f.unrolled, "-unrolled"},
-		} {
-			if k.set {
-				return fmt.Errorf("%s applies to -algo serial only, not %q", k.name, f.algo)
-			}
-		}
+	if f.algo != "serial" && f.precision != "" && f.precision != "f64" {
+		return fmt.Errorf("-precision %s applies to -algo serial only, not %q", f.precision, f.algo)
 	}
 	switch f.transport {
 	case "", "inproc":

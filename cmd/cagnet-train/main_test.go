@@ -13,14 +13,10 @@ func TestValidateFlagsRejections(t *testing.T) {
 		"halo with serial":    {algo: "serial", halo: true},
 		"partitioner with 2d": {algo: "2d", partitioner: "ldg"},
 		"overlap with serial": {algo: "serial", overlap: true},
-		"precision with 1d":   {algo: "1d", precision: "f32"},
-		"precision with 2d":   {algo: "2d", precision: "f32"},
-		"format with 2d":      {algo: "2d", format: "bcsr"},
-		"format with 1.5d":    {algo: "1.5d", format: "sell"},
-		"fused with 2d":       {algo: "2d", fused: "off"},
-		"fused with 3d":       {algo: "3d", fused: "off"},
-		"unrolled with 2d":    {algo: "2d", unrolled: true},
-		"unrolled with 1d":    {algo: "1d", unrolled: true},
+		"f32 with 1d":         {algo: "1d", precision: "f32"},
+		"f32 with 1.5d":       {algo: "1.5d", precision: "f32"},
+		"f32 with 2d":         {algo: "2d", precision: "f32"},
+		"f32 with 3d":         {algo: "3d", precision: "f32"},
 		"tcp with serial":     {algo: "serial", transport: "tcp"},
 		"unknown transport":   {algo: "2d", transport: "quic"},
 	}
@@ -37,7 +33,10 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		"defaults":            {algo: "2d"},
 		"row options on 1d":   {algo: "1d", halo: true, partitioner: "ldg", overlap: true},
 		"row options on 1.5d": {algo: "1.5d", halo: true, overlap: true},
-		"kernels on serial":   {algo: "serial", precision: "f32", format: "auto", fused: "off", unrolled: true},
+		"f32 on serial":       {algo: "serial", precision: "f32"},
+		"f64 on serial":       {algo: "serial", precision: "f64"},
+		"f64 on 1d":           {algo: "1d", precision: "f64"},
+		"f64 on 2d":           {algo: "2d", precision: "f64"},
 		"tcp on 2d":           {algo: "2d", transport: "tcp"},
 		"inproc explicit":     {algo: "3d", transport: "inproc"},
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 // This file asserts the PR-4 tentpole: after a warm-up epoch has populated
@@ -77,9 +76,8 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 }
 
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
-// nothing once the workspace and transpose plan are warm — for every kernel
-// dispatch configuration: fused/unfused, each sparse format, the unrolled
-// GEMM variant, and the float32 mixed-precision path.
+// nothing once the workspace and transpose plan are warm — on each of the
+// three kernel paths: default, float32 mixed precision, and reference.
 func TestSteadyStateAllocsSerial(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
@@ -88,26 +86,14 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 		o    KernelOptions
 	}{
 		{"default", KernelOptions{}},
-		{"unfused", KernelOptions{Fused: "off"}},
-		{"unrolled", KernelOptions{Unrolled: true, Fused: "off"}},
-		{"bcsr", KernelOptions{Format: sparse.FormatBCSR}},
-		{"sell", KernelOptions{Format: sparse.FormatSELL}},
 		{"f32", KernelOptions{Precision: PrecisionF32}},
-		{"f32-sell-unrolled", KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL, Unrolled: true, Fused: "off"}},
 		{"reference", KernelOptions{Reference: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProblem(t, 256, 16, 16, 8, 1, 71)
 			cfg := p.Config.WithDefaults()
-			var ops layerOps
-			if tc.o.precision() == PrecisionF32 {
-				ops = newMixedOps(cfg, p, tc.o)
-			} else {
-				sops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-				sops.configure(tc.o)
-				ops = sops
-			}
+			ops := tc.o.ops(cfg, p)
 			eng := newEngine(ops, cfg, p)
 			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 			weights := nn.InitWeights(cfg)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/sparse"
 )
 
 // Engine-level epoch benchmarks: unlike the Train-based benchmarks in the
@@ -47,11 +46,10 @@ func BenchmarkEngineEpochSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEpochKernels measures the warmed steady-state epoch for
-// every kernel dispatch configuration (precision, sparse format, fusion,
-// unrolling, and the reference scalar baseline). Every sub-benchmark must
-// report 0 B/op — the 0-alloc guarantee covers each dispatch path, not just
-// the default.
+// BenchmarkEngineEpochKernels measures the warmed steady-state epoch on
+// each kernel path (the reference scalar baseline, the default, f32). Every
+// sub-benchmark must report 0 B/op — the 0-alloc guarantee covers each
+// path, not just the default.
 func BenchmarkEngineEpochKernels(b *testing.B) {
 	configs := []struct {
 		name string
@@ -59,12 +57,7 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 	}{
 		{"reference", KernelOptions{Reference: true}},
 		{"default", KernelOptions{}},
-		{"unfused", KernelOptions{Fused: "off"}},
-		{"unrolled", KernelOptions{Unrolled: true, Fused: "off"}},
-		{"bcsr", KernelOptions{Format: sparse.FormatBCSR}},
-		{"sell", KernelOptions{Format: sparse.FormatSELL}},
 		{"f32", KernelOptions{Precision: PrecisionF32}},
-		{"f32-sell", KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL}},
 	}
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
@@ -72,14 +65,7 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			p := testProblem(b, 2048, 32, 32, 8, 1, 81)
 			cfg := p.Config.WithDefaults()
-			var ops layerOps
-			if tc.o.precision() == PrecisionF32 {
-				ops = newMixedOps(cfg, p, tc.o)
-			} else {
-				sops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-				sops.configure(tc.o)
-				ops = sops
-			}
+			ops := tc.o.ops(cfg, p)
 			eng := newEngine(ops, cfg, p)
 			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 			weights := nn.InitWeights(cfg)

@@ -43,7 +43,7 @@ func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem
 			return body(newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer()), cfg, p)
 		},
 		"serial-f32": func() error {
-			return body(newMixedOps(cfg, p, KernelOptions{Precision: PrecisionF32}), cfg, p)
+			return body(newMixedOps(cfg, p), cfg, p)
 		},
 	}
 	for _, halo := range []bool{false, true} {
@@ -400,8 +400,9 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 		for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
 			cfg := p.Config.WithDefaults()
 			serialOps := newSerialOps(cfg, p.A, p.Features, p.Labels, nil, n)
-			// Unfused, so ∂L/∂H^{l-1} reaches activationBackward unmasked.
-			serialOps.configure(KernelOptions{Fused: "off"})
+			// The Reference ops are unfused, so ∂L/∂H^{l-1} reaches
+			// activationBackward unmasked.
+			serialOps.ref = true
 			var rec *backwardRecord
 			probed := func(ops layerOps, cfg nn.Config, prob Problem) error {
 				eng := newEngine(&backwardProbe{layerOps: ops, rec: rec}, cfg, prob)

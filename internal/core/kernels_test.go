@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dense"
-	"repro/internal/sparse"
 	"repro/internal/tolerance"
 )
 
@@ -20,7 +19,7 @@ func deepProblem(t testing.TB, epochs int, seed int64) Problem {
 }
 
 // trainWith trains p on a fresh serial trainer with kernel options o.
-func trainWith(t *testing.T, p Problem, o KernelOptions) (*Result, KernelChoice) {
+func trainWith(t *testing.T, p Problem, o KernelOptions) *Result {
 	t.Helper()
 	tr := NewSerial()
 	if err := SetKernelOptions(tr, o); err != nil {
@@ -30,7 +29,7 @@ func trainWith(t *testing.T, p Problem, o KernelOptions) (*Result, KernelChoice)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, ChoiceOf(tr)
+	return res
 }
 
 // requireBitEqual asserts two training runs produced bit-identical outputs,
@@ -52,50 +51,6 @@ func requireBitEqual(t *testing.T, name string, got, want *Result) {
 	}
 }
 
-// TestFusedBitIdenticalToUnfused: the fused MulBiasReLU forward epilogue and
-// the fused MulTReLUMask backward mask must reproduce the separate-pass
-// reference bit for bit (the epilogues run after each element's
-// accumulation completes, and relu(z) > 0 ⟺ z > 0).
-func TestFusedBitIdenticalToUnfused(t *testing.T) {
-	p := deepProblem(t, 6, 31)
-	want, _ := trainWith(t, p, KernelOptions{Fused: "off"})
-	got, choice := trainWith(t, p, KernelOptions{})
-	if !choice.Fused {
-		t.Fatal("default options did not enable fusion")
-	}
-	requireBitEqual(t, "fused", got, want)
-}
-
-// TestFormatVariantsBitIdentical: training through the BCSR and SELL
-// backward-aggregation kernels must be bit-identical to the CSR reference
-// (the normalized adjacency stores no explicit zeros, and the format
-// kernels visit entries in the same per-row column order).
-func TestFormatVariantsBitIdentical(t *testing.T) {
-	p := deepProblem(t, 5, 32)
-	want, _ := trainWith(t, p, KernelOptions{})
-	for _, f := range []sparse.Format{sparse.FormatBCSR, sparse.FormatSELL, sparse.FormatAuto} {
-		got, choice := trainWith(t, p, KernelOptions{Format: f})
-		if f != sparse.FormatAuto && choice.Format != string(f) {
-			t.Fatalf("choice reports format %q, want %q", choice.Format, f)
-		}
-		requireBitEqual(t, string(f), got, want)
-	}
-}
-
-// TestUnrolledWithinTolerance: the 4-accumulator unrolled input-gradient
-// GEMM reassociates its reductions, so it is tolerance-validated, not
-// bit-identical.
-func TestUnrolledWithinTolerance(t *testing.T) {
-	p := deepProblem(t, 5, 33)
-	want, _ := trainWith(t, p, KernelOptions{})
-	got, choice := trainWith(t, p, KernelOptions{Unrolled: true, Fused: "off"})
-	if !choice.Unrolled {
-		t.Fatal("choice does not report unrolled")
-	}
-	tolerance.AssertClose(t, "unrolled output", got.Output, want.Output, 1e-9, 1e-9)
-	tolerance.AssertCloseSlice(t, "unrolled losses", got.Losses, want.Losses, 1e-9, 1e-9)
-}
-
 // TestMixedPrecisionWithinTolerance: the f32 storage/compute path with f64
 // loss accumulation and master weights must track the f64 reference within
 // single-precision tolerance across the depth-4 matrix and every optimizer.
@@ -104,11 +59,8 @@ func TestMixedPrecisionWithinTolerance(t *testing.T) {
 		t.Run(opt, func(t *testing.T) {
 			p := deepProblem(t, 6, 34)
 			p.Config.Optimizer = opt
-			want, _ := trainWith(t, p, KernelOptions{})
-			got, choice := trainWith(t, p, KernelOptions{Precision: PrecisionF32})
-			if choice.Precision != PrecisionF32 {
-				t.Fatalf("choice reports precision %q", choice.Precision)
-			}
+			want := trainWith(t, p, KernelOptions{})
+			got := trainWith(t, p, KernelOptions{Precision: PrecisionF32})
 			tolerance.AssertCloseSlice(t, "losses", got.Losses, want.Losses, 1e-3, 1e-3)
 			tolerance.AssertClose(t, "output", got.Output, want.Output, 5e-2, 5e-2)
 			if math.Abs(got.Accuracy-want.Accuracy) > 0.05 {
@@ -118,81 +70,28 @@ func TestMixedPrecisionWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestMixedPrecisionKernelMatrix: mixed precision composes with every
-// format, with fusion off, and with unrolling — each combination stays
-// within tolerance of the f64 reference.
-func TestMixedPrecisionKernelMatrix(t *testing.T) {
-	p := deepProblem(t, 4, 35)
-	want, _ := trainWith(t, p, KernelOptions{})
-	for _, o := range []KernelOptions{
-		{Precision: PrecisionF32, Format: sparse.FormatBCSR},
-		{Precision: PrecisionF32, Format: sparse.FormatSELL},
-		{Precision: PrecisionF32, Fused: "off"},
-		{Precision: PrecisionF32, Unrolled: true, Fused: "off"},
-	} {
-		got, choice := trainWith(t, p, o)
-		name := choice.Format + "/fused=" + o.Fused
-		tolerance.AssertCloseSlice(t, name+" losses", got.Losses, want.Losses, 1e-3, 1e-3)
-		tolerance.AssertClose(t, name+" output", got.Output, want.Output, 5e-2, 5e-2)
-	}
-	// Within f32, fused must still be bit-identical to unfused.
-	a, _ := trainWith(t, p, KernelOptions{Precision: PrecisionF32})
-	b, _ := trainWith(t, p, KernelOptions{Precision: PrecisionF32, Fused: "off"})
-	requireBitEqual(t, "f32 fused vs unfused", a, b)
-}
-
 // TestSetKernelOptionsValidation: the serial trainer accepts every valid
 // combination; distributed trainers accept only the default; malformed
 // values are rejected up front.
 func TestSetKernelOptionsValidation(t *testing.T) {
-	if err := SetKernelOptions(NewSerial(), KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL, Unrolled: true}); err != nil {
+	if err := SetKernelOptions(NewSerial(), KernelOptions{Precision: PrecisionF32}); err != nil {
 		t.Fatal(err)
 	}
 	oneD := NewOneD(4, testMach)
 	if err := SetKernelOptions(oneD, KernelOptions{}); err != nil {
 		t.Fatalf("default options rejected for 1d: %v", err)
 	}
-	if err := SetKernelOptions(oneD, KernelOptions{Fused: "on", Format: sparse.FormatCSR, Precision: PrecisionF64}); err != nil {
+	if err := SetKernelOptions(oneD, KernelOptions{Precision: PrecisionF64}); err != nil {
 		t.Fatalf("spelled-out default rejected for 1d: %v", err)
 	}
 	if err := SetKernelOptions(oneD, KernelOptions{Precision: PrecisionF32}); err == nil {
 		t.Fatal("f32 accepted for 1d")
 	}
-	if err := SetKernelOptions(oneD, KernelOptions{Format: sparse.FormatBCSR}); err == nil {
-		t.Fatal("bcsr accepted for 1d")
+	if err := SetKernelOptions(oneD, KernelOptions{Reference: true}); err == nil {
+		t.Fatal("reference kernels accepted for 1d")
 	}
-	for _, bad := range []KernelOptions{
-		{Precision: "f16"},
-		{Format: "ellpack"},
-		{Fused: "maybe"},
-	} {
-		if err := SetKernelOptions(NewSerial(), bad); err == nil {
-			t.Fatalf("invalid options %+v accepted", bad)
-		}
-	}
-	if got := ChoiceOf(NewOneD(4, testMach)); got != DefaultKernelChoice() {
-		t.Fatalf("distributed choice %+v, want default", got)
-	}
-}
-
-// TestChoiceReportsSelection: after training, ChoiceOf reflects the
-// resolved configuration, including the auto selector's pick.
-func TestChoiceReportsSelection(t *testing.T) {
-	p := deepProblem(t, 2, 36)
-	_, choice := trainWith(t, p, KernelOptions{})
-	want := KernelChoice{Precision: PrecisionF64, Format: "csr", Fused: true}
-	if choice != want {
-		t.Fatalf("default choice %+v, want %+v", choice, want)
-	}
-	// The test graph is tiny (< 4096 nnz), so auto resolves to csr.
-	_, choice = trainWith(t, p, KernelOptions{Format: sparse.FormatAuto})
-	if choice.Format != "csr" {
-		t.Fatalf("auto on tiny graph resolved to %q, want csr", choice.Format)
-	}
-	_, choice = trainWith(t, p, KernelOptions{Precision: PrecisionF32, Format: sparse.FormatSELL, Fused: "off", Unrolled: true})
-	want = KernelChoice{Precision: PrecisionF32, Format: "sell", Fused: false, Unrolled: true}
-	if choice != want {
-		t.Fatalf("choice %+v, want %+v", choice, want)
+	if err := SetKernelOptions(NewSerial(), KernelOptions{Precision: "f16"}); err == nil {
+		t.Fatal("precision f16 accepted")
 	}
 }
 
@@ -204,29 +103,19 @@ func TestChoiceReportsSelection(t *testing.T) {
 // order as the one-source reference loops.
 func TestDefaultBitIdenticalToReference(t *testing.T) {
 	p := deepProblem(t, 6, 47)
-	want, refChoice := trainWith(t, p, KernelOptions{Reference: true})
-	if refChoice.Fused {
-		t.Fatal("reference choice reports fused epilogues")
-	}
-	got, _ := trainWith(t, p, KernelOptions{})
+	want := trainWith(t, p, KernelOptions{Reference: true})
+	got := trainWith(t, p, KernelOptions{})
 	requireBitEqual(t, "default-vs-reference", got, want)
 }
 
-// TestReferenceRejectsOtherOptions: the reference baseline is f64/CSR
-// unfused by definition; combining it with any other non-default option is
-// a validation error.
+// TestReferenceRejectsOtherOptions: the reference baseline is f64 by
+// definition; combining it with f32 is a validation error.
 func TestReferenceRejectsOtherOptions(t *testing.T) {
-	for _, o := range []KernelOptions{
-		{Reference: true, Precision: PrecisionF32},
-		{Reference: true, Format: sparse.FormatSELL},
-		{Reference: true, Fused: "on"},
-		{Reference: true, Unrolled: true},
-	} {
-		if err := SetKernelOptions(NewSerial(), o); err == nil {
-			t.Fatalf("reference options %+v accepted", o)
-		}
+	o := KernelOptions{Reference: true, Precision: PrecisionF32}
+	if err := SetKernelOptions(NewSerial(), o); err == nil {
+		t.Fatalf("reference options %+v accepted", o)
 	}
-	if err := SetKernelOptions(NewSerial(), KernelOptions{Reference: true, Fused: "off"}); err != nil {
-		t.Fatalf("reference with explicit fused=off rejected: %v", err)
+	if err := SetKernelOptions(NewSerial(), KernelOptions{Reference: true, Precision: PrecisionF64}); err != nil {
+		t.Fatalf("reference with explicit f64 rejected: %v", err)
 	}
 }

@@ -25,14 +25,10 @@ import (
 // values, keeps the real float32 state keyed by layer index, and returns
 // genuine float64 matrices exactly where the engine reads them.
 type mixedOps struct {
-	cfg    nn.Config
-	choice KernelChoice
+	cfg nn.Config
 
-	fused    bool
-	unrolled bool
-
-	at32   *sparse.CSROf[float32]   // explicit Aᵀ for the forward aggregation
-	kern   sparse.KernelOf[float32] // format-dispatched A for the backward aggregation
+	at32   *sparse.CSROf[float32] // explicit Aᵀ for the forward aggregation
+	a32    *sparse.CSROf[float32] // A for the backward aggregation
 	labels []int
 	mask   []bool
 	norm   int
@@ -62,43 +58,28 @@ type mixedOps struct {
 	hdr *dense.Matrix // shared opaque handle for all f32-internal returns
 }
 
-// newMixedOps builds the float32 layerOps for p with kernel options o
-// (o.Precision is PrecisionF32; format/fused/unrolled apply as in the f64
-// path).
-func newMixedOps(cfg nn.Config, p Problem, o KernelOptions) *mixedOps {
+// newMixedOps builds the float32 layerOps for p; the epilogues fuse as in
+// the default f64 path.
+func newMixedOps(cfg nn.Config, p Problem) *mixedOps {
 	a := p.A
 	L := cfg.Layers()
 	m := &mixedOps{
-		cfg:      cfg,
-		fused:    o.fused(),
-		unrolled: o.Unrolled,
-		labels:   p.Labels,
-		mask:     p.TrainMask,
-		norm:     p.lossNormalizer(),
-		ws:       dense.NewWorkspaceOf[float32](),
-		cnt:      make([]float64, 8),
-		t32:      make([]*dense.Of[float32], L+1),
-		h32:      make([]*dense.Of[float32], L+1),
-		z32:      make([]*dense.Of[float32], L+1),
-		w32:      make([]*dense.Of[float32], L),
-		dw32:     make([]*dense.Of[float32], L),
-		dw64:     make([]*dense.Matrix, L),
-		out64:    dense.New(a.Rows, cfg.Widths[L]),
-		hdr:      &dense.Matrix{},
-	}
-	m.at32 = sparse.ConvertCSR[float32](a.Transpose())
-	a32 := sparse.ConvertCSR[float32](a)
-	f := o.Format
-	if f == "" {
-		f = sparse.FormatCSR
-	}
-	kern, _ := sparse.SelectKernel(a32, maxHiddenWidth(cfg), f)
-	m.kern = kern
-	m.choice = KernelChoice{
-		Precision: PrecisionF32,
-		Format:    string(kern.Format()),
-		Fused:     m.fused,
-		Unrolled:  m.unrolled,
+		cfg:    cfg,
+		at32:   sparse.ConvertCSR[float32](a.Transpose()),
+		a32:    sparse.ConvertCSR[float32](a),
+		labels: p.Labels,
+		mask:   p.TrainMask,
+		norm:   p.lossNormalizer(),
+		ws:     dense.NewWorkspaceOf[float32](),
+		cnt:    make([]float64, 8),
+		t32:    make([]*dense.Of[float32], L+1),
+		h32:    make([]*dense.Of[float32], L+1),
+		z32:    make([]*dense.Of[float32], L+1),
+		w32:    make([]*dense.Of[float32], L),
+		dw32:   make([]*dense.Of[float32], L),
+		dw64:   make([]*dense.Matrix, L),
+		out64:  dense.New(a.Rows, cfg.Widths[L]),
+		hdr:    &dense.Matrix{},
 	}
 	m.h32[0] = dense.NewOf[float32](a.Rows, cfg.Widths[0])
 	dense.Convert(m.h32[0], p.Features)
@@ -142,7 +123,7 @@ func (m *mixedOps) multiplyWeight(_, w *dense.Matrix, l int) *dense.Matrix {
 		x = m.t32[l]
 	}
 	z := m.ws.GetUninit(x.Rows, w.Cols)
-	if m.fused && fusesForward(m.cfg, l) {
+	if fusesForward(m.cfg, l) {
 		dense.MulBiasReLU(z, x, m.w32[l-1], nil)
 		m.h32[l] = z // z holds H^l
 	} else {
@@ -153,7 +134,7 @@ func (m *mixedOps) multiplyWeight(_, w *dense.Matrix, l int) *dense.Matrix {
 }
 
 func (m *mixedOps) activationForward(act dense.Activation, _ *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	if m.fused && fusesForward(m.cfg, l) {
+	if fusesForward(m.cfg, l) {
 		return m.hdr, nil // multiplyWeight already produced H^l
 	}
 	z := m.z32[l]
@@ -205,8 +186,8 @@ func (m *mixedOps) activationBackward(act dense.Activation, _, _ *dense.Matrix, 
 }
 
 func (m *mixedOps) backwardAggregate(_ *dense.Matrix, l int) *dense.Matrix {
-	ax := m.ws.GetUninit(m.at32.Rows, m.cur.Cols)
-	m.kern.SpMM(ax, m.cur)
+	ax := m.ws.GetUninit(m.a32.Rows, m.cur.Cols)
+	sparse.SpMM(ax, m.a32, m.cur)
 	m.cur = ax
 	return m.hdr
 }
@@ -224,13 +205,10 @@ func (m *mixedOps) weightGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
 
 func (m *mixedOps) inputGrad(_, _ *dense.Matrix, l int) *dense.Matrix {
 	dH := m.ws.GetUninit(m.cur.Rows, m.cfg.Widths[l-1])
-	switch {
-	case m.fused && fusesBackward(m.cfg, l):
+	if fusesBackward(m.cfg, l) {
 		dense.MulTReLUMask(dH, m.cur, m.w32[l-1], m.h32[l-1])
 		m.maskedAhead = l - 1
-	case m.unrolled:
-		dense.MulTUnrolled(dH, m.cur, m.w32[l-1])
-	default:
+	} else {
 		dense.MulT(dH, m.cur, m.w32[l-1])
 	}
 	m.cur = dH

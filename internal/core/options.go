@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/sparse"
-)
+import "fmt"
 
 // Precision names for KernelOptions.Precision.
 const (
@@ -19,35 +15,19 @@ const (
 )
 
 // KernelOptions selects the compute kernels a trainer uses. The zero value
-// is the default configuration: float64, CSR storage, fused epilogues on,
-// no unrolled-accumulator variants — the exact kernels every bit-identity
-// test pins down.
+// is the default configuration: float64 CSR kernels with fused epilogues —
+// the exact kernels every bit-identity test pins down.
 //
 // Only the serial trainer accepts non-default options (the distributed
-// trainers' collectives are verified against the f64/CSR serial reference
-// and reject anything else rather than silently diverging).
+// trainers' collectives are verified against the f64 serial reference and
+// reject anything else rather than silently diverging).
 type KernelOptions struct {
 	// Precision is PrecisionF64 (default, "" accepted) or PrecisionF32.
 	Precision string
-	// Format picks the sparse storage for the backward aggregation A·G:
-	// "" or sparse.FormatCSR (default), sparse.FormatAuto to let the cost
-	// model choose per graph, or an explicit sparse.FormatBCSR /
-	// sparse.FormatSELL. The forward aggregation Aᵀ·X keeps its transpose
-	// plan in every case.
-	Format sparse.Format
-	// Fused is "" or "on" (default) for fused bias+ReLU epilogues and
-	// backward masking, "off" to run the separate activation passes. Both
-	// settings are bit-identical; "off" exists to measure the fusion win.
-	Fused string
-	// Unrolled enables the 4-accumulator unrolled dot-product GEMM for the
-	// input-gradient multiply. Tolerance-validated, not bit-identical
-	// (the partial sums reassociate the reduction).
-	Unrolled bool
 	// Reference runs the pre-optimization scalar kernels (one source per
 	// accumulation sweep, no fused epilogues) — the baseline the kernel
 	// sweep's Speedup column measures against, and the oracle the default
-	// path is bit-identical to. Serial f64/CSR only; incompatible with
-	// every other non-default option.
+	// path is bit-identical to. Serial f64 only.
 	Reference bool
 }
 
@@ -58,21 +38,8 @@ func (o KernelOptions) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown precision %q (want %s or %s)", o.Precision, PrecisionF64, PrecisionF32)
 	}
-	if _, err := sparse.ParseFormat(string(o.Format)); err != nil {
-		return err
-	}
-	switch o.Fused {
-	case "", "on", "off":
-	default:
-		return fmt.Errorf("core: fused must be on or off, got %q", o.Fused)
-	}
-	if o.Reference {
-		rest := o
-		rest.Reference = false
-		rest.Fused = "" // reference kernels are unfused by construction
-		if !rest.isDefault() || o.Fused == "on" {
-			return fmt.Errorf("core: reference kernels take no other non-default option")
-		}
+	if o.Reference && o.Precision == PrecisionF32 {
+		return fmt.Errorf("core: reference kernels take no other non-default option")
 	}
 	return nil
 }
@@ -80,47 +47,12 @@ func (o KernelOptions) Validate() error {
 // isDefault reports whether the options name the default kernel
 // configuration (every distributed trainer's only supported one).
 func (o KernelOptions) isDefault() bool {
-	return (o.Precision == "" || o.Precision == PrecisionF64) &&
-		(o.Format == "" || o.Format == sparse.FormatCSR) &&
-		(o.Fused == "" || o.Fused == "on") &&
-		!o.Unrolled && !o.Reference
+	return (o.Precision == "" || o.Precision == PrecisionF64) && !o.Reference
 }
 
-// fused resolves the Fused tri-state (default on).
-func (o KernelOptions) fused() bool { return o.Fused != "off" }
-
-// precision resolves the Precision default.
-func (o KernelOptions) precision() string {
-	if o.Precision == "" {
-		return PrecisionF64
-	}
-	return o.Precision
-}
-
-// KernelChoice records the kernel configuration a trainer actually ran
-// with, after defaults and the format selector resolved: the
-// self-describing half of a benchmark row.
-type KernelChoice struct {
-	// Precision is "f64" or "f32".
-	Precision string `json:"precision"`
-	// Format is the resolved sparse format ("csr", "bcsr", "sell") — for
-	// FormatAuto requests, whatever the cost model chose.
-	Format string `json:"format"`
-	// Fused reports whether the fused epilogues ran.
-	Fused bool `json:"fused"`
-	// Unrolled reports whether the unrolled-accumulator GEMM ran.
-	Unrolled bool `json:"unrolled"`
-}
-
-// DefaultKernelChoice is the configuration every trainer uses unless
-// overridden: f64 CSR with fused epilogues.
-func DefaultKernelChoice() KernelChoice {
-	return KernelChoice{Precision: PrecisionF64, Format: string(sparse.FormatCSR), Fused: true}
-}
-
-// SetKernelOptions configures a trainer's kernel dispatch. The serial
-// trainer accepts every valid combination; distributed trainers accept only
-// the default (their outputs are pinned bit-identical to the f64/CSR serial
+// SetKernelOptions configures a trainer's kernels. The serial trainer
+// accepts every valid combination; distributed trainers accept only the
+// default (their outputs are pinned bit-identical to the f64 serial
 // reference, so a silently accepted override would break that contract).
 func SetKernelOptions(tr Trainer, o KernelOptions) error {
 	if err := o.Validate(); err != nil {
@@ -131,30 +63,7 @@ func SetKernelOptions(tr Trainer, o KernelOptions) error {
 		return nil
 	}
 	if !o.isDefault() {
-		return fmt.Errorf("core: kernel options (precision/format/fused/unrolled) apply to the serial trainer, not %q", tr.Name())
+		return fmt.Errorf("core: kernel options (precision) apply to the serial trainer, not %q", tr.Name())
 	}
 	return nil
-}
-
-// ChoiceOf reports the kernel configuration tr will train with (for the
-// serial trainer, after resolving defaults but before the auto format
-// selector runs — Serial.Train updates its Choice with the selector's
-// decision).
-func ChoiceOf(tr Trainer) KernelChoice {
-	if s, ok := tr.(*Serial); ok {
-		c := KernelChoice{
-			Precision: s.Kernel.precision(),
-			Format:    string(s.Kernel.Format),
-			Fused:     s.Kernel.fused(),
-			Unrolled:  s.Kernel.Unrolled,
-		}
-		if c.Format == "" {
-			c.Format = string(sparse.FormatCSR)
-		}
-		if s.choice.Format != "" {
-			return s.choice // Train resolved the selector already
-		}
-		return c
-	}
-	return DefaultKernelChoice()
 }

@@ -12,14 +12,11 @@ import (
 // point accumulation errors" as serial PyTorch, §V-A).
 //
 // It is also the only trainer that accepts non-default KernelOptions
-// (sparse format, precision, fusion, unrolling) via SetKernelOptions.
+// (f32 precision, the reference kernels) via SetKernelOptions.
 type Serial struct {
 	// Kernel selects the compute kernels; the zero value is the default
-	// f64/CSR/fused configuration. Set via SetKernelOptions.
+	// f64 configuration. Set via SetKernelOptions.
 	Kernel KernelOptions
-	// choice records what the last Train resolved the options to (the auto
-	// format selector's pick, defaults filled in).
-	choice KernelChoice
 }
 
 // NewSerial returns the serial reference trainer.
@@ -38,14 +35,18 @@ func (s *Serial) Train(p Problem) (*Result, error) {
 		return nil, err
 	}
 	cfg := p.Config.WithDefaults()
-	if s.Kernel.precision() == PrecisionF32 {
-		ops := newMixedOps(cfg, p, s.Kernel)
-		s.choice = ops.choice
-		return newEngine(ops, cfg, p).meta("serial", 1).run()
+	return newEngine(s.Kernel.ops(cfg, p), cfg, p).meta("serial", 1).run()
+}
+
+// ops builds the serial layerOps the options select: the float32 mixedOps,
+// or serialOps over the default or the reference kernels.
+func (o KernelOptions) ops(cfg nn.Config, p Problem) layerOps {
+	if o.Precision == PrecisionF32 {
+		return newMixedOps(cfg, p)
 	}
 	ops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-	s.choice = ops.configure(s.Kernel)
-	return newEngine(ops, cfg, p).meta("serial", 1).run()
+	ops.ref = o.Reference
+	return ops
 }
 
 // serialOps implements layerOps for the single-process reference: every
@@ -60,7 +61,6 @@ type serialOps struct {
 	cfg    nn.Config
 	a      *sparse.CSR
 	at     *sparse.TransposePlan // plan for the Aᵀ·X forward products
-	kern   sparse.Kernel         // non-CSR format for A·G (nil = direct CSR)
 	h0     *dense.Matrix
 	labels []int
 	mask   []bool
@@ -68,17 +68,13 @@ type serialOps struct {
 	ws     *dense.Workspace
 	cnt    []float64
 
-	// Kernel dispatch state (see KernelOptions). fused folds the ReLU
-	// epilogue into the weight multiply and the ReLU mask into the
-	// input-gradient multiply — both bit-identical to the separate passes,
-	// and each possible only where that multiply is the last step before
-	// the activation (see fusesForward, fusesBackward).
-	// unrolled swaps the input-gradient dot products for the
-	// 4-accumulator variant (tolerance-validated, opt-in).
-	fused    bool
-	unrolled bool
 	// ref swaps every multiply for the pre-optimization reference kernels
-	// (see KernelOptions.Reference); it forces fused off.
+	// and runs the activations as separate passes (see
+	// KernelOptions.Reference). Otherwise the ReLU epilogue is folded into
+	// the weight multiply and the ReLU mask into the input-gradient
+	// multiply — both bit-identical to the separate passes, and each
+	// possible only where that multiply is the last step before the
+	// activation (see fusesForward, fusesBackward).
 	ref bool
 	// hs[l] is H^l as produced this epoch, kept so inputGrad(l+1) can
 	// apply the fused ReLU mask (relu(z) > 0 ⟺ z > 0). maskedAhead names
@@ -95,44 +91,8 @@ func newSerialOps(cfg nn.Config, a *sparse.CSR, h0 *dense.Matrix, labels []int, 
 		cfg: cfg, a: a, at: sparse.NewTransposePlan(a), h0: h0,
 		labels: labels, mask: mask, norm: norm,
 		ws: dense.NewWorkspace(), cnt: make([]float64, 8),
-		fused: true, hs: make([]*dense.Matrix, cfg.Layers()+1),
+		hs: make([]*dense.Matrix, cfg.Layers()+1),
 	}
-}
-
-// configure applies kernel options (Serial.Train calls it right after
-// construction) and returns the resolved choice. A non-CSR format builds the
-// dispatch kernel for the backward aggregation A·G; the forward Aᵀ·X keeps
-// its transpose plan regardless (none of the formats index the transpose).
-func (s *serialOps) configure(o KernelOptions) KernelChoice {
-	s.fused = o.fused()
-	s.unrolled = o.Unrolled
-	if o.Reference {
-		s.ref, s.fused = true, false
-	}
-	choice := KernelChoice{
-		Precision: PrecisionF64,
-		Format:    string(sparse.FormatCSR),
-		Fused:     s.fused,
-		Unrolled:  s.unrolled,
-	}
-	if f := o.Format; f != "" && f != sparse.FormatCSR {
-		k, _ := sparse.SelectKernel(s.a, maxHiddenWidth(s.cfg), f)
-		if k.Format() != sparse.FormatCSR {
-			s.kern = k
-		}
-		choice.Format = string(k.Format())
-	}
-	return choice
-}
-
-// maxHiddenWidth bounds the width of the operands the backward aggregation
-// multiplies — the dense-column count the format selector's cost model sees.
-func maxHiddenWidth(cfg nn.Config) int {
-	w := 0
-	for l := 1; l <= cfg.Layers(); l++ {
-		w = max(w, cfg.Widths[l])
-	}
-	return w
 }
 
 // retarget points the ops at a new subproblem (the mini-batch trainer's
@@ -142,7 +102,6 @@ func maxHiddenWidth(cfg nn.Config) int {
 // per-step subgraphs use the direct scatter kernel instead.
 func (s *serialOps) retarget(a *sparse.CSR, h0 *dense.Matrix, labels []int, mask []bool, norm int) {
 	s.a, s.at, s.h0 = a, nil, h0
-	s.kern = nil // per-step subgraphs don't amortize a format conversion either
 	s.labels, s.mask, s.norm = labels, mask, norm
 }
 
@@ -190,7 +149,7 @@ func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 
 func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
 	z := s.ws.GetUninit(x.Rows, w.Cols)
-	if s.fused && fusesForward(s.cfg, l) {
+	if !s.ref && fusesForward(s.cfg, l) {
 		// Fused epilogue: z holds H^l = relu(T·W) straight out of the
 		// accumulation sweep. Bit-identical to Mul + ReLU (the epilogue
 		// runs after each element's sum completes).
@@ -204,7 +163,7 @@ func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
 }
 
 func (s *serialOps) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	if s.fused && fusesForward(s.cfg, l) {
+	if !s.ref && fusesForward(s.cfg, l) {
 		s.setH(l, z) // multiplyWeight already applied the activation
 		return z, nil
 	}
@@ -237,12 +196,9 @@ func (s *serialOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	// A·G^l is reused for both Y and ∂L/∂H (§IV-A-4); A·(G^l(W^l)ᵀ) is
 	// ∂L/∂H^{l-1} itself.
 	ax := s.ws.GetUninit(s.a.Rows, x.Cols)
-	switch {
-	case s.ref:
+	if s.ref {
 		sparse.RefSpMM(ax, s.a, x)
-	case s.kern != nil:
-		s.kern.SpMM(ax, x)
-	default:
+	} else {
 		sparse.SpMM(ax, s.a, x)
 	}
 	return ax
@@ -260,17 +216,14 @@ func (s *serialOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
 
 func (s *serialOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
 	dH := s.ws.GetUninit(g.Rows, w.Rows)
-	switch {
-	case s.fused && fusesBackward(s.cfg, l) && l-1 < len(s.hs) && s.hs[l-1] != nil:
+	if !s.ref && fusesBackward(s.cfg, l) && l-1 < len(s.hs) && s.hs[l-1] != nil {
 		// Fused backward epilogue: ∂L/∂H^{l-1} ⊙ relu'(Z^{l-1}) in one
 		// sweep, masking on H^{l-1} (h > 0 ⟺ z > 0) and skipping the dot
 		// product entirely for dead units. Bit-identical to MulT followed
 		// by ReLU.Backward.
 		dense.MulTReLUMask(dH, g, w, s.hs[l-1])
 		s.maskedAhead = l - 1
-	case s.unrolled:
-		dense.MulTUnrolled(dH, g, w)
-	default:
+	} else {
 		dense.MulT(dH, g, w)
 	}
 	return dH

@@ -90,11 +90,6 @@ func reluRow[T Elem](row []T) {
 	}
 }
 
-// BiasReLURow adds the bias broadcast (nil bias allowed) and applies ReLU
-// in one pass over a freshly accumulated output row — the shared epilogue
-// of the fused kernels here and in internal/sparse.
-func BiasReLURow[T Elem](row, bias []T) { biasReluRow(row, bias) }
-
 // biasReluRow adds the bias broadcast (nil bias allowed) and applies ReLU
 // in one pass over a freshly accumulated output row.
 func biasReluRow[T Elem](row, bias []T) {
@@ -259,51 +254,6 @@ func mulTRows[T Elem](dst, a, b *Of[T], lo, hi int) {
 			var s T
 			for kk, av := range arow {
 				s += av * brow[kk]
-			}
-			drow[j] = s
-		}
-	}
-}
-
-// MulTUnrolled computes dst = a * bᵀ with a 4-accumulator unrolled dot
-// product. Splitting the reduction across independent accumulators breaks
-// the sequential add dependence (roughly 4x more ILP on the dot-product
-// critical path) but reassociates the sum, so the result is
-// tolerance-validated against MulT rather than bit-identical. It is only
-// used when the unrolled kernel option is explicitly enabled.
-func MulTUnrolled[T Elem](dst, a, b *Of[T]) {
-	checkMulT(dst, a, b, "MulTUnrolled")
-	work := gemmFlops(a.Rows, a.Cols, b.Rows)
-	if parallel.Inline(a.Rows, work) {
-		mulTRowsUnrolled(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulTRowsUnrolled(dst, a, b, lo, hi)
-	})
-}
-
-// mulTRowsUnrolled computes rows [lo, hi) of a*bᵀ with four independent
-// partial sums per dot product, combined pairwise ((s0+s1)+(s2+s3)) before
-// the scalar tail.
-func mulTRowsUnrolled[T Elem](dst, a, b *Of[T], lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s0, s1, s2, s3 T
-			kk := 0
-			for ; kk+4 <= k; kk += 4 {
-				s0 += arow[kk] * brow[kk]
-				s1 += arow[kk+1] * brow[kk+1]
-				s2 += arow[kk+2] * brow[kk+2]
-				s3 += arow[kk+3] * brow[kk+3]
-			}
-			s := (s0 + s1) + (s2 + s3)
-			for ; kk < k; kk++ {
-				s += arow[kk] * brow[kk]
 			}
 			drow[j] = s
 		}

@@ -2,6 +2,7 @@ package dense
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -169,4 +170,147 @@ func TestMulParallelMatchesNaive(t *testing.T) {
 	if !EqualWithin(dst, want, 1e-9) {
 		t.Fatalf("parallel Mul deviates from naive reference by %g", MaxAbsDiff(dst, want))
 	}
+}
+
+// fusedShapes straddle the parallel cut-off (2·n·k·m against 1<<15), the
+// four-source remainder of the k sweep (k mod 4 = 0..3) and the 64-wide
+// cache block in both n and k.
+var fusedShapes = []struct{ n, k, m int }{
+	{1, 1, 1},
+	{3, 4, 5},
+	{16, 31, 33}, // 32 736 flops: just under the cut-off, k mod 4 = 3
+	{16, 32, 33}, // 33 792 flops: just over it, k mod 4 = 0
+	{70, 66, 9},  // rows and k each cross a cache block, k mod 4 = 2
+	{130, 69, 40},
+}
+
+// eachBackend runs body once under the serial and once under the parallel
+// backend, with enough workers to force real partitioning.
+func eachBackend(t *testing.T, body func(t *testing.T)) {
+	t.Helper()
+	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
+	defer func() {
+		parallel.SetBackend(prevB)
+		parallel.SetWorkers(prevW)
+	}()
+	parallel.SetWorkers(7)
+	for _, b := range []parallel.Backend{parallel.BackendSerial, parallel.BackendParallel} {
+		parallel.SetBackend(b)
+		t.Run(b.String(), body)
+	}
+}
+
+// randOf fills an r×c matrix with normal draws, a few of them replaced by
+// exact zeros (the GEMM sweeps skip zero scales; the ReLU mask treats 0 as
+// dead).
+func randOf[T Elem](rng *rand.Rand, r, c int) *Of[T] {
+	m := NewOf[T](r, c)
+	for i := range m.Data {
+		if rng.Intn(9) == 0 {
+			continue
+		}
+		m.Data[i] = T(rng.NormFloat64())
+	}
+	return m
+}
+
+// setRowSign makes row i of m all negative (sign < 0) or all positive.
+func setRowSign[T Elem](m *Of[T], i int, sign float64) {
+	if i >= m.Rows {
+		return
+	}
+	for j, v := range m.Row(i) {
+		m.Row(i)[j] = T(sign * (math.Abs(float64(v)) + 1))
+	}
+}
+
+// requireSameBits fails unless got and want match bit for bit, signed
+// zeros included (widening float32 to float64 is exact).
+func requireSameBits[T Elem](t *testing.T, got, want *Of[T]) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i := range want.Data {
+		if math.Float64bits(float64(got.Data[i])) != math.Float64bits(float64(want.Data[i])) {
+			t.Fatalf("element (%d,%d) = %v, want %v", i/want.Cols, i%want.Cols, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestMulBiasReLUMatchesSeparatePasses: the fused forward epilogue is
+// Mul, then the bias broadcast, then ReLU.Forward, bit for bit.
+func TestMulBiasReLUMatchesSeparatePasses(t *testing.T) {
+	t.Run("float64", testMulBiasReLU[float64])
+	t.Run("float32", testMulBiasReLU[float32])
+}
+
+func testMulBiasReLU[T Elem](t *testing.T) {
+	eachBackend(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(53))
+		for _, s := range fusedShapes {
+			for _, withBias := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%dx%dx%d/bias=%v", s.n, s.k, s.m, withBias), func(t *testing.T) {
+					a, b := randOf[T](rng, s.n, s.k), randOf[T](rng, s.k, s.m)
+					// Against a nonnegative b, row 0 of a·b is all dead and
+					// row 1 all live (before the bias moves them).
+					for i := range b.Data {
+						b.Data[i] = T(math.Abs(float64(b.Data[i])))
+					}
+					setRowSign(a, 0, -1)
+					setRowSign(a, 1, +1)
+					var bias []T
+					if withBias {
+						bias = randOf[T](rng, 1, s.m).Data
+					}
+
+					want := NewOf[T](s.n, s.m)
+					Mul(want, a, b)
+					for i := 0; i < s.n && bias != nil; i++ {
+						for j := range bias {
+							want.Row(i)[j] += bias[j]
+						}
+					}
+					ReLUForwardOf(want, want)
+
+					got := NewOf[T](s.n, s.m)
+					got.Fill(7) // MulBiasReLU overwrites dst
+					MulBiasReLU(got, a, b, bias)
+					requireSameBits(t, got, want)
+				})
+			}
+		}
+	})
+}
+
+// TestMulTReLUMaskMatchesSeparatePasses: the fused backward epilogue is
+// MulT followed by ReLU.Backward masked on h, bit for bit — for rows of h
+// that are all dead (≤ 0, exact zeros included), all live, and mixed.
+func TestMulTReLUMaskMatchesSeparatePasses(t *testing.T) {
+	t.Run("float64", testMulTReLUMask[float64])
+	t.Run("float32", testMulTReLUMask[float32])
+}
+
+func testMulTReLUMask[T Elem](t *testing.T) {
+	eachBackend(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(59))
+		for _, s := range fusedShapes {
+			t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {
+				g, w, h := randOf[T](rng, s.n, s.k), randOf[T](rng, s.m, s.k), randOf[T](rng, s.n, s.m)
+				setRowSign(h, 0, -1)
+				h.Row(0)[0] = 0 // a zero is dead too
+				setRowSign(h, 1, +1)
+
+				full := NewOf[T](s.n, s.m)
+				MulT(full, g, w)
+				want := NewOf[T](s.n, s.m)
+				ReLUBackwardOf(want, full, h)
+
+				got := NewOf[T](s.n, s.m)
+				got.Fill(7) // dead units must be written, not skipped
+				MulTReLUMask(got, g, w, h)
+				requireSameBits(t, got, want)
+			})
+		}
+	})
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/partition"
 	"repro/internal/sampling"
-	"repro/internal/sparse"
 )
 
 // Options configures experiment runs.
@@ -805,52 +804,38 @@ func FormatFloat(v float64) string {
 	}
 }
 
-// KernelRow is one configuration of the kernel-dispatch sweep: a serial
-// training run under an explicit precision/format/fused/unrolled selection,
-// timed by wall clock. Name and the four choice fields identify the row;
-// wall_sec_per_epoch is informational (it moves with the host), while
-// Speedup — the ratio against the f64-reference baseline (the
-// pre-optimization scalar kernels) measured in the same process — is what
-// the perf gate watches.
+// KernelRow is one configuration of the kernel sweep: a serial training
+// run under one of the three kernel paths, timed by wall clock. Both
+// numbers move with the host, so cagnet-benchdiff exempts the whole
+// "kernels" experiment from its gate.
 type KernelRow struct {
-	Name    string `json:"name"`
-	Dataset string `json:"dataset"`
-	// Precision, Format, Fused, Unrolled echo the resolved KernelChoice
-	// (for "auto" requests, Format is whatever the cost model picked).
+	Name      string `json:"name"`
+	Dataset   string `json:"dataset"`
 	Precision string `json:"precision"`
-	Format    string `json:"format"`
-	Fused     bool   `json:"fused"`
-	Unrolled  bool   `json:"unrolled"`
 	// WallSecPerEpoch is the best-of-rounds differenced wall clock of one
-	// steady-state epoch (setup, format conversion, and the final gather
-	// excluded). Host-dependent, so never gated.
+	// steady-state epoch (setup and the final gather excluded).
 	WallSecPerEpoch float64 `json:"wall_sec_per_epoch"`
-	// Speedup is the baseline (f64-unfused) wall clock over this row's: a
-	// same-host ratio, gated against regression by cagnet-benchdiff.
+	// Speedup is the baseline (f64-reference) wall clock over this row's,
+	// measured in the same process.
 	Speedup float64 `json:"Speedup"`
 }
 
 // kernelConfigs lists the sweep's configurations. The first row is the
 // baseline every Speedup is computed against: the reference scalar kernels
-// (one source per accumulation sweep, unfused) — the per-epoch kernel cost
-// every PR before the dispatch layer paid.
+// (one source per accumulation sweep, unfused).
 var kernelConfigs = []struct {
 	name string
 	o    core.KernelOptions
 }{
-	{"f64-reference", core.KernelOptions{Reference: true}},
-	{"f64-unfused", core.KernelOptions{Fused: "off"}},
-	{"f64-fused", core.KernelOptions{}},
-	{"f64-fused-auto", core.KernelOptions{Format: sparse.FormatAuto}},
-	{"f64-unrolled", core.KernelOptions{Fused: "off", Unrolled: true}},
-	{"f32-fused", core.KernelOptions{Precision: core.PrecisionF32}},
-	{"f32-fused-auto", core.KernelOptions{Precision: core.PrecisionF32, Format: sparse.FormatAuto}},
+	{"f64-reference", core.KernelOptions{Precision: core.PrecisionF64, Reference: true}},
+	{"f64-default", core.KernelOptions{Precision: core.PrecisionF64}},
+	{"f32", core.KernelOptions{Precision: core.PrecisionF32}},
 }
 
 // kernelSweepSpec is the sweep's dataset: a wide-feature R-MAT analog
 // (f = 256, the regime the paper's SpMM/GEMM costs scale with) large enough
 // that the per-vertex matrices spill the last-level cache — the memory-bound
-// regime the precision and blocking options target. Quick mode steps down
+// regime the f32 path and the blocked kernels target. Quick mode steps down
 // one scale (still cache-spilling) and trims epochs, not the regime.
 func kernelSweepSpec(quick bool) graph.AnalogSpec {
 	spec := graph.AnalogSpec{
@@ -867,8 +852,8 @@ func kernelSweepSpec(quick bool) graph.AnalogSpec {
 // configuration and reports each as a speedup over the f64-reference
 // baseline (the pre-optimization scalar kernels).
 // Per-epoch cost is measured by differencing (1+E)-epoch and 1-epoch runs —
-// excluding setup, format conversion, and the output gather — and taking the
-// best of several rounds to shed scheduler noise.
+// excluding setup and the output gather — and taking the best of several
+// rounds to shed scheduler noise.
 func KernelSweep(o Options) ([]KernelRow, error) {
 	o = o.WithDefaults()
 	ds := kernelSweepSpec(o.Quick).Build()
@@ -876,31 +861,29 @@ func KernelSweep(o Options) ([]KernelRow, error) {
 	if o.Quick {
 		epochs, rounds = 3, 2
 	}
-	run := func(ko core.KernelOptions, ep int) (float64, core.KernelChoice, error) {
+	run := func(ko core.KernelOptions, ep int) (float64, error) {
 		tr := core.NewSerial()
 		if err := core.SetKernelOptions(tr, ko); err != nil {
-			return 0, core.KernelChoice{}, err
+			return 0, err
 		}
 		problem := problemFor(ds, ep)
 		start := time.Now()
 		if _, err := tr.Train(problem); err != nil {
-			return 0, core.KernelChoice{}, err
+			return 0, err
 		}
-		return time.Since(start).Seconds(), core.ChoiceOf(tr), nil
+		return time.Since(start).Seconds(), nil
 	}
-	measure := func(ko core.KernelOptions) (float64, core.KernelChoice, error) {
+	measure := func(ko core.KernelOptions) (float64, error) {
 		best := math.Inf(1)
-		var choice core.KernelChoice
 		for r := 0; r < rounds; r++ {
-			t1, _, err := run(ko, 1)
+			t1, err := run(ko, 1)
 			if err != nil {
-				return 0, choice, err
+				return 0, err
 			}
-			t2, c, err := run(ko, 1+epochs)
+			t2, err := run(ko, 1+epochs)
 			if err != nil {
-				return 0, choice, err
+				return 0, err
 			}
-			choice = c
 			per := (t2 - t1) / float64(epochs)
 			if per <= 0 {
 				// Noise swamped the differencing; fall back to the mean.
@@ -910,18 +893,16 @@ func KernelSweep(o Options) ([]KernelRow, error) {
 				best = per
 			}
 		}
-		return best, choice, nil
+		return best, nil
 	}
 	rows := make([]KernelRow, 0, len(kernelConfigs))
 	for _, cfg := range kernelConfigs {
-		wall, choice, err := measure(cfg.o)
+		wall, err := measure(cfg.o)
 		if err != nil {
 			return nil, fmt.Errorf("harness: kernel sweep %s: %w", cfg.name, err)
 		}
 		rows = append(rows, KernelRow{
-			Name: cfg.name, Dataset: ds.Name,
-			Precision: choice.Precision, Format: choice.Format,
-			Fused: choice.Fused, Unrolled: choice.Unrolled,
+			Name: cfg.name, Dataset: ds.Name, Precision: cfg.o.Precision,
 			WallSecPerEpoch: wall,
 		})
 	}

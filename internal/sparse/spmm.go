@@ -120,61 +120,6 @@ func spMMAddRowsBlocked[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of
 	}
 }
 
-// SpMMBiasReLU computes dst = relu(a*x + bias) — the fused forward
-// epilogue for the aggregation-side multiply: the bias broadcast (bias may
-// be nil) and the ReLU run over each output row slice as soon as its
-// accumulation finishes, while it is still cache-resident, instead of as
-// two further full passes over the activation. Every output element's
-// multiply-add sequence matches SpMM's and the epilogue runs after its sum
-// completes, so the result is bit-identical to SpMM followed by the ReLU
-// activation.
-func SpMMBiasReLU[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], bias []T) {
-	checkSpMM(dst, a, x, "SpMMBiasReLU")
-	if bias != nil && len(bias) != x.Cols {
-		panic(fmt.Sprintf("sparse: SpMMBiasReLU bias length %d, want %d", len(bias), x.Cols))
-	}
-	dst.Zero()
-	work := SpMMFlops(a, x.Cols)
-	if parallel.Inline(a.Rows, work) {
-		spMMBiasReLURows(dst, a, x, bias, 0, a.Rows)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		spMMBiasReLURows(dst, a, x, bias, lo, hi)
-	})
-}
-
-// spMMBiasReLURows is spMMAddRows with the epilogue fused in: narrow
-// operands apply bias+ReLU per row right after its accumulation; wide
-// operands apply it per (row, feature-tile) slice, which is complete as
-// soon as the tile's k loop finishes because tiles cover disjoint columns.
-func spMMBiasReLURows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], bias []T, lo, hi int) {
-	f := x.Cols
-	if f <= spmmFeatureBlock {
-		for i := lo; i < hi; i++ {
-			drow := dst.Data[i*f : (i+1)*f]
-			axpyEntryRun(drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
-			dense.BiasReLURow(drow, bias)
-		}
-		return
-	}
-	for i0 := lo; i0 < hi; i0 += spmmRowBlock {
-		i1 := min(i0+spmmRowBlock, hi)
-		for j0 := 0; j0 < f; j0 += spmmFeatureBlock {
-			j1 := min(j0+spmmFeatureBlock, f)
-			var btile []T
-			if bias != nil {
-				btile = bias[j0:j1]
-			}
-			for i := i0; i < i1; i++ {
-				drow := dst.Data[i*f+j0 : i*f+j1]
-				axpyEntryRun(drow, a.Val, a.ColIdx, x.Data, f, j0, a.RowPtr[i], a.RowPtr[i+1])
-				dense.BiasReLURow(drow, btile)
-			}
-		}
-	}
-}
-
 // SpMMAddRowList computes dst[i] += (a*x)[i] for exactly the rows listed in
 // rows (ascending, no duplicates); other rows of dst are untouched. For
 // each listed row the per-element accumulation order is identical to
