@@ -1,17 +1,9 @@
 package cagnet
 
-// Benchmark harness: one benchmark per table/figure of the paper, as
-// indexed in DESIGN.md. Each sub-benchmark regenerates one data point and
-// reports it as a benchmark metric, so `go test -bench=.` output *is* the
-// figure data:
-//
-//	BenchmarkTableVI          — Table VI dataset characteristics
-//	BenchmarkFig2             — Figure 2 epoch throughput (epochs/sec)
-//	BenchmarkFig3             — Figure 3 per-epoch category breakdown
-//	BenchmarkPartitionEdgecut — §IV-A-8 partitioning comparison
-//	BenchmarkCrossover        — §VI-d 1D/2D word crossover
-//	BenchmarkThreeD           — §IV-D algorithm family comparison
-//	BenchmarkScaling          — §VI-a/b/c scaling ratios
+// Micro-benchmarks of the layers under an epoch, wall clock: the sparse and
+// dense kernels (serial vs parallel backend), the set-up path, and whole
+// epochs per trainer. The paper's modeled tables and figures are printed
+// by cmd/cagnet-bench; end-to-end wall-clock numbers come from benchmark/.
 
 import (
 	"fmt"
@@ -19,22 +11,15 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/dense"
 	"repro/internal/graph"
-	"repro/internal/harness"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
-
-// benchQuick shrinks the benchmark datasets when -short is set.
-func benchOpts() harness.Options {
-	return harness.Options{Machine: costmodel.SummitSim, Quick: testing.Short()}
-}
 
 // datasetCache builds each analog once per process; sweeps reuse it.
 var (
@@ -63,146 +48,6 @@ func benchDataset(b *testing.B, name string) *graph.Dataset {
 	ds := aspec.Build()
 	dsCache[key] = ds
 	return ds
-}
-
-// BenchmarkTableVI regenerates Table VI: it builds every dataset analog and
-// reports the simulated edge counts and average degrees.
-func BenchmarkTableVI(b *testing.B) {
-	for _, name := range harness.Fig2Datasets {
-		b.Run(name, func(b *testing.B) {
-			var nnz int64
-			var deg float64
-			for i := 0; i < b.N; i++ {
-				spec, err := graph.AnalogByName(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if testing.Short() {
-					spec.Scale -= 3
-					if spec.EdgeFactor > 8 {
-						spec.EdgeFactor /= 4
-					}
-				}
-				ds := spec.Build()
-				a := ds.Graph.Adjacency()
-				nnz = int64(a.NNZ())
-				deg = a.AvgDegree()
-			}
-			b.ReportMetric(float64(nnz), "sim-nnz")
-			b.ReportMetric(deg, "sim-degree")
-		})
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2: 2D epoch throughput per dataset per
-// GPU count, as modeled epochs/sec on the Summit-like profile.
-func BenchmarkFig2(b *testing.B) {
-	for _, name := range harness.Fig2Datasets {
-		for _, p := range harness.Fig2Sweeps[name] {
-			b.Run(fmt.Sprintf("%s/P=%d", name, p), func(b *testing.B) {
-				ds := benchDataset(b, name)
-				var m harness.EpochMeasurement
-				var err error
-				for i := 0; i < b.N; i++ {
-					m, err = harness.MeasureEpoch(ds, "2d", p, costmodel.SummitSim)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(m.Throughput(), "epochs/sec")
-				b.ReportMetric(m.EpochTime, "model-s/epoch")
-			})
-		}
-	}
-}
-
-// BenchmarkFig3 regenerates Figure 3: the per-epoch modeled time breakdown
-// (misc, trpose, dcomm, scomm, spmm) of the 2D implementation.
-func BenchmarkFig3(b *testing.B) {
-	for _, name := range harness.Fig2Datasets {
-		for _, p := range harness.Fig2Sweeps[name] {
-			b.Run(fmt.Sprintf("%s/P=%d", name, p), func(b *testing.B) {
-				ds := benchDataset(b, name)
-				var m harness.EpochMeasurement
-				var err error
-				for i := 0; i < b.N; i++ {
-					m, err = harness.MeasureEpoch(ds, "2d", p, costmodel.SummitSim)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, cat := range comm.AllCategories {
-					b.ReportMetric(m.TimeByCat[cat], string(cat)+"-s")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPartitionEdgecut regenerates the §IV-A-8 comparison via the
-// harness experiment: LDG vs random blocks on the community-structured
-// Reddit surrogate (paper: Metis total −72%, max −29%).
-func BenchmarkPartitionEdgecut(b *testing.B) {
-	var res harness.PartitionResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		res, err = harness.PartitionExperiment(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100*res.TotalReduction, "total-cut-reduction-%")
-	b.ReportMetric(100*res.MaxReduction, "max-cut-reduction-%")
-}
-
-// BenchmarkCrossover regenerates the §VI-d experiment: the measured 2D/1D
-// word ratio per rank count next to the 5/√P prediction.
-func BenchmarkCrossover(b *testing.B) {
-	sweeps := []int{4, 16, 36, 64, 100}
-	if testing.Short() {
-		sweeps = []int{4, 16, 36}
-	}
-	ds := benchDataset(b, "amazon-sim")
-	for _, p := range sweeps {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				oneD, err := harness.MeasureEpoch(ds, "1d", p, costmodel.SummitSim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				twoD, err := harness.MeasureEpoch(ds, "2d", p, costmodel.SummitSim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = float64(twoD.CommWords()) / float64(oneD.CommWords())
-			}
-			b.ReportMetric(ratio, "2d/1d-words")
-			b.ReportMetric(costmodel.TwoDOverOneDSteadyWordRatio(len(ds.LayerWidths())-1, p), "5(2L-1)/(2(L-1)sqrtP)")
-		})
-	}
-}
-
-// BenchmarkThreeD regenerates the §IV-D comparison: per-epoch communication
-// words for each algorithm family at P=64 (square and cube).
-func BenchmarkThreeD(b *testing.B) {
-	ds := benchDataset(b, "protein-sim")
-	for _, algo := range []string{"1d", "1.5d", "2d", "3d"} {
-		b.Run(algo, func(b *testing.B) {
-			var words int64
-			var epochTime float64
-			for i := 0; i < b.N; i++ {
-				m, err := harness.MeasureEpoch(ds, algo, 64, costmodel.SummitSim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				words = m.CommWords()
-				epochTime = m.EpochTime
-			}
-			b.ReportMetric(float64(words), "comm-words/epoch")
-			b.ReportMetric(epochTime, "model-s/epoch")
-		})
-	}
 }
 
 // withKernelBackend runs the benchmark body under the named compute backend,
@@ -437,11 +282,9 @@ func benchmarkEpochs(b *testing.B, algo string, ranks int) {
 func BenchmarkEpochSerial(b *testing.B) { benchmarkEpochs(b, "serial", 1) }
 
 // BenchmarkEpochSerialWide measures the serial epoch on the wide-feature
-// R-MAT analog (f = 256, the kernel sweep's dataset) on each kernel path.
-// The sub-benchmark ratios are the wall-clock version of
-// `cagnet-bench -exp kernels`: reference is the pre-optimization scalar
-// baseline, default adds the fused four-source sweeps, f32 the
-// mixed-precision storage.
+// R-MAT analog (f = 256) on each kernel path: reference is the
+// pre-optimization scalar baseline, default adds the fused four-source
+// sweeps, f32 the mixed-precision storage.
 func BenchmarkEpochSerialWide(b *testing.B) {
 	configs := []struct {
 		name string
@@ -489,20 +332,3 @@ func BenchmarkEpochOneD(b *testing.B) { benchmarkEpochs(b, "1d", 4) }
 // BenchmarkEpochTwoD measures full-epoch wall-clock of the simulated 2D
 // trainer (4 ranks).
 func BenchmarkEpochTwoD(b *testing.B) { benchmarkEpochs(b, "2d", 4) }
-
-// BenchmarkScaling regenerates the §VI-a/b/c observations as measured
-// ratios next to the paper's reported values.
-func BenchmarkScaling(b *testing.B) {
-	var rows []harness.ScalingRow
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows, err = harness.Scaling(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i, r := range rows {
-		b.ReportMetric(r.Measured, fmt.Sprintf("claim%d-measured", i))
-		b.ReportMetric(r.Paper, fmt.Sprintf("claim%d-paper", i))
-	}
-}

@@ -1,34 +1,141 @@
-// Command cagnet-bench regenerates the paper's tables and figures on the
-// simulated cluster. Each experiment prints an aligned text table mirroring
-// the corresponding artifact in the paper; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// Command cagnet-bench regenerates the paper's modeled tables and figures
+// on the simulated cluster. Each experiment prints an aligned text table
+// mirroring the corresponding artifact in the paper; every number is a
+// ledger count or an α–β modeled second, so stdout is a pure function of
+// the flags. Wall-clock measurement lives in benchmark/.
 //
-// Usage:
+//	cagnet-bench [-exp all|<name>] [-quick] [-machine summit-sim] [-json path] ...
 //
-//	cagnet-bench [-exp all|tableVI|fig2|fig3|partition|crossover|algo3d|overlap|kernels|scaling|convergence|transport|fault]
-//	             [-quick] [-machine summit-v100] [-optimizer sgd]
-//	             [-halo] [-partitioner block] [-overlap]
-//	             [-backend parallel] [-workers 0] [-json path]
-//
-// With -json, the structured per-experiment results (timings, words,
-// reductions — the same numbers the text tables print) are additionally
-// written to the given file as a single JSON document, so benchmark
-// trajectories (BENCH_*.json) can be committed and diffed across PRs.
+// The experiments table below is the list of names and of the opt-in flags
+// each one reads; -h prints it. With -json, the rows behind the text tables
+// are additionally written to the given file as one JSON document.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
+	"strings"
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/harness"
 	"repro/internal/parallel"
 )
+
+// experiment is one row of the tool: its -exp name, the opt-in measurement
+// flags it reads (an explicitly set flag that no selected experiment reads
+// is rejected), and the function that measures and prints it.
+type experiment struct {
+	name  string
+	reads []string
+	run   func(*bench) (any, error)
+}
+
+// experiments is the whole tool, in -exp all order. -halo, -partitioner
+// and -overlap reach the experiments that measure configurable 1D/1.5D runs
+// (partition and overlap always measure both modes themselves); -optimizer
+// only changes convergence (optimizer state is replicated, so it moves no
+// words anywhere else).
+var experiments = []experiment{
+	{"tableVI", nil, (*bench).tableVI},
+	{"fig2", nil, (*bench).fig2},
+	{"fig3", nil, (*bench).fig3},
+	{"partition", nil, (*bench).partition},
+	{"crossover", []string{"halo", "partitioner", "overlap"}, (*bench).crossover},
+	{"algo3d", []string{"halo", "partitioner", "overlap"}, (*bench).algo3D},
+	{"overlap", nil, (*bench).overlap},
+	{"scaling", nil, (*bench).scaling},
+	{"convergence", []string{"optimizer"}, (*bench).convergence},
+}
+
+// names lists the -exp names of es, in order.
+func names(es []experiment) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.name
+	}
+	return out
+}
+
+// reading returns the experiments of es that read the named flag.
+func reading(es []experiment, flagName string) []experiment {
+	var out []experiment
+	for _, e := range es {
+		for _, f := range e.reads {
+			if f == flagName {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// selectExperiments resolves -exp: "all" or one name from the table.
+func selectExperiments(exp string) ([]experiment, error) {
+	if exp == "all" {
+		return experiments, nil
+	}
+	for _, e := range experiments {
+		if e.name == exp {
+			return []experiment{e}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown experiment %q (want all, %s)", exp, strings.Join(names(experiments), ", "))
+}
+
+// validateConsumed rejects explicitly-set flags that no selected
+// experiment reads: silently dropping them would present the run as
+// something it is not (and echo a setting that did nothing in the -json
+// header).
+func validateConsumed(explicit map[string]bool, selected []experiment) error {
+	for _, e := range experiments {
+		for _, f := range e.reads {
+			if explicit[f] && len(reading(selected, f)) == 0 {
+				return fmt.Errorf("-%s is only read by %v; none of them run with -exp %v",
+					f, names(reading(experiments, f)), names(selected))
+			}
+		}
+	}
+	return nil
+}
+
+// bench is one invocation: its flags, where the tables go, and the 2D sweep
+// that fig2, fig3 and scaling all render — trained by whichever of them
+// runs first.
+type bench struct {
+	exp, machine, backend, jsonPath string
+	workers                         int
+	// opts carries -quick, -optimizer, -halo, -partitioner, -overlap and
+	// the resolved -machine to every experiment.
+	opts  harness.Options
+	out   io.Writer
+	sweep []harness.EpochMeasurement
+}
+
+// newFlagSet defines the tool's flags over b.
+func newFlagSet(b *bench) *flag.FlagSet {
+	readBy := func(name string) string {
+		return " (read by " + strings.Join(names(reading(experiments, name)), ", ") + ")"
+	}
+	fs := flag.NewFlagSet("cagnet-bench", flag.ContinueOnError)
+	fs.StringVar(&b.exp, "exp", "all", "experiment: all, "+strings.Join(names(experiments), ", "))
+	fs.BoolVar(&b.opts.Quick, "quick", false, "use reduced dataset sizes")
+	fs.StringVar(&b.machine, "machine", costmodel.SummitSim.Name, "cost-model machine profile")
+	fs.StringVar(&b.opts.Optimizer, "optimizer", "sgd", "weight-update rule: sgd, momentum, adam"+readBy("optimizer"))
+	fs.BoolVar(&b.opts.Halo, "halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements"+readBy("halo"))
+	fs.StringVar(&b.opts.Partitioner, "partitioner", "", "vertex partitioner for 1d/1.5d measurements: block, random, ldg"+readBy("partitioner"))
+	fs.BoolVar(&b.opts.Overlap, "overlap", false, "pipeline the measurements with non-blocking collectives"+readBy("overlap")+"; the overlap experiment always measures both modes")
+	fs.StringVar(&b.backend, "backend", "", "compute backend: serial or parallel (default: parallel, or $CAGNET_BACKEND)")
+	fs.IntVar(&b.workers, "workers", 0, "parallel backend worker count (0 = runtime.NumCPU or $CAGNET_WORKERS)")
+	fs.StringVar(&b.jsonPath, "json", "", "also write the structured results to this file as JSON")
+	return fs
+}
 
 // benchSnapshot is the -json document: the options the run used plus one
 // entry per executed experiment.
@@ -45,141 +152,99 @@ type benchSnapshot struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cagnet-bench: ")
-	exp := flag.String("exp", "all", "experiment: all, tableVI, fig2, fig3, partition, crossover, algo3d, overlap, kernels, scaling, convergence, transport, fault")
-	quick := flag.Bool("quick", false, "use reduced dataset sizes")
-	machine := flag.String("machine", costmodel.SummitSim.Name, "cost-model machine profile")
-	optimizer := flag.String("optimizer", "sgd", "weight-update rule for the convergence experiment: sgd, momentum, adam")
-	halo := flag.Bool("halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements (crossover, algo3d)")
-	partitioner := flag.String("partitioner", "", "vertex partitioner for 1d/1.5d measurements (crossover, algo3d): block, random, ldg")
-	overlap := flag.Bool("overlap", false, "pipeline the crossover/algo3d measurements with non-blocking collectives (the overlap experiment always measures both modes)")
-	backendFlag := flag.String("backend", "", "compute backend: serial or parallel (default: parallel, or $CAGNET_BACKEND)")
-	workers := flag.Int("workers", 0, "parallel backend worker count (0 = runtime.NumCPU or $CAGNET_WORKERS)")
-	jsonPath := flag.String("json", "", "also write the structured results to this file as JSON")
-	flag.Parse()
-
-	if *backendFlag != "" {
-		backend, err := parallel.ParseBackend(*backendFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		parallel.SetBackend(backend)
-	}
-	if *workers > 0 {
-		parallel.SetWorkers(*workers)
-	}
-
-	mach, err := costmodel.ProfileByName(*machine)
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	opts := harness.Options{
-		Machine: mach, Quick: *quick, Optimizer: *optimizer,
-		Halo: *halo, Partitioner: *partitioner, Overlap: *overlap,
-	}
-
-	runners := map[string]func(harness.Options) (any, error){
-		"tableVI":     runTableVI,
-		"fig2":        runFig2,
-		"fig3":        runFig3,
-		"partition":   runPartition,
-		"crossover":   runCrossover,
-		"algo3d":      runAlgo3D,
-		"overlap":     runOverlap,
-		"kernels":     runKernels,
-		"scaling":     runScaling,
-		"convergence": runConvergence,
-		"transport":   runTransport,
-		"fault":       runFault,
-	}
-	order := []string{"tableVI", "fig2", "fig3", "partition", "crossover", "algo3d", "overlap", "kernels", "scaling", "convergence", "transport", "fault"}
-
-	snapshot := benchSnapshot{
-		Machine: mach.Name, Quick: *quick, Optimizer: *optimizer,
-		Halo: *halo, Partitioner: *partitioner, Overlap: *overlap,
-		Experiments: map[string]any{},
-	}
-	selected := order
-	if *exp != "all" {
-		if _, ok := runners[*exp]; !ok {
-			log.Fatalf("unknown experiment %q (want all, %v)", *exp, order)
-		}
-		selected = []string{*exp}
-	}
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateConsumed(explicit, selected); err != nil {
-		log.Fatal(err)
-	}
-	for _, name := range selected {
-		data, err := runners[name](opts)
-		if err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		snapshot.Experiments[name] = data
-	}
-	if *jsonPath != "" {
-		if err := writeSnapshot(*jsonPath, snapshot); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *jsonPath)
-	}
 }
 
-// flagConsumers maps each opt-in measurement flag to the experiments that
-// actually read it. -halo/-partitioner/-overlap reach the experiments that
-// measure configurable 1D/1.5D runs (the partition and overlap experiments
-// always measure both modes themselves), -optimizer only changes the
-// convergence experiment (optimizer state is replicated, so it moves no
-// words anywhere else).
-var flagConsumers = map[string][]string{
-	"halo":        {"crossover", "algo3d"},
-	"partitioner": {"crossover", "algo3d"},
-	"overlap":     {"crossover", "algo3d"},
-	"optimizer":   {"convergence"},
-}
-
-// validateConsumed rejects explicitly-set flags that no selected
-// experiment reads: silently dropping them would present the run as
-// something it is not (and poison a committed BENCH_*.json's header).
-func validateConsumed(explicit map[string]bool, selected []string) error {
-	on := map[string]bool{}
-	for _, name := range selected {
-		on[name] = true
+// run is the whole tool: parse and validate args, run the selected
+// experiments in table order printing to stdout, write the -json document.
+func run(args []string, stdout io.Writer) error {
+	b := &bench{out: stdout}
+	fs := newFlagSet(b)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return err
 	}
-	for name, consumers := range flagConsumers {
-		if !explicit[name] {
-			continue
-		}
-		used := false
-		for _, c := range consumers {
-			if on[c] {
-				used = true
-				break
-			}
-		}
-		if !used {
-			return fmt.Errorf("-%s is only read by %v; none of them run with -exp %v", name, consumers, selected)
-		}
-	}
-	return nil
-}
-
-// writeSnapshot marshals the snapshot with stable indentation so committed
-// trajectory points (BENCH_*.json) diff cleanly run to run.
-func writeSnapshot(path string, s benchSnapshot) error {
-	buf, err := json.MarshalIndent(s, "", "  ")
+	selected, err := selectExperiments(b.exp)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if err := validateConsumed(explicit, selected); err != nil {
+		return err
+	}
+	if b.workers < 0 {
+		return fmt.Errorf("-workers must be ≥ 0 (0 = runtime.NumCPU or $CAGNET_WORKERS), got %d", b.workers)
+	}
+	if b.opts.Machine, err = costmodel.ProfileByName(b.machine); err != nil {
+		return err
+	}
+	if b.backend != "" {
+		backend, err := parallel.ParseBackend(b.backend)
+		if err != nil {
+			return err
+		}
+		parallel.SetBackend(backend)
+	}
+	if b.workers > 0 {
+		parallel.SetWorkers(b.workers)
+	}
+
+	o := b.opts
+	snapshot := benchSnapshot{
+		Machine: o.Machine.Name, Quick: o.Quick, Optimizer: o.Optimizer,
+		Halo: o.Halo, Partitioner: o.Partitioner, Overlap: o.Overlap,
+		Experiments: map[string]any{},
+	}
+	for _, e := range selected {
+		data, err := e.run(b)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+		snapshot.Experiments[e.name] = data
+	}
+	if b.jsonPath == "" {
+		return nil
+	}
+	buf, err := json.MarshalIndent(snapshot, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(b.jsonPath, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	log.Printf("wrote %s", b.jsonPath)
+	return nil
 }
 
-func runTableVI(o harness.Options) (any, error) {
-	rows, err := harness.TableVI(o)
+// sweep2D returns harness.Fig2's measurements in display order, training
+// the sweep on first use.
+func (b *bench) sweep2D() ([]harness.EpochMeasurement, error) {
+	if b.sweep == nil {
+		ms, err := harness.Fig2(b.opts)
+		if err != nil {
+			return nil, err
+		}
+		harness.SortMeasurements(ms)
+		b.sweep = ms
+	}
+	return b.sweep, nil
+}
+
+// table prints one titled, aligned table.
+func (b *bench) table(title string, header []string, cells [][]string) {
+	fmt.Fprintln(b.out, title)
+	fmt.Fprintln(b.out, harness.Table(header, cells))
+}
+
+func (b *bench) tableVI() (any, error) {
+	rows, err := harness.TableVI(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Table VI: datasets (paper scale vs simulated analog) ==")
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -191,19 +256,17 @@ func runTableVI(o harness.Options) (any, error) {
 			strconv.Itoa(r.SimFeatures), strconv.Itoa(r.SimLabels),
 		})
 	}
-	fmt.Println(harness.Table(
+	b.table("== Table VI: datasets (paper scale vs simulated analog) ==",
 		[]string{"dataset", "paper-n", "paper-nnz", "paper-f", "paper-lab",
-			"sim-n", "sim-nnz", "sim-d", "sim-f", "sim-lab"}, cells))
+			"sim-n", "sim-nnz", "sim-d", "sim-f", "sim-lab"}, cells)
 	return rows, nil
 }
 
-func runFig2(o harness.Options) (any, error) {
-	ms, err := harness.Fig2(o)
+func (b *bench) fig2() (any, error) {
+	ms, err := b.sweep2D()
 	if err != nil {
 		return nil, err
 	}
-	harness.SortMeasurements(ms)
-	fmt.Println("== Figure 2: epoch throughput of the 2D implementation ==")
 	var cells [][]string
 	for _, m := range ms {
 		cells = append(cells, []string{
@@ -212,42 +275,39 @@ func runFig2(o harness.Options) (any, error) {
 			harness.FormatFloat(m.Throughput()),
 		})
 	}
-	fmt.Println(harness.Table([]string{"dataset", "P", "sec/epoch", "epochs/sec"}, cells))
+	b.table("== Figure 2: epoch throughput of the 2D implementation ==",
+		[]string{"dataset", "P", "sec/epoch", "epochs/sec"}, cells)
 	return ms, nil
 }
 
-func runFig3(o harness.Options) (any, error) {
-	ms, err := harness.Fig3(o)
+func (b *bench) fig3() (any, error) {
+	ms, err := b.sweep2D()
 	if err != nil {
 		return nil, err
-	}
-	harness.SortMeasurements(ms)
-	fmt.Println("== Figure 3: per-epoch time breakdown of the 2D implementation ==")
-	var cells [][]string
-	for _, m := range ms {
-		row := []string{m.Dataset, strconv.Itoa(m.P)}
-		for _, cat := range comm.AllCategories {
-			row = append(row, harness.FormatFloat(m.TimeByCat[cat]))
-		}
-		row = append(row, harness.FormatFloat(m.EpochTime))
-		cells = append(cells, row)
 	}
 	header := []string{"dataset", "P"}
 	for _, cat := range comm.AllCategories {
 		header = append(header, string(cat))
 	}
 	header = append(header, "total")
-	fmt.Println(harness.Table(header, cells))
+	var cells [][]string
+	for _, m := range ms {
+		row := []string{m.Dataset, strconv.Itoa(m.P)}
+		for _, cat := range comm.AllCategories {
+			row = append(row, harness.FormatFloat(m.TimeByCat[cat]))
+		}
+		cells = append(cells, append(row, harness.FormatFloat(m.EpochTime)))
+	}
+	b.table("== Figure 3: per-epoch time breakdown of the 2D implementation ==", header, cells)
 	return ms, nil
 }
 
-func runPartition(o harness.Options) (any, error) {
-	r, err := harness.PartitionExperiment(o)
+func (b *bench) partition() (any, error) {
+	r, err := harness.PartitionExperiment(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== §IV-A-8: smart partitioner vs random block partitioning ==")
-	fmt.Println(harness.Table(
+	b.table("== §IV-A-8: smart partitioner vs random block partitioning ==",
 		[]string{"dataset", "P", "metric", "random", "greedy", "reduction"},
 		[][]string{
 			{r.Dataset, strconv.Itoa(r.P), "total cut",
@@ -256,9 +316,8 @@ func runPartition(o harness.Options) (any, error) {
 			{r.Dataset, strconv.Itoa(r.P), "max cut",
 				strconv.Itoa(r.RandomMaxCut), strconv.Itoa(r.GreedyMaxCut),
 				fmt.Sprintf("%.0f%%", 100*r.MaxReduction)},
-		}))
-	fmt.Println("-- sparsity-aware 1D training on the same graph (dense words/epoch) --")
-	fmt.Println(harness.Table(
+		})
+	b.table("-- sparsity-aware 1D training on the same graph (dense words/epoch) --",
 		[]string{"exchange", "partition", "max words/rank", "total words"},
 		[][]string{
 			{"broadcast", "(any)",
@@ -267,22 +326,22 @@ func runPartition(o harness.Options) (any, error) {
 				strconv.FormatInt(r.RandomHaloMaxWords, 10), strconv.FormatInt(r.RandomHaloTotalWords, 10)},
 			{"halo", "ldg-greedy",
 				strconv.FormatInt(r.GreedyHaloMaxWords, 10), strconv.FormatInt(r.GreedyHaloTotalWords, 10)},
-		}))
-	fmt.Printf("halo greedy vs random: total words -%.0f%%, max words/rank -%.0f%%\n",
+		})
+	fmt.Fprintf(b.out, "halo greedy vs random: total words -%.0f%%, max words/rank -%.0f%%\n",
 		100*r.HaloTotalReduction, 100*r.HaloMaxReduction)
-	fmt.Printf("ledger matches costmodel.OneD edgecut bound exactly: %v\n", r.LedgerMatchesAnalytic)
-	fmt.Println("paper (Metis on Reddit, P=64): total 72%, max 29% — bulk-synchronous")
-	fmt.Println("runtime is bounded by the max, so smart partitioning underdelivers.")
-	fmt.Println()
+	fmt.Fprintf(b.out, "ledger matches costmodel.OneD edgecut bound exactly: %v\n", r.LedgerMatchesAnalytic)
+	fmt.Fprint(b.out, `paper (Metis on Reddit, P=64): total 72%, max 29% — bulk-synchronous
+runtime is bounded by the max, so smart partitioning underdelivers.
+
+`)
 	return r, nil
 }
 
-func runCrossover(o harness.Options) (any, error) {
-	rows, err := harness.Crossover(o)
+func (b *bench) crossover() (any, error) {
+	rows, err := harness.Crossover(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== §VI-d: 1D vs 2D words per steady-state epoch (paper: crossover at √P ≥ 5; input layer and its row panels aggregated once: √P ≥ 5(2L−1)/(2(L−1))) ==")
 	var cells [][]string
 	for _, r := range rows {
 		winner := "1d"
@@ -296,17 +355,16 @@ func runCrossover(o harness.Options) (any, error) {
 			winner,
 		})
 	}
-	fmt.Println(harness.Table(
-		[]string{"P", "1d-words", "2d-words", "2d/1d", "5(2L-1)/(2(L-1)sqrtP)", "winner"}, cells))
+	b.table("== §VI-d: 1D vs 2D words per steady-state epoch (paper: crossover at √P ≥ 5; input layer and its row panels aggregated once: √P ≥ 5(2L−1)/(2(L−1))) ==",
+		[]string{"P", "1d-words", "2d-words", "2d/1d", "5(2L-1)/(2(L-1)sqrtP)", "winner"}, cells)
 	return rows, nil
 }
 
-func runAlgo3D(o harness.Options) (any, error) {
-	rows, err := harness.Algo3D(o)
+func (b *bench) algo3D() (any, error) {
+	rows, err := harness.Algo3D(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== §IV-D: algorithm family comparison at equal rank count ==")
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -317,17 +375,16 @@ func runAlgo3D(o harness.Options) (any, error) {
 			strconv.FormatInt(r.PeakMemWords, 10),
 		})
 	}
-	fmt.Println(harness.Table(
-		[]string{"algorithm", "P", "comm-words/epoch", "sec/epoch", "mem-replication", "peak-words/rank"}, cells))
+	b.table("== §IV-D: algorithm family comparison at equal rank count ==",
+		[]string{"algorithm", "P", "comm-words/epoch", "sec/epoch", "mem-replication", "peak-words/rank"}, cells)
 	return rows, nil
 }
 
-func runOverlap(o harness.Options) (any, error) {
-	rows, err := harness.OverlapExperiment(o)
+func (b *bench) overlap() (any, error) {
+	rows, err := harness.OverlapExperiment(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Communication/computation overlap: bulk-synchronous vs pipelined epoch time ==")
 	var cells [][]string
 	for _, r := range rows {
 		name := r.Algorithm
@@ -344,43 +401,20 @@ func runOverlap(o harness.Options) (any, error) {
 			harness.FormatFloat(r.ComputeTime),
 		})
 	}
-	fmt.Println(harness.Table(
-		[]string{"algorithm", "P", "bulk s/epoch", "overlap s/epoch", "speedup", "hidden-comm", "comm", "compute"}, cells))
-	fmt.Println("word counts are identical between modes: overlap changes when panels")
-	fmt.Println("arrive, never what is sent (outputs are bit-identical).")
-	fmt.Println()
+	b.table("== Communication/computation overlap: bulk-synchronous vs pipelined epoch time ==",
+		[]string{"algorithm", "P", "bulk s/epoch", "overlap s/epoch", "speedup", "hidden-comm", "comm", "compute"}, cells)
+	fmt.Fprint(b.out, `word counts are identical between modes: overlap changes when panels
+arrive, never what is sent (outputs are bit-identical).
+
+`)
 	return rows, nil
 }
 
-func runKernels(o harness.Options) (any, error) {
-	rows, err := harness.KernelSweep(o)
+func (b *bench) convergence() (any, error) {
+	rows, err := harness.Convergence(b.opts)
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== Kernels: wall-clock epoch time of the serial trainer per kernel path ==")
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Name, r.Dataset, r.Precision,
-			harness.FormatFloat(r.WallSecPerEpoch),
-			harness.FormatFloat(r.Speedup),
-		})
-	}
-	fmt.Println(harness.Table(
-		[]string{"config", "dataset", "precision", "wall s/epoch", "speedup"}, cells))
-	fmt.Println("speedups are measured against the f64-reference baseline (the scalar")
-	fmt.Println("one-source kernels) in the same process; f64-default is bit-identical")
-	fmt.Println("to it, f32 is tolerance-validated.")
-	fmt.Println()
-	return rows, nil
-}
-
-func runConvergence(o harness.Options) (any, error) {
-	rows, err := harness.Convergence(o)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("== §I: full-batch vs sampled mini-batch training ==")
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
@@ -389,23 +423,27 @@ func runConvergence(o harness.Options) (any, error) {
 			strconv.Itoa(r.PeakVertices),
 		})
 	}
-	fmt.Println(harness.Table(
-		[]string{"method", "epochs", "accuracy", "final-loss", "peak-vertices/step"}, cells))
+	b.table("== §I: full-batch vs sampled mini-batch training ==",
+		[]string{"method", "epochs", "accuracy", "final-loss", "peak-vertices/step"}, cells)
 	return rows, nil
 }
 
-func runScaling(o harness.Options) (any, error) {
-	rows, err := harness.Scaling(o)
+func (b *bench) scaling() (any, error) {
+	ms, err := b.sweep2D()
 	if err != nil {
 		return nil, err
 	}
-	fmt.Println("== §VI: scaling observations (measured vs paper) ==")
+	rows, err := harness.Scaling(ms)
+	if err != nil {
+		return nil, err
+	}
 	var cells [][]string
 	for _, r := range rows {
 		cells = append(cells, []string{
 			r.Claim, harness.FormatFloat(r.Measured), harness.FormatFloat(r.Paper),
 		})
 	}
-	fmt.Println(harness.Table([]string{"claim", "measured", "paper"}, cells))
+	b.table("== §VI: scaling observations (measured vs paper) ==",
+		[]string{"claim", "measured", "paper"}, cells)
 	return rows, nil
 }

@@ -3,117 +3,29 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"repro/internal/benchdiff"
-	"repro/internal/costmodel"
-	"repro/internal/harness"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// TestSnapshotJSONSchemaGolden pins the shape of the -json snapshot —
-// every experiment's field names and value kinds — against a golden
-// file, so a field rename or type change that would silently break
-// cagnet-benchdiff's flattener (or any committed BENCH_N.json consumer)
-// fails here first. Values are free to move; only the schema is pinned.
-// Regenerate after an intentional schema change with
-//
-//	go test ./cmd/cagnet-bench -run SchemaGolden -update
-func TestSnapshotJSONSchemaGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every experiment in quick mode (~15 s)")
-	}
-	opts := harness.Options{Machine: costmodel.SummitSim, Quick: true, Optimizer: "sgd"}
-	runners := map[string]func(harness.Options) (any, error){
-		"tableVI":     runTableVI,
-		"fig2":        runFig2,
-		"fig3":        runFig3,
-		"partition":   runPartition,
-		"crossover":   runCrossover,
-		"algo3d":      runAlgo3D,
-		"overlap":     runOverlap,
-		"kernels":     runKernels,
-		"scaling":     runScaling,
-		"convergence": runConvergence,
-		"transport":   runTransport,
-	}
-	snapshot := benchSnapshot{
-		Machine: opts.Machine.Name, Quick: true, Optimizer: "sgd",
-		Experiments: map[string]any{},
-	}
-	silence(t)
-	for name, run := range runners {
-		data, err := run(opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		snapshot.Experiments[name] = data
-	}
-
-	// The kernel sweep is exactly the three remaining paths, reference first.
-	rows := snapshot.Experiments["kernels"].([]harness.KernelRow)
-	names := []string{"f64-reference", "f64-default", "f32"}
-	if len(rows) != len(names) {
-		t.Fatalf("kernel sweep has %d rows, want %v", len(rows), names)
-	}
-	for i, r := range rows {
-		if r.Name != names[i] || r.WallSecPerEpoch <= 0 {
-			t.Errorf("kernel row %d = %+v, want %s with wall_sec_per_epoch > 0", i, r, names[i])
-		}
-	}
-	if rows[0].Speedup != 1 {
-		t.Errorf("baseline row Speedup = %v, want 1", rows[0].Speedup)
-	}
-
-	buf, err := json.MarshalIndent(snapshot, "", "  ")
+// pick resolves -exp through the table, so the cases below cannot name an
+// experiment the tool does not have.
+func pick(t *testing.T, exp string) []experiment {
+	t.Helper()
+	es, err := selectExperiments(exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines, err := benchdiff.SchemaBytes(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "snapshot_schema.golden", benchdiff.SchemaString(lines))
+	return es
 }
 
-// silence redirects the runners' table printing away from the test log.
-func silence(t *testing.T) {
-	t.Helper()
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
+func set(flags ...string) map[string]bool {
+	explicit := map[string]bool{}
+	for _, f := range flags {
+		explicit[f] = true
 	}
-	orig := os.Stdout
-	os.Stdout = null
-	t.Cleanup(func() {
-		os.Stdout = orig
-		null.Close()
-	})
-}
-
-func compareGolden(t *testing.T, name, got string) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if !bytes.Equal([]byte(got), want) {
-		t.Fatalf("schema drifted from %s — if intentional, rerun with -update and note the change:\n--- got ---\n%s--- want ---\n%s",
-			golden, got, want)
-	}
+	return explicit
 }
 
 // TestValidateConsumedRejections pins the fail-fast flag validation: an
@@ -123,22 +35,18 @@ func compareGolden(t *testing.T, name, got string) {
 func TestValidateConsumedRejections(t *testing.T) {
 	cases := map[string]struct {
 		explicit []string
-		selected []string
+		selected string
 	}{
-		"halo with fig2":           {[]string{"halo"}, []string{"fig2"}},
-		"halo with kernels":        {[]string{"halo"}, []string{"kernels"}},
-		"halo with partition":      {[]string{"halo"}, []string{"partition"}},
-		"partitioner with fig3":    {[]string{"partitioner"}, []string{"fig3"}},
-		"overlap with fig2":        {[]string{"overlap"}, []string{"fig2"}},
-		"overlap with overlap-exp": {[]string{"overlap"}, []string{"overlap"}},
-		"optimizer with scaling":   {[]string{"optimizer"}, []string{"scaling"}},
+		"halo with fig2":           {[]string{"halo"}, "fig2"},
+		"halo with tableVI":        {[]string{"halo"}, "tableVI"},
+		"halo with partition":      {[]string{"halo"}, "partition"},
+		"partitioner with fig3":    {[]string{"partitioner"}, "fig3"},
+		"overlap with fig2":        {[]string{"overlap"}, "fig2"},
+		"overlap with overlap-exp": {[]string{"overlap"}, "overlap"},
+		"optimizer with scaling":   {[]string{"optimizer"}, "scaling"},
 	}
 	for name, tc := range cases {
-		explicit := map[string]bool{}
-		for _, f := range tc.explicit {
-			explicit[f] = true
-		}
-		if err := validateConsumed(explicit, tc.selected); err == nil {
+		if err := validateConsumed(set(tc.explicit...), pick(t, tc.selected)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -147,27 +55,111 @@ func TestValidateConsumedRejections(t *testing.T) {
 // TestValidateConsumedAccepts: flags reaching at least one selected
 // experiment (notably the full default sweep) must keep working.
 func TestValidateConsumedAccepts(t *testing.T) {
-	all := []string{"tableVI", "fig2", "fig3", "partition", "crossover", "algo3d",
-		"overlap", "kernels", "scaling", "convergence"}
 	cases := map[string]struct {
 		explicit []string
-		selected []string
+		selected string
 	}{
-		"halo with all":           {[]string{"halo"}, all},
-		"everything with all":     {[]string{"halo", "partitioner", "overlap", "optimizer"}, all},
-		"halo with crossover":     {[]string{"halo"}, []string{"crossover"}},
-		"overlap with algo3d":     {[]string{"overlap"}, []string{"algo3d"}},
-		"optimizer w convergence": {[]string{"optimizer"}, []string{"convergence"}},
-		"unrelated flags":         {[]string{"quick", "machine", "json"}, []string{"fig2"}},
-		"nothing explicit":        {nil, []string{"fig2"}},
+		"halo with all":           {[]string{"halo"}, "all"},
+		"everything with all":     {[]string{"halo", "partitioner", "overlap", "optimizer"}, "all"},
+		"halo with crossover":     {[]string{"halo"}, "crossover"},
+		"overlap with algo3d":     {[]string{"overlap"}, "algo3d"},
+		"optimizer w convergence": {[]string{"optimizer"}, "convergence"},
+		"unrelated flags":         {[]string{"quick", "machine", "json"}, "fig2"},
+		"nothing explicit":        {nil, "fig2"},
 	}
 	for name, tc := range cases {
-		explicit := map[string]bool{}
-		for _, f := range tc.explicit {
-			explicit[f] = true
-		}
-		if err := validateConsumed(explicit, tc.selected); err != nil {
+		if err := validateConsumed(set(tc.explicit...), pick(t, tc.selected)); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
 		}
+	}
+}
+
+// TestExperimentTable: the table is the nine modeled experiments, and every
+// flag an entry claims to read is one the tool defines.
+func TestExperimentTable(t *testing.T) {
+	if len(experiments) != 9 {
+		t.Errorf("%d experiments, want the nine modeled ones", len(experiments))
+	}
+	fs := newFlagSet(new(bench))
+	for _, e := range experiments {
+		for _, f := range e.reads {
+			if fs.Lookup(f) == nil {
+				t.Errorf("%s reads -%s, which is not a flag", e.name, f)
+			}
+		}
+	}
+}
+
+// TestRunRejections: a command line the tool cannot honour fails before any
+// experiment runs — nothing on stdout — and an unknown experiment, the three
+// retired wall-clock ones included, is answered with the nine valid names.
+func TestRunRejections(t *testing.T) {
+	for _, exp := range []string{"nope", "kernels", "transport", "fault", ""} {
+		var out bytes.Buffer
+		err := run([]string{"-exp", exp, "-quick"}, &out)
+		if err == nil {
+			t.Fatalf("-exp %q accepted", exp)
+		}
+		for _, name := range names(experiments) {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("-exp %q: error %q does not name %s", exp, err, name)
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp %q printed %q before failing", exp, out.String())
+		}
+	}
+	for name, args := range map[string][]string{
+		"negative workers": {"-exp", "tableVI", "-quick", "-workers", "-3"},
+		"unread flag":      {"-exp", "tableVI", "-quick", "-halo"},
+		"unknown machine":  {"-exp", "tableVI", "-quick", "-machine", "abacus"},
+		"unknown backend":  {"-exp", "tableVI", "-quick", "-backend", "gpu"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%s: %v accepted", name, args)
+		}
+	}
+}
+
+// TestRunJSONDocument: -json writes the rows behind the table under the
+// experiment's name, with a header that echoes the flags.
+func TestRunJSONDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var out bytes.Buffer
+	if err := run([]string{"-exp", "tableVI", "-quick", "-machine", "laptop-cpu", "-json", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Machine     string
+		Quick       bool
+		Optimizer   string
+		Experiments map[string][]map[string]any
+	}
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Machine != "laptop-cpu" || !doc.Quick || doc.Optimizer != "sgd" {
+		t.Errorf("header %+v does not echo -machine laptop-cpu -quick and the default optimizer", doc)
+	}
+	if len(doc.Experiments) != 1 || len(doc.Experiments["tableVI"]) != 3 {
+		t.Errorf("experiments = %v, want tableVI alone with three rows", doc.Experiments)
+	}
+}
+
+// TestRunDeterministic: stdout is a pure function of the flags.
+func TestRunDeterministic(t *testing.T) {
+	var first, second bytes.Buffer
+	for _, out := range []*bytes.Buffer{&first, &second} {
+		if err := run([]string{"-exp", "crossover", "-quick"}, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Errorf("two runs of -exp crossover -quick differ:\n%s---\n%s", first.String(), second.String())
 	}
 }

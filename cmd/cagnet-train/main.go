@@ -62,6 +62,7 @@ func main() {
 	if err := validateFlags(flagCombo{
 		algo: *algo, halo: *halo, partitioner: *partitioner, overlap: *overlap,
 		precision: *precision, transport: *transport, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
+		workers: *workers,
 	}); err != nil {
 		log.Fatal(err)
 	}
@@ -181,10 +182,12 @@ type flagCombo struct {
 	transport   string
 	ckptDir     string
 	ckptEvery   int
+	workers     int
 }
 
-// validateFlags rejects flag combinations that would otherwise do nothing
-// for the chosen algorithm, with an error naming the offending flag.
+// validateFlags rejects flag values and combinations that would otherwise
+// do nothing for the chosen algorithm, with an error naming the offending
+// flag.
 func validateFlags(f flagCombo) error {
 	rowAlgo := f.algo == "1d" || f.algo == "1.5d"
 	if f.halo && !rowAlgo {
@@ -213,6 +216,9 @@ func validateFlags(f flagCombo) error {
 	}
 	if f.ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every %d must be positive", f.ckptEvery)
+	}
+	if f.workers < 0 {
+		return fmt.Errorf("-workers must be ≥ 0 (0 = runtime.NumCPU or $CAGNET_WORKERS), got %d", f.workers)
 	}
 	return nil
 }

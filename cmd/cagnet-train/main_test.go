@@ -19,6 +19,7 @@ func TestValidateFlagsRejections(t *testing.T) {
 		"f32 with 3d":         {algo: "3d", precision: "f32"},
 		"tcp with serial":     {algo: "serial", transport: "tcp"},
 		"unknown transport":   {algo: "2d", transport: "quic"},
+		"negative workers":    {algo: "2d", workers: -3},
 	}
 	for name, combo := range cases {
 		if err := validateFlags(combo); err == nil {

@@ -366,6 +366,56 @@ func TestBroadcastChargesModel(t *testing.T) {
 	}
 }
 
+// TestSingleMemberCollectivesChargeNothing: a group of one has no network
+// to cross (§IV's bounds all carry (q−1)/q), so every collective hands the
+// member its own input back and leaves the ledger empty — on a 1-rank
+// cluster and on a size-1 sub-group of a larger one.
+func TestSingleMemberCollectivesChargeNothing(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		cl := runCluster(t, p, func(c *Comm) error {
+			g := c.NewGroup([]int{c.Rank()})
+			x := []float64{1, 2, float64(c.Rank())}
+			in := Payload{Floats: x}
+			for _, res := range []struct {
+				op  string
+				got []float64
+			}{
+				{"Broadcast", g.Broadcast(0, in, CatDenseComm).Floats},
+				{"IBroadcast", g.IBroadcast(0, in, CatDenseComm).Wait().Floats},
+				{"Reduce", g.Reduce(0, x, CatDenseComm)},
+				{"AllReduce", g.AllReduce(x, CatMisc)},
+				{"ReduceScatter", g.ReduceScatter(x, []int{len(x)}, CatDenseComm)},
+				{"AllGather", g.AllGather(in, CatSparseComm)[0].Floats},
+				{"IAllGather", g.IAllGather(in, CatSparseComm).WaitAll()[0].Floats},
+				{"Gather", g.Gather(0, in, CatMisc)[0].Floats},
+				{"Scatter", g.Scatter(0, []Payload{in}, CatTranspose).Floats},
+				{"AllToAll", g.AllToAll([]Payload{in}, CatTranspose)[0].Floats},
+			} {
+				if fmt.Sprint(res.got) != fmt.Sprint(x) {
+					return fmt.Errorf("rank %d: %s returned %v, want %v", c.Rank(), res.op, res.got, x)
+				}
+			}
+			// A member exchanges nothing with itself.
+			if got := g.ExchangeIndexed([]Payload{{}}, []bool{false}, CatDenseComm); len(got) != 1 || got[0].Words() != 0 {
+				return fmt.Errorf("rank %d: ExchangeIndexed returned %v", c.Rank(), got)
+			}
+			return nil
+		})
+		for r := 0; r < p; r++ {
+			l := cl.Ledger(r)
+			for _, cat := range AllCategories {
+				if l.ModelMsgs[cat] != 0 || l.ModelWords[cat] != 0 || l.ModelTime[cat] != 0 {
+					t.Errorf("P=%d rank %d %s: charged %d msgs, %d words, %g s; want nothing",
+						p, r, cat, l.ModelMsgs[cat], l.ModelWords[cat], l.ModelTime[cat])
+				}
+			}
+			if l.Elapsed() != 0 {
+				t.Errorf("P=%d rank %d: clock at %g s, want 0", p, r, l.Elapsed())
+			}
+		}
+	}
+}
+
 func TestLedgerResetAndAggregates(t *testing.T) {
 	cl := runCluster(t, 2, func(c *Comm) error {
 		c.Charge(CatDenseComm, 1, 10)

@@ -62,7 +62,12 @@ func (g *Group) Rank() int { return g.me }
 func (g *Group) GlobalRank(i int) int { return g.ranks[i] }
 
 // charge applies the α–β model cost of one collective step to this member.
+// A group of one has no network to cross — §IV's bounds all carry a
+// (q−1)/q factor — so its collectives charge nothing.
 func (g *Group) charge(cat Category, msgs, words int64) {
+	if len(g.ranks) == 1 {
+		return
+	}
 	g.comm.Charge(cat, msgs, words)
 }
 
@@ -116,9 +121,9 @@ func (g *Group) Reduce(root int, x []float64, cat Category) []float64 {
 }
 
 // AllReduce sums x elementwise across the group and returns the result on
-// every member, charged at α·2⌈lg q⌉ + β·m (reduce + broadcast; the paper's
-// bounds round this to α lg P + β m, a constant-factor difference noted in
-// EXPERIMENTS.md).
+// every member. It is a Reduce followed by a Broadcast and is charged as
+// both, α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
+// (costmodel.OneDHaloDenseWords carries the factor 2).
 func (g *Group) AllReduce(x []float64, cat Category) []float64 {
 	acc := g.Reduce(0, x, cat)
 	var p Payload

@@ -130,8 +130,8 @@ func (c *Comm) ChargeAsync(cat Category, msgs, words int64) *Request {
 }
 
 // completedRequest returns a request whose span is empty: operations that
-// charge nothing (single-member broadcasts) still hand back a Request so
-// call sites stay uniform.
+// charge nothing (single-member broadcasts and all-gathers) still hand back
+// a Request so call sites stay uniform.
 func (c *Comm) completedRequest() *Request {
 	return c.takeRequest(c.ledger.clock, c.ledger.clock)
 }
@@ -170,6 +170,11 @@ func (g *Group) IAllGather(p Payload, cat Category) *Request {
 	}
 	for i := 0; i < q; i++ {
 		out[i] = g.broadcastUncharged(0, out[i])
+	}
+	if q == 1 {
+		r := g.comm.completedRequest()
+		r.payloads = out
+		return r
 	}
 	var myTotal int64
 	for _, part := range out {

@@ -107,13 +107,12 @@ func OneDRandomEdgecut(n, p int) float64 {
 // recvRows·m_l (replacing the broadcast's ≈ n·m_l), its backward
 // reduce-scatter n·m_l — and every layer, the first included, charges the
 // weight all-reduce's 2·f^{l-1}·f^l: reduce plus broadcast, the
-// constant-factor rounding noted on Group.AllReduce (1·f^{l-1}·f^l when
-// p = 1, where the broadcast half is free). The final forward pass fetches
-// for the layers l ≥ 2 once more.
+// constant-factor rounding noted on Group.AllReduce. The final forward pass
+// fetches for the layers l ≥ 2 once more. A world of one rank has no
+// network and moves nothing.
 func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
-	allReduce := int64(2)
 	if p <= 1 {
-		allReduce = 1
+		return 0
 	}
 	var fwd, bwd int64
 	for l := 1; l < len(widths); l++ {
@@ -122,7 +121,7 @@ func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
 			fwd += int64(recvRows) * m
 			bwd += int64(n) * m
 		}
-		bwd += allReduce * int64(widths[l-1]) * int64(widths[l])
+		bwd += 2 * int64(widths[l-1]) * int64(widths[l])
 	}
 	return int64(recvRows)*int64(widths[0]) + int64(epochs)*(fwd+bwd) + fwd
 }

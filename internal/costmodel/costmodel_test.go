@@ -348,7 +348,7 @@ func TestGcdLg(t *testing.T) {
 }
 
 // TestOneDHaloDenseWords pins the exact ledger predictor: hand-computed
-// small cases in both product orders, the p=1 all-reduce degeneration, and
+// small cases in both product orders, the p=1 world that moves nothing, and
 // consistency with the published OneD bound — with uniform widths, the
 // recvRows-dependent part is the edgecut·f term of §IV-A-5, once for the
 // input layer and once per forward pass for each of the other L−1.
@@ -360,8 +360,8 @@ func TestOneDHaloDenseWords(t *testing.T) {
 	if got, want := OneDHaloDenseWords(widths, 10, 4, 5, 1), int64(5*3+2*3*2); got != want {
 		t.Fatalf("p=4: got %d, want %d", got, want)
 	}
-	// p = 1: no halo rows, all-reduce collapses to a single reduce charge.
-	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(3*2); got != want {
+	// p = 1: no network, so no collective charges anything.
+	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(0); got != want {
 		t.Fatalf("p=1: got %d, want %d", got, want)
 	}
 	// L = 2, two epochs, layer 2 widening (aggregate first, both ways at

@@ -1,5 +1,5 @@
 // Package harness drives the experiments that regenerate every table and
-// figure of the paper's evaluation (§V-VI), as indexed in DESIGN.md:
+// figure of the paper's evaluation (§V-VI); cmd/cagnet-bench prints them:
 //
 //	Table VI  — dataset characteristics (paper scale vs simulated analogs)
 //	Figure 2  — epoch throughput of the 2D implementation across GPU counts
@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -225,8 +224,9 @@ var Fig2Sweeps = map[string][]int{
 // Fig2Datasets is the display order of Figure 2/3 panels.
 var Fig2Datasets = []string{"amazon-sim", "reddit-sim", "protein-sim"}
 
-// Fig2 measures 2D epoch throughput across GPU counts for each dataset
-// panel of Figure 2.
+// Fig2 measures the 2D epoch across GPU counts for each dataset panel of
+// Figure 2. Figure 3 (the per-category breakdown) and Scaling render the
+// same measurements.
 func Fig2(o Options) ([]EpochMeasurement, error) {
 	o = o.WithDefaults()
 	var out []EpochMeasurement
@@ -246,10 +246,6 @@ func Fig2(o Options) ([]EpochMeasurement, error) {
 	}
 	return out, nil
 }
-
-// Fig3 returns the same sweep as Fig2; callers render the per-category
-// breakdown (Figure 3 shares its runs with Figure 2).
-func Fig3(o Options) ([]EpochMeasurement, error) { return Fig2(o) }
 
 // TableVIRow pairs a dataset analog with the paper-scale characteristics
 // it models.
@@ -704,13 +700,9 @@ type ScalingRow struct {
 	Paper    float64
 }
 
-// Scaling extracts the §VI-a/b/c observations from Figure 3 measurements.
-func Scaling(o Options) ([]ScalingRow, error) {
-	o = o.WithDefaults()
-	ms, err := Fig3(o)
-	if err != nil {
-		return nil, err
-	}
+// Scaling extracts the §VI-a/b/c observations from Fig2's measurements
+// (Figure 3 and these ratios are renderings of the same runs).
+func Scaling(ms []EpochMeasurement) ([]ScalingRow, error) {
 	at := func(dataset string, p int) (EpochMeasurement, bool) {
 		for _, m := range ms {
 			if m.Dataset == dataset && m.P == p {
@@ -802,117 +794,6 @@ func FormatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.4f", v)
 	}
-}
-
-// KernelRow is one configuration of the kernel sweep: a serial training
-// run under one of the three kernel paths, timed by wall clock. Both
-// numbers move with the host, so cagnet-benchdiff exempts the whole
-// "kernels" experiment from its gate.
-type KernelRow struct {
-	Name      string `json:"name"`
-	Dataset   string `json:"dataset"`
-	Precision string `json:"precision"`
-	// WallSecPerEpoch is the best-of-rounds differenced wall clock of one
-	// steady-state epoch (setup and the final gather excluded).
-	WallSecPerEpoch float64 `json:"wall_sec_per_epoch"`
-	// Speedup is the baseline (f64-reference) wall clock over this row's,
-	// measured in the same process.
-	Speedup float64 `json:"Speedup"`
-}
-
-// kernelConfigs lists the sweep's configurations. The first row is the
-// baseline every Speedup is computed against: the reference scalar kernels
-// (one source per accumulation sweep, unfused).
-var kernelConfigs = []struct {
-	name string
-	o    core.KernelOptions
-}{
-	{"f64-reference", core.KernelOptions{Precision: core.PrecisionF64, Reference: true}},
-	{"f64-default", core.KernelOptions{Precision: core.PrecisionF64}},
-	{"f32", core.KernelOptions{Precision: core.PrecisionF32}},
-}
-
-// kernelSweepSpec is the sweep's dataset: a wide-feature R-MAT analog
-// (f = 256, the regime the paper's SpMM/GEMM costs scale with) large enough
-// that the per-vertex matrices spill the last-level cache — the memory-bound
-// regime the f32 path and the blocked kernels target. Quick mode steps down
-// one scale (still cache-spilling) and trims epochs, not the regime.
-func kernelSweepSpec(quick bool) graph.AnalogSpec {
-	spec := graph.AnalogSpec{
-		Name: "rmat-wide", Scale: 14, EdgeFactor: 32,
-		Features: 256, Hidden: 64, Labels: 32, Seed: 7,
-	}
-	if quick {
-		spec.Scale = 13
-	}
-	return spec
-}
-
-// KernelSweep wall-clock-times one serial training epoch under every kernel
-// configuration and reports each as a speedup over the f64-reference
-// baseline (the pre-optimization scalar kernels).
-// Per-epoch cost is measured by differencing (1+E)-epoch and 1-epoch runs —
-// excluding setup and the output gather — and taking the best of several
-// rounds to shed scheduler noise.
-func KernelSweep(o Options) ([]KernelRow, error) {
-	o = o.WithDefaults()
-	ds := kernelSweepSpec(o.Quick).Build()
-	epochs, rounds := 8, 3
-	if o.Quick {
-		epochs, rounds = 3, 2
-	}
-	run := func(ko core.KernelOptions, ep int) (float64, error) {
-		tr := core.NewSerial()
-		if err := core.SetKernelOptions(tr, ko); err != nil {
-			return 0, err
-		}
-		problem := problemFor(ds, ep)
-		start := time.Now()
-		if _, err := tr.Train(problem); err != nil {
-			return 0, err
-		}
-		return time.Since(start).Seconds(), nil
-	}
-	measure := func(ko core.KernelOptions) (float64, error) {
-		best := math.Inf(1)
-		for r := 0; r < rounds; r++ {
-			t1, err := run(ko, 1)
-			if err != nil {
-				return 0, err
-			}
-			t2, err := run(ko, 1+epochs)
-			if err != nil {
-				return 0, err
-			}
-			per := (t2 - t1) / float64(epochs)
-			if per <= 0 {
-				// Noise swamped the differencing; fall back to the mean.
-				per = t2 / float64(1+epochs)
-			}
-			if per < best {
-				best = per
-			}
-		}
-		return best, nil
-	}
-	rows := make([]KernelRow, 0, len(kernelConfigs))
-	for _, cfg := range kernelConfigs {
-		wall, err := measure(cfg.o)
-		if err != nil {
-			return nil, fmt.Errorf("harness: kernel sweep %s: %w", cfg.name, err)
-		}
-		rows = append(rows, KernelRow{
-			Name: cfg.name, Dataset: ds.Name, Precision: cfg.o.Precision,
-			WallSecPerEpoch: wall,
-		})
-	}
-	base := rows[0].WallSecPerEpoch
-	for i := range rows {
-		if rows[i].WallSecPerEpoch > 0 {
-			rows[i].Speedup = base / rows[i].WallSecPerEpoch
-		}
-	}
-	return rows, nil
 }
 
 // SortMeasurements orders measurements by dataset panel order then P.

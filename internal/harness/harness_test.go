@@ -1,15 +1,104 @@
 package harness
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 )
 
 var quick = Options{Quick: true, Machine: costmodel.Summit}
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// compareGolden checks got against testdata/name, rewriting the file first
+// under -update.
+func compareGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if !bytes.Equal([]byte(got), want) {
+		t.Fatalf("drifted from %s — if intentional, rerun with -update and say why in the commit:\n--- got ---\n%s--- want ---\n%s",
+			golden, got, want)
+	}
+}
+
+// TestModeledEpochGolden is the repo's one modeled gate: the steady-state
+// epoch of every distributed trainer on the quick reddit analog, bulk and
+// overlapped, as the ledger charges it on the default machine profile —
+// messages and words per Figure 3 category to the unit, modeled seconds
+// per category and per epoch to 6 significant digits (so an FMA-fusing
+// architecture agrees). The file's git history is the modeled trajectory;
+// a reviewer sees every number an optimisation moves. After an intended
+// change: go test ./internal/harness -run TestModeledEpochGolden -update
+func TestModeledEpochGolden(t *testing.T) {
+	o := Options{Quick: true}.WithDefaults()
+	spec, err := o.dataset("reddit-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := spec.Build()
+	// msgsAfter counts the α terms charged by a whole run, per category, max
+	// across ranks. MeasureEpochOpts reports words and seconds but not
+	// messages, so the test differences 2- and 1-epoch runs as it does.
+	msgsAfter := func(algo string, p, epochs int) map[comm.Category]int64 {
+		tr, err := core.NewTrainer(algo, p, o.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SetOverlap(tr, o.Overlap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Train(problemFor(ds, epochs)); err != nil {
+			t.Fatal(err)
+		}
+		cl := tr.(core.DistTrainer).Cluster()
+		out := map[comm.Category]int64{}
+		for r := 0; r < cl.Size(); r++ {
+			for cat, n := range cl.Ledger(r).ModelMsgs {
+				out[cat] = max(out[cat], n)
+			}
+		}
+		return out
+	}
+	var b strings.Builder
+	for _, cfg := range []struct {
+		algo string
+		p    int
+	}{{"1d", 4}, {"1.5d", 4}, {"2d", 4}, {"3d", 8}} {
+		for _, overlap := range []bool{false, true} {
+			o.Overlap = overlap
+			m, err := MeasureEpochOpts(ds, cfg.algo, cfg.p, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, two := msgsAfter(cfg.algo, cfg.p, 1), msgsAfter(cfg.algo, cfg.p, 2)
+			fmt.Fprintf(&b, "%s P=%d overlap=%v: epoch %.6g s, hidden %.6g s\n",
+				cfg.algo, cfg.p, overlap, m.EpochTime, m.HiddenCommTime)
+			for _, cat := range comm.AllCategories {
+				fmt.Fprintf(&b, "  %-6s %4d msgs %8d words %.6g s\n",
+					cat, two[cat]-one[cat], m.WordsByCat[cat], m.TimeByCat[cat])
+			}
+		}
+	}
+	compareGolden(t, "modeled_epoch.golden", b.String())
+}
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.WithDefaults()
@@ -333,7 +422,11 @@ func TestScalingQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep in -short mode")
 	}
-	rows, err := Scaling(quick)
+	ms, err := Fig2(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := Scaling(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
