@@ -8,7 +8,6 @@ package cagnet
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -22,16 +21,11 @@ import (
 )
 
 // datasetCache builds each analog once per process; sweeps reuse it.
-var (
-	dsMu    sync.Mutex
-	dsCache = map[string]*graph.Dataset{}
-)
+var dsCache = map[string]*graph.Dataset{}
 
 func benchDataset(b *testing.B, name string) *graph.Dataset {
 	b.Helper()
 	key := fmt.Sprintf("%s/short=%v", name, testing.Short())
-	dsMu.Lock()
-	defer dsMu.Unlock()
 	if ds, ok := dsCache[key]; ok {
 		return ds
 	}

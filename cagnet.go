@@ -540,13 +540,8 @@ func cloneTrainer(src core.Trainer, opts TrainOptions, mach costmodel.Machine) (
 			return nil, err
 		}
 	}
-	switch s := src.(type) {
-	case *core.OneD:
-		t := tr.(*core.OneD)
-		t.Layout, t.Halo = s.Layout, s.Halo
-	case *core.OneFiveD:
-		t := tr.(*core.OneFiveD)
-		t.Layout, t.Halo = s.Layout, s.Halo
+	if s, ok := src.(core.RowTrainer); ok {
+		*tr.(core.RowTrainer).Rows() = *s.Rows()
 	}
 	return tr, nil
 }

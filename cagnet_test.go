@@ -113,6 +113,12 @@ func TestTrainOptionValidation(t *testing.T) {
 	if _, err := Train(ds, TrainOptions{Algorithm: "2d", Ranks: 5, Epochs: 1}); err == nil {
 		t.Fatal("expected non-square error")
 	}
+	// The same rejection over tcp comes from where the trainer is built —
+	// before any socket or clone exists — so it carries no "tcp rank" prefix.
+	_, err := Train(ds, TrainOptions{Algorithm: "3d", Ranks: 9, Epochs: 1, Transport: "tcp"})
+	if err == nil || !strings.Contains(err.Error(), "perfect-cube") || strings.Contains(err.Error(), "tcp rank") {
+		t.Fatalf("3d with 9 ranks over tcp: want the constructor's perfect-cube error, got %v", err)
+	}
 	if _, err := Train(ds, TrainOptions{Machine: "cray", Ranks: 1, Epochs: 1}); err == nil {
 		t.Fatal("expected unknown-machine error")
 	}

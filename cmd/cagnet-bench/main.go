@@ -228,7 +228,6 @@ func (b *bench) sweep2D() ([]harness.EpochMeasurement, error) {
 		if err != nil {
 			return nil, err
 		}
-		harness.SortMeasurements(ms)
 		b.sweep = ms
 	}
 	return b.sweep, nil

@@ -60,6 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := validateFlags(flagCombo{
+		epochs: *epochs, ranks: *ranks, lr: *lr,
 		algo: *algo, halo: *halo, partitioner: *partitioner, overlap: *overlap,
 		precision: *precision, transport: *transport, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
 		workers: *workers,
@@ -174,6 +175,9 @@ func main() {
 
 // flagCombo carries the flags whose combinations validateFlags vets.
 type flagCombo struct {
+	epochs      int
+	ranks       int
+	lr          float64
 	algo        string
 	halo        bool
 	partitioner string
@@ -189,6 +193,18 @@ type flagCombo struct {
 // do nothing for the chosen algorithm, with an error naming the offending
 // flag.
 func validateFlags(f flagCombo) error {
+	// The library reads a zero in these three as "use the default" (10
+	// epochs, 1 rank, lr 0.01), so the run would not be the one the banner
+	// and the per-epoch figures describe.
+	if f.epochs < 1 {
+		return fmt.Errorf("-epochs must be ≥ 1, got %d", f.epochs)
+	}
+	if f.ranks < 1 {
+		return fmt.Errorf("-ranks must be ≥ 1, got %d", f.ranks)
+	}
+	if !(f.lr > 0) {
+		return fmt.Errorf("-lr must be > 0, got %g", f.lr)
+	}
 	rowAlgo := f.algo == "1d" || f.algo == "1.5d"
 	if f.halo && !rowAlgo {
 		return fmt.Errorf("-halo applies to the row decompositions (-algo 1d or 1.5d), not %q", f.algo)

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestValidateFlagsRejections pins the fail-fast CLI validation: every
 // flag combination the trainer cannot honor must error out before the
@@ -22,10 +25,36 @@ func TestValidateFlagsRejections(t *testing.T) {
 		"negative workers":    {algo: "2d", workers: -3},
 	}
 	for name, combo := range cases {
-		if err := validateFlags(combo); err == nil {
+		if err := validateFlags(withNumericDefaults(combo)); err == nil {
 			t.Errorf("%s: combination accepted", name)
 		}
 	}
+	// The numeric flags have no usable zero — the library would read it as
+	// "use the default" and train something other than what was asked — so
+	// these rows spell out all three and must name the offending flag.
+	numeric := map[string]flagCombo{
+		"-epochs 0":  {algo: "2d", epochs: 0, ranks: 4, lr: 0.01},
+		"-epochs -2": {algo: "2d", epochs: -2, ranks: 4, lr: 0.01},
+		"-ranks 0":   {algo: "2d", epochs: 3, ranks: 0, lr: 0.01},
+		"-ranks -2":  {algo: "2d", epochs: 3, ranks: -2, lr: 0.01},
+		"-lr 0":      {algo: "2d", epochs: 3, ranks: 4, lr: 0},
+		"-lr -2":     {algo: "2d", epochs: 3, ranks: 4, lr: -2},
+	}
+	for name, combo := range numeric {
+		flagName := strings.Fields(name)[0]
+		if err := validateFlags(combo); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), flagName+" ") {
+			t.Errorf("%s: error %q does not name the flag", name, err)
+		}
+	}
+}
+
+// withNumericDefaults fills -epochs, -ranks and -lr with the flag defaults,
+// for cases about the other flags.
+func withNumericDefaults(f flagCombo) flagCombo {
+	f.epochs, f.ranks, f.lr = 10, 16, 0.01
+	return f
 }
 
 // TestValidateFlagsAccepts covers the combinations that must keep working.
@@ -42,8 +71,12 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		"inproc explicit":     {algo: "3d", transport: "inproc"},
 	}
 	for name, combo := range cases {
-		if err := validateFlags(combo); err != nil {
+		if err := validateFlags(withNumericDefaults(combo)); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
 		}
+	}
+	smallest := flagCombo{algo: "serial", epochs: 1, ranks: 1, lr: 1e-9}
+	if err := validateFlags(smallest); err != nil {
+		t.Errorf("one epoch on one rank at a tiny learning rate: rejected: %v", err)
 	}
 }

@@ -88,7 +88,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/parallel"
-	"repro/internal/partition"
 )
 
 type config struct {
@@ -321,21 +320,10 @@ func shrinkWorld(cfg config, world int) int {
 }
 
 // worldValid reports whether the configured algorithm can run at world size
-// p. The grid shapes are checked directly (the trainers validate them only
-// at Train time); everything else is delegated to the trainer constructor.
+// p: whatever the trainer constructor accepts.
 func worldValid(cfg config, p int) bool {
 	if p < 1 {
 		return false
-	}
-	switch cfg.algo {
-	case "2d":
-		if !partition.IsPerfectSquare(p) {
-			return false
-		}
-	case "3d":
-		if !partition.IsPerfectCube(p) {
-			return false
-		}
 	}
 	mach, err := costmodel.ProfileByName(cfg.machine)
 	if err != nil {

@@ -321,8 +321,8 @@ func TestTrainersElementwiseOutput(t *testing.T) {
 }
 
 func TestNewTrainerFactory(t *testing.T) {
-	for _, name := range []string{"serial", "1d", "2d", "3d"} {
-		tr, err := NewTrainer(name, 4, testMach)
+	for name, ranks := range map[string]int{"serial": 4, "1d": 4, "1.5d": 4, "2d": 4, "3d": 8} {
+		tr, err := NewTrainer(name, ranks, testMach)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,6 +332,27 @@ func TestNewTrainerFactory(t *testing.T) {
 	}
 	if _, err := NewTrainer("4d", 4, testMach); err == nil {
 		t.Fatal("expected error for unknown trainer")
+	}
+	// A rank count the mesh cannot use is rejected where the trainer is
+	// built, with the error Train gives a directly constructed one.
+	rejected := []struct {
+		name   string
+		ranks  int
+		direct Trainer
+	}{
+		{"2d", 12, NewTwoD(12, testMach)},
+		{"3d", 9, NewThreeD(9, testMach)},
+	}
+	p := testProblem(t, 36, 6, 4, 3, 1, 26)
+	for _, tc := range rejected {
+		_, err := NewTrainer(tc.name, tc.ranks, testMach)
+		if err == nil {
+			t.Fatalf("NewTrainer(%q, %d) accepted a rank count the mesh cannot use", tc.name, tc.ranks)
+		}
+		_, trainErr := tc.direct.Train(p)
+		if trainErr == nil || trainErr.Error() != err.Error() {
+			t.Fatalf("%s at %d ranks: Train says %v, NewTrainer says %v", tc.name, tc.ranks, trainErr, err)
+		}
 	}
 }
 

@@ -170,9 +170,7 @@ func (s *scheduleOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
 // Block1D share in 2D and 3D.
 func featureShare(ops layerOps, f int) int {
 	switch r := ops.(type) {
-	case *twoDRank:
-		return r.fBlk(f).Size(r.pj)
-	case *threeDRank:
+	case *meshRank:
 		return r.fBlk(f).Size(r.pj)
 	}
 	return f
@@ -346,7 +344,7 @@ func (b *backwardProbe) place(full, blk *dense.Matrix) {
 	switch r := b.layerOps.(type) {
 	case *oneDRank:
 		r0 = r.lo
-	case *twoDRank:
+	case *meshRank:
 		r0, c0 = r.vBlk.Lo(r.pi), r.fBlk(full.Cols).Lo(r.pj)
 	}
 	b.rec.mu.Lock()

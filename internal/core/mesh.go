@@ -1,0 +1,580 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/comm"
+	"repro/internal/costmodel"
+	"repro/internal/dense"
+	"repro/internal/nn"
+	"repro/internal/partition"
+	"repro/internal/sparse"
+)
+
+// meshTrainer implements the paper's block 2D algorithm (§IV-C, Algorithm 2) and
+// block 3D algorithm, Split-3D-SpMM (§IV-D), as one SUMMA on a q × q × d
+// process mesh: A, H and G are distributed over the mesh, W is replicated.
+// The depth is a function of the algorithm, not an option:
+//
+//   - "2d" is the √P × √P grid, depth 1. Backward needs A where forward used
+//     Aᵀ; it is obtained by a pairwise transpose exchange across the grid
+//     diagonal every epoch — the "trpose" category of Figure 3 — so A may be
+//     directed.
+//   - "3d" is the ∛P × ∛P × ∛P cube. Each Aᵀ block is n/∛P × n/∛P² — the
+//     vertex dimension is split ∛P ways by grid row and a further ∛P ways by
+//     layer — while H blocks are n/∛P² × f/∛P. Every layer of the mesh runs
+//     an independent SUMMA over its column sub-slices, and partial sums are
+//     reduce-scattered along the fiber dimension, the P^{1/3}
+//     memory-replicating step of 3D algorithms. The paper analyzes but does
+//     not implement it (§IV-D-5). A must be symmetric (A = Aᵀ), which holds
+//     for the normalized adjacency of every dataset in the paper, so backward
+//     reuses the forward blocks without a transpose step; Train rejects any
+//     other A.
+//
+// Each forward layer runs a SUMMA SpMM (row broadcasts of Aᵀ blocks, column
+// broadcasts of dense blocks) and a "partial SUMMA" against the replicated
+// W (row broadcasts of the dense operand's panels), in the order the engine
+// picks per layer. Row-wise activations (log_softmax) add an all-gather
+// along process rows. Backward runs the same pattern with A, plus the dense
+// SUMMA for Y with its f×f all-gather.
+type meshTrainer struct{ dist }
+
+// TwoD is the 2D SUMMA trainer (§IV-C): the mesh at depth 1.
+type TwoD struct{ meshTrainer }
+
+// ThreeD is the Split-3D-SpMM trainer (§IV-D): the mesh at depth ∛P.
+type ThreeD struct{ meshTrainer }
+
+// NewTwoD returns a 2D SUMMA trainer over p simulated ranks; p must be a
+// perfect square.
+func NewTwoD(p int, mach costmodel.Machine) *TwoD {
+	t := &TwoD{}
+	t.init("2d", p, mach)
+	return t
+}
+
+// NewThreeD returns a Split-3D-SpMM trainer over p simulated ranks; p must
+// be a perfect cube.
+func NewThreeD(p int, mach costmodel.Machine) *ThreeD {
+	t := &ThreeD{}
+	t.init("3d", p, mach)
+	return t
+}
+
+func (t *meshTrainer) init(name string, p int, mach costmodel.Machine) {
+	t.dist = newDist(name, p, mach)
+	t.decompose = t.newRanks
+}
+
+// meshFor returns the mesh the named algorithm ("2d" or "3d") runs p ranks
+// on, or the error for a rank count it cannot use.
+func meshFor(name string, p int) (partition.Grid3D, error) {
+	if name == "3d" {
+		if !partition.IsPerfectCube(p) {
+			return partition.Grid3D{}, fmt.Errorf("core: 3d trainer needs a perfect-cube rank count, got %d", p)
+		}
+		return partition.NewGrid3D(p), nil
+	}
+	if !partition.IsPerfectSquare(p) {
+		return partition.Grid3D{}, fmt.Errorf("core: 2d trainer needs a perfect-square rank count, got %d", p)
+	}
+	return partition.NewMesh(partition.NewSquareGrid(p).Pr, 1), nil
+}
+
+// newRanks is the mesh decomposition (dist.decompose).
+func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerOps, error) {
+	mesh, err := meshFor(t.name, t.p)
+	if err != nil {
+		return nil, err
+	}
+	// 2D transposes explicitly and takes any A; 3D reads its Aᵀ blocks
+	// straight out of A.
+	at, transposes := p.A, t.name == "2d"
+	if transposes {
+		at = p.A.Transpose()
+	} else if err := requireSymmetric(p.A, t.name); err != nil {
+		return nil, err
+	}
+	n := p.A.Rows
+	if mesh.C*mesh.D > n {
+		return nil, fmt.Errorf("core: the %s mesh splits the vertices %d ways, the graph has only %d", t.name, mesh.C*mesh.D, n)
+	}
+	return func(c *comm.Comm) layerOps {
+		r := &meshRank{
+			comm: c, mach: t.mach, cfg: cfg, mesh: mesh, transposes: transposes, overlap: t.Overlap,
+			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
+			vBlk: partition.NewBlock1D(n, mesh.C),
+		}
+		r.setup(at, p.Features)
+		return r
+	}, nil
+}
+
+// meshRank holds one rank's state during 2D or 3D training and implements
+// layerOps with the SUMMA collective choreography. Per-epoch temporaries
+// come from ws and the csrs header arena, both reset at endEpoch together
+// with the fabric's payload pool.
+type meshRank struct {
+	comm       *comm.Comm
+	mach       costmodel.Machine
+	cfg        nn.Config
+	mesh       partition.Grid3D
+	transposes bool // 2D: the A block comes from the per-epoch transpose exchange
+	overlap    bool
+	labels     []int
+	mask       []bool
+	norm       int
+	n          int
+	vBlk       partition.Block1D // vertex dimension split q ways
+
+	pi, pj, pk int         // mesh coordinates: row, column, layer
+	rowGroup   *comm.Group // (pi, *, pk)
+	colGroup   *comm.Group // (*, pj, pk)
+	fiberGroup *comm.Group // (pi, pj, *); nil at depth 1
+	planeGroup *comm.Group // (*, pj, *): all ranks sharing grid column pj; colGroup at depth 1
+	atBlk      *sparse.CSR // Aᵀ(rows of pi, column sub-slice (pj, pk))
+	atPay      comm.Payload
+	h0         *dense.Matrix
+	memBase    int64
+
+	// aPay is my block of A, pre-serialized, for the backward SUMMA. In 3D A
+	// is symmetric, so it is atPay — the 3D trainer's structural shortcut for
+	// undirected graphs; in 2D it is what the transpose exchange receives for
+	// localTPay, this rank's (Aᵀ block)ᵀ.
+	aPay      comm.Payload
+	localTPay comm.Payload
+
+	ws       *dense.Workspace
+	csrs     csrArena
+	dims     []int
+	rsCounts []int
+	cnt      []float64
+	cacheBuf []actCache // per-layer actCache storage, reused every epoch
+
+	// t1Rows holds this rank's full rows of T¹ (n/(q·d) x f⁰), gathered along
+	// the process row once with T¹ itself, so Z¹ = T¹·W¹ needs no panel
+	// broadcast in any epoch.
+	t1Rows *dense.Matrix
+
+	// rows holds the full rows of the block rowsOf: what the
+	// weightGrad/inputGrad pair reads (§IV-C-4, §IV-D-4 gather once for both
+	// products). A row-wise activationBackward leaves G's rows here with G;
+	// otherwise fullRows gathers on first use. Cleared at endEpoch.
+	rowsOf, rows *dense.Matrix
+}
+
+// recordMem reports the resident footprint: persistent blocks plus the
+// given live intermediate words.
+func (r *meshRank) recordMem(extra int64) {
+	r.comm.Ledger().RecordMem(r.memBase + extra)
+}
+
+// subRange returns the global index range of sub-slice k within vertex
+// block q: block q of Block1D(n, C), subdivided D ways (the whole block at
+// depth 1).
+func (r *meshRank) subRange(q, k int) (int, int) {
+	inner := partition.NewBlock1D(r.vBlk.Size(q), r.mesh.D)
+	base := r.vBlk.Lo(q)
+	return base + inner.Lo(k), base + inner.Hi(k)
+}
+
+// fBlk returns the Block1D splitting a feature dimension across mesh
+// columns.
+func (r *meshRank) fBlk(f int) partition.Block1D {
+	return partition.NewBlock1D(f, r.mesh.C)
+}
+
+func (r *meshRank) setup(at *sparse.CSR, features *dense.Matrix) {
+	r.pi, r.pj, r.pk = r.mesh.Coords(r.comm.Rank())
+	r.rowGroup = r.comm.NewGroup(r.mesh.LayerRowRanks(r.pi, r.pk))
+	r.colGroup = r.comm.NewGroup(r.mesh.LayerColRanks(r.pj, r.pk))
+	r.planeGroup = r.colGroup
+	if r.mesh.D > 1 {
+		r.fiberGroup = r.comm.NewGroup(r.mesh.FiberRanks(r.pi, r.pj))
+		r.planeGroup = r.comm.NewGroup(r.mesh.PlaneRanks(r.pj))
+		r.rsCounts = make([]int, r.mesh.D)
+	}
+
+	// Aᵀ block: rows of grid-row pi, columns = sub-slice (pj, pk).
+	cLo, cHi := r.subRange(r.pj, r.pk)
+	r.atBlk = at.ExtractBlock(r.vBlk.Lo(r.pi), r.vBlk.Hi(r.pi), cLo, cHi)
+	r.atPay = csrPayload(r.atBlk)
+	// H block: rows = sub-slice (pi, pk), feature columns of pj.
+	rLo, rHi := r.subRange(r.pi, r.pk)
+	f0 := r.fBlk(r.cfg.Widths[0])
+	r.h0 = features.SubMatrix(rLo, rHi, f0.Lo(r.pj), f0.Hi(r.pj))
+	r.ws = dense.NewWorkspace()
+	r.dims = make([]int, 2)
+	r.cnt = make([]float64, 8)
+	r.cacheBuf = make([]actCache, r.cfg.Layers()+1)
+	r.memBase = csrWords(r.atBlk) + matWords(r.h0) + cfgWeightWords(r.cfg)
+	if r.transposes {
+		// The transposed local block is static across epochs; the per-epoch
+		// exchange resends it (and recharges the transpose work) without
+		// recomputing it. The A block appears twice once the exchange runs.
+		r.localTPay = csrPayload(r.atBlk.Transpose())
+		r.memBase += csrWords(r.atBlk)
+	} else {
+		r.aPay = r.atPay
+	}
+	r.recordMem(0)
+}
+
+// transposeExchange builds this rank's A block from the Aᵀ blocks by a
+// pairwise exchange across the grid diagonal: A_ij = (Aᵀ_ji)ᵀ, which pairs
+// whole blocks only on a mesh of depth 1. This is the paper's "trpose" cost
+// (Figure 3); it also charges the local transpose work. The exchange
+// repeats every epoch — the payload still crosses the fabric and every cost
+// is recharged — but since A is static, the received block is materialized
+// only once and reused thereafter.
+func (r *meshRank) transposeExchange() {
+	r.comm.ChargeTime(comm.CatTranspose, float64(r.atBlk.NNZ())*4/r.mach.SpMMRate)
+	if r.pi == r.pj {
+		r.aPay = r.localTPay
+		return
+	}
+	peer := r.mesh.Rank(r.pj, r.pi, r.pk)
+	got := r.comm.Exchange(peer, r.localTPay, comm.CatTranspose)
+	if r.aPay.Ints == nil {
+		// Deep-copy out of the received payload: its buffers belong to the
+		// fabric's pool and are recycled at the epoch boundary, while the
+		// A block must survive the whole run.
+		r.aPay = csrPayload(payloadCSR(got).Clone())
+	}
+}
+
+// summaSpMM computes my block of op(A)·X where aPay is my pre-serialized
+// block of op(A) and x my block of the dense operand, distributed like H:
+// an independent SUMMA per mesh layer over the column sub-slices — sparse
+// blocks broadcast along process rows, dense blocks along process columns
+// (Algorithm 2, first phase) — then, on a mesh deeper than one layer, a
+// reduce-scatter along the fiber so the result lands in the same
+// n/(q·d) x f/q layout as X (§IV-D-1).
+//
+// In overlap mode stage k+1's panel pair is issued asynchronously before
+// stage k's local SpMM runs, double-buffering the in-flight panels (the
+// fabric pool holds the incoming buffers, ws the wrapping headers), so the
+// stage cost is max(comm, comp). The stage order and every accumulation
+// are unchanged, keeping the result bit-identical.
+func (r *meshRank) summaSpMM(aPay comm.Payload, x *dense.Matrix) *dense.Matrix {
+	// On a deep mesh out is the layer's pre-reduction sum: the
+	// P^{1/3}-replicated intermediate of §IV-D-1.
+	out := r.ws.Get(r.vBlk.Size(r.pi), x.Cols)
+	var aReq, xReq *comm.Request
+	if r.overlap {
+		aReq, xReq = r.summaStage(0, aPay, x)
+	}
+	for k := 0; k < r.mesh.C; k++ {
+		if !r.overlap {
+			aReq, xReq = r.summaStage(k, aPay, x)
+		}
+		aK := r.csrs.wrap(aReq.Wait())
+		xK := wrapMat(r.ws, xReq.Wait())
+		if r.overlap && k+1 < r.mesh.C {
+			aReq, xReq = r.summaStage(k+1, aPay, x)
+		}
+		r.recordMem(matWords(out) + csrWords(aK) + matWords(xK))
+		sparse.SpMMAdd(out, aK, xK)
+		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(aK.NNZ()), aK.Rows, xK.Cols))
+	}
+	if r.mesh.D == 1 {
+		return out
+	}
+	// Fiber reduce-scatter: partial sums for T(row block pi) are summed
+	// across layers and scattered so layer k keeps row sub-slice (pi, k).
+	for k := range r.rsCounts {
+		lo, hi := r.subRange(r.pi, k)
+		r.rsCounts[k] = (hi - lo) * x.Cols
+	}
+	myLo, myHi := r.subRange(r.pi, r.pk)
+	return r.ws.Wrap(myHi-myLo, x.Cols,
+		r.fiberGroup.ReduceScatter(out.Data, r.rsCounts, comm.CatDenseComm))
+}
+
+// summaStage issues stage k's panel broadcasts: the sparse panel
+// Aᵀ(row pi, sub-slice (k, pk)) along the process row, the dense panel
+// X(sub-slice (k, pk), fcols pj) along the process column. The dims scratch
+// is only written when this rank roots the dense panel (k == pi), which
+// happens for exactly one stage, so a single scratch survives two stages
+// being in flight.
+func (r *meshRank) summaStage(k int, aPay comm.Payload, x *dense.Matrix) (aReq, xReq *comm.Request) {
+	var aIn, xIn comm.Payload
+	if k == r.pj {
+		aIn = aPay
+	}
+	if k == r.pi {
+		xIn = matPayloadInto(x, r.dims)
+	}
+	aReq = r.rowGroup.IBroadcast(k, aIn, comm.CatSparseComm)
+	xReq = r.colGroup.IBroadcast(k, xIn, comm.CatDenseComm)
+	return aReq, xReq
+}
+
+// partialSumma computes my block of X·W for the replicated W: X blocks
+// broadcast along process rows within each mesh layer (Algorithm 2, second
+// phase). The k-th stage multiplies X's k-th column block against
+// W[rowBlk(k), colBlk(pj)]. In overlap mode stage k+1's broadcast is in
+// flight while stage k's GEMM runs.
+func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
+	rowsB := r.fBlk(w.Rows) // W rows = X's feature dimension, split by column
+	colsB := r.fBlk(w.Cols)
+	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
+	var xReq *comm.Request
+	if r.overlap {
+		xReq = r.partialStage(0, xBlk)
+	}
+	for k := 0; k < r.mesh.C; k++ {
+		if !r.overlap {
+			xReq = r.partialStage(k, xBlk)
+		}
+		xK := wrapMat(r.ws, xReq.Wait())
+		if r.overlap && k+1 < r.mesh.C {
+			xReq = r.partialStage(k+1, xBlk)
+		}
+		wSlice := r.ws.GetUninit(rowsB.Size(k), colsB.Size(r.pj))
+		w.SubMatrixInto(wSlice, rowsB.Lo(k), rowsB.Hi(k), colsB.Lo(r.pj), colsB.Hi(r.pj))
+		dense.MulAdd(out, xK, wSlice)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xK.Rows, xK.Cols, wSlice.Cols))
+	}
+	return out
+}
+
+// partialStage issues stage k's panel broadcast along the process row. The
+// dims scratch is safe for the same single-root reason as in summaStage
+// (only stage pj writes it).
+func (r *meshRank) partialStage(k int, xBlk *dense.Matrix) *comm.Request {
+	var xIn comm.Payload
+	if k == r.pj {
+		xIn = matPayloadInto(xBlk, r.dims)
+	}
+	return r.rowGroup.IBroadcast(k, xIn, comm.CatDenseComm)
+}
+
+// gatherRows all-gathers the column blocks of a mesh-partitioned matrix
+// along my process row, returning my full rows (n/(q·d) x f, f the sum of
+// the blocks' widths).
+func (r *meshRank) gatherRows(x *dense.Matrix) *dense.Matrix {
+	parts := r.rowGroup.AllGather(matPayloadInto(x, r.dims), comm.CatDenseComm)
+	f := 0
+	for _, part := range parts {
+		f += part.Ints[1]
+	}
+	out := r.ws.GetUninit(x.Rows, f)
+	c0 := 0
+	for _, part := range parts {
+		out.SetSubMatrix(0, c0, wrapMat(r.ws, part))
+		c0 += part.Ints[1]
+	}
+	r.recordMem(matWords(out))
+	return out
+}
+
+// fullRows returns the full rows of block x: the ones a row-wise
+// activationBackward left with it, or a gather, remembered so the second
+// of the weightGrad/inputGrad pair reuses it.
+func (r *meshRank) fullRows(x *dense.Matrix) *dense.Matrix {
+	if r.rowsOf != x {
+		r.rowsOf, r.rows = x, r.gatherRows(x)
+	}
+	return r.rows
+}
+
+// colBlockOf copies my column block of x's full rows out of them.
+func (r *meshRank) colBlockOf(xRow *dense.Matrix) *dense.Matrix {
+	fB := r.fBlk(xRow.Cols)
+	x := r.ws.GetUninit(xRow.Rows, fB.Size(r.pj))
+	xRow.SubMatrixInto(x, 0, xRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
+	return x
+}
+
+func (r *meshRank) rank() int { return r.comm.Rank() }
+
+func (r *meshRank) input() *dense.Matrix { return r.h0 }
+
+// forwardAggregate computes Aᵀ X via SUMMA SpMM.
+func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	t := r.summaSpMM(r.atPay, x)
+	if l == 1 {
+		// T¹ outlives endEpoch: the engine reuses it every epoch — the block
+		// in weightGrad, its full rows in multiplyWeight. On a deep mesh the
+		// block arrives in the reduce-scatter's payload, so Keep copies it
+		// out.
+		t = r.ws.Keep(t)
+		r.t1Rows = r.ws.Keep(r.gatherRows(t))
+		r.memBase += matWords(t) + matWords(r.t1Rows)
+	}
+	return t
+}
+
+// multiplyWeight computes X W via the partial SUMMA — except Z¹ = T¹ W¹,
+// whose row panels forwardAggregate gathered for the whole run: a local
+// GEMM against W¹[:, colBlk(pj)].
+func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+	if l > 1 {
+		return r.partialSumma(x, w)
+	}
+	colsB := r.fBlk(w.Cols)
+	wCols := r.ws.GetUninit(w.Rows, colsB.Size(r.pj))
+	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
+	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
+	dense.Mul(z, r.t1Rows, wCols)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
+	return z
+}
+
+// activationForward applies σ. Element-wise activations need no
+// communication; row-wise activations all-gather Z along the process row,
+// apply, and keep my column block, caching the full-row H for backward
+// (§IV-C-2) — no cross-layer or cross-row communication is needed
+// (§IV-D-2).
+func (r *meshRank) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
+	if !act.RowWise() {
+		h := r.ws.GetUninit(z.Rows, z.Cols)
+		act.Forward(h, z)
+		return h, nil
+	}
+	zRow := r.gatherRows(z)
+	hRow := r.ws.GetUninit(zRow.Rows, zRow.Cols)
+	act.Forward(hRow, zRow)
+	cache := &r.cacheBuf[l]
+	cache.hRow = hRow
+	return r.colBlockOf(hRow), cache
+}
+
+// lossGrad computes this block's loss contribution and ∂L/∂H^L, writing
+// -1/n into the label positions it owns: each rank owns the labels whose
+// class index falls in its column block, so nothing is double counted.
+func (r *meshRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
+	grad := r.ws.Get(hOut.Rows, hOut.Cols)
+	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()]) // class count: the label space, not an operand
+	cLo, cHi := fB.Lo(r.pj), fB.Hi(r.pj)
+	rLo, _ := r.subRange(r.pi, r.pk)
+	inv := 1.0 / float64(r.norm)
+	var loss float64
+	for i := 0; i < hOut.Rows; i++ {
+		if r.mask != nil && !r.mask[rLo+i] {
+			continue
+		}
+		lab := r.labels[rLo+i]
+		if lab < cLo || lab >= cHi {
+			continue
+		}
+		loss -= hOut.At(i, lab-cLo) * inv
+		grad.Set(i, lab-cLo, -inv)
+	}
+	return loss, grad
+}
+
+// beforeBackward runs the per-epoch transpose exchange that builds A from
+// the Aᵀ blocks (2D only).
+func (r *meshRank) beforeBackward() {
+	if r.transposes {
+		r.transposeExchange()
+	}
+}
+
+// activationBackward computes G = act'(∂L/∂H) from H. Row-wise activations
+// need full rows: all-gather dH along the row and reuse the cached full-row
+// H (the σ' all-gather of §IV-C-3). G's full rows stay with it for the
+// weightGrad/inputGrad pair of an aggregate-first layer.
+func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
+	if !act.RowWise() {
+		g := r.ws.GetUninit(dH.Rows, dH.Cols)
+		act.Backward(g, dH, h)
+		return g
+	}
+	dHRow := r.gatherRows(dH)
+	gRow := r.ws.GetUninit(dHRow.Rows, dHRow.Cols)
+	act.Backward(gRow, dHRow, cache.hRow)
+	g := r.colBlockOf(gRow)
+	r.rowsOf, r.rows = g, gRow
+	return g
+}
+
+// backwardAggregate computes A·X via SUMMA SpMM over the A blocks.
+func (r *meshRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.summaSpMM(r.aPay, x)
+}
+
+// weightGrad computes Y^l = hPrevᵀ·g: local partial from g's full rows,
+// all-reduce over the plane of ranks sharing my feature column (summing
+// over grid rows and layers — down the process column at depth 1), then
+// all-gather along the process row to replicate Y (dense SUMMA +
+// all-gather, §IV-C-4, §IV-D-4). (H^{l-1}, A G^l) and (T^l, G^l) are laid
+// out alike, so one product serves both orders.
+func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
+	dense.TMul(partial, hPrev, gRow)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, gRow.Cols))
+	planeSum := r.planeGroup.AllReduce(partial.Data, comm.CatDenseComm)
+	r.dims[0], r.dims[1] = partial.Rows, partial.Cols
+	yParts := r.rowGroup.AllGather(
+		comm.Payload{Floats: planeSum, Ints: r.dims[:2]},
+		comm.CatDenseComm)
+	fPB := r.fBlk(r.cfg.Widths[l-1]) // W^l's rows: the same in either product order
+	dW := r.ws.GetUninit(fPB.Items(), gRow.Cols)
+	for j, part := range yParts {
+		dW.SetSubMatrix(fPB.Lo(j), 0, wrapMat(r.ws, part))
+	}
+	return dW
+}
+
+// inputGrad computes my block of g·(W^l)ᵀ from g's full rows — already
+// gathered by weightGrad — with no communication.
+func (r *meshRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+	gRow := r.fullRows(g)
+	fPB := r.fBlk(w.Rows)
+	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), w.Cols)
+	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, w.Cols)
+	dH := r.ws.GetUninit(gRow.Rows, wRowBlk.Rows)
+	dense.MulT(dH, gRow, wRowBlk)
+	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(gRow.Rows, w.Cols, wRowBlk.Rows))
+	return dH
+}
+
+// endEpoch charges the per-epoch overhead and releases every epoch-scoped
+// buffer: the rank's workspace and CSR headers, then (collectively) the
+// fabric's payload pool.
+func (r *meshRank) endEpoch() {
+	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
+	r.ws.Reset()
+	r.csrs.reset()
+	r.rowsOf, r.rows = nil, nil
+	r.comm.EpochDone()
+}
+
+// correctCounts needs full output rows: it reuses the row-wise
+// activation's gathered H when available and all-gathers once (for all
+// masks) otherwise. Only column-0 ranks count, so each (pi, pk) row
+// sub-slice is counted once.
+func (r *meshRank) correctCounts(hOut *dense.Matrix, cache *actCache, masks ...[]bool) []float64 {
+	hRow := cache.hRowOr(func() *dense.Matrix { return r.gatherRows(hOut) })
+	counts := countBuf(r.cnt, len(masks))
+	if r.pj != 0 {
+		return counts
+	}
+	rLo, _ := r.subRange(r.pi, r.pk)
+	argmaxCorrectInto(counts, hRow, r.labels, rLo, masks)
+	return counts
+}
+
+func (r *meshRank) reduce(vals []float64) []float64 {
+	return r.comm.World().AllReduce(vals, comm.CatMisc)
+}
+
+// gatherOutput assembles the global output on rank 0.
+func (r *meshRank) gatherOutput(hOut *dense.Matrix) *dense.Matrix {
+	parts := r.comm.World().Gather(0, matPayload(hOut), comm.CatMisc)
+	if r.comm.Rank() != 0 {
+		return nil
+	}
+	fL := r.fBlk(r.cfg.Widths[r.cfg.Layers()])
+	full := dense.New(r.n, r.cfg.Widths[r.cfg.Layers()])
+	for rank, part := range parts {
+		gi, gj, gk := r.mesh.Coords(rank)
+		rLo, _ := r.subRange(gi, gk)
+		full.SetSubMatrix(rLo, fL.Lo(gj), payloadMat(part))
+	}
+	return full
+}

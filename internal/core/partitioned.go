@@ -19,20 +19,11 @@ import (
 // relabeling order (order[new] = old; nil when the layout is the default
 // block one) for mapping row-per-vertex outputs back with RestoreRows.
 func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, partitioner string, halo bool, seed int64) ([]int, error) {
-	var blocks int
-	var setLayout func(partition.Contig1D)
-	switch t := tr.(type) {
-	case *OneD:
-		t.Halo = halo
-		blocks = t.Ranks()
-		setLayout = func(l partition.Contig1D) { t.Layout = l }
-	case *OneFiveD:
-		t.Halo = halo
-		blocks = t.Ranks() / t.ReplicationFactor()
-		setLayout = func(l partition.Contig1D) { t.Layout = l }
-	default:
+	rt, ok := tr.(RowTrainer)
+	if !ok {
 		return nil, fmt.Errorf("core: partitioner/halo options apply to the 1d and 1.5d algorithms, not %q", tr.Name())
 	}
+	rt.Rows().Halo = halo
 	if partitioner == "" || partitioner == "block" {
 		return nil, nil
 	}
@@ -40,11 +31,11 @@ func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, par
 	if err != nil {
 		return nil, err
 	}
-	relabeled, layout, order, err := PartitionProblem(*problem, assign(g, blocks, rand.New(rand.NewSource(seed))))
+	relabeled, layout, order, err := PartitionProblem(*problem, assign(g, rt.Blocks(), rand.New(rand.NewSource(seed))))
 	if err != nil {
 		return nil, err
 	}
-	setLayout(layout)
+	rt.Rows().Layout = layout
 	*problem = relabeled
 	return order, nil
 }

@@ -24,13 +24,13 @@ func TestRandomizedEquivalenceSweep(t *testing.T) {
 		p := testProblem(t, n, f, hidden, labels, epochs, int64(1000+trial))
 
 		oneDRanks := []int{2, 3, 4, 5, 6}[rng.Intn(5)]
-		twoDRanks := []int{1, 4, 9}[rng.Intn(3)]
-		threeDRanks := []int{1, 8}[rng.Intn(2)]
+		squareRanks := []int{1, 4, 9}[rng.Intn(3)]
+		cubeRanks := []int{1, 8}[rng.Intn(2)]
 		oneFiveC := 1 + rng.Intn(2)
 
 		checkEquivalence(t, NewOneD(oneDRanks, testMach), p)
 		checkEquivalence(t, NewOneFiveD(oneFiveC*2, oneFiveC, testMach), p)
-		checkEquivalence(t, NewTwoD(twoDRanks, testMach), p)
-		checkEquivalence(t, NewThreeD(threeDRanks, testMach), p)
+		checkEquivalence(t, NewTwoD(squareRanks, testMach), p)
+		checkEquivalence(t, NewThreeD(cubeRanks, testMach), p)
 	}
 }

@@ -7,7 +7,11 @@
 // activation bookkeeping, loss normalization, optimizer steps, accuracy
 // tracking, output assembly — and drives a small layerOps interface that
 // each decomposition implements with only its layout-specific SpMM and
-// collective choreography.
+// collective choreography. The family is written once: the four distributed
+// trainers share one shell (dist.go: ranks, cluster or endpoint, Train); 1D
+// and 1.5D share one block-row rank and one forward product (rows.go), of
+// which 1D is the c = 1 case; 2D and 3D are one SUMMA on a q × q × d mesh
+// (mesh.go), at depth 1 and ∛P.
 //
 // All trainers compute the same mathematics (§III-C/D):
 //
@@ -196,8 +200,10 @@ type Result struct {
 }
 
 // Trainer runs full-batch GCN training on a problem. Implementations:
-// Serial, OneD, OneFiveD, TwoD, ThreeD — all driving the shared engine
-// with their own layerOps.
+// Serial, OneD, OneFiveD, TwoD, ThreeD — all driving the shared engine with
+// their own layerOps; the four distributed ones are the one shell (dist.go)
+// around a decomposition, and TwoD and ThreeD the one mesh trainer under two
+// names.
 type Trainer interface {
 	// Name identifies the algorithm ("serial", "1d", "1.5d", "2d", "3d").
 	Name() string
@@ -224,8 +230,10 @@ func NewTrainer(name string, p int, mach costmodel.Machine) (Trainer, error) {
 // NewTrainerReplicated is NewTrainer with an explicit 1.5D replication
 // factor c: 0 selects the default (2, falling back to 1 on odd p);
 // otherwise c must divide p. Algorithms other than "1.5d" reject c > 1,
-// which would silently do nothing, and every distributed algorithm rejects
-// p < 1.
+// which would silently do nothing, every distributed algorithm rejects
+// p < 1, and "2d" and "3d" reject a rank count that is not a perfect square
+// or cube — here, before the caller builds a problem or opens a socket for
+// it, with the error Train gives a directly constructed trainer.
 func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Trainer, error) {
 	if name != "1.5d" && c > 1 {
 		return nil, fmt.Errorf("core: replication factor %d only applies to the 1.5d trainer, not %q", c, name)
@@ -252,9 +260,13 @@ func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Traine
 			return nil, fmt.Errorf("core: 1.5d replication factor must satisfy c ≥ 1 and p %% c == 0, got P=%d c=%d", p, c)
 		}
 		return NewOneFiveD(p, c, mach), nil
-	case "2d":
-		return NewTwoD(p, mach), nil
-	case "3d":
+	case "2d", "3d":
+		if _, err := meshFor(name, p); err != nil {
+			return nil, err
+		}
+		if name == "2d" {
+			return NewTwoD(p, mach), nil
+		}
 		return NewThreeD(p, mach), nil
 	default:
 		return nil, fmt.Errorf("core: unknown trainer %q (want serial, 1d, 1.5d, 2d, 3d)", name)
@@ -268,19 +280,10 @@ func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Traine
 // no communication to overlap and rejects on (a no-op request would
 // silently misreport the modeled speedup).
 func SetOverlap(tr Trainer, on bool) error {
-	switch t := tr.(type) {
-	case *OneD:
-		t.Overlap = on
-	case *OneFiveD:
-		t.Overlap = on
-	case *TwoD:
-		t.Overlap = on
-	case *ThreeD:
-		t.Overlap = on
-	default:
-		if on {
-			return fmt.Errorf("core: overlap applies to the distributed algorithms, not %q", tr.Name())
-		}
+	if d, ok := tr.(distributed); ok {
+		d.shell().Overlap = on
+	} else if on {
+		return fmt.Errorf("core: overlap applies to the distributed algorithms, not %q", tr.Name())
 	}
 	return nil
 }

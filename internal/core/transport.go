@@ -19,31 +19,14 @@ import (
 // The serial trainer has no fabric and rejects; a mismatched world size
 // rejects rather than silently training a different decomposition.
 func SetTransportComm(tr Trainer, c *comm.Comm) error {
-	want := 0
-	switch t := tr.(type) {
-	case *OneD:
-		want = t.p
-	case *OneFiveD:
-		want = t.p
-	case *TwoD:
-		want = t.p
-	case *ThreeD:
-		want = t.p
-	default:
+	d, ok := tr.(distributed)
+	if !ok {
 		return fmt.Errorf("core: transport endpoints apply to the distributed trainers, not %q", tr.Name())
 	}
-	if c.Size() != want {
-		return fmt.Errorf("core: transport world size %d does not match trainer's %d ranks", c.Size(), want)
+	t := d.shell()
+	if c.Size() != t.p {
+		return fmt.Errorf("core: transport world size %d does not match trainer's %d ranks", c.Size(), t.p)
 	}
-	switch t := tr.(type) {
-	case *OneD:
-		t.ext = c
-	case *OneFiveD:
-		t.ext = c
-	case *TwoD:
-		t.ext = c
-	case *ThreeD:
-		t.ext = c
-	}
+	t.ext = c
 	return nil
 }

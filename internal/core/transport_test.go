@@ -121,24 +121,51 @@ func TestTrainTCPBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSetTransportCommValidation covers the rejection paths.
+// TestSetTransportCommValidation covers the rejection paths for each of the
+// four distributed trainers — they share one code path, exercised here under
+// every name: an endpoint of the wrong world size is rejected, a matching
+// one accepted, and the serial trainer takes none.
 func TestSetTransportCommValidation(t *testing.T) {
-	comms, err := comm.LocalTCPComms(2, comm.CostParams{Alpha: 1e-6, Beta: 1e-9})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		algo         string
+		ranks, wrong int
+	}{
+		{"1d", 2, 3},
+		{"1.5d", 2, 4},
+		{"2d", 4, 9},
+		{"3d", 8, 27},
 	}
-	defer func() {
-		for _, cm := range comms {
-			cm.Transport().Close()
-		}
-	}()
-	if err := SetTransportComm(NewSerial(), comms[0]); err == nil {
-		t.Fatal("serial trainer accepted a transport endpoint")
-	}
-	if err := SetTransportComm(NewOneD(3, testMach), comms[0]); err == nil {
-		t.Fatal("1d trainer accepted a world-size-2 endpoint for 3 ranks")
-	}
-	if err := SetTransportComm(NewOneD(2, testMach), comms[0]); err != nil {
-		t.Fatalf("1d trainer rejected a matching endpoint: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.algo, func(t *testing.T) {
+			comms, err := comm.LocalTCPComms(tc.ranks, comm.CostParams{Alpha: 1e-6, Beta: 1e-9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, cm := range comms {
+					cm.Transport().Close()
+				}
+			}()
+			if err := SetTransportComm(NewSerial(), comms[0]); err == nil {
+				t.Fatal("serial trainer accepted a transport endpoint")
+			}
+			mismatched, err := NewTrainer(tc.algo, tc.wrong, testMach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SetTransportComm(mismatched, comms[0]); err == nil {
+				t.Fatalf("%s trainer accepted a world-size-%d endpoint for %d ranks", tc.algo, tc.ranks, tc.wrong)
+			}
+			matching, err := NewTrainer(tc.algo, tc.ranks, testMach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SetTransportComm(matching, comms[0]); err != nil {
+				t.Fatalf("%s trainer rejected a matching endpoint: %v", tc.algo, err)
+			}
+			if got := matching.(distributed).shell().ext; got != comms[0] {
+				t.Fatalf("%s trainer holds endpoint %p after SetTransportComm, want %p", tc.algo, got, comms[0])
+			}
+		})
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/comm"
@@ -794,18 +793,4 @@ func FormatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.4f", v)
 	}
-}
-
-// SortMeasurements orders measurements by dataset panel order then P.
-func SortMeasurements(ms []EpochMeasurement) {
-	order := map[string]int{}
-	for i, d := range Fig2Datasets {
-		order[d] = i
-	}
-	sort.Slice(ms, func(i, j int) bool {
-		if order[ms[i].Dataset] != order[ms[j].Dataset] {
-			return order[ms[i].Dataset] < order[ms[j].Dataset]
-		}
-		return ms[i].P < ms[j].P
-	})
 }

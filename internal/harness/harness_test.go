@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -463,26 +464,19 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestSortMeasurements(t *testing.T) {
-	ms := []EpochMeasurement{
-		{Dataset: "protein-sim", P: 36},
-		{Dataset: "amazon-sim", P: 64},
-		{Dataset: "amazon-sim", P: 16},
-	}
-	SortMeasurements(ms)
-	if ms[0].Dataset != "amazon-sim" || ms[0].P != 16 || ms[2].Dataset != "protein-sim" {
-		t.Fatalf("sorted order wrong: %+v", ms)
-	}
-}
-
 func TestFig2SweepsCoverDatasets(t *testing.T) {
 	for _, d := range Fig2Datasets {
 		if len(Fig2Sweeps[d]) == 0 {
 			t.Fatalf("no sweep for %s", d)
 		}
 	}
-	// Every sweep value must be a perfect square (2D grids).
+	// Every sweep value must be a perfect square (2D grids), and every sweep
+	// must ascend: Fig2 emits Fig2Datasets order × sweep order, and the
+	// tables print its measurements as they come.
 	for d, ps := range Fig2Sweeps {
+		if !sort.IntsAreSorted(ps) {
+			t.Fatalf("%s sweep %v does not ascend", d, ps)
+		}
 		for _, p := range ps {
 			s := 0
 			for s*s < p {

@@ -189,10 +189,12 @@ func (g Grid2D) ColRanks(j int) []int {
 	return out
 }
 
-// Grid3D is a C x C x C process mesh for the Split-3D algorithm. Processor
-// (i, j, k) — row i, column j, layer k — has linear rank k*C² + i*C + j.
+// Grid3D is a C x C x D process mesh: D layers, each a C x C grid. Processor
+// (i, j, k) — row i, column j, layer k — has linear rank k*C² + i*C + j, so
+// a mesh of depth 1 numbers its ranks exactly like the C x C Grid2D. The
+// Split-3D algorithm runs on the cube (D = C), 2D SUMMA on the single layer.
 type Grid3D struct {
-	C int
+	C, D int
 }
 
 // NewGrid3D returns the ∛P x ∛P x ∛P mesh, panicking if p is not a perfect
@@ -202,16 +204,24 @@ func NewGrid3D(p int) Grid3D {
 	if c*c*c != p {
 		panic(fmt.Sprintf("partition: %d is not a perfect cube", p))
 	}
-	return Grid3D{C: c}
+	return Grid3D{C: c, D: c}
+}
+
+// NewMesh returns the c x c x d mesh.
+func NewMesh(c, d int) Grid3D {
+	if c <= 0 || d <= 0 {
+		panic(fmt.Sprintf("partition: invalid mesh %dx%dx%d", c, c, d))
+	}
+	return Grid3D{C: c, D: d}
 }
 
 // Size returns the total number of processes.
-func (g Grid3D) Size() int { return g.C * g.C * g.C }
+func (g Grid3D) Size() int { return g.C * g.C * g.D }
 
 // Rank returns the linear rank of processor (i, j, k).
 func (g Grid3D) Rank(i, j, k int) int {
-	if i < 0 || i >= g.C || j < 0 || j >= g.C || k < 0 || k >= g.C {
-		panic(fmt.Sprintf("partition: mesh coord (%d,%d,%d) out of %d³", i, j, k, g.C))
+	if i < 0 || i >= g.C || j < 0 || j >= g.C || k < 0 || k >= g.D {
+		panic(fmt.Sprintf("partition: mesh coord (%d,%d,%d) out of %dx%dx%d", i, j, k, g.C, g.C, g.D))
 	}
 	return k*g.C*g.C + i*g.C + j
 }
@@ -219,14 +229,15 @@ func (g Grid3D) Rank(i, j, k int) int {
 // Coords returns the (i, j, k) coordinates of a linear rank.
 func (g Grid3D) Coords(rank int) (int, int, int) {
 	if rank < 0 || rank >= g.Size() {
-		panic(fmt.Sprintf("partition: rank %d out of range for %d³ mesh", rank, g.C))
+		panic(fmt.Sprintf("partition: rank %d out of range for %dx%dx%d mesh", rank, g.C, g.C, g.D))
 	}
 	k := rank / (g.C * g.C)
 	rem := rank % (g.C * g.C)
 	return rem / g.C, rem % g.C, k
 }
 
-// LayerRowRanks returns the ranks of process row i within layer k.
+// LayerRowRanks returns the ranks of process row i within layer k, ordered
+// by column.
 func (g Grid3D) LayerRowRanks(i, k int) []int {
 	out := make([]int, g.C)
 	for j := range out {
@@ -235,7 +246,8 @@ func (g Grid3D) LayerRowRanks(i, k int) []int {
 	return out
 }
 
-// LayerColRanks returns the ranks of process column j within layer k.
+// LayerColRanks returns the ranks of process column j within layer k,
+// ordered by row.
 func (g Grid3D) LayerColRanks(j, k int) []int {
 	out := make([]int, g.C)
 	for i := range out {
@@ -247,9 +259,21 @@ func (g Grid3D) LayerColRanks(j, k int) []int {
 // FiberRanks returns the ranks along the fiber (third dimension) at grid
 // position (i, j), ordered by layer.
 func (g Grid3D) FiberRanks(i, j int) []int {
-	out := make([]int, g.C)
+	out := make([]int, g.D)
 	for k := range out {
 		out[k] = g.Rank(i, j, k)
+	}
+	return out
+}
+
+// PlaneRanks returns every rank sharing grid column j, ordered by row and
+// then by layer: at depth 1, LayerColRanks(j, 0).
+func (g Grid3D) PlaneRanks(j int) []int {
+	out := make([]int, 0, g.C*g.D)
+	for i := 0; i < g.C; i++ {
+		for k := 0; k < g.D; k++ {
+			out = append(out, g.Rank(i, j, k))
+		}
 	}
 	return out
 }

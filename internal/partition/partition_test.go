@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,61 @@ func TestGrid3DGroups(t *testing.T) {
 		if j != 1 || k != 1 || ii != i {
 			t.Fatalf("layer col member %d has coords (%d,%d,%d)", r, ii, j, k)
 		}
+	}
+}
+
+// TestMeshNumbering pins the q × q × d numbering the mesh trainer is built
+// on: rank(i, j, k) = k·q² + i·q + j, and at depth 1 the row, column and
+// plane member lists are Grid2D's RowRanks/ColRanks member for member, in
+// order — the binomial reduction order over a group, and with it the
+// bit-identity of 2D training, follows the member order.
+func TestMeshNumbering(t *testing.T) {
+	for q := 1; q <= 4; q++ {
+		for _, d := range []int{1, q} {
+			m := NewMesh(q, d)
+			if m.Size() != q*q*d {
+				t.Fatalf("%dx%dx%d mesh: Size = %d", q, q, d, m.Size())
+			}
+			for i := 0; i < q; i++ {
+				for j := 0; j < q; j++ {
+					for k := 0; k < d; k++ {
+						r := m.Rank(i, j, k)
+						if r != k*q*q+i*q+j {
+							t.Fatalf("%dx%dx%d mesh: Rank(%d,%d,%d) = %d, want %d", q, q, d, i, j, k, r, k*q*q+i*q+j)
+						}
+						if gi, gj, gk := m.Coords(r); gi != i || gj != j || gk != k {
+							t.Fatalf("%dx%dx%d mesh: Coords(%d) = (%d,%d,%d), want (%d,%d,%d)", q, q, d, r, gi, gj, gk, i, j, k)
+						}
+					}
+					if fiber := m.FiberRanks(i, j); len(fiber) != d {
+						t.Fatalf("%dx%dx%d mesh: fiber (%d,%d) = %v, want %d members", q, q, d, i, j, fiber, d)
+					}
+				}
+			}
+			for j := 0; j < q; j++ {
+				if plane := m.PlaneRanks(j); len(plane) != q*d {
+					t.Fatalf("%dx%dx%d mesh: plane %d = %v, want %d members", q, q, d, j, plane, q*d)
+				}
+			}
+			if d != 1 {
+				continue
+			}
+			g := NewGrid2D(q, q)
+			for i := 0; i < q; i++ {
+				if got, want := m.LayerRowRanks(i, 0), g.RowRanks(i); !slices.Equal(got, want) {
+					t.Fatalf("depth-1 %dx%d mesh: row %d = %v, Grid2D has %v", q, q, i, got, want)
+				}
+				if got, want := m.LayerColRanks(i, 0), g.ColRanks(i); !slices.Equal(got, want) {
+					t.Fatalf("depth-1 %dx%d mesh: column %d = %v, Grid2D has %v", q, q, i, got, want)
+				}
+				if got, want := m.PlaneRanks(i), g.ColRanks(i); !slices.Equal(got, want) {
+					t.Fatalf("depth-1 %dx%d mesh: plane %d = %v, Grid2D column has %v", q, q, i, got, want)
+				}
+			}
+		}
+	}
+	if cube := NewGrid3D(27); cube != NewMesh(3, 3) {
+		t.Fatalf("NewGrid3D(27) = %+v, want the 3x3x3 mesh", cube)
 	}
 }
 
