@@ -32,6 +32,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/parallel"
@@ -308,6 +309,13 @@ type TrainReport struct {
 	// TrainOptions.Precision it was given, "f64" when that was empty.
 	// Distributed runs always report "f64".
 	Precision string
+	// KernelISA names the instruction set the multiply kernels'
+	// accumulation loops ran on in this process: "avx2" (the amd64
+	// assembly routines) or "go" (the portable loops: another GOARCH, a
+	// CPU without AVX2, a build with -tags purego). The two are
+	// bit-identical, so it explains a wall-clock number and nothing else;
+	// it is detected, not selectable.
+	KernelISA string
 
 	result *core.Result
 }
@@ -392,6 +400,7 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		ResumedEpoch:  res.ResumedEpoch,
 		DrainedEpoch:  res.DrainedEpoch,
 		Precision:     opts.Precision,
+		KernelISA:     dense.KernelISA(),
 		result:        res,
 	}
 	if wire != nil {

@@ -3,6 +3,8 @@ package cagnet
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -455,10 +457,18 @@ func TestTrainOverlap(t *testing.T) {
 // the serial algorithm within the mixed-precision tolerances of "f64" and
 // is rejected by every distributed algorithm on either transport (the
 // kernel options are checked before the trainer or the fabric starts);
-// "" and "f64" are the default everywhere.
+// "" and "f64" are the default everywhere. Every report also says which
+// instruction set the kernels ran on: "avx2" or "go", and "go" when the
+// test binary was built with -tags purego.
 func TestTrainPrecision(t *testing.T) {
 	ds := RandomDataset(7, 5, 8, 4, 3, 13)
 	ranks := map[string]int{"serial": 1, "1d": 4, "1.5d": 4, "2d": 4, "3d": 8}
+	purego := false
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			purego = purego || s.Key == "-tags" && slices.Contains(strings.Split(s.Value, ","), "purego")
+		}
+	}
 	var f64 *TrainReport
 	for _, algo := range Algorithms {
 		for _, precision := range []string{"", "f64"} {
@@ -468,6 +478,9 @@ func TestTrainPrecision(t *testing.T) {
 			}
 			if rep.Precision != "f64" {
 				t.Fatalf("%s with Precision %q reports %q, want f64", algo, precision, rep.Precision)
+			}
+			if isa := rep.KernelISA; isa != "avx2" && isa != "go" || purego && isa != "go" {
+				t.Fatalf("%s reports KernelISA %q (built with -tags purego: %v)", algo, isa, purego)
 			}
 			if algo == "serial" {
 				f64 = rep

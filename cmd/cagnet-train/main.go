@@ -136,7 +136,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("kernels: precision=%s\n\n", report.Precision)
+	fmt.Printf("%s\n\n", kernelsLine(report))
 	for i, loss := range report.Losses {
 		if report.ValAccuracy != nil {
 			fmt.Printf("epoch %3d  loss %.6f  train-acc %.4f  val-acc %.4f\n",
@@ -187,6 +187,12 @@ type flagCombo struct {
 	ckptDir     string
 	ckptEvery   int
 	workers     int
+}
+
+// kernelsLine says which kernels produced the run: a wall-clock number
+// without the instruction set cannot be compared across hosts.
+func kernelsLine(r *cagnet.TrainReport) string {
+	return fmt.Sprintf("kernels: precision=%s isa=%s", r.Precision, r.KernelISA)
 }
 
 // validateFlags rejects flag values and combinations that would otherwise

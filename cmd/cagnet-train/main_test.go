@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 // TestValidateFlagsRejections pins the fail-fast CLI validation: every
@@ -78,5 +80,13 @@ func TestValidateFlagsAccepts(t *testing.T) {
 	smallest := flagCombo{algo: "serial", epochs: 1, ranks: 1, lr: 1e-9}
 	if err := validateFlags(smallest); err != nil {
 		t.Errorf("one epoch on one rank at a tiny learning rate: rejected: %v", err)
+	}
+}
+
+// TestKernelsLine pins the line that says which kernels ran.
+func TestKernelsLine(t *testing.T) {
+	got := kernelsLine(&cagnet.TrainReport{Precision: "f32", KernelISA: "avx2"})
+	if want := "kernels: precision=f32 isa=avx2"; got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }

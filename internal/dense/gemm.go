@@ -14,9 +14,12 @@ const blockSize = 64
 func gemmFlops(n, k, m int) int64 { return 2 * int64(n) * int64(k) * int64(m) }
 
 // AxpyRow computes dst[j] += v * x[j] for every j — the inner loop of every
-// row-major multiply kernel in this package and in internal/sparse. The
-// body is a 4-wide j-unroll with independent load/store slots; each output
-// element still receives exactly one multiply-add, so the result is
+// row-major multiply kernel in this package and in internal/sparse, in
+// portable Go. The kernels reach it through AxpyFor, which substitutes the
+// bit-identical vector routine where the CPU has one; the reference kernels
+// call it directly, so it is both the fallback and the oracle. The body is a
+// 4-wide j-unroll with independent load/store slots; each output element
+// still receives exactly one multiply and one add, so the result is
 // bit-identical to the plain loop for any element type.
 func AxpyRow[T Elem](dst []T, v T, x []T) {
 	n := len(dst)
@@ -36,12 +39,13 @@ func AxpyRow[T Elem](dst []T, v T, x []T) {
 
 // Axpy4Row computes dst[j] += v0*x0[j]; dst[j] += v1*x1[j]; dst[j] +=
 // v2*x2[j]; dst[j] += v3*x3[j] for every j, in exactly that order — the
-// four-source form of AxpyRow. Fusing four accumulation passes into one
-// sweep loads and stores each dst element once instead of four times (the
-// axpy loops are load/store-bound, not multiply-bound), while the per-
-// element adds stay sequential in source order, so the result is
-// bit-identical to four consecutive AxpyRow calls — including every ±0 and
-// NaN case, since the same operations run in the same order.
+// four-source form of AxpyRow, and like it the portable body behind
+// AxpyFor. Fusing four accumulation passes into one sweep loads and stores
+// each dst element once instead of four times (the axpy loops are
+// load/store-bound, not multiply-bound), while the per-element adds stay
+// sequential in source order, so the result is bit-identical to four
+// consecutive AxpyRow calls — including every ±0 and NaN case, since the
+// same operations run in the same order.
 func Axpy4Row[T Elem](dst []T, v0 T, x0 []T, v1 T, x1 []T, v2 T, x2 []T, v3 T, x3 []T) {
 	n := len(dst)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
@@ -137,13 +141,14 @@ func MulAdd[T Elem](dst, a, b *Of[T]) {
 // traversal matches the serial kernel, so each output row sees the same
 // floating-point accumulation order regardless of partitioning.
 func mulAddRows[T Elem](dst, a, b *Of[T], lo, hi int) {
+	ax := AxpyFor[T]()
 	k, m := a.Cols, b.Cols
 	for k0 := 0; k0 < k; k0 += blockSize {
 		k1 := min(k0+blockSize, k)
 		for i := lo; i < hi; i++ {
 			arow := a.Data[i*k : (i+1)*k]
 			drow := dst.Data[i*m : (i+1)*m]
-			axpyKRun(drow, arow, b, m, k0, k1)
+			axpyKRun(ax, drow, arow, b, m, k0, k1)
 		}
 	}
 }
@@ -154,13 +159,13 @@ func mulAddRows[T Elem](dst, a, b *Of[T], lo, hi int) {
 // the historical skip semantics (no +0 added, no 0·Inf evaluated) exactly.
 // Either way each dst element receives the same adds in the same order as
 // the plain per-kk loop, so the result is bit-identical.
-func axpyKRun[T Elem](drow, arow []T, b *Of[T], m, k0, k1 int) {
+func axpyKRun[T Elem](ax Axpy[T], drow, arow []T, b *Of[T], m, k0, k1 int) {
 	kk := k0
 	for kk < k1 {
 		if k1-kk >= 4 {
 			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				Axpy4Row(drow,
+				ax.Row4(drow,
 					a0, b.Data[kk*m:(kk+1)*m],
 					a1, b.Data[(kk+1)*m:(kk+2)*m],
 					a2, b.Data[(kk+2)*m:(kk+3)*m],
@@ -170,7 +175,7 @@ func axpyKRun[T Elem](drow, arow []T, b *Of[T], m, k0, k1 int) {
 			}
 		}
 		if av := arow[kk]; av != 0 {
-			AxpyRow(drow, av, b.Data[kk*m:(kk+1)*m])
+			ax.Row(drow, av, b.Data[kk*m:(kk+1)*m])
 		}
 		kk++
 	}
@@ -212,6 +217,7 @@ func MulAddBiasReLU[T Elem](dst, a, b *Of[T], bias []T) {
 // kk order per element) before its epilogue runs; the epilogue then touches
 // the block while its lines are still hot.
 func mulAddBiasReLURows[T Elem](dst, a, b *Of[T], bias []T, lo, hi int) {
+	ax := AxpyFor[T]()
 	k, m := a.Cols, b.Cols
 	for i0 := lo; i0 < hi; i0 += blockSize {
 		i1 := min(i0+blockSize, hi)
@@ -220,7 +226,7 @@ func mulAddBiasReLURows[T Elem](dst, a, b *Of[T], bias []T, lo, hi int) {
 			for i := i0; i < i1; i++ {
 				arow := a.Data[i*k : (i+1)*k]
 				drow := dst.Data[i*m : (i+1)*m]
-				axpyKRun(drow, arow, b, m, k0, k1)
+				axpyKRun(ax, drow, arow, b, m, k0, k1)
 			}
 		}
 		for i := i0; i < i1; i++ {
@@ -334,6 +340,7 @@ func TMulAdd[T Elem](dst, a, b *Of[T]) {
 // skipping scalar steps otherwise), exactly the order the plain per-r sweep
 // produces, so the result is bit-identical to it.
 func tMulAddCols[T Elem](dst, a, b *Of[T], lo, hi int) {
+	ax := AxpyFor[T]()
 	k, m := a.Cols, b.Cols
 	r := 0
 	for ; r+4 <= a.Rows; r += 4 {
@@ -348,21 +355,21 @@ func tMulAddCols[T Elem](dst, a, b *Of[T], lo, hi int) {
 		for i := lo; i < hi; i++ {
 			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
 			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				Axpy4Row(dst.Data[i*m:(i+1)*m], a0, br0, a1, br1, a2, br2, a3, br3)
+				ax.Row4(dst.Data[i*m:(i+1)*m], a0, br0, a1, br1, a2, br2, a3, br3)
 				continue
 			}
 			drow := dst.Data[i*m : (i+1)*m]
 			if a0 != 0 {
-				AxpyRow(drow, a0, br0)
+				ax.Row(drow, a0, br0)
 			}
 			if a1 != 0 {
-				AxpyRow(drow, a1, br1)
+				ax.Row(drow, a1, br1)
 			}
 			if a2 != 0 {
-				AxpyRow(drow, a2, br2)
+				ax.Row(drow, a2, br2)
 			}
 			if a3 != 0 {
-				AxpyRow(drow, a3, br3)
+				ax.Row(drow, a3, br3)
 			}
 		}
 	}
@@ -374,7 +381,7 @@ func tMulAddCols[T Elem](dst, a, b *Of[T], lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			AxpyRow(dst.Data[i*m:(i+1)*m], av, brow)
+			ax.Row(dst.Data[i*m:(i+1)*m], av, brow)
 		}
 	}
 }

@@ -1,17 +1,17 @@
 package dense
 
-// Reference kernels: the scalar one-source-at-a-time loops the fused
-// multi-source sweeps (Axpy4Row and its callers) replaced. They stay
-// dispatchable for two reasons:
+// Reference kernels: the one-source-at-a-time loops the fused multi-source
+// sweeps (Axpy4Row and its callers) replaced, running on the Go loop AxpyRow
+// itself rather than on whatever AxpyFor selects. They are the oracle of the
+// bit-identity tests: the default f64 path — four-source sweeps, fused
+// epilogues and, where the CPU has them, the vector routines — must
+// reproduce these loops bit for bit, so TestDefaultBitIdenticalToReference
+// compares assembly with Go and a failure localizes the divergence to a
+// single kernel. KernelOptions.Reference trains on them end to end, which
+// is also the speed of the portable fallback one source at a time
+// (BenchmarkEngineEpochKernels' reference row).
 //
-//   - they are the baseline the kernel-sweep benchmark's Speedup column is
-//     measured against — the epoch cost before source blocking, fusion, and
-//     precision selection;
-//   - they are the oracle of the bit-identity tests: the optimized default
-//     f64 path must reproduce these loops bit for bit, and a test failure
-//     here localizes the divergence to a single kernel.
-//
-// They always run serially (no parallel-backend dispatch): the baseline they
+// They always run serially (no parallel-backend dispatch): what they
 // preserve is the single-core scalar loop, not a partitioned variant of it.
 
 // RefMul computes dst = a * b with the reference kernel. dst must not alias

@@ -4,9 +4,10 @@ import "repro/internal/dense"
 
 // Reference kernels: the one-nonzero-at-a-time SpMM loops the fused
 // four-entry sweeps (axpyEntryRun) replaced. Like the dense reference
-// kernels they serve as the kernel-sweep Speedup baseline and as the
-// bit-identity oracle for the optimized default path, and they always run
-// serially regardless of the parallel backend.
+// kernels they call the Go loop dense.AxpyRow directly, never the routines
+// dense.AxpyFor selects, so they are the bit-identity oracle for the default
+// path on every platform, and they always run serially regardless of the
+// parallel backend.
 
 // RefSpMM computes dst = a * x with the reference kernel: per CSR row, one
 // AxpyRow per stored entry, feature-blocked for wide operands exactly like

@@ -53,11 +53,11 @@ func SpMMAdd[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 // axpyEntryRun accumulates the stored entries [k0, k1) of (val, colIdx)
 // into drow: entry k scales the len(drow)-wide slice of x starting at
 // colIdx[k]*stride+off. Entries are consumed four per pass through the
-// fused dense.Axpy4Row sweep (sequential adds in entry order), with a
-// scalar tail — per output element exactly the adds of the per-entry loop
+// fused four-source sweep of ax (sequential adds in entry order), with a
+// one-source tail — per output element exactly the adds of the per-entry loop
 // in the same order, so the result is bit-identical to it (a stored zero
 // contributes its +0·x in both forms).
-func axpyEntryRun[T dense.Elem](drow []T, val []T, colIdx []int, xdata []T, stride, off, k0, k1 int) {
+func axpyEntryRun[T dense.Elem](ax dense.Axpy[T], drow []T, val []T, colIdx []int, xdata []T, stride, off, k0, k1 int) {
 	n := len(drow)
 	k := k0
 	for ; k+4 <= k1; k += 4 {
@@ -65,7 +65,7 @@ func axpyEntryRun[T dense.Elem](drow []T, val []T, colIdx []int, xdata []T, stri
 		c1 := colIdx[k+1]*stride + off
 		c2 := colIdx[k+2]*stride + off
 		c3 := colIdx[k+3]*stride + off
-		dense.Axpy4Row(drow,
+		ax.Row4(drow,
 			val[k], xdata[c0:c0+n],
 			val[k+1], xdata[c1:c1+n],
 			val[k+2], xdata[c2:c2+n],
@@ -73,7 +73,7 @@ func axpyEntryRun[T dense.Elem](drow []T, val []T, colIdx []int, xdata []T, stri
 	}
 	for ; k < k1; k++ {
 		c := colIdx[k]*stride + off
-		dense.AxpyRow(drow, val[k], xdata[c:c+n])
+		ax.Row(drow, val[k], xdata[c:c+n])
 	}
 }
 
@@ -88,10 +88,11 @@ func spMMAddRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo
 		spMMAddRowsBlocked(dst, a, x, lo, hi)
 		return
 	}
+	ax := dense.AxpyFor[T]()
 	f := x.Cols
 	for i := lo; i < hi; i++ {
 		drow := dst.Data[i*f : (i+1)*f]
-		axpyEntryRun(drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
+		axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
 	}
 }
 
@@ -101,6 +102,7 @@ func spMMAddRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo
 // each x row referenced by the block contributes one tile-sized slice at a
 // time and is revisited while its lines are still cached.
 func spMMAddRowsBlocked[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int) {
+	ax := dense.AxpyFor[T]()
 	f := x.Cols
 	for i0 := lo; i0 < hi; i0 += spmmRowBlock {
 		i1 := i0 + spmmRowBlock
@@ -114,7 +116,7 @@ func spMMAddRowsBlocked[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of
 			}
 			for i := i0; i < i1; i++ {
 				drow := dst.Data[i*f+j0 : i*f+j1]
-				axpyEntryRun(drow, a.Val, a.ColIdx, x.Data, f, j0, a.RowPtr[i], a.RowPtr[i+1])
+				axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, j0, a.RowPtr[i], a.RowPtr[i+1])
 			}
 		}
 	}
@@ -148,10 +150,11 @@ func SpMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T],
 // spMMAddRowList is the serial row-list loop; each listed output row is
 // owned by exactly one worker, so the parallel split stays bit-identical.
 func spMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], rows []int) {
+	ax := dense.AxpyFor[T]()
 	f := x.Cols
 	for _, i := range rows {
 		drow := dst.Data[i*f : (i+1)*f]
-		axpyEntryRun(drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
+		axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
 	}
 }
 
@@ -202,6 +205,7 @@ func SpMMTAdd[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 
 // spMMTAddCols accumulates rows [lo, hi) of aᵀ*x into dst.
 func spMMTAddCols[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int) {
+	ax := dense.AxpyFor[T]()
 	f := x.Cols
 	full := lo == 0 && hi == a.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -216,7 +220,7 @@ func spMMTAddCols[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], l
 		}
 		xrow := x.Data[i*f : (i+1)*f]
 		for k := k0; k < k1; k++ {
-			dense.AxpyRow(dst.Data[a.ColIdx[k]*f:(a.ColIdx[k]+1)*f], a.Val[k], xrow)
+			ax.Row(dst.Data[a.ColIdx[k]*f:(a.ColIdx[k]+1)*f], a.Val[k], xrow)
 		}
 	}
 }

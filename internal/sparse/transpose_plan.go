@@ -156,13 +156,14 @@ func (p *TransposePlan) addRange(dst, x *dense.Matrix, lo, hi int) {
 
 // gatherCols accumulates output rows [lo, hi): for each output row, a
 // sequential sweep over its plan entries gathering the referenced x rows,
-// four entries per pass (dense.Axpy4Row keeps the per-element adds in entry
-// order, so the fused sweep is bit-identical to the one-entry loop).
+// four entries per pass (the four-source sweep keeps the per-element adds in
+// entry order, so it is bit-identical to the one-entry loop).
 func (p *TransposePlan) gatherCols(dst, x *dense.Matrix, lo, hi int) {
+	ax := dense.AxpyFor[float64]()
 	f := x.Cols
 	for c := lo; c < hi; c++ {
 		drow := dst.Data[c*f : (c+1)*f]
-		axpyEntryRun(drow, p.val, p.srcRow, x.Data, f, 0, p.colPtr[c], p.colPtr[c+1])
+		axpyEntryRun(ax, drow, p.val, p.srcRow, x.Data, f, 0, p.colPtr[c], p.colPtr[c+1])
 	}
 }
 
