@@ -315,6 +315,9 @@ func (b *bench) partition() (any, error) {
 			{r.Dataset, strconv.Itoa(r.P), "max cut",
 				strconv.Itoa(r.RandomMaxCut), strconv.Itoa(r.GreedyMaxCut),
 				fmt.Sprintf("%.0f%%", 100*r.MaxReduction)},
+			{r.Dataset, strconv.Itoa(r.P), "recv rows",
+				strconv.Itoa(r.RandomRecvRows), strconv.Itoa(r.GreedyRecvRows),
+				fmt.Sprintf("%.0f%%", 100*(1-float64(r.GreedyRecvRows)/float64(r.RandomRecvRows)))},
 		})
 	b.table("-- sparsity-aware 1D training on the same graph (dense words/epoch) --",
 		[]string{"exchange", "partition", "max words/rank", "total words"},
@@ -328,7 +331,7 @@ func (b *bench) partition() (any, error) {
 		})
 	fmt.Fprintf(b.out, "halo greedy vs random: total words -%.0f%%, max words/rank -%.0f%%\n",
 		100*r.HaloTotalReduction, 100*r.HaloMaxReduction)
-	fmt.Fprintf(b.out, "ledger matches costmodel.OneD edgecut bound exactly: %v\n", r.LedgerMatchesAnalytic)
+	fmt.Fprintf(b.out, "ledger matches costmodel.OneDSymmetric edgecut bound exactly: %v\n", r.LedgerMatchesAnalytic)
 	fmt.Fprint(b.out, `paper (Metis on Reddit, P=64): total 72%, max 29% — bulk-synchronous
 runtime is bounded by the max, so smart partitioning underdelivers.
 

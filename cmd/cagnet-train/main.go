@@ -33,7 +33,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cagnet-train: ")
 	dataset := flag.String("dataset", "reddit-sim", "dataset analog (reddit-sim, amazon-sim, protein-sim)")
-	algo := flag.String("algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d")
+	algo := flag.String("algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d (all but 3d also take a directed graph)")
 	ranks := flag.Int("ranks", 16, "simulated rank count")
 	epochs := flag.Int("epochs", 10, "training epochs")
 	lr := flag.Float64("lr", 0.01, "learning rate")

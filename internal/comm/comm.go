@@ -73,7 +73,7 @@ func (p Payload) Words() int64 { return int64(len(p.Floats)) + int64(len(p.Ints)
 // *timeline*: every charge occupies a span of modeled time on one of two
 // per-rank resources — the compute core (ChargeTime) or the network link
 // (α–β charges). Synchronous charges advance the rank's clock past their
-// span; asynchronous charges (ChargeAsync, the I-collectives) only reserve
+// span; asynchronous charges (the I-collectives) only reserve
 // the network and advance the clock when their Request is waited on, so
 // compute issued between initiation and Wait overlaps the in-flight span.
 // Elapsed is therefore the critical path max(comp, comm) of the pipeline
@@ -454,7 +454,7 @@ func (c *Comm) Charge(cat Category, msgs int64, words int64) {
 
 // chargeStats updates the per-category scalar totals for an α–β charge and
 // returns its span length. Timeline placement is the caller's business:
-// Charge blocks the clock on it, ChargeAsync hands it to a Request.
+// Charge blocks the clock on it, chargeAsync hands it to a Request.
 func (c *Comm) chargeStats(cat Category, msgs, words int64) float64 {
 	cost := float64(msgs)*c.cost.Alpha + float64(words)*c.cost.Beta
 	c.ledger.ModelMsgs[cat] += msgs

@@ -259,28 +259,6 @@ func (g *Group) broadcastUncharged(root int, p Payload) Payload {
 	return p
 }
 
-// Scatter distributes root's parts (one per member, ordered by group index)
-// and returns this member's part. Charged α + β·(part size).
-func (g *Group) Scatter(root int, parts []Payload, cat Category) Payload {
-	defer g.comm.meterDone(g.comm.meterStart())
-	q := len(g.ranks)
-	if g.me == root {
-		if len(parts) != q {
-			panic(fmt.Sprintf("comm: Scatter needs %d parts, got %d", q, len(parts)))
-		}
-		for i := 0; i < q; i++ {
-			if i != root {
-				g.comm.sendRaw(g.ranks[i], parts[i])
-			}
-		}
-		g.charge(cat, 1, parts[root].Words())
-		return parts[root]
-	}
-	out := g.comm.recvRaw(g.ranks[root])
-	g.charge(cat, 1, out.Words())
-	return out
-}
-
 // AllToAll exchanges parts[i] to member i and returns the parts received,
 // ordered by group index. parts[me] is returned in place. Charged
 // α·(q-1) + β·(words sent to others), the pairwise-exchange bound.

@@ -102,21 +102,6 @@ func exerciseCollectives(c *Comm, epochs int) ([]float64, error) {
 			}
 		}
 
-		var parts []Payload
-		if me == 0 {
-			parts = make([]Payload, p)
-			for i := range parts {
-				parts[i] = Payload{Floats: []float64{float64(i) * base}}
-			}
-		}
-		var sc Payload
-		if me == 0 {
-			sc = w.Scatter(0, parts, CatDenseComm)
-		} else {
-			sc = w.Scatter(0, nil, CatDenseComm)
-		}
-		addPayload(sc)
-
 		a2a := make([]Payload, p)
 		for i := range a2a {
 			if i != me {

@@ -18,8 +18,8 @@ import "fmt"
 // max(compute, communication) instead of their sum.
 
 // Request is a handle on an in-flight asynchronous operation. It is issued
-// by ChargeAsync or one of the I-collectives (IBroadcast, IAllGather,
-// IExchangeIndexed) and joined with Wait or WaitAll, which advance the
+// by one of the I-collectives (IBroadcast, IAllGather, IExchangeIndexed)
+// and joined with Wait or WaitAll, which advance the
 // rank's timeline clock past the operation's span and return its result.
 //
 // Requests are owned by the issuing rank, pooled per Comm, and recycled at
@@ -113,12 +113,12 @@ func (c *Comm) recycleRequests() {
 	c.reqNext = 0
 }
 
-// ChargeAsync records an α–β charge whose span overlaps subsequent compute:
+// chargeAsync records an α–β charge whose span overlaps subsequent compute:
 // category statistics (msgs, words, per-category time) are charged exactly
 // as Charge does, but the clock does not advance until the returned
 // Request is waited on. The span is queued on the rank's network link
 // behind any other in-flight charge.
-func (c *Comm) ChargeAsync(cat Category, msgs, words int64) *Request {
+func (c *Comm) chargeAsync(cat Category, msgs, words int64) *Request {
 	l := c.ledger
 	cost := c.chargeStats(cat, msgs, words)
 	start := l.clock
@@ -153,7 +153,7 @@ func (g *Group) IBroadcast(root int, p Payload, cat Category) *Request {
 	}
 	defer g.comm.meterDone(g.comm.meterStart())
 	out := g.broadcastUncharged(root, p)
-	r := g.comm.ChargeAsync(cat, lg2(q), out.Words())
+	r := g.comm.chargeAsync(cat, lg2(q), out.Words())
 	r.payload = out
 	return r
 }
@@ -180,7 +180,7 @@ func (g *Group) IAllGather(p Payload, cat Category) *Request {
 	for _, part := range out {
 		myTotal += part.Words()
 	}
-	r := g.comm.ChargeAsync(cat, lg2(q), myTotal)
+	r := g.comm.chargeAsync(cat, lg2(q), myTotal)
 	r.payloads = out
 	return r
 }
@@ -217,7 +217,7 @@ func (g *Group) IExchangeIndexed(parts []Payload, from []bool, cat Category) *Re
 			words += out[src].Words()
 		}
 	}
-	r := g.comm.ChargeAsync(cat, msgs, words)
+	r := g.comm.chargeAsync(cat, msgs, words)
 	r.payloads = out
 	return r
 }

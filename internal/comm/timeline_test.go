@@ -22,7 +22,7 @@ func runSchedule(t *testing.T, fn func(*Comm)) *Ledger {
 func TestTimelineFullyHiddenSpan(t *testing.T) {
 	commCost := 5*testCost.Alpha + 1000*testCost.Beta
 	l := runSchedule(t, func(c *Comm) {
-		req := c.ChargeAsync(CatDenseComm, 5, 1000)
+		req := c.chargeAsync(CatDenseComm, 5, 1000)
 		c.ChargeTime(CatSpMM, 10*commCost)
 		req.Wait()
 	})
@@ -43,7 +43,7 @@ func TestTimelinePartiallyHiddenSpan(t *testing.T) {
 	commCost := 4*testCost.Alpha + 4096*testCost.Beta
 	comp := commCost / 4
 	l := runSchedule(t, func(c *Comm) {
-		req := c.ChargeAsync(CatDenseComm, 4, 4096)
+		req := c.chargeAsync(CatDenseComm, 4, 4096)
 		c.ChargeTime(CatSpMM, comp)
 		req.Wait()
 	})
@@ -62,7 +62,7 @@ func TestTimelineZeroDurationCompute(t *testing.T) {
 	commCost := 2*testCost.Alpha + 512*testCost.Beta
 	l := runSchedule(t, func(c *Comm) {
 		c.ChargeTime(CatMisc, 0)
-		req := c.ChargeAsync(CatDenseComm, 2, 512)
+		req := c.chargeAsync(CatDenseComm, 2, 512)
 		c.ChargeTime(CatSpMM, 0)
 		req.Wait()
 	})
@@ -82,8 +82,8 @@ func TestTimelineTwoOverlappingSpans(t *testing.T) {
 	c2 := 3*testCost.Alpha + 2000*testCost.Beta
 	comp := c1 / 2
 	l := runSchedule(t, func(c *Comm) {
-		r1 := c.ChargeAsync(CatSparseComm, 1, 1000)
-		r2 := c.ChargeAsync(CatDenseComm, 3, 2000)
+		r1 := c.chargeAsync(CatSparseComm, 1, 1000)
+		r2 := c.chargeAsync(CatDenseComm, 3, 2000)
 		c.ChargeTime(CatSpMM, comp)
 		r1.Wait()
 		r2.Wait()
@@ -104,8 +104,8 @@ func TestTimelineNestedWaits(t *testing.T) {
 	c1 := 2*testCost.Alpha + 100*testCost.Beta
 	c2 := 1*testCost.Alpha + 900*testCost.Beta
 	l := runSchedule(t, func(c *Comm) {
-		r1 := c.ChargeAsync(CatSparseComm, 2, 100)
-		r2 := c.ChargeAsync(CatDenseComm, 1, 900)
+		r1 := c.chargeAsync(CatSparseComm, 2, 100)
+		r2 := c.chargeAsync(CatDenseComm, 1, 900)
 		r2.Wait() // out of order: r2's span ends at c1+c2
 		r1.Wait() // already covered; no-op
 	})
@@ -122,7 +122,7 @@ func TestTimelineSyncQueuesBehindAsync(t *testing.T) {
 	c1 := 1*testCost.Alpha + 500*testCost.Beta
 	c2 := 1*testCost.Alpha + 700*testCost.Beta
 	l := runSchedule(t, func(c *Comm) {
-		req := c.ChargeAsync(CatDenseComm, 1, 500)
+		req := c.chargeAsync(CatDenseComm, 1, 500)
 		c.Charge(CatSparseComm, 1, 700) // queues behind the in-flight span
 		req.Wait()
 	})
@@ -141,7 +141,7 @@ func TestTimelineHiddenCappedByCompute(t *testing.T) {
 	span := 1*testCost.Alpha + 1000*testCost.Beta
 	comp := span / 10
 	l := runSchedule(t, func(c *Comm) {
-		req := c.ChargeAsync(CatDenseComm, 1, 1000)
+		req := c.chargeAsync(CatDenseComm, 1, 1000)
 		c.ChargeTime(CatSpMM, comp)
 		c.Charge(CatSparseComm, 1, 1000) // drags clock past the span's end
 		req.Wait()
@@ -155,7 +155,7 @@ func TestTimelineHiddenCappedByCompute(t *testing.T) {
 // double-counts hidden time.
 func TestTimelineWaitIdempotent(t *testing.T) {
 	l := runSchedule(t, func(c *Comm) {
-		req := c.ChargeAsync(CatDenseComm, 1, 100)
+		req := c.chargeAsync(CatDenseComm, 1, 100)
 		c.ChargeTime(CatSpMM, 1)
 		first := req.Wait()
 		second := req.Wait()
@@ -279,7 +279,7 @@ func TestIExchangeIndexedMatchesSync(t *testing.T) {
 // would silently lose its span, so the epoch boundary refuses.
 func TestEpochDonePanicsOnUnwaitedRequest(t *testing.T) {
 	runCluster(t, 1, func(c *Comm) error {
-		c.ChargeAsync(CatDenseComm, 1, 10)
+		c.chargeAsync(CatDenseComm, 1, 10)
 		defer func() {
 			if recover() == nil {
 				panic("expected unwaited-request panic")
@@ -294,10 +294,10 @@ func TestEpochDonePanicsOnUnwaitedRequest(t *testing.T) {
 // (pointer identity) instead of allocating.
 func TestRequestPoolRecycles(t *testing.T) {
 	runCluster(t, 1, func(c *Comm) error {
-		r1 := c.ChargeAsync(CatDenseComm, 1, 10)
+		r1 := c.chargeAsync(CatDenseComm, 1, 10)
 		r1.Wait()
 		c.EpochDone()
-		r2 := c.ChargeAsync(CatDenseComm, 1, 10)
+		r2 := c.chargeAsync(CatDenseComm, 1, 10)
 		r2.Wait()
 		if r1 != r2 {
 			return fmt.Errorf("request was not recycled")

@@ -250,8 +250,34 @@ func TestThreeDNonCubeRankCountRejected(t *testing.T) {
 	}
 }
 
-// TestOneDDirectedGraph exercises the general (non-symmetric) path: 1D and
-// 2D must handle directed adjacency, where Aᵀ ≠ A.
+// rowTrainerModes returns the block-row trainer at P = 4 in every
+// {1d, 1.5d c = 1, 1.5d c = 2} × {halo} × {overlap} combination, keyed by a
+// subtest name: the algorithm alone for the plain broadcast mode, with the
+// exchange mode appended otherwise.
+func rowTrainerModes() map[string]func() *rowTrainer {
+	modes := map[string]func() *rowTrainer{}
+	for name, mk := range map[string]func() *rowTrainer{
+		"1d":       func() *rowTrainer { return NewOneD(4, testMach) },
+		"1.5d/c=1": func() *rowTrainer { return NewOneFiveD(4, 1, testMach) },
+		"1.5d/c=2": func() *rowTrainer { return NewOneFiveD(4, 2, testMach) },
+	} {
+		for suffix, mode := range map[string][2]bool{
+			"": {false, false}, "/halo": {true, false}, "/overlap": {false, true}, "/halo+overlap": {true, true},
+		} {
+			modes[name+suffix] = func() *rowTrainer {
+				tr := mk()
+				tr.Halo, tr.Overlap = mode[0], mode[1]
+				return tr
+			}
+		}
+	}
+	return modes
+}
+
+// TestDirectedGraphTrainers exercises the general (non-symmetric) path:
+// serial, 1D, 1.5D and 2D must handle directed adjacency, where Aᵀ ≠ A —
+// the block-row trainer in every exchange mode, since its backward product
+// then runs over a second plan cut from A.
 func TestDirectedGraphTrainers(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.ErdosRenyi(36, 5, rng) // directed
@@ -262,17 +288,19 @@ func TestDirectedGraphTrainers(t *testing.T) {
 		Labels:   ds.Labels,
 		Config:   nn.Config{Widths: []int{6, 4, 3}, LR: 0.05, Epochs: 3, Seed: 21},
 	}
-	checkEquivalence(t, NewOneD(4, testMach), p)
+	for name, mk := range rowTrainerModes() {
+		t.Run(name, func(t *testing.T) { checkEquivalence(t, mk(), p) })
+	}
 	checkEquivalence(t, NewTwoD(4, testMach), p)
 }
 
-// TestSymmetricOnlyTrainersRejectDirected: 1.5D and 3D read Aᵀ blocks
-// straight out of A, so a directed adjacency — here a row-normalized
-// directed R-MAT, wrong in structure and in value — must be refused with an
-// error naming the algorithm, not trained into a different model. A
-// symmetric structure with one asymmetric value is refused too, and the
-// same graph symmetrized is accepted. (TestDirectedGraphTrainers has the
-// other half: serial, 1D and 2D train directed graphs.)
+// TestSymmetricOnlyTrainersRejectDirected: 3D reads Aᵀ blocks straight out
+// of A, so a directed adjacency — here a row-normalized directed R-MAT,
+// wrong in structure and in value — must be refused with an error naming
+// the algorithm and the ones that do take it, not trained into a different
+// model. A symmetric structure with one asymmetric value is refused too,
+// and the same graph symmetrized is accepted. (TestDirectedGraphTrainers
+// has the other half: serial, 1D, 1.5D and 2D train directed graphs.)
 func TestSymmetricOnlyTrainersRejectDirected(t *testing.T) {
 	g := graph.RMAT(6, 4, graph.DefaultRMAT, rand.New(rand.NewSource(23)))
 	ds := graph.Synthetic("directed-rmat", g, 6, 4, 3, 24)
@@ -296,18 +324,22 @@ func TestSymmetricOnlyTrainersRejectDirected(t *testing.T) {
 			break
 		}
 	}
-	for _, tr := range []Trainer{NewOneFiveD(4, 2, testMach), NewThreeD(8, testMach)} {
-		for name, bad := range map[string]Problem{"directed": p, "asymmetric values": skewed} {
-			_, err := tr.Train(bad)
-			if err == nil {
-				t.Fatalf("%s trained on a %s adjacency", tr.Name(), name)
-			}
-			if want := "the " + tr.Name() + " trainer needs a symmetric adjacency"; !strings.Contains(err.Error(), want) {
-				t.Fatalf("%s on a %s adjacency: error %q does not say %q", tr.Name(), name, err, want)
+	tr := NewThreeD(8, testMach)
+	for name, bad := range map[string]Problem{"directed": p, "asymmetric values": skewed} {
+		_, err := tr.Train(bad)
+		if err == nil {
+			t.Fatalf("3d trained on a %s adjacency", name)
+		}
+		for _, want := range []string{"the 3d trainer needs a symmetric adjacency", "use serial, 1d, 1.5d or 2d for a directed graph"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("3d on a %s adjacency: error %q does not say %q", name, err, want)
 			}
 		}
-		checkEquivalence(t, tr, symmetric)
+		// What 3D refuses, the block-row trainer trains — as a directed
+		// graph, second plan and all, asymmetric values included.
+		checkEquivalence(t, NewOneFiveD(4, 2, testMach), bad)
 	}
+	checkEquivalence(t, tr, symmetric)
 }
 
 // TestTrainersWithIdentityOutput exercises the element-wise-output path

@@ -9,8 +9,9 @@ import (
 // dist is the shell the four distributed trainers share — everything about
 // a distributed run that does not depend on the decomposition: the rank
 // count, the machine profile, the simulated cluster or the external
-// endpoint the ranks execute on, and the one Train. OneD, OneFiveD and the
-// mesh trainer behind TwoD and ThreeD embed it and supply only decompose.
+// endpoint the ranks execute on, and the one Train. The block-row trainer
+// (1D, 1.5D) and the mesh trainer (2D, 3D) embed it and supply only
+// decompose.
 type dist struct {
 	name    string
 	p       int

@@ -300,16 +300,16 @@ func TestNewTrainerReplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.(*OneFiveD).ReplicationFactor(); got != 3 {
+	if got := tr.(*rowTrainer).ReplicationFactor(); got != 3 {
 		t.Fatalf("replication factor = %d, want 3", got)
 	}
 	// Default: c=2 on even P, 1 on odd P.
 	tr, _ = NewTrainerReplicated("1.5d", 8, 0, testMach)
-	if got := tr.(*OneFiveD).ReplicationFactor(); got != 2 {
+	if got := tr.(*rowTrainer).ReplicationFactor(); got != 2 {
 		t.Fatalf("default replication on even P = %d, want 2", got)
 	}
 	tr, _ = NewTrainerReplicated("1.5d", 5, 0, testMach)
-	if got := tr.(*OneFiveD).ReplicationFactor(); got != 1 {
+	if got := tr.(*rowTrainer).ReplicationFactor(); got != 1 {
 		t.Fatalf("default replication on odd P = %d, want 1", got)
 	}
 	if _, err := NewTrainerReplicated("1.5d", 6, 4, testMach); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
 // rmatProblem builds a fixed symmetrized R-MAT training problem with
@@ -39,61 +41,94 @@ func rmatProblem(t *testing.T, scale, edgeFactor, f, epochs int, seed int64) (Pr
 
 // TestHaloLedgerMatchesEdgecutBound is the ledger-vs-analytic contract:
 // for a fixed R-MAT graph, the dense-comm words every rank of the
-// sparsity-aware 1D trainer accrues must equal the costmodel.OneD
+// sparsity-aware 1D trainer accrues must equal the costmodel
 // edgecut-based prediction exactly — per rank (hence per-rank max via
-// edgecut_P(A) = MaxRecvRows) and in total over ranks.
+// edgecut_P(A) = MaxRecvRows) and in total over ranks — with the forward
+// fetch following the rᵢ of Aᵀ's block rows and the backward fetch the rᵢ of
+// A's. On the symmetrized graph the two are one number; on the raw directed
+// R-MAT (row-normalized) they come from the reversed graph and the graph,
+// differ on every rank count below, and the second halo plan must account
+// for the difference to the word.
 func TestHaloLedgerMatchesEdgecutBound(t *testing.T) {
 	const f, epochs = 8, 3
-	p, g := rmatProblem(t, 7, 8, f, epochs, 71)
-	n := g.NumVertices
-	widths := p.Config.Widths
-	for _, ranks := range []int{2, 4, 7} {
-		tr := NewOneD(ranks, testMach)
-		tr.Halo = true
-		if _, err := tr.Train(p); err != nil {
-			t.Fatal(err)
-		}
-		stats := partition.Edgecut(g, partition.BlockAssignment(n, ranks))
-
-		var total, predTotal, maxGot, predMax int64
-		for r := 0; r < ranks; r++ {
-			got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm]
-			want := costmodel.OneDHaloDenseWords(widths, n, ranks, stats.PerPartRecvRows[r], epochs)
-			if got != want {
-				t.Fatalf("P=%d rank %d: ledger dcomm %d words, edgecut bound predicts %d (r_i=%d)",
-					ranks, r, got, want, stats.PerPartRecvRows[r])
+	sym, symG := rmatProblem(t, 7, 8, f, epochs, 71)
+	dirG := graph.RMAT(7, 8, graph.DefaultRMAT, rand.New(rand.NewSource(71)))
+	revG := graph.New(dirG.NumVertices)
+	for _, e := range dirG.Edges {
+		revG.AddEdge(e[1], e[0])
+	}
+	directed := sym
+	directed.A = sparse.RowStochastic(dirG.Adjacency())
+	for _, tc := range []struct {
+		name     string
+		p        Problem
+		fwd, bwd *graph.Graph // whose rᵢ the forward and the backward fetch follow
+	}{
+		{"symmetric", sym, symG, symG},
+		{"directed", directed, revG, dirG},
+	} {
+		p, n, widths := tc.p, tc.p.A.Rows, tc.p.Config.Widths
+		for _, ranks := range []int{2, 4, 7} {
+			tr := NewOneD(ranks, testMach)
+			tr.Halo = true
+			if _, err := tr.Train(p); err != nil {
+				t.Fatal(err)
 			}
-			total += got
-			predTotal += want
-			if got > maxGot {
-				maxGot = got
+			fwd := partition.Edgecut(tc.fwd, partition.BlockAssignment(n, ranks))
+			bwd := partition.Edgecut(tc.bwd, partition.BlockAssignment(n, ranks))
+			if twoPlans := tc.fwd != tc.bwd; twoPlans == slices.Equal(fwd.PerPartRecvRows, bwd.PerPartRecvRows) {
+				t.Fatalf("%s P=%d: forward rᵢ %v, backward rᵢ %v: the case does not exercise what it names",
+					tc.name, ranks, fwd.PerPartRecvRows, bwd.PerPartRecvRows)
 			}
-		}
-		// Per-rank max is the MaxRecvRows (= edgecut_P(A)) prediction.
-		predMax = costmodel.OneDHaloDenseWords(widths, n, ranks, stats.MaxRecvRows, epochs)
-		if maxGot != predMax {
-			t.Fatalf("P=%d: max dcomm %d words, edgecut_P(A)=%d predicts %d",
-				ranks, maxGot, stats.MaxRecvRows, predMax)
-		}
-		if got := tr.Cluster().SumWordsByCategory()[comm.CatDenseComm]; got != predTotal || total != predTotal {
-			t.Fatalf("P=%d: total dcomm %d words, prediction %d", ranks, got, predTotal)
-		}
 
-		// Tie to the published formula: with uniform widths, the halo
-		// component of the ledger is the edgecut·f term of costmodel.OneD
-		// for one layer, rᵢ·f, counted once for the input layer (T¹ is
-		// fetched once per run) and, for each of the other L−1 layers,
-		// once per training forward plus the final inference forward.
-		w := costmodel.Workload{N: n, NNZ: int64(p.A.NNZ()), F: f, Layers: len(widths) - 1}
-		for r := 0; r < ranks; r++ {
-			got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm] -
-				costmodel.OneDHaloDenseWords(widths, n, ranks, 0, epochs)
-			ri := float64(stats.PerPartRecvRows[r])
-			perLayer := (costmodel.OneD(w, ranks, ri).Words - costmodel.OneD(w, ranks, 0).Words) / float64(w.Layers)
-			want := int64(math.Round(float64(1+(epochs+1)*(w.Layers-1)) * perLayer))
-			if got != want {
-				t.Fatalf("P=%d rank %d: halo component %d words, costmodel.OneD edgecut term %d",
-					ranks, r, got, want)
+			var total, predTotal, maxGot, predMax int64
+			for r := 0; r < ranks; r++ {
+				got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm]
+				want := costmodel.OneDHaloDenseWords(widths, ranks, fwd.PerPartRecvRows[r], bwd.PerPartRecvRows[r], epochs)
+				if got != want {
+					t.Fatalf("%s P=%d rank %d: ledger dcomm %d words, edgecut bound predicts %d (r_i=%d forward, %d backward)",
+						tc.name, ranks, r, got, want, fwd.PerPartRecvRows[r], bwd.PerPartRecvRows[r])
+				}
+				total += got
+				predTotal += want
+				maxGot = max(maxGot, got)
+				predMax = max(predMax, want)
+			}
+			if maxGot != predMax {
+				t.Fatalf("%s P=%d: max dcomm %d words, prediction %d", tc.name, ranks, maxGot, predMax)
+			}
+			// Where one rᵢ serves both directions, the per-rank max is the
+			// MaxRecvRows (= edgecut_P(A)) prediction.
+			if tc.fwd == tc.bwd {
+				if want := costmodel.OneDHaloDenseWords(widths, ranks, fwd.MaxRecvRows, fwd.MaxRecvRows, epochs); maxGot != want {
+					t.Fatalf("%s P=%d: max dcomm %d words, edgecut_P(A)=%d predicts %d",
+						tc.name, ranks, maxGot, fwd.MaxRecvRows, want)
+				}
+			}
+			if got := tr.Cluster().SumWordsByCategory()[comm.CatDenseComm]; got != predTotal || total != predTotal {
+				t.Fatalf("%s P=%d: total dcomm %d words, prediction %d", tc.name, ranks, got, predTotal)
+			}
+
+			// Tie to the published formula: with uniform widths, the halo
+			// component of the ledger is the 2·edgecut·f term of
+			// costmodel.OneDSymmetric for one layer, rᵢ·f per direction:
+			// the forward half counted once for the input layer (T¹ is
+			// fetched once per run) and, for each of the other L−1 layers,
+			// once per training forward plus the final inference forward;
+			// the backward half once per epoch for each of those L−1.
+			w := costmodel.Workload{N: n, NNZ: int64(p.A.NNZ()), F: f, Layers: len(widths) - 1}
+			half := func(ri int) float64 {
+				return (costmodel.OneDSymmetric(w, ranks, float64(ri)).Words - costmodel.OneDSymmetric(w, ranks, 0).Words) / float64(2*w.Layers)
+			}
+			for r := 0; r < ranks; r++ {
+				got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm] -
+					costmodel.OneDHaloDenseWords(widths, ranks, 0, 0, epochs)
+				want := int64(math.Round(float64(1+(epochs+1)*(w.Layers-1))*half(fwd.PerPartRecvRows[r]) +
+					float64(epochs*(w.Layers-1))*half(bwd.PerPartRecvRows[r])))
+				if got != want {
+					t.Fatalf("%s P=%d rank %d: halo component %d words, costmodel.OneDSymmetric edgecut term %d",
+						tc.name, ranks, r, got, want)
+				}
 			}
 		}
 	}

@@ -342,7 +342,7 @@ type backwardProbe struct {
 func (b *backwardProbe) place(full, blk *dense.Matrix) {
 	r0, c0 := 0, 0
 	switch r := b.layerOps.(type) {
-	case *oneDRank:
+	case *rowRank:
 		r0 = r.lo
 	case *meshRank:
 		r0, c0 = r.vBlk.Lo(r.pi), r.fBlk(full.Cols).Lo(r.pj)
@@ -376,8 +376,8 @@ func (b *backwardProbe) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix 
 // TestHiddenLayerGradientsMatchDirectFormula: at every layer l ≥ 2, in
 // either product order, the engine's Y^l and ∂L/∂H^{l-1} against the
 // paper's (H^{l-1})ᵀ·(A·G^l) and (A·G^l)·(W^l)ᵀ evaluated with the
-// reference kernels on the same G^l, H^{l-1} and W^l — serial, 1D and 2D,
-// on a symmetric and on a row-stochastic directed graph. The reorderings
+// reference kernels on the same G^l, H^{l-1} and W^l — serial, 1D, 1.5D and
+// 2D, on a symmetric and on a row-stochastic directed graph. The reorderings
 // rest on associativity and transposition, never on A = Aᵀ: the same
 // reference with Aᵀ in A's place must agree on the symmetric graph and be
 // told apart on the directed one, or the comparison proves nothing.
@@ -410,8 +410,15 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 			}
 			trainers := map[string]func() error{
 				"serial": func() error { return probed(serialOps, cfg, p) },
-				"1d":     func() error { return NewOneD(4, testMach).runRanks(p, probed) },
 				"2d":     func() error { return NewTwoD(4, testMach).runRanks(p, probed) },
+			}
+			// The block-row trainer in every exchange mode: its backward
+			// product is the forward one over a plan of A's blocks, and the
+			// directed graph is what tells that plan from the forward one.
+			for name, mk := range rowTrainerModes() {
+				if graphName == "directed" || name == "1d" {
+					trainers[name] = func() error { return mk().runRanks(p, probed) }
+				}
 			}
 			for trainer, run := range trainers {
 				t.Run(shape+"/"+graphName+"/"+trainer, func(t *testing.T) {

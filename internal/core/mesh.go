@@ -39,31 +39,18 @@ import (
 // SUMMA for Y with its f×f all-gather.
 type meshTrainer struct{ dist }
 
-// TwoD is the 2D SUMMA trainer (§IV-C): the mesh at depth 1.
-type TwoD struct{ meshTrainer }
+// NewTwoD returns a 2D SUMMA trainer (§IV-C) over p simulated ranks — the
+// mesh at depth 1; p must be a perfect square.
+func NewTwoD(p int, mach costmodel.Machine) *meshTrainer { return newMeshTrainer("2d", p, mach) }
 
-// ThreeD is the Split-3D-SpMM trainer (§IV-D): the mesh at depth ∛P.
-type ThreeD struct{ meshTrainer }
+// NewThreeD returns a Split-3D-SpMM trainer (§IV-D) over p simulated ranks —
+// the mesh at depth ∛P; p must be a perfect cube.
+func NewThreeD(p int, mach costmodel.Machine) *meshTrainer { return newMeshTrainer("3d", p, mach) }
 
-// NewTwoD returns a 2D SUMMA trainer over p simulated ranks; p must be a
-// perfect square.
-func NewTwoD(p int, mach costmodel.Machine) *TwoD {
-	t := &TwoD{}
-	t.init("2d", p, mach)
-	return t
-}
-
-// NewThreeD returns a Split-3D-SpMM trainer over p simulated ranks; p must
-// be a perfect cube.
-func NewThreeD(p int, mach costmodel.Machine) *ThreeD {
-	t := &ThreeD{}
-	t.init("3d", p, mach)
-	return t
-}
-
-func (t *meshTrainer) init(name string, p int, mach costmodel.Machine) {
-	t.dist = newDist(name, p, mach)
+func newMeshTrainer(name string, p int, mach costmodel.Machine) *meshTrainer {
+	t := &meshTrainer{dist: newDist(name, p, mach)}
 	t.decompose = t.newRanks
+	return t
 }
 
 // meshFor returns the mesh the named algorithm ("2d" or "3d") runs p ranks

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -297,18 +296,24 @@ func TestOverlapPartitionedHaloEquivalence(t *testing.T) {
 // (prime P, non-square teams) under overlap for shape bugs.
 func TestOverlapRanksVariety(t *testing.T) {
 	p := testProblem(t, 97, 8, 7, 4, 2, 76)
-	for _, tr := range []Trainer{
-		func() Trainer { t := NewOneD(7, testMach); t.Overlap = true; return t }(),
-		func() Trainer { t := NewOneD(7, testMach); t.Halo, t.Overlap = true, true; return t }(),
-		func() Trainer { t := NewOneFiveD(9, 3, testMach); t.Overlap = true; return t }(),
-		func() Trainer { t := NewOneFiveD(9, 3, testMach); t.Halo, t.Overlap = true, true; return t }(),
+	// The subtest names are the type names the constructors had before the
+	// trainers became one block-row and one mesh type; they stay so the
+	// suite's test ids do.
+	for _, tc := range []struct {
+		name string
+		tr   Trainer
+	}{
+		{"*core.OneD", func() Trainer { t := NewOneD(7, testMach); t.Overlap = true; return t }()},
+		{"*core.OneD", func() Trainer { t := NewOneD(7, testMach); t.Halo, t.Overlap = true, true; return t }()},
+		{"*core.OneFiveD", func() Trainer { t := NewOneFiveD(9, 3, testMach); t.Overlap = true; return t }()},
+		{"*core.OneFiveD", func() Trainer { t := NewOneFiveD(9, 3, testMach); t.Halo, t.Overlap = true, true; return t }()},
 		// c² > P: layers 2..3 own no stages and must not prefetch one.
-		func() Trainer { t := NewOneFiveD(8, 4, testMach); t.Overlap = true; return t }(),
-		func() Trainer { t := NewOneFiveD(8, 4, testMach); t.Halo, t.Overlap = true, true; return t }(),
-		func() Trainer { t := NewTwoD(4, testMach); t.Overlap = true; return t }(),
+		{"*core.OneFiveD", func() Trainer { t := NewOneFiveD(8, 4, testMach); t.Overlap = true; return t }()},
+		{"*core.OneFiveD", func() Trainer { t := NewOneFiveD(8, 4, testMach); t.Halo, t.Overlap = true, true; return t }()},
+		{"*core.TwoD", func() Trainer { t := NewTwoD(4, testMach); t.Overlap = true; return t }()},
 	} {
-		t.Run(fmt.Sprintf("%T", tr), func(t *testing.T) {
-			checkEquivalence(t, tr, p)
+		t.Run(tc.name, func(t *testing.T) {
+			checkEquivalence(t, tc.tr, p)
 		})
 	}
 }

@@ -43,8 +43,8 @@ func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, par
 // PartitionProblem relabels the vertices of p so that assignment a's
 // parts become contiguous 1D row blocks: the adjacency is symmetrically
 // permuted, features/labels/masks are reordered to match. It returns the
-// relabeled problem, the contiguous layout to install as OneD.Layout (or
-// OneFiveD.Layout, with one block per team), and the relabeling order
+// relabeled problem, the contiguous layout to install as the row trainer's
+// RowOptions.Layout (one block per team), and the relabeling order
 // (order[new] = old) that RestoreRows uses to map the trained output back
 // to the original vertex numbering. Training results are otherwise
 // unaffected: losses, weights, and accuracies are permutation-invariant.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/dense"
@@ -14,8 +16,8 @@ import (
 type RowOptions struct {
 	// Halo enables the sparsity-aware halo exchange (§IV-A-1): instead of
 	// broadcasting whole dense blocks (≈ n·f words per product), each rank
-	// fetches point-to-point only the rows its Aᵀ stage blocks reference
-	// (edgecut·f words), with bit-identical results.
+	// fetches point-to-point only the rows its stage blocks (of Aᵀ forward,
+	// of A backward) reference (edgecut·f words), with bit-identical results.
 	Halo bool
 	// Layout optionally replaces the default near-equal Block1D row
 	// distribution with explicit contiguous block boundaries — typically
@@ -25,9 +27,9 @@ type RowOptions struct {
 	Layout partition.Layout1D
 }
 
-// RowTrainer is what the trainers over block rows — OneD and OneFiveD, the
-// only ones a partitioner or the halo exchange applies to — have beyond
-// the others.
+// RowTrainer is what the trainer over block rows — NewOneD's and
+// NewOneFiveD's, the only one a partitioner or the halo exchange applies to
+// — has beyond the others.
 type RowTrainer interface {
 	// Rows returns the trainer's row options, for reading or setting.
 	Rows() *RowOptions
@@ -38,13 +40,94 @@ type RowTrainer interface {
 // Rows implements RowTrainer.
 func (o *RowOptions) Rows() *RowOptions { return o }
 
-// rowRank is what the two block-row decompositions share (1D of §IV-A, 1.5D
-// of §IV-B): H and G in block rows with W replicated, so every dense product
-// and activation is local, and one forward product Σ_s Aᵀ_{own,s}·X_s over a
-// stage list — every block over the world group for 1D, the stages
-// s ≡ layer (mod c) over the layer group for 1.5D, which at c = 1 is the
-// same list over the same group. oneDRank and oneFiveDRank embed it and add
-// what differs: how the stage blocks are cut, and the backward product.
+// rowTrainer is the block-row trainer: the paper's 1D algorithm (§IV-A) and
+// the 1.5D algorithm of §IV-B (following Koanantakool et al.) are one
+// decomposition with a replication factor c.
+//
+// P ranks form P/c teams of c layers. The vertex dimension is
+// block-partitioned across teams: Aᵀ and A in block rows, H and G in block
+// rows, W fully replicated. Each team replicates its H (and G) row block
+// across its c members — the factor-c memory overhead the paper cites as the
+// 1.5D downside — while each member stores only the 1/c of its team's sparse
+// column blocks it multiplies, so the sparse matrix is not replicated.
+//
+// Both aggregations are the same block-row SpMM (Algorithm 1; §IV-A-6's
+// symmetric form, Eq. 2): member k of a team sums the stages s ≡ k (mod c),
+// moving ≈ nf/c words per product — or, in halo mode, only the rows its
+// blocks reference (§IV-A-1) — and a small intra-team all-reduce (≈ ncf/P
+// words) completes and re-replicates the sum. Forward multiplies blocks of
+// Aᵀ, backward blocks of A: the same blocks when A = Aᵀ, a second set cut
+// from A when the graph is directed. The weight gradient is the small outer
+// product Y = Hᵀ(AG) with an f×f all-reduce.
+//
+// 1D is c = 1: every rank is its own team, every block a stage, and there is
+// no team all-reduce. The paper analyzes but does not implement 1.5D,
+// arguing d = O(f) makes the memory cost hard to justify (§IV-B); this
+// implementation lets the repo quantify that trade-off.
+type rowTrainer struct {
+	dist
+	RowOptions
+	c int
+}
+
+// NewOneD returns a 1D trainer (§IV-A) over p simulated ranks: the block-row
+// trainer with one replica of each block.
+func NewOneD(p int, mach costmodel.Machine) *rowTrainer {
+	return newRowTrainer("1d", p, 1, mach)
+}
+
+// NewOneFiveD returns a 1.5D trainer (§IV-B) over p ranks with replication
+// factor c; p must be divisible by c.
+func NewOneFiveD(p, c int, mach costmodel.Machine) *rowTrainer {
+	return newRowTrainer("1.5d", p, c, mach)
+}
+
+func newRowTrainer(name string, p, c int, mach costmodel.Machine) *rowTrainer {
+	t := &rowTrainer{dist: newDist(name, p, mach), c: c}
+	t.decompose = t.newRanks
+	return t
+}
+
+// ReplicationFactor returns c.
+func (t *rowTrainer) ReplicationFactor() int { return t.c }
+
+// Blocks implements RowTrainer: one row block per team.
+func (t *rowTrainer) Blocks() int { return t.p / t.c }
+
+// newRanks is the block-row decomposition (dist.decompose).
+func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerOps, error) {
+	if t.c < 1 || t.p%t.c != 0 {
+		return nil, fmt.Errorf("core: %s trainer needs c ≥ 1 dividing P, got P=%d c=%d", t.name, t.p, t.c)
+	}
+	teams, n := t.Blocks(), p.A.Rows
+	if teams > n {
+		return nil, fmt.Errorf("core: %s trainer with %d row blocks needs at least %d vertices, got %d", t.name, teams, teams, n)
+	}
+	blk, err := layout1DFor(t.Layout, n, teams)
+	if err != nil {
+		return nil, err
+	}
+	// Forward multiplies blocks of Aᵀ, backward blocks of A. On an undirected
+	// graph they are the same blocks, read straight out of A; only a
+	// directed one pays for the transpose and a second block set.
+	at := p.A
+	if asymmetry(p.A) != "" {
+		at = p.A.Transpose() // read-only global view; ranks extract blocks
+	}
+	return func(c *comm.Comm) layerOps {
+		r := &rowRank{
+			comm: c, mach: t.mach, cfg: cfg, blk: blk, c: t.c, halo: t.Halo, overlap: t.Overlap,
+			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
+		}
+		r.setup(at, p.A, p.Features)
+		return r
+	}, nil
+}
+
+// rowRank holds one rank's state during block-row training: H and G in
+// block rows with W replicated, so every dense product and activation is
+// local, and one product Σ_s M_{own,s}·X_s over a stage list that serves
+// both aggregations — M = Aᵀ forward, M = A backward.
 //
 // Per-epoch temporaries come from ws (reset at endEpoch, together with the
 // fabric's payload pool).
@@ -52,7 +135,7 @@ type rowRank struct {
 	comm    *comm.Comm
 	mach    costmodel.Machine
 	cfg     nn.Config
-	blk     partition.Layout1D // row blocks: one per rank (1D) or per team (1.5D)
+	blk     partition.Layout1D // row blocks, one per team
 	c       int                // replicas of each row block: 1 for 1D
 	halo    bool
 	overlap bool
@@ -69,27 +152,41 @@ type rowRank struct {
 	dims []int     // scratch shape header for outbound payloads
 	cnt  []float64 // correctCounts buffer
 
-	// The forward product's stages, built once in setup. group carries the
-	// exchanges and its member s holds block s of X; own is this rank's index
-	// in it. stages lists, ascending, the blocks this rank multiplies, and
-	// blocks[s] = Aᵀ(my rows, rows of block s) for each of them (nil
-	// elsewhere) — slices indexed by group member, so an epoch looks nothing
-	// up in a map.
-	group  *comm.Group
-	own    int
-	stages []int
+	// The product's stages, built once in setup. group — one member per
+	// team, all at this rank's layer index; the world at c = 1 — carries the
+	// exchanges, and its member s holds block s of X; own is this rank's
+	// index in it, its team. stages lists, ascending, the blocks this rank
+	// multiplies: s ≡ layer (mod c). teamGroup is the c replicas of the own
+	// block, whose all-reduce completes each product.
+	group     *comm.Group
+	teamGroup *comm.Group
+	own       int
+	stages    []int
+
+	// fwd holds the stage blocks of Aᵀ, bwd those of A — the same plan when
+	// A = Aᵀ. haloParts is the outbound scratch of either's exchange.
+	fwd, bwd  *stagePlan
+	haloParts []comm.Payload
+}
+
+// stagePlan is one direction of the stage product: the blocks of M = Aᵀ or
+// M = A this rank multiplies and, in halo mode, the exchange negotiated for
+// them — all slices indexed by group member, so an epoch looks nothing up
+// in a map.
+type stagePlan struct {
+	// blocks[s] = M(my rows, rows of block s) for each stage s, nil
+	// elsewhere.
 	blocks []*sparse.CSR
 
 	// Halo-exchange state (halo only), negotiated once over group: need[s]
 	// is the column support of stage block s — the rows fetched from member
 	// s — and blocks[s] is compacted onto it, except the own block, which
-	// multiplies the local x directly and fetches nothing. sendIdx lists the
-	// rows each peer requested from this rank, recvFrom the peers it
-	// receives from.
-	need      [][]int
-	sendIdx   [][]int
-	recvFrom  []bool
-	haloParts []comm.Payload
+	// multiplies the local x directly and fetches nothing; non-stage members
+	// have empty need lists. sendIdx lists the rows each peer requested from
+	// this rank, recvFrom the peers it receives from.
+	need     [][]int
+	sendIdx  [][]int
+	recvFrom []bool
 
 	// Interior/frontier split (halo && overlap only): interior rows have no
 	// nonzeros in any remote stage block and multiply against the own block
@@ -108,69 +205,139 @@ func (r *rowRank) recordMem(extra int64) {
 	r.comm.Ledger().RecordMem(r.memBase + extra)
 }
 
-// finishSetup completes a rank whose group, own, lo/hi, stages, blocks (and
-// need, in halo mode) the decomposition has filled in: it negotiates the
-// halo plan, splits interior from frontier rows, and takes the input block
-// and the per-run buffers. sparseWords is the resident size of the rank's
-// share of Aᵀ.
-func (r *rowRank) finishSetup(features *dense.Matrix, sparseWords int64) {
-	if r.halo {
-		r.sendIdx, r.recvFrom = exchangeHaloPlan(r.group, r.need)
-		r.haloParts = make([]comm.Payload, r.group.Size())
-		if r.overlap {
-			remote := append([]*sparse.CSR(nil), r.blocks...)
-			remote[r.own] = nil
-			r.interior, r.frontier = haloRowSplit(r.hi-r.lo, remote)
-			if own := r.blocks[r.own]; own != nil {
-				r.interiorNNZ = sparse.RowListNNZ(own, r.interior)
-			}
-		}
+// setup builds the groups and the two stage plans and takes the input block
+// and the per-run buffers. h0 is the c-fold replicated dense block — the
+// §IV-B memory overhead — while the sparse share is only the stage blocks:
+// nnz/P words per direction, once when the plans coincide (at is a itself:
+// A = Aᵀ).
+func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix) {
+	rank, teams := r.comm.Rank(), r.blk.Blocks()
+	team, layer := rank/r.c, rank%r.c
+	teamRanks := make([]int, r.c)
+	for k := range teamRanks {
+		teamRanks[k] = team*r.c + k
 	}
+	r.teamGroup = r.comm.NewGroup(teamRanks)
+	layerRanks := make([]int, teams)
+	for j := range layerRanks {
+		layerRanks[j] = j*r.c + layer
+	}
+	r.group, r.own = r.comm.NewGroup(layerRanks), team
+	r.lo, r.hi = r.blk.Lo(team), r.blk.Hi(team)
+	for s := layer; s < teams; s += r.c {
+		r.stages = append(r.stages, s)
+	}
+	if r.halo {
+		r.haloParts = make([]comm.Payload, teams)
+	}
+
 	r.h0 = features.RowSlice(r.lo, r.hi)
 	r.ws = dense.NewWorkspace()
 	r.dims = make([]int, 2)
 	r.cnt = make([]float64, 8)
-	r.memBase = sparseWords + matWords(r.h0) + cfgWeightWords(r.cfg)
+	r.memBase = matWords(r.h0) + cfgWeightWords(r.cfg)
+	r.fwd = r.newStagePlan(at)
+	r.bwd = r.fwd
+	if a != at {
+		r.bwd = r.newStagePlan(a)
+	}
 	r.recordMem(0)
 }
 
-// stageProduct computes Σ_{s ∈ stages} Aᵀ_{own,s}·X_s, where x is this
-// rank's block of X: with a broadcast per stage (Algorithm 1), or, in halo
-// mode, with one indexed point-to-point exchange of only the rows the stage
-// blocks touch (§IV-A-1). All paths accumulate the stages in the same order
-// with the same nonzeros, so the results are bit-identical.
+// newStagePlan cuts this rank's stage blocks out of m, adds them to the
+// resident footprint and, in halo mode, compacts the remote ones onto the
+// rows they reference, negotiates the exchange and splits interior from
+// frontier rows.
+func (r *rowRank) newStagePlan(m *sparse.CSR) *stagePlan {
+	q := r.group.Size()
+	pl := &stagePlan{blocks: make([]*sparse.CSR, q)}
+	if r.halo {
+		pl.need = make([][]int, q)
+	}
+	for _, s := range r.stages {
+		pl.blocks[s] = m.ExtractBlock(r.lo, r.hi, r.blk.Lo(s), r.blk.Hi(s))
+		if r.halo && s != r.own {
+			pl.need[s], pl.blocks[s] = sparse.CompactCols(pl.blocks[s])
+		}
+		r.memBase += csrWords(pl.blocks[s])
+	}
+	if r.halo {
+		pl.sendIdx, pl.recvFrom = exchangeHaloPlan(r.group, pl.need)
+		if r.overlap {
+			remote := append([]*sparse.CSR(nil), pl.blocks...)
+			remote[r.own] = nil
+			pl.interior, pl.frontier = haloRowSplit(r.hi-r.lo, remote)
+			if own := pl.blocks[r.own]; own != nil {
+				pl.interiorNNZ = sparse.RowListNNZ(own, pl.interior)
+			}
+		}
+	}
+	return pl
+}
+
+// forwardAggregate computes (Aᵀ·X)_i = Σ_j Aᵀ_ij X_j.
+func (r *rowRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.keepInput(r.blockMul(r.fwd, x), l)
+}
+
+// backwardAggregate computes (A·X)_i = Σ_j A_ij X_j: the forward product
+// over A's blocks (§IV-A-6), so it fetches, overlaps and charges exactly as
+// forward does and holds no more than a block of X at a time.
+func (r *rowRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	return r.blockMul(r.bwd, x)
+}
+
+// blockMul computes my team's row block of M·X, where x is my team's
+// (replicated) row block of X: each member sums its stages, then an
+// intra-team all-reduce completes and re-replicates the sum. One replica
+// has nothing to all-reduce — the paper's degenerate case, 1D.
+func (r *rowRank) blockMul(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
+	partial := r.stageProduct(pl, x)
+	if r.c == 1 {
+		return partial
+	}
+	return r.ws.Wrap(partial.Rows, x.Cols,
+		r.teamGroup.AllReduce(partial.Data, comm.CatDenseComm))
+}
+
+// stageProduct computes Σ_{s ∈ stages} M_{own,s}·X_s over pl's blocks of M,
+// where x is this rank's block of X: with a broadcast per stage (Algorithm
+// 1), or, in halo mode, with one indexed point-to-point exchange of only
+// the rows the stage blocks touch (§IV-A-1). All paths accumulate the
+// stages in the same order with the same nonzeros, so the results are
+// bit-identical.
 //
 // With overlap on, the halo path issues the fetch asynchronously,
 // multiplies interior rows (no remote dependencies) against the own block
 // while it is in flight, and finishes the frontier rows after the Wait; the
 // broadcast path keeps the next stage's broadcast in flight behind this
 // stage's SpMM.
-func (r *rowRank) stageProduct(x *dense.Matrix) *dense.Matrix {
+func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 	rows, f := r.hi-r.lo, x.Cols
 	T := r.ws.Get(rows, f)
 	switch {
 	case r.halo && r.overlap:
-		req := haloFetchAsync(r.group, x, r.sendIdx, r.recvFrom, r.ws, r.haloParts)
+		req := haloFetchAsync(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts)
 		// Interior rows touch only the own block; their product is complete
 		// before any fetched row arrives. The charge model is unchanged from
 		// the synchronous path — the same per-stage SpMMTime totals, with the
 		// own block's charge apportioned to the two passes by nnz share so
 		// only the timeline placement moves, never the modeled compute cost.
 		var ownTime, interiorShare float64
-		if own := r.blocks[r.own]; own != nil {
+		if own := pl.blocks[r.own]; own != nil {
 			ownTime = r.mach.SpMMTime(int64(own.NNZ()), rows, f)
 			if nnz := own.NNZ(); nnz > 0 {
-				interiorShare = ownTime * float64(r.interiorNNZ) / float64(nnz)
+				interiorShare = ownTime * float64(pl.interiorNNZ) / float64(nnz)
 			}
 			r.recordMem(matWords(T) + matWords(x))
-			sparse.SpMMAddRowList(T, own, x, r.interior)
+			sparse.SpMMAddRowList(T, own, x, pl.interior)
 			r.comm.ChargeTime(comm.CatSpMM, interiorShare)
 		}
 		recvd := req.WaitAll()
 		for _, s := range r.stages {
-			blk, xs := r.blocks[s], r.fetched(s, x, recvd)
+			blk, xs := pl.blocks[s], r.fetched(pl, s, x, recvd)
 			r.recordMem(matWords(T) + matWords(xs))
-			sparse.SpMMAddRowList(T, blk, xs, r.frontier)
+			sparse.SpMMAddRowList(T, blk, xs, pl.frontier)
 			if s == r.own {
 				r.comm.ChargeTime(comm.CatSpMM, ownTime-interiorShare)
 			} else {
@@ -178,17 +345,17 @@ func (r *rowRank) stageProduct(x *dense.Matrix) *dense.Matrix {
 			}
 		}
 	case r.halo:
-		recvd := haloFetch(r.group, x, r.sendIdx, r.recvFrom, r.ws, r.haloParts)
+		recvd := haloFetch(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts)
 		for _, s := range r.stages {
-			blk, xs := r.blocks[s], r.fetched(s, x, recvd)
+			blk, xs := pl.blocks[s], r.fetched(pl, s, x, recvd)
 			r.recordMem(matWords(T) + matWords(xs))
 			sparse.SpMMAdd(T, blk, xs)
 			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 		}
 	default:
-		// A rank may own no stages (1.5D layers beyond the team count,
-		// possible whenever c² > P): then there is nothing to prefetch and
-		// the loop never runs.
+		// A rank may own no stages (layers beyond the team count, possible
+		// whenever c² > P): then there is nothing to prefetch and the loop
+		// never runs.
 		var req *comm.Request
 		if r.overlap && len(r.stages) > 0 {
 			req = r.bcastStage(r.stages[0], x)
@@ -202,8 +369,8 @@ func (r *rowRank) stageProduct(x *dense.Matrix) *dense.Matrix {
 				req = r.bcastStage(r.stages[i+1], x)
 			}
 			r.recordMem(matWords(T) + matWords(xs))
-			sparse.SpMMAdd(T, r.blocks[s], xs)
-			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(r.blocks[s].NNZ()), rows, f))
+			sparse.SpMMAdd(T, pl.blocks[s], xs)
+			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(pl.blocks[s].NNZ()), rows, f))
 		}
 	}
 	return T
@@ -211,11 +378,11 @@ func (r *rowRank) stageProduct(x *dense.Matrix) *dense.Matrix {
 
 // fetched returns block s of X after a halo exchange: x itself for the own
 // block (uncompacted, so no gather), the rows member s sent otherwise.
-func (r *rowRank) fetched(s int, x *dense.Matrix, recvd []comm.Payload) *dense.Matrix {
+func (r *rowRank) fetched(pl *stagePlan, s int, x *dense.Matrix, recvd []comm.Payload) *dense.Matrix {
 	if s == r.own {
 		return x
 	}
-	return r.ws.Wrap(len(r.need[s]), x.Cols, recvd[s].Floats)
+	return r.ws.Wrap(len(pl.need[s]), x.Cols, recvd[s].Floats)
 }
 
 // bcastStage issues stage s's dense broadcast (root: member s of group).

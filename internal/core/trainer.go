@@ -9,9 +9,9 @@
 // each decomposition implements with only its layout-specific SpMM and
 // collective choreography. The family is written once: the four distributed
 // trainers share one shell (dist.go: ranks, cluster or endpoint, Train); 1D
-// and 1.5D share one block-row rank and one forward product (rows.go), of
-// which 1D is the c = 1 case; 2D and 3D are one SUMMA on a q × q × d mesh
-// (mesh.go), at depth 1 and ∛P.
+// and 1.5D are one block-row trainer with one product for both aggregations
+// (rows.go), of which 1D is the c = 1 case; 2D and 3D are one SUMMA on a
+// q × q × d mesh (mesh.go), at depth 1 and ∛P.
 //
 // All trainers compute the same mathematics (§III-C/D):
 //
@@ -49,9 +49,9 @@ import (
 // (already normalized, self-loops added), input features H⁰, labels, and
 // the network configuration.
 type Problem struct {
-	// A is the n x n modified adjacency matrix. The 1.5D and 3D trainers
-	// require A to be symmetric (all the paper's datasets are) and reject
-	// any other; serial, 1D and 2D handle general directed A.
+	// A is the n x n modified adjacency matrix. The 3D trainer requires A to
+	// be symmetric (all the paper's datasets are) and rejects any other;
+	// serial, 1D, 1.5D and 2D handle general directed A.
 	A        *sparse.CSR
 	Features *dense.Matrix
 	Labels   []int
@@ -147,14 +147,13 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// requireSymmetric rejects an adjacency with A ≠ Aᵀ on behalf of the named
-// trainer. The 1.5D and 3D trainers read their Aᵀ blocks straight out of A,
-// so on a directed graph they would train a different model without a
-// word; serial, 1D and 2D transpose explicitly and take any A. One pass
-// over the nonzeros: rows are visited in order and every row's columns
-// ascend, so entry (i, j) must meet the next unread entry of row j, and
-// that entry must be (j, i) with the same value (up to rounding).
-func requireSymmetric(a *sparse.CSR, algo string) error {
+// asymmetry returns "" when A = Aᵀ (up to rounding) and otherwise names the
+// first entry whose mirror differs. One pass over the nonzeros: rows are
+// visited in order and every row's columns ascend, so entry (i, j) must meet
+// the next unread entry of row j, and that entry must be (j, i) with the
+// same value. The block-row trainers use it to decide whether backward can
+// reuse the forward blocks; requireSymmetric turns it into an error.
+func asymmetry(a *sparse.CSR) string {
 	next := append([]int(nil), a.RowPtr[:a.Rows]...)
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
@@ -167,11 +166,22 @@ func requireSymmetric(a *sparse.CSR, algo string) error {
 				mirror = fmt.Sprintf("= %g", w)
 			}
 			if mirror != "" {
-				return fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): A[%d,%d] = %g but A[%d,%d] %s; use serial, 1d or 2d for a directed graph",
-					algo, i, j, v, j, i, mirror)
+				return fmt.Sprintf("A[%d,%d] = %g but A[%d,%d] %s", i, j, v, j, i, mirror)
 			}
 			next[j]++
 		}
+	}
+	return ""
+}
+
+// requireSymmetric rejects an adjacency with A ≠ Aᵀ on behalf of the named
+// trainer. The 3D trainer reads its Aᵀ blocks straight out of A, so on a
+// directed graph it would train a different model without a word; serial,
+// 1D, 1.5D and 2D keep Aᵀ and A apart and take any A.
+func requireSymmetric(a *sparse.CSR, algo string) error {
+	if diff := asymmetry(a); diff != "" {
+		return fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): %s; use serial, 1d, 1.5d or 2d for a directed graph",
+			algo, diff)
 	}
 	return nil
 }
@@ -200,10 +210,10 @@ type Result struct {
 }
 
 // Trainer runs full-batch GCN training on a problem. Implementations:
-// Serial, OneD, OneFiveD, TwoD, ThreeD — all driving the shared engine with
-// their own layerOps; the four distributed ones are the one shell (dist.go)
-// around a decomposition, and TwoD and ThreeD the one mesh trainer under two
-// names.
+// Serial, the block-row trainer (NewOneD, NewOneFiveD) and the mesh trainer
+// (NewTwoD, NewThreeD) — all driving the shared engine with their own
+// layerOps; the distributed ones are the one shell (dist.go) around a
+// decomposition.
 type Trainer interface {
 	// Name identifies the algorithm ("serial", "1d", "1.5d", "2d", "3d").
 	Name() string

@@ -36,7 +36,7 @@ func (w Workload) AvgDegree() float64 {
 // Aᵀ·(H^{l-1}·W^l) and A·G^l at width f^l when f^l < f^{l-1},
 // Aᵀ·H^{l-1} and A·(G^l·(W^l)ᵀ) at width f^{l-1} otherwise. A steady-state
 // epoch therefore carries the aggregation terms — the sparse and dense
-// panels, the edgecut·f fetch, the n·f reduce-scatter — of L − 1 layers,
+// panels, the edgecut·f fetches, 3D's fiber reduce-scatter — of L − 1 layers,
 // each with f = min(f^{l-1}, f^l) in both directions, and the weight-sized
 // terms (f² all-reduces, and in 2D/3D the hidden layers' X·W panels and the
 // row gathers; the T¹ row panels are gathered once per run) of all L. The
@@ -65,13 +65,18 @@ func (c CommCost) String() string {
 	return fmt.Sprintf("{msgs: %.3g, words: %.4g}", c.Msgs, c.Words)
 }
 
-// OneD returns the per-epoch communication bound of the 1D block-row
-// algorithm (§IV-A-5):
+// OneD returns the per-epoch communication bound of the general 1D
+// block-row algorithm (§IV-A-5, Eq. 1), whose backward aggregation is the
+// outer product of §IV-A-3 with its n·f reduce-scatter:
 //
 //	T = L( α·3 lg P + β( edgecut·f + n·f + f² ) )
 //
 // edgecut is edgecut_P(A), the per-process maximum number of dense-matrix
-// rows that must be fetched; random partitioning gives ≈ n(P-1)/P.
+// rows that must be fetched; random partitioning gives ≈ n(P-1)/P. It is
+// the paper's bound for a 1D algorithm that holds Aᵀ alone. The trainer in
+// internal/core holds a block row of A beside its block row of Aᵀ (one and
+// the same on an undirected graph) and runs the block-row multiply in both
+// directions, so what it implements is OneDSymmetric (Eq. 2) — for any A.
 func OneD(w Workload, p int, edgecut float64) CommCost {
 	L := float64(w.Layers)
 	return CommCost{
@@ -93,24 +98,27 @@ func OneDRandomEdgecut(n, p int) float64 {
 // OneDHaloDenseWords returns the exact dense-comm word count one rank of
 // the sparsity-aware (halo-exchange) 1D trainer accrues over a full
 // training run of `epochs` epochs plus the final inference forward pass.
-// widths are the layer widths f⁰..f^L, n the global vertex count, p the
-// rank count, and recvRows the rank's rᵢ — the number of distinct remote
-// rows it fetches per product (§IV-A-1; partition.Edgecut's
-// PerPartRecvRows). Plugging in max_i rᵢ = edgecut_P(A) gives the
-// per-rank maximum; summing over per-rank values gives the total volume.
+// widths are the layer widths f⁰..f^L, p the rank count, and fwdRows and
+// bwdRows the rank's rᵢ — the number of distinct remote rows it fetches per
+// product (§IV-A-1; partition.Edgecut's PerPartRecvRows) — for the forward
+// product over its block row of Aᵀ and the backward one over its block row
+// of A. On an undirected graph the two are the same number; on a directed
+// one bwdRows is the rᵢ of the graph and fwdRows that of its reverse.
+// Plugging in max_i rᵢ = edgecut_P(A) gives the per-rank maximum; summing
+// over per-rank values gives the total volume.
 //
-// It is the implementable, exact counterpart of OneD's per-epoch bound
-// L·(edgecut·f + n·f + f²), in the steady-state form described above
+// It is the implementable, exact counterpart of OneDSymmetric's per-epoch
+// bound L·(2·edgecut·f + f²), in the steady-state form described above
 // CommCost. Once per run, the input layer's halo exchange fetches
-// recvRows·f⁰. Per epoch, every layer l ≥ 2 aggregates at width
+// fwdRows·f⁰. Per epoch, every layer l ≥ 2 aggregates at width
 // m_l = min(f^{l-1}, f^l) in both directions — its forward fetch charges
-// recvRows·m_l (replacing the broadcast's ≈ n·m_l), its backward
-// reduce-scatter n·m_l — and every layer, the first included, charges the
-// weight all-reduce's 2·f^{l-1}·f^l: reduce plus broadcast, the
-// constant-factor rounding noted on Group.AllReduce. The final forward pass
-// fetches for the layers l ≥ 2 once more. A world of one rank has no
-// network and moves nothing.
-func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
+// fwdRows·m_l, its backward fetch bwdRows·m_l, each replacing a broadcast
+// sweep's ≈ n·m_l — and every layer, the first included, charges the weight
+// all-reduce's 2·f^{l-1}·f^l: reduce plus broadcast, the constant-factor
+// rounding noted on Group.AllReduce. The final forward pass fetches for the
+// layers l ≥ 2 once more. A world of one rank has no network and moves
+// nothing.
+func OneDHaloDenseWords(widths []int, p, fwdRows, bwdRows, epochs int) int64 {
 	if p <= 1 {
 		return 0
 	}
@@ -118,12 +126,12 @@ func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
 	for l := 1; l < len(widths); l++ {
 		if l > 1 {
 			m := int64(min(widths[l-1], widths[l]))
-			fwd += int64(recvRows) * m
-			bwd += int64(n) * m
+			fwd += int64(fwdRows) * m
+			bwd += int64(bwdRows) * m
 		}
 		bwd += 2 * int64(widths[l-1]) * int64(widths[l])
 	}
-	return int64(recvRows)*int64(widths[0]) + int64(epochs)*(fwd+bwd) + fwd
+	return int64(fwdRows)*int64(widths[0]) + int64(epochs)*(fwd+bwd) + fwd
 }
 
 // OneDSymmetric returns the bound for the symmetric case (§IV-A-6, Eq. 2)
@@ -131,6 +139,11 @@ func OneDHaloDenseWords(widths []int, n, p, recvRows, epochs int) int64 {
 // block-row multiply:
 //
 //	T = L( α·3 lg P + β( 2·edgecut·f + f² ) )
+//
+// This is the form the 1D trainer implements (OneDHaloDenseWords is its
+// exact count): its backward product fetches over A's row blocks as its
+// forward one does over Aᵀ's, with edgecut the larger of the two
+// directions' on a directed graph.
 func OneDSymmetric(w Workload, p int, edgecut float64) CommCost {
 	L := float64(w.Layers)
 	return CommCost{

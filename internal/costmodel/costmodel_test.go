@@ -348,54 +348,70 @@ func TestGcdLg(t *testing.T) {
 }
 
 // TestOneDHaloDenseWords pins the exact ledger predictor: hand-computed
-// small cases in both product orders, the p=1 world that moves nothing, and
-// consistency with the published OneD bound — with uniform widths, the
-// recvRows-dependent part is the edgecut·f term of §IV-A-5, once for the
-// input layer and once per forward pass for each of the other L−1.
+// small cases in both product orders, on an undirected graph (one rᵢ) and a
+// directed one (forward and backward rᵢ apart), the p=1 world that moves
+// nothing, and consistency with the published OneDSymmetric bound — with
+// uniform widths, the recvRows-dependent part is the 2·edgecut·f term of
+// §IV-A-6 taken half at a time: once for the input layer's forward fetch,
+// and for each of the other L−1 layers once per forward pass and once per
+// backward pass.
 func TestOneDHaloDenseWords(t *testing.T) {
 	widths := []int{3, 2} // L = 1
 	// p ≥ 2, one epoch + final forward. The only layer is the input layer:
 	// its fetch r·3 happens once, no epoch and no final pass repeats it,
-	// and its backward has no reduce-scatter — only the all-reduce 2·3·2.
-	if got, want := OneDHaloDenseWords(widths, 10, 4, 5, 1), int64(5*3+2*3*2); got != want {
-		t.Fatalf("p=4: got %d, want %d", got, want)
+	// and its backward has no aggregation — only the all-reduce 2·3·2. The
+	// backward rᵢ therefore cannot matter.
+	for _, bwdRows := range []int{5, 9} {
+		if got, want := OneDHaloDenseWords(widths, 4, 5, bwdRows, 1), int64(5*3+2*3*2); got != want {
+			t.Fatalf("p=4, bwdRows=%d: got %d, want %d", bwdRows, got, want)
+		}
 	}
 	// p = 1: no network, so no collective charges anything.
-	if got, want := OneDHaloDenseWords(widths, 10, 1, 0, 1), int64(0); got != want {
+	if got, want := OneDHaloDenseWords(widths, 1, 0, 0, 1), int64(0); got != want {
 		t.Fatalf("p=1: got %d, want %d", got, want)
 	}
 	// L = 2, two epochs, layer 2 widening (aggregate first, both ways at
-	// f¹ = 2). Once: r·f⁰ = 5·3. Per epoch: the layer-2 fetch r·f¹ = 5·2,
-	// the layer-2 reduce-scatter n·f¹ = 10·2 (of G²·(W²)ᵀ, not the 10·4 of
-	// G²), and both all-reduces 2·(3·2 + 2·4). Final forward: the layer-2
-	// fetch again.
-	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 10, 4, 5, 2), int64(15+2*(10+20+28)+10); got != want {
+	// f¹ = 2). Once: r·f⁰ = 5·3. Per epoch: the layer-2 forward fetch
+	// r·f¹ = 5·2, the layer-2 backward fetch r·f¹ = 5·2 (of G²·(W²)ᵀ, not
+	// the 5·4 of G²), and both all-reduces 2·(3·2 + 2·4). Final forward: the
+	// layer-2 fetch again.
+	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 4, 5, 5, 2), int64(15+2*(10+10+28)+10); got != want {
 		t.Fatalf("L=2 widening: got %d, want %d", got, want)
 	}
 	// The same with layer 2 narrowing (multiply first, both ways at f² = 2).
 	// Once: 5·4. Per epoch: the fetch of H¹·W², r·f² = 5·2 (not the 5·3 of
-	// H¹), the reduce-scatter n·f² = 10·2, the all-reduces 2·(4·3 + 3·2).
-	if got, want := OneDHaloDenseWords([]int{4, 3, 2}, 10, 4, 5, 2), int64(20+2*(10+20+36)+10); got != want {
+	// H¹), the backward fetch of G², r·f² = 5·2, the all-reduces
+	// 2·(4·3 + 3·2).
+	if got, want := OneDHaloDenseWords([]int{4, 3, 2}, 4, 5, 5, 2), int64(20+2*(10+10+36)+10); got != want {
 		t.Fatalf("L=2 narrowing: got %d, want %d", got, want)
 	}
-	// Uniform widths: pred(r) − pred(0) = r·f·(1 + (epochs+1)(L−1)), and
-	// r·f is OneD's edgecut term for one layer.
+	// Directed: 5 rows fetched over Aᵀ's block row, 7 over A's. Forward
+	// terms (the once-per-run 5·3, the per-epoch and the final 5·2) follow
+	// the first, the per-epoch backward fetch 7·2 the second.
+	if got, want := OneDHaloDenseWords([]int{3, 2, 4}, 4, 5, 7, 2), int64(15+2*(10+14+28)+10); got != want {
+		t.Fatalf("L=2 directed: got %d, want %d", got, want)
+	}
+	// Uniform widths: pred(r) − pred(0) = r·f·(1 + (2·epochs+1)(L−1)), and
+	// r·f is half of OneDSymmetric's 2·edgecut·f term for one layer.
 	uniform := []int{8, 8, 8}
 	w := Workload{N: 100, NNZ: 600, F: 8, Layers: 2}
 	for _, r := range []int{0, 7, 99} {
 		epochs := 3
-		haloPart := OneDHaloDenseWords(uniform, 100, 4, r, epochs) -
-			OneDHaloDenseWords(uniform, 100, 4, 0, epochs)
-		perLayer := (OneD(w, 4, float64(r)).Words - OneD(w, 4, 0).Words) / float64(w.Layers)
-		if want := float64(1+(epochs+1)*(w.Layers-1)) * perLayer; float64(haloPart) != want {
-			t.Fatalf("r=%d: halo part %d vs (1 + (epochs+1)(L−1))·edgecut·f = %v", r, haloPart, want)
+		haloPart := OneDHaloDenseWords(uniform, 4, r, r, epochs) -
+			OneDHaloDenseWords(uniform, 4, 0, 0, epochs)
+		perProduct := (OneDSymmetric(w, 4, float64(r)).Words - OneDSymmetric(w, 4, 0).Words) / float64(2*w.Layers)
+		if want := float64(1+(2*epochs+1)*(w.Layers-1)) * perProduct; float64(haloPart) != want {
+			t.Fatalf("r=%d: halo part %d vs (1 + (2·epochs+1)(L−1))·edgecut·f = %v", r, haloPart, want)
 		}
 	}
-	// More epochs cost more; more recv rows cost more.
-	if OneDHaloDenseWords(widths, 10, 4, 5, 2) <= OneDHaloDenseWords(widths, 10, 4, 5, 1) {
+	// More epochs cost more; more recv rows cost more, in either direction.
+	if OneDHaloDenseWords(widths, 4, 5, 5, 2) <= OneDHaloDenseWords(widths, 4, 5, 5, 1) {
 		t.Fatal("words must grow with epochs")
 	}
-	if OneDHaloDenseWords(widths, 10, 4, 6, 1) <= OneDHaloDenseWords(widths, 10, 4, 5, 1) {
-		t.Fatal("words must grow with recv rows")
+	if OneDHaloDenseWords(uniform, 4, 6, 5, 1) <= OneDHaloDenseWords(uniform, 4, 5, 5, 1) {
+		t.Fatal("words must grow with forward recv rows")
+	}
+	if OneDHaloDenseWords(uniform, 4, 5, 6, 1) <= OneDHaloDenseWords(uniform, 4, 5, 5, 1) {
+		t.Fatal("words must grow with backward recv rows")
 	}
 }

@@ -59,10 +59,12 @@ func summaStages(at *sparse.CSR, p, f int, mach costmodel.Machine) [][]costmodel
 
 // TestPipelinePredictorMatchesTimeline pins the analytic pipeline
 // predictor against the simulated timeline ledger, exactly: every rank of
-// a 2x2 grid replays its R-MAT stage schedule through ChargeAsync /
-// ChargeTime / Wait with one stage in flight, and its ledger Elapsed must
-// equal PipelineTime to the last bit (both sides perform the identical
-// max/add recurrence). BulkTime likewise pins the synchronous replay.
+// a 2x2 grid replays its R-MAT stage schedule with one stage in flight —
+// an indexed exchange that delivers the stage's words in the stage's
+// message count, IExchangeIndexed / ChargeTime / Wait — and its ledger
+// Elapsed must equal PipelineTime to the last bit (both sides perform the
+// identical max/add recurrence). BulkTime likewise pins the synchronous
+// replay, ExchangeIndexed / ChargeTime.
 func TestPipelinePredictorMatchesTimeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	g := graph.RMAT(8, 8, graph.DefaultRMAT, rng) // fixed 256-vertex R-MAT
@@ -70,6 +72,28 @@ func TestPipelinePredictorMatchesTimeline(t *testing.T) {
 	const p, f = 4, 16
 	stages := summaStages(at, p, f, overlapMach)
 
+	// exchange is stage k's communication on the calling rank: the rank is
+	// charged what it receives, so its ring successor sends it all but one
+	// of the stage's words and the rank after that the last one — two
+	// messages, as every stage of the 2x2 schedule has.
+	exchange := func(c *comm.Comm, k int) *comm.Request {
+		me := c.Rank()
+		parts, from := make([]comm.Payload, p), make([]bool, p)
+		for hop := 1; hop <= 2; hop++ {
+			to := (me + p - hop) % p
+			s := stages[to][k]
+			if s.Msgs != 2 || s.Words < 2 {
+				t.Errorf("rank %d stage %d: %d msgs, %d words: not a schedule two ring hops can deliver", to, k, s.Msgs, s.Words)
+			}
+			words := int64(1)
+			if hop == 1 {
+				words = s.Words - 1
+			}
+			parts[to] = comm.Payload{Floats: make([]float64, words)}
+			from[(me+hop)%p] = true
+		}
+		return c.World().IExchangeIndexed(parts, from, comm.CatDenseComm)
+	}
 	replay := func(pipelined bool) *comm.Cluster {
 		cl := comm.NewCluster(p, comm.CostParams{Alpha: overlapMach.Alpha, Beta: overlapMach.Beta})
 		done := make(chan error, 1)
@@ -77,17 +101,17 @@ func TestPipelinePredictorMatchesTimeline(t *testing.T) {
 			done <- cl.Run(func(c *comm.Comm) error {
 				sched := stages[c.Rank()]
 				if pipelined {
-					req := c.ChargeAsync(comm.CatDenseComm, sched[0].Msgs, sched[0].Words)
+					req := exchange(c, 0)
 					for k, s := range sched {
-						req.Wait()
+						req.WaitAll()
 						if k+1 < len(sched) {
-							req = c.ChargeAsync(comm.CatDenseComm, sched[k+1].Msgs, sched[k+1].Words)
+							req = exchange(c, k+1)
 						}
 						c.ChargeTime(comm.CatSpMM, s.Compute)
 					}
 				} else {
-					for _, s := range sched {
-						c.Charge(comm.CatDenseComm, s.Msgs, s.Words)
+					for k, s := range sched {
+						exchange(c, k).WaitAll()
 						c.ChargeTime(comm.CatSpMM, s.Compute)
 					}
 				}

@@ -205,7 +205,8 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 // trainer: it relabels the problem so the partition's parts are
 // contiguous blocks and installs the layout and halo mode. The
 // partitioner seed is fixed so repeated measurements see the same
-// assignment. Callers must only pass *core.OneD or *core.OneFiveD.
+// assignment. Callers must only pass a core.RowTrainer (core.NewOneD's or
+// core.NewOneFiveD's).
 func configureRowTrainer(tr core.Trainer, problem *core.Problem, ds *graph.Dataset, o Options) error {
 	_, err := core.ConfigureRowDecomposition(tr, problem, ds.Graph, o.Partitioner, o.Halo, 1)
 	return err
@@ -300,6 +301,11 @@ type PartitionResult struct {
 	GreedyTotalCut int
 	RandomMaxCut   int
 	GreedyMaxCut   int
+	// RandomRecvRows and GreedyRecvRows are Σᵢ rᵢ, the distinct remote rows
+	// all parts together fetch per product (§IV-A-1) — what a halo epoch's
+	// words are proportional to, in both directions.
+	RandomRecvRows int
+	GreedyRecvRows int
 	// TotalReduction = 1 - greedy/random for total cut (paper: 72% for
 	// Metis on Reddit at 64 parts).
 	TotalReduction float64
@@ -324,8 +330,8 @@ type PartitionResult struct {
 	HaloTotalReduction float64
 	HaloMaxReduction   float64
 	// LedgerMatchesAnalytic records whether every measured halo word
-	// count equals the costmodel.OneD edgecut-based prediction exactly
-	// (per-rank max and total, via OneDHaloDenseWords over
+	// count equals the costmodel.OneDSymmetric edgecut-based prediction
+	// exactly (per-rank max and total, via OneDHaloDenseWords over
 	// partition.Edgecut's per-part recv rows).
 	LedgerMatchesAnalytic bool
 }
@@ -336,7 +342,9 @@ type PartitionResult struct {
 // experiment uses CommunityRMAT: heavy-tailed degrees inside k communities
 // plus random cross edges. Beyond the static edgecut comparison, it
 // trains a real sparsity-aware 1D GCN under both partitions and checks
-// the measured dense words against the analytic edgecut bound.
+// the measured dense words against the analytic edgecut bound. Both of an
+// epoch's aggregations fetch over the partition's cut, so the halo columns
+// show the partitioner's effect on the whole epoch.
 func PartitionExperiment(o Options) (PartitionResult, error) {
 	o = o.WithDefaults()
 	p := 64
@@ -354,6 +362,7 @@ func PartitionExperiment(o Options) (PartitionResult, error) {
 		Dataset: "reddit-community", P: p,
 		RandomTotalCut: random.TotalCut, GreedyTotalCut: greedy.TotalCut,
 		RandomMaxCut: random.MaxCut, GreedyMaxCut: greedy.MaxCut,
+		RandomRecvRows: random.TotalRecvRows, GreedyRecvRows: greedy.TotalRecvRows,
 		TotalReduction: 1 - float64(greedy.TotalCut)/float64(random.TotalCut),
 		MaxReduction:   1 - float64(greedy.MaxCut)/float64(random.MaxCut),
 	}
@@ -403,13 +412,14 @@ func PartitionExperiment(o Options) (PartitionResult, error) {
 	res.HaloTotalReduction = 1 - float64(res.GreedyHaloTotalWords)/float64(res.RandomHaloTotalWords)
 	res.HaloMaxReduction = 1 - float64(res.GreedyHaloMaxWords)/float64(res.RandomHaloMaxWords)
 
-	// The measured halo ledger must equal the costmodel.OneD edgecut-based
+	// The measured halo ledger must equal the costmodel edgecut-based
 	// prediction exactly: per-epoch words of rank i are
-	// OneDHaloDenseWords(widths, n, p, rᵢ, 1) − OneDHaloDenseWords(widths,
-	// n, p, rᵢ, 0), with rᵢ from partition.Edgecut.
+	// OneDHaloDenseWords(widths, p, rᵢ, rᵢ, 1) − OneDHaloDenseWords(widths,
+	// p, rᵢ, rᵢ, 0), with rᵢ from partition.Edgecut — the graph is
+	// undirected, so one rᵢ serves both directions.
 	perEpoch := func(recvRows int) int64 {
-		return costmodel.OneDHaloDenseWords(widths, g.NumVertices, p, recvRows, 1) -
-			costmodel.OneDHaloDenseWords(widths, g.NumVertices, p, recvRows, 0)
+		return costmodel.OneDHaloDenseWords(widths, p, recvRows, recvRows, 1) -
+			costmodel.OneDHaloDenseWords(widths, p, recvRows, recvRows, 0)
 	}
 	predict := func(stats partition.EdgecutStats) (maxW, totalW int64) {
 		maxW = perEpoch(stats.MaxRecvRows)

@@ -251,10 +251,22 @@ func TestPartitionExperiment(t *testing.T) {
 		t.Fatalf("LDG greedy total halo words (%d) should be below random blocks (%d)",
 			res.GreedyHaloTotalWords, res.RandomHaloTotalWords)
 	}
-	// The measured ledger must equal the costmodel.OneD edgecut-based
-	// prediction exactly (per-rank max and total).
+	// The measured ledger must equal the costmodel.OneDSymmetric
+	// edgecut-based prediction exactly (per-rank max and total).
 	if !res.LedgerMatchesAnalytic {
 		t.Fatalf("halo ledger deviates from the edgecut bound: %+v", res)
+	}
+	// The partitioner reaches the whole epoch: all a halo epoch moves that
+	// does not follow the cut is the weight all-reduces, 2·Σ f^{l-1}·f^l
+	// words on each rank at the experiment's widths [16, 16, 8]. The rest —
+	// the forward fetch and the backward fetch alike — is proportional to
+	// the rows the parts receive, so it falls from random to greedy by
+	// exactly the factor Σᵢ rᵢ does.
+	fixed := int64(res.P) * 2 * (16*16 + 16*8)
+	if r, g := res.RandomHaloTotalWords-fixed, res.GreedyHaloTotalWords-fixed; r <= 0 || g <= 0 ||
+		r*int64(res.GreedyRecvRows) != g*int64(res.RandomRecvRows) {
+		t.Fatalf("halo words beyond the %d of the all-reduces: random %d over %d recv rows, greedy %d over %d — not proportional",
+			fixed, r, res.RandomRecvRows, g, res.GreedyRecvRows)
 	}
 	// §IV-A-8's asymmetry on a real trainer: the total-volume saving of
 	// the smart partition exceeds the per-rank-max saving that bounds

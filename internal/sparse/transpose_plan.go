@@ -11,9 +11,9 @@ import (
 // with a fixed sparse a: a CSC-style view of a (column-sorted nonzeros with
 // source-row indices) plus nnz-balanced per-worker split offsets.
 //
-// The plain SpMMT/SpMMTAdd kernels scatter each stored row of a into dst
-// and, under the parallel backend, re-derive their owner-computes partition
-// with two binary searches per CSR row on every call. A plan pays that
+// The plain SpMMT kernel scatters each stored row of a into dst and, under
+// the parallel backend, re-derives its owner-computes partition with two
+// binary searches per CSR row on every call. A plan pays that
 // index work once: every later multiply is a sequential gather over the
 // plan's arrays — no searches, unit-stride writes to dst — and the worker
 // split is read off precomputed offsets.
@@ -116,39 +116,20 @@ func (p *TransposePlan) Rows() int { return p.rows }
 func (p *TransposePlan) Cols() int { return p.cols }
 
 // SpMMT computes dst = aᵀ * x for the planned a. dst must be
-// a.Cols x x.Cols and is overwritten.
+// a.Cols x x.Cols and is overwritten. The precomputed nnz-balanced chunks
+// are dispatched across the pool; each output row is written by exactly
+// one chunk and its gather order is the plan order, so the result matches
+// the serial scatter bit-for-bit.
 func (p *TransposePlan) SpMMT(dst, x *dense.Matrix) {
 	p.check(dst, x, "TransposePlan.SpMMT")
 	dst.Zero()
-	p.addRange(dst, x, 0, p.cols)
-}
-
-// SpMMTAdd computes dst += aᵀ * x for the planned a.
-func (p *TransposePlan) SpMMTAdd(dst, x *dense.Matrix) {
-	p.check(dst, x, "TransposePlan.SpMMTAdd")
-	p.addRange(dst, x, 0, p.cols)
-}
-
-// addRange accumulates output rows [lo, hi) of aᵀ*x into dst, dispatching
-// the precomputed nnz-balanced chunks within the range across the pool.
-// Each output row is written by exactly one chunk and its gather order is
-// the plan order, so the result matches the serial scatter bit-for-bit.
-func (p *TransposePlan) addRange(dst, x *dense.Matrix, lo, hi int) {
-	work := 2 * int64(p.colPtr[hi]-p.colPtr[lo]) * int64(x.Cols)
+	work := 2 * int64(len(p.val)) * int64(x.Cols)
 	if len(p.split) <= 2 || parallel.Inline(len(p.split)-1, work) {
-		p.gatherCols(dst, x, lo, hi)
+		p.gatherCols(dst, x, 0, p.cols)
 		return
 	}
 	parallel.Rows(len(p.split)-1, work, func(cLo, cHi int) {
-		a := p.split[cLo]
-		b := p.split[cHi]
-		if a < lo {
-			a = lo
-		}
-		if b > hi {
-			b = hi
-		}
-		if a < b {
+		if a, b := p.split[cLo], p.split[cHi]; a < b {
 			p.gatherCols(dst, x, a, b)
 		}
 	})

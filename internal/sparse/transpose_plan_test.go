@@ -36,13 +36,11 @@ func TestTransposePlanMatchesSpMMTExactly(t *testing.T) {
 						backend, s, chunks)
 				}
 
-				// Accumulating form on a dirty destination.
-				acc1 := randomMatrix(rand.New(rand.NewSource(7)), a.Cols, s.f)
-				acc2 := acc1.Clone()
-				SpMMTAdd(acc1, a, x)
-				plan.SpMMTAdd(acc2, x)
-				if dense.MaxAbsDiff(acc1, acc2) != 0 {
-					t.Fatalf("backend=%v shape=%v chunks=%d: plan SpMMTAdd differs", backend, s, chunks)
+				// A dirty destination is overwritten, not accumulated into.
+				dirty := randomMatrix(rand.New(rand.NewSource(7)), a.Cols, s.f)
+				plan.SpMMT(dirty, x)
+				if dense.MaxAbsDiff(want, dirty) != 0 {
+					t.Fatalf("backend=%v shape=%v chunks=%d: plan SpMMT kept part of a dirty dst", backend, s, chunks)
 				}
 			}
 		}
