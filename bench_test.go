@@ -34,10 +34,7 @@ func benchDataset(b *testing.B, name string) *graph.Dataset {
 		b.Fatal(err)
 	}
 	if testing.Short() {
-		aspec.Scale -= 3
-		if aspec.EdgeFactor > 8 {
-			aspec.EdgeFactor /= 4
-		}
+		aspec = aspec.Quick()
 	}
 	ds := aspec.Build()
 	dsCache[key] = ds

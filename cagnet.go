@@ -25,7 +25,6 @@ package cagnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -53,11 +52,14 @@ var Backends = parallel.Backends
 // every decomposition with zero extra communication.
 var Optimizers = nn.Optimizers
 
-// Transports lists the selectable rank fabrics: "inproc" (default; ranks
-// are goroutines exchanging pooled payloads through channels) and "tcp"
-// (ranks exchange length-prefixed frames over real loopback sockets, with
-// wall-clock timing and a wire-fitted α/β). Both run the identical
-// collective algorithms and produce bit-identical training results.
+// Transports lists the selectable rank fabrics: "inproc" (default; the
+// ranks exchange pooled payloads through channels) and "tcp" (they exchange
+// length-prefixed frames over real loopback sockets, with wall-clock timing
+// and a wire-fitted α/β). A cluster is the ranks this process hosts — all
+// of them, under either name — and the transport is only what they talk
+// over: one launcher starts them, the decomposition is built once, a rank
+// that fails aborts the others and Train returns its root cause, and both
+// fabrics run the identical collectives to bit-identical results.
 var Transports = []string{"inproc", "tcp"}
 
 // Precisions lists the selectable arithmetic precisions: "f64" (default,
@@ -374,19 +376,37 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: opts.Precision}); err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	var wire *wireReport
+	// The transport chooses which cluster hosts the ranks, not how they are
+	// trained: the trainer builds its own channel fabric unless handed a
+	// world of loopback-socket endpoints, which also meter the wire.
+	var meters []*comm.Meter
 	switch opts.Transport {
 	case "", "inproc":
-		res, err = trainer.Train(problem)
 	case "tcp":
-		res, wire, err = trainTCP(trainer, problem, opts, mach)
+		if opts.Algorithm == "serial" {
+			return nil, fmt.Errorf("cagnet: the tcp transport applies to the distributed algorithms, not %q", opts.Algorithm)
+		}
+		comms, err := comm.LocalTCPComms(opts.Ranks, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
+		if err != nil {
+			return nil, err
+		}
+		cl := comm.ClusterOf(comms...)
+		defer cl.Close()
+		if err := core.SetCluster(trainer, cl); err != nil {
+			return nil, err
+		}
+		for _, c := range comms {
+			meters = append(meters, c.EnableMetering())
+		}
 	default:
-		err = fmt.Errorf("cagnet: unknown transport %q (want inproc or tcp)", opts.Transport)
+		return nil, fmt.Errorf("cagnet: unknown transport %q (want inproc or tcp)", opts.Transport)
 	}
+	start := time.Now()
+	res, err := trainer.Train(problem)
 	if err != nil {
 		return nil, err
 	}
+	wall := time.Since(start).Seconds()
 	if order != nil && res.Output != nil {
 		res.Output = core.RestoreRows(res.Output, order)
 	}
@@ -403,16 +423,7 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		KernelISA:     dense.KernelISA(),
 		result:        res,
 	}
-	if wire != nil {
-		report.ModeledSeconds = wire.modeledSeconds
-		report.HiddenCommSeconds = wire.hiddenSeconds
-		report.TimeByCategory = wire.timeByCategory
-		report.WordsByCategory = wire.wordsByCategory
-		report.MeasuredSeconds = wire.measuredSeconds
-		report.FittedAlpha = wire.fittedAlpha
-		report.FittedBeta = wire.fittedBeta
-		report.WireSamples = wire.samples
-	} else if dt, ok := trainer.(core.DistTrainer); ok {
+	if dt, ok := trainer.(core.DistTrainer); ok {
 		cl := dt.Cluster()
 		report.ModeledSeconds = cl.MaxTotalTime()
 		report.HiddenCommSeconds = cl.MaxHiddenCommTime()
@@ -425,134 +436,23 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 			report.WordsByCategory[string(k)] = v
 		}
 	}
+	if meters != nil {
+		report.MeasuredSeconds = wall
+		var msgs, words, secs []float64
+		for _, m := range meters {
+			sm, sw, ss := m.Samples()
+			msgs = append(msgs, sm...)
+			words = append(words, sw...)
+			secs = append(secs, ss...)
+		}
+		report.WireSamples = len(secs)
+		// A degenerate fit (too few or collinear samples) leaves α/β zero;
+		// the measured wall time still stands on its own.
+		if a, b, err := costmodel.FitAlphaBeta(msgs, words, secs); err == nil {
+			report.FittedAlpha, report.FittedBeta = a, b
+		}
+	}
 	return report, nil
-}
-
-// wireReport aggregates the per-rank ledgers and wire meters of a TCP run
-// into the TrainReport fields the in-process path reads off its Cluster.
-type wireReport struct {
-	modeledSeconds  float64
-	hiddenSeconds   float64
-	timeByCategory  map[string]float64
-	wordsByCategory map[string]int64
-	measuredSeconds float64
-	fittedAlpha     float64
-	fittedBeta      float64
-	samples         int
-}
-
-// trainTCP runs the distributed training over a loopback TCP fabric: one
-// goroutine per rank, each with its own trainer instance and its own
-// socket endpoint, frames crossing the kernel's loopback path. Rank 0's
-// trainer is the caller's (already carrying layout/halo/overlap
-// configuration); the other ranks get equivalent clones. Results are
-// bit-identical to the in-process fabric; what this path adds is measured
-// wall time and per-collective wire samples for the α/β fit.
-func trainTCP(trainer core.Trainer, problem core.Problem, opts TrainOptions, mach costmodel.Machine) (*core.Result, *wireReport, error) {
-	if opts.Algorithm == "serial" {
-		return nil, nil, fmt.Errorf("cagnet: the tcp transport applies to the distributed algorithms, not %q", opts.Algorithm)
-	}
-	p := opts.Ranks
-	comms, err := comm.LocalTCPComms(p, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		for _, c := range comms {
-			c.Transport().Close()
-		}
-	}()
-	trainers := make([]core.Trainer, p)
-	trainers[0] = trainer
-	for r := 1; r < p; r++ {
-		if trainers[r], err = cloneTrainer(trainer, opts, mach); err != nil {
-			return nil, nil, err
-		}
-	}
-	meters := make([]*comm.Meter, p)
-	results := make([]*core.Result, p)
-	errs := make([]error, p)
-	defer parallel.EnterRanks(p)()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			meters[rank] = comms[rank].EnableMetering()
-			if err := core.SetTransportComm(trainers[rank], comms[rank]); err != nil {
-				errs[rank] = err
-				return
-			}
-			results[rank], errs[rank] = trainers[rank].Train(problem)
-		}(r)
-	}
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("cagnet: tcp rank %d: %w", r, err)
-		}
-	}
-
-	w := &wireReport{
-		timeByCategory:  make(map[string]float64),
-		wordsByCategory: make(map[string]int64),
-		measuredSeconds: wall,
-	}
-	var msgs, words, secs []float64
-	for _, c := range comms {
-		l := c.Ledger()
-		if t := l.Elapsed(); t > w.modeledSeconds {
-			w.modeledSeconds = t
-		}
-		if h := l.HiddenCommTime(); h > w.hiddenSeconds {
-			w.hiddenSeconds = h
-		}
-		for k, v := range l.ModelTime {
-			if v > w.timeByCategory[string(k)] {
-				w.timeByCategory[string(k)] = v
-			}
-		}
-		for k, v := range l.ModelWords {
-			if v > w.wordsByCategory[string(k)] {
-				w.wordsByCategory[string(k)] = v
-			}
-		}
-	}
-	for _, m := range meters {
-		sm, sw, ss := m.Samples()
-		msgs = append(msgs, sm...)
-		words = append(words, sw...)
-		secs = append(secs, ss...)
-	}
-	w.samples = len(secs)
-	// A degenerate fit (too few or collinear samples) leaves α/β zero;
-	// the measured wall time still stands on its own.
-	if a, b, err := costmodel.FitAlphaBeta(msgs, words, secs); err == nil {
-		w.fittedAlpha, w.fittedBeta = a, b
-	}
-	return results[0], w, nil
-}
-
-// cloneTrainer builds a trainer equivalent to src for another rank of the
-// same TCP job: same algorithm, machine, replication, overlap, and — for
-// the row decompositions — the same layout and halo mode src was
-// configured with.
-func cloneTrainer(src core.Trainer, opts TrainOptions, mach costmodel.Machine) (core.Trainer, error) {
-	tr, err := core.NewTrainerReplicated(opts.Algorithm, opts.Ranks, opts.ReplicationFactor, mach)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Overlap {
-		if err := core.SetOverlap(tr, true); err != nil {
-			return nil, err
-		}
-	}
-	if s, ok := src.(core.RowTrainer); ok {
-		*tr.(core.RowTrainer).Rows() = *s.Rows()
-	}
-	return tr, nil
 }
 
 // Partitioners lists the selectable 1D/1.5D vertex partitioners.

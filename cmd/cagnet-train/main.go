@@ -75,18 +75,14 @@ func main() {
 		parallel.SetWorkers(*workers)
 	}
 
-	ds, err := cagnet.DatasetByName(*dataset)
+	spec, err := graph.AnalogByName(*dataset)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if *quickFlag {
-		spec, _ := graph.AnalogByName(*dataset)
-		spec.Scale -= 3
-		if spec.EdgeFactor > 8 {
-			spec.EdgeFactor /= 4
-		}
-		ds = spec.Build()
+		spec = spec.Quick()
 	}
+	ds := spec.Build()
 	a := ds.Graph.Adjacency()
 	fmt.Printf("dataset %s: n=%d nnz=%d d=%.1f f=%d labels=%d\n",
 		ds.Name, ds.Graph.NumVertices, a.NNZ(), a.AvgDegree(), ds.FeatureLen(), ds.NumLabels)

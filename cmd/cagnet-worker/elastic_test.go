@@ -23,11 +23,7 @@ func quickSpec(t *testing.T, name string) graph.AnalogSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Scale -= 3
-	if spec.EdgeFactor > 8 {
-		spec.EdgeFactor /= 4
-	}
-	return spec
+	return spec.Quick()
 }
 
 // TestElasticShrinkResume is the elastic acceptance test: a world of four

@@ -120,11 +120,7 @@ func TestChaosRestartBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Scale -= 3
-	if spec.EdgeFactor > 8 {
-		spec.EdgeFactor /= 4
-	}
-	report, err := cagnet.Train(spec.Build(), cagnet.TrainOptions{Algorithm: "2d", Ranks: 4, Epochs: 6})
+	report, err := cagnet.Train(spec.Quick().Build(), cagnet.TrainOptions{Algorithm: "2d", Ranks: 4, Epochs: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,6 @@ import (
 	"syscall"
 	"time"
 
-	cagnet "repro"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -155,8 +154,8 @@ func main() {
 
 	applyEnvFallback(&cfg)
 	if err := run(cfg); err != nil {
-		// run has already released the transport (and broadcast the root
-		// cause to surviving peers) on every failure path.
+		// run has already released the transport (and the cluster's Run
+		// broadcast the root cause to surviving peers) on every failure path.
 		log.Print(err)
 		os.Exit(1)
 	}
@@ -484,18 +483,14 @@ func runRank(cfg config) error {
 		parallel.SetWorkers(1)
 	}
 
-	ds, err := cagnet.DatasetByName(cfg.dataset)
+	spec, err := graph.AnalogByName(cfg.dataset)
 	if err != nil {
 		return err
 	}
 	if cfg.quick {
-		spec, _ := graph.AnalogByName(cfg.dataset)
-		spec.Scale -= 3
-		if spec.EdgeFactor > 8 {
-			spec.EdgeFactor /= 4
-		}
-		ds = spec.Build()
+		spec = spec.Quick()
 	}
+	ds := spec.Build()
 	trainer, err := core.NewTrainerReplicated(cfg.algo, cfg.world, cfg.replication, mach)
 	if err != nil {
 		return err
@@ -553,12 +548,18 @@ func runRank(cfg config) error {
 	}
 	c := comm.NewTransportComm(tr, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
 	meter := c.EnableMetering()
-	if err := core.SetTransportComm(trainer, c); err != nil {
+	// This process hosts one rank of the world. The cluster's Run is the
+	// failure policy: a fabric panic — a peer failure, progress timeout, or
+	// checkpoint write error — comes back as an error naming the rank, after
+	// its root cause was broadcast so the surviving peers fail fast with
+	// "rank N aborted: ..." instead of waiting out a connection loss; the
+	// deferred Close then tears the fabric down.
+	if err := core.SetCluster(trainer, comm.ClusterOf(c)); err != nil {
 		return err
 	}
 
 	start := time.Now()
-	res, err := safeTrain(trainer, problem, tcpTr, cfg.rank)
+	res, err := trainer.Train(problem)
 	if err != nil {
 		return err
 	}
@@ -625,29 +626,4 @@ func runRank(cfg config) error {
 		fmt.Printf("wire fit unavailable over %d samples: %v\n", len(fs), err)
 	}
 	return nil
-}
-
-// safeTrain runs the trainer, converting a fabric panic — a peer failure,
-// progress timeout, or checkpoint write error — into a returned error.
-// Before returning it broadcasts the root cause to every surviving peer,
-// so they fail fast with "rank N aborted: ..." instead of waiting out a
-// connection loss; the caller's deferred Close then tears the fabric down.
-func safeTrain(trainer core.Trainer, problem core.Problem, tr *comm.TCPTransport, rank int) (res *core.Result, err error) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if pe, ok := comm.AsPeerError(r); ok {
-			err = pe
-		} else {
-			err = fmt.Errorf("rank %d: %v", rank, r)
-		}
-		tr.Abort(err.Error())
-	}()
-	res, err = trainer.Train(problem)
-	if err != nil {
-		err = fmt.Errorf("rank %d: %w", rank, err)
-	}
-	return res, err
 }

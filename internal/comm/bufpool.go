@@ -2,14 +2,14 @@ package comm
 
 import "sync"
 
-// bufPool is the arena behind the fabric's transient buffers: payload
-// clones made by sendRaw, collective accumulators, the []Payload result
-// slices of gather-style operations, and — as a TCPTransport's receive
-// arena — the buffers its reader goroutines decode incoming frames into.
-// A Cluster shares one pool among its ranks; over TCP every rank has its
-// Comm's pool and its transport's arena. Buffers are keyed by capacity
-// class (next power of two), checked out under a mutex (any rank or
-// reader goroutine may allocate), and recycled all at once by
+// bufPool is the arena behind the fabric's transient buffers: collective
+// accumulators, the []Payload result slices of gather-style operations,
+// and — as a transport's arena — the channel fabric's send clones and the
+// buffers a TCPTransport's reader goroutines decode incoming frames into.
+// Every rank has two, on either fabric: its Comm's pool and its
+// transport's arena. Buffers are keyed by capacity class (next power of
+// two), checked out under a mutex (a rank and its reader goroutines may
+// allocate at once), and recycled all at once by
 // Comm.EpochDone — the point where every rank has agreed, via barrier,
 // that no buffer handed out during the epoch is still referenced.
 //

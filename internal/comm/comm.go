@@ -1,5 +1,6 @@
-// Package comm implements a simulated distributed-memory runtime: P ranks
-// run as goroutines and exchange messages through an in-process fabric.
+// Package comm implements a distributed-memory runtime: the ranks a process
+// hosts run as goroutines (Cluster) and exchange messages over a Transport —
+// channels in-process, or TCP sockets within or across processes.
 //
 // The package substitutes for the paper's Summit + NCCL testbed. It keeps
 // two ledgers per rank:
@@ -192,43 +193,63 @@ func (l *Ledger) Reset() {
 	l.compTime = 0
 }
 
-// Cluster is the in-process fabric connecting P ranks.
+// Cluster is the ranks this process hosts and the one launcher that runs
+// them; the transport is only what they talk over. NewCluster hosts all p
+// ranks of a world on the channel fabric, ClusterOf over LocalTCPComms'
+// endpoints all p over loopback sockets, ClusterOf over one DialTCP
+// endpoint the one rank a worker process has of a multi-process world.
+// Ledger and the Max*/Sum* reductions cover the hosted ranks.
 type Cluster struct {
-	p       int
-	cost    CostParams
-	mailbox [][]chan Payload // mailbox[src][dst]
-	ledgers []*Ledger
-	barrier *centralBarrier
-	pool    *bufPool
+	comms []*Comm // the hosted endpoints
+	// failed is the root cause of the Run that aborted the fabric; an
+	// aborted cluster refuses further Runs.
+	failed error
 }
 
 // mailboxDepth bounds in-flight messages per (src, dst) pair. Collectives
 // are written so that blocking sends cannot deadlock.
 const mailboxDepth = 8
 
-// NewCluster creates a fabric for p ranks with the given cost constants.
+// NewCluster hosts all p ranks of a world on a fresh channel fabric with
+// the given cost constants.
 func NewCluster(p int, cost CostParams) *Cluster {
 	if p <= 0 {
 		panic(fmt.Sprintf("comm: cluster size must be positive, got %d", p))
 	}
-	c := &Cluster{p: p, cost: cost, barrier: newCentralBarrier(p), pool: newBufPool()}
-	c.mailbox = make([][]chan Payload, p)
-	c.ledgers = make([]*Ledger, p)
-	for i := 0; i < p; i++ {
-		c.mailbox[i] = make([]chan Payload, p)
-		for j := 0; j < p; j++ {
-			c.mailbox[i][j] = make(chan Payload, mailboxDepth)
-		}
-		c.ledgers[i] = newLedger()
+	f := newChanFabric(p)
+	comms := make([]*Comm, p)
+	for r := range comms {
+		comms[r] = NewTransportComm(&inprocTransport{fabric: f, rank: r, arena: newBufPool()}, cost)
 	}
-	return c
+	return &Cluster{comms: comms}
 }
 
-// Size returns the number of ranks.
-func (c *Cluster) Size() int { return c.p }
+// ClusterOf hosts the given endpoints — at least one, all of one world:
+// every rank of it (LocalTCPComms, or any endpoints wrapped in a
+// FaultTransport) or the single rank of a worker process.
+func ClusterOf(comms ...*Comm) *Cluster {
+	for _, c := range comms[1:] {
+		if c.size != comms[0].size {
+			panic(fmt.Sprintf("comm: rank %d belongs to a world of %d, rank %d to one of %d", c.rank, c.size, comms[0].rank, comms[0].size))
+		}
+	}
+	return &Cluster{comms: comms}
+}
 
-// Ledger returns rank's accounting ledger. Read it only after Run returns.
-func (c *Cluster) Ledger(rank int) *Ledger { return c.ledgers[rank] }
+// Size returns the number of ranks in the world — the hosted ranks plus,
+// in a worker process, those hosted elsewhere.
+func (c *Cluster) Size() int { return c.comms[0].size }
+
+// Ledger returns a hosted rank's accounting ledger. Read it only after Run
+// returns.
+func (c *Cluster) Ledger(rank int) *Ledger {
+	for _, cm := range c.comms {
+		if cm.rank == rank {
+			return cm.ledger
+		}
+	}
+	panic(fmt.Sprintf("comm: rank %d is not hosted by this cluster", rank))
+}
 
 // MaxTotalTime returns the modeled run time: the maximum over ranks of
 // the critical-path timeline clock. Under purely synchronous execution it
@@ -237,10 +258,8 @@ func (c *Cluster) Ledger(rank int) *Ledger { return c.ledgers[rank] }
 // behind compute and the maximum shrinks accordingly.
 func (c *Cluster) MaxTotalTime() float64 {
 	var mx float64
-	for _, l := range c.ledgers {
-		if t := l.Elapsed(); t > mx {
-			mx = t
-		}
+	for _, cm := range c.comms {
+		mx = max(mx, cm.ledger.Elapsed())
 	}
 	return mx
 }
@@ -249,10 +268,8 @@ func (c *Cluster) MaxTotalTime() float64 {
 // time: the async collective seconds that overlapped compute.
 func (c *Cluster) MaxHiddenCommTime() float64 {
 	var mx float64
-	for _, l := range c.ledgers {
-		if t := l.HiddenCommTime(); t > mx {
-			mx = t
-		}
+	for _, cm := range c.comms {
+		mx = max(mx, cm.ledger.HiddenCommTime())
 	}
 	return mx
 }
@@ -262,8 +279,8 @@ func (c *Cluster) MaxHiddenCommTime() float64 {
 // bulk-synchronous execution).
 func (c *Cluster) MaxTimeByCategory() map[Category]float64 {
 	out := make(map[Category]float64)
-	for _, l := range c.ledgers {
-		for k, v := range l.ModelTime {
+	for _, cm := range c.comms {
+		for k, v := range cm.ledger.ModelTime {
 			if v > out[k] {
 				out[k] = v
 			}
@@ -276,8 +293,8 @@ func (c *Cluster) MaxTimeByCategory() map[Category]float64 {
 // ranks.
 func (c *Cluster) MaxWordsByCategory() map[Category]int64 {
 	out := make(map[Category]int64)
-	for _, l := range c.ledgers {
-		for k, v := range l.ModelWords {
+	for _, cm := range c.comms {
+		for k, v := range cm.ledger.ModelWords {
 			if v > out[k] {
 				out[k] = v
 			}
@@ -292,8 +309,8 @@ func (c *Cluster) MaxWordsByCategory() map[Category]int64 {
 // between total and max edgecut.
 func (c *Cluster) SumWordsByCategory() map[Category]int64 {
 	out := make(map[Category]int64)
-	for _, l := range c.ledgers {
-		for k, v := range l.ModelWords {
+	for _, cm := range c.comms {
+		for k, v := range cm.ledger.ModelWords {
 			out[k] += v
 		}
 	}
@@ -303,10 +320,8 @@ func (c *Cluster) SumWordsByCategory() map[Category]int64 {
 // MaxPeakMemWords returns the largest per-rank peak resident word count.
 func (c *Cluster) MaxPeakMemWords() int64 {
 	var mx int64
-	for _, l := range c.ledgers {
-		if l.PeakMemWords > mx {
-			mx = l.PeakMemWords
-		}
+	for _, cm := range c.comms {
+		mx = max(mx, cm.ledger.PeakMemWords)
 	}
 	return mx
 }
@@ -314,56 +329,93 @@ func (c *Cluster) MaxPeakMemWords() int64 {
 // TotalWords sums modeled words over all ranks and categories.
 func (c *Cluster) TotalWords() int64 {
 	var s int64
-	for _, l := range c.ledgers {
-		s += l.TotalWords()
+	for _, cm := range c.comms {
+		s += cm.ledger.TotalWords()
 	}
 	return s
 }
 
 // ResetLedgers clears all rank ledgers (e.g., to discard a warmup epoch).
 func (c *Cluster) ResetLedgers() {
-	for _, l := range c.ledgers {
-		l.Reset()
+	for _, cm := range c.comms {
+		cm.ledger.Reset()
 	}
 }
 
-// Run executes fn on every rank concurrently and waits for all to finish.
-// The first non-nil error is returned. A panic in any rank is re-raised.
-//
-// While the ranks run, they are registered with the parallel worker pool so
-// that per-rank compute kernels divide the machine between them instead of
-// oversubscribing it (each of the P rank goroutines already occupies a
-// core; see parallel.EnterRanks).
+// Close tears down every hosted endpoint's transport — sockets, reader and
+// heartbeat goroutines; the channel fabric has nothing to release — and
+// returns the first error.
+func (c *Cluster) Close() error {
+	var first error
+	for _, cm := range c.comms {
+		if err := cm.tr.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// Run executes fn on every hosted rank concurrently and waits for all of
+// them. It is the one place rank goroutines are started — registered with
+// the parallel worker pool meanwhile, so per-rank kernels divide the
+// machine instead of oversubscribing it (see parallel.EnterRanks) — and so
+// the one failure policy, whatever the fabric. A rank that returns an error
+// has finished; its peers are left to finish too, and Run returns the first
+// such error in hosting order. A rank that panics — a *PeerError from the
+// fabric, a failed checkpoint write, a bug — is recovered, and its root
+// cause, naming the rank, is broadcast with the transport's Abort: every
+// peer blocked in (or later entering) a Send, Recv or Barrier wakes with a
+// *PeerError carrying that cause — and relays it unchanged, for a peer in
+// another process that hears of this rank's exit first — instead of waiting
+// for a rank that is gone. Run then returns the first failure, not the
+// cascade it set off, and the cluster refuses further Runs: its fabric
+// stays aborted.
 func (c *Cluster) Run(fn func(*Comm) error) error {
-	defer parallel.EnterRanks(c.p)()
-	errs := make([]error, c.p)
-	panics := make([]any, c.p)
-	var wg sync.WaitGroup
-	for r := 0; r < c.p; r++ {
+	if c.failed != nil {
+		return fmt.Errorf("comm: cluster was aborted by an earlier failure: %w", c.failed)
+	}
+	defer parallel.EnterRanks(len(c.comms))()
+	errs := make([]error, len(c.comms))
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		cause error // the first panic, recorded before its Abort wakes anyone
+	)
+	for i, cm := range c.comms {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
-				if rec := recover(); rec != nil {
-					panics[rank] = rec
+				rec := recover()
+				if rec == nil {
+					return
+				}
+				var err error = fmt.Errorf("rank %d: %v", cm.rank, rec)
+				reason := err.Error()
+				if pe, ok := AsPeerError(rec); ok {
+					err, reason = pe, pe.Error()
+					if pe.Aborted {
+						// Woken by an abort: pass its root cause on as it
+						// came, not wrapped once more per rank it crossed.
+						reason = pe.Reason
+					}
+				}
+				mu.Lock()
+				if cause == nil {
+					cause = err
+				}
+				mu.Unlock()
+				if a, ok := cm.tr.(aborter); ok {
+					a.Abort(reason)
 				}
 			}()
-			errs[rank] = fn(&Comm{
-				tr:         &inprocTransport{cluster: c, rank: rank},
-				rank:       rank,
-				size:       c.p,
-				cost:       c.cost,
-				pool:       c.pool,
-				poolShared: true,
-				ledger:     c.ledgers[rank],
-			})
-		}(r)
+			errs[i] = fn(cm)
+		}()
 	}
 	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("comm: rank %d panicked: %v", r, p))
-		}
+	if cause != nil {
+		c.failed = cause
+		return cause
 	}
 	for _, err := range errs {
 		if err != nil {
@@ -375,21 +427,19 @@ func (c *Cluster) Run(fn func(*Comm) error) error {
 
 // Comm is one rank's handle on the fabric: the model ledger, the buffer
 // pool, and the collective algorithms, stacked on a Transport that does
-// the actual moving. Cluster.Run builds one per rank over the in-process
-// fabric; NewTransportComm builds one over any other Transport (TCP).
+// the actual moving. NewTransportComm builds one over any Transport;
+// NewCluster builds one per rank of its channel fabric the same way.
 type Comm struct {
 	tr   Transport
 	rank int
 	size int
 	cost CostParams
-	// pool backs payload clones and collective scratch. Cluster ranks
-	// share the cluster pool (poolShared); transport comms own a private
-	// one, recycled by every rank's EpochDone.
-	pool       *bufPool
-	poolShared bool
-	ledger     *Ledger
-	world      *Group // lazily built, cached: World is called on every epoch
-	meter      *Meter // wire metering, nil unless EnableMetering
+	// pool backs collective scratch and result slices; it is the rank's
+	// own, recycled by its EpochDone.
+	pool   *bufPool
+	ledger *Ledger
+	world  *Group // lazily built, cached: World is called on every epoch
+	meter  *Meter // wire metering, nil unless EnableMetering
 
 	// reqs is the rank's Request arena: requests are checked out in issue
 	// order and recycled all at once by EpochDone, so the steady-state
@@ -409,8 +459,8 @@ func (c *Comm) Ledger() *Ledger { return c.ledger }
 
 // sendRaw moves a payload through the transport without model charging
 // (collectives charge analytically). The caller keeps ownership of p's
-// backing arrays: the transport copies — through the shared pool for the
-// in-process fabric, onto the wire for TCP — so sender and receiver never
+// backing arrays: the transport copies — into the sender's arena on the
+// channel fabric, onto the wire for TCP — so sender and receiver never
 // share memory, and received buffers stay valid until the next EpochDone.
 func (c *Comm) sendRaw(dst int, p Payload) {
 	if dst < 0 || dst >= c.size {
@@ -499,10 +549,11 @@ func (c *Comm) Exchange(peer int, p Payload, cat Category) Payload {
 }
 
 // EpochDone marks a cluster-wide epoch boundary: all ranks synchronize,
-// the payload-buffer pools are recycled — the Comm's own (by rank 0 alone
-// when the cluster shares one) and the transport's receive arena, if it
-// has one — and all ranks synchronize again before continuing. Every rank
-// must call it at the same point (it is a collective, like Barrier).
+// every rank recycles its payload buffers — the Comm's own pool and the
+// transport's arena (the channel fabric's send clones, the TCP fabric's
+// received frames) — and all ranks synchronize again before continuing.
+// Every rank must call it at the same point (it is a collective, like
+// Barrier).
 //
 // After EpochDone returns, payloads received earlier — including the float
 // slices of collective results — must not be read again: their buffers are
@@ -520,9 +571,7 @@ func (c *Comm) EpochDone() {
 	}
 	c.recycleRequests()
 	c.tr.Barrier()
-	if !c.poolShared || c.rank == 0 {
-		c.pool.recycle()
-	}
+	c.pool.recycle()
 	if er, ok := c.tr.(epochRecycler); ok {
 		er.EpochRecycle()
 	}
@@ -542,13 +591,15 @@ func lg2(n int) int64 {
 	return int64(math.Ceil(math.Log2(float64(n))))
 }
 
-// centralBarrier is a reusable counting barrier.
+// centralBarrier is a reusable counting barrier that can be aborted: once
+// abort is called, every waiter — present and future — returns false.
 type centralBarrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	n       int
+	count   int
+	phase   int
+	aborted bool
 }
 
 func newCentralBarrier(n int) *centralBarrier {
@@ -557,7 +608,9 @@ func newCentralBarrier(n int) *centralBarrier {
 	return b
 }
 
-func (b *centralBarrier) await() {
+// await blocks until all n parties have arrived and returns true, or
+// returns false as soon as the barrier is aborted.
+func (b *centralBarrier) await() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	phase := b.phase
@@ -566,9 +619,17 @@ func (b *centralBarrier) await() {
 		b.count = 0
 		b.phase++
 		b.cond.Broadcast()
-		return
+		return true
 	}
-	for phase == b.phase {
+	for phase == b.phase && !b.aborted {
 		b.cond.Wait()
 	}
+	return phase != b.phase
+}
+
+func (b *centralBarrier) abort() {
+	b.mu.Lock()
+	b.aborted = true
+	b.mu.Unlock()
+	b.cond.Broadcast()
 }

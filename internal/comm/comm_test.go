@@ -11,10 +11,15 @@ import (
 // testCost gives round numbers for charge assertions.
 var testCost = CostParams{Alpha: 1e-6, Beta: 1e-9}
 
-// runCluster runs fn on p ranks with a deadlock watchdog.
+// runCluster runs fn on p channel-fabric ranks with a deadlock watchdog.
 func runCluster(t *testing.T, p int, fn func(*Comm) error) *Cluster {
 	t.Helper()
-	c := NewCluster(p, testCost)
+	return runOn(t, NewCluster(p, testCost), fn)
+}
+
+// runOn runs fn on every rank c hosts, with a deadlock watchdog.
+func runOn(t *testing.T, c *Cluster, fn func(*Comm) error) *Cluster {
+	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- c.Run(fn) }()
 	select {

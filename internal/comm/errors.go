@@ -8,10 +8,9 @@ import "fmt"
 // error naming the rank that broke and why.
 //
 // The Transport interface has no error returns — collectives are written
-// panic-on-failure so the happy path stays allocation-free — so the TCP
-// transport panics with a *PeerError value. Launchers recover it with
-// AsPeerError, broadcast an abort frame carrying the root cause, and exit
-// in an orderly way (see cmd/cagnet-worker).
+// panic-on-failure so the happy path stays allocation-free — so a
+// transport panics with a *PeerError value. Cluster.Run recovers it,
+// broadcasts an abort carrying the root cause, and returns it.
 type PeerError struct {
 	// Rank is the local rank that observed the failure.
 	Rank int
@@ -43,9 +42,8 @@ func (e *PeerError) Error() string {
 func (e *PeerError) Unwrap() error { return e.Err }
 
 // AsPeerError extracts a *PeerError from a recovered panic value. The
-// fabric panics with the typed value itself, so launchers can distinguish
-// a peer failure (restartable: broadcast abort, close, resume from
-// checkpoint) from a programming bug (not).
+// fabric panics with the typed value itself, so Cluster.Run can tell a
+// peer failure (restartable: resume from checkpoint) from any other panic.
 func AsPeerError(v any) (*PeerError, bool) {
 	pe, ok := v.(*PeerError)
 	return pe, ok

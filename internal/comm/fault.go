@@ -21,13 +21,15 @@ import (
 type epochTicker interface{ EpochTick() }
 
 // epochRecycler is implemented by transports that hand Recv's callers
-// pooled buffers (the TCP fabric's receive arena); Comm.EpochDone calls it
-// between its two barriers, when no rank still reads a payload of the
-// epoch. A wrapper that does not forward it leaves the arena growing.
+// pooled buffers (the channel fabric's send clones, the TCP fabric's
+// receive arena); Comm.EpochDone calls it between its two barriers, when
+// no rank still reads a payload of the epoch. A wrapper that does not
+// forward it leaves the arena growing.
 type epochRecycler interface{ EpochRecycle() }
 
 // aborter is implemented by transports that can broadcast a failure
-// announcement to every peer (the TCP fabric's abort frame).
+// announcement to every peer (the channel fabric's abort latch, the TCP
+// fabric's abort frame); Cluster.Run calls it for a rank that panicked.
 type aborter interface{ Abort(reason string) }
 
 // FaultEvent is one scheduled failure. Exactly one of AtOp/AtEpoch is
@@ -235,9 +237,8 @@ func (t *FaultTransport) Barrier() {
 // Close forwards to the wrapped transport.
 func (t *FaultTransport) Close() error { return t.inner.Close() }
 
-// Abort forwards the failure announcement when the wrapped transport
-// supports it (the TCP fabric), so launchers can treat a FaultTransport
-// exactly like the raw one on the exit path.
+// Abort forwards the failure announcement to the wrapped transport, so
+// Cluster.Run treats a FaultTransport exactly like the raw one.
 func (t *FaultTransport) Abort(reason string) {
 	if a, ok := t.inner.(aborter); ok {
 		a.Abort(reason)

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// Transport returns the fabric endpoint beneath this Comm — to Close a
-// TCP endpoint when the rank is done, or to inspect the transport kind.
+// Transport returns the fabric endpoint beneath this Comm — to wrap it
+// (FaultTransport), or to inspect the transport kind.
 func (c *Comm) Transport() Transport { return c.tr }
 
 // LocalTCPComms bootstraps a complete TCP fabric on loopback inside one
@@ -16,8 +16,8 @@ func (c *Comm) Transport() Transport { return c.tr }
 // process isolation — which makes it the workhorse for equivalence tests
 // and for `cagnet-train -transport tcp` without an external launcher.
 //
-// The caller runs one goroutine per Comm (see parallel.EnterRanks) and
-// closes each Comm's Transport when done.
+// ClusterOf(comms...) hosts the endpoints: its Run launches the ranks and
+// its Close releases the sockets.
 func LocalTCPComms(p int, cost CostParams) ([]*Comm, error) {
 	co, err := NewCoordinator("127.0.0.1:0", p)
 	if err != nil {
@@ -42,23 +42,21 @@ func LocalTCPComms(p int, cost CostParams) ([]*Comm, error) {
 		}(r)
 	}
 	wg.Wait()
-	if err := <-serveErr; err != nil {
+	if err = <-serveErr; err != nil {
+		err = fmt.Errorf("comm: loopback rendezvous: %w", err)
+	}
+	for rank, e := range errs {
+		if e != nil && err == nil {
+			err = fmt.Errorf("comm: loopback rank %d: %w", rank, e)
+		}
+	}
+	if err != nil {
 		for _, c := range comms {
 			if c != nil {
 				c.tr.Close()
 			}
 		}
-		return nil, fmt.Errorf("comm: loopback rendezvous: %w", err)
-	}
-	for rank, err := range errs {
-		if err != nil {
-			for _, c := range comms {
-				if c != nil {
-					c.tr.Close()
-				}
-			}
-			return nil, fmt.Errorf("comm: loopback rank %d: %w", rank, err)
-		}
+		return nil, err
 	}
 	return comms, nil
 }

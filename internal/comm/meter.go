@@ -15,7 +15,7 @@ import "time"
 // fabric the trainer actually experienced, not a clean link benchmark;
 // the measured-vs-modeled report says so.
 //
-// Metering is off by default and stays off for the in-process fabric's
+// Metering is off by default and stays off for the channel fabric's
 // zero-alloc steady state; EnableMetering turns it on for one Comm.
 type Meter struct {
 	msgs  []float64

@@ -315,44 +315,7 @@ func (t *TCPTransport) checkProgress(op string, peer int) *PeerError {
 }
 
 // Recv blocks for the next payload from src.
-func (t *TCPTransport) Recv(src int) Payload {
-	// Drain delivered frames before honoring a read error or an abort:
-	// the reader goroutine routes every frame in order and only then
-	// posts the error, so a peer that sent its data and exited (normal
-	// shutdown skew) must not eat payloads already queued behind its EOF.
-	select {
-	case p := <-t.inbox[src]:
-		return p
-	default:
-	}
-	timeout := t.armWatchdog()
-	defer t.disarmWatchdog()
-	for {
-		select {
-		case p := <-t.inbox[src]:
-			return p
-		case err := <-t.readErr[src]:
-			select {
-			case p := <-t.inbox[src]:
-				t.readErr[src] <- err // re-post for the next Recv
-				return p
-			default:
-			}
-			panic(t.failure("recv", src, err))
-		case <-t.abortCh:
-			select {
-			case p := <-t.inbox[src]:
-				return p
-			default:
-			}
-			panic(t.failure("recv", src, nil))
-		case <-timeout:
-			if pe := t.checkProgress("recv", src); pe != nil {
-				panic(pe)
-			}
-		}
-	}
-}
+func (t *TCPTransport) Recv(src int) Payload { return await(t, t.inbox[src], "recv", src) }
 
 // Barrier runs a dissemination barrier over the data connections.
 func (t *TCPTransport) Barrier() {
@@ -362,41 +325,46 @@ func (t *TCPTransport) Barrier() {
 		if err := t.writeFrame(to, barrierFrame); err != nil {
 			panic(t.failure("barrier", to, err))
 		}
-		t.awaitToken(from)
+		await(t, t.barrierCh[from], "barrier", from)
 	}
 }
 
-// awaitToken blocks for one barrier token from the peer, with the same
-// drain rule and failure conversion as Recv.
-func (t *TCPTransport) awaitToken(from int) {
+// await blocks for the next item the peer's reader goroutine routes to ch
+// — a payload for Recv, a token for Barrier — and converts a dead
+// connection, a peer's abort or a silent peer into a *PeerError panic.
+func await[T any](t *TCPTransport, ch chan T, op string, peer int) T {
+	// Drain delivered frames before honoring a read error or an abort:
+	// the reader goroutine routes every frame in order and only then
+	// posts the error, so a peer that sent its data and exited (normal
+	// shutdown skew) must not eat what is already queued behind its EOF.
 	select {
-	case <-t.barrierCh[from]:
-		return
+	case v := <-ch:
+		return v
 	default:
 	}
 	timeout := t.armWatchdog()
 	defer t.disarmWatchdog()
 	for {
 		select {
-		case <-t.barrierCh[from]:
-			return
-		case err := <-t.readErr[from]:
+		case v := <-ch:
+			return v
+		case err := <-t.readErr[peer]:
 			select {
-			case <-t.barrierCh[from]:
-				t.readErr[from] <- err
-				return
+			case v := <-ch:
+				t.readErr[peer] <- err // re-post for the next await
+				return v
 			default:
 			}
-			panic(t.failure("barrier", from, err))
+			panic(t.failure(op, peer, err))
 		case <-t.abortCh:
 			select {
-			case <-t.barrierCh[from]:
-				return
+			case v := <-ch:
+				return v
 			default:
 			}
-			panic(t.failure("barrier", from, nil))
+			panic(t.failure(op, peer, nil))
 		case <-timeout:
-			if pe := t.checkProgress("barrier", from); pe != nil {
+			if pe := t.checkProgress(op, peer); pe != nil {
 				panic(pe)
 			}
 		}

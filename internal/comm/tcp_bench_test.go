@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -57,38 +56,28 @@ func BenchmarkTCPFrameCodec(b *testing.B) {
 func BenchmarkTCPBroadcast(b *testing.B) {
 	const p = 4
 	const words = 512 << 10
-	comms, err := LocalTCPComms(p, testCost)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		for _, c := range comms {
-			c.Transport().Close()
-		}
-	}()
+	cl := tcpCluster(b, p)
 	block := make([]float64, words)
 	for i := range block {
 		block[i] = float64(i)
 	}
 	round := func(n int) {
-		var wg sync.WaitGroup
-		for _, c := range comms {
-			wg.Add(1)
-			go func(c *Comm) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					var in Payload
-					if c.Rank() == 0 {
-						in = Payload{Floats: block}
-					}
-					if got := c.World().Broadcast(0, in, CatDenseComm); len(got.Floats) != words {
-						panic(fmt.Sprintf("rank %d received %d words", c.Rank(), len(got.Floats)))
-					}
-					c.EpochDone()
+		err := cl.Run(func(c *Comm) error {
+			for i := 0; i < n; i++ {
+				var in Payload
+				if c.Rank() == 0 {
+					in = Payload{Floats: block}
 				}
-			}(c)
+				if got := c.World().Broadcast(0, in, CatDenseComm); len(got.Floats) != words {
+					return fmt.Errorf("received %d words", len(got.Floats))
+				}
+				c.EpochDone()
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		wg.Wait()
 	}
 	round(2) // size the arenas
 	b.SetBytes(8 * words)

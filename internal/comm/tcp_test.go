@@ -5,48 +5,26 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
-// runTCP bootstraps a loopback TCP fabric, runs fn on every rank
-// concurrently with a deadlock watchdog, and closes the transports.
-// It returns the per-rank Comms for ledger inspection.
-func runTCP(t *testing.T, p int, fn func(*Comm) error) []*Comm {
+// tcpCluster hosts a p-rank world over a loopback TCP fabric, closed with
+// the test.
+func tcpCluster(t testing.TB, p int) *Cluster {
 	t.Helper()
 	comms, err := LocalTCPComms(p, testCost)
 	if err != nil {
 		t.Fatalf("LocalTCPComms: %v", err)
 	}
-	t.Cleanup(func() {
-		for _, c := range comms {
-			c.Transport().Close()
-		}
-	})
-	errs := make([]error, p)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				errs[rank] = fn(comms[rank])
-			}(r)
-		}
-		wg.Wait()
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("TCP ranks deadlocked")
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return comms
+	cl := ClusterOf(comms...)
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// runTCP runs fn on every rank of a fresh loopback TCP world, with a
+// deadlock watchdog, and returns the cluster for ledger inspection.
+func runTCP(t *testing.T, p int, fn func(*Comm) error) *Cluster {
+	t.Helper()
+	return runOn(t, tcpCluster(t, p), fn)
 }
 
 // exerciseCollectives runs one of everything and returns a deterministic
@@ -184,12 +162,12 @@ func TestTCPModelLedgerMatchesInProcess(t *testing.T) {
 		_, err := exerciseCollectives(c, 2)
 		return err
 	})
-	comms := runTCP(t, p, func(c *Comm) error {
+	tcp := runTCP(t, p, func(c *Comm) error {
 		_, err := exerciseCollectives(c, 2)
 		return err
 	})
 	for r := 0; r < p; r++ {
-		want, got := cluster.Ledger(r), comms[r].Ledger()
+		want, got := cluster.Ledger(r), tcp.Ledger(r)
 		for _, cat := range AllCategories {
 			if got.ModelTime[cat] != want.ModelTime[cat] {
 				t.Errorf("rank %d %s: modeled time %v over TCP, %v in-process", r, cat, got.ModelTime[cat], want.ModelTime[cat])
@@ -239,7 +217,7 @@ func TestTCPBarrier(t *testing.T) {
 func TestTCPMetering(t *testing.T) {
 	const p = 3
 	meters := make([]*Meter, p)
-	comms := runTCP(t, p, func(c *Comm) error {
+	tcp := runTCP(t, p, func(c *Comm) error {
 		meters[c.Rank()] = c.EnableMetering()
 		_, err := exerciseCollectives(c, 2)
 		return err
@@ -248,7 +226,7 @@ func TestTCPMetering(t *testing.T) {
 		if m.Len() == 0 {
 			t.Fatalf("rank %d: no wire samples", r)
 		}
-		l := comms[r].Ledger()
+		l := tcp.Ledger(r)
 		wantWords := float64(l.PhysWordsSent + l.PhysWordsRecv)
 		if got := m.TotalWords(); got != wantWords {
 			t.Errorf("rank %d: metered %v words, ledger has %v", r, got, wantWords)

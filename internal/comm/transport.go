@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Transport is the physical fabric beneath a Comm: it moves payloads
 // between ranks and synchronizes them, nothing more. Model-time charging,
@@ -10,28 +13,39 @@ import "fmt"
 //
 // Two implementations ship with the package:
 //
-//   - the in-process fabric (Cluster): P goroutines exchanging pooled
+//   - the channel fabric (NewCluster): P goroutines exchanging pooled
 //     payload clones through buffered channels — the simulated α–β testbed
 //     every test and benchmark uses, and
-//   - the TCP fabric (DialTCP): one OS process per rank, length-prefixed
-//     frames over persistent per-peer connections, rendezvous through a
-//     coordinator listener — the deployable path with wall-clock timing.
+//   - the TCP fabric (DialTCP): length-prefixed frames over persistent
+//     per-peer connections, rendezvous through a coordinator listener —
+//     one OS process per rank (cagnet-worker) or every rank in this one
+//     (LocalTCPComms), with wall-clock timing.
+//
+// Either way a Cluster hosts the endpoints this process runs and launches
+// their ranks; FaultTransport wraps any endpoint with scripted failures.
 //
 // Contract: one goroutine (the rank's) drives an endpoint. Send must be
 // safe to call before the matching Recv (it must not rendezvous-block —
 // collectives send eagerly and rely on at least mailboxDepth messages of
 // buffering per (src, dst) pair), and messages between a (src, dst) pair
 // arrive in order. Barrier must synchronize all ranks. Close releases
-// sockets and goroutines; the in-process fabric has nothing to release.
+// sockets and goroutines; the channel fabric has nothing to release.
+//
+// Failure: the interface has no error returns. An endpoint whose peer is
+// gone panics with a *PeerError out of the blocked Send, Recv or Barrier,
+// and an endpoint that can tell its peers why it is leaving implements
+// Abort(reason) (see aborter): every peer's blocked and future operations
+// then panic with a *PeerError carrying that reason. Both fabrics do;
+// Cluster.Run is the caller.
 //
 // Buffer lifetime: the payload handed to Recv's caller is valid until the
 // next Comm.EpochDone and not after. Both fabrics hand out pooled buffers
-// — the in-process fabric clones through the cluster's bufPool, the TCP
-// fabric decodes into its rank's receive arena — and EpochDone recycles
-// them between its two barriers: the cluster pool directly, a transport's
-// own arena through the optional EpochRecycle method (see epochRecycler),
-// which a wrapping transport must forward. A caller that never invokes
-// EpochDone never recycles, and its payloads stay valid indefinitely.
+// — the channel fabric clones into the sender's arena, the TCP fabric
+// decodes into the receiver's — and EpochDone recycles them between its
+// two barriers through the optional EpochRecycle method (see
+// epochRecycler), which a wrapping transport must forward. A caller that
+// never invokes EpochDone never recycles, and its payloads stay valid
+// indefinitely.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -49,42 +63,104 @@ type Transport interface {
 	Close() error
 }
 
-// inprocTransport is one rank's endpoint on a Cluster's channel fabric.
-// Sends deep-copy through the cluster-wide buffer pool, so received
-// payloads stay valid until EpochDone recycles the pool — the same
-// lifetime the TCP transport provides with its per-rank receive arena.
+// chanFabric is the channel fabric the P inprocTransport endpoints of a
+// NewCluster share: a buffered mailbox per (src, dst) pair, one counting
+// barrier, and the abort latch that wakes every blocked endpoint.
+type chanFabric struct {
+	mailbox [][]chan Payload // mailbox[src][dst]
+	barrier *centralBarrier
+
+	abortOnce sync.Once
+	abortCh   chan struct{} // closed by the first Abort
+	abortRank int
+	abortMsg  string
+}
+
+func newChanFabric(p int) *chanFabric {
+	f := &chanFabric{barrier: newCentralBarrier(p), abortCh: make(chan struct{})}
+	f.mailbox = make([][]chan Payload, p)
+	for i := range f.mailbox {
+		f.mailbox[i] = make([]chan Payload, p)
+		for j := range f.mailbox[i] {
+			f.mailbox[i][j] = make(chan Payload, mailboxDepth)
+		}
+	}
+	return f
+}
+
+// inprocTransport is one rank's endpoint on a chanFabric. Sends deep-copy
+// into the sender's arena, so received payloads stay valid until EpochDone
+// recycles it (EpochRecycle) — the same lifetime the TCP transport
+// provides with its receive arena.
 type inprocTransport struct {
-	cluster *Cluster
-	rank    int
+	fabric *chanFabric
+	rank   int
+	arena  *bufPool
 }
 
 func (t *inprocTransport) Rank() int { return t.rank }
-func (t *inprocTransport) Size() int { return t.cluster.p }
+func (t *inprocTransport) Size() int { return len(t.fabric.mailbox) }
 
+// Send blocks only when dst's mailbox is full, and then wakes on Abort.
 func (t *inprocTransport) Send(dst int, p Payload) {
-	clone := Payload{
-		Floats: t.cluster.pool.cloneFloats(p.Floats),
-		Ints:   t.cluster.pool.cloneInts(p.Ints),
+	clone := Payload{Floats: t.arena.cloneFloats(p.Floats), Ints: t.arena.cloneInts(p.Ints)}
+	select {
+	case t.fabric.mailbox[t.rank][dst] <- clone:
+	case <-t.fabric.abortCh:
+		panic(t.aborted("send"))
 	}
-	t.cluster.mailbox[t.rank][dst] <- clone
 }
 
+// Recv takes a payload already delivered before it honors an abort, like
+// the TCP endpoint: what a failing peer sent before it failed still counts.
 func (t *inprocTransport) Recv(src int) Payload {
-	return <-t.cluster.mailbox[src][t.rank]
+	mb := t.fabric.mailbox[src][t.rank]
+	select {
+	case p := <-mb:
+		return p
+	default:
+	}
+	select {
+	case p := <-mb:
+		return p
+	case <-t.fabric.abortCh:
+		panic(t.aborted("recv"))
+	}
 }
 
-func (t *inprocTransport) Barrier() { t.cluster.barrier.await() }
+func (t *inprocTransport) Barrier() {
+	if !t.fabric.barrier.await() {
+		panic(t.aborted("barrier"))
+	}
+}
 
 func (t *inprocTransport) Close() error { return nil }
 
+// EpochRecycle returns this rank's send clones to its arena; see
+// epochRecycler.
+func (t *inprocTransport) EpochRecycle() { t.arena.recycle() }
+
+// Abort latches the fabric's first abort and wakes every endpoint blocked
+// in Send, Recv or Barrier; see aborter.
+func (t *inprocTransport) Abort(reason string) {
+	f := t.fabric
+	f.abortOnce.Do(func() {
+		f.abortRank, f.abortMsg = t.rank, reason
+		close(f.abortCh)
+		f.barrier.abort()
+	})
+}
+
+// aborted builds the *PeerError an operation woken by Abort panics with.
+func (t *inprocTransport) aborted(op string) *PeerError {
+	return &PeerError{Rank: t.rank, Peer: t.fabric.abortRank, Op: op, Aborted: true, Reason: t.fabric.abortMsg}
+}
+
 // NewTransportComm wraps a Transport endpoint in a Comm with its own
 // ledger and payload-buffer pool, ready for Group collectives. The cost
-// constants drive the same α–β model ledger the in-process fabric keeps,
-// so a multi-process run still reports its modeled epoch time next to the
-// measured one.
-//
-// The Comm owns the pool privately (unlike Cluster ranks, which share
-// one), so EpochDone recycles it on every rank.
+// constants drive the same α–β model ledger on every fabric, so a run over
+// real sockets still reports its modeled epoch time next to the measured
+// one.
 func NewTransportComm(tr Transport, cost CostParams) *Comm {
 	if tr.Rank() < 0 || tr.Rank() >= tr.Size() {
 		panic(fmt.Sprintf("comm: transport rank %d out of range for size %d", tr.Rank(), tr.Size()))

@@ -190,27 +190,23 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer func() {
-					for _, c := range comms {
-						c.Transport().Close()
+				if wrapped {
+					for i, c := range comms {
+						comms[i] = comm.NewTransportComm(comm.NewFaultTransport(c.Transport(), nil), cost)
 					}
-				}()
-				defer parallel.EnterRanks(ranks)()
+				}
+				cl := comm.ClusterOf(comms...)
+				defer cl.Close()
+				tr := algo.mk()
+				if err := SetCluster(tr, cl); err != nil {
+					t.Fatal(err)
+				}
 				p := testProblem(t, 1024, 32, 32, 8, 1, 73)
 
 				const warmup, runs = 3, 5
 				body, oneEpoch := lockstep(ranks, warmup+runs)
-				errCh := make(chan error, ranks)
-				for _, c := range comms {
-					if wrapped {
-						c = comm.NewTransportComm(comm.NewFaultTransport(c.Transport(), nil), cost)
-					}
-					tr := algo.mk()
-					if err := SetTransportComm(tr, c); err != nil {
-						t.Fatal(err)
-					}
-					go func() { errCh <- tr.(rankRunner).runRanks(p, body) }()
-				}
+				errCh := make(chan error, 1)
+				go func() { errCh <- tr.(rankRunner).runRanks(p, body) }()
 				for i := 0; i < warmup; i++ {
 					oneEpoch()
 				}
@@ -220,10 +216,8 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 					oneEpoch()
 				}
 				runtime.ReadMemStats(&after)
-				for i := 0; i < ranks; i++ {
-					if err := <-errCh; err != nil {
-						t.Fatal(err)
-					}
+				if err := <-errCh; err != nil {
+					t.Fatal(err)
 				}
 				if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > maxBytesPerEpoch {
 					t.Fatalf("%s steady-state epoch allocates %d bytes across %d ranks over TCP, want ≤ %d",

@@ -8,16 +8,16 @@ import (
 
 // dist is the shell the four distributed trainers share — everything about
 // a distributed run that does not depend on the decomposition: the rank
-// count, the machine profile, the simulated cluster or the external
-// endpoint the ranks execute on, and the one Train. The block-row trainer
-// (1D, 1.5D) and the mesh trainer (2D, 3D) embed it and supply only
-// decompose.
+// count, the machine profile, the cluster whose Run launches the ranks, and
+// the one Train. The block-row trainer (1D, 1.5D) and the mesh trainer (2D,
+// 3D) embed it and supply only decompose.
 type dist struct {
-	name    string
-	p       int
-	mach    costmodel.Machine
+	name string
+	p    int
+	mach costmodel.Machine
+	// cluster is the ranks this process hosts: SetCluster's, or a channel
+	// fabric of all p built by the first Train that finds none.
 	cluster *comm.Cluster
-	ext     *comm.Comm // external transport endpoint; see SetTransportComm
 
 	// Overlap hides communication behind local compute on the modeled
 	// timeline: non-blocking collectives, double-buffered so each pipeline
@@ -34,41 +34,37 @@ type dist struct {
 	Overlap bool
 
 	// decompose is the decomposition: it checks the problem against the
-	// rank count and returns the constructor of one rank's layerOps. Shared
-	// read-only state (a global transpose, the layout) is built once in
-	// decompose, per-rank state in the constructor it returns.
+	// rank count and returns the constructor of one rank's layerOps. It runs
+	// once per Train, whatever the fabric and however many ranks this
+	// process hosts: shared read-only state (a global transpose, the layout)
+	// is built there, per-rank state in the constructor it returns.
 	decompose func(p Problem, cfg nn.Config) (func(*comm.Comm) layerOps, error)
 }
 
-// newDist returns the shell of the named algorithm over p simulated ranks.
+// newDist returns the shell of the named algorithm over p ranks.
 func newDist(name string, p int, mach costmodel.Machine) dist {
-	return dist{
-		name:    name,
-		p:       p,
-		mach:    mach,
-		cluster: comm.NewCluster(p, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta}),
-	}
+	return dist{name: name, p: p, mach: mach}
 }
 
 // Name implements Trainer.
 func (t *dist) Name() string { return t.name }
 
-// Ranks returns the simulated rank count.
+// Ranks returns the world's rank count.
 func (t *dist) Ranks() int { return t.p }
 
 // Cluster implements DistTrainer.
 func (t *dist) Cluster() *comm.Cluster { return t.cluster }
 
 // distributed is any trainer built on the shell: what SetOverlap and
-// SetTransportComm assert instead of naming the concrete types.
+// SetCluster assert instead of naming the concrete types.
 type distributed interface{ shell() *dist }
 
 func (t *dist) shell() *dist { return t }
 
-// runRanks validates p, builds each rank's layerOps, and executes body on
-// every simulated rank — or, with an external endpoint set, on that
-// endpoint's rank alone. Train drives it with the standard engine run; the
-// steady-state allocation tests drive a custom epoch loop through it.
+// runRanks validates p, decomposes it once, and has the cluster run body on
+// every rank this process hosts, each over its own layerOps. Train drives it
+// with the standard engine run; the steady-state allocation tests drive a
+// custom epoch loop through it.
 func (t *dist) runRanks(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) error {
 	p = p.normalized()
 	if err := p.Validate(); err != nil {
@@ -79,11 +75,10 @@ func (t *dist) runRanks(p Problem, body func(ops layerOps, cfg nn.Config, prob P
 	if err != nil {
 		return err
 	}
-	run := func(c *comm.Comm) error { return body(newRank(c), cfg, p) }
-	if t.ext != nil {
-		return run(t.ext)
+	if t.cluster == nil {
+		t.cluster = comm.NewCluster(t.p, comm.CostParams{Alpha: t.mach.Alpha, Beta: t.mach.Beta})
 	}
-	return t.cluster.Run(run)
+	return t.cluster.Run(func(c *comm.Comm) error { return body(newRank(c), cfg, p) })
 }
 
 // Train implements Trainer.

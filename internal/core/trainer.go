@@ -8,7 +8,7 @@
 // tracking, output assembly — and drives a small layerOps interface that
 // each decomposition implements with only its layout-specific SpMM and
 // collective choreography. The family is written once: the four distributed
-// trainers share one shell (dist.go: ranks, cluster or endpoint, Train); 1D
+// trainers share one shell (dist.go: ranks, cluster, Train); 1D
 // and 1.5D are one block-row trainer with one product for both aggregations
 // (rows.go), of which 1D is the c = 1 case; 2D and 3D are one SUMMA on a
 // q × q × d mesh (mesh.go), at depth 1 and ∛P.
@@ -29,8 +29,18 @@
 // SpMM/GEMM/activation calls are row-partitioned across the shared worker
 // pool (internal/parallel) with bit-identical results. The serial trainer
 // gets the whole pool; the distributed trainers run inside comm.Cluster.Run,
-// which registers its P rank goroutines with the pool so per-rank kernels
-// split the machine instead of oversubscribing it.
+// which registers the rank goroutines it starts with the pool so per-rank
+// kernels split the machine instead of oversubscribing it.
+//
+// A cluster is the ranks this process hosts; the transport is what they talk
+// over. Cluster.Run is the one launcher — all P ranks on the channel fabric
+// (the default a trainer builds for itself), all P over loopback sockets, or
+// this process's one rank of a multi-process world (SetCluster) — and the
+// one failure policy: a rank that panics is recovered, its root cause is
+// broadcast so that no peer waits for it, and Train returns that cause
+// naming the rank. The decomposition (Problem validation, the symmetry scan,
+// a global transpose, the layout) runs once per Train in the calling
+// goroutine, before any rank starts, however many ranks the process hosts.
 package core
 
 import (
@@ -221,11 +231,12 @@ type Trainer interface {
 	Train(p Problem) (*Result, error)
 }
 
-// DistTrainer is a Trainer that executes on a simulated cluster, leaving
-// per-rank cost ledgers on the cluster for inspection.
+// DistTrainer is a Trainer that executes on a cluster, leaving the hosted
+// ranks' cost ledgers on it for inspection.
 type DistTrainer interface {
 	Trainer
-	// Cluster returns the simulated cluster the trainer ran on.
+	// Cluster returns the cluster the trainer ran on: SetCluster's, or the
+	// channel-fabric one its first Train built (nil before that).
 	Cluster() *comm.Cluster
 }
 

@@ -6,27 +6,28 @@ import (
 	"repro/internal/comm"
 )
 
-// SetTransportComm points a distributed trainer at an external fabric
-// endpoint instead of its internal simulated cluster. With an endpoint
-// set, Train runs only that endpoint's rank — the caller is the launcher
-// (one process per rank over comm.DialTCP, or one goroutine per rank over
-// comm.LocalTCPComms) and every participant must call Train with the same
-// problem. The trainer's collective choreography is unchanged, so weights
-// and outputs are bit-identical to the in-process run; the result is
-// populated only on rank 0, and per-rank model accounting is read from
-// the endpoint's Ledger rather than Cluster().
+// SetCluster runs a distributed trainer on the given cluster instead of
+// the channel-fabric one it would build for itself: comm.ClusterOf over
+// comm.LocalTCPComms' endpoints hosts the whole world over loopback
+// sockets, comm.ClusterOf over one comm.DialTCP endpoint hosts this
+// process's rank of a multi-process world (every process must then call
+// Train with the same problem). A cluster is the ranks this process hosts;
+// the transport is what they talk over, and the trainer's collective
+// choreography does not depend on it, so weights and outputs are
+// bit-identical on every fabric. The result is populated where rank 0 is
+// hosted, and Cluster() returns cl.
 //
 // The serial trainer has no fabric and rejects; a mismatched world size
 // rejects rather than silently training a different decomposition.
-func SetTransportComm(tr Trainer, c *comm.Comm) error {
+func SetCluster(tr Trainer, cl *comm.Cluster) error {
 	d, ok := tr.(distributed)
 	if !ok {
-		return fmt.Errorf("core: transport endpoints apply to the distributed trainers, not %q", tr.Name())
+		return fmt.Errorf("core: a cluster applies to the distributed trainers, not %q", tr.Name())
 	}
 	t := d.shell()
-	if c.Size() != t.p {
-		return fmt.Errorf("core: transport world size %d does not match trainer's %d ranks", c.Size(), t.p)
+	if cl.Size() != t.p {
+		return fmt.Errorf("core: cluster world size %d does not match trainer's %d ranks", cl.Size(), t.p)
 	}
-	t.ext = c
+	t.cluster = cl
 	return nil
 }

@@ -3,65 +3,58 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/parallel"
+	"repro/internal/nn"
 )
 
-// trainOverTCP runs one trainer instance per rank over a loopback TCP
-// fabric and returns rank 0's result.
-func trainOverTCP(t *testing.T, algo string, p, c int, prob Problem) *Result {
+// tcpCluster hosts a p-rank world over loopback sockets, closed with the
+// test.
+func tcpCluster(t *testing.T, p int) *comm.Cluster {
 	t.Helper()
-	cost := comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta}
-	comms, err := comm.LocalTCPComms(p, cost)
+	comms, err := comm.LocalTCPComms(p, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta})
 	if err != nil {
 		t.Fatalf("LocalTCPComms: %v", err)
 	}
-	defer func() {
-		for _, cm := range comms {
-			cm.Transport().Close()
-		}
-	}()
-	defer parallel.EnterRanks(p)()
+	cl := comm.ClusterOf(comms...)
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
 
-	results := make([]*Result, p)
-	errs := make([]error, p)
+// trainOn trains tr on cl under a deadlock watchdog.
+func trainOn(t *testing.T, tr Trainer, cl *comm.Cluster, prob Problem) *Result {
+	t.Helper()
+	if err := SetCluster(tr, cl); err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	var err error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				tr, err := NewTrainerReplicated(algo, p, c, testMach)
-				if err != nil {
-					errs[rank] = err
-					return
-				}
-				if err := SetTransportComm(tr, comms[rank]); err != nil {
-					errs[rank] = err
-					return
-				}
-				results[rank], errs[rank] = tr.Train(prob)
-			}(r)
-		}
-		wg.Wait()
+		res, err = tr.Train(prob)
 	}()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
 		t.Fatal("TCP training deadlocked")
 	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
+	if err != nil {
+		t.Fatal(err)
 	}
-	return results[0]
+	return res
+}
+
+// trainOverTCP trains the named algorithm over a loopback TCP fabric.
+func trainOverTCP(t *testing.T, algo string, p, c int, prob Problem) *Result {
+	t.Helper()
+	tr, err := NewTrainerReplicated(algo, p, c, testMach)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trainOn(t, tr, tcpCluster(t, p), prob)
 }
 
 // TestTrainTCPBitIdentical is the tentpole acceptance pin: the same
@@ -121,11 +114,11 @@ func TestTrainTCPBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSetTransportCommValidation covers the rejection paths for each of the
+// TestSetClusterValidation covers the rejection paths for each of the
 // four distributed trainers — they share one code path, exercised here under
-// every name: an endpoint of the wrong world size is rejected, a matching
+// every name: a cluster of the wrong world size is rejected, a matching
 // one accepted, and the serial trainer takes none.
-func TestSetTransportCommValidation(t *testing.T) {
+func TestSetClusterValidation(t *testing.T) {
 	cases := []struct {
 		algo         string
 		ranks, wrong int
@@ -137,34 +130,108 @@ func TestSetTransportCommValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.algo, func(t *testing.T) {
-			comms, err := comm.LocalTCPComms(tc.ranks, comm.CostParams{Alpha: 1e-6, Beta: 1e-9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				for _, cm := range comms {
-					cm.Transport().Close()
-				}
-			}()
-			if err := SetTransportComm(NewSerial(), comms[0]); err == nil {
-				t.Fatal("serial trainer accepted a transport endpoint")
+			cl := tcpCluster(t, tc.ranks)
+			if err := SetCluster(NewSerial(), cl); err == nil {
+				t.Fatal("serial trainer accepted a cluster")
 			}
 			mismatched, err := NewTrainer(tc.algo, tc.wrong, testMach)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SetTransportComm(mismatched, comms[0]); err == nil {
-				t.Fatalf("%s trainer accepted a world-size-%d endpoint for %d ranks", tc.algo, tc.ranks, tc.wrong)
+			if err := SetCluster(mismatched, cl); err == nil {
+				t.Fatalf("%s trainer accepted a world-size-%d cluster for %d ranks", tc.algo, tc.ranks, tc.wrong)
 			}
 			matching, err := NewTrainer(tc.algo, tc.ranks, testMach)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := SetTransportComm(matching, comms[0]); err != nil {
-				t.Fatalf("%s trainer rejected a matching endpoint: %v", tc.algo, err)
+			if err := SetCluster(matching, cl); err != nil {
+				t.Fatalf("%s trainer rejected a matching cluster: %v", tc.algo, err)
 			}
-			if got := matching.(distributed).shell().ext; got != comms[0] {
-				t.Fatalf("%s trainer holds endpoint %p after SetTransportComm, want %p", tc.algo, got, comms[0])
+			if got := matching.(DistTrainer).Cluster(); got != cl {
+				t.Fatalf("%s trainer holds cluster %p after SetCluster, want %p", tc.algo, got, cl)
+			}
+		})
+	}
+}
+
+// TestDecomposeOncePerTrain: a process that hosts the whole world
+// decomposes the problem once per Train — the validation, the symmetry
+// scan, 2D's global transpose — whatever its ranks talk over, and the
+// fabric leaves no mark on the modeled accounting: every rank's ledger
+// over loopback TCP equals the in-process one in every category, peak
+// memory included, to the word.
+func TestDecomposeOncePerTrain(t *testing.T) {
+	const p = 4
+	cases := []struct {
+		name             string
+		algo             string
+		c                int
+		ldgHalo, overlap bool
+	}{
+		{"1d-halo-ldg-overlap", "1d", 0, true, true},
+		{"1.5d-c2", "1.5d", 2, false, false},
+		{"2d-overlap", "2d", 0, false, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base, g := testProblemGraph(t, 48, 6, 5, 3, 3, 79)
+			// build returns the configured trainer, its problem, and the
+			// count its wrapped decompose keeps.
+			build := func() (Trainer, Problem, *int) {
+				tr, err := NewTrainerReplicated(tc.algo, p, tc.c, testMach)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prob := base
+				if tc.ldgHalo {
+					if _, err := ConfigureRowDecomposition(tr, &prob, g, "ldg", true, 7); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := SetOverlap(tr, tc.overlap); err != nil {
+					t.Fatal(err)
+				}
+				d := tr.(distributed).shell()
+				calls, inner := new(int), d.decompose
+				d.decompose = func(p Problem, cfg nn.Config) (func(*comm.Comm) layerOps, error) {
+					*calls++
+					return inner(p, cfg)
+				}
+				return tr, prob, calls
+			}
+
+			ref, prob, refCalls := build()
+			if _, err := ref.Train(prob); err != nil {
+				t.Fatal(err)
+			}
+			tr, prob, calls := build()
+			trainOn(t, tr, tcpCluster(t, p), prob)
+			if *refCalls != 1 || *calls != 1 {
+				t.Fatalf("decompose ran %d times in-process and %d times over TCP for one Train each, want 1 and 1", *refCalls, *calls)
+			}
+
+			for r := 0; r < p; r++ {
+				want, got := ref.(DistTrainer).Cluster().Ledger(r), tr.(DistTrainer).Cluster().Ledger(r)
+				for _, cat := range comm.AllCategories {
+					if got.ModelWords[cat] != want.ModelWords[cat] || got.ModelMsgs[cat] != want.ModelMsgs[cat] ||
+						math.Float64bits(got.ModelTime[cat]) != math.Float64bits(want.ModelTime[cat]) {
+						t.Errorf("rank %d %s: (%d words, %d msgs, %v s) over TCP, (%d, %d, %v) in-process", r, cat,
+							got.ModelWords[cat], got.ModelMsgs[cat], got.ModelTime[cat],
+							want.ModelWords[cat], want.ModelMsgs[cat], want.ModelTime[cat])
+					}
+				}
+				if got.PeakMemWords != want.PeakMemWords {
+					t.Errorf("rank %d: peak memory %d words over TCP, %d in-process", r, got.PeakMemWords, want.PeakMemWords)
+				}
+				if got.PhysWordsSent != want.PhysWordsSent || got.PhysMsgsSent != want.PhysMsgsSent ||
+					got.PhysWordsRecv != want.PhysWordsRecv || got.PhysMsgsRecv != want.PhysMsgsRecv {
+					t.Errorf("rank %d: physical traffic %+v over TCP, %+v in-process", r, *got, *want)
+				}
+				if got.Elapsed() != want.Elapsed() || got.HiddenCommTime() != want.HiddenCommTime() {
+					t.Errorf("rank %d: elapsed %v hidden %v over TCP, %v and %v in-process", r,
+						got.Elapsed(), got.HiddenCommTime(), want.Elapsed(), want.HiddenCommTime())
+				}
 			}
 		})
 	}

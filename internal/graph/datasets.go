@@ -101,6 +101,17 @@ func AnalogByName(name string) (AnalogSpec, error) {
 // Build synthesizes the dataset: an R-MAT graph symmetrized to undirected
 // form, random features (the paper itself randomly generates features for
 // Amazon and Protein, §V-C), and uniform random labels.
+// Quick returns the spec shrunk for a fast run — the one definition of the
+// CLIs' -quick, the bench harness's Quick and `go test -short`: an eighth of
+// the vertices, and a quarter of the edge factor where the graph is dense.
+func (s AnalogSpec) Quick() AnalogSpec {
+	s.Scale -= 3
+	if s.EdgeFactor > 8 {
+		s.EdgeFactor /= 4
+	}
+	return s
+}
+
 func (s AnalogSpec) Build() *Dataset {
 	rng := rand.New(rand.NewSource(s.Seed))
 	g := RMAT(s.Scale, s.EdgeFactor, DefaultRMAT, rng)

@@ -80,10 +80,7 @@ func (o Options) dataset(name string) (graph.AnalogSpec, error) {
 		return spec, err
 	}
 	if o.Quick {
-		spec.Scale -= 3
-		if spec.EdgeFactor > 8 {
-			spec.EdgeFactor /= 4
-		}
+		spec = spec.Quick()
 	}
 	return spec, nil
 }
