@@ -289,7 +289,12 @@ type TrainReport struct {
 	// "misc", "trpose", "dcomm", "scomm", "spmm" (nil for "serial").
 	TimeByCategory map[string]float64
 	// WordsByCategory is the per-rank maximum of modeled words moved per
-	// category (nil for "serial").
+	// category over the whole run (nil for "serial"). Not every category
+	// grows with Epochs: "scomm" (2D/3D's sparse row panels) and "trpose"
+	// (2D's transpose exchange) are paid once per run — A is static, so the
+	// mesh holds what the first SUMMA of each direction delivers — as are
+	// the input aggregation's share of "dcomm" and the final forward pass;
+	// difference two runs of different length for a steady-state epoch.
 	WordsByCategory map[string]int64
 	// MeasuredSeconds is the wall-clock time of the whole training run
 	// over the "tcp" transport (zero for "inproc"): real sockets, real

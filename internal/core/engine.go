@@ -54,10 +54,6 @@ type layerOps interface {
 	// ∂L/∂H^L, both normalized by the global supervised-vertex count.
 	lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix)
 
-	// beforeBackward runs once per epoch between the loss reduction and
-	// the backward recursion (the 2D transpose exchange).
-	beforeBackward()
-
 	// activationBackward returns G^l = act'(∂L/∂H^l) from the layer's
 	// forward output h = H^l (dense.Activation.Backward reads the output).
 	activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix
@@ -264,7 +260,6 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 	// where Y^l = (H^{l-1})ᵀ (A G^l) = (Aᵀ H^{l-1})ᵀ G^l by transposition
 	// alone (A need not be symmetric). The recursion ends at l = 1, where no
 	// input gradient is wanted: the widest layer is never aggregated.
-	e.ops.beforeBackward()
 	for l := L; l >= 1; l-- {
 		w := weights[l-1]
 		g := e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)

@@ -18,8 +18,7 @@ import (
 //
 //   - "2d" is the √P × √P grid, depth 1. Backward needs A where forward used
 //     Aᵀ; it is obtained by a pairwise transpose exchange across the grid
-//     diagonal every epoch — the "trpose" category of Figure 3 — so A may be
-//     directed.
+//     diagonal — the "trpose" category of Figure 3 — so A may be directed.
 //   - "3d" is the ∛P × ∛P × ∛P cube. Each Aᵀ block is n/∛P × n/∛P² — the
 //     vertex dimension is split ∛P ways by grid row and a further ∛P ways by
 //     layer — while H blocks are n/∛P² × f/∛P. Every layer of the mesh runs
@@ -37,6 +36,17 @@ import (
 // picks per layer. Row-wise activations (log_softmax) add an all-gather
 // along process rows. Backward runs the same pattern with A, plus the dense
 // SUMMA for Y with its f×f all-gather.
+//
+// Algorithm 2 broadcasts the sparse blocks in every stage of every epoch and
+// repeats the transpose every epoch; A never changes, so here they cross the
+// network once per run. A rank keeps the sparse row panels the first SUMMA
+// of each direction delivers — Aᵀ(i,·) while T¹ is aggregated, A(i,·) in the
+// first backward aggregation, one shared set on the symmetric 3D mesh — and
+// every later stage broadcasts its dense panel alone; 2D's transpose
+// exchange is the first step of gathering the backward panels. The cost is
+// resident memory: nnz/√P sparse words per direction instead of 2D's nnz/P
+// (nnz/P^{2/3} on 3D), reported to the word (memBase). The panels are
+// derived data, not state: a resumed run gathers them again.
 type meshTrainer struct{ dist }
 
 // NewTwoD returns a 2D SUMMA trainer (§IV-C) over p simulated ranks — the
@@ -88,51 +98,45 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	}
 	return func(c *comm.Comm) layerOps {
 		r := &meshRank{
-			comm: c, mach: t.mach, cfg: cfg, mesh: mesh, transposes: transposes, overlap: t.Overlap,
+			comm: c, mach: t.mach, cfg: cfg, mesh: mesh, overlap: t.Overlap,
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 			vBlk: partition.NewBlock1D(n, mesh.C),
 		}
-		r.setup(at, p.Features)
+		r.setup(at, transposes, p.Features)
 		return r
 	}, nil
 }
 
 // meshRank holds one rank's state during 2D or 3D training and implements
 // layerOps with the SUMMA collective choreography. Per-epoch temporaries
-// come from ws and the csrs header arena, both reset at endEpoch together
-// with the fabric's payload pool.
+// come from ws, reset at endEpoch together with the fabric's payload pool.
 type meshRank struct {
-	comm       *comm.Comm
-	mach       costmodel.Machine
-	cfg        nn.Config
-	mesh       partition.Grid3D
-	transposes bool // 2D: the A block comes from the per-epoch transpose exchange
-	overlap    bool
-	labels     []int
-	mask       []bool
-	norm       int
-	n          int
-	vBlk       partition.Block1D // vertex dimension split q ways
+	comm    *comm.Comm
+	mach    costmodel.Machine
+	cfg     nn.Config
+	mesh    partition.Grid3D
+	overlap bool
+	labels  []int
+	mask    []bool
+	norm    int
+	n       int
+	vBlk    partition.Block1D // vertex dimension split q ways
 
 	pi, pj, pk int         // mesh coordinates: row, column, layer
 	rowGroup   *comm.Group // (pi, *, pk)
 	colGroup   *comm.Group // (*, pj, pk)
 	fiberGroup *comm.Group // (pi, pj, *); nil at depth 1
 	planeGroup *comm.Group // (*, pj, *): all ranks sharing grid column pj; colGroup at depth 1
-	atBlk      *sparse.CSR // Aᵀ(rows of pi, column sub-slice (pj, pk))
-	atPay      comm.Payload
 	h0         *dense.Matrix
 	memBase    int64
 
-	// aPay is my block of A, pre-serialized, for the backward SUMMA. In 3D A
-	// is symmetric, so it is atPay — the 3D trainer's structural shortcut for
-	// undirected graphs; in 2D it is what the transpose exchange receives for
-	// localTPay, this rank's (Aᵀ block)ᵀ.
-	aPay      comm.Payload
-	localTPay comm.Payload
+	// at and a are the sparse side of the forward and the backward SUMMA: Aᵀ
+	// and A. In 3D A is symmetric, so a is at — the 3D trainer's structural
+	// shortcut for undirected graphs; in 2D a's block is what the transpose
+	// exchange leaves, nil until the first backwardAggregate.
+	at, a *sparseOperand
 
 	ws       *dense.Workspace
-	csrs     csrArena
 	dims     []int
 	rsCounts []int
 	cnt      []float64
@@ -148,6 +152,18 @@ type meshRank struct {
 	// products). A row-wise activationBackward leaves G's rows here with G;
 	// otherwise fullRows gathers on first use. Cleared at endEpoch.
 	rowsOf, rows *dense.Matrix
+}
+
+// sparseOperand is one rank's share of op(A) in one SUMMA direction.
+type sparseOperand struct {
+	// blk is my block: Aᵀ(rows of pi, column sub-slice (pj, pk)) or its A
+	// counterpart.
+	blk *sparse.CSR
+	// held[k] is stage k's row panel, op(A)(row pi, sub-slice (k, pk)), kept
+	// for the whole run once the first SUMMA of the direction has broadcast
+	// it (nil until then): a copy out of the fabric's payload, except
+	// held[pj], which is blk.
+	held []*sparse.CSR
 }
 
 // recordMem reports the resident footprint: persistent blocks plus the
@@ -171,7 +187,10 @@ func (r *meshRank) fBlk(f int) partition.Block1D {
 	return partition.NewBlock1D(f, r.mesh.C)
 }
 
-func (r *meshRank) setup(at *sparse.CSR, features *dense.Matrix) {
+// setup cuts this rank's blocks out of Aᵀ and H⁰; transposes says the A
+// block comes from the transpose exchange (2D) rather than being the Aᵀ
+// block (3D).
+func (r *meshRank) setup(at *sparse.CSR, transposes bool, features *dense.Matrix) {
 	r.pi, r.pj, r.pk = r.mesh.Coords(r.comm.Rank())
 	r.rowGroup = r.comm.NewGroup(r.mesh.LayerRowRanks(r.pi, r.pk))
 	r.colGroup = r.comm.NewGroup(r.mesh.LayerColRanks(r.pj, r.pk))
@@ -184,8 +203,14 @@ func (r *meshRank) setup(at *sparse.CSR, features *dense.Matrix) {
 
 	// Aᵀ block: rows of grid-row pi, columns = sub-slice (pj, pk).
 	cLo, cHi := r.subRange(r.pj, r.pk)
-	r.atBlk = at.ExtractBlock(r.vBlk.Lo(r.pi), r.vBlk.Hi(r.pi), cLo, cHi)
-	r.atPay = csrPayload(r.atBlk)
+	r.at = &sparseOperand{
+		blk:  at.ExtractBlock(r.vBlk.Lo(r.pi), r.vBlk.Hi(r.pi), cLo, cHi),
+		held: make([]*sparse.CSR, r.mesh.C),
+	}
+	r.a = r.at
+	if transposes {
+		r.a = &sparseOperand{held: make([]*sparse.CSR, r.mesh.C)}
+	}
 	// H block: rows = sub-slice (pi, pk), feature columns of pj.
 	rLo, rHi := r.subRange(r.pi, r.pk)
 	f0 := r.fBlk(r.cfg.Widths[0])
@@ -194,73 +219,64 @@ func (r *meshRank) setup(at *sparse.CSR, features *dense.Matrix) {
 	r.dims = make([]int, 2)
 	r.cnt = make([]float64, 8)
 	r.cacheBuf = make([]actCache, r.cfg.Layers()+1)
-	r.memBase = csrWords(r.atBlk) + matWords(r.h0) + cfgWeightWords(r.cfg)
-	if r.transposes {
-		// The transposed local block is static across epochs; the per-epoch
-		// exchange resends it (and recharges the transpose work) without
-		// recomputing it. The A block appears twice once the exchange runs.
-		r.localTPay = csrPayload(r.atBlk.Transpose())
-		r.memBase += csrWords(r.atBlk)
-	} else {
-		r.aPay = r.atPay
-	}
+	r.memBase = csrWords(r.at.blk) + matWords(r.h0) + cfgWeightWords(r.cfg)
 	r.recordMem(0)
 }
 
 // transposeExchange builds this rank's A block from the Aᵀ blocks by a
 // pairwise exchange across the grid diagonal: A_ij = (Aᵀ_ji)ᵀ, which pairs
 // whole blocks only on a mesh of depth 1. This is the paper's "trpose" cost
-// (Figure 3); it also charges the local transpose work. The exchange
-// repeats every epoch — the payload still crosses the fabric and every cost
-// is recharged — but since A is static, the received block is materialized
-// only once and reused thereafter.
+// (Figure 3); it also charges the local transpose work. A is static, so it
+// runs once per run, before the first backward SUMMA: from then on the rank
+// holds its A block beside its Aᵀ block. The peers swap their Aᵀ blocks as
+// they are and each transposes what it receives — into storage of its own,
+// which must outlive the payload: the fabric recycles that at the epoch
+// boundary.
 func (r *meshRank) transposeExchange() {
-	r.comm.ChargeTime(comm.CatTranspose, float64(r.atBlk.NNZ())*4/r.mach.SpMMRate)
-	if r.pi == r.pj {
-		r.aPay = r.localTPay
-		return
+	blk := r.at.blk
+	if r.pi != r.pj {
+		peer := r.mesh.Rank(r.pj, r.pi, r.pk)
+		blk = payloadCSR(r.comm.Exchange(peer, csrPayload(blk), comm.CatTranspose))
 	}
-	peer := r.mesh.Rank(r.pj, r.pi, r.pk)
-	got := r.comm.Exchange(peer, r.localTPay, comm.CatTranspose)
-	if r.aPay.Ints == nil {
-		// Deep-copy out of the received payload: its buffers belong to the
-		// fabric's pool and are recycled at the epoch boundary, while the
-		// A block must survive the whole run.
-		r.aPay = csrPayload(payloadCSR(got).Clone())
-	}
+	r.comm.ChargeTime(comm.CatTranspose, float64(blk.NNZ())*4/r.mach.SpMMRate)
+	r.a.blk = blk.Transpose()
+	r.memBase += csrWords(r.a.blk)
 }
 
-// summaSpMM computes my block of op(A)·X where aPay is my pre-serialized
-// block of op(A) and x my block of the dense operand, distributed like H:
-// an independent SUMMA per mesh layer over the column sub-slices — sparse
-// blocks broadcast along process rows, dense blocks along process columns
-// (Algorithm 2, first phase) — then, on a mesh deeper than one layer, a
-// reduce-scatter along the fiber so the result lands in the same
-// n/(q·d) x f/q layout as X (§IV-D-1).
+// summaSpMM computes my block of op(A)·X where a is my share of op(A) and x
+// my block of the dense operand, distributed like H: an independent SUMMA
+// per mesh layer over the column sub-slices — sparse blocks broadcast along
+// process rows the first time the direction runs and held from then on,
+// dense blocks broadcast along process columns (Algorithm 2, first phase) —
+// then, on a mesh deeper than one layer, a reduce-scatter along the fiber so
+// the result lands in the same n/(q·d) x f/q layout as X (§IV-D-1).
 //
-// In overlap mode stage k+1's panel pair is issued asynchronously before
-// stage k's local SpMM runs, double-buffering the in-flight panels (the
-// fabric pool holds the incoming buffers, ws the wrapping headers), so the
-// stage cost is max(comm, comp). The stage order and every accumulation
-// are unchanged, keeping the result bit-identical.
-func (r *meshRank) summaSpMM(aPay comm.Payload, x *dense.Matrix) *dense.Matrix {
+// In overlap mode stage k+1's panels are issued asynchronously before stage
+// k's local SpMM runs, double-buffering the in-flight panels (the fabric
+// pool holds the incoming buffers, ws the wrapping headers), so the stage
+// cost is max(comm, comp). The stage order and every accumulation are
+// unchanged, keeping the result bit-identical.
+func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 	// On a deep mesh out is the layer's pre-reduction sum: the
 	// P^{1/3}-replicated intermediate of §IV-D-1.
 	out := r.ws.Get(r.vBlk.Size(r.pi), x.Cols)
 	var aReq, xReq *comm.Request
 	if r.overlap {
-		aReq, xReq = r.summaStage(0, aPay, x)
+		aReq, xReq = r.summaStage(0, a, x)
 	}
 	for k := 0; k < r.mesh.C; k++ {
 		if !r.overlap {
-			aReq, xReq = r.summaStage(k, aPay, x)
+			aReq, xReq = r.summaStage(k, a, x)
 		}
-		aK := r.csrs.wrap(aReq.Wait())
+		if aReq != nil {
+			r.holdPanel(a, k, aReq.Wait())
+		}
+		aK := a.held[k]
 		xK := wrapMat(r.ws, xReq.Wait())
 		if r.overlap && k+1 < r.mesh.C {
-			aReq, xReq = r.summaStage(k+1, aPay, x)
+			aReq, xReq = r.summaStage(k+1, a, x)
 		}
-		r.recordMem(matWords(out) + csrWords(aK) + matWords(xK))
+		r.recordMem(matWords(out) + matWords(xK))
 		sparse.SpMMAdd(out, aK, xK)
 		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(aK.NNZ()), aK.Rows, xK.Cols))
 	}
@@ -278,23 +294,43 @@ func (r *meshRank) summaSpMM(aPay comm.Payload, x *dense.Matrix) *dense.Matrix {
 		r.fiberGroup.ReduceScatter(out.Data, r.rsCounts, comm.CatDenseComm))
 }
 
-// summaStage issues stage k's panel broadcasts: the sparse panel
-// Aᵀ(row pi, sub-slice (k, pk)) along the process row, the dense panel
-// X(sub-slice (k, pk), fcols pj) along the process column. The dims scratch
-// is only written when this rank roots the dense panel (k == pi), which
-// happens for exactly one stage, so a single scratch survives two stages
-// being in flight.
-func (r *meshRank) summaStage(k int, aPay comm.Payload, x *dense.Matrix) (aReq, xReq *comm.Request) {
-	var aIn, xIn comm.Payload
-	if k == r.pj {
-		aIn = aPay
+// summaStage issues stage k's panel broadcasts: the dense panel
+// X(sub-slice (k, pk), fcols pj) along the process column and, unless the
+// rank already holds it (aReq is then nil), the sparse panel
+// op(A)(row pi, sub-slice (k, pk)) along the process row — every member of
+// a process row holds the same stages, so they agree on which broadcasts
+// run. The root serializes its block for that one broadcast; the fabric
+// copies outbound payloads, so nothing keeps the serialized form. The dims
+// scratch is only written when this rank roots the dense panel (k == pi),
+// which happens for exactly one stage, so a single scratch survives two
+// stages being in flight.
+func (r *meshRank) summaStage(k int, a *sparseOperand, x *dense.Matrix) (aReq, xReq *comm.Request) {
+	if a.held[k] == nil {
+		var aIn comm.Payload
+		if k == r.pj {
+			aIn = csrPayload(a.blk)
+		}
+		aReq = r.rowGroup.IBroadcast(k, aIn, comm.CatSparseComm)
 	}
+	var xIn comm.Payload
 	if k == r.pi {
 		xIn = matPayloadInto(x, r.dims)
 	}
-	aReq = r.rowGroup.IBroadcast(k, aIn, comm.CatSparseComm)
 	xReq = r.colGroup.IBroadcast(k, xIn, comm.CatDenseComm)
 	return aReq, xReq
+}
+
+// holdPanel keeps stage k's sparse row panel for the rest of the run: the
+// rank's own block where it was the root, otherwise a copy out of the
+// received payload — whose buffers the fabric recycles at the epoch
+// boundary — counted as resident from here on.
+func (r *meshRank) holdPanel(a *sparseOperand, k int, got comm.Payload) {
+	if k == r.pj {
+		a.held[k] = a.blk
+		return
+	}
+	a.held[k] = payloadCSR(got).Clone()
+	r.memBase += csrWords(a.held[k])
 }
 
 // partialSumma computes my block of X·W for the replicated W: X blocks
@@ -378,9 +414,10 @@ func (r *meshRank) rank() int { return r.comm.Rank() }
 
 func (r *meshRank) input() *dense.Matrix { return r.h0 }
 
-// forwardAggregate computes Aᵀ X via SUMMA SpMM.
+// forwardAggregate computes Aᵀ X via SUMMA SpMM. The call at l = 1 is the
+// first of a run, so it is the one that gathers the Aᵀ row panels.
 func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	t := r.summaSpMM(r.atPay, x)
+	t := r.summaSpMM(r.at, x)
 	if l == 1 {
 		// T¹ outlives endEpoch: the engine reuses it every epoch — the block
 		// in weightGrad, its full rows in multiplyWeight. On a deep mesh the
@@ -452,14 +489,6 @@ func (r *meshRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 	return loss, grad
 }
 
-// beforeBackward runs the per-epoch transpose exchange that builds A from
-// the Aᵀ blocks (2D only).
-func (r *meshRank) beforeBackward() {
-	if r.transposes {
-		r.transposeExchange()
-	}
-}
-
 // activationBackward computes G = act'(∂L/∂H) from H. Row-wise activations
 // need full rows: all-gather dH along the row and reuse the cached full-row
 // H (the σ' all-gather of §IV-C-3). G's full rows stay with it for the
@@ -478,9 +507,16 @@ func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix,
 	return g
 }
 
-// backwardAggregate computes A·X via SUMMA SpMM over the A blocks.
+// backwardAggregate computes A·X via SUMMA SpMM over the A blocks. The
+// first call of a run gathers the A row panels, and in 2D starts by building
+// the A blocks they are broadcast from (the transpose exchange); on the 3D
+// mesh both are the forward pass's. A network of one layer never gets here
+// and never transposes.
 func (r *meshRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	return r.summaSpMM(r.aPay, x)
+	if r.a.blk == nil {
+		r.transposeExchange()
+	}
+	return r.summaSpMM(r.a, x)
 }
 
 // weightGrad computes Y^l = hPrevᵀ·g: local partial from g's full rows,
@@ -521,12 +557,11 @@ func (r *meshRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
 }
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped
-// buffer: the rank's workspace and CSR headers, then (collectively) the
-// fabric's payload pool.
+// buffer: the rank's workspace, then (collectively) the fabric's payload
+// pool.
 func (r *meshRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
-	r.csrs.reset()
 	r.rowsOf, r.rows = nil, nil
 	r.comm.EpochDone()
 }

@@ -162,8 +162,6 @@ func (m *mixedOps) lossGrad(_ *dense.Matrix) (float64, *dense.Matrix) {
 	return loss, m.hdr
 }
 
-func (m *mixedOps) beforeBackward() {}
-
 func (m *mixedOps) activationBackward(act dense.Activation, _, _ *dense.Matrix, _ *actCache, l int) *dense.Matrix {
 	if m.maskedAhead == l {
 		m.maskedAhead = 0 // inputGrad(l+1) already applied the ReLU mask: cur is G^l

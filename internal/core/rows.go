@@ -444,8 +444,6 @@ func (r *rowRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 	return loss, grad
 }
 
-func (r *rowRank) beforeBackward() {}
-
 // activationBackward: local, like the forward (row-partitioned).
 func (r *rowRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
 	g := r.ws.GetUninit(h.Rows, h.Cols)

@@ -178,8 +178,6 @@ func (s *serialOps) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 	return nn.NLLLossMaskedInto(grad, hOut, s.labels, s.mask, 0, s.norm), grad
 }
 
-func (s *serialOps) beforeBackward() {}
-
 func (s *serialOps) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
 	if s.maskedAhead == l {
 		// inputGrad(l+1) already applied the ReLU mask in its fused

@@ -370,39 +370,3 @@ func payloadMat(p comm.Payload) *dense.Matrix {
 func wrapMat(ws *dense.Workspace, p comm.Payload) *dense.Matrix {
 	return ws.Wrap(p.Ints[0], p.Ints[1], p.Floats)
 }
-
-// csrArena hands out reusable CSR headers that wrap csrPayload-encoded
-// payloads in place (no copying). Ranks that receive sparse blocks every
-// epoch (the SUMMA broadcasts) keep one and reset it at the epoch
-// boundary, alongside their workspace.
-type csrArena struct {
-	hdrs []*sparse.CSR
-	next int
-}
-
-// wrap deserializes csrPayload output into a recycled header. The result
-// aliases the payload buffers and is valid until the next reset.
-func (a *csrArena) wrap(p comm.Payload) *sparse.CSR {
-	var m *sparse.CSR
-	if a.next < len(a.hdrs) {
-		m = a.hdrs[a.next]
-	} else {
-		m = &sparse.CSR{}
-		a.hdrs = append(a.hdrs, m)
-	}
-	a.next++
-	rows, cols := p.Ints[0], p.Ints[1]
-	m.Rows, m.Cols = rows, cols
-	m.RowPtr = p.Ints[2 : 3+rows]
-	m.ColIdx = p.Ints[3+rows:]
-	m.Val = p.Floats
-	return m
-}
-
-// reset detaches every header from its buffers and makes them reusable.
-func (a *csrArena) reset() {
-	for _, m := range a.hdrs[:a.next] {
-		m.RowPtr, m.ColIdx, m.Val = nil, nil, nil
-	}
-	a.next = 0
-}

@@ -39,10 +39,15 @@ func (w Workload) AvgDegree() float64 {
 // panels, the edgecut·f fetches, 3D's fiber reduce-scatter — of L − 1 layers,
 // each with f = min(f^{l-1}, f^l) in both directions, and the weight-sized
 // terms (f² all-reduces, and in 2D/3D the hidden layers' X·W panels and the
-// row gathers; the T¹ row panels are gathered once per run) of all L. The
-// functions keep the published form, which with one average width f cannot
-// see the second saving at all; callers comparing them with a measured
-// steady-state epoch subtract one layer's aggregation.
+// row gathers; the T¹ row panels are gathered once per run) of all L. A
+// third departure is the mesh trainer's alone: A is static, so a 2D/3D rank
+// keeps the sparse row panels the first SUMMA of each direction delivers
+// and 2D transposes once — the nnz terms of TwoD and ThreeD and 2D's
+// transpose are charged once per run, in the same categories at the same
+// α–β cost, and a steady-state epoch carries none of them. The functions
+// keep the published form, which with one average width f cannot see the
+// second saving at all; callers comparing them with a measured steady-state
+// epoch subtract one layer's aggregation and, for 2D/3D, the nnz terms.
 
 // CommCost is a closed-form per-epoch communication bound: Msgs α-units and
 // Words β-units.
@@ -241,14 +246,20 @@ func TwoDOverOneDWordRatio(p int) float64 {
 // TwoDOverOneDSteadyWordRatio is TwoDOverOneDWordRatio for a steady-state
 // epoch of an L-layer network, under the same assumptions (one width f, so
 // the per-layer product order changes no aggregation's width). Per layer the
-// paper has 2nf words for 1D and 10nf/√P for 2D. Aggregating the input
-// layer once per run takes a whole layer off 1D; off 2D it takes the
-// layer's two SUMMA SpMMs, 4nf/√P, and — the T¹ row panels being gathered
-// once per run — the T¹·W¹ panels, nf/√P; the gather of G¹ for Y¹ and the
-// activation's row gathers recur every epoch. The ratio is
-// (10L−5)/(2(L−1)√P) = 5(2L−1)/(2(L−1)√P): a crossover at √P ≥ 7.5 for
-// L = 2, tending to the paper's 5 as L grows. With L = 1 a 1D epoch moves
-// no vertex-sized data at all and the ratio is +Inf.
+// paper has 2nf words for 1D and 10nf/√P for 2D, of which each of the two
+// SUMMA SpMMs is 2nf/√P: nf/√P of dense panels and nnz/√P ≈ nf/√P of sparse
+// ones. Aggregating the input layer once per run takes a whole layer off
+// 1D; off 2D it takes the layer's two SUMMA SpMMs, 4nf/√P, and — the T¹ row
+// panels being gathered once per run — the T¹·W¹ panels, nf/√P; the gather
+// of G¹ for Y¹ and the activation's row gathers recur every epoch. That
+// leaves (10L−5)nf/√P. The mesh also holds its sparse row panels after the
+// first SUMMA of each direction (and transposes once), so each of the
+// 2(L−1) SUMMA SpMMs left in the epoch moves its dense panels alone, nf/√P
+// instead of 2nf/√P: (10L−5) − 2(L−1) = 8L−3. The ratio is
+// (8L−3)/(2(L−1)√P): a crossover at √P ≥ 6.5 for L = 2, tending to 4 as L
+// grows — below the paper's 5, which charges the sparse panels every epoch.
+// With L = 1 a 1D epoch moves no vertex-sized data at all and the ratio is
+// +Inf.
 //
 // Real networks are not uniform, and there the product order moves the
 // ratio further than this formula shows: each aggregation term on either
@@ -259,7 +270,7 @@ func TwoDOverOneDSteadyWordRatio(layers, p int) float64 {
 		return math.Inf(1)
 	}
 	L := float64(layers)
-	return 5 * (2*L - 1) / (2 * (L - 1) * math.Sqrt(float64(p)))
+	return (8*L - 3) / (2 * (L - 1) * math.Sqrt(float64(p)))
 }
 
 func lgf(p int) float64 {

@@ -100,30 +100,43 @@ func problemFor(ds *graph.Dataset, epochs int) core.Problem {
 	}
 }
 
-// EpochMeasurement is the per-epoch cost of one (dataset, algorithm, P)
-// configuration, obtained by differencing 2-epoch and 1-epoch runs so setup
-// and the final output gather are excluded.
+// EpochMeasurement is the cost of one (dataset, algorithm, P) configuration,
+// split by differencing 2-epoch and 1-epoch runs into the steady-state
+// epoch, run(2) − run(1), and the part a run of any length pays exactly
+// once, 2·run(1) − run(2): set-up, the input aggregation T¹ with 2D/3D's
+// row-panel gather, 2D/3D's sparse row panels in both directions and 2D's
+// transpose exchange (static operands cross the network once), the final
+// forward pass and the output gather. The paper's epoch (§IV-C, Figure 3)
+// charges the sparse panels and the transpose every epoch; here they are
+// charged in the same categories at the same α–β cost, once, so the Once
+// fields are where Figure 3's scomm and trpose bars are read from.
 type EpochMeasurement struct {
 	Dataset   string
 	Algorithm string
 	P         int
-	// TimeByCat is modeled seconds charged per epoch per Figure 3 category
-	// (max across ranks). Under overlap the categories still carry their
-	// full charges, so they sum to more than EpochTime — the difference is
-	// the communication hidden behind compute.
+	// TimeByCat is modeled seconds charged per steady-state epoch per
+	// Figure 3 category (max across ranks). Under overlap the categories
+	// still carry their full charges, so they sum to more than EpochTime —
+	// the difference is the communication hidden behind compute.
 	TimeByCat map[comm.Category]float64
-	// WordsByCat is modeled words moved per epoch (max across ranks).
+	// WordsByCat is modeled words moved per steady-state epoch (max across
+	// ranks).
 	WordsByCat map[comm.Category]int64
-	// EpochTime is the modeled seconds per epoch: the critical-path
-	// Cluster.MaxTotalTime, which equals the bulk-synchronous category sum
-	// without overlap and shrinks below it with overlap on.
+	// EpochTime is the modeled seconds per steady-state epoch: the
+	// critical-path Cluster.MaxTotalTime, which equals the bulk-synchronous
+	// category sum without overlap and shrinks below it with overlap on.
 	EpochTime float64
 	// HiddenCommTime is the per-epoch communication seconds hidden behind
 	// compute (max across ranks); zero without Options.Overlap.
 	HiddenCommTime float64
+	// OnceTimeByCat, OnceWordsByCat and OnceTime are TimeByCat, WordsByCat
+	// and EpochTime for the once-per-run part.
+	OnceTimeByCat  map[comm.Category]float64
+	OnceWordsByCat map[comm.Category]int64
+	OnceTime       float64
 }
 
-// Throughput returns epochs per modeled second.
+// Throughput returns steady-state epochs per modeled second.
 func (m EpochMeasurement) Throughput() float64 {
 	if m.EpochTime <= 0 {
 		return 0
@@ -131,15 +144,22 @@ func (m EpochMeasurement) Throughput() float64 {
 	return 1 / m.EpochTime
 }
 
-// CommWords sums the communication categories.
+// CommWords sums the steady-state epoch's communication categories.
 func (m EpochMeasurement) CommWords() int64 {
 	return m.WordsByCat[comm.CatDenseComm] + m.WordsByCat[comm.CatSparseComm] + m.WordsByCat[comm.CatTranspose]
 }
 
-// MeasureEpoch trains (1-epoch and 2-epoch runs) and returns per-epoch
-// costs.
+// MeasureEpoch trains (1-epoch and 2-epoch runs) and returns the
+// steady-state epoch's and the once-per-run costs.
 func MeasureEpoch(ds *graph.Dataset, algo string, p int, mach costmodel.Machine) (EpochMeasurement, error) {
 	return MeasureEpochOpts(ds, algo, p, Options{Machine: mach})
+}
+
+// runCost is what the ledgers hold after one whole run, max across ranks.
+type runCost struct {
+	time          map[comm.Category]float64
+	words         map[comm.Category]int64
+	total, hidden float64
 }
 
 // MeasureEpochOpts is MeasureEpoch honoring the full option set: for the
@@ -148,37 +168,37 @@ func MeasureEpoch(ds *graph.Dataset, algo string, p int, mach costmodel.Machine)
 // ignore both — their layouts are not row-partitioned).
 func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMeasurement, error) {
 	o = o.WithDefaults()
-	run := func(epochs int) (map[comm.Category]float64, map[comm.Category]int64, float64, float64, error) {
+	run := func(epochs int) (runCost, error) {
 		tr, err := core.NewTrainer(algo, p, o.Machine)
 		if err != nil {
-			return nil, nil, 0, 0, err
+			return runCost{}, err
 		}
 		problem := problemFor(ds, epochs)
 		if o.rowConfigured(algo) {
 			if err := configureRowTrainer(tr, &problem, ds, o); err != nil {
-				return nil, nil, 0, 0, err
+				return runCost{}, err
 			}
 		}
 		if o.Overlap {
 			if err := core.SetOverlap(tr, true); err != nil {
-				return nil, nil, 0, 0, err
+				return runCost{}, err
 			}
 		}
 		if _, err := tr.Train(problem); err != nil {
-			return nil, nil, 0, 0, err
+			return runCost{}, err
 		}
 		dt, ok := tr.(core.DistTrainer)
 		if !ok {
-			return nil, nil, 0, 0, fmt.Errorf("harness: %q is not a distributed trainer", algo)
+			return runCost{}, fmt.Errorf("harness: %q is not a distributed trainer", algo)
 		}
-		return dt.Cluster().MaxTimeByCategory(), dt.Cluster().MaxWordsByCategory(),
-			dt.Cluster().MaxTotalTime(), dt.Cluster().MaxHiddenCommTime(), nil
+		cl := dt.Cluster()
+		return runCost{cl.MaxTimeByCategory(), cl.MaxWordsByCategory(), cl.MaxTotalTime(), cl.MaxHiddenCommTime()}, nil
 	}
-	t1, w1, e1, h1, err := run(1)
+	one, err := run(1)
 	if err != nil {
 		return EpochMeasurement{}, err
 	}
-	t2, w2, e2, h2, err := run(2)
+	two, err := run(2)
 	if err != nil {
 		return EpochMeasurement{}, err
 	}
@@ -186,14 +206,19 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 		Dataset: ds.Name, Algorithm: algo, P: p,
 		TimeByCat:      make(map[comm.Category]float64),
 		WordsByCat:     make(map[comm.Category]int64),
-		EpochTime:      e2 - e1,
-		HiddenCommTime: h2 - h1,
+		EpochTime:      two.total - one.total,
+		HiddenCommTime: two.hidden - one.hidden,
+		OnceTimeByCat:  make(map[comm.Category]float64),
+		OnceWordsByCat: make(map[comm.Category]int64),
+		OnceTime:       2*one.total - two.total,
 	}
-	for k, v := range t2 {
-		m.TimeByCat[k] = v - t1[k]
+	for k, v := range two.time {
+		m.TimeByCat[k] = v - one.time[k]
+		m.OnceTimeByCat[k] = 2*one.time[k] - v
 	}
-	for k, v := range w2 {
-		m.WordsByCat[k] = v - w1[k]
+	for k, v := range two.words {
+		m.WordsByCat[k] = v - one.words[k]
+		m.OnceWordsByCat[k] = 2*one.words[k] - v
 	}
 	return m, nil
 }
@@ -441,7 +466,7 @@ type CrossoverRow struct {
 	TwoDWords     int64
 	MeasuredRatio float64 // 2D/1D
 	// AnalyticRatio is the §IV-C-5 simplification for a steady-state
-	// epoch, 5(2L−1)/(2(L−1)√P): costmodel.TwoDOverOneDSteadyWordRatio.
+	// epoch, (8L−3)/(2(L−1)√P): costmodel.TwoDOverOneDSteadyWordRatio.
 	AnalyticRatio float64
 }
 
@@ -449,8 +474,10 @@ type CrossoverRow struct {
 // overtakes 1D. The paper's §VI-d puts it at √P ≥ 5 with every layer paying
 // both aggregations at its own widths; a steady-state epoch skips the input
 // layer's, which is most of 1D's traffic on a wide-input dataset and less
-// of 2D's, and aggregates every other layer at min(f^{l-1}, f^l), so the
-// measured crossover sits further out.
+// of 2D's, and aggregates every other layer at min(f^{l-1}, f^l), which
+// pushes the crossover out; it also carries none of 2D's sparse panels —
+// the mesh holds them after the first SUMMA of each direction — which pulls
+// it back in: (8L−3)/2(L−1), √P ≥ 6.5 at L = 2.
 func Crossover(o Options) ([]CrossoverRow, error) {
 	o = o.WithDefaults()
 	spec, err := o.dataset("amazon-sim")
@@ -492,12 +519,16 @@ type Algo3DRow struct {
 	// Replication is the analytic intermediate-stage memory replication
 	// factor (P^{1/3} for 3D, c for 1.5D).
 	Replication float64
-	// PeakMemWords is the measured per-rank peak resident footprint.
+	// PeakMemWords is the measured per-rank peak resident footprint. For 2D
+	// and 3D it includes the sparse row panels a rank holds for the whole
+	// run — nnz/√P words per direction (one set, nnz/P^{2/3}, in 3D) where
+	// the paper's layout has nnz/P: the memory the mesh spends so that A
+	// crosses the network once (core/mesh.go).
 	PeakMemWords int64
 }
 
-// Algo3D measures 1D, 1.5D, 2D, and 3D per-epoch words at a cube rank
-// count (§IV-D).
+// Algo3D measures 1D, 1.5D, 2D, and 3D steady-state words per epoch and
+// peak memory at a cube rank count (§IV-D).
 func Algo3D(o Options) ([]Algo3DRow, error) {
 	o = o.WithDefaults()
 	spec, err := o.dataset("protein-sim")
