@@ -56,10 +56,11 @@ func withKernelBackend(b *testing.B, backend parallel.Backend, body func()) {
 var kernelBackends = []parallel.Backend{parallel.BackendSerial, parallel.BackendParallel}
 
 // BenchmarkSpMM measures the raw SpMM kernel (dst = A·X, the paper's
-// dominant cost) on the reddit-sim normalized adjacency at full scale,
-// serial vs parallel. Both backends are bit-identical; the parallel one
-// row-partitions across runtime.NumCPU workers (override with
-// CAGNET_WORKERS), so the gflops ratio of the pair is the kernel speedup.
+// dominant cost, and with Aᵀ for A every forward aggregation too) on the
+// reddit-sim normalized adjacency at full scale, serial vs parallel. Both
+// backends are bit-identical; the parallel one splits the rows by nonzero
+// count across runtime.NumCPU workers (override with CAGNET_WORKERS), so
+// the gflops ratio of the pair is the kernel speedup.
 func BenchmarkSpMM(b *testing.B) {
 	ds := benchDataset(b, "reddit-sim")
 	a := ds.Graph.NormalizedAdjacency()
@@ -76,31 +77,6 @@ func BenchmarkSpMM(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sparse.SpMM(dst, a, x)
-				}
-				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		})
-	}
-}
-
-// BenchmarkSpMMT measures the transposed kernel (dst = Aᵀ·X) used by every
-// forward layer, serial vs parallel owner-computes.
-func BenchmarkSpMMT(b *testing.B) {
-	ds := benchDataset(b, "reddit-sim")
-	a := ds.Graph.NormalizedAdjacency()
-	rng := rand.New(rand.NewSource(2))
-	x := dense.New(a.Rows, ds.FeatureLen())
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	dst := dense.New(a.Cols, x.Cols)
-	flops := sparse.SpMMFlops(a, x.Cols)
-	for _, backend := range kernelBackends {
-		b.Run(backend.String(), func(b *testing.B) {
-			withKernelBackend(b, backend, func() {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.SpMMT(dst, a, x)
 				}
 				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
 			})
@@ -137,47 +113,6 @@ func BenchmarkGEMM(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMMTPlan pairs the binary-search SpMMT kernel against the
-// precomputed TransposePlan gather on the same operands, serial vs
-// parallel. The plan pays its index work once at build time (outside the
-// timer, as in training where it is built at setup), so the pair measures
-// the steady-state win of replacing per-call sort.SearchInts partitioning
-// and scattered writes with sequential gathers. Outputs are bit-identical.
-func BenchmarkSpMMTPlan(b *testing.B) {
-	ds := benchDataset(b, "reddit-sim")
-	a := ds.Graph.NormalizedAdjacency()
-	rng := rand.New(rand.NewSource(2))
-	x := dense.New(a.Rows, ds.FeatureLen())
-	for i := range x.Data {
-		x.Data[i] = rng.NormFloat64()
-	}
-	dst := dense.New(a.Cols, x.Cols)
-	flops := sparse.SpMMFlops(a, x.Cols)
-	plan := sparse.NewTransposePlan(a)
-	for _, backend := range kernelBackends {
-		b.Run("search/"+backend.String(), func(b *testing.B) {
-			withKernelBackend(b, backend, func() {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sparse.SpMMT(dst, a, x)
-				}
-				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		})
-		b.Run("plan/"+backend.String(), func(b *testing.B) {
-			withKernelBackend(b, backend, func() {
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					plan.SpMMT(dst, x)
-				}
-				b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "gflops")
-			})
-		})
-	}
-}
-
 // setupScale is the R-MAT scale of the set-up benchmarks' graphs: the
 // wall-clock benchmark's (benchmark/workloads.go), cut by 3 under -short.
 func setupScale(full int) int {
@@ -207,8 +142,8 @@ func BenchmarkNewCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkNormalizedAdjacency times what every Train call, cagnet-worker
-// rank and minibatch step pays before its first epoch — edge list to
+// BenchmarkNormalizedAdjacency times what every Train call and cagnet-worker
+// rank pays before its first epoch — edge list to
 // D^{-1/2}(A+I)D^{-1/2} — on the graphs of two wall-clock workloads.
 func BenchmarkNormalizedAdjacency(b *testing.B) {
 	for _, tc := range []struct {

@@ -63,8 +63,8 @@ var Optimizers = nn.Optimizers
 var Transports = []string{"inproc", "tcp"}
 
 // Precisions lists the selectable arithmetic precisions: "f64" (default,
-// bit-identical everywhere) and "f32" (mixed precision, serial only,
-// tolerance-validated).
+// bit-identical everywhere) and "f32" (mixed precision: the serial trainer
+// instantiated at float32, so serial only; tolerance-validated).
 var Precisions = []string{core.PrecisionF64, core.PrecisionF32}
 
 // Datasets lists the built-in synthetic analogs of the paper's Table VI
@@ -176,7 +176,8 @@ type TrainOptions struct {
 	// mixed-precision training — float32 storage and compute for the large
 	// per-vertex matrices, float64 master weights, optimizer state, and row
 	// reductions (log-sum-exp, loss). Tolerance-validated, not
-	// bit-identical. Serial algorithm only; distributed trainers reject it.
+	// bit-identical. It is the serial trainer's element type, so serial
+	// only; distributed trainers reject it.
 	Precision string
 	// Transport selects the fabric the ranks communicate over: "" or
 	// "inproc" (default) runs them as goroutines on the simulated channel

@@ -39,9 +39,7 @@ type experiment struct {
 
 // experiments is the whole tool, in -exp all order. -halo, -partitioner
 // and -overlap reach the experiments that measure configurable 1D/1.5D runs
-// (partition and overlap always measure both modes themselves); -optimizer
-// only changes convergence (optimizer state is replicated, so it moves no
-// words anywhere else).
+// (partition and overlap always measure both modes themselves).
 var experiments = []experiment{
 	{"tableVI", nil, (*bench).tableVI},
 	{"fig2", nil, (*bench).fig2},
@@ -51,7 +49,6 @@ var experiments = []experiment{
 	{"algo3d", []string{"halo", "partitioner", "overlap"}, (*bench).algo3D},
 	{"overlap", nil, (*bench).overlap},
 	{"scaling", nil, (*bench).scaling},
-	{"convergence", []string{"optimizer"}, (*bench).convergence},
 }
 
 // names lists the -exp names of es, in order.
@@ -111,7 +108,7 @@ func validateConsumed(explicit map[string]bool, selected []experiment) error {
 type bench struct {
 	exp, machine, backend, jsonPath string
 	workers                         int
-	// opts carries -quick, -optimizer, -halo, -partitioner, -overlap and
+	// opts carries -quick, -halo, -partitioner, -overlap and
 	// the resolved -machine to every experiment.
 	opts  harness.Options
 	out   io.Writer
@@ -127,7 +124,6 @@ func newFlagSet(b *bench) *flag.FlagSet {
 	fs.StringVar(&b.exp, "exp", "all", "experiment: all, "+strings.Join(names(experiments), ", "))
 	fs.BoolVar(&b.opts.Quick, "quick", false, "use reduced dataset sizes")
 	fs.StringVar(&b.machine, "machine", costmodel.SummitSim.Name, "cost-model machine profile")
-	fs.StringVar(&b.opts.Optimizer, "optimizer", "sgd", "weight-update rule: sgd, momentum, adam"+readBy("optimizer"))
 	fs.BoolVar(&b.opts.Halo, "halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements"+readBy("halo"))
 	fs.StringVar(&b.opts.Partitioner, "partitioner", "", "vertex partitioner for 1d/1.5d measurements: block, random, ldg"+readBy("partitioner"))
 	fs.BoolVar(&b.opts.Overlap, "overlap", false, "pipeline the measurements with non-blocking collectives"+readBy("overlap")+"; the overlap experiment always measures both modes")
@@ -142,7 +138,6 @@ func newFlagSet(b *bench) *flag.FlagSet {
 type benchSnapshot struct {
 	Machine     string         `json:"machine"`
 	Quick       bool           `json:"quick"`
-	Optimizer   string         `json:"optimizer"`
 	Halo        bool           `json:"halo"`
 	Partitioner string         `json:"partitioner,omitempty"`
 	Overlap     bool           `json:"overlap,omitempty"`
@@ -195,7 +190,7 @@ func run(args []string, stdout io.Writer) error {
 
 	o := b.opts
 	snapshot := benchSnapshot{
-		Machine: o.Machine.Name, Quick: o.Quick, Optimizer: o.Optimizer,
+		Machine: o.Machine.Name, Quick: o.Quick,
 		Halo: o.Halo, Partitioner: o.Partitioner, Overlap: o.Overlap,
 		Experiments: map[string]any{},
 	}
@@ -425,24 +420,6 @@ func (b *bench) overlap() (any, error) {
 arrive, never what is sent (outputs are bit-identical).
 
 `)
-	return rows, nil
-}
-
-func (b *bench) convergence() (any, error) {
-	rows, err := harness.Convergence(b.opts)
-	if err != nil {
-		return nil, err
-	}
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Method, strconv.Itoa(r.Epochs),
-			harness.FormatFloat(r.Accuracy), harness.FormatFloat(r.FinalLoss),
-			strconv.Itoa(r.PeakVertices),
-		})
-	}
-	b.table("== §I: full-batch vs sampled mini-batch training ==",
-		[]string{"method", "epochs", "accuracy", "final-loss", "peak-vertices/step"}, cells)
 	return rows, nil
 }
 

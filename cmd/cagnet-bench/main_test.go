@@ -43,7 +43,6 @@ func TestValidateConsumedRejections(t *testing.T) {
 		"partitioner with fig3":    {[]string{"partitioner"}, "fig3"},
 		"overlap with fig2":        {[]string{"overlap"}, "fig2"},
 		"overlap with overlap-exp": {[]string{"overlap"}, "overlap"},
-		"optimizer with scaling":   {[]string{"optimizer"}, "scaling"},
 	}
 	for name, tc := range cases {
 		if err := validateConsumed(set(tc.explicit...), pick(t, tc.selected)); err == nil {
@@ -59,13 +58,12 @@ func TestValidateConsumedAccepts(t *testing.T) {
 		explicit []string
 		selected string
 	}{
-		"halo with all":           {[]string{"halo"}, "all"},
-		"everything with all":     {[]string{"halo", "partitioner", "overlap", "optimizer"}, "all"},
-		"halo with crossover":     {[]string{"halo"}, "crossover"},
-		"overlap with algo3d":     {[]string{"overlap"}, "algo3d"},
-		"optimizer w convergence": {[]string{"optimizer"}, "convergence"},
-		"unrelated flags":         {[]string{"quick", "machine", "json"}, "fig2"},
-		"nothing explicit":        {nil, "fig2"},
+		"halo with all":       {[]string{"halo"}, "all"},
+		"everything with all": {[]string{"halo", "partitioner", "overlap"}, "all"},
+		"halo with crossover": {[]string{"halo"}, "crossover"},
+		"overlap with algo3d": {[]string{"overlap"}, "algo3d"},
+		"unrelated flags":     {[]string{"quick", "machine", "json"}, "fig2"},
+		"nothing explicit":    {nil, "fig2"},
 	}
 	for name, tc := range cases {
 		if err := validateConsumed(set(tc.explicit...), pick(t, tc.selected)); err != nil {
@@ -74,11 +72,11 @@ func TestValidateConsumedAccepts(t *testing.T) {
 	}
 }
 
-// TestExperimentTable: the table is the nine modeled experiments, and every
+// TestExperimentTable: the table is the eight modeled experiments, and every
 // flag an entry claims to read is one the tool defines.
 func TestExperimentTable(t *testing.T) {
-	if len(experiments) != 9 {
-		t.Errorf("%d experiments, want the nine modeled ones", len(experiments))
+	if len(experiments) != 8 {
+		t.Errorf("%d experiments, want the eight modeled ones", len(experiments))
 	}
 	fs := newFlagSet(new(bench))
 	for _, e := range experiments {
@@ -91,10 +89,10 @@ func TestExperimentTable(t *testing.T) {
 }
 
 // TestRunRejections: a command line the tool cannot honour fails before any
-// experiment runs — nothing on stdout — and an unknown experiment, the three
-// retired wall-clock ones included, is answered with the nine valid names.
+// experiment runs — nothing on stdout — and an unknown experiment, the
+// retired ones included, is answered with the eight valid names.
 func TestRunRejections(t *testing.T) {
-	for _, exp := range []string{"nope", "kernels", "transport", "fault", ""} {
+	for _, exp := range []string{"nope", "kernels", "transport", "fault", "convergence", ""} {
 		var out bytes.Buffer
 		err := run([]string{"-exp", exp, "-quick"}, &out)
 		if err == nil {
@@ -114,6 +112,7 @@ func TestRunRejections(t *testing.T) {
 		"unread flag":      {"-exp", "tableVI", "-quick", "-halo"},
 		"unknown machine":  {"-exp", "tableVI", "-quick", "-machine", "abacus"},
 		"unknown backend":  {"-exp", "tableVI", "-quick", "-backend", "gpu"},
+		"retired flag":     {"-exp", "tableVI", "-quick", "-optimizer", "adam"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {
@@ -137,14 +136,13 @@ func TestRunJSONDocument(t *testing.T) {
 	var doc struct {
 		Machine     string
 		Quick       bool
-		Optimizer   string
 		Experiments map[string][]map[string]any
 	}
 	if err := json.Unmarshal(buf, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Machine != "laptop-cpu" || !doc.Quick || doc.Optimizer != "sgd" {
-		t.Errorf("header %+v does not echo -machine laptop-cpu -quick and the default optimizer", doc)
+	if doc.Machine != "laptop-cpu" || !doc.Quick {
+		t.Errorf("header %+v does not echo -machine laptop-cpu -quick", doc)
 	}
 	if len(doc.Experiments) != 1 || len(doc.Experiments["tableVI"]) != 3 {
 		t.Errorf("experiments = %v, want tableVI alone with three rows", doc.Experiments)

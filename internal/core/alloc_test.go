@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/dense"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 )
 
 // This file asserts the PR-4 tentpole: after a warm-up epoch has populated
-// the workspaces, kernel plans, and the fabric's payload pool, one engine
+// the workspaces and the fabric's payload pool, one engine
 // epoch of every trainer performs zero heap allocations.
 //
 // The tests run under the serial compute backend: the parallel backend's
@@ -75,9 +76,34 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 	return avg
 }
 
+// warmSerialEpoch builds the serial engine o selects for p, warms it as
+// run() would — T¹, then two epochs to size the workspace and, at float32,
+// the engine's weight and gradient copies — and returns one steady-state
+// epoch.
+func warmSerialEpoch(p Problem, o KernelOptions) (epoch func()) {
+	if o.Precision == PrecisionF32 {
+		return warmSerialEpochIn[float32](p, o.Reference)
+	}
+	return warmSerialEpochIn[float64](p, o.Reference)
+}
+
+func warmSerialEpochIn[T dense.Elem](p Problem, ref bool) func() {
+	cfg := p.Config.WithDefaults()
+	eng := newSerialEngine[T](cfg, p, ref)
+	eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
+	weights := nn.InitWeights(cfg)
+	epoch := func() {
+		eng.epoch(weights)
+		eng.ops.endEpoch()
+	}
+	epoch()
+	epoch()
+	return epoch
+}
+
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
-// nothing once the workspace and transpose plan are warm — on each of the
-// three kernel paths: default, float32 mixed precision, and reference.
+// nothing once the workspace is warm — on each of the three kernel paths:
+// default, float32 mixed precision, and reference.
 func TestSteadyStateAllocsSerial(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
@@ -91,20 +117,8 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := testProblem(t, 256, 16, 16, 8, 1, 71)
-			cfg := p.Config.WithDefaults()
-			ops := tc.o.ops(cfg, p)
-			eng := newEngine(ops, cfg, p)
-			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
-			weights := nn.InitWeights(cfg)
-			for i := 0; i < 2; i++ {
-				eng.epoch(weights)
-				ops.endEpoch()
-			}
-			if avg := testing.AllocsPerRun(5, func() {
-				eng.epoch(weights)
-				ops.endEpoch()
-			}); avg != 0 {
+			epoch := warmSerialEpoch(testProblem(t, 256, 16, 16, 8, 1, 71), tc.o)
+			if avg := testing.AllocsPerRun(5, epoch); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times, want 0", tc.name, avg)
 			}
 		})

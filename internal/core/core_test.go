@@ -128,12 +128,13 @@ func TestSerialGradientNumerical(t *testing.T) {
 		dense.Sub(analytic, w0[l], res.Weights[l])
 
 		// Numerical gradient of the initial loss wrt W^l.
+		at := p.A.Transpose()
 		lossAt := func(weights []*dense.Matrix) float64 {
 			n := p.A.Rows
 			h := p.Features
 			for layer := 1; layer <= cfg.Layers(); layer++ {
 				tmp := dense.New(n, cfg.Widths[layer-1])
-				sparse.SpMMT(tmp, p.A, h)
+				sparse.SpMM(tmp, at, h)
 				z := dense.New(n, cfg.Widths[layer])
 				dense.Mul(z, tmp, weights[layer-1])
 				h = dense.New(n, cfg.Widths[layer])

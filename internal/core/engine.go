@@ -18,14 +18,22 @@ import (
 //
 // Methods are called in a fixed order on every rank (the engine code is
 // identical everywhere), which keeps the simulated collectives aligned.
-type layerOps interface {
+//
+// The contract is typed in its element T: every matrix that crosses it —
+// activations, aggregates, gradients, the replicated weights — is a
+// dense.Of[T], so an implementation computes in T throughout and the
+// compiler checks what it is handed. The float64 master weights and the
+// optimizer stay with the engine (see engine.epoch). There are three
+// implementations: serialOps[T] (float64, and float32 for -precision f32),
+// rowRank (1D, 1.5D) and meshRank (2D, 3D), the last two over float64.
+type layerOpsOf[T dense.Elem] interface {
 	// rank returns this rank's id (0 for the serial layouts). The engine
 	// uses it to write checkpoints on rank 0 only — the state is
 	// replicated, so one copy is the whole world's.
 	rank() int
 
 	// input returns this rank's block of the input features H⁰.
-	input() *dense.Matrix
+	input() *dense.Of[T]
 
 	// forwardAggregate returns this rank's block of Aᵀ·X, where x is this
 	// rank's block of X: H^{l-1} when layer l aggregates first, H^{l-1}·W^l
@@ -36,33 +44,33 @@ type layerOps interface {
 	// endEpoch, so at l = 1 the implementation returns storage endEpoch does
 	// not recycle (Workspace.Keep) and counts it as resident; for l > 1 the
 	// result is epoch-scoped like every other temporary.
-	forwardAggregate(x *dense.Matrix, l int) *dense.Matrix
+	forwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
 	// multiplyWeight returns this rank's block of X·W for the replicated
 	// weight matrix w of layer l: x is T^l = Aᵀ·H^{l-1} when the layer
 	// aggregates first (the product is then Z^l), H^{l-1} when it
 	// multiplies first.
-	multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix
+	multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T]
 
 	// activationForward applies act to z, returning this rank's H block
 	// plus any full-row cache the layout needs again in backward (nil for
 	// row-partitioned layouts, which apply even row-wise activations
 	// locally).
-	activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache)
+	activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T])
 
 	// lossGrad returns this rank's loss contribution and its block of
 	// ∂L/∂H^L, both normalized by the global supervised-vertex count.
-	lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix)
+	lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T])
 
 	// activationBackward returns G^l = act'(∂L/∂H^l) from the layer's
 	// forward output h = H^l (dense.Activation.Backward reads the output).
-	activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix
+	activationBackward(act dense.Activation, dH, h *dense.Of[T], cache *actCacheOf[T], l int) *dense.Of[T]
 
 	// backwardAggregate returns this rank's block of A·X at width x.Cols:
 	// X is G^l in a multiply-first layer (the result feeds weightGrad and
 	// inputGrad), G^l·(W^l)ᵀ in an aggregate-first one (the result is
 	// ∂L/∂H^{l-1}). Never called at l = 1.
-	backwardAggregate(x *dense.Matrix, l int) *dense.Matrix
+	backwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
 	// weightGrad returns the fully replicated Y^l = hPrevᵀ·g. The operands
 	// are (H^{l-1}, A·G^l) after a backwardAggregate in a multiply-first
@@ -71,12 +79,12 @@ type layerOps interface {
 	// 3D) gathers them here unless it already holds them — a row-wise
 	// activation backward computed G^l on full rows — and inputGrad(g)
 	// reuses that gather.
-	weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix
+	weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T]
 
 	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
 	// ∂L/∂H^{l-1} when g is A·G^l, its pre-aggregation form when g is G^l.
 	// Called only for l > 1, always after weightGrad(·, g, l).
-	inputGrad(g, w *dense.Matrix, l int) *dense.Matrix
+	inputGrad(g, w *dense.Of[T], l int) *dense.Of[T]
 
 	// endEpoch charges per-epoch overhead after the optimizer step.
 	endEpoch()
@@ -86,7 +94,7 @@ type layerOps interface {
 	// every global row on exactly one rank. cache is the output layer's
 	// actCache, if any; layouts without full output rows gather them once
 	// for all masks.
-	correctCounts(hOut *dense.Matrix, cache *actCache, masks ...[]bool) []float64
+	correctCounts(hOut *dense.Of[T], cache *actCacheOf[T], masks ...[]bool) []float64
 
 	// reduce sums per-rank scalar contributions across all ranks
 	// (identity for serial).
@@ -94,39 +102,52 @@ type layerOps interface {
 
 	// gatherOutput assembles the global output matrix on rank 0 and
 	// returns nil on every other rank.
-	gatherOutput(hOut *dense.Matrix) *dense.Matrix
+	gatherOutput(hOut *dense.Of[T]) *dense.Of[T]
 }
+
+// layerOps is the float64 contract the distributed ranks implement.
+type layerOps = layerOpsOf[float64]
 
 // actCache carries layout-private full-row state from activationForward to
 // activationBackward and the accuracy counters. Row-partitioned layouts
 // never need one; the 2D/3D layouts fill it when a row-wise activation
 // forced an all-gather, so backward reuses the gathered rows instead of
 // re-communicating.
-type actCache struct {
+type actCacheOf[T dense.Elem] struct {
 	// hRow holds full rows of the post-activation H.
-	hRow *dense.Matrix
+	hRow *dense.Of[T]
 }
+
+// actCache is the float64 cache of the distributed ranks.
+type actCache = actCacheOf[float64]
 
 // hRowOr returns the cached full-row H, or gather() when no cache exists
 // (element-wise output activations never gathered rows).
-func (c *actCache) hRowOr(gather func() *dense.Matrix) *dense.Matrix {
+func (c *actCacheOf[T]) hRowOr(gather func() *dense.Of[T]) *dense.Of[T] {
 	if c != nil && c.hRow != nil {
 		return c.hRow
 	}
 	return gather()
 }
 
-// engine runs per-rank GCN training over a layerOps implementation. One
-// engine instance executes on every rank; all five trainers (and the
-// mini-batch trainer's inner steps) share it.
+// engine runs per-rank GCN training over a layerOps implementation in its
+// element type T. One engine instance executes on every rank; all five
+// trainers share it.
+//
+// The master weights, the optimizer and the Result are float64 whatever T
+// is. They meet the ops' element in three places, each a dense.As — the
+// same pointer when T is float64, a rounding copy into a buffer the engine
+// keeps when it is not: W goes down before the forward pass, each dW comes
+// up before the optimizer step, the gathered output comes up at the end.
+// Everything else the engine touches stays in T.
 //
 // The per-epoch activation/gradient bookkeeping slices live on the engine
 // and are reused across epochs: together with the layerOps drawing their
 // matrix temporaries from a dense.Workspace (released at endEpoch) and the
 // comm fabric recycling its payload buffers at the same boundary, the
 // steady-state epoch loop performs zero heap allocations after epoch one.
-type engine struct {
-	ops  layerOps
+type engine[T dense.Elem] struct {
+	ops  layerOpsOf[T]
 	cfg  nn.Config
 	opt  nn.Optimizer
 	ckpt checkpoint.Options
@@ -146,15 +167,16 @@ type engine struct {
 
 	// t1 is this rank's block of T¹ = Aᵀ·H⁰, set by aggregateInput. H⁰ is
 	// the input, so T¹ is a constant of the run, not of the epoch.
-	t1 *dense.Matrix
+	t1 *dense.Of[T]
 
-	// Reused per-epoch bookkeeping, sized on first use: activations, the
+	// Reused per-epoch bookkeeping: the weights in T, activations, the
 	// aggregates T^l of the aggregate-first layers, activation caches,
-	// weight gradients, the 1-slot loss-reduction buffer, the drain-vote
-	// buffer, and the accuracy mask list.
-	h        []*dense.Matrix
-	t        []*dense.Matrix
-	caches   []*actCache
+	// float64 weight gradients, the 1-slot loss-reduction buffer, the
+	// drain-vote buffer, and the accuracy mask list.
+	w        []*dense.Of[T]
+	h        []*dense.Of[T]
+	t        []*dense.Of[T]
+	caches   []*actCacheOf[T]
 	dW       []*dense.Matrix
 	scalar   []float64
 	drainBuf []float64
@@ -162,8 +184,9 @@ type engine struct {
 }
 
 // newEngine builds the engine for one full training run of p.
-func newEngine(ops layerOps, cfg nn.Config, p Problem) *engine {
-	return &engine{
+func newEngine[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, p Problem) *engine[T] {
+	L := cfg.Layers()
+	return &engine[T]{
 		ops:       ops,
 		cfg:       cfg,
 		opt:       cfg.NewOptimizer(),
@@ -172,13 +195,19 @@ func newEngine(ops layerOps, cfg nn.Config, p Problem) *engine {
 		labels:    p.Labels,
 		trainMask: p.TrainMask,
 		valMask:   p.ValMask,
+		w:         make([]*dense.Of[T], L),
+		h:         make([]*dense.Of[T], L+1),
+		t:         make([]*dense.Of[T], L+1),
+		caches:    make([]*actCacheOf[T], L+1),
+		dW:        make([]*dense.Matrix, L),
+		scalar:    make([]float64, 1),
 	}
 }
 
 // meta records the algorithm name and world size for snapshot metadata.
 // Trainers call it between newEngine and run; the zero values are legal
 // (snapshots then just carry no provenance).
-func (e *engine) meta(algo string, world int) *engine {
+func (e *engine[T]) meta(algo string, world int) *engine[T] {
 	e.algo, e.world = algo, world
 	return e
 }
@@ -204,17 +233,27 @@ func aggregatesFirst(widths []int, l int) bool {
 	return l == 1 || widths[l-1] <= widths[l]
 }
 
-// aggregateInput computes T¹ = Aᵀ·H⁰ for the ops' current (A, H⁰). Every
-// epoch and the final forward pass read it, so whoever drives epoch or
-// forward calls this first: run once per run, the mini-batch trainer once
-// per step, after retargeting the ops at the step's subgraph.
-func (e *engine) aggregateInput() {
+// aggregateInput computes T¹ = Aᵀ·H⁰. Every epoch and the final forward
+// pass read it, so whoever drives epoch or forward calls this first; run
+// does, once.
+func (e *engine[T]) aggregateInput() {
 	e.t1 = e.ops.forwardAggregate(e.ops.input(), 1)
+}
+
+// weightsInT returns the master weights as the ops compute on them: the
+// masters themselves when T is float64, otherwise their rounding into the
+// engine's own T copies — taken afresh at every call, since the optimizer
+// has stepped the masters since the last one.
+func (e *engine[T]) weightsInT(weights []*dense.Matrix) []*dense.Of[T] {
+	for l, w := range weights {
+		dense.As(&e.w[l], w)
+	}
+	return e.w
 }
 
 // preActivation returns Z^l = Aᵀ·H^{l-1}·W^l in layer l's product order,
 // and the aggregate T^l when that order forms one (nil otherwise).
-func (e *engine) preActivation(hPrev, w *dense.Matrix, l int) (z, t *dense.Matrix) {
+func (e *engine[T]) preActivation(hPrev, w *dense.Of[T], l int) (z, t *dense.Of[T]) {
 	if !aggregatesFirst(e.cfg.Widths, l) {
 		return e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l), l), nil
 	}
@@ -228,24 +267,17 @@ func (e *engine) preActivation(hPrev, w *dense.Matrix, l int) (z, t *dense.Matri
 // epoch runs one forward pass, loss reduction, backward recursion, and
 // optimizer step, updating weights in place. It returns the global loss,
 // the output-layer activation block, and its cache (for accuracy
-// tracking). aggregateInput must have run for the ops' current input.
-func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCache) {
+// tracking). aggregateInput must have run.
+func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actCacheOf[T]) {
 	L := e.cfg.Layers()
-	if len(e.h) != L+1 {
-		e.h = make([]*dense.Matrix, L+1)
-		e.t = make([]*dense.Matrix, L+1)
-		e.caches = make([]*actCache, L+1)
-		e.dW = make([]*dense.Matrix, L)
-		e.scalar = make([]float64, 1)
-	}
-	H, T, caches, dW := e.h, e.t, e.caches, e.dW
+	W, H, aggs, caches, dW := e.weightsInT(weights), e.h, e.t, e.caches, e.dW
 
 	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l). Activations — and T^l
 	// where the layer forms it — are retained for backpropagation: the
 	// O(nfL) memory cost the paper's conclusion discusses.
 	for l := 1; l <= L; l++ {
-		var z *dense.Matrix
-		z, T[l] = e.preActivation(H[l-1], weights[l-1], l)
+		var z *dense.Of[T]
+		z, aggs[l] = e.preActivation(H[l-1], W[l-1], l)
 		H[l], caches[l] = e.ops.activationForward(e.cfg.Activation(l), z, l)
 	}
 
@@ -261,16 +293,16 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 	// alone (A need not be symmetric). The recursion ends at l = 1, where no
 	// input gradient is wanted: the widest layer is never aggregated.
 	for l := L; l >= 1; l-- {
-		w := weights[l-1]
+		w := W[l-1]
 		g := e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
 		if aggregatesFirst(e.cfg.Widths, l) {
-			dW[l-1] = e.ops.weightGrad(T[l], g, l)
+			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l))
 			if l > 1 {
 				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l), l)
 			}
 		} else {
 			ag := e.ops.backwardAggregate(g, l)
-			dW[l-1] = e.ops.weightGrad(H[l-1], ag, l)
+			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l))
 			dH = e.ops.inputGrad(ag, w, l)
 		}
 	}
@@ -283,10 +315,11 @@ func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix, *actCac
 
 // forward runs inference with fixed weights and returns this rank's block
 // of H^L. Like epoch, it starts from the T¹ aggregateInput left.
-func (e *engine) forward(weights []*dense.Matrix) *dense.Matrix {
-	var out *dense.Matrix
+func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
+	W := e.weightsInT(weights)
+	var out *dense.Of[T]
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		z, _ := e.preActivation(out, weights[l-1], l)
+		z, _ := e.preActivation(out, W[l-1], l)
 		out, _ = e.ops.activationForward(e.cfg.Activation(l), z, l)
 	}
 	return out
@@ -299,7 +332,7 @@ func (e *engine) forward(weights []*dense.Matrix) *dense.Matrix {
 // one every Checkpoint.Every epochs plus one at the end; the resumed run
 // replays the identical deterministic schedule, so its losses and weights
 // are bit-for-bit the ones the uninterrupted run would have produced.
-func (e *engine) run() (*Result, error) {
+func (e *engine[T]) run() (*Result, error) {
 	weights := nn.InitWeights(e.cfg)
 	losses := make([]float64, 0, e.cfg.Epochs)
 	var trainAcc, valAcc []float64
@@ -359,10 +392,12 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 
-	full := e.ops.gatherOutput(e.forward(weights))
-	if full == nil {
+	gathered := e.ops.gatherOutput(e.forward(weights))
+	if gathered == nil {
 		return nil, nil
 	}
+	var full *dense.Matrix
+	dense.As(&full, gathered)
 	return &Result{
 		Weights:       weights,
 		Output:        full,
@@ -381,7 +416,7 @@ func (e *engine) run() (*Result, error) {
 // rank that was not signalled drains anyway the moment any peer was. The
 // collective only runs when a drain hook is installed, keeping default
 // runs' communication ledgers and allocation counts untouched.
-func (e *engine) drainRequested() bool {
+func (e *engine[T]) drainRequested() bool {
 	if e.drain == nil {
 		return false
 	}
@@ -402,7 +437,7 @@ func (e *engine) drainRequested() bool {
 // this run — different seed, optimizer, or weight shapes — is a hard
 // error: silently training on from mismatched state would be far worse
 // than failing.
-func (e *engine) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, error) {
+func (e *engine[T]) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, error) {
 	path, err := checkpoint.Latest(e.ckpt.Dir)
 	if err != nil || path == "" {
 		return nil, err
@@ -441,7 +476,7 @@ func (e *engine) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, erro
 // would deadlock in the next collective), but a panic follows the same
 // path as a wire failure — the launcher recovers it, broadcasts an abort,
 // and every rank exits promptly with the root cause.
-func (e *engine) save(epoch int, weights []*dense.Matrix, losses, trainAcc, valAcc []float64) {
+func (e *engine[T]) save(epoch int, weights []*dense.Matrix, losses, trainAcc, valAcc []float64) {
 	step, state := e.opt.Snapshot()
 	_, err := checkpoint.Save(e.ckpt.Dir, &checkpoint.Snapshot{
 		Epoch:     epoch,
@@ -469,8 +504,7 @@ func (e *engine) save(epoch int, weights []*dense.Matrix, losses, trainAcc, valA
 // counts (len(masks) long, zeroed by the caller); rowOffset maps local row
 // i to global vertex rowOffset+i. It is the shared per-block accuracy
 // kernel behind correctCounts; ranks pass a persistent buffer so the
-// accuracy path stays allocation-free. Generic so the mixed-precision ops
-// count on their float32 output without converting.
+// accuracy path stays allocation-free.
 func argmaxCorrectInto[T dense.Elem](counts []float64, logp *dense.Of[T], labels []int, rowOffset int, masks [][]bool) {
 	for i := 0; i < logp.Rows; i++ {
 		row := logp.Row(i)

@@ -9,9 +9,9 @@ import (
 )
 
 // Engine-level epoch benchmarks: unlike the Train-based benchmarks in the
-// repository root, these warm the workspaces, kernel plans, and payload
-// pool before the timer starts, so the reported time and allocs/op are the
-// pure steady-state epoch cost. Under the serial backend allocs/op is
+// repository root, these warm the workspaces and the payload pool
+// before the timer starts, so the reported time and allocs/op are the pure
+// steady-state epoch cost. Under the serial backend allocs/op is
 // exactly 0 (the tentpole claim of PR 4); the parallel backend adds only
 // the pool-dispatch closures.
 
@@ -20,21 +20,11 @@ var benchBackends = []parallel.Backend{parallel.BackendSerial, parallel.BackendP
 func benchEngineEpochSerial(b *testing.B, backend parallel.Backend) {
 	release := parallel.AcquireBackend(backend)
 	defer release()
-	p := testProblem(b, 2048, 32, 32, 8, 1, 81)
-	cfg := p.Config.WithDefaults()
-	ops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-	eng := newEngine(ops, cfg, p)
-	eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
-	weights := nn.InitWeights(cfg)
-	for i := 0; i < 2; i++ {
-		eng.epoch(weights)
-		ops.endEpoch()
-	}
+	epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), KernelOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.epoch(weights)
-		ops.endEpoch()
+		epoch()
 	}
 }
 
@@ -63,21 +53,11 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 	defer release()
 	for _, tc := range configs {
 		b.Run(tc.name, func(b *testing.B) {
-			p := testProblem(b, 2048, 32, 32, 8, 1, 81)
-			cfg := p.Config.WithDefaults()
-			ops := tc.o.ops(cfg, p)
-			eng := newEngine(ops, cfg, p)
-			eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
-			weights := nn.InitWeights(cfg)
-			for i := 0; i < 2; i++ {
-				eng.epoch(weights)
-				ops.endEpoch()
-			}
+			epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), tc.o)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.epoch(weights)
-				ops.endEpoch()
+				epoch()
 			}
 		})
 	}

@@ -18,33 +18,31 @@ import (
 // no backward aggregation.
 
 // countingOps counts one rank's aggregation calls per layer.
-type countingOps struct {
-	layerOps
+type countingOps[T dense.Elem] struct {
+	layerOpsOf[T]
 	fwd, bwd []int
 }
 
-func (c *countingOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+func (c *countingOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	c.fwd[l]++
-	return c.layerOps.forwardAggregate(x, l)
+	return c.layerOpsOf.forwardAggregate(x, l)
 }
 
-func (c *countingOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
+func (c *countingOps[T]) backwardAggregate(g *dense.Of[T], l int) *dense.Of[T] {
 	c.bwd[l]++
-	return c.layerOps.backwardAggregate(g, l)
+	return c.layerOpsOf.backwardAggregate(g, l)
 }
 
 // everyTrainer returns, by name, one runner per trainer and exchange mode —
 // serial, serial-f32, 1d/1.5d × {plain, halo, overlap, halo+overlap}, 2d/3d
-// × {plain, overlap} — each executing body on every rank of p.
-func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) map[string]func() error {
+// × {plain, overlap} — each executing body on every rank of p; serial-f32,
+// the one float32 instantiation, executes body32.
+func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error,
+	body32 func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error) map[string]func() error {
 	cfg := p.Config.WithDefaults()
 	cases := map[string]func() error{
-		"serial": func() error {
-			return body(newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer()), cfg, p)
-		},
-		"serial-f32": func() error {
-			return body(newMixedOps(cfg, p), cfg, p)
-		},
+		"serial":     func() error { return body(newSerialOps[float64](cfg, p), cfg, p) },
+		"serial-f32": func() error { return body32(newSerialOps[float32](cfg, p), cfg, p) },
 	}
 	for _, halo := range []bool{false, true} {
 		for _, overlap := range []bool{false, true} {
@@ -71,6 +69,18 @@ func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem
 	return cases
 }
 
+// aggCounts is one rank's per-layer aggregation counts after a run.
+type aggCounts struct{ fwd, bwd []int }
+
+// runCounted runs the engine over ops and hands the rank's counts to keep.
+func runCounted[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, prob Problem, keep func(aggCounts)) error {
+	L := cfg.Layers()
+	c := &countingOps[T]{layerOpsOf: ops, fwd: make([]int, L+1), bwd: make([]int, L+1)}
+	_, err := newEngine(c, cfg, prob).run()
+	keep(aggCounts{c.fwd, c.bwd})
+	return err
+}
+
 // TestInputAggregatedOncePerRun: over a whole run() of E epochs — final
 // inference pass included — every rank of every trainer, in every exchange
 // mode, aggregates the input layer forward exactly once and backward never,
@@ -82,16 +92,17 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 	L := p.Config.Layers()
 
 	var mu sync.Mutex
-	var ranks []*countingOps
-	counted := func(ops layerOps, cfg nn.Config, prob Problem) error {
-		c := &countingOps{layerOps: ops, fwd: make([]int, L+1), bwd: make([]int, L+1)}
+	var ranks []aggCounts
+	keep := func(c aggCounts) {
 		mu.Lock()
 		ranks = append(ranks, c)
 		mu.Unlock()
-		_, err := newEngine(c, cfg, prob).run()
-		return err
 	}
-	for name, run := range everyTrainer(p, counted) {
+	counted := func(ops layerOps, cfg nn.Config, prob Problem) error { return runCounted(ops, cfg, prob, keep) }
+	counted32 := func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error {
+		return runCounted(ops, cfg, prob, keep)
+	}
+	for name, run := range everyTrainer(p, counted, counted32) {
 		t.Run(name, func(t *testing.T) {
 			ranks = nil
 			if err := run(); err != nil {
@@ -119,56 +130,56 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 // scheduleOps records one rank's layerOps calls over a run, in order, as
 // "method layer" — with the operand's column count appended for the two
 // aggregations, whose width is the point.
-type scheduleOps struct {
-	layerOps
+type scheduleOps[T dense.Elem] struct {
+	layerOpsOf[T]
 	calls []string
 }
 
-func (s *scheduleOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	out := s.layerOps.forwardAggregate(x, l)
-	cols := out.Cols
-	if m, ok := s.layerOps.(*mixedOps); ok {
-		// The float32 ops return one empty handle; the product sits in
-		// their own per-layer state.
-		if aggregatesFirst(m.cfg.Widths, l) {
-			cols = m.t32[l].Cols
-		} else {
-			cols = m.z32[l].Cols
-		}
-	}
-	s.calls = append(s.calls, fmt.Sprintf("fwdAgg %d @%d", l, cols))
+func (s *scheduleOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+	out := s.layerOpsOf.forwardAggregate(x, l)
+	s.calls = append(s.calls, fmt.Sprintf("fwdAgg %d @%d", l, out.Cols))
 	return out
 }
 
-func (s *scheduleOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	out := s.layerOps.backwardAggregate(x, l)
-	cols := out.Cols
-	if m, ok := s.layerOps.(*mixedOps); ok {
-		cols = m.cur.Cols
-	}
-	s.calls = append(s.calls, fmt.Sprintf("bwdAgg %d @%d", l, cols))
+func (s *scheduleOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+	out := s.layerOpsOf.backwardAggregate(x, l)
+	s.calls = append(s.calls, fmt.Sprintf("bwdAgg %d @%d", l, out.Cols))
 	return out
 }
 
-func (s *scheduleOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("mulW %d", l))
-	return s.layerOps.multiplyWeight(x, w, l)
+	return s.layerOpsOf.multiplyWeight(x, w, l)
 }
 
-func (s *scheduleOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("wGrad %d", l))
-	return s.layerOps.weightGrad(hPrev, g, l)
+	return s.layerOpsOf.weightGrad(hPrev, g, l)
 }
 
-func (s *scheduleOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+func (s *scheduleOps[T]) inputGrad(g, w *dense.Of[T], l int) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("inGrad %d", l))
-	return s.layerOps.inputGrad(g, w, l)
+	return s.layerOpsOf.inputGrad(g, w, l)
+}
+
+// schedule is one rank's recorded calls and the ops that made them.
+type schedule struct {
+	ops   any
+	calls []string
+}
+
+// runRecorded runs the engine over ops and hands the rank's schedule to keep.
+func runRecorded[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, prob Problem, keep func(schedule)) error {
+	s := &scheduleOps[T]{layerOpsOf: ops}
+	_, err := newEngine(s, cfg, prob).run()
+	keep(schedule{ops, s.calls})
+	return err
 }
 
 // featureShare returns how many of f feature columns the rank behind ops
 // holds: all of them in the row-partitioned layouts, its grid column's
 // Block1D share in 2D and 3D.
-func featureShare(ops layerOps, f int) int {
+func featureShare(ops any, f int) int {
 	switch r := ops.(type) {
 	case *meshRank:
 		return r.fBlk(f).Size(r.pj)
@@ -180,7 +191,7 @@ func featureShare(ops layerOps, f int) int {
 // alone: T¹ once; per epoch, every layer forward in its product order, then
 // every layer backward in it; the final inference pass forward again. Every
 // aggregation of layer l ≥ 2 runs at min(f^{l-1}, f^l).
-func wantSchedule(ops layerOps, widths []int, epochs int) []string {
+func wantSchedule(ops any, widths []int, epochs int) []string {
 	L := len(widths) - 1
 	agg := func(dir string, l int) string {
 		f := widths[0]
@@ -235,16 +246,17 @@ func TestAggregationScheduleFollowsWidths(t *testing.T) {
 	for shape, widths := range shapes {
 		p := edgeProblem(t, 64, widths, epochs, 62)
 		var mu sync.Mutex
-		var ranks []*scheduleOps
-		recorded := func(ops layerOps, cfg nn.Config, prob Problem) error {
-			s := &scheduleOps{layerOps: ops}
+		var ranks []schedule
+		keep := func(s schedule) {
 			mu.Lock()
 			ranks = append(ranks, s)
 			mu.Unlock()
-			_, err := newEngine(s, cfg, prob).run()
-			return err
 		}
-		for name, run := range everyTrainer(p, recorded) {
+		recorded := func(ops layerOps, cfg nn.Config, prob Problem) error { return runRecorded(ops, cfg, prob, keep) }
+		recorded32 := func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error {
+			return runRecorded(ops, cfg, prob, keep)
+		}
+		for name, run := range everyTrainer(p, recorded, recorded32) {
 			t.Run(shape+"/"+name, func(t *testing.T) {
 				ranks = nil
 				if err := run(); err != nil {
@@ -254,7 +266,7 @@ func TestAggregationScheduleFollowsWidths(t *testing.T) {
 					t.Fatal("no rank ran")
 				}
 				for r, s := range ranks {
-					want := wantSchedule(s.layerOps, widths, epochs)
+					want := wantSchedule(s.ops, widths, epochs)
 					if len(s.calls) != len(want) {
 						t.Fatalf("rank %d of %d made %d calls, want %d:\n%v\n%v", r, len(ranks), len(s.calls), len(want), s.calls, want)
 					}
@@ -305,7 +317,7 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/L=%d", name, len(widths)-1), func(t *testing.T) {
 				p.Config = nn.Config{Widths: widths, LR: 0.05, Epochs: 1, Seed: 74}
 				cfg := p.Config.WithDefaults()
-				probe := &gradProbe{layerOps: newSerialOps(cfg, p.A, p.Features, p.Labels, nil, p.A.Rows)}
+				probe := &gradProbe{layerOps: newSerialOps[float64](cfg, p)}
 				eng := newEngine(probe, cfg, p)
 				eng.aggregateInput()
 				eng.epoch(nn.InitWeights(cfg))
@@ -397,7 +409,7 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 		}
 		for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
 			cfg := p.Config.WithDefaults()
-			serialOps := newSerialOps(cfg, p.A, p.Features, p.Labels, nil, n)
+			serialOps := newSerialOps[float64](cfg, p)
 			// The Reference ops are unfused, so ∂L/∂H^{l-1} reaches
 			// activationBackward unmasked.
 			serialOps.ref = true

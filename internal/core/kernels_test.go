@@ -74,8 +74,13 @@ func TestMixedPrecisionWithinTolerance(t *testing.T) {
 // combination; distributed trainers accept only the default; malformed
 // values are rejected up front.
 func TestSetKernelOptionsValidation(t *testing.T) {
-	if err := SetKernelOptions(NewSerial(), KernelOptions{Precision: PrecisionF32}); err != nil {
-		t.Fatal(err)
+	for _, o := range []KernelOptions{
+		{Precision: PrecisionF32}, {Reference: true},
+		{Precision: PrecisionF32, Reference: true}, {Precision: PrecisionF64, Reference: true},
+	} {
+		if err := SetKernelOptions(NewSerial(), o); err != nil {
+			t.Fatalf("serial rejects %+v: %v", o, err)
+		}
 	}
 	oneD := NewOneD(4, testMach)
 	if err := SetKernelOptions(oneD, KernelOptions{}); err != nil {
@@ -96,26 +101,20 @@ func TestSetKernelOptionsValidation(t *testing.T) {
 }
 
 // TestDefaultBitIdenticalToReference: the optimized default path — fused
-// epilogues, four-source Axpy4Row sweeps in every GEMM/SpMM, the blocked
-// transpose-plan gather — must reproduce the pre-optimization reference
-// kernels bit for bit. This is the end-to-end pin for the whole blocking
-// scheme: each fused sweep performs the same adds in the same per-element
-// order as the one-source reference loops.
+// epilogues, four-source Axpy4Row sweeps in every GEMM and SpMM, the vector
+// routines where the CPU has them — must reproduce the pre-optimization
+// reference kernels bit for bit, in both precisions. This is the end-to-end
+// pin for the whole blocking scheme: each fused sweep performs the same
+// adds in the same per-element order as the one-source reference loops.
+// Reference is independent of Precision, and spelling out f64 changes
+// nothing.
 func TestDefaultBitIdenticalToReference(t *testing.T) {
-	p := deepProblem(t, 6, 47)
-	want := trainWith(t, p, KernelOptions{Reference: true})
-	got := trainWith(t, p, KernelOptions{})
-	requireBitEqual(t, "default-vs-reference", got, want)
-}
-
-// TestReferenceRejectsOtherOptions: the reference baseline is f64 by
-// definition; combining it with f32 is a validation error.
-func TestReferenceRejectsOtherOptions(t *testing.T) {
-	o := KernelOptions{Reference: true, Precision: PrecisionF32}
-	if err := SetKernelOptions(NewSerial(), o); err == nil {
-		t.Fatalf("reference options %+v accepted", o)
-	}
-	if err := SetKernelOptions(NewSerial(), KernelOptions{Reference: true, Precision: PrecisionF64}); err != nil {
-		t.Fatalf("reference with explicit f64 rejected: %v", err)
+	for _, precision := range []string{PrecisionF64, PrecisionF32} {
+		t.Run(precision, func(t *testing.T) {
+			p := deepProblem(t, 6, 47)
+			want := trainWith(t, p, KernelOptions{Precision: precision, Reference: true})
+			got := trainWith(t, p, KernelOptions{Precision: precision})
+			requireBitEqual(t, precision+" default-vs-reference", got, want)
+		})
 	}
 }

@@ -7,16 +7,18 @@ const (
 	// PrecisionF64 is the default double-precision path — bit-identical
 	// across every backend and decomposition.
 	PrecisionF64 = "f64"
-	// PrecisionF32 is mixed-precision training: float32 storage and
-	// compute for the large per-vertex matrices, float64 for row
+	// PrecisionF32 is mixed-precision training — the serial trainer
+	// instantiated at float32: float32 storage and compute for the
+	// adjacency and the large per-vertex matrices, float64 for row
 	// reductions (log-sum-exp, loss), the master weights, and the
-	// optimizer state. Validated within tolerance, not bit-identical.
+	// optimizer state. Within tolerance of f64, not bit-identical to it.
 	PrecisionF32 = "f32"
 )
 
 // KernelOptions selects the compute kernels a trainer uses. The zero value
 // is the default configuration: float64 CSR kernels with fused epilogues —
-// the exact kernels every bit-identity test pins down.
+// the exact kernels every bit-identity test pins down. The two fields are
+// independent: either precision runs on either set of kernels.
 //
 // Only the serial trainer accepts non-default options (the distributed
 // trainers' collectives are verified against the f64 serial reference and
@@ -25,9 +27,8 @@ type KernelOptions struct {
 	// Precision is PrecisionF64 (default, "" accepted) or PrecisionF32.
 	Precision string
 	// Reference runs the pre-optimization scalar kernels (one source per
-	// accumulation sweep, no fused epilogues) — the baseline the kernel
-	// sweep's Speedup column measures against, and the oracle the default
-	// path is bit-identical to. Serial f64 only.
+	// accumulation sweep, no fused epilogues, always on the Go loops) — the
+	// oracle the default path is bit-identical to, in either precision.
 	Reference bool
 }
 
@@ -37,9 +38,6 @@ func (o KernelOptions) Validate() error {
 	case "", PrecisionF64, PrecisionF32:
 	default:
 		return fmt.Errorf("core: unknown precision %q (want %s or %s)", o.Precision, PrecisionF64, PrecisionF32)
-	}
-	if o.Reference && o.Precision == PrecisionF32 {
-		return fmt.Errorf("core: reference kernels take no other non-default option")
 	}
 	return nil
 }

@@ -11,8 +11,8 @@ import (
 // parallel implementation produces "the same embeddings up to floating
 // point accumulation errors" as serial PyTorch, §V-A).
 //
-// It is also the only trainer that accepts non-default KernelOptions
-// (f32 precision, the reference kernels) via SetKernelOptions.
+// It is also the only trainer that accepts non-default KernelOptions —
+// float32 precision, the reference kernels, or both — via SetKernelOptions.
 type Serial struct {
 	// Kernel selects the compute kernels; the zero value is the default
 	// f64 configuration. Set via SetKernelOptions.
@@ -25,7 +25,8 @@ func NewSerial() *Serial { return &Serial{} }
 // Name implements Trainer.
 func (*Serial) Name() string { return "serial" }
 
-// Train implements Trainer.
+// Train implements Trainer. Precision is the element type the trainer is
+// instantiated in, nothing more.
 func (s *Serial) Train(p Problem) (*Result, error) {
 	p = p.normalized()
 	if err := p.Validate(); err != nil {
@@ -35,37 +36,43 @@ func (s *Serial) Train(p Problem) (*Result, error) {
 		return nil, err
 	}
 	cfg := p.Config.WithDefaults()
-	return newEngine(s.Kernel.ops(cfg, p), cfg, p).meta("serial", 1).run()
-}
-
-// ops builds the serial layerOps the options select: the float32 mixedOps,
-// or serialOps over the default or the reference kernels.
-func (o KernelOptions) ops(cfg nn.Config, p Problem) layerOps {
-	if o.Precision == PrecisionF32 {
-		return newMixedOps(cfg, p)
+	if s.Kernel.Precision == PrecisionF32 {
+		return newSerialEngine[float32](cfg, p, s.Kernel.Reference).run()
 	}
-	ops := newSerialOps(cfg, p.A, p.Features, p.Labels, p.TrainMask, p.lossNormalizer())
-	ops.ref = o.Reference
-	return ops
+	return newSerialEngine[float64](cfg, p, s.Kernel.Reference).run()
 }
 
-// serialOps implements layerOps for the single-process reference: every
-// matrix is whole, every "collective" is the identity. It doubles as the
-// per-step worker of the mini-batch trainer, which drives it over sampled
-// subproblems via retarget.
+// newSerialEngine builds the serial trainer in element type T: the engine
+// over serialOps[T], on the reference kernels when ref is set.
+func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T] {
+	ops := newSerialOps[T](cfg, p)
+	ops.ref = ref
+	return newEngine(ops, cfg, p).meta("serial", 1)
+}
+
+// serialOps implements layerOps for the single-process trainer in element
+// type T: every matrix is whole, every "collective" is the identity.
 //
-// Per-layer temporaries come from the workspace (released at endEpoch) and
-// the forward aggregation runs over a precomputed transpose plan, so a
-// steady-state epoch allocates nothing.
-type serialOps struct {
-	cfg    nn.Config
-	a      *sparse.CSR
-	at     *sparse.TransposePlan // plan for the Aᵀ·X forward products
-	h0     *dense.Matrix
+// At float32 it is mixed-precision training: the large per-vertex matrices
+// (activations, gradients, aggregations) and the adjacency are stored and
+// multiplied in float32 — half the memory traffic of the bandwidth-bound
+// SpMM and GEMM sweeps — while the master weights and the optimizer (the
+// engine's) and every row reduction (log-sum-exp, loss: the kernels') stay
+// float64.
+//
+// Per-layer temporaries come from the workspace (released at endEpoch), so
+// a steady-state epoch allocates nothing.
+type serialOps[T dense.Elem] struct {
+	cfg nn.Config
+	// at and a are Aᵀ for the forward aggregation and A for the backward
+	// one — one matrix when A is symmetric, as on every dataset the repo
+	// generates.
+	at, a  *sparse.CSROf[T]
+	h0     *dense.Of[T]
 	labels []int
 	mask   []bool
 	norm   int
-	ws     *dense.Workspace
+	ws     *dense.WorkspaceOf[T]
 	cnt    []float64
 
 	// ref swaps every multiply for the pre-optimization reference kernels
@@ -80,37 +87,26 @@ type serialOps struct {
 	// apply the fused ReLU mask (relu(z) > 0 ⟺ z > 0). maskedAhead names
 	// the layer whose activationBackward was already performed by the
 	// fused inputGrad.
-	hs          []*dense.Matrix
+	hs          []*dense.Of[T]
 	maskedAhead int
 }
 
-// newSerialOps builds the serial layerOps with a fresh workspace and the
-// transpose plan for a.
-func newSerialOps(cfg nn.Config, a *sparse.CSR, h0 *dense.Matrix, labels []int, mask []bool, norm int) *serialOps {
-	return &serialOps{
-		cfg: cfg, a: a, at: sparse.NewTransposePlan(a), h0: h0,
-		labels: labels, mask: mask, norm: norm,
-		ws: dense.NewWorkspace(), cnt: make([]float64, 8),
-		hs: make([]*dense.Matrix, cfg.Layers()+1),
+// newSerialOps builds the serial layerOps for p with a fresh workspace. The
+// transpose is taken only when A ≠ Aᵀ (asymmetry, as the block-row trainers
+// decide it), and each operand is converted to T once, here.
+func newSerialOps[T dense.Elem](cfg nn.Config, p Problem) *serialOps[T] {
+	s := &serialOps[T]{
+		cfg: cfg, a: sparse.As[T](p.A),
+		labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(),
+		ws: dense.NewWorkspaceOf[T](), cnt: make([]float64, 8),
+		hs: make([]*dense.Of[T], cfg.Layers()+1),
 	}
-}
-
-// retarget points the ops at a new subproblem (the mini-batch trainer's
-// per-step sampled subgraph), keeping the workspace so buffer capacity is
-// reused across steps. It clears the transpose plan: a plan amortizes its
-// O(nnz) build only when the same A is multiplied across many epochs, so
-// per-step subgraphs use the direct scatter kernel instead.
-func (s *serialOps) retarget(a *sparse.CSR, h0 *dense.Matrix, labels []int, mask []bool, norm int) {
-	s.a, s.at, s.h0 = a, nil, h0
-	s.labels, s.mask, s.norm = labels, mask, norm
-}
-
-// setH records H^l for the fused backward mask.
-func (s *serialOps) setH(l int, h *dense.Matrix) {
-	if len(s.hs) <= l {
-		s.hs = append(s.hs, make([]*dense.Matrix, l+1-len(s.hs))...)
+	s.at = s.a
+	if asymmetry(p.A) != "" {
+		s.at = sparse.As[T](p.A.Transpose())
 	}
-	s.hs[l] = h
+	dense.As(&s.h0, p.Features)
+	return s
 }
 
 // fusesForward reports whether layer l's ReLU can ride in the epilogue of
@@ -127,27 +123,20 @@ func fusesBackward(cfg nn.Config, l int) bool {
 	return !aggregatesFirst(cfg.Widths, l) && cfg.Activation(l-1).Name() == "relu"
 }
 
-func (s *serialOps) rank() int { return 0 }
+func (s *serialOps[T]) rank() int { return 0 }
 
-func (s *serialOps) input() *dense.Matrix { return s.h0 }
+func (s *serialOps[T]) input() *dense.Of[T] { return s.h0 }
 
-func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	t := s.ws.GetUninit(s.a.Rows, x.Cols)
-	switch {
-	case s.ref && s.at != nil:
-		s.at.RefSpMMT(t, x)
-	case s.at != nil:
-		s.at.SpMMT(t, x)
-	default:
-		sparse.SpMMT(t, s.a, x)
-	}
+func (s *serialOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+	t := s.ws.GetUninit(s.at.Rows, x.Cols)
+	s.spmm(t, s.at, x)
 	if l == 1 {
 		t = s.ws.Keep(t) // T¹ outlives endEpoch: the engine reuses it every epoch
 	}
 	return t
 }
 
-func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T] {
 	z := s.ws.GetUninit(x.Rows, w.Cols)
 	if !s.ref && fusesForward(s.cfg, l) {
 		// Fused epilogue: z holds H^l = relu(T·W) straight out of the
@@ -162,23 +151,23 @@ func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
 	return z
 }
 
-func (s *serialOps) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
+func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T]) {
 	if !s.ref && fusesForward(s.cfg, l) {
-		s.setH(l, z) // multiplyWeight already applied the activation
+		s.hs[l] = z // multiplyWeight already applied the activation
 		return z, nil
 	}
 	h := s.ws.GetUninit(z.Rows, z.Cols)
-	act.Forward(h, z)
-	s.setH(l, h)
+	dense.ForwardOf(act, h, z)
+	s.hs[l] = h
 	return h, nil
 }
 
-func (s *serialOps) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
+func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
 	grad := s.ws.Get(hOut.Rows, hOut.Cols)
-	return nn.NLLLossMaskedInto(grad, hOut, s.labels, s.mask, 0, s.norm), grad
+	return nn.NLLLossMaskedIntoOf(grad, hOut, s.labels, s.mask, 0, s.norm), grad
 }
 
-func (s *serialOps) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
+func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], _ *actCacheOf[T], l int) *dense.Of[T] {
 	if s.maskedAhead == l {
 		// inputGrad(l+1) already applied the ReLU mask in its fused
 		// epilogue; dH is G^l.
@@ -186,23 +175,28 @@ func (s *serialOps) activationBackward(act dense.Activation, dH, h *dense.Matrix
 		return dH
 	}
 	g := s.ws.GetUninit(h.Rows, h.Cols)
-	act.Backward(g, dH, h)
+	dense.BackwardOf(act, g, dH, h)
 	return g
 }
 
-func (s *serialOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+func (s *serialOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	// A·G^l is reused for both Y and ∂L/∂H (§IV-A-4); A·(G^l(W^l)ᵀ) is
 	// ∂L/∂H^{l-1} itself.
 	ax := s.ws.GetUninit(s.a.Rows, x.Cols)
-	if s.ref {
-		sparse.RefSpMM(ax, s.a, x)
-	} else {
-		sparse.SpMM(ax, s.a, x)
-	}
+	s.spmm(ax, s.a, x)
 	return ax
 }
 
-func (s *serialOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+// spmm is dst = m·x on the kernel the options select.
+func (s *serialOps[T]) spmm(dst *dense.Of[T], m *sparse.CSROf[T], x *dense.Of[T]) {
+	if s.ref {
+		sparse.RefSpMM(dst, m, x)
+	} else {
+		sparse.SpMM(dst, m, x)
+	}
+}
+
+func (s *serialOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
 	dW := s.ws.GetUninit(hPrev.Cols, g.Cols)
 	if s.ref {
 		dense.RefTMul(dW, hPrev, g)
@@ -212,9 +206,9 @@ func (s *serialOps) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
 	return dW
 }
 
-func (s *serialOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int) *dense.Of[T] {
 	dH := s.ws.GetUninit(g.Rows, w.Rows)
-	if !s.ref && fusesBackward(s.cfg, l) && l-1 < len(s.hs) && s.hs[l-1] != nil {
+	if !s.ref && fusesBackward(s.cfg, l) {
 		// Fused backward epilogue: ∂L/∂H^{l-1} ⊙ relu'(Z^{l-1}) in one
 		// sweep, masking on H^{l-1} (h > 0 ⟺ z > 0) and skipping the dot
 		// product entirely for dead units. Bit-identical to MulT followed
@@ -227,14 +221,14 @@ func (s *serialOps) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
 	return dH
 }
 
-func (s *serialOps) endEpoch() { s.ws.Reset() }
+func (s *serialOps[T]) endEpoch() { s.ws.Reset() }
 
-func (s *serialOps) correctCounts(hOut *dense.Matrix, _ *actCache, masks ...[]bool) []float64 {
+func (s *serialOps[T]) correctCounts(hOut *dense.Of[T], _ *actCacheOf[T], masks ...[]bool) []float64 {
 	counts := countBuf(s.cnt, len(masks))
 	argmaxCorrectInto(counts, hOut, s.labels, 0, masks)
 	return counts
 }
 
-func (s *serialOps) reduce(vals []float64) []float64 { return vals }
+func (s *serialOps[T]) reduce(vals []float64) []float64 { return vals }
 
-func (s *serialOps) gatherOutput(hOut *dense.Matrix) *dense.Matrix { return hOut }
+func (s *serialOps[T]) gatherOutput(hOut *dense.Of[T]) *dense.Of[T] { return hOut }

@@ -38,8 +38,8 @@ func activationInline[T Elem](z *Of[T]) bool {
 // along process rows (§IV-C-2).
 //
 // The interface is fixed to the default float64 matrices; the row kernels
-// behind it (ReLUForwardOf, LogSoftmaxForwardOf, ...) are generic, and the
-// float32 mixed-precision ops call them directly.
+// behind it (ReLUForwardOf, LogSoftmaxForwardOf, ...) are generic, and
+// ForwardOf / BackwardOf apply an Activation in either element type.
 type Activation interface {
 	// Name identifies the activation in configs and logs.
 	Name() string
@@ -246,6 +246,46 @@ func logSoftmaxBackwardRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
 		for j := range drow {
 			drow[j] = T(float64(grow[j]) - math.Exp(float64(yrow[j]))*gsum)
 		}
+	}
+}
+
+// ForwardOf writes act(z) into dst in element type T. Float64 goes through
+// the interface, so any Activation works there; another element type is
+// served by the generic kernel registered under act.Name(), and panics when
+// there is none.
+func ForwardOf[T Elem](act Activation, dst, z *Of[T]) {
+	if d, ok := any(dst).(*Matrix); ok {
+		act.Forward(d, any(z).(*Matrix))
+		return
+	}
+	switch act.Name() {
+	case "relu":
+		ReLUForwardOf(dst, z)
+	case "log_softmax":
+		LogSoftmaxForwardOf(dst, z)
+	case "identity":
+		dst.CopyFrom(z)
+	default:
+		panic(fmt.Sprintf("dense: activation %q has no %T kernel", act.Name(), *new(T)))
+	}
+}
+
+// BackwardOf writes the gradient of act into dst given the upstream grad and
+// the forward output y, in element type T; see ForwardOf for the dispatch.
+func BackwardOf[T Elem](act Activation, dst, grad, y *Of[T]) {
+	if d, ok := any(dst).(*Matrix); ok {
+		act.Backward(d, any(grad).(*Matrix), any(y).(*Matrix))
+		return
+	}
+	switch act.Name() {
+	case "relu":
+		ReLUBackwardOf(dst, grad, y)
+	case "log_softmax":
+		LogSoftmaxBackwardOf(dst, grad, y)
+	case "identity":
+		dst.CopyFrom(grad)
+	default:
+		panic(fmt.Sprintf("dense: activation %q has no %T kernel", act.Name(), *new(T)))
 	}
 }
 

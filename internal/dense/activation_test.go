@@ -249,3 +249,58 @@ func TestActivationsAllocFreeSerial(t *testing.T) {
 		}
 	}
 }
+
+// opaque is an Activation only the interface knows: no generic kernel is
+// registered under its name.
+type opaque struct{ ReLU }
+
+func (opaque) Name() string { return "opaque" }
+
+// TestForwardBackwardOf: float64 goes through the interface, so any
+// Activation works there; float32 is served by the generic kernel of the
+// same name — equal to converting the float64 result for the two
+// element-wise ones — and an activation without one panics.
+func TestForwardBackwardOf(t *testing.T) {
+	z := FromRows([][]float64{{-1, 0.5, 2}, {3, -0.25, 0}})
+	grad := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	var z32, grad32 *Of[float32]
+	As(&z32, z)
+	As(&grad32, grad)
+	for _, act := range []Activation{ReLU{}, Identity{}, LogSoftmax{}, opaque{}} {
+		y, want := New(2, 3), New(2, 3)
+		ForwardOf(act, y, z)
+		act.Forward(want, z)
+		if MaxAbsDiff(y, want) != 0 {
+			t.Fatalf("%s: ForwardOf differs from Forward at float64", act.Name())
+		}
+		g := New(2, 3)
+		BackwardOf(act, g, grad, y)
+		act.Backward(want, grad, y)
+		if MaxAbsDiff(g, want) != 0 {
+			t.Fatalf("%s: BackwardOf differs from Backward at float64", act.Name())
+		}
+		if act.Name() == "opaque" {
+			func() {
+				defer mustPanic(t, "ForwardOf float32 opaque")
+				ForwardOf(act, NewOf[float32](2, 3), z32)
+			}()
+			func() {
+				defer mustPanic(t, "BackwardOf float32 opaque")
+				BackwardOf(act, NewOf[float32](2, 3), grad32, z32)
+			}()
+			continue
+		}
+		y32, g32 := NewOf[float32](2, 3), NewOf[float32](2, 3)
+		ForwardOf(act, y32, z32)
+		BackwardOf(act, g32, grad32, y32)
+		if act.RowWise() {
+			continue // log-softmax at float32 rounds differently; its kernels have their own tests
+		}
+		var y64, g64 *Matrix
+		As(&y64, y32)
+		As(&g64, g32)
+		if MaxAbsDiff(y64, y) != 0 || MaxAbsDiff(g64, g) != 0 {
+			t.Fatalf("%s: float32 result is not the float64 one", act.Name())
+		}
+	}
+}

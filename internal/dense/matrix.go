@@ -96,6 +96,22 @@ func Convert[D, S Elem](dst *Of[D], src *Of[S]) {
 	}
 }
 
+// As makes *dst hold src in element type D. When D is S's own type that is
+// src itself: no copy. Otherwise src is rounded through D (Convert) into
+// the matrix *dst already points at, allocated here the first time. It is
+// how a trainer typed in its element meets the float64 masters — one
+// expression serves both instantiations, and the float64 one pays nothing.
+func As[D, S Elem](dst **Of[D], src *Of[S]) {
+	if same, ok := any(src).(*Of[D]); ok {
+		*dst = same
+		return
+	}
+	if *dst == nil {
+		*dst = NewOf[D](src.Rows, src.Cols)
+	}
+	Convert(*dst, src)
+}
+
 // At returns element (i, j).
 func (m *Of[T]) At(i, j int) T {
 	m.boundsCheck(i, j)

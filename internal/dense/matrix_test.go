@@ -259,3 +259,30 @@ func mustPanic(t *testing.T, what string) {
 		t.Fatalf("expected panic: %s", what)
 	}
 }
+
+// TestAs: the same element type is the same pointer, whatever the slot held;
+// another one is a rounding copy into the slot's own matrix, allocated once.
+func TestAs(t *testing.T) {
+	src := FromRows([][]float64{{1, 2.5}, {1e-9, -3}})
+	var same *Matrix
+	As(&same, src)
+	if same != src {
+		t.Fatal("float64 → float64 copied")
+	}
+	var f32 *Of[float32]
+	As(&f32, src)
+	first := f32
+	if f32.Rows != 2 || f32.Cols != 2 || f32.At(0, 1) != 2.5 || f32.At(1, 0) != float32(1e-9) {
+		t.Fatalf("float64 → float32 = %v", f32)
+	}
+	src.Set(0, 0, 7)
+	As(&f32, src)
+	if f32 != first || f32.At(0, 0) != 7 {
+		t.Fatal("second conversion did not reuse the slot's matrix")
+	}
+	var up *Matrix
+	As(&up, f32)
+	if up.At(1, 0) != float64(float32(1e-9)) {
+		t.Fatalf("float32 → float64 = %v", up.At(1, 0))
+	}
+}

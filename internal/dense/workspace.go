@@ -10,9 +10,9 @@ package dense
 // that draws all its temporaries from the workspace runs allocation-free.
 //
 // Buffers are keyed by capacity class (next power of two of the element
-// count), so shape changes across checkouts — layers of different widths,
-// mini-batch subgraphs of varying size — reuse the same backing arrays
-// instead of growing a free list per exact shape.
+// count), so shape changes across checkouts — layers of different widths —
+// reuse the same backing arrays instead of growing a free list per exact
+// shape.
 //
 // A workspace is owned by a single goroutine (one simulated rank); it is
 // not safe for concurrent use. All methods are nil-safe: a nil workspace
@@ -62,7 +62,7 @@ func (w *WorkspaceOf[T]) Get(r, c int) *Of[T] {
 // GetUninit is Get without the zero fill: the returned matrix holds
 // whatever a previous checkout left in the recycled buffer. Use it only
 // where every element is written before being read — overwriting kernels
-// (Mul, MulT, TMul, SpMM, SpMMT, activation Forward/Backward) and full
+// (Mul, MulT, TMul, SpMM, activation Forward/Backward) and full
 // copies (SubMatrixInto, GatherRowsInto, complete SetSubMatrix tilings).
 // Accumulating kernels (SpMMAdd and friends) and sparse writers (the loss
 // gradient) need Get. Skipping the fill matters on the bandwidth-bound

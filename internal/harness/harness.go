@@ -22,7 +22,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/partition"
-	"repro/internal/sampling"
 )
 
 // Options configures experiment runs.
@@ -32,11 +31,6 @@ type Options struct {
 	Machine costmodel.Machine
 	// Quick shrinks datasets (for tests and smoke runs).
 	Quick bool
-	// Optimizer selects the weight-update rule for the convergence
-	// experiment ("sgd" default, "momentum", "adam"). Communication
-	// experiments ignore it: optimizer state is replicated, so the rule
-	// moves no words.
-	Optimizer string
 	// Halo enables the sparsity-aware halo exchange for every 1D/1.5D
 	// measurement (crossover, algo3d), shifting the 1D word counts from
 	// n·f-based broadcasts to edgecut·f-based fetches. The partition
@@ -66,9 +60,6 @@ func (o Options) rowConfigured(algo string) bool {
 func (o Options) WithDefaults() Options {
 	if o.Machine.Name == "" {
 		o.Machine = costmodel.SummitSim
-	}
-	if o.Optimizer == "" {
-		o.Optimizer = "sgd"
 	}
 	return o
 }
@@ -656,78 +647,6 @@ func OverlapExperiment(o Options) ([]OverlapRow, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// ConvergenceRow compares full-batch and sampled training, the trade-off
-// behind the paper's full-batch stance (§I, citing ROC: full gradient
-// descent is competitive and sampling can lose accuracy).
-type ConvergenceRow struct {
-	Method string
-	Epochs int
-	// Accuracy is the final full-graph training accuracy.
-	Accuracy float64
-	// FinalLoss is the last epoch's loss.
-	FinalLoss float64
-	// PeakVertices is the largest per-step computation footprint in
-	// vertices (the whole graph for full-batch).
-	PeakVertices int
-}
-
-// Convergence trains the same learnable SBM dataset with full-batch
-// gradient descent and with sampled mini-batches, reporting accuracy and
-// per-step footprint.
-func Convergence(o Options) ([]ConvergenceRow, error) {
-	o = o.WithDefaults()
-	per := 250
-	if o.Quick {
-		per = 100
-	}
-	ds, err := graph.LearnableSpec{
-		Communities: 8, PerCommunity: per,
-		IntraDegree: 8, InterDegree: 2,
-		Features: 12, FeatureNoise: 0.8, Seed: 11,
-	}.Build()
-	if err != nil {
-		return nil, err
-	}
-	epochs := 40
-	cfg := nn.Config{Widths: []int{12, 16, 8}, LR: 0.5, Optimizer: o.Optimizer, Epochs: epochs, Seed: 12}
-	if o.Optimizer == "adam" {
-		// Adam's per-parameter scaling makes LR=0.5 wildly unstable; use
-		// its conventional step size.
-		cfg.LR = 0.01
-	}
-
-	full, err := core.NewSerial().Train(core.Problem{
-		A:        ds.Graph.NormalizedAdjacency(),
-		Features: ds.Features,
-		Labels:   ds.Labels,
-		Config:   cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mb := core.NewMiniBatch(32, sampling.Fanouts{5, 5}, 13)
-	mbCfg := cfg
-	mbCfg.LR = 0.3
-	sampled, err := mb.Train(ds, mbCfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	return []ConvergenceRow{
-		{
-			Method: "full-batch", Epochs: epochs,
-			Accuracy:     full.Accuracy,
-			FinalLoss:    full.Losses[len(full.Losses)-1],
-			PeakVertices: ds.Graph.NumVertices,
-		},
-		{
-			Method: "sampled (b=32, fanout 5,5)", Epochs: epochs,
-			Accuracy:     sampled.Accuracy,
-			FinalLoss:    sampled.Losses[len(sampled.Losses)-1],
-			PeakVertices: mb.MaxFootprint(),
-		},
-	}, nil
 }
 
 // ScalingRow captures one of the paper's §VI scaling observations.

@@ -601,24 +601,3 @@ func TestFig2SweepsCoverDatasets(t *testing.T) {
 	}
 	_ = graph.Analogs // keep import meaningful if sweeps change
 }
-
-func TestConvergenceQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness sweep in -short mode")
-	}
-	rows, err := Convergence(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	full, sampled := rows[0], rows[1]
-	if full.Accuracy < 0.9 || sampled.Accuracy < 0.9 {
-		t.Fatalf("both methods should learn the SBM: %+v", rows)
-	}
-	if sampled.PeakVertices >= full.PeakVertices {
-		t.Fatalf("sampling should cap the footprint: sampled %d vs full %d",
-			sampled.PeakVertices, full.PeakVertices)
-	}
-}

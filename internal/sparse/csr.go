@@ -38,17 +38,16 @@ type CSROf[T dense.Elem] struct {
 // CSR is the float64 CSR matrix used by the default training path.
 type CSR = CSROf[float64]
 
-// ConvertCSR returns a copy of a with values rounded through T — the
-// boundary where the mixed-precision path downcasts the adjacency matrix
-// once at setup. Structure (RowPtr, ColIdx) is copied, not shared.
-func ConvertCSR[T dense.Elem](a *CSR) *CSROf[T] {
-	out := &CSROf[T]{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Val:    make([]T, len(a.Val)),
+// As returns a in element type T: a itself when T is float64, otherwise a
+// matrix over a's own RowPtr and ColIdx — a CSR is never modified once
+// built, so the structure is shared, not copied — with the values rounded
+// through T. It is where a float32 trainer downcasts the adjacency, once
+// at set-up.
+func As[T dense.Elem](a *CSR) *CSROf[T] {
+	if same, ok := any(a).(*CSROf[T]); ok {
+		return same
 	}
+	out := &CSROf[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]T, len(a.Val))}
 	for i, v := range a.Val {
 		out.Val[i] = T(v)
 	}

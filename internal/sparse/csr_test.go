@@ -196,7 +196,7 @@ func TestSpMMTMatchesDense(t *testing.T) {
 	a := randCSR(rng, 13, 9, 0.3)
 	x := randDense(rng, 13, 4)
 	got := dense.New(9, 4)
-	SpMMT(got, a, x)
+	NewTransposePlan(a).SpMMT(got, x)
 	want := dense.MulNaive(a.ToDense().T(), x)
 	if dense.MaxAbsDiff(got, want) > 1e-10 {
 		t.Fatalf("SpMMT mismatch: %v", dense.MaxAbsDiff(got, want))
@@ -214,39 +214,6 @@ func TestSpMMAddAccumulates(t *testing.T) {
 	dense.Add(want, want, orig)
 	if dense.MaxAbsDiff(dst, want) > 1e-10 {
 		t.Fatal("SpMMAdd accumulation wrong")
-	}
-}
-
-func TestSpMMTAddAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randCSR(rng, 6, 5, 0.4)
-	x := randDense(rng, 6, 3)
-	dst := randDense(rng, 5, 3)
-	orig := dst.Clone()
-	SpMMTAdd(dst, a, x)
-	want := dense.MulNaive(a.ToDense().T(), x)
-	dense.Add(want, want, orig)
-	if dense.MaxAbsDiff(dst, want) > 1e-10 {
-		t.Fatal("SpMMTAdd accumulation wrong")
-	}
-}
-
-// Property: SpMMT(a, x) == SpMM(aᵀ, x) — the identity the 1D/2D trainers
-// rely on when choosing between scatter and explicit transpose.
-func TestSpMMTransposeConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	f := func(r8, c8, f8 uint8) bool {
-		r, c, fc := int(r8%12)+1, int(c8%12)+1, int(f8%6)+1
-		a := randCSR(rng, r, c, 0.35)
-		x := randDense(rng, r, fc)
-		viaScatter := dense.New(c, fc)
-		SpMMT(viaScatter, a, x)
-		viaTranspose := dense.New(c, fc)
-		SpMM(viaTranspose, a.Transpose(), x)
-		return dense.MaxAbsDiff(viaScatter, viaTranspose) < 1e-10
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -98,10 +98,12 @@ func FuzzCSRFromCOO(f *testing.F) {
 	})
 }
 
-// FuzzTransposePlan checks that a TransposePlan's gather product is
-// bit-identical to the search-based SpMMT kernel and invariant under
-// the chunk count, and that it overwrites its destination.
-func FuzzTransposePlan(f *testing.F) {
+// FuzzSpMMChunks checks the nonzero-balanced worker split of SpMMAdd on
+// aᵀ: for any chunk count the chunk starts tile the rows in order, and the
+// product computed one chunk at a time — in reverse, as unordered workers
+// might — is bit-identical to the whole-range loop, which overwrites its
+// destination.
+func FuzzSpMMChunks(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 2}, byte(3), byte(4), byte(2), byte(3))
 	f.Add([]byte{5, 5, 5, 1, 2, 3, 9, 8, 7}, byte(8), byte(8), byte(3), byte(1))
 	f.Add([]byte{}, byte(1), byte(6), byte(1), byte(7))
@@ -109,7 +111,7 @@ func FuzzTransposePlan(f *testing.F) {
 		rows, cols := dim(rb), dim(cb)
 		feats := 1 + int(fb)%6
 		chunks := 1 + int(chunkb)%8
-		a := NewCSR(rows, cols, cooFromBytes(data, rows, cols))
+		at := NewCSR(rows, cols, cooFromBytes(data, rows, cols)).Transpose()
 		x := dense.New(rows, feats)
 		for i := range x.Data {
 			b := byte(0)
@@ -120,28 +122,27 @@ func FuzzTransposePlan(f *testing.F) {
 		}
 
 		want := dense.New(cols, feats)
-		SpMMT(want, a, x)
+		SpMM(want, at, x)
 
-		plan := NewTransposePlanChunks(a, chunks)
-		if plan.Rows() != rows || plan.Cols() != cols {
-			t.Fatalf("plan dims %dx%d, want %dx%d", plan.Rows(), plan.Cols(), rows, cols)
+		if lo, hi := chunkStart(at.RowPtr, 0, chunks), chunkStart(at.RowPtr, chunks, chunks); lo != 0 || hi != at.Rows {
+			t.Fatalf("%d chunks cover rows [%d, %d), want [0, %d)", chunks, lo, hi, at.Rows)
 		}
 		got := dense.New(cols, feats)
-		plan.SpMMT(got, x)
-		if !dense.EqualWithin(got, want, 0) {
-			t.Fatalf("plan SpMMT differs from kernel, max |Δ| = %g", dense.MaxAbsDiff(got, want))
+		for c := chunks - 1; c >= 0; c-- {
+			lo, hi := chunkStart(at.RowPtr, c, chunks), chunkStart(at.RowPtr, c+1, chunks)
+			if lo > hi {
+				t.Fatalf("chunk %d of %d is rows [%d, %d)", c, chunks, lo, hi)
+			}
+			spMMAddRows(got, at, x, lo, hi)
 		}
 		// The chunk count balances work; it must never change the result.
-		single := NewTransposePlanChunks(a, 1)
-		got2 := dense.New(cols, feats)
-		single.SpMMT(got2, x)
-		if !dense.EqualWithin(got2, got, 0) {
-			t.Fatal("plan result depends on chunk count")
+		if !dense.EqualWithin(got, want, 0) {
+			t.Fatalf("chunked product differs from the whole, max |Δ| = %g", dense.MaxAbsDiff(got, want))
 		}
 		// A second product over the first overwrites it exactly.
-		plan.SpMMT(got, x)
+		SpMM(got, at, x)
 		if !dense.EqualWithin(got, want, 0) {
-			t.Fatal("plan SpMMT accumulated into a non-zero dst")
+			t.Fatal("SpMM accumulated into a non-zero dst")
 		}
 	})
 }

@@ -2,17 +2,19 @@ package sparse
 
 import "repro/internal/dense"
 
-// Reference kernels: the one-nonzero-at-a-time SpMM loops the fused
-// four-entry sweeps (axpyEntryRun) replaced. Like the dense reference
-// kernels they call the Go loop dense.AxpyRow directly, never the routines
-// dense.AxpyFor selects, so they are the bit-identity oracle for the default
-// path on every platform, and they always run serially regardless of the
-// parallel backend.
+// Reference kernel: the one-nonzero-at-a-time SpMM loop the fused
+// four-entry sweep (axpyEntryRun) replaced, generic in the element type
+// like the kernel it checks — Aᵀ·x is the same loop over a.Transpose(), so
+// there is one. Like the dense reference kernels it calls the Go loop
+// dense.AxpyRow directly, never the routines dense.AxpyFor selects, so it
+// is the bit-identity oracle for the default path on every platform and in
+// both precisions, and it always runs serially regardless of the parallel
+// backend.
 
 // RefSpMM computes dst = a * x with the reference kernel: per CSR row, one
 // AxpyRow per stored entry, feature-blocked for wide operands exactly like
 // the optimized loop. dst is overwritten.
-func RefSpMM(dst *dense.Matrix, a *CSR, x *dense.Matrix) {
+func RefSpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 	checkSpMM(dst, a, x, "RefSpMM")
 	dst.Zero()
 	f := x.Cols
@@ -35,21 +37,6 @@ func RefSpMM(dst *dense.Matrix, a *CSR, x *dense.Matrix) {
 					dense.AxpyRow(drow, a.Val[k], x.Data[a.ColIdx[k]*f+j0:a.ColIdx[k]*f+j1])
 				}
 			}
-		}
-	}
-}
-
-// RefSpMMT computes dst = aᵀ * x for the planned a with the reference
-// gather: per output row, one AxpyRow per plan entry in plan order. dst is
-// overwritten.
-func (p *TransposePlan) RefSpMMT(dst, x *dense.Matrix) {
-	p.check(dst, x, "TransposePlan.RefSpMMT")
-	dst.Zero()
-	f := x.Cols
-	for c := 0; c < p.cols; c++ {
-		drow := dst.Data[c*f : (c+1)*f]
-		for k := p.colPtr[c]; k < p.colPtr[c+1]; k++ {
-			dense.AxpyRow(drow, p.val[k], x.Data[p.srcRow[k]*f:(p.srcRow[k]+1)*f])
 		}
 	}
 }

@@ -84,12 +84,11 @@ var spmmShapes = []struct {
 
 func TestSpMMParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, s := range spmmShapes {
-		t.Run(fmt.Sprintf("%dx%d_f%d", s.rows, s.cols, s.f), func(t *testing.T) {
-			a := randomCSR(rng, s.rows, s.cols, s.density)
-			x := randomMatrix(rng, s.cols, s.f)
+	check := func(name string, a *CSR, f int) {
+		t.Run(name, func(t *testing.T) {
+			x := randomMatrix(rng, a.Cols, f)
 			withBackends(t, func() *dense.Matrix {
-				dst := dense.New(s.rows, s.f)
+				dst := dense.New(a.Rows, f)
 				SpMM(dst, a, x)
 				return dst
 			}, func(serial, par *dense.Matrix) {
@@ -97,51 +96,29 @@ func TestSpMMParallelBitIdentical(t *testing.T) {
 			})
 		})
 	}
+	for _, s := range spmmShapes {
+		check(fmt.Sprintf("%dx%d_f%d", s.rows, s.cols, s.f), randomCSR(rng, s.rows, s.cols, s.density), s.f)
+	}
+	// The nonzero-balanced split at its most uneven: worker ranges of 2 to
+	// 200 rows.
+	check("skewed_300x300_f64", skewedCSR(rng, 300), 64)
 }
 
 func TestSpMMAddParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := randomCSR(rng, 400, 350, 0.08)
-	x := randomMatrix(rng, 350, 48)
-	init := randomMatrix(rng, 400, 48)
-	withBackends(t, func() *dense.Matrix {
-		dst := init.Clone()
-		SpMMAdd(dst, a, x)
-		return dst
-	}, func(serial, par *dense.Matrix) {
-		requireBitIdentical(t, serial, par)
-	})
-}
-
-func TestSpMMTParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, s := range spmmShapes {
-		t.Run(fmt.Sprintf("%dx%d_f%d", s.rows, s.cols, s.f), func(t *testing.T) {
-			a := randomCSR(rng, s.rows, s.cols, s.density)
-			x := randomMatrix(rng, s.rows, s.f)
+	for _, a := range []*CSR{randomCSR(rng, 400, 350, 0.08), skewedCSR(rng, 300)} {
+		t.Run(fmt.Sprintf("%dx%d", a.Rows, a.Cols), func(t *testing.T) {
+			x := randomMatrix(rng, a.Cols, 48)
+			init := randomMatrix(rng, a.Rows, 48)
 			withBackends(t, func() *dense.Matrix {
-				dst := dense.New(s.cols, s.f)
-				SpMMT(dst, a, x)
+				dst := init.Clone()
+				SpMMAdd(dst, a, x)
 				return dst
 			}, func(serial, par *dense.Matrix) {
 				requireBitIdentical(t, serial, par)
 			})
 		})
 	}
-}
-
-func TestSpMMTAddParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	a := randomCSR(rng, 400, 350, 0.08)
-	x := randomMatrix(rng, 400, 48)
-	init := randomMatrix(rng, 350, 48)
-	withBackends(t, func() *dense.Matrix {
-		dst := init.Clone()
-		SpMMTAdd(dst, a, x)
-		return dst
-	}, func(serial, par *dense.Matrix) {
-		requireBitIdentical(t, serial, par)
-	})
 }
 
 // TestSpMMParallelMatchesNaive cross-checks the parallel kernel against a
