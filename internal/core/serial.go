@@ -215,6 +215,8 @@ func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int) *dense.Of[T] {
 		// by ReLU.Backward.
 		dense.MulTReLUMask(dH, g, w, s.hs[l-1])
 		s.maskedAhead = l - 1
+	} else if s.ref {
+		dense.RefMulT(dH, g, w)
 	} else {
 		dense.MulT(dH, g, w)
 	}

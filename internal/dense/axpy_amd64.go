@@ -28,6 +28,8 @@ func init() {
 	kernelISA = "avx2"
 	axpyF64 = Axpy[float64]{Row: axpyRowF64, Row4: axpy4RowF64}
 	axpyF32 = Axpy[float32]{Row: axpyRowF32, Row4: axpy4RowF32}
+	tileF64 = tileF64AVX2
+	tileF32 = tileF32AVX2
 }
 
 func axpyRowF64(dst []float64, v float64, x []float64) {

@@ -94,19 +94,23 @@ func specialBits[T Elem]() []uint64 {
 // everywhere else the result is independent of operand order and must match
 // to the bit.
 func twoNaNsMeet[T Elem](d T, v, x []T) bool {
-	q := quietBit[T]()
-	differ := func(a, b T) bool { return a != a && b != b && toBits(a)|q != toBits(b)|q }
 	for i := range v {
-		if differ(v[i], x[i]) {
+		if nansDiffer(v[i], x[i]) {
 			return true
 		}
 		p := v[i] * x[i]
-		if differ(d, p) {
+		if nansDiffer(d, p) {
 			return true
 		}
 		d += p
 	}
 	return false
+}
+
+// nansDiffer reports whether a and b are both NaN and differ after quieting.
+func nansDiffer[T Elem](a, b T) bool {
+	q := quietBit[T]()
+	return a != a && b != b && toBits(a)|q != toBits(b)|q
 }
 
 // axpyCase is one set of operands: dst is buf[off:off+n], the rest of buf

@@ -6,18 +6,15 @@ import (
 	"repro/internal/parallel"
 )
 
-// blockSize is the cache-blocking tile edge for GEMM kernels. 64 keeps a
-// 64x64 float64 tile (32 KiB) within L1 on common hardware.
-const blockSize = 64
-
 // gemmFlops estimates the work of an n x k by k x m product.
 func gemmFlops(n, k, m int) int64 { return 2 * int64(n) * int64(k) * int64(m) }
 
-// AxpyRow computes dst[j] += v * x[j] for every j — the inner loop of every
-// row-major multiply kernel in this package and in internal/sparse, in
-// portable Go. The kernels reach it through AxpyFor, which substitutes the
-// bit-identical vector routine where the CPU has one; the reference kernels
-// call it directly, so it is both the fallback and the oracle. The body is a
+// AxpyRow computes dst[j] += v * x[j] for every j — the inner loop of the
+// SpMM kernels in internal/sparse, of the Go tile body and of the reference
+// kernels, in portable Go. SpMM reaches it through AxpyFor, which
+// substitutes the bit-identical vector routine where the CPU has one; the
+// reference kernels call it directly, so it is both the fallback and the
+// oracle. The body is a
 // 4-wide j-unroll with independent load/store slots; each output element
 // still receives exactly one multiply and one add, so the result is
 // bit-identical to the plain loop for any element type.
@@ -84,26 +81,16 @@ func Axpy4Row[T Elem](dst []T, v0 T, x0 []T, v1 T, x1 []T, v2 T, x2 []T, v3 T, x
 	}
 }
 
-// reluRow applies max(v, 0) in place — the shared ReLU epilogue of the
-// fused kernels, identical to the ReLU activation's elementwise rule.
-func reluRow[T Elem](row []T) {
-	for j, v := range row {
-		if v < 0 {
-			row[j] = 0
-		}
-	}
-}
-
 // biasReluRow adds the bias broadcast (nil bias allowed) and applies ReLU
-// in one pass over a freshly accumulated output row.
+// in one pass over a freshly accumulated output row, with the ReLU
+// activation's elementwise rule: v where v > 0, else +0 (so −0 and NaN
+// become +0 too).
 func biasReluRow[T Elem](row, bias []T) {
-	if bias == nil {
-		reluRow(row)
-		return
-	}
 	for j, v := range row {
-		v += bias[j]
-		if v < 0 {
+		if bias != nil {
+			v += bias[j]
+		}
+		if !(v > 0) {
 			v = 0
 		}
 		row[j] = v
@@ -119,81 +106,27 @@ func biasReluRow[T Elem](row, bias []T) {
 // bit-identical to the serial loops.
 func Mul[T Elem](dst, a, b *Of[T]) {
 	checkMul(dst, a, b, "Mul")
-	dst.Zero()
-	MulAdd(dst, a, b)
+	mul(dst, a, b, false, epilogue[T]{})
 }
 
-// MulAdd computes dst += a * b with ikj loop order and cache blocking over
-// the k dimension. dst must not alias a or b.
+// MulAdd computes dst += a * b. dst must not alias a or b.
 func MulAdd[T Elem](dst, a, b *Of[T]) {
 	checkMul(dst, a, b, "MulAdd")
-	work := gemmFlops(a.Rows, a.Cols, b.Cols)
-	if parallel.Inline(a.Rows, work) {
-		mulAddRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulAddRows(dst, a, b, lo, hi)
-	})
-}
-
-// mulAddRows accumulates rows [lo, hi) of a*b into dst. The per-row k-block
-// traversal matches the serial kernel, so each output row sees the same
-// floating-point accumulation order regardless of partitioning.
-func mulAddRows[T Elem](dst, a, b *Of[T], lo, hi int) {
-	ax := AxpyFor[T]()
-	k, m := a.Cols, b.Cols
-	for k0 := 0; k0 < k; k0 += blockSize {
-		k1 := min(k0+blockSize, k)
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*m : (i+1)*m]
-			axpyKRun(ax, drow, arow, b, m, k0, k1)
-		}
-	}
-}
-
-// axpyKRun accumulates b rows [k0, k1) scaled by arow[kk] into drow, in
-// ascending kk order. Runs of four nonzero scales take the fused Axpy4Row
-// sweep; a zero scale falls back to the skipping scalar step, preserving
-// the historical skip semantics (no +0 added, no 0·Inf evaluated) exactly.
-// Either way each dst element receives the same adds in the same order as
-// the plain per-kk loop, so the result is bit-identical.
-func axpyKRun[T Elem](ax Axpy[T], drow, arow []T, b *Of[T], m, k0, k1 int) {
-	kk := k0
-	for kk < k1 {
-		if k1-kk >= 4 {
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				ax.Row4(drow,
-					a0, b.Data[kk*m:(kk+1)*m],
-					a1, b.Data[(kk+1)*m:(kk+2)*m],
-					a2, b.Data[(kk+2)*m:(kk+3)*m],
-					a3, b.Data[(kk+3)*m:(kk+4)*m])
-				kk += 4
-				continue
-			}
-		}
-		if av := arow[kk]; av != 0 {
-			ax.Row(drow, av, b.Data[kk*m:(kk+1)*m])
-		}
-		kk++
-	}
+	mul(dst, a, b, true, epilogue[T]{})
 }
 
 // MulBiasReLU computes dst = relu(a*b + bias) — the fused forward epilogue:
 // the bias broadcast (bias may be nil) and the ReLU are applied to each
-// output row as soon as its accumulation finishes, while the row is still
-// cache-resident, instead of as two further full passes over the layer
-// activation. For a fixed output element the multiply-add sequence is
+// block of output rows as soon as its accumulation finishes, while the rows
+// are still cache-resident, instead of as two further full passes over the
+// layer activation. For a fixed output element the multiply-add sequence is
 // identical to Mul's, and the epilogue runs after the element's sum is
 // complete, so the result is bit-identical to Mul followed by the ReLU
 // activation. dst must not alias a or b; bias must be nil or length b.Cols.
 func MulBiasReLU[T Elem](dst, a, b *Of[T], bias []T) {
 	checkMul(dst, a, b, "MulBiasReLU")
 	checkBias(bias, b.Cols, "MulBiasReLU")
-	dst.Zero()
-	MulAddBiasReLU(dst, a, b, bias)
+	mul(dst, a, b, false, epilogue[T]{relu: true, bias: bias})
 }
 
 // MulAddBiasReLU computes dst = relu(dst + a*b + bias): the accumulating
@@ -202,36 +135,71 @@ func MulBiasReLU[T Elem](dst, a, b *Of[T], bias []T) {
 func MulAddBiasReLU[T Elem](dst, a, b *Of[T], bias []T) {
 	checkMul(dst, a, b, "MulAddBiasReLU")
 	checkBias(bias, b.Cols, "MulAddBiasReLU")
+	mul(dst, a, b, true, epilogue[T]{relu: true, bias: bias})
+}
+
+// mul is the Mul family: dst (+)= a·b, zero scales skipped, then the
+// epilogue.
+func mul[T Elem](dst, a, b *Of[T], load bool, epi epilogue[T]) {
 	work := gemmFlops(a.Rows, a.Cols, b.Cols)
 	if parallel.Inline(a.Rows, work) {
-		mulAddBiasReLURows(dst, a, b, bias, 0, a.Rows)
+		mulRows(dst, a, b.Data, 0, a.Rows, load, true, epi)
 		return
 	}
 	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulAddBiasReLURows(dst, a, b, bias, lo, hi)
+		mulRows(dst, a, b.Data, lo, hi, load, true, epi)
 	})
 }
 
-// mulAddBiasReLURows is mulAddRows with the row-block loop hoisted outward
-// so a row block is fully accumulated (all k blocks, in the same ascending
-// kk order per element) before its epilogue runs; the epilogue then touches
-// the block while its lines are still hot.
-func mulAddBiasReLURows[T Elem](dst, a, b *Of[T], bias []T, lo, hi int) {
-	ax := AxpyFor[T]()
-	k, m := a.Cols, b.Cols
-	for i0 := lo; i0 < hi; i0 += blockSize {
-		i1 := min(i0+blockSize, hi)
-		for k0 := 0; k0 < k; k0 += blockSize {
-			k1 := min(k0+blockSize, k)
-			for i := i0; i < i1; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				drow := dst.Data[i*m : (i+1)*m]
-				axpyKRun(ax, drow, arow, b, m, k0, k1)
+// Blocking of the GEMM drivers around the tile entry: a block of rowBlock
+// output rows is finished — every k-step, then its epilogue — before the
+// next starts, and a tile call covers at most kBlock k-steps, so the B panel
+// one column strip reads (kBlock rows of it) stays in L1 while the call
+// sweeps the block's rows. Splitting k into blocks reloads the running sums
+// between them and changes no element's order of operations.
+const (
+	rowBlock = 256
+	kBlock   = 64
+)
+
+// epilogue is what a Mul-family kernel applies to a block of output rows
+// once their sums are complete: nothing, the bias broadcast and ReLU, or the
+// ReLU gradient mask (+0 wherever mask > 0 is false, as ReLU.Backward).
+type epilogue[T Elem] struct {
+	relu bool
+	bias []T
+	mask *Of[T]
+}
+
+func (e epilogue[T]) apply(dst *Of[T], lo, hi int) {
+	for i := lo; i < hi; i++ {
+		switch {
+		case e.relu:
+			biasReluRow(dst.Row(i), e.bias)
+		case e.mask != nil:
+			drow := dst.Row(i)
+			for j, h := range e.mask.Row(i) {
+				if !(h > 0) {
+					drow[j] = 0
+				}
 			}
 		}
-		for i := i0; i < i1; i++ {
-			biasReluRow(dst.Data[i*m:(i+1)*m], bias)
+	}
+}
+
+// mulRows computes rows [lo, hi) of dst (+)= a·b through the tile entry,
+// with b given as its a.Cols × dst.Cols row-major data (b itself for Mul,
+// the packed Wᵀ for MulT), then the epilogue of each row block.
+func mulRows[T Elem](dst, a *Of[T], b []T, lo, hi int, load, skip bool, epi epilogue[T]) {
+	tile := tileFor[T]()
+	k, m := a.Cols, dst.Cols
+	for i0 := lo; i0 < hi; i0 += rowBlock {
+		i1 := min(i0+rowBlock, hi)
+		for k0 := 0; k0 == 0 || k0 < k; k0 += kBlock {
+			tile(dst.Data[i0*m:], m, a.Data[i0*k+k0:], k, 1, b[k0*m:], m,
+				i1-i0, m, min(kBlock, k-k0), load || k0 > 0, skip)
 		}
+		epi.apply(dst, i0, i1)
 	}
 }
 
@@ -239,150 +207,83 @@ func mulAddBiasReLURows[T Elem](dst, a, b *Of[T], bias []T, lo, hi int) {
 // alias a or b.
 func MulT[T Elem](dst, a, b *Of[T]) {
 	checkMulT(dst, a, b, "MulT")
-	work := gemmFlops(a.Rows, a.Cols, b.Rows)
-	if parallel.Inline(a.Rows, work) {
-		mulTRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulTRows(dst, a, b, lo, hi)
-	})
-}
-
-// mulTRows computes rows [lo, hi) of a*bᵀ.
-func mulTRows[T Elem](dst, a, b *Of[T], lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*k : (j+1)*k]
-			var s T
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			drow[j] = s
-		}
-	}
+	mulT(dst, a, b, epilogue[T]{})
 }
 
 // MulTReLUMask computes dst = (a * bᵀ) ⊙ (h > 0) — the fused backward
-// epilogue: the ReLU gradient mask is applied to each output element right
-// after its dot product completes, eliminating the separate full pass of
-// an activation-backward step. Masking happens after the sum is complete,
-// so each kept element is bit-identical to MulT's. h must have dst's shape.
+// epilogue: the ReLU gradient mask is applied to each block of output rows
+// right after its sums complete, eliminating the separate full pass of an
+// activation-backward step. Masking happens after the sum is complete, so
+// each kept element is bit-identical to MulT's. h must have dst's shape.
 func MulTReLUMask[T Elem](dst, a, b, h *Of[T]) {
 	checkMulT(dst, a, b, "MulTReLUMask")
 	if h.Rows != dst.Rows || h.Cols != dst.Cols {
 		panic(fmt.Sprintf("dense: MulTReLUMask mask shape %dx%d, want %dx%d", h.Rows, h.Cols, dst.Rows, dst.Cols))
 	}
-	work := gemmFlops(a.Rows, a.Cols, b.Rows)
-	if parallel.Inline(a.Rows, work) {
-		mulTReLUMaskRows(dst, a, b, h, 0, a.Rows)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulTReLUMaskRows(dst, a, b, h, lo, hi)
-	})
+	mulT(dst, a, b, epilogue[T]{mask: h})
 }
 
-// mulTReLUMaskRows computes rows [lo, hi) of (a*bᵀ) ⊙ (h > 0).
-func mulTReLUMaskRows[T Elem](dst, a, b, h *Of[T], lo, hi int) {
-	k := a.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
-		hrow := h.Data[i*b.Rows : (i+1)*b.Rows]
-		for j := 0; j < b.Rows; j++ {
-			if hrow[j] <= 0 {
-				drow[j] = 0
-				continue
-			}
-			brow := b.Data[j*k : (j+1)*k]
-			var s T
-			for kk, av := range arow {
-				s += av * brow[kk]
-			}
-			drow[j] = s
+// mulT is a·bᵀ as the tile entry over bᵀ, packed once per call into pooled
+// scratch: each output element is the dot product of a row of a with a row
+// of b, summed from +0 in ascending k with no term skipped — the scalar dot
+// loop's operations in its order (RefMulT).
+func mulT[T Elem](dst, a, b *Of[T], epi epilogue[T]) {
+	pool := packFor[T]()
+	bt := pool.get(b.Rows * b.Cols)
+	for j := 0; j < b.Rows; j++ {
+		for kk, v := range b.Row(j) {
+			bt[kk*b.Rows+j] = v
 		}
 	}
+	work := gemmFlops(a.Rows, a.Cols, b.Rows)
+	if parallel.Inline(a.Rows, work) {
+		mulRows(dst, a, bt, 0, a.Rows, false, false, epi)
+	} else {
+		parallel.Rows(a.Rows, work, func(lo, hi int) {
+			mulRows(dst, a, bt, lo, hi, false, false, epi)
+		})
+	}
+	pool.put(bt)
 }
 
 // TMul computes dst = aᵀ * b. dst must be a.Cols x b.Cols and must not
 // alias a or b. It is overwritten.
 func TMul[T Elem](dst, a, b *Of[T]) {
 	checkTMul(dst, a, b, "TMul")
-	dst.Zero()
-	TMulAdd(dst, a, b)
+	tMul(dst, a, b, false)
 }
 
 // TMulAdd computes dst += aᵀ * b without materializing aᵀ.
 //
 // The parallel variant is owner-computes over dst rows (columns of a): each
-// worker scans every row of a but touches only its own column slice, so
-// contributions to a given output row arrive in the same order as in the
-// serial scatter loop.
+// worker reads every row of a but only its own columns, and every output
+// element receives its terms in ascending row order of a, as in the serial
+// scatter loop (RefTMul).
 func TMulAdd[T Elem](dst, a, b *Of[T]) {
 	checkTMul(dst, a, b, "TMulAdd")
+	tMul(dst, a, b, true)
+}
+
+func tMul[T Elem](dst, a, b *Of[T], load bool) {
 	work := gemmFlops(a.Rows, a.Cols, b.Cols)
 	if parallel.Inline(a.Cols, work) {
-		tMulAddCols(dst, a, b, 0, a.Cols)
+		tMulRows(dst, a, b, 0, a.Cols, load)
 		return
 	}
 	parallel.Rows(a.Cols, work, func(lo, hi int) {
-		tMulAddCols(dst, a, b, lo, hi)
+		tMulRows(dst, a, b, lo, hi, load)
 	})
 }
 
-// tMulAddCols accumulates rows [lo, hi) of aᵀ*b into dst. Source rows of a
-// are consumed four at a time: for each output row the four contributions
-// add in ascending r order (fused when all four scales are nonzero, the
-// skipping scalar steps otherwise), exactly the order the plain per-r sweep
-// produces, so the result is bit-identical to it.
-func tMulAddCols[T Elem](dst, a, b *Of[T], lo, hi int) {
-	ax := AxpyFor[T]()
-	k, m := a.Cols, b.Cols
-	r := 0
-	for ; r+4 <= a.Rows; r += 4 {
-		ar0 := a.Data[r*k : (r+1)*k]
-		ar1 := a.Data[(r+1)*k : (r+2)*k]
-		ar2 := a.Data[(r+2)*k : (r+3)*k]
-		ar3 := a.Data[(r+3)*k : (r+4)*k]
-		br0 := b.Data[r*m : (r+1)*m]
-		br1 := b.Data[(r+1)*m : (r+2)*m]
-		br2 := b.Data[(r+2)*m : (r+3)*m]
-		br3 := b.Data[(r+3)*m : (r+4)*m]
-		for i := lo; i < hi; i++ {
-			a0, a1, a2, a3 := ar0[i], ar1[i], ar2[i], ar3[i]
-			if a0 != 0 && a1 != 0 && a2 != 0 && a3 != 0 {
-				ax.Row4(dst.Data[i*m:(i+1)*m], a0, br0, a1, br1, a2, br2, a3, br3)
-				continue
-			}
-			drow := dst.Data[i*m : (i+1)*m]
-			if a0 != 0 {
-				ax.Row(drow, a0, br0)
-			}
-			if a1 != 0 {
-				ax.Row(drow, a1, br1)
-			}
-			if a2 != 0 {
-				ax.Row(drow, a2, br2)
-			}
-			if a3 != 0 {
-				ax.Row(drow, a3, br3)
-			}
-		}
-	}
-	for ; r < a.Rows; r++ {
-		arow := a.Data[r*k : (r+1)*k]
-		brow := b.Data[r*m : (r+1)*m]
-		for i := lo; i < hi; i++ {
-			av := arow[i]
-			if av == 0 {
-				continue
-			}
-			ax.Row(dst.Data[i*m:(i+1)*m], av, brow)
-		}
+// tMulRows computes rows [lo, hi) of dst (+)= aᵀ·b through the tile entry:
+// output row i takes its scales down column i of a (row stride 1, k stride
+// a.Cols), the rows of a and b in blocks of kBlock.
+func tMulRows[T Elem](dst, a, b *Of[T], lo, hi int, load bool) {
+	tile := tileFor[T]()
+	n, m := a.Cols, b.Cols
+	for r0 := 0; r0 == 0 || r0 < a.Rows; r0 += kBlock {
+		tile(dst.Data[lo*m:], m, a.Data[r0*n+lo:], 1, n, b.Data[r0*m:], m,
+			hi-lo, m, min(kBlock, a.Rows-r0), load || r0 > 0, true)
 	}
 }
 

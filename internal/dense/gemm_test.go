@@ -1,9 +1,12 @@
 package dense
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/parallel"
 )
 
 func TestMulMatchesNaive(t *testing.T) {
@@ -149,18 +152,45 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-func BenchmarkGEMM128(b *testing.B) { benchGEMM(b, 128) }
-func BenchmarkGEMM256(b *testing.B) { benchGEMM(b, 256) }
+// gemmBenchShapes are the workloads' products, n × k × m: serial_wide's
+// widest layer, bcast1d_sparse's two layers on one rank, and two of
+// summa2d_dense's 8–21-column blocks.
+var gemmBenchShapes = []struct{ n, k, m int }{
+	{8192, 256, 64},
+	{4096, 128, 16},
+	{4096, 16, 8},
+	{4096, 32, 8},
+	{4096, 16, 21},
+}
 
-func benchGEMM(b *testing.B, n int) {
-	rng := rand.New(rand.NewSource(11))
-	x := randMatrix(rng, n, n)
-	y := randMatrix(rng, n, n)
-	dst := New(n, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mul(dst, x, y)
+// BenchmarkGEMM times the three products of a layer at each shape, single
+// threaded (serial backend), as the trainer calls them: Mul is X·W (n×k by
+// k×m), TMul the weight gradient Xᵀ·G (k×m) and MulT the input gradient
+// G·Wᵀ (n×k). All three are 2nkm flops; each must report 0 B/op.
+func BenchmarkGEMM(b *testing.B) {
+	release := parallel.AcquireBackend(parallel.BackendSerial)
+	defer release()
+	for _, s := range gemmBenchShapes {
+		rng := rand.New(rand.NewSource(11))
+		x, w, g := randOf[float64](rng, s.n, s.k), randOf[float64](rng, s.k, s.m), randOf[float64](rng, s.n, s.m)
+		z, dW, dH := New(s.n, s.m), New(s.k, s.m), New(s.n, s.k)
+		for _, kernel := range []struct {
+			name string
+			run  func()
+		}{
+			{"Mul", func() { Mul(z, x, w) }},
+			{"TMul", func() { TMul(dW, x, g) }},
+			{"MulT", func() { MulT(dH, g, w) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernel.name, s.n, s.k, s.m), func(b *testing.B) {
+				kernel.run() // MulT's first call fills the pool it packs Wᵀ into
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kernel.run()
+				}
+				b.ReportMetric(float64(gemmFlops(s.n, s.k, s.m))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
-	b.SetBytes(int64(8 * n * n * 3))
 }

@@ -1,14 +1,16 @@
 package dense
 
-// Reference kernels: the one-source-at-a-time loops the fused multi-source
-// sweeps (Axpy4Row and its callers) replaced, running on the Go loop AxpyRow
-// itself rather than on whatever AxpyFor selects. They are the oracle of the
-// bit-identity tests: the default f64 path — four-source sweeps, fused
-// epilogues and, where the CPU has them, the vector routines — must
-// reproduce these loops bit for bit, so TestDefaultBitIdenticalToReference
-// compares assembly with Go and a failure localizes the divergence to a
-// single kernel. KernelOptions.Reference trains on them end to end, which
-// is also the speed of the portable fallback one source at a time
+// Reference kernels: the one-source-at-a-time loops that the register tile
+// (the GEMM family) and the four-source sweeps (Axpy4Row, in SpMM) replaced,
+// running on the Go loop AxpyRow itself rather than on whatever AxpyFor or
+// tileFor selects, and the scalar dot loop of RefMulT. They are the oracle
+// of the bit-identity tests: the default path — register tiles,
+// four-source sweeps, fused epilogues and, where the CPU has them, the
+// vector routines — must reproduce these loops bit for bit, so
+// TestDefaultBitIdenticalToReference compares assembly with Go and a
+// failure localizes the divergence to a single kernel
+// (TestGemmTileMatchesReference holds each GEMM to them alone).
+// KernelOptions.Reference trains on them end to end
 // (BenchmarkEngineEpochKernels' reference row).
 //
 // They always run serially (no parallel-backend dispatch): what they
@@ -22,22 +24,38 @@ func RefMul[T Elem](dst, a, b *Of[T]) {
 	RefMulAdd(dst, a, b)
 }
 
-// RefMulAdd computes dst += a * b: the k-blocked ikj loop with one AxpyRow
-// per nonzero a[i,k] — exactly the accumulation the blocked MulAdd fuses
-// four sources at a time.
+// RefMulAdd computes dst += a * b: the ikj loop with one AxpyRow per nonzero
+// a[i,k], in ascending k — exactly the accumulation MulAdd keeps in its
+// register tiles.
 func RefMulAdd[T Elem](dst, a, b *Of[T]) {
 	checkMul(dst, a, b, "RefMulAdd")
 	k, m := a.Cols, b.Cols
-	for k0 := 0; k0 < k; k0 += blockSize {
-		k1 := min(k0+blockSize, k)
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*m : (i+1)*m]
-			for kk := k0; kk < k1; kk++ {
-				if av := arow[kk]; av != 0 {
-					AxpyRow(drow, av, b.Data[kk*m:(kk+1)*m])
-				}
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Data[i*m : (i+1)*m]
+		for kk, av := range a.Data[i*k : (i+1)*k] {
+			if av != 0 {
+				AxpyRow(drow, av, b.Data[kk*m:(kk+1)*m])
 			}
+		}
+	}
+}
+
+// RefMulT computes dst = a * bᵀ with the reference dot loop: each element
+// summed from +0 over ascending k, no term skipped — the accumulation MulT
+// reproduces over its packed bᵀ.
+func RefMulT[T Elem](dst, a, b *Of[T]) {
+	checkMulT(dst, a, b, "RefMulT")
+	k := a.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
+		for j := range drow {
+			brow := b.Data[j*k : (j+1)*k]
+			var s T
+			for kk, av := range arow {
+				s += av * brow[kk]
+			}
+			drow[j] = s
 		}
 	}
 }
