@@ -47,15 +47,19 @@ type layerOpsOf[T dense.Elem] interface {
 	forwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
 	// multiplyWeight returns this rank's block of X·W for the replicated
-	// weight matrix w of layer l: x is T^l = Aᵀ·H^{l-1} when the layer
-	// aggregates first (the product is then Z^l), H^{l-1} when it
-	// multiplies first.
-	multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T]
+	// weight matrix w of layer l — of relu(X·W) when relu is set: x is
+	// T^l = Aᵀ·H^{l-1} when the layer aggregates first (the product is then
+	// Z^l, and with relu H^l), H^{l-1} when it multiplies first (relu is
+	// then never set). The ReLU must be bit-identical to dense.ReLU applied
+	// to the finished product: an implementation applies it to each element
+	// once that element's sum is complete (see fusesForward).
+	multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T]
 
 	// activationForward applies act to z, returning this rank's H block
 	// plus any full-row cache the layout needs again in backward (nil for
 	// row-partitioned layouts, which apply even row-wise activations
-	// locally).
+	// locally). The engine skips it for a layer whose multiplyWeight applied
+	// the ReLU.
 	activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T])
 
 	// lossGrad returns this rank's loss contribution and its block of
@@ -64,6 +68,8 @@ type layerOpsOf[T dense.Elem] interface {
 
 	// activationBackward returns G^l = act'(∂L/∂H^l) from the layer's
 	// forward output h = H^l (dense.Activation.Backward reads the output).
+	// The engine skips it for a layer whose ReLU mask inputGrad(·, l+1)
+	// applied.
 	activationBackward(act dense.Activation, dH, h *dense.Of[T], cache *actCacheOf[T], l int) *dense.Of[T]
 
 	// backwardAggregate returns this rank's block of A·X at width x.Cols:
@@ -83,8 +89,11 @@ type layerOpsOf[T dense.Elem] interface {
 
 	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
 	// ∂L/∂H^{l-1} when g is A·G^l, its pre-aggregation form when g is G^l.
+	// A non-nil mask is this rank's block of H^{l-1}, and the result is then
+	// (g·(W^l)ᵀ) ⊙ 1[mask > 0] — G^{l-1} of a ReLU layer, bit-identical to
+	// dense.ReLU's backward on the finished product (see fusesBackward).
 	// Called only for l > 1, always after weightGrad(·, g, l).
-	inputGrad(g, w *dense.Of[T], l int) *dense.Of[T]
+	inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T]
 
 	// endEpoch charges per-epoch overhead after the optimizer step.
 	endEpoch()
@@ -251,17 +260,40 @@ func (e *engine[T]) weightsInT(weights []*dense.Matrix) []*dense.Of[T] {
 	return e.w
 }
 
-// preActivation returns Z^l = Aᵀ·H^{l-1}·W^l in layer l's product order,
-// and the aggregate T^l when that order forms one (nil otherwise).
-func (e *engine[T]) preActivation(hPrev, w *dense.Of[T], l int) (z, t *dense.Of[T]) {
-	if !aggregatesFirst(e.cfg.Widths, l) {
-		return e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l), l), nil
+// fusesForward reports whether layer l's ReLU rides in the epilogue of
+// multiplyWeight(l): only where that multiply produces Z^l, i.e. the layer
+// aggregates first.
+func fusesForward(cfg nn.Config, l int) bool {
+	return aggregatesFirst(cfg.Widths, l) && cfg.Activation(l).Name() == "relu"
+}
+
+// fusesBackward reports whether layer l−1's ReLU mask rides in the epilogue
+// of inputGrad(l): only where that multiply produces ∂L/∂H^{l-1}, i.e. layer
+// l multiplies first (otherwise the aggregation still follows).
+func fusesBackward(cfg nn.Config, l int) bool {
+	return !aggregatesFirst(cfg.Widths, l) && cfg.Activation(l-1).Name() == "relu"
+}
+
+// layerForward returns H^l = σ(Aᵀ·H^{l-1}·W^l) in layer l's product order,
+// the aggregate T^l when that order forms one (nil otherwise), and the
+// activation's cache. A fused layer's multiply applies the ReLU itself.
+func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T], cache *actCacheOf[T]) {
+	var z *dense.Of[T]
+	fused := fusesForward(e.cfg, l)
+	if aggregatesFirst(e.cfg.Widths, l) {
+		t = e.t1
+		if l > 1 {
+			t = e.ops.forwardAggregate(hPrev, l)
+		}
+		z = e.ops.multiplyWeight(t, w, l, fused)
+	} else {
+		z = e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l, false), l)
 	}
-	t = e.t1
-	if l > 1 {
-		t = e.ops.forwardAggregate(hPrev, l)
+	if fused {
+		return z, t, nil
 	}
-	return e.ops.multiplyWeight(t, w, l), t
+	h, cache = e.ops.activationForward(e.cfg.Activation(l), z, l)
+	return h, t, cache
 }
 
 // epoch runs one forward pass, loss reduction, backward recursion, and
@@ -276,9 +308,7 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actC
 	// where the layer forms it — are retained for backpropagation: the
 	// O(nfL) memory cost the paper's conclusion discusses.
 	for l := 1; l <= L; l++ {
-		var z *dense.Of[T]
-		z, aggs[l] = e.preActivation(H[l-1], W[l-1], l)
-		H[l], caches[l] = e.ops.activationForward(e.cfg.Activation(l), z, l)
+		H[l], aggs[l], caches[l] = e.layerForward(H[l-1], W[l-1], l)
 	}
 
 	local, dH := e.ops.lossGrad(H[L])
@@ -290,20 +320,28 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actC
 	//   multiply first:  AG = A G^l,  Y^l = (H^{l-1})ᵀ AG,  ∂L/∂H^{l-1} = AG (W^l)ᵀ
 	//   aggregate first: Y^l = (T^l)ᵀ G^l,  ∂L/∂H^{l-1} = A (G^l (W^l)ᵀ)
 	// where Y^l = (H^{l-1})ᵀ (A G^l) = (Aᵀ H^{l-1})ᵀ G^l by transposition
-	// alone (A need not be symmetric). The recursion ends at l = 1, where no
-	// input gradient is wanted: the widest layer is never aggregated.
+	// alone (A need not be symmetric). A multiply-first layer over a ReLU
+	// layer hands back G^{l-1} itself, the mask applied in its last product.
+	// The recursion ends at l = 1, where no input gradient is wanted: the
+	// widest layer is never aggregated.
 	for l := L; l >= 1; l-- {
-		w := W[l-1]
-		g := e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
+		w, g := W[l-1], dH
+		if l == L || !fusesBackward(e.cfg, l+1) {
+			g = e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
+		}
 		if aggregatesFirst(e.cfg.Widths, l) {
 			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l))
 			if l > 1 {
-				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l), l)
+				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l, nil), l)
 			}
 		} else {
 			ag := e.ops.backwardAggregate(g, l)
 			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l))
-			dH = e.ops.inputGrad(ag, w, l)
+			var mask *dense.Of[T]
+			if fusesBackward(e.cfg, l) {
+				mask = H[l-1]
+			}
+			dH = e.ops.inputGrad(ag, w, l, mask)
 		}
 	}
 
@@ -319,8 +357,7 @@ func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
 	W := e.weightsInT(weights)
 	var out *dense.Of[T]
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		z, _ := e.preActivation(out, W[l-1], l)
-		out, _ = e.ops.activationForward(e.cfg.Activation(l), z, l)
+		out, _, _ = e.layerForward(out, W[l-1], l)
 	}
 	return out
 }

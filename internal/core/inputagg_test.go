@@ -41,8 +41,8 @@ func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem
 	body32 func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error) map[string]func() error {
 	cfg := p.Config.WithDefaults()
 	cases := map[string]func() error{
-		"serial":     func() error { return body(newSerialOps[float64](cfg, p), cfg, p) },
-		"serial-f32": func() error { return body32(newSerialOps[float32](cfg, p), cfg, p) },
+		"serial":     func() error { return body(newSerialOps[float64](p), cfg, p) },
+		"serial-f32": func() error { return body32(newSerialOps[float32](p), cfg, p) },
 	}
 	for _, halo := range []bool{false, true} {
 		for _, overlap := range []bool{false, true} {
@@ -147,9 +147,9 @@ func (s *scheduleOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	return out
 }
 
-func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T] {
+func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("mulW %d", l))
-	return s.layerOpsOf.multiplyWeight(x, w, l)
+	return s.layerOpsOf.multiplyWeight(x, w, l, relu)
 }
 
 func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
@@ -157,9 +157,9 @@ func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
 	return s.layerOpsOf.weightGrad(hPrev, g, l)
 }
 
-func (s *scheduleOps[T]) inputGrad(g, w *dense.Of[T], l int) *dense.Of[T] {
+func (s *scheduleOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("inGrad %d", l))
-	return s.layerOpsOf.inputGrad(g, w, l)
+	return s.layerOpsOf.inputGrad(g, w, l, mask)
 }
 
 // schedule is one rank's recorded calls and the ops that made them.
@@ -317,7 +317,7 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/L=%d", name, len(widths)-1), func(t *testing.T) {
 				p.Config = nn.Config{Widths: widths, LR: 0.05, Epochs: 1, Seed: 74}
 				cfg := p.Config.WithDefaults()
-				probe := &gradProbe{layerOps: newSerialOps[float64](cfg, p)}
+				probe := &gradProbe{layerOps: newSerialOps[float64](p)}
 				eng := newEngine(probe, cfg, p)
 				eng.aggregateInput()
 				eng.epoch(nn.InitWeights(cfg))
@@ -337,17 +337,37 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 
 // backwardRecord collects, over every rank of one trainer, the global
 // matrices one epoch's backward pass read and produced, by layer: H^l, the
-// upstream gradient ∂L/∂H^l as activationBackward received it, G^l, and the
-// replicated Y^l.
+// upstream gradient ∂L/∂H^l, G^l, and the replicated Y^l.
 type backwardRecord struct {
 	mu           sync.Mutex
 	h, dH, g, dW []*dense.Matrix
 }
 
-// backwardProbe writes one rank's blocks into the shared record.
+// backwardProbe writes one rank's blocks into the shared record. Where the
+// engine fuses a ReLU into a multiply, the probe reads H^l off multiplyWeight
+// and G^{l-1} off inputGrad, and asks inputGrad once more with mask = nil for
+// the unmasked ∂L/∂H^{l-1} activationBackward would have received.
 type backwardProbe struct {
 	layerOps
 	rec *backwardRecord
+}
+
+func (b *backwardProbe) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
+	z := b.layerOps.multiplyWeight(x, w, l, relu)
+	if relu {
+		b.place(b.rec.h[l], z)
+	}
+	return z
+}
+
+func (b *backwardProbe) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
+	if mask == nil {
+		return b.layerOps.inputGrad(g, w, l, nil)
+	}
+	b.place(b.rec.dH[l-1], b.layerOps.inputGrad(g, w, l, nil))
+	gPrev := b.layerOps.inputGrad(g, w, l, mask)
+	b.place(b.rec.g[l-1], gPrev)
+	return gPrev
 }
 
 // place copies this rank's block into the global matrix it is a block of.
@@ -409,10 +429,7 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 		}
 		for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
 			cfg := p.Config.WithDefaults()
-			serialOps := newSerialOps[float64](cfg, p)
-			// The Reference ops are unfused, so ∂L/∂H^{l-1} reaches
-			// activationBackward unmasked.
-			serialOps.ref = true
+			serialOps := newSerialOps[float64](p)
 			var rec *backwardRecord
 			probed := func(ops layerOps, cfg nn.Config, prob Problem) error {
 				eng := newEngine(&backwardProbe{layerOps: ops, rec: rec}, cfg, prob)

@@ -10,7 +10,8 @@ import (
 
 // deepProblem builds a depth-4 (4 weight layers) training problem: three
 // hidden ReLU layers exercise the fused forward epilogue, the fused
-// backward mask, and the masked-ahead handshake across consecutive layers.
+// backward mask, and the engine skipping the activation passes they replace
+// across consecutive layers.
 func deepProblem(t testing.TB, epochs int, seed int64) Problem {
 	t.Helper()
 	p := testProblem(t, 60, 10, 8, 4, epochs, seed)
@@ -115,6 +116,53 @@ func TestDefaultBitIdenticalToReference(t *testing.T) {
 			want := trainWith(t, p, KernelOptions{Precision: precision, Reference: true})
 			got := trainWith(t, p, KernelOptions{Precision: precision})
 			requireBitEqual(t, precision+" default-vs-reference", got, want)
+		})
+	}
+}
+
+// unfusedReLU is ReLU under another name: the same Forward and Backward,
+// which the engine does not fuse into a multiply.
+type unfusedReLU struct{ dense.ReLU }
+
+func (unfusedReLU) Name() string { return "relu-unfused" }
+
+// TestFusedEpiloguesBitIdenticalEveryTrainer: on every trainer, a run whose
+// ReLU rides in the GEMM epilogues — forward at l = 1, forward through the
+// mesh's partial SUMMA at l = 2, the backward mask at l = 3 of widths
+// {8, 6, 12, 4} — is bit for bit the run with the ReLU as separate passes.
+func TestFusedEpiloguesBitIdenticalEveryTrainer(t *testing.T) {
+	p := edgeProblem(t, 48, []int{8, 6, 12, 4}, 3, 81)
+	trainers := map[string]func() Trainer{
+		"serial": func() Trainer { return NewSerial() },
+		"1d":     func() Trainer { return NewOneD(4, testMach) },
+		"1d-halo-overlap": func() Trainer {
+			tr := NewOneD(4, testMach)
+			tr.Halo, tr.Overlap = true, true
+			return tr
+		},
+		"1.5d-c2": func() Trainer { return NewOneFiveD(4, 2, testMach) },
+		"2d":      func() Trainer { return NewTwoD(4, testMach) },
+		"2d-overlap": func() Trainer {
+			tr := NewTwoD(4, testMach)
+			tr.Overlap = true
+			return tr
+		},
+		"3d": func() Trainer { return NewThreeD(8, testMach) },
+	}
+	for name, mk := range trainers {
+		t.Run(name, func(t *testing.T) {
+			fused, unfused := p, p
+			fused.Config.Hidden = dense.ReLU{}
+			unfused.Config.Hidden = unfusedReLU{}
+			want, err := mk().Train(unfused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := mk().Train(fused)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, name+" fused-vs-separate", got, want)
 		})
 	}
 }

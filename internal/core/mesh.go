@@ -333,12 +333,13 @@ func (r *meshRank) holdPanel(a *sparseOperand, k int, got comm.Payload) {
 	r.memBase += csrWords(a.held[k])
 }
 
-// partialSumma computes my block of X·W for the replicated W: X blocks
-// broadcast along process rows within each mesh layer (Algorithm 2, second
-// phase). The k-th stage multiplies X's k-th column block against
-// W[rowBlk(k), colBlk(pj)]. In overlap mode stage k+1's broadcast is in
-// flight while stage k's GEMM runs.
-func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix) *dense.Matrix {
+// partialSumma computes my block of X·W for the replicated W — of relu(X·W)
+// when relu is set: X blocks broadcast along process rows within each mesh
+// layer (Algorithm 2, second phase). The k-th stage multiplies X's k-th
+// column block against W[rowBlk(k), colBlk(pj)], and the last stage's GEMM
+// applies the ReLU in its epilogue, after each element's sum is complete. In
+// overlap mode stage k+1's broadcast is in flight while stage k's GEMM runs.
+func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, relu bool) *dense.Matrix {
 	rowsB := r.fBlk(w.Rows) // W rows = X's feature dimension, split by column
 	colsB := r.fBlk(w.Cols)
 	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
@@ -356,7 +357,11 @@ func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix) *dense.Matr
 		}
 		wSlice := r.ws.GetUninit(rowsB.Size(k), colsB.Size(r.pj))
 		w.SubMatrixInto(wSlice, rowsB.Lo(k), rowsB.Hi(k), colsB.Lo(r.pj), colsB.Hi(r.pj))
-		dense.MulAdd(out, xK, wSlice)
+		if relu && k == r.mesh.C-1 {
+			dense.MulAddBiasReLU(out, xK, wSlice, nil)
+		} else {
+			dense.MulAdd(out, xK, wSlice)
+		}
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xK.Rows, xK.Cols, wSlice.Cols))
 	}
 	return out
@@ -430,18 +435,23 @@ func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	return t
 }
 
-// multiplyWeight computes X W via the partial SUMMA — except Z¹ = T¹ W¹,
+// multiplyWeight computes X W (relu(X W) when asked: ReLU is elementwise,
+// so each block applies it alone) via the partial SUMMA — except Z¹ = T¹ W¹,
 // whose row panels forwardAggregate gathered for the whole run: a local
 // GEMM against W¹[:, colBlk(pj)].
-func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
 	if l > 1 {
-		return r.partialSumma(x, w)
+		return r.partialSumma(x, w, relu)
 	}
 	colsB := r.fBlk(w.Cols)
 	wCols := r.ws.GetUninit(w.Rows, colsB.Size(r.pj))
 	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
 	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
-	dense.Mul(z, r.t1Rows, wCols)
+	if relu {
+		dense.MulBiasReLU(z, r.t1Rows, wCols, nil)
+	} else {
+		dense.Mul(z, r.t1Rows, wCols)
+	}
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
 	return z
 }
@@ -544,14 +554,19 @@ func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
 }
 
 // inputGrad computes my block of g·(W^l)ᵀ from g's full rows — already
-// gathered by weightGrad — with no communication.
-func (r *meshRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+// gathered by weightGrad — with no communication, masked in the GEMM's
+// epilogue when asked: the result and the H^{l-1} block share their layout.
+func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
 	gRow := r.fullRows(g)
 	fPB := r.fBlk(w.Rows)
 	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), w.Cols)
 	w.SubMatrixInto(wRowBlk, fPB.Lo(r.pj), fPB.Hi(r.pj), 0, w.Cols)
 	dH := r.ws.GetUninit(gRow.Rows, wRowBlk.Rows)
-	dense.MulT(dH, gRow, wRowBlk)
+	if mask != nil {
+		dense.MulTReLUMask(dH, gRow, wRowBlk, mask)
+	} else {
+		dense.MulT(dH, gRow, wRowBlk)
+	}
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(gRow.Rows, w.Cols, wRowBlk.Rows))
 	return dH
 }

@@ -16,8 +16,9 @@ const (
 )
 
 // KernelOptions selects the compute kernels a trainer uses. The zero value
-// is the default configuration: float64 CSR kernels with fused epilogues —
-// the exact kernels every bit-identity test pins down. The two fields are
+// is the default configuration: float64 CSR kernels, with the ReLU in the
+// GEMM epilogues wherever the engine fuses it (on every trainer) — the
+// exact kernels every bit-identity test pins down. The two fields are
 // independent: either precision runs on either set of kernels.
 //
 // Only the serial trainer accepts non-default options (the distributed
@@ -27,8 +28,9 @@ type KernelOptions struct {
 	// Precision is PrecisionF64 (default, "" accepted) or PrecisionF32.
 	Precision string
 	// Reference runs the pre-optimization scalar kernels (one source per
-	// accumulation sweep, no fused epilogues, always on the Go loops) — the
-	// oracle the default path is bit-identical to, in either precision.
+	// accumulation sweep, the ReLU as a separate pass after the multiply,
+	// always on the Go loops) — the oracle the default path is bit-identical
+	// to, in either precision.
 	Reference bool
 }
 

@@ -417,10 +417,15 @@ func (r *rowRank) primary() bool { return r.comm.Rank()%r.c == 0 }
 
 func (r *rowRank) input() *dense.Matrix { return r.h0 }
 
-// multiplyWeight computes (X·W)_i = X_i W (W replicated: no communication).
-func (r *rowRank) multiplyWeight(x, w *dense.Matrix, l int) *dense.Matrix {
+// multiplyWeight computes (X·W)_i = X_i W (W replicated: no communication),
+// with the ReLU in the GEMM's epilogue when asked.
+func (r *rowRank) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
 	z := r.ws.GetUninit(x.Rows, w.Cols)
-	dense.Mul(z, x, w)
+	if relu {
+		dense.MulBiasReLU(z, x, w, nil)
+	} else {
+		dense.Mul(z, x, w)
+	}
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(x.Rows, w.Rows, w.Cols))
 	return z
 }
@@ -469,10 +474,15 @@ func (r *rowRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
 		r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
 }
 
-// inputGrad computes g·(W^l)ᵀ: local (W replicated).
-func (r *rowRank) inputGrad(g, w *dense.Matrix, l int) *dense.Matrix {
+// inputGrad computes g·(W^l)ᵀ: local (W replicated), masked in the GEMM's
+// epilogue when asked — H^{l-1} is in the same block rows.
+func (r *rowRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
 	dH := r.ws.GetUninit(g.Rows, w.Rows)
-	dense.MulT(dH, g, w)
+	if mask != nil {
+		dense.MulTReLUMask(dH, g, w, mask)
+	} else {
+		dense.MulT(dH, g, w)
+	}
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
 	return dH
 }

@@ -45,7 +45,7 @@ func (s *Serial) Train(p Problem) (*Result, error) {
 // newSerialEngine builds the serial trainer in element type T: the engine
 // over serialOps[T], on the reference kernels when ref is set.
 func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T] {
-	ops := newSerialOps[T](cfg, p)
+	ops := newSerialOps[T](p)
 	ops.ref = ref
 	return newEngine(ops, cfg, p).meta("serial", 1)
 }
@@ -63,7 +63,6 @@ func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T
 // Per-layer temporaries come from the workspace (released at endEpoch), so
 // a steady-state epoch allocates nothing.
 type serialOps[T dense.Elem] struct {
-	cfg nn.Config
 	// at and a are Aᵀ for the forward aggregation and A for the backward
 	// one — one matrix when A is symmetric, as on every dataset the repo
 	// generates.
@@ -75,31 +74,20 @@ type serialOps[T dense.Elem] struct {
 	ws     *dense.WorkspaceOf[T]
 	cnt    []float64
 
-	// ref swaps every multiply for the pre-optimization reference kernels
-	// and runs the activations as separate passes (see
-	// KernelOptions.Reference). Otherwise the ReLU epilogue is folded into
-	// the weight multiply and the ReLU mask into the input-gradient
-	// multiply — both bit-identical to the separate passes, and each
-	// possible only where that multiply is the last step before the
-	// activation (see fusesForward, fusesBackward).
+	// ref swaps every multiply for the pre-optimization reference kernels,
+	// followed by a separate ReLU pass where the engine asks for a fused
+	// one (see KernelOptions.Reference).
 	ref bool
-	// hs[l] is H^l as produced this epoch, kept so inputGrad(l+1) can
-	// apply the fused ReLU mask (relu(z) > 0 ⟺ z > 0). maskedAhead names
-	// the layer whose activationBackward was already performed by the
-	// fused inputGrad.
-	hs          []*dense.Of[T]
-	maskedAhead int
 }
 
 // newSerialOps builds the serial layerOps for p with a fresh workspace. The
 // transpose is taken only when A ≠ Aᵀ (asymmetry, as the block-row trainers
 // decide it), and each operand is converted to T once, here.
-func newSerialOps[T dense.Elem](cfg nn.Config, p Problem) *serialOps[T] {
+func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
 	s := &serialOps[T]{
-		cfg: cfg, a: sparse.As[T](p.A),
+		a:      sparse.As[T](p.A),
 		labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(),
 		ws: dense.NewWorkspaceOf[T](), cnt: make([]float64, 8),
-		hs: make([]*dense.Of[T], cfg.Layers()+1),
 	}
 	s.at = s.a
 	if asymmetry(p.A) != "" {
@@ -107,20 +95,6 @@ func newSerialOps[T dense.Elem](cfg nn.Config, p Problem) *serialOps[T] {
 	}
 	dense.As(&s.h0, p.Features)
 	return s
-}
-
-// fusesForward reports whether layer l's ReLU can ride in the epilogue of
-// multiplyWeight(l): only where that multiply produces Z^l, i.e. the layer
-// aggregates first.
-func fusesForward(cfg nn.Config, l int) bool {
-	return aggregatesFirst(cfg.Widths, l) && cfg.Activation(l).Name() == "relu"
-}
-
-// fusesBackward reports whether layer l−1's ReLU mask can ride in the
-// epilogue of inputGrad(l): only where that multiply produces ∂L/∂H^{l-1},
-// i.e. layer l multiplies first (otherwise the aggregation still follows).
-func fusesBackward(cfg nn.Config, l int) bool {
-	return !aggregatesFirst(cfg.Widths, l) && cfg.Activation(l-1).Name() == "relu"
 }
 
 func (s *serialOps[T]) rank() int { return 0 }
@@ -136,29 +110,25 @@ func (s *serialOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	return t
 }
 
-func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T] {
 	z := s.ws.GetUninit(x.Rows, w.Cols)
-	if !s.ref && fusesForward(s.cfg, l) {
-		// Fused epilogue: z holds H^l = relu(T·W) straight out of the
-		// accumulation sweep. Bit-identical to Mul + ReLU (the epilogue
-		// runs after each element's sum completes).
-		dense.MulBiasReLU(z, x, w, nil)
-	} else if s.ref {
+	switch {
+	case s.ref:
 		dense.RefMul(z, x, w)
-	} else {
+		if relu {
+			dense.ReLUForwardOf(z, z)
+		}
+	case relu:
+		dense.MulBiasReLU(z, x, w, nil)
+	default:
 		dense.Mul(z, x, w)
 	}
 	return z
 }
 
 func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T]) {
-	if !s.ref && fusesForward(s.cfg, l) {
-		s.hs[l] = z // multiplyWeight already applied the activation
-		return z, nil
-	}
 	h := s.ws.GetUninit(z.Rows, z.Cols)
 	dense.ForwardOf(act, h, z)
-	s.hs[l] = h
 	return h, nil
 }
 
@@ -168,12 +138,6 @@ func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
 }
 
 func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], _ *actCacheOf[T], l int) *dense.Of[T] {
-	if s.maskedAhead == l {
-		// inputGrad(l+1) already applied the ReLU mask in its fused
-		// epilogue; dH is G^l.
-		s.maskedAhead = 0
-		return dH
-	}
 	g := s.ws.GetUninit(h.Rows, h.Cols)
 	dense.BackwardOf(act, g, dH, h)
 	return g
@@ -206,18 +170,17 @@ func (s *serialOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
 	return dW
 }
 
-func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T] {
 	dH := s.ws.GetUninit(g.Rows, w.Rows)
-	if !s.ref && fusesBackward(s.cfg, l) {
-		// Fused backward epilogue: ∂L/∂H^{l-1} ⊙ relu'(Z^{l-1}) in one
-		// sweep, masking on H^{l-1} (h > 0 ⟺ z > 0) and skipping the dot
-		// product entirely for dead units. Bit-identical to MulT followed
-		// by ReLU.Backward.
-		dense.MulTReLUMask(dH, g, w, s.hs[l-1])
-		s.maskedAhead = l - 1
-	} else if s.ref {
+	switch {
+	case s.ref:
 		dense.RefMulT(dH, g, w)
-	} else {
+		if mask != nil {
+			dense.ReLUBackwardOf(dH, dH, mask)
+		}
+	case mask != nil:
+		dense.MulTReLUMask(dH, g, w, mask)
+	default:
 		dense.MulT(dH, g, w)
 	}
 	return dH

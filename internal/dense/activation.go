@@ -3,6 +3,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/parallel"
 )
@@ -79,13 +80,8 @@ func ReLUForwardOf[T Elem](dst, z *Of[T]) {
 }
 
 func reluForwardRows[T Elem](dst, z *Of[T], lo, hi int) {
-	for i := lo * z.Cols; i < hi*z.Cols; i++ {
-		if v := z.Data[i]; v > 0 {
-			dst.Data[i] = v
-		} else {
-			dst.Data[i] = 0
-		}
-	}
+	i0, i1 := lo*z.Cols, hi*z.Cols
+	reluRow(dst.Data[i0:i1], z.Data[i0:i1])
 }
 
 // Backward implements Activation: dst = grad ⊙ 1[y > 0].
@@ -106,12 +102,90 @@ func ReLUBackwardOf[T Elem](dst, grad, z *Of[T]) {
 }
 
 func reluBackwardRows[T Elem](dst, grad, z *Of[T], lo, hi int) {
-	for i := lo * z.Cols; i < hi*z.Cols; i++ {
-		if z.Data[i] > 0 {
-			dst.Data[i] = grad.Data[i]
-		} else {
-			dst.Data[i] = 0
-		}
+	i0, i1 := lo*z.Cols, hi*z.Cols
+	reluMaskRow(dst.Data[i0:i1], grad.Data[i0:i1], z.Data[i0:i1])
+}
+
+// The ReLU rule is "v where v > 0, else +0", so −0 and every NaN become +0
+// (as the plain `if v > 0` loop gives them), and its gradient mask keeps
+// grad where z > 0 and writes +0 elsewhere. Every ReLU body of this package
+// — ReLU.Forward, ReLU.Backward and the fused GEMM epilogues — applies it
+// through reluRow and reluMaskRow, one pair of definitions.
+//
+// Both are branch-free: a sign that varies at random mispredicts a branch
+// about half the time. On the bits b of v, v > 0 ⟺ b − 1 < bits(+Inf) as
+// unsigned integers — +0 wraps to the top, every negative value and −0 carry
+// the sign bit, every NaN lies above +Inf — and the result is b ANDed with
+// the all-ones-or-zero mask that comparison yields.
+const (
+	inf64Bits = 0x7FF0000000000000
+	inf32Bits = 0x7F800000
+)
+
+// positive64 is all ones where the float64 with bits b is > 0, zero
+// otherwise: the borrow out of (b − 1) − bits(+Inf), negated.
+func positive64(b uint64) uint64 {
+	_, borrow := bits.Sub64(b-1, inf64Bits, 0)
+	return -borrow
+}
+
+// positive32 is positive64 for float32 bits: the 64-bit difference of two
+// 32-bit values is negative exactly when the first is below the second.
+func positive32(b uint32) uint32 {
+	return uint32(int64(uint64(b-1)-inf32Bits) >> 63)
+}
+
+func reluRowF64(dst, z []float64) {
+	z = z[:len(dst)]
+	for i, v := range z {
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b & positive64(b))
+	}
+}
+
+func reluRowF32(dst, z []float32) {
+	z = z[:len(dst)]
+	for i, v := range z {
+		b := math.Float32bits(v)
+		dst[i] = math.Float32frombits(b & positive32(b))
+	}
+}
+
+func reluMaskRowF64(dst, grad, z []float64) {
+	grad, z = grad[:len(dst)], z[:len(dst)]
+	for i, v := range z {
+		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & positive64(math.Float64bits(v)))
+	}
+}
+
+func reluMaskRowF32(dst, grad, z []float32) {
+	grad, z = grad[:len(dst)], z[:len(dst)]
+	for i, v := range z {
+		dst[i] = math.Float32frombits(math.Float32bits(grad[i]) & positive32(math.Float32bits(v)))
+	}
+}
+
+// reluRow writes relu(z) into dst under the ReLU rule. dst may alias z; z
+// must be at least as long as dst.
+func reluRow[T Elem](dst, z []T) {
+	if f, ok := any(reluRowF64).(func(dst, z []T)); ok {
+		f(dst, z)
+	} else if f, ok := any(reluRowF32).(func(dst, z []T)); ok {
+		f(dst, z)
+	} else {
+		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
+	}
+}
+
+// reluMaskRow writes grad ⊙ 1[z > 0] into dst under the ReLU rule. dst may
+// alias grad or z; both must be at least as long as dst.
+func reluMaskRow[T Elem](dst, grad, z []T) {
+	if f, ok := any(reluMaskRowF64).(func(dst, grad, z []T)); ok {
+		f(dst, grad, z)
+	} else if f, ok := any(reluMaskRowF32).(func(dst, grad, z []T)); ok {
+		f(dst, grad, z)
+	} else {
+		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
 	}
 }
 

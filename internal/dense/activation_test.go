@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -303,4 +304,152 @@ func TestForwardBackwardOf(t *testing.T) {
 			t.Fatalf("%s: float32 result is not the float64 one", act.Name())
 		}
 	}
+}
+
+// reluOracle and reluMaskOracle state the ReLU rule as the plain loop does:
+// the definition reluRow and reluMaskRow must reproduce bit for bit.
+func reluOracle[T Elem](dst, z []T) {
+	for i, v := range z {
+		if v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+func reluMaskOracle[T Elem](dst, grad, z []T) {
+	for i, v := range z {
+		if v > 0 {
+			dst[i] = grad[i]
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
+// compareReLURows runs both row kernels against the oracles on z and grad
+// (equal lengths), into a fresh dst and with dst aliasing z (forward) or
+// grad and z (mask), and fails on the first word whose bits differ. The
+// inputs are left as they were.
+func compareReLURows[T Elem](t testing.TB, label string, z, grad []T) {
+	t.Helper()
+	check := func(kernel string, got, want []T) {
+		t.Helper()
+		for i := range want {
+			if toBits(got[i]) != toBits(want[i]) {
+				t.Fatalf("%s %s: element %d (z %#x, grad %#x): got %#x, want %#x",
+					label, kernel, i, toBits(z[i]), toBits(grad[i]), toBits(got[i]), toBits(want[i]))
+			}
+		}
+	}
+	n := len(z)
+	want, got := make([]T, n), make([]T, n)
+	reluOracle(want, z)
+	reluRow(got, z)
+	check("forward", got, want)
+	copy(got, z)
+	reluRow(got, got)
+	check("forward, dst = z", got, want)
+
+	reluMaskOracle(want, grad, z)
+	reluMaskRow(got, grad, z)
+	check("mask", got, want)
+	copy(got, grad)
+	reluMaskRow(got, got, z)
+	check("mask, dst = grad", got, want)
+	reluMaskOracle(want, z, z)
+	copy(got, z)
+	reluMaskRow(got, got, got)
+	check("mask, dst = grad = z", got, want)
+}
+
+// testReLURowsMatchRule meets every specialBits value, as z, with every one
+// as grad — ±0, ±Inf, NaNs of both signs with payload 1 and others, the
+// smallest subnormals, ±MaxFloat — and then random-sign normal draws.
+func testReLURowsMatchRule[T Elem](t *testing.T) {
+	special := specialBits[T]()
+	var z, grad []T
+	for _, zb := range special {
+		for _, gb := range special {
+			z, grad = append(z, fromBits[T](zb)), append(grad, fromBits[T](gb))
+		}
+	}
+	compareReLURows(t, "special", z, grad)
+
+	rng := rand.New(rand.NewSource(26))
+	z, grad = make([]T, 1000), make([]T, 1000)
+	for i := range z {
+		z[i], grad[i] = T(rng.NormFloat64()), T(rng.NormFloat64())
+	}
+	compareReLURows(t, "random", z, grad)
+}
+
+func TestReLURowsMatchRule(t *testing.T) {
+	t.Run("float64", testReLURowsMatchRule[float64])
+	t.Run("float32", testReLURowsMatchRule[float32])
+}
+
+// FuzzReLURow reads z from raw bytes, for each element width, takes grad as
+// z rotated by one element, and holds the row kernels to the oracles.
+func FuzzReLURow(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0x80, 0x7f, 0, 0, 0x80, 0xff})
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		z64, grad64 := fuzzRow[float64](data, 8)
+		compareReLURows(t, "float64", z64, grad64)
+		z32, grad32 := fuzzRow[float32](data, 4)
+		compareReLURows(t, "float32", z32, grad32)
+	})
+}
+
+// fuzzRow reads len(data)/width elements of width bytes each, little-endian,
+// and returns them with their rotation by one.
+func fuzzRow[T Elem](data []byte, width int) (z, grad []T) {
+	z = make([]T, len(data)/width)
+	for i := range z {
+		var b uint64
+		for j := 0; j < width; j++ {
+			b |= uint64(data[i*width+j]) << (8 * j)
+		}
+		z[i] = fromBits[T](b)
+	}
+	if len(z) == 0 {
+		return z, z
+	}
+	return z, append(z[1:len(z):len(z)], z[0])
+}
+
+// reluBenchShapes are activation shapes of the workloads' hidden layers on
+// one rank.
+var reluBenchShapes = []struct{ n, f int }{{4096, 16}, {4096, 32}, {8192, 64}}
+
+// benchReLU times one ReLU pass at each shape, single threaded (serial
+// backend), over inputs whose signs are random: all-positive data would let
+// a branch predict every element. It reports ns per element and must report
+// 0 B/op.
+func benchReLU(b *testing.B, pass func(dst, grad, z *Matrix)) {
+	release := parallel.AcquireBackend(parallel.BackendSerial)
+	defer release()
+	for _, s := range reluBenchShapes {
+		rng := rand.New(rand.NewSource(27))
+		z, grad, dst := randMatrix(rng, s.n, s.f), randMatrix(rng, s.n, s.f), New(s.n, s.f)
+		b.Run(fmt.Sprintf("%dx%d", s.n, s.f), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				pass(dst, grad, z)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.n*s.f), "ns/element")
+		})
+	}
+}
+
+func BenchmarkReLU(b *testing.B) {
+	benchReLU(b, func(dst, _, z *Matrix) { ReLU{}.Forward(dst, z) })
+}
+
+func BenchmarkReLUMask(b *testing.B) {
+	benchReLU(b, func(dst, grad, z *Matrix) { ReLU{}.Backward(dst, grad, z) })
 }

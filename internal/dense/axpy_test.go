@@ -57,15 +57,16 @@ func quietBit[T Elem]() uint64 {
 
 // specialBits lists the values arithmetic treats specially: both zeros,
 // both infinities, quiet and signalling NaNs of either sign with distinct
-// payloads, the smallest and largest subnormal, the smallest normal,
-// ±MaxFloat (whose products and sums overflow), and a few ordinary values
-// for them to meet.
+// payloads — among them payload 1, the NaN next to ±Inf — the smallest
+// subnormal of either sign and the largest, the smallest normal, ±MaxFloat
+// (whose products and sums overflow), and a few ordinary values for them to
+// meet.
 func specialBits[T Elem]() []uint64 {
 	if isFloat32[T]() {
 		b := []uint64{
 			0x00000000, 0x80000000, 0x7f800000, 0xff800000,
-			0x7fc00001, 0xffc00002, 0x7f800003, 0xff900004,
-			0x00000001, 0x807fffff, 0x00800000,
+			0x7fc00001, 0xffc00002, 0x7f800003, 0xff900004, 0x7f800001, 0xff800001,
+			0x00000001, 0x80000001, 0x807fffff, 0x00800000,
 			0x7f7fffff, 0xff7fffff,
 		}
 		for _, f := range []float32{1, -1, 2, 0.5, -3.25, 1e-20, 1e20} {
@@ -76,7 +77,8 @@ func specialBits[T Elem]() []uint64 {
 	b := []uint64{
 		0x0000000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
 		0x7ff8000000000001, 0xfff8000000000002, 0x7ff0000000000003, 0xfff2000000000004,
-		0x0000000000000001, 0x800fffffffffffff, 0x0010000000000000,
+		0x7ff0000000000001, 0xfff0000000000001,
+		0x0000000000000001, 0x8000000000000001, 0x800fffffffffffff, 0x0010000000000000,
 		0x7fefffffffffffff, 0xffefffffffffffff,
 	}
 	for _, f := range []float64{1, -1, 2, 0.5, -3.25, 1e-160, 1e160} {

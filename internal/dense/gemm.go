@@ -81,22 +81,6 @@ func Axpy4Row[T Elem](dst []T, v0 T, x0 []T, v1 T, x1 []T, v2 T, x2 []T, v3 T, x
 	}
 }
 
-// biasReluRow adds the bias broadcast (nil bias allowed) and applies ReLU
-// in one pass over a freshly accumulated output row, with the ReLU
-// activation's elementwise rule: v where v > 0, else +0 (so −0 and NaN
-// become +0 too).
-func biasReluRow[T Elem](row, bias []T) {
-	for j, v := range row {
-		if bias != nil {
-			v += bias[j]
-		}
-		if !(v > 0) {
-			v = 0
-		}
-		row[j] = v
-	}
-}
-
 // Mul computes dst = a * b. dst must not alias a or b and must be
 // pre-shaped (a.Rows x b.Cols); it is overwritten.
 //
@@ -164,7 +148,8 @@ const (
 
 // epilogue is what a Mul-family kernel applies to a block of output rows
 // once their sums are complete: nothing, the bias broadcast and ReLU, or the
-// ReLU gradient mask (+0 wherever mask > 0 is false, as ReLU.Backward).
+// ReLU gradient mask (+0 wherever mask > 0 is false) — the ReLU rule of
+// ReLU.Forward and ReLU.Backward, through the same row kernels.
 type epilogue[T Elem] struct {
 	relu bool
 	bias []T
@@ -172,18 +157,20 @@ type epilogue[T Elem] struct {
 }
 
 func (e epilogue[T]) apply(dst *Of[T], lo, hi int) {
-	for i := lo; i < hi; i++ {
-		switch {
-		case e.relu:
-			biasReluRow(dst.Row(i), e.bias)
-		case e.mask != nil:
-			drow := dst.Row(i)
-			for j, h := range e.mask.Row(i) {
-				if !(h > 0) {
-					drow[j] = 0
+	block := dst.Data[lo*dst.Cols : hi*dst.Cols]
+	switch {
+	case e.relu:
+		if e.bias != nil {
+			for i := lo; i < hi; i++ {
+				row := dst.Row(i)
+				for j, b := range e.bias {
+					row[j] += b
 				}
 			}
 		}
+		reluRow(block, block)
+	case e.mask != nil:
+		reluMaskRow(block, block, e.mask.Data[lo*dst.Cols:hi*dst.Cols])
 	}
 }
 
