@@ -209,8 +209,8 @@ func BenchmarkEpochSerial(b *testing.B) { benchmarkEpochs(b, "serial", 1) }
 
 // BenchmarkEpochSerialWide measures the serial epoch on the wide-feature
 // R-MAT analog (f = 256) on each kernel path: reference is the
-// pre-optimization scalar baseline, default adds the fused four-source
-// sweeps, f32 the mixed-precision storage.
+// pre-optimization scalar baseline, default adds the register tiles and the
+// fused and routed ReLU products, f32 the mixed-precision storage.
 func BenchmarkEpochSerialWide(b *testing.B) {
 	configs := []struct {
 		name string

@@ -101,6 +101,21 @@ func warmSerialEpochIn[T dense.Elem](p Problem, ref bool) func() {
 	return epoch
 }
 
+// multiplyFirst are widths whose layers 2 and 3 both multiply first, each
+// over the nonzeros of the ReLU output before it; the allocation tests' other
+// problem, {16, 16, 8}, has one such layer after an aggregate-first one.
+var multiplyFirst = []int{16, 12, 8, 4}
+
+// allocProblem is the allocation tests' problem, with widths when given.
+func allocProblem(t *testing.T, widths []int, seed int64) Problem {
+	if widths == nil {
+		return testProblem(t, 256, 16, 16, 8, 1, seed)
+	}
+	p := testProblem(t, 256, widths[0], widths[1], widths[len(widths)-1], 1, seed)
+	p.Config.Widths = widths
+	return p
+}
+
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
 // nothing once the workspace is warm — on each of the three kernel paths:
 // default, float32 mixed precision, and reference.
@@ -108,16 +123,19 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
 	cases := []struct {
-		name string
-		o    KernelOptions
+		name   string
+		o      KernelOptions
+		widths []int
 	}{
-		{"default", KernelOptions{}},
-		{"f32", KernelOptions{Precision: PrecisionF32}},
-		{"reference", KernelOptions{Reference: true}},
+		{"default", KernelOptions{}, nil},
+		{"f32", KernelOptions{Precision: PrecisionF32}, nil},
+		{"reference", KernelOptions{Reference: true}, nil},
+		{"multiply-first", KernelOptions{}, multiplyFirst},
+		{"multiply-first-f32", KernelOptions{Precision: PrecisionF32}, multiplyFirst},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			epoch := warmSerialEpoch(testProblem(t, 256, 16, 16, 8, 1, 71), tc.o)
+			epoch := warmSerialEpoch(allocProblem(t, tc.widths, 71), tc.o)
 			if avg := testing.AllocsPerRun(5, epoch); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times, want 0", tc.name, avg)
 			}
@@ -132,37 +150,41 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
 	cases := []struct {
-		name  string
-		tr    rankRunner
-		ranks int
+		name   string
+		tr     rankRunner
+		ranks  int
+		widths []int
 	}{
-		{"1d", NewOneD(4, testMach), 4},
-		{"1d-halo", func() rankRunner { tr := NewOneD(4, testMach); tr.Halo = true; return tr }(), 4},
-		{"1.5d", NewOneFiveD(4, 2, testMach), 4},
-		{"1.5d-halo", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Halo = true; return tr }(), 4},
-		{"2d", NewTwoD(4, testMach), 4},
-		{"3d", NewThreeD(8, testMach), 8},
+		{"1d", NewOneD(4, testMach), 4, nil},
+		{"1d-multiply-first", NewOneD(4, testMach), 4, multiplyFirst},
+		{"2d-multiply-first", NewTwoD(4, testMach), 4, multiplyFirst},
+		{"3d-multiply-first", NewThreeD(8, testMach), 8, multiplyFirst},
+		{"1d-halo", func() rankRunner { tr := NewOneD(4, testMach); tr.Halo = true; return tr }(), 4, nil},
+		{"1.5d", NewOneFiveD(4, 2, testMach), 4, nil},
+		{"1.5d-halo", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Halo = true; return tr }(), 4, nil},
+		{"2d", NewTwoD(4, testMach), 4, nil},
+		{"3d", NewThreeD(8, testMach), 8, nil},
 		// Overlap mode must be equally allocation-free: the double buffers
 		// come from the workspace/payload arenas and Request objects are
 		// pooled and recycled by EpochDone.
-		{"1d-overlap", func() rankRunner { tr := NewOneD(4, testMach); tr.Overlap = true; return tr }(), 4},
+		{"1d-overlap", func() rankRunner { tr := NewOneD(4, testMach); tr.Overlap = true; return tr }(), 4, nil},
 		{"1d-halo-overlap", func() rankRunner {
 			tr := NewOneD(4, testMach)
 			tr.Halo, tr.Overlap = true, true
 			return tr
-		}(), 4},
-		{"1.5d-overlap", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Overlap = true; return tr }(), 4},
+		}(), 4, nil},
+		{"1.5d-overlap", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Overlap = true; return tr }(), 4, nil},
 		{"1.5d-halo-overlap", func() rankRunner {
 			tr := NewOneFiveD(4, 2, testMach)
 			tr.Halo, tr.Overlap = true, true
 			return tr
-		}(), 4},
-		{"2d-overlap", func() rankRunner { tr := NewTwoD(4, testMach); tr.Overlap = true; return tr }(), 4},
-		{"3d-overlap", func() rankRunner { tr := NewThreeD(8, testMach); tr.Overlap = true; return tr }(), 8},
+		}(), 4, nil},
+		{"2d-overlap", func() rankRunner { tr := NewTwoD(4, testMach); tr.Overlap = true; return tr }(), 4, nil},
+		{"3d-overlap", func() rankRunner { tr := NewThreeD(8, testMach); tr.Overlap = true; return tr }(), 8, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := testProblem(t, 256, 16, 16, 8, 1, 72)
+			p := allocProblem(t, tc.widths, 72)
 			if avg := steadyStateAllocs(t, tc.tr, p, tc.ranks); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times across %d ranks, want 0",
 					tc.name, avg, tc.ranks)

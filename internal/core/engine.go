@@ -47,13 +47,14 @@ type layerOpsOf[T dense.Elem] interface {
 	forwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
 	// multiplyWeight returns this rank's block of X·W for the replicated
-	// weight matrix w of layer l — of relu(X·W) when relu is set: x is
-	// T^l = Aᵀ·H^{l-1} when the layer aggregates first (the product is then
-	// Z^l, and with relu H^l), H^{l-1} when it multiplies first (relu is
-	// then never set). The ReLU must be bit-identical to dense.ReLU applied
-	// to the finished product: an implementation applies it to each element
-	// once that element's sum is complete (see fusesForward).
-	multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T]
+	// weight matrix w of layer l, in form f: x is T^l = Aᵀ·H^{l-1} when the
+	// layer aggregates first (the product is then Z^l, and with fusedReLU
+	// H^l), H^{l-1} when it multiplies first (then sparseLeft when H^{l-1} is
+	// a ReLU output, plainGEMM otherwise). The ReLU must be bit-identical to
+	// dense.ReLU applied to the finished product: an implementation applies
+	// it to each element once that element's sum is complete (see
+	// fusesForward).
+	multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T]
 
 	// activationForward applies act to z, returning this rank's H block
 	// plus any full-row cache the layout needs again in backward (nil for
@@ -78,14 +79,15 @@ type layerOpsOf[T dense.Elem] interface {
 	// ∂L/∂H^{l-1}). Never called at l = 1.
 	backwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
-	// weightGrad returns the fully replicated Y^l = hPrevᵀ·g. The operands
-	// are (H^{l-1}, A·G^l) after a backwardAggregate in a multiply-first
-	// layer, and (T^l, G^l) straight from activationBackward in an
-	// aggregate-first one. A layout whose product reads full rows of g (2D,
-	// 3D) gathers them here unless it already holds them — a row-wise
-	// activation backward computed G^l on full rows — and inputGrad(g)
-	// reuses that gather.
-	weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T]
+	// weightGrad returns the fully replicated Y^l = hPrevᵀ·g, in form f. The
+	// operands are (H^{l-1}, A·G^l) after a backwardAggregate in a
+	// multiply-first layer — sparseLeft when H^{l-1} is a ReLU output — and
+	// (T^l, G^l) straight from activationBackward in an aggregate-first one —
+	// sparseRight when layer l is a ReLU layer. A layout whose product reads
+	// full rows of g (2D, 3D) gathers them here unless it already holds them
+	// — a row-wise activation backward computed G^l on full rows — and
+	// inputGrad(g) reuses that gather.
+	weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T]
 
 	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
 	// ∂L/∂H^{l-1} when g is A·G^l, its pre-aggregation form when g is G^l.
@@ -260,18 +262,108 @@ func (e *engine[T]) weightsInT(weights []*dense.Matrix) []*dense.Of[T] {
 	return e.w
 }
 
+// reluOutput reports whether H^l is a ReLU output. About half of it is then
+// exact zeros, and so is its masked gradient G^l; the engine decides this,
+// and every choice below, from the layer's activation alone, never from the
+// data.
+func reluOutput(cfg nn.Config, l int) bool {
+	return l >= 1 && cfg.Activation(l).Name() == "relu"
+}
+
 // fusesForward reports whether layer l's ReLU rides in the epilogue of
 // multiplyWeight(l): only where that multiply produces Z^l, i.e. the layer
 // aggregates first.
 func fusesForward(cfg nn.Config, l int) bool {
-	return aggregatesFirst(cfg.Widths, l) && cfg.Activation(l).Name() == "relu"
+	return aggregatesFirst(cfg.Widths, l) && reluOutput(cfg, l)
 }
 
 // fusesBackward reports whether layer l−1's ReLU mask rides in the epilogue
 // of inputGrad(l): only where that multiply produces ∂L/∂H^{l-1}, i.e. layer
 // l multiplies first (otherwise the aggregation still follows).
 func fusesBackward(cfg nn.Config, l int) bool {
-	return !aggregatesFirst(cfg.Widths, l) && cfg.Activation(l-1).Name() == "relu"
+	return !aggregatesFirst(cfg.Widths, l) && reluOutput(cfg, l-1)
+}
+
+// productForm is how a dense product of the layer ops runs: a plain GEMM,
+// with the layer's ReLU in its epilogue (fusesForward), or as an SpMM over
+// the nonzeros of the operand that is a ReLU output or a ReLU layer's masked
+// gradient — the left one (X of X·W, H^{l-1} of (H^{l-1})ᵀ·AG) or the right
+// one (G^l of (T^l)ᵀ·G^l). sparseLeft gives the plain GEMM's bits on every
+// input, sparseRight wherever T^l is finite (see weightProduct).
+type productForm uint8
+
+const (
+	plainGEMM productForm = iota
+	fusedReLU
+	sparseLeft
+	sparseRight
+)
+
+// forwardForm is the form of layer l's multiplyWeight.
+func forwardForm(cfg nn.Config, l int) productForm {
+	switch {
+	case fusesForward(cfg, l):
+		return fusedReLU
+	case !aggregatesFirst(cfg.Widths, l) && reluOutput(cfg, l-1):
+		return sparseLeft
+	}
+	return plainGEMM
+}
+
+// weightGradForm is the form of layer l's weightGrad.
+func weightGradForm(cfg nn.Config, l int) productForm {
+	switch {
+	case aggregatesFirst(cfg.Widths, l) && reluOutput(cfg, l):
+		return sparseRight
+	case !aggregatesFirst(cfg.Widths, l) && reluOutput(cfg, l-1):
+		return sparseLeft
+	}
+	return plainGEMM
+}
+
+// weightMul computes dst = x·w in form f (plainGEMM, fusedReLU or
+// sparseLeft), or dst += x·w when load is set.
+func weightMul[T dense.Elem](dst, x, w *dense.Of[T], f productForm, load bool) {
+	switch {
+	case f == fusedReLU && load:
+		dense.MulAddBiasReLU(dst, x, w, nil)
+	case f == fusedReLU:
+		dense.MulBiasReLU(dst, x, w, nil)
+	case f == sparseLeft && load:
+		dense.MulAddNZ(dst, x, w)
+	case f == sparseLeft:
+		dense.MulNZ(dst, x, w)
+	case load:
+		dense.MulAdd(dst, x, w)
+	default:
+		dense.Mul(dst, x, w)
+	}
+}
+
+// weightProduct computes dst = hPrevᵀ·g in form f (plainGEMM, sparseLeft or
+// sparseRight), on the Reference kernels when ref is set. sparseRight is
+// (gᵀ·hPrev)ᵀ over g's nonzeros, through a scratch from ws: each element
+// sums the terms with g ≠ 0 where TMul sums those with hPrev ≠ 0, which
+// differs only by ±0·x terms — nothing, to a sum started at +0, when x is
+// finite — so the bits are TMul's wherever hPrev is finite. The reference
+// computes the same reoriented product.
+func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.Of[T], f productForm, ref bool) {
+	switch {
+	case f == sparseRight:
+		yt := ws.GetUninit(g.Cols, hPrev.Cols)
+		if ref {
+			dense.RefTMul(yt, g, hPrev)
+		} else {
+			dense.TMulNZ(yt, g, hPrev)
+		}
+		yt.TransposeInto(dst)
+	case ref:
+		dense.RefTMul(dst, hPrev, g)
+	case f == sparseLeft:
+		dense.TMulNZ(dst, hPrev, g)
+	default:
+		dense.TMul(dst, hPrev, g)
+	}
 }
 
 // layerForward returns H^l = σ(Aᵀ·H^{l-1}·W^l) in layer l's product order,
@@ -279,17 +371,17 @@ func fusesBackward(cfg nn.Config, l int) bool {
 // activation's cache. A fused layer's multiply applies the ReLU itself.
 func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T], cache *actCacheOf[T]) {
 	var z *dense.Of[T]
-	fused := fusesForward(e.cfg, l)
+	form := forwardForm(e.cfg, l)
 	if aggregatesFirst(e.cfg.Widths, l) {
 		t = e.t1
 		if l > 1 {
 			t = e.ops.forwardAggregate(hPrev, l)
 		}
-		z = e.ops.multiplyWeight(t, w, l, fused)
+		z = e.ops.multiplyWeight(t, w, l, form)
 	} else {
-		z = e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l, false), l)
+		z = e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l, form), l)
 	}
-	if fused {
+	if form == fusedReLU {
 		return z, t, nil
 	}
 	h, cache = e.ops.activationForward(e.cfg.Activation(l), z, l)
@@ -330,13 +422,13 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actC
 			g = e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
 		}
 		if aggregatesFirst(e.cfg.Widths, l) {
-			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l))
+			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l, weightGradForm(e.cfg, l)))
 			if l > 1 {
 				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l, nil), l)
 			}
 		} else {
 			ag := e.ops.backwardAggregate(g, l)
-			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l))
+			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l, weightGradForm(e.cfg, l)))
 			var mask *dense.Of[T]
 			if fusesBackward(e.cfg, l) {
 				mask = H[l-1]

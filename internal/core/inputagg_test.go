@@ -147,14 +147,14 @@ func (s *scheduleOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	return out
 }
 
-func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T] {
+func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("mulW %d", l))
-	return s.layerOpsOf.multiplyWeight(x, w, l, relu)
+	return s.layerOpsOf.multiplyWeight(x, w, l, f)
 }
 
-func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
+func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T] {
 	s.calls = append(s.calls, fmt.Sprintf("wGrad %d", l))
-	return s.layerOpsOf.weightGrad(hPrev, g, l)
+	return s.layerOpsOf.weightGrad(hPrev, g, l, f)
 }
 
 func (s *scheduleOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T] {
@@ -287,8 +287,8 @@ type gradProbe struct {
 	g1, dW1 *dense.Matrix
 }
 
-func (p *gradProbe) weightGrad(hPrev, ag *dense.Matrix, l int) *dense.Matrix {
-	dW := p.layerOps.weightGrad(hPrev, ag, l)
+func (p *gradProbe) weightGrad(hPrev, ag *dense.Matrix, l int, f productForm) *dense.Matrix {
+	dW := p.layerOps.weightGrad(hPrev, ag, l, f)
 	if l == 1 {
 		p.g1, p.dW1 = ag.Clone(), dW.Clone()
 	}
@@ -352,9 +352,9 @@ type backwardProbe struct {
 	rec *backwardRecord
 }
 
-func (b *backwardProbe) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
-	z := b.layerOps.multiplyWeight(x, w, l, relu)
-	if relu {
+func (b *backwardProbe) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
+	z := b.layerOps.multiplyWeight(x, w, l, f)
+	if f == fusedReLU {
 		b.place(b.rec.h[l], z)
 	}
 	return z
@@ -397,8 +397,8 @@ func (b *backwardProbe) activationBackward(act dense.Activation, dH, h *dense.Ma
 	return g
 }
 
-func (b *backwardProbe) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
-	dW := b.layerOps.weightGrad(hPrev, g, l)
+func (b *backwardProbe) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
+	dW := b.layerOps.weightGrad(hPrev, g, l, f)
 	if b.rank() == 0 {
 		b.rec.dW[l] = dW.Clone()
 	}

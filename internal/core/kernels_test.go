@@ -102,11 +102,12 @@ func TestSetKernelOptionsValidation(t *testing.T) {
 }
 
 // TestDefaultBitIdenticalToReference: the optimized default path — fused
-// epilogues, four-source Axpy4Row sweeps in every GEMM and SpMM, the vector
-// routines where the CPU has them — must reproduce the pre-optimization
-// reference kernels bit for bit, in both precisions. This is the end-to-end
-// pin for the whole blocking scheme: each fused sweep performs the same
-// adds in the same per-element order as the one-source reference loops.
+// epilogues, the register tiles in every GEMM and SpMM, the products over a
+// ReLU operand's nonzeros, the vector routines where the CPU has them — must
+// reproduce the pre-optimization reference kernels bit for bit, in both
+// precisions. This is the end-to-end pin for the whole blocking scheme: each
+// tile performs the same adds in the same per-element order as the
+// one-source reference loops.
 // Reference is independent of Precision, and spelling out f64 changes
 // nothing.
 func TestDefaultBitIdenticalToReference(t *testing.T) {
@@ -131,7 +132,38 @@ func (unfusedReLU) Name() string { return "relu-unfused" }
 // mesh's partial SUMMA at l = 2, the backward mask at l = 3 of widths
 // {8, 6, 12, 4} — is bit for bit the run with the ReLU as separate passes.
 func TestFusedEpiloguesBitIdenticalEveryTrainer(t *testing.T) {
-	p := edgeProblem(t, 48, []int{8, 6, 12, 4}, 3, 81)
+	reluRunsBitIdentical(t, []int{8, 6, 12, 4})
+}
+
+// TestReLUSparseProductsBitIdenticalEveryTrainer: on every trainer, the
+// products over a ReLU operand's nonzeros — Y¹ = (T¹)ᵀ·G¹ over G¹'s, then at
+// l = 2 and l = 3 of widths {8, 12, 6, 4} the multiply-first H^{l-1}·W^l and
+// (H^{l-1})ᵀ·(A·G^l) over H^{l-1}'s (2D and 3D: in every stage of the
+// partial SUMMA) — give the run of the dense products bit for bit.
+func TestReLUSparseProductsBitIdenticalEveryTrainer(t *testing.T) {
+	reluRunsBitIdentical(t, []int{8, 12, 6, 4})
+}
+
+// reluRunsBitIdentical trains a network of the given widths on every
+// trainer twice, with dense.ReLU — fused into the GEMM epilogues, its
+// outputs and masked gradients multiplied over their nonzeros — and with
+// unfusedReLU, which the engine does neither for, and requires the same
+// losses, weights and output. The float32 kernels know activations by name
+// and have none for unfusedReLU, so serial f32 runs dense.ReLU twice, the
+// second time with every product a dense GEMM (plainProducts).
+func reluRunsBitIdentical(t *testing.T, widths []int) {
+	p := edgeProblem(t, 48, widths, 3, 81)
+	t.Run("serial-f32", func(t *testing.T) {
+		relu := p
+		relu.Config.Hidden = dense.ReLU{}
+		got := trainWith(t, relu, KernelOptions{Precision: PrecisionF32})
+		relu = relu.normalized()
+		want, err := newEngine(plainProducts[float32]{newSerialOps[float32](relu)}, relu.Config.WithDefaults(), relu).run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitEqual(t, "serial-f32 relu-vs-dense-products", got, want)
+	})
 	trainers := map[string]func() Trainer{
 		"serial": func() Trainer { return NewSerial() },
 		"1d":     func() Trainer { return NewOneD(4, testMach) },
@@ -151,18 +183,33 @@ func TestFusedEpiloguesBitIdenticalEveryTrainer(t *testing.T) {
 	}
 	for name, mk := range trainers {
 		t.Run(name, func(t *testing.T) {
-			fused, unfused := p, p
-			fused.Config.Hidden = dense.ReLU{}
+			relu, unfused := p, p
+			relu.Config.Hidden = dense.ReLU{}
 			unfused.Config.Hidden = unfusedReLU{}
 			want, err := mk().Train(unfused)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := mk().Train(fused)
+			got, err := mk().Train(relu)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireBitEqual(t, name+" fused-vs-separate", got, want)
+			requireBitEqual(t, name+" relu-vs-unfused", got, want)
 		})
 	}
+}
+
+// plainProducts runs every product of its ops as a dense GEMM: the forms
+// that would multiply a ReLU operand's nonzeros fall back to plainGEMM.
+type plainProducts[T dense.Elem] struct{ layerOpsOf[T] }
+
+func (o plainProducts[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T] {
+	if f == sparseLeft {
+		f = plainGEMM
+	}
+	return o.layerOpsOf.multiplyWeight(x, w, l, f)
+}
+
+func (o plainProducts[T]) weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T] {
+	return o.layerOpsOf.weightGrad(hPrev, g, l, plainGEMM)
 }

@@ -333,13 +333,14 @@ func (r *meshRank) holdPanel(a *sparseOperand, k int, got comm.Payload) {
 	r.memBase += csrWords(a.held[k])
 }
 
-// partialSumma computes my block of X·W for the replicated W — of relu(X·W)
-// when relu is set: X blocks broadcast along process rows within each mesh
-// layer (Algorithm 2, second phase). The k-th stage multiplies X's k-th
-// column block against W[rowBlk(k), colBlk(pj)], and the last stage's GEMM
-// applies the ReLU in its epilogue, after each element's sum is complete. In
-// overlap mode stage k+1's broadcast is in flight while stage k's GEMM runs.
-func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, relu bool) *dense.Matrix {
+// partialSumma computes my block of X·W for the replicated W in form f: X
+// blocks broadcast along process rows within each mesh layer (Algorithm 2,
+// second phase). The k-th stage multiplies X's k-th column block against
+// W[rowBlk(k), colBlk(pj)] — over the block's nonzeros when f is
+// sparseLeft — and with fusedReLU the last stage's GEMM applies the ReLU in
+// its epilogue, after each element's sum is complete. In overlap mode stage
+// k+1's broadcast is in flight while stage k's GEMM runs.
+func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, f productForm) *dense.Matrix {
 	rowsB := r.fBlk(w.Rows) // W rows = X's feature dimension, split by column
 	colsB := r.fBlk(w.Cols)
 	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
@@ -357,11 +358,11 @@ func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, relu bool) 
 		}
 		wSlice := r.ws.GetUninit(rowsB.Size(k), colsB.Size(r.pj))
 		w.SubMatrixInto(wSlice, rowsB.Lo(k), rowsB.Hi(k), colsB.Lo(r.pj), colsB.Hi(r.pj))
-		if relu && k == r.mesh.C-1 {
-			dense.MulAddBiasReLU(out, xK, wSlice, nil)
-		} else {
-			dense.MulAdd(out, xK, wSlice)
+		stage := f
+		if f == fusedReLU && k < r.mesh.C-1 {
+			stage = plainGEMM
 		}
+		weightMul(out, xK, wSlice, stage, true)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xK.Rows, xK.Cols, wSlice.Cols))
 	}
 	return out
@@ -435,23 +436,19 @@ func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	return t
 }
 
-// multiplyWeight computes X W (relu(X W) when asked: ReLU is elementwise,
-// so each block applies it alone) via the partial SUMMA — except Z¹ = T¹ W¹,
-// whose row panels forwardAggregate gathered for the whole run: a local
-// GEMM against W¹[:, colBlk(pj)].
-func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
+// multiplyWeight computes X W in form f (with fusedReLU relu(X W): ReLU is
+// elementwise, so each block applies it alone) via the partial SUMMA —
+// except Z¹ = T¹ W¹, whose row panels forwardAggregate gathered for the
+// whole run: a local GEMM against W¹[:, colBlk(pj)].
+func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
 	if l > 1 {
-		return r.partialSumma(x, w, relu)
+		return r.partialSumma(x, w, f)
 	}
 	colsB := r.fBlk(w.Cols)
 	wCols := r.ws.GetUninit(w.Rows, colsB.Size(r.pj))
 	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
 	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
-	if relu {
-		dense.MulBiasReLU(z, r.t1Rows, wCols, nil)
-	} else {
-		dense.Mul(z, r.t1Rows, wCols)
-	}
+	weightMul(z, r.t1Rows, wCols, f, false)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
 	return z
 }
@@ -535,10 +532,10 @@ func (r *meshRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 // all-gather along the process row to replicate Y (dense SUMMA +
 // all-gather, §IV-C-4, §IV-D-4). (H^{l-1}, A G^l) and (T^l, G^l) are laid
 // out alike, so one product serves both orders.
-func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
 	gRow := r.fullRows(g)
 	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
-	dense.TMul(partial, hPrev, gRow)
+	weightProduct(r.ws, partial, hPrev, gRow, f, false)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, gRow.Cols))
 	planeSum := r.planeGroup.AllReduce(partial.Data, comm.CatDenseComm)
 	r.dims[0], r.dims[1] = partial.Rows, partial.Cols

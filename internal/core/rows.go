@@ -417,15 +417,11 @@ func (r *rowRank) primary() bool { return r.comm.Rank()%r.c == 0 }
 
 func (r *rowRank) input() *dense.Matrix { return r.h0 }
 
-// multiplyWeight computes (X·W)_i = X_i W (W replicated: no communication),
-// with the ReLU in the GEMM's epilogue when asked.
-func (r *rowRank) multiplyWeight(x, w *dense.Matrix, l int, relu bool) *dense.Matrix {
+// multiplyWeight computes (X·W)_i = X_i W (W replicated: no communication)
+// in the form the engine asks for.
+func (r *rowRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
 	z := r.ws.GetUninit(x.Rows, w.Cols)
-	if relu {
-		dense.MulBiasReLU(z, x, w, nil)
-	} else {
-		dense.Mul(z, x, w)
-	}
+	weightMul(z, x, w, f, false)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(x.Rows, w.Rows, w.Cols))
 	return z
 }
@@ -461,11 +457,11 @@ func (r *rowRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, 
 // (T^l_j)ᵀG^l_j; either way both operands are already in block rows. The
 // primary of each block contributes its term once and an f×f world
 // all-reduce replicates Y everywhere.
-func (r *rowRank) weightGrad(hPrev, g *dense.Matrix, l int) *dense.Matrix {
+func (r *rowRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
 	fPrev, fl := hPrev.Cols, g.Cols
 	partial := r.ws.GetUninit(fPrev, fl)
 	if r.primary() {
-		dense.TMul(partial, hPrev, g)
+		weightProduct(r.ws, partial, hPrev, g, f, false)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(fPrev, hPrev.Rows, fl))
 	} else {
 		partial.Zero()

@@ -76,7 +76,8 @@ type serialOps[T dense.Elem] struct {
 
 	// ref swaps every multiply for the pre-optimization reference kernels,
 	// followed by a separate ReLU pass where the engine asks for a fused
-	// one (see KernelOptions.Reference).
+	// one, and the reoriented weight gradient where it asks for sparseRight
+	// (see KernelOptions.Reference).
 	ref bool
 }
 
@@ -110,18 +111,15 @@ func (s *serialOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	return t
 }
 
-func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, relu bool) *dense.Of[T] {
+func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T] {
 	z := s.ws.GetUninit(x.Rows, w.Cols)
-	switch {
-	case s.ref:
-		dense.RefMul(z, x, w)
-		if relu {
-			dense.ReLUForwardOf(z, z)
-		}
-	case relu:
-		dense.MulBiasReLU(z, x, w, nil)
-	default:
-		dense.Mul(z, x, w)
+	if !s.ref {
+		weightMul(z, x, w, f, false)
+		return z
+	}
+	dense.RefMul(z, x, w)
+	if f == fusedReLU {
+		dense.ReLUForwardOf(z, z)
 	}
 	return z
 }
@@ -160,13 +158,9 @@ func (s *serialOps[T]) spmm(dst *dense.Of[T], m *sparse.CSROf[T], x *dense.Of[T]
 	}
 }
 
-func (s *serialOps[T]) weightGrad(hPrev, g *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps[T]) weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T] {
 	dW := s.ws.GetUninit(hPrev.Cols, g.Cols)
-	if s.ref {
-		dense.RefTMul(dW, hPrev, g)
-	} else {
-		dense.TMul(dW, hPrev, g)
-	}
+	weightProduct(s.ws, dW, hPrev, g, f, s.ref)
 	return dW
 }
 

@@ -1,27 +1,27 @@
 package dense
 
-// Axpy is the pair of accumulation routines the SpMM kernels of
-// internal/sparse bottom out in, one gathered source row at a time or four:
-// Row has AxpyRow's contract and Row4 Axpy4Row's, bit for bit. A kernel
-// resolves the pair once per entry with AxpyFor and passes it down to its
-// inner loops, so the choice between the vector routines and the Go loops
-// costs nothing per call. The GEMM family has its own entry beside it, the
-// register tile (tile.go), whose sources are the rows of one dense operand.
+// Axpy holds AxpyRow in the form this process runs it: Row has AxpyRow's
+// contract, bit for bit. The kernels of this package and of internal/sparse
+// run on the two register tiles (tile.go) instead, whose Go bodies are one
+// AxpyRow per term.
 type Axpy[T Elem] struct {
-	Row  func(dst []T, v T, x []T)
-	Row4 func(dst []T, v0 T, x0 []T, v1 T, x1 []T, v2 T, x2 []T, v3 T, x3 []T)
+	Row func(dst []T, v T, x []T)
 }
 
 // The routines in use, chosen once at package init from what the CPU
-// reports and never changed afterwards: the Go loops and the Go tile body
+// reports and never changed afterwards: the Go loop and the Go tile bodies
 // unless a platform file (axpy_amd64.go) replaces them. There is no option:
 // the two are bit-identical, so nothing but speed depends on which one runs.
 var (
 	kernelISA = "go"
-	axpyF64   = Axpy[float64]{Row: AxpyRow[float64], Row4: Axpy4Row[float64]}
-	axpyF32   = Axpy[float32]{Row: AxpyRow[float32], Row4: Axpy4Row[float32]}
+	axpyF64   = Axpy[float64]{Row: AxpyRow[float64]}
+	axpyF32   = Axpy[float32]{Row: AxpyRow[float32]}
 	tileF64   = tileFunc[float64](gemmTile[float64])
 	tileF32   = tileFunc[float32](gemmTile[float32])
+	csrF64    = csrTileFunc[float64](csrTile[float64])
+	csrF32    = csrTileFunc[float32](csrTile[float32])
+	compact64 = compactFunc[float64](compactNZGo[float64])
+	compact32 = compactFunc[float32](compactNZGo[float32])
 )
 
 // KernelISA names the instruction set the accumulation loops run on in this
@@ -29,8 +29,8 @@ var (
 // GOARCH but amd64, an x86 without AVX2, and any build with -tags purego).
 func KernelISA() string { return kernelISA }
 
-// AxpyFor returns the accumulation routines for element type T: the
-// process-wide choice for float64 and float32, the Go loops for any other
+// AxpyFor returns the accumulation routine for element type T: the
+// process-wide choice for float64 and float32, the Go loop for any other
 // Elem.
 func AxpyFor[T Elem]() Axpy[T] {
 	if k, ok := any(&axpyF64).(*Axpy[T]); ok {
@@ -39,5 +39,5 @@ func AxpyFor[T Elem]() Axpy[T] {
 	if k, ok := any(&axpyF32).(*Axpy[T]); ok {
 		return *k
 	}
-	return Axpy[T]{Row: AxpyRow[T], Row4: Axpy4Row[T]}
+	return Axpy[T]{Row: AxpyRow[T]}
 }

@@ -2,23 +2,21 @@
 
 #include "textflag.h"
 
-// AVX2 bodies of the two accumulation loops, AxpyRow and Axpy4Row, for
-// float64 (four lanes) and float32 (eight). Every output element receives
-// the IEEE operations of the Go loop in the Go loop's order: one multiply and
-// one add per source, sources in argument order, never a fused multiply-add
-// (Go on amd64 compiles d + v*x to MULSD + ADDSD). Operand order follows the
-// plain build of the Go loops — x is the first source of the multiply and
-// the product the first source of the add. x86 consults it only when two
-// different NaNs meet in one instruction, and there the compiled Go loop is
-// not consistent with itself (see twoNaNsMeet in axpy_test.go). Loads and
-// stores are unaligned; nothing past dst[n-1] or x[n-1] is touched. The
-// callers in axpy_amd64.go have checked the lengths and n > 0.
+// AVX2 bodies of AxpyRow for float64 (four lanes) and float32 (eight).
+// Every output element receives the IEEE operations of the Go loop: one
+// multiply and one add, never a fused multiply-add (Go on amd64 compiles
+// d + v*x to MULSD + ADDSD). Operand order follows the plain build of the Go
+// loop — x is the first source of the multiply and the product the first
+// source of the add. x86 consults it only when two different NaNs meet in
+// one instruction, and there the compiled Go loop is not consistent with
+// itself (see twoNaNsMeet in axpy_test.go). Loads and stores are unaligned;
+// nothing past dst[n-1] or x[n-1] is touched. The callers in axpy_amd64.go
+// have checked the lengths and n > 0.
 //
-// Register use, all four routines: DI dst, CX n, AX j, BX loop bound,
-// SI/DX/R8/R9 the sources, Y0-Y3 the broadcast scales, Y4/Y5 the running
-// sums, Y6/Y7 products.
+// Register use, both routines: DI dst, CX n, AX j, BX loop bound, SI the
+// source, Y0 the broadcast scale, Y4/Y5 the running sums, Y6/Y7 products.
 
-// One source into eight, four or one running float64 sums.
+// The source into eight, four or one running float64 sums.
 #define SRC8D(x, v) \
 	VMOVUPD (x)(AX*8), Y6; \
 	VMOVUPD 32(x)(AX*8), Y7; \
@@ -37,7 +35,7 @@
 	VMULSD v, X6, X6; \
 	VADDSD X4, X6, X4
 
-// One source into sixteen, eight or one running float32 sums.
+// The source into sixteen, eight or one running float32 sums.
 #define SRC16S(x, v) \
 	VMOVUPS (x)(AX*4), Y6; \
 	VMOVUPS 32(x)(AX*4), Y7; \
@@ -98,63 +96,6 @@ check1:
 	VZEROUPPER
 	RET
 
-// func axpy4F64AVX2(dst *float64, n int, v0 float64, x0 *float64, v1 float64, x1 *float64, v2 float64, x2 *float64, v3 float64, x3 *float64)
-TEXT ·axpy4F64AVX2(SB), NOSPLIT, $0-80
-	MOVQ         dst+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSD v0+16(FP), Y0
-	MOVQ         x0+24(FP), SI
-	VBROADCASTSD v1+32(FP), Y1
-	MOVQ         x1+40(FP), DX
-	VBROADCASTSD v2+48(FP), Y2
-	MOVQ         x2+56(FP), R8
-	VBROADCASTSD v3+64(FP), Y3
-	MOVQ         x3+72(FP), R9
-	XORQ         AX, AX
-	MOVQ         CX, BX
-	ANDQ         $-8, BX
-	JMP          check8
-
-loop8:
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	SRC8D(SI, Y0)
-	SRC8D(DX, Y1)
-	SRC8D(R8, Y2)
-	SRC8D(R9, Y3)
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-
-check8:
-	CMPQ    AX, BX
-	JLT     loop8
-	TESTQ   $4, CX
-	JZ      check1
-	VMOVUPD (DI)(AX*8), Y4
-	SRC4D(SI, Y0)
-	SRC4D(DX, Y1)
-	SRC4D(R8, Y2)
-	SRC4D(R9, Y3)
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
-	JMP     check1
-
-loop1:
-	VMOVSD (DI)(AX*8), X4
-	SRC1D(SI, X0)
-	SRC1D(DX, X1)
-	SRC1D(R8, X2)
-	SRC1D(R9, X3)
-	VMOVSD X4, (DI)(AX*8)
-	INCQ   AX
-
-check1:
-	CMPQ AX, CX
-	JLT  loop1
-	VZEROUPPER
-	RET
-
 // func axpyF32AVX2(dst *float32, n int, v float32, x *float32)
 TEXT ·axpyF32AVX2(SB), NOSPLIT, $0-32
 	MOVQ         dst+0(FP), DI
@@ -188,63 +129,6 @@ check16:
 loop1:
 	VMOVSS (DI)(AX*4), X4
 	SRC1S(SI, X0)
-	VMOVSS X4, (DI)(AX*4)
-	INCQ   AX
-
-check1:
-	CMPQ AX, CX
-	JLT  loop1
-	VZEROUPPER
-	RET
-
-// func axpy4F32AVX2(dst *float32, n int, v0 float32, x0 *float32, v1 float32, x1 *float32, v2 float32, x2 *float32, v3 float32, x3 *float32)
-TEXT ·axpy4F32AVX2(SB), NOSPLIT, $0-80
-	MOVQ         dst+0(FP), DI
-	MOVQ         n+8(FP), CX
-	VBROADCASTSS v0+16(FP), Y0
-	MOVQ         x0+24(FP), SI
-	VBROADCASTSS v1+32(FP), Y1
-	MOVQ         x1+40(FP), DX
-	VBROADCASTSS v2+48(FP), Y2
-	MOVQ         x2+56(FP), R8
-	VBROADCASTSS v3+64(FP), Y3
-	MOVQ         x3+72(FP), R9
-	XORQ         AX, AX
-	MOVQ         CX, BX
-	ANDQ         $-16, BX
-	JMP          check16
-
-loop16:
-	VMOVUPS (DI)(AX*4), Y4
-	VMOVUPS 32(DI)(AX*4), Y5
-	SRC16S(SI, Y0)
-	SRC16S(DX, Y1)
-	SRC16S(R8, Y2)
-	SRC16S(R9, Y3)
-	VMOVUPS Y4, (DI)(AX*4)
-	VMOVUPS Y5, 32(DI)(AX*4)
-	ADDQ    $16, AX
-
-check16:
-	CMPQ    AX, BX
-	JLT     loop16
-	TESTQ   $8, CX
-	JZ      check1
-	VMOVUPS (DI)(AX*4), Y4
-	SRC8S(SI, Y0)
-	SRC8S(DX, Y1)
-	SRC8S(R8, Y2)
-	SRC8S(R9, Y3)
-	VMOVUPS Y4, (DI)(AX*4)
-	ADDQ    $8, AX
-	JMP     check1
-
-loop1:
-	VMOVSS (DI)(AX*4), X4
-	SRC1S(SI, X0)
-	SRC1S(DX, X1)
-	SRC1S(R8, X2)
-	SRC1S(R9, X3)
 	VMOVSS X4, (DI)(AX*4)
 	INCQ   AX
 

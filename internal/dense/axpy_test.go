@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The tests below make the fork in axpy.go safe: whatever AxpyFor hands the
-// kernels must equal the Go loops AxpyRow and Axpy4Row bit for bit. Where
-// the selected routines are the Go loops themselves there is nothing to
-// compare, and the tests say so instead of passing.
+// The tests below make the fork in axpy.go safe: whatever AxpyFor hands out
+// must equal the Go loop AxpyRow bit for bit. Where the selected routine is
+// the Go loop itself there is nothing to compare, and the tests say so
+// instead of passing.
 func skipWithoutVectorKernels(t testing.TB) {
 	if KernelISA() == "go" {
 		t.Skip("accumulation loops run on the Go code in this build (no AVX2, another GOARCH, or -tags purego): nothing to compare them with")
@@ -121,71 +121,47 @@ type axpyCase[T Elem] struct {
 	buf []T
 	off int
 	n   int
-	v   [4]T
-	x   [4][]T
+	v   T
+	x   []T
 }
 
-// compareAxpy runs the Go loop and the selected routine on copies of c.buf,
-// with one source and with four, and compares every word of the buffer:
-// exact bits, except NaN-ness only where twoNaNsMeet. It returns how many
-// NaN results were compared exactly.
+// compareAxpy runs the Go loop and the selected routine on copies of c.buf
+// and compares every word of the buffer: exact bits, except NaN-ness only
+// where twoNaNsMeet. It returns how many NaN results were compared exactly.
 func compareAxpy[T Elem](t testing.TB, label string, c axpyCase[T]) (exactNaNs int) {
 	t.Helper()
-	vec := AxpyFor[T]()
 	window := func(buf []T) []T { return buf[c.off : c.off+c.n] }
-	var src [4][]T
-	for i, x := range c.x {
-		src[i] = append([]T(nil), x...)
-	}
-	check := func(routine string, sources int, got, want []T) {
-		t.Helper()
-		col := make([]T, sources)
-		for j := range want {
-			if toBits(got[j]) == toBits(want[j]) {
-				if want[j] != want[j] {
-					exactNaNs++
-				}
-				continue
-			}
-			if k := j - c.off; k >= 0 && k < c.n && got[j] != got[j] && want[j] != want[j] {
-				for i := range col {
-					col[i] = c.x[i][k]
-				}
-				if twoNaNsMeet(c.buf[j], c.v[:sources], col) {
-					continue
-				}
-			}
-			t.Fatalf("%s %s: word %d (dst[%d], n=%d): got %#x (%v), Go loop %#x (%v)",
-				label, routine, j, j-c.off, c.n, toBits(got[j]), got[j], toBits(want[j]), want[j])
-		}
-		for i, x := range c.x {
-			for j := range x {
-				if toBits(x[j]) != toBits(src[i][j]) {
-					t.Fatalf("%s %s: source %d word %d was written", label, routine, i, j)
-				}
-			}
-		}
-	}
-
+	src := append([]T(nil), c.x...)
 	want := append([]T(nil), c.buf...)
 	got := append([]T(nil), c.buf...)
-	AxpyRow(window(want), c.v[0], c.x[0])
-	vec.Row(window(got), c.v[0], c.x[0])
-	check("Row", 1, got, want)
-
-	copy(want, c.buf)
-	copy(got, c.buf)
-	Axpy4Row(window(want), c.v[0], c.x[0], c.v[1], c.x[1], c.v[2], c.x[2], c.v[3], c.x[3])
-	vec.Row4(window(got), c.v[0], c.x[0], c.v[1], c.x[1], c.v[2], c.x[2], c.v[3], c.x[3])
-	check("Row4", 4, got, want)
+	AxpyRow(window(want), c.v, c.x)
+	AxpyFor[T]().Row(window(got), c.v, c.x)
+	for j := range want {
+		if toBits(got[j]) == toBits(want[j]) {
+			if want[j] != want[j] {
+				exactNaNs++
+			}
+			continue
+		}
+		if k := j - c.off; k >= 0 && k < c.n && got[j] != got[j] && want[j] != want[j] &&
+			twoNaNsMeet(c.buf[j], []T{c.v}, []T{c.x[k]}) {
+			continue
+		}
+		t.Fatalf("%s: word %d (dst[%d], n=%d): got %#x (%v), Go loop %#x (%v)",
+			label, j, j-c.off, c.n, toBits(got[j]), got[j], toBits(want[j]), want[j])
+	}
+	for j := range c.x {
+		if toBits(c.x[j]) != toBits(src[j]) {
+			t.Fatalf("%s: source word %d was written", label, j)
+		}
+	}
 	return exactNaNs
 }
 
 // testAxpyLengthsAndOffsets covers every length 0–67 and 255–257 with dst
-// and each source starting at every offset 0–7 of a larger slice (so no
+// and the source starting at every offset 0–7 of a larger slice (so no
 // alignment is assumed and a write past len(dst) lands on a sentinel),
-// values drawn half from specialBits and half at random, and once per length
-// with one source passed as two arguments.
+// values drawn half from specialBits and half at random.
 func testAxpyLengthsAndOffsets[T Elem](t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	special := specialBits[T]()
@@ -209,15 +185,8 @@ func testAxpyLengthsAndOffsets[T Elem](t *testing.T) {
 	exactNaNs := 0
 	for _, n := range lengths {
 		for off := 0; off < 8; off++ {
-			c := axpyCase[T]{buf: fill(off + n + 9), off: off, n: n}
-			for i := range c.x {
-				xo := (off + 2*i + 1) % 8
-				c.v[i] = value()
-				c.x[i] = fill(xo + n + 3)[xo : xo+n]
-			}
-			if off == n%8 {
-				c.x[2] = c.x[1]
-			}
+			xo := (off + 1) % 8
+			c := axpyCase[T]{buf: fill(off + n + 9), off: off, n: n, v: value(), x: fill(xo + n + 3)[xo : xo+n]}
 			exactNaNs += compareAxpy(t, fmt.Sprintf("n=%d off=%d", n, off), c)
 		}
 	}
@@ -235,23 +204,16 @@ func TestAxpyVectorMatchesGoLoops(t *testing.T) {
 // testAxpySpecialValues meets every special value with every other in each
 // position: for each scale, dst runs through the list along one axis and
 // the source along the other, in a row long enough to pass through the
-// two-vector, one-vector and scalar parts of the routines.
+// two-vector, one-vector and scalar parts of the routine.
 func testAxpySpecialValues[T Elem](t *testing.T) {
 	special := specialBits[T]()
 	s := len(special)
 	n := s*s + 3
-	for vi, vb := range special {
-		c := axpyCase[T]{buf: make([]T, n+2), off: 1, n: n}
-		for i := range c.x {
-			c.x[i] = make([]T, n)
-			c.v[i] = fromBits[T](special[(vi+5*i)%s])
-		}
-		c.v[0] = fromBits[T](vb)
+	for _, vb := range special {
+		c := axpyCase[T]{buf: make([]T, n+2), off: 1, n: n, v: fromBits[T](vb), x: make([]T, n)}
 		for j := 0; j < n; j++ {
 			c.buf[1+j] = fromBits[T](special[(j/s)%s])
-			for i := range c.x {
-				c.x[i][j] = fromBits[T](special[(j+i*(j/s))%s])
-			}
+			c.x[j] = fromBits[T](special[j%s])
 		}
 		compareAxpy(t, fmt.Sprintf("scale %#x", vb), c)
 	}
@@ -263,38 +225,30 @@ func TestAxpyVectorSpecialValues(t *testing.T) {
 	t.Run("float32", testAxpySpecialValues[float32])
 }
 
-// TestAxpyShortSourcePanics pins the length check on whichever routines are
+// TestAxpyShortSourcePanics pins the length check on whichever routine is
 // selected: a source whose capacity is below len(dst) panics before a single
-// element of dst is written, as x = x[:n] does in the Go loops.
+// element of dst is written, as x = x[:n] does in the Go loop.
 func TestAxpyShortSourcePanics(t *testing.T) {
-	k := AxpyFor[float64]()
 	long := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	calls := map[string]func(dst []float64){
-		"Row":           func(dst []float64) { k.Row(dst, 2, long[:8:8]) },
-		"Row4 source 0": func(dst []float64) { k.Row4(dst, 2, long[:8:8], 2, long, 2, long, 2, long) },
-		"Row4 source 3": func(dst []float64) { k.Row4(dst, 2, long, 2, long, 2, long, 2, long[:0:0]) },
-	}
-	for name, call := range calls {
-		dst := make([]float64, 9)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: a source shorter than dst did not panic", name)
-				}
-			}()
-			call(dst)
-		}()
-		for j, d := range dst {
-			if d != 0 {
-				t.Errorf("%s: dst[%d] = %v written before the panic", name, j, d)
+	dst := make([]float64, 9)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a source shorter than dst did not panic")
 			}
+		}()
+		AxpyFor[float64]().Row(dst, 2, long[:8:8])
+	}()
+	for j, d := range dst {
+		if d != 0 {
+			t.Errorf("dst[%d] = %v written before the panic", j, d)
 		}
 	}
 }
 
-// fuzzAxpyCase builds operands from raw fuzz input: the length, the five
+// fuzzAxpyCase builds operands from raw fuzz input: the length, the two
 // offsets packed three bits each into offs, and every element's bits read
-// from data (cyclically, after the four scales).
+// from data (cyclically, after the scale).
 func fuzzAxpyCase[T Elem](n int, offs uint16, data []byte) axpyCase[T] {
 	if len(data) == 0 {
 		data = []byte{0}
@@ -319,19 +273,10 @@ func fuzzAxpyCase[T Elem](n int, offs uint16, data []byte) axpyCase[T] {
 		}
 		return s
 	}
-	off := int(offs & 7)
-	c := axpyCase[T]{off: off, n: n}
-	for i := range c.v {
-		c.v[i] = next()
-	}
+	off, xo := int(offs&7), int(offs>>3)&7
+	c := axpyCase[T]{off: off, n: n, v: next()}
 	c.buf = fill(off + n + 5)
-	for i := range c.x {
-		xo := int(offs>>(3*(i+1))) & 7
-		c.x[i] = fill(xo + n + 1)[xo : xo+n]
-	}
-	if offs&(1<<15) != 0 {
-		c.x[3] = c.x[0]
-	}
+	c.x = fill(xo + n + 1)[xo : xo+n]
 	return c
 }
 

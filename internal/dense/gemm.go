@@ -10,13 +10,10 @@ import (
 func gemmFlops(n, k, m int) int64 { return 2 * int64(n) * int64(k) * int64(m) }
 
 // AxpyRow computes dst[j] += v * x[j] for every j — the inner loop of the
-// SpMM kernels in internal/sparse, of the Go tile body and of the reference
-// kernels, in portable Go. SpMM reaches it through AxpyFor, which
-// substitutes the bit-identical vector routine where the CPU has one; the
-// reference kernels call it directly, so it is both the fallback and the
-// oracle. The body is a
-// 4-wide j-unroll with independent load/store slots; each output element
-// still receives exactly one multiply and one add, so the result is
+// Go tile bodies and of the reference kernels, in portable Go. It is both
+// the tiles' fallback and the oracle their vector bodies reproduce. The body
+// is a 4-wide j-unroll with independent load/store slots; each output
+// element still receives exactly one multiply and one add, so the result is
 // bit-identical to the plain loop for any element type.
 func AxpyRow[T Elem](dst []T, v T, x []T) {
 	n := len(dst)
@@ -31,53 +28,6 @@ func AxpyRow[T Elem](dst []T, v T, x []T) {
 	}
 	for ; j < n; j++ {
 		dst[j] += v * x[j]
-	}
-}
-
-// Axpy4Row computes dst[j] += v0*x0[j]; dst[j] += v1*x1[j]; dst[j] +=
-// v2*x2[j]; dst[j] += v3*x3[j] for every j, in exactly that order — the
-// four-source form of AxpyRow, and like it the portable body behind
-// AxpyFor. Fusing four accumulation passes into one sweep loads and stores
-// each dst element once instead of four times (the axpy loops are
-// load/store-bound, not multiply-bound), while the per-element adds stay
-// sequential in source order, so the result is bit-identical to four
-// consecutive AxpyRow calls — including every ±0 and NaN case, since the
-// same operations run in the same order.
-func Axpy4Row[T Elem](dst []T, v0 T, x0 []T, v1 T, x1 []T, v2 T, x2 []T, v3 T, x3 []T) {
-	n := len(dst)
-	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
-	j := 0
-	// Four j-lanes: each lane's adds stay sequential in source order (the
-	// bit-identity requirement), but the four chains are independent, hiding
-	// the add latency the single-lane form would serialize on.
-	for ; j+4 <= n; j += 4 {
-		s0 := dst[j] + v0*x0[j]
-		s1 := dst[j+1] + v0*x0[j+1]
-		s2 := dst[j+2] + v0*x0[j+2]
-		s3 := dst[j+3] + v0*x0[j+3]
-		s0 += v1 * x1[j]
-		s1 += v1 * x1[j+1]
-		s2 += v1 * x1[j+2]
-		s3 += v1 * x1[j+3]
-		s0 += v2 * x2[j]
-		s1 += v2 * x2[j+1]
-		s2 += v2 * x2[j+2]
-		s3 += v2 * x2[j+3]
-		s0 += v3 * x3[j]
-		s1 += v3 * x3[j+1]
-		s2 += v3 * x3[j+2]
-		s3 += v3 * x3[j+3]
-		dst[j] = s0
-		dst[j+1] = s1
-		dst[j+2] = s2
-		dst[j+3] = s3
-	}
-	for ; j < n; j++ {
-		s := dst[j] + v0*x0[j]
-		s += v1 * x1[j]
-		s += v2 * x2[j]
-		s += v3 * x3[j]
-		dst[j] = s
 	}
 }
 
@@ -272,6 +222,96 @@ func tMulRows[T Elem](dst, a, b *Of[T], lo, hi int, load bool) {
 		tile(dst.Data[lo*m:], m, a.Data[r0*n+lo:], 1, n, b.Data[r0*m:], m,
 			hi-lo, m, min(kBlock, a.Rows-r0), load || r0 > 0, true)
 	}
+}
+
+// MulNZ computes dst = a·b over the nonzeros of a: a is compacted, a window
+// at a time, into the CSR of its entries with a != 0 — ±0 dropped, NaN kept,
+// exactly the terms Mul skips — and multiplied by b on the CSR tile. Every
+// element receives Mul's terms in Mul's order, so the result is Mul's bit
+// for bit. It is for an a of which about half is exact zeros, as a ReLU
+// layer's output is: the dense tile spends a term's time on each of those.
+// dst must not alias a or b and is overwritten.
+func MulNZ[T Elem](dst, a, b *Of[T]) {
+	checkMul(dst, a, b, "MulNZ")
+	mulNZ(dst, a, b, false)
+}
+
+// MulAddNZ computes dst += a·b over the nonzeros of a: MulAdd's bits.
+func MulAddNZ[T Elem](dst, a, b *Of[T]) {
+	checkMul(dst, a, b, "MulAddNZ")
+	mulNZ(dst, a, b, true)
+}
+
+func mulNZ[T Elem](dst, a, b *Of[T], load bool) {
+	work := gemmFlops(a.Rows, a.Cols, b.Cols)
+	if parallel.Inline(a.Rows, work) {
+		mulNZRows(dst, a, b, 0, a.Rows, load)
+		return
+	}
+	parallel.Rows(a.Rows, work, func(lo, hi int) {
+		mulNZRows(dst, a, b, lo, hi, load)
+	})
+}
+
+// nzPanel is how many rows of b, m wide, a product over a's nonzeros
+// multiplies per compacted window: kBlock, or fewer where m is wide, so the
+// panel — at most nzBlock elements, 32 KiB at float64 — stays in L1 while
+// the CSR tile gathers from it strip by strip. At kBlock rows of a 256-wide
+// b, the strips' rows 2 KiB apart fall into a few L1 sets and evict each
+// other.
+func nzPanel(m int) int { return max(1, min(kBlock, nzBlock/max(1, m))) }
+
+// mulNZRows computes rows [lo, hi) of dst (+)= a·b over a's nonzeros with
+// mulRows' k blocking: each panel of columns of a block of rows is
+// compacted, then multiplied, the block as tall as one csrBlock holds.
+func mulNZRows[T Elem](dst, a, b *Of[T], lo, hi int, load bool) {
+	pool, tile := blocksFor[T](), csrTileFor[T]()
+	blk := pool.get()
+	k, m := a.Cols, b.Cols
+	panel := nzPanel(m)
+	rows := nzBlock / max(1, min(panel, k))
+	for i0 := lo; i0 < hi; i0 += rows {
+		i1 := min(i0+rows, hi)
+		for k0 := 0; k0 == 0 || k0 < k; k0 += panel {
+			compactNZ(blk.ptr, blk.idx, blk.val, a.Data, i0*k+k0, k, 1, i1-i0, min(panel, k-k0), k0)
+			tile(dst.Data[i0*m:], m, blk.ptr[:i1-i0+1], blk.idx, blk.val, b.Data, m, m, load || k0 > 0)
+		}
+	}
+	pool.put(blk)
+}
+
+// TMulNZ computes dst = aᵀ·b over the nonzeros of a: MulNZ's compaction
+// applied to aᵀ, a panel of rows of a at a time in ascending order, so that
+// each output element receives TMul's terms in TMul's order — TMul's bits.
+// dst must not alias a or b and is overwritten.
+func TMulNZ[T Elem](dst, a, b *Of[T]) {
+	checkTMul(dst, a, b, "TMulNZ")
+	work := gemmFlops(a.Rows, a.Cols, b.Cols)
+	if parallel.Inline(a.Cols, work) {
+		tMulNZRows(dst.Data, a, b, 0, a.Cols)
+		return
+	}
+	parallel.Rows(a.Cols, work, func(lo, hi int) {
+		tMulNZRows(dst.Data, a, b, lo, hi)
+	})
+}
+
+// tMulNZRows computes rows [lo, hi) of aᵀ·b over a's nonzeros into dst,
+// b.Cols wide: output row i takes the entries of column i of a, the rows of
+// a in ascending panels, each compacted into one csrBlock.
+func tMulNZRows[T Elem](dst []T, a, b *Of[T], lo, hi int) {
+	pool, tile := blocksFor[T](), csrTileFor[T]()
+	blk := pool.get()
+	n, m := a.Cols, b.Cols
+	for c0 := lo; c0 < hi; c0 += nzBlock {
+		c1 := min(c0+nzBlock, hi)
+		panel := min(nzPanel(m), nzBlock/(c1-c0))
+		for r0 := 0; r0 == 0 || r0 < a.Rows; r0 += panel {
+			compactNZ(blk.ptr, blk.idx, blk.val, a.Data, r0*n+c0, 1, n, c1-c0, min(panel, a.Rows-r0), r0)
+			tile(dst[c0*m:], m, blk.ptr[:c1-c0+1], blk.idx, blk.val, b.Data, m, m, r0 > 0)
+		}
+	}
+	pool.put(blk)
 }
 
 // MulNaive is a straightforward triple-loop reference used to validate the

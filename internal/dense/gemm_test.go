@@ -152,43 +152,83 @@ func TestMulIdentity(t *testing.T) {
 	}
 }
 
-// gemmBenchShapes are the workloads' products, n × k × m: serial_wide's
-// widest layer, bcast1d_sparse's two layers on one rank, and two of
-// summa2d_dense's 8–21-column blocks.
-var gemmBenchShapes = []struct{ n, k, m int }{
-	{8192, 256, 64},
-	{4096, 128, 16},
-	{4096, 16, 8},
-	{4096, 32, 8},
-	{4096, 16, 21},
+// gemmBenchShapes are the workloads' layers, n × f^{l-1} × f^l: serial_wide's
+// two (8192 × 256 × 64, 8192 × 64 × 32), bcast1d_sparse's and halo1d_ldg's
+// on one rank, then two of summa2d_dense's 8–21-column blocks, whose ReLU
+// products are not the mesh's hot spot.
+var gemmBenchShapes = []struct {
+	n, k, m int
+	relu    bool // the ReLU-operand products run at this shape too
+}{
+	{8192, 256, 64, true},
+	{8192, 64, 32, true},
+	{4096, 128, 16, true},
+	{4096, 16, 8, true},
+	{4096, 128, 32, true},
+	{4096, 32, 16, true},
+	{4096, 32, 8, false},
+	{4096, 16, 21, false},
 }
 
-// BenchmarkGEMM times the three products of a layer at each shape, single
-// threaded (serial backend), as the trainer calls them: Mul is X·W (n×k by
-// k×m), TMul the weight gradient Xᵀ·G (k×m) and MulT the input gradient
-// G·Wᵀ (n×k). All three are 2nkm flops; each must report 0 B/op.
+// benchOperand fills an r×c matrix with normal draws, no zeros among them,
+// or — reluZeros — their ReLU, about half of it exact +0: the two operands a
+// trainer hands the products, an aggregate or a ReLU layer's output.
+func benchOperand(rng *rand.Rand, r, c int, reluZeros bool) *Matrix {
+	m := New(r, c)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+		if reluZeros {
+			m.Data[i] = max(m.Data[i], 0)
+		}
+	}
+	return m
+}
+
+// BenchmarkGEMM times a layer's products at each shape, single threaded
+// (serial backend), on the operands the trainer hands them. On dense
+// operands: Mul is X·W (n×k by k×m), TMul the weight gradient Xᵀ·G (k×m)
+// and MulT the input gradient G·Wᵀ (n×k). On a ReLU layer's operands, half
+// zeros, as the engine routes them: MulNZ is H·W and TMulNZ Hᵀ·G over H's
+// nonzeros (a multiply-first layer after a ReLU), TMulByNZ Tᵀ·G over G's
+// nonzeros, transposed from Gᵀ·T (an aggregate-first ReLU layer), each
+// beside the dense product it replaces on the same operands. Every one is
+// 2nkm flops counting the zeros; each must report 0 B/op.
 func BenchmarkGEMM(b *testing.B) {
 	release := parallel.AcquireBackend(parallel.BackendSerial)
 	defer release()
 	for _, s := range gemmBenchShapes {
 		rng := rand.New(rand.NewSource(11))
-		x, w, g := randOf[float64](rng, s.n, s.k), randOf[float64](rng, s.k, s.m), randOf[float64](rng, s.n, s.m)
-		z, dW, dH := New(s.n, s.m), New(s.k, s.m), New(s.n, s.k)
-		for _, kernel := range []struct {
+		x, w, g := benchOperand(rng, s.n, s.k, false), benchOperand(rng, s.k, s.m, false), benchOperand(rng, s.n, s.m, false)
+		h, gz := benchOperand(rng, s.n, s.k, true), benchOperand(rng, s.n, s.m, true)
+		z, dW, dWt, dH := New(s.n, s.m), New(s.k, s.m), New(s.m, s.k), New(s.n, s.k)
+		type kernel struct {
 			name string
 			run  func()
-		}{
-			{"Mul", func() { Mul(z, x, w) }},
-			{"TMul", func() { TMul(dW, x, g) }},
-			{"MulT", func() { MulT(dH, g, w) }},
-		} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernel.name, s.n, s.k, s.m), func(b *testing.B) {
-				kernel.run() // MulT's first call fills the pool it packs Wᵀ into
+		}
+		kernels := []kernel{
+			{"dense/Mul", func() { Mul(z, x, w) }},
+			{"dense/TMul", func() { TMul(dW, x, g) }},
+			{"dense/MulT", func() { MulT(dH, g, w) }},
+		}
+		if s.relu {
+			kernels = append(kernels,
+				kernel{"relu/Mul", func() { Mul(z, h, w) }},
+				kernel{"relu/MulNZ", func() { MulNZ(z, h, w) }},
+				kernel{"relu/TMul", func() { TMul(dW, h, g) }},
+				kernel{"relu/TMulNZ", func() { TMulNZ(dW, h, g) }},
+				kernel{"relu/TMulG", func() { TMul(dW, x, gz) }},
+				kernel{"relu/TMulByNZ", func() { TMulNZ(dWt, gz, x); dWt.TransposeInto(dW) }},
+			)
+		}
+		for _, kn := range kernels {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kn.name, s.n, s.k, s.m), func(b *testing.B) {
+				kn.run() // MulT's and the NZ products' first calls fill the pools they draw scratch from
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					kernel.run()
+					kn.run()
 				}
+				b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms")
 				b.ReportMetric(float64(gemmFlops(s.n, s.k, s.m))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}

@@ -239,13 +239,21 @@ func (m *Of[T]) ColSlice(c0, c1 int) *Of[T] {
 // T returns the transpose of m as a new matrix.
 func (m *Of[T]) T() *Of[T] {
 	out := NewOf[T](m.Cols, m.Rows)
+	m.TransposeInto(out)
+	return out
+}
+
+// TransposeInto writes mᵀ into dst, which must be m.Cols x m.Rows: the
+// allocation-free form of T.
+func (m *Of[T]) TransposeInto(dst *Of[T]) {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic(fmt.Sprintf("dense: TransposeInto dst %dx%d, want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
+	}
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
+		for j, v := range m.Data[i*m.Cols : (i+1)*m.Cols] {
+			dst.Data[j*m.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // Add computes dst = a + b elementwise. dst may alias a or b.

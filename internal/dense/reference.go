@@ -1,12 +1,13 @@
 package dense
 
-// Reference kernels: the one-source-at-a-time loops that the register tile
-// (the GEMM family) and the four-source sweeps (Axpy4Row, in SpMM) replaced,
-// running on the Go loop AxpyRow itself rather than on whatever AxpyFor or
-// tileFor selects, and the scalar dot loop of RefMulT. They are the oracle
-// of the bit-identity tests: the default path — register tiles,
-// four-source sweeps, fused epilogues and, where the CPU has them, the
-// vector routines — must reproduce these loops bit for bit, so
+// Reference kernels: the one-source-at-a-time loops that the register tiles
+// replaced, running on the Go loop AxpyRow itself rather than on whatever
+// tileFor or csrTileFor selects, and the scalar dot loop of RefMulT. RefMul
+// and RefTMul are also the references of MulNZ and TMulNZ, which keep their
+// terms and order. They are the oracle of the bit-identity tests: the
+// default path — register tiles, products over a ReLU operand's nonzeros,
+// fused epilogues and, where the CPU has them, the vector routines — must
+// reproduce these loops bit for bit, so
 // TestDefaultBitIdenticalToReference compares assembly with Go and a
 // failure localizes the divergence to a single kernel
 // (TestGemmTileMatchesReference holds each GEMM to them alone).

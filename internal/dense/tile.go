@@ -2,8 +2,8 @@ package dense
 
 import "sync"
 
-// tileFunc is the register-tiled accumulation entry every GEMM-family kernel
-// of this package bottoms out in. For every row ρ < rows and column c < cols
+// tileFunc is the register-tiled accumulation entry every dense GEMM of this
+// package bottoms out in. For every row ρ < rows and column c < cols
 // it computes
 //
 //	dst[ρ·ldd + c] = (load ? dst[ρ·ldd + c] : 0) + Σ_kk s[ρ·sRow + kk·sK] · b[kk·ldb + c]
@@ -44,6 +44,56 @@ func tileFor[T Elem]() tileFunc[T] {
 		return t
 	}
 	return gemmTile[T]
+}
+
+// csrTileFunc is the register tile over a sparse operand: the SpMM kernels
+// of internal/sparse and the products over a dense operand's nonzeros
+// (MulNZ, MulAddNZ, TMulNZ) bottom out in it. For every row ρ < len(ptr)-1
+// and column c < cols it computes
+//
+//	dst[ρ·ldd + c] = (load ? dst[ρ·ldd + c] : 0) + Σ_e val[e] · b[idx[e]·ldb + c]
+//
+// over the row's stored entries e = ptr[ρ] … ptr[ρ+1]-1, ascending, every one
+// of them applied (a stored zero adds its +0·b). ptr holds absolute
+// positions in idx and val, as a CSR row pointer does; idx[e] is a row of b,
+// whose stride ldb is positive.
+type csrTileFunc[T Elem] func(dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool)
+
+// csrTile is the CSR tile entry in portable Go, one AxpyRow per entry, and
+// like gemmTile the definition its vector body reproduces bit for bit.
+func csrTile[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
+	for r := 0; r+1 < len(ptr); r++ {
+		drow := dst[r*ldd : r*ldd+cols]
+		if !load {
+			clear(drow)
+		}
+		for e := ptr[r]; e < ptr[r+1]; e++ {
+			AxpyRow(drow, val[e], b[idx[e]*ldb:])
+		}
+	}
+}
+
+// csrTileFor returns the CSR tile entry for element type T, chosen as
+// tileFor chooses.
+func csrTileFor[T Elem]() csrTileFunc[T] {
+	if t, ok := any(csrF64).(csrTileFunc[T]); ok {
+		return t
+	}
+	if t, ok := any(csrF32).(csrTileFunc[T]); ok {
+		return t
+	}
+	return csrTile[T]
+}
+
+// SpMMRows is the CSR tile for internal/sparse: dst (+)= the product of the
+// CSR rows (ptr, idx, val) — ptr[ρ] … ptr[ρ+1] the entries of row ρ, idx
+// their columns, absolute positions in idx and val — with the dense b of row
+// stride ldb, over its first cols columns, row ρ of the result at
+// dst[ρ·ldd:]. Each output element receives one multiply and one add per
+// stored entry of its row, in entry order, starting from +0 unless load is
+// set: the loop of one AxpyRow per entry, bit for bit.
+func SpMMRows[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
+	csrTileFor[T]()(dst, ldd, ptr, idx, val, b, ldb, cols, load)
 }
 
 // packPool is a free list of the scratch MulT packs Wᵀ into: one slice per
@@ -91,4 +141,93 @@ func (p *packPool[T]) put(buf []T) {
 	p.mu.Lock()
 	p.free = append(p.free, buf)
 	p.mu.Unlock()
+}
+
+// nzBlock is how many elements of a dense operand MulNZ and TMulNZ compact
+// at a time: the window's CSR (64 KiB of entries at float64) stays in L2
+// while the CSR tile multiplies it.
+const nzBlock = 1 << 12
+
+// csrBlock is the scratch a window is compacted into: a CSR of up to nzBlock
+// rows and nzBlock entries.
+type csrBlock[T Elem] struct {
+	ptr, idx []int
+	val      []T
+}
+
+// blockPool is a free list of csrBlocks, one per product chunk in flight,
+// kept as packPool keeps its slices. Every block has the same size, so any
+// block serves any chunk and a warmed epoch allocates none.
+type blockPool[T Elem] struct {
+	mu   sync.Mutex
+	free []*csrBlock[T]
+}
+
+var (
+	blocksF64 blockPool[float64]
+	blocksF32 blockPool[float32]
+)
+
+func blocksFor[T Elem]() *blockPool[T] {
+	if p, ok := any(&blocksF64).(*blockPool[T]); ok {
+		return p
+	}
+	if p, ok := any(&blocksF32).(*blockPool[T]); ok {
+		return p
+	}
+	return new(blockPool[T])
+}
+
+func (p *blockPool[T]) get() *csrBlock[T] {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.free); n > 0 {
+		blk := p.free[n-1]
+		p.free[n-1], p.free = nil, p.free[:n-1]
+		return blk
+	}
+	return &csrBlock[T]{ptr: make([]int, nzBlock+1), idx: make([]int, nzBlock), val: make([]T, nzBlock)}
+}
+
+func (p *blockPool[T]) put(blk *csrBlock[T]) {
+	p.mu.Lock()
+	p.free = append(p.free, blk)
+	p.mu.Unlock()
+}
+
+// compactFunc compacts a rows × cols window of a dense operand into a CSR
+// of its nonzeros: row ρ's elements are data[start + ρ·rowStride +
+// j·colStride] for j < cols, element j's index is first+j, and ptr[ρ] …
+// ptr[ρ+1] are the entries it leaves in idx and val, from entry 0 on. A
+// nonzero is v != 0: ±0 is dropped and NaN kept — exactly the terms the
+// dense tile skips. idx and val need room for rows·cols entries, ptr for
+// rows+1; colStride is positive.
+type compactFunc[T Elem] func(ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int)
+
+// compactNZGo is the compaction in portable Go, the definition its vector
+// body (tile_amd64.go) reproduces.
+func compactNZGo[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
+	e := 0
+	for r := 0; r < rows; r++ {
+		ptr[r] = e
+		for j := 0; j < cols; j++ {
+			if v := data[start+r*rowStride+j*colStride]; v != 0 {
+				idx[e], val[e] = first+j, v
+				e++
+			}
+		}
+	}
+	ptr[rows] = e
+}
+
+// compactNZ is the compaction for element type T, chosen as tileFor
+// chooses.
+func compactNZ[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
+	if f, ok := any(compact64).(compactFunc[T]); ok {
+		f(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+	} else if f, ok := any(compact32).(compactFunc[T]); ok {
+		f(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+	} else {
+		compactNZGo(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+	}
 }

@@ -3,9 +3,9 @@
 package dense
 
 // The strip routines of tile_amd64.s: one column strip of at most four
-// vectors (16 float64, 32 float32) over every row and the whole k range.
-// They take pointers, not slices; tileStrips checks the bounds first and
-// never calls them with rows or w zero.
+// vectors (16 float64, 32 float32) over every row. They take pointers, not
+// slices; tileStrips and csrStrips check the bounds first and never call
+// them with rows or w zero.
 
 //go:noescape
 func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool)
@@ -13,12 +13,26 @@ func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float6
 //go:noescape
 func tileStripF32(dst *float32, ldd int, s *float32, sRow int, sK int, b *float32, ldb int, rows int, w int, k int, load bool, skip bool)
 
+//go:noescape
+func csrStripF64(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
+
+//go:noescape
+func csrStripF32(dst *float32, ldd int, ptr *int, idx *int, val *float32, b *float32, ldb int, rows int, w int, lim int, bRows int, load bool) bool
+
 func tileF64AVX2(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
 	tileStrips(tileStripF64, 16, dst, ldd, s, sRow, sK, b, ldb, rows, cols, k, load, skip)
 }
 
 func tileF32AVX2(dst []float32, ldd int, s []float32, sRow, sK int, b []float32, ldb int, rows, cols, k int, load, skip bool) {
 	tileStrips(tileStripF32, 32, dst, ldd, s, sRow, sK, b, ldb, rows, cols, k, load, skip)
+}
+
+func csrTileF64AVX2(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
+	csrStrips(csrStripF64, 16, dst, ldd, ptr, idx, val, b, ldb, cols, load)
+}
+
+func csrTileF32AVX2(dst []float32, ldd int, ptr, idx []int, val, b []float32, ldb, cols int, load bool) {
+	csrStrips(csrStripF32, 32, dst, ldd, ptr, idx, val, b, ldb, cols, load)
 }
 
 // tileStrips is the tile entry over strip: the columns in strips of width,
@@ -39,4 +53,92 @@ func tileStrips[T Elem](strip func(dst *T, ldd int, s *T, sRow, sK int, b *T, ld
 		}
 		strip(&dst[c0], ldd, sp, sRow, sK, bp, ldb, rows, min(width, cols-c0), k, load, skip)
 	}
+}
+
+// csrStrips is the CSR tile entry over strip, the columns in strips of
+// width. The dst window is checked here; each entry's index and source row
+// are checked by the strip as it reaches them (against lim and bRows), and
+// an entry outside its operands panics as the slicing in csrTile would.
+func csrStrips[T Elem](strip func(dst *T, ldd int, ptr, idx *int, val, b *T, ldb, rows, w, lim, bRows int, load bool) bool,
+	width int, dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
+	rows := len(ptr) - 1
+	if rows <= 0 || cols == 0 {
+		return
+	}
+	if (rows-1)*ldd+cols > len(dst) {
+		panic("dense: CSR tile window outside its operands")
+	}
+	lim, bRows := min(len(idx), len(val)), 0
+	var ip *int
+	var vp, bp *T
+	if lim > 0 {
+		ip, vp = &idx[0], &val[0]
+	}
+	if ldb > 0 && len(b) >= cols {
+		bRows = (len(b)-cols)/ldb + 1
+	}
+	for c0 := 0; c0 < cols; c0 += width {
+		if bRows > 0 {
+			bp = &b[c0]
+		}
+		if !strip(&dst[c0], ldd, &ptr[0], ip, vp, bp, ldb, rows, min(width, cols-c0), lim, bRows, load) {
+			panic("dense: CSR tile entry outside its operands")
+		}
+	}
+}
+
+//go:noescape
+func compactF64(ptr *int, idx *int, val *float64, data *float64, rowStride int, colStride int, rows int, cols int, first int) int
+
+//go:noescape
+func compactF32(ptr *int, idx *int, val *float32, data *float32, rowStride int, colStride int, rows int, cols int, first int) int
+
+// compactEntry is what the compaction bodies need for one mask of four
+// lanes: the set lanes in order, as the pairs of 32-bit halves VPERMPS and
+// VPERMD move four 64-bit lanes by and as VPERMILPS's four 32-bit lanes,
+// and how many are set.
+type compactEntry struct {
+	pairs [8]int32
+	lanes [4]int32
+	count int64
+	_     int64
+}
+
+var compactTable [16]compactEntry
+
+func init() {
+	for m := range compactTable {
+		t := &compactTable[m]
+		for l := 0; l < 4; l++ {
+			if m&(1<<l) != 0 {
+				t.pairs[2*t.count], t.pairs[2*t.count+1] = int32(2*l), int32(2*l+1)
+				t.lanes[t.count] = int32(l)
+				t.count++
+			}
+		}
+	}
+}
+
+func compactNZF64AVX2(ptr, idx []int, val, data []float64, start, rowStride, colStride, rows, cols, first int) {
+	compactWindow(compactF64, ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+}
+
+func compactNZF32AVX2(ptr, idx []int, val, data []float32, start, rowStride, colStride, rows, cols, first int) {
+	compactWindow(compactF32, ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+}
+
+// compactWindow is compactNZ over body. The window is checked before any
+// assembly runs, as the Go body's indexing would: room for rows+1 row
+// pointers and rows·cols entries, and its last element inside data.
+func compactWindow[T Elem](body func(ptr, idx *int, val, data *T, rowStride, colStride, rows, cols, first int) int,
+	ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
+	if rows < 1 || cols < 1 {
+		compactNZGo(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
+		return
+	}
+	last := start + (rows-1)*rowStride + (cols-1)*colStride
+	if rows+1 > len(ptr) || rows*cols > min(len(idx), len(val)) || rowStride < 0 || colStride < 1 || start < 0 || last >= len(data) {
+		panic("dense: compaction window outside its operands")
+	}
+	body(&ptr[0], &idx[0], &val[0], &data[start], rowStride, colStride, rows, cols, first)
 }

@@ -100,9 +100,9 @@ func FuzzCSRFromCOO(f *testing.F) {
 
 // FuzzSpMMChunks checks the nonzero-balanced worker split of SpMMAdd on
 // aᵀ: for any chunk count the chunk starts tile the rows in order, and the
-// product computed one chunk at a time — in reverse, as unordered workers
-// might — is bit-identical to the whole-range loop, which overwrites its
-// destination.
+// product computed one chunk at a time on the CSR tile — in reverse, as
+// unordered workers might — is bit-identical to the whole-range product,
+// which overwrites its destination and is the reference loop's bit for bit.
 func FuzzSpMMChunks(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 2}, byte(3), byte(4), byte(2), byte(3))
 	f.Add([]byte{5, 5, 5, 1, 2, 3, 9, 8, 7}, byte(8), byte(8), byte(3), byte(1))
@@ -123,6 +123,9 @@ func FuzzSpMMChunks(f *testing.F) {
 
 		want := dense.New(cols, feats)
 		SpMM(want, at, x)
+		ref := dense.New(cols, feats)
+		RefSpMM(ref, at, x)
+		requireBitIdentical(t, ref, want)
 
 		if lo, hi := chunkStart(at.RowPtr, 0, chunks), chunkStart(at.RowPtr, chunks, chunks); lo != 0 || hi != at.Rows {
 			t.Fatalf("%d chunks cover rows [%d, %d), want [0, %d)", chunks, lo, hi, at.Rows)
@@ -133,7 +136,7 @@ func FuzzSpMMChunks(f *testing.F) {
 			if lo > hi {
 				t.Fatalf("chunk %d of %d is rows [%d, %d)", c, chunks, lo, hi)
 			}
-			spMMAddRows(got, at, x, lo, hi)
+			spMMRows(got, at, x, lo, hi, true)
 		}
 		// The chunk count balances work; it must never change the result.
 		if !dense.EqualWithin(got, want, 0) {

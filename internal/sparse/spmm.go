@@ -8,19 +8,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// spmmFeatureBlock is the column-tile width for the feature-blocked SpMM
-// loop. Dense operands wider than this are processed one 256-column tile at
-// a time (256 float64 = 2 KiB per x row), so the set of x rows a CSR row
-// block touches stays cache-resident instead of streaming whole wide rows
-// through L1 for every nonzero.
-const spmmFeatureBlock = 256
-
-// spmmRowBlock is the CSR row-block height of the feature-blocked loop: all
-// feature tiles of one row block complete before the next block starts, so
-// the x rows referenced by the block are reused across tiles while still
-// hot.
-const spmmRowBlock = 64
-
 // SpMM computes dst = a * x where a is sparse and x is dense (the SpMM
 // kernel the paper identifies as the dominant GNN training cost). dst must
 // be a.Rows x x.Cols and is overwritten.
@@ -31,8 +18,7 @@ const spmmRowBlock = 64
 // by exactly one worker so the result is bit-identical to the serial loop.
 func SpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 	checkSpMM(dst, a, x, "SpMM")
-	dst.Zero()
-	SpMMAdd(dst, a, x)
+	spMM(dst, a, x, false)
 }
 
 // SpMMAdd computes dst += a * x. This is the accumulating form used inside
@@ -48,14 +34,18 @@ func SpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 // output row is still written by one worker in nonzero order.
 func SpMMAdd[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 	checkSpMM(dst, a, x, "SpMMAdd")
+	spMM(dst, a, x, true)
+}
+
+func spMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], load bool) {
 	work := SpMMFlops(a, x.Cols)
 	chunks := min(parallel.Workers(), a.Rows)
 	if parallel.Inline(chunks, work) {
-		spMMAddRows(dst, a, x, 0, a.Rows)
+		spMMRows(dst, a, x, 0, a.Rows, load)
 		return
 	}
 	parallel.Rows(chunks, work, func(lo, hi int) {
-		spMMAddRows(dst, a, x, chunkStart(a.RowPtr, lo, chunks), chunkStart(a.RowPtr, hi, chunks))
+		spMMRows(dst, a, x, chunkStart(a.RowPtr, lo, chunks), chunkStart(a.RowPtr, hi, chunks), load)
 	})
 }
 
@@ -75,76 +65,13 @@ func chunkStart(rowPtr []int, c, chunks int) int {
 	return sort.SearchInts(rowPtr[:rows], target)
 }
 
-// axpyEntryRun accumulates the stored entries [k0, k1) of (val, colIdx)
-// into drow: entry k scales the len(drow)-wide slice of x starting at
-// colIdx[k]*stride+off. Entries are consumed four per pass through the
-// fused four-source sweep of ax (sequential adds in entry order), with a
-// one-source tail — per output element exactly the adds of the per-entry loop
-// in the same order, so the result is bit-identical to it (a stored zero
-// contributes its +0·x in both forms).
-func axpyEntryRun[T dense.Elem](ax dense.Axpy[T], drow []T, val []T, colIdx []int, xdata []T, stride, off, k0, k1 int) {
-	n := len(drow)
-	k := k0
-	for ; k+4 <= k1; k += 4 {
-		c0 := colIdx[k]*stride + off
-		c1 := colIdx[k+1]*stride + off
-		c2 := colIdx[k+2]*stride + off
-		c3 := colIdx[k+3]*stride + off
-		ax.Row4(drow,
-			val[k], xdata[c0:c0+n],
-			val[k+1], xdata[c1:c1+n],
-			val[k+2], xdata[c2:c2+n],
-			val[k+3], xdata[c3:c3+n])
-	}
-	for ; k < k1; k++ {
-		c := colIdx[k]*stride + off
-		ax.Row(drow, val[k], xdata[c:c+n])
-	}
-}
-
-// spMMAddRows accumulates rows [lo, hi) of a*x into dst. For each output
-// row the accumulation order is identical to the full serial loop: wide
-// operands take the feature-blocked path, which visits the same
-// (nonzero, column) pairs in the same per-element order (for a fixed output
-// element (i, j), contributions arrive in nonzero order k in both loops —
-// column tiling only reorders across j, never across k).
-func spMMAddRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int) {
-	if x.Cols > spmmFeatureBlock {
-		spMMAddRowsBlocked(dst, a, x, lo, hi)
-		return
-	}
-	ax := dense.AxpyFor[T]()
+// spMMRows computes rows [lo, hi) of dst (+)= a*x on the CSR tile, a column
+// strip of x at a time over the whole range: each output element receives
+// its row's entries in nonzero order — the one-AxpyRow-per-entry loop
+// (RefSpMM), bit for bit, whatever the split.
+func spMMRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int, load bool) {
 	f := x.Cols
-	for i := lo; i < hi; i++ {
-		drow := dst.Data[i*f : (i+1)*f]
-		axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
-	}
-}
-
-// spMMAddRowsBlocked is the cache-blocked SpMM loop for wide dense
-// operands: CSR rows are processed in blocks of spmmRowBlock, and within a
-// row block the feature dimension is tiled in spmmFeatureBlock columns, so
-// each x row referenced by the block contributes one tile-sized slice at a
-// time and is revisited while its lines are still cached.
-func spMMAddRowsBlocked[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int) {
-	ax := dense.AxpyFor[T]()
-	f := x.Cols
-	for i0 := lo; i0 < hi; i0 += spmmRowBlock {
-		i1 := i0 + spmmRowBlock
-		if i1 > hi {
-			i1 = hi
-		}
-		for j0 := 0; j0 < f; j0 += spmmFeatureBlock {
-			j1 := j0 + spmmFeatureBlock
-			if j1 > f {
-				j1 = f
-			}
-			for i := i0; i < i1; i++ {
-				drow := dst.Data[i*f+j0 : i*f+j1]
-				axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, j0, a.RowPtr[i], a.RowPtr[i+1])
-			}
-		}
-	}
+	dense.SpMMRows(dst.Data[lo*f:], f, a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x.Data, f, f, load)
 }
 
 // SpMMAddRowList computes dst[i] += (a*x)[i] for exactly the rows listed in
@@ -172,14 +99,17 @@ func SpMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T],
 	})
 }
 
-// spMMAddRowList is the serial row-list loop; each listed output row is
-// owned by exactly one worker, so the parallel split stays bit-identical.
+// spMMAddRowList is the serial row-list loop, one tile call per run of
+// consecutive listed rows; each listed output row is owned by exactly one
+// worker, so the parallel split stays bit-identical.
 func spMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], rows []int) {
-	ax := dense.AxpyFor[T]()
-	f := x.Cols
-	for _, i := range rows {
-		drow := dst.Data[i*f : (i+1)*f]
-		axpyEntryRun(ax, drow, a.Val, a.ColIdx, x.Data, f, 0, a.RowPtr[i], a.RowPtr[i+1])
+	for len(rows) > 0 {
+		n := 1
+		for n < len(rows) && rows[n] == rows[0]+n {
+			n++
+		}
+		spMMRows(dst, a, x, rows[0], rows[0]+n, true)
+		rows = rows[n:]
 	}
 }
 

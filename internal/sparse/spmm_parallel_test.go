@@ -82,17 +82,23 @@ var spmmShapes = []struct {
 	{300, 500, 64, 0.1},
 }
 
+// TestSpMMParallelBitIdentical: SpMM on the CSR tile under either backend
+// is the reference loop (one AxpyRow per entry) bit for bit, into a dirty
+// destination.
 func TestSpMMParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	check := func(name string, a *CSR, f int) {
 		t.Run(name, func(t *testing.T) {
 			x := randomMatrix(rng, a.Cols, f)
+			want := dense.New(a.Rows, f)
+			RefSpMM(want, a, x)
 			withBackends(t, func() *dense.Matrix {
-				dst := dense.New(a.Rows, f)
+				dst := randomMatrix(rng, a.Rows, f)
 				SpMM(dst, a, x)
 				return dst
 			}, func(serial, par *dense.Matrix) {
-				requireBitIdentical(t, serial, par)
+				requireBitIdentical(t, want, serial)
+				requireBitIdentical(t, want, par)
 			})
 		})
 	}

@@ -98,14 +98,13 @@ func TestTransposePlanIsSpMMOverTranspose(t *testing.T) {
 	}
 }
 
-// TestBlockedSpMMMatchesExactly: the feature-blocked SpMM path (wide dense
-// operands) must be bit-identical to the narrow unblocked loop.
+// TestBlockedSpMMMatchesExactly: SpMM over a dense operand many column
+// strips wide, the last one masked, must be bit-identical to the plain loop
+// of one multiply-add per entry and column.
 func TestBlockedSpMMMatchesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	a := randomCSR(rng, 60, 60, 0.1)
-	// f > spmmFeatureBlock forces the blocked path; compute the reference
-	// with the unblocked loop directly.
-	f := spmmFeatureBlock + 37
+	f := 256 + 37
 	x := randomMatrix(rng, 60, f)
 	blocked := dense.New(60, f)
 	SpMM(blocked, a, x)
@@ -122,6 +121,6 @@ func TestBlockedSpMMMatchesExactly(t *testing.T) {
 		}
 	}
 	if dense.MaxAbsDiff(blocked, unblocked) != 0 {
-		t.Fatalf("feature-blocked SpMM differs from the unblocked loop")
+		t.Fatalf("SpMM over %d columns differs from the plain loop", f)
 	}
 }
