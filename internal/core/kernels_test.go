@@ -103,11 +103,12 @@ func TestSetKernelOptionsValidation(t *testing.T) {
 
 // TestDefaultBitIdenticalToReference: the optimized default path — fused
 // epilogues, the register tiles in every GEMM and SpMM, the products over a
-// ReLU operand's nonzeros, the vector routines where the CPU has them — must
-// reproduce the pre-optimization reference kernels bit for bit, in both
-// precisions. This is the end-to-end pin for the whole blocking scheme: each
-// tile performs the same adds in the same per-element order as the
-// one-source reference loops.
+// ReLU operand's nonzeros, the row-lane log-softmax, the vector routines
+// where the CPU has them — must reproduce the pre-optimization reference
+// kernels bit for bit, in both precisions. This is the end-to-end pin for
+// the whole blocking scheme: each tile performs the same adds in the same
+// per-element order as the one-source reference loops, and each lane the
+// log-softmax loops' operations, math.Exp and math.Log included.
 // Reference is independent of Precision, and spelling out f64 changes
 // nothing.
 func TestDefaultBitIdenticalToReference(t *testing.T) {

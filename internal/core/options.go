@@ -29,8 +29,8 @@ type KernelOptions struct {
 	Precision string
 	// Reference runs the pre-optimization scalar kernels (one source per
 	// accumulation sweep, the ReLU as a separate pass after the multiply,
-	// always on the Go loops) — the oracle the default path is bit-identical
-	// to, in either precision.
+	// log-softmax a row at a time, always on the Go loops) — the oracle the
+	// default path is bit-identical to, in either precision.
 	Reference bool
 }
 

@@ -76,8 +76,8 @@ type serialOps[T dense.Elem] struct {
 
 	// ref swaps every multiply for the pre-optimization reference kernels,
 	// followed by a separate ReLU pass where the engine asks for a fused
-	// one, and the reoriented weight gradient where it asks for sparseRight
-	// (see KernelOptions.Reference).
+	// one, and the reoriented weight gradient where it asks for sparseRight,
+	// and runs log-softmax on its Go loops (see KernelOptions.Reference).
 	ref bool
 }
 
@@ -126,7 +126,11 @@ func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *
 
 func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T]) {
 	h := s.ws.GetUninit(z.Rows, z.Cols)
-	dense.ForwardOf(act, h, z)
+	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
+		dense.RefLogSoftmaxForward(h, z)
+	} else {
+		dense.ForwardOf(act, h, z)
+	}
 	return h, nil
 }
 
@@ -137,7 +141,11 @@ func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
 
 func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], _ *actCacheOf[T], l int) *dense.Of[T] {
 	g := s.ws.GetUninit(h.Rows, h.Cols)
-	dense.BackwardOf(act, g, dH, h)
+	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
+		dense.RefLogSoftmaxBackward(g, dH, h)
+	} else {
+		dense.BackwardOf(act, g, dH, h)
+	}
 	return g
 }
 

@@ -245,14 +245,56 @@ func (LogSoftmax) Forward(dst, z *Matrix) { LogSoftmaxForwardOf(dst, z) }
 func LogSoftmaxForwardOf[T Elem](dst, z *Of[T]) {
 	sameShape2(dst, z, "LogSoftmax.Forward")
 	if activationInline(z) {
-		logSoftmaxForwardRows(dst, z, 0, z.Rows)
+		logSoftmaxLaneRows(dst, z, 0, z.Rows)
 		return
 	}
 	activationRows(z, func(lo, hi int) {
-		logSoftmaxForwardRows(dst, z, lo, hi)
+		logSoftmaxLaneRows(dst, z, lo, hi)
 	})
 }
 
+// rowLanes is the row-lane log-softmax: four rows at a time, one per vector
+// lane, each replaying the Go loops (logSoftmaxRow, logSoftmaxBackwardRows)
+// bit for bit — their exp and log are math's own, instruction for
+// instruction. forward and backward run whole groups of four rows of cols
+// columns from the start of their slices (dst and grad as long as z or y)
+// and return how many groups they completed: they stop before a group with
+// a lane off math.Exp's or math.Log's fast path (a NaN, an infinity, a
+// subnormal or overflowing exp) and store nothing of it. Zero functions
+// where the process runs the Go loops alone.
+type rowLanes[T Elem] struct {
+	forward  func(dst, z []T, cols int) int
+	backward func(dst, grad, y []T, cols int) int
+}
+
+// rowLanesFor returns the row lanes for element type T, chosen as tileFor
+// chooses.
+func rowLanesFor[T Elem]() rowLanes[T] {
+	if l, ok := any(&lanesF64).(*rowLanes[T]); ok {
+		return *l
+	}
+	if l, ok := any(&lanesF32).(*rowLanes[T]); ok {
+		return *l
+	}
+	return rowLanes[T]{}
+}
+
+// logSoftmaxLaneRows is the forward over rows lo…hi-1: whole groups of four
+// on the lanes, and on the Go loop every group the lanes hand back and the
+// rows after the last whole group.
+func logSoftmaxLaneRows[T Elem](dst, z *Of[T], lo, hi int) {
+	c, lanes := z.Cols, rowLanesFor[T]().forward
+	for lanes != nil && c > 0 && hi-lo >= 4 {
+		lo += 4 * lanes(dst.Data[lo*c:hi*c], z.Data[lo*c:hi*c], c)
+		if hi-lo >= 4 {
+			logSoftmaxForwardRows(dst, z, lo, lo+4)
+			lo += 4
+		}
+	}
+	logSoftmaxForwardRows(dst, z, lo, hi)
+}
+
+// logSoftmaxForwardRows is the forward's Go loop over rows lo…hi-1.
 func logSoftmaxForwardRows[T Elem](dst, z *Of[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		logSoftmaxRow(dst.Row(i), z.Row(i))
@@ -300,14 +342,30 @@ func (LogSoftmax) Backward(dst, grad, y *Matrix) { LogSoftmaxBackwardOf(dst, gra
 func LogSoftmaxBackwardOf[T Elem](dst, grad, y *Of[T]) {
 	sameShape3(dst, grad, y, "LogSoftmax.Backward")
 	if activationInline(y) {
-		logSoftmaxBackwardRows(dst, grad, y, 0, y.Rows)
+		logSoftmaxBackwardLaneRows(dst, grad, y, 0, y.Rows)
 		return
 	}
 	activationRows(y, func(lo, hi int) {
-		logSoftmaxBackwardRows(dst, grad, y, lo, hi)
+		logSoftmaxBackwardLaneRows(dst, grad, y, lo, hi)
 	})
 }
 
+// logSoftmaxBackwardLaneRows is the backward over rows lo…hi-1, split
+// between the lanes and the Go loop as logSoftmaxLaneRows splits the
+// forward.
+func logSoftmaxBackwardLaneRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
+	c, lanes := y.Cols, rowLanesFor[T]().backward
+	for lanes != nil && c > 0 && hi-lo >= 4 {
+		lo += 4 * lanes(dst.Data[lo*c:hi*c], grad.Data[lo*c:hi*c], y.Data[lo*c:hi*c], c)
+		if hi-lo >= 4 {
+			logSoftmaxBackwardRows(dst, grad, y, lo, lo+4)
+			lo += 4
+		}
+	}
+	logSoftmaxBackwardRows(dst, grad, y, lo, hi)
+}
+
+// logSoftmaxBackwardRows is the backward's Go loop over rows lo…hi-1.
 func logSoftmaxBackwardRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yrow := y.Row(i)

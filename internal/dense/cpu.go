@@ -1,0 +1,23 @@
+package dense
+
+// The routines in use, chosen once at package init from what the CPU
+// reports and never changed afterwards: the Go bodies unless a platform file
+// (cpu_amd64.go) replaces them. There is no option: each vector routine is
+// bit-identical to its Go body, so nothing but speed depends on which one
+// runs.
+var (
+	kernelISA = "go"
+	tileF64   = tileFunc[float64](gemmTile[float64])
+	tileF32   = tileFunc[float32](gemmTile[float32])
+	csrF64    = csrTileFunc[float64](csrTile[float64])
+	csrF32    = csrTileFunc[float32](csrTile[float32])
+	compact64 = compactFunc[float64](compactNZGo[float64])
+	compact32 = compactFunc[float32](compactNZGo[float32])
+	lanesF64  rowLanes[float64]
+	lanesF32  rowLanes[float32]
+)
+
+// KernelISA names the instruction set the kernels run on in this process:
+// "avx2" (the assembly routines) or "go" (the portable loops — every GOARCH
+// but amd64, an x86 without AVX2 and FMA, and any build with -tags purego).
+func KernelISA() string { return kernelISA }

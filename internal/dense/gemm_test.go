@@ -23,6 +23,23 @@ func TestMulMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestAxpyShortSourcePanics pins AxpyRow's length check: a source whose
+// capacity is below len(dst) panics before a single element of dst is
+// written.
+func TestAxpyShortSourcePanics(t *testing.T) {
+	long := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	dst := make([]float64, 9)
+	func() {
+		defer mustPanic(t, "a source shorter than dst")
+		AxpyRow(dst, 2, long[:8:8])
+	}()
+	for j, d := range dst {
+		if d != 0 {
+			t.Errorf("dst[%d] = %v written before the panic", j, d)
+		}
+	}
+}
+
 func TestMulAddAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMatrix(rng, 5, 6)

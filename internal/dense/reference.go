@@ -2,7 +2,8 @@ package dense
 
 // Reference kernels: the one-source-at-a-time loops that the register tiles
 // replaced, running on the Go loop AxpyRow itself rather than on whatever
-// tileFor or csrTileFor selects, and the scalar dot loop of RefMulT. RefMul
+// tileFor or csrTileFor selects, the scalar dot loop of RefMulT, and the Go
+// loops of log-softmax the row lanes replay (RefLogSoftmax*). RefMul
 // and RefTMul are also the references of MulNZ and TMulNZ, which keep their
 // terms and order. They are the oracle of the bit-identity tests: the
 // default path — register tiles, products over a ReLU operand's nonzeros,
@@ -59,6 +60,22 @@ func RefMulT[T Elem](dst, a, b *Of[T]) {
 			drow[j] = s
 		}
 	}
+}
+
+// RefLogSoftmaxForward writes log_softmax(z) into dst on the Go loop
+// logSoftmaxRow, row by row: what LogSoftmaxForwardOf computes, whichever
+// kernel runs it. dst may alias z.
+func RefLogSoftmaxForward[T Elem](dst, z *Of[T]) {
+	sameShape2(dst, z, "RefLogSoftmaxForward")
+	logSoftmaxForwardRows(dst, z, 0, z.Rows)
+}
+
+// RefLogSoftmaxBackward writes the log-softmax gradient into dst on the Go
+// loop logSoftmaxBackwardRows: what LogSoftmaxBackwardOf computes. dst may
+// alias grad or y.
+func RefLogSoftmaxBackward[T Elem](dst, grad, y *Of[T]) {
+	sameShape3(dst, grad, y, "RefLogSoftmaxBackward")
+	logSoftmaxBackwardRows(dst, grad, y, 0, y.Rows)
 }
 
 // RefTMul computes dst = aᵀ * b with the reference scatter: ascending rows

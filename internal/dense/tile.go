@@ -12,7 +12,7 @@ import "sync"
 // exactly where its scale != 0 is false (±0 is skipped, NaN is not). The
 // scale address has a row and a k stride, so one entry serves a·b (s = a,
 // sRow = a.Cols, sK = 1) and aᵀ·b (sRow = 1, sK = a.Cols). The kernels
-// resolve it once per entry with tileFor, beside the Axpy pair.
+// resolve it once per entry with tileFor.
 type tileFunc[T Elem] func(dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, rows, cols, k int, load, skip bool)
 
 // gemmTile is the tile entry in portable Go: one AxpyRow per term, a row at

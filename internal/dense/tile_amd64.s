@@ -7,8 +7,10 @@
 // row from the first term to the store, so each output element is loaded
 // and stored once per call. Every element receives the IEEE operations of
 // the Go body in its order: one multiply and one add per term, never a
-// fused multiply-add, with the operand order of axpy_amd64.s (b first in
-// the multiply, the product first in the add). The strip's last vector is
+// fused multiply-add, with the operand order of the plain build of AxpyRow
+// (b first in the multiply, the product first in the add). x86 consults it
+// only where two different NaNs meet, and there the compiled Go loop is not
+// consistent with itself (see twoNaNsMeet). The strip's last vector is
 // loaded and stored under a lane mask when w is not a whole number of
 // vectors. Nothing outside the window of dst is written and nothing outside
 // the operands is read.
