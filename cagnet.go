@@ -34,18 +34,12 @@ import (
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 )
 
 // Algorithms lists the supported training algorithms in the order the
 // paper presents them.
 var Algorithms = []string{"serial", "1d", "1.5d", "2d", "3d"}
-
-// Backends lists the selectable compute backends for the SpMM/GEMM kernels.
-// Both produce bit-identical results; "parallel" row-partitions large
-// kernels across a worker pool.
-var Backends = parallel.Backends
 
 // Optimizers lists the selectable weight-update rules. All of them keep
 // their state replicated across ranks, so they work identically under
@@ -61,11 +55,6 @@ var Optimizers = nn.Optimizers
 // that fails aborts the others and Train returns its root cause, and both
 // fabrics run the identical collectives to bit-identical results.
 var Transports = []string{"inproc", "tcp"}
-
-// Precisions lists the selectable arithmetic precisions: "f64" (default,
-// bit-identical everywhere) and "f32" (mixed precision: the serial trainer
-// instantiated at float32, so serial only; tolerance-validated).
-var Precisions = []string{core.PrecisionF64, core.PrecisionF32}
 
 // Datasets lists the built-in synthetic analogs of the paper's Table VI
 // datasets.
@@ -108,7 +97,9 @@ func RandomDataset(scale, edgeFactor, features, hidden, labels int, seed int64) 
 	return spec.Build()
 }
 
-// TrainOptions configures a training run.
+// TrainOptions configures a training run. Kernel threading is not among
+// them: it is the process's worker count (CAGNET_WORKERS, default
+// runtime.NumCPU), and every count trains the same bits.
 type TrainOptions struct {
 	// Algorithm selects the decomposition: "serial", "1d", "1.5d", "2d",
 	// or "3d".
@@ -172,7 +163,7 @@ type TrainOptions struct {
 	Overlap bool
 	// Precision selects the arithmetic precision of the training kernels:
 	// "f64" (default, "" accepted) keeps every matrix double precision and
-	// is bit-identical across backends and decompositions; "f32" runs
+	// is bit-identical across worker counts and decompositions; "f32" runs
 	// mixed-precision training — float32 storage and compute for the large
 	// per-vertex matrices, float64 master weights, optimizer state, and row
 	// reductions (log-sum-exp, loss). Tolerance-validated, not
@@ -209,16 +200,6 @@ type TrainOptions struct {
 	// flipped by a SIGTERM handler to make maintenance never cost an
 	// epoch.
 	Drain func() bool
-	// Backend selects the compute backend for all kernels: "serial" runs
-	// them single-threaded, "parallel" (the default) row-partitions large
-	// SpMM/GEMM/activation kernels across a worker pool sized by
-	// runtime.NumCPU. Both backends produce bit-identical results. The
-	// choice is scoped to this run (set on entry, restored on return);
-	// concurrent Train calls requesting different backends serialize
-	// instead of racing. Empty keeps the current process-wide backend
-	// (default "parallel", overridable with the CAGNET_BACKEND environment
-	// variable).
-	Backend string
 }
 
 // CheckpointOptions configures checkpoint/restart; see
@@ -335,17 +316,6 @@ func (r *TrainReport) Result() *core.Result { return r.result }
 // architecture (input → hidden → labels).
 func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	opts = opts.withDefaults()
-	if opts.Backend != "" {
-		backend, err := parallel.ParseBackend(opts.Backend)
-		if err != nil {
-			return nil, err
-		}
-		// Scope the backend to this run: restore on return, and let
-		// concurrent Train calls with conflicting backends serialize
-		// rather than race on the process-wide setting.
-		release := parallel.AcquireBackend(backend)
-		defer release()
-	}
 	mach, err := costmodel.ProfileByName(opts.Machine)
 	if err != nil {
 		return nil, err

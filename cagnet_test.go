@@ -272,42 +272,61 @@ func TestTrainValidationTracking(t *testing.T) {
 	}
 }
 
-// TestTrainConcurrentBackends: concurrent Train calls with different
-// Backend values must not race on the process-wide setting (run with
-// -race) and must agree bit-for-bit.
-func TestTrainConcurrentBackends(t *testing.T) {
-	ds := RandomDataset(6, 4, 6, 4, 3, 33)
-	want, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 2})
-	if err != nil {
-		t.Fatal(err)
+// TestTrainWorkerCountsBitIdentical: the worker count is the only setting
+// for kernel parallelism, and it never changes a bit. Serial and 2d train
+// the same losses and output on one worker as on eight (enough for each of
+// 2d's four ranks to split its kernels in two); then eight concurrent Train
+// calls on the shared pool must agree with them (run with -race).
+func TestTrainWorkerCountsBitIdentical(t *testing.T) {
+	ds := RandomDataset(10, 8, 64, 32, 8, 33)
+	runs := []TrainOptions{{Algorithm: "serial", Epochs: 2}, {Algorithm: "2d", Ranks: 4, Epochs: 2}}
+	train := func(opts TrainOptions) (*TrainReport, error) { return Train(ds, opts) }
+	same := func(got, want *TrainReport) error {
+		if !slices.Equal(got.Losses, want.Losses) {
+			return fmt.Errorf("losses %v, want %v", got.Losses, want.Losses)
+		}
+		if !slices.Equal(got.Result().Output.Data, want.Result().Output.Data) {
+			return fmt.Errorf("output differs")
+		}
+		return nil
+	}
+	want := make([]*TrainReport, len(runs))
+	for i, opts := range runs {
+		useWorkers(t, 1)
+		one, err := train(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		useWorkers(t, 8)
+		eight, err := train(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := same(eight, one); err != nil {
+			t.Fatalf("%s at 8 workers vs 1: %v", opts.Algorithm, err)
+		}
+		want[i] = one
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {
-		backend := "serial"
-		if i%2 == 0 {
-			backend = "parallel"
-		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 2, Backend: backend})
-			if err != nil {
-				errs <- err
-				return
+			opts := runs[i%len(runs)]
+			rep, err := train(opts)
+			if err == nil {
+				err = same(rep, want[i%len(runs)])
 			}
-			for e := range want.Losses {
-				if rep.Losses[e] != want.Losses[e] {
-					errs <- fmt.Errorf("backend %s: loss diverged at epoch %d", backend, e)
-					return
-				}
+			if err != nil {
+				errs <- fmt.Errorf("concurrent %s: %w", opts.Algorithm, err)
 			}
 		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Error(err)
 	}
 }
 

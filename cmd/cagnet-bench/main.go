@@ -106,8 +106,8 @@ func validateConsumed(explicit map[string]bool, selected []experiment) error {
 // that fig2, fig3 and scaling all render — trained by whichever of them
 // runs first.
 type bench struct {
-	exp, machine, backend, jsonPath string
-	workers                         int
+	exp, machine, jsonPath string
+	workers                int
 	// opts carries -quick, -halo, -partitioner, -overlap and
 	// the resolved -machine to every experiment.
 	opts  harness.Options
@@ -127,8 +127,7 @@ func newFlagSet(b *bench) *flag.FlagSet {
 	fs.BoolVar(&b.opts.Halo, "halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements"+readBy("halo"))
 	fs.StringVar(&b.opts.Partitioner, "partitioner", "", "vertex partitioner for 1d/1.5d measurements: block, random, ldg"+readBy("partitioner"))
 	fs.BoolVar(&b.opts.Overlap, "overlap", false, "pipeline the measurements with non-blocking collectives"+readBy("overlap")+"; the overlap experiment always measures both modes")
-	fs.StringVar(&b.backend, "backend", "", "compute backend: serial or parallel (default: parallel, or $CAGNET_BACKEND)")
-	fs.IntVar(&b.workers, "workers", 0, "parallel backend worker count (0 = runtime.NumCPU or $CAGNET_WORKERS)")
+	fs.IntVar(&b.workers, "workers", 0, "kernel worker count (1 = single-threaded; 0 = runtime.NumCPU or $CAGNET_WORKERS)")
 	fs.StringVar(&b.jsonPath, "json", "", "also write the structured results to this file as JSON")
 	return fs
 }
@@ -176,13 +175,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if b.opts.Machine, err = costmodel.ProfileByName(b.machine); err != nil {
 		return err
-	}
-	if b.backend != "" {
-		backend, err := parallel.ParseBackend(b.backend)
-		if err != nil {
-			return err
-		}
-		parallel.SetBackend(backend)
 	}
 	if b.workers > 0 {
 		parallel.SetWorkers(b.workers)

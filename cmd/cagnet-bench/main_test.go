@@ -111,8 +111,8 @@ func TestRunRejections(t *testing.T) {
 		"negative workers": {"-exp", "tableVI", "-quick", "-workers", "-3"},
 		"unread flag":      {"-exp", "tableVI", "-quick", "-halo"},
 		"unknown machine":  {"-exp", "tableVI", "-quick", "-machine", "abacus"},
-		"unknown backend":  {"-exp", "tableVI", "-quick", "-backend", "gpu"},
 		"retired flag":     {"-exp", "tableVI", "-quick", "-optimizer", "adam"},
+		"retired backend":  {"-exp", "tableVI", "-quick", "-backend", "serial"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil {

@@ -7,15 +7,15 @@
 //	cagnet-train [-dataset reddit-sim] [-algo 2d] [-ranks 16] [-epochs 10]
 //	             [-lr 0.01] [-optimizer sgd] [-replication 0] [-val 0]
 //	             [-halo] [-partitioner block] [-overlap] [-machine summit-v100]
-//	             [-precision f64] [-transport inproc] [-backend parallel]
-//	             [-workers 0] [-quick]
+//	             [-precision f64] [-transport inproc] [-workers 0] [-quick]
 //	             [-checkpoint-dir DIR] [-checkpoint-every N]
 //
 // Flag combinations that would have no effect are rejected up front —
 // before the dataset build — rather than silently ignored: -halo and
 // -partitioner need the row decompositions (1d, 1.5d), -precision f32
 // needs -algo serial, and -overlap and -transport tcp need a distributed
-// algorithm.
+// algorithm. -workers sets the kernel worker pool: 1 runs every kernel
+// single-threaded, and every count trains the same bits.
 package main
 
 import (
@@ -48,17 +48,13 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training-state snapshots; resumes from the latest one when present (empty disables)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "epochs between snapshots (0 = only the final one; needs -checkpoint-dir)")
 	machine := flag.String("machine", "summit-v100", "cost-model machine profile")
-	backend := flag.String("backend", "", "compute backend: serial or parallel (default: parallel, or $CAGNET_BACKEND)")
-	workers := flag.Int("workers", 0, "parallel backend worker count (0 = runtime.NumCPU or $CAGNET_WORKERS)")
+	workers := flag.Int("workers", 0, "kernel worker count (1 = single-threaded; 0 = runtime.NumCPU or $CAGNET_WORKERS)")
 	quickFlag := flag.Bool("quick", false, "shrink the dataset for a fast run")
 	flag.Parse()
 
-	// Validate the backend and the flag combinations before the
-	// (potentially expensive) dataset build; Train applies the options and
-	// would reject the same combinations, but only after the build.
-	if _, err := parallel.ParseBackend(*backend); err != nil {
-		log.Fatal(err)
-	}
+	// Validate the flag combinations before the (potentially expensive)
+	// dataset build; Train applies the options and would reject the same
+	// combinations, but only after the build.
 	if err := validateFlags(flagCombo{
 		epochs: *epochs, ranks: *ranks, lr: *lr,
 		algo: *algo, halo: *halo, partitioner: *partitioner, overlap: *overlap,
@@ -126,7 +122,6 @@ func main() {
 		Transport:         *transport,
 		ValMask:           valMask,
 		Machine:           *machine,
-		Backend:           *backend,
 		Checkpoint:        cagnet.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery},
 	})
 	if err != nil {

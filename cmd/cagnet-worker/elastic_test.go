@@ -209,6 +209,28 @@ func TestShrinkWorld(t *testing.T) {
 	}
 }
 
+// TestRankWorkers: CAGNET_WORKERS, when it holds a positive count, sizes a
+// rank's pool as given; unset (or unusable) the host's cores are divided
+// among the world, never below one worker.
+func TestRankWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		env               string
+		cpus, world, want int
+	}{
+		{"", 8, 4, 2},  // unset: the world shares the host
+		{"", 8, 3, 2},  // rounds down
+		{"1", 8, 4, 1}, // set: single-threaded ranks
+		{"3", 8, 4, 3}, // set above the fair share: as given
+		{"", 2, 4, 1},  // NumCPU < world: one worker each
+		{"0", 2, 4, 1}, // not a positive count: as if unset
+		{"x", 8, 2, 4},
+	} {
+		if got := rankWorkers(tc.env, tc.cpus, tc.world); got != tc.want {
+			t.Errorf("rankWorkers(%q, cpus=%d, world=%d) = %d, want %d", tc.env, tc.cpus, tc.world, got, tc.want)
+		}
+	}
+}
+
 // TestCheckpointKeepFlag: -checkpoint-keep bounds the snapshot directory
 // while never pruning the latest — after a 5-epoch run with per-epoch
 // snapshots and keep=2, exactly the two newest files remain.

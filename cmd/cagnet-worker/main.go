@@ -440,6 +440,18 @@ func spawnAll(cfg config, gen, world int) (failedRank int, err error) {
 	return failedRank, firstErr
 }
 
+// rankWorkers sizes one rank's kernel pool. A positive CAGNET_WORKERS
+// (env) is taken as given — 1 runs the rank single-threaded. Otherwise the
+// world's ranks are taken to share one host of cpus cores, so each gets
+// cpus/world workers, at least one: together they use about cpus workers
+// instead of world·cpus.
+func rankWorkers(env string, cpus, world int) int {
+	if n, err := strconv.Atoi(env); err == nil && n > 0 {
+		return n
+	}
+	return max(cpus/world, 1)
+}
+
 // runRank executes this process's share of the training job. Only rank 0
 // prints the report; the other ranks stay silent and contribute their
 // ledgers and wire samples through a final gather.
@@ -475,13 +487,7 @@ func runRank(cfg config) error {
 		cfg.world = tcpTr.Size()
 		log.Printf("rank %d: adopted world size %d from coordinator (generation %d)", cfg.rank, cfg.world, cfg.generation)
 	}
-	// All ranks usually share one host here; divide the compute pool so the
-	// processes together use about NumCPU workers instead of world·NumCPU.
-	if w := runtime.NumCPU() / cfg.world; w >= 1 {
-		parallel.SetWorkers(w)
-	} else {
-		parallel.SetWorkers(1)
-	}
+	parallel.SetWorkers(rankWorkers(os.Getenv("CAGNET_WORKERS"), runtime.NumCPU(), cfg.world))
 
 	spec, err := graph.AnalogByName(cfg.dataset)
 	if err != nil {

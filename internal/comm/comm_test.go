@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -147,6 +148,20 @@ func TestReduceAllSizes(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestReduceScatterLengthMismatch: ReduceScatter runs Reduce's tree, so a
+// member whose data disagrees in length fails the run instead of summing a
+// prefix.
+func TestReduceScatterLengthMismatch(t *testing.T) {
+	err := NewCluster(2, testCost).Run(func(c *Comm) error {
+		counts := []int{1, 1 + c.Rank()}
+		c.World().ReduceScatter(make([]float64, 2+c.Rank()), counts, CatDenseComm)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "reduce length mismatch") {
+		t.Fatalf("mismatched ReduceScatter: err = %v, want a reduce length mismatch", err)
 	}
 }
 

@@ -90,34 +90,7 @@ func (g *Group) Reduce(root int, x []float64, cat Category) []float64 {
 	}
 	defer g.comm.meterDone(g.comm.meterStart())
 	g.charge(cat, lg2(q), int64(len(x)))
-	if q == 1 {
-		return g.comm.pool.cloneFloats(x)
-	}
-	vrank := (g.me - root + q) % q
-	acc := g.comm.pool.cloneFloats(x)
-	// Binomial-tree reduction: receive from children, then send to parent.
-	for mask := 1; mask < nextPow2(q); mask <<= 1 {
-		if vrank&(mask-1) != 0 {
-			continue
-		}
-		if vrank&mask == 0 {
-			child := vrank | mask
-			if child < q {
-				recv := g.comm.recvRaw(g.ranks[(child+root)%q])
-				if len(recv.Floats) != len(acc) {
-					panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv.Floats), len(acc)))
-				}
-				for i, v := range recv.Floats {
-					acc[i] += v
-				}
-			}
-		} else {
-			parent := vrank &^ mask
-			g.comm.sendRaw(g.ranks[(parent+root)%q], Payload{Floats: acc})
-			return nil
-		}
-	}
-	return acc
+	return g.reduce(root, x)
 }
 
 // AllReduce sums x elementwise across the group and returns the result on
@@ -153,7 +126,7 @@ func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64
 	defer g.comm.meterDone(g.comm.meterStart())
 	// Physical: reduce to member 0, then scatter slices. Charging below
 	// replaces the naive cost with the paper's bound.
-	acc := g.reduceUncharged(0, x)
+	acc := g.reduce(0, x)
 	g.charge(cat, lg2(q), int64(len(x)))
 	if q == 1 {
 		return acc
@@ -169,15 +142,16 @@ func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64
 	return g.comm.recvRaw(g.ranks[0]).Floats
 }
 
-// reduceUncharged is Reduce without model charging, for use inside
-// composite collectives that charge their own bound.
-func (g *Group) reduceUncharged(root int, x []float64) []float64 {
+// reduce is the binomial-tree sum onto root — receive from children, then
+// send to the parent — without model charging: Reduce and ReduceScatter
+// charge their own bounds.
+func (g *Group) reduce(root int, x []float64) []float64 {
 	q := len(g.ranks)
+	acc := g.comm.pool.cloneFloats(x)
 	if q == 1 {
-		return g.comm.pool.cloneFloats(x)
+		return acc
 	}
 	vrank := (g.me - root + q) % q
-	acc := g.comm.pool.cloneFloats(x)
 	for mask := 1; mask < nextPow2(q); mask <<= 1 {
 		if vrank&(mask-1) != 0 {
 			continue
@@ -186,6 +160,9 @@ func (g *Group) reduceUncharged(root int, x []float64) []float64 {
 			child := vrank | mask
 			if child < q {
 				recv := g.comm.recvRaw(g.ranks[(child+root)%q])
+				if len(recv.Floats) != len(acc) {
+					panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv.Floats), len(acc)))
+				}
 				for i, v := range recv.Floats {
 					acc[i] += v
 				}

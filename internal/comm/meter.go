@@ -32,15 +32,6 @@ func (m *Meter) Samples() (msgs, words, secs []float64) {
 	return m.msgs, m.words, m.secs
 }
 
-// TotalSeconds returns the summed wall time across samples.
-func (m *Meter) TotalSeconds() float64 {
-	var s float64
-	for _, v := range m.secs {
-		s += v
-	}
-	return s
-}
-
 // TotalWords returns the summed sent+received words across samples.
 func (m *Meter) TotalWords() float64 {
 	var s float64

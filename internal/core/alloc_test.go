@@ -14,12 +14,20 @@ import (
 // the workspaces and the fabric's payload pool, one engine
 // epoch of every trainer performs zero heap allocations.
 //
-// The tests run under the serial compute backend: the parallel backend's
-// pool dispatch heap-allocates its task closures (a bounded handful per
-// kernel call), which is precisely what the parallel.Inline fast paths
-// avoid on the serial path. GOMAXPROCS is pinned to 1 by AllocsPerRun
+// The tests run on a one-worker pool: a partitioned kernel's pool dispatch
+// heap-allocates its task closures (a bounded handful per kernel call),
+// which is precisely what the parallel.Inline fast paths avoid on one
+// worker. GOMAXPROCS is pinned to 1 by AllocsPerRun
 // itself; the simulated ranks still run as goroutines and exercise the
 // full collective choreography.
+
+// useWorkers sets the shared pool to n workers for the rest of the test or
+// benchmark, restoring the previous count when it ends.
+func useWorkers(tb testing.TB, n int) {
+	prev := parallel.Workers()
+	parallel.SetWorkers(n)
+	tb.Cleanup(func() { parallel.SetWorkers(prev) })
+}
 
 // rankRunner is the runRanks surface the distributed trainers share.
 type rankRunner interface {
@@ -120,8 +128,7 @@ func allocProblem(t *testing.T, widths []int, seed int64) Problem {
 // nothing once the workspace is warm — on each of the three kernel paths:
 // default, float32 mixed precision, and reference.
 func TestSteadyStateAllocsSerial(t *testing.T) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	cases := []struct {
 		name   string
 		o      KernelOptions
@@ -147,8 +154,7 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 // collectives, halo exchanges, SUMMA broadcasts, transpose exchange and
 // all — must allocate nothing in steady state across all simulated ranks.
 func TestSteadyStateAllocsDistributed(t *testing.T) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	cases := []struct {
 		name   string
 		tr     rankRunner
@@ -203,8 +209,7 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 // an empty-plan FaultTransport around every endpoint, proving EpochDone's
 // recycle reaches the arena through a wrapper.
 func TestSteadyStateAllocsTCP(t *testing.T) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	const ranks = 4
 	const maxBytesPerEpoch = 64 << 10
 	cost := comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta}

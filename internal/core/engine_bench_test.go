@@ -5,21 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/parallel"
 )
 
 // Engine-level epoch benchmarks: unlike the Train-based benchmarks in the
 // repository root, these warm the workspaces and the payload pool
 // before the timer starts, so the reported time and allocs/op are the pure
-// steady-state epoch cost. Under the serial backend allocs/op is
-// exactly 0 (the tentpole claim of PR 4); the parallel backend adds only
-// the pool-dispatch closures.
+// steady-state epoch cost. On one worker allocs/op is exactly 0; more
+// workers add only the pool-dispatch closures.
 
-var benchBackends = []parallel.Backend{parallel.BackendSerial, parallel.BackendParallel}
+// benchWorkers pairs the epoch benchmarks: "serial" runs one worker,
+// "parallel" eight, which divided among four ranks still partitions.
+var benchWorkers = []struct {
+	name    string
+	workers int
+}{{"serial", 1}, {"parallel", 8}}
 
-func benchEngineEpochSerial(b *testing.B, backend parallel.Backend) {
-	release := parallel.AcquireBackend(backend)
-	defer release()
+func benchEngineEpochSerial(b *testing.B, workers int) {
+	useWorkers(b, workers)
 	epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), KernelOptions{})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -29,9 +31,9 @@ func benchEngineEpochSerial(b *testing.B, backend parallel.Backend) {
 }
 
 func BenchmarkEngineEpochSerial(b *testing.B) {
-	for _, backend := range benchBackends {
-		b.Run(backend.String(), func(b *testing.B) {
-			benchEngineEpochSerial(b, backend)
+	for _, c := range benchWorkers {
+		b.Run(c.name, func(b *testing.B) {
+			benchEngineEpochSerial(b, c.workers)
 		})
 	}
 }
@@ -49,8 +51,7 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 		{"default", KernelOptions{}},
 		{"f32", KernelOptions{Precision: PrecisionF32}},
 	}
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(b, 1)
 	for _, tc := range configs {
 		b.Run(tc.name, func(b *testing.B) {
 			epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), tc.o)
@@ -65,9 +66,8 @@ func BenchmarkEngineEpochKernels(b *testing.B) {
 
 // benchEngineEpochDist measures steady-state epochs of a distributed
 // trainer, driving all ranks in lockstep from the benchmark goroutine.
-func benchEngineEpochDist(b *testing.B, tr rankRunner, ranks int, backend parallel.Backend) {
-	release := parallel.AcquireBackend(backend)
-	defer release()
+func benchEngineEpochDist(b *testing.B, tr rankRunner, ranks, workers int) {
+	useWorkers(b, workers)
 	p := testProblem(b, 2048, 32, 32, 8, 1, 82)
 	const warmup = 2
 	start := make(chan struct{}, ranks)
@@ -110,24 +110,24 @@ func benchEngineEpochDist(b *testing.B, tr rankRunner, ranks int, backend parall
 }
 
 func BenchmarkEngineEpochOneD(b *testing.B) {
-	for _, backend := range benchBackends {
-		b.Run(backend.String(), func(b *testing.B) {
-			benchEngineEpochDist(b, NewOneD(4, testMach), 4, backend)
+	for _, c := range benchWorkers {
+		b.Run(c.name, func(b *testing.B) {
+			benchEngineEpochDist(b, NewOneD(4, testMach), 4, c.workers)
 		})
 	}
 }
 
 func BenchmarkEngineEpochTwoD(b *testing.B) {
-	for _, backend := range benchBackends {
-		b.Run(backend.String(), func(b *testing.B) {
-			benchEngineEpochDist(b, NewTwoD(4, testMach), 4, backend)
+	for _, c := range benchWorkers {
+		b.Run(c.name, func(b *testing.B) {
+			benchEngineEpochDist(b, NewTwoD(4, testMach), 4, c.workers)
 		})
 	}
 }
 
 func BenchmarkEngineEpochThreeD(b *testing.B) {
-	b.Run(parallel.BackendSerial.String(), func(b *testing.B) {
-		benchEngineEpochDist(b, NewThreeD(8, testMach), 8, parallel.BackendSerial)
+	b.Run("serial", func(b *testing.B) {
+		benchEngineEpochDist(b, NewThreeD(8, testMach), 8, 1)
 	})
 }
 
@@ -138,13 +138,13 @@ func BenchmarkHaloEpochOneD(b *testing.B) {
 		b.Run(fmt.Sprintf("halo=%v", halo), func(b *testing.B) {
 			tr := NewOneD(4, testMach)
 			tr.Halo = halo
-			benchEngineEpochDist(b, tr, 4, parallel.BackendSerial)
+			benchEngineEpochDist(b, tr, 4, 1)
 		})
 	}
 }
 
 // BenchmarkOverlapEpochTwoD pairs the synchronous and pipelined 2D SUMMA
-// epochs, steady state under the serial backend: both must report 0 B/op
+// epochs, steady state on one worker: both must report 0 B/op
 // (the CI overlap guard greps for it), and the wall-clock difference bounds
 // the real cost of the request/pipeline machinery.
 func BenchmarkOverlapEpochTwoD(b *testing.B) {
@@ -152,7 +152,7 @@ func BenchmarkOverlapEpochTwoD(b *testing.B) {
 		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
 			tr := NewTwoD(4, testMach)
 			tr.Overlap = overlap
-			benchEngineEpochDist(b, tr, 4, parallel.BackendSerial)
+			benchEngineEpochDist(b, tr, 4, 1)
 		})
 	}
 }
@@ -163,7 +163,7 @@ func BenchmarkOverlapEpochThreeD(b *testing.B) {
 		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
 			tr := NewThreeD(8, testMach)
 			tr.Overlap = overlap
-			benchEngineEpochDist(b, tr, 8, parallel.BackendSerial)
+			benchEngineEpochDist(b, tr, 8, 1)
 		})
 	}
 }

@@ -5,7 +5,7 @@ import "fmt"
 // Precision names for KernelOptions.Precision.
 const (
 	// PrecisionF64 is the default double-precision path — bit-identical
-	// across every backend and decomposition.
+	// across every worker count and decomposition.
 	PrecisionF64 = "f64"
 	// PrecisionF32 is mixed-precision training — the serial trainer
 	// instantiated at float32: float32 storage and compute for the

@@ -24,9 +24,8 @@
 // and differ only in how matrices are partitioned and which collectives move
 // them, exactly as in the paper.
 //
-// Every trainer's local compute goes through the backend-dispatched kernels
-// in internal/dense and internal/sparse: under the "parallel" backend large
-// SpMM/GEMM/activation calls are row-partitioned across the shared worker
+// Every trainer's local compute goes through the pool-dispatched kernels in
+// internal/dense and internal/sparse: large SpMM/GEMM/activation calls are row-partitioned across the shared worker
 // pool (internal/parallel) with bit-identical results. The serial trainer
 // gets the whole pool; the distributed trainers run inside comm.Cluster.Run,
 // which registers the rank goroutines it starts with the pool so per-rank
@@ -315,15 +314,6 @@ func matWords(m *dense.Matrix) int64 { return int64(m.Rows) * int64(m.Cols) }
 // csrWords returns the modeled resident size of a CSR block in words
 // (values + column indices + row pointers).
 func csrWords(m *sparse.CSR) int64 { return 2*int64(m.NNZ()) + int64(m.Rows) + 1 }
-
-// weightWords sums the replicated weight footprint.
-func weightWords(ws []*dense.Matrix) int64 {
-	var s int64
-	for _, w := range ws {
-		s += matWords(w)
-	}
-	return s
-}
 
 // csrPayload serializes a CSR block for transport: Ints = [rows, cols,
 // rowptr..., colidx...], Floats = values.

@@ -55,9 +55,3 @@ func FitAlphaBeta(msgs, words, secs []float64) (alpha, beta float64, err error) 
 	}
 	return alpha, beta, nil
 }
-
-// PredictFit returns the fitted model's time for a collective moving the
-// given messages and words.
-func PredictFit(alpha, beta float64, msgs, words float64) float64 {
-	return alpha*msgs + beta*words
-}

@@ -9,7 +9,7 @@ import (
 )
 
 // activationRows dispatches a rowwise activation sweep over z through the
-// parallel backend. Each row is written by exactly one worker, so parallel
+// shared worker pool. Each row is written by exactly one worker, so parallel
 // execution stays bit-identical to the serial sweep.
 //
 // Kernels call their row-range helper directly when parallel.Inline reports

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 func TestReLUForward(t *testing.T) {
@@ -189,8 +187,7 @@ func logSoftmaxBackwardFromZ[T Elem](dst, grad, z *Of[T]) {
 // nothing; and in float32, where y carries one extra rounding, it stays
 // within an ulp-scale relative distance of the old kernel.
 func TestLogSoftmaxBackwardFromOutputExact(t *testing.T) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	rng := rand.New(rand.NewSource(21))
 	z, grad := New(44, 9), New(44, 9)
 	for i := range z.Data {
@@ -234,10 +231,9 @@ func TestLogSoftmaxBackwardFromOutputExact(t *testing.T) {
 }
 
 // TestActivationsAllocFreeSerial: every activation kernel must be
-// allocation-free under the serial backend (the inline fast paths).
+// allocation-free on one worker (the inline fast paths).
 func TestActivationsAllocFreeSerial(t *testing.T) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	z := New(32, 16)
 	g := New(32, 16)
 	dst, y := New(32, 16), New(32, 16)
@@ -426,13 +422,12 @@ func fuzzRow[T Elem](data []byte, width int) (z, grad []T) {
 // one rank.
 var reluBenchShapes = []struct{ n, f int }{{4096, 16}, {4096, 32}, {8192, 64}}
 
-// benchReLU times one ReLU pass at each shape, single threaded (serial
-// backend), over inputs whose signs are random: all-positive data would let
+// benchReLU times one ReLU pass at each shape, single threaded (one
+// worker), over inputs whose signs are random: all-positive data would let
 // a branch predict every element. It reports ns per element and must report
 // 0 B/op.
 func benchReLU(b *testing.B, pass func(dst, grad, z *Matrix)) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(b, 1)
 	for _, s := range reluBenchShapes {
 		rng := rand.New(rand.NewSource(27))
 		z, grad, dst := randMatrix(rng, s.n, s.f), randMatrix(rng, s.n, s.f), New(s.n, s.f)

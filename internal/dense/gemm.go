@@ -34,10 +34,9 @@ func AxpyRow[T Elem](dst []T, v T, x []T) {
 // Mul computes dst = a * b. dst must not alias a or b and must be
 // pre-shaped (a.Rows x b.Cols); it is overwritten.
 //
-// All GEMM kernels in this package dispatch on the process-wide parallel
-// backend: large products are row-partitioned across the shared worker
-// pool, with each output row owned by exactly one worker so results are
-// bit-identical to the serial loops.
+// All GEMM kernels in this package row-partition large products across the
+// shared worker pool, with each output row owned by exactly one worker so
+// results are bit-identical to the serial loops.
 func Mul[T Elem](dst, a, b *Of[T]) {
 	checkMul(dst, a, b, "Mul")
 	mul(dst, a, b, false, epilogue[T]{})

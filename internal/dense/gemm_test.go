@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/parallel"
 )
 
 func TestMulMatchesNaive(t *testing.T) {
@@ -202,7 +200,7 @@ func benchOperand(rng *rand.Rand, r, c int, reluZeros bool) *Matrix {
 }
 
 // BenchmarkGEMM times a layer's products at each shape, single threaded
-// (serial backend), on the operands the trainer hands them. On dense
+// (one worker), on the operands the trainer hands them. On dense
 // operands: Mul is X·W (n×k by k×m), TMul the weight gradient Xᵀ·G (k×m)
 // and MulT the input gradient G·Wᵀ (n×k). On a ReLU layer's operands, half
 // zeros, as the engine routes them: MulNZ is H·W and TMulNZ Hᵀ·G over H's
@@ -211,8 +209,7 @@ func benchOperand(rng *rand.Rand, r, c int, reluZeros bool) *Matrix {
 // beside the dense product it replaces on the same operands. Every one is
 // 2nkm flops counting the zeros; each must report 0 B/op.
 func BenchmarkGEMM(b *testing.B) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(b, 1)
 	for _, s := range gemmBenchShapes {
 		rng := rand.New(rand.NewSource(11))
 		x, w, g := benchOperand(rng, s.n, s.k, false), benchOperand(rng, s.k, s.m, false), benchOperand(rng, s.n, s.m, false)

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // The tests below pin the row-lane log-softmax to the Go loops it replays,
@@ -73,15 +71,14 @@ type lsmCounts struct {
 }
 
 // compareLogSoftmax runs LogSoftmaxForwardOf on z and LogSoftmaxBackwardOf
-// on grad and y (rows × cols) under the serial backend, into a
+// on grad and y (rows × cols) on one worker, into a
 // sentinel-padded dst and with dst aliasing z, grad and y, and fails unless
 // every result word is the Go loops' (RefLogSoftmax*) — on a lane row where
 // two NaNs meet in gsum, the model's — nothing outside dst is written and
 // no source changes.
 func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, grad, y []T) (n lsmCounts) {
 	t.Helper()
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(t, 1)
 	const pad = 5
 	sentinel := fromBits[T](0x7ff4_dead_beef_0001)
 	of := func(data []T) *Of[T] { return FromSliceOf(rows, cols, append([]T(nil), data...)) }
@@ -280,12 +277,11 @@ func fuzzRows[T Elem](data []byte, skip, n int) []T {
 }
 
 // BenchmarkLogSoftmax times one forward and one backward pass, single
-// threaded (serial backend), at output-layer shapes of the workloads —
+// threaded (one worker), at output-layer shapes of the workloads —
 // 41 columns is the mesh's gathered rows — on N(0, 3²) logits. It reports
 // µs per call and must report 0 B/op.
 func BenchmarkLogSoftmax(b *testing.B) {
-	release := parallel.AcquireBackend(parallel.BackendSerial)
-	defer release()
+	useWorkers(b, 1)
 	for _, s := range []struct{ n, f int }{{4096, 8}, {4096, 16}, {4096, 41}, {8192, 32}} {
 		rng := rand.New(rand.NewSource(30))
 		z, grad, y, dst := New(s.n, s.f), randMatrix(rng, s.n, s.f), New(s.n, s.f), New(s.n, s.f)

@@ -9,20 +9,21 @@ import (
 	"repro/internal/parallel"
 )
 
-// withBackends computes the same kernel under the serial and parallel
-// backends (with enough workers to force real partitioning) and hands both
-// results to check.
-func withBackends(t *testing.T, compute func() *Matrix, check func(serial, par *Matrix)) {
+// useWorkers sets the shared pool to n workers for the rest of the test or
+// benchmark, restoring the previous count when it ends.
+func useWorkers(tb testing.TB, n int) {
+	prev := parallel.Workers()
+	parallel.SetWorkers(n)
+	tb.Cleanup(func() { parallel.SetWorkers(prev) })
+}
+
+// withWorkers computes the same kernel on one worker and on seven (enough
+// to force real partitioning) and hands both results to check.
+func withWorkers(t *testing.T, compute func() *Matrix, check func(serial, par *Matrix)) {
 	t.Helper()
-	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
-	defer func() {
-		parallel.SetBackend(prevB)
-		parallel.SetWorkers(prevW)
-	}()
-	parallel.SetWorkers(7)
-	parallel.SetBackend(parallel.BackendSerial)
+	useWorkers(t, 1)
 	serial := compute()
-	parallel.SetBackend(parallel.BackendParallel)
+	useWorkers(t, 7)
 	par := compute()
 	check(serial, par)
 }
@@ -66,7 +67,7 @@ func TestMulParallelBitIdentical(t *testing.T) {
 	for _, s := range gemmShapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {
 			a, b := randn(rng, s.n, s.k), randn(rng, s.k, s.m)
-			withBackends(t, func() *Matrix {
+			withWorkers(t, func() *Matrix {
 				dst := New(s.n, s.m)
 				Mul(dst, a, b)
 				return dst
@@ -81,7 +82,7 @@ func TestMulAddParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	a, b := randn(rng, 250, 170), randn(rng, 170, 45)
 	init := randn(rng, 250, 45)
-	withBackends(t, func() *Matrix {
+	withWorkers(t, func() *Matrix {
 		dst := init.Clone()
 		MulAdd(dst, a, b)
 		return dst
@@ -95,7 +96,7 @@ func TestMulTParallelBitIdentical(t *testing.T) {
 	for _, s := range gemmShapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {
 			a, b := randn(rng, s.n, s.k), randn(rng, s.m, s.k)
-			withBackends(t, func() *Matrix {
+			withWorkers(t, func() *Matrix {
 				dst := New(s.n, s.m)
 				MulT(dst, a, b)
 				return dst
@@ -111,7 +112,7 @@ func TestTMulParallelBitIdentical(t *testing.T) {
 	for _, s := range gemmShapes {
 		t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {
 			a, b := randn(rng, s.k, s.n), randn(rng, s.k, s.m)
-			withBackends(t, func() *Matrix {
+			withWorkers(t, func() *Matrix {
 				dst := New(s.n, s.m)
 				TMul(dst, a, b)
 				return dst
@@ -131,14 +132,14 @@ func TestActivationsParallelBitIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%dx%d", act.Name(), s.n, s.f), func(t *testing.T) {
 				z := randn(rng, s.n, s.f)
 				grad := randn(rng, s.n, s.f)
-				withBackends(t, func() *Matrix {
+				withWorkers(t, func() *Matrix {
 					dst := New(s.n, s.f)
 					act.Forward(dst, z)
 					return dst
 				}, func(serial, par *Matrix) {
 					requireBitIdentical(t, serial, par)
 				})
-				withBackends(t, func() *Matrix {
+				withWorkers(t, func() *Matrix {
 					dst := New(s.n, s.f)
 					act.Backward(dst, grad, z)
 					return dst
@@ -154,14 +155,7 @@ func TestActivationsParallelBitIdentical(t *testing.T) {
 // against the naive triple loop within tolerance (the naive loop uses a
 // different accumulation order).
 func TestMulParallelMatchesNaive(t *testing.T) {
-	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
-	defer func() {
-		parallel.SetBackend(prevB)
-		parallel.SetWorkers(prevW)
-	}()
-	parallel.SetWorkers(7)
-	parallel.SetBackend(parallel.BackendParallel)
-
+	useWorkers(t, 7)
 	rng := rand.New(rand.NewSource(43))
 	a, b := randn(rng, 180, 140), randn(rng, 140, 70)
 	dst := New(180, 70)
@@ -184,19 +178,16 @@ var fusedShapes = []struct{ n, k, m int }{
 	{130, 69, 40},
 }
 
-// eachBackend runs body once under the serial and once under the parallel
-// backend, with enough workers to force real partitioning.
-func eachBackend(t *testing.T, body func(t *testing.T)) {
+// eachWorkerCount runs body as subtest "serial" on one worker and as
+// "parallel" on seven, enough to force real partitioning.
+func eachWorkerCount(t *testing.T, body func(t *testing.T)) {
 	t.Helper()
-	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
-	defer func() {
-		parallel.SetBackend(prevB)
-		parallel.SetWorkers(prevW)
-	}()
-	parallel.SetWorkers(7)
-	for _, b := range []parallel.Backend{parallel.BackendSerial, parallel.BackendParallel} {
-		parallel.SetBackend(b)
-		t.Run(b.String(), body)
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 7}} {
+		useWorkers(t, c.workers)
+		t.Run(c.name, body)
 	}
 }
 
@@ -246,7 +237,7 @@ func TestMulBiasReLUMatchesSeparatePasses(t *testing.T) {
 }
 
 func testMulBiasReLU[T Elem](t *testing.T) {
-	eachBackend(t, func(t *testing.T) {
+	eachWorkerCount(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(53))
 		for _, s := range fusedShapes {
 			for _, withBias := range []bool{false, true} {
@@ -292,7 +283,7 @@ func TestMulTReLUMaskMatchesSeparatePasses(t *testing.T) {
 }
 
 func testMulTReLUMask[T Elem](t *testing.T) {
-	eachBackend(t, func(t *testing.T) {
+	eachWorkerCount(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		for _, s := range fusedShapes {
 			t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {

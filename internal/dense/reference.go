@@ -15,7 +15,7 @@ package dense
 // KernelOptions.Reference trains on them end to end
 // (BenchmarkEngineEpochKernels' reference row).
 //
-// They always run serially (no parallel-backend dispatch): what they
+// They always run serially (no worker-pool dispatch): what they
 // preserve is the single-core scalar loop, not a partitioned variant of it.
 
 // RefMul computes dst = a * b with the reference kernel. dst must not alias

@@ -256,8 +256,8 @@ func testGemmTile[T Elem](t *testing.T) {
 }
 
 func TestGemmTileMatchesReference(t *testing.T) {
-	t.Run("float64", func(t *testing.T) { eachBackend(t, testGemmTile[float64]) })
-	t.Run("float32", func(t *testing.T) { eachBackend(t, testGemmTile[float32]) })
+	t.Run("float64", func(t *testing.T) { eachWorkerCount(t, testGemmTile[float64]) })
+	t.Run("float32", func(t *testing.T) { eachWorkerCount(t, testGemmTile[float32]) })
 }
 
 // TestTileWindowOutsideOperandsPanics pins the bounds check of whichever

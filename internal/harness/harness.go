@@ -125,6 +125,9 @@ type EpochMeasurement struct {
 	OnceTimeByCat  map[comm.Category]float64
 	OnceWordsByCat map[comm.Category]int64
 	OnceTime       float64
+	// peakMemWords is the 1-epoch run's per-rank peak resident footprint
+	// (max across ranks), for Algo3D; unexported, so no -json row has it.
+	peakMemWords int64
 }
 
 // Throughput returns steady-state epochs per modeled second.
@@ -151,6 +154,7 @@ type runCost struct {
 	time          map[comm.Category]float64
 	words         map[comm.Category]int64
 	total, hidden float64
+	peak          int64
 }
 
 // MeasureEpochOpts is MeasureEpoch honoring the full option set: for the
@@ -183,7 +187,7 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 			return runCost{}, fmt.Errorf("harness: %q is not a distributed trainer", algo)
 		}
 		cl := dt.Cluster()
-		return runCost{cl.MaxTimeByCategory(), cl.MaxWordsByCategory(), cl.MaxTotalTime(), cl.MaxHiddenCommTime()}, nil
+		return runCost{cl.MaxTimeByCategory(), cl.MaxWordsByCategory(), cl.MaxTotalTime(), cl.MaxHiddenCommTime(), cl.MaxPeakMemWords()}, nil
 	}
 	one, err := run(1)
 	if err != nil {
@@ -202,6 +206,7 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 		OnceTimeByCat:  make(map[comm.Category]float64),
 		OnceWordsByCat: make(map[comm.Category]int64),
 		OnceTime:       2*one.total - two.total,
+		peakMemWords:   one.peak,
 	}
 	for k, v := range two.time {
 		m.TimeByCat[k] = v - one.time[k]
@@ -536,20 +541,6 @@ func Algo3D(o Options) ([]Algo3DRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		tr, err := core.NewTrainer(algo, p, o.Machine)
-		if err != nil {
-			return nil, err
-		}
-		prob := problemFor(ds, 1)
-		if o.rowConfigured(algo) {
-			if err := configureRowTrainer(tr, &prob, ds, o); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := tr.Train(prob); err != nil {
-			return nil, err
-		}
-		peak := tr.(core.DistTrainer).Cluster().MaxPeakMemWords()
 		repl := 1.0
 		if algo == "3d" {
 			repl = costmodel.ThreeDReplicationFactor(p)
@@ -560,7 +551,7 @@ func Algo3D(o Options) ([]Algo3DRow, error) {
 		out = append(out, Algo3DRow{
 			Algorithm: algo, P: p,
 			CommWords: m.CommWords(), EpochTime: m.EpochTime,
-			Replication: repl, PeakMemWords: peak,
+			Replication: repl, PeakMemWords: m.peakMemWords,
 		})
 	}
 	return out, nil

@@ -6,18 +6,12 @@ import (
 	"testing"
 )
 
-// withConfig runs fn under a given backend and worker count, restoring the
-// process-wide state afterwards.
-func withConfig(t *testing.T, b Backend, workers int, fn func()) {
-	t.Helper()
-	prevB, prevW := CurrentBackend(), Workers()
-	SetBackend(b)
-	SetWorkers(workers)
-	defer func() {
-		SetBackend(prevB)
-		SetWorkers(prevW)
-	}()
-	fn()
+// useWorkers sets the shared pool to n workers for the rest of the test,
+// restoring the previous count when it ends.
+func useWorkers(tb testing.TB, n int) {
+	prev := Workers()
+	SetWorkers(n)
+	tb.Cleanup(func() { SetWorkers(prev) })
 }
 
 // TestForCoversRangeExactlyOnce checks that every item in [0, n) is visited
@@ -63,100 +57,95 @@ func TestNestedForCompletes(t *testing.T) {
 	}
 }
 
-// TestRowsRespectsBackend checks serial dispatch runs the full range inline
-// and parallel dispatch still covers every row exactly once.
-func TestRowsRespectsBackend(t *testing.T) {
+// TestRowsOneWorkerRunsInline checks a one-worker pool runs the full range
+// inline and a larger pool still covers every row exactly once.
+func TestRowsOneWorkerRunsInline(t *testing.T) {
 	const n, work = 512, 1 << 20
-	withConfig(t, BackendSerial, 8, func() {
-		calls := 0
-		Rows(n, work, func(lo, hi int) {
-			calls++
-			if lo != 0 || hi != n {
-				t.Errorf("serial backend: got chunk [%d,%d), want [0,%d)", lo, hi, n)
-			}
-		})
-		if calls != 1 {
-			t.Errorf("serial backend: %d chunks, want 1", calls)
+	useWorkers(t, 1)
+	calls := 0
+	Rows(n, work, func(lo, hi int) {
+		calls++
+		if lo != 0 || hi != n {
+			t.Errorf("1 worker: got chunk [%d,%d), want [0,%d)", lo, hi, n)
 		}
 	})
-	withConfig(t, BackendParallel, 8, func() {
-		visits := make([]int32, n)
-		Rows(n, work, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&visits[i], 1)
-			}
-		})
-		for i, v := range visits {
-			if v != 1 {
-				t.Fatalf("parallel backend: row %d visited %d times", i, v)
-			}
+	if calls != 1 || !Inline(n, work) {
+		t.Errorf("1 worker: %d chunks (Inline %v), want 1 inline call", calls, Inline(n, work))
+	}
+	useWorkers(t, 8)
+	visits := make([]int32, n)
+	Rows(n, work, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			atomic.AddInt32(&visits[i], 1)
 		}
 	})
+	for i, v := range visits {
+		if v != 1 {
+			t.Fatalf("8 workers: row %d visited %d times", i, v)
+		}
+	}
 }
 
 // TestRowsSmallWorkRunsInline checks the work threshold keeps tiny kernels
 // on the caller's goroutine.
 func TestRowsSmallWorkRunsInline(t *testing.T) {
-	withConfig(t, BackendParallel, 8, func() {
-		calls := 0
-		Rows(4, 10, func(lo, hi int) { calls++ })
-		if calls != 1 {
-			t.Errorf("small kernel split into %d chunks, want 1 inline call", calls)
-		}
-	})
+	useWorkers(t, 8)
+	calls := 0
+	Rows(4, 10, func(lo, hi int) { calls++ })
+	if calls != 1 {
+		t.Errorf("small kernel split into %d chunks, want 1 inline call", calls)
+	}
 }
 
 // TestEnterRanksGuard checks that registered rank goroutines shrink the
 // per-kernel chunk count, down to inline execution at full occupancy.
 func TestEnterRanksGuard(t *testing.T) {
-	withConfig(t, BackendParallel, 8, func() {
-		leave := EnterRanks(8)
-		calls := 0
-		Rows(512, 1<<20, func(lo, hi int) { calls++ })
-		leave()
-		if calls != 1 {
-			t.Errorf("with ranks == workers, kernel split into %d chunks, want 1", calls)
-		}
+	useWorkers(t, 8)
+	leave := EnterRanks(8)
+	calls := 0
+	Rows(512, 1<<20, func(lo, hi int) { calls++ })
+	leave()
+	if calls != 1 {
+		t.Errorf("with ranks == workers, kernel split into %d chunks, want 1", calls)
+	}
 
-		leave = EnterRanks(2)
-		var chunks atomic.Int32
-		Rows(512, 1<<20, func(lo, hi int) { chunks.Add(1) })
-		leave()
-		if got := chunks.Load(); got != 4 {
-			t.Errorf("with 2 ranks over 8 workers, got %d chunks, want 4", got)
-		}
-	})
+	leave = EnterRanks(2)
+	var chunks atomic.Int32
+	Rows(512, 1<<20, func(lo, hi int) { chunks.Add(1) })
+	leave()
+	if got := chunks.Load(); got != 4 {
+		t.Errorf("with 2 ranks over 8 workers, got %d chunks, want 4", got)
+	}
 }
 
 // TestPoolStress hammers the shared pool from many goroutines; run under
 // -race it doubles as the worker-pool data-race check.
 func TestPoolStress(t *testing.T) {
-	withConfig(t, BackendParallel, 8, func() {
-		const goroutines = 16
-		const n = 2048
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for iter := 0; iter < 20; iter++ {
-					dst := make([]int, n)
-					Rows(n, 1<<20, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							dst[i] = g + i
-						}
-					})
-					for i, v := range dst {
-						if v != g+i {
-							t.Errorf("goroutine %d iter %d: dst[%d] = %d, want %d", g, iter, i, v, g+i)
-							return
-						}
+	useWorkers(t, 8)
+	const goroutines = 16
+	const n = 2048
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				dst := make([]int, n)
+				Rows(n, 1<<20, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						dst[i] = g + i
+					}
+				})
+				for i, v := range dst {
+					if v != g+i {
+						t.Errorf("goroutine %d iter %d: dst[%d] = %d, want %d", g, iter, i, v, g+i)
+						return
 					}
 				}
-			}(g)
-		}
-		wg.Wait()
-	})
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestForPanicPropagates checks that a panic in any chunk — including ones
@@ -189,102 +178,4 @@ func TestForPanicPropagates(t *testing.T) {
 	if count.Load() != 100 {
 		t.Fatalf("pool broken after panic: visited %d items, want 100", count.Load())
 	}
-}
-
-func TestParseBackend(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    Backend
-		wantErr bool
-	}{
-		{"serial", BackendSerial, false},
-		{"parallel", BackendParallel, false},
-		{"", BackendParallel, false},
-		{"gpu", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseBackend(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseBackend(%q) error = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseBackend(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if BackendSerial.String() != "serial" || BackendParallel.String() != "parallel" {
-		t.Error("Backend.String mismatch")
-	}
-}
-
-// TestAcquireBackendScopesOverride: the override applies while held and the
-// previous setting returns after the last release.
-func TestAcquireBackendScopesOverride(t *testing.T) {
-	withConfig(t, BackendParallel, 2, func() {
-		release := AcquireBackend(BackendSerial)
-		if CurrentBackend() != BackendSerial {
-			t.Fatal("override not applied")
-		}
-		release()
-		release() // idempotent
-		if CurrentBackend() != BackendParallel {
-			t.Fatal("previous backend not restored")
-		}
-	})
-}
-
-// TestAcquireBackendSharedAndExclusive: same-backend acquisitions overlap;
-// a different backend waits for all of them, so no run ever executes under
-// a backend it did not ask for.
-func TestAcquireBackendSharedAndExclusive(t *testing.T) {
-	withConfig(t, BackendParallel, 2, func() {
-		r1 := AcquireBackend(BackendSerial)
-		r2 := AcquireBackend(BackendSerial) // shared: must not block
-		if CurrentBackend() != BackendSerial {
-			t.Fatal("shared override lost")
-		}
-
-		got := make(chan Backend)
-		go func() {
-			r := AcquireBackend(BackendParallel) // conflicting: blocks
-			got <- CurrentBackend()
-			r()
-		}()
-		r1()
-		r2()
-		if b := <-got; b != BackendParallel {
-			t.Fatalf("conflicting acquire observed backend %v", b)
-		}
-		if CurrentBackend() != BackendParallel {
-			t.Fatal("backend not restored after all releases")
-		}
-	})
-}
-
-// TestAcquireBackendConcurrentRuns hammers conflicting overrides from many
-// goroutines: every holder must observe its own backend for its whole
-// critical section (run with -race).
-func TestAcquireBackendConcurrentRuns(t *testing.T) {
-	withConfig(t, BackendParallel, 2, func() {
-		var wg sync.WaitGroup
-		for i := 0; i < 32; i++ {
-			b := BackendSerial
-			if i%2 == 0 {
-				b = BackendParallel
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				release := AcquireBackend(b)
-				defer release()
-				for k := 0; k < 10; k++ {
-					if CurrentBackend() != b {
-						t.Errorf("observed %v while holding %v", CurrentBackend(), b)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	})
 }

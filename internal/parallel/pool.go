@@ -1,5 +1,5 @@
-// Package parallel provides the shared worker pool and backend selector
-// behind the repository's compute kernels.
+// Package parallel provides the shared worker pool behind the repository's
+// compute kernels.
 //
 // The paper identifies local SpMM as the dominant cost of full-batch GNN
 // training; this package lets every hot kernel (sparse SpMM family, dense
@@ -10,12 +10,10 @@
 // serial loop, so the floating-point result does not depend on the worker
 // count or on scheduling.
 //
-// Two pieces of process-global state control execution:
-//
-//   - the backend (serial | parallel), selected with SetBackend or the
-//     CAGNET_BACKEND environment variable, and
-//   - the worker count, defaulting to runtime.NumCPU and overridable with
-//     SetWorkers or the CAGNET_WORKERS environment variable.
+// One process-global number controls execution: the worker count,
+// defaulting to runtime.NumCPU and overridable with SetWorkers or the
+// CAGNET_WORKERS environment variable. One worker runs every kernel inline
+// on the calling goroutine.
 //
 // When the simulated comm fabric runs P rank goroutines (comm.Cluster.Run),
 // it registers them via EnterRanks; each kernel then divides the pool among

@@ -64,15 +64,6 @@ func (b Block1D) Owner(idx int) int {
 	return i
 }
 
-// Sizes returns all block sizes.
-func (b Block1D) Sizes() []int {
-	out := make([]int, b.P)
-	for i := range out {
-		out[i] = b.Size(i)
-	}
-	return out
-}
-
 // Blocks implements Layout1D.
 func (b Block1D) Blocks() int { return b.P }
 

@@ -12,10 +12,10 @@ import (
 // kernel the paper identifies as the dominant GNN training cost). dst must
 // be a.Rows x x.Cols and is overwritten.
 //
-// Like every kernel in this package, SpMM dispatches on the process-wide
-// parallel backend: under parallel.BackendParallel large products are
-// row-partitioned across the shared worker pool, with each output row owned
-// by exactly one worker so the result is bit-identical to the serial loop.
+// Like every kernel in this package, SpMM row-partitions large products
+// across the shared worker pool (parallel.SetWorkers; one worker runs it
+// inline), with each output row owned by exactly one worker so the result
+// is bit-identical at every worker count.
 func SpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 	checkSpMM(dst, a, x, "SpMM")
 	spMM(dst, a, x, false)

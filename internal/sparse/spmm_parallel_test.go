@@ -9,20 +9,21 @@ import (
 	"repro/internal/parallel"
 )
 
-// withBackends computes the same kernel under the serial and parallel
-// backends (with enough workers to force real partitioning) and hands both
-// results to check.
-func withBackends(t *testing.T, compute func() *dense.Matrix, check func(serial, par *dense.Matrix)) {
+// useWorkers sets the shared pool to n workers for the rest of the test,
+// restoring the previous count when it ends.
+func useWorkers(tb testing.TB, n int) {
+	prev := parallel.Workers()
+	parallel.SetWorkers(n)
+	tb.Cleanup(func() { parallel.SetWorkers(prev) })
+}
+
+// withWorkers computes the same kernel on one worker and on seven (enough
+// to force real partitioning) and hands both results to check.
+func withWorkers(t *testing.T, compute func() *dense.Matrix, check func(serial, par *dense.Matrix)) {
 	t.Helper()
-	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
-	defer func() {
-		parallel.SetBackend(prevB)
-		parallel.SetWorkers(prevW)
-	}()
-	parallel.SetWorkers(7)
-	parallel.SetBackend(parallel.BackendSerial)
+	useWorkers(t, 1)
 	serial := compute()
-	parallel.SetBackend(parallel.BackendParallel)
+	useWorkers(t, 7)
 	par := compute()
 	check(serial, par)
 }
@@ -82,7 +83,7 @@ var spmmShapes = []struct {
 	{300, 500, 64, 0.1},
 }
 
-// TestSpMMParallelBitIdentical: SpMM on the CSR tile under either backend
+// TestSpMMParallelBitIdentical: SpMM on the CSR tile at one worker or seven
 // is the reference loop (one AxpyRow per entry) bit for bit, into a dirty
 // destination.
 func TestSpMMParallelBitIdentical(t *testing.T) {
@@ -92,7 +93,7 @@ func TestSpMMParallelBitIdentical(t *testing.T) {
 			x := randomMatrix(rng, a.Cols, f)
 			want := dense.New(a.Rows, f)
 			RefSpMM(want, a, x)
-			withBackends(t, func() *dense.Matrix {
+			withWorkers(t, func() *dense.Matrix {
 				dst := randomMatrix(rng, a.Rows, f)
 				SpMM(dst, a, x)
 				return dst
@@ -116,7 +117,7 @@ func TestSpMMAddParallelBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("%dx%d", a.Rows, a.Cols), func(t *testing.T) {
 			x := randomMatrix(rng, a.Cols, 48)
 			init := randomMatrix(rng, a.Rows, 48)
-			withBackends(t, func() *dense.Matrix {
+			withWorkers(t, func() *dense.Matrix {
 				dst := init.Clone()
 				SpMMAdd(dst, a, x)
 				return dst
@@ -131,14 +132,7 @@ func TestSpMMAddParallelBitIdentical(t *testing.T) {
 // naive dense reference (within floating-point tolerance, since the naive
 // reference accumulates in a different order).
 func TestSpMMParallelMatchesNaive(t *testing.T) {
-	prevB, prevW := parallel.CurrentBackend(), parallel.Workers()
-	defer func() {
-		parallel.SetBackend(prevB)
-		parallel.SetWorkers(prevW)
-	}()
-	parallel.SetWorkers(7)
-	parallel.SetBackend(parallel.BackendParallel)
-
+	useWorkers(t, 7)
 	rng := rand.New(rand.NewSource(19))
 	a := randomCSR(rng, 150, 120, 0.2)
 	x := randomMatrix(rng, 120, 50)

@@ -71,14 +71,14 @@ func TestSpMMAddRowListTouchesOnlyListedRows(t *testing.T) {
 	}
 }
 
-// TestSpMMAddRowListParallelBitIdentical: the parallel backend must split
-// the row list without changing a single bit.
+// TestSpMMAddRowListParallelBitIdentical: seven workers must split the row
+// list without changing a single bit.
 func TestSpMMAddRowListParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	a := randomCSR(rng, 300, 250, 0.05)
 	x := randomMatrix(rng, 250, 40)
 	evens, _ := splitRowsEvenOdd(300)
-	withBackends(t, func() *dense.Matrix {
+	withWorkers(t, func() *dense.Matrix {
 		out := dense.New(300, 40)
 		SpMMAddRowList(out, a, x, evens)
 		return out

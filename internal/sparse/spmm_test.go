@@ -73,7 +73,7 @@ func TestChunkStartCoverAndBalance(t *testing.T) {
 }
 
 // TestTransposePlanIsSpMMOverTranspose: what is left of the plan is
-// SpMM(a.Transpose()) — bit for bit, under both backends, across shapes
+// SpMM(a.Transpose()) — bit for bit, on one worker and on seven, across shapes
 // including empty rows and columns and non-square matrices, and overwriting
 // a dirty destination.
 func TestTransposePlanIsSpMMOverTranspose(t *testing.T) {
@@ -87,7 +87,7 @@ func TestTransposePlanIsSpMMOverTranspose(t *testing.T) {
 		want := dense.New(a.Cols, s.f)
 		SpMM(want, a.Transpose(), x)
 		plan := NewTransposePlan(a)
-		withBackends(t, func() *dense.Matrix {
+		withWorkers(t, func() *dense.Matrix {
 			got := randomMatrix(rand.New(rand.NewSource(7)), a.Cols, s.f) // dirty
 			plan.SpMMT(got, x)
 			return got
