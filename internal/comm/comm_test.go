@@ -129,31 +129,127 @@ func TestBroadcastAllSizes(t *testing.T) {
 	}
 }
 
+// orderInputs returns p vectors of n words mixing 1e16, 1, −1e16 and
+// 3.3e-7, so their elementwise sums depend on the order of the additions.
+func orderInputs(p, n int) [][]float64 {
+	vals := []float64{1e16, 1, -1e16, 3.3e-7}
+	xs := make([][]float64, p)
+	for r := range xs {
+		xs[r] = make([]float64, n)
+		for i := range xs[r] {
+			xs[r][i] = vals[(r*3+i*5+r*i)%len(vals)] * float64(1+(r+i)%3)
+		}
+	}
+	return xs
+}
+
+// binomialSum is the order oracle: the elementwise sum of xs as a binomial
+// reduce onto member 0 adds it — at level m = 1, 2, 4, … the partial of
+// each aligned block of 2m members is its lower half's plus its upper
+// half's — computed sequentially.
+func binomialSum(xs [][]float64) []float64 {
+	acc := make([][]float64, len(xs))
+	for r, x := range xs {
+		acc[r] = append([]float64(nil), x...)
+	}
+	for m := 1; m < len(xs); m <<= 1 {
+		for v := 0; v+m < len(xs); v += 2 * m {
+			for i := range acc[v] {
+				acc[v][i] = acc[v][i] + acc[v+m][i]
+			}
+		}
+	}
+	return acc[0]
+}
+
+// TestReduceAllSizes is the order test of the reductions: on the channel
+// fabric at every size up to 12 and over loopback TCP up to 9, AllReduce on
+// every member and each member's ReduceScatter slice equal the binomial
+// oracle bit for bit — under uneven and zero counts, on inputs whose sum
+// the order changes — and AllGather returns every part's Floats and Ints,
+// unequal and empty parts included, with the caller's own slot its own
+// payload.
 func TestReduceAllSizes(t *testing.T) {
 	for p := 1; p <= 12; p++ {
-		p := p
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			runCluster(t, p, func(c *Comm) error {
-				g := c.World()
-				x := []float64{float64(c.Rank()), 1}
-				out := g.Reduce(0, x, CatDenseComm)
-				if g.Rank() == 0 {
-					wantSum := float64(p*(p-1)) / 2
-					if out[0] != wantSum || out[1] != float64(p) {
-						return fmt.Errorf("reduce got %v, want [%v %v]", out, wantSum, p)
+			counts := make([]int, p)
+			n := 0
+			for k := range counts {
+				counts[k] = (k*5 + 2) % 4
+				n += counts[k]
+			}
+			xs := orderInputs(p, n)
+			want := binomialSum(xs)
+			if p >= 4 { // below 4 members the binomial order is left to right
+				var left []float64
+				for i := range want {
+					s := xs[0][i]
+					for _, x := range xs[1:] {
+						s += x[i]
 					}
-				} else if out != nil {
-					return fmt.Errorf("non-root got non-nil reduce result")
+					left = append(left, s)
+				}
+				if sameBits(left, want) {
+					t.Fatalf("inputs sum to the same bits left to right as in binomial order: %v", want)
+				}
+			}
+			part := func(r int) Payload {
+				pl := Payload{Floats: make([]float64, r%3), Ints: make([]int, (r+1)%2*(r+2))}
+				for i := range pl.Floats {
+					pl.Floats[i] = float64(r) + float64(i)/8
+				}
+				for i := range pl.Ints {
+					pl.Ints[i] = 100*r + i
+				}
+				return pl
+			}
+			check := func(c *Comm) error {
+				g, me := c.World(), c.Rank()
+				if got := g.AllReduce(xs[me], CatDenseComm); !sameBits(got, want) {
+					return fmt.Errorf("rank %d: AllReduce %v, binomial order %v", me, got, want)
+				}
+				off := 0
+				for _, k := range counts[:me] {
+					off += k
+				}
+				if got := g.ReduceScatter(xs[me], counts, CatDenseComm); !sameBits(got, want[off:off+counts[me]]) {
+					return fmt.Errorf("rank %d: ReduceScatter %v, binomial order %v", me, got, want[off:off+counts[me]])
+				}
+				mine := part(me)
+				got := g.AllGather(mine, CatDenseComm)
+				for r, pl := range got {
+					if w := part(r); fmt.Sprint(pl.Floats, pl.Ints) != fmt.Sprint(w.Floats, w.Ints) {
+						return fmt.Errorf("rank %d: AllGather part %d = %v %v, want %v %v", me, r, pl.Floats, pl.Ints, w.Floats, w.Ints)
+					}
+				}
+				if len(mine.Ints) > 0 && &got[me].Ints[0] != &mine.Ints[0] {
+					return fmt.Errorf("rank %d: AllGather's own slot is a copy, not the caller's payload", me)
 				}
 				return nil
-			})
+			}
+			runCluster(t, p, check)
+			if p <= 9 {
+				runTCP(t, p, check)
+			}
 		})
 	}
 }
 
-// TestReduceScatterLengthMismatch: ReduceScatter runs Reduce's tree, so a
-// member whose data disagrees in length fails the run instead of summing a
-// prefix.
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReduceScatterLengthMismatch: a member whose data disagrees in length
+// fails the run instead of summing a prefix.
 func TestReduceScatterLengthMismatch(t *testing.T) {
 	err := NewCluster(2, testCost).Run(func(c *Comm) error {
 		counts := []int{1, 1 + c.Rank()}
@@ -163,17 +259,6 @@ func TestReduceScatterLengthMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "reduce length mismatch") {
 		t.Fatalf("mismatched ReduceScatter: err = %v, want a reduce length mismatch", err)
 	}
-}
-
-func TestReduceNonZeroRoot(t *testing.T) {
-	runCluster(t, 7, func(c *Comm) error {
-		g := c.World()
-		out := g.Reduce(3, []float64{1}, CatDenseComm)
-		if g.Rank() == 3 && out[0] != 7 {
-			return fmt.Errorf("reduce at root 3 = %v, want 7", out)
-		}
-		return nil
-	})
 }
 
 func TestAllReduce(t *testing.T) {
@@ -250,6 +335,63 @@ func TestAllGather(t *testing.T) {
 				}
 				return nil
 			})
+		})
+	}
+}
+
+// TestCollectivePhysicalTraffic pins what each schedule puts on the wire,
+// per member: the ring AllGather sends q−1 messages carrying every part but
+// the right neighbour's own; at a power-of-two q, AllReduce sends lg q
+// messages of the whole vector and ReduceScatter lg q messages totalling
+// all but the member's own slice.
+func TestCollectivePhysicalTraffic(t *testing.T) {
+	type traffic struct{ msgs, words int64 }
+	for _, q := range []int{2, 3, 4, 8} {
+		t.Run(fmt.Sprintf("q=%d", q), func(t *testing.T) {
+			const m = 5
+			part := func(r int) Payload { return Payload{Floats: make([]float64, r+1), Ints: make([]int, r%2)} }
+			counts := make([]int, q)
+			total := 0
+			for k := range counts {
+				counts[k] = k % 3
+				total += counts[k]
+			}
+			var got [3][]traffic
+			for i := range got {
+				got[i] = make([]traffic, q)
+			}
+			runCluster(t, q, func(c *Comm) error {
+				g, l := c.World(), c.Ledger()
+				for i, op := range []func(){
+					func() { g.AllGather(part(c.Rank()), CatDenseComm) },
+					func() { g.AllReduce(make([]float64, m), CatDenseComm) },
+					func() { g.ReduceScatter(make([]float64, total), counts, CatDenseComm) },
+				} {
+					msgs, words := l.PhysMsgsSent, l.PhysWordsSent
+					op()
+					got[i][c.Rank()] = traffic{l.PhysMsgsSent - msgs, l.PhysWordsSent - words}
+				}
+				return nil
+			})
+			var parts int64
+			for r := 0; r < q; r++ {
+				parts += part(r).Words()
+			}
+			lg := lg2(q)
+			for r := 0; r < q; r++ {
+				if want := (traffic{int64(q - 1), parts - part((r+1)%q).Words()}); got[0][r] != want {
+					t.Errorf("rank %d AllGather sent %+v, want %+v", r, got[0][r], want)
+				}
+				if q&(q-1) != 0 {
+					continue
+				}
+				if want := (traffic{lg, lg * m}); got[1][r] != want {
+					t.Errorf("rank %d AllReduce sent %+v, want %+v", r, got[1][r], want)
+				}
+				if want := (traffic{lg, int64(total - counts[r])}); got[2][r] != want {
+					t.Errorf("rank %d ReduceScatter sent %+v, want %+v", r, got[2][r], want)
+				}
+			}
 		})
 	}
 }
@@ -389,7 +531,6 @@ func TestSingleMemberCollectivesChargeNothing(t *testing.T) {
 			}{
 				{"Broadcast", g.Broadcast(0, in, CatDenseComm).Floats},
 				{"IBroadcast", g.IBroadcast(0, in, CatDenseComm).Wait().Floats},
-				{"Reduce", g.Reduce(0, x, CatDenseComm)},
 				{"AllReduce", g.AllReduce(x, CatMisc)},
 				{"ReduceScatter", g.ReduceScatter(x, []int{len(x)}, CatDenseComm)},
 				{"AllGather", g.AllGather(in, CatSparseComm)[0].Floats},

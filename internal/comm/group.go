@@ -80,108 +80,144 @@ func (g *Group) Broadcast(root int, p Payload, cat Category) Payload {
 	return g.IBroadcast(root, p, cat).Wait()
 }
 
-// Reduce performs an elementwise float64 sum onto root and returns the
-// result at root (nil elsewhere). All members must pass slices of equal
-// length.
-func (g *Group) Reduce(root int, x []float64, cat Category) []float64 {
-	q := len(g.ranks)
-	if root < 0 || root >= q {
-		panic(fmt.Sprintf("comm: reduce root %d out of range for group of %d", root, q))
-	}
-	defer g.comm.meterDone(g.comm.meterStart())
-	g.charge(cat, lg2(q), int64(len(x)))
-	return g.reduce(root, x)
-}
-
 // AllReduce sums x elementwise across the group and returns the result on
-// every member. It is a Reduce followed by a Broadcast and is charged as
-// both, α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
+// every member. Physically it is recursive doubling (Thakur, Rabenseifner
+// and Gropp 2005): ⌈lg q⌉ swaps of the whole vector, each member adding its
+// partner's partial to its own as lower half + upper half — the order of a
+// binomial reduce onto member 0, so every member ends with that reduce's
+// bits. It is charged as the Reduce and Broadcast it replaced, in two
+// steps, α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
 // (costmodel.OneDHaloDenseWords carries the factor 2).
 func (g *Group) AllReduce(x []float64, cat Category) []float64 {
-	acc := g.Reduce(0, x, cat)
-	var p Payload
-	if g.me == 0 {
-		p = Payload{Floats: acc}
+	defer g.comm.meterDone(g.comm.meterStart())
+	q := len(g.ranks)
+	g.charge(cat, lg2(q), int64(len(x)))
+	g.charge(cat, lg2(q), int64(len(x)))
+	return g.allReduce(x)
+}
+
+// allReduce is AllReduce's schedule, uncharged. Before level m a member
+// holds the partial sum of its aligned block of m members; it swaps that
+// with member me^m, whose block is the other half of their aligned block
+// of 2m, and both add lower + upper. When q is not a power of two the
+// upper block may be short or missing: a missing one leaves the partial as
+// it is, and a lower member without a partner receives the upper partial
+// from the upper member at its offset modulo the upper block's size, which
+// holds the same bits as every member of that block.
+func (g *Group) allReduce(x []float64) []float64 {
+	q := len(g.ranks)
+	acc := g.comm.pool.cloneFloats(x)
+	for m := 1; m < q; m <<= 1 {
+		lo := g.me &^ (2*m - 1) // the lower block's first member
+		hi := lo + m            // the upper block's first member
+		if hi >= q {
+			continue
+		}
+		n := min(q-hi, m) // the upper block's size
+		var src int
+		if g.me < hi {
+			if g.me+m < q {
+				g.comm.sendRaw(g.ranks[g.me+m], Payload{Floats: acc})
+			}
+			src = hi + (g.me-lo)%n
+		} else {
+			for dst := g.me - m; dst < hi; dst += n {
+				g.comm.sendRaw(g.ranks[dst], Payload{Floats: acc})
+			}
+			src = g.me - m
+		}
+		addHalves(acc, g.comm.recvRaw(g.ranks[src]).Floats, g.me < hi)
 	}
-	out := g.Broadcast(0, p, cat)
-	return out.Floats
+	return acc
+}
+
+// addHalves sets acc to lower + upper elementwise, where acc is this
+// member's partial and lower says whether it is the lower half's: the order
+// a binomial reduce adds a child's partial to its parent's.
+func addHalves(acc, recv []float64, lower bool) {
+	if len(recv) != len(acc) {
+		panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv), len(acc)))
+	}
+	if lower {
+		for i, v := range recv {
+			acc[i] += v
+		}
+		return
+	}
+	for i, v := range recv {
+		acc[i] = v + acc[i]
+	}
 }
 
 // ReduceScatter sums x elementwise across the group, then scatters the
 // result so member i receives the slice with offsets
 // [sum(counts[:i]), sum(counts[:i+1])). Charged per the paper's
 // α lg P + β·len(x) bound (§IV-A-3).
+//
+// Physically, at a power-of-two q it is recursive halving with ascending
+// masks: at mask m a member keeps the slices k with k&m == me&m, sends the
+// rest of those it holds to member me^m, and adds what it receives as
+// lower half + upper half, so slice k reaches member k summed in the
+// binomial reduce's order and a member sends len(x) − counts[me] words.
+// At any other q it is AllReduce's schedule, keeping its own slice.
 func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64 {
 	q := len(g.ranks)
 	if len(counts) != q {
 		panic(fmt.Sprintf("comm: ReduceScatter needs %d counts, got %d", q, len(counts)))
 	}
-	total := 0
-	for _, c := range counts {
+	total, off := 0, 0
+	for i, c := range counts {
+		if i == g.me {
+			off = total
+		}
 		total += c
 	}
 	if total != len(x) {
 		panic(fmt.Sprintf("comm: ReduceScatter counts sum to %d, data has %d", total, len(x)))
 	}
 	defer g.comm.meterDone(g.comm.meterStart())
-	// Physical: reduce to member 0, then scatter slices. Charging below
-	// replaces the naive cost with the paper's bound.
-	acc := g.reduce(0, x)
 	g.charge(cat, lg2(q), int64(len(x)))
-	if q == 1 {
-		return acc
+	if q&(q-1) != 0 {
+		return g.allReduce(x)[off : off+counts[g.me]]
 	}
-	if g.me == 0 {
-		off := counts[0]
-		for i := 1; i < q; i++ {
-			g.comm.sendRaw(g.ranks[i], Payload{Floats: acc[off : off+counts[i]]})
-			off += counts[i]
-		}
-		return g.comm.pool.cloneFloats(acc[:counts[0]])
-	}
-	return g.comm.recvRaw(g.ranks[0]).Floats
-}
-
-// reduce is the binomial-tree sum onto root — receive from children, then
-// send to the parent — without model charging: Reduce and ReduceScatter
-// charge their own bounds.
-func (g *Group) reduce(root int, x []float64) []float64 {
-	q := len(g.ranks)
 	acc := g.comm.pool.cloneFloats(x)
-	if q == 1 {
-		return acc
-	}
-	vrank := (g.me - root + q) % q
-	for mask := 1; mask < nextPow2(q); mask <<= 1 {
-		if vrank&(mask-1) != 0 {
-			continue
-		}
-		if vrank&mask == 0 {
-			child := vrank | mask
-			if child < q {
-				recv := g.comm.recvRaw(g.ranks[(child+root)%q])
-				if len(recv.Floats) != len(acc) {
-					panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv.Floats), len(acc)))
-				}
-				for i, v := range recv.Floats {
-					acc[i] += v
-				}
+	for m := 1; m < q; m <<= 1 {
+		peer, mask := g.me^m, 2*m-1
+		sendN, keepN := 0, 0
+		for k, c := range counts {
+			switch k & mask {
+			case peer & mask:
+				sendN += c
+			case g.me & mask:
+				keepN += c
 			}
-		} else {
-			parent := vrank &^ mask
-			g.comm.sendRaw(g.ranks[(parent+root)%q], Payload{Floats: acc})
-			return nil
+		}
+		send, at := g.comm.pool.getFloats(sendN), 0
+		for k, o := 0, 0; k < q; o, k = o+counts[k], k+1 {
+			if k&mask == peer&mask {
+				at += copy(send[at:], acc[o:o+counts[k]])
+			}
+		}
+		g.comm.sendRaw(g.ranks[peer], Payload{Floats: send})
+		recv := g.comm.recvRaw(g.ranks[peer]).Floats
+		if len(recv) != keepN {
+			panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv), keepN))
+		}
+		at = 0
+		for k, o := 0, 0; k < q; o, k = o+counts[k], k+1 {
+			if k&mask == g.me&mask {
+				addHalves(acc[o:o+counts[k]], recv[at:at+counts[k]], g.me&m == 0)
+				at += counts[k]
+			}
 		}
 	}
-	return acc
+	return acc[off : off+counts[g.me]]
 }
 
 // AllGather collects each member's payload and returns them ordered by
-// group index. Charged α·⌈lg q⌉ + β·(total words received), the standard
-// large-message all-gather bound. It is IAllGather joined immediately.
-//
-// Physically the parts gather onto member 0 and broadcast back one by one
-// to keep payload boundaries; the charge is the single all-gather bound.
+// group index; the caller's own slot is p itself, as in AllToAll. Charged
+// α·⌈lg q⌉ + β·(total words received), the standard large-message
+// all-gather bound. It is IAllGather joined immediately.
 func (g *Group) AllGather(p Payload, cat Category) []Payload {
 	return g.IAllGather(p, cat).WaitAll()
 }
@@ -190,50 +226,20 @@ func (g *Group) AllGather(p Payload, cat Category) []Payload {
 // elsewhere). Every member is charged α·⌈lg q⌉ + β·(its contribution).
 func (g *Group) Gather(root int, p Payload, cat Category) []Payload {
 	defer g.comm.meterDone(g.comm.meterStart())
-	g.charge(cat, lg2(len(g.ranks)), p.Words())
-	return g.gatherUncharged(root, p)
-}
-
-func (g *Group) gatherUncharged(root int, p Payload) []Payload {
 	q := len(g.ranks)
-	if q == 1 {
-		out := g.comm.pool.getPayloads(1)
-		out[0] = p
-		return out
+	g.charge(cat, lg2(q), p.Words())
+	if g.me != root {
+		g.comm.sendRaw(g.ranks[root], p)
+		return nil
 	}
-	if g.me == root {
-		out := g.comm.pool.getPayloads(q)
-		out[root] = p
-		for i := 0; i < q; i++ {
-			if i != root {
-				out[i] = g.comm.recvRaw(g.ranks[i])
-			}
-		}
-		return out
-	}
-	g.comm.sendRaw(g.ranks[root], p)
-	return nil
-}
-
-func (g *Group) broadcastUncharged(root int, p Payload) Payload {
-	q := len(g.ranks)
-	if q == 1 {
-		return p
-	}
-	vrank := (g.me - root + q) % q
-	if vrank != 0 {
-		src := g.ranks[((vrank-(vrank&-vrank))+root)%q]
-		p = g.comm.recvRaw(src)
-	}
-	for mask := nextPow2(q) >> 1; mask > 0; mask >>= 1 {
-		if vrank&(mask-1) == 0 && vrank&mask == 0 {
-			child := vrank | mask
-			if child < q {
-				g.comm.sendRaw(g.ranks[(child+root)%q], p)
-			}
+	out := g.comm.pool.getPayloads(q)
+	out[root] = p
+	for i := 0; i < q; i++ {
+		if i != root {
+			out[i] = g.comm.recvRaw(g.ranks[i])
 		}
 	}
-	return p
+	return out
 }
 
 // AllToAll exchanges parts[i] to member i and returns the parts received,

@@ -15,6 +15,9 @@ import "time"
 // fabric the trainer actually experienced, not a clean link benchmark;
 // the measured-vs-modeled report says so.
 //
+// One collective call is one sample: an AllReduce, whose recursive-doubling
+// schedule replaced a reduce followed by a broadcast, is one sample, not two.
+//
 // Metering is off by default and stays off for the channel fabric's
 // zero-alloc steady state; EnableMetering turns it on for one Comm.
 type Meter struct {

@@ -52,10 +52,8 @@ func exerciseCollectives(c *Comm, epochs int) ([]float64, error) {
 		sum := w.AllReduce(x, CatDenseComm)
 		add(sum...)
 
-		red := w.Reduce(1%p, x, CatDenseComm)
-		if red != nil {
-			add(red...)
-		}
+		// A sum whose bits depend on the order of its additions.
+		add(w.AllReduce([]float64{[]float64{1e16, 1, -1e16, 3.3e-7}[me%4] * base}, CatMisc)...)
 
 		counts := make([]int, p)
 		long := make([]float64, 0, 2*p)

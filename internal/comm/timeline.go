@@ -152,35 +152,52 @@ func (g *Group) IBroadcast(root int, p Payload, cat Category) *Request {
 		return r
 	}
 	defer g.comm.meterDone(g.comm.meterStart())
-	out := g.broadcastUncharged(root, p)
-	r := g.comm.chargeAsync(cat, lg2(q), out.Words())
-	r.payload = out
+	// Binomial tree rooted at root: receive from the parent, then send to
+	// the children, farthest first.
+	vrank := (g.me - root + q) % q
+	if vrank != 0 {
+		p = g.comm.recvRaw(g.ranks[((vrank-(vrank&-vrank))+root)%q])
+	}
+	for mask := nextPow2(q) >> 1; mask > 0; mask >>= 1 {
+		if vrank&(mask-1) == 0 && vrank&mask == 0 {
+			if child := vrank | mask; child < q {
+				g.comm.sendRaw(g.ranks[(child+root)%q], p)
+			}
+		}
+	}
+	r := g.comm.chargeAsync(cat, lg2(q), p.Words())
+	r.payload = p
 	return r
 }
 
 // IAllGather is the non-blocking AllGather; WaitAll returns the payloads
-// ordered by group index. Charges and results are identical to AllGather.
+// ordered by group index, the caller's own slot being p itself. Charges and
+// results are identical to AllGather.
+//
+// Physically it is a ring: at step s = 1…q−1 each member sends its right
+// neighbour the part it received at step s−1 — its own at step 1 — and
+// receives the next from its left neighbour, so every part crosses q−1
+// links once and a member sends every part but its right neighbour's.
 func (g *Group) IAllGather(p Payload, cat Category) *Request {
 	q := len(g.ranks)
-	defer g.comm.meterDone(g.comm.meterStart())
-	parts := g.gatherUncharged(0, p)
 	out := g.comm.pool.getPayloads(q)
-	if g.me == 0 {
-		copy(out, parts)
-	}
-	for i := 0; i < q; i++ {
-		out[i] = g.broadcastUncharged(0, out[i])
-	}
+	out[g.me] = p
 	if q == 1 {
 		r := g.comm.completedRequest()
 		r.payloads = out
 		return r
 	}
-	var myTotal int64
-	for _, part := range out {
-		myTotal += part.Words()
+	defer g.comm.meterDone(g.comm.meterStart())
+	right, left := g.ranks[(g.me+1)%q], g.ranks[(g.me-1+q)%q]
+	for s := 0; s < q-1; s++ {
+		g.comm.sendRaw(right, out[(g.me-s+q)%q])
+		out[(g.me-s-1+q)%q] = g.comm.recvRaw(left)
 	}
-	r := g.comm.chargeAsync(cat, lg2(q), myTotal)
+	var words int64
+	for _, part := range out {
+		words += part.Words()
+	}
+	r := g.comm.chargeAsync(cat, lg2(q), words)
 	r.payloads = out
 	return r
 }
