@@ -5,7 +5,7 @@ import "sync"
 // bufPool is the arena behind the fabric's transient buffers: collective
 // accumulators, the []Payload result slices of gather-style operations,
 // and — as a transport's arena — the channel fabric's send clones and the
-// buffers a TCPTransport's reader goroutines decode incoming frames into.
+// buffers a TCPTransport's reader goroutines read incoming frames into.
 // Every rank has two, on either fabric: its Comm's pool and its
 // transport's arena. Buffers are keyed by capacity class (next power of
 // two), checked out under a mutex (a rank and its reader goroutines may

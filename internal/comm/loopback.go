@@ -42,13 +42,16 @@ func LocalTCPComms(p int, cost CostParams) ([]*Comm, error) {
 		}(r)
 	}
 	wg.Wait()
-	if err = <-serveErr; err != nil {
-		err = fmt.Errorf("comm: loopback rendezvous: %w", err)
-	}
 	for rank, e := range errs {
 		if e != nil && err == nil {
 			err = fmt.Errorf("comm: loopback rank %d: %w", rank, e)
 		}
+	}
+	if err != nil {
+		co.ln.Close() // a failed rank's hello never comes: stop Serve waiting for it
+	}
+	if serr := <-serveErr; serr != nil && err == nil {
+		err = fmt.Errorf("comm: loopback rendezvous: %w", serr)
 	}
 	if err != nil {
 		for _, c := range comms {

@@ -7,9 +7,12 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // This file implements the TCP Transport: each rank is its own OS process,
@@ -34,31 +37,34 @@ import (
 // Each connection gets a reader goroutine that demultiplexes incoming
 // frames into a per-peer payload inbox (buffered, like the in-process
 // mailboxes) and a per-peer barrier-token channel. Every frame is written
-// under a per-peer mutex — a data frame as one conn.Write per frameChunk
-// bytes, every other frame as a single write — so frames never interleave
-// and the heartbeat goroutine can share connections with the collective
-// path. A rank that dies mid-frame leaves a truncated frame, which the
-// peer's reader reports as an unexpected EOF (a *PeerError), never as
-// data. Barrier is a dissemination barrier over the same connections:
-// ⌈lg P⌉ rounds, round k sending a token to (rank+2^k) mod P and waiting
-// for one from (rank−2^k) mod P.
+// under a per-peer mutex — a data frame as one writev, every other frame
+// as a single write — so frames never interleave and the heartbeat
+// goroutine can share connections with the collective path. A rank that
+// dies mid-frame leaves a truncated frame, which the peer's reader
+// reports as an unexpected EOF (a *PeerError), never as data. Barrier is
+// a dissemination barrier over the same connections: ⌈lg P⌉ rounds, round
+// k sending a token to (rank+2^k) mod P and waiting for one from
+// (rank−2^k) mod P.
 //
-// Data frames move in bulk. The sender encodes header and words into one
-// fixed frameChunk-sized buffer and writes it whenever it fills, so the
-// staging bytes stay cache-resident whatever the frame size. The reader
-// decodes words straight out of its frameChunk-sized bufio buffer (Peek,
-// decode, Discard — no intermediate copy) into buffers drawn from the
-// rank's receive arena, a bufPool that Comm.EpochDone recycles between its
-// two barriers. Steady-state epochs therefore allocate no payload memory,
+// A data frame's body is the memory image of its words: on a little-endian
+// host with 64-bit int (DialTCPOpts refuses any other) a []float64 or
+// []int viewed as bytes already is the wire encoding. Send therefore
+// hands the kernel the header and the caller's two slices in one writev,
+// and the reader, after taking the header from its bufio buffer, reads
+// each side with io.ReadFull straight into a buffer drawn from the rank's
+// receive arena — a bufPool that Comm.EpochDone recycles between its two
+// barriers. Each side makes one kernel copy of the words and no per-word
+// pass; only what the bufio buffer already holds, or a tail shorter than
+// it, is copied once more. Steady-state epochs allocate no payload memory,
 // and a received payload stays valid until the next EpochDone.
 //
 // Why no epoch-N+1 frame can land in a buffer still referenced from epoch
 // N: collectives are SPMD, so every frame a peer sent this rank during
-// epoch N was consumed by a matching Recv — and so fully decoded — before
+// epoch N was consumed by a matching Recv — and so fully read — before
 // this rank entered EpochDone's first barrier. The arena is recycled after
 // that barrier and before this rank enters the second; a peer leaves the
 // second barrier only after this rank entered it, and only then sends its
-// first epoch-N+1 frame. Every epoch-N+1 frame is therefore decoded after
+// first epoch-N+1 frame. Every epoch-N+1 frame is therefore read after
 // the recycle (never into a buffer the recycle would hand out twice), and
 // the recycle runs only once every rank has entered EpochDone, i.e. has
 // finished reading its epoch-N payloads.
@@ -104,10 +110,26 @@ const (
 // a longer payload would silently truncate on send.
 const maxFrameWords = 1 << 26
 
-// frameChunk is the size of each reader's bufio buffer and of the send
-// staging buffer: large enough that a multi-megabyte frame costs few
-// syscalls, small enough to stay in L2 while it is encoded or decoded.
+// frameChunk is the size of each reader's bufio buffer. A body read that
+// finds the buffer empty with at least this much to go bypasses it, so
+// only a body's first buffered bytes and its short tail are copied twice.
 const frameChunk = 256 << 10
+
+// wireHostErr is nil when this host may run the TCP transport; see
+// checkWireHost.
+var wireHostErr = checkWireHost(binary.NativeEndian.Uint16([]byte{1, 0}) == 1, strconv.IntSize)
+
+// checkWireHost reports whether a host whose byte order and int width are
+// given keeps float64 and int words in memory exactly as a data frame's
+// body carries them: little-endian and 64 bits wide. Any other host is
+// refused by name rather than served by a second, per-word codec; the
+// in-process fabric still runs there.
+func checkWireHost(littleEndian bool, intBits int) error {
+	if littleEndian && intBits == 64 {
+		return nil
+	}
+	return fmt.Errorf("comm: the TCP transport needs a little-endian host with 64-bit int; GOARCH=%s (little-endian %t, %d-bit int) is not one", runtime.GOARCH, littleEndian, intBits)
+}
 
 // Bodiless frames, shared by every transport.
 var (
@@ -170,7 +192,7 @@ func (o TCPOptions) withDefaults() TCPOptions {
 // TCPTransport is one rank's endpoint on the TCP fabric. Create it with
 // DialTCP or DialTCPOpts; it satisfies Transport. Like every Transport it
 // is driven by one goroutine (the rank's): Send, Recv and Barrier share
-// the staging chunk and the watchdog timer without locking.
+// the data-frame vector and the watchdog timer without locking.
 type TCPTransport struct {
 	rank, world int
 	opts        TCPOptions
@@ -181,7 +203,7 @@ type TCPTransport struct {
 	barrierCh   []chan struct{} // barrierCh[peer]
 	readErr     []chan error    // readErr[peer], posted once when reader exits
 	lastHeard   []atomic.Int64  // lastHeard[peer], UnixNano of last frame
-	sendChunk   []byte          // frameChunk bytes of send staging
+	frame       frameVec        // the data frame Send is writing
 	arena       *bufPool        // received payload buffers; see EpochRecycle
 	watchdog    *time.Timer     // ProgressTimeout timer, nil when disabled
 
@@ -200,16 +222,17 @@ func (t *TCPTransport) Rank() int { return t.rank }
 // Size returns the world size.
 func (t *TCPTransport) Size() int { return t.world }
 
-// Send serializes p to dst. It returns once the frame is handed to the
-// kernel: the caller may reuse or recycle p's backing arrays immediately.
-// A payload over maxFrameWords is a caller bug and panics before anything
+// Send writes p to dst. The kernel reads p's words in place, and Send
+// returns only once writev has copied every byte into the socket: the
+// caller may then reuse or recycle p's backing arrays immediately. A
+// payload over maxFrameWords is a caller bug and panics before anything
 // is written.
 func (t *TCPTransport) Send(dst int, p Payload) {
 	if err := checkFrameWords(uint64(len(p.Floats)), uint64(len(p.Ints))); err != nil {
 		panic(fmt.Sprintf("comm: rank %d sending to rank %d: %v", t.rank, dst, err))
 	}
 	t.wmu[dst].Lock()
-	err := writeDataFrame(t.conns[dst], t.sendChunk, p)
+	err := t.frame.write(t.conns[dst], p)
 	t.wmu[dst].Unlock()
 	if err != nil {
 		panic(t.failure("send", dst, err))
@@ -463,44 +486,31 @@ func checkFrameWords(nFloats, nInts uint64) error {
 	return nil
 }
 
-// writeDataFrame encodes p as one 'D' frame through chunk, writing the
-// chunk to w each time it fills and once more at the end. The caller has
-// checked the frame size and holds the peer's write mutex.
-func writeDataFrame(w io.Writer, chunk []byte, p Payload) error {
-	chunk[0] = frameData
-	binary.LittleEndian.PutUint32(chunk[1:5], uint32(len(p.Floats)))
-	binary.LittleEndian.PutUint32(chunk[5:9], uint32(len(p.Ints)))
-	off := 9
-	floats, ints := p.Floats, p.Ints
-	for {
-		// Ints only start once the floats are exhausted: while floats
-		// remain, they have left less than a word of room.
-		n := min(len(floats), (len(chunk)-off)/8)
-		for _, f := range floats[:n] {
-			binary.LittleEndian.PutUint64(chunk[off:], math.Float64bits(f))
-			off += 8
-		}
-		floats = floats[n:]
-		n = min(len(ints), (len(chunk)-off)/8)
-		for _, v := range ints[:n] {
-			binary.LittleEndian.PutUint64(chunk[off:], uint64(int64(v)))
-			off += 8
-		}
-		ints = ints[n:]
-		if _, err := w.Write(chunk[:off]); err != nil {
-			return err
-		}
-		if len(floats)+len(ints) == 0 {
-			return nil
-		}
-		off = 0
-	}
+// frameVec is the writev vector of one data frame: the header and the
+// payload's two sides. It is kept in the transport, not on Send's stack,
+// because net.Buffers.WriteTo makes the vector escape.
+type frameVec struct {
+	hdr  [9]byte
+	iov  [3][]byte
+	bufs net.Buffers
 }
 
-// readDataFrame decodes the rest of a data frame (the type byte is already
-// consumed) into buffers from arena. Zero-length sides decode to nil,
+// write sends p to w as one 'D' frame, the words straight from p's slices.
+// The caller has checked the frame size and holds the peer's write mutex.
+func (v *frameVec) write(w io.Writer, p Payload) error {
+	v.hdr[0] = frameData
+	binary.LittleEndian.PutUint32(v.hdr[1:5], uint32(len(p.Floats)))
+	binary.LittleEndian.PutUint32(v.hdr[5:9], uint32(len(p.Ints)))
+	v.iov = [3][]byte{v.hdr[:], wordBytes(p.Floats), wordBytes(p.Ints)}
+	v.bufs = v.iov[:]
+	_, err := v.bufs.WriteTo(w)
+	return err
+}
+
+// readDataFrame reads the rest of a data frame (the type byte is already
+// consumed) into buffers from arena. Zero-length sides read as nil,
 // preserving Payload nil-ness conventions. The header is checked against
-// maxFrameWords before anything is allocated.
+// maxFrameWords before anything is drawn from the arena.
 func readDataFrame(r *bufio.Reader, arena *bufPool) (Payload, error) {
 	hdr, err := r.Peek(8)
 	if err != nil {
@@ -513,44 +523,19 @@ func readDataFrame(r *bufio.Reader, arena *bufPool) (Payload, error) {
 		return Payload{}, err
 	}
 	p := Payload{Floats: arena.getFloats(int(nf)), Ints: arena.getInts(int(ni))}
-	for dst := p.Floats; len(dst) > 0; {
-		b, err := peekWords(r, len(dst))
-		if err != nil {
-			return Payload{}, err
-		}
-		n := len(b) / 8
-		for i := range dst[:n] {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-		r.Discard(len(b))
-		dst = dst[n:]
+	if _, err := io.ReadFull(r, wordBytes(p.Floats)); err != nil {
+		return Payload{}, midFrame(err)
 	}
-	for dst := p.Ints; len(dst) > 0; {
-		b, err := peekWords(r, len(dst))
-		if err != nil {
-			return Payload{}, err
-		}
-		n := len(b) / 8
-		for i := range dst[:n] {
-			dst[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
-		}
-		r.Discard(len(b))
-		dst = dst[n:]
+	if _, err := io.ReadFull(r, wordBytes(p.Ints)); err != nil {
+		return Payload{}, midFrame(err)
 	}
 	return p, nil
 }
 
-// peekWords returns r's buffered bytes for up to want whole words, reading
-// from the connection only when less than one word is buffered. The caller
-// decodes the words in place and Discards them.
-func peekWords(r *bufio.Reader, want int) ([]byte, error) {
-	if r.Buffered() < 8 {
-		if _, err := r.Peek(8); err != nil {
-			return nil, midFrame(err)
-		}
-	}
-	b, _ := r.Peek(8 * min(want, r.Buffered()/8))
-	return b, nil
+// wordBytes views a payload side as the bytes of its memory image, which
+// on a host checkWireHost admits is the side's wire encoding.
+func wordBytes[W float64 | int](x []W) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(x))), len(x)*int(unsafe.Sizeof(x[0])))
 }
 
 // midFrame converts the clean EOF of a stream that ended inside a frame
@@ -716,7 +701,12 @@ func DialTCP(coordAddr string, rank, world int) (*TCPTransport, error) {
 // elastic supervisor shrink a crashed world — survivors rejoin with the
 // world size the new generation's coordinator negotiated, not the one
 // they were originally launched with. Check Size() after dialing.
+//
+// A host checkWireHost refuses gets that error before anything listens.
 func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransport, error) {
+	if wireHostErr != nil {
+		return nil, wireHostErr
+	}
 	if world < 0 || rank < 0 || (world > 0 && rank >= world) {
 		return nil, fmt.Errorf("comm: rank %d out of range for world %d", rank, world)
 	}
@@ -747,7 +737,6 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 	t.barrierCh = make([]chan struct{}, world)
 	t.readErr = make([]chan error, world)
 	t.lastHeard = make([]atomic.Int64, world)
-	t.sendChunk = make([]byte, frameChunk)
 	t.arena = newBufPool()
 	if t.opts.ProgressTimeout > 0 {
 		t.watchdog = time.NewTimer(t.opts.ProgressTimeout)

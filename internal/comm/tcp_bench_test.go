@@ -10,11 +10,12 @@ import (
 // The wire frame's own numbers (ROADMAP aim 1): the codec alone, and one
 // broadcast over real loopback sockets.
 
-// BenchmarkTCPFrameCodec encodes one data frame into an in-memory pipe and
-// decodes it back out through the reader's bufio buffer and a recycled
+// BenchmarkTCPFrameCodec writes one data frame into an in-memory pipe and
+// reads it back out through the reader's bufio buffer and a recycled
 // arena — the per-frame CPU work of Send plus readLoop, without a socket.
+// 65 536 words is bcast1d_sparse's broadcast block (4 096 rows × 16).
 func BenchmarkTCPFrameCodec(b *testing.B) {
-	for _, words := range []int{128, 512 << 10} {
+	for _, words := range []int{128, 64 << 10, 512 << 10} {
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
 			p := Payload{Floats: make([]float64, words-words/8), Ints: make([]int, words/8)}
 			for i := range p.Floats {
@@ -25,11 +26,12 @@ func BenchmarkTCPFrameCodec(b *testing.B) {
 			}
 			var pipe bytes.Buffer
 			pipe.Grow(9 + 8*words)
-			chunk := make([]byte, frameChunk)
+			var vec frameVec
 			r := bufio.NewReaderSize(&pipe, frameChunk)
 			arena := newBufPool()
 			frame := func() {
-				if err := writeDataFrame(&pipe, chunk, p); err != nil {
+				pipe.Reset() // drained, but a short write would append past the old frame
+				if err := vec.write(&pipe, p); err != nil {
 					b.Fatal(err)
 				}
 				r.ReadByte() // the type byte readLoop dispatches on

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func encodeFrame(t testing.TB, p Payload) []byte {
 	t.Helper()
 	var out bytes.Buffer
-	if err := writeDataFrame(&out, make([]byte, frameChunk), p); err != nil {
+	if err := new(frameVec).write(&out, p); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -24,7 +25,12 @@ func encodeFrame(t testing.TB, p Payload) []byte {
 
 // decodeFrame decodes one whole 'D' frame from r, type byte included.
 func decodeFrame(r io.Reader, arena *bufPool) (Payload, error) {
-	br := bufio.NewReaderSize(r, frameChunk)
+	return nextFrame(bufio.NewReaderSize(r, frameChunk), arena)
+}
+
+// nextFrame decodes the next whole 'D' frame from br, type byte included,
+// as readLoop does.
+func nextFrame(br *bufio.Reader, arena *bufPool) (Payload, error) {
 	if typ, err := br.ReadByte(); err != nil || typ != frameData {
 		return Payload{}, errors.New("not a data frame")
 	}
@@ -106,8 +112,17 @@ func TestFrameGoldenBytes(t *testing.T) {
 
 // TestFrameRoundTripShortReads decodes every awkward payload from a
 // stream that trickles in a few bytes at a time, as a socket may: words
-// and the header then straddle every fill of the reader's buffer.
+// and the header then straddle every fill of the reader's buffer. Each
+// payload is also followed, through the same reader, by a second frame
+// with a body below or above frameChunk: that body starts in whatever of
+// the stream the reader's buffer already holds and, past it, goes on by
+// reads straight into the arena.
 func TestFrameRoundTripShortReads(t *testing.T) {
+	big := Payload{Floats: make([]float64, frameChunk/8+4099), Ints: []int{-3, 1 << 50, 7}}
+	for i := range big.Floats {
+		big.Floats[i] = -float64(i) - 0.125
+	}
+	seconds := []Payload{{Floats: []float64{2.5}, Ints: []int{-9}}, big}
 	for _, step := range []int{1, 7, 8, 4099, frameChunk} {
 		for i, p := range awkwardPayloads() {
 			frame := encodeFrame(t, p)
@@ -119,6 +134,45 @@ func TestFrameRoundTripShortReads(t *testing.T) {
 			if _, err := decodeFrame(&trickle{data: frame[:len(frame)-1], step: step}, newBufPool()); !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("payload %d, %d-byte reads: truncated frame gave err %v, want unexpected EOF", i, step, err)
 			}
+			for j, second := range seconds {
+				stream := append(frame[:len(frame):len(frame)], encodeFrame(t, second)...)
+				for _, cut := range []int{0, 1} {
+					br := bufio.NewReaderSize(&trickle{data: stream[:len(stream)-cut], step: step}, frameChunk)
+					arena := newBufPool()
+					if got, err := nextFrame(br, arena); err != nil || !samePayload(got, p) {
+						t.Fatalf("payload %d then %d, %d-byte reads, cut %d: first frame failed (err %v)", i, j, step, cut, err)
+					}
+					got, err := nextFrame(br, arena)
+					if cut == 0 && (err != nil || !samePayload(got, second)) {
+						t.Fatalf("payload %d then %d, %d-byte reads: second frame failed (err %v)", i, j, step, err)
+					}
+					if cut == 1 && !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("payload %d then %d, %d-byte reads: truncated second frame gave err %v, want unexpected EOF", i, j, step, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWireHostRule: the TCP transport runs only where a word's memory
+// image is its wire encoding, and refuses any other host by name.
+func TestWireHostRule(t *testing.T) {
+	for _, tc := range []struct {
+		littleEndian bool
+		intBits      int
+		ok           bool
+	}{
+		{true, 64, true},
+		{false, 64, false},
+		{true, 32, false},
+	} {
+		err := checkWireHost(tc.littleEndian, tc.intBits)
+		if (err == nil) != tc.ok {
+			t.Fatalf("checkWireHost(%v, %d) = %v, want ok %v", tc.littleEndian, tc.intBits, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "GOARCH="+runtime.GOARCH) {
+			t.Fatalf("checkWireHost(%v, %d) = %q, want the host named", tc.littleEndian, tc.intBits, err)
 		}
 	}
 }

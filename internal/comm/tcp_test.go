@@ -342,3 +342,43 @@ func TestTCPWorldAdoptionRankOutOfRange(t *testing.T) {
 		t.Fatal("rank 3 joined a negotiated world of 1")
 	}
 }
+
+// TestSendCopiesBeforeReturn: Send hands the kernel the caller's own
+// slices, so its promise that the caller may reuse them on return rests
+// on writev having copied every byte. The payload is far larger than a
+// loopback socket buffers, so Send returns only after the receiver has
+// drained most of it; every word is overwritten right after, and the
+// receiver must still get the original bits.
+func TestSendCopiesBeforeReturn(t *testing.T) {
+	const words = 1 << 20
+	word := func(i int) uint64 { return uint64(i)*0x9e3779b97f4a7c15 + 1 }
+	p := Payload{Floats: make([]float64, words), Ints: make([]int, 1000)}
+	for i := range p.Floats {
+		p.Floats[i] = math.Float64frombits(word(i))
+	}
+	for i := range p.Ints {
+		p.Ints[i] = -int(word(i) >> 1)
+	}
+	trs := dialWorld(t, 2, TCPOptions{})
+	trs[0].Send(1, p)
+	for i := range p.Floats {
+		p.Floats[i] = math.NaN()
+	}
+	for i := range p.Ints {
+		p.Ints[i] = 0
+	}
+	got := trs[1].Recv(0)
+	if len(got.Floats) != words || len(got.Ints) != 1000 {
+		t.Fatalf("received %d floats, %d ints", len(got.Floats), len(got.Ints))
+	}
+	for i, f := range got.Floats {
+		if math.Float64bits(f) != word(i) {
+			t.Fatalf("float %d arrived as %#x, want %#x", i, math.Float64bits(f), word(i))
+		}
+	}
+	for i, v := range got.Ints {
+		if v != -int(word(i)>>1) {
+			t.Fatalf("int %d arrived as %d, want %d", i, v, -int(word(i)>>1))
+		}
+	}
+}

@@ -202,16 +202,19 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 // TestSteadyStateAllocsTCP is the same contract over the real-socket
 // fabric: once the per-rank receive arenas are sized, an epoch of 1d and
 // of 2d-overlap over loopback TCP at P = 4 allocates no payload memory.
-// The bound is bytes, not objects: goroutine wake-ups on the socket path
-// may allocate a few small runtime objects, a per-frame payload buffer
-// would blow through it at once (before the arena, one epoch of this
-// problem allocated ≈ 2.9 MB across the world). The wrapped variant puts
-// an empty-plan FaultTransport around every endpoint, proving EpochDone's
-// recycle reaches the arena through a wrapper.
+// Goroutine wake-ups on the socket path may allocate a few small runtime
+// objects, so both bounds leave room for those and no more: a per-frame
+// payload buffer blows through the byte bound at once (before the arena,
+// one epoch of this problem allocated ≈ 2.9 MB across the world), and any
+// per-frame object, however small, through the object bound — the test
+// checks that the epoch sent more frames than it allows objects. The
+// wrapped variant puts an empty-plan FaultTransport around every endpoint,
+// proving EpochDone's recycle reaches the arena through a wrapper.
 func TestSteadyStateAllocsTCP(t *testing.T) {
 	useWorkers(t, 1)
 	const ranks = 4
 	const maxBytesPerEpoch = 64 << 10
+	const maxMallocsPerEpoch = 8
 	cost := comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta}
 	algos := []struct {
 		name string
@@ -251,18 +254,36 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 				for i := 0; i < warmup; i++ {
 					oneEpoch()
 				}
+				// Between epochs every rank waits in lockstep, so its ledger
+				// is safe to read.
+				framesSent := func() (n int64) {
+					for r := 0; r < ranks; r++ {
+						n += cl.Ledger(r).PhysMsgsSent
+					}
+					return n
+				}
 				var before, after runtime.MemStats
+				framesBefore := framesSent()
 				runtime.ReadMemStats(&before)
 				for i := 0; i < runs; i++ {
 					oneEpoch()
 				}
 				runtime.ReadMemStats(&after)
+				frames := (framesSent() - framesBefore) / runs
 				if err := <-errCh; err != nil {
 					t.Fatal(err)
 				}
 				if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > maxBytesPerEpoch {
 					t.Fatalf("%s steady-state epoch allocates %d bytes across %d ranks over TCP, want ≤ %d",
 						name, perEpoch, ranks, maxBytesPerEpoch)
+				}
+				if perEpoch := (after.Mallocs - before.Mallocs) / runs; perEpoch > maxMallocsPerEpoch {
+					t.Fatalf("%s steady-state epoch allocates %d objects across %d ranks over TCP, want ≤ %d",
+						name, perEpoch, ranks, maxMallocsPerEpoch)
+				}
+				if frames <= maxMallocsPerEpoch {
+					t.Fatalf("%s epoch sent %d frames, want more than the %d objects allowed, or a per-frame allocation could pass",
+						name, frames, maxMallocsPerEpoch)
 				}
 			})
 		}
