@@ -7,21 +7,16 @@ package cagnet
 //	                               Aᵀ→A transpose exchange (the cost a 2x
 //	                               memory budget would erase, §IV-A-7)
 //	BenchmarkAblationReplication — 1.5D replication factor sweep (§IV-B)
-//	BenchmarkAblationGridAspect  — rectangular-grid forward cost (§IV-C-6)
-//	BenchmarkAblationPermutation — random-permutation load balance (§I)
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/graph"
 	"repro/internal/harness"
 	"repro/internal/nn"
-	"repro/internal/partition"
 )
 
 func BenchmarkAblationTranspose(b *testing.B) {
@@ -73,35 +68,4 @@ func BenchmarkAblationReplication(b *testing.B) {
 			b.ReportMetric(float64(c), "replication")
 		})
 	}
-}
-
-func BenchmarkAblationGridAspect(b *testing.B) {
-	ds := benchDataset(b, "protein-sim")
-	a := ds.Graph.Adjacency()
-	w := costmodel.Workload{
-		N: ds.Graph.NumVertices, NNZ: int64(a.NNZ()),
-		F: (float64(ds.FeatureLen()) + float64(ds.Hidden) + float64(ds.NumLabels)) / 3, Layers: 3,
-	}
-	for _, aspect := range [][2]int{{8, 8}, {16, 4}, {32, 2}, {4, 16}} {
-		b.Run(fmt.Sprintf("%dx%d", aspect[0], aspect[1]), func(b *testing.B) {
-			var words float64
-			for i := 0; i < b.N; i++ {
-				words = costmodel.TwoDRect(w, aspect[0], aspect[1]).Words
-			}
-			b.ReportMetric(words, "fwd-words")
-		})
-	}
-}
-
-func BenchmarkAblationPermutation(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	cfg := graph.RMATConfig{A: 0.57, B: 0.19, C: 0.19, Noise: 0}
-	g := graph.RMAT(12, 16, cfg, rng)
-	grid := partition.NewGrid2D(4, 4)
-	var before, after partition.LoadBalance
-	for i := 0; i < b.N; i++ {
-		before, after = partition.PermutedBalance(g, grid, rng)
-	}
-	b.ReportMetric(before.Imbalance, "imbalance-natural")
-	b.ReportMetric(after.Imbalance, "imbalance-permuted")
 }

@@ -56,16 +56,6 @@ var Optimizers = nn.Optimizers
 // fabrics run the identical collectives to bit-identical results.
 var Transports = []string{"inproc", "tcp"}
 
-// Datasets lists the built-in synthetic analogs of the paper's Table VI
-// datasets.
-func Datasets() []string {
-	out := make([]string, len(graph.Analogs))
-	for i, a := range graph.Analogs {
-		out[i] = a.Name
-	}
-	return out
-}
-
 // Dataset builds a named synthetic dataset analog ("reddit-sim",
 // "amazon-sim", "protein-sim"). It panics on unknown names; use
 // DatasetByName for error handling.

@@ -12,13 +12,6 @@ import (
 	"repro/internal/tolerance"
 )
 
-func TestDatasetsList(t *testing.T) {
-	ds := Datasets()
-	if len(ds) != 3 {
-		t.Fatalf("got %d datasets", len(ds))
-	}
-}
-
 func TestDatasetByName(t *testing.T) {
 	ds, err := DatasetByName("reddit-sim")
 	if err != nil {
@@ -107,43 +100,61 @@ func TestTrainAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestTrainOptionValidation: every option Train rejects is rejected before
+// any rank starts (so never with a "tcp rank" prefix), and the error names
+// the option.
 func TestTrainOptionValidation(t *testing.T) {
 	ds := RandomDataset(6, 4, 6, 4, 3, 9)
-	if _, err := Train(ds, TrainOptions{Algorithm: "9d", Ranks: 4, Epochs: 1}); err == nil {
-		t.Fatal("expected unknown-algorithm error")
+	cases := []struct {
+		name string
+		opts TrainOptions
+		want string
+	}{
+		{"unknown algorithm", TrainOptions{Algorithm: "9d", Ranks: 4}, "9d"},
+		{"2d non-square", TrainOptions{Algorithm: "2d", Ranks: 5}, "perfect-square"},
+		// Over tcp the rejection comes from where the trainer is built,
+		// before any socket or clone exists.
+		{"3d non-cube over tcp", TrainOptions{Algorithm: "3d", Ranks: 9, Transport: "tcp"}, "perfect-cube"},
+		{"unknown machine", TrainOptions{Machine: "cray", Ranks: 1}, "machine profile"},
+		// A negative rank count used to panic in comm.NewCluster.
+		{"1d negative ranks", TrainOptions{Algorithm: "1d", Ranks: -2}, "1d"},
+		{"1.5d negative ranks", TrainOptions{Algorithm: "1.5d", Ranks: -2}, "1.5d"},
+		{"2d negative ranks", TrainOptions{Algorithm: "2d", Ranks: -2}, "2d"},
+		{"3d negative ranks", TrainOptions{Algorithm: "3d", Ranks: -2}, "3d"},
+		{"unknown optimizer", TrainOptions{Optimizer: "adagrad", Ranks: 1}, "optimizer"},
+		{"1.5d c not dividing ranks", TrainOptions{Algorithm: "1.5d", Ranks: 6, ReplicationFactor: 4}, "replication factor"},
+		{"replication on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: 2}, "replication factor"},
+		{"serial negative replication", TrainOptions{Algorithm: "serial", ReplicationFactor: -1}, "replication factor"},
+		{"1d negative replication", TrainOptions{Algorithm: "1d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
+		{"2d negative replication", TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
+		{"halo on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, HaloExchange: true}, "partitioner/halo"},
+		{"partitioner on serial", TrainOptions{Algorithm: "serial", Partitioner: "ldg"}, "partitioner/halo"},
+		// Even the identity partitioner.
+		{"block partitioner on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, Partitioner: "block"}, "partitioner/halo"},
+		{"unknown partitioner", TrainOptions{Algorithm: "1d", Ranks: 4, Partitioner: "metis"}, "partitioner"},
+		{"overlap on serial", TrainOptions{Algorithm: "serial", Overlap: true}, "overlap"},
+		{"unknown precision", TrainOptions{Algorithm: "serial", Precision: "f16"}, "precision"},
+		{"1d f32 over tcp", TrainOptions{Algorithm: "1d", Ranks: 4, Transport: "tcp", Precision: "f32"}, "precision"},
+		{"1d f32", TrainOptions{Algorithm: "1d", Ranks: 4, Precision: "f32"}, "precision"},
+		{"1.5d f32", TrainOptions{Algorithm: "1.5d", Ranks: 4, Precision: "f32"}, "precision"},
+		{"2d f32", TrainOptions{Algorithm: "2d", Ranks: 4, Precision: "f32"}, "precision"},
+		{"3d f32", TrainOptions{Algorithm: "3d", Ranks: 8, Precision: "f32"}, "precision"},
+		// Checkpoint knobs without a directory used to be ignored silently.
+		{"serial Every without Dir", TrainOptions{Algorithm: "serial", Checkpoint: CheckpointOptions{Every: 1}}, "Dir"},
+		{"1d Every without Dir", TrainOptions{Algorithm: "1d", Ranks: 4, Checkpoint: CheckpointOptions{Every: 1}}, "Dir"},
+		{"2d tcp Every without Dir", TrainOptions{Algorithm: "2d", Ranks: 4, Transport: "tcp", Checkpoint: CheckpointOptions{Every: 1}}, "Dir"},
+		{"serial Keep without Dir", TrainOptions{Algorithm: "serial", Checkpoint: CheckpointOptions{Keep: 2}}, "Dir"},
+		{"1d Keep without Dir", TrainOptions{Algorithm: "1d", Ranks: 4, Checkpoint: CheckpointOptions{Keep: 2}}, "Dir"},
+		{"2d tcp Keep without Dir", TrainOptions{Algorithm: "2d", Ranks: 4, Transport: "tcp", Checkpoint: CheckpointOptions{Keep: 2}}, "Dir"},
 	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "2d", Ranks: 5, Epochs: 1}); err == nil {
-		t.Fatal("expected non-square error")
-	}
-	// The same rejection over tcp comes from where the trainer is built —
-	// before any socket or clone exists — so it carries no "tcp rank" prefix.
-	_, err := Train(ds, TrainOptions{Algorithm: "3d", Ranks: 9, Epochs: 1, Transport: "tcp"})
-	if err == nil || !strings.Contains(err.Error(), "perfect-cube") || strings.Contains(err.Error(), "tcp rank") {
-		t.Fatalf("3d with 9 ranks over tcp: want the constructor's perfect-cube error, got %v", err)
-	}
-	if _, err := Train(ds, TrainOptions{Machine: "cray", Ranks: 1, Epochs: 1}); err == nil {
-		t.Fatal("expected unknown-machine error")
-	}
-	// A negative rank count used to panic in comm.NewCluster.
-	for _, algo := range []string{"1d", "1.5d", "2d", "3d"} {
-		_, err := Train(ds, TrainOptions{Algorithm: algo, Ranks: -2, Epochs: 1})
-		if err == nil || !strings.Contains(err.Error(), algo) {
-			t.Fatalf("%s with Ranks -2: want an error naming the algorithm, got %v", algo, err)
-		}
-	}
-	// Checkpoint knobs without a directory used to be ignored silently.
-	for _, ck := range []CheckpointOptions{{Every: 1}, {Keep: 2}} {
-		for _, o := range []TrainOptions{
-			{Algorithm: "serial"},
-			{Algorithm: "1d", Ranks: 4},
-			{Algorithm: "2d", Ranks: 4, Transport: "tcp"},
-		} {
-			o.Epochs, o.Checkpoint = 1, ck
-			_, err := Train(ds, o)
-			if err == nil || !strings.Contains(err.Error(), "Dir") {
-				t.Fatalf("%s/%s with Checkpoint %+v and no Dir: want an error naming Dir, got %v", o.Algorithm, o.Transport, ck, err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Epochs = 1
+			_, err := Train(ds, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "tcp rank") {
+				t.Fatalf("%+v: want an error naming %q, got %v", tc.opts, tc.want, err)
 			}
-		}
+		})
 	}
 }
 
@@ -204,13 +215,10 @@ func TestTrainOptimizerAcrossAlgorithms(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Train(ds, TrainOptions{Optimizer: "adagrad", Ranks: 1, Epochs: 1}); err == nil {
-		t.Fatal("expected unknown-optimizer error")
-	}
 }
 
-// TestTrainReplicationFactor: the 1.5D replication knob is honored and
-// validated.
+// TestTrainReplicationFactor: the 1.5D replication knob is honored
+// (TestTrainOptionValidation has its rejections).
 func TestTrainReplicationFactor(t *testing.T) {
 	ds := RandomDataset(7, 5, 8, 4, 3, 31)
 	rep, err := Train(ds, TrainOptions{Algorithm: "1.5d", Ranks: 8, ReplicationFactor: 4, Epochs: 2})
@@ -219,12 +227,6 @@ func TestTrainReplicationFactor(t *testing.T) {
 	}
 	if len(rep.Losses) != 2 {
 		t.Fatalf("got %d losses", len(rep.Losses))
-	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "1.5d", Ranks: 6, ReplicationFactor: 4, Epochs: 1}); err == nil {
-		t.Fatal("expected error when c does not divide ranks")
-	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: 2, Epochs: 1}); err == nil {
-		t.Fatal("expected error for replication on a non-1.5d algorithm")
 	}
 }
 
@@ -373,24 +375,6 @@ func TestTrainHaloExchange(t *testing.T) {
 				opts, got.WordsByCategory["dcomm"], base.WordsByCategory["dcomm"])
 		}
 	}
-}
-
-// TestTrainHaloOptionValidation: halo/partitioner options are rejected for
-// algorithms without a 1D row decomposition.
-func TestTrainHaloOptionValidation(t *testing.T) {
-	ds := RandomDataset(6, 4, 6, 4, 3, 11)
-	if _, err := Train(ds, TrainOptions{Algorithm: "2d", Ranks: 4, HaloExchange: true}); err == nil {
-		t.Fatal("expected error for halo on 2d")
-	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "serial", Partitioner: "ldg"}); err == nil {
-		t.Fatal("expected error for partitioner on serial")
-	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "2d", Ranks: 4, Partitioner: "block"}); err == nil {
-		t.Fatal("expected error for explicit partitioner on 2d, even the identity one")
-	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "1d", Ranks: 4, Partitioner: "metis"}); err == nil {
-		t.Fatal("expected error for unknown partitioner")
-	}
 	// "block" is the default layout and composes with any row algorithm.
 	if _, err := Train(ds, TrainOptions{Algorithm: "1d", Ranks: 4, Epochs: 1, Partitioner: "block", HaloExchange: true}); err != nil {
 		t.Fatal(err)
@@ -467,15 +451,12 @@ func TestTrainOverlap(t *testing.T) {
 			t.Fatalf("%+v: synchronous run reports hidden time", baseOpts)
 		}
 	}
-	if _, err := Train(ds, TrainOptions{Algorithm: "serial", Overlap: true}); err == nil {
-		t.Fatal("expected error for overlap on serial")
-	}
 }
 
 // TestTrainPrecision pins TrainOptions.Precision end to end: "f32" trains
 // the serial algorithm within the mixed-precision tolerances of "f64" and
-// is rejected by every distributed algorithm on either transport (the
-// kernel options are checked before the trainer or the fabric starts);
+// is rejected by every distributed algorithm on either transport
+// (TestTrainOptionValidation);
 // "" and "f64" are the default everywhere. Every report also says which
 // instruction set the kernels ran on: "avx2" or "go", and "go" when the
 // test binary was built with -tags purego.
@@ -518,18 +499,6 @@ func TestTrainPrecision(t *testing.T) {
 	tolerance.AssertClose(t, "f32 output", f32.Result().Output, f64.Result().Output, 5e-2, 5e-2)
 	if math.Abs(f32.Accuracy-f64.Accuracy) > 0.05 {
 		t.Fatalf("f32 accuracy %v vs f64 %v", f32.Accuracy, f64.Accuracy)
-	}
-
-	rejected := []TrainOptions{{Algorithm: "1d", Transport: "tcp", Precision: "f32"}, {Algorithm: "serial", Precision: "f16"}}
-	for _, algo := range Algorithms[1:] {
-		rejected = append(rejected, TrainOptions{Algorithm: algo, Precision: "f32"})
-	}
-	for _, o := range rejected {
-		o.Ranks, o.Epochs = ranks[o.Algorithm], 1
-		_, err := Train(ds, o)
-		if err == nil || !strings.Contains(err.Error(), "precision") {
-			t.Fatalf("%s/%s with Precision %q: want an error naming precision, got %v", o.Algorithm, o.Transport, o.Precision, err)
-		}
 	}
 }
 

@@ -55,14 +55,3 @@ func ExamplePredictWords() {
 	// 2D beats 1D at P=64: true
 	// 3D beats 2D at P=64: true
 }
-
-// ExampleDatasets lists the built-in Table VI analogs.
-func ExampleDatasets() {
-	for _, name := range cagnet.Datasets() {
-		fmt.Println(name)
-	}
-	// Output:
-	// reddit-sim
-	// amazon-sim
-	// protein-sim
-}

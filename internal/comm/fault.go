@@ -151,9 +151,6 @@ func NewFaultTransport(inner Transport, plan []FaultEvent) *FaultTransport {
 	return &FaultTransport{inner: inner, plan: plan}
 }
 
-// Inner returns the wrapped transport.
-func (t *FaultTransport) Inner() Transport { return t.inner }
-
 // beforeOp advances the op counter and fires any op-triggered events.
 func (t *FaultTransport) beforeOp() {
 	t.ops++

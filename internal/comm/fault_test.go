@@ -164,7 +164,7 @@ func TestFaultTransportDelayAndForwarding(t *testing.T) {
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("delay event slept only %v", d)
 	}
-	if ft.Rank() != 1 || ft.Size() != 4 || ft.Inner() != Transport(inner) {
+	if ft.Rank() != 1 || ft.Size() != 4 {
 		t.Fatal("identity forwarding broken")
 	}
 	ft.Abort("boom")

@@ -58,9 +58,6 @@ func (g *Group) Size() int { return len(g.ranks) }
 // Rank returns the calling rank's index within the group.
 func (g *Group) Rank() int { return g.me }
 
-// GlobalRank translates a group index to a cluster rank.
-func (g *Group) GlobalRank(i int) int { return g.ranks[i] }
-
 // charge applies the α–β model cost of one collective step to this member.
 // A group of one has no network to cross — §IV's bounds all carry a
 // (q−1)/q factor — so its collectives charge nothing.

@@ -321,6 +321,12 @@ func TestNewTrainerReplicated(t *testing.T) {
 	if _, err := NewTrainerReplicated("2d", 4, 1, testMach); err != nil {
 		t.Fatalf("c=1 must be accepted everywhere: %v", err)
 	}
+	for _, name := range []string{"serial", "1d", "1.5d", "2d", "3d"} {
+		_, err := NewTrainerReplicated(name, 8, -1, testMach)
+		if err == nil || !strings.Contains(err.Error(), "replication factor") {
+			t.Fatalf("%s with c=-1: want an error naming the replication factor, got %v", name, err)
+		}
+	}
 }
 
 // TestNewTrainerRejectsNonPositiveRanks: a rank count below 1 is an error

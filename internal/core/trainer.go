@@ -249,14 +249,15 @@ func NewTrainer(name string, p int, mach costmodel.Machine) (Trainer, error) {
 
 // NewTrainerReplicated is NewTrainer with an explicit 1.5D replication
 // factor c: 0 selects the default (2, falling back to 1 on odd p);
-// otherwise c must divide p. Algorithms other than "1.5d" reject c > 1,
-// which would silently do nothing, every distributed algorithm rejects
-// p < 1, and "2d" and "3d" reject a rank count that is not a perfect square
-// or cube — here, before the caller builds a problem or opens a socket for
-// it, with the error Train gives a directly constructed trainer.
+// otherwise c must divide p. Every algorithm rejects c < 0, algorithms
+// other than "1.5d" reject c > 1, which would silently do nothing, every
+// distributed algorithm rejects p < 1, and "2d" and "3d" reject a rank
+// count that is not a perfect square or cube — here, before the caller
+// builds a problem or opens a socket for it, with the error Train gives a
+// directly constructed trainer.
 func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Trainer, error) {
-	if name != "1.5d" && c > 1 {
-		return nil, fmt.Errorf("core: replication factor %d only applies to the 1.5d trainer, not %q", c, name)
+	if c < 0 || name != "1.5d" && c > 1 {
+		return nil, fmt.Errorf("core: replication factor %d is not valid for the %q trainer (0 is the default, only 1.5d takes c > 1)", c, name)
 	}
 	switch name {
 	case "serial":
@@ -276,8 +277,8 @@ func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Traine
 				c = 1
 			}
 		}
-		if c < 1 || p%c != 0 {
-			return nil, fmt.Errorf("core: 1.5d replication factor must satisfy c ≥ 1 and p %% c == 0, got P=%d c=%d", p, c)
+		if p%c != 0 {
+			return nil, fmt.Errorf("core: 1.5d replication factor %d must divide P=%d", c, p)
 		}
 		return NewOneFiveD(p, c, mach), nil
 	case "2d", "3d":

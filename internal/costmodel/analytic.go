@@ -157,18 +157,6 @@ func OneDSymmetric(w Workload, p int, edgecut float64) CommCost {
 	}
 }
 
-// OneDTransposing returns the bound for the variant that explicitly
-// transposes A between forward and backward propagation (§IV-A-7):
-//
-//	T = 2αP² + 2β·nnz/P + L( α·3 lg P + β( 2·edgecut·f + f² ) )
-func OneDTransposing(w Workload, p int, edgecut float64) CommCost {
-	base := OneDSymmetric(w, p, edgecut)
-	return base.Add(CommCost{
-		Msgs:  2 * float64(p) * float64(p),
-		Words: 2 * float64(w.NNZ) / float64(p),
-	})
-}
-
 // TwoD returns the per-epoch bound of the 2D SUMMA algorithm on a √P x √P
 // grid (§IV-C-5):
 //
@@ -179,17 +167,6 @@ func TwoD(w Workload, p int) CommCost {
 	return CommCost{
 		Msgs:  L * (5*sq + 3*lgf(p)),
 		Words: L * (8*float64(w.N)*w.F/sq + 2*float64(w.NNZ)/sq + w.F*w.F),
-	}
-}
-
-// TwoDRect returns the forward-propagation bound on a Pr x Pc rectangular
-// grid (§IV-C-6):
-//
-//	T = α·gcf(Pr,Pc) + β( nnz/Pr + nf/Pc + nf/Pr )
-func TwoDRect(w Workload, pr, pc int) CommCost {
-	return CommCost{
-		Msgs:  float64(gcd(pr, pc)),
-		Words: float64(w.NNZ)/float64(pr) + float64(w.N)*w.F/float64(pc) + float64(w.N)*w.F/float64(pr),
 	}
 }
 
@@ -278,11 +255,4 @@ func lgf(p int) float64 {
 		return 0
 	}
 	return math.Ceil(math.Log2(float64(p)))
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

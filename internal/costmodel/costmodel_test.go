@@ -143,19 +143,6 @@ func TestOneDSymmetricCheaperThanGeneral(t *testing.T) {
 	}
 }
 
-func TestOneDTransposingAddsTransposeCost(t *testing.T) {
-	p := 16
-	ec := OneDRandomEdgecut(wProtein.N, p)
-	sym := OneDSymmetric(wProtein, p, ec)
-	tr := OneDTransposing(wProtein, p, ec)
-	if tr.Words <= sym.Words || tr.Msgs <= sym.Msgs {
-		t.Fatal("transposing variant must add 2αP² + 2β·nnz/P")
-	}
-	if math.Abs((tr.Words-sym.Words)-2*float64(wProtein.NNZ)/16) > 1 {
-		t.Fatalf("transpose words delta = %v", tr.Words-sym.Words)
-	}
-}
-
 func TestTwoDFormula(t *testing.T) {
 	p := 64
 	c := TwoD(wProtein, p)
@@ -245,24 +232,6 @@ func TestTwoDRatioMatchesAsymptotics(t *testing.T) {
 	}
 }
 
-func TestTwoDRect(t *testing.T) {
-	c := TwoDRect(wProtein, 16, 4)
-	if c.Msgs != 4 { // gcd(16,4)
-		t.Fatalf("rect msgs = %v, want 4", c.Msgs)
-	}
-	// Increasing Pr/Pc ratio cuts sparse words, grows dense words.
-	square := TwoDRect(wProtein, 8, 8)
-	tall := TwoDRect(wProtein, 32, 2)
-	sparseSquare := float64(wProtein.NNZ) / 8
-	sparseTall := float64(wProtein.NNZ) / 32
-	if sparseTall >= sparseSquare {
-		t.Fatal("taller grid should cut sparse traffic")
-	}
-	if tall.Words <= square.Words && wProtein.AvgDegree() < wProtein.F {
-		t.Log("tall grid cheaper overall — consistent only when d >> f")
-	}
-}
-
 func TestThreeDFormula(t *testing.T) {
 	p := 64
 	c := ThreeD(wProtein, p)
@@ -344,10 +313,7 @@ func TestCommCostAddAndTime(t *testing.T) {
 	}
 }
 
-func TestGcdLg(t *testing.T) {
-	if gcd(12, 18) != 6 || gcd(7, 13) != 1 {
-		t.Fatal("gcd wrong")
-	}
+func TestLgf(t *testing.T) {
 	if lgf(1) != 0 || lgf(8) != 3 || lgf(9) != 4 {
 		t.Fatal("lgf wrong")
 	}

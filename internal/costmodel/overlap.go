@@ -63,13 +63,3 @@ func (m Machine) PipelineTime(stages []Stage) float64 {
 	}
 	return clock
 }
-
-// OverlapHeadroom returns the fraction of the bulk-synchronous schedule
-// the pipeline hides: 1 − pipeline/bulk. Zero stages yield zero headroom.
-func (m Machine) OverlapHeadroom(stages []Stage) float64 {
-	bulk := m.BulkTime(stages)
-	if bulk <= 0 {
-		return 0
-	}
-	return 1 - m.PipelineTime(stages)/bulk
-}

@@ -199,12 +199,6 @@ func TestPipelineTimeExactTinyCases(t *testing.T) {
 			t.Fatalf("case %d: PipelineTime = %v, want %v", i, got, tc.want)
 		}
 	}
-	if h := m.OverlapHeadroom([]costmodel.Stage{{Msgs: 5, Compute: 5}, {Msgs: 5, Compute: 5}}); h <= 0 || h >= 1 {
-		t.Fatalf("headroom = %v, want in (0, 1)", h)
-	}
-	if h := m.OverlapHeadroom(nil); h != 0 {
-		t.Fatalf("empty headroom = %v", h)
-	}
 }
 
 // TestStageCommTime sanity-checks the α–β evaluation.

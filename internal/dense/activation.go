@@ -421,20 +421,6 @@ func BackwardOf[T Elem](act Activation, dst, grad, y *Of[T]) {
 	}
 }
 
-// ActivationByName returns the activation registered under name.
-func ActivationByName(name string) (Activation, error) {
-	switch name {
-	case "relu":
-		return ReLU{}, nil
-	case "identity":
-		return Identity{}, nil
-	case "log_softmax":
-		return LogSoftmax{}, nil
-	default:
-		return nil, fmt.Errorf("dense: unknown activation %q", name)
-	}
-}
-
 func sameShape2[T Elem](a, b *Of[T], op string) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: %s shape mismatch: %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))

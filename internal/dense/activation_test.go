@@ -138,21 +138,6 @@ func TestReLUBackwardNumerical(t *testing.T) {
 	}
 }
 
-func TestActivationByName(t *testing.T) {
-	for _, name := range []string{"relu", "identity", "log_softmax"} {
-		act, err := ActivationByName(name)
-		if err != nil {
-			t.Fatalf("ActivationByName(%q): %v", name, err)
-		}
-		if act.Name() != name {
-			t.Fatalf("round-trip name = %q, want %q", act.Name(), name)
-		}
-	}
-	if _, err := ActivationByName("tanh"); err == nil {
-		t.Fatal("expected error for unknown activation")
-	}
-}
-
 func TestRowWiseFlags(t *testing.T) {
 	if (ReLU{}).RowWise() || (Identity{}).RowWise() {
 		t.Fatal("elementwise activations must report RowWise() == false")

@@ -183,43 +183,29 @@ func mulT[T Elem](dst, a, b *Of[T], epi epilogue[T]) {
 }
 
 // TMul computes dst = aᵀ * b. dst must be a.Cols x b.Cols and must not
-// alias a or b. It is overwritten.
+// alias a or b. It is overwritten. Workers own rows of dst (columns of a),
+// and every element takes its terms in ascending row order of a (RefTMul).
 func TMul[T Elem](dst, a, b *Of[T]) {
 	checkTMul(dst, a, b, "TMul")
-	tMul(dst, a, b, false)
-}
-
-// TMulAdd computes dst += aᵀ * b without materializing aᵀ.
-//
-// The parallel variant is owner-computes over dst rows (columns of a): each
-// worker reads every row of a but only its own columns, and every output
-// element receives its terms in ascending row order of a, as in the serial
-// scatter loop (RefTMul).
-func TMulAdd[T Elem](dst, a, b *Of[T]) {
-	checkTMul(dst, a, b, "TMulAdd")
-	tMul(dst, a, b, true)
-}
-
-func tMul[T Elem](dst, a, b *Of[T], load bool) {
 	work := gemmFlops(a.Rows, a.Cols, b.Cols)
 	if parallel.Inline(a.Cols, work) {
-		tMulRows(dst, a, b, 0, a.Cols, load)
+		tMulRows(dst, a, b, 0, a.Cols)
 		return
 	}
 	parallel.Rows(a.Cols, work, func(lo, hi int) {
-		tMulRows(dst, a, b, lo, hi, load)
+		tMulRows(dst, a, b, lo, hi)
 	})
 }
 
-// tMulRows computes rows [lo, hi) of dst (+)= aᵀ·b through the tile entry:
+// tMulRows computes rows [lo, hi) of dst = aᵀ·b through the tile entry:
 // output row i takes its scales down column i of a (row stride 1, k stride
-// a.Cols), the rows of a and b in blocks of kBlock.
-func tMulRows[T Elem](dst, a, b *Of[T], lo, hi int, load bool) {
+// a.Cols), the rows of a and b in blocks of kBlock, each adding to the last.
+func tMulRows[T Elem](dst, a, b *Of[T], lo, hi int) {
 	tile := tileFor[T]()
 	n, m := a.Cols, b.Cols
 	for r0 := 0; r0 == 0 || r0 < a.Rows; r0 += kBlock {
 		tile(dst.Data[lo*m:], m, a.Data[r0*n+lo:], 1, n, b.Data[r0*m:], m,
-			hi-lo, m, min(kBlock, a.Rows-r0), load || r0 > 0, true)
+			hi-lo, m, min(kBlock, a.Rows-r0), r0 > 0, true)
 	}
 }
 

@@ -76,20 +76,6 @@ func TestTMulMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestTMulAddAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randMatrix(rng, 8, 3)
-	b := randMatrix(rng, 8, 4)
-	dst := randMatrix(rng, 3, 4)
-	orig := dst.Clone()
-	TMulAdd(dst, a, b)
-	want := MulNaive(a.T(), b)
-	Add(want, want, orig)
-	if MaxAbsDiff(dst, want) > 1e-10 {
-		t.Fatalf("TMulAdd mismatch: %v", MaxAbsDiff(dst, want))
-	}
-}
-
 func TestMulDimensionMismatchPanics(t *testing.T) {
 	defer mustPanic(t, "inner dim mismatch")
 	Mul(New(2, 2), New(2, 3), New(4, 2))

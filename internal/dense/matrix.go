@@ -231,11 +231,6 @@ func GatherRowsInto[T Elem](dst, m *Of[T], idx []int) {
 	}
 }
 
-// ColSlice returns a copy of columns [c0, c1).
-func (m *Of[T]) ColSlice(c0, c1 int) *Of[T] {
-	return m.SubMatrix(0, m.Rows, c0, c1)
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Of[T]) T() *Of[T] {
 	out := NewOf[T](m.Cols, m.Rows)
@@ -269,14 +264,6 @@ func Sub[T Elem](dst, a, b *Of[T]) {
 	sameShape3(dst, a, b, "Sub")
 	for i := range dst.Data {
 		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-}
-
-// Hadamard computes dst = a ⊙ b elementwise. dst may alias a or b.
-func Hadamard[T Elem](dst, a, b *Of[T]) {
-	sameShape3(dst, a, b, "Hadamard")
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
 	}
 }
 

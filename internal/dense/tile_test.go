@@ -72,11 +72,6 @@ func gemmKernels[T Elem]() []gemmKernel[T] {
 		{name: "TMul", layout: layoutATB,
 			run: func(d *Of[T], o *gemmOperands[T]) { TMul(d, o.a, o.b) },
 			ref: func(d *Of[T], o *gemmOperands[T]) { RefTMul(d, o.a, o.b) }},
-		// The scatter on a nonzero dst is the ikj loop over an explicit aᵀ:
-		// the same terms per element in the same order.
-		{name: "TMulAdd", layout: layoutATB, load: true,
-			run: func(d *Of[T], o *gemmOperands[T]) { TMulAdd(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulAdd(d, o.a.T(), o.b) }},
 		// Over a's nonzeros: compacted, then on the CSR tile — the same
 		// terms in the same order as the reference loops.
 		{name: "MulNZ", layout: layoutAB,

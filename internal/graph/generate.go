@@ -118,30 +118,6 @@ func Ring(n int) *Graph {
 	return g
 }
 
-// Star returns the undirected star with vertex 0 at the center, the
-// canonical worst case for degree-based load imbalance.
-func Star(n int) *Graph {
-	g := New(n)
-	for i := 1; i < n; i++ {
-		g.AddUndirectedEdge(0, i)
-	}
-	return g
-}
-
-// Complete returns the complete directed graph on n vertices (no
-// self-loops).
-func Complete(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
-}
-
 // CommunityRMAT generates a graph with k communities, each an independent
 // R-MAT of 2^scalePer vertices with localFactor edges per vertex, plus
 // globalFactor random cross-community edges per vertex. It models graphs

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/sparse"
 )
@@ -106,18 +105,4 @@ func Stats(a *sparse.CSR) DegreeStats {
 	}
 	s.AvgDegree = a.AvgDegree()
 	return s
-}
-
-// PermuteVertices relabels vertices with the random permutation drawn from
-// rng and returns the permuted graph along with the permutation used
-// (perm[old] = new). The paper's 2D/3D algorithms apply a random vertex
-// permutation for load balance (§I).
-func (g *Graph) PermuteVertices(rng *rand.Rand) (*Graph, []int) {
-	perm := rng.Perm(g.NumVertices)
-	out := New(g.NumVertices)
-	out.Edges = make([][2]int, len(g.Edges))
-	for i, e := range g.Edges {
-		out.Edges[i] = [2]int{perm[e[0]], perm[e[1]]}
-	}
-	return out, perm
 }

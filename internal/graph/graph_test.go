@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,21 +61,6 @@ func TestRingStructure(t *testing.T) {
 	}
 }
 
-func TestStarStructure(t *testing.T) {
-	a := Star(6).Adjacency()
-	st := Stats(a)
-	if st.MaxDegree != 5 || st.MinDegree != 1 {
-		t.Fatalf("star stats = %+v", st)
-	}
-}
-
-func TestCompleteStructure(t *testing.T) {
-	a := Complete(4).Adjacency()
-	if a.NNZ() != 12 {
-		t.Fatalf("K4 NNZ = %d, want 12", a.NNZ())
-	}
-}
-
 func TestGrid2D(t *testing.T) {
 	g := Grid2D(3, 4)
 	if g.NumVertices != 12 {
@@ -133,20 +117,6 @@ func TestRMATDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestPermuteVerticesPreservesStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	g := Ring(10)
-	p, perm := g.PermuteVertices(rng)
-	if len(perm) != 10 || p.NumEdges() != g.NumEdges() {
-		t.Fatal("permutation changed edge count")
-	}
-	// Degrees must be preserved under relabeling.
-	sa, sb := Stats(g.Adjacency()), Stats(p.Adjacency())
-	if sa != sb {
-		t.Fatalf("permutation changed degree stats: %+v vs %+v", sa, sb)
-	}
-}
-
 func TestNormalizedAdjacencyRowSumsBounded(t *testing.T) {
 	g := Ring(8)
 	norm := g.NormalizedAdjacency()
@@ -165,65 +135,6 @@ func TestStatsEmptyGraph(t *testing.T) {
 	st := Stats(New(4).Adjacency())
 	if st.EmptyRows != 4 || st.MinDegree != 0 || st.AvgDegree != 0 {
 		t.Fatalf("empty stats = %+v", st)
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	g := ErdosRenyi(300, 5, rng)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumVertices != g.NumVertices || len(got.Edges) != len(g.Edges) {
-		t.Fatal("binary round trip changed shape")
-	}
-	for i := range g.Edges {
-		if got.Edges[i] != g.Edges[i] {
-			t.Fatalf("edge %d mismatch", i)
-		}
-	}
-}
-
-func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(make([]byte, 16))); err == nil {
-		t.Fatal("expected error for bad magic")
-	}
-}
-
-func TestTextRoundTrip(t *testing.T) {
-	g := Ring(6)
-	var buf bytes.Buffer
-	if err := g.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumVertices != 6 || len(got.Edges) != len(g.Edges) {
-		t.Fatal("text round trip changed shape")
-	}
-}
-
-func TestReadTextComments(t *testing.T) {
-	in := "# comment\n3 2\n\n0 1\n% more\n1 2\n"
-	g, err := ReadText(bytes.NewReader([]byte(in)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices != 3 || len(g.Edges) != 2 {
-		t.Fatalf("parsed %d vertices %d edges", g.NumVertices, len(g.Edges))
-	}
-}
-
-func TestReadTextEdgeCountMismatch(t *testing.T) {
-	if _, err := ReadText(bytes.NewReader([]byte("3 5\n0 1\n"))); err == nil {
-		t.Fatal("expected edge-count mismatch error")
 	}
 }
 

@@ -45,25 +45,6 @@ func (b Block1D) Hi(i int) int { return (i + 1) * b.N / b.P }
 // Size returns the number of items in block i.
 func (b Block1D) Size(i int) int { return b.Hi(i) - b.Lo(i) }
 
-// Owner returns which block holds item idx.
-func (b Block1D) Owner(idx int) int {
-	if idx < 0 || idx >= b.N {
-		panic(fmt.Sprintf("partition: index %d out of range for n=%d", idx, b.N))
-	}
-	// Invert lo(i) = i*n/p: candidate then adjust for rounding.
-	i := (idx*b.P + b.P - 1) / b.N
-	if i >= b.P {
-		i = b.P - 1
-	}
-	for i > 0 && b.Lo(i) > idx {
-		i--
-	}
-	for i < b.P-1 && b.Hi(i) <= idx {
-		i++
-	}
-	return i
-}
-
 // Blocks implements Layout1D.
 func (b Block1D) Blocks() int { return b.P }
 
@@ -133,14 +114,6 @@ func NewSquareGrid(p int) Grid2D {
 		panic(fmt.Sprintf("partition: %d is not a perfect square", p))
 	}
 	return Grid2D{Pr: s, Pc: s}
-}
-
-// NewGrid2D returns a Pr x Pc grid.
-func NewGrid2D(pr, pc int) Grid2D {
-	if pr <= 0 || pc <= 0 {
-		panic(fmt.Sprintf("partition: invalid grid %dx%d", pr, pc))
-	}
-	return Grid2D{Pr: pr, Pc: pc}
 }
 
 // Size returns the total number of processes.

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/graph"
 )
@@ -37,34 +36,8 @@ func TestBlock1DBalanced(t *testing.T) {
 	}
 }
 
-func TestBlock1DOwnerConsistent(t *testing.T) {
-	f := func(n16, p8 uint8) bool {
-		n, p := int(n16)+1, int(p8%16)+1
-		b := NewBlock1D(n, p)
-		for idx := 0; idx < n; idx++ {
-			o := b.Owner(idx)
-			if idx < b.Lo(o) || idx >= b.Hi(o) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBlock1DOwnerOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBlock1D(5, 2).Owner(5)
-}
-
 func TestGrid2DRoundTrip(t *testing.T) {
-	g := NewGrid2D(3, 4)
+	g := Grid2D{Pr: 3, Pc: 4}
 	if g.Size() != 12 {
 		t.Fatalf("Size = %d", g.Size())
 	}
@@ -93,7 +66,7 @@ func TestNewSquareGrid(t *testing.T) {
 }
 
 func TestGridRowColRanks(t *testing.T) {
-	g := NewGrid2D(2, 3)
+	g := Grid2D{Pr: 2, Pc: 3}
 	row1 := g.RowRanks(1)
 	if len(row1) != 3 || row1[0] != 3 || row1[2] != 5 {
 		t.Fatalf("RowRanks(1) = %v", row1)
@@ -192,7 +165,7 @@ func TestMeshNumbering(t *testing.T) {
 			if d != 1 {
 				continue
 			}
-			g := NewGrid2D(q, q)
+			g := NewSquareGrid(q * q)
 			for i := 0; i < q; i++ {
 				if got, want := m.LayerRowRanks(i, 0), g.RowRanks(i); !slices.Equal(got, want) {
 					t.Fatalf("depth-1 %dx%d mesh: row %d = %v, Grid2D has %v", q, q, i, got, want)

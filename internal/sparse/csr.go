@@ -225,19 +225,6 @@ func (m *CSROf[T]) ToDense() *dense.Of[T] {
 // RowNNZ returns the number of nonzeros in row i.
 func (m *CSROf[T]) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 
-// NonEmptyRows returns how many rows have at least one nonzero. The paper's
-// hypersparsity discussion (§IV-A-3, citing Buluç & Gilbert) keys on this:
-// 2D-partitioned submatrices of sparse graphs have mostly empty rows.
-func (m *CSROf[T]) NonEmptyRows() int {
-	n := 0
-	for i := 0; i < m.Rows; i++ {
-		if m.RowNNZ(i) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // AvgDegree returns NNZ/Rows, the average number of nonzeros per row
 // (written d in the paper).
 func (m *CSROf[T]) AvgDegree() float64 {

@@ -156,13 +156,10 @@ func TestScale(t *testing.T) {
 	}
 }
 
-func TestRowNNZAndNonEmptyRows(t *testing.T) {
+func TestRowNNZAndAvgDegree(t *testing.T) {
 	m := NewCSR(4, 4, []Coord{{0, 0, 1}, {0, 1, 1}, {2, 3, 1}})
 	if m.RowNNZ(0) != 2 || m.RowNNZ(1) != 0 || m.RowNNZ(2) != 1 {
 		t.Fatal("RowNNZ wrong")
-	}
-	if m.NonEmptyRows() != 2 {
-		t.Fatalf("NonEmptyRows = %d, want 2", m.NonEmptyRows())
 	}
 	if m.AvgDegree() != 0.75 {
 		t.Fatalf("AvgDegree = %v, want 0.75", m.AvgDegree())
