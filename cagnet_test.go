@@ -102,7 +102,7 @@ func TestTrainAllAlgorithms(t *testing.T) {
 
 // TestTrainOptionValidation: every option Train rejects is rejected before
 // any rank starts (so never with a "tcp rank" prefix), and the error names
-// the option.
+// the option. TestTrainHaloOptionValidation has the halo/partitioner ones.
 func TestTrainOptionValidation(t *testing.T) {
 	ds := RandomDataset(6, 4, 6, 4, 3, 9)
 	cases := []struct {
@@ -127,11 +127,6 @@ func TestTrainOptionValidation(t *testing.T) {
 		{"serial negative replication", TrainOptions{Algorithm: "serial", ReplicationFactor: -1}, "replication factor"},
 		{"1d negative replication", TrainOptions{Algorithm: "1d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
 		{"2d negative replication", TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
-		{"halo on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, HaloExchange: true}, "partitioner/halo"},
-		{"partitioner on serial", TrainOptions{Algorithm: "serial", Partitioner: "ldg"}, "partitioner/halo"},
-		// Even the identity partitioner.
-		{"block partitioner on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, Partitioner: "block"}, "partitioner/halo"},
-		{"unknown partitioner", TrainOptions{Algorithm: "1d", Ranks: 4, Partitioner: "metis"}, "partitioner"},
 		{"overlap on serial", TrainOptions{Algorithm: "serial", Overlap: true}, "overlap"},
 		{"unknown precision", TrainOptions{Algorithm: "serial", Precision: "f16"}, "precision"},
 		{"1d f32 over tcp", TrainOptions{Algorithm: "1d", Ranks: 4, Transport: "tcp", Precision: "f32"}, "precision"},
@@ -374,6 +369,32 @@ func TestTrainHaloExchange(t *testing.T) {
 			t.Fatalf("%+v: halo dcomm %d should be below broadcast %d",
 				opts, got.WordsByCategory["dcomm"], base.WordsByCategory["dcomm"])
 		}
+	}
+}
+
+// TestTrainHaloOptionValidation: halo/partitioner options are rejected for
+// algorithms without a 1D row decomposition, before any rank starts.
+func TestTrainHaloOptionValidation(t *testing.T) {
+	ds := RandomDataset(6, 4, 6, 4, 3, 11)
+	cases := []struct {
+		name string
+		opts TrainOptions
+		want string
+	}{
+		{"halo on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, HaloExchange: true}, "partitioner/halo"},
+		{"partitioner on serial", TrainOptions{Algorithm: "serial", Partitioner: "ldg"}, "partitioner/halo"},
+		// Even the identity partitioner.
+		{"block partitioner on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, Partitioner: "block"}, "partitioner/halo"},
+		{"unknown partitioner", TrainOptions{Algorithm: "1d", Ranks: 4, Partitioner: "metis"}, "partitioner"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Epochs = 1
+			_, err := Train(ds, tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "tcp rank") {
+				t.Fatalf("%+v: want an error naming %q, got %v", tc.opts, tc.want, err)
+			}
+		})
 	}
 	// "block" is the default layout and composes with any row algorithm.
 	if _, err := Train(ds, TrainOptions{Algorithm: "1d", Ranks: 4, Epochs: 1, Partitioner: "block", HaloExchange: true}); err != nil {
