@@ -140,16 +140,18 @@ type TrainOptions struct {
 	// drop from ≈ n·f to edgecut·f, with bit-identical training results.
 	// Rejected for other algorithms.
 	HaloExchange bool
-	// Overlap hides communication behind local compute on the modeled
-	// timeline, the way CAGNET's Summit implementation hides its dense
+	// Overlap reports the overlapped reading of the modeled timeline
+	// instead of the bulk-synchronous one. Every distributed trainer runs
+	// one schedule, the way CAGNET's Summit implementation hides its dense
 	// broadcasts behind local SpMM via asynchronous NCCL collectives
 	// (§V–VI): 2D/3D SUMMA loops double-buffer the next stage's panel
 	// broadcasts, 1D/1.5D trainers prefetch the next block (or, with
 	// HaloExchange, multiply interior rows while the indexed fetch is in
-	// flight). Training results are bit-identical to the synchronous runs
-	// and word counts are unchanged; ModeledSeconds becomes the critical
-	// path max(compute, communication) per pipeline stage instead of
-	// their sum. Rejected for "serial", which has nothing to overlap.
+	// flight). Overlap changes no output, word count or per-category
+	// charge: it makes ModeledSeconds the critical path max(compute,
+	// communication) per pipeline stage instead of the charges' sum, and
+	// fills in HiddenCommSeconds. Rejected for "serial", which has
+	// nothing to overlap.
 	Overlap bool
 	// Precision selects the arithmetic precision of the training kernels:
 	// "f64" (default, "" accepted) keeps every matrix double precision and
@@ -251,11 +253,13 @@ type TrainReport struct {
 	// OutputRows and OutputCols describe the final embedding matrix.
 	OutputRows, OutputCols int
 	// ModeledSeconds is the modeled run time across all epochs (zero for
-	// "serial"): the per-rank critical path, which is the bulk-synchronous
-	// sum without Overlap and shrinks by the hidden communication with it.
+	// "serial"), max across ranks: each rank's charges summed
+	// (bulk-synchronous) without Overlap, its timeline clock — the
+	// critical path, shorter by the hidden communication — with it. Both
+	// are read off the same run.
 	ModeledSeconds float64
 	// HiddenCommSeconds is the communication time hidden behind compute
-	// (max across ranks); nonzero only with Overlap.
+	// (max across ranks); filled in only with Overlap.
 	HiddenCommSeconds float64
 	// TimeByCategory breaks ModeledSeconds into Figure 3 categories:
 	// "misc", "trpose", "dcomm", "scomm", "spmm" (nil for "serial").
@@ -334,10 +338,8 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.Overlap {
-		if err := core.SetOverlap(trainer, true); err != nil {
-			return nil, err
-		}
+	if opts.Overlap && opts.Algorithm == "serial" {
+		return nil, fmt.Errorf("cagnet: overlap applies to the distributed algorithms, not %q", opts.Algorithm)
 	}
 	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: opts.Precision}); err != nil {
 		return nil, err
@@ -392,7 +394,10 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	if dt, ok := trainer.(core.DistTrainer); ok {
 		cl := dt.Cluster()
 		report.ModeledSeconds = cl.MaxTotalTime()
-		report.HiddenCommSeconds = cl.MaxHiddenCommTime()
+		if opts.Overlap {
+			report.ModeledSeconds = cl.MaxElapsed()
+			report.HiddenCommSeconds = cl.MaxHiddenCommTime()
+		}
 		report.TimeByCategory = make(map[string]float64)
 		for k, v := range cl.MaxTimeByCategory() {
 			report.TimeByCategory[string(k)] = v

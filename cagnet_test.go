@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dense"
 	"repro/internal/tolerance"
 )
 
@@ -402,9 +403,11 @@ func TestTrainHaloOptionValidation(t *testing.T) {
 	}
 }
 
-// TestTrainOverlap: the Overlap option must leave every training number
-// bit-identical while strictly shrinking the modeled time, for every
-// distributed algorithm and in composition with the halo exchange.
+// TestTrainOverlap: the Overlap option only chooses which reading of the
+// one pipelined schedule ModeledSeconds reports. Losses, output, weights,
+// words and per-category charges stay bit-identical while the modeled time
+// strictly shrinks, for every distributed algorithm and in composition
+// with the halo exchange.
 func TestTrainOverlap(t *testing.T) {
 	ds := RandomDataset(7, 5, 8, 4, 3, 9)
 	for _, tc := range []struct {
@@ -423,6 +426,7 @@ func TestTrainOverlap(t *testing.T) {
 		{TrainOptions{Algorithm: "2d", Ranks: 4, Epochs: 3, Overlap: true}, true},
 		{TrainOptions{Algorithm: "3d", Ranks: 8, Epochs: 3, Overlap: true}, true},
 		{TrainOptions{Algorithm: "1d", Ranks: 4, Epochs: 3, Overlap: true, HaloExchange: true, Partitioner: "ldg"}, false},
+		{TrainOptions{Algorithm: "1.5d", Ranks: 8, Epochs: 3, Overlap: true, HaloExchange: true}, false},
 	} {
 		opts := tc.opts
 		baseOpts := opts
@@ -450,10 +454,21 @@ func TestTrainOverlap(t *testing.T) {
 				}
 			}
 		}
+		for l, w := range base.Result().Weights {
+			if d := dense.MaxAbsDiff(got.Result().Weights[l], w); d != 0 {
+				t.Fatalf("%+v: W[%d] deviates by %v", opts, l, d)
+			}
+		}
 		for cat, words := range base.WordsByCategory {
 			if got.WordsByCategory[cat] != words {
 				t.Fatalf("%+v: %s words changed: %d vs %d",
 					opts, cat, got.WordsByCategory[cat], words)
+			}
+		}
+		for cat, secs := range base.TimeByCategory {
+			if math.Float64bits(got.TimeByCategory[cat]) != math.Float64bits(secs) {
+				t.Fatalf("%+v: %s time changed: %v vs %v",
+					opts, cat, got.TimeByCategory[cat], secs)
 			}
 		}
 		if tc.strict {

@@ -126,7 +126,7 @@ func newFlagSet(b *bench) *flag.FlagSet {
 	fs.StringVar(&b.machine, "machine", costmodel.SummitSim.Name, "cost-model machine profile")
 	fs.BoolVar(&b.opts.Halo, "halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements"+readBy("halo"))
 	fs.StringVar(&b.opts.Partitioner, "partitioner", "", "vertex partitioner for 1d/1.5d measurements: block, random, ldg"+readBy("partitioner"))
-	fs.BoolVar(&b.opts.Overlap, "overlap", false, "pipeline the measurements with non-blocking collectives"+readBy("overlap")+"; the overlap experiment always measures both modes")
+	fs.BoolVar(&b.opts.Overlap, "overlap", false, "report the overlapped (critical-path) modeled times instead of the bulk-synchronous ones"+readBy("overlap")+"; the overlap experiment always reports both")
 	fs.IntVar(&b.workers, "workers", 0, "kernel worker count (1 = single-threaded; 0 = runtime.NumCPU or $CAGNET_WORKERS)")
 	fs.StringVar(&b.jsonPath, "json", "", "also write the structured results to this file as JSON")
 	return fs

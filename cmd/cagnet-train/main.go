@@ -41,7 +41,7 @@ func main() {
 	replication := flag.Int("replication", 0, "1.5d replication factor c (0 = default; must divide ranks)")
 	halo := flag.Bool("halo", false, "1d/1.5d: fetch only the rows each rank's adjacency block touches instead of broadcasting dense blocks")
 	partitioner := flag.String("partitioner", "", "1d/1.5d vertex partitioner: block (default), random, ldg")
-	overlap := flag.Bool("overlap", false, "hide communication behind compute with non-blocking collectives (bit-identical results)")
+	overlap := flag.Bool("overlap", false, "report the overlapped modeled time (critical path) and the communication it hides instead of the bulk-synchronous sum")
 	precision := flag.String("precision", "", "kernel precision: f64 (default) or f32 mixed precision (serial algo only)")
 	valFrac := flag.Float64("val", 0, "fraction of vertices held out for validation tracking (0 disables)")
 	transport := flag.String("transport", "", "rank fabric: inproc (default; simulated channels) or tcp (real loopback sockets with wall-clock timing and a wire-fitted alpha/beta)")
@@ -128,6 +128,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s\n\n", kernelsLine(report))
+	if report.ResumedEpoch > 0 {
+		fmt.Printf("resumed from checkpoint at epoch %d\n\n", report.ResumedEpoch)
+	}
 	for i, loss := range report.Losses {
 		if report.ValAccuracy != nil {
 			fmt.Printf("epoch %3d  loss %.6f  train-acc %.4f  val-acc %.4f\n",
@@ -137,13 +140,16 @@ func main() {
 		fmt.Printf("epoch %3d  loss %.6f\n", i+1, loss)
 	}
 	fmt.Printf("\nfinal training accuracy: %.4f\n", report.Accuracy)
+	// The modeled and measured totals cover only the epochs this run
+	// trained: a resumed run starts at ResumedEpoch.
+	trained := float64(*epochs - report.ResumedEpoch)
 	if report.ModeledSeconds > 0 {
 		mode := "bulk-synchronous"
 		if *overlap {
 			mode = "overlapped"
 		}
 		fmt.Printf("modeled time (%s, %s): %.4f s total, %.4f s/epoch\n",
-			mode, *machine, report.ModeledSeconds, report.ModeledSeconds/float64(*epochs))
+			mode, *machine, report.ModeledSeconds, report.ModeledSeconds/trained)
 		if *overlap {
 			fmt.Printf("communication hidden behind compute: %.4f s\n", report.HiddenCommSeconds)
 		}
@@ -155,7 +161,7 @@ func main() {
 	}
 	if report.MeasuredSeconds > 0 {
 		fmt.Printf("\nmeasured wall time (tcp, all ranks on this host): %.4f s total, %.4f s/epoch\n",
-			report.MeasuredSeconds, report.MeasuredSeconds/float64(*epochs))
+			report.MeasuredSeconds, report.MeasuredSeconds/trained)
 		if report.FittedAlpha != 0 || report.FittedBeta != 0 {
 			fmt.Printf("wire fit over %d samples: alpha=%.3g s/msg  beta=%.3g s/word (model: alpha=%.3g beta=%.3g)\n",
 				report.WireSamples, report.FittedAlpha, report.FittedBeta,

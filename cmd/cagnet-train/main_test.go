@@ -1,11 +1,71 @@
 package main
 
 import (
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro"
 )
+
+// TestMain lets the test binary double as cagnet-train: re-executed with
+// CAGNET_TRAIN_EXEC=1 it runs main() instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("CAGNET_TRAIN_EXEC") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// trainCLI runs this test binary as cagnet-train with args and returns
+// its output.
+func trainCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, args...)
+	cmd.Env = append(os.Environ(), "CAGNET_TRAIN_EXEC=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("cagnet-train %v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// modeledLine returns the "modeled time" line of a cagnet-train or
+// cagnet-worker run.
+func modeledLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "modeled time") {
+			return line
+		}
+	}
+	t.Fatalf("no modeled time line in:\n%s", out)
+	return ""
+}
+
+// TestResumedRunPerEpochFigures: a run resumed from a checkpoint trains
+// only the epochs after it, and its totals cover only those. So the run
+// that resumes a 4-epoch checkpoint and trains to 8 says where it resumed
+// and prints the modeled-time line of a fresh 4-epoch run, per-epoch
+// figure included.
+func TestResumedRunPerEpochFigures(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-quick", "-algo", "1d", "-ranks", "2", "-checkpoint-dir", dir}
+	fresh := trainCLI(t, append(args, "-epochs", "4")...)
+	resumed := trainCLI(t, append(args, "-epochs", "8")...)
+	if !strings.Contains(resumed, "resumed from checkpoint at epoch 4\n") {
+		t.Errorf("resumed run does not say where it resumed:\n%s", resumed)
+	}
+	if got, want := modeledLine(t, resumed), modeledLine(t, fresh); got != want {
+		t.Errorf("resumed run prints %q, a fresh run of the same 4 epochs %q", got, want)
+	}
+}
 
 // TestValidateFlagsRejections pins the fail-fast CLI validation: every
 // flag combination the trainer cannot honor must error out before the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"syscall"
@@ -182,6 +183,63 @@ func TestGracefulDrain(t *testing.T) {
 	if snap.Epoch < 1 || snap.Epoch >= epochs {
 		t.Errorf("drained checkpoint at epoch %d, want mid-run", snap.Epoch)
 	}
+
+	// The per-epoch figures divide by the epochs the world trained, not by
+	// -epochs: s/epoch is the printed total over the drained epoch count,
+	// up to the two figures' rounding to 4 decimals.
+	var drained int
+	if _, err := fmt.Sscanf(got[strings.Index(got, "drained after epoch"):], "drained after epoch %d", &drained); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"measured wall time:", "modeled time"} {
+		line := printed(t, got, prefix)
+		var total, perEpoch float64
+		if _, err := fmt.Sscanf(line[strings.Index(line, ": ")+2:], "%g s total, %g s/epoch", &total, &perEpoch); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if math.Abs(perEpoch-total/float64(drained)) > 1e-4 {
+			t.Errorf("%q: %d epochs drained, want %.4f s/epoch", line, drained, total/float64(drained))
+		}
+	}
+}
+
+// TestResumedRunPerEpochFigures: a world resumed from a checkpoint trains
+// only the epochs after it, and its totals cover only those — the world
+// that resumes a 4-epoch checkpoint and trains to 8 prints the modeled-time
+// line of a fresh 4-epoch world, per-epoch figure included.
+func TestResumedRunPerEpochFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("forks two worlds of training processes")
+	}
+	dir := t.TempDir()
+	run := func(epochs string) string {
+		out, err := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
+			"-dataset", "reddit-sim", "-quick", "-epochs", epochs,
+			"-checkpoint-dir", dir).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s-epoch run failed: %v\n%s", epochs, err, out)
+		}
+		return string(out)
+	}
+	fresh, resumed := run("4"), run("8")
+	if !strings.Contains(resumed, "resumed from checkpoint at epoch 4") {
+		t.Fatalf("second world did not resume:\n%s", resumed)
+	}
+	if got, want := printed(t, resumed, "modeled time"), printed(t, fresh, "modeled time"); got != want {
+		t.Errorf("resumed world prints %q, a fresh world of the same 4 epochs %q", got, want)
+	}
+}
+
+// printed returns the first output line starting with prefix.
+func printed(t *testing.T, out, prefix string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line
+		}
+	}
+	t.Fatalf("no %q line in:\n%s", prefix, out)
+	return ""
 }
 
 // TestShrinkWorld pins the shrink oracle: the next world size must respect

@@ -137,7 +137,7 @@ func main() {
 	flag.IntVar(&cfg.replication, "replication", 0, "1.5d replication factor c (0 = default)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "weight-initialization seed")
 	flag.StringVar(&cfg.machine, "machine", "summit-v100", "cost-model machine profile")
-	flag.BoolVar(&cfg.overlap, "overlap", false, "hide communication behind compute (bit-identical results)")
+	flag.BoolVar(&cfg.overlap, "overlap", false, "report the overlapped modeled time (critical path) and the communication it hides")
 	flag.BoolVar(&cfg.quick, "quick", false, "shrink the dataset for a fast run")
 	flag.DurationVar(&cfg.rendezvousTimeout, "rendezvous-timeout", 0, "how long rendezvous and the mesh handshake may take (0 = 30s default; or $CAGNET_RENDEZVOUS_TIMEOUT)")
 	flag.DurationVar(&cfg.progressTimeout, "progress-timeout", 0, "a blocked collective fails after this much silence from the awaited peer (0 = 30s default; negative disables)")
@@ -501,11 +501,6 @@ func runRank(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if cfg.overlap {
-		if err := core.SetOverlap(trainer, true); err != nil {
-			return err
-		}
-	}
 	problem := core.Problem{
 		A:          ds.Graph.NormalizedAdjacency(),
 		Features:   ds.Features,
@@ -572,11 +567,15 @@ func runRank(cfg config) error {
 	wall := time.Since(start).Seconds()
 
 	// Summarize this rank before the gather below adds its own traffic:
-	// [wall, modeled elapsed, hidden comm, then (msgs, words, secs) wire
-	// sample triples]. Payload lengths may differ per rank; Gather keeps
-	// the boundaries.
+	// [wall, modeled time, hidden comm, then (msgs, words, secs) wire
+	// sample triples]. The modeled time is the bulk sum, or with -overlap
+	// the timeline clock and the communication it hid. Payload lengths may
+	// differ per rank; Gather keeps the boundaries.
 	ledger := c.Ledger()
-	summary := []float64{wall, ledger.Elapsed(), ledger.HiddenCommTime()}
+	summary := []float64{wall, ledger.TotalTime(), 0}
+	if cfg.overlap {
+		summary[1], summary[2] = ledger.Elapsed(), ledger.HiddenCommTime()
+	}
 	msgs, words, secs := meter.Samples()
 	for i := range secs {
 		summary = append(summary, msgs[i], words[i], secs[i])
@@ -617,7 +616,13 @@ func runRank(cfg config) error {
 		fmt.Printf("\ndrained after epoch %d of %d (%s)\n", res.DrainedEpoch, cfg.epochs, note)
 	}
 	fmt.Printf("\nfinal training accuracy: %.4f\n\n", res.Accuracy)
-	epochs := float64(cfg.epochs)
+	// A resumed or drained run trained fewer epochs than -epochs, and its
+	// ledger and wall clock cover only those.
+	trained := cfg.epochs
+	if res.DrainedEpoch > 0 {
+		trained = res.DrainedEpoch
+	}
+	epochs := float64(trained - res.ResumedEpoch)
 	fmt.Printf("measured wall time:        %.4f s total, %.4f s/epoch (max across ranks)\n",
 		wallMax, wallMax/epochs)
 	fmt.Printf("modeled time (%s): %.4f s total, %.4f s/epoch\n",

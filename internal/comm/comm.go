@@ -78,8 +78,9 @@ func (p Payload) Words() int64 { return int64(len(p.Floats)) + int64(len(p.Ints)
 // the network and advance the clock when their Request is waited on, so
 // compute issued between initiation and Wait overlaps the in-flight span.
 // Elapsed is therefore the critical path max(comp, comm) of the pipeline
-// the rank actually executed, while TotalTime remains the bulk-synchronous
-// sum of all spans.
+// the rank actually executed, and TotalTime the bulk-synchronous reading of
+// the same run: every span's length summed in charge order, as if nothing
+// overlapped.
 type Ledger struct {
 	// ModelTime is modeled seconds per category (α–β charges plus compute
 	// charges from ChargeTime).
@@ -101,6 +102,8 @@ type Ledger struct {
 	// §IV-D replication-factor comparison.
 	PeakMemWords int64
 
+	// bulk is every charge's span length summed in charge order: TotalTime.
+	bulk float64
 	// clock is the rank's timeline position: the end of the last span the
 	// rank synchronously completed or waited for.
 	clock float64
@@ -136,20 +139,16 @@ func newLedger() *Ledger {
 	}
 }
 
-// TotalTime returns the sum of modeled time across categories — the
-// bulk-synchronous cost, as if no communication overlapped compute.
-func (l *Ledger) TotalTime() float64 {
-	var s float64
-	for _, v := range l.ModelTime {
-		s += v
-	}
-	return s
-}
+// TotalTime returns the bulk-synchronous modeled time, as if no
+// communication overlapped compute: every charge summed in the order it was
+// made, so a run's total has one value, bit for bit.
+func (l *Ledger) TotalTime() float64 { return l.bulk }
 
 // Elapsed returns the rank's timeline clock: the critical-path modeled
 // time of everything charged so far. When every charge was synchronous it
-// equals TotalTime (up to float summation order); asynchronous charges
-// waited on after intervening compute shrink it by the hidden overlap.
+// equals TotalTime exactly — the same additions in the same order;
+// asynchronous charges waited on after intervening compute shrink it by the
+// hidden overlap.
 func (l *Ledger) Elapsed() float64 { return l.clock }
 
 // HiddenCommTime returns the asynchronous communication seconds that were
@@ -187,6 +186,7 @@ func (l *Ledger) Reset() {
 	l.PhysWordsRecv = 0
 	l.PhysMsgsRecv = 0
 	l.PeakMemWords = 0
+	l.bulk = 0
 	l.clock = 0
 	l.netBusy = 0
 	l.hidden = 0
@@ -251,12 +251,20 @@ func (c *Cluster) Ledger(rank int) *Ledger {
 	panic(fmt.Sprintf("comm: rank %d is not hosted by this cluster", rank))
 }
 
-// MaxTotalTime returns the modeled run time: the maximum over ranks of
-// the critical-path timeline clock. Under purely synchronous execution it
-// equals the classic per-rank sum of all charges; when trainers run with
-// communication/computation overlap, in-flight collective spans hide
-// behind compute and the maximum shrinks accordingly.
+// MaxTotalTime returns the bulk-synchronous modeled run time: the maximum
+// over ranks of TotalTime, the per-rank sum of all charges.
 func (c *Cluster) MaxTotalTime() float64 {
+	var mx float64
+	for _, cm := range c.comms {
+		mx = max(mx, cm.ledger.TotalTime())
+	}
+	return mx
+}
+
+// MaxElapsed returns the overlapped modeled run time: the maximum over
+// ranks of the critical-path timeline clock, where in-flight collective
+// spans hide behind compute.
+func (c *Cluster) MaxElapsed() float64 {
 	var mx float64
 	for _, cm := range c.comms {
 		mx = max(mx, cm.ledger.Elapsed())
@@ -510,6 +518,7 @@ func (c *Comm) chargeStats(cat Category, msgs, words int64) float64 {
 	c.ledger.ModelMsgs[cat] += msgs
 	c.ledger.ModelWords[cat] += words
 	c.ledger.ModelTime[cat] += cost
+	c.ledger.bulk += cost
 	return cost
 }
 
@@ -519,6 +528,7 @@ func (c *Comm) chargeStats(cat Category, msgs, words int64) float64 {
 // asynchronous collective.
 func (c *Comm) ChargeTime(cat Category, seconds float64) {
 	c.ledger.ModelTime[cat] += seconds
+	c.ledger.bulk += seconds
 	c.ledger.clock += seconds
 	c.ledger.compTime += seconds
 }

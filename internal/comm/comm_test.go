@@ -494,6 +494,32 @@ func TestChargeAccounting(t *testing.T) {
 	}
 }
 
+// TestTotalTimeIsChargeOrderSum: TotalTime adds the charges in the order
+// they were made, whatever categories hold them, so one ledger reads the
+// same bits on every call. A large first charge makes the order visible:
+// each later 1-second span rounds away against 1e16, while the four summed
+// first would survive.
+func TestTotalTimeIsChargeOrderSum(t *testing.T) {
+	charges := []struct {
+		cat Category
+		sec float64
+	}{{CatSpMM, 1e16}, {CatMisc, 1}, {CatDenseComm, 1}, {CatSparseComm, 1}, {CatTranspose, 1}}
+	l := runSchedule(t, func(c *Comm) {
+		for _, ch := range charges {
+			c.ChargeTime(ch.cat, ch.sec)
+		}
+	})
+	var want float64
+	for _, ch := range charges {
+		want += ch.sec
+	}
+	for i := 0; i < 200; i++ {
+		if got := l.TotalTime(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: TotalTime = %v, want the charge-order sum %v", i, got, want)
+		}
+	}
+}
+
 func TestBroadcastChargesModel(t *testing.T) {
 	cl := runCluster(t, 8, func(c *Comm) error {
 		g := c.World()

@@ -170,23 +170,16 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 		{"1.5d-halo", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Halo = true; return tr }(), 4, nil},
 		{"2d", NewTwoD(4, testMach), 4, nil},
 		{"3d", NewThreeD(8, testMach), 8, nil},
-		// Overlap mode must be equally allocation-free: the double buffers
-		// come from the workspace/payload arenas and Request objects are
-		// pooled and recycled by EpochDone.
-		{"1d-overlap", func() rankRunner { tr := NewOneD(4, testMach); tr.Overlap = true; return tr }(), 4, nil},
-		{"1d-halo-overlap", func() rankRunner {
-			tr := NewOneD(4, testMach)
-			tr.Halo, tr.Overlap = true, true
-			return tr
-		}(), 4, nil},
-		{"1.5d-overlap", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Overlap = true; return tr }(), 4, nil},
-		{"1.5d-halo-overlap", func() rankRunner {
-			tr := NewOneFiveD(4, 2, testMach)
-			tr.Halo, tr.Overlap = true, true
-			return tr
-		}(), 4, nil},
-		{"2d-overlap", func() rankRunner { tr := NewTwoD(4, testMach); tr.Overlap = true; return tr }(), 4, nil},
-		{"3d-overlap", func() rankRunner { tr := NewThreeD(8, testMach); tr.Overlap = true; return tr }(), 8, nil},
+		// Every trainer pipelines its collectives: the double buffers come
+		// from the workspace/payload arenas and Request objects are pooled
+		// and recycled by EpochDone. The "-overlap" rows keep the ids of the
+		// runs that once chose that schedule; they repeat the plain rows.
+		{"1d-overlap", NewOneD(4, testMach), 4, nil},
+		{"1d-halo-overlap", func() rankRunner { tr := NewOneD(4, testMach); tr.Halo = true; return tr }(), 4, nil},
+		{"1.5d-overlap", NewOneFiveD(4, 2, testMach), 4, nil},
+		{"1.5d-halo-overlap", func() rankRunner { tr := NewOneFiveD(4, 2, testMach); tr.Halo = true; return tr }(), 4, nil},
+		{"2d-overlap", NewTwoD(4, testMach), 4, nil},
+		{"3d-overlap", NewThreeD(8, testMach), 8, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,7 +194,7 @@ func TestSteadyStateAllocsDistributed(t *testing.T) {
 
 // TestSteadyStateAllocsTCP is the same contract over the real-socket
 // fabric: once the per-rank receive arenas are sized, an epoch of 1d and
-// of 2d-overlap over loopback TCP at P = 4 allocates no payload memory.
+// of 2d over loopback TCP at P = 4 allocates no payload memory.
 // Goroutine wake-ups on the socket path may allocate a few small runtime
 // objects, so both bounds leave room for those and no more: a per-frame
 // payload buffer blows through the byte bound at once (before the arena,
@@ -221,7 +214,9 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 		mk   func() Trainer
 	}{
 		{"1d", func() Trainer { return NewOneD(ranks, testMach) }},
-		{"2d-overlap", func() Trainer { tr := NewTwoD(ranks, testMach); tr.Overlap = true; return tr }},
+		// The 2d row keeps the id it had when it chose the pipelined
+		// schedule, which every trainer now runs.
+		{"2d-overlap", func() Trainer { return NewTwoD(ranks, testMach) }},
 	}
 	for _, algo := range algos {
 		for _, wrapped := range []bool{false, true} {

@@ -432,24 +432,18 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 
 // TestSingleRankWorldMovesNothing: at P = 1 every group has one member, so
 // no trainer charges a message or a word in any category — §IV's bounds all
-// carry a (P−1)/P factor — with or without overlap, and the run still
-// matches the serial reference.
+// carry a (P−1)/P factor — and the run still matches the serial reference.
 func TestSingleRankWorldMovesNothing(t *testing.T) {
 	p := testProblem(t, 40, 7, 5, 4, 2, 11)
-	for _, overlap := range []bool{false, true} {
-		for _, tr := range []DistTrainer{
-			NewOneD(1, testMach), NewOneFiveD(1, 1, testMach), NewTwoD(1, testMach), NewThreeD(1, testMach),
-		} {
-			if err := SetOverlap(tr, overlap); err != nil {
-				t.Fatal(err)
-			}
-			checkEquivalence(t, tr, p)
-			l := tr.Cluster().Ledger(0)
-			for _, cat := range comm.AllCategories {
-				if l.ModelMsgs[cat] != 0 || l.ModelWords[cat] != 0 {
-					t.Errorf("%s overlap=%v %s: %d msgs, %d words at P=1, want 0",
-						tr.Name(), overlap, cat, l.ModelMsgs[cat], l.ModelWords[cat])
-				}
+	for _, tr := range []DistTrainer{
+		NewOneD(1, testMach), NewOneFiveD(1, 1, testMach), NewTwoD(1, testMach), NewThreeD(1, testMach),
+	} {
+		checkEquivalence(t, tr, p)
+		l := tr.Cluster().Ledger(0)
+		for _, cat := range comm.AllCategories {
+			if l.ModelMsgs[cat] != 0 || l.ModelWords[cat] != 0 {
+				t.Errorf("%s %s: %d msgs, %d words at P=1, want 0",
+					tr.Name(), cat, l.ModelMsgs[cat], l.ModelWords[cat])
 			}
 		}
 	}

@@ -19,20 +19,6 @@ type dist struct {
 	// fabric of all p built by the first Train that finds none.
 	cluster *comm.Cluster
 
-	// Overlap hides communication behind local compute on the modeled
-	// timeline: non-blocking collectives, double-buffered so each pipeline
-	// stage costs max(comm, comp) instead of their sum. The block-row
-	// trainers keep block s+1's dense broadcast in flight while block s
-	// multiplies, or, in halo mode, issue the indexed row fetch
-	// asynchronously, multiply interior rows — those with no remote
-	// dependencies — at once and frontier rows after the Wait. The mesh
-	// trainers issue SUMMA stage k+1's panel broadcasts while stage k's local
-	// SpMM/GEMM runs (the 3D fiber reduce-scatter stays synchronous — its
-	// result is consumed immediately). Every path accumulates the same
-	// panels in the same order, so results are bit-identical to the
-	// synchronous runs. Set before Train.
-	Overlap bool
-
 	// decompose is the decomposition: it checks the problem against the
 	// rank count and returns the constructor of one rank's layerOps. It runs
 	// once per Train, whatever the fabric and however many ranks this
@@ -55,8 +41,8 @@ func (t *dist) Ranks() int { return t.p }
 // Cluster implements DistTrainer.
 func (t *dist) Cluster() *comm.Cluster { return t.cluster }
 
-// distributed is any trainer built on the shell: what SetOverlap and
-// SetCluster assert instead of naming the concrete types.
+// distributed is any trainer built on the shell: what SetCluster asserts
+// instead of naming the concrete types.
 type distributed interface{ shell() *dist }
 
 func (t *dist) shell() *dist { return t }

@@ -142,28 +142,3 @@ func BenchmarkHaloEpochOneD(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkOverlapEpochTwoD pairs the synchronous and pipelined 2D SUMMA
-// epochs, steady state on one worker: both must report 0 B/op
-// (the CI overlap guard greps for it), and the wall-clock difference bounds
-// the real cost of the request/pipeline machinery.
-func BenchmarkOverlapEpochTwoD(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
-			tr := NewTwoD(4, testMach)
-			tr.Overlap = overlap
-			benchEngineEpochDist(b, tr, 4, 1)
-		})
-	}
-}
-
-// BenchmarkOverlapEpochThreeD is the 3D overlap pair.
-func BenchmarkOverlapEpochThreeD(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		b.Run(fmt.Sprintf("overlap=%v", overlap), func(b *testing.B) {
-			tr := NewThreeD(8, testMach)
-			tr.Overlap = overlap
-			benchEngineEpochDist(b, tr, 8, 1)
-		})
-	}
-}

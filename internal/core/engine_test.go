@@ -34,22 +34,18 @@ func deepMaskedProblem(t *testing.T, seed int64) Problem {
 }
 
 // TestEngineCrossAlgorithmEquivalence is the engine contract: a 4-layer
-// network with a train mask, trained under every optimizer on all five
-// algorithms, must match the serial reference within float tolerance —
-// the paper's §V-A exactness claim, now at depth > 3 and for update rules
-// beyond plain SGD.
+// network with a train mask, trained under every optimizer on every
+// distributed configuration — the four algorithms and the halo exchange of
+// the row ones — must match the serial reference within float tolerance:
+// the paper's §V-A exactness claim, at depth > 3, for update rules beyond
+// plain SGD, and with every collective pipelined behind compute.
 func TestEngineCrossAlgorithmEquivalence(t *testing.T) {
 	for _, optimizer := range []string{"sgd", "momentum", "adam"} {
 		t.Run(optimizer, func(t *testing.T) {
 			p := deepMaskedProblem(t, 101)
 			p.Config.Optimizer = optimizer
-			for _, tr := range []Trainer{
-				NewOneD(5, testMach),
-				NewOneFiveD(6, 2, testMach),
-				NewTwoD(9, testMach),
-				NewThreeD(8, testMach),
-			} {
-				checkEquivalence(t, tr, p)
+			for _, tc := range overlapTrainers() {
+				checkEquivalence(t, tc.mk(), p)
 			}
 		})
 	}

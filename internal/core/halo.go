@@ -58,22 +58,17 @@ func exchangeHaloPlan(g *comm.Group, need [][]int) (sendIdx [][]int, recvFrom []
 	return sendIdx, recvFrom
 }
 
-// haloFetch runs one indexed row exchange over a negotiated plan: this
-// member sends the requested rows of its block x to each peer and
+// haloFetchAsync issues one indexed row exchange over a negotiated plan:
+// this member sends the requested rows of its block x to each peer and
 // receives the rows it needs, charged α·msgs + β·rows·f under
-// CatDenseComm. Payloads carry bare floats; receivers reshape them from
-// the plan's row counts.
+// CatDenseComm. The exchange is non-blocking: its α–β span stays in flight
+// until the returned request is waited on, so the caller can multiply rows
+// with no remote dependencies in the meantime. Payloads carry bare floats;
+// receivers reshape them from the plan's row counts.
 //
 // The outbound row gathers draw from ws and the parts list is the caller's
 // persistent scratch (len g.Size()), so steady-state exchanges allocate
 // nothing.
-func haloFetch(g *comm.Group, x *dense.Matrix, sendIdx [][]int, recvFrom []bool, ws *dense.Workspace, parts []comm.Payload) []comm.Payload {
-	return haloFetchAsync(g, x, sendIdx, recvFrom, ws, parts).WaitAll()
-}
-
-// haloFetchAsync is haloFetch with a non-blocking exchange: the fetch's
-// α–β span stays in flight until the returned request is waited on, so the
-// caller can multiply rows with no remote dependencies in the meantime.
 func haloFetchAsync(g *comm.Group, x *dense.Matrix, sendIdx [][]int, recvFrom []bool, ws *dense.Workspace, parts []comm.Payload) *comm.Request {
 	for i := range parts {
 		parts[i] = comm.Payload{}
@@ -92,11 +87,11 @@ func haloFetchAsync(g *comm.Group, x *dense.Matrix, sendIdx [][]int, recvFrom []
 // product into interior rows — no nonzero in any remote adjacency block,
 // so their entire product comes from the local block — and frontier rows
 // (everything else). remote lists the column-compacted remote blocks (nil
-// entries are skipped). The overlapped trainers multiply interior rows
+// entries are skipped). The block-row trainers multiply interior rows
 // while the halo fetch is in flight and frontier rows after its Wait;
-// since an interior row receives contributions from exactly one block in
-// either schedule, and frontier rows are processed in the unchanged block
-// order, the split is bit-identical to the synchronous product.
+// since an interior row receives contributions from exactly one block and
+// frontier rows are processed in block order, the split is bit-identical
+// to multiplying whole blocks in block order.
 func haloRowSplit(nRows int, remote []*sparse.CSR) (interior, frontier []int) {
 	isFrontier := make([]bool, nRows)
 	for _, b := range remote {

@@ -34,9 +34,11 @@ func (c *countingOps[T]) backwardAggregate(g *dense.Of[T], l int) *dense.Of[T] {
 }
 
 // everyTrainer returns, by name, one runner per trainer and exchange mode —
-// serial, serial-f32, 1d/1.5d × {plain, halo, overlap, halo+overlap}, 2d/3d
-// × {plain, overlap} — each executing body on every rank of p; serial-f32,
-// the one float32 instantiation, executes body32.
+// serial, serial-f32, 1d/1.5d × {plain, halo}, 2d/3d — each executing body
+// on every rank of p; serial-f32, the one float32 instantiation, executes
+// body32. Each distributed runner also appears under its "-overlap" name,
+// the id it had when it chose the pipelined schedule every trainer now
+// runs, over a trainer of its own.
 func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error,
 	body32 func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error) map[string]func() error {
 	cfg := p.Config.WithDefaults()
@@ -44,27 +46,20 @@ func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem
 		"serial":     func() error { return body(newSerialOps[float64](p), cfg, p) },
 		"serial-f32": func() error { return body32(newSerialOps[float32](p), cfg, p) },
 	}
-	for _, halo := range []bool{false, true} {
-		for _, overlap := range []bool{false, true} {
+	for _, overlap := range []string{"", "-overlap"} {
+		for _, halo := range []bool{false, true} {
 			suffix := ""
 			if halo {
-				suffix += "-halo"
-			}
-			if overlap {
-				suffix += "-overlap"
+				suffix = "-halo"
 			}
 			oneD, oneFiveD := NewOneD(4, testMach), NewOneFiveD(4, 2, testMach)
-			oneD.Halo, oneD.Overlap = halo, overlap
-			oneFiveD.Halo, oneFiveD.Overlap = halo, overlap
-			cases["1d"+suffix] = func() error { return oneD.runRanks(p, body) }
-			cases["1.5d"+suffix] = func() error { return oneFiveD.runRanks(p, body) }
-			if !halo {
-				twoD, threeD := NewTwoD(4, testMach), NewThreeD(8, testMach)
-				twoD.Overlap, threeD.Overlap = overlap, overlap
-				cases["2d"+suffix] = func() error { return twoD.runRanks(p, body) }
-				cases["3d"+suffix] = func() error { return threeD.runRanks(p, body) }
-			}
+			oneD.Halo, oneFiveD.Halo = halo, halo
+			cases["1d"+suffix+overlap] = func() error { return oneD.runRanks(p, body) }
+			cases["1.5d"+suffix+overlap] = func() error { return oneFiveD.runRanks(p, body) }
 		}
+		twoD, threeD := NewTwoD(4, testMach), NewThreeD(8, testMach)
+		cases["2d"+overlap] = func() error { return twoD.runRanks(p, body) }
+		cases["3d"+overlap] = func() error { return threeD.runRanks(p, body) }
 	}
 	return cases
 }

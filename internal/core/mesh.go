@@ -98,7 +98,7 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	}
 	return func(c *comm.Comm) layerOps {
 		r := &meshRank{
-			comm: c, mach: t.mach, cfg: cfg, mesh: mesh, overlap: t.Overlap,
+			comm: c, mach: t.mach, cfg: cfg, mesh: mesh,
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 			vBlk: partition.NewBlock1D(n, mesh.C),
 		}
@@ -108,19 +108,20 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 }
 
 // meshRank holds one rank's state during 2D or 3D training and implements
-// layerOps with the SUMMA collective choreography. Per-epoch temporaries
-// come from ws, reset at endEpoch together with the fabric's payload pool.
+// layerOps with the SUMMA collective choreography, pipelined: each SUMMA
+// issues stage k+1's panel broadcasts before it multiplies stage k.
+// Per-epoch temporaries come from ws, reset at endEpoch together with the
+// fabric's payload pool.
 type meshRank struct {
-	comm    *comm.Comm
-	mach    costmodel.Machine
-	cfg     nn.Config
-	mesh    partition.Grid3D
-	overlap bool
-	labels  []int
-	mask    []bool
-	norm    int
-	n       int
-	vBlk    partition.Block1D // vertex dimension split q ways
+	comm   *comm.Comm
+	mach   costmodel.Machine
+	cfg    nn.Config
+	mesh   partition.Grid3D
+	labels []int
+	mask   []bool
+	norm   int
+	n      int
+	vBlk   partition.Block1D // vertex dimension split q ways
 
 	pi, pj, pk int         // mesh coordinates: row, column, layer
 	rowGroup   *comm.Group // (pi, *, pk)
@@ -251,29 +252,22 @@ func (r *meshRank) transposeExchange() {
 // then, on a mesh deeper than one layer, a reduce-scatter along the fiber so
 // the result lands in the same n/(q·d) x f/q layout as X (§IV-D-1).
 //
-// In overlap mode stage k+1's panels are issued asynchronously before stage
-// k's local SpMM runs, double-buffering the in-flight panels (the fabric
-// pool holds the incoming buffers, ws the wrapping headers), so the stage
-// cost is max(comm, comp). The stage order and every accumulation are
-// unchanged, keeping the result bit-identical.
+// Stage k+1's panels are issued asynchronously before stage k's local SpMM
+// runs, double-buffering the in-flight panels (the fabric pool holds the
+// incoming buffers, ws the wrapping headers), so on the timeline a stage
+// costs max(comm, comp).
 func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 	// On a deep mesh out is the layer's pre-reduction sum: the
 	// P^{1/3}-replicated intermediate of §IV-D-1.
 	out := r.ws.Get(r.vBlk.Size(r.pi), x.Cols)
-	var aReq, xReq *comm.Request
-	if r.overlap {
-		aReq, xReq = r.summaStage(0, a, x)
-	}
+	aReq, xReq := r.summaStage(0, a, x)
 	for k := 0; k < r.mesh.C; k++ {
-		if !r.overlap {
-			aReq, xReq = r.summaStage(k, a, x)
-		}
 		if aReq != nil {
 			r.holdPanel(a, k, aReq.Wait())
 		}
 		aK := a.held[k]
 		xK := wrapMat(r.ws, xReq.Wait())
-		if r.overlap && k+1 < r.mesh.C {
+		if k+1 < r.mesh.C {
 			aReq, xReq = r.summaStage(k+1, a, x)
 		}
 		r.recordMem(matWords(out) + matWords(xK))
@@ -338,22 +332,16 @@ func (r *meshRank) holdPanel(a *sparseOperand, k int, got comm.Payload) {
 // second phase). The k-th stage multiplies X's k-th column block against
 // W[rowBlk(k), colBlk(pj)] — over the block's nonzeros when f is
 // sparseLeft — and with fusedReLU the last stage's GEMM applies the ReLU in
-// its epilogue, after each element's sum is complete. In overlap mode stage
-// k+1's broadcast is in flight while stage k's GEMM runs.
+// its epilogue, after each element's sum is complete. Stage k+1's
+// broadcast is in flight while stage k's GEMM runs.
 func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, f productForm) *dense.Matrix {
 	rowsB := r.fBlk(w.Rows) // W rows = X's feature dimension, split by column
 	colsB := r.fBlk(w.Cols)
 	out := r.ws.Get(xBlk.Rows, colsB.Size(r.pj))
-	var xReq *comm.Request
-	if r.overlap {
-		xReq = r.partialStage(0, xBlk)
-	}
+	xReq := r.partialStage(0, xBlk)
 	for k := 0; k < r.mesh.C; k++ {
-		if !r.overlap {
-			xReq = r.partialStage(k, xBlk)
-		}
 		xK := wrapMat(r.ws, xReq.Wait())
-		if r.overlap && k+1 < r.mesh.C {
+		if k+1 < r.mesh.C {
 			xReq = r.partialStage(k+1, xBlk)
 		}
 		wSlice := r.ws.GetUninit(rowsB.Size(k), colsB.Size(r.pj))

@@ -84,8 +84,7 @@ func meshWant(t *testing.T, algo string, ranks int, p Problem, rank int) meshRan
 // TestMeshStaticOperandsCrossOnce: A never changes during training, so on
 // the mesh its blocks cross the network once per run, whatever the run's
 // length. For 2D at P = 4 and 9 and 3D at P = 8, on a symmetric and (2D) a
-// directed graph, with and without overlap, in-process and over loopback
-// TCP:
+// directed graph, in-process and over loopback TCP:
 //
 //   - every rank's scomm and trpose messages and words after a 1-epoch run
 //     equal those after a 5-epoch run, to the word, and the scomm words are
@@ -116,6 +115,8 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 		{"2d", 9, "symmetric", sym}, {"2d", 9, "directed", directed},
 		{"3d", 8, "symmetric", sym},
 	} {
+		// overlap=true keeps the ids of the runs that once chose the
+		// pipelined schedule every trainer now runs; they repeat the others.
 		for _, overlap := range []bool{false, true} {
 			for _, fabric := range []string{"inproc", "tcp"} {
 				t.Run(fmt.Sprintf("%s-p%d/%s/overlap=%v/%s", tc.algo, tc.ranks, tc.graph, overlap, fabric), func(t *testing.T) {
@@ -124,9 +125,6 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 					train := func(p Problem) (*Result, *comm.Cluster) {
 						tr, err := NewTrainer(tc.algo, tc.ranks, testMach)
 						if err != nil {
-							t.Fatal(err)
-						}
-						if err := SetOverlap(tr, overlap); err != nil {
 							t.Fatal(err)
 						}
 						cl := comm.NewCluster(tc.ranks, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta})

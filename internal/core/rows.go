@@ -116,7 +116,7 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 	}
 	return func(c *comm.Comm) layerOps {
 		r := &rowRank{
-			comm: c, mach: t.mach, cfg: cfg, blk: blk, c: t.c, halo: t.Halo, overlap: t.Overlap,
+			comm: c, mach: t.mach, cfg: cfg, blk: blk, c: t.c, halo: t.Halo,
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 		}
 		r.setup(at, p.A, p.Features)
@@ -127,22 +127,22 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 // rowRank holds one rank's state during block-row training: H and G in
 // block rows with W replicated, so every dense product and activation is
 // local, and one product Σ_s M_{own,s}·X_s over a stage list that serves
-// both aggregations — M = Aᵀ forward, M = A backward.
+// both aggregations — M = Aᵀ forward, M = A backward — with its exchange
+// in flight behind local SpMM (stageProduct).
 //
 // Per-epoch temporaries come from ws (reset at endEpoch, together with the
 // fabric's payload pool).
 type rowRank struct {
-	comm    *comm.Comm
-	mach    costmodel.Machine
-	cfg     nn.Config
-	blk     partition.Layout1D // row blocks, one per team
-	c       int                // replicas of each row block: 1 for 1D
-	halo    bool
-	overlap bool
-	labels  []int
-	mask    []bool
-	norm    int
-	n       int
+	comm   *comm.Comm
+	mach   costmodel.Machine
+	cfg    nn.Config
+	blk    partition.Layout1D // row blocks, one per team
+	c      int                // replicas of each row block: 1 for 1D
+	halo   bool
+	labels []int
+	mask   []bool
+	norm   int
+	n      int
 
 	lo, hi  int // this rank's rows: block own of blk
 	h0      *dense.Matrix
@@ -188,7 +188,7 @@ type stagePlan struct {
 	sendIdx  [][]int
 	recvFrom []bool
 
-	// Interior/frontier split (halo && overlap only): interior rows have no
+	// Interior/frontier split (halo only): interior rows have no
 	// nonzeros in any remote stage block and multiply against the own block
 	// (when it is one of this rank's stages) while the halo fetch is in
 	// flight; frontier rows multiply after its Wait. interiorNNZ (the own
@@ -263,13 +263,11 @@ func (r *rowRank) newStagePlan(m *sparse.CSR) *stagePlan {
 	}
 	if r.halo {
 		pl.sendIdx, pl.recvFrom = exchangeHaloPlan(r.group, pl.need)
-		if r.overlap {
-			remote := append([]*sparse.CSR(nil), pl.blocks...)
-			remote[r.own] = nil
-			pl.interior, pl.frontier = haloRowSplit(r.hi-r.lo, remote)
-			if own := pl.blocks[r.own]; own != nil {
-				pl.interiorNNZ = sparse.RowListNNZ(own, pl.interior)
-			}
+		remote := append([]*sparse.CSR(nil), pl.blocks...)
+		remote[r.own] = nil
+		pl.interior, pl.frontier = haloRowSplit(r.hi-r.lo, remote)
+		if own := pl.blocks[r.own]; own != nil {
+			pl.interiorNNZ = sparse.RowListNNZ(own, pl.interior)
 		}
 	}
 	return pl
@@ -281,7 +279,7 @@ func (r *rowRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 }
 
 // backwardAggregate computes (A·X)_i = Σ_j A_ij X_j: the forward product
-// over A's blocks (§IV-A-6), so it fetches, overlaps and charges exactly as
+// over A's blocks (§IV-A-6), so it fetches, pipelines and charges exactly as
 // forward does and holds no more than a block of X at a time.
 func (r *rowRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	return r.blockMul(r.bwd, x)
@@ -303,26 +301,26 @@ func (r *rowRank) blockMul(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 // stageProduct computes Σ_{s ∈ stages} M_{own,s}·X_s over pl's blocks of M,
 // where x is this rank's block of X: with a broadcast per stage (Algorithm
 // 1), or, in halo mode, with one indexed point-to-point exchange of only
-// the rows the stage blocks touch (§IV-A-1). All paths accumulate the
+// the rows the stage blocks touch (§IV-A-1). Both paths accumulate the
 // stages in the same order with the same nonzeros, so the results are
 // bit-identical.
 //
-// With overlap on, the halo path issues the fetch asynchronously,
+// Both keep communication in flight behind local compute, as CAGNET's
+// asynchronous collectives do (§V–VI): the halo path issues the fetch,
 // multiplies interior rows (no remote dependencies) against the own block
-// while it is in flight, and finishes the frontier rows after the Wait; the
+// while it is in flight and finishes the frontier rows after the Wait; the
 // broadcast path keeps the next stage's broadcast in flight behind this
 // stage's SpMM.
 func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 	rows, f := r.hi-r.lo, x.Cols
 	T := r.ws.Get(rows, f)
-	switch {
-	case r.halo && r.overlap:
+	if r.halo {
 		req := haloFetchAsync(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts)
 		// Interior rows touch only the own block; their product is complete
-		// before any fetched row arrives. The charge model is unchanged from
-		// the synchronous path — the same per-stage SpMMTime totals, with the
-		// own block's charge apportioned to the two passes by nnz share so
-		// only the timeline placement moves, never the modeled compute cost.
+		// before any fetched row arrives. Each stage is charged its SpMMTime,
+		// the own block's apportioned to the two passes by nnz share, so the
+		// split moves only the timeline placement, never the modeled compute
+		// cost.
 		var ownTime, interiorShare float64
 		if own := pl.blocks[r.own]; own != nil {
 			ownTime = r.mach.SpMMTime(int64(own.NNZ()), rows, f)
@@ -344,34 +342,23 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 				r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 			}
 		}
-	case r.halo:
-		recvd := haloFetch(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts)
-		for _, s := range r.stages {
-			blk, xs := pl.blocks[s], r.fetched(pl, s, x, recvd)
-			r.recordMem(matWords(T) + matWords(xs))
-			sparse.SpMMAdd(T, blk, xs)
-			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
+		return T
+	}
+	// A rank may own no stages (layers beyond the team count, possible
+	// whenever c² > P): then there is nothing to prefetch and the loop never
+	// runs.
+	var req *comm.Request
+	if len(r.stages) > 0 {
+		req = r.bcastStage(r.stages[0], x)
+	}
+	for i, s := range r.stages {
+		xs := wrapMat(r.ws, req.Wait())
+		if i+1 < len(r.stages) {
+			req = r.bcastStage(r.stages[i+1], x)
 		}
-	default:
-		// A rank may own no stages (layers beyond the team count, possible
-		// whenever c² > P): then there is nothing to prefetch and the loop
-		// never runs.
-		var req *comm.Request
-		if r.overlap && len(r.stages) > 0 {
-			req = r.bcastStage(r.stages[0], x)
-		}
-		for i, s := range r.stages {
-			if !r.overlap {
-				req = r.bcastStage(s, x)
-			}
-			xs := wrapMat(r.ws, req.Wait())
-			if r.overlap && i+1 < len(r.stages) {
-				req = r.bcastStage(r.stages[i+1], x)
-			}
-			r.recordMem(matWords(T) + matWords(xs))
-			sparse.SpMMAdd(T, pl.blocks[s], xs)
-			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(pl.blocks[s].NNZ()), rows, f))
-		}
+		r.recordMem(matWords(T) + matWords(xs))
+		sparse.SpMMAdd(T, pl.blocks[s], xs)
+		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(pl.blocks[s].NNZ()), rows, f))
 	}
 	return T
 }

@@ -294,21 +294,6 @@ func NewTrainerReplicated(name string, p, c int, mach costmodel.Machine) (Traine
 	}
 }
 
-// SetOverlap switches a trainer's communication/computation overlap mode:
-// non-blocking collectives with double-buffered pipeline stages, modeled
-// as max(comm, comp) per stage on the timeline ledger. Every distributed
-// trainer supports it with bit-identical results; the serial trainer has
-// no communication to overlap and rejects on (a no-op request would
-// silently misreport the modeled speedup).
-func SetOverlap(tr Trainer, on bool) error {
-	if d, ok := tr.(distributed); ok {
-		d.shell().Overlap = on
-	} else if on {
-		return fmt.Errorf("core: overlap applies to the distributed algorithms, not %q", tr.Name())
-	}
-	return nil
-}
-
 // matWords returns the modeled resident size of a dense matrix in words.
 func matWords(m *dense.Matrix) int64 { return int64(m.Rows) * int64(m.Cols) }
 

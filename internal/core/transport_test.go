@@ -163,15 +163,17 @@ func TestSetClusterValidation(t *testing.T) {
 // memory included, to the word.
 func TestDecomposeOncePerTrain(t *testing.T) {
 	const p = 4
+	// The "-overlap" names are the ids the rows had when they chose the
+	// pipelined schedule, which every trainer now runs.
 	cases := []struct {
-		name             string
-		algo             string
-		c                int
-		ldgHalo, overlap bool
+		name    string
+		algo    string
+		c       int
+		ldgHalo bool
 	}{
-		{"1d-halo-ldg-overlap", "1d", 0, true, true},
-		{"1.5d-c2", "1.5d", 2, false, false},
-		{"2d-overlap", "2d", 0, false, true},
+		{"1d-halo-ldg-overlap", "1d", 0, true},
+		{"1.5d-c2", "1.5d", 2, false},
+		{"2d-overlap", "2d", 0, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,9 +190,6 @@ func TestDecomposeOncePerTrain(t *testing.T) {
 					if _, err := ConfigureRowDecomposition(tr, &prob, g, "ldg", true, 7); err != nil {
 						t.Fatal(err)
 					}
-				}
-				if err := SetOverlap(tr, tc.overlap); err != nil {
-					t.Fatal(err)
 				}
 				d := tr.(distributed).shell()
 				calls, inner := new(int), d.decompose

@@ -65,9 +65,6 @@ func TestModeledEpochGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.SetOverlap(tr, o.Overlap); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := tr.Train(problemFor(ds, epochs)); err != nil {
 			t.Fatal(err)
 		}
@@ -85,13 +82,13 @@ func TestModeledEpochGolden(t *testing.T) {
 		algo string
 		p    int
 	}{{"1d", 4}, {"1.5d", 4}, {"2d", 4}, {"3d", 8}} {
+		one, two := msgsAfter(cfg.algo, cfg.p, 1), msgsAfter(cfg.algo, cfg.p, 2)
 		for _, overlap := range []bool{false, true} {
 			o.Overlap = overlap
 			m, err := MeasureEpochOpts(ds, cfg.algo, cfg.p, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, two := msgsAfter(cfg.algo, cfg.p, 1), msgsAfter(cfg.algo, cfg.p, 2)
 			fmt.Fprintf(&b, "%s P=%d overlap=%v: epoch %.6g s, hidden %.6g s\n",
 				cfg.algo, cfg.p, overlap, m.EpochTime, m.HiddenCommTime)
 			for _, cat := range comm.AllCategories {
