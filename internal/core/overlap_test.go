@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/costmodel"
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -36,24 +38,115 @@ func overlapTrainers() []struct {
 	name string
 	mk   func() Trainer
 } {
+	return overlapTrainersOn(testMach)
+}
+
+// overlapTrainersOn is overlapTrainers on machine m.
+func overlapTrainersOn(m costmodel.Machine) []struct {
+	name string
+	mk   func() Trainer
+} {
 	return []struct {
 		name string
 		mk   func() Trainer
 	}{
-		{"1d", func() Trainer { return NewOneD(5, testMach) }},
+		{"1d", func() Trainer { return NewOneD(5, m) }},
 		{"1d-halo", func() Trainer {
-			tr := NewOneD(5, testMach)
+			tr := NewOneD(5, m)
 			tr.Halo = true
 			return tr
 		}},
-		{"1.5d", func() Trainer { return NewOneFiveD(6, 2, testMach) }},
+		{"1.5d", func() Trainer { return NewOneFiveD(6, 2, m) }},
 		{"1.5d-halo", func() Trainer {
-			tr := NewOneFiveD(6, 2, testMach)
+			tr := NewOneFiveD(6, 2, m)
 			tr.Halo = true
 			return tr
 		}},
-		{"2d", func() Trainer { return NewTwoD(9, testMach) }},
-		{"3d", func() Trainer { return NewThreeD(8, testMach) }},
+		{"2d", func() Trainer { return NewTwoD(9, m) }},
+		{"3d", func() Trainer { return NewThreeD(8, m) }},
+	}
+}
+
+// slowNetMach is testMach with a network a thousand times slower, so every
+// collective lands at a different point of the timeline and a different
+// share of it hides behind compute.
+var slowNetMach = func() costmodel.Machine {
+	m := testMach
+	m.Name = "slow-net"
+	m.Alpha *= 1000
+	m.Beta *= 1000
+	return m
+}()
+
+// TestEngineOverlapEquivalence: at depth 4 with a train mask, under every
+// optimizer, every distributed configuration must produce byte-identical
+// outputs, weights and losses whether its collectives arrive early or late
+// on the timeline — the double buffers change when data arrives, never
+// what is computed. (TestEngineCrossAlgorithmEquivalence holds the same
+// matrix to the serial reference.)
+func TestEngineOverlapEquivalence(t *testing.T) {
+	for _, optimizer := range []string{"sgd", "momentum", "adam"} {
+		t.Run(optimizer, func(t *testing.T) {
+			p := deepMaskedProblem(t, 101)
+			p.Config.Optimizer = optimizer
+			slow := overlapTrainersOn(slowNetMach)
+			for i, tc := range overlapTrainers() {
+				fastTr, slowTr := tc.mk(), slow[i].mk()
+				want, err := fastTr.Train(p)
+				if err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				got, err := slowTr.Train(p)
+				if err != nil {
+					t.Fatalf("%s slow network: %v", tc.name, err)
+				}
+				if fast, late := fastTr.(DistTrainer).Cluster().MaxElapsed(), slowTr.(DistTrainer).Cluster().MaxElapsed(); !(late > fast) {
+					t.Fatalf("%s: slow-network timeline %v not behind %v", tc.name, late, fast)
+				}
+				if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
+					t.Fatalf("%s slow-network output deviates by %v", tc.name, d)
+				}
+				for l := range want.Weights {
+					if d := dense.MaxAbsDiff(got.Weights[l], want.Weights[l]); d != 0 {
+						t.Fatalf("%s slow-network W[%d] deviates by %v", tc.name, l, d)
+					}
+				}
+				for e := range want.Losses {
+					if got.Losses[e] != want.Losses[e] {
+						t.Fatalf("%s slow-network loss diverges at epoch %d", tc.name, e)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOverlapWordCountsUnchanged: how much of a collective hides behind
+// compute must not change what it sends — every configuration moves
+// exactly the same modeled words per category on a fast and a slow
+// network, while the hidden time differs.
+func TestOverlapWordCountsUnchanged(t *testing.T) {
+	p := testProblem(t, 256, 16, 16, 8, 2, 73)
+	slow := overlapTrainersOn(slowNetMach)
+	for i, tc := range overlapTrainers() {
+		fastTr, slowTr := tc.mk(), slow[i].mk()
+		if _, err := fastTr.Train(p); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := slowTr.Train(p); err != nil {
+			t.Fatalf("%s slow network: %v", tc.name, err)
+		}
+		fastCl, slowCl := fastTr.(DistTrainer).Cluster(), slowTr.(DistTrainer).Cluster()
+		fastWords, slowWords := fastCl.MaxWordsByCategory(), slowCl.MaxWordsByCategory()
+		for _, cat := range comm.AllCategories {
+			if fastWords[cat] != slowWords[cat] {
+				t.Fatalf("%s %s words: fast %d vs slow %d",
+					tc.name, cat, fastWords[cat], slowWords[cat])
+			}
+		}
+		if fastCl.MaxHiddenCommTime() == slowCl.MaxHiddenCommTime() && fastCl.MaxHiddenCommTime() > 0 {
+			t.Fatalf("%s: hidden time %v did not move with the network", tc.name, fastCl.MaxHiddenCommTime())
+		}
 	}
 }
 
