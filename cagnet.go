@@ -87,7 +87,8 @@ func RandomDataset(scale, edgeFactor, features, hidden, labels int, seed int64) 
 	return spec.Build()
 }
 
-// TrainOptions configures a training run. Kernel threading is not among
+// TrainOptions configures a training run. Validate says whether Train
+// accepts a set before any dataset exists. Kernel threading is not among
 // them: it is the process's worker count (CAGNET_WORKERS, default
 // runtime.NumCPU), and every count trains the same bits.
 type TrainOptions struct {
@@ -306,15 +307,71 @@ type TrainReport struct {
 // Result exposes the underlying training result (weights, output matrix).
 func (r *TrainReport) Result() *core.Result { return r.result }
 
+// Validate returns the error Train would give the options before it looks
+// at a dataset, or nil. It needs no dataset and does no work: it applies
+// every rule about the options alone — the algorithm, rank count,
+// replication factor, partitioner, halo exchange, precision, optimizer,
+// learning rate, epoch count, machine, checkpoint knobs, overlap and
+// transport — and names the option it rejects. Train runs the same checks
+// first, so the two cannot disagree. What only the data decides (the masks,
+// the vertex count against the rank layout, 3D's need for a symmetric A)
+// Train checks once it has the dataset.
+func (o TrainOptions) Validate() error {
+	_, _, err := o.withDefaults().trainer()
+	return err
+}
+
+// trainer builds the trainer the options name and applies to it every
+// option that needs no dataset. Each rule is written once, where the option
+// is applied: the algorithm, ranks, replication, row options and precision
+// in core, the training settings in nn, the machine in costmodel, the
+// snapshot knobs in checkpoint; overlap and transport are this package's.
+func (o TrainOptions) trainer() (core.Trainer, costmodel.Machine, error) {
+	mach, err := costmodel.ProfileByName(o.Machine)
+	if err != nil {
+		return nil, mach, err
+	}
+	trainer, err := core.NewTrainerReplicated(o.Algorithm, o.Ranks, o.ReplicationFactor, mach)
+	if err != nil {
+		return nil, mach, err
+	}
+	if _, err := core.ConfigureRowDecomposition(trainer, nil, nil, o.Partitioner, o.HaloExchange, o.Seed); err != nil {
+		return nil, mach, err
+	}
+	if o.Overlap && o.Algorithm == "serial" {
+		return nil, mach, fmt.Errorf("cagnet: overlap applies to the distributed algorithms, not %q", o.Algorithm)
+	}
+	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: o.Precision}); err != nil {
+		return nil, mach, err
+	}
+	switch o.Transport {
+	case "", "inproc":
+	case "tcp":
+		if o.Algorithm == "serial" {
+			return nil, mach, fmt.Errorf("cagnet: the tcp transport applies to the distributed algorithms, not %q", o.Algorithm)
+		}
+	default:
+		return nil, mach, fmt.Errorf("cagnet: unknown transport %q (want inproc or tcp)", o.Transport)
+	}
+	if err := o.network(nil).Validate(); err != nil {
+		return nil, mach, err
+	}
+	if err := checkpoint.Options(o.Checkpoint).Validate(); err != nil {
+		return nil, mach, err
+	}
+	return trainer, mach, nil
+}
+
+// network is the options' training settings over the given layer widths.
+func (o TrainOptions) network(widths []int) nn.Config {
+	return nn.Config{Widths: widths, LR: o.LR, Optimizer: o.Optimizer, Epochs: o.Epochs, Seed: o.Seed}
+}
+
 // Train runs full-batch GCN training on ds with the paper's 3-layer
-// architecture (input → hidden → labels).
+// architecture (input → hidden → labels). Its first step is Validate's.
 func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	opts = opts.withDefaults()
-	mach, err := costmodel.ProfileByName(opts.Machine)
-	if err != nil {
-		return nil, err
-	}
-	trainer, err := core.NewTrainerReplicated(opts.Algorithm, opts.Ranks, opts.ReplicationFactor, mach)
+	trainer, mach, err := opts.trainer()
 	if err != nil {
 		return nil, err
 	}
@@ -324,36 +381,19 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		Labels:     ds.Labels,
 		TrainMask:  opts.TrainMask,
 		ValMask:    opts.ValMask,
-		Checkpoint: checkpoint.Options{Dir: opts.Checkpoint.Dir, Every: opts.Checkpoint.Every, Keep: opts.Checkpoint.Keep},
+		Checkpoint: checkpoint.Options(opts.Checkpoint),
 		Drain:      opts.Drain,
-		Config: nn.Config{
-			Widths:    ds.LayerWidths(),
-			LR:        opts.LR,
-			Optimizer: opts.Optimizer,
-			Epochs:    opts.Epochs,
-			Seed:      opts.Seed,
-		},
+		Config:     opts.network(ds.LayerWidths()),
 	}
-	order, err := configureRowDecomposition(trainer, &problem, ds, opts)
+	order, err := core.ConfigureRowDecomposition(trainer, &problem, ds.Graph, opts.Partitioner, opts.HaloExchange, opts.Seed)
 	if err != nil {
-		return nil, err
-	}
-	if opts.Overlap && opts.Algorithm == "serial" {
-		return nil, fmt.Errorf("cagnet: overlap applies to the distributed algorithms, not %q", opts.Algorithm)
-	}
-	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: opts.Precision}); err != nil {
 		return nil, err
 	}
 	// The transport chooses which cluster hosts the ranks, not how they are
 	// trained: the trainer builds its own channel fabric unless handed a
 	// world of loopback-socket endpoints, which also meter the wire.
 	var meters []*comm.Meter
-	switch opts.Transport {
-	case "", "inproc":
-	case "tcp":
-		if opts.Algorithm == "serial" {
-			return nil, fmt.Errorf("cagnet: the tcp transport applies to the distributed algorithms, not %q", opts.Algorithm)
-		}
+	if opts.Transport == "tcp" {
 		comms, err := comm.LocalTCPComms(opts.Ranks, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
 		if err != nil {
 			return nil, err
@@ -366,8 +406,6 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		for _, c := range comms {
 			meters = append(meters, c.EnableMetering())
 		}
-	default:
-		return nil, fmt.Errorf("cagnet: unknown transport %q (want inproc or tcp)", opts.Transport)
 	}
 	start := time.Now()
 	res, err := trainer.Train(problem)
@@ -428,18 +466,6 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 
 // Partitioners lists the selectable 1D/1.5D vertex partitioners.
 var Partitioners = partition.Partitioners
-
-// configureRowDecomposition applies TrainOptions.Partitioner and
-// TrainOptions.HaloExchange to the 1D/1.5D trainers: it relabels the
-// problem so the chosen partition's parts are contiguous blocks, installs
-// the layout and halo mode on the trainer, and returns the relabeling
-// order (nil when no relabeling happened) for mapping the output back.
-func configureRowDecomposition(trainer core.Trainer, problem *core.Problem, ds *graph.Dataset, opts TrainOptions) ([]int, error) {
-	if opts.Partitioner == "" && !opts.HaloExchange {
-		return nil, nil
-	}
-	return core.ConfigureRowDecomposition(trainer, problem, ds.Graph, opts.Partitioner, opts.HaloExchange, opts.Seed)
-}
 
 // PredictWords evaluates the paper's closed-form §IV per-epoch word bounds
 // for a dataset at rank count p, keyed by algorithm name. It requires no

@@ -102,8 +102,9 @@ func TestTrainAllAlgorithms(t *testing.T) {
 }
 
 // TestTrainOptionValidation: every option Train rejects is rejected before
-// any rank starts (so never with a "tcp rank" prefix), and the error names
-// the option. TestTrainHaloOptionValidation has the halo/partitioner ones.
+// any rank starts (so never with a "tcp rank" prefix), with the error
+// Validate gives, and the error names the option.
+// TestTrainHaloOptionValidation has the halo/partitioner ones.
 func TestTrainOptionValidation(t *testing.T) {
 	ds := RandomDataset(6, 4, 6, 4, 3, 9)
 	cases := []struct {
@@ -123,6 +124,7 @@ func TestTrainOptionValidation(t *testing.T) {
 		{"2d negative ranks", TrainOptions{Algorithm: "2d", Ranks: -2}, "2d"},
 		{"3d negative ranks", TrainOptions{Algorithm: "3d", Ranks: -2}, "3d"},
 		{"unknown optimizer", TrainOptions{Optimizer: "adagrad", Ranks: 1}, "optimizer"},
+		{"negative learning rate", TrainOptions{Algorithm: "serial", LR: -1}, "learning rate"},
 		{"1.5d c not dividing ranks", TrainOptions{Algorithm: "1.5d", Ranks: 6, ReplicationFactor: 4}, "replication factor"},
 		{"replication on 2d", TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: 2}, "replication factor"},
 		{"serial negative replication", TrainOptions{Algorithm: "serial", ReplicationFactor: -1}, "replication factor"},
@@ -149,6 +151,9 @@ func TestTrainOptionValidation(t *testing.T) {
 			_, err := Train(ds, tc.opts)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "tcp rank") {
 				t.Fatalf("%+v: want an error naming %q, got %v", tc.opts, tc.want, err)
+			}
+			if verr := tc.opts.Validate(); fmt.Sprint(verr) != err.Error() {
+				t.Fatalf("%+v: Validate says %v, Train %v", tc.opts, verr, err)
 			}
 		})
 	}
@@ -374,7 +379,8 @@ func TestTrainHaloExchange(t *testing.T) {
 }
 
 // TestTrainHaloOptionValidation: halo/partitioner options are rejected for
-// algorithms without a 1D row decomposition, before any rank starts.
+// algorithms without a 1D row decomposition, before any rank starts and
+// with the error Validate gives.
 func TestTrainHaloOptionValidation(t *testing.T) {
 	ds := RandomDataset(6, 4, 6, 4, 3, 11)
 	cases := []struct {
@@ -394,6 +400,9 @@ func TestTrainHaloOptionValidation(t *testing.T) {
 			_, err := Train(ds, tc.opts)
 			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "tcp rank") {
 				t.Fatalf("%+v: want an error naming %q, got %v", tc.opts, tc.want, err)
+			}
+			if verr := tc.opts.Validate(); fmt.Sprint(verr) != err.Error() {
+				t.Fatalf("%+v: Validate says %v, Train %v", tc.opts, verr, err)
 			}
 		})
 	}

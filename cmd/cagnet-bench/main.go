@@ -37,15 +37,16 @@ type experiment struct {
 	run   func(*bench) (any, error)
 }
 
-// experiments is the whole tool, in -exp all order. -halo, -partitioner
-// and -overlap reach the experiments that measure configurable 1D/1.5D runs
+// experiments is the whole tool, in -exp all order. -halo and -partitioner
+// reach the experiments that measure configurable 1D/1.5D runs, -overlap
+// those of them that print a modeled time — crossover prints words only
 // (partition and overlap always measure both modes themselves).
 var experiments = []experiment{
 	{"tableVI", nil, (*bench).tableVI},
 	{"fig2", nil, (*bench).fig2},
 	{"fig3", nil, (*bench).fig3},
 	{"partition", nil, (*bench).partition},
-	{"crossover", []string{"halo", "partitioner", "overlap"}, (*bench).crossover},
+	{"crossover", []string{"halo", "partitioner"}, (*bench).crossover},
 	{"algo3d", []string{"halo", "partitioner", "overlap"}, (*bench).algo3D},
 	{"overlap", nil, (*bench).overlap},
 	{"scaling", nil, (*bench).scaling},

@@ -43,6 +43,7 @@ func TestValidateConsumedRejections(t *testing.T) {
 		"partitioner with fig3":    {[]string{"partitioner"}, "fig3"},
 		"overlap with fig2":        {[]string{"overlap"}, "fig2"},
 		"overlap with overlap-exp": {[]string{"overlap"}, "overlap"},
+		"overlap with crossover":   {[]string{"overlap"}, "crossover"},
 	}
 	for name, tc := range cases {
 		if err := validateConsumed(set(tc.explicit...), pick(t, tc.selected)); err == nil {

@@ -11,11 +11,13 @@
 //	             [-checkpoint-dir DIR] [-checkpoint-every N]
 //
 // Flag combinations that would have no effect are rejected up front —
-// before the dataset build — rather than silently ignored: -halo and
-// -partitioner need the row decompositions (1d, 1.5d), -precision f32
-// needs -algo serial, and -overlap and -transport tcp need a distributed
-// algorithm. -workers sets the kernel worker pool: 1 runs every kernel
-// single-threaded, and every count trains the same bits.
+// before the dataset build — rather than silently ignored: the flags become
+// a cagnet.TrainOptions whose Validate gives the library's verdict (-halo
+// and -partitioner need the row decompositions 1d and 1.5d, -precision f32
+// needs -algo serial, -overlap and -transport tcp a distributed algorithm),
+// after the few checks only the command line adds. -workers sets the kernel
+// worker pool: 1 runs every kernel single-threaded, and every count trains
+// the same bits.
 package main
 
 import (
@@ -33,37 +35,38 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cagnet-train: ")
 	dataset := flag.String("dataset", "reddit-sim", "dataset analog (reddit-sim, amazon-sim, protein-sim)")
-	algo := flag.String("algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d (all but 3d also take a directed graph)")
-	ranks := flag.Int("ranks", 16, "simulated rank count")
-	epochs := flag.Int("epochs", 10, "training epochs")
-	lr := flag.Float64("lr", 0.01, "learning rate")
-	optimizer := flag.String("optimizer", "sgd", "weight-update rule: sgd, momentum, adam")
-	replication := flag.Int("replication", 0, "1.5d replication factor c (0 = default; must divide ranks)")
-	halo := flag.Bool("halo", false, "1d/1.5d: fetch only the rows each rank's adjacency block touches instead of broadcasting dense blocks")
-	partitioner := flag.String("partitioner", "", "1d/1.5d vertex partitioner: block (default), random, ldg")
-	overlap := flag.Bool("overlap", false, "report the overlapped modeled time (critical path) and the communication it hides instead of the bulk-synchronous sum")
-	precision := flag.String("precision", "", "kernel precision: f64 (default) or f32 mixed precision (serial algo only)")
+	// The flags are the library's options; Validate has the verdict on them.
+	var opts cagnet.TrainOptions
+	flag.StringVar(&opts.Algorithm, "algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d (all but 3d also take a directed graph)")
+	flag.IntVar(&opts.Ranks, "ranks", 16, "simulated rank count")
+	flag.IntVar(&opts.Epochs, "epochs", 10, "training epochs")
+	flag.Float64Var(&opts.LR, "lr", 0.01, "learning rate")
+	flag.StringVar(&opts.Optimizer, "optimizer", "sgd", "weight-update rule: sgd, momentum, adam")
+	flag.IntVar(&opts.ReplicationFactor, "replication", 0, "1.5d replication factor c (0 = default; must divide ranks)")
+	flag.BoolVar(&opts.HaloExchange, "halo", false, "1d/1.5d: fetch only the rows each rank's adjacency block touches instead of broadcasting dense blocks")
+	flag.StringVar(&opts.Partitioner, "partitioner", "", "1d/1.5d vertex partitioner: block (default), random, ldg")
+	flag.BoolVar(&opts.Overlap, "overlap", false, "report the overlapped modeled time (critical path) and the communication it hides instead of the bulk-synchronous sum")
+	flag.StringVar(&opts.Precision, "precision", "", "kernel precision: f64 (default) or f32 mixed precision (serial algo only)")
 	valFrac := flag.Float64("val", 0, "fraction of vertices held out for validation tracking (0 disables)")
-	transport := flag.String("transport", "", "rank fabric: inproc (default; simulated channels) or tcp (real loopback sockets with wall-clock timing and a wire-fitted alpha/beta)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for atomic training-state snapshots; resumes from the latest one when present (empty disables)")
-	ckptEvery := flag.Int("checkpoint-every", 0, "epochs between snapshots (0 = only the final one; needs -checkpoint-dir)")
-	machine := flag.String("machine", "summit-v100", "cost-model machine profile")
+	flag.StringVar(&opts.Transport, "transport", "", "rank fabric: inproc (default; simulated channels) or tcp (real loopback sockets with wall-clock timing and a wire-fitted alpha/beta)")
+	flag.StringVar(&opts.Checkpoint.Dir, "checkpoint-dir", "", "directory for atomic training-state snapshots; resumes from the latest one when present (empty disables)")
+	flag.IntVar(&opts.Checkpoint.Every, "checkpoint-every", 0, "epochs between snapshots (0 = only the final one; needs -checkpoint-dir)")
+	flag.StringVar(&opts.Machine, "machine", "summit-v100", "cost-model machine profile")
 	workers := flag.Int("workers", 0, "kernel worker count (1 = single-threaded; 0 = runtime.NumCPU or $CAGNET_WORKERS)")
 	quickFlag := flag.Bool("quick", false, "shrink the dataset for a fast run")
 	flag.Parse()
 
-	// Validate the flag combinations before the (potentially expensive)
-	// dataset build; Train applies the options and would reject the same
-	// combinations, but only after the build.
+	// Every verdict comes before the (potentially expensive) dataset build:
+	// first what only the command line adds, then the library's.
 	if err := validateFlags(flagCombo{
-		epochs: *epochs, ranks: *ranks, lr: *lr,
-		algo: *algo, halo: *halo, partitioner: *partitioner, overlap: *overlap,
-		precision: *precision, transport: *transport, ckptDir: *ckptDir, ckptEvery: *ckptEvery,
-		workers: *workers,
+		epochs: opts.Epochs, ranks: opts.Ranks, lr: opts.LR, val: *valFrac, ckptEvery: opts.Checkpoint.Every, workers: *workers,
 	}); err != nil {
 		log.Fatal(err)
 	}
-	mach, err := costmodel.ProfileByName(*machine)
+	if err := opts.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	mach, err := costmodel.ProfileByName(opts.Machine)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,23 +86,19 @@ func main() {
 	fmt.Printf("dataset %s: n=%d nnz=%d d=%.1f f=%d labels=%d\n",
 		ds.Name, ds.Graph.NumVertices, a.NNZ(), a.AvgDegree(), ds.FeatureLen(), ds.NumLabels)
 	fmt.Printf("training: algo=%s ranks=%d epochs=%d lr=%g optimizer=%s machine=%s\n\n",
-		*algo, *ranks, *epochs, *lr, *optimizer, *machine)
+		opts.Algorithm, opts.Ranks, opts.Epochs, opts.LR, opts.Optimizer, opts.Machine)
 
 	// A -val fraction holds out vertices deterministically, spread evenly
 	// across the index range: vertex v is validation when v·frac crosses an
 	// integer boundary, so any fraction in (0, 1) selects ⌊n·frac⌋ vertices.
 	// Training runs on the complement (derived by the library).
-	var valMask []bool
 	if *valFrac > 0 {
-		if *valFrac >= 1 {
-			log.Fatalf("-val %v must be in (0, 1)", *valFrac)
-		}
 		n := ds.Graph.NumVertices
-		valMask = make([]bool, n)
+		opts.ValMask = make([]bool, n)
 		picked := 0
 		for v := 0; v < n; v++ {
 			if int(float64(v+1)**valFrac) > int(float64(v)**valFrac) {
-				valMask[v] = true
+				opts.ValMask[v] = true
 				picked++
 			}
 		}
@@ -108,22 +107,7 @@ func main() {
 		}
 	}
 
-	report, err := cagnet.Train(ds, cagnet.TrainOptions{
-		Algorithm:         *algo,
-		Ranks:             *ranks,
-		Epochs:            *epochs,
-		LR:                *lr,
-		Optimizer:         *optimizer,
-		ReplicationFactor: *replication,
-		Partitioner:       *partitioner,
-		HaloExchange:      *halo,
-		Overlap:           *overlap,
-		Precision:         *precision,
-		Transport:         *transport,
-		ValMask:           valMask,
-		Machine:           *machine,
-		Checkpoint:        cagnet.CheckpointOptions{Dir: *ckptDir, Every: *ckptEvery},
-	})
+	report, err := cagnet.Train(ds, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,15 +126,15 @@ func main() {
 	fmt.Printf("\nfinal training accuracy: %.4f\n", report.Accuracy)
 	// The modeled and measured totals cover only the epochs this run
 	// trained: a resumed run starts at ResumedEpoch.
-	trained := float64(*epochs - report.ResumedEpoch)
+	trained := opts.Epochs - report.ResumedEpoch
 	if report.ModeledSeconds > 0 {
 		mode := "bulk-synchronous"
-		if *overlap {
+		if opts.Overlap {
 			mode = "overlapped"
 		}
-		fmt.Printf("modeled time (%s, %s): %.4f s total, %.4f s/epoch\n",
-			mode, *machine, report.ModeledSeconds, report.ModeledSeconds/trained)
-		if *overlap {
+		fmt.Printf("modeled time (%s, %s): %.4f s total, %s\n",
+			mode, opts.Machine, report.ModeledSeconds, perEpoch(report.ModeledSeconds, trained))
+		if opts.Overlap {
 			fmt.Printf("communication hidden behind compute: %.4f s\n", report.HiddenCommSeconds)
 		}
 		fmt.Println("\nbreakdown (max across ranks, charged time per category):")
@@ -160,8 +144,8 @@ func main() {
 		}
 	}
 	if report.MeasuredSeconds > 0 {
-		fmt.Printf("\nmeasured wall time (tcp, all ranks on this host): %.4f s total, %.4f s/epoch\n",
-			report.MeasuredSeconds, report.MeasuredSeconds/trained)
+		fmt.Printf("\nmeasured wall time (tcp, all ranks on this host): %.4f s total, %s\n",
+			report.MeasuredSeconds, perEpoch(report.MeasuredSeconds, trained))
 		if report.FittedAlpha != 0 || report.FittedBeta != 0 {
 			fmt.Printf("wire fit over %d samples: alpha=%.3g s/msg  beta=%.3g s/word (model: alpha=%.3g beta=%.3g)\n",
 				report.WireSamples, report.FittedAlpha, report.FittedBeta,
@@ -170,20 +154,17 @@ func main() {
 	}
 }
 
-// flagCombo carries the flags whose combinations validateFlags vets.
+// flagCombo carries the flags only the command line checks: the library
+// reads a zero in -epochs, -ranks and -lr as "use the default", and
+// -workers, -val and -checkpoint-every have no library counterpart with
+// the same range.
 type flagCombo struct {
-	epochs      int
-	ranks       int
-	lr          float64
-	algo        string
-	halo        bool
-	partitioner string
-	overlap     bool
-	precision   string
-	transport   string
-	ckptDir     string
-	ckptEvery   int
-	workers     int
+	epochs    int
+	ranks     int
+	lr        float64
+	workers   int
+	val       float64
+	ckptEvery int
 }
 
 // kernelsLine says which kernels produced the run: a wall-clock number
@@ -192,9 +173,18 @@ func kernelsLine(r *cagnet.TrainReport) string {
 	return fmt.Sprintf("kernels: precision=%s isa=%s", r.Precision, r.KernelISA)
 }
 
-// validateFlags rejects flag values and combinations that would otherwise
-// do nothing for the chosen algorithm, with an error naming the offending
-// flag.
+// perEpoch is a total's share per epoch this run trained; a run resumed at
+// its final epoch trained none.
+func perEpoch(total float64, epochs int) string {
+	if epochs == 0 {
+		return "no epoch trained"
+	}
+	return fmt.Sprintf("%.4f s/epoch", total/float64(epochs))
+}
+
+// validateFlags rejects the flag values the library cannot see are wrong,
+// with an error naming the offending flag. TrainOptions.Validate has every
+// other verdict.
 func validateFlags(f flagCombo) error {
 	// The library reads a zero in these three as "use the default" (10
 	// epochs, 1 rank, lr 0.01), so the run would not be the one the banner
@@ -208,30 +198,8 @@ func validateFlags(f flagCombo) error {
 	if !(f.lr > 0) {
 		return fmt.Errorf("-lr must be > 0, got %g", f.lr)
 	}
-	rowAlgo := f.algo == "1d" || f.algo == "1.5d"
-	if f.halo && !rowAlgo {
-		return fmt.Errorf("-halo applies to the row decompositions (-algo 1d or 1.5d), not %q", f.algo)
-	}
-	if f.partitioner != "" && !rowAlgo {
-		return fmt.Errorf("-partitioner applies to the row decompositions (-algo 1d or 1.5d), not %q", f.algo)
-	}
-	if f.overlap && f.algo == "serial" {
-		return fmt.Errorf("-overlap needs a distributed algorithm; -algo serial has no communication to hide")
-	}
-	if f.algo != "serial" && f.precision != "" && f.precision != "f64" {
-		return fmt.Errorf("-precision %s applies to -algo serial only, not %q", f.precision, f.algo)
-	}
-	switch f.transport {
-	case "", "inproc":
-	case "tcp":
-		if f.algo == "serial" {
-			return fmt.Errorf("-transport tcp needs a distributed algorithm; -algo serial has no ranks")
-		}
-	default:
-		return fmt.Errorf("-transport %q: want inproc or tcp", f.transport)
-	}
-	if f.ckptEvery != 0 && f.ckptDir == "" {
-		return fmt.Errorf("-checkpoint-every %d does nothing without -checkpoint-dir", f.ckptEvery)
+	if f.val < 0 || f.val >= 1 {
+		return fmt.Errorf("-val %v must be in [0, 1) (0 disables validation tracking)", f.val)
 	}
 	if f.ckptEvery < 0 {
 		return fmt.Errorf("-checkpoint-every %d must be positive", f.ckptEvery)

@@ -19,9 +19,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// trainCLI runs this test binary as cagnet-train with args and returns
-// its output.
-func trainCLI(t *testing.T, args ...string) string {
+// trainCmd builds a re-exec of this test binary acting as cagnet-train.
+func trainCmd(t *testing.T, args ...string) *exec.Cmd {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -29,7 +28,14 @@ func trainCLI(t *testing.T, args ...string) string {
 	}
 	cmd := exec.Command(exe, args...)
 	cmd.Env = append(os.Environ(), "CAGNET_TRAIN_EXEC=1")
-	out, err := cmd.CombinedOutput()
+	return cmd
+}
+
+// trainCLI runs this test binary as cagnet-train with args and returns
+// its output.
+func trainCLI(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := trainCmd(t, args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("cagnet-train %v: %v\n%s", args, err, out)
 	}
@@ -53,7 +59,8 @@ func modeledLine(t *testing.T, out string) string {
 // only the epochs after it, and its totals cover only those. So the run
 // that resumes a 4-epoch checkpoint and trains to 8 says where it resumed
 // and prints the modeled-time line of a fresh 4-epoch run, per-epoch
-// figure included.
+// figure included; the run that resumes the 8-epoch checkpoint has no
+// per-epoch figure to print.
 func TestResumedRunPerEpochFigures(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-quick", "-algo", "1d", "-ranks", "2", "-checkpoint-dir", dir}
@@ -65,44 +72,37 @@ func TestResumedRunPerEpochFigures(t *testing.T) {
 	if got, want := modeledLine(t, resumed), modeledLine(t, fresh); got != want {
 		t.Errorf("resumed run prints %q, a fresh run of the same 4 epochs %q", got, want)
 	}
+	// Resumed at its final epoch, a run trains nothing: it says so instead
+	// of dividing by zero epochs.
+	atEnd := trainCLI(t, append(args, "-epochs", "8")...)
+	if !strings.HasSuffix(modeledLine(t, atEnd), " s total, no epoch trained") {
+		t.Errorf("run resumed at its end prints %q", modeledLine(t, atEnd))
+	}
+	if strings.Contains(atEnd, "Inf") || strings.Contains(atEnd, "NaN") {
+		t.Errorf("run resumed at its end prints a non-finite figure:\n%s", atEnd)
+	}
 }
 
-// TestValidateFlagsRejections pins the fail-fast CLI validation: every
-// flag combination the trainer cannot honor must error out before the
-// dataset build instead of being silently dropped (or failing minutes
-// later). One case per rejected combination.
+// TestValidateFlagsRejections pins the checks only the command line adds:
+// each must error out before the dataset build and name the offending flag.
+// TestRejectedBeforeDataset has the library's verdicts.
 func TestValidateFlagsRejections(t *testing.T) {
-	cases := map[string]flagCombo{
-		"halo with 2d":        {algo: "2d", halo: true},
-		"halo with 3d":        {algo: "3d", halo: true},
-		"halo with serial":    {algo: "serial", halo: true},
-		"partitioner with 2d": {algo: "2d", partitioner: "ldg"},
-		"overlap with serial": {algo: "serial", overlap: true},
-		"f32 with 1d":         {algo: "1d", precision: "f32"},
-		"f32 with 1.5d":       {algo: "1.5d", precision: "f32"},
-		"f32 with 2d":         {algo: "2d", precision: "f32"},
-		"f32 with 3d":         {algo: "3d", precision: "f32"},
-		"tcp with serial":     {algo: "serial", transport: "tcp"},
-		"unknown transport":   {algo: "2d", transport: "quic"},
-		"negative workers":    {algo: "2d", workers: -3},
-	}
-	for name, combo := range cases {
-		if err := validateFlags(withNumericDefaults(combo)); err == nil {
-			t.Errorf("%s: combination accepted", name)
-		}
-	}
 	// The numeric flags have no usable zero — the library would read it as
 	// "use the default" and train something other than what was asked — so
-	// these rows spell out all three and must name the offending flag.
-	numeric := map[string]flagCombo{
-		"-epochs 0":  {algo: "2d", epochs: 0, ranks: 4, lr: 0.01},
-		"-epochs -2": {algo: "2d", epochs: -2, ranks: 4, lr: 0.01},
-		"-ranks 0":   {algo: "2d", epochs: 3, ranks: 0, lr: 0.01},
-		"-ranks -2":  {algo: "2d", epochs: 3, ranks: -2, lr: 0.01},
-		"-lr 0":      {algo: "2d", epochs: 3, ranks: 4, lr: 0},
-		"-lr -2":     {algo: "2d", epochs: 3, ranks: 4, lr: -2},
+	// every row spells out all three.
+	cases := map[string]flagCombo{
+		"-epochs 0":            {epochs: 0, ranks: 4, lr: 0.01},
+		"-epochs -2":           {epochs: -2, ranks: 4, lr: 0.01},
+		"-ranks 0":             {epochs: 3, ranks: 0, lr: 0.01},
+		"-ranks -2":            {epochs: 3, ranks: -2, lr: 0.01},
+		"-lr 0":                {epochs: 3, ranks: 4, lr: 0},
+		"-lr -2":               {epochs: 3, ranks: 4, lr: -2},
+		"-workers -3":          {epochs: 3, ranks: 4, lr: 0.01, workers: -3},
+		"-val 1":               {epochs: 3, ranks: 4, lr: 0.01, val: 1},
+		"-val -0.5":            {epochs: 3, ranks: 4, lr: 0.01, val: -0.5},
+		"-checkpoint-every -1": {epochs: 3, ranks: 4, lr: 0.01, ckptEvery: -1},
 	}
-	for name, combo := range numeric {
+	for name, combo := range cases {
 		flagName := strings.Fields(name)[0]
 		if err := validateFlags(combo); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -112,34 +112,71 @@ func TestValidateFlagsRejections(t *testing.T) {
 	}
 }
 
-// withNumericDefaults fills -epochs, -ranks and -lr with the flag defaults,
-// for cases about the other flags.
-func withNumericDefaults(f flagCombo) flagCombo {
-	f.epochs, f.ranks, f.lr = 10, 16, 0.01
-	return f
+// TestRejectedBeforeDataset: a flag combination the library rejects ends
+// the run before the dataset is built — exit status 1, an error naming the
+// option, and no dataset line — rather than being silently dropped or
+// failing after the build.
+func TestRejectedBeforeDataset(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"halo with 2d", "halo", []string{"-algo", "2d", "-halo"}},
+		{"halo with 3d", "halo", []string{"-algo", "3d", "-ranks", "8", "-halo"}},
+		{"halo with serial", "halo", []string{"-algo", "serial", "-halo"}},
+		{"partitioner with 2d", "partitioner", []string{"-algo", "2d", "-partitioner", "ldg"}},
+		{"overlap with serial", "overlap", []string{"-algo", "serial", "-overlap"}},
+		{"f32 with 1d", "precision", []string{"-algo", "1d", "-precision", "f32"}},
+		{"f32 with 1.5d", "precision", []string{"-algo", "1.5d", "-precision", "f32"}},
+		{"f32 with 2d", "precision", []string{"-algo", "2d", "-precision", "f32"}},
+		{"f32 with 3d", "precision", []string{"-algo", "3d", "-ranks", "8", "-precision", "f32"}},
+		{"tcp with serial", "tcp", []string{"-algo", "serial", "-transport", "tcp"}},
+		{"unknown transport", "quic", []string{"-algo", "2d", "-transport", "quic"}},
+		{"checkpoint-every without dir", "Dir", []string{"-algo", "1d", "-ranks", "2", "-checkpoint-every", "1"}},
+	} {
+		cmd := trainCmd(t, append([]string{"-quick", "-epochs", "1"}, tc.args...)...)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("%s: exit status %d (%v), want 1:\n%s", tc.name, code, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: output does not name %q:\n%s", tc.name, tc.want, out)
+		}
+		if strings.Contains(string(out), "dataset ") {
+			t.Errorf("%s: the dataset was built before the rejection:\n%s", tc.name, out)
+		}
+	}
 }
 
-// TestValidateFlagsAccepts covers the combinations that must keep working.
+// TestValidateFlagsAccepts covers the combinations that must keep working:
+// the command line's checks and the library's verdict on the options the
+// flags become (TrainOptions.Validate, which the CLI calls next).
 func TestValidateFlagsAccepts(t *testing.T) {
-	cases := map[string]flagCombo{
-		"defaults":            {algo: "2d"},
-		"row options on 1d":   {algo: "1d", halo: true, partitioner: "ldg", overlap: true},
-		"row options on 1.5d": {algo: "1.5d", halo: true, overlap: true},
-		"f32 on serial":       {algo: "serial", precision: "f32"},
-		"f64 on serial":       {algo: "serial", precision: "f64"},
-		"f64 on 1d":           {algo: "1d", precision: "f64"},
-		"f64 on 2d":           {algo: "2d", precision: "f64"},
-		"tcp on 2d":           {algo: "2d", transport: "tcp"},
-		"inproc explicit":     {algo: "3d", transport: "inproc"},
-	}
-	for name, combo := range cases {
-		if err := validateFlags(withNumericDefaults(combo)); err != nil {
+	defaults := flagCombo{epochs: 10, ranks: 16, lr: 0.01}
+	smallest := flagCombo{epochs: 1, ranks: 1, lr: 1e-9, val: 0.5, ckptEvery: 1, workers: 1}
+	for name, combo := range map[string]flagCombo{"defaults": defaults, "one epoch on one rank at a tiny learning rate": smallest} {
+		if err := validateFlags(combo); err != nil {
 			t.Errorf("%s: rejected: %v", name, err)
 		}
 	}
-	smallest := flagCombo{algo: "serial", epochs: 1, ranks: 1, lr: 1e-9}
-	if err := validateFlags(smallest); err != nil {
-		t.Errorf("one epoch on one rank at a tiny learning rate: rejected: %v", err)
+	cases := map[string]cagnet.TrainOptions{
+		"defaults":            {Algorithm: "2d"},
+		"row options on 1d":   {Algorithm: "1d", HaloExchange: true, Partitioner: "ldg", Overlap: true},
+		"row options on 1.5d": {Algorithm: "1.5d", HaloExchange: true, Overlap: true},
+		"f32 on serial":       {Algorithm: "serial", Precision: "f32"},
+		"f64 on serial":       {Algorithm: "serial", Precision: "f64"},
+		"f64 on 1d":           {Algorithm: "1d", Precision: "f64"},
+		"f64 on 2d":           {Algorithm: "2d", Precision: "f64"},
+		"tcp on 2d":           {Algorithm: "2d", Transport: "tcp"},
+		"inproc explicit":     {Algorithm: "3d", Ranks: 8, Transport: "inproc"},
+	}
+	for name, opts := range cases {
+		if opts.Ranks == 0 {
+			opts.Ranks = 16
+		}
+		if err := opts.Validate(); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
 	}
 }
 

@@ -206,7 +206,8 @@ func TestGracefulDrain(t *testing.T) {
 // TestResumedRunPerEpochFigures: a world resumed from a checkpoint trains
 // only the epochs after it, and its totals cover only those — the world
 // that resumes a 4-epoch checkpoint and trains to 8 prints the modeled-time
-// line of a fresh 4-epoch world, per-epoch figure included.
+// line of a fresh 4-epoch world, per-epoch figure included; the world that
+// resumes the 8-epoch checkpoint has no per-epoch figure to print.
 func TestResumedRunPerEpochFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks two worlds of training processes")
@@ -227,6 +228,17 @@ func TestResumedRunPerEpochFigures(t *testing.T) {
 	}
 	if got, want := printed(t, resumed, "modeled time"), printed(t, fresh, "modeled time"); got != want {
 		t.Errorf("resumed world prints %q, a fresh world of the same 4 epochs %q", got, want)
+	}
+	// Resumed at its final epoch, a world trains nothing: it says so
+	// instead of dividing by zero epochs.
+	atEnd := run("8")
+	for _, prefix := range []string{"measured wall time", "modeled time"} {
+		if line := printed(t, atEnd, prefix); !strings.Contains(line, " s total, no epoch trained") {
+			t.Errorf("world resumed at its end prints %q", line)
+		}
+	}
+	if strings.Contains(atEnd, "Inf") || strings.Contains(atEnd, "NaN") {
+		t.Errorf("world resumed at its end prints a non-finite figure:\n%s", atEnd)
 	}
 }
 
@@ -260,7 +272,7 @@ func TestShrinkWorld(t *testing.T) {
 		{"3d", 8, 2, 0}, // no cube in [2, 7]
 		{"1.5d", 4, 1, 3},
 	} {
-		cfg := config{algo: tc.algo, minWorld: tc.min, machine: "summit-v100"}
+		cfg := config{TrainOptions: cagnet.TrainOptions{Algorithm: tc.algo, Machine: "summit-v100"}, minWorld: tc.min}
 		if got := shrinkWorld(cfg, tc.world); got != tc.wt {
 			t.Errorf("shrinkWorld(%s, world=%d, min=%d) = %d, want %d", tc.algo, tc.world, tc.min, got, tc.wt)
 		}

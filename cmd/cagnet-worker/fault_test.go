@@ -173,7 +173,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 
 // TestChaosFlagValidation covers the fail-fast chaos flag rejections.
 func TestChaosFlagValidation(t *testing.T) {
-	base := config{world: 4, rank: 0, algo: "2d", coordinator: "x:1", chaosRank: 1}
+	base := config{world: 4, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1", chaosRank: 1}
 	bad := base
 	bad.chaos = "explode@op=1"
 	if err := run(bad); err == nil {
@@ -186,7 +186,7 @@ func TestChaosFlagValidation(t *testing.T) {
 		t.Error("chaos rank outside the world accepted")
 	}
 	bad = base
-	bad.checkpointEvery = -1
+	bad.Checkpoint.Every = -1
 	if err := run(bad); err == nil {
 		t.Error("negative checkpoint interval accepted")
 	}

@@ -80,6 +80,7 @@ import (
 	"syscall"
 	"time"
 
+	cagnet "repro"
 	"repro/internal/checkpoint"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -96,23 +97,15 @@ type config struct {
 	host        bool
 	spawn       bool
 
-	dataset     string
-	algo        string
-	epochs      int
-	lr          float64
-	optimizer   string
-	replication int
-	seed        int64
-	machine     string
-	overlap     bool
-	quick       bool
+	// The training run, as the library's options; Ranks and Transport are
+	// not flags: options sets them per world.
+	cagnet.TrainOptions
+	dataset string
+	quick   bool
 
 	rendezvousTimeout time.Duration
 	progressTimeout   time.Duration
 	heartbeatInterval time.Duration
-	checkpointDir     string
-	checkpointEvery   int
-	checkpointKeep    int
 	chaos             string
 	chaosRank         int
 	maxRestarts       int
@@ -130,21 +123,21 @@ func main() {
 	flag.BoolVar(&cfg.host, "host", true, "rank 0 hosts the coordinator at -coordinator (set -host=false when one already runs there)")
 	flag.BoolVar(&cfg.spawn, "spawn", false, "fork all -world workers locally (and supervise them: with -checkpoint-dir, a crashed world restarts from the latest checkpoint)")
 	flag.StringVar(&cfg.dataset, "dataset", "reddit-sim", "dataset analog (reddit-sim, amazon-sim, protein-sim)")
-	flag.StringVar(&cfg.algo, "algo", "2d", "algorithm: 1d, 1.5d, 2d, 3d (serial has no ranks)")
-	flag.IntVar(&cfg.epochs, "epochs", 10, "training epochs")
-	flag.Float64Var(&cfg.lr, "lr", 0.01, "learning rate")
-	flag.StringVar(&cfg.optimizer, "optimizer", "sgd", "weight-update rule: sgd, momentum, adam")
-	flag.IntVar(&cfg.replication, "replication", 0, "1.5d replication factor c (0 = default)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "weight-initialization seed")
-	flag.StringVar(&cfg.machine, "machine", "summit-v100", "cost-model machine profile")
-	flag.BoolVar(&cfg.overlap, "overlap", false, "report the overlapped modeled time (critical path) and the communication it hides")
+	flag.StringVar(&cfg.Algorithm, "algo", "2d", "algorithm: 1d, 1.5d, 2d, 3d (serial has no ranks)")
+	flag.IntVar(&cfg.Epochs, "epochs", 10, "training epochs")
+	flag.Float64Var(&cfg.LR, "lr", 0.01, "learning rate")
+	flag.StringVar(&cfg.Optimizer, "optimizer", "sgd", "weight-update rule: sgd, momentum, adam")
+	flag.IntVar(&cfg.ReplicationFactor, "replication", 0, "1.5d replication factor c (0 = default)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "weight-initialization seed")
+	flag.StringVar(&cfg.Machine, "machine", "summit-v100", "cost-model machine profile")
+	flag.BoolVar(&cfg.Overlap, "overlap", false, "report the overlapped modeled time (critical path) and the communication it hides")
 	flag.BoolVar(&cfg.quick, "quick", false, "shrink the dataset for a fast run")
 	flag.DurationVar(&cfg.rendezvousTimeout, "rendezvous-timeout", 0, "how long rendezvous and the mesh handshake may take (0 = 30s default; or $CAGNET_RENDEZVOUS_TIMEOUT)")
 	flag.DurationVar(&cfg.progressTimeout, "progress-timeout", 0, "a blocked collective fails after this much silence from the awaited peer (0 = 30s default; negative disables)")
 	flag.DurationVar(&cfg.heartbeatInterval, "heartbeat-interval", 0, "period between heartbeat frames to every peer (0 = 500ms default; negative disables)")
-	flag.StringVar(&cfg.checkpointDir, "checkpoint-dir", "", "directory for atomic training-state snapshots; a start resumes from the latest one (empty disables)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "epochs between snapshots (0 = only the final one)")
-	flag.IntVar(&cfg.checkpointKeep, "checkpoint-keep", 0, "retain only the newest N snapshots after each write (0 = keep all; the latest is never pruned)")
+	flag.StringVar(&cfg.Checkpoint.Dir, "checkpoint-dir", "", "directory for atomic training-state snapshots; a start resumes from the latest one (empty disables)")
+	flag.IntVar(&cfg.Checkpoint.Every, "checkpoint-every", 0, "epochs between snapshots (0 = only the final one)")
+	flag.IntVar(&cfg.Checkpoint.Keep, "checkpoint-keep", 0, "retain only the newest N snapshots after each write (0 = keep all; the latest is never pruned)")
 	flag.StringVar(&cfg.chaos, "chaos", "", "deterministic fault plan injected on the chaos rank, e.g. crash@epoch=3 or sever@op=40,delay@op=10:50ms")
 	flag.IntVar(&cfg.chaosRank, "chaos-rank", 1, "rank the -chaos plan applies to")
 	flag.IntVar(&cfg.maxRestarts, "max-restarts", 3, "-spawn: full-strength restarts from checkpoint at one world size before shrinking (or giving up at -min-world)")
@@ -194,10 +187,16 @@ func (cfg config) tcpOptions() comm.TCPOptions {
 	}
 }
 
+// options is the training run this worker takes part in at world size p:
+// TrainOptions.Validate gives the verdict on it before any rank is forked,
+// dialled or trained.
+func (cfg config) options(p int) cagnet.TrainOptions {
+	o := cfg.TrainOptions
+	o.Ranks, o.Transport = p, "tcp"
+	return o
+}
+
 func run(cfg config) error {
-	if cfg.algo == "serial" {
-		return fmt.Errorf("-algo serial has no ranks to distribute; use cagnet-train")
-	}
 	if cfg.chaos != "" {
 		if _, err := comm.ParseFaultPlan(cfg.chaos); err != nil {
 			return err
@@ -206,11 +205,11 @@ func run(cfg config) error {
 			return fmt.Errorf("-chaos-rank %d outside [0, %d)", cfg.chaosRank, cfg.world)
 		}
 	}
-	if cfg.checkpointEvery < 0 {
-		return fmt.Errorf("-checkpoint-every %d must be positive", cfg.checkpointEvery)
+	if cfg.Checkpoint.Every < 0 {
+		return fmt.Errorf("-checkpoint-every %d must be positive", cfg.Checkpoint.Every)
 	}
-	if cfg.checkpointKeep < 0 {
-		return fmt.Errorf("-checkpoint-keep %d must be positive (0 keeps all)", cfg.checkpointKeep)
+	if cfg.Checkpoint.Keep < 0 {
+		return fmt.Errorf("-checkpoint-keep %d must be positive (0 keeps all)", cfg.Checkpoint.Keep)
 	}
 	if cfg.spawn {
 		if cfg.world < 1 {
@@ -218,6 +217,9 @@ func run(cfg config) error {
 		}
 		if cfg.minWorld < 1 || cfg.minWorld > cfg.world {
 			return fmt.Errorf("-min-world %d outside [1, %d]", cfg.minWorld, cfg.world)
+		}
+		if err := cfg.options(cfg.world).Validate(); err != nil {
+			return err
 		}
 		return supervise(cfg)
 	}
@@ -276,7 +278,7 @@ func supervise(cfg config) error {
 			}
 			return nil
 		}
-		if cfg.checkpointDir == "" {
+		if cfg.Checkpoint.Dir == "" {
 			return fmt.Errorf("world failed with no -checkpoint-dir to restart from: %w", err)
 		}
 		deadHost := failed >= 0 && failed == lastFailed
@@ -306,30 +308,16 @@ func supervise(cfg config) error {
 	}
 }
 
-// shrinkWorld returns the largest world size below world that the algorithm
-// can run at (perfect square for 2d, perfect cube for 3d, replication-
+// shrinkWorld returns the largest world size below world that the options
+// validate at (perfect square for 2d, perfect cube for 3d, replication-
 // divisible for 1.5d) and that -min-world permits, or 0 when none exists.
 func shrinkWorld(cfg config, world int) int {
 	for p := world - 1; p >= cfg.minWorld; p-- {
-		if worldValid(cfg, p) {
+		if cfg.options(p).Validate() == nil {
 			return p
 		}
 	}
 	return 0
-}
-
-// worldValid reports whether the configured algorithm can run at world size
-// p: whatever the trainer constructor accepts.
-func worldValid(cfg config, p int) bool {
-	if p < 1 {
-		return false
-	}
-	mach, err := costmodel.ProfileByName(cfg.machine)
-	if err != nil {
-		return false
-	}
-	_, err = core.NewTrainerReplicated(cfg.algo, p, cfg.replication, mach)
-	return err == nil
 }
 
 // spawnAll forks one worker process per rank for one generation, hosting
@@ -359,27 +347,25 @@ func spawnAll(cfg config, gen, world int) (failedRank int, err error) {
 		"-host=false",
 		"-generation", strconv.Itoa(gen),
 		"-dataset", cfg.dataset,
-		"-algo", cfg.algo,
-		"-epochs", strconv.Itoa(cfg.epochs),
-		"-lr", strconv.FormatFloat(cfg.lr, 'g', -1, 64),
-		"-optimizer", cfg.optimizer,
-		"-replication", strconv.Itoa(cfg.replication),
-		"-seed", strconv.FormatInt(cfg.seed, 10),
-		"-machine", cfg.machine,
+		"-algo", cfg.Algorithm,
+		"-epochs", strconv.Itoa(cfg.Epochs),
+		"-lr", strconv.FormatFloat(cfg.LR, 'g', -1, 64),
+		"-optimizer", cfg.Optimizer,
+		"-replication", strconv.Itoa(cfg.ReplicationFactor),
+		"-seed", strconv.FormatInt(cfg.Seed, 10),
+		"-machine", cfg.Machine,
 		"-rendezvous-timeout", cfg.rendezvousTimeout.String(),
 		"-progress-timeout", cfg.progressTimeout.String(),
 		"-heartbeat-interval", cfg.heartbeatInterval.String(),
+		"-checkpoint-dir", cfg.Checkpoint.Dir,
+		"-checkpoint-every", strconv.Itoa(cfg.Checkpoint.Every),
+		"-checkpoint-keep", strconv.Itoa(cfg.Checkpoint.Keep),
 	}
-	if cfg.overlap {
+	if cfg.Overlap {
 		args = append(args, "-overlap")
 	}
 	if cfg.quick {
 		args = append(args, "-quick")
-	}
-	if cfg.checkpointDir != "" {
-		args = append(args, "-checkpoint-dir", cfg.checkpointDir,
-			"-checkpoint-every", strconv.Itoa(cfg.checkpointEvery),
-			"-checkpoint-keep", strconv.Itoa(cfg.checkpointKeep))
 	}
 	procs := make([]*exec.Cmd, world)
 	for r := 0; r < world; r++ {
@@ -456,7 +442,7 @@ func rankWorkers(env string, cpus, world int) int {
 // prints the report; the other ranks stay silent and contribute their
 // ledgers and wire samples through a final gather.
 func runRank(cfg config) error {
-	mach, err := costmodel.ProfileByName(cfg.machine)
+	mach, err := costmodel.ProfileByName(cfg.Machine)
 	if err != nil {
 		return err
 	}
@@ -487,6 +473,11 @@ func runRank(cfg config) error {
 		cfg.world = tcpTr.Size()
 		log.Printf("rank %d: adopted world size %d from coordinator (generation %d)", cfg.rank, cfg.world, cfg.generation)
 	}
+	// A fixed world is checked before it dials, a negotiated one as soon as
+	// it knows its size.
+	if err := cfg.options(cfg.world).Validate(); err != nil {
+		return err
+	}
 	parallel.SetWorkers(rankWorkers(os.Getenv("CAGNET_WORKERS"), runtime.NumCPU(), cfg.world))
 
 	spec, err := graph.AnalogByName(cfg.dataset)
@@ -497,7 +488,7 @@ func runRank(cfg config) error {
 		spec = spec.Quick()
 	}
 	ds := spec.Build()
-	trainer, err := core.NewTrainerReplicated(cfg.algo, cfg.world, cfg.replication, mach)
+	trainer, err := core.NewTrainerReplicated(cfg.Algorithm, cfg.world, cfg.ReplicationFactor, mach)
 	if err != nil {
 		return err
 	}
@@ -505,14 +496,14 @@ func runRank(cfg config) error {
 		A:          ds.Graph.NormalizedAdjacency(),
 		Features:   ds.Features,
 		Labels:     ds.Labels,
-		Checkpoint: checkpoint.Options{Dir: cfg.checkpointDir, Every: cfg.checkpointEvery, Keep: cfg.checkpointKeep},
+		Checkpoint: checkpoint.Options(cfg.Checkpoint),
 		Drain:      func() bool { return draining.Load() },
 		Config: nn.Config{
 			Widths:    ds.LayerWidths(),
-			LR:        cfg.lr,
-			Optimizer: cfg.optimizer,
-			Epochs:    cfg.epochs,
-			Seed:      cfg.seed,
+			LR:        cfg.LR,
+			Optimizer: cfg.Optimizer,
+			Epochs:    cfg.Epochs,
+			Seed:      cfg.Seed,
 		},
 	}
 
@@ -573,7 +564,7 @@ func runRank(cfg config) error {
 	// differ per rank; Gather keeps the boundaries.
 	ledger := c.Ledger()
 	summary := []float64{wall, ledger.TotalTime(), 0}
-	if cfg.overlap {
+	if cfg.Overlap {
 		summary[1], summary[2] = ledger.Elapsed(), ledger.HiddenCommTime()
 	}
 	msgs, words, secs := meter.Samples()
@@ -601,7 +592,7 @@ func runRank(cfg config) error {
 	fmt.Printf("dataset %s: n=%d nnz=%d d=%.1f f=%d labels=%d\n",
 		ds.Name, ds.Graph.NumVertices, a.NNZ(), a.AvgDegree(), ds.FeatureLen(), ds.NumLabels)
 	fmt.Printf("world %d ranks over tcp: algo=%s epochs=%d lr=%g optimizer=%s machine=%s\n\n",
-		cfg.world, cfg.algo, cfg.epochs, cfg.lr, cfg.optimizer, cfg.machine)
+		cfg.world, cfg.Algorithm, cfg.Epochs, cfg.LR, cfg.Optimizer, cfg.Machine)
 	if res.ResumedEpoch > 0 {
 		fmt.Printf("resumed from checkpoint at epoch %d\n\n", res.ResumedEpoch)
 	}
@@ -610,24 +601,24 @@ func runRank(cfg config) error {
 	}
 	if res.DrainedEpoch > 0 {
 		note := "no checkpoint directory, nothing persisted"
-		if cfg.checkpointDir != "" {
+		if cfg.Checkpoint.Dir != "" {
 			note = "final checkpoint written"
 		}
-		fmt.Printf("\ndrained after epoch %d of %d (%s)\n", res.DrainedEpoch, cfg.epochs, note)
+		fmt.Printf("\ndrained after epoch %d of %d (%s)\n", res.DrainedEpoch, cfg.Epochs, note)
 	}
 	fmt.Printf("\nfinal training accuracy: %.4f\n\n", res.Accuracy)
 	// A resumed or drained run trained fewer epochs than -epochs, and its
 	// ledger and wall clock cover only those.
-	trained := cfg.epochs
+	trained := cfg.Epochs
 	if res.DrainedEpoch > 0 {
 		trained = res.DrainedEpoch
 	}
-	epochs := float64(trained - res.ResumedEpoch)
-	fmt.Printf("measured wall time:        %.4f s total, %.4f s/epoch (max across ranks)\n",
-		wallMax, wallMax/epochs)
-	fmt.Printf("modeled time (%s): %.4f s total, %.4f s/epoch\n",
-		cfg.machine, modeledMax, modeledMax/epochs)
-	if cfg.overlap {
+	epochs := trained - res.ResumedEpoch
+	fmt.Printf("measured wall time:        %.4f s total, %s (max across ranks)\n",
+		wallMax, perEpoch(wallMax, epochs))
+	fmt.Printf("modeled time (%s): %.4f s total, %s\n",
+		cfg.Machine, modeledMax, perEpoch(modeledMax, epochs))
+	if cfg.Overlap {
 		fmt.Printf("communication hidden behind compute (modeled): %.4f s\n", hiddenMax)
 	}
 	if alpha, beta, err := costmodel.FitAlphaBeta(fm, fw, fs); err == nil {
@@ -637,4 +628,13 @@ func runRank(cfg config) error {
 		fmt.Printf("wire fit unavailable over %d samples: %v\n", len(fs), err)
 	}
 	return nil
+}
+
+// perEpoch is a total's share per epoch this run trained; a run resumed at
+// its final epoch trained none.
+func perEpoch(total float64, epochs int) string {
+	if epochs == 0 {
+		return "no epoch trained"
+	}
+	return fmt.Sprintf("%.4f s/epoch", total/float64(epochs))
 }

@@ -74,6 +74,37 @@ func TestSpawnSmoke(t *testing.T) {
 	}
 }
 
+// TestRejectedBeforeFork: an option set the library rejects is the
+// supervisor's verdict, not a crash of its ranks — exit status 1 with an
+// error naming the option, before any rank is forked (so no rank ever
+// adopts a world size), and never a world shrunk around its own
+// misconfiguration.
+func TestRejectedBeforeFork(t *testing.T) {
+	spawn := []string{"-spawn", "-dataset", "reddit-sim", "-quick", "-epochs", "2"}
+	for _, tc := range []struct {
+		name, want string
+		args       []string
+	}{
+		{"2d at 5 ranks", "perfect-square", []string{"-world", "5", "-algo", "2d", "-checkpoint-dir", t.TempDir()}},
+		{"2d at 5 ranks without a checkpoint dir", "perfect-square", []string{"-world", "5", "-algo", "2d"}},
+		{"checkpoint-every without dir", "Dir", []string{"-world", "2", "-algo", "1d", "-checkpoint-every", "1"}},
+		{"checkpoint-keep without dir", "Dir", []string{"-world", "2", "-algo", "1d", "-checkpoint-keep", "2"}},
+		{"unknown optimizer", "adagrad", []string{"-world", "2", "-algo", "1d", "-optimizer", "adagrad"}},
+	} {
+		cmd := workerCmd(t, append(spawn, tc.args...)...)
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); err == nil || code != 1 {
+			t.Errorf("%s: exit status %d (%v), want 1:\n%s", tc.name, code, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: output does not name %q:\n%s", tc.name, tc.want, out)
+		}
+		if strings.Contains(string(out), "adopted world size") {
+			t.Errorf("%s: ranks were forked before the rejection:\n%s", tc.name, out)
+		}
+	}
+}
+
 // TestEnvFallback drives rank/world/coordinator purely through the
 // CAGNET_* environment, the mpirun-style launch path.
 func TestEnvFallback(t *testing.T) {
@@ -95,15 +126,15 @@ func TestEnvFallback(t *testing.T) {
 // TestRunValidation covers the fail-fast rejections, no sockets involved.
 func TestRunValidation(t *testing.T) {
 	for name, cfg := range map[string]config{
-		"no world":             {world: 0, rank: 0, algo: "2d", coordinator: "x:1", host: true},
-		"no world no coord":    {world: 0, rank: 0, algo: "2d"},
-		"negotiate no rank":    {world: 0, rank: -1, algo: "2d", coordinator: "x:1"},
-		"serial":               {world: 1, rank: 0, algo: "serial", coordinator: "x:1"},
-		"rank high":            {world: 2, rank: 2, algo: "2d", coordinator: "x:1"},
-		"rank negative":        {world: 2, rank: -1, algo: "2d", coordinator: "x:1"},
-		"no coordinator":       {world: 2, rank: 0, algo: "2d"},
-		"spawn min-world high": {world: 2, algo: "1d", spawn: true, minWorld: 3},
-		"negative keep":        {world: 2, rank: 0, algo: "2d", coordinator: "x:1", checkpointKeep: -1},
+		"no world":             {world: 0, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1", host: true},
+		"no world no coord":    {world: 0, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}},
+		"negotiate no rank":    {world: 0, rank: -1, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1"},
+		"serial":               {world: 1, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "serial"}, coordinator: "x:1"},
+		"rank high":            {world: 2, rank: 2, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1"},
+		"rank negative":        {world: 2, rank: -1, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1"},
+		"no coordinator":       {world: 2, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}},
+		"spawn min-world high": {world: 2, TrainOptions: cagnet.TrainOptions{Algorithm: "1d"}, spawn: true, minWorld: 3},
+		"negative keep":        {world: 2, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d", Checkpoint: cagnet.CheckpointOptions{Keep: -1}}, coordinator: "x:1"},
 	} {
 		if err := run(cfg); err == nil {
 			t.Errorf("%s: config accepted", name)

@@ -46,6 +46,15 @@ type Options struct {
 // Enabled reports whether checkpointing is on.
 func (o Options) Enabled() bool { return o.Dir != "" }
 
+// Validate rejects snapshot knobs set without a directory, which would
+// write nothing.
+func (o Options) Validate() error {
+	if !o.Enabled() && (o.Every > 0 || o.Keep > 0) {
+		return fmt.Errorf("checkpoint: Every=%d Keep=%d without a Dir would write nothing: set Checkpoint.Dir or leave both zero", o.Every, o.Keep)
+	}
+	return nil
+}
+
 // Snapshot is the complete resumable state of a training run after
 // Epoch epochs.
 type Snapshot struct {

@@ -65,6 +65,13 @@ func TestProblemValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected feature-width error")
 	}
+	for _, widths := range [][]int{{5}, {5, -1, 3}} {
+		bad = p
+		bad.Config.Widths = widths
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("expected width error for %v", widths)
+		}
+	}
 	bad = p
 	bad.A = sparse.NewCSR(3, 4, nil)
 	if err := bad.Validate(); err == nil {

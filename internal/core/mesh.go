@@ -84,13 +84,18 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	if err != nil {
 		return nil, err
 	}
-	// 2D transposes explicitly and takes any A; 3D reads its Aᵀ blocks
-	// straight out of A.
+	// The forward SUMMA multiplies blocks of Aᵀ: on an undirected graph they
+	// are read straight out of A, and only a directed one pays for the global
+	// transpose, as in the block-row trainer. 2D obtains its A blocks by the
+	// transpose exchange, so it takes any A; 3D reuses its Aᵀ blocks as its
+	// A blocks, which holds only when A = Aᵀ.
 	at, transposes := p.A, t.name == "2d"
-	if transposes {
+	if diff := asymmetry(p.A); diff != "" {
+		if !transposes {
+			return nil, fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): %s; use serial, 1d, 1.5d or 2d for a directed graph",
+				t.name, diff)
+		}
 		at = p.A.Transpose()
-	} else if err := requireSymmetric(p.A, t.name); err != nil {
-		return nil, err
 	}
 	n := p.A.Rows
 	if mesh.C*mesh.D > n {

@@ -11,14 +11,20 @@ import (
 )
 
 // ConfigureRowDecomposition applies a partitioner choice and halo flag to
-// a 1D/1.5D trainer (any other trainer is rejected, including with the
-// identity "block" partitioner): it installs the halo mode, runs the
-// named partitioner over g at the trainer's block count (ranks for 1D,
-// teams for 1.5D), relabels the problem in place so the parts are
-// contiguous blocks, and installs the resulting layout. It returns the
-// relabeling order (order[new] = old; nil when the layout is the default
-// block one) for mapping row-per-vertex outputs back with RestoreRows.
+// a 1D/1.5D trainer. The zero choice (no partitioner, no halo) applies to
+// every trainer and changes nothing; any other is rejected for the other
+// trainers, even the identity "block" partitioner. It installs the halo
+// mode, runs the named partitioner over g at the trainer's block count
+// (ranks for 1D, teams for 1.5D), relabels the problem in place so the
+// parts are contiguous blocks, and installs the resulting layout. It
+// returns the relabeling order (order[new] = old; nil when the layout is
+// the default block one) for mapping row-per-vertex outputs back with
+// RestoreRows. A nil problem stops after the checks and the halo mode:
+// what can be decided before the data exists.
 func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, partitioner string, halo bool, seed int64) ([]int, error) {
+	if partitioner == "" && !halo {
+		return nil, nil
+	}
 	rt, ok := tr.(RowTrainer)
 	if !ok {
 		return nil, fmt.Errorf("core: partitioner/halo options apply to the 1d and 1.5d algorithms, not %q", tr.Name())
@@ -28,7 +34,7 @@ func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, par
 		return nil, nil
 	}
 	assign, err := partition.ByName(partitioner)
-	if err != nil {
+	if err != nil || problem == nil {
 		return nil, err
 	}
 	relabeled, layout, order, err := PartitionProblem(*problem, assign(g, rt.Blocks(), rand.New(rand.NewSource(seed))))

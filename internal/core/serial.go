@@ -82,8 +82,8 @@ type serialOps[T dense.Elem] struct {
 }
 
 // newSerialOps builds the serial layerOps for p with a fresh workspace. The
-// transpose is taken only when A ≠ Aᵀ (asymmetry, as the block-row trainers
-// decide it), and each operand is converted to T once, here.
+// transpose is taken only when A ≠ Aᵀ (asymmetry, as every trainer decides
+// it), and each operand is converted to T once, here.
 func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
 	s := &serialOps[T]{
 		a:      sparse.As[T](p.A),

@@ -117,6 +117,17 @@ func (p Problem) Validate() error {
 	if err := p.Config.Validate(); err != nil {
 		return err
 	}
+	if err := p.Checkpoint.Validate(); err != nil {
+		return err
+	}
+	if len(p.Config.Widths) < 2 {
+		return fmt.Errorf("core: need at least 2 widths (input, output), got %d", len(p.Config.Widths))
+	}
+	for i, w := range p.Config.Widths {
+		if w <= 0 {
+			return fmt.Errorf("core: width %d is %d, must be positive", i, w)
+		}
+	}
 	if p.A == nil || p.Features == nil {
 		return fmt.Errorf("core: nil matrices in problem")
 	}
@@ -144,9 +155,6 @@ func (p Problem) Validate() error {
 	if p.ValMask != nil && nn.CountMask(p.ValMask, 0) == 0 {
 		return fmt.Errorf("core: val mask selects no vertices")
 	}
-	if c := p.Checkpoint; !c.Enabled() && (c.Every > 0 || c.Keep > 0) {
-		return fmt.Errorf("core: checkpoint Every=%d Keep=%d without a Dir would write nothing: set Checkpoint.Dir or leave both zero", c.Every, c.Keep)
-	}
 	k := p.Config.Widths[len(p.Config.Widths)-1]
 	for i, l := range p.Labels {
 		if l < 0 || l >= k {
@@ -160,8 +168,8 @@ func (p Problem) Validate() error {
 // first entry whose mirror differs. One pass over the nonzeros: rows are
 // visited in order and every row's columns ascend, so entry (i, j) must meet
 // the next unread entry of row j, and that entry must be (j, i) with the
-// same value. The block-row trainers use it to decide whether backward can
-// reuse the forward blocks; requireSymmetric turns it into an error.
+// same value. Every trainer uses it to decide whether it needs the global
+// Aᵀ; the 3D trainer, which has no use for one, rejects a directed A.
 func asymmetry(a *sparse.CSR) string {
 	next := append([]int(nil), a.RowPtr[:a.Rows]...)
 	for i := 0; i < a.Rows; i++ {
@@ -181,18 +189,6 @@ func asymmetry(a *sparse.CSR) string {
 		}
 	}
 	return ""
-}
-
-// requireSymmetric rejects an adjacency with A ≠ Aᵀ on behalf of the named
-// trainer. The 3D trainer reads its Aᵀ blocks straight out of A, so on a
-// directed graph it would train a different model without a word; serial,
-// 1D, 1.5D and 2D keep Aᵀ and A apart and take any A.
-func requireSymmetric(a *sparse.CSR, algo string) error {
-	if diff := asymmetry(a); diff != "" {
-		return fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): %s; use serial, 1d, 1.5d or 2d for a directed graph",
-			algo, diff)
-	}
-	return nil
 }
 
 // Result reports a completed training run.

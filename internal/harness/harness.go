@@ -48,15 +48,6 @@ type Options struct {
 	Overlap bool
 }
 
-// rowConfigured reports whether o requests a non-default 1D/1.5D row
-// configuration for algo: the halo exchange or a non-block partitioner.
-func (o Options) rowConfigured(algo string) bool {
-	if algo != "1d" && algo != "1.5d" {
-		return false
-	}
-	return o.Halo || (o.Partitioner != "" && o.Partitioner != "block")
-}
-
 // WithDefaults fills zero fields.
 func (o Options) WithDefaults() Options {
 	if o.Machine.Name == "" {
@@ -163,9 +154,10 @@ type runCost struct {
 }
 
 // MeasureEpochOpts is MeasureEpoch honoring the full option set: for the
-// 1d and 1.5d algorithms, o.Halo and o.Partitioner select the
-// sparsity-aware exchange and the vertex partition (other algorithms
-// ignore both — their layouts are not row-partitioned).
+// trainers that take row options (core.RowTrainer: 1d and 1.5d), o.Halo
+// and o.Partitioner select the sparsity-aware exchange and the vertex
+// partition (other algorithms ignore both — their layouts are not
+// row-partitioned).
 func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMeasurement, error) {
 	o = o.WithDefaults()
 	run := func(epochs int) (runCost, error) {
@@ -174,8 +166,10 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 			return runCost{}, err
 		}
 		problem := problemFor(ds, epochs)
-		if o.rowConfigured(algo) {
-			if err := configureRowTrainer(tr, &problem, ds, o); err != nil {
+		// The partitioner seed is fixed so repeated measurements see the
+		// same assignment.
+		if _, ok := tr.(core.RowTrainer); ok {
+			if _, err := core.ConfigureRowDecomposition(tr, &problem, ds.Graph, o.Partitioner, o.Halo, 1); err != nil {
 				return runCost{}, err
 			}
 		}
@@ -223,17 +217,6 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 		m.OnceWordsByCat[k] = 2*one.words[k] - v
 	}
 	return m, nil
-}
-
-// configureRowTrainer applies o.Halo / o.Partitioner to a 1D or 1.5D
-// trainer: it relabels the problem so the partition's parts are
-// contiguous blocks and installs the layout and halo mode. The
-// partitioner seed is fixed so repeated measurements see the same
-// assignment. Callers must only pass a core.RowTrainer (core.NewOneD's or
-// core.NewOneFiveD's).
-func configureRowTrainer(tr core.Trainer, problem *core.Problem, ds *graph.Dataset, o Options) error {
-	_, err := core.ConfigureRowDecomposition(tr, problem, ds.Graph, o.Partitioner, o.Halo, 1)
-	return err
 }
 
 // Fig2Sweeps lists the paper's Figure 2 GPU counts per dataset. Amazon and

@@ -38,16 +38,11 @@ type Config struct {
 // Layers returns L, the number of weight layers.
 func (c Config) Layers() int { return len(c.Widths) - 1 }
 
-// Validate checks the configuration for structural errors.
+// Validate checks the training settings: learning rate, epoch count and
+// optimizer. The widths are the dataset's shape, checked against the data
+// (core.Problem.Validate), so a Config without them can be vetted before
+// any data exists.
 func (c Config) Validate() error {
-	if len(c.Widths) < 2 {
-		return fmt.Errorf("nn: need at least 2 widths (input, output), got %d", len(c.Widths))
-	}
-	for i, w := range c.Widths {
-		if w <= 0 {
-			return fmt.Errorf("nn: width %d is %d, must be positive", i, w)
-		}
-	}
 	if c.LR <= 0 {
 		return fmt.Errorf("nn: learning rate %v must be positive", c.LR)
 	}

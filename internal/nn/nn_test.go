@@ -15,9 +15,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := validConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// The widths are checked with the data (core's TestProblemValidate).
 	bad := []Config{
-		{Widths: []int{5}, LR: 0.1},
-		{Widths: []int{5, -1}, LR: 0.1},
 		{Widths: []int{5, 3}, LR: 0},
 		{Widths: []int{5, 3}, LR: 0.1, Epochs: -1},
 	}
