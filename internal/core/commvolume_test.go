@@ -290,17 +290,25 @@ func TestSparseCommStructure(t *testing.T) {
 //     first epoch's backward (two sweeps in 2D, where they are 11680 − 5840;
 //     one shared set on the symmetric 3D mesh, a quarter of the recorded
 //     12800), and 2D exchanges its 642 words once. The once-per-run part is
-//     pinned beside the steady state, to the word.
+//     pinned beside the steady state, to the word;
+//   - less what running the 2D/3D output layer row-split saves (`rows`):
+//     the log-softmax's two row gathers of Z² and ∂L/∂H² at f² go, and one
+//     operand crosses into the row layout and one back, each by an
+//     all-to-all at the layer's narrower width. In the aggregate-first
+//     order the T² panels of the partial SUMMA and Y²'s plane all-reduce
+//     and row all-gather go too, for one world all-reduce of Y².
 //
-// Everything else — weight all-reduces, the hidden layers' X·W panels, the
-// activation row gathers, the gather of G¹ for Y¹ — must not move. Sums over
+// Everything else — the hidden layers' weight all-reduces and X·W panels,
+// the gathers of G¹ and of a multiply-first A·G² — must not move. Sums over
 // ranks, not per-rank maxima, because only sums subtract.
 //
 // Charging rules (internal/comm): a broadcast charges every member of a
 // group of more than one the payload's words — a dense block is
 // rows·cols + 2, a CSR block rows + 3 + 2·nnz; a reduce-scatter (3D's fiber
 // sum) charges every member the full input length; an all-reduce charges it
-// twice; an all-gather charges every member the words of all parts.
+// twice; an all-gather charges every member the words of all parts; an
+// all-to-all charges every member the words it sends, which carry no shape
+// header.
 func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 	type words = map[comm.Category]int64
 	const dcomm, scomm, trpose, misc = comm.CatDenseComm, comm.CatSparseComm, comm.CatTranspose, comm.CatMisc
@@ -353,6 +361,21 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 		// What aggregating once at lo instead of hi saves, given the cost of
 		// that one aggregation as a function of its width.
 		narrower := func(agg func(f int64) words) words { return sub(agg(hi), agg(lo)) }
+		// The row-split output layer on P ranks, q to a process row, where a
+		// row gather at width f costs gather(f). An all-to-all of an n x f
+		// operand moves all of it but the 1/q each rank keeps. Algorithm 2's
+		// Y² is a plane all-reduce of each rank's (f¹/q) x f² block, then a
+		// row all-gather of the q blocks; here it is one world all-reduce of
+		// the whole f¹ x f².
+		rowSplit := func(P, q int64, gather func(f int64) int64) words {
+			a2a := func(f int64) int64 { return n * f * (q - 1) / q }
+			w := 2*gather(f2) - 2*a2a(lo)
+			if !narrowing {
+				planeThenGather := P*2*f1*f2/q + P*(f1*f2+2*q)
+				w += gather(f1) + planeThenGather - P*2*f1*f2
+			}
+			return words{dcomm: w}
+		}
 
 		cases := []struct {
 			name   string
@@ -362,6 +385,7 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 			order  words
 			static words // A's blocks as a steady-state epoch re-sent them
 			once   words // A's blocks as a whole run moves them
+			rows   words
 		}{
 			// 1D's recorded 6784 had each of the epoch's two backward
 			// aggregations as one reduce-scatter of the n x f outer product,
@@ -371,11 +395,11 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 			{"1d", func() DistTrainer { return NewOneD(4, testMach) },
 				map[bool]words{true: {dcomm: 6784 + 2*2*4*4, misc: 8}, false: {dcomm: 6784 + 2*2*4*4, misc: 8}},
 				words{dcomm: blockMul(4, 1, f0)[dcomm] + blockMul(4, 1, f1)[dcomm]},
-				narrower(func(f int64) words { return blockMul(4, 1, f) }), nil, nil},
+				narrower(func(f int64) words { return blockMul(4, 1, f) }), nil, nil, nil},
 			{"1.5d", func() DistTrainer { return NewOneFiveD(4, 2, testMach) },
 				map[bool]words{true: {dcomm: 9824, misc: 8}, false: {dcomm: 9824, misc: 8}},
 				words{dcomm: blockMul(2, 2, f0)[dcomm] + blockMul(2, 2, f1)[dcomm]},
-				narrower(func(f int64) words { return blockMul(2, 2, f) }), nil, nil},
+				narrower(func(f int64) words { return blockMul(2, 2, f) }), nil, nil, nil},
 			{"2d", func() DistTrainer { return NewTwoD(4, testMach) },
 				map[bool]words{
 					true:  {dcomm: 7936, scomm: 11680, trpose: 642, misc: 8},
@@ -392,7 +416,8 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 					return w
 				}(),
 				words{scomm: 2 * summa(2, 0)[scomm], trpose: 642},
-				words{scomm: 2 * summa(2, 0)[scomm], trpose: 642}},
+				words{scomm: 2 * summa(2, 0)[scomm], trpose: 642},
+				rowSplit(4, 2, func(f int64) int64 { return panels(2, f)[dcomm] })},
 			{"3d", func() DistTrainer { return NewThreeD(8, testMach) },
 				map[bool]words{
 					true:  {dcomm: 11776, scomm: 12800, misc: 16},
@@ -406,16 +431,17 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 					return w
 				}(),
 				words{scomm: 2 * split(2, 0)[scomm]},
-				words{scomm: split(2, 0)[scomm]}},
+				words{scomm: split(2, 0)[scomm]},
+				rowSplit(8, 2, func(f int64) int64 { return panels3(2, f)[dcomm] })},
 		}
 		for _, tc := range cases {
 			got, once := runWordsBy(t, tc.mk, p, (*comm.Cluster).SumWordsByCategory)
 			before := tc.before[narrowing]
-			want := sub(sub(sub(before, tc.input), tc.order), tc.static)
+			want := sub(sub(sub(sub(before, tc.input), tc.order), tc.static), tc.rows)
 			for _, cat := range []comm.Category{dcomm, scomm, trpose, misc} {
 				if got[cat] != want[cat] {
-					t.Errorf("%v %s %v: steady-state epoch moves %d words over all ranks, want %d − %d − %d − %d = %d",
-						widths, tc.name, cat, got[cat], before[cat], tc.input[cat], tc.order[cat], tc.static[cat], want[cat])
+					t.Errorf("%v %s %v: steady-state epoch moves %d words over all ranks, want %d − %d − %d − %d − %d = %d",
+						widths, tc.name, cat, got[cat], before[cat], tc.input[cat], tc.order[cat], tc.static[cat], tc.rows[cat], want[cat])
 				}
 			}
 			for _, cat := range []comm.Category{scomm, trpose} {

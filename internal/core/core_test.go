@@ -173,9 +173,11 @@ func TestSerialGradientNumerical(t *testing.T) {
 // distributed reductions reorder floating-point sums.
 const equivTol = 1e-8
 
-// checkEquivalence trains p with trainer and requires outputs, losses, and
-// weights to match the serial reference — the paper's §V-A verification.
-func checkEquivalence(t *testing.T, trainer Trainer, p Problem) {
+// checkEquivalence trains p with trainer and requires outputs, losses,
+// weights and accuracies — per epoch too, when p has a ValMask — to match
+// the serial reference, the paper's §V-A verification. It returns the
+// trainer's result.
+func checkEquivalence(t *testing.T, trainer Trainer, p Problem) *Result {
 	t.Helper()
 	want, err := NewSerial().Train(p)
 	if err != nil {
@@ -204,6 +206,17 @@ func checkEquivalence(t *testing.T, trainer Trainer, p Problem) {
 	if math.Abs(got.Accuracy-want.Accuracy) > 1e-12 {
 		t.Fatalf("%s accuracy %v vs serial %v", trainer.Name(), got.Accuracy, want.Accuracy)
 	}
+	if len(got.TrainAccuracy) != len(want.TrainAccuracy) || len(got.ValAccuracy) != len(want.ValAccuracy) {
+		t.Fatalf("%s tracked %d/%d epochs of accuracy, serial %d/%d", trainer.Name(),
+			len(got.TrainAccuracy), len(got.ValAccuracy), len(want.TrainAccuracy), len(want.ValAccuracy))
+	}
+	for e := range want.ValAccuracy {
+		if math.Abs(got.TrainAccuracy[e]-want.TrainAccuracy[e]) > 1e-12 || math.Abs(got.ValAccuracy[e]-want.ValAccuracy[e]) > 1e-12 {
+			t.Fatalf("%s epoch %d accuracy (train %v, val %v) vs serial (%v, %v)", trainer.Name(),
+				e, got.TrainAccuracy[e], got.ValAccuracy[e], want.TrainAccuracy[e], want.ValAccuracy[e])
+		}
+	}
+	return got
 }
 
 func TestOneDMatchesSerial(t *testing.T) {

@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
+	"repro/internal/partition"
 )
 
 // edgeProblem builds a symmetric problem with arbitrary layer widths.
@@ -124,6 +126,17 @@ func TestRanksExceedVerticesRejected(t *testing.T) {
 	if _, err := NewOneFiveD(16, 2, testMach).Train(p); err == nil {
 		t.Fatal("1.5d should reject teams > n")
 	}
+	// The mesh holds whole rows only in its output layer.
+	rowWise := edgeProblem(t, 36, []int{4, 3, 2}, 1, 59)
+	rowWise.Config.Hidden = dense.LogSoftmax{}
+	for _, tr := range []Trainer{NewTwoD(4, testMach), NewThreeD(8, testMach)} {
+		if _, err := tr.Train(rowWise); err == nil || !strings.Contains(err.Error(), "row-wise") {
+			t.Fatalf("%s should reject a row-wise hidden activation, got %v", tr.Name(), err)
+		}
+	}
+	if _, err := NewOneD(4, testMach).Train(rowWise); err != nil {
+		t.Fatalf("1d holds whole rows at every layer: %v", err)
+	}
 }
 
 // TestLossMatchesAcrossEveryTrainerLongRun verifies stability over more
@@ -153,6 +166,71 @@ func TestLossMatchesAcrossEveryTrainerLongRun(t *testing.T) {
 			if d < -1e-7 || d > 1e-7 {
 				t.Fatalf("%s diverges at epoch %d: %v vs %v", tr.Name(), e, got.Losses[e], serial.Losses[e])
 			}
+		}
+	}
+}
+
+// TestOutputRowsEmptySubSlices: the mesh runs its output layer row-split
+// inside each process row, each member holding its share of the row
+// block's rows, and a row block with fewer rows than the row has members
+// leaves some members none — 2D on 3 x 3 with n = 5 (blocks of 1, 2, 2
+// rows) and 3D on 3 x 3 x 3 with n = 11 (sub-slices of 1 or 2 rows). At
+// L = 1, 2 and 3, with the output layer in both product orders, the runs
+// must stay within equivTol of serial — outputs, weights, losses and both
+// accuracy curves — be bit-identical over loopback TCP, and allocate
+// nothing in a steady-state epoch.
+func TestOutputRowsEmptySubSlices(t *testing.T) {
+	meshes := []struct {
+		algo string
+		p, n int
+	}{
+		{"2d", 9, 5},
+		{"3d", 27, 11},
+	}
+	shapes := map[string][]int{
+		"L=1":                 {4, 3},
+		"L=2/aggregate-first": {3, 4, 5},
+		"L=2/multiply-first":  {5, 4, 3},
+		"L=3/aggregate-first": {4, 6, 5, 7},
+		"L=3/multiply-first":  {4, 5, 6, 3},
+	}
+	for _, m := range meshes {
+		for shape, widths := range shapes {
+			t.Run(m.algo+"/"+shape, func(t *testing.T) {
+				p := edgeProblem(t, m.n, widths, 3, 91)
+				p.ValMask = make([]bool, m.n)
+				for i := range p.ValMask {
+					p.ValMask[i] = i%2 == 1
+				}
+				mesh, err := meshFor(m.algo, m.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &meshRank{mesh: mesh, vBlk: partition.NewBlock1D(m.n, mesh.C)}
+				empty := false
+				for rank := 0; rank < m.p; rank++ {
+					lo, hi := r.outRows(r.mesh.Coords(rank))
+					empty = empty || lo == hi
+				}
+				if !empty {
+					t.Fatal("no rank holds an empty output row range: the case tests nothing")
+				}
+
+				trainer := func() Trainer {
+					tr, err := NewTrainer(m.algo, m.p, testMach)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return tr
+				}
+				got := checkEquivalence(t, trainer(), p)
+				requireSameRun(t, trainOverTCP(t, m.algo, m.p, 0, p), got)
+
+				useWorkers(t, 1)
+				if avg := steadyStateAllocs(t, trainer().(rankRunner), p, m.p); avg != 0 {
+					t.Fatalf("steady-state epoch allocates %.1f times across %d ranks, want 0", avg, m.p)
+				}
+			})
 		}
 	}
 }

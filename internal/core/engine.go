@@ -56,12 +56,12 @@ type layerOpsOf[T dense.Elem] interface {
 	// fusesForward).
 	multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T]
 
-	// activationForward applies act to z, returning this rank's H block
-	// plus any full-row cache the layout needs again in backward (nil for
-	// row-partitioned layouts, which apply even row-wise activations
-	// locally). The engine skips it for a layer whose multiplyWeight applied
-	// the ReLU.
-	activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T])
+	// activationForward applies act to z, returning this rank's H block.
+	// Every layout applies it locally: a row-wise act runs only at the output
+	// layer, whose rows each rank holds whole (on the 2D/3D mesh, z crosses
+	// into that layout here when the layer multiplies first). The engine
+	// skips it for a layer whose multiplyWeight applied the ReLU.
+	activationForward(act dense.Activation, z *dense.Of[T], l int) *dense.Of[T]
 
 	// lossGrad returns this rank's loss contribution and its block of
 	// ∂L/∂H^L, both normalized by the global supervised-vertex count.
@@ -71,7 +71,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// forward output h = H^l (dense.Activation.Backward reads the output).
 	// The engine skips it for a layer whose ReLU mask inputGrad(·, l+1)
 	// applied.
-	activationBackward(act dense.Activation, dH, h *dense.Of[T], cache *actCacheOf[T], l int) *dense.Of[T]
+	activationBackward(act dense.Activation, dH, h *dense.Of[T], l int) *dense.Of[T]
 
 	// backwardAggregate returns this rank's block of A·X at width x.Cols:
 	// X is G^l in a multiply-first layer (the result feeds weightGrad and
@@ -85,8 +85,8 @@ type layerOpsOf[T dense.Elem] interface {
 	// (T^l, G^l) straight from activationBackward in an aggregate-first one —
 	// sparseRight when layer l is a ReLU layer. A layout whose product reads
 	// full rows of g (2D, 3D) gathers them here unless it already holds them
-	// — a row-wise activation backward computed G^l on full rows — and
-	// inputGrad(g) reuses that gather.
+	// — the mesh's output layer holds whole rows — and inputGrad(g) reuses
+	// that gather.
 	weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T]
 
 	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
@@ -102,10 +102,9 @@ type layerOpsOf[T dense.Elem] interface {
 
 	// correctCounts returns, per mask (nil = all vertices), this rank's
 	// count of vertices whose output argmax matches the label, counting
-	// every global row on exactly one rank. cache is the output layer's
-	// actCache, if any; layouts without full output rows gather them once
-	// for all masks.
-	correctCounts(hOut *dense.Of[T], cache *actCacheOf[T], masks ...[]bool) []float64
+	// every global row on exactly one rank. Every layout holds whole output
+	// rows, so it is local.
+	correctCounts(hOut *dense.Of[T], masks ...[]bool) []float64
 
 	// reduce sums per-rank scalar contributions across all ranks
 	// (identity for serial).
@@ -118,28 +117,6 @@ type layerOpsOf[T dense.Elem] interface {
 
 // layerOps is the float64 contract the distributed ranks implement.
 type layerOps = layerOpsOf[float64]
-
-// actCache carries layout-private full-row state from activationForward to
-// activationBackward and the accuracy counters. Row-partitioned layouts
-// never need one; the 2D/3D layouts fill it when a row-wise activation
-// forced an all-gather, so backward reuses the gathered rows instead of
-// re-communicating.
-type actCacheOf[T dense.Elem] struct {
-	// hRow holds full rows of the post-activation H.
-	hRow *dense.Of[T]
-}
-
-// actCache is the float64 cache of the distributed ranks.
-type actCache = actCacheOf[float64]
-
-// hRowOr returns the cached full-row H, or gather() when no cache exists
-// (element-wise output activations never gathered rows).
-func (c *actCacheOf[T]) hRowOr(gather func() *dense.Of[T]) *dense.Of[T] {
-	if c != nil && c.hRow != nil {
-		return c.hRow
-	}
-	return gather()
-}
 
 // engine runs per-rank GCN training over a layerOps implementation in its
 // element type T. One engine instance executes on every rank; all five
@@ -181,13 +158,12 @@ type engine[T dense.Elem] struct {
 	t1 *dense.Of[T]
 
 	// Reused per-epoch bookkeeping: the weights in T, activations, the
-	// aggregates T^l of the aggregate-first layers, activation caches,
-	// float64 weight gradients, the 1-slot loss-reduction buffer, the
-	// drain-vote buffer, and the accuracy mask list.
+	// aggregates T^l of the aggregate-first layers, float64 weight
+	// gradients, the 1-slot loss-reduction buffer, the drain-vote buffer,
+	// and the accuracy mask list.
 	w        []*dense.Of[T]
 	h        []*dense.Of[T]
 	t        []*dense.Of[T]
-	caches   []*actCacheOf[T]
 	dW       []*dense.Matrix
 	scalar   []float64
 	drainBuf []float64
@@ -209,7 +185,6 @@ func newEngine[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, p Problem) *engin
 		w:         make([]*dense.Of[T], L),
 		h:         make([]*dense.Of[T], L+1),
 		t:         make([]*dense.Of[T], L+1),
-		caches:    make([]*actCacheOf[T], L+1),
 		dW:        make([]*dense.Matrix, L),
 		scalar:    make([]float64, 1),
 	}
@@ -366,10 +341,10 @@ func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.
 	}
 }
 
-// layerForward returns H^l = σ(Aᵀ·H^{l-1}·W^l) in layer l's product order,
-// the aggregate T^l when that order forms one (nil otherwise), and the
-// activation's cache. A fused layer's multiply applies the ReLU itself.
-func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T], cache *actCacheOf[T]) {
+// layerForward returns H^l = σ(Aᵀ·H^{l-1}·W^l) in layer l's product order
+// and the aggregate T^l when that order forms one (nil otherwise). A fused
+// layer's multiply applies the ReLU itself.
+func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T]) {
 	var z *dense.Of[T]
 	form := forwardForm(e.cfg, l)
 	if aggregatesFirst(e.cfg.Widths, l) {
@@ -382,25 +357,24 @@ func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T
 		z = e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l, form), l)
 	}
 	if form == fusedReLU {
-		return z, t, nil
+		return z, t
 	}
-	h, cache = e.ops.activationForward(e.cfg.Activation(l), z, l)
-	return h, t, cache
+	return e.ops.activationForward(e.cfg.Activation(l), z, l), t
 }
 
 // epoch runs one forward pass, loss reduction, backward recursion, and
-// optimizer step, updating weights in place. It returns the global loss,
-// the output-layer activation block, and its cache (for accuracy
-// tracking). aggregateInput must have run.
-func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actCacheOf[T]) {
+// optimizer step, updating weights in place. It returns the global loss
+// and the output-layer activation block (for accuracy tracking).
+// aggregateInput must have run.
+func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
 	L := e.cfg.Layers()
-	W, H, aggs, caches, dW := e.weightsInT(weights), e.h, e.t, e.caches, e.dW
+	W, H, aggs, dW := e.weightsInT(weights), e.h, e.t, e.dW
 
 	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l). Activations — and T^l
 	// where the layer forms it — are retained for backpropagation: the
 	// O(nfL) memory cost the paper's conclusion discusses.
 	for l := 1; l <= L; l++ {
-		H[l], aggs[l], caches[l] = e.layerForward(H[l-1], W[l-1], l)
+		H[l], aggs[l] = e.layerForward(H[l-1], W[l-1], l)
 	}
 
 	local, dH := e.ops.lossGrad(H[L])
@@ -419,7 +393,7 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actC
 	for l := L; l >= 1; l-- {
 		w, g := W[l-1], dH
 		if l == L || !fusesBackward(e.cfg, l+1) {
-			g = e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], caches[l], l)
+			g = e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], l)
 		}
 		if aggregatesFirst(e.cfg.Widths, l) {
 			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l, weightGradForm(e.cfg, l)))
@@ -440,7 +414,7 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T], *actC
 	// Weight update: gradients are replicated, so the optimizer runs
 	// identically on every rank with no communication (§III-D).
 	e.opt.Step(weights, dW)
-	return loss, H[L], caches[L]
+	return loss, H[L]
 }
 
 // forward runs inference with fixed weights and returns this rank's block
@@ -449,7 +423,7 @@ func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
 	W := e.weightsInT(weights)
 	var out *dense.Of[T]
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		out, _, _ = e.layerForward(out, W[l-1], l)
+		out, _ = e.layerForward(out, W[l-1], l)
 	}
 	return out
 }
@@ -495,12 +469,12 @@ func (e *engine[T]) run() (*Result, error) {
 	e.aggregateInput()
 	drained := 0
 	for epoch := start; epoch < e.cfg.Epochs; epoch++ {
-		loss, hOut, cache := e.epoch(weights)
+		loss, hOut := e.epoch(weights)
 		losses = append(losses, loss)
 		if track {
 			// Per-epoch accuracy of this epoch's forward output (the
 			// embeddings the loss was computed on, before the update).
-			counts := e.ops.reduce(e.ops.correctCounts(hOut, cache, e.masks...))
+			counts := e.ops.reduce(e.ops.correctCounts(hOut, e.masks...))
 			trainAcc = append(trainAcc, counts[0]/float64(trainTotal))
 			valAcc = append(valAcc, counts[1]/float64(valTotal))
 		}

@@ -332,10 +332,21 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 
 // backwardRecord collects, over every rank of one trainer, the global
 // matrices one epoch's backward pass read and produced, by layer: H^l, the
-// upstream gradient ∂L/∂H^l, G^l, and the replicated Y^l.
+// upstream gradient ∂L/∂H^l, G^l, and the replicated Y^l, for a network of
+// the given widths.
 type backwardRecord struct {
 	mu           sync.Mutex
+	widths       []int
 	h, dH, g, dW []*dense.Matrix
+}
+
+// outputRows reports whether a layer-l H^l or ∂L/∂H^l — or G^l, with g
+// set — is in the mesh's output row layout: H^L and ∂L/∂H^L always, G^L
+// when layer L aggregates first (otherwise activationBackward has sent it
+// back to the blocks).
+func (rec *backwardRecord) outputRows(l int, g bool) bool {
+	L := len(rec.widths) - 1
+	return l == L && (!g || aggregatesFirst(rec.widths, l))
 }
 
 // backwardProbe writes one rank's blocks into the shared record. Where the
@@ -350,7 +361,7 @@ type backwardProbe struct {
 func (b *backwardProbe) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
 	z := b.layerOps.multiplyWeight(x, w, l, f)
 	if f == fusedReLU {
-		b.place(b.rec.h[l], z)
+		b.place(b.rec.h[l], z, b.rec.outputRows(l, false))
 	}
 	return z
 }
@@ -359,36 +370,44 @@ func (b *backwardProbe) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix)
 	if mask == nil {
 		return b.layerOps.inputGrad(g, w, l, nil)
 	}
-	b.place(b.rec.dH[l-1], b.layerOps.inputGrad(g, w, l, nil))
+	b.place(b.rec.dH[l-1], b.layerOps.inputGrad(g, w, l, nil), false)
 	gPrev := b.layerOps.inputGrad(g, w, l, mask)
-	b.place(b.rec.g[l-1], gPrev)
+	b.place(b.rec.g[l-1], gPrev, false)
 	return gPrev
 }
 
-// place copies this rank's block into the global matrix it is a block of.
-func (b *backwardProbe) place(full, blk *dense.Matrix) {
+// place copies this rank's share into the global matrix it is part of: a
+// block, or on the mesh with rows set, the rank's output-layer rows. The
+// lock is released by defer: a share that does not fit panics, and the
+// launcher recovers that rank while its peers still need the lock.
+func (b *backwardProbe) place(full, blk *dense.Matrix, rows bool) {
 	r0, c0 := 0, 0
 	switch r := b.layerOps.(type) {
 	case *rowRank:
 		r0 = r.lo
 	case *meshRank:
-		r0, c0 = r.vBlk.Lo(r.pi), r.fBlk(full.Cols).Lo(r.pj)
+		if rows {
+			r0, _ = r.outRows(r.pi, r.pj, r.pk)
+		} else {
+			r0, _ = r.subRange(r.pi, r.pk)
+			c0 = r.fBlk(full.Cols).Lo(r.pj)
+		}
 	}
 	b.rec.mu.Lock()
+	defer b.rec.mu.Unlock()
 	full.SetSubMatrix(r0, c0, blk)
-	b.rec.mu.Unlock()
 }
 
-func (b *backwardProbe) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	h, cache := b.layerOps.activationForward(act, z, l)
-	b.place(b.rec.h[l], h)
-	return h, cache
+func (b *backwardProbe) activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix {
+	h := b.layerOps.activationForward(act, z, l)
+	b.place(b.rec.h[l], h, b.rec.outputRows(l, false))
+	return h
 }
 
-func (b *backwardProbe) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
-	b.place(b.rec.dH[l], dH)
-	g := b.layerOps.activationBackward(act, dH, h, cache, l)
-	b.place(b.rec.g[l], g)
+func (b *backwardProbe) activationBackward(act dense.Activation, dH, h *dense.Matrix, l int) *dense.Matrix {
+	b.place(b.rec.dH[l], dH, b.rec.outputRows(l, false))
+	g := b.layerOps.activationBackward(act, dH, h, l)
+	b.place(b.rec.g[l], g, b.rec.outputRows(l, true))
 	return g
 }
 
@@ -447,7 +466,8 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 			for trainer, run := range trainers {
 				t.Run(shape+"/"+graphName+"/"+trainer, func(t *testing.T) {
 					rec = &backwardRecord{
-						h: make([]*dense.Matrix, L+1), dH: make([]*dense.Matrix, L+1),
+						widths: widths,
+						h:      make([]*dense.Matrix, L+1), dH: make([]*dense.Matrix, L+1),
 						g: make([]*dense.Matrix, L+1), dW: make([]*dense.Matrix, L+1),
 					}
 					rec.h[0] = p.Features

@@ -33,9 +33,18 @@ import (
 // Each forward layer runs a SUMMA SpMM (row broadcasts of Aᵀ blocks, column
 // broadcasts of dense blocks) and a "partial SUMMA" against the replicated
 // W (row broadcasts of the dense operand's panels), in the order the engine
-// picks per layer. Row-wise activations (log_softmax) add an all-gather
-// along process rows. Backward runs the same pattern with A, plus the dense
+// picks per layer. Backward runs the same pattern with A, plus the dense
 // SUMMA for Y with its f×f all-gather.
+//
+// The output layer L is the exception. Algorithm 2 all-gathers Z^L and
+// ∂L/∂H^L along every process row for the row-wise log_softmax (§IV-C-2,
+// §IV-C-3), and every member of the row repeats the same full-row work.
+// Here layer L runs row-split inside each process row: member pj holds row
+// sub-slice pj of the row's n/(q·d) rows (outBlk) with all f^L columns, so
+// log_softmax, the loss and the accuracy counts are local. The layer's
+// narrower operand crosses in by one all-to-all along the process row and
+// one crosses back (toRows, fromRows; see rowsLayer). A row-wise hidden
+// activation would need full rows at every layer, so the mesh rejects one.
 //
 // Algorithm 2 broadcasts the sparse blocks in every stage of every epoch and
 // repeats the transpose every epoch; A never changes, so here they cross the
@@ -101,6 +110,9 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	if mesh.C*mesh.D > n {
 		return nil, fmt.Errorf("core: the %s mesh splits the vertices %d ways, the graph has only %d", t.name, mesh.C*mesh.D, n)
 	}
+	if cfg.Layers() > 1 && cfg.Hidden.RowWise() {
+		return nil, fmt.Errorf("core: the %s mesh applies a row-wise activation only at the output layer, not %s", t.name, cfg.Hidden.Name())
+	}
 	return func(c *comm.Comm) layerOps {
 		r := &meshRank{
 			comm: c, mach: t.mach, cfg: cfg, mesh: mesh,
@@ -146,7 +158,18 @@ type meshRank struct {
 	dims     []int
 	rsCounts []int
 	cnt      []float64
-	cacheBuf []actCache // per-layer actCache storage, reused every epoch
+
+	// outBlk splits the rows of my sub-slice (pi, pk) q ways: the output
+	// layer's layout, in which I hold rows outBlk(pj) — global rows from
+	// outLo — with all f^L columns. parts is the all-to-all's outbound
+	// scratch, one payload per member of the process row.
+	outBlk partition.Block1D
+	outLo  int
+	parts  []comm.Payload
+
+	// tRows is my output-layer row sub-slice of T^L when layer L aggregates
+	// first: multiplyWeight forms it, weightGrad reads it. Epoch-scoped.
+	tRows *dense.Matrix
 
 	// t1Rows holds this rank's full rows of T¹ (n/(q·d) x f⁰), gathered along
 	// the process row once with T¹ itself, so Z¹ = T¹·W¹ needs no panel
@@ -155,8 +178,7 @@ type meshRank struct {
 
 	// rows holds the full rows of the block rowsOf: what the
 	// weightGrad/inputGrad pair reads (§IV-C-4, §IV-D-4 gather once for both
-	// products). A row-wise activationBackward leaves G's rows here with G;
-	// otherwise fullRows gathers on first use. Cleared at endEpoch.
+	// products); fullRows gathers them on first use. Cleared at endEpoch.
 	rowsOf, rows *dense.Matrix
 }
 
@@ -193,6 +215,25 @@ func (r *meshRank) fBlk(f int) partition.Block1D {
 	return partition.NewBlock1D(f, r.mesh.C)
 }
 
+// outRows returns the global row range rank (i, j, k) holds in the output
+// layer: row sub-slice j of vertex sub-slice (i, k).
+func (r *meshRank) outRows(i, j, k int) (int, int) {
+	lo, hi := r.subRange(i, k)
+	blk := partition.NewBlock1D(hi-lo, r.mesh.C)
+	return lo + blk.Lo(j), lo + blk.Hi(j)
+}
+
+// rowsLayer reports whether layer l is the output layer in the product
+// order aggFirst names. Either way the layer's narrower operand crosses: an
+// aggregate-first output layer enters its row layout with T^L in
+// multiplyWeight (Z^L is then one local GEMM, Y^L one world all-reduce; at
+// L = 1 the rows come from t1Rows) and leaves with ∂L/∂T^L in inputGrad; a
+// multiply-first one enters with Z^L in activationForward and leaves with
+// G^L in activationBackward.
+func (r *meshRank) rowsLayer(l int, aggFirst bool) bool {
+	return l == r.cfg.Layers() && aggregatesFirst(r.cfg.Widths, l) == aggFirst
+}
+
 // setup cuts this rank's blocks out of Aᵀ and H⁰; transposes says the A
 // block comes from the transpose exchange (2D) rather than being the Aᵀ
 // block (3D).
@@ -224,7 +265,9 @@ func (r *meshRank) setup(at *sparse.CSR, transposes bool, features *dense.Matrix
 	r.ws = dense.NewWorkspace()
 	r.dims = make([]int, 2)
 	r.cnt = make([]float64, 8)
-	r.cacheBuf = make([]actCache, r.cfg.Layers()+1)
+	r.outBlk = partition.NewBlock1D(rHi-rLo, r.mesh.C)
+	r.outLo, _ = r.outRows(r.pi, r.pj, r.pk)
+	r.parts = make([]comm.Payload, r.mesh.C)
 	r.memBase = csrWords(r.at.blk) + matWords(r.h0) + cfgWeightWords(r.cfg)
 	r.recordMem(0)
 }
@@ -391,9 +434,8 @@ func (r *meshRank) gatherRows(x *dense.Matrix) *dense.Matrix {
 	return out
 }
 
-// fullRows returns the full rows of block x: the ones a row-wise
-// activationBackward left with it, or a gather, remembered so the second
-// of the weightGrad/inputGrad pair reuses it.
+// fullRows returns the full rows of block x by a gather, remembered so the
+// second of the weightGrad/inputGrad pair reuses it.
 func (r *meshRank) fullRows(x *dense.Matrix) *dense.Matrix {
 	if r.rowsOf != x {
 		r.rowsOf, r.rows = x, r.gatherRows(x)
@@ -401,12 +443,43 @@ func (r *meshRank) fullRows(x *dense.Matrix) *dense.Matrix {
 	return r.rows
 }
 
-// colBlockOf copies my column block of x's full rows out of them.
-func (r *meshRank) colBlockOf(xRow *dense.Matrix) *dense.Matrix {
-	fB := r.fBlk(xRow.Cols)
-	x := r.ws.GetUninit(xRow.Rows, fB.Size(r.pj))
-	xRow.SubMatrixInto(x, 0, xRow.Rows, fB.Lo(r.pj), fB.Hi(r.pj))
-	return x
+// toRows moves x, my block of an output-layer operand (the rows of
+// sub-slice (pi, pk), column block pj of its f columns), into the output
+// layer's row layout — my rows outBlk(pj), all f columns — by one all-to-all
+// along the process row. Member j's part is x's rows outBlk(j), contiguous
+// in x, so it is sent as it is; the parts received are the column blocks of
+// my rows.
+func (r *meshRank) toRows(x *dense.Matrix, f int) *dense.Matrix {
+	for j := range r.parts {
+		r.parts[j] = comm.Payload{Floats: x.Data[r.outBlk.Lo(j)*x.Cols : r.outBlk.Hi(j)*x.Cols]}
+	}
+	got := r.rowGroup.AllToAll(r.parts, comm.CatDenseComm)
+	fB := r.fBlk(f)
+	out := r.ws.GetUninit(r.outBlk.Size(r.pj), f)
+	for j, part := range got {
+		out.SetSubMatrix(0, fB.Lo(j), r.ws.Wrap(out.Rows, fB.Size(j), part.Floats))
+	}
+	r.recordMem(matWords(out))
+	return out
+}
+
+// fromRows is toRows' inverse: x holds my output-layer rows with all their
+// columns, and the result is my block (sub-slice (pi, pk), column block
+// pj). Member j's part is column block j of my rows; the parts received
+// are row ranges of my block, stacked in member order.
+func (r *meshRank) fromRows(x *dense.Matrix) *dense.Matrix {
+	fB := r.fBlk(x.Cols)
+	for j := range r.parts {
+		part := r.ws.GetUninit(x.Rows, fB.Size(j))
+		x.SubMatrixInto(part, 0, x.Rows, fB.Lo(j), fB.Hi(j))
+		r.parts[j] = comm.Payload{Floats: part.Data}
+	}
+	got := r.rowGroup.AllToAll(r.parts, comm.CatDenseComm)
+	out := r.ws.GetUninit(r.outBlk.Items(), fB.Size(r.pj))
+	for j, part := range got {
+		copy(out.Data[r.outBlk.Lo(j)*out.Cols:r.outBlk.Hi(j)*out.Cols], part.Floats)
+	}
+	return out
 }
 
 func (r *meshRank) rank() int { return r.comm.Rank() }
@@ -432,8 +505,23 @@ func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 // multiplyWeight computes X W in form f (with fusedReLU relu(X W): ReLU is
 // elementwise, so each block applies it alone) via the partial SUMMA —
 // except Z¹ = T¹ W¹, whose row panels forwardAggregate gathered for the
-// whole run: a local GEMM against W¹[:, colBlk(pj)].
+// whole run: a local GEMM against W¹[:, colBlk(pj)]. An aggregate-first
+// output layer instead takes my output rows of T^L — out of t1Rows at
+// L = 1, by toRows otherwise — and multiplies them by the whole W^L, so
+// Z^L arrives in the row layout.
 func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
+	if r.rowsLayer(l, true) {
+		if l == 1 {
+			lo, hi := r.outBlk.Lo(r.pj), r.outBlk.Hi(r.pj)
+			r.tRows = r.ws.Wrap(hi-lo, w.Rows, r.t1Rows.Data[lo*w.Rows:hi*w.Rows])
+		} else {
+			r.tRows = r.toRows(x, w.Rows)
+		}
+		z := r.ws.GetUninit(r.tRows.Rows, w.Cols)
+		weightMul(z, r.tRows, w, f, false)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
+		return z
+	}
 	if l > 1 {
 		return r.partialSumma(x, w, f)
 	}
@@ -446,64 +534,33 @@ func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *den
 	return z
 }
 
-// activationForward applies σ. Element-wise activations need no
-// communication; row-wise activations all-gather Z along the process row,
-// apply, and keep my column block, caching the full-row H for backward
-// (§IV-C-2) — no cross-layer or cross-row communication is needed
-// (§IV-D-2).
-func (r *meshRank) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
-	if !act.RowWise() {
-		h := r.ws.GetUninit(z.Rows, z.Cols)
-		act.Forward(h, z)
-		return h, nil
+// activationForward applies σ locally: hidden activations are
+// element-wise, and the output layer's rows are whole — a multiply-first
+// output layer's Z^L crosses into that layout here.
+func (r *meshRank) activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix {
+	if r.rowsLayer(l, false) {
+		z = r.toRows(z, r.cfg.Widths[l])
 	}
-	zRow := r.gatherRows(z)
-	hRow := r.ws.GetUninit(zRow.Rows, zRow.Cols)
-	act.Forward(hRow, zRow)
-	cache := &r.cacheBuf[l]
-	cache.hRow = hRow
-	return r.colBlockOf(hRow), cache
+	h := r.ws.GetUninit(z.Rows, z.Cols)
+	act.Forward(h, z)
+	return h
 }
 
-// lossGrad computes this block's loss contribution and ∂L/∂H^L, writing
-// -1/n into the label positions it owns: each rank owns the labels whose
-// class index falls in its column block, so nothing is double counted.
+// lossGrad computes the loss contribution and ∂L/∂H^L of my output rows.
 func (r *meshRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 	grad := r.ws.Get(hOut.Rows, hOut.Cols)
-	fB := r.fBlk(r.cfg.Widths[r.cfg.Layers()]) // class count: the label space, not an operand
-	cLo, cHi := fB.Lo(r.pj), fB.Hi(r.pj)
-	rLo, _ := r.subRange(r.pi, r.pk)
-	inv := 1.0 / float64(r.norm)
-	var loss float64
-	for i := 0; i < hOut.Rows; i++ {
-		if r.mask != nil && !r.mask[rLo+i] {
-			continue
-		}
-		lab := r.labels[rLo+i]
-		if lab < cLo || lab >= cHi {
-			continue
-		}
-		loss -= hOut.At(i, lab-cLo) * inv
-		grad.Set(i, lab-cLo, -inv)
-	}
-	return loss, grad
+	return nn.NLLLossMaskedInto(grad, hOut, r.labels, r.mask, r.outLo, r.norm), grad
 }
 
-// activationBackward computes G = act'(∂L/∂H) from H. Row-wise activations
-// need full rows: all-gather dH along the row and reuse the cached full-row
-// H (the σ' all-gather of §IV-C-3). G's full rows stay with it for the
-// weightGrad/inputGrad pair of an aggregate-first layer.
-func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, cache *actCache, l int) *dense.Matrix {
-	if !act.RowWise() {
-		g := r.ws.GetUninit(dH.Rows, dH.Cols)
-		act.Backward(g, dH, h)
-		return g
+// activationBackward computes G = act'(∂L/∂H) from H locally, on the output
+// layer's rows at l = L; a multiply-first output layer's G^L crosses back to
+// the block layout here, for backwardAggregate.
+func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, l int) *dense.Matrix {
+	g := r.ws.GetUninit(h.Rows, h.Cols)
+	act.Backward(g, dH, h)
+	if r.rowsLayer(l, false) {
+		g = r.fromRows(g)
 	}
-	dHRow := r.gatherRows(dH)
-	gRow := r.ws.GetUninit(dHRow.Rows, dHRow.Cols)
-	act.Backward(gRow, dHRow, cache.hRow)
-	g := r.colBlockOf(gRow)
-	r.rowsOf, r.rows = g, gRow
 	return g
 }
 
@@ -524,8 +581,17 @@ func (r *meshRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 // over grid rows and layers — down the process column at depth 1), then
 // all-gather along the process row to replicate Y (dense SUMMA +
 // all-gather, §IV-C-4, §IV-D-4). (H^{l-1}, A G^l) and (T^l, G^l) are laid
-// out alike, so one product serves both orders.
+// out alike, so one product serves both orders. An aggregate-first output
+// layer holds its rows of both T^L (tRows, in place of hPrev) and G^L
+// whole, and the rows are disjoint across the world: Y^L is one world
+// all-reduce of the local products.
 func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
+	if r.rowsLayer(l, true) {
+		partial := r.ws.GetUninit(r.tRows.Cols, g.Cols)
+		weightProduct(r.ws, partial, r.tRows, g, f, false)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(partial.Rows, g.Rows, partial.Cols))
+		return r.ws.Wrap(partial.Rows, partial.Cols, r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
+	}
 	gRow := r.fullRows(g)
 	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
 	weightProduct(r.ws, partial, hPrev, gRow, f, false)
@@ -546,7 +612,15 @@ func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *den
 // inputGrad computes my block of g·(W^l)ᵀ from g's full rows — already
 // gathered by weightGrad — with no communication, masked in the GEMM's
 // epilogue when asked: the result and the H^{l-1} block share their layout.
+// An aggregate-first output layer multiplies its G^L rows by the whole
+// W^L and sends ∂L/∂T^L back to the block layout (it is never masked).
 func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
+	if r.rowsLayer(l, true) {
+		dT := r.ws.GetUninit(g.Rows, w.Rows)
+		dense.MulT(dT, g, w)
+		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
+		return r.fromRows(dT)
+	}
 	gRow := r.fullRows(g)
 	fPB := r.fBlk(w.Rows)
 	wRowBlk := r.ws.GetUninit(fPB.Size(r.pj), w.Cols)
@@ -567,22 +641,14 @@ func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *den
 func (r *meshRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
-	r.rowsOf, r.rows = nil, nil
+	r.rowsOf, r.rows, r.tRows = nil, nil, nil
 	r.comm.EpochDone()
 }
 
-// correctCounts needs full output rows: it reuses the row-wise
-// activation's gathered H when available and all-gathers once (for all
-// masks) otherwise. Only column-0 ranks count, so each (pi, pk) row
-// sub-slice is counted once.
-func (r *meshRank) correctCounts(hOut *dense.Matrix, cache *actCache, masks ...[]bool) []float64 {
-	hRow := cache.hRowOr(func() *dense.Matrix { return r.gatherRows(hOut) })
+// correctCounts counts my output rows: every rank holds its own.
+func (r *meshRank) correctCounts(hOut *dense.Matrix, masks ...[]bool) []float64 {
 	counts := countBuf(r.cnt, len(masks))
-	if r.pj != 0 {
-		return counts
-	}
-	rLo, _ := r.subRange(r.pi, r.pk)
-	argmaxCorrectInto(counts, hRow, r.labels, rLo, masks)
+	argmaxCorrectInto(counts, hOut, r.labels, r.outLo, masks)
 	return counts
 }
 
@@ -590,18 +656,17 @@ func (r *meshRank) reduce(vals []float64) []float64 {
 	return r.comm.World().AllReduce(vals, comm.CatMisc)
 }
 
-// gatherOutput assembles the global output on rank 0.
+// gatherOutput assembles the global output on rank 0 from every rank's
+// output rows.
 func (r *meshRank) gatherOutput(hOut *dense.Matrix) *dense.Matrix {
 	parts := r.comm.World().Gather(0, matPayload(hOut), comm.CatMisc)
 	if r.comm.Rank() != 0 {
 		return nil
 	}
-	fL := r.fBlk(r.cfg.Widths[r.cfg.Layers()])
-	full := dense.New(r.n, r.cfg.Widths[r.cfg.Layers()])
+	full := dense.New(r.n, hOut.Cols)
 	for rank, part := range parts {
-		gi, gj, gk := r.mesh.Coords(rank)
-		rLo, _ := r.subRange(gi, gk)
-		full.SetSubMatrix(rLo, fL.Lo(gj), payloadMat(part))
+		lo, _ := r.outRows(r.mesh.Coords(rank))
+		full.SetSubMatrix(lo, 0, payloadMat(part))
 	}
 	return full
 }

@@ -415,10 +415,10 @@ func (r *rowRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dens
 
 // activationForward: H is row-partitioned, so even row-wise activations
 // such as log_softmax need no communication (§IV-A-2).
-func (r *rowRank) activationForward(act dense.Activation, z *dense.Matrix, l int) (*dense.Matrix, *actCache) {
+func (r *rowRank) activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix {
 	h := r.ws.GetUninit(z.Rows, z.Cols)
 	act.Forward(h, z)
-	return h, nil
+	return h
 }
 
 // lossGrad: every replica computes the gradient block, the primary alone
@@ -433,7 +433,7 @@ func (r *rowRank) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 }
 
 // activationBackward: local, like the forward (row-partitioned).
-func (r *rowRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, _ *actCache, l int) *dense.Matrix {
+func (r *rowRank) activationBackward(act dense.Activation, dH, h *dense.Matrix, l int) *dense.Matrix {
 	g := r.ws.GetUninit(h.Rows, h.Cols)
 	act.Backward(g, dH, h)
 	return g
@@ -480,7 +480,7 @@ func (r *rowRank) endEpoch() {
 }
 
 // correctCounts: the primary of each row block counts it.
-func (r *rowRank) correctCounts(hOut *dense.Matrix, _ *actCache, masks ...[]bool) []float64 {
+func (r *rowRank) correctCounts(hOut *dense.Matrix, masks ...[]bool) []float64 {
 	counts := countBuf(r.cnt, len(masks))
 	if r.primary() {
 		argmaxCorrectInto(counts, hOut, r.labels, r.lo, masks)

@@ -124,14 +124,14 @@ func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *
 	return z
 }
 
-func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) (*dense.Of[T], *actCacheOf[T]) {
+func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) *dense.Of[T] {
 	h := s.ws.GetUninit(z.Rows, z.Cols)
 	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
 		dense.RefLogSoftmaxForward(h, z)
 	} else {
 		dense.ForwardOf(act, h, z)
 	}
-	return h, nil
+	return h
 }
 
 func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
@@ -139,7 +139,7 @@ func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
 	return nn.NLLLossMaskedIntoOf(grad, hOut, s.labels, s.mask, 0, s.norm), grad
 }
 
-func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], _ *actCacheOf[T], l int) *dense.Of[T] {
+func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], l int) *dense.Of[T] {
 	g := s.ws.GetUninit(h.Rows, h.Cols)
 	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
 		dense.RefLogSoftmaxBackward(g, dH, h)
@@ -190,7 +190,7 @@ func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *d
 
 func (s *serialOps[T]) endEpoch() { s.ws.Reset() }
 
-func (s *serialOps[T]) correctCounts(hOut *dense.Of[T], _ *actCacheOf[T], masks ...[]bool) []float64 {
+func (s *serialOps[T]) correctCounts(hOut *dense.Of[T], masks ...[]bool) []float64 {
 	counts := countBuf(s.cnt, len(masks))
 	argmaxCorrectInto(counts, hOut, s.labels, 0, masks)
 	return counts

@@ -84,33 +84,40 @@ func TestTrainTCPBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			got := trainOverTCP(t, tc.algo, tc.p, tc.c, prob)
-
-			if len(got.Weights) != len(want.Weights) {
-				t.Fatalf("weight count %d over TCP, %d in-process", len(got.Weights), len(want.Weights))
-			}
-			for l := range want.Weights {
-				gw, ww := got.Weights[l], want.Weights[l]
-				if gw.Rows != ww.Rows || gw.Cols != ww.Cols {
-					t.Fatalf("layer %d shape %dx%d over TCP, %dx%d in-process", l, gw.Rows, gw.Cols, ww.Rows, ww.Cols)
-				}
-				for i := range ww.Data {
-					if math.Float64bits(gw.Data[i]) != math.Float64bits(ww.Data[i]) {
-						t.Fatalf("layer %d weight[%d]: %v over TCP, %v in-process", l, i, gw.Data[i], ww.Data[i])
-					}
-				}
-			}
-			for e := range want.Losses {
-				if math.Float64bits(got.Losses[e]) != math.Float64bits(want.Losses[e]) {
-					t.Fatalf("epoch %d loss: %v over TCP, %v in-process", e, got.Losses[e], want.Losses[e])
-				}
-			}
-			for i := range want.Output.Data {
-				if math.Float64bits(got.Output.Data[i]) != math.Float64bits(want.Output.Data[i]) {
-					t.Fatalf("output[%d]: %v over TCP, %v in-process", i, got.Output.Data[i], want.Output.Data[i])
-				}
-			}
+			requireSameRun(t, trainOverTCP(t, tc.algo, tc.p, tc.c, prob), want)
 		})
+	}
+}
+
+// requireSameRun fails unless a run over TCP (got) has the in-process run's
+// weights, losses and output, bit for bit.
+func requireSameRun(t *testing.T, got, want *Result) {
+	t.Helper()
+	if len(got.Weights) != len(want.Weights) {
+		t.Fatalf("weight count %d over TCP, %d in-process", len(got.Weights), len(want.Weights))
+	}
+	for l := range want.Weights {
+		gw, ww := got.Weights[l], want.Weights[l]
+		if gw.Rows != ww.Rows || gw.Cols != ww.Cols {
+			t.Fatalf("layer %d shape %dx%d over TCP, %dx%d in-process", l, gw.Rows, gw.Cols, ww.Rows, ww.Cols)
+		}
+		requireSameBits(t, fmt.Sprintf("layer %d weight", l), gw.Data, ww.Data)
+	}
+	requireSameBits(t, "loss", got.Losses, want.Losses)
+	requireSameBits(t, "output", got.Output.Data, want.Output.Data)
+}
+
+// requireSameBits fails unless got (over TCP) and want (in-process) hold
+// the same float64 bits.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values over TCP, %d in-process", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v over TCP, %v in-process", what, i, got[i], want[i])
+		}
 	}
 }
 

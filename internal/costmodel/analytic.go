@@ -44,7 +44,9 @@ func (w Workload) AvgDegree() float64 {
 // keeps the sparse row panels the first SUMMA of each direction delivers
 // and 2D transposes once — the nnz terms of TwoD and ThreeD and 2D's
 // transpose are charged once per run, in the same categories at the same
-// α–β cost, and a steady-state epoch carries none of them. The functions
+// α–β cost, and a steady-state epoch carries none of them. A fourth is the
+// mesh's too: its output layer runs row-split inside each process row, so
+// the log-softmax needs no row gather. The functions
 // keep the published form, which with one average width f cannot see the
 // second saving at all; callers comparing them with a measured steady-state
 // epoch subtract one layer's aggregation and, for 2D/3D, the nnz terms.
@@ -240,8 +242,10 @@ func TwoDOverOneDWordRatio(p int) float64 {
 //
 // Real networks are not uniform, and there the product order moves the
 // ratio further than this formula shows: each aggregation term on either
-// side carries min(f^{l-1}, f^l), and an aggregate-first log-softmax output
-// layer spares 2D one more row gather (A·G^L is never gathered).
+// side carries min(f^{l-1}, f^l). Nor does the formula see the mesh's
+// row-split output layer, which replaces Algorithm 2's two log-softmax row
+// gathers (and, where the layer aggregates first, its X·W panels) with two
+// all-to-alls of (√P−1)/√P of a block each; it keeps the paper's accounting.
 func TwoDOverOneDSteadyWordRatio(layers, p int) float64 {
 	if layers <= 1 {
 		return math.Inf(1)
