@@ -268,8 +268,9 @@ type TrainReport struct {
 	// WordsByCategory is the per-rank maximum of modeled words moved per
 	// category over the whole run (nil for "serial"). Not every category
 	// grows with Epochs: "scomm" (2D/3D's sparse row panels) and "trpose"
-	// (2D's transpose exchange) are paid once per run — A is static, so the
-	// mesh holds what the first SUMMA of each direction delivers — as are
+	// (the mesh's transpose exchange, which runs only when A ≠ Aᵀ) are paid
+	// once per run — A is static, so the mesh holds what the first SUMMA of
+	// each direction delivers — as are
 	// the input aggregation's share of "dcomm" and the final forward pass;
 	// difference two runs of different length for a steady-state epoch.
 	WordsByCategory map[string]int64
@@ -314,8 +315,8 @@ func (r *TrainReport) Result() *core.Result { return r.result }
 // learning rate, epoch count, machine, checkpoint knobs, overlap and
 // transport — and names the option it rejects. Train runs the same checks
 // first, so the two cannot disagree. What only the data decides (the masks,
-// the vertex count against the rank layout, 3D's need for a symmetric A)
-// Train checks once it has the dataset.
+// the vertex count against the rank layout) Train checks once it has the
+// dataset.
 func (o TrainOptions) Validate() error {
 	_, _, err := o.withDefaults().trainer()
 	return err

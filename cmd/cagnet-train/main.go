@@ -37,7 +37,7 @@ func main() {
 	dataset := flag.String("dataset", "reddit-sim", "dataset analog (reddit-sim, amazon-sim, protein-sim)")
 	// The flags are the library's options; Validate has the verdict on them.
 	var opts cagnet.TrainOptions
-	flag.StringVar(&opts.Algorithm, "algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d (all but 3d also take a directed graph)")
+	flag.StringVar(&opts.Algorithm, "algo", "2d", "algorithm: serial, 1d, 1.5d, 2d, 3d (every one also takes a directed graph)")
 	flag.IntVar(&opts.Ranks, "ranks", 16, "simulated rank count")
 	flag.IntVar(&opts.Epochs, "epochs", 10, "training epochs")
 	flag.Float64Var(&opts.LR, "lr", 0.01, "learning rate")

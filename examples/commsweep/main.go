@@ -4,9 +4,9 @@
 // paper in one table: 1D is flat in P, 1.5D cuts the 1D dense traffic by
 // its replication factor c, 2D falls as √P, 3D as P^{2/3}. The 2d and 3d
 // columns are dense words only: the mesh holds its sparse row panels after
-// the first SUMMA of each direction and 2D transposes once, so a
-// steady-state epoch moves no sparse word; the analytic column keeps the
-// paper's uncached form, nnz terms included.
+// the first SUMMA of each direction and transposes only when A ≠ Aᵀ (never
+// on this symmetric graph), so a steady-state epoch moves no sparse word;
+// the analytic column keeps the paper's uncached form, nnz terms included.
 //
 // Run with: go run ./examples/commsweep
 package main
@@ -67,7 +67,8 @@ func main() {
 	fmt.Println("average width, and 2D/3D re-broadcast their sparse blocks every epoch. Measured steady-state")
 	fmt.Println("epochs aggregate the 64-wide input layer once per run and every other layer at")
 	fmt.Println("min(f_in, f_out), and carry no sparse words at all — the 2d/3d ranks hold their row panels")
-	fmt.Println("of A after the first epoch (scomm and trpose are paid once per run) — so they sit below them.")
+	fmt.Println("of A after the first epoch (scomm, and trpose on a directed graph, are paid once per run) — so")
+	fmt.Println("they sit below them.")
 }
 
 func isCube(p int) bool {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
+	"repro/internal/sparse"
 )
 
 // perEpochWords measures the per-epoch modeled communication words of a
@@ -240,9 +241,14 @@ func TestThreeDBeatsTwoDWordsAtEqualP(t *testing.T) {
 // families: 1D keeps A in place (no sparse traffic at all), 2D/3D broadcast
 // sparse blocks along process rows — in the first SUMMA of each direction,
 // a run's once-per-run part, after which every rank holds its row panels
-// and a steady-state epoch moves none; 2D's transpose goes the same way.
+// and a steady-state epoch moves none. The transpose exchange goes the same
+// way and runs iff A ≠ Aᵀ, at either depth: on the row-stochastic A, whose
+// structure is the symmetric one's, the second panel set doubles the sparse
+// words to the word.
 func TestSparseCommStructure(t *testing.T) {
 	p := testProblem(t, 320, 12, 8, 6, 1, 48)
+	directed := p
+	directed.A = sparse.RowStochastic(p.A)
 	maxWords := (*comm.Cluster).MaxWordsByCategory
 	steady, once := runWordsBy(t, func() DistTrainer { return NewOneD(4, testMach) }, p, maxWords)
 	if steady[comm.CatSparseComm] != 0 || once[comm.CatSparseComm] != 0 {
@@ -252,16 +258,25 @@ func TestSparseCommStructure(t *testing.T) {
 		"2d": func() DistTrainer { return NewTwoD(4, testMach) },
 		"3d": func() DistTrainer { return NewThreeD(8, testMach) },
 	} {
-		steady, once := runWordsBy(t, mk, p, maxWords)
-		if once[comm.CatSparseComm] == 0 {
-			t.Fatalf("%s must broadcast sparse blocks once per run", name)
-		}
-		if (once[comm.CatTranspose] != 0) != (name == "2d") {
-			t.Fatalf("%s moves %d trpose words once per run", name, once[comm.CatTranspose])
-		}
-		if steady[comm.CatSparseComm] != 0 || steady[comm.CatTranspose] != 0 {
-			t.Fatalf("%s re-sends static operands: %d scomm and %d trpose words per steady-state epoch",
-				name, steady[comm.CatSparseComm], steady[comm.CatTranspose])
+		var symOnce int64
+		for _, prob := range []Problem{p, directed} {
+			isDirected := prob.A != p.A
+			steady, once := runWordsBy(t, mk, prob, maxWords)
+			if once[comm.CatSparseComm] == 0 {
+				t.Fatalf("%s must broadcast sparse blocks once per run", name)
+			}
+			if (once[comm.CatTranspose] != 0) != isDirected {
+				t.Fatalf("%s (directed %v) moves %d trpose words once per run", name, isDirected, once[comm.CatTranspose])
+			}
+			if steady[comm.CatSparseComm] != 0 || steady[comm.CatTranspose] != 0 {
+				t.Fatalf("%s (directed %v) re-sends static operands: %d scomm and %d trpose words per steady-state epoch",
+					name, isDirected, steady[comm.CatSparseComm], steady[comm.CatTranspose])
+			}
+			if !isDirected {
+				symOnce = once[comm.CatSparseComm]
+			} else if once[comm.CatSparseComm] != 2*symOnce {
+				t.Fatalf("%s: %d scomm words once on the directed graph, want two panel sets of %d", name, once[comm.CatSparseComm], symOnce)
+			}
 		}
 	}
 }
@@ -284,13 +299,14 @@ func TestSparseCommStructure(t *testing.T) {
 //     rows;
 //   - less what is static (`static`): A never changes, so the sparse panels
 //     of layer 2's two SUMMA sweeps and 2D's transpose exchange — all that
-//     was left of the recorded scomm and trpose — do not recur either. They
-//     are the run's `once`: the mesh holds the row panels the first SUMMA of
-//     each direction delivers, Aᵀ's while T¹ is aggregated and A's in the
-//     first epoch's backward (two sweeps in 2D, where they are 11680 − 5840;
-//     one shared set on the symmetric 3D mesh, a quarter of the recorded
-//     12800), and 2D exchanges its 642 words once. The once-per-run part is
-//     pinned beside the steady state, to the word;
+//     was left of the recorded scomm and trpose — do not recur either. What
+//     a run moves of them once (`once`) is one sweep's panels at either
+//     depth: A = Aᵀ here, so the mesh holds the one set of row panels the
+//     first SUMMA delivers while T¹ is aggregated and backward reads them
+//     too — a quarter of the recorded sweeps, 11680 in 2D and 12800 in 3D
+//     — and nothing transposes: the 642 trpose words 2D recorded bought
+//     nothing on a symmetric A. The once-per-run part is pinned beside the
+//     steady state, to the word;
 //   - less what running the 2D/3D output layer row-split saves (`rows`):
 //     the log-softmax's two row gathers of Z² and ∂L/∂H² at f² go, and one
 //     operand crosses into the row layout and one back, each by an
@@ -416,7 +432,7 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 					return w
 				}(),
 				words{scomm: 2 * summa(2, 0)[scomm], trpose: 642},
-				words{scomm: 2 * summa(2, 0)[scomm], trpose: 642},
+				words{scomm: summa(2, 0)[scomm]},
 				rowSplit(4, 2, func(f int64) int64 { return panels(2, f)[dcomm] })},
 			{"3d", func() DistTrainer { return NewThreeD(8, testMach) },
 				map[bool]words{

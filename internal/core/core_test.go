@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/costmodel"
@@ -173,50 +172,56 @@ func TestSerialGradientNumerical(t *testing.T) {
 // distributed reductions reorder floating-point sums.
 const equivTol = 1e-8
 
-// checkEquivalence trains p with trainer and requires outputs, losses,
-// weights and accuracies — per epoch too, when p has a ValMask — to match
-// the serial reference, the paper's §V-A verification. It returns the
-// trainer's result.
+// checkEquivalence trains p with trainer and requires its run to match the
+// serial reference (requireNearSerial). It returns the trainer's result.
 func checkEquivalence(t *testing.T, trainer Trainer, p Problem) *Result {
+	t.Helper()
+	got, err := trainer.Train(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireNearSerial(t, trainer.Name(), got, p)
+	return got
+}
+
+// requireNearSerial requires outputs, losses, weights and accuracies of got,
+// the named trainer's run of p — per epoch too, when p has a ValMask — to
+// match the serial reference, the paper's §V-A verification.
+func requireNearSerial(t *testing.T, name string, got *Result, p Problem) {
 	t.Helper()
 	want, err := NewSerial().Train(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := trainer.Train(p)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if d := dense.MaxAbsDiff(got.Output, want.Output); d > equivTol {
-		t.Fatalf("%s output deviates from serial by %v", trainer.Name(), d)
+		t.Fatalf("%s output deviates from serial by %v", name, d)
 	}
 	for l := range want.Weights {
 		if d := dense.MaxAbsDiff(got.Weights[l], want.Weights[l]); d > equivTol {
-			t.Fatalf("%s W[%d] deviates from serial by %v", trainer.Name(), l, d)
+			t.Fatalf("%s W[%d] deviates from serial by %v", name, l, d)
 		}
 	}
 	if len(got.Losses) != len(want.Losses) {
-		t.Fatalf("%s epochs: %d vs %d", trainer.Name(), len(got.Losses), len(want.Losses))
+		t.Fatalf("%s epochs: %d vs %d", name, len(got.Losses), len(want.Losses))
 	}
 	for e := range want.Losses {
 		if math.Abs(got.Losses[e]-want.Losses[e]) > equivTol {
-			t.Fatalf("%s epoch %d loss %v vs serial %v", trainer.Name(), e, got.Losses[e], want.Losses[e])
+			t.Fatalf("%s epoch %d loss %v vs serial %v", name, e, got.Losses[e], want.Losses[e])
 		}
 	}
 	if math.Abs(got.Accuracy-want.Accuracy) > 1e-12 {
-		t.Fatalf("%s accuracy %v vs serial %v", trainer.Name(), got.Accuracy, want.Accuracy)
+		t.Fatalf("%s accuracy %v vs serial %v", name, got.Accuracy, want.Accuracy)
 	}
 	if len(got.TrainAccuracy) != len(want.TrainAccuracy) || len(got.ValAccuracy) != len(want.ValAccuracy) {
-		t.Fatalf("%s tracked %d/%d epochs of accuracy, serial %d/%d", trainer.Name(),
+		t.Fatalf("%s tracked %d/%d epochs of accuracy, serial %d/%d", name,
 			len(got.TrainAccuracy), len(got.ValAccuracy), len(want.TrainAccuracy), len(want.ValAccuracy))
 	}
 	for e := range want.ValAccuracy {
 		if math.Abs(got.TrainAccuracy[e]-want.TrainAccuracy[e]) > 1e-12 || math.Abs(got.ValAccuracy[e]-want.ValAccuracy[e]) > 1e-12 {
-			t.Fatalf("%s epoch %d accuracy (train %v, val %v) vs serial (%v, %v)", trainer.Name(),
+			t.Fatalf("%s epoch %d accuracy (train %v, val %v) vs serial (%v, %v)", name,
 				e, got.TrainAccuracy[e], got.ValAccuracy[e], want.TrainAccuracy[e], want.ValAccuracy[e])
 		}
 	}
-	return got
 }
 
 func TestOneDMatchesSerial(t *testing.T) {
@@ -298,9 +303,10 @@ func rowTrainerModes() map[string]func() *rowTrainer {
 }
 
 // TestDirectedGraphTrainers exercises the general (non-symmetric) path:
-// serial, 1D, 1.5D and 2D must handle directed adjacency, where Aᵀ ≠ A —
-// the block-row trainer in every exchange mode, since its backward product
-// then runs over a second plan cut from A.
+// every trainer must handle directed adjacency, where Aᵀ ≠ A — the
+// block-row trainer in every exchange mode, since its backward product then
+// runs over a second plan cut from A, and the mesh at depth 1 and 2, whose
+// backward SUMMA then runs over the A blocks the transpose exchange builds.
 func TestDirectedGraphTrainers(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	g := graph.ErdosRenyi(36, 5, rng) // directed
@@ -315,16 +321,16 @@ func TestDirectedGraphTrainers(t *testing.T) {
 		t.Run(name, func(t *testing.T) { checkEquivalence(t, mk(), p) })
 	}
 	checkEquivalence(t, NewTwoD(4, testMach), p)
+	checkEquivalence(t, NewThreeD(8, testMach), p)
 }
 
-// TestSymmetricOnlyTrainersRejectDirected: 3D reads Aᵀ blocks straight out
-// of A, so a directed adjacency — here a row-normalized directed R-MAT,
-// wrong in structure and in value — must be refused with an error naming
-// the algorithm and the ones that do take it, not trained into a different
-// model. A symmetric structure with one asymmetric value is refused too,
-// and the same graph symmetrized is accepted. (TestDirectedGraphTrainers
-// has the other half: serial, 1D, 1.5D and 2D train directed graphs.)
-func TestSymmetricOnlyTrainersRejectDirected(t *testing.T) {
+// TestThreeDTrainsDirectedGraphs: the 3D mesh transposes iff A ≠ Aᵀ, as
+// the 2D one does, so it trains a directed adjacency — a row-normalized
+// directed R-MAT, asymmetric in structure and in value, and a symmetric
+// structure with one skewed value — to the serial model within equivTol,
+// as it trains the same graph symmetrized, and so does the block-row
+// trainer.
+func TestThreeDTrainsDirectedGraphs(t *testing.T) {
 	g := graph.RMAT(6, 4, graph.DefaultRMAT, rand.New(rand.NewSource(23)))
 	ds := graph.Synthetic("directed-rmat", g, 6, 4, 3, 24)
 	p := Problem{
@@ -347,22 +353,15 @@ func TestSymmetricOnlyTrainersRejectDirected(t *testing.T) {
 			break
 		}
 	}
-	tr := NewThreeD(8, testMach)
-	for name, bad := range map[string]Problem{"directed": p, "asymmetric values": skewed} {
-		_, err := tr.Train(bad)
-		if err == nil {
-			t.Fatalf("3d trained on a %s adjacency", name)
+	for name, prob := range map[string]Problem{"directed": p, "asymmetric values": skewed, "symmetric": symmetric} {
+		if directed := asymmetry(prob.A) != ""; directed != (name != "symmetric") {
+			t.Fatalf("%s adjacency: asymmetry finds A ≠ Aᵀ = %v", name, directed)
 		}
-		for _, want := range []string{"the 3d trainer needs a symmetric adjacency", "use serial, 1d, 1.5d or 2d for a directed graph"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("3d on a %s adjacency: error %q does not say %q", name, err, want)
-			}
-		}
-		// What 3D refuses, the block-row trainer trains — as a directed
-		// graph, second plan and all, asymmetric values included.
-		checkEquivalence(t, NewOneFiveD(4, 2, testMach), bad)
+		t.Run(name, func(t *testing.T) {
+			checkEquivalence(t, NewThreeD(8, testMach), prob)
+			checkEquivalence(t, NewOneFiveD(4, 2, testMach), prob)
+		})
 	}
-	checkEquivalence(t, tr, symmetric)
 }
 
 // TestTrainersWithIdentityOutput exercises the element-wise-output path
@@ -430,9 +429,11 @@ func TestPayloadRoundTrips(t *testing.T) {
 }
 
 // TestLedgersPopulated verifies distributed runs leave cost accounting
-// behind for the harness.
+// behind for the harness. The adjacency is directed (row-stochastic), so the
+// mesh runs its transpose exchange and every comm category carries words.
 func TestLedgersPopulated(t *testing.T) {
 	p := testProblem(t, 40, 6, 4, 3, 2, 24)
+	p.A = sparse.RowStochastic(p.A)
 	tr := NewTwoD(4, testMach)
 	if _, err := tr.Train(p); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sparse"
+)
 
 // peakMem trains one epoch and returns the per-rank peak resident words.
 func peakMem(t *testing.T, tr DistTrainer, p Problem) int64 {
@@ -24,22 +28,27 @@ func peakMem(t *testing.T, tr DistTrainer, p Problem) int64 {
 // weights shrinks with P.
 //
 // The mesh trainers spend memory to save words, and the peak says so to the
-// word (meshWant): a rank holds the sparse row panels of its grid row — in
-// 2D a block row of Aᵀ and one of A, 2·(2·nnz/√P + n + √P) words on the
-// average rank where the memory-optimal layout of §IV-B has 2·nnz/P; in 3D
-// one set of 2·nnz/P^{2/3} + n/∛P + ∛P — beside the T¹ row panels
-// (n·f⁰/√P, n·f⁰/P^{2/3}) and, in 3D, the ∛P-fold replicated partial sums.
-// The orderings that follow: 1D, which holds 2·nnz/P and nothing
-// replicated, is lowest; 3D's one set at nnz/P^{2/3} sits below 2D's two at
-// nnz/√P. At P = 64 2D's panels alone exceed n·m, the intermediate 1D used
-// to hold at this network's aggregation width m = min(f¹, f²), which 3D's
-// whole peak still undercuts.
+// word (meshWant): a rank holds the sparse row panels of its grid row — on
+// this symmetric A one set, 2·nnz/√P + n + √P words on the average 2D rank
+// where the memory-optimal layout of §IV-B has 2·nnz/P, 2·nnz/P^{2/3} +
+// n/∛P + ∛P in 3D — beside the T¹ row panels (n·f⁰/√P, n·f⁰/P^{2/3}) and,
+// in 3D, the ∛P-fold replicated partial sums. The orderings that follow:
+// 1D, which holds 2·nnz/P and nothing replicated, is lowest; 3D's set at
+// nnz/P^{2/3} sits below 2D's at nnz/√P. At P = 64 2D's whole peak exceeds
+// n·m, the intermediate 1D used to hold at this network's aggregation width
+// m = min(f¹, f²), which 3D's peak still undercuts. On a directed A of the
+// same structure (row-stochastic) 2D also holds the A panels the transpose
+// exchange feeds, exactly twice the symmetric run's, and those alone exceed
+// n·m.
 func TestMemoryOrderingAcrossAlgorithms(t *testing.T) {
 	p := testProblem(t, 512, 16, 16, 8, 1, 91)
+	directed := p
+	directed.A = sparse.RowStochastic(p.A)
 	const n, f0, f1, f2, ranks = 512, 16, 16, 8, 64
 	oneD := peakMem(t, NewOneD(ranks, testMach), p)
 	twoD := peakMem(t, NewTwoD(ranks, testMach), p)
 	threeD := peakMem(t, NewThreeD(ranks, testMach), p)
+	twoDDirected := peakMem(t, NewTwoD(ranks, testMach), directed)
 
 	const rows = n / ranks
 	var maxNNZ int64
@@ -55,24 +64,39 @@ func TestMemoryOrderingAcrossAlgorithms(t *testing.T) {
 		t.Fatalf("1D peak should fall with P: P=4 %d vs P=64 %d", wide, oneD)
 	}
 
-	var panels2D int64 // the heaviest rank's two block rows, beyond everything dense
-	for algo, got := range map[string]int64{"2d": twoD, "3d": threeD} {
+	// panels2D is the heaviest rank's row panels, beyond everything dense,
+	// on the symmetric and the directed A.
+	var panels2D, panels2DDirected int64
+	for _, tc := range []struct {
+		name, algo string
+		p          Problem
+		got        int64
+		panels     *int64
+	}{
+		{"2d", "2d", p, twoD, &panels2D},
+		{"3d", "3d", p, threeD, nil},
+		{"2d on the directed A", "2d", directed, twoDDirected, &panels2DDirected},
+	} {
 		var want int64
 		for r := 0; r < ranks; r++ {
-			w := meshWant(t, algo, ranks, p, r)
+			w := meshWant(t, tc.algo, ranks, tc.p, r)
 			want = max(want, w.resident+w.live)
-			if algo == "2d" {
-				panels2D = max(panels2D, w.panels)
+			if tc.panels != nil {
+				*tc.panels = max(*tc.panels, w.panels)
 			}
 		}
-		if got != want {
-			t.Fatalf("%s peak %d words, want %d: blocks, held row panels, H⁰, T¹ and its row panels, weights, live operands", algo, got, want)
+		if tc.got != want {
+			t.Fatalf("%s peak %d words, want %d: blocks, held row panels, H⁰, T¹ and its row panels, weights, live operands", tc.name, tc.got, want)
 		}
 	}
 	outer := int64(n * min(f1, f2))
-	if !(oneD < threeD && threeD < twoD && threeD < outer && outer < panels2D) {
-		t.Fatalf("peaks 1D %d, 3D %d, 2D %d (row panels %d), n·m %d: want 1D below 3D below 2D, 3D below n·m and 2D's panels above it",
-			oneD, threeD, twoD, panels2D, outer)
+	if !(oneD < threeD && threeD < twoD && threeD < outer && outer < twoD) {
+		t.Fatalf("peaks 1D %d, 3D %d, 2D %d, n·m %d: want 1D below 3D below 2D, and n·m between 3D and 2D",
+			oneD, threeD, twoD, outer)
+	}
+	if panels2DDirected != 2*panels2D || panels2DDirected <= outer {
+		t.Fatalf("2D row panels %d on the directed A, %d on the symmetric one, n·m %d: want twice as many, above n·m",
+			panels2DDirected, panels2D, outer)
 	}
 }
 

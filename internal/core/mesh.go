@@ -16,25 +16,27 @@ import (
 // process mesh: A, H and G are distributed over the mesh, W is replicated.
 // The depth is a function of the algorithm, not an option:
 //
-//   - "2d" is the √P × √P grid, depth 1. Backward needs A where forward used
-//     Aᵀ; it is obtained by a pairwise transpose exchange across the grid
-//     diagonal — the "trpose" category of Figure 3 — so A may be directed.
+//   - "2d" is the √P × √P grid, depth 1.
 //   - "3d" is the ∛P × ∛P × ∛P cube. Each Aᵀ block is n/∛P × n/∛P² — the
 //     vertex dimension is split ∛P ways by grid row and a further ∛P ways by
 //     layer — while H blocks are n/∛P² × f/∛P. Every layer of the mesh runs
 //     an independent SUMMA over its column sub-slices, and partial sums are
 //     reduce-scattered along the fiber dimension, the P^{1/3}
 //     memory-replicating step of 3D algorithms. The paper analyzes but does
-//     not implement it (§IV-D-5). A must be symmetric (A = Aᵀ), which holds
-//     for the normalized adjacency of every dataset in the paper, so backward
-//     reuses the forward blocks without a transpose step; Train rejects any
-//     other A.
+//     not implement it (§IV-D-5).
 //
 // Each forward layer runs a SUMMA SpMM (row broadcasts of Aᵀ blocks, column
 // broadcasts of dense blocks) and a "partial SUMMA" against the replicated
 // W (row broadcasts of the dense operand's panels), in the order the engine
 // picks per layer. Backward runs the same pattern with A, plus the dense
 // SUMMA for Y with its f×f all-gather.
+//
+// Backward needs A where forward used Aᵀ (the "trpose" category of Figure
+// 3). Whether the mesh pays for it depends on the data alone, at every
+// depth: on an undirected graph — the normalized adjacency of every dataset
+// in the paper — the A blocks are the Aᵀ blocks and backward reuses the
+// forward pass's row panels; on a directed one each rank builds its A block
+// by the transpose exchange (transposeExchange).
 //
 // The output layer L is the exception. Algorithm 2 all-gathers Z^L and
 // ∂L/∂H^L along every process row for the row-wise log_softmax (§IV-C-2,
@@ -49,13 +51,13 @@ import (
 // Algorithm 2 broadcasts the sparse blocks in every stage of every epoch and
 // repeats the transpose every epoch; A never changes, so here they cross the
 // network once per run. A rank keeps the sparse row panels the first SUMMA
-// of each direction delivers — Aᵀ(i,·) while T¹ is aggregated, A(i,·) in the
-// first backward aggregation, one shared set on the symmetric 3D mesh — and
-// every later stage broadcasts its dense panel alone; 2D's transpose
-// exchange is the first step of gathering the backward panels. The cost is
-// resident memory: nnz/√P sparse words per direction instead of 2D's nnz/P
-// (nnz/P^{2/3} on 3D), reported to the word (memBase). The panels are
-// derived data, not state: a resumed run gathers them again.
+// of each direction delivers — Aᵀ(i,·) while T¹ is aggregated and, on a
+// directed graph, A(i,·) in the first backward aggregation, which starts with
+// the transpose exchange — and every later stage broadcasts its dense panel
+// alone. The cost is resident memory: nnz/√P sparse words per direction
+// instead of 2D's nnz/P (nnz/P^{2/3} on 3D), one direction when A = Aᵀ,
+// reported to the word (memBase). The panels are derived data, not state: a
+// resumed run gathers them again.
 type meshTrainer struct{ dist }
 
 // NewTwoD returns a 2D SUMMA trainer (§IV-C) over p simulated ranks — the
@@ -93,17 +95,13 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	if err != nil {
 		return nil, err
 	}
-	// The forward SUMMA multiplies blocks of Aᵀ: on an undirected graph they
-	// are read straight out of A, and only a directed one pays for the global
-	// transpose, as in the block-row trainer. 2D obtains its A blocks by the
-	// transpose exchange, so it takes any A; 3D reuses its Aᵀ blocks as its
-	// A blocks, which holds only when A = Aᵀ.
-	at, transposes := p.A, t.name == "2d"
-	if diff := asymmetry(p.A); diff != "" {
-		if !transposes {
-			return nil, fmt.Errorf("core: the %s trainer needs a symmetric adjacency (it reads Aᵀ blocks from A): %s; use serial, 1d, 1.5d or 2d for a directed graph",
-				t.name, diff)
-		}
+	// The forward SUMMA multiplies blocks of Aᵀ, the backward one blocks of
+	// A. On an undirected graph they are the same blocks, read straight out
+	// of A; only a directed one pays for the global transpose and the
+	// transpose exchange, as the block-row trainer pays for a second block
+	// set.
+	at, directed := p.A, asymmetry(p.A) != ""
+	if directed {
 		at = p.A.Transpose()
 	}
 	n := p.A.Rows
@@ -119,7 +117,7 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 			vBlk: partition.NewBlock1D(n, mesh.C),
 		}
-		r.setup(at, transposes, p.Features)
+		r.setup(at, directed, p.Features)
 		return r
 	}, nil
 }
@@ -149,9 +147,8 @@ type meshRank struct {
 	memBase    int64
 
 	// at and a are the sparse side of the forward and the backward SUMMA: Aᵀ
-	// and A. In 3D A is symmetric, so a is at — the 3D trainer's structural
-	// shortcut for undirected graphs; in 2D a's block is what the transpose
-	// exchange leaves, nil until the first backwardAggregate.
+	// and A. When A = Aᵀ, a is at; on a directed graph a's block is what the
+	// transpose exchange leaves, nil until the first backwardAggregate.
 	at, a *sparseOperand
 
 	ws       *dense.Workspace
@@ -234,10 +231,10 @@ func (r *meshRank) rowsLayer(l int, aggFirst bool) bool {
 	return l == r.cfg.Layers() && aggregatesFirst(r.cfg.Widths, l) == aggFirst
 }
 
-// setup cuts this rank's blocks out of Aᵀ and H⁰; transposes says the A
-// block comes from the transpose exchange (2D) rather than being the Aᵀ
-// block (3D).
-func (r *meshRank) setup(at *sparse.CSR, transposes bool, features *dense.Matrix) {
+// setup cuts this rank's blocks out of Aᵀ and H⁰; directed says A ≠ Aᵀ, so
+// the A block comes from the transpose exchange rather than being the Aᵀ
+// block.
+func (r *meshRank) setup(at *sparse.CSR, directed bool, features *dense.Matrix) {
 	r.pi, r.pj, r.pk = r.mesh.Coords(r.comm.Rank())
 	r.rowGroup = r.comm.NewGroup(r.mesh.LayerRowRanks(r.pi, r.pk))
 	r.colGroup = r.comm.NewGroup(r.mesh.LayerColRanks(r.pj, r.pk))
@@ -255,7 +252,7 @@ func (r *meshRank) setup(at *sparse.CSR, transposes bool, features *dense.Matrix
 		held: make([]*sparse.CSR, r.mesh.C),
 	}
 	r.a = r.at
-	if transposes {
+	if directed {
 		r.a = &sparseOperand{held: make([]*sparse.CSR, r.mesh.C)}
 	}
 	// H block: rows = sub-slice (pi, pk), feature columns of pj.
@@ -272,24 +269,55 @@ func (r *meshRank) setup(at *sparse.CSR, transposes bool, features *dense.Matrix
 	r.recordMem(0)
 }
 
-// transposeExchange builds this rank's A block from the Aᵀ blocks by a
-// pairwise exchange across the grid diagonal: A_ij = (Aᵀ_ji)ᵀ, which pairs
-// whole blocks only on a mesh of depth 1. This is the paper's "trpose" cost
-// (Figure 3); it also charges the local transpose work. A is static, so it
-// runs once per run, before the first backward SUMMA: from then on the rank
-// holds its A block beside its Aᵀ block. The peers swap their Aᵀ blocks as
-// they are and each transposes what it receives — into storage of its own,
-// which must outlive the payload: the fabric recycles that at the epoch
-// boundary.
+// transposeExchange builds this rank's A block from the Aᵀ blocks. Rank
+// (a, b, c) holds Aᵀ(rows of a, sub-slice (b, c)) and needs A(rows of a,
+// sub-slice (b, c)), the transpose of Aᵀ(sub-slice (b, c), rows of a). Its
+// column blocks subRange(a, k) sit in the blocks of ranks (b, a, k), k =
+// 0..d−1, so the rank swaps with each of them: it sends its block's rows
+// subRange(a, k) and receives that rank's rows subRange(b, c), a swap with
+// itself staying local. Swap s pairs layers c and k with c + k ≡ s (mod d),
+// the same s on both sides of a pair, so every swap is a perfect matching.
+// Transposed, the part from layer k is rows subRange(a, k) of the A block.
+// At depth 1 this is one exchange across the grid diagonal. This is the
+// paper's "trpose" cost (Figure 3); it also charges the local transpose
+// work. A is static, so it runs once per run, before the first backward
+// SUMMA, and only on a directed graph: from then on the rank holds its A
+// block beside its Aᵀ block. The parts are transposed into storage of the
+// rank's own, which must outlive the payloads: the fabric recycles those at
+// the epoch boundary.
 func (r *meshRank) transposeExchange() {
-	blk := r.at.blk
-	if r.pi != r.pj {
-		peer := r.mesh.Rank(r.pj, r.pi, r.pk)
-		blk = payloadCSR(r.comm.Exchange(peer, csrPayload(blk), comm.CatTranspose))
+	d, lo := r.mesh.D, r.vBlk.Lo(r.pi)
+	parts := make([]*sparse.CSR, d)
+	nnz := 0
+	for s := 0; s < d; s++ {
+		k := (s - r.pk + d) % d
+		rLo, rHi := r.subRange(r.pi, k)
+		send := r.at.blk.ExtractBlock(rLo-lo, rHi-lo, 0, r.at.blk.Cols)
+		if peer := r.mesh.Rank(r.pj, r.pi, k); peer != r.comm.Rank() {
+			send = payloadCSR(r.comm.Exchange(peer, csrPayload(send), comm.CatTranspose))
+		}
+		parts[k] = send.Transpose()
+		nnz += send.NNZ()
 	}
-	r.comm.ChargeTime(comm.CatTranspose, float64(blk.NNZ())*4/r.mach.SpMMRate)
-	r.a.blk = blk.Transpose()
+	r.comm.ChargeTime(comm.CatTranspose, float64(nnz)*4/r.mach.SpMMRate)
+	r.a.blk = stackRows(parts)
 	r.memBase += csrWords(r.a.blk)
+}
+
+// stackRows returns the matrix whose rows are those of parts, in order; the
+// parts share their column count.
+func stackRows(parts []*sparse.CSR) *sparse.CSR {
+	out := &sparse.CSR{Cols: parts[0].Cols, RowPtr: []int{0}}
+	for _, p := range parts {
+		base := len(out.ColIdx)
+		for _, end := range p.RowPtr[1:] {
+			out.RowPtr = append(out.RowPtr, base+end)
+		}
+		out.Rows += p.Rows
+		out.ColIdx = append(out.ColIdx, p.ColIdx...)
+		out.Val = append(out.Val, p.Val...)
+	}
+	return out
 }
 
 // summaSpMM computes my block of op(A)·X where a is my share of op(A) and x
@@ -564,11 +592,11 @@ func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix,
 	return g
 }
 
-// backwardAggregate computes A·X via SUMMA SpMM over the A blocks. The
-// first call of a run gathers the A row panels, and in 2D starts by building
-// the A blocks they are broadcast from (the transpose exchange); on the 3D
-// mesh both are the forward pass's. A network of one layer never gets here
-// and never transposes.
+// backwardAggregate computes A·X via SUMMA SpMM over the A blocks. On a
+// directed graph the first call of a run gathers the A row panels and starts
+// by building the A blocks they are broadcast from (the transpose exchange);
+// when A = Aᵀ both are the forward pass's. A network of one layer never gets
+// here and never transposes.
 func (r *meshRank) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	if r.a.blk == nil {
 		r.transposeExchange()

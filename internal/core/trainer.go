@@ -58,9 +58,9 @@ import (
 // (already normalized, self-loops added), input features H⁰, labels, and
 // the network configuration.
 type Problem struct {
-	// A is the n x n modified adjacency matrix. The 3D trainer requires A to
-	// be symmetric (all the paper's datasets are) and rejects any other;
-	// serial, 1D, 1.5D and 2D handle general directed A.
+	// A is the n x n modified adjacency matrix. Every trainer handles a
+	// general directed A; a symmetric one (all the paper's datasets) saves
+	// each of them the transpose.
 	A        *sparse.CSR
 	Features *dense.Matrix
 	Labels   []int
@@ -169,7 +169,7 @@ func (p Problem) Validate() error {
 // visited in order and every row's columns ascend, so entry (i, j) must meet
 // the next unread entry of row j, and that entry must be (j, i) with the
 // same value. Every trainer uses it to decide whether it needs the global
-// Aᵀ; the 3D trainer, which has no use for one, rejects a directed A.
+// Aᵀ, and the mesh also whether it runs the transpose exchange.
 func asymmetry(a *sparse.CSR) string {
 	next := append([]int(nil), a.RowPtr[:a.Rows]...)
 	for i := 0; i < a.Rows; i++ {

@@ -42,9 +42,13 @@ func (w Workload) AvgDegree() float64 {
 // row gathers; the T¹ row panels are gathered once per run) of all L. A
 // third departure is the mesh trainer's alone: A is static, so a 2D/3D rank
 // keeps the sparse row panels the first SUMMA of each direction delivers
-// and 2D transposes once — the nnz terms of TwoD and ThreeD and 2D's
-// transpose are charged once per run, in the same categories at the same
-// α–β cost, and a steady-state epoch carries none of them. A fourth is the
+// and transposes at most once — the nnz terms of TwoD and ThreeD are
+// charged once per run, in the same categories at the same α–β cost, and a
+// steady-state epoch carries none of them. The transpose the mesh runs only
+// when A ≠ Aᵀ; on a symmetric A backward reads the forward panels, so a run
+// pays one direction's nnz terms and no transpose. TwoD keeps Algorithm 2's
+// transpose term all the same: the analytic column is the paper's
+// accounting, whatever A is. A fourth is the
 // mesh's too: its output layer runs row-split inside each process row, so
 // the log-softmax needs no row gather. The functions
 // keep the published form, which with one average width f cannot see the
@@ -232,7 +236,7 @@ func TwoDOverOneDWordRatio(p int) float64 {
 // panels being gathered once per run — the T¹·W¹ panels, nf/√P; the gather
 // of G¹ for Y¹ and the activation's row gathers recur every epoch. That
 // leaves (10L−5)nf/√P. The mesh also holds its sparse row panels after the
-// first SUMMA of each direction (and transposes once), so each of the
+// first SUMMA of each direction (and transposes at most once), so each of the
 // 2(L−1) SUMMA SpMMs left in the epoch moves its dense panels alone, nf/√P
 // instead of 2nf/√P: (10L−5) − 2(L−1) = 8L−3. The ratio is
 // (8L−3)/(2(L−1)√P): a crossover at √P ≥ 6.5 for L = 2, tending to 4 as L

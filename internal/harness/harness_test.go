@@ -143,15 +143,42 @@ func TestMeasureEpoch(t *testing.T) {
 	if m.WordsByCat[comm.CatDenseComm] <= 0 {
 		t.Fatalf("missing traffic: %v", m.WordsByCat)
 	}
-	// Static operands cross the network once: the sparse row panels and the
-	// transpose are in the once-per-run part, word for word what two SUMMA
-	// sweeps and one exchange cost, and a steady-state epoch has none.
+	// Static operands cross the network once: the sparse row panels are in
+	// the once-per-run part and a steady-state epoch has none. The analog is
+	// symmetric, so the mesh transposes nothing; on a directed copy — one
+	// edge's reverse dropped — its one transpose exchange joins the
+	// once-per-run part and a steady-state epoch still has none.
 	if m.WordsByCat[comm.CatSparseComm] != 0 || m.WordsByCat[comm.CatTranspose] != 0 {
 		t.Fatalf("steady-state epoch moves sparse words: %v", m.WordsByCat)
 	}
-	if m.OnceWordsByCat[comm.CatSparseComm] <= 0 || m.OnceWordsByCat[comm.CatTranspose] <= 0 ||
-		m.OnceTimeByCat[comm.CatSparseComm] <= 0 || m.OnceTimeByCat[comm.CatTranspose] <= 0 {
-		t.Fatalf("once-per-run part carries no sparse panels or no transpose: %v %v", m.OnceWordsByCat, m.OnceTimeByCat)
+	if m.OnceWordsByCat[comm.CatSparseComm] <= 0 || m.OnceTimeByCat[comm.CatSparseComm] <= 0 ||
+		m.OnceWordsByCat[comm.CatTranspose] != 0 || m.OnceTimeByCat[comm.CatTranspose] != 0 {
+		t.Fatalf("once-per-run part on a symmetric A: want sparse panels and no transpose, got %v %v", m.OnceWordsByCat, m.OnceTimeByCat)
+	}
+	directed := *ds
+	directed.Graph = graph.New(ds.Graph.NumVertices)
+	var cut [2]int
+	for _, e := range ds.Graph.Edges {
+		if e[0] != e[1] {
+			cut = [2]int{e[1], e[0]}
+			break
+		}
+	}
+	for _, e := range ds.Graph.Edges {
+		if e != cut {
+			directed.Graph.AddEdge(e[0], e[1])
+		}
+	}
+	dm, err := MeasureEpoch(&directed, "2d", 4, costmodel.Summit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dm.WordsByCat[comm.CatSparseComm] != 0 || dm.WordsByCat[comm.CatTranspose] != 0 {
+		t.Fatalf("steady-state epoch on a directed A moves sparse words: %v", dm.WordsByCat)
+	}
+	if dm.OnceWordsByCat[comm.CatSparseComm] <= m.OnceWordsByCat[comm.CatSparseComm] ||
+		dm.OnceWordsByCat[comm.CatTranspose] <= 0 || dm.OnceTimeByCat[comm.CatTranspose] <= 0 {
+		t.Fatalf("once-per-run part on a directed A: want a second panel set and the transpose, got %v %v", dm.OnceWordsByCat, dm.OnceTimeByCat)
 	}
 	if m.OnceTime <= 0 || m.OnceWordsByCat[comm.CatDenseComm] <= 0 {
 		t.Fatalf("once-per-run part: %v s, words %v", m.OnceTime, m.OnceWordsByCat)
@@ -474,13 +501,14 @@ func TestCrossoverQuick(t *testing.T) {
 }
 
 // TestAlgo3DQuick: the family comparison's peak column carries what the mesh
-// trainers hold to save words. At P = 64 a 2D rank (8 x 8 grid) keeps its
-// grid row's block row of Aᵀ and of A — the same words on the symmetric
-// analog, 2·(2·nnz(rows) + 8·(n/8 + 1)) — and a 3D rank (4 x 4 x 4 mesh) one
-// set over its layer's quarter of the columns; each reported peak must hold
-// at least the heaviest rank's panels. The orderings that follow from the
-// formulas: 3D's one set at nnz/P^{2/3} is below 2D's two at nnz/√P, and
-// 1D, which holds nnz/P and nothing replicated, is below both.
+// trainers hold to save words. The analog is symmetric, so both hold one
+// set of row panels, read by forward and backward alike: at P = 64 a 2D
+// rank (8 x 8 grid) keeps its grid row's block row of A = Aᵀ,
+// 2·nnz(rows) + 8·(n/8 + 1) words, and a 3D rank (4 x 4 x 4 mesh) the same
+// over its layer's quarter of the columns; each reported peak must hold at
+// least the heaviest rank's panels. The orderings that follow from the
+// formulas: 3D's set at nnz/P^{2/3} is below 2D's at nnz/√P, and 1D, which
+// holds nnz/P and nothing replicated, is below both.
 func TestAlgo3DQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep in -short mode")
@@ -510,8 +538,8 @@ func TestAlgo3DQuick(t *testing.T) {
 	a := spec.Build().Graph.NormalizedAdjacency()
 	// panels returns the heaviest rank's held sparse words on a q x q x d
 	// mesh: per grid row i and layer k, the q blocks of rows vBlk(i) over the
-	// column sub-slices (·, k), `sets` times over.
-	panels := func(q, d int, sets int64) int64 {
+	// column sub-slices (·, k).
+	panels := func(q, d int) int64 {
 		vBlk := partition.NewBlock1D(a.Rows, q)
 		var heaviest int64
 		for i := 0; i < q; i++ {
@@ -522,12 +550,12 @@ func TestAlgo3DQuick(t *testing.T) {
 					blk := a.ExtractBlock(vBlk.Lo(i), vBlk.Hi(i), vBlk.Lo(j)+inner.Lo(k), vBlk.Lo(j)+inner.Hi(k))
 					words += 2*int64(blk.NNZ()) + int64(blk.Rows) + 1
 				}
-				heaviest = max(heaviest, sets*words)
+				heaviest = max(heaviest, words)
 			}
 		}
 		return heaviest
 	}
-	twoD, threeD := panels(8, 1, 2), panels(4, 4, 1)
+	twoD, threeD := panels(8, 1), panels(4, 4)
 	if byAlgo["2d"].PeakMemWords <= twoD || byAlgo["3d"].PeakMemWords <= threeD {
 		t.Fatalf("peaks 2D %d, 3D %d do not cover the held row panels %d, %d",
 			byAlgo["2d"].PeakMemWords, byAlgo["3d"].PeakMemWords, twoD, threeD)
