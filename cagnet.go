@@ -308,6 +308,10 @@ type TrainReport struct {
 // Result exposes the underlying training result (weights, output matrix).
 func (r *TrainReport) Result() *core.Result { return r.result }
 
+// Digest is the run's core.Result.Digest: equal digests mean the same
+// losses, weights and output, bit for bit.
+func (r *TrainReport) Digest() string { return r.result.Digest() }
+
 // Validate returns the error Train would give the options before it looks
 // at a dataset, or nil. It needs no dataset and does no work: it applies
 // every rule about the options alone — the algorithm, rank count,

@@ -124,6 +124,7 @@ func main() {
 		fmt.Printf("epoch %3d  loss %.6f\n", i+1, loss)
 	}
 	fmt.Printf("\nfinal training accuracy: %.4f\n", report.Accuracy)
+	fmt.Printf("digest %s\n", report.Digest())
 	// The modeled and measured totals cover only the epochs this run
 	// trained: a resumed run starts at ResumedEpoch.
 	trained := opts.Epochs - report.ResumedEpoch

@@ -42,16 +42,16 @@ func trainCLI(t *testing.T, args ...string) string {
 	return string(out)
 }
 
-// modeledLine returns the "modeled time" line of a cagnet-train or
-// cagnet-worker run.
-func modeledLine(t *testing.T, out string) string {
+// outputLine returns the line of a cagnet-train run that starts with
+// prefix.
+func outputLine(t *testing.T, out, prefix string) string {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "modeled time") {
+		if strings.HasPrefix(line, prefix) {
 			return line
 		}
 	}
-	t.Fatalf("no modeled time line in:\n%s", out)
+	t.Fatalf("no %q line in:\n%s", prefix, out)
 	return ""
 }
 
@@ -60,7 +60,8 @@ func modeledLine(t *testing.T, out string) string {
 // that resumes a 4-epoch checkpoint and trains to 8 says where it resumed
 // and prints the modeled-time line of a fresh 4-epoch run, per-epoch
 // figure included; the run that resumes the 8-epoch checkpoint has no
-// per-epoch figure to print.
+// per-epoch figure to print. Both print the digest of an uninterrupted
+// 8-epoch run.
 func TestResumedRunPerEpochFigures(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-quick", "-algo", "1d", "-ranks", "2", "-checkpoint-dir", dir}
@@ -69,17 +70,23 @@ func TestResumedRunPerEpochFigures(t *testing.T) {
 	if !strings.Contains(resumed, "resumed from checkpoint at epoch 4\n") {
 		t.Errorf("resumed run does not say where it resumed:\n%s", resumed)
 	}
-	if got, want := modeledLine(t, resumed), modeledLine(t, fresh); got != want {
+	if got, want := outputLine(t, resumed, "modeled time"), outputLine(t, fresh, "modeled time"); got != want {
 		t.Errorf("resumed run prints %q, a fresh run of the same 4 epochs %q", got, want)
 	}
 	// Resumed at its final epoch, a run trains nothing: it says so instead
 	// of dividing by zero epochs.
 	atEnd := trainCLI(t, append(args, "-epochs", "8")...)
-	if !strings.HasSuffix(modeledLine(t, atEnd), " s total, no epoch trained") {
-		t.Errorf("run resumed at its end prints %q", modeledLine(t, atEnd))
+	if !strings.HasSuffix(outputLine(t, atEnd, "modeled time"), " s total, no epoch trained") {
+		t.Errorf("run resumed at its end prints %q", outputLine(t, atEnd, "modeled time"))
 	}
 	if strings.Contains(atEnd, "Inf") || strings.Contains(atEnd, "NaN") {
 		t.Errorf("run resumed at its end prints a non-finite figure:\n%s", atEnd)
+	}
+	want := outputLine(t, trainCLI(t, "-quick", "-algo", "1d", "-ranks", "2", "-epochs", "8"), "digest ")
+	for name, out := range map[string]string{"resumed at epoch 4": resumed, "resumed at its end": atEnd} {
+		if got := outputLine(t, out, "digest "); got != want {
+			t.Errorf("run %s prints %q, an uninterrupted run %q", name, got, want)
+		}
 	}
 }
 

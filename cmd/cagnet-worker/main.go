@@ -606,7 +606,8 @@ func runRank(cfg config) error {
 		}
 		fmt.Printf("\ndrained after epoch %d of %d (%s)\n", res.DrainedEpoch, cfg.Epochs, note)
 	}
-	fmt.Printf("\nfinal training accuracy: %.4f\n\n", res.Accuracy)
+	fmt.Printf("\nfinal training accuracy: %.4f\n", res.Accuracy)
+	fmt.Printf("digest %s\n\n", res.Digest())
 	// A resumed or drained run trained fewer epochs than -epochs, and its
 	// ledger and wall clock cover only those.
 	trained := cfg.Epochs

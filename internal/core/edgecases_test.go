@@ -139,37 +139,6 @@ func TestRanksExceedVerticesRejected(t *testing.T) {
 	}
 }
 
-// TestLossMatchesAcrossEveryTrainerLongRun verifies stability over more
-// epochs than the quick equivalence checks (gradient-descent trajectories
-// amplify divergence if any reduction is wrong).
-func TestLossMatchesAcrossEveryTrainerLongRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long equivalence run")
-	}
-	p := edgeProblem(t, 50, []int{7, 6, 4}, 25, 60)
-	serial, err := NewSerial().Train(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []Trainer{
-		NewOneD(5, testMach),
-		NewOneFiveD(6, 3, testMach),
-		NewTwoD(9, testMach),
-		NewThreeD(8, testMach),
-	} {
-		got, err := tr.Train(p)
-		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
-		}
-		for e := range serial.Losses {
-			d := serial.Losses[e] - got.Losses[e]
-			if d < -1e-7 || d > 1e-7 {
-				t.Fatalf("%s diverges at epoch %d: %v vs %v", tr.Name(), e, got.Losses[e], serial.Losses[e])
-			}
-		}
-	}
-}
-
 // TestOutputRowsEmptySubSlices: the mesh runs its output layer row-split
 // inside each process row, each member holding its share of the row
 // block's rows, and a row block with fewer rows than the row has members
@@ -224,7 +193,7 @@ func TestOutputRowsEmptySubSlices(t *testing.T) {
 					return tr
 				}
 				got := checkEquivalence(t, trainer(), p)
-				requireSameRun(t, trainOverTCP(t, m.algo, m.p, 0, p), got)
+				requireSameRun(t, "over TCP", trainOverTCP(t, m.algo, m.p, 0, p), got)
 
 				useWorkers(t, 1)
 				if avg := steadyStateAllocs(t, trainer().(rankRunner), p, m.p); avg != 0 {

@@ -2,13 +2,11 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/dense"
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // deepMaskedProblemGraph builds a 4-weight-layer problem (depth > the
@@ -31,90 +29,6 @@ func deepMaskedProblem(t *testing.T, seed int64) Problem {
 	t.Helper()
 	p, _ := deepMaskedProblemGraph(t, seed)
 	return p
-}
-
-// TestEngineCrossAlgorithmEquivalence is the engine contract: a 4-layer
-// network with a train mask, trained under every optimizer on every
-// distributed configuration — the four algorithms and the halo exchange of
-// the row ones — must match the serial reference within float tolerance:
-// the paper's §V-A exactness claim, at depth > 3, for update rules beyond
-// plain SGD, and with every collective pipelined behind compute.
-func TestEngineCrossAlgorithmEquivalence(t *testing.T) {
-	for _, optimizer := range []string{"sgd", "momentum", "adam"} {
-		t.Run(optimizer, func(t *testing.T) {
-			p := deepMaskedProblem(t, 101)
-			p.Config.Optimizer = optimizer
-			for _, tc := range overlapTrainers() {
-				checkEquivalence(t, tc.mk(), p)
-			}
-		})
-	}
-}
-
-// TestEngineHaloCrossAlgorithmEquivalence extends the engine contract to
-// the sparsity-aware halo exchange: at depth 4, under every optimizer and
-// both partitioners, the halo-exchange 1D/1.5D trainers must be
-// bit-identical to their dense-broadcast variants and match the serial
-// reference within float tolerance.
-func TestEngineHaloCrossAlgorithmEquivalence(t *testing.T) {
-	for _, optimizer := range []string{"sgd", "momentum", "adam"} {
-		for _, pname := range []string{"random", "ldg"} {
-			t.Run(optimizer+"/"+pname, func(t *testing.T) {
-				base, g := deepMaskedProblemGraph(t, 101)
-				base.Config.Optimizer = optimizer
-				partitioner, err := partition.ByName(pname)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, cfg := range []struct {
-					mk     func(layout partition.Contig1D, halo bool) Trainer
-					blocks int
-				}{
-					{func(l partition.Contig1D, halo bool) Trainer {
-						tr := NewOneD(5, testMach)
-						tr.Layout, tr.Halo = l, halo
-						return tr
-					}, 5},
-					{func(l partition.Contig1D, halo bool) Trainer {
-						tr := NewOneFiveD(6, 2, testMach)
-						tr.Layout, tr.Halo = l, halo
-						return tr
-					}, 3},
-				} {
-					assign := partitioner(g, cfg.blocks, rand.New(rand.NewSource(7)))
-					p, layout, _, err := PartitionProblem(base, assign)
-					if err != nil {
-						t.Fatal(err)
-					}
-					halo := cfg.mk(layout, true)
-					// Serial-reference agreement within float tolerance.
-					checkEquivalence(t, halo, p)
-					// Bit-identity with the dense-broadcast variant.
-					got, err := halo.Train(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := cfg.mk(layout, false).Train(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-						t.Fatalf("%s halo output deviates from broadcast by %v", halo.Name(), d)
-					}
-					for l := range want.Weights {
-						if d := dense.MaxAbsDiff(got.Weights[l], want.Weights[l]); d != 0 {
-							t.Fatalf("%s halo W[%d] deviates from broadcast by %v", halo.Name(), l, d)
-						}
-					}
-					for e := range want.Losses {
-						if got.Losses[e] != want.Losses[e] {
-							t.Fatalf("%s halo loss diverges at epoch %d", halo.Name(), e)
-						}
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestEngineAccuracyTracking: with a validation mask set, every algorithm

@@ -200,42 +200,6 @@ func TestHaloSmartPartitionShrinksHalo(t *testing.T) {
 	}
 }
 
-// TestHaloDefaultLayoutBitIdentical covers the no-partitioner path at
-// several rank counts, including uneven blocks and a single rank.
-func TestHaloDefaultLayoutBitIdentical(t *testing.T) {
-	p := testProblem(t, 41, 5, 4, 3, 3, 75)
-	for _, ranks := range []int{1, 2, 6} {
-		halo := NewOneD(ranks, testMach)
-		halo.Halo = true
-		got, err := halo.Train(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewOneD(ranks, testMach).Train(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-			t.Fatalf("1d halo (P=%d) deviates from broadcast by %v", ranks, d)
-		}
-	}
-	for _, cfg := range [][2]int{{4, 1}, {6, 3}, {4, 4}} {
-		halo := NewOneFiveD(cfg[0], cfg[1], testMach)
-		halo.Halo = true
-		got, err := halo.Train(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewOneFiveD(cfg[0], cfg[1], testMach).Train(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-			t.Fatalf("1.5d halo (P=%d c=%d) deviates from broadcast by %v", cfg[0], cfg[1], d)
-		}
-	}
-}
-
 // TestLayoutValidation: mismatched layouts are rejected before any rank
 // starts.
 func TestLayoutValidation(t *testing.T) {

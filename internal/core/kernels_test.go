@@ -33,25 +33,6 @@ func trainWith(t *testing.T, p Problem, o KernelOptions) *Result {
 	return res
 }
 
-// requireBitEqual asserts two training runs produced bit-identical outputs,
-// weights, and loss curves.
-func requireBitEqual(t *testing.T, name string, got, want *Result) {
-	t.Helper()
-	if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-		t.Fatalf("%s: output deviates by %v, want bit-identical", name, d)
-	}
-	for l := range want.Weights {
-		if d := dense.MaxAbsDiff(got.Weights[l], want.Weights[l]); d != 0 {
-			t.Fatalf("%s: W[%d] deviates by %v, want bit-identical", name, l, d)
-		}
-	}
-	for e := range want.Losses {
-		if got.Losses[e] != want.Losses[e] {
-			t.Fatalf("%s: epoch %d loss %v vs %v, want bit-identical", name, e, got.Losses[e], want.Losses[e])
-		}
-	}
-}
-
 // TestMixedPrecisionWithinTolerance: the f32 storage/compute path with f64
 // loss accumulation and master weights must track the f64 reference within
 // single-precision tolerance across the depth-4 matrix and every optimizer.
@@ -117,7 +98,7 @@ func TestDefaultBitIdenticalToReference(t *testing.T) {
 			p := deepProblem(t, 6, 47)
 			want := trainWith(t, p, KernelOptions{Precision: precision, Reference: true})
 			got := trainWith(t, p, KernelOptions{Precision: precision})
-			requireBitEqual(t, precision+" default-vs-reference", got, want)
+			requireSameRun(t, precision+" default-vs-reference", got, want)
 		})
 	}
 }
@@ -127,76 +108,6 @@ func TestDefaultBitIdenticalToReference(t *testing.T) {
 type unfusedReLU struct{ dense.ReLU }
 
 func (unfusedReLU) Name() string { return "relu-unfused" }
-
-// TestFusedEpiloguesBitIdenticalEveryTrainer: on every trainer, a run whose
-// ReLU rides in the GEMM epilogues — forward at l = 1, forward through the
-// mesh's partial SUMMA at l = 2, the backward mask at l = 3 of widths
-// {8, 6, 12, 4} — is bit for bit the run with the ReLU as separate passes.
-func TestFusedEpiloguesBitIdenticalEveryTrainer(t *testing.T) {
-	reluRunsBitIdentical(t, []int{8, 6, 12, 4})
-}
-
-// TestReLUSparseProductsBitIdenticalEveryTrainer: on every trainer, the
-// products over a ReLU operand's nonzeros — Y¹ = (T¹)ᵀ·G¹ over G¹'s, then at
-// l = 2 and l = 3 of widths {8, 12, 6, 4} the multiply-first H^{l-1}·W^l and
-// (H^{l-1})ᵀ·(A·G^l) over H^{l-1}'s (2D and 3D: in every stage of the
-// partial SUMMA) — give the run of the dense products bit for bit.
-func TestReLUSparseProductsBitIdenticalEveryTrainer(t *testing.T) {
-	reluRunsBitIdentical(t, []int{8, 12, 6, 4})
-}
-
-// reluRunsBitIdentical trains a network of the given widths on every
-// trainer twice, with dense.ReLU — fused into the GEMM epilogues, its
-// outputs and masked gradients multiplied over their nonzeros — and with
-// unfusedReLU, which the engine does neither for, and requires the same
-// losses, weights and output. The float32 kernels know activations by name
-// and have none for unfusedReLU, so serial f32 runs dense.ReLU twice, the
-// second time with every product a dense GEMM (plainProducts).
-func reluRunsBitIdentical(t *testing.T, widths []int) {
-	p := edgeProblem(t, 48, widths, 3, 81)
-	t.Run("serial-f32", func(t *testing.T) {
-		relu := p
-		relu.Config.Hidden = dense.ReLU{}
-		got := trainWith(t, relu, KernelOptions{Precision: PrecisionF32})
-		relu = relu.normalized()
-		want, err := newEngine(plainProducts[float32]{newSerialOps[float32](relu)}, relu.Config.WithDefaults(), relu).run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireBitEqual(t, "serial-f32 relu-vs-dense-products", got, want)
-	})
-	// The "-overlap" names are the ids the rows had when they chose the
-	// pipelined schedule, which every trainer now runs.
-	trainers := map[string]func() Trainer{
-		"serial": func() Trainer { return NewSerial() },
-		"1d":     func() Trainer { return NewOneD(4, testMach) },
-		"1d-halo-overlap": func() Trainer {
-			tr := NewOneD(4, testMach)
-			tr.Halo = true
-			return tr
-		},
-		"1.5d-c2":    func() Trainer { return NewOneFiveD(4, 2, testMach) },
-		"2d":         func() Trainer { return NewTwoD(4, testMach) },
-		"2d-overlap": func() Trainer { return NewTwoD(4, testMach) },
-		"3d":         func() Trainer { return NewThreeD(8, testMach) },
-	}
-	for name, mk := range trainers {
-		t.Run(name, func(t *testing.T) {
-			relu, unfused := p, p
-			relu.Config.Hidden = dense.ReLU{}
-			unfused.Config.Hidden = unfusedReLU{}
-			want, err := mk().Train(unfused)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := mk().Train(relu)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireBitEqual(t, name+" relu-vs-unfused", got, want)
-		})
-	}
-}
 
 // plainProducts runs every product of its ops as a dense GEMM: the forms
 // that would multiply a ReLU operand's nonzeros fall back to plainGEMM.

@@ -63,16 +63,6 @@ func TestMaskedTrainingDiffersFromFull(t *testing.T) {
 	}
 }
 
-// TestMaskedEquivalenceAllTrainers: the semi-supervised path must keep the
-// serial/distributed equivalence for every algorithm.
-func TestMaskedEquivalenceAllTrainers(t *testing.T) {
-	p := maskedProblem(t, 63)
-	checkEquivalence(t, NewOneD(5, testMach), p)
-	checkEquivalence(t, NewOneFiveD(6, 2, testMach), p)
-	checkEquivalence(t, NewTwoD(9, testMach), p)
-	checkEquivalence(t, NewThreeD(8, testMach), p)
-}
-
 // TestMaskedLossNormalization: the loss divides by the supervised count,
 // not n, so a single-vertex mask gives exactly that vertex's NLL.
 func TestMaskedLossNormalization(t *testing.T) {

@@ -196,7 +196,7 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 						t.Fatalf("resumed from epoch %d, want 2", resumed.ResumedEpoch)
 					}
 					sameStatic("a run resumed at epoch 2", resumedOn, one)
-					bitEqualResults(t, resumed, clean)
+					requireSameRun(t, "resumed at epoch 2", resumed, clean)
 				})
 			}
 		}
@@ -308,8 +308,12 @@ func TestMeshTransposesIffAsymmetric(t *testing.T) {
 				return res
 			}
 			got := run(comm.NewCluster(tc.ranks, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta}))
-			requireNearSerial(t, tc.algo, got, tc.p)
-			requireSameRun(t, run(tcpCluster(t, tc.ranks)), got)
+			want, err := NewSerial().Train(tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireNear(t, tc.algo, got, want, equivTol)
+			requireSameRun(t, "over TCP", run(tcpCluster(t, tc.ranks)), got)
 
 			useWorkers(t, 1)
 			tr, _ := NewTrainer(tc.algo, tc.ranks, testMach)

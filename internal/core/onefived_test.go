@@ -3,24 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/dense"
-	"repro/internal/graph"
 	"repro/internal/nn"
-	"repro/internal/sparse"
 )
-
-func TestOneFiveDMatchesSerial(t *testing.T) {
-	for _, tc := range []struct{ p, c int }{
-		{1, 1}, {4, 1}, {4, 2}, {4, 4}, {8, 2}, {12, 3}, {6, 2},
-	} {
-		p := testProblem(t, 44, 7, 5, 4, 4, 31)
-		checkEquivalence(t, NewOneFiveD(tc.p, tc.c, testMach), p)
-	}
-}
 
 func TestOneFiveDUnevenBlocks(t *testing.T) {
 	p := testProblem(t, 43, 5, 4, 3, 3, 32)
@@ -128,60 +116,6 @@ func TestOneFiveDAtOneReplicaIsOneDForward(t *testing.T) {
 					t.Fatal("the product moved no dense words on any rank: the comparison would prove nothing")
 				}
 			})
-		}
-	}
-}
-
-// TestOneDIsOneFiveDAtOneReplica is the degenerate case (§IV-B) over a whole
-// run, which the one block-row trainer rests on: 1d at P = 4 and 1.5d at
-// P = 4, c = 1 are the same decomposition — forward and backward products,
-// exchanges and charges alike. In every exchange mode, on an undirected and
-// on a directed graph (where backward runs over its own plan), the two runs
-// end in bit-identical outputs, weights and losses, and every rank's ledger
-// agrees in every category — messages, words and modeled seconds — and in
-// peak memory.
-func TestOneDIsOneFiveDAtOneReplica(t *testing.T) {
-	const ranks = 4
-	sym := testProblem(t, 96, 9, 6, 4, 3, 36)
-	ds := graph.Synthetic("directed", graph.ErdosRenyi(96, 5, rand.New(rand.NewSource(37))), 9, 6, 4, 38)
-	directed := sym
-	directed.A, directed.Features, directed.Labels = sparse.RowStochastic(ds.Graph.Adjacency()), ds.Features, ds.Labels
-	for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
-		// overlap=true keeps the ids of the runs that once chose the
-		// pipelined schedule every trainer now runs; they repeat the others.
-		for _, halo := range []bool{false, true} {
-			for _, overlap := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/halo=%v/overlap=%v", graphName, halo, overlap), func(t *testing.T) {
-					oneD, oneFiveD := NewOneD(ranks, testMach), NewOneFiveD(ranks, 1, testMach)
-					oneD.Halo, oneFiveD.Halo = halo, halo
-					got, err := oneFiveD.Train(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := oneD.Train(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireBitEqual(t, "1.5d c=1 vs 1d", got, want)
-					for r := 0; r < ranks; r++ {
-						got, want := oneFiveD.Cluster().Ledger(r), oneD.Cluster().Ledger(r)
-						for _, cat := range comm.AllCategories {
-							if got.ModelMsgs[cat] != want.ModelMsgs[cat] || got.ModelWords[cat] != want.ModelWords[cat] ||
-								got.ModelTime[cat] != want.ModelTime[cat] {
-								t.Fatalf("rank %d %s: 1.5d c=1 charged %d msgs, %d words, %v s; 1d %d msgs, %d words, %v s", r, cat,
-									got.ModelMsgs[cat], got.ModelWords[cat], got.ModelTime[cat],
-									want.ModelMsgs[cat], want.ModelWords[cat], want.ModelTime[cat])
-							}
-						}
-						if want.ModelWords[comm.CatDenseComm] == 0 {
-							t.Fatalf("rank %d moved no dense words: the comparison would prove nothing", r)
-						}
-						if got.PeakMemWords != want.PeakMemWords {
-							t.Fatalf("rank %d: peak memory %d words in 1.5d c=1, %d in 1d", r, got.PeakMemWords, want.PeakMemWords)
-						}
-					}
-				})
-			}
 		}
 	}
 }

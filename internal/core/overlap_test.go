@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
-	"repro/internal/dense"
 	"repro/internal/graph"
 	"repro/internal/nn"
 )
@@ -77,49 +76,6 @@ var slowNetMach = func() costmodel.Machine {
 	m.Beta *= 1000
 	return m
 }()
-
-// TestEngineOverlapEquivalence: at depth 4 with a train mask, under every
-// optimizer, every distributed configuration must produce byte-identical
-// outputs, weights and losses whether its collectives arrive early or late
-// on the timeline — the double buffers change when data arrives, never
-// what is computed. (TestEngineCrossAlgorithmEquivalence holds the same
-// matrix to the serial reference.)
-func TestEngineOverlapEquivalence(t *testing.T) {
-	for _, optimizer := range []string{"sgd", "momentum", "adam"} {
-		t.Run(optimizer, func(t *testing.T) {
-			p := deepMaskedProblem(t, 101)
-			p.Config.Optimizer = optimizer
-			slow := overlapTrainersOn(slowNetMach)
-			for i, tc := range overlapTrainers() {
-				fastTr, slowTr := tc.mk(), slow[i].mk()
-				want, err := fastTr.Train(p)
-				if err != nil {
-					t.Fatalf("%s: %v", tc.name, err)
-				}
-				got, err := slowTr.Train(p)
-				if err != nil {
-					t.Fatalf("%s slow network: %v", tc.name, err)
-				}
-				if fast, late := fastTr.(DistTrainer).Cluster().MaxElapsed(), slowTr.(DistTrainer).Cluster().MaxElapsed(); !(late > fast) {
-					t.Fatalf("%s: slow-network timeline %v not behind %v", tc.name, late, fast)
-				}
-				if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-					t.Fatalf("%s slow-network output deviates by %v", tc.name, d)
-				}
-				for l := range want.Weights {
-					if d := dense.MaxAbsDiff(got.Weights[l], want.Weights[l]); d != 0 {
-						t.Fatalf("%s slow-network W[%d] deviates by %v", tc.name, l, d)
-					}
-				}
-				for e := range want.Losses {
-					if got.Losses[e] != want.Losses[e] {
-						t.Fatalf("%s slow-network loss diverges at epoch %d", tc.name, e)
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestOverlapWordCountsUnchanged: how much of a collective hides behind
 // compute must not change what it sends — every configuration moves
@@ -234,43 +190,6 @@ func TestOverlapTimelineNeverBelowLowerBounds(t *testing.T) {
 			if l.Elapsed() > l.TotalTime()+1e-12*l.TotalTime() {
 				t.Fatalf("%s rank %d: elapsed %v above bulk-synchronous %v", tc.name, rank, l.Elapsed(), l.TotalTime())
 			}
-		}
-	}
-}
-
-// TestOverlapPartitionedHaloEquivalence: the interior/frontier split
-// composes with the partitioner-driven halo layouts — the configuration
-// the benchmark harness runs — and is bit-identical to the pipelined
-// broadcast over the same layout.
-func TestOverlapPartitionedHaloEquivalence(t *testing.T) {
-	base, g := deepMaskedProblemGraph(t, 102)
-	for _, name := range []string{"1d", "1.5d"} {
-		tr, err := NewTrainer(name, 6, testMach)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := base
-		if _, err := ConfigureRowDecomposition(tr, &p, g, "ldg", true, 7); err != nil {
-			t.Fatal(err)
-		}
-		got, err := tr.Train(p)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		bcast, err := NewTrainer(name, 6, testMach)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p2 := base
-		if _, err := ConfigureRowDecomposition(bcast, &p2, g, "ldg", false, 7); err != nil {
-			t.Fatal(err)
-		}
-		want, err := bcast.Train(p2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := dense.MaxAbsDiff(got.Output, want.Output); d != 0 {
-			t.Fatalf("%s partitioned halo deviates from broadcast by %v", name, d)
 		}
 	}
 }

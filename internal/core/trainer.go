@@ -43,6 +43,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -212,6 +215,38 @@ type Result struct {
 	// DrainedEpoch is the epoch after which a Problem.Drain vote stopped
 	// the run early (0 when the run trained to Config.Epochs).
 	DrainedEpoch int
+}
+
+// Digest is a SHA-256 over the IEEE-754 bits of the run's answer: the
+// per-epoch losses, then each weight matrix and the output, each as its
+// shape followed by its data in row-major order. Two runs share a digest
+// iff they trained the same model bit for bit (−0 and +0 differ). It is
+// computed when called, never during training.
+func (r *Result) Digest() string {
+	h := sha256.New()
+	var word [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(word[:], v)
+		h.Write(word[:])
+	}
+	floats := func(xs []float64) {
+		put(uint64(len(xs)))
+		for _, x := range xs {
+			put(math.Float64bits(x))
+		}
+	}
+	matrix := func(m *dense.Matrix) {
+		put(uint64(m.Rows))
+		put(uint64(m.Cols))
+		floats(m.Data)
+	}
+	floats(r.Losses)
+	put(uint64(len(r.Weights)))
+	for _, w := range r.Weights {
+		matrix(w)
+	}
+	matrix(r.Output)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Trainer runs full-batch GCN training on a problem. Implementations:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"testing"
 	"time"
 
@@ -55,70 +53,6 @@ func trainOverTCP(t *testing.T, algo string, p, c int, prob Problem) *Result {
 		t.Fatal(err)
 	}
 	return trainOn(t, tr, tcpCluster(t, p), prob)
-}
-
-// TestTrainTCPBitIdentical is the tentpole acceptance pin: the same
-// trainer on the same seed must produce bit-identical weights, losses,
-// and outputs whether ranks exchange through in-process channels or real
-// TCP sockets.
-func TestTrainTCPBitIdentical(t *testing.T) {
-	cases := []struct {
-		algo string
-		p, c int
-	}{
-		{"1d", 3, 0},
-		{"1.5d", 4, 2},
-		{"2d", 4, 0},
-		{"3d", 8, 0},
-	}
-	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s-p%d", tc.algo, tc.p), func(t *testing.T) {
-			prob := testProblem(t, 24, 6, 5, 3, 3, 77)
-
-			ref, err := NewTrainerReplicated(tc.algo, tc.p, tc.c, testMach)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.Train(prob)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			requireSameRun(t, trainOverTCP(t, tc.algo, tc.p, tc.c, prob), want)
-		})
-	}
-}
-
-// requireSameRun fails unless a run over TCP (got) has the in-process run's
-// weights, losses and output, bit for bit.
-func requireSameRun(t *testing.T, got, want *Result) {
-	t.Helper()
-	if len(got.Weights) != len(want.Weights) {
-		t.Fatalf("weight count %d over TCP, %d in-process", len(got.Weights), len(want.Weights))
-	}
-	for l := range want.Weights {
-		gw, ww := got.Weights[l], want.Weights[l]
-		if gw.Rows != ww.Rows || gw.Cols != ww.Cols {
-			t.Fatalf("layer %d shape %dx%d over TCP, %dx%d in-process", l, gw.Rows, gw.Cols, ww.Rows, ww.Cols)
-		}
-		requireSameBits(t, fmt.Sprintf("layer %d weight", l), gw.Data, ww.Data)
-	}
-	requireSameBits(t, "loss", got.Losses, want.Losses)
-	requireSameBits(t, "output", got.Output.Data, want.Output.Data)
-}
-
-// requireSameBits fails unless got (over TCP) and want (in-process) hold
-// the same float64 bits.
-func requireSameBits(t *testing.T, what string, got, want []float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d values over TCP, %d in-process", what, len(got), len(want))
-	}
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d]: %v over TCP, %v in-process", what, i, got[i], want[i])
-		}
-	}
 }
 
 // TestSetClusterValidation covers the rejection paths for each of the
@@ -217,28 +151,7 @@ func TestDecomposeOncePerTrain(t *testing.T) {
 				t.Fatalf("decompose ran %d times in-process and %d times over TCP for one Train each, want 1 and 1", *refCalls, *calls)
 			}
 
-			for r := 0; r < p; r++ {
-				want, got := ref.(DistTrainer).Cluster().Ledger(r), tr.(DistTrainer).Cluster().Ledger(r)
-				for _, cat := range comm.AllCategories {
-					if got.ModelWords[cat] != want.ModelWords[cat] || got.ModelMsgs[cat] != want.ModelMsgs[cat] ||
-						math.Float64bits(got.ModelTime[cat]) != math.Float64bits(want.ModelTime[cat]) {
-						t.Errorf("rank %d %s: (%d words, %d msgs, %v s) over TCP, (%d, %d, %v) in-process", r, cat,
-							got.ModelWords[cat], got.ModelMsgs[cat], got.ModelTime[cat],
-							want.ModelWords[cat], want.ModelMsgs[cat], want.ModelTime[cat])
-					}
-				}
-				if got.PeakMemWords != want.PeakMemWords {
-					t.Errorf("rank %d: peak memory %d words over TCP, %d in-process", r, got.PeakMemWords, want.PeakMemWords)
-				}
-				if got.PhysWordsSent != want.PhysWordsSent || got.PhysMsgsSent != want.PhysMsgsSent ||
-					got.PhysWordsRecv != want.PhysWordsRecv || got.PhysMsgsRecv != want.PhysMsgsRecv {
-					t.Errorf("rank %d: physical traffic %+v over TCP, %+v in-process", r, *got, *want)
-				}
-				if got.Elapsed() != want.Elapsed() || got.HiddenCommTime() != want.HiddenCommTime() {
-					t.Errorf("rank %d: elapsed %v hidden %v over TCP, %v and %v in-process", r,
-						got.Elapsed(), got.HiddenCommTime(), want.Elapsed(), want.HiddenCommTime())
-				}
-			}
+			requireSameLedgers(t, "over TCP", tr.(DistTrainer).Cluster(), ref.(DistTrainer).Cluster())
 		})
 	}
 }

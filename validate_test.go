@@ -1,6 +1,7 @@
 package cagnet
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,7 +17,11 @@ import (
 // and Train give the same verdict: both accept, or both reject with the
 // same error, which names an option the combination sets and never comes
 // from a started rank ("tcp rank"). Every accepted combination trains two
-// epochs to the serial losses at its precision.
+// epochs to the serial losses at its precision, and the invariances hold
+// across them (checkInvariance): combinations that differ only in
+// transport, overlap, halo, or partitioner "" against "block" share a
+// digest; across transports, the modeled time too; and only a tcp run
+// reports wall time and wire samples.
 func TestOptionMatrix(t *testing.T) {
 	ds := RandomDataset(5, 4, 6, 4, 3, 35) // 32 vertices
 	worlds := []struct {
@@ -39,6 +44,7 @@ func TestOptionMatrix(t *testing.T) {
 		serial[precision] = rep.Losses
 	}
 
+	digests, modeled := map[string]string{}, map[string]float64{}
 	var accepted, rejected int
 	for _, w := range worlds {
 		for c := 0; c <= 2; c++ {
@@ -54,11 +60,23 @@ func TestOptionMatrix(t *testing.T) {
 										Overlap: overlap, Precision: precision, Transport: transport,
 										Checkpoint: ckpt,
 									}
-									if err := checkVerdict(ds, o, serial[precision]); err != nil {
+									rep, err := checkVerdict(ds, o, serial[precision])
+									if rep != nil && err == nil {
+										part := partitioner
+										if part == "block" {
+											part = ""
+										}
+										err = errors.Join(
+											agree(digests, fmt.Sprint(w, c, part, precision, ckpt), rep.Digest(), "digest"),
+											agree(modeled, fmt.Sprint(w, c, halo, partitioner, overlap, precision, ckpt), rep.ModeledSeconds, "modeled time"),
+											wireMeasured(o, rep))
+									}
+									switch {
+									case err != nil:
 										t.Errorf("%+v: %v", o, err)
-									} else if o.Validate() == nil {
+									case rep != nil:
 										accepted++
-									} else {
+									default:
 										rejected++
 									}
 								}
@@ -73,19 +91,20 @@ func TestOptionMatrix(t *testing.T) {
 }
 
 // checkVerdict runs o through Validate and Train and reports how they
-// break the contract TestOptionMatrix states, or nil.
-func checkVerdict(ds *graph.Dataset, o TrainOptions, serial []float64) error {
+// break the contract TestOptionMatrix states, or nil, with the report of
+// an accepted combination.
+func checkVerdict(ds *graph.Dataset, o TrainOptions, serial []float64) (*TrainReport, error) {
 	verr := o.Validate()
 	rep, terr := Train(ds, o)
 	if fmt.Sprint(verr) != fmt.Sprint(terr) {
-		return fmt.Errorf("Validate says %v, Train %v", verr, terr)
+		return nil, fmt.Errorf("Validate says %v, Train %v", verr, terr)
 	}
 	if verr == nil {
-		return tolerance.CloseSlice("losses against serial", rep.Losses, serial, 1e-9, 1e-9)
+		return rep, tolerance.CloseSlice("losses against serial", rep.Losses, serial, 1e-9, 1e-9)
 	}
 	msg := verr.Error()
 	if strings.Contains(msg, "tcp rank") {
-		return fmt.Errorf("rejected by a started rank: %v", verr)
+		return nil, fmt.Errorf("rejected by a started rank: %v", verr)
 	}
 	// The options the combination sets, as the errors name them.
 	named := []string{"rank count", "replication factor"}
@@ -109,8 +128,32 @@ func checkVerdict(ds *graph.Dataset, o TrainOptions, serial []float64) error {
 	}
 	for _, name := range named {
 		if strings.Contains(msg, name) {
-			return nil
+			return nil, nil
 		}
 	}
-	return fmt.Errorf("error %q names none of %q", msg, named)
+	return nil, fmt.Errorf("error %q names none of %q", msg, named)
+}
+
+// agree records v as the class key's value the first time and otherwise
+// reports a run of the class that differs from it.
+func agree[V comparable](seen map[string]V, key string, v V, what string) error {
+	want, ok := seen[key]
+	if !ok {
+		seen[key] = v
+		return nil
+	}
+	if v != want {
+		return fmt.Errorf("%s %v, another run of its class %v", what, v, want)
+	}
+	return nil
+}
+
+// wireMeasured reports a run whose transport and wall-clock figures
+// disagree: a tcp run measures its wall time and wire samples, an
+// in-process one reports neither.
+func wireMeasured(o TrainOptions, rep *TrainReport) error {
+	if tcp := o.Transport == "tcp"; tcp != (rep.MeasuredSeconds > 0) || tcp != (rep.WireSamples > 0) {
+		return fmt.Errorf("transport %q: measured %v s over %d wire samples", o.Transport, rep.MeasuredSeconds, rep.WireSamples)
+	}
+	return nil
 }
