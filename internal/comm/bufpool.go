@@ -10,14 +10,14 @@ import "sync"
 // transport's arena. Buffers are keyed by capacity class (next power of
 // two), checked out under a mutex (a rank and its reader goroutines may
 // allocate at once), and recycled all at once by
-// Comm.EpochDone — the point where every rank has agreed, via barrier,
-// that no buffer handed out during the epoch is still referenced.
+// Comm.Recycle — the point where every rank has agreed, via barrier,
+// that no buffer handed out since the last recycle is still referenced.
 //
 // Steady state is allocation-free: after the first epoch has sized the
 // free lists, every checkout pops an existing buffer and every recycle
 // pushes it back within the lists' existing capacity.
 //
-// Nothing is recycled for callers that never invoke EpochDone (tests,
+// Nothing is recycled for callers that never Recycle (tests,
 // one-shot collectives): the pool then degrades to tracked plain
 // allocation, and received payloads stay valid indefinitely.
 type bufPool struct {
@@ -121,8 +121,33 @@ func (b *bufPool) cloneInts(x []int) []int {
 	return out
 }
 
+// largestWords returns the capacity of the largest float or int buffer the
+// pool holds, free or checked out.
+func (b *bufPool) largestWords() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var mx int
+	for k, list := range b.freeF {
+		if len(list) > 0 {
+			mx = max(mx, k)
+		}
+	}
+	for k, list := range b.freeI {
+		if len(list) > 0 {
+			mx = max(mx, k)
+		}
+	}
+	for _, buf := range b.usedF {
+		mx = max(mx, cap(buf))
+	}
+	for _, buf := range b.usedI {
+		mx = max(mx, cap(buf))
+	}
+	return int64(mx)
+}
+
 // recycle returns every checked-out buffer to the free lists. The caller
-// must guarantee no checked-out buffer is still referenced — EpochDone
+// must guarantee no checked-out buffer is still referenced — Recycle
 // establishes this with its surrounding barriers.
 func (b *bufPool) recycle() {
 	b.mu.Lock()

@@ -443,14 +443,14 @@ type Comm struct {
 	size int
 	cost CostParams
 	// pool backs collective scratch and result slices; it is the rank's
-	// own, recycled by its EpochDone.
+	// own, recycled by Recycle.
 	pool   *bufPool
 	ledger *Ledger
 	world  *Group // lazily built, cached: World is called on every epoch
 	meter  *Meter // wire metering, nil unless EnableMetering
 
 	// reqs is the rank's Request arena: requests are checked out in issue
-	// order and recycled all at once by EpochDone, so the steady-state
+	// order and recycled all at once by Recycle, so the steady-state
 	// epoch loop issues collectives without allocating.
 	reqs    []*Request
 	reqNext int
@@ -469,7 +469,7 @@ func (c *Comm) Ledger() *Ledger { return c.ledger }
 // (collectives charge analytically). The caller keeps ownership of p's
 // backing arrays: the transport copies — into the sender's arena on the
 // channel fabric, onto the wire for TCP — so sender and receiver never
-// share memory, and received buffers stay valid until the next EpochDone.
+// share memory, and received buffers stay valid until the next Recycle.
 func (c *Comm) sendRaw(dst int, p Payload) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: rank %d sending to invalid rank %d", c.rank, dst))
@@ -558,27 +558,35 @@ func (c *Comm) Exchange(peer int, p Payload, cat Category) Payload {
 	return c.recvRaw(peer)
 }
 
-// EpochDone marks a cluster-wide epoch boundary: all ranks synchronize,
-// every rank recycles its payload buffers — the Comm's own pool and the
-// transport's arena (the channel fabric's send clones, the TCP fabric's
-// received frames) — and all ranks synchronize again before continuing.
-// Every rank must call it at the same point (it is a collective, like
-// Barrier).
-//
-// After EpochDone returns, payloads received earlier — including the float
-// slices of collective results — must not be read again: their buffers are
-// reused for the next epoch's traffic. The training engine calls this at
-// the end of every epoch, after all epoch state has been consumed, which is
-// what makes the steady-state epoch loop allocation-free.
-//
-// EpochDone also recycles the rank's Request arena; every request issued
-// during the epoch must have been waited on by now (an unwaited request
-// would silently drop its communication span from the timeline, so it
-// panics instead).
+// EpochDone marks a cluster-wide epoch boundary: it advances the
+// transport's epoch count (the one FaultTransport's epoch-triggered events
+// read), then Recycles. Every rank must call it at the same point (it is a
+// collective, like Barrier). The training engine calls it at the end of
+// every epoch, after all epoch state has been consumed, which is what makes
+// the steady-state epoch loop allocation-free.
 func (c *Comm) EpochDone() {
 	if et, ok := c.tr.(epochTicker); ok {
 		et.EpochTick()
 	}
+	c.Recycle()
+}
+
+// Recycle returns every payload buffer handed out since the last recycle
+// without ending an epoch: all ranks synchronize, every rank recycles its
+// payload buffers — the Comm's own pool and the transport's arena (the
+// channel fabric's send clones, the TCP fabric's received frames) — and all
+// ranks synchronize again before continuing. It is a collective, like
+// Barrier. The block-row trainers call it between the column panels of the
+// input layer, which are not epochs, so an epoch-triggered fault still
+// counts training epochs.
+//
+// After Recycle returns, payloads received earlier — including the float
+// slices of collective results — must not be read again: their buffers are
+// reused for later traffic. It also recycles the rank's Request arena;
+// every request issued since the last recycle must have been waited on by
+// now (an unwaited request would silently drop its communication span from
+// the timeline, so it panics instead).
+func (c *Comm) Recycle() {
 	c.recycleRequests()
 	c.tr.Barrier()
 	c.pool.recycle()
@@ -586,6 +594,19 @@ func (c *Comm) EpochDone() {
 		er.EpochRecycle()
 	}
 	c.tr.Barrier()
+}
+
+// LargestBufferWords returns the capacity, in words, of the largest payload
+// buffer this rank's fabric holds — in its Comm's pool or its transport's
+// arena, free or handed out — for tests and memory accounting. Neither ever
+// gives a buffer back to the heap, so it is the widest transient the rank
+// has drawn since it started.
+func (c *Comm) LargestBufferWords() int64 {
+	mx := c.pool.largestWords()
+	if as, ok := c.tr.(arenaSizer); ok {
+		mx = max(mx, as.largestArenaWords())
+	}
+	return mx
 }
 
 // Barrier blocks until every rank in the cluster has entered the barrier.

@@ -16,16 +16,20 @@ import (
 // string like "crash@epoch=3". Surfaced as `cagnet-worker -chaos`.
 
 // epochTicker is implemented by transports that want to observe epoch
-// boundaries; Comm.EpochDone calls it once per epoch before the closing
-// barriers.
+// boundaries; Comm.EpochDone calls it once per epoch before it recycles.
+// Comm.Recycle alone does not.
 type epochTicker interface{ EpochTick() }
 
 // epochRecycler is implemented by transports that hand Recv's callers
 // pooled buffers (the channel fabric's send clones, the TCP fabric's
-// receive arena); Comm.EpochDone calls it between its two barriers, when
-// no rank still reads a payload of the epoch. A wrapper that does not
-// forward it leaves the arena growing.
+// receive arena); Comm.Recycle calls it between its two barriers, when
+// no rank still reads a payload handed out before them. A wrapper that
+// does not forward it leaves the arena growing.
 type epochRecycler interface{ EpochRecycle() }
+
+// arenaSizer is implemented by the transports that are epochRecyclers:
+// largestArenaWords is the capacity of the largest buffer in the arena.
+type arenaSizer interface{ largestArenaWords() int64 }
 
 // aborter is implemented by transports that can broadcast a failure
 // announcement to every peer (the channel fabric's abort latch, the TCP
@@ -186,6 +190,14 @@ func (t *FaultTransport) EpochRecycle() {
 	if er, ok := t.inner.(epochRecycler); ok {
 		er.EpochRecycle()
 	}
+}
+
+// largestArenaWords forwards to the wrapped transport.
+func (t *FaultTransport) largestArenaWords() int64 {
+	if as, ok := t.inner.(arenaSizer); ok {
+		return as.largestArenaWords()
+	}
+	return 0
 }
 
 // fire injects one event.

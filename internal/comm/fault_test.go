@@ -175,3 +175,34 @@ func TestFaultTransportDelayAndForwarding(t *testing.T) {
 		t.Fatal("close forwarding broken")
 	}
 }
+
+// TestRecycleLeavesFaultEpoch: Recycle returns the Comm pool's buffers and
+// the transport arena's (a second checkout gets the same backing array) and
+// passes no epoch boundary, so an epoch-triggered fault still counts only
+// EpochDone's.
+func TestRecycleLeavesFaultEpoch(t *testing.T) {
+	plan, _ := ParseFaultPlan("crash@epoch=1")
+	ft := NewFaultTransport(&inprocTransport{fabric: newChanFabric(1), rank: 0, arena: newBufPool()}, plan)
+	c := NewTransportComm(ft, testCost)
+	round := func() (pooled, received *float64) {
+		ft.Send(0, Payload{Floats: make([]float64, 100)}) // cloned into the arena
+		return &c.pool.getFloats(100)[0], &ft.Recv(0).Floats[0]
+	}
+	pooled, received := round()
+	for range 3 {
+		c.Recycle()
+		p, r := round()
+		if p != pooled || r != received {
+			t.Fatal("Recycle did not return the pool's and the arena's buffers")
+		}
+	}
+	if ft.epoch != 0 {
+		t.Fatalf("three Recycles advanced the fault epoch to %d", ft.epoch)
+	}
+	defer func() {
+		if _, ok := AsPeerError(recover()); !ok || ft.epoch != 1 {
+			t.Fatalf("EpochDone after the Recycles did not fire crash@epoch=1 (epoch %d)", ft.epoch)
+		}
+	}()
+	c.EpochDone()
+}

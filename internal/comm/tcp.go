@@ -52,22 +52,22 @@ import (
 // hands the kernel the header and the caller's two slices in one writev,
 // and the reader, after taking the header from its bufio buffer, reads
 // each side with io.ReadFull straight into a buffer drawn from the rank's
-// receive arena — a bufPool that Comm.EpochDone recycles between its two
+// receive arena — a bufPool that Comm.Recycle recycles between its two
 // barriers. Each side makes one kernel copy of the words and no per-word
 // pass; only what the bufio buffer already holds, or a tail shorter than
 // it, is copied once more. Steady-state epochs allocate no payload memory,
-// and a received payload stays valid until the next EpochDone.
+// and a received payload stays valid until the next Recycle.
 //
-// Why no epoch-N+1 frame can land in a buffer still referenced from epoch
-// N: collectives are SPMD, so every frame a peer sent this rank during
-// epoch N was consumed by a matching Recv — and so fully read — before
-// this rank entered EpochDone's first barrier. The arena is recycled after
+// Why no round-N+1 frame (a round: the traffic between two Recycles) can
+// land in a buffer still referenced from round N: collectives are SPMD, so every frame a peer sent this rank during
+// round N was consumed by a matching Recv — and so fully read — before
+// this rank entered Recycle's first barrier. The arena is recycled after
 // that barrier and before this rank enters the second; a peer leaves the
 // second barrier only after this rank entered it, and only then sends its
-// first epoch-N+1 frame. Every epoch-N+1 frame is therefore read after
+// first round-N+1 frame. Every round-N+1 frame is therefore read after
 // the recycle (never into a buffer the recycle would hand out twice), and
-// the recycle runs only once every rank has entered EpochDone, i.e. has
-// finished reading its epoch-N payloads.
+// the recycle runs only once every rank has entered Recycle, i.e. has
+// finished reading its round-N payloads.
 //
 // Failure model: a heartbeat goroutine sends a 'V' frame to every peer at
 // HeartbeatInterval, and every blocked Recv/Barrier enforces
@@ -249,9 +249,11 @@ func (t *TCPTransport) writeFrame(dst int, frame []byte) error {
 }
 
 // EpochRecycle returns every payload buffer handed out by Recv since the
-// previous call to the receive arena. Comm.EpochDone calls it between its
+// previous call to the receive arena. Comm.Recycle calls it between its
 // two barriers; see the header comment for why that is safe.
 func (t *TCPTransport) EpochRecycle() { t.arena.recycle() }
+
+func (t *TCPTransport) largestArenaWords() int64 { return t.arena.largestWords() }
 
 // failure builds the *PeerError for a failed operation on peer. If some
 // rank already broadcast an abort, its root cause wins over the local

@@ -22,10 +22,10 @@ import "fmt"
 // and joined with Wait or WaitAll, which advance the
 // rank's timeline clock past the operation's span and return its result.
 //
-// Requests are owned by the issuing rank, pooled per Comm, and recycled at
-// EpochDone: do not retain one across an epoch boundary. Waiting twice is
+// Requests are owned by the issuing rank, pooled per Comm, and recycled by
+// Recycle (EpochDone runs it): do not retain one across it. Waiting twice is
 // harmless (the second wait is a no-op returning the same result); leaving
-// a request unwaited at EpochDone panics, since its span would otherwise
+// a request unwaited at Recycle panics, since its span would otherwise
 // vanish from the timeline.
 type Request struct {
 	comm        *Comm
@@ -100,12 +100,13 @@ func (c *Comm) takeRequest(start, ready float64) *Request {
 	return r
 }
 
-// recycleRequests returns every request issued this epoch to the arena,
-// panicking on any that was never waited (its span would be lost).
+// recycleRequests returns every request issued since the last Recycle to
+// the arena, panicking on any that was never waited (its span would be
+// lost).
 func (c *Comm) recycleRequests() {
 	for i, r := range c.reqs[:c.reqNext] {
 		if !r.waited {
-			panic(fmt.Sprintf("comm: rank %d reached EpochDone with request %d unwaited", c.rank, i))
+			panic(fmt.Sprintf("comm: rank %d reached Recycle with request %d unwaited", c.rank, i))
 		}
 		r.payload = Payload{}
 		r.payloads = nil

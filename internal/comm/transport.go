@@ -39,13 +39,12 @@ import (
 // Cluster.Run is the caller.
 //
 // Buffer lifetime: the payload handed to Recv's caller is valid until the
-// next Comm.EpochDone and not after. Both fabrics hand out pooled buffers
-// — the channel fabric clones into the sender's arena, the TCP fabric
-// decodes into the receiver's — and EpochDone recycles them between its
-// two barriers through the optional EpochRecycle method (see
-// epochRecycler), which a wrapping transport must forward. A caller that
-// never invokes EpochDone never recycles, and its payloads stay valid
-// indefinitely.
+// next Comm.Recycle (which Comm.EpochDone runs) and not after. Both fabrics
+// hand out pooled buffers — the channel fabric clones into the sender's
+// arena, the TCP fabric decodes into the receiver's — and Recycle returns
+// them between its two barriers through the optional EpochRecycle method
+// (see epochRecycler), which a wrapping transport must forward. A caller
+// that never recycles keeps its payloads valid indefinitely.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -89,7 +88,7 @@ func newChanFabric(p int) *chanFabric {
 }
 
 // inprocTransport is one rank's endpoint on a chanFabric. Sends deep-copy
-// into the sender's arena, so received payloads stay valid until EpochDone
+// into the sender's arena, so received payloads stay valid until Recycle
 // recycles it (EpochRecycle) — the same lifetime the TCP transport
 // provides with its receive arena.
 type inprocTransport struct {
@@ -139,6 +138,8 @@ func (t *inprocTransport) Close() error { return nil }
 // EpochRecycle returns this rank's send clones to its arena; see
 // epochRecycler.
 func (t *inprocTransport) EpochRecycle() { t.arena.recycle() }
+
+func (t *inprocTransport) largestArenaWords() int64 { return t.arena.largestWords() }
 
 // Abort latches the fabric's first abort and wakes every endpoint blocked
 // in Send, Recv or Barrier; see aborter.

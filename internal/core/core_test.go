@@ -302,19 +302,19 @@ func TestThreeDTrainsDirectedGraphs(t *testing.T) {
 	for _, e := range g.Edges {
 		sym.AddUndirectedEdge(e[0], e[1])
 	}
-	symmetric := p
-	symmetric.A = sym.NormalizedAdjacency()
-	skewed := symmetric
-	skewed.A = symmetric.A.Clone()
+	undirected := p
+	undirected.A = sym.NormalizedAdjacency()
+	skewed := undirected
+	skewed.A = undirected.A.Clone()
 	for k := skewed.A.RowPtr[0]; k < skewed.A.RowPtr[1]; k++ {
 		if skewed.A.ColIdx[k] != 0 {
 			skewed.A.Val[k] *= 1.5 // A[0,j] ≠ A[j,0], structure intact
 			break
 		}
 	}
-	for name, prob := range map[string]Problem{"directed": p, "asymmetric values": skewed, "symmetric": symmetric} {
-		if directed := asymmetry(prob.A) != ""; directed != (name != "symmetric") {
-			t.Fatalf("%s adjacency: asymmetry finds A ≠ Aᵀ = %v", name, directed)
+	for name, prob := range map[string]Problem{"directed": p, "asymmetric values": skewed, "symmetric": undirected} {
+		if directed := !symmetric(prob.A); directed != (name != "symmetric") {
+			t.Fatalf("%s adjacency: symmetric finds A ≠ Aᵀ = %v", name, directed)
 		}
 		t.Run(name, func(t *testing.T) {
 			checkEquivalence(t, NewThreeD(8, testMach), prob)

@@ -39,11 +39,14 @@ type layerOpsOf[T dense.Elem] interface {
 	// rank's block of X: H^{l-1} when layer l aggregates first, H^{l-1}·W^l
 	// when it multiplies first (see aggregatesFirst). Its width — buffers,
 	// reduce-scatter counts, SpMM charges — is x.Cols, never a configured
-	// layer width; l is the 1-based layer. The engine calls it with l = 1
-	// once per (A, H⁰) — see aggregateInput — and keeps that result across
-	// endEpoch, so at l = 1 the implementation returns storage endEpoch does
-	// not recycle (Workspace.Keep) and counts it as resident; for l > 1 the
-	// result is epoch-scoped like every other temporary.
+	// layer width, except that the block-row trainer runs the l = 1 product
+	// in column panels of x no wider than the widest later layer
+	// (rowRank.aggregateInput); l is the 1-based layer. The engine calls it
+	// with l = 1 once per (A, H⁰) — see aggregateInput — and keeps that
+	// result across endEpoch, so at l = 1 the implementation returns storage
+	// endEpoch does not recycle (Workspace.Keep, or a matrix of its own) and
+	// counts it as resident; for l > 1 the result is epoch-scoped like every
+	// other temporary.
 	forwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
 
 	// multiplyWeight returns this rank's block of X·W for the replicated

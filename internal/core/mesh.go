@@ -100,7 +100,7 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	// of A; only a directed one pays for the global transpose and the
 	// transpose exchange, as the block-row trainer pays for a second block
 	// set.
-	at, directed := p.A, asymmetry(p.A) != ""
+	at, directed := p.A, !symmetric(p.A)
 	if directed {
 		at = p.A.Transpose()
 	}

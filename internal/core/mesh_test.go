@@ -56,7 +56,7 @@ func meshWant(t *testing.T, algo string, ranks int, p Problem, rank int) meshRan
 		w.scomm += csrWords(panel) + 2
 		w.panels += csrWords(panel)
 	}
-	at, directed := p.A, asymmetry(p.A) != ""
+	at, directed := p.A, !symmetric(p.A)
 	if directed {
 		at = p.A.Transpose()
 	}
@@ -233,11 +233,11 @@ func meshRun(t *testing.T, algo string, ranks int, cl *comm.Cluster, p Problem) 
 }
 
 // TestMeshTransposesIffAsymmetric holds the mesh to its one rule — it
-// transposes iff asymmetry(A) != "" — at the rule's boundary, on 2D P = 4
+// transposes iff A ≠ Aᵀ (symmetric) — at the rule's boundary, on 2D P = 4
 // and 3D P = 8:
 //
 //   - a symmetric A with one value perturbed by 1e-14 relative is inside
-//     asymmetry's rounding tolerance: every rank's backward SUMMA reads the
+//     symmetric's rounding tolerance: every rank's backward SUMMA reads the
 //     forward panels (one set) and no rank sends a trpose word;
 //   - the same value skewed ×1.5 makes A directed: every rank takes the
 //     exchange, and its A block is ExtractBlock of A itself, bit for bit;
@@ -281,8 +281,8 @@ func TestMeshTransposesIffAsymmetric(t *testing.T) {
 		{"directed-empty-rows", "3d", 27, directedOn(11), true},
 	} {
 		t.Run(fmt.Sprintf("%s/%s-p%d", tc.name, tc.algo, tc.ranks), func(t *testing.T) {
-			if directed := asymmetry(tc.p.A) != ""; directed != tc.directed {
-				t.Fatalf("asymmetry finds A ≠ Aᵀ = %v, the case needs %v", directed, tc.directed)
+			if directed := !symmetric(tc.p.A); directed != tc.directed {
+				t.Fatalf("symmetric finds A ≠ Aᵀ = %v, the case needs %v", directed, tc.directed)
 			}
 			run := func(cl *comm.Cluster) *Result {
 				res, ranks := meshRun(t, tc.algo, tc.ranks, cl, tc.p)

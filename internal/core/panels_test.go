@@ -1,0 +1,131 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/dense"
+	"repro/internal/nn"
+	"repro/internal/partition"
+)
+
+// t1Probe keeps a copy of the rank's T¹ as aggregateInput returned it, and
+// the rank's workspace footprint at that moment.
+type t1Probe struct {
+	*rowRank
+	t1   *dense.Matrix
+	foot int64
+}
+
+func (p *t1Probe) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	out := p.rowRank.forwardAggregate(x, l)
+	if l == 1 {
+		p.t1, p.foot = out.Clone(), p.ws.FootprintWords()
+	}
+	return out
+}
+
+// TestInputAggregatedInPanels: the block-row trainer aggregates the input
+// layer in column panels of H⁰ no wider than w = max_{l≥1} f^l. On 1d and
+// 1.5d (c = 2), broadcast and halo under an LDG layout, in-process and over
+// TCP, at f⁰ = 37 with w = 8 (four full panels and a ragged one of 5) and at
+// f⁰ = 6 ≤ w (one panel), every rank's T¹ is bit-equal to one product over
+// all of H⁰; after a whole run no buffer its workspace or its fabric holds
+// is larger than
+//
+//	B = nextPow2(max(rows·w, f⁰·f¹)),
+//
+// rows the largest row block: every vertex-sized buffer is at most w wide,
+// and the widest weight-sized one is (∂W¹ and its all-reduce); and the
+// input layer leaves at most (q+1)·B words in the workspace, q the peers of
+// a stage exchange — what one panel draws, since each panel's are returned
+// before the next. One product over H⁰ draws rows·f⁰-word buffers — its
+// stage sum, halo gathers, broadcast payloads and team all-reduce — which
+// exceed B here.
+func TestInputAggregatedInPanels(t *testing.T) {
+	const ranks, epochs, n = 4, 2, 256
+	for _, widths := range [][]int{{37, 8, 5}, {6, 8, 5}} {
+		base, g := testProblemGraph(t, n, widths[0], widths[1], widths[2], epochs, 91)
+		for _, algo := range []string{"1d", "1.5d"} {
+			c := map[string]int{"1d": 1, "1.5d": 2}[algo]
+			for _, exchange := range []string{"bcast", "halo-ldg"} {
+				for _, fabric := range []string{"inproc", "tcp"} {
+					name := fmt.Sprintf("f0=%d/%s/%s/%s", widths[0], algo, exchange, fabric)
+					t.Run(name, func(t *testing.T) {
+						tr := newRowTrainer(algo, ranks, c, testMach)
+						p := base
+						if exchange == "halo-ldg" {
+							assign := partition.LDG(g, tr.Blocks(), rand.New(rand.NewSource(92)))
+							var err error
+							if p, tr.Layout, _, err = PartitionProblem(base, assign); err != nil {
+								t.Fatal(err)
+							}
+							tr.Halo = true
+						}
+						if fabric == "tcp" {
+							if err := SetCluster(tr, tcpCluster(t, ranks)); err != nil {
+								t.Fatal(err)
+							}
+						}
+						checkInputPanels(t, tr, p)
+					})
+				}
+			}
+		}
+	}
+}
+
+// checkInputPanels trains tr on p and checks every rank's T¹ and buffers.
+func checkInputPanels(t *testing.T, tr *rowTrainer, p Problem) {
+	t.Helper()
+	widths := p.Config.Widths
+	w := slices.Max(widths[1:])
+	err := tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
+		r := ops.(*rowRank)
+		probe := &t1Probe{rowRank: r}
+		if _, err := newEngine(probe, cfg, prob).run(); err != nil {
+			return err
+		}
+		var rows int
+		for b := range r.blk.Blocks() {
+			rows = max(rows, r.blk.Hi(b)-r.blk.Lo(b))
+		}
+		bound := int64(1)
+		for bound < int64(max(rows*w, widths[0]*widths[1])) {
+			bound <<= 1
+		}
+		wsWords, fabricWords := r.ws.LargestWords(), r.comm.LargestBufferWords()
+		// The oracle: one product over all of H⁰, on every rank at once (a
+		// collective: no rank may return before it), once every rank has
+		// measured — a TCP reader would take a peer's oracle frames into
+		// the arena meanwhile.
+		r.comm.Barrier()
+		whole := r.blockMul(r.fwd, r.h0)
+		// The input layer leaves in the workspace what one panel drew: the
+		// panel, its stage sum and at most one halo gather per peer.
+		if most := int64(r.group.Size()+1) * bound; probe.foot > most {
+			return fmt.Errorf("rank %d: the input layer left %d words in the workspace, over %d", r.rank(), probe.foot, most)
+		}
+		if wsWords > bound {
+			return fmt.Errorf("rank %d: the workspace holds a %d-word buffer, over the panel bound %d", r.rank(), wsWords, bound)
+		}
+		if fabricWords > bound {
+			return fmt.Errorf("rank %d: the fabric holds a %d-word buffer, over the panel bound %d", r.rank(), fabricWords, bound)
+		}
+		if probe.t1.Rows != whole.Rows || probe.t1.Cols != whole.Cols {
+			return fmt.Errorf("rank %d: T¹ is %dx%d, one product over H⁰ %dx%d", r.rank(), probe.t1.Rows, probe.t1.Cols, whole.Rows, whole.Cols)
+		}
+		for i, v := range whole.Data {
+			if math.Float64bits(probe.t1.Data[i]) != math.Float64bits(v) {
+				return fmt.Errorf("rank %d: T¹[%d] = %v, one product over H⁰ gives %v", r.rank(), i, probe.t1.Data[i], v)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

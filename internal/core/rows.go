@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/costmodel"
@@ -111,7 +112,7 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 	// graph they are the same blocks, read straight out of A; only a
 	// directed one pays for the transpose and a second block set.
 	at := p.A
-	if asymmetry(p.A) != "" {
+	if !symmetric(p.A) {
 		at = p.A.Transpose() // read-only global view; ranks extract blocks
 	}
 	return func(c *comm.Comm) layerOps {
@@ -209,7 +210,10 @@ func (r *rowRank) recordMem(extra int64) {
 // and the per-run buffers. h0 is the c-fold replicated dense block — the
 // §IV-B memory overhead — while the sparse share is only the stage blocks:
 // nnz/P words per direction, once when the plans coincide (at is a itself:
-// A = Aᵀ).
+// A = Aᵀ). h0 is a row view of features, not a copy: nothing writes it, as
+// on the serial path, and the ranks of one process share the storage. The
+// ledger still counts it, since a rank of the modeled machine holds its
+// block.
 func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix) {
 	rank, teams := r.comm.Rank(), r.blk.Blocks()
 	team, layer := rank/r.c, rank%r.c
@@ -231,7 +235,8 @@ func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix) {
 		r.haloParts = make([]comm.Payload, teams)
 	}
 
-	r.h0 = features.RowSlice(r.lo, r.hi)
+	f0 := features.Cols
+	r.h0 = dense.FromSlice(r.hi-r.lo, f0, features.Data[r.lo*f0:r.hi*f0:r.hi*f0])
 	r.ws = dense.NewWorkspace()
 	r.dims = make([]int, 2)
 	r.cnt = make([]float64, 8)
@@ -273,9 +278,43 @@ func (r *rowRank) newStagePlan(m *sparse.CSR) *stagePlan {
 	return pl
 }
 
-// forwardAggregate computes (Aᵀ·X)_i = Σ_j Aᵀ_ij X_j.
+// forwardAggregate computes (Aᵀ·X)_i = Σ_j Aᵀ_ij X_j. The call at l = 1,
+// once per run over H⁰, is aggregateInput.
 func (r *rowRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
-	return r.keepInput(r.blockMul(r.fwd, x), l)
+	if l == 1 {
+		return r.aggregateInput(x)
+	}
+	return r.blockMul(r.fwd, x)
+}
+
+// aggregateInput computes T¹ = Aᵀ·H⁰ in column panels of H⁰ no wider than
+// the widest later layer, w = max_{l≥1} f^l — the widest buffer a
+// steady-state epoch draws. T¹ itself is the only f⁰-wide buffer: every one
+// the product draws — the panel, the stage sum, the broadcast payloads or
+// halo gathers, the team all-reduce — is at most w wide, and the workspace
+// and the fabric take them back (Reset, Recycle) before the next panel
+// starts, so the arenas the epochs reuse never hold an f⁰-wide buffer. Recycle is not EpochDone: a panel is
+// not an epoch, and epoch-triggered faults count training epochs. The panel
+// count is a function of the configured widths, so every rank issues the
+// same collectives, and each element of T¹ sums the same nonzeros in the
+// same order as one product over all of H⁰: the bits do not move. With
+// f⁰ ≤ w there is one panel, H⁰ itself, and keepInput takes the product.
+func (r *rowRank) aggregateInput(h0 *dense.Matrix) *dense.Matrix {
+	w := slices.Max(r.cfg.Widths[1:])
+	if h0.Cols <= w {
+		return r.keepInput(r.blockMul(r.fwd, h0))
+	}
+	t1 := dense.New(h0.Rows, h0.Cols)
+	r.memBase += matWords(t1)
+	for c0 := 0; c0 < h0.Cols; c0 += w {
+		c1 := min(c0+w, h0.Cols)
+		panel := r.ws.GetUninit(h0.Rows, c1-c0)
+		h0.SubMatrixInto(panel, 0, h0.Rows, c0, c1)
+		t1.SetSubMatrix(0, c0, r.blockMul(r.fwd, panel))
+		r.ws.Reset()
+		r.comm.Recycle()
+	}
+	return t1
 }
 
 // backwardAggregate computes (A·X)_i = Σ_j A_ij X_j: the forward product
@@ -383,15 +422,14 @@ func (r *rowRank) bcastStage(s int, x *dense.Matrix) *comm.Request {
 	return r.group.IBroadcast(s, in, comm.CatDenseComm)
 }
 
-// keepInput takes T¹ out of the epoch scope: it outlives endEpoch, since
-// the engine reuses it every epoch. A product that arrived in a fabric
-// payload (1.5D's team all-reduce) is copied out by Keep; a workspace
-// buffer is handed over in place.
-func (r *rowRank) keepInput(t *dense.Matrix, l int) *dense.Matrix {
-	if l == 1 {
-		t = r.ws.Keep(t)
-		r.memBase += matWords(t)
-	}
+// keepInput takes a one-panel T¹ out of the epoch scope: it outlives
+// endEpoch, since the engine reuses it every epoch. A product that arrived
+// in a fabric payload (1.5D's team all-reduce) is copied out by Keep; a
+// workspace buffer is handed over in place. A T¹ of several panels is
+// storage of its own from the start (aggregateInput).
+func (r *rowRank) keepInput(t *dense.Matrix) *dense.Matrix {
+	t = r.ws.Keep(t)
+	r.memBase += matWords(t)
 	return t
 }
 

@@ -82,7 +82,7 @@ type serialOps[T dense.Elem] struct {
 }
 
 // newSerialOps builds the serial layerOps for p with a fresh workspace. The
-// transpose is taken only when A ≠ Aᵀ (asymmetry, as every trainer decides
+// transpose is taken only when A ≠ Aᵀ (symmetric, as every trainer decides
 // it), and each operand is converted to T once, here.
 func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
 	s := &serialOps[T]{
@@ -91,7 +91,7 @@ func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
 		ws: dense.NewWorkspaceOf[T](), cnt: make([]float64, 8),
 	}
 	s.at = s.a
-	if asymmetry(p.A) != "" {
+	if !symmetric(p.A) {
 		s.at = sparse.As[T](p.A.Transpose())
 	}
 	dense.As(&s.h0, p.Features)

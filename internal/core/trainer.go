@@ -167,31 +167,28 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// asymmetry returns "" when A = Aᵀ (up to rounding) and otherwise names the
-// first entry whose mirror differs. One pass over the nonzeros: rows are
-// visited in order and every row's columns ascend, so entry (i, j) must meet
-// the next unread entry of row j, and that entry must be (j, i) with the
-// same value. Every trainer uses it to decide whether it needs the global
-// Aᵀ, and the mesh also whether it runs the transpose exchange.
-func asymmetry(a *sparse.CSR) string {
+// symmetric reports whether A = Aᵀ (up to rounding). One pass over the
+// nonzeros: rows are visited in order and every row's columns ascend, so
+// entry (i, j) must meet the next unread entry of row j, and that entry must
+// be (j, i) with the same value. Every trainer uses it to decide whether it
+// needs the global Aᵀ, and the mesh also whether it runs the transpose
+// exchange.
+func symmetric(a *sparse.CSR) bool {
 	next := append([]int(nil), a.RowPtr[:a.Rows]...)
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			j, v := a.ColIdx[k], a.Val[k]
 			m := next[j]
-			var mirror string
 			if m == a.RowPtr[j+1] || a.ColIdx[m] != i {
-				mirror = "is absent"
-			} else if w := a.Val[m]; math.Abs(v-w) > 1e-12*math.Max(math.Abs(v), math.Abs(w)) {
-				mirror = fmt.Sprintf("= %g", w)
+				return false
 			}
-			if mirror != "" {
-				return fmt.Sprintf("A[%d,%d] = %g but A[%d,%d] %s", i, j, v, j, i, mirror)
+			if w := a.Val[m]; math.Abs(v-w) > 1e-12*math.Max(math.Abs(v), math.Abs(w)) {
+				return false
 			}
 			next[j]++
 		}
 	}
-	return ""
+	return true
 }
 
 // Result reports a completed training run.

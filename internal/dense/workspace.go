@@ -150,6 +150,24 @@ func (w *WorkspaceOf[T]) Reset() {
 	w.wrapped = w.wrapped[:0]
 }
 
+// LargestWords returns the element capacity of the largest buffer the arena
+// owns (free or checked out by Get), for tests and memory accounting.
+func (w *WorkspaceOf[T]) LargestWords() int64 {
+	if w == nil {
+		return 0
+	}
+	var mx int
+	for k, list := range w.free {
+		if len(list) > 0 {
+			mx = max(mx, k)
+		}
+	}
+	for _, m := range w.used {
+		mx = max(mx, cap(m.Data))
+	}
+	return int64(mx)
+}
+
 // FootprintWords returns the total element capacity owned by the arena
 // (free and checked-out Get buffers), for tests and memory accounting.
 func (w *WorkspaceOf[T]) FootprintWords() int64 {

@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sparse"
 )
@@ -53,26 +54,117 @@ func (g *Graph) AddUndirectedEdge(u, v int) {
 // deduplication).
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// Adjacency returns the graph's adjacency matrix with unit weights, built
-// in O(edges + vertices) by sparse.NewCSR's counting sort. Duplicate edges
-// collapse to a single unit entry.
+// Adjacency returns the graph's adjacency matrix with unit weights.
+// Duplicate edges collapse to a single unit entry.
 func (g *Graph) Adjacency() *sparse.CSR {
-	entries := make([]sparse.Coord, len(g.Edges))
-	for k, e := range g.Edges {
-		entries[k] = sparse.Coord{Row: e[0], Col: e[1], Val: 1}
-	}
-	a := sparse.NewCSR(g.NumVertices, g.NumVertices, entries)
-	// NewCSR summed repeated edges to their multiplicity.
-	for k := range a.Val {
-		a.Val[k] = 1
-	}
-	return a
+	return g.adjacency(false)
 }
 
 // NormalizedAdjacency returns D^{-1/2}(A+I)D^{-1/2}, the matrix the paper
-// trains with.
+// trains with, built straight from the edge list: A + I comes out of one
+// counting sort at its final size, and is scaled in place. Its bits are
+// sparse.NormalizeSymmetric(Adjacency())'s: every entry of A + I is 1 but
+// the diagonal of a vertex with a self-loop, 2, so each row sum is an exact
+// integer and each entry is scaled by the same product.
 func (g *Graph) NormalizedAdjacency() *sparse.CSR {
-	return sparse.NormalizeSymmetric(g.Adjacency())
+	ai := g.adjacency(true)
+	dinv := make([]float64, ai.Rows)
+	for i := range dinv {
+		var s float64
+		for _, v := range ai.Val[ai.RowPtr[i]:ai.RowPtr[i+1]] {
+			s += v
+		}
+		dinv[i] = 1 / math.Sqrt(s)
+	}
+	for i := range dinv {
+		for k := ai.RowPtr[i]; k < ai.RowPtr[i+1]; k++ {
+			ai.Val[k] *= dinv[i] * dinv[ai.ColIdx[k]]
+		}
+	}
+	return ai
+}
+
+// adjacency builds the unit adjacency matrix A, or A + I with identity, in
+// O(edges + vertices) by a stable two-pass counting sort with no coordinate
+// list: the edges' sources are bucketed by column, then scattered into
+// their rows column by column, so every row's columns ascend. With identity
+// each row reserves one more slot, which its own column's turn fills before
+// the row's self-loops. Each row is then deduplicated in place: repeated
+// edges collapse to one unit entry, and a self-loop adds to the diagonal
+// the identity put there.
+func (g *Graph) adjacency(identity bool) *sparse.CSR {
+	n := g.NumVertices
+	for _, e := range g.Edges {
+		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", e[0], e[1], n))
+		}
+	}
+	extra := 0
+	if identity {
+		extra = 1
+	}
+	// Pass 1, by column: the sources of column j's edges, in input order.
+	colPtr := make([]int, n+1)
+	for _, e := range g.Edges {
+		colPtr[e[1]+1]++
+	}
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	src := make([]int, len(g.Edges))
+	next := append([]int(nil), colPtr[:n]...)
+	for _, e := range g.Edges {
+		src[next[e[1]]] = e[0]
+		next[e[1]]++
+	}
+	// Pass 2, by row, columns ascending.
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, len(g.Edges)+extra*n)}
+	for _, e := range g.Edges {
+		a.RowPtr[e[0]+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i] + extra
+	}
+	copy(next, a.RowPtr[:n])
+	for j := 0; j < n; j++ {
+		if identity {
+			a.ColIdx[next[j]] = j
+			next[j]++
+		}
+		for _, i := range src[colPtr[j]:colPtr[j+1]] {
+			a.ColIdx[next[i]] = j
+			next[i]++
+		}
+	}
+	// Deduplicate each row in place; with the identity, a repeated diagonal
+	// is a self-loop.
+	loop := make([]bool, n)
+	nnz := 0
+	for i := 0; i < n; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		a.RowPtr[i] = nnz
+		for k := lo; k < hi; k++ {
+			j := a.ColIdx[k]
+			if nnz > a.RowPtr[i] && a.ColIdx[nnz-1] == j {
+				loop[i] = loop[i] || j == i
+				continue
+			}
+			a.ColIdx[nnz] = j
+			nnz++
+		}
+	}
+	a.RowPtr[n] = nnz
+	a.ColIdx = a.ColIdx[:nnz]
+	a.Val = make([]float64, nnz)
+	for i := 0; i < n; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			a.Val[k] = 1
+			if identity && loop[i] && a.ColIdx[k] == i {
+				a.Val[k] = 2
+			}
+		}
+	}
+	return a
 }
 
 // DegreeStats summarizes the degree distribution of a graph or matrix.

@@ -184,21 +184,30 @@ func (m *CSROf[T]) Transpose() *CSROf[T] {
 
 // ExtractBlock returns the sub-matrix with rows [r0, r1) and columns
 // [c0, c1) re-indexed to local coordinates, as used when distributing a
-// matrix onto a process grid.
+// matrix onto a process grid. It counts each row's share first, so the
+// block is allocated once at its final size.
 func (m *CSROf[T]) ExtractBlock(r0, r1, c0, c1 int) *CSROf[T] {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("sparse: ExtractBlock [%d:%d, %d:%d] out of range for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
 	out := &CSROf[T]{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int, r1-r0+1)}
-	for i := r0; i < r1; i++ {
+	span := func(i int) (int, int) {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		start := lo + sort.SearchInts(m.ColIdx[lo:hi], c0)
-		end := lo + sort.SearchInts(m.ColIdx[lo:hi], c1)
+		return lo + sort.SearchInts(m.ColIdx[lo:hi], c0), lo + sort.SearchInts(m.ColIdx[lo:hi], c1)
+	}
+	for i := r0; i < r1; i++ {
+		start, end := span(i)
+		out.RowPtr[i-r0+1] = out.RowPtr[i-r0] + end - start
+	}
+	nnz := out.RowPtr[r1-r0]
+	out.ColIdx, out.Val = make([]int, nnz), make([]T, nnz)
+	for i := r0; i < r1; i++ {
+		start, end := span(i)
+		p := out.RowPtr[i-r0]
 		for k := start; k < end; k++ {
-			out.ColIdx = append(out.ColIdx, m.ColIdx[k]-c0)
-			out.Val = append(out.Val, m.Val[k])
+			out.ColIdx[p+k-start] = m.ColIdx[k] - c0
 		}
-		out.RowPtr[i-r0+1] = len(out.ColIdx)
+		copy(out.Val[p:], m.Val[start:end])
 	}
 	return out
 }

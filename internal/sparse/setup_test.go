@@ -69,6 +69,37 @@ func oracleAdjacency(g *graph.Graph) *sparse.CSR {
 	return oracleNewCSR(g.NumVertices, g.NumVertices, entries)
 }
 
+// oracleCOOAdjacency is the coordinate-list path Graph.Adjacency took
+// before it sorted the edge list itself: one unit Coord per edge through
+// NewCSR, the summed duplicates reset to 1.
+func oracleCOOAdjacency(g *graph.Graph) *sparse.CSR {
+	entries := make([]sparse.Coord, len(g.Edges))
+	for k, e := range g.Edges {
+		entries[k] = sparse.Coord{Row: e[0], Col: e[1], Val: 1}
+	}
+	a := sparse.NewCSR(g.NumVertices, g.NumVertices, entries)
+	for k := range a.Val {
+		a.Val[k] = 1
+	}
+	return a
+}
+
+// oracleExtractBlock is ExtractBlock as it was, growing the block by append.
+func oracleExtractBlock(m *sparse.CSR, r0, r1, c0, c1 int) *sparse.CSR {
+	out := &sparse.CSR{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int, r1-r0+1)}
+	for i := r0; i < r1; i++ {
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		start := lo + sort.SearchInts(m.ColIdx[lo:hi], c0)
+		end := lo + sort.SearchInts(m.ColIdx[lo:hi], c1)
+		for k := start; k < end; k++ {
+			out.ColIdx = append(out.ColIdx, m.ColIdx[k]-c0)
+			out.Val = append(out.Val, m.Val[k])
+		}
+		out.RowPtr[i-r0+1] = len(out.ColIdx)
+	}
+	return out
+}
+
 // oracleNormalize adds the self-loops as n more COO entries and rebuilds.
 func oracleNormalize(a *sparse.CSR) *sparse.CSR {
 	n := a.Rows
@@ -272,6 +303,58 @@ func TestOperatorsMatchOracle(t *testing.T) {
 		order := rand.New(rand.NewSource(5)).Perm(g.NumVertices)
 		requireSameBits(t, name+"/ReorderSym(adjacency)", sparse.ReorderSym(adj, order), oracleReorderSym(adj, order))
 		requireSameBits(t, name+"/ReorderSym(normalised)", sparse.ReorderSym(norm, order), oracleReorderSym(norm, order))
+	}
+}
+
+// TestAdjacencyMatchesCOOPath: on 20 R-MAT graphs with repeated edges and
+// self-loops added, Adjacency is bit for bit the coordinate-list path it
+// replaced, and NormalizedAdjacency — built without A or A + I — is
+// NormalizeSymmetric over it.
+func TestAdjacencyMatchesCOOPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for k := 0; k < 20; k++ {
+		g := graph.RMAT(4+rng.Intn(5), 1+rng.Intn(12), graph.DefaultRMAT, rng)
+		n := g.NumVertices
+		for range rng.Intn(4 * n) {
+			e := g.Edges[rng.Intn(len(g.Edges))]
+			g.AddEdge(e[0], e[1])
+		}
+		for range rng.Intn(n) {
+			v := rng.Intn(n)
+			g.AddEdge(v, v)
+		}
+		name := fmt.Sprintf("rmat-%d (n=%d, %d edges)", k, n, g.NumEdges())
+		adj := oracleCOOAdjacency(g)
+		requireSameBits(t, name+"/Adjacency", g.Adjacency(), adj)
+		requireSameBits(t, name+"/NormalizedAdjacency", g.NormalizedAdjacency(), sparse.NormalizeSymmetric(adj))
+	}
+}
+
+// TestExtractBlockMatchesAppendPath: every block of random matrices —
+// empty rows, empty column ranges, the whole matrix — is the append-built
+// one bit for bit, in arrays allocated at their final length.
+func TestExtractBlockMatchesAppendPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for k := 0; k < 20; k++ {
+		rows, cols := 1+rng.Intn(30), 1+rng.Intn(30)
+		entries := make([]sparse.Coord, rng.Intn(3*rows*cols/2+1))
+		for i := range entries {
+			entries[i] = sparse.Coord{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: rng.NormFloat64()}
+		}
+		m := sparse.NewCSR(rows, cols, entries)
+		for b := 0; b < 10; b++ {
+			r0, c0 := rng.Intn(rows+1), rng.Intn(cols+1)
+			r1, c1 := r0+rng.Intn(rows-r0+1), c0+rng.Intn(cols-c0+1)
+			if b == 0 {
+				r0, r1, c0, c1 = 0, rows, 0, cols
+			}
+			name := fmt.Sprintf("%dx%d[%d:%d, %d:%d]", rows, cols, r0, r1, c0, c1)
+			got := m.ExtractBlock(r0, r1, c0, c1)
+			requireSameBits(t, name, got, oracleExtractBlock(m, r0, r1, c0, c1))
+			if cap(got.ColIdx) != got.NNZ() || cap(got.Val) != got.NNZ() {
+				t.Fatalf("%s: capacities %d and %d for %d nonzeros", name, cap(got.ColIdx), cap(got.Val), got.NNZ())
+			}
+		}
 	}
 }
 
