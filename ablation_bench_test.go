@@ -25,7 +25,7 @@ func BenchmarkAblationTranspose(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			var share float64
 			for i := 0; i < b.N; i++ {
-				m, err := harness.MeasureEpoch(ds, "2d", p, costmodel.SummitSim)
+				m, err := harness.MeasureEpoch(ds, "2d", p, false, costmodel.SummitSim)
 				if err != nil {
 					b.Fatal(err)
 				}

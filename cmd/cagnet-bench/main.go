@@ -4,11 +4,12 @@
 // ledger count or an α–β modeled second, so stdout is a pure function of
 // the flags. Wall-clock measurement lives in benchmark/.
 //
-//	cagnet-bench [-exp all|<name>] [-quick] [-machine summit-sim] [-json path] ...
+//	cagnet-bench [-exp all|<name>] [-quick] [-machine summit-sim] [-workers n] [-json path]
 //
-// The experiments table below is the list of names and of the opt-in flags
-// each one reads; -h prints it. With -json, the rows behind the text tables
-// are additionally written to the given file as one JSON document.
+// The experiments table below is the list of names; -h prints it. Each
+// experiment measures its configurations one way, and every row carries
+// every reading of its runs. With -json, the rows behind the text tables are
+// additionally written to the given file as one JSON document.
 package main
 
 import (
@@ -28,28 +29,22 @@ import (
 	"repro/internal/parallel"
 )
 
-// experiment is one row of the tool: its -exp name, the opt-in measurement
-// flags it reads (an explicitly set flag that no selected experiment reads
-// is rejected), and the function that measures and prints it.
+// experiment is one row of the tool: its -exp name and the function that
+// measures and prints it.
 type experiment struct {
-	name  string
-	reads []string
-	run   func(*bench) (any, error)
+	name string
+	run  func(*bench) (any, error)
 }
 
-// experiments is the whole tool, in -exp all order. -halo and -partitioner
-// reach the experiments that measure configurable 1D/1.5D runs, -overlap
-// those of them that print a modeled time — crossover prints words only
-// (partition and overlap always measure both modes themselves).
+// experiments is the whole tool, in -exp all order.
 var experiments = []experiment{
-	{"tableVI", nil, (*bench).tableVI},
-	{"fig2", nil, (*bench).fig2},
-	{"fig3", nil, (*bench).fig3},
-	{"partition", nil, (*bench).partition},
-	{"crossover", []string{"halo", "partitioner"}, (*bench).crossover},
-	{"algo3d", []string{"halo", "partitioner", "overlap"}, (*bench).algo3D},
-	{"overlap", nil, (*bench).overlap},
-	{"scaling", nil, (*bench).scaling},
+	{"tableVI", (*bench).tableVI},
+	{"fig2", (*bench).fig2},
+	{"fig3", (*bench).fig3},
+	{"partition", (*bench).partition},
+	{"crossover", (*bench).crossover},
+	{"family", (*bench).family},
+	{"scaling", (*bench).scaling},
 }
 
 // names lists the -exp names of es, in order.
@@ -57,19 +52,6 @@ func names(es []experiment) []string {
 	out := make([]string, len(es))
 	for i, e := range es {
 		out[i] = e.name
-	}
-	return out
-}
-
-// reading returns the experiments of es that read the named flag.
-func reading(es []experiment, flagName string) []experiment {
-	var out []experiment
-	for _, e := range es {
-		for _, f := range e.reads {
-			if f == flagName {
-				out = append(out, e)
-			}
-		}
 	}
 	return out
 }
@@ -87,30 +69,13 @@ func selectExperiments(exp string) ([]experiment, error) {
 	return nil, fmt.Errorf("unknown experiment %q (want all, %s)", exp, strings.Join(names(experiments), ", "))
 }
 
-// validateConsumed rejects explicitly-set flags that no selected
-// experiment reads: silently dropping them would present the run as
-// something it is not (and echo a setting that did nothing in the -json
-// header).
-func validateConsumed(explicit map[string]bool, selected []experiment) error {
-	for _, e := range experiments {
-		for _, f := range e.reads {
-			if explicit[f] && len(reading(selected, f)) == 0 {
-				return fmt.Errorf("-%s is only read by %v; none of them run with -exp %v",
-					f, names(reading(experiments, f)), names(selected))
-			}
-		}
-	}
-	return nil
-}
-
 // bench is one invocation: its flags, where the tables go, and the 2D sweep
 // that fig2, fig3 and scaling all render — trained by whichever of them
 // runs first.
 type bench struct {
 	exp, machine, jsonPath string
 	workers                int
-	// opts carries -quick, -halo, -partitioner, -overlap and
-	// the resolved -machine to every experiment.
+	// opts carries -quick and the resolved -machine to every experiment.
 	opts  harness.Options
 	out   io.Writer
 	sweep []harness.EpochMeasurement
@@ -118,16 +83,10 @@ type bench struct {
 
 // newFlagSet defines the tool's flags over b.
 func newFlagSet(b *bench) *flag.FlagSet {
-	readBy := func(name string) string {
-		return " (read by " + strings.Join(names(reading(experiments, name)), ", ") + ")"
-	}
 	fs := flag.NewFlagSet("cagnet-bench", flag.ContinueOnError)
 	fs.StringVar(&b.exp, "exp", "all", "experiment: all, "+strings.Join(names(experiments), ", "))
 	fs.BoolVar(&b.opts.Quick, "quick", false, "use reduced dataset sizes")
 	fs.StringVar(&b.machine, "machine", costmodel.SummitSim.Name, "cost-model machine profile")
-	fs.BoolVar(&b.opts.Halo, "halo", false, "use the sparsity-aware halo exchange for 1d/1.5d measurements"+readBy("halo"))
-	fs.StringVar(&b.opts.Partitioner, "partitioner", "", "vertex partitioner for 1d/1.5d measurements: block, random, ldg"+readBy("partitioner"))
-	fs.BoolVar(&b.opts.Overlap, "overlap", false, "report the overlapped (critical-path) modeled times instead of the bulk-synchronous ones"+readBy("overlap")+"; the overlap experiment always reports both")
 	fs.IntVar(&b.workers, "workers", 0, "kernel worker count (1 = single-threaded; 0 = runtime.NumCPU or $CAGNET_WORKERS)")
 	fs.StringVar(&b.jsonPath, "json", "", "also write the structured results to this file as JSON")
 	return fs
@@ -138,9 +97,6 @@ func newFlagSet(b *bench) *flag.FlagSet {
 type benchSnapshot struct {
 	Machine     string         `json:"machine"`
 	Quick       bool           `json:"quick"`
-	Halo        bool           `json:"halo"`
-	Partitioner string         `json:"partitioner,omitempty"`
-	Overlap     bool           `json:"overlap,omitempty"`
 	Experiments map[string]any `json:"experiments"`
 }
 
@@ -166,11 +122,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateConsumed(explicit, selected); err != nil {
-		return err
-	}
 	if b.workers < 0 {
 		return fmt.Errorf("-workers must be ≥ 0 (0 = runtime.NumCPU or $CAGNET_WORKERS), got %d", b.workers)
 	}
@@ -181,12 +132,7 @@ func run(args []string, stdout io.Writer) error {
 		parallel.SetWorkers(b.workers)
 	}
 
-	o := b.opts
-	snapshot := benchSnapshot{
-		Machine: o.Machine.Name, Quick: o.Quick,
-		Halo: o.Halo, Partitioner: o.Partitioner, Overlap: o.Overlap,
-		Experiments: map[string]any{},
-	}
+	snapshot := benchSnapshot{Machine: b.opts.Machine.Name, Quick: b.opts.Quick, Experiments: map[string]any{}}
 	for _, e := range selected {
 		data, err := e.run(b)
 		if err != nil {
@@ -368,54 +314,41 @@ func (b *bench) crossover() (any, error) {
 	return rows, nil
 }
 
-func (b *bench) algo3D() (any, error) {
-	rows, err := harness.Algo3D(b.opts)
+// family prints every configuration's two runs once: the words and memory
+// §IV-D compares, and both readings of the epoch — bulk-synchronous and the
+// critical path the pipelined collectives leave.
+func (b *bench) family() (any, error) {
+	ms, err := harness.Family(b.opts)
 	if err != nil {
 		return nil, err
 	}
 	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.Algorithm, strconv.Itoa(r.P),
-			strconv.FormatInt(r.CommWords, 10),
-			harness.FormatFloat(r.EpochTime),
-			harness.FormatFloat(r.Replication),
-			strconv.FormatInt(r.PeakMemWords, 10),
-		})
-	}
-	b.table("== §IV-D: algorithm family comparison at equal rank count ==",
-		[]string{"algorithm", "P", "comm-words/epoch", "sec/epoch", "mem-replication", "peak-words/rank"}, cells)
-	return rows, nil
-}
-
-func (b *bench) overlap() (any, error) {
-	rows, err := harness.OverlapExperiment(b.opts)
-	if err != nil {
-		return nil, err
-	}
-	var cells [][]string
-	for _, r := range rows {
-		name := r.Algorithm
-		if r.Halo {
+	for _, m := range ms {
+		name := m.Algorithm
+		if m.Halo {
 			name += "-halo"
 		}
 		cells = append(cells, []string{
-			name, strconv.Itoa(r.P),
-			harness.FormatFloat(r.BulkEpochTime),
-			harness.FormatFloat(r.OverlapEpochTime),
-			harness.FormatFloat(r.Speedup),
-			harness.FormatFloat(r.HiddenCommTime),
-			harness.FormatFloat(r.CommTime),
-			harness.FormatFloat(r.ComputeTime),
+			name, strconv.Itoa(m.P),
+			strconv.FormatInt(m.CommWords(), 10),
+			harness.FormatFloat(m.EpochTime),
+			harness.FormatFloat(m.CriticalPathTime),
+			harness.FormatFloat(m.EpochTime / m.CriticalPathTime),
+			harness.FormatFloat(m.HiddenCommTime),
+			harness.FormatFloat(m.CommTime()),
+			harness.FormatFloat(m.ComputeTime()),
+			harness.FormatFloat(m.Replication()),
+			strconv.FormatInt(m.PeakMemWords, 10),
 		})
 	}
-	b.table("== Communication/computation overlap: bulk-synchronous vs pipelined epoch time ==",
-		[]string{"algorithm", "P", "bulk s/epoch", "overlap s/epoch", "speedup", "hidden-comm", "comm", "compute"}, cells)
-	fmt.Fprint(b.out, `word counts are identical between modes: overlap changes when panels
-arrive, never what is sent (outputs are bit-identical).
+	b.table("== §IV-D, §V–VI: algorithm families at equal rank count, bulk-synchronous vs critical-path epoch ==",
+		[]string{"algorithm", "P", "comm-words/epoch", "bulk s/epoch", "critical-path s/epoch", "speedup",
+			"hidden-comm", "comm", "compute", "mem-replication", "peak-words/rank"}, cells)
+	fmt.Fprint(b.out, `both times read one schedule's ledger: the critical path hides the
+pipelined collectives behind compute, the words are the same.
 
 `)
-	return rows, nil
+	return ms, nil
 }
 
 func (b *bench) scaling() (any, error) {

@@ -311,6 +311,18 @@ func (c *Cluster) MaxWordsByCategory() map[Category]int64 {
 	return out
 }
 
+// MaxMsgsByCategory returns per-category maximum α-term message counts
+// across ranks.
+func (c *Cluster) MaxMsgsByCategory() map[Category]int64 {
+	out := make(map[Category]int64)
+	for _, cm := range c.comms {
+		for k, v := range cm.ledger.ModelMsgs {
+			out[k] = max(out[k], v)
+		}
+	}
+	return out
+}
+
 // SumWordsByCategory returns per-category modeled words summed over all
 // ranks: the total communication volume, as opposed to the per-rank
 // maximum that bounds bulk-synchronous runtime — the §IV-A-8 distinction

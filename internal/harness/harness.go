@@ -6,7 +6,7 @@
 //	Figure 3  — per-epoch time breakdown (misc, trpose, dcomm, scomm, spmm)
 //	§IV-A-8   — smart-partitioner vs random edgecut (total vs max)
 //	§VI-d     — 1D/2D crossover at √P ≥ 5
-//	§IV-D     — 3D algorithm word counts and replication factor
+//	§IV-D     — every family's words, memory and bulk vs critical-path epoch
 //	§VI-a/b/c — per-category scaling ratios
 package harness
 
@@ -31,21 +31,6 @@ type Options struct {
 	Machine costmodel.Machine
 	// Quick shrinks datasets (for tests and smoke runs).
 	Quick bool
-	// Halo enables the sparsity-aware halo exchange for every 1D/1.5D
-	// measurement (crossover, algo3d), shifting the 1D word counts from
-	// n·f-based broadcasts to edgecut·f-based fetches. The partition
-	// experiment always measures both modes, regardless of this flag.
-	Halo bool
-	// Partitioner selects the vertex partition for 1D/1.5D measurements:
-	// "" or "block", "random", or "ldg" (see partition.ByName).
-	Partitioner string
-	// Overlap reads every distributed measurement's epoch time off the
-	// timeline clock, so it reflects the communication the pipelined
-	// collectives (double-buffered SUMMA panels, interior/frontier halo
-	// splits) hide behind compute, instead of the charges' bulk sum. The
-	// overlap experiment always reports both readings, regardless of this
-	// flag.
-	Overlap bool
 }
 
 // WithDefaults fills zero fields.
@@ -83,46 +68,53 @@ func problemFor(ds *graph.Dataset, epochs int) core.Problem {
 	}
 }
 
-// EpochMeasurement is the cost of one (dataset, algorithm, P) configuration,
-// split by differencing 2-epoch and 1-epoch runs into the steady-state
-// epoch, run(2) − run(1), and the part a run of any length pays exactly
-// once, 2·run(1) − run(2): set-up, the input aggregation T¹ with 2D/3D's
-// row-panel gather, 2D/3D's sparse row panels in both directions and 2D's
-// transpose exchange (static operands cross the network once), the final
-// forward pass and the output gather. The paper's epoch (§IV-C, Figure 3)
-// charges the sparse panels and the transpose every epoch; here they are
-// charged in the same categories at the same α–β cost, once, so the Once
-// fields are where Figure 3's scomm and trpose bars are read from.
+// EpochMeasurement is the cost of one (dataset, algorithm, P, halo)
+// configuration, split by differencing 2-epoch and 1-epoch runs into the
+// steady-state epoch, run(2) − run(1), and the part a run of any length pays
+// exactly once, 2·run(1) − run(2): set-up, the input aggregation T¹ with
+// 2D/3D's row-panel gather, 2D/3D's sparse row panels in both directions and
+// 2D's transpose exchange (static operands cross the network once), the
+// final forward pass and the output gather. The paper's epoch (§IV-C,
+// Figure 3) charges the sparse panels and the transpose every epoch; here
+// they are charged in the same categories at the same α–β cost, once, so the
+// Once fields are where Figure 3's scomm and trpose bars are read from.
 type EpochMeasurement struct {
 	Dataset   string
 	Algorithm string
 	P         int
+	// Halo marks the sparsity-aware 1D/1.5D exchange.
+	Halo bool
 	// TimeByCat is modeled seconds charged per steady-state epoch per
-	// Figure 3 category (max across ranks). Under overlap the categories
-	// still carry their full charges, so they sum to more than EpochTime —
-	// the difference is the communication hidden behind compute.
+	// Figure 3 category (max across ranks). The categories carry their full
+	// charges, so they sum to more than CriticalPathTime — the difference is
+	// the communication hidden behind compute.
 	TimeByCat map[comm.Category]float64
-	// WordsByCat is modeled words moved per steady-state epoch (max across
-	// ranks).
+	// WordsByCat and MsgsByCat are modeled words and α-term messages per
+	// steady-state epoch (max across ranks).
 	WordsByCat map[comm.Category]int64
-	// EpochTime is the modeled seconds per steady-state epoch, max across
-	// ranks: the bulk-synchronous Cluster.MaxTotalTime without
-	// Options.Overlap, the critical-path Cluster.MaxElapsed with it.
+	MsgsByCat  map[comm.Category]int64
+	// EpochTime is the bulk-synchronous modeled seconds per steady-state
+	// epoch, Cluster.MaxTotalTime: every charge paid in turn.
 	EpochTime float64
+	// CriticalPathTime is the same runs' timeline reading,
+	// Cluster.MaxElapsed: the pipelined collectives (double-buffered SUMMA
+	// panels, interior/frontier halo splits) hide behind compute, as the
+	// paper's asynchronous collectives do (§V–VI).
+	CriticalPathTime float64
 	// HiddenCommTime is the per-epoch communication seconds hidden behind
-	// compute (max across ranks); zero without Options.Overlap.
+	// compute (max across ranks).
 	HiddenCommTime float64
 	// OnceTimeByCat, OnceWordsByCat and OnceTime are TimeByCat, WordsByCat
 	// and EpochTime for the once-per-run part.
 	OnceTimeByCat  map[comm.Category]float64
 	OnceWordsByCat map[comm.Category]int64
 	OnceTime       float64
-	// peakMemWords is the 1-epoch run's per-rank peak resident footprint
-	// (max across ranks), for Algo3D; bulkEpochTime is EpochTime's
-	// bulk-synchronous reading of the same runs, for OverlapExperiment.
-	// Both are unexported, so no -json row has them.
-	peakMemWords  int64
-	bulkEpochTime float64
+	// PeakMemWords is the 1-epoch run's per-rank peak resident footprint
+	// (max across ranks). For 2D and 3D it includes the sparse row panels a
+	// rank holds for the whole run — nnz/√P words per direction (one set,
+	// nnz/P^{2/3}, in 3D) where the paper's layout has nnz/P: the memory the
+	// mesh spends so that A crosses the network once (core/mesh.go).
+	PeakMemWords int64
 }
 
 // Throughput returns steady-state epochs per modeled second.
@@ -138,55 +130,79 @@ func (m EpochMeasurement) CommWords() int64 {
 	return m.WordsByCat[comm.CatDenseComm] + m.WordsByCat[comm.CatSparseComm] + m.WordsByCat[comm.CatTranspose]
 }
 
-// MeasureEpoch trains (1-epoch and 2-epoch runs) and returns the
-// steady-state epoch's and the once-per-run costs.
-func MeasureEpoch(ds *graph.Dataset, algo string, p int, mach costmodel.Machine) (EpochMeasurement, error) {
-	return MeasureEpochOpts(ds, algo, p, Options{Machine: mach})
+// CommTime sums the steady-state epoch's charged communication seconds
+// (dcomm+scomm+trpose). With ComputeTime it splits the charges; both are
+// sums of per-category cross-rank maxima — a consistent aggregation that
+// never goes negative, though on rank-imbalanced runs their sum can exceed
+// EpochTime (which maxes per-rank sums). Overlap pushes the critical path
+// toward the larger of the two.
+func (m EpochMeasurement) CommTime() float64 {
+	return m.TimeByCat[comm.CatDenseComm] + m.TimeByCat[comm.CatSparseComm] + m.TimeByCat[comm.CatTranspose]
 }
 
-// runCost is what the ledgers hold after one whole run, max across ranks:
-// total is the reading Options.Overlap picks, bulk the bulk-synchronous one.
+// ComputeTime sums the steady-state epoch's charged compute seconds
+// (spmm+misc).
+func (m EpochMeasurement) ComputeTime() float64 {
+	return m.TimeByCat[comm.CatSpMM] + m.TimeByCat[comm.CatMisc]
+}
+
+// Replication is the analytic intermediate-stage memory replication factor:
+// P^{1/3} for 3D, the default c for 1.5D (2, or 1 at odd P), 1 otherwise.
+func (m EpochMeasurement) Replication() float64 {
+	switch {
+	case m.Algorithm == "3d":
+		return costmodel.ThreeDReplicationFactor(m.P)
+	case m.Algorithm == "1.5d" && m.P%2 == 0:
+		return 2
+	}
+	return 1
+}
+
+// runCost is what the ledgers hold after one whole run, max across ranks.
 type runCost struct {
-	time                map[comm.Category]float64
-	words               map[comm.Category]int64
-	total, bulk, hidden float64
-	peak                int64
+	time                  map[comm.Category]float64
+	words, msgs           map[comm.Category]int64
+	bulk, elapsed, hidden float64
+	peak                  int64
 }
 
-// MeasureEpochOpts is MeasureEpoch honoring the full option set: for the
-// trainers that take row options (core.RowTrainer: 1d and 1.5d), o.Halo
-// and o.Partitioner select the sparsity-aware exchange and the vertex
-// partition (other algorithms ignore both — their layouts are not
-// row-partitioned).
-func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMeasurement, error) {
-	o = o.WithDefaults()
+// split differences per-category totals of a 1-epoch and a 2-epoch run into
+// the steady-state epoch and the once-per-run part.
+func split[V int64 | float64](one, two map[comm.Category]V) (epoch, once map[comm.Category]V) {
+	epoch, once = make(map[comm.Category]V), make(map[comm.Category]V)
+	for k, v := range two {
+		epoch[k] = v - one[k]
+		once[k] = 2*one[k] - v
+	}
+	return epoch, once
+}
+
+// MeasureEpoch trains algo on P ranks — over the sparsity-aware halo
+// exchange if halo, which only the row decompositions (1d, 1.5d) take — in a
+// 1-epoch and a 2-epoch run, and returns the steady-state epoch's and the
+// once-per-run costs with every reading of the runs' ledgers.
+func MeasureEpoch(ds *graph.Dataset, algo string, p int, halo bool, mach costmodel.Machine) (EpochMeasurement, error) {
 	run := func(epochs int) (runCost, error) {
-		tr, err := core.NewTrainer(algo, p, o.Machine)
+		tr, err := core.NewTrainer(algo, p, mach)
 		if err != nil {
-			return runCost{}, err
-		}
-		problem := problemFor(ds, epochs)
-		// The partitioner seed is fixed so repeated measurements see the
-		// same assignment.
-		if _, ok := tr.(core.RowTrainer); ok {
-			if _, err := core.ConfigureRowDecomposition(tr, &problem, ds.Graph, o.Partitioner, o.Halo, 1); err != nil {
-				return runCost{}, err
-			}
-		}
-		if _, err := tr.Train(problem); err != nil {
 			return runCost{}, err
 		}
 		dt, ok := tr.(core.DistTrainer)
 		if !ok {
 			return runCost{}, fmt.Errorf("harness: %q is not a distributed trainer", algo)
 		}
-		cl := dt.Cluster()
-		c := runCost{time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(), bulk: cl.MaxTotalTime(), peak: cl.MaxPeakMemWords()}
-		c.total = c.bulk
-		if o.Overlap {
-			c.total, c.hidden = cl.MaxElapsed(), cl.MaxHiddenCommTime()
+		if _, err := core.ConfigureRowDecomposition(tr, nil, nil, "", halo, 0); err != nil {
+			return runCost{}, err
 		}
-		return c, nil
+		if _, err := tr.Train(problemFor(ds, epochs)); err != nil {
+			return runCost{}, err
+		}
+		cl := dt.Cluster()
+		return runCost{
+			time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(), msgs: cl.MaxMsgsByCategory(),
+			bulk: cl.MaxTotalTime(), elapsed: cl.MaxElapsed(), hidden: cl.MaxHiddenCommTime(),
+			peak: cl.MaxPeakMemWords(),
+		}, nil
 	}
 	one, err := run(1)
 	if err != nil {
@@ -197,25 +213,16 @@ func MeasureEpochOpts(ds *graph.Dataset, algo string, p int, o Options) (EpochMe
 		return EpochMeasurement{}, err
 	}
 	m := EpochMeasurement{
-		Dataset: ds.Name, Algorithm: algo, P: p,
-		TimeByCat:      make(map[comm.Category]float64),
-		WordsByCat:     make(map[comm.Category]int64),
-		EpochTime:      two.total - one.total,
-		HiddenCommTime: two.hidden - one.hidden,
-		OnceTimeByCat:  make(map[comm.Category]float64),
-		OnceWordsByCat: make(map[comm.Category]int64),
-		OnceTime:       2*one.total - two.total,
-		peakMemWords:   one.peak,
-		bulkEpochTime:  two.bulk - one.bulk,
+		Dataset: ds.Name, Algorithm: algo, P: p, Halo: halo,
+		EpochTime:        two.bulk - one.bulk,
+		CriticalPathTime: two.elapsed - one.elapsed,
+		HiddenCommTime:   two.hidden - one.hidden,
+		OnceTime:         2*one.bulk - two.bulk,
+		PeakMemWords:     one.peak,
 	}
-	for k, v := range two.time {
-		m.TimeByCat[k] = v - one.time[k]
-		m.OnceTimeByCat[k] = 2*one.time[k] - v
-	}
-	for k, v := range two.words {
-		m.WordsByCat[k] = v - one.words[k]
-		m.OnceWordsByCat[k] = 2*one.words[k] - v
-	}
+	m.TimeByCat, m.OnceTimeByCat = split(one.time, two.time)
+	m.WordsByCat, m.OnceWordsByCat = split(one.words, two.words)
+	m.MsgsByCat, _ = split(one.msgs, two.msgs)
 	return m, nil
 }
 
@@ -244,7 +251,7 @@ func Fig2(o Options) ([]EpochMeasurement, error) {
 		}
 		ds := spec.Build()
 		for _, p := range Fig2Sweeps[name] {
-			m, err := MeasureEpoch(ds, "2d", p, o.Machine)
+			m, err := MeasureEpoch(ds, "2d", p, false, o.Machine)
 			if err != nil {
 				return nil, fmt.Errorf("harness: fig2 %s P=%d: %w", name, p, err)
 			}
@@ -456,7 +463,7 @@ type CrossoverRow struct {
 }
 
 // Crossover sweeps rank counts on the amazon analog and reports where 2D
-// overtakes 1D. The paper's §VI-d puts it at √P ≥ 5 with every layer paying
+// overtakes the paper's broadcast 1D. The paper's §VI-d puts it at √P ≥ 5 with every layer paying
 // both aggregations at its own widths; a steady-state epoch skips the input
 // layer's, which is most of 1D's traffic on a wide-input dataset and less
 // of 2D's, and aggregates every other layer at min(f^{l-1}, f^l), which
@@ -476,11 +483,11 @@ func Crossover(o Options) ([]CrossoverRow, error) {
 	}
 	var out []CrossoverRow
 	for _, p := range sweeps {
-		oneD, err := MeasureEpochOpts(ds, "1d", p, o)
+		oneD, err := MeasureEpoch(ds, "1d", p, false, o.Machine)
 		if err != nil {
 			return nil, err
 		}
-		twoD, err := MeasureEpochOpts(ds, "2d", p, o)
+		twoD, err := MeasureEpoch(ds, "2d", p, false, o.Machine)
 		if err != nil {
 			return nil, err
 		}
@@ -495,131 +502,28 @@ func Crossover(o Options) ([]CrossoverRow, error) {
 	return out, nil
 }
 
-// Algo3DRow compares all four algorithm families at one rank count.
-type Algo3DRow struct {
-	Algorithm string
-	P         int
-	CommWords int64
-	EpochTime float64
-	// Replication is the analytic intermediate-stage memory replication
-	// factor (P^{1/3} for 3D, c for 1.5D).
-	Replication float64
-	// PeakMemWords is the measured per-rank peak resident footprint. For 2D
-	// and 3D it includes the sparse row panels a rank holds for the whole
-	// run — nnz/√P words per direction (one set, nnz/P^{2/3}, in 3D) where
-	// the paper's layout has nnz/P: the memory the mesh spends so that A
-	// crosses the network once (core/mesh.go).
-	PeakMemWords int64
-}
-
-// Algo3D measures 1D, 1.5D, 2D, and 3D steady-state words per epoch and
-// peak memory at a cube rank count (§IV-D).
-func Algo3D(o Options) ([]Algo3DRow, error) {
+// Family measures every algorithm family, and the sparsity-aware halo
+// variants of the row decompositions, on the protein analog at one rank
+// count: §IV-D's words and memory, and the bulk-synchronous and critical-path
+// readings of the same runs (§V–VI). 64 is simultaneously square (8²) and
+// cube (4³), so every family runs at the same rank count.
+func Family(o Options) ([]EpochMeasurement, error) {
 	o = o.WithDefaults()
 	spec, err := o.dataset("protein-sim")
 	if err != nil {
 		return nil, err
 	}
 	ds := spec.Build()
-	// 64 is simultaneously square (8²) and cube (4³), so every family runs
-	// at the same rank count.
-	p := 64
-	var out []Algo3DRow
-	for _, algo := range []string{"1d", "1.5d", "2d", "3d"} {
-		m, err := MeasureEpochOpts(ds, algo, p, o)
+	var out []EpochMeasurement
+	for _, cfg := range []struct {
+		algo string
+		halo bool
+	}{{"1d", false}, {"1d", true}, {"1.5d", false}, {"1.5d", true}, {"2d", false}, {"3d", false}} {
+		m, err := MeasureEpoch(ds, cfg.algo, 64, cfg.halo, o.Machine)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("harness: family %s: %w", cfg.algo, err)
 		}
-		repl := 1.0
-		if algo == "3d" {
-			repl = costmodel.ThreeDReplicationFactor(p)
-		}
-		if algo == "1.5d" {
-			repl = 2
-		}
-		out = append(out, Algo3DRow{
-			Algorithm: algo, P: p,
-			CommWords: m.CommWords(), EpochTime: m.EpochTime,
-			Replication: repl, PeakMemWords: m.peakMemWords,
-		})
-	}
-	return out, nil
-}
-
-// OverlapRow compares one algorithm's bulk-synchronous and overlapped
-// modeled epoch time — the Figure-3-style breakdown under the paper's
-// asynchronous-NCCL execution (§V–VI).
-type OverlapRow struct {
-	Algorithm string
-	P         int
-	// Halo marks the sparsity-aware 1D/1.5D variants.
-	Halo bool
-	// BulkEpochTime is the bulk-synchronous modeled seconds per epoch.
-	BulkEpochTime float64
-	// OverlapEpochTime is the same runs' critical-path modeled seconds per
-	// epoch: the timeline clock, where the pipelined collectives hide
-	// behind compute.
-	OverlapEpochTime float64
-	// Speedup is BulkEpochTime / OverlapEpochTime.
-	Speedup float64
-	// HiddenCommTime is the per-epoch communication seconds hidden behind
-	// compute (max across ranks).
-	HiddenCommTime float64
-	// CommTime and ComputeTime split the charged per-epoch seconds into
-	// communication (dcomm+scomm+trpose) and compute (spmm+misc). Both
-	// are sums of per-category cross-rank maxima — a consistent
-	// aggregation that never goes negative, though on rank-imbalanced
-	// runs their sum can exceed BulkEpochTime (which maxes per-rank
-	// sums). Overlap pushes the epoch toward the larger of the two.
-	CommTime    float64
-	ComputeTime float64
-}
-
-// overlapConfigs lists the algorithm variants the overlap experiment
-// sweeps: every distributed family, plus the sparsity-aware halo variants
-// of the row decompositions.
-var overlapConfigs = []struct {
-	algo string
-	halo bool
-}{
-	{"1d", false}, {"1d", true}, {"1.5d", false}, {"1.5d", true},
-	{"2d", false}, {"3d", false},
-}
-
-// OverlapExperiment reads overlapped and bulk-synchronous epoch time off the
-// same runs for every algorithm family on the reddit analog at P = 64
-// (simultaneously a square and a cube, so all families run at the same rank
-// count). Both are readings of one schedule's ledger, so the row reports
-// times only.
-func OverlapExperiment(o Options) ([]OverlapRow, error) {
-	o = o.WithDefaults()
-	spec, err := o.dataset("reddit-sim")
-	if err != nil {
-		return nil, err
-	}
-	ds := spec.Build()
-	p := 64
-	var out []OverlapRow
-	for _, cfg := range overlapConfigs {
-		oo := o
-		oo.Halo, oo.Overlap = cfg.halo, true
-		m, err := MeasureEpochOpts(ds, cfg.algo, p, oo)
-		if err != nil {
-			return nil, fmt.Errorf("harness: overlap %s: %w", cfg.algo, err)
-		}
-		row := OverlapRow{
-			Algorithm: cfg.algo, P: p, Halo: cfg.halo,
-			BulkEpochTime:    m.bulkEpochTime,
-			OverlapEpochTime: m.EpochTime,
-			HiddenCommTime:   m.HiddenCommTime,
-			CommTime: m.TimeByCat[comm.CatDenseComm] +
-				m.TimeByCat[comm.CatSparseComm] + m.TimeByCat[comm.CatTranspose],
-			ComputeTime: m.TimeByCat[comm.CatSpMM] + m.TimeByCat[comm.CatMisc],
-		}
-		if row.OverlapEpochTime > 0 {
-			row.Speedup = row.BulkEpochTime / row.OverlapEpochTime
-		}
-		out = append(out, row)
+		out = append(out, m)
 	}
 	return out, nil
 }
@@ -663,11 +567,9 @@ func Scaling(ms []EpochMeasurement) ([]ScalingRow, error) {
 	}
 	if p36, ok1 := at("protein-sim", 36); ok1 {
 		if p100, ok2 := at("protein-sim", 100); ok2 {
-			c36 := p36.TimeByCat[comm.CatDenseComm] + p36.TimeByCat[comm.CatSparseComm] + p36.TimeByCat[comm.CatTranspose]
-			c100 := p100.TimeByCat[comm.CatDenseComm] + p100.TimeByCat[comm.CatSparseComm] + p100.TimeByCat[comm.CatTranspose]
 			out = append(out, ScalingRow{
 				Claim:    "protein: total comm time ratio P=36/P=100 (paper ≈1.65x)",
-				Measured: c36 / c100,
+				Measured: p36.CommTime() / p100.CommTime(),
 				Paper:    1.65,
 			})
 		}

@@ -9,10 +9,10 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -43,13 +43,14 @@ func compareGolden(t *testing.T, name, got string) {
 }
 
 // TestModeledEpochGolden is the repo's one modeled gate: the steady-state
-// epoch of every distributed trainer on the quick reddit analog, bulk and
-// overlapped, as the ledger charges it on the default machine profile —
-// messages and words per Figure 3 category to the unit, modeled seconds
-// per category and per epoch to 6 significant digits (so an FMA-fusing
-// architecture agrees). The file's git history is the modeled trajectory;
-// a reviewer sees every number an optimisation moves. After an intended
-// change: go test ./internal/harness -run TestModeledEpochGolden -update
+// epoch of every distributed trainer on the quick reddit analog, read both
+// ways off the same runs — bulk-synchronous, critical path and the
+// communication hidden between them — as the ledger charges it on the
+// default machine profile: messages and words per Figure 3 category to the
+// unit, modeled seconds per category and per epoch to 6 significant digits
+// (so an FMA-fusing architecture agrees). The file's git history is the
+// modeled trajectory; a reviewer sees every number an optimisation moves.
+// After an intended change: go test ./internal/harness -run TestModeledEpochGolden -update
 func TestModeledEpochGolden(t *testing.T) {
 	o := Options{Quick: true}.WithDefaults()
 	spec, err := o.dataset("reddit-sim")
@@ -57,44 +58,20 @@ func TestModeledEpochGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := spec.Build()
-	// msgsAfter counts the α terms charged by a whole run, per category, max
-	// across ranks. MeasureEpochOpts reports words and seconds but not
-	// messages, so the test differences 2- and 1-epoch runs as it does.
-	msgsAfter := func(algo string, p, epochs int) map[comm.Category]int64 {
-		tr, err := core.NewTrainer(algo, p, o.Machine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tr.Train(problemFor(ds, epochs)); err != nil {
-			t.Fatal(err)
-		}
-		cl := tr.(core.DistTrainer).Cluster()
-		out := map[comm.Category]int64{}
-		for r := 0; r < cl.Size(); r++ {
-			for cat, n := range cl.Ledger(r).ModelMsgs {
-				out[cat] = max(out[cat], n)
-			}
-		}
-		return out
-	}
 	var b strings.Builder
 	for _, cfg := range []struct {
 		algo string
 		p    int
 	}{{"1d", 4}, {"1.5d", 4}, {"2d", 4}, {"3d", 8}} {
-		one, two := msgsAfter(cfg.algo, cfg.p, 1), msgsAfter(cfg.algo, cfg.p, 2)
-		for _, overlap := range []bool{false, true} {
-			o.Overlap = overlap
-			m, err := MeasureEpochOpts(ds, cfg.algo, cfg.p, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&b, "%s P=%d overlap=%v: epoch %.6g s, hidden %.6g s\n",
-				cfg.algo, cfg.p, overlap, m.EpochTime, m.HiddenCommTime)
-			for _, cat := range comm.AllCategories {
-				fmt.Fprintf(&b, "  %-6s %4d msgs %8d words %.6g s\n",
-					cat, two[cat]-one[cat], m.WordsByCat[cat], m.TimeByCat[cat])
-			}
+		m, err := MeasureEpoch(ds, cfg.algo, cfg.p, false, o.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s P=%d: bulk %.6g s, critical path %.6g s, hidden %.6g s\n",
+			cfg.algo, cfg.p, m.EpochTime, m.CriticalPathTime, m.HiddenCommTime)
+		for _, cat := range comm.AllCategories {
+			fmt.Fprintf(&b, "  %-6s %4d msgs %8d words %.6g s\n",
+				cat, m.MsgsByCat[cat], m.WordsByCat[cat], m.TimeByCat[cat])
 		}
 	}
 	compareGolden(t, "modeled_epoch.golden", b.String())
@@ -130,7 +107,7 @@ func TestMeasureEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := spec.Build()
-	m, err := MeasureEpoch(ds, "2d", 4, costmodel.Summit)
+	m, err := MeasureEpoch(ds, "2d", 4, false, costmodel.Summit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +146,7 @@ func TestMeasureEpoch(t *testing.T) {
 			directed.Graph.AddEdge(e[0], e[1])
 		}
 	}
-	dm, err := MeasureEpoch(&directed, "2d", 4, costmodel.Summit)
+	dm, err := MeasureEpoch(&directed, "2d", 4, false, costmodel.Summit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +171,19 @@ func TestMeasureEpoch(t *testing.T) {
 func TestMeasureEpochUnknownAlgo(t *testing.T) {
 	spec, _ := quick.dataset("reddit-sim")
 	ds := spec.Build()
-	if _, err := MeasureEpoch(ds, "bogus", 4, costmodel.Summit); err == nil {
+	if _, err := MeasureEpoch(ds, "bogus", 4, false, costmodel.Summit); err == nil {
 		t.Fatal("expected error")
 	}
-	if _, err := MeasureEpoch(ds, "serial", 4, costmodel.Summit); err == nil {
+	if _, err := MeasureEpoch(ds, "serial", 4, false, costmodel.Summit); err == nil {
 		t.Fatal("serial should be rejected (no cluster ledger)")
+	}
+	// The rejection comes before any problem is built or trained: an empty
+	// dataset, which has no graph to normalize, must fail the same way.
+	if _, err := MeasureEpoch(&graph.Dataset{}, "serial", 4, false, costmodel.Summit); err == nil {
+		t.Fatal("serial on an empty dataset should be rejected before training")
+	}
+	if _, err := MeasureEpoch(ds, "2d", 4, true, costmodel.Summit); err == nil {
+		t.Fatal("halo should be rejected on the mesh (not a row decomposition)")
 	}
 }
 
@@ -217,7 +202,7 @@ func TestFig2QuickShape(t *testing.T) {
 	ds := spec.Build()
 	var prev EpochMeasurement
 	for i, p := range []int{4, 16} {
-		m, err := MeasureEpoch(ds, "2d", p, costmodel.Summit)
+		m, err := MeasureEpoch(ds, "2d", p, false, costmodel.Summit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,9 +301,9 @@ func TestPartitionExperiment(t *testing.T) {
 	}
 }
 
-// TestMeasureEpochOptsHalo: the option-aware measurement path must show
-// the halo exchange moving fewer dense words than the broadcast default,
-// for both row algorithms and under a smart partition.
+// TestMeasureEpochOptsHalo: a measurement over the sparsity-aware halo
+// exchange must show it moving fewer dense words than the broadcast
+// default, for both row algorithms.
 func TestMeasureEpochOptsHalo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep in -short mode")
@@ -329,15 +314,16 @@ func TestMeasureEpochOptsHalo(t *testing.T) {
 	}
 	ds := spec.Build()
 	for _, algo := range []string{"1d", "1.5d"} {
-		base, err := MeasureEpochOpts(ds, algo, 4, quick)
+		base, err := MeasureEpoch(ds, algo, 4, false, quick.Machine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := quick
-		o.Halo, o.Partitioner = true, "ldg"
-		halo, err := MeasureEpochOpts(ds, algo, 4, o)
+		halo, err := MeasureEpoch(ds, algo, 4, true, quick.Machine)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !halo.Halo || base.Halo {
+			t.Fatalf("%s: Halo marks %v/%v, want true/false", algo, halo.Halo, base.Halo)
 		}
 		if halo.WordsByCat[comm.CatDenseComm] >= base.WordsByCat[comm.CatDenseComm] {
 			t.Fatalf("%s: halo dcomm %d should be below broadcast %d",
@@ -346,71 +332,29 @@ func TestMeasureEpochOptsHalo(t *testing.T) {
 	}
 }
 
-// TestOverlapExperimentQuick: the overlap experiment must cover every
-// algorithm family, and the pipelined SUMMA families must strictly beat
-// their bulk-synchronous runs (the halo variants only improve with an
-// interior, which the R-MAT analog barely has — they must never regress).
-func TestOverlapExperimentQuick(t *testing.T) {
-	rows, err := OverlapExperiment(Options{Quick: true, Machine: costmodel.SummitSim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(overlapConfigs) {
-		t.Fatalf("got %d rows, want %d", len(rows), len(overlapConfigs))
-	}
-	byName := map[string]OverlapRow{}
-	for _, r := range rows {
-		name := r.Algorithm
-		if r.Halo {
-			name += "-halo"
-		}
-		byName[name] = r
-		if r.OverlapEpochTime > r.BulkEpochTime {
-			t.Fatalf("%s: overlap %v regressed past bulk %v", name, r.OverlapEpochTime, r.BulkEpochTime)
-		}
-		if r.CommTime <= 0 || r.ComputeTime <= 0 {
-			t.Fatalf("%s: degenerate breakdown %+v", name, r)
-		}
-	}
-	for _, name := range []string{"1d", "1.5d", "2d", "3d"} {
-		r := byName[name]
-		if !(r.OverlapEpochTime < r.BulkEpochTime) {
-			t.Fatalf("%s: overlap %v not strictly below bulk %v", name, r.OverlapEpochTime, r.BulkEpochTime)
-		}
-		if r.Speedup <= 1 {
-			t.Fatalf("%s: speedup %v not above 1", name, r.Speedup)
-		}
-		if r.HiddenCommTime <= 0 {
-			t.Fatalf("%s: nothing hidden", name)
-		}
-	}
-}
-
-// TestMeasureEpochOptsOverlap: the Options.Overlap flag must thread
-// through generic measurements and shrink the epoch time.
+// TestMeasureEpochOptsOverlap: every measurement carries the critical-path
+// reading beside the bulk one, off the same runs. On a pipelined 2D run the
+// critical path is shorter, and the gap is communication hidden behind
+// compute: per rank, critical path = bulk − hidden, so across ranks the
+// critical path is at least bulk − hidden, and what is hidden was charged.
 func TestMeasureEpochOptsOverlap(t *testing.T) {
 	spec, err := quick.dataset("reddit-sim")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ds := spec.Build()
-	o := Options{Quick: true, Machine: costmodel.SummitSim}
-	bulk, err := MeasureEpochOpts(ds, "2d", 16, o)
+	m, err := MeasureEpoch(ds, "2d", 16, false, costmodel.SummitSim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o.Overlap = true
-	ov, err := MeasureEpochOpts(ds, "2d", 16, o)
-	if err != nil {
-		t.Fatal(err)
+	if !(m.CriticalPathTime < m.EpochTime) {
+		t.Fatalf("critical path %v not below bulk %v", m.CriticalPathTime, m.EpochTime)
 	}
-	if !(ov.EpochTime < bulk.EpochTime) {
-		t.Fatalf("overlap epoch %v not below bulk %v", ov.EpochTime, bulk.EpochTime)
+	if !(m.HiddenCommTime > 0 && m.HiddenCommTime <= m.CommTime()) {
+		t.Fatalf("hidden %v outside (0, charged comm %v]", m.HiddenCommTime, m.CommTime())
 	}
-	for cat, words := range bulk.WordsByCat {
-		if ov.WordsByCat[cat] != words {
-			t.Fatalf("%s words changed under overlap: %d vs %d", cat, ov.WordsByCat[cat], words)
-		}
+	if m.CriticalPathTime < m.EpochTime-m.HiddenCommTime-1e-9*m.EpochTime {
+		t.Fatalf("critical path %v below bulk %v minus hidden %v", m.CriticalPathTime, m.EpochTime, m.HiddenCommTime)
 	}
 }
 
@@ -500,7 +444,92 @@ func TestCrossoverQuick(t *testing.T) {
 	}
 }
 
-// TestAlgo3DQuick: the family comparison's peak column carries what the mesh
+// familyOnce caches the family experiment for the tests that read its rows:
+// six configurations at P = 64 are trained once per test binary.
+var familyOnce struct {
+	sync.Once
+	byName map[string]EpochMeasurement
+	ms     []EpochMeasurement
+	err    error
+}
+
+// familyQuick returns the quick family rows, keyed by algorithm with a
+// "-halo" suffix for the sparsity-aware variants.
+func familyQuick(t *testing.T) map[string]EpochMeasurement {
+	t.Helper()
+	familyOnce.Do(func() {
+		familyOnce.ms, familyOnce.err = Family(Options{Quick: true, Machine: costmodel.SummitSim})
+		familyOnce.byName = map[string]EpochMeasurement{}
+		for _, m := range familyOnce.ms {
+			name := m.Algorithm
+			if m.Halo {
+				name += "-halo"
+			}
+			familyOnce.byName[name] = m
+		}
+	})
+	if familyOnce.err != nil {
+		t.Fatal(familyOnce.err)
+	}
+	return familyOnce.byName
+}
+
+// TestFamilyQuick: the family experiment covers every algorithm family and
+// the halo variants of the row decompositions, all on the protein analog at
+// P = 64, and the sparsity-aware exchange moves fewer dense words than the
+// broadcast, for both row algorithms. The rows' time readings are checked by
+// TestOverlapExperimentQuick, their words and memory by TestAlgo3DQuick.
+func TestFamilyQuick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("harness sweep in -short mode")
+	}
+	byName := familyQuick(t)
+	if len(familyOnce.ms) != 6 || len(byName) != 6 {
+		t.Fatalf("got %d rows (%d distinct), want 6", len(familyOnce.ms), len(byName))
+	}
+	for name, m := range byName {
+		if m.P != 64 || m.Dataset != "protein-sim" {
+			t.Fatalf("%s: measured %s at P=%d, want protein-sim at 64", name, m.Dataset, m.P)
+		}
+	}
+	for _, algo := range []string{"1d", "1.5d"} {
+		halo, bcast := byName[algo+"-halo"].WordsByCat[comm.CatDenseComm], byName[algo].WordsByCat[comm.CatDenseComm]
+		if halo >= bcast {
+			t.Fatalf("%s: halo dcomm %d should be below broadcast %d", algo, halo, bcast)
+		}
+	}
+}
+
+// TestOverlapExperimentQuick: the family rows' two times are readings of one
+// schedule's ledger: the critical path is never above bulk, and the
+// pipelined families — 1d, 1.5d, 2d, 3d — strictly beat bulk with
+// something hidden. The halo variants only improve with an interior, which
+// the R-MAT analog barely has; they must never regress.
+func TestOverlapExperimentQuick(t *testing.T) {
+	byName := familyQuick(t)
+	for name, m := range byName {
+		if m.CriticalPathTime > m.EpochTime {
+			t.Fatalf("%s: critical path %v regressed past bulk %v", name, m.CriticalPathTime, m.EpochTime)
+		}
+		if m.CommTime() <= 0 || m.ComputeTime() <= 0 {
+			t.Fatalf("%s: degenerate breakdown %+v", name, m)
+		}
+	}
+	for _, name := range []string{"1d", "1.5d", "2d", "3d"} {
+		m := byName[name]
+		if !(m.CriticalPathTime < m.EpochTime) {
+			t.Fatalf("%s: critical path %v not strictly below bulk %v", name, m.CriticalPathTime, m.EpochTime)
+		}
+		if m.EpochTime/m.CriticalPathTime <= 1 {
+			t.Fatalf("%s: speedup %v not above 1", name, m.EpochTime/m.CriticalPathTime)
+		}
+		if m.HiddenCommTime <= 0 {
+			t.Fatalf("%s: nothing hidden", name)
+		}
+	}
+}
+
+// TestAlgo3DQuick: the family rows' peak column carries what the mesh
 // trainers hold to save words. The analog is symmetric, so both hold one
 // set of row panels, read by forward and backward alike: at P = 64 a 2D
 // rank (8 x 8 grid) keeps its grid row's block row of A = Aᵀ,
@@ -513,22 +542,12 @@ func TestAlgo3DQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness sweep in -short mode")
 	}
-	rows, err := Algo3D(quick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	byAlgo := map[string]Algo3DRow{}
-	for _, r := range rows {
-		byAlgo[r.Algorithm] = r
-	}
-	if byAlgo["3d"].Replication <= 1 {
+	byName := familyQuick(t)
+	if byName["3d"].Replication() <= 1 {
 		t.Fatal("3D must report replication > 1")
 	}
-	if byAlgo["3d"].CommWords <= 0 || byAlgo["2d"].CommWords <= 0 {
-		t.Fatalf("missing words: %+v", rows)
+	if byName["3d"].CommWords() <= 0 || byName["2d"].CommWords() <= 0 {
+		t.Fatalf("missing words: %+v", familyOnce.ms)
 	}
 
 	spec, err := quick.dataset("protein-sim")
@@ -556,13 +575,14 @@ func TestAlgo3DQuick(t *testing.T) {
 		return heaviest
 	}
 	twoD, threeD := panels(8, 1), panels(4, 4)
-	if byAlgo["2d"].PeakMemWords <= twoD || byAlgo["3d"].PeakMemWords <= threeD {
+	if byName["2d"].PeakMemWords <= twoD || byName["3d"].PeakMemWords <= threeD {
 		t.Fatalf("peaks 2D %d, 3D %d do not cover the held row panels %d, %d",
-			byAlgo["2d"].PeakMemWords, byAlgo["3d"].PeakMemWords, twoD, threeD)
+			byName["2d"].PeakMemWords, byName["3d"].PeakMemWords, twoD, threeD)
 	}
-	if !(threeD < twoD && byAlgo["1d"].PeakMemWords < byAlgo["3d"].PeakMemWords &&
-		byAlgo["3d"].PeakMemWords < byAlgo["2d"].PeakMemWords) {
-		t.Fatalf("held panels 3D %d, 2D %d; peaks %+v: want 1D below 3D below 2D", threeD, twoD, rows)
+	if !(threeD < twoD && byName["1d"].PeakMemWords < byName["3d"].PeakMemWords &&
+		byName["3d"].PeakMemWords < byName["2d"].PeakMemWords) {
+		t.Fatalf("held panels 3D %d, 2D %d; peaks 1D %d, 3D %d, 2D %d: want 1D below 3D below 2D", threeD, twoD,
+			byName["1d"].PeakMemWords, byName["3d"].PeakMemWords, byName["2d"].PeakMemWords)
 	}
 }
 
