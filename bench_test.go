@@ -142,8 +142,8 @@ func BenchmarkNewCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkNormalizedAdjacency times what every Train call and cagnet-worker
-// rank pays before its first epoch — edge list to
+// BenchmarkNormalizedAdjacency times what every Train and TrainRank call
+// pays before its first epoch — edge list to
 // D^{-1/2}(A+I)D^{-1/2} — on the graphs of two wall-clock workloads.
 func BenchmarkNormalizedAdjacency(b *testing.B) {
 	for _, tc := range []struct {

@@ -19,8 +19,10 @@
 //	})
 //	fmt.Println(report.Losses, report.ModeledSeconds)
 //
-// See the examples/ directory for runnable programs, and cmd/cagnet-bench
-// for the harness that regenerates every table and figure of the paper.
+// The package examples are runnable programs with checked output;
+// cmd/cagnet-train trains from the command line, in one process or one per
+// rank (TrainRank), and cmd/cagnet-bench regenerates every table and
+// figure of the paper.
 package cagnet
 
 import (
@@ -170,7 +172,7 @@ type TrainOptions struct {
 	// reports wall-clock time plus an α/β least-squares fit of the
 	// measured wire behavior (TrainReport.MeasuredSeconds, FittedAlpha,
 	// FittedBeta). Distributed algorithms only; "serial" has no fabric and
-	// rejects it. For true multi-process ranks use cmd/cagnet-worker.
+	// rejects it. For one process per rank use TrainRank.
 	Transport string
 	// Checkpoint enables snapshots of the training state (weights,
 	// optimizer buffers, epoch counter, metric history) plus
@@ -276,7 +278,8 @@ type TrainReport struct {
 	WordsByCategory map[string]int64
 	// MeasuredSeconds is the wall-clock time of the whole training run
 	// over the "tcp" transport (zero for "inproc"): real sockets, real
-	// scheduling, every rank in one machine. Compare against
+	// scheduling, every rank in this process — or, from TrainRank, the
+	// slowest of the world's processes. Compare against
 	// ModeledSeconds, which is the α–β prediction for the configured
 	// machine profile.
 	MeasuredSeconds float64
@@ -373,43 +376,91 @@ func (o TrainOptions) network(widths []int) nn.Config {
 }
 
 // Train runs full-batch GCN training on ds with the paper's 3-layer
-// architecture (input → hidden → labels). Its first step is Validate's.
+// architecture (input → hidden → labels), every rank in this process. Its
+// first step is Validate's.
 func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	opts = opts.withDefaults()
 	trainer, mach, err := opts.trainer()
 	if err != nil {
 		return nil, err
 	}
-	problem := core.Problem{
-		A:          ds.Graph.NormalizedAdjacency(),
-		Features:   ds.Features,
-		Labels:     ds.Labels,
-		TrainMask:  opts.TrainMask,
-		ValMask:    opts.ValMask,
-		Checkpoint: checkpoint.Options(opts.Checkpoint),
-		Drain:      opts.Drain,
-		Config:     opts.network(ds.LayerWidths()),
-	}
-	order, err := core.ConfigureRowDecomposition(trainer, &problem, ds.Graph, opts.Partitioner, opts.HaloExchange, opts.Seed)
+	problem, order, err := opts.problem(ds, trainer)
 	if err != nil {
 		return nil, err
 	}
 	// The transport chooses which cluster hosts the ranks, not how they are
 	// trained: the trainer builds its own channel fabric unless handed a
 	// world of loopback-socket endpoints, which also meter the wire.
-	var meters []*comm.Meter
-	if opts.Transport == "tcp" {
-		comms, err := comm.LocalTCPComms(opts.Ranks, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
-		if err != nil {
-			return nil, err
-		}
-		cl := comm.ClusterOf(comms...)
-		defer cl.Close()
+	if opts.Transport != "tcp" {
+		return train(opts, trainer, problem, order, nil, nil)
+	}
+	comms, err := comm.LocalTCPComms(opts.Ranks, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
+	if err != nil {
+		return nil, err
+	}
+	cl := comm.ClusterOf(comms...)
+	defer cl.Close()
+	meters := make([]*comm.Meter, len(comms))
+	for i, c := range comms {
+		meters[i] = c.EnableMetering()
+	}
+	return train(opts, trainer, problem, order, cl, meters)
+}
+
+// TrainRank runs this process's one rank of a multi-process world over tr,
+// a dialled endpoint (comm.DialTCPOpts, possibly wrapped in a
+// comm.FaultTransport): every process of the world calls it with the same
+// dataset and options, whose Transport must be "tcp" and Ranks the world
+// size tr.Size(). It is Train's body over a one-rank cluster, so every
+// option Train takes — halo exchange, partitioners, validation masks,
+// checkpoints, drain — trains the same bits across processes as in one.
+// Rank 0's report is the world's: each rank's costs and wire samples reach
+// it in one gather after training. Another rank's report carries only its
+// own costs, no losses or output. The caller closes tr.
+func TrainRank(ds *graph.Dataset, opts TrainOptions, tr comm.Transport) (*TrainReport, error) {
+	if opts.Transport != "tcp" || opts.Ranks != tr.Size() {
+		return nil, fmt.Errorf("cagnet: a rank of a %d-rank world trains with Ranks %d and Transport \"tcp\", not Ranks %d and %q",
+			tr.Size(), tr.Size(), opts.Ranks, opts.Transport)
+	}
+	opts = opts.withDefaults()
+	trainer, mach, err := opts.trainer()
+	if err != nil {
+		return nil, err
+	}
+	problem, order, err := opts.problem(ds, trainer)
+	if err != nil {
+		return nil, err
+	}
+	c := comm.NewTransportComm(tr, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
+	meter := c.EnableMetering()
+	return train(opts, trainer, problem, order, comm.ClusterOf(c), []*comm.Meter{meter})
+}
+
+// problem is the training problem the options make of ds, with the row
+// decomposition's partition applied to it and to the trainer; order maps
+// the output back to ds's vertex order (nil: unchanged).
+func (o TrainOptions) problem(ds *graph.Dataset, trainer core.Trainer) (problem core.Problem, order []int, err error) {
+	problem = core.Problem{
+		A:          ds.Graph.NormalizedAdjacency(),
+		Features:   ds.Features,
+		Labels:     ds.Labels,
+		TrainMask:  o.TrainMask,
+		ValMask:    o.ValMask,
+		Checkpoint: checkpoint.Options(o.Checkpoint),
+		Drain:      o.Drain,
+		Config:     o.network(ds.LayerWidths()),
+	}
+	order, err = core.ConfigureRowDecomposition(trainer, &problem, ds.Graph, o.Partitioner, o.HaloExchange, o.Seed)
+	return problem, order, err
+}
+
+// train is Train's and TrainRank's one body: cl is the cluster that hosts
+// this process's ranks (nil: the trainer's own channel fabric of all of
+// them) and meters time their wire.
+func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order []int, cl *comm.Cluster, meters []*comm.Meter) (*TrainReport, error) {
+	if cl != nil {
 		if err := core.SetCluster(trainer, cl); err != nil {
 			return nil, err
-		}
-		for _, c := range comms {
-			meters = append(meters, c.EnableMetering())
 		}
 	}
 	start := time.Now()
@@ -418,55 +469,128 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 		return nil, err
 	}
 	wall := time.Since(start).Seconds()
-	if order != nil && res.Output != nil {
-		res.Output = core.RestoreRows(res.Output, order)
-	}
 	report := &TrainReport{
 		Losses:        res.Losses,
 		Accuracy:      res.Accuracy,
 		TrainAccuracy: res.TrainAccuracy,
 		ValAccuracy:   res.ValAccuracy,
-		OutputRows:    res.Output.Rows,
-		OutputCols:    res.Output.Cols,
 		ResumedEpoch:  res.ResumedEpoch,
 		DrainedEpoch:  res.DrainedEpoch,
 		Precision:     opts.Precision,
 		KernelISA:     dense.KernelISA(),
 		result:        res,
 	}
-	if dt, ok := trainer.(core.DistTrainer); ok {
-		cl := dt.Cluster()
-		report.ModeledSeconds = cl.MaxTotalTime()
-		if opts.Overlap {
-			report.ModeledSeconds = cl.MaxElapsed()
-			report.HiddenCommSeconds = cl.MaxHiddenCommTime()
+	// The output lives where rank 0 is hosted.
+	if res.Output != nil {
+		if order != nil {
+			res.Output = core.RestoreRows(res.Output, order)
 		}
-		report.TimeByCategory = make(map[string]float64)
-		for k, v := range cl.MaxTimeByCategory() {
-			report.TimeByCategory[string(k)] = v
-		}
-		report.WordsByCategory = make(map[string]int64)
-		for k, v := range cl.MaxWordsByCategory() {
-			report.WordsByCategory[string(k)] = v
+		report.OutputRows, report.OutputCols = res.Output.Rows, res.Output.Cols
+	}
+	dt, ok := trainer.(core.DistTrainer)
+	if !ok {
+		return report, nil
+	}
+	cl = dt.Cluster()
+	r := readCosts(cl, wall, meters)
+	if cl.Hosted() < cl.Size() {
+		// The rest of the world is in other processes: rank 0 takes the
+		// maximum of every process's reading and all of their wire samples.
+		if r, err = r.gather(cl); err != nil {
+			return nil, err
 		}
 	}
+	report.ModeledSeconds = r.bulk
+	if opts.Overlap {
+		report.ModeledSeconds, report.HiddenCommSeconds = r.critical, r.hidden
+	}
+	report.TimeByCategory = make(map[string]float64)
+	for k, v := range r.time {
+		report.TimeByCategory[string(k)] = v
+	}
+	report.WordsByCategory = make(map[string]int64)
+	for k, v := range r.words {
+		report.WordsByCategory[string(k)] = v
+	}
 	if meters != nil {
-		report.MeasuredSeconds = wall
-		var msgs, words, secs []float64
-		for _, m := range meters {
-			sm, sw, ss := m.Samples()
-			msgs = append(msgs, sm...)
-			words = append(words, sw...)
-			secs = append(secs, ss...)
-		}
-		report.WireSamples = len(secs)
+		report.MeasuredSeconds = r.wall
+		report.WireSamples = len(r.secs)
 		// A degenerate fit (too few or collinear samples) leaves α/β zero;
 		// the measured wall time still stands on its own.
-		if a, b, err := costmodel.FitAlphaBeta(msgs, words, secs); err == nil {
+		if a, b, err := costmodel.FitAlphaBeta(r.msgs, r.wireWords, r.secs); err == nil {
 			report.FittedAlpha, report.FittedBeta = a, b
 		}
 	}
 	return report, nil
+}
+
+// costs is what a process knows of a run's cost once its ranks return:
+// its wall time, the maxima over the ranks it hosts of each ledger reading,
+// and their wire samples.
+type costs struct {
+	wall, bulk, critical, hidden float64
+	time                         map[comm.Category]float64
+	words                        map[comm.Category]int64
+	msgs, wireWords, secs        []float64
+}
+
+// readCosts reads a finished run's costs off the cluster and the meters.
+func readCosts(cl *comm.Cluster, wall float64, meters []*comm.Meter) costs {
+	r := costs{
+		wall: wall, bulk: cl.MaxTotalTime(), critical: cl.MaxElapsed(), hidden: cl.MaxHiddenCommTime(),
+		time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(),
+	}
+	for _, m := range meters {
+		sm, sw, ss := m.Samples()
+		r.msgs = append(r.msgs, sm...)
+		r.wireWords = append(r.wireWords, sw...)
+		r.secs = append(r.secs, ss...)
+	}
+	return r
+}
+
+// gather sends this process's reading to rank 0 in one Gather and
+// returns, where rank 0 is hosted, the world's: the maximum of each reading
+// and every process's wire samples. Elsewhere it returns r unchanged. A
+// reading travels as [wall, bulk, critical, hidden, (seconds, words) per
+// category, then (msgs, words, secs) per wire sample]; Gather keeps the
+// payloads' differing lengths apart.
+func (r costs) gather(cl *comm.Cluster) (costs, error) {
+	mine := []float64{r.wall, r.bulk, r.critical, r.hidden}
+	for _, cat := range comm.AllCategories {
+		mine = append(mine, r.time[cat], float64(r.words[cat]))
+	}
+	for i := range r.secs {
+		mine = append(mine, r.msgs[i], r.wireWords[i], r.secs[i])
+	}
+	err := cl.Run(func(c *comm.Comm) error {
+		all := c.World().Gather(0, comm.Payload{Floats: mine}, comm.CatMisc)
+		if all == nil {
+			return nil
+		}
+		r = costs{time: make(map[comm.Category]float64), words: make(map[comm.Category]int64)}
+		for _, p := range all {
+			s := p.Floats
+			r.wall, r.bulk, r.critical, r.hidden = max(r.wall, s[0]), max(r.bulk, s[1]), max(r.critical, s[2]), max(r.hidden, s[3])
+			s = s[4:]
+			for _, cat := range comm.AllCategories {
+				// Only a category some rank charged gets a key, as on a
+				// cluster that hosts every rank.
+				if s[0] > r.time[cat] {
+					r.time[cat] = s[0]
+				}
+				if w := int64(s[1]); w > r.words[cat] {
+					r.words[cat] = w
+				}
+				s = s[2:]
+			}
+			for ; len(s) >= 3; s = s[3:] {
+				r.msgs, r.wireWords, r.secs = append(r.msgs, s[0]), append(r.wireWords, s[1]), append(r.secs, s[2])
+			}
+		}
+		return nil
+	})
+	return r, err
 }
 
 // Partitioners lists the selectable 1D/1.5D vertex partitioners.

@@ -16,7 +16,7 @@ import (
 	"repro/internal/tolerance"
 )
 
-// quickSpec mirrors the -quick dataset shrink the worker applies, so the
+// quickSpec mirrors the -quick dataset shrink the command applies, so the
 // in-process references below train on the identical problem.
 func quickSpec(t *testing.T, name string) graph.AnalogSpec {
 	t.Helper()
@@ -39,7 +39,7 @@ func TestElasticShrinkResume(t *testing.T) {
 		t.Skip("forks two generations of training processes")
 	}
 	ckptDir := t.TempDir()
-	out, err := workerCmd(t, "-spawn", "-world", "4", "-algo", "1d",
+	out, err := trainCmd(t, "-spawn", "-ranks", "4", "-algo", "1d",
 		"-dataset", "reddit-sim", "-quick", "-epochs", "6",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "1",
 		"-max-restarts", "0", "-chaos", "crash@epoch=3").CombinedOutput()
@@ -122,7 +122,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	ckptDir := t.TempDir()
 	const epochs = 100000 // far more than ever completes; the drain ends the run
-	cmd := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
+	cmd := trainCmd(t, "-spawn", "-ranks", "2", "-algo", "1d",
 		"-dataset", "reddit-sim", "-quick", "-epochs", fmt.Sprint(epochs),
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "1")
 	var out strings.Builder
@@ -191,8 +191,8 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := fmt.Sscanf(got[strings.Index(got, "drained after epoch"):], "drained after epoch %d", &drained); err != nil {
 		t.Fatal(err)
 	}
-	for _, prefix := range []string{"measured wall time:", "modeled time"} {
-		line := printed(t, got, prefix)
+	for _, prefix := range []string{"measured wall time", "modeled time"} {
+		line := outputLine(t, got, prefix)
 		var total, perEpoch float64
 		if _, err := fmt.Sscanf(line[strings.Index(line, ": ")+2:], "%g s total, %g s/epoch", &total, &perEpoch); err != nil {
 			t.Fatalf("%q: %v", line, err)
@@ -201,57 +201,6 @@ func TestGracefulDrain(t *testing.T) {
 			t.Errorf("%q: %d epochs drained, want %.4f s/epoch", line, drained, total/float64(drained))
 		}
 	}
-}
-
-// TestResumedRunPerEpochFigures: a world resumed from a checkpoint trains
-// only the epochs after it, and its totals cover only those — the world
-// that resumes a 4-epoch checkpoint and trains to 8 prints the modeled-time
-// line of a fresh 4-epoch world, per-epoch figure included; the world that
-// resumes the 8-epoch checkpoint has no per-epoch figure to print.
-func TestResumedRunPerEpochFigures(t *testing.T) {
-	if testing.Short() {
-		t.Skip("forks two worlds of training processes")
-	}
-	dir := t.TempDir()
-	run := func(epochs string) string {
-		out, err := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
-			"-dataset", "reddit-sim", "-quick", "-epochs", epochs,
-			"-checkpoint-dir", dir).CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s-epoch run failed: %v\n%s", epochs, err, out)
-		}
-		return string(out)
-	}
-	fresh, resumed := run("4"), run("8")
-	if !strings.Contains(resumed, "resumed from checkpoint at epoch 4") {
-		t.Fatalf("second world did not resume:\n%s", resumed)
-	}
-	if got, want := printed(t, resumed, "modeled time"), printed(t, fresh, "modeled time"); got != want {
-		t.Errorf("resumed world prints %q, a fresh world of the same 4 epochs %q", got, want)
-	}
-	// Resumed at its final epoch, a world trains nothing: it says so
-	// instead of dividing by zero epochs.
-	atEnd := run("8")
-	for _, prefix := range []string{"measured wall time", "modeled time"} {
-		if line := printed(t, atEnd, prefix); !strings.Contains(line, " s total, no epoch trained") {
-			t.Errorf("world resumed at its end prints %q", line)
-		}
-	}
-	if strings.Contains(atEnd, "Inf") || strings.Contains(atEnd, "NaN") {
-		t.Errorf("world resumed at its end prints a non-finite figure:\n%s", atEnd)
-	}
-}
-
-// printed returns the first output line starting with prefix.
-func printed(t *testing.T, out, prefix string) string {
-	t.Helper()
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, prefix) {
-			return line
-		}
-	}
-	t.Fatalf("no %q line in:\n%s", prefix, out)
-	return ""
 }
 
 // TestShrinkWorld pins the shrink oracle: the next world size must respect
@@ -309,7 +258,7 @@ func TestCheckpointKeepFlag(t *testing.T) {
 		t.Skip("forks training processes")
 	}
 	ckptDir := t.TempDir()
-	out, err := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
+	out, err := trainCmd(t, "-spawn", "-ranks", "2", "-algo", "1d",
 		"-dataset", "reddit-sim", "-quick", "-epochs", "5",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "1",
 		"-checkpoint-keep", "2").CombinedOutput()

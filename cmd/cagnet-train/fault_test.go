@@ -13,7 +13,7 @@ import (
 )
 
 // reservePort grabs an ephemeral loopback port and releases it for the
-// worker under test. The tiny reuse window is an accepted test trade-off.
+// rank under test. The tiny reuse window is an accepted test trade-off.
 func reservePort(t *testing.T) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,16 +36,16 @@ func TestKillNineSurvivorsFailFast(t *testing.T) {
 	coordAddr := reservePort(t)
 	ckptDir := t.TempDir()
 	common := []string{
-		"-world", "2", "-coordinator", coordAddr,
+		"-ranks", "2", "-coordinator", coordAddr,
 		"-algo", "1d", "-dataset", "reddit-sim", "-quick",
 		"-epochs", "100000", // far more than ever completes; the kill ends the run
 		"-heartbeat-interval", "100ms", "-progress-timeout", "10s",
 	}
-	rank0 := workerCmd(t, append([]string{"-rank", "0",
+	rank0 := trainCmd(t, append([]string{"-rank", "0",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "1"}, common...)...)
 	var out strings.Builder
 	rank0.Stdout, rank0.Stderr = &out, &out
-	rank1 := workerCmd(t, append([]string{"-rank", "1", "-host=false"}, common...)...)
+	rank1 := trainCmd(t, append([]string{"-rank", "1", "-host=false"}, common...)...)
 	if err := rank0.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestChaosRestartBitIdentical(t *testing.T) {
 		t.Skip("forks two generations of four training processes")
 	}
 	ckptDir := t.TempDir()
-	out, err := workerCmd(t, "-spawn", "-world", "4", "-algo", "2d",
+	out, err := trainCmd(t, "-spawn", "-ranks", "4", "-algo", "2d",
 		"-dataset", "reddit-sim", "-quick", "-epochs", "6",
 		"-checkpoint-dir", ckptDir, "-checkpoint-every", "1",
 		"-chaos", "crash@epoch=3").CombinedOutput()
@@ -139,7 +139,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 		t.Skip("forks training processes")
 	}
 	t.Run("no checkpoint dir", func(t *testing.T) {
-		out, err := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
+		out, err := trainCmd(t, "-spawn", "-ranks", "2", "-algo", "1d",
 			"-dataset", "reddit-sim", "-quick", "-epochs", "4",
 			"-chaos", "crash@epoch=2").CombinedOutput()
 		if err == nil {
@@ -154,7 +154,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 		// retry, and -min-world 2 forbids the elastic fallback of
 		// shrinking to one survivor — so the crash surfaces instead of
 		// being recovered from.
-		out, err := workerCmd(t, "-spawn", "-world", "2", "-algo", "1d",
+		out, err := trainCmd(t, "-spawn", "-ranks", "2", "-algo", "1d",
 			"-dataset", "reddit-sim", "-quick", "-epochs", "4",
 			"-checkpoint-dir", t.TempDir(), "-max-restarts", "0",
 			"-min-world", "2", "-chaos", "crash@epoch=2").CombinedOutput()
@@ -169,7 +169,7 @@ func TestSupervisorGivesUp(t *testing.T) {
 
 // TestChaosFlagValidation covers the fail-fast chaos flag rejections.
 func TestChaosFlagValidation(t *testing.T) {
-	base := config{world: 4, rank: 0, TrainOptions: cagnet.TrainOptions{Algorithm: "2d"}, coordinator: "x:1", chaosRank: 1}
+	base := validConfig()
 	bad := base
 	bad.chaos = "explode@op=1"
 	if err := run(bad); err == nil {

@@ -197,7 +197,7 @@ func (l *Ledger) Reset() {
 // them; the transport is only what they talk over. NewCluster hosts all p
 // ranks of a world on the channel fabric, ClusterOf over LocalTCPComms'
 // endpoints all p over loopback sockets, ClusterOf over one DialTCP
-// endpoint the one rank a worker process has of a multi-process world.
+// endpoint the one rank a process has of a multi-process world.
 // Ledger and the Max*/Sum* reductions cover the hosted ranks.
 type Cluster struct {
 	comms []*Comm // the hosted endpoints
@@ -226,7 +226,7 @@ func NewCluster(p int, cost CostParams) *Cluster {
 
 // ClusterOf hosts the given endpoints — at least one, all of one world:
 // every rank of it (LocalTCPComms, or any endpoints wrapped in a
-// FaultTransport) or the single rank of a worker process.
+// FaultTransport) or the single rank of a multi-process world's process.
 func ClusterOf(comms ...*Comm) *Cluster {
 	for _, c := range comms[1:] {
 		if c.size != comms[0].size {
@@ -237,8 +237,12 @@ func ClusterOf(comms ...*Comm) *Cluster {
 }
 
 // Size returns the number of ranks in the world — the hosted ranks plus,
-// in a worker process, those hosted elsewhere.
+// in a multi-process world, those hosted elsewhere.
 func (c *Cluster) Size() int { return c.comms[0].size }
+
+// Hosted returns the number of ranks this process hosts: Size, or fewer in
+// a process that hosts its share of a multi-process world.
+func (c *Cluster) Hosted() int { return len(c.comms) }
 
 // Ledger returns a hosted rank's accounting ledger. Read it only after Run
 // returns.

@@ -13,7 +13,7 @@ import (
 // epoch counts. Because the schedule is positional rather than random,
 // every failure path in the fabric (abort broadcast, progress timeout,
 // supervisor restart from checkpoint) is reproducible in CI with a plain
-// string like "crash@epoch=3". Surfaced as `cagnet-worker -chaos`.
+// string like "crash@epoch=3". Surfaced as `cagnet-train -chaos`.
 
 // epochTicker is implemented by transports that want to observe epoch
 // boundaries; Comm.EpochDone calls it once per epoch before it recycles.
@@ -144,7 +144,7 @@ type FaultTransport struct {
 	ops   int
 	epoch int
 	// Crash is invoked (with a human-readable reason) when a crash event
-	// fires. The default panics; cagnet-worker overrides it with an
+	// fires. The default panics; a cagnet-train rank overrides it with an
 	// abrupt os.Exit so the process dies exactly as kill -9 would — no
 	// abort frame, no orderly close, peers must detect the loss.
 	Crash func(reason string)

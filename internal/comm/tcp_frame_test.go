@@ -89,7 +89,7 @@ func awkwardPayloads() []Payload {
 }
 
 // TestFrameGoldenBytes pins the 'D' frame layout byte for byte: other
-// processes (cagnet-worker worlds of a different build) parse it.
+// processes (a cagnet-train world of a different build) parse it.
 func TestFrameGoldenBytes(t *testing.T) {
 	p := Payload{Floats: []float64{1.5, math.Copysign(0, -1)}, Ints: []int{-2, 1 << 40}}
 	golden := []byte{

@@ -18,7 +18,7 @@ import (
 //     every test and benchmark uses, and
 //   - the TCP fabric (DialTCP): length-prefixed frames over persistent
 //     per-peer connections, rendezvous through a coordinator listener —
-//     one OS process per rank (cagnet-worker) or every rank in this one
+//     one OS process per rank (cagnet-train -spawn) or every rank in this one
 //     (LocalTCPComms), with wall-clock timing.
 //
 // Either way a Cluster hosts the endpoints this process runs and launches
