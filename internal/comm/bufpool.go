@@ -1,17 +1,23 @@
 package comm
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/dense"
+)
 
 // bufPool is the arena behind the fabric's transient buffers: collective
 // accumulators, the []Payload result slices of gather-style operations,
 // and — as a transport's arena — the channel fabric's send clones and the
 // buffers a TCPTransport's reader goroutines read incoming frames into.
 // Every rank has two, on either fabric: its Comm's pool and its
-// transport's arena. Buffers are keyed by capacity class (next power of
-// two), checked out under a mutex (a rank and its reader goroutines may
-// allocate at once), and recycled all at once by
-// Comm.Recycle — the point where every rank has agreed, via barrier,
-// that no buffer handed out since the last recycle is still referenced.
+// transport's arena. Buffers are keyed by capacity class (dense.CapClass,
+// the Workspace's eight classes per octave, so a buffer is at most 1/8
+// larger than the largest payload it carried), checked out under a mutex
+// (a rank and its reader goroutines may allocate at once), and recycled
+// all at once by Comm.Recycle — the point where every rank has agreed, via
+// barrier, that no buffer handed out since the last recycle is still
+// referenced.
 //
 // Steady state is allocation-free: after the first epoch has sized the
 // free lists, every checkout pops an existing buffer and every recycle
@@ -45,7 +51,7 @@ func (b *bufPool) getFloats(n int) []float64 {
 	if n == 0 {
 		return nil
 	}
-	k := nextPow2(n)
+	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if list := b.freeF[k]; len(list) > 0 {
@@ -64,7 +70,7 @@ func (b *bufPool) getInts(n int) []int {
 	if n == 0 {
 		return nil
 	}
-	k := nextPow2(n)
+	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if list := b.freeI[k]; len(list) > 0 {
@@ -84,7 +90,7 @@ func (b *bufPool) getPayloads(n int) []Payload {
 	if n == 0 {
 		return nil
 	}
-	k := nextPow2(n)
+	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var buf []Payload
@@ -122,8 +128,11 @@ func (b *bufPool) cloneInts(x []int) []int {
 }
 
 // largestWords returns the capacity of the largest float or int buffer the
-// pool holds, free or checked out.
+// pool holds, free or checked out (0 for a nil pool).
 func (b *bufPool) largestWords() int64 {
+	if b == nil {
+		return 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var mx int
@@ -146,6 +155,34 @@ func (b *bufPool) largestWords() int64 {
 	return int64(mx)
 }
 
+// heldWords returns the summed capacity of the float and int buffers the
+// pool holds, free or checked out (0 for a nil pool). It allocates nothing.
+func (b *bufPool) heldWords() int64 {
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var s int64
+	for _, list := range b.freeF {
+		for _, buf := range list {
+			s += int64(cap(buf))
+		}
+	}
+	for _, list := range b.freeI {
+		for _, buf := range list {
+			s += int64(cap(buf))
+		}
+	}
+	for _, buf := range b.usedF {
+		s += int64(cap(buf))
+	}
+	for _, buf := range b.usedI {
+		s += int64(cap(buf))
+	}
+	return s
+}
+
 // recycle returns every checked-out buffer to the free lists. The caller
 // must guarantee no checked-out buffer is still referenced — Recycle
 // establishes this with its surrounding barriers.
@@ -153,19 +190,19 @@ func (b *bufPool) recycle() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i, buf := range b.usedF {
-		k := nextPow2(cap(buf))
+		k := dense.CapClass(cap(buf))
 		b.freeF[k] = append(b.freeF[k], buf[:cap(buf)])
 		b.usedF[i] = nil
 	}
 	b.usedF = b.usedF[:0]
 	for i, buf := range b.usedI {
-		k := nextPow2(cap(buf))
+		k := dense.CapClass(cap(buf))
 		b.freeI[k] = append(b.freeI[k], buf[:cap(buf)])
 		b.usedI[i] = nil
 	}
 	b.usedI = b.usedI[:0]
 	for i, buf := range b.usedP {
-		k := nextPow2(cap(buf))
+		k := dense.CapClass(cap(buf))
 		b.freeP[k] = append(b.freeP[k], buf[:cap(buf)])
 		b.usedP[i] = nil
 	}

@@ -618,11 +618,23 @@ func (c *Comm) Recycle() {
 // gives a buffer back to the heap, so it is the widest transient the rank
 // has drawn since it started.
 func (c *Comm) LargestBufferWords() int64 {
-	mx := c.pool.largestWords()
-	if as, ok := c.tr.(arenaSizer); ok {
-		mx = max(mx, as.largestArenaWords())
+	return max(c.pool.largestWords(), c.arena().largestWords())
+}
+
+// HeldWords returns the summed capacity, in words, of every payload buffer
+// this rank's fabric holds — its Comm's pool and its transport's arena,
+// free or handed out: what the fabric adds to the rank's footprint. It
+// allocates nothing, so it may be read at any epoch boundary.
+func (c *Comm) HeldWords() int64 {
+	return c.pool.heldWords() + c.arena().heldWords()
+}
+
+// arena returns the transport's receive arena (nil when it has none).
+func (c *Comm) arena() *bufPool {
+	if ah, ok := c.tr.(arenaHolder); ok {
+		return ah.recvArena()
 	}
-	return mx
+	return nil
 }
 
 // Barrier blocks until every rank in the cluster has entered the barrier.

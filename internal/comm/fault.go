@@ -27,9 +27,9 @@ type epochTicker interface{ EpochTick() }
 // does not forward it leaves the arena growing.
 type epochRecycler interface{ EpochRecycle() }
 
-// arenaSizer is implemented by the transports that are epochRecyclers:
-// largestArenaWords is the capacity of the largest buffer in the arena.
-type arenaSizer interface{ largestArenaWords() int64 }
+// arenaHolder is implemented by the transports that are epochRecyclers:
+// recvArena is the pool their Recv draws from (nil when there is none).
+type arenaHolder interface{ recvArena() *bufPool }
 
 // aborter is implemented by transports that can broadcast a failure
 // announcement to every peer (the channel fabric's abort latch, the TCP
@@ -192,12 +192,12 @@ func (t *FaultTransport) EpochRecycle() {
 	}
 }
 
-// largestArenaWords forwards to the wrapped transport.
-func (t *FaultTransport) largestArenaWords() int64 {
-	if as, ok := t.inner.(arenaSizer); ok {
-		return as.largestArenaWords()
+// recvArena forwards to the wrapped transport.
+func (t *FaultTransport) recvArena() *bufPool {
+	if ah, ok := t.inner.(arenaHolder); ok {
+		return ah.recvArena()
 	}
-	return 0
+	return nil
 }
 
 // fire injects one event.

@@ -253,7 +253,7 @@ func (t *TCPTransport) writeFrame(dst int, frame []byte) error {
 // two barriers; see the header comment for why that is safe.
 func (t *TCPTransport) EpochRecycle() { t.arena.recycle() }
 
-func (t *TCPTransport) largestArenaWords() int64 { return t.arena.largestWords() }
+func (t *TCPTransport) recvArena() *bufPool { return t.arena }
 
 // failure builds the *PeerError for a failed operation on peer. If some
 // rank already broadcast an abort, its root cause wins over the local

@@ -139,7 +139,7 @@ func (t *inprocTransport) Close() error { return nil }
 // epochRecycler.
 func (t *inprocTransport) EpochRecycle() { t.arena.recycle() }
 
-func (t *inprocTransport) largestArenaWords() int64 { return t.arena.largestWords() }
+func (t *inprocTransport) recvArena() *bufPool { return t.arena }
 
 // Abort latches the fabric's first abort and wakes every endpoint blocked
 // in Send, Recv or Barrier; see aborter.

@@ -32,7 +32,10 @@ type layerOpsOf[T dense.Elem] interface {
 	// replicated, so one copy is the whole world's.
 	rank() int
 
-	// input returns this rank's block of the input features H⁰.
+	// input returns what forwardAggregate reads H⁰ from at l = 1: this
+	// rank's block of the input features, except on a block-row rank of a
+	// relabeled problem, which reads its rows out of the whole matrix
+	// (rowRank.aggregateInput).
 	input() *dense.Of[T]
 
 	// forwardAggregate returns this rank's block of Aᵀ·X, where x is this

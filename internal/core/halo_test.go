@@ -249,12 +249,28 @@ func TestPartitionProblemRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSerial().Train(relabeled)
+	// A relabeled problem is a view of H⁰: the serial and mesh trainers
+	// gather its features themselves, the block-row trainer its own rows.
+	for _, tr := range []Trainer{NewSerial(), NewTwoD(4, testMach), NewOneD(4, testMach)} {
+		got, err := tr.Train(relabeled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored := RestoreRows(got.Output, order)
+		if d := dense.MaxAbsDiff(restored, want.Output); d > equivTol {
+			t.Fatalf("%s: restored output deviates from original ordering by %v", tr.Name(), d)
+		}
+	}
+	// Relabeling a relabeled problem composes the two orders.
+	again, _, order2, err := PartitionProblem(relabeled, partition.RandomAssignment(45, 4, rand.New(rand.NewSource(10))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored := RestoreRows(got.Output, order)
-	if d := dense.MaxAbsDiff(restored, want.Output); d > equivTol {
-		t.Fatalf("restored output deviates from original ordering by %v", d)
+	got, err := NewSerial().Train(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := dense.MaxAbsDiff(RestoreRows(RestoreRows(got.Output, order2), order), want.Output); d > equivTol {
+		t.Fatalf("twice-relabeled output deviates from original ordering by %v", d)
 	}
 }

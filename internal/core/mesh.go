@@ -111,13 +111,14 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 	if cfg.Layers() > 1 && cfg.Hidden.RowWise() {
 		return nil, fmt.Errorf("core: the %s mesh applies a row-wise activation only at the output layer, not %s", t.name, cfg.Hidden.Name())
 	}
+	features := p.features()
 	return func(c *comm.Comm) layerOps {
 		r := &meshRank{
 			comm: c, mach: t.mach, cfg: cfg, mesh: mesh,
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 			vBlk: partition.NewBlock1D(n, mesh.C),
 		}
-		r.setup(at, directed, p.Features)
+		r.setup(at, directed, features)
 		return r
 	}, nil
 }

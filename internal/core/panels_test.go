@@ -36,7 +36,7 @@ func (p *t1Probe) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 // all of H⁰; after a whole run no buffer its workspace or its fabric holds
 // is larger than
 //
-//	B = nextPow2(max(rows·w, f⁰·f¹)),
+//	B = dense.CapClass(max(rows·w, f⁰·f¹)),
 //
 // rows the largest row block: every vertex-sized buffer is at most w wide,
 // and the widest weight-sized one is (∂W¹ and its all-reduce); and the
@@ -93,17 +93,18 @@ func checkInputPanels(t *testing.T, tr *rowTrainer, p Problem) {
 		for b := range r.blk.Blocks() {
 			rows = max(rows, r.blk.Hi(b)-r.blk.Lo(b))
 		}
-		bound := int64(1)
-		for bound < int64(max(rows*w, widths[0]*widths[1])) {
-			bound <<= 1
-		}
+		bound := int64(dense.CapClass(max(rows*w, widths[0]*widths[1])))
 		wsWords, fabricWords := r.ws.LargestWords(), r.comm.LargestBufferWords()
 		// The oracle: one product over all of H⁰, on every rank at once (a
 		// collective: no rank may return before it), once every rank has
 		// measured — a TCP reader would take a peer's oracle frames into
 		// the arena meanwhile.
 		r.comm.Barrier()
-		whole := r.blockMul(r.fwd, r.h0)
+		h0 := r.h0
+		if r.h0rows != nil {
+			h0 = dense.GatherRows(r.h0, r.h0rows)
+		}
+		whole := r.blockMul(r.fwd, h0)
 		// The input layer leaves in the workspace what one panel drew: the
 		// panel, its stage sum and at most one halo gather per peer.
 		if most := int64(r.group.Size()+1) * bound; probe.foot > most {
@@ -127,5 +128,71 @@ func checkInputPanels(t *testing.T, tr *rowTrainer, p Problem) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeldWordsWithinPanelBound: after training a 1d halo problem under an
+// LDG layout whose input layer runs in four column panels (f⁰ = 32, w = 8,
+// widths [32, 8, 8]: every vertex-sized buffer is rows·w, every halo
+// exchange moves the same rows at width w), each rank's workspace
+// footprint plus its fabric's held words stay within what one epoch draws,
+// counted buffer by buffer at its capacity class C:
+//
+//	workspace  9·C(R·w)   H¹, T², Z², H², ∂L/∂H², G², G²(W²)ᵀ, A·G²(W²)ᵀ, G¹
+//	           2·X        the forward and backward halo gathers
+//	           C(f¹f²) + 2·C(f⁰f¹)   ∂W² and ∂W¹ with its transposed scratch
+//	fabric     2·X        the send clones of both exchanges
+//	           3·(1 + C(f¹f²) + C(f⁰f¹))   each all-reduce's accumulator and two sends
+//	           C(R·w) + 2 + Σ_j C(|need_j|) + 3·8   the output gather, the halo
+//	                                         plan's index lists, the final count reduce
+//
+// with R the rank's rows and X = Σ_i C(|sendIdx_i|·w) one exchange's row
+// sets. The input layer's panels draw a subset of the same classes (a
+// panel, its stage sum, one exchange), so they add nothing — as long as
+// each panel's fabric buffers are recycled before the next: without the
+// per-panel Comm.Recycle the arena keeps four exchanges' send clones.
+// HeldWords allocates nothing.
+func TestHeldWordsWithinPanelBound(t *testing.T) {
+	const ranks, epochs, n = 4, 2, 256
+	widths := []int{32, 8, 8}
+	base, g := testProblemGraph(t, n, widths[0], widths[1], widths[2], epochs, 93)
+	tr := NewOneD(ranks, testMach)
+	tr.Halo = true
+	p, layout, _, err := PartitionProblem(base, partition.LDG(g, ranks, rand.New(rand.NewSource(94))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Layout = layout
+	C := func(k int) int64 { return int64(dense.CapClass(k)) }
+	rks := make([]*rowRank, ranks)
+	err = tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
+		r := ops.(*rowRank)
+		rks[r.rank()] = r
+		_, err := newEngine(r, cfg, prob).run()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, f1, f2, w := widths[0], widths[1], widths[2], widths[1]
+	for _, r := range rks {
+		R := r.hi - r.lo
+		var x, plan int64
+		for i, idx := range r.fwd.sendIdx {
+			x += C(len(idx) * w)
+			plan += C(len(r.fwd.need[i]))
+		}
+		weights := 1 + C(f1*f2) + C(f0*f1)
+		bound := 9*C(R*w) + 2*x + C(f1*f2) + 2*C(f0*f1) +
+			2*x + 3*weights + C(R*w) + 2 + plan + 3*8
+		ws, held := r.ws.FootprintWords(), r.comm.HeldWords()
+		t.Logf("rank %d: workspace %d + fabric %d = %d words, bound %d", r.rank(), ws, held, ws+held, bound)
+		if ws+held > bound {
+			t.Errorf("rank %d holds %d words (workspace %d, fabric %d), over the one-epoch bound %d",
+				r.rank(), ws+held, ws, held, bound)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { rks[0].comm.HeldWords() }); a != 0 {
+		t.Errorf("HeldWords allocates %v objects per call", a)
 	}
 }

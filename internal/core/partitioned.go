@@ -48,7 +48,9 @@ func ConfigureRowDecomposition(tr Trainer, problem *Problem, g *graph.Graph, par
 
 // PartitionProblem relabels the vertices of p so that assignment a's
 // parts become contiguous 1D row blocks: the adjacency is symmetrically
-// permuted, features/labels/masks are reordered to match. It returns the
+// permuted and labels/masks are reordered to match, while the features are
+// not copied — the relabeled problem reads H⁰'s rows through the order,
+// so Features stays the caller's matrix in its original order. It returns the
 // relabeled problem, the contiguous layout to install as the row trainer's
 // RowOptions.Layout (one block per team), and the relabeling order
 // (order[new] = old) that RestoreRows uses to map the trained output back
@@ -65,7 +67,10 @@ func PartitionProblem(p Problem, a partition.Assignment) (Problem, partition.Con
 	layout, order := a.ContigLayout()
 	out := p
 	out.A = sparse.ReorderSym(p.A, order)
-	out.Features = dense.GatherRows(p.Features, order)
+	out.order = order
+	if p.order != nil {
+		out.order = gather(p.order, order) // relabeling a relabeled problem
+	}
 	out.Labels = gather(p.Labels, order)
 	out.TrainMask = gather(p.TrainMask, order)
 	out.ValMask = gather(p.ValMask, order)

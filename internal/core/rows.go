@@ -120,7 +120,7 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 			comm: c, mach: t.mach, cfg: cfg, blk: blk, c: t.c, halo: t.Halo,
 			labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(), n: n,
 		}
-		r.setup(at, p.A, p.Features)
+		r.setup(at, p.A, p.Features, p.order)
 		return r
 	}, nil
 }
@@ -145,8 +145,12 @@ type rowRank struct {
 	norm   int
 	n      int
 
-	lo, hi  int // this rank's rows: block own of blk
+	lo, hi int // this rank's rows: block own of blk
+	// h0 is what this rank reads its block of H⁰ from: the block itself (a
+	// row view of the features) or, for a relabeled problem, the whole
+	// features matrix, of which h0rows lists the block's rows in order.
 	h0      *dense.Matrix
+	h0rows  []int
 	memBase int64
 
 	ws   *dense.Workspace
@@ -207,14 +211,15 @@ func (r *rowRank) recordMem(extra int64) {
 }
 
 // setup builds the groups and the two stage plans and takes the input block
-// and the per-run buffers. h0 is the c-fold replicated dense block — the
-// §IV-B memory overhead — while the sparse share is only the stage blocks:
-// nnz/P words per direction, once when the plans coincide (at is a itself:
-// A = Aᵀ). h0 is a row view of features, not a copy: nothing writes it, as
-// on the serial path, and the ranks of one process share the storage. The
-// ledger still counts it, since a rank of the modeled machine holds its
-// block.
-func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix) {
+// and the per-run buffers. The H⁰ block is c-fold replicated — the §IV-B
+// memory overhead — while the sparse share is only the stage blocks: nnz/P
+// words per direction, once when the plans coincide (at is a itself:
+// A = Aᵀ). The block is not copied: h0 is a row view of features, or under
+// a relabeling order the features themselves with the block's rows listed
+// in h0rows; nothing writes it, as on the serial path, and the ranks of
+// one process share the storage. The ledger still counts the block, since
+// a rank of the modeled machine holds it.
+func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix, order []int) {
 	rank, teams := r.comm.Rank(), r.blk.Blocks()
 	team, layer := rank/r.c, rank%r.c
 	teamRanks := make([]int, r.c)
@@ -236,11 +241,15 @@ func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix) {
 	}
 
 	f0 := features.Cols
-	r.h0 = dense.FromSlice(r.hi-r.lo, f0, features.Data[r.lo*f0:r.hi*f0:r.hi*f0])
+	if order == nil {
+		r.h0 = dense.FromSlice(r.hi-r.lo, f0, features.Data[r.lo*f0:r.hi*f0:r.hi*f0])
+	} else {
+		r.h0, r.h0rows = features, order[r.lo:r.hi]
+	}
 	r.ws = dense.NewWorkspace()
 	r.dims = make([]int, 2)
 	r.cnt = make([]float64, 8)
-	r.memBase = matWords(r.h0) + cfgWeightWords(r.cfg)
+	r.memBase = int64(r.hi-r.lo)*int64(f0) + cfgWeightWords(r.cfg)
 	r.fwd = r.newStagePlan(at)
 	r.bwd = r.fwd
 	if a != at {
@@ -289,32 +298,60 @@ func (r *rowRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 
 // aggregateInput computes T¹ = Aᵀ·H⁰ in column panels of H⁰ no wider than
 // the widest later layer, w = max_{l≥1} f^l — the widest buffer a
-// steady-state epoch draws. T¹ itself is the only f⁰-wide buffer: every one
-// the product draws — the panel, the stage sum, the broadcast payloads or
-// halo gathers, the team all-reduce — is at most w wide, and the workspace
-// and the fabric take them back (Reset, Recycle) before the next panel
-// starts, so the arenas the epochs reuse never hold an f⁰-wide buffer. Recycle is not EpochDone: a panel is
-// not an epoch, and epoch-triggered faults count training epochs. The panel
-// count is a function of the configured widths, so every rank issues the
-// same collectives, and each element of T¹ sums the same nonzeros in the
-// same order as one product over all of H⁰: the bits do not move. With
-// f⁰ ≤ w there is one panel, H⁰ itself, and keepInput takes the product.
+// steady-state epoch draws. h0 is input(): the rank's block, or the whole
+// features when h0rows lists the block's rows. T¹ itself is the only
+// f⁰-wide buffer: every one the product draws — the panel, the stage sum,
+// the broadcast payloads or halo gathers, the team all-reduce — is at most
+// w wide, and the workspace and the fabric take them back (Reset, Recycle)
+// before the next panel starts, so the arenas the epochs reuse never hold
+// an f⁰-wide buffer. A ragged last panel draws its workspace buffers at the
+// full panels' width (Widen), so it reuses theirs. Recycle is not
+// EpochDone: a panel is not an epoch, and epoch-triggered faults count
+// training epochs. The panel count is a function of the configured widths,
+// so every rank issues the same collectives, and each element of T¹ sums
+// the same nonzeros in the same order as one product over all of H⁰: the
+// bits do not move. With f⁰ ≤ w there is one panel, and keepInput takes
+// the product: over the block itself when it is a view, else over the
+// block gathered into a workspace buffer that the epochs then reuse.
 func (r *rowRank) aggregateInput(h0 *dense.Matrix) *dense.Matrix {
 	w := slices.Max(r.cfg.Widths[1:])
-	if h0.Cols <= w {
+	rows, f0 := r.hi-r.lo, h0.Cols
+	if f0 <= w && r.h0rows == nil {
 		return r.keepInput(r.blockMul(r.fwd, h0))
 	}
-	t1 := dense.New(h0.Rows, h0.Cols)
-	r.memBase += matWords(t1)
-	for c0 := 0; c0 < h0.Cols; c0 += w {
-		c1 := min(c0+w, h0.Cols)
-		panel := r.ws.GetUninit(h0.Rows, c1-c0)
-		h0.SubMatrixInto(panel, 0, h0.Rows, c0, c1)
-		t1.SetSubMatrix(0, c0, r.blockMul(r.fwd, panel))
+	var t1 *dense.Matrix
+	if f0 > w {
+		t1 = dense.New(rows, f0)
+		r.memBase += matWords(t1)
+	}
+	for c0 := 0; c0 < f0; c0 += w {
+		c1 := min(c0+w, f0)
+		r.ws.Widen(w)
+		panel := r.ws.GetUninit(rows, c1-c0)
+		r.inputPanel(panel, h0, c0)
+		t := r.blockMul(r.fwd, panel)
+		if t1 == nil { // one panel: T¹ is its product
+			t1 = r.keepInput(t)
+		} else {
+			t1.SetSubMatrix(0, c0, t)
+		}
+		r.ws.Widen(0)
 		r.ws.Reset()
 		r.comm.Recycle()
 	}
 	return t1
+}
+
+// inputPanel copies columns [c0, c0+dst.Cols) of this rank's block of H⁰
+// into dst, reading the block's rows out of h0 (input()).
+func (r *rowRank) inputPanel(dst, h0 *dense.Matrix, c0 int) {
+	for i := range dst.Rows {
+		src := i
+		if r.h0rows != nil {
+			src = r.h0rows[i]
+		}
+		copy(dst.Row(i), h0.Row(src)[c0:c0+dst.Cols])
+	}
 }
 
 // backwardAggregate computes (A·X)_i = Σ_j A_ij X_j: the forward product

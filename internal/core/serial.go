@@ -94,7 +94,7 @@ func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
 	if !symmetric(p.A) {
 		s.at = sparse.As[T](p.A.Transpose())
 	}
-	dense.As(&s.h0, p.Features)
+	dense.As(&s.h0, p.features())
 	return s
 }
 

@@ -92,6 +92,23 @@ type Problem struct {
 	// the hook reads. Nil (the default) adds no per-epoch collective, so
 	// communication ledgers and allocation counts are untouched.
 	Drain func() bool
+
+	// order is the relabeling PartitionProblem applied: vertex i's input
+	// row is Features row order[i] (nil: row i). A relabeled problem is a
+	// view of H⁰, not a copy — the features keep their original order, and
+	// each trainer reads its rows through order.
+	order []int
+}
+
+// features returns H⁰ in the problem's vertex order: Features itself, or
+// for a relabeled problem its rows gathered into a copy. The serial and
+// mesh trainers call it once per Train; the block-row trainer, the one a
+// partitioner applies to, gathers only its own rows (rowRank.setup).
+func (p Problem) features() *dense.Matrix {
+	if p.order == nil {
+		return p.Features
+	}
+	return dense.GatherRows(p.Features, p.order)
 }
 
 // normalized returns p with the documented mask contract applied: a

@@ -134,7 +134,7 @@ func (p *packPool[T]) get(n int) []T {
 			return buf[:n]
 		}
 	}
-	return make([]T, n, capClass(n))
+	return make([]T, n, CapClass(n))
 }
 
 func (p *packPool[T]) put(buf []T) {

@@ -1,5 +1,7 @@
 package dense
 
+import "math/bits"
+
 // WorkspaceOf is a per-rank arena of reusable matrix buffers for the
 // steady-state training loop, generic over the element type so the
 // float32 mixed-precision path gets the same 0-alloc guarantees as the
@@ -9,10 +11,12 @@ package dense
 // free lists, Get/Wrap/Reset perform zero heap allocations, so an epoch
 // that draws all its temporaries from the workspace runs allocation-free.
 //
-// Buffers are keyed by capacity class (next power of two of the element
-// count), so shape changes across checkouts — layers of different widths —
-// reuse the same backing arrays instead of growing a free list per exact
-// shape.
+// Buffers are keyed by capacity class (CapClass of the element count:
+// eight classes per octave), so shapes that differ by a few elements —
+// layers of different widths, row blocks of different heights — reuse the
+// same backing arrays instead of growing a free list per exact shape, and
+// no buffer above 16 elements is more than 1/8 larger than the largest
+// checkout it served.
 //
 // A workspace is owned by a single goroutine (one simulated rank); it is
 // not safe for concurrent use. All methods are nil-safe: a nil workspace
@@ -23,6 +27,7 @@ type WorkspaceOf[T Elem] struct {
 	used    []*Of[T]         // checked out by Get this epoch
 	hdrFree []*Of[T]         // idle headers for Wrap (no owned data)
 	wrapped []*Of[T]         // checked out by Wrap this epoch
+	minCols int              // see Widen
 }
 
 // Workspace is the float64 arena used by the default training path.
@@ -36,14 +41,33 @@ func NewWorkspaceOf[T Elem]() *WorkspaceOf[T] {
 	return &WorkspaceOf[T]{free: make(map[int][]*Of[T])}
 }
 
-// capClass returns the capacity class for n elements: the smallest power of
-// two ≥ n.
-func capClass(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
+// CapClass returns the capacity class of an n-element buffer: the smallest
+// power of two ≥ n up to 16, and above that the smallest multiple of
+// 2^(e-3) ≥ n, where 2^e < n ≤ 2^(e+1) — eight classes per octave, so a
+// class is never more than 1/8 above the request and a power of two is its
+// own class. Every arena of the repo (Workspace, the MulT pack pool, the
+// fabric's buffer pools) keys its free lists by it.
+func CapClass(n int) int {
+	if n <= 16 {
+		c := 1
+		for c < n {
+			c <<= 1
+		}
+		return c
 	}
-	return c
+	step := 1 << (bits.Len(uint(n-1)) - 4)
+	return (n + step - 1) &^ (step - 1)
+}
+
+// Widen makes every checkout narrower than c columns draw the buffer a
+// c-column checkout of the same rows would, until Widen(0). A product run
+// in column panels of width c calls it around its ragged last panel, so
+// that panel reuses the full panels' buffers instead of adding its own
+// class of every one of them.
+func (w *WorkspaceOf[T]) Widen(c int) {
+	if w != nil {
+		w.minCols = c
+	}
 }
 
 // Get checks out a zeroed r-by-c matrix, exactly like New but drawing the
@@ -72,7 +96,7 @@ func (w *WorkspaceOf[T]) GetUninit(r, c int) *Of[T] {
 		return NewOf[T](r, c)
 	}
 	n := r * c
-	k := capClass(n)
+	k := CapClass(r * max(c, w.minCols))
 	list := w.free[k]
 	if len(list) == 0 {
 		m := &Of[T]{Rows: r, Cols: c, Data: make([]T, n, k)}
@@ -137,7 +161,7 @@ func (w *WorkspaceOf[T]) Reset() {
 		return
 	}
 	for i, m := range w.used {
-		k := capClass(cap(m.Data))
+		k := CapClass(cap(m.Data))
 		w.free[k] = append(w.free[k], m)
 		w.used[i] = nil
 	}

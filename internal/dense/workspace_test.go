@@ -37,9 +37,57 @@ func TestWorkspaceReusesAcrossShapes(t *testing.T) {
 		t.Fatalf("reused buffer has wrong shape %dx%d", b.Rows, b.Cols)
 	}
 	ws.Reset()
-	c := ws.Get(5, 10) // 50 elements, class 64: reuse again
-	if &a.Data[0] != &c.Data[0] || len(c.Data) != 50 {
+	c := ws.Get(7, 9) // 63 elements, class 64: reuse again
+	if &a.Data[0] != &c.Data[0] || len(c.Data) != 63 {
 		t.Fatalf("smaller same-class shape should reuse the array resliced")
+	}
+}
+
+// TestCapClass: a class holds its request, is its own class, is at most
+// 1/8 above the request past 16 elements, and never shrinks as the
+// request grows; up to 16 the classes are the powers of two.
+func TestCapClass(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{
+		{0, 1}, {1, 1}, {3, 4}, {9, 16}, {16, 16}, {17, 18}, {31, 32}, {32, 32},
+		{33, 36}, {50, 52}, {63, 64}, {64, 64}, {65, 72},
+		{4095 * 32, 131072}, {4097 * 32, 147456}, {1 << 20, 1 << 20},
+	} {
+		if got := CapClass(tc.n); got != tc.want {
+			t.Errorf("CapClass(%d) = %d, want %d", tc.n, got, tc.want)
+		}
+	}
+	prev := 0
+	for n := 1; n <= 1<<14; n++ {
+		c := CapClass(n)
+		switch {
+		case c < n:
+			t.Fatalf("CapClass(%d) = %d holds fewer than %d", n, c, n)
+		case CapClass(c) != c:
+			t.Fatalf("CapClass(%d) = %d, but CapClass(%d) = %d", n, c, c, CapClass(c))
+		case n > 16 && 8*c > 9*n:
+			t.Fatalf("CapClass(%d) = %d is more than 1/8 above the request", n, c)
+		case c < prev:
+			t.Fatalf("CapClass(%d) = %d, below CapClass(%d) = %d", n, c, n-1, prev)
+		}
+		prev = c
+	}
+}
+
+// TestWorkspaceWiden: a narrower checkout under Widen reuses the full
+// width's buffer; without it, it draws a class of its own.
+func TestWorkspaceWiden(t *testing.T) {
+	ws := NewWorkspace()
+	a := ws.Get(16, 8) // 128 elements
+	ws.Reset()
+	ws.Widen(8)
+	b := ws.Get(16, 5) // 80 elements, drawn as 16×8
+	ws.Widen(0)
+	if &a.Data[0] != &b.Data[0] || b.Rows != 16 || b.Cols != 5 || len(b.Data) != 80 {
+		t.Fatalf("a widened 16x5 checkout should reuse the 16x8 buffer resliced")
+	}
+	ws.Reset()
+	if c := ws.Get(16, 5); &a.Data[0] == &c.Data[0] || cap(c.Data) != 80 {
+		t.Fatalf("after Widen(0) a 16x5 checkout should draw its own 80-element class, got cap %d", cap(c.Data))
 	}
 }
 
