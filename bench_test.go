@@ -162,6 +162,26 @@ func BenchmarkNormalizedAdjacency(b *testing.B) {
 	}
 }
 
+// datasetSink keeps BenchmarkRandomDataset's results alive.
+var datasetSink *graph.Dataset
+
+// BenchmarkRandomDataset times the synthesis every wall-clock pass starts
+// with — the R-MAT draws, the symmetrised edge list, the features and the
+// labels — on the recipes of two workloads.
+func BenchmarkRandomDataset(b *testing.B) {
+	for _, tc := range []struct {
+		name                                 string
+		edgeFactor, features, hidden, labels int
+	}{{"serial_wide", 32, 256, 64, 32}, {"summa2d_dense", 50, 64, 16, 41}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				datasetSink = RandomDataset(setupScale(13), tc.edgeFactor, tc.features, tc.hidden, tc.labels, 1)
+			}
+		})
+	}
+}
+
 // BenchmarkReorderSym times the relabel of the halo1d_ldg workload: its
 // community graph's operator under the LDG partition's contiguous order.
 func BenchmarkReorderSym(b *testing.B) {

@@ -3,11 +3,15 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/parallel"
 )
 
 // ErdosRenyi generates a directed G(n, p)-style graph with approximately
-// n*n*p edges using geometric skipping, which is O(edges) rather than
-// O(n^2). Self-loops are excluded (the training pipeline adds its own).
+// n*n*p edges by skipping along the n*n cell grid with geometric gaps.
+// geometricSkip walks the geometric CDF one step at a time, so a gap of k
+// cells costs k steps and the whole grid O(n^2) time, whatever the edge
+// count. Self-loops are excluded (the training pipeline adds its own).
 func ErdosRenyi(n int, avgDegree float64, rng *rand.Rand) *Graph {
 	if n <= 0 {
 		panic(fmt.Sprintf("graph: ErdosRenyi needs n > 0, got %d", n))
@@ -70,8 +74,27 @@ type RMATConfig struct {
 // DefaultRMAT is the standard Graph500 parameterization.
 var DefaultRMAT = RMATConfig{A: 0.57, B: 0.19, C: 0.19, Noise: 0.1}
 
+// rmatChunkDraws is the size of one buffer of R-MAT draws, 64 KiB of
+// float64s; rmatBuffers buffers circulate between the producer and the
+// caller, so the draws in flight never grow with the edge count. Four, not
+// two or three: with fewer, one side waits at nearly every handoff, and
+// waking it costs about as much as a chunk's work (RMAT(13, 50) took ≈ 270
+// ms with two, ≈ 200 with three and ≈ 135 with four on a 2-vCPU x86-64 VM,
+// against ≈ 270 on one goroutine).
+const (
+	rmatChunkDraws = 8192
+	rmatBuffers    = 4
+)
+
 // RMAT generates a directed scale-free graph with 2^scale vertices and
 // approximately edgeFactor * 2^scale edges.
+//
+// Each edge takes 4·scale rng.Float64 draws, level by level. A producer
+// goroutine makes the draws, in order, into chunks of whole edges while the
+// caller turns the previous chunk into edges, so the edge list, and the
+// position rng is left at, are those of one goroutine drawing and placing
+// edge by edge. When parallel.Inline reports one worker, the caller fills
+// and consumes each chunk itself.
 func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	if scale < 0 || scale > 30 {
 		panic(fmt.Sprintf("graph: RMAT scale %d out of range [0, 30]", scale))
@@ -80,14 +103,62 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	g := New(n)
 	edges := edgeFactor * n
 	g.Edges = make([][2]int, 0, max(edges, 0))
-	for e := 0; e < edges; e++ {
+	per := 4 * scale
+	if edges <= 0 || per == 0 {
+		// No draws: scale 0 has one vertex, and its every edge is a self-loop.
+		return g
+	}
+	batch := max(1, rmatChunkDraws/per) // edges per chunk
+	fill := func(d []float64) {
+		for i := range d {
+			d[i] = rng.Float64()
+		}
+	}
+	if parallel.Inline(2, int64(edges)*int64(per)) {
+		buf := make([]float64, min(batch, edges)*per)
+		for e := 0; e < edges; e += batch {
+			d := buf[:min(batch, edges-e)*per]
+			fill(d)
+			rmatEdges(g, scale, cfg, d)
+		}
+		return g
+	}
+	// Each channel can hold every buffer, so no send blocks. The producer
+	// returns after its last chunk, and the caller receives every chunk
+	// before it returns, so nothing draws from rng once RMAT has returned.
+	full := make(chan []float64, rmatBuffers)
+	free := make(chan []float64, rmatBuffers)
+	for range rmatBuffers {
+		free <- make([]float64, batch*per)
+	}
+	go func() {
+		for e := 0; e < edges; e += batch {
+			d := (<-free)[:min(batch, edges-e)*per]
+			fill(d)
+			full <- d
+		}
+	}()
+	for e := 0; e < edges; e += batch {
+		d := <-full
+		rmatEdges(g, scale, cfg, d)
+		free <- d
+	}
+	return g
+}
+
+// rmatEdges places the edges whose draws d holds, 4·scale per edge: at each
+// level the perturbed quadrant weights a, b, c, then the draw that picks
+// the quadrant. A self-loop is dropped.
+func rmatEdges(g *Graph, scale int, cfg RMATConfig, d []float64) {
+	for ; len(d) > 0; d = d[4*scale:] {
 		u, v := 0, 0
 		for level := 0; level < scale; level++ {
-			a := cfg.A * (1 + cfg.Noise*(rng.Float64()-0.5))
-			b := cfg.B * (1 + cfg.Noise*(rng.Float64()-0.5))
-			c := cfg.C * (1 + cfg.Noise*(rng.Float64()-0.5))
+			x := d[4*level : 4*level+4]
+			a := cfg.A * (1 + cfg.Noise*(x[0]-0.5))
+			b := cfg.B * (1 + cfg.Noise*(x[1]-0.5))
+			c := cfg.C * (1 + cfg.Noise*(x[2]-0.5))
 			sum := a + b + c + (1 - cfg.A - cfg.B - cfg.C)
-			r := rng.Float64() * sum
+			r := x[3] * sum
 			half := 1 << uint(scale-level-1)
 			switch {
 			case r < a:
@@ -105,7 +176,6 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 			g.AddEdge(u, v)
 		}
 	}
-	return g
 }
 
 // Ring returns the undirected cycle over n vertices — a convenient

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -61,140 +62,207 @@ func (g *Graph) Adjacency() *sparse.CSR {
 }
 
 // NormalizedAdjacency returns D^{-1/2}(A+I)D^{-1/2}, the matrix the paper
-// trains with, built straight from the edge list: A + I comes out of one
-// counting sort at its final size, and is scaled in place. Its bits are
-// sparse.NormalizeSymmetric(Adjacency())'s: every entry of A + I is 1 but
-// the diagonal of a vertex with a self-loop, 2, so each row sum is an exact
-// integer and each entry is scaled by the same product.
+// trains with, built straight from the edge list: A + I comes out of the
+// counting sort at its final size, and each entry is scaled as it is
+// written. Its bits are sparse.NormalizeSymmetric(Adjacency())'s: every
+// entry of A + I is 1 but the diagonal of a vertex with a self-loop, 2, so
+// each row sum is an exact integer and each entry is scaled by the same
+// product.
 func (g *Graph) NormalizedAdjacency() *sparse.CSR {
-	ai := g.adjacency(true)
-	dinv := make([]float64, ai.Rows)
-	for i := range dinv {
-		var s float64
-		for _, v := range ai.Val[ai.RowPtr[i]:ai.RowPtr[i+1]] {
-			s += v
-		}
-		dinv[i] = 1 / math.Sqrt(s)
-	}
-	for i := range dinv {
-		for k := ai.RowPtr[i]; k < ai.RowPtr[i+1]; k++ {
-			ai.Val[k] *= dinv[i] * dinv[ai.ColIdx[k]]
-		}
-	}
-	return ai
+	return g.adjacency(true)
 }
 
-// adjacency builds the unit adjacency matrix A, or A + I with identity, in
-// O(edges + vertices) by a stable two-pass counting sort with no coordinate
-// list: the edges' sources are bucketed by column, then scattered into
-// their rows column by column, so every row's columns ascend. With identity
-// each row reserves one more slot, which its own column's turn fills before
-// the row's self-loops. Each row is then deduplicated in place: repeated
-// edges collapse to one unit entry, and a self-loop adds to the diagonal
-// the identity put there.
-func (g *Graph) adjacency(identity bool) *sparse.CSR {
-	n := g.NumVertices
-	for _, e := range g.Edges {
-		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", e[0], e[1], n))
+// adjChunk is the most edges one chunk of the parallel build holds (or the
+// vertex count, if larger). A graph of no more edges than that is built on
+// the calling goroutine.
+const adjChunk = 1 << 16
+
+// adjacency builds the unit adjacency matrix A, or with normalized
+// D^{-1/2}(A+I)D^{-1/2}, in O(edges + vertices) by a stable two-pass
+// counting sort with no coordinate list: the edges' sources are bucketed
+// by column, then scattered into their rows column by column, so every
+// row's columns ascend. With normalized each row reserves one more slot,
+// which its own column's turn fills before the row's self-loops. Each row
+// is then deduplicated in place: repeated edges collapse to one unit entry,
+// and a self-loop adds to the diagonal the identity put there.
+//
+// The passes run on the kernel pool over K = ⌈E / max(adjChunk, n)⌉ equal
+// chunks of the E edges (so the K per-chunk histograms of n counters cost
+// no more than the edges do): the histograms and the bucket pass over
+// chunks of the edge list, the row scatter over K column ranges holding
+// about E/K entries each, the deduplication and the writes over K row
+// ranges cut the same way. Chunk c's entries precede chunk c+1's in every
+// bucket, as in the serial loop, and no boundary depends on the worker
+// count, so the matrix is the same bits at every worker count.
+func (g *Graph) adjacency(normalized bool) *sparse.CSR {
+	n, edges := g.NumVertices, g.Edges
+	if int64(len(edges))+int64(n) >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges over %d vertices overflow the builder's int32 indices", len(edges), n))
+	}
+	size := max(adjChunk, n)
+	k := max(1, (len(edges)+size-1)/size)
+	work := int64(len(edges)) + int64(n)
+	start := func(c int) int { return int(int64(c) * int64(len(edges)) / int64(k)) }
+
+	// Pass 1, by column: each chunk's column histogram, and the first edge
+	// out of range, if any (the serial loop's panic, whatever the worker
+	// count).
+	hist := make([]int32, k*n)
+	bad := make([]int, k)
+	parallel.Rows(k, work, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			h := hist[c*n : (c+1)*n]
+			bad[c] = -1
+			for x, e := range edges[start(c):start(c+1)] {
+				if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
+					bad[c] = start(c) + x
+					break
+				}
+				h[e[1]]++
+			}
+		}
+	})
+	for _, x := range bad {
+		if x >= 0 {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", edges[x][0], edges[x][1], n))
 		}
 	}
-	extra := 0
-	if identity {
-		extra = 1
-	}
-	// Pass 1, by column: the sources of column j's edges, in input order.
-	colPtr := make([]int, n+1)
-	for _, e := range g.Edges {
-		colPtr[e[1]+1]++
-	}
+	// colPtr[j] starts column j; hist[c][j] becomes where chunk c's sources
+	// of column j go.
+	colPtr := make([]int32, n+1)
+	var at int32
 	for j := 0; j < n; j++ {
-		colPtr[j+1] += colPtr[j]
+		colPtr[j] = at
+		for c := 0; c < k; c++ {
+			at, hist[c*n+j] = at+hist[c*n+j], at
+		}
 	}
-	src := make([]int, len(g.Edges))
-	next := append([]int(nil), colPtr[:n]...)
-	for _, e := range g.Edges {
-		src[next[e[1]]] = e[0]
-		next[e[1]]++
-	}
-	// Pass 2, by row, columns ascending.
-	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, len(g.Edges)+extra*n)}
-	for _, e := range g.Edges {
-		a.RowPtr[e[0]+1]++
-	}
+	colPtr[n] = at
+	src := make([]int32, len(edges))
+	parallel.Rows(k, work, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			h := hist[c*n : (c+1)*n]
+			for _, e := range edges[start(c):start(c+1)] {
+				src[h[e[1]]] = int32(e[0])
+				h[e[1]]++
+			}
+		}
+	})
+
+	// Pass 2, by row, columns ascending: hist[b][i] counts, then places,
+	// row i's entries from column range b.
+	colAt := bounds(colPtr, k)
+	parallel.Rows(k, work, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			h := hist[b*n : (b+1)*n]
+			clear(h)
+			for j := colAt[b]; j < colAt[b+1]; j++ {
+				if normalized {
+					h[j]++
+				}
+				for _, i := range src[colPtr[j]:colPtr[j+1]] {
+					h[i]++
+				}
+			}
+		}
+	})
+	rowAt := make([]int32, n+1)
+	at = 0
 	for i := 0; i < n; i++ {
-		a.RowPtr[i+1] += a.RowPtr[i] + extra
-	}
-	copy(next, a.RowPtr[:n])
-	for j := 0; j < n; j++ {
-		if identity {
-			a.ColIdx[next[j]] = j
-			next[j]++
-		}
-		for _, i := range src[colPtr[j]:colPtr[j+1]] {
-			a.ColIdx[next[i]] = j
-			next[i]++
+		rowAt[i] = at
+		for b := 0; b < k; b++ {
+			at, hist[b*n+i] = at+hist[b*n+i], at
 		}
 	}
-	// Deduplicate each row in place; with the identity, a repeated diagonal
-	// is a self-loop.
+	rowAt[n] = at
+	cols := make([]int32, at)
+	parallel.Rows(k, work, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			h := hist[b*n : (b+1)*n]
+			for j := colAt[b]; j < colAt[b+1]; j++ {
+				if normalized {
+					cols[h[j]] = int32(j)
+					h[j]++
+				}
+				for _, i := range src[colPtr[j]:colPtr[j+1]] {
+					cols[h[i]] = int32(j)
+					h[i]++
+				}
+			}
+		}
+	})
+
+	// Deduplicate each row in place, over K row ranges of about E/K
+	// entries; with the identity, a repeated diagonal is a self-loop, and
+	// the row sum (the distinct entries, plus one for the loop) gives D.
+	rows := bounds(rowAt, k)
+	distinct := make([]int32, n)
 	loop := make([]bool, n)
-	nnz := 0
-	for i := 0; i < n; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		a.RowPtr[i] = nnz
-		for k := lo; k < hi; k++ {
-			j := a.ColIdx[k]
-			if nnz > a.RowPtr[i] && a.ColIdx[nnz-1] == j {
-				loop[i] = loop[i] || j == i
-				continue
-			}
-			a.ColIdx[nnz] = j
-			nnz++
-		}
+	var dinv []float64
+	if normalized {
+		dinv = make([]float64, n)
 	}
-	a.RowPtr[n] = nnz
-	a.ColIdx = a.ColIdx[:nnz]
-	a.Val = make([]float64, nnz)
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			a.Val[k] = 1
-			if identity && loop[i] && a.ColIdx[k] == i {
-				a.Val[k] = 2
+	parallel.Rows(k, work, func(lo, hi int) {
+		for i := rows[lo]; i < rows[hi]; i++ {
+			r := cols[rowAt[i]:rowAt[i+1]]
+			w := 0
+			for _, j := range r {
+				if w > 0 && r[w-1] == j {
+					loop[i] = loop[i] || int(j) == i
+					continue
+				}
+				r[w] = j
+				w++
+			}
+			distinct[i] = int32(w)
+			if normalized {
+				s := float64(w)
+				if loop[i] {
+					s++
+				}
+				dinv[i] = 1 / math.Sqrt(s)
 			}
 		}
+	})
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		a.RowPtr[i+1] = a.RowPtr[i] + int(distinct[i])
 	}
+	a.ColIdx = make([]int, a.RowPtr[n])
+	a.Val = make([]float64, a.RowPtr[n])
+	parallel.Rows(k, work, func(lo, hi int) {
+		for i := rows[lo]; i < rows[hi]; i++ {
+			base := a.RowPtr[i]
+			for x, j := range cols[rowAt[i] : rowAt[i]+distinct[i]] {
+				a.ColIdx[base+x] = int(j)
+				v := 1.0
+				if normalized {
+					v = dinv[i] * dinv[j]
+					if loop[i] && int(j) == i {
+						v *= 2
+					}
+				}
+				a.Val[base+x] = v
+			}
+		}
+	})
 	return a
 }
 
-// DegreeStats summarizes the degree distribution of a graph or matrix.
-type DegreeStats struct {
-	MinDegree int
-	MaxDegree int
-	AvgDegree float64
-	// EmptyRows counts vertices with no out-edges, the paper's
-	// hypersparsity indicator for partitioned blocks.
-	EmptyRows int
-}
-
-// Stats computes out-degree statistics from the adjacency matrix.
-func Stats(a *sparse.CSR) DegreeStats {
-	s := DegreeStats{MinDegree: int(^uint(0) >> 1)}
-	for i := 0; i < a.Rows; i++ {
-		d := a.RowNNZ(i)
-		if d < s.MinDegree {
-			s.MinDegree = d
+// bounds splits the n slots that ptr (length n+1, nondecreasing, from 0)
+// points into into k ranges of about ptr[n]/k entries: range b starts at
+// the first slot whose offset is at least b·ptr[n]/k, and the last ends at
+// n.
+func bounds(ptr []int32, k int) []int {
+	n, total := len(ptr)-1, int(ptr[len(ptr)-1])
+	at := make([]int, k+1)
+	i := 0
+	for b := 1; b < k; b++ {
+		for i < n && int64(ptr[i]) < int64(b)*int64(total)/int64(k) {
+			i++
 		}
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-		if d == 0 {
-			s.EmptyRows++
-		}
+		at[b] = i
 	}
-	if a.Rows == 0 {
-		s.MinDegree = 0
-	}
-	s.AvgDegree = a.AvgDegree()
-	return s
+	at[k] = n
+	return at
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"testing"
@@ -240,6 +241,38 @@ func TestLDGCoversAndBalances(t *testing.T) {
 	}
 	if imb := a.Imbalance(); imb > 1.3 {
 		t.Fatalf("LDG imbalance = %v", imb)
+	}
+}
+
+// TestStreamingAssignmentsPinned pins LDG's and GreedyBFS's assignments
+// and cuts on a community graph with repeated edges: both walk each
+// vertex's out-neighbours in edge order, a repeated edge counted again, so
+// a neighbour list built any other way moves them. The values predate the
+// lists' single counting sort.
+func TestStreamingAssignmentsPinned(t *testing.T) {
+	g := graph.CommunityRMAT(8, 5, 6, 2, rand.New(rand.NewSource(3)))
+	for _, e := range g.Edges[:200] {
+		g.AddEdge(e[0], e[1])
+	}
+	for _, tc := range []struct {
+		name             string
+		assign           func(*graph.Graph, int, *rand.Rand) Assignment
+		digest           uint64
+		totalCut, maxCut int
+	}{
+		{"LDG", LDG, 0xb2d3ae447ac6a845, 1320, 367},
+		{"GreedyBFS", GreedyBFS, 0x73935e9490f1250d, 1964, 564},
+	} {
+		a := tc.assign(g, 4, rand.New(rand.NewSource(5)))
+		h := fnv.New64a()
+		for _, p := range a.Parts {
+			h.Write([]byte{byte(p)})
+		}
+		s := Edgecut(g, a)
+		if h.Sum64() != tc.digest || s.TotalCut != tc.totalCut || s.MaxCut != tc.maxCut {
+			t.Errorf("%s: digest %#x, cut %d total / %d max; want %#x, %d / %d",
+				tc.name, h.Sum64(), s.TotalCut, s.MaxCut, tc.digest, tc.totalCut, tc.maxCut)
+		}
 	}
 }
 

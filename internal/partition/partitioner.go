@@ -158,11 +158,11 @@ func GreedyBFS(g *graph.Graph, p int, rng *rand.Rand) Assignment {
 			for len(queue) > 0 && filled < budget {
 				v := queue[0]
 				queue = queue[1:]
-				for _, u := range adj[v] {
+				for _, u := range adj.of(v) {
 					if parts[u] == -1 {
 						parts[u] = part
 						filled++
-						queue = append(queue, u)
+						queue = append(queue, int(u))
 						if filled >= budget {
 							break
 						}
@@ -211,7 +211,7 @@ func LDG(g *graph.Graph, p int, rng *rand.Rand) Assignment {
 		for i := range neighborCount {
 			neighborCount[i] = 0
 		}
-		for _, u := range adj[v] {
+		for _, u := range adj.of(v) {
 			if parts[u] >= 0 {
 				neighborCount[parts[u]]++
 			}
@@ -232,12 +232,30 @@ func LDG(g *graph.Graph, p int, rng *rand.Rand) Assignment {
 	return Assignment{Parts: parts, P: p}
 }
 
-func buildAdj(g *graph.Graph) [][]int {
-	adj := make([][]int, g.NumVertices)
+// adjacencyLists is every vertex's out-neighbours in one array: v's are
+// nbr[off[v]:off[v+1]], in edge order, a repeated edge repeated.
+type adjacencyLists struct {
+	off, nbr []int32
+}
+
+// of returns v's out-neighbours.
+func (a adjacencyLists) of(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
+
+// buildAdj buckets the edge list by source with one stable counting sort.
+func buildAdj(g *graph.Graph) adjacencyLists {
+	a := adjacencyLists{off: make([]int32, g.NumVertices+1), nbr: make([]int32, len(g.Edges))}
 	for _, e := range g.Edges {
-		adj[e[0]] = append(adj[e[0]], e[1])
+		a.off[e[0]+1]++
 	}
-	return adj
+	for v := 0; v < g.NumVertices; v++ {
+		a.off[v+1] += a.off[v]
+	}
+	next := append([]int32(nil), a.off[:g.NumVertices]...)
+	for _, e := range g.Edges {
+		a.nbr[next[e[0]]] = int32(e[1])
+		next[e[0]]++
+	}
+	return a
 }
 
 // EdgecutStats reports the communication metrics of §IV-A for a vertex
