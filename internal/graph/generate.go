@@ -74,7 +74,7 @@ type RMATConfig struct {
 // DefaultRMAT is the standard Graph500 parameterization.
 var DefaultRMAT = RMATConfig{A: 0.57, B: 0.19, C: 0.19, Noise: 0.1}
 
-// rmatChunkDraws is the size of one buffer of R-MAT draws, 64 KiB of
+// rmatChunkDraws is the most R-MAT draws one buffer holds, 64 KiB of
 // float64s; rmatBuffers buffers circulate between the producer and the
 // caller, so the draws in flight never grow with the edge count. Four, not
 // two or three: with fewer, one side waits at nearly every handoff, and
@@ -87,14 +87,7 @@ const (
 )
 
 // RMAT generates a directed scale-free graph with 2^scale vertices and
-// approximately edgeFactor * 2^scale edges.
-//
-// Each edge takes 4·scale rng.Float64 draws, level by level. A producer
-// goroutine makes the draws, in order, into chunks of whole edges while the
-// caller turns the previous chunk into edges, so the edge list, and the
-// position rng is left at, are those of one goroutine drawing and placing
-// edge by edge. When parallel.Inline reports one worker, the caller fills
-// and consumes each chunk itself.
+// approximately edgeFactor * 2^scale edges, drawn as rmat draws them.
 func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	if scale < 0 || scale > 30 {
 		panic(fmt.Sprintf("graph: RMAT scale %d out of range [0, 30]", scale))
@@ -103,29 +96,43 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	g := New(n)
 	edges := edgeFactor * n
 	g.Edges = make([][2]int, 0, max(edges, 0))
+	rmat(scale, edges, cfg, rng, func(_, u, v int) { g.AddEdge(u, v) })
+	return g
+}
+
+// rmat draws edges R-MAT edges over 2^scale vertices and calls place(e, u,
+// v) for each but a self-loop, in order, e counting every edge drawn.
+//
+// Each edge takes 4·scale rng.Float64 draws, level by level. A producer
+// goroutine makes the draws, in order, into chunks of whole edges while the
+// caller turns the previous chunk into edges, so the edges, and the
+// position rng is left at, are those of one goroutine drawing and placing
+// edge by edge. When parallel.Inline reports one worker, the caller fills
+// and consumes each chunk itself.
+func rmat(scale, edges int, cfg RMATConfig, rng *rand.Rand, place func(e, u, v int)) {
 	per := 4 * scale
 	if edges <= 0 || per == 0 {
 		// No draws: scale 0 has one vertex, and its every edge is a self-loop.
-		return g
+		return
 	}
-	batch := max(1, rmatChunkDraws/per) // edges per chunk
+	batch := min(max(1, rmatChunkDraws/per), edges) // edges per chunk
 	fill := func(d []float64) {
 		for i := range d {
 			d[i] = rng.Float64()
 		}
 	}
 	if parallel.Inline(2, int64(edges)*int64(per)) {
-		buf := make([]float64, min(batch, edges)*per)
+		buf := make([]float64, batch*per)
 		for e := 0; e < edges; e += batch {
 			d := buf[:min(batch, edges-e)*per]
 			fill(d)
-			rmatEdges(g, scale, cfg, d)
+			rmatEdges(scale, cfg, e, d, place)
 		}
-		return g
+		return
 	}
 	// Each channel can hold every buffer, so no send blocks. The producer
 	// returns after its last chunk, and the caller receives every chunk
-	// before it returns, so nothing draws from rng once RMAT has returned.
+	// before it returns, so nothing draws from rng once rmat has returned.
 	full := make(chan []float64, rmatBuffers)
 	free := make(chan []float64, rmatBuffers)
 	for range rmatBuffers {
@@ -140,17 +147,16 @@ func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
 	}()
 	for e := 0; e < edges; e += batch {
 		d := <-full
-		rmatEdges(g, scale, cfg, d)
+		rmatEdges(scale, cfg, e, d, place)
 		free <- d
 	}
-	return g
 }
 
-// rmatEdges places the edges whose draws d holds, 4·scale per edge: at each
-// level the perturbed quadrant weights a, b, c, then the draw that picks
-// the quadrant. A self-loop is dropped.
-func rmatEdges(g *Graph, scale int, cfg RMATConfig, d []float64) {
-	for ; len(d) > 0; d = d[4*scale:] {
+// rmatEdges places the edges whose draws d holds, 4·scale per edge, the
+// first of them edge e: at each level the perturbed quadrant weights a, b,
+// c, then the draw that picks the quadrant. A self-loop is dropped.
+func rmatEdges(scale int, cfg RMATConfig, e int, d []float64, place func(e, u, v int)) {
+	for ; len(d) > 0; d, e = d[4*scale:], e+1 {
 		u, v := 0, 0
 		for level := 0; level < scale; level++ {
 			x := d[4*level : 4*level+4]
@@ -173,7 +179,7 @@ func rmatEdges(g *Graph, scale int, cfg RMATConfig, d []float64) {
 			}
 		}
 		if u != v {
-			g.AddEdge(u, v)
+			place(e, u, v)
 		}
 	}
 }
@@ -200,13 +206,13 @@ func CommunityRMAT(k, scalePer, localFactor, globalFactor int, rng *rand.Rand) *
 	g := New(n)
 	// Every local and cross-community edge is stored in both directions.
 	g.Edges = make([][2]int, 0, max(2*n*(localFactor+globalFactor), 0))
-	for c := 0; c < k; c++ {
-		local := RMAT(scalePer, localFactor, DefaultRMAT, rng)
-		base := c * per
-		for _, e := range local.Edges {
-			g.AddUndirectedEdge(base+e[0], base+e[1])
-		}
-	}
+	// The k R-MATs draw one after another, so they are one stream of draws:
+	// edge e is community e/local's.
+	local := localFactor * per
+	rmat(scalePer, k*local, DefaultRMAT, rng, func(e, u, v int) {
+		base := e / local * per
+		g.AddUndirectedEdge(base+u, base+v)
+	})
 	for i := 0; i < n*globalFactor; i++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {

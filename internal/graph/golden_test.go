@@ -121,13 +121,45 @@ func rmatOneGoroutine(scale, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Gr
 	return g
 }
 
+// communityOneGoroutine is CommunityRMAT as one goroutine draws it, one
+// community's R-MAT after another, then the cross-community edges.
+func communityOneGoroutine(k, scalePer, localFactor, globalFactor int, rng *rand.Rand) *Graph {
+	per := 1 << uint(scalePer)
+	n := k * per
+	g := New(n)
+	for c := 0; c < k; c++ {
+		for _, e := range rmatOneGoroutine(scalePer, localFactor, DefaultRMAT, rng).Edges {
+			g.AddUndirectedEdge(c*per+e[0], c*per+e[1])
+		}
+	}
+	for i := 0; i < n*globalFactor; i++ {
+		if u, v := rng.Intn(n), rng.Intn(n); u != v {
+			g.AddUndirectedEdge(u, v)
+		}
+	}
+	return g
+}
+
 // TestRMATMatchesOneGoroutine: at every worker count, RMAT's edge list and
 // the RNG's next Int63 are the one-goroutine definition's: at scale 0 and
 // at edge factor 0 (no draws at all), at scale 1 (four draws an edge), with
 // fewer edges than one chunk holds, and with edge counts that are not a
-// multiple of the chunk's and run on the producer at two workers.
+// multiple of the chunk's and run on the producer at two workers. So are
+// CommunityRMAT's, whose communities' draws are one stream, on the
+// producer and inline.
 func TestRMATMatchesOneGoroutine(t *testing.T) {
 	atWorkerCounts(t, func(workers int) {
+		for _, tc := range [][4]int{{8, 6, 10, 1}, {3, 2, 5, 2}, {4, 0, 3, 1}, {2, 4, 0, 1}} {
+			name := fmt.Sprintf("CommunityRMAT%v at %d workers", tc, workers)
+			wantRNG, gotRNG := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+			want, got := communityOneGoroutine(tc[0], tc[1], tc[2], tc[3], wantRNG), CommunityRMAT(tc[0], tc[1], tc[2], tc[3], gotRNG)
+			if len(got.Edges) != len(want.Edges) || digest(got) != digest(want) {
+				t.Fatalf("%s: %d edges, digest %#x; want %d, %#x", name, len(got.Edges), digest(got), len(want.Edges), digest(want))
+			}
+			if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+				t.Fatalf("%s: next Int63 %#x, want %#x", name, g, w)
+			}
+		}
 		for _, tc := range [][2]int{{0, 5}, {3, 0}, {1, 4}, {5, 3}, {10, 7}, {12, 9}} {
 			scale, ef := tc[0], tc[1]
 			name := fmt.Sprintf("RMAT(%d, %d) at %d workers", scale, ef, workers)
@@ -141,30 +173,4 @@ func TestRMATMatchesOneGoroutine(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestAdjacencyAllocsIndependentOfChunks: the builder makes as many
-// allocations over three chunks of edges as over five — its scratch is one
-// slab per kind, however many chunks there are. It runs on one worker: on
-// the pool each pass also pays the dispatch's allocations, and a caller
-// that blocks there can allocate the runtime's wait records after a
-// garbage collection, so the count moves by one under load.
-func TestAdjacencyAllocsIndependentOfChunks(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	graphOf := func(edges int) *Graph {
-		g := New(5000)
-		for range edges {
-			g.AddEdge(rng.Intn(5000), rng.Intn(5000))
-		}
-		return g
-	}
-	three, five := graphOf(3*adjChunk-100), graphOf(5*adjChunk-100)
-	prev := parallel.Workers()
-	t.Cleanup(func() { parallel.SetWorkers(prev) })
-	parallel.SetWorkers(1)
-	a := testing.AllocsPerRun(2, func() { three.NormalizedAdjacency() })
-	b := testing.AllocsPerRun(2, func() { five.NormalizedAdjacency() })
-	if a != b {
-		t.Errorf("%v allocations over three chunks, %v over five", a, b)
-	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/parallel"
 	"repro/internal/sparse"
 )
 
@@ -72,11 +71,6 @@ func (g *Graph) NormalizedAdjacency() *sparse.CSR {
 	return g.adjacency(true)
 }
 
-// adjChunk is the most edges one chunk of the parallel build holds (or the
-// vertex count, if larger). A graph of no more edges than that is built on
-// the calling goroutine.
-const adjChunk = 1 << 16
-
 // adjacency builds the unit adjacency matrix A, or with normalized
 // D^{-1/2}(A+I)D^{-1/2}, in O(edges + vertices) by a stable two-pass
 // counting sort with no coordinate list: the edges' sources are bucketed
@@ -84,185 +78,98 @@ const adjChunk = 1 << 16
 // row's columns ascend. With normalized each row reserves one more slot,
 // which its own column's turn fills before the row's self-loops. Each row
 // is then deduplicated in place: repeated edges collapse to one unit entry,
-// and a self-loop adds to the diagonal the identity put there.
-//
-// The passes run on the kernel pool over K = ⌈E / max(adjChunk, n)⌉ equal
-// chunks of the E edges (so the K per-chunk histograms of n counters cost
-// no more than the edges do): the histograms and the bucket pass over
-// chunks of the edge list, the row scatter over K column ranges holding
-// about E/K entries each, the deduplication and the writes over K row
-// ranges cut the same way. Chunk c's entries precede chunk c+1's in every
-// bucket, as in the serial loop, and no boundary depends on the worker
-// count, so the matrix is the same bits at every worker count.
+// and a self-loop adds to the diagonal the identity put there. The scratch
+// is int32, half the memory traffic of int.
 func (g *Graph) adjacency(normalized bool) *sparse.CSR {
 	n, edges := g.NumVertices, g.Edges
 	if int64(len(edges))+int64(n) >= math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d edges over %d vertices overflow the builder's int32 indices", len(edges), n))
 	}
-	size := max(adjChunk, n)
-	k := max(1, (len(edges)+size-1)/size)
-	work := int64(len(edges)) + int64(n)
-	start := func(c int) int { return int(int64(c) * int64(len(edges)) / int64(k)) }
-
-	// Pass 1, by column: each chunk's column histogram, and the first edge
-	// out of range, if any (the serial loop's panic, whatever the worker
-	// count).
-	hist := make([]int32, k*n)
-	bad := make([]int, k)
-	parallel.Rows(k, work, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			h := hist[c*n : (c+1)*n]
-			bad[c] = -1
-			for x, e := range edges[start(c):start(c+1)] {
-				if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
-					bad[c] = start(c) + x
-					break
-				}
-				h[e[1]]++
-			}
-		}
-	})
-	for _, x := range bad {
-		if x >= 0 {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", edges[x][0], edges[x][1], n))
-		}
-	}
-	// colPtr[j] starts column j; hist[c][j] becomes where chunk c's sources
-	// of column j go.
+	// Pass 1, by column: the sources of column j's edges, in input order.
 	colPtr := make([]int32, n+1)
-	var at int32
-	for j := 0; j < n; j++ {
-		colPtr[j] = at
-		for c := 0; c < k; c++ {
-			at, hist[c*n+j] = at+hist[c*n+j], at
-		}
-	}
-	colPtr[n] = at
-	src := make([]int32, len(edges))
-	parallel.Rows(k, work, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			h := hist[c*n : (c+1)*n]
-			for _, e := range edges[start(c):start(c+1)] {
-				src[h[e[1]]] = int32(e[0])
-				h[e[1]]++
-			}
-		}
-	})
-
-	// Pass 2, by row, columns ascending: hist[b][i] counts, then places,
-	// row i's entries from column range b.
-	colAt := bounds(colPtr, k)
-	parallel.Rows(k, work, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			h := hist[b*n : (b+1)*n]
-			clear(h)
-			for j := colAt[b]; j < colAt[b+1]; j++ {
-				if normalized {
-					h[j]++
-				}
-				for _, i := range src[colPtr[j]:colPtr[j+1]] {
-					h[i]++
-				}
-			}
-		}
-	})
 	rowAt := make([]int32, n+1)
-	at = 0
+	for _, e := range edges {
+		if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", e[0], e[1], n))
+		}
+		colPtr[e[1]+1]++
+		rowAt[e[0]+1]++
+	}
+	for j := 0; j < n; j++ {
+		colPtr[j+1] += colPtr[j]
+	}
+	src := make([]int32, len(edges))
+	next := append([]int32(nil), colPtr[:n]...)
+	for _, e := range edges {
+		src[next[e[1]]] = int32(e[0])
+		next[e[1]]++
+	}
+
+	// Pass 2, by row, columns ascending.
+	var extra int32
+	if normalized {
+		extra = 1
+	}
 	for i := 0; i < n; i++ {
-		rowAt[i] = at
-		for b := 0; b < k; b++ {
-			at, hist[b*n+i] = at+hist[b*n+i], at
+		rowAt[i+1] += rowAt[i] + extra
+	}
+	cols := make([]int32, rowAt[n])
+	copy(next, rowAt[:n])
+	for j := 0; j < n; j++ {
+		if normalized {
+			cols[next[j]] = int32(j)
+			next[j]++
+		}
+		for _, i := range src[colPtr[j]:colPtr[j+1]] {
+			cols[next[i]] = int32(j)
+			next[i]++
 		}
 	}
-	rowAt[n] = at
-	cols := make([]int32, at)
-	parallel.Rows(k, work, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			h := hist[b*n : (b+1)*n]
-			for j := colAt[b]; j < colAt[b+1]; j++ {
-				if normalized {
-					cols[h[j]] = int32(j)
-					h[j]++
-				}
-				for _, i := range src[colPtr[j]:colPtr[j+1]] {
-					cols[h[i]] = int32(j)
-					h[i]++
-				}
-			}
-		}
-	})
 
-	// Deduplicate each row in place, over K row ranges of about E/K
-	// entries; with the identity, a repeated diagonal is a self-loop, and
-	// the row sum (the distinct entries, plus one for the loop) gives D.
-	rows := bounds(rowAt, k)
-	distinct := make([]int32, n)
+	// Deduplicate each row in place; with the identity, a repeated diagonal
+	// is a self-loop, and the row sum (the distinct entries, plus one for
+	// the loop) gives D.
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	loop := make([]bool, n)
 	var dinv []float64
 	if normalized {
 		dinv = make([]float64, n)
 	}
-	parallel.Rows(k, work, func(lo, hi int) {
-		for i := rows[lo]; i < rows[hi]; i++ {
-			r := cols[rowAt[i]:rowAt[i+1]]
-			w := 0
-			for _, j := range r {
-				if w > 0 && r[w-1] == j {
-					loop[i] = loop[i] || int(j) == i
-					continue
-				}
-				r[w] = j
-				w++
-			}
-			distinct[i] = int32(w)
-			if normalized {
-				s := float64(w)
-				if loop[i] {
-					s++
-				}
-				dinv[i] = 1 / math.Sqrt(s)
-			}
-		}
-	})
-	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
-		a.RowPtr[i+1] = a.RowPtr[i] + int(distinct[i])
+		r := cols[rowAt[i]:rowAt[i+1]]
+		w := 0
+		for _, j := range r {
+			if w > 0 && r[w-1] == j {
+				loop[i] = loop[i] || int(j) == i
+				continue
+			}
+			r[w] = j
+			w++
+		}
+		a.RowPtr[i+1] = a.RowPtr[i] + w
+		if normalized {
+			s := float64(w)
+			if loop[i] {
+				s++
+			}
+			dinv[i] = 1 / math.Sqrt(s)
+		}
 	}
 	a.ColIdx = make([]int, a.RowPtr[n])
 	a.Val = make([]float64, a.RowPtr[n])
-	parallel.Rows(k, work, func(lo, hi int) {
-		for i := rows[lo]; i < rows[hi]; i++ {
-			base := a.RowPtr[i]
-			for x, j := range cols[rowAt[i] : rowAt[i]+distinct[i]] {
-				a.ColIdx[base+x] = int(j)
-				v := 1.0
-				if normalized {
-					v = dinv[i] * dinv[j]
-					if loop[i] && int(j) == i {
-						v *= 2
-					}
+	for i := 0; i < n; i++ {
+		base := a.RowPtr[i]
+		for x, j := range cols[rowAt[i] : int(rowAt[i])+a.RowPtr[i+1]-base] {
+			a.ColIdx[base+x] = int(j)
+			v := 1.0
+			if normalized {
+				v = dinv[i] * dinv[j]
+				if loop[i] && int(j) == i {
+					v *= 2
 				}
-				a.Val[base+x] = v
 			}
+			a.Val[base+x] = v
 		}
-	})
-	return a
-}
-
-// bounds splits the n slots that ptr (length n+1, nondecreasing, from 0)
-// points into into k ranges of about ptr[n]/k entries: range b starts at
-// the first slot whose offset is at least b·ptr[n]/k, and the last ends at
-// n.
-func bounds(ptr []int32, k int) []int {
-	n, total := len(ptr)-1, int(ptr[len(ptr)-1])
-	at := make([]int, k+1)
-	i := 0
-	for b := 1; b < k; b++ {
-		for i < n && int64(ptr[i]) < int64(b)*int64(total)/int64(k) {
-			i++
-		}
-		at[b] = i
 	}
-	at[k] = n
-	return at
+	return a
 }

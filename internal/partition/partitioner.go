@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -243,6 +244,9 @@ func (a adjacencyLists) of(v int) []int32 { return a.nbr[a.off[v]:a.off[v+1]] }
 
 // buildAdj buckets the edge list by source with one stable counting sort.
 func buildAdj(g *graph.Graph) adjacencyLists {
+	if int64(len(g.Edges)) >= math.MaxInt32 {
+		panic(fmt.Sprintf("partition: %d edges overflow the neighbour lists' int32 offsets", len(g.Edges)))
+	}
 	a := adjacencyLists{off: make([]int32, g.NumVertices+1), nbr: make([]int32, len(g.Edges))}
 	for _, e := range g.Edges {
 		a.off[e[0]+1]++

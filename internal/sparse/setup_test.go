@@ -295,95 +295,47 @@ func setupGraphs() map[string]*graph.Graph {
 }
 
 // TestOperatorsMatchOracle checks Adjacency, NormalizedAdjacency and
-// ReorderSym bitwise against the oracle composition on every set-up graph,
-// the builders at every worker count.
+// ReorderSym bitwise against the oracle composition on every set-up graph.
 func TestOperatorsMatchOracle(t *testing.T) {
 	for name, g := range setupGraphs() {
 		adj := oracleAdjacency(g)
+		requireSameBits(t, name+"/Adjacency", g.Adjacency(), adj)
 		norm := oracleNormalize(adj)
-		atWorkerCounts(t, func(workers int) {
-			at := fmt.Sprintf("%s at %d workers", name, workers)
-			requireSameBits(t, at+"/Adjacency", g.Adjacency(), adj)
-			requireSameBits(t, at+"/NormalizedAdjacency", g.NormalizedAdjacency(), norm)
-		})
+		requireSameBits(t, name+"/NormalizedAdjacency", g.NormalizedAdjacency(), norm)
 		order := rand.New(rand.NewSource(5)).Perm(g.NumVertices)
 		requireSameBits(t, name+"/ReorderSym(adjacency)", sparse.ReorderSym(adj, order), oracleReorderSym(adj, order))
 		requireSameBits(t, name+"/ReorderSym(normalised)", sparse.ReorderSym(norm, order), oracleReorderSym(norm, order))
 	}
 }
 
-// workerCounts are the pool sizes every builder test runs at: one worker,
-// two, and the machine's.
-var workerCounts = []int{1, 2, runtime.NumCPU()}
-
-// atWorkerCounts runs f with the shared pool at each of workerCounts,
-// restoring the pool size when the test ends.
-func atWorkerCounts(t *testing.T, f func(workers int)) {
+// TestAdjacencyMatchesCOOPath: on 20 R-MAT graphs with repeated edges and
+// self-loops added, Adjacency is bit for bit the coordinate-list path it
+// replaced, and NormalizedAdjacency — built without A or A + I — is
+// NormalizeSymmetric over it. The graphs are drawn, and the matrices
+// built, with the shared pool at one worker, two and the machine's count.
+func TestAdjacencyMatchesCOOPath(t *testing.T) {
 	prev := parallel.Workers()
 	t.Cleanup(func() { parallel.SetWorkers(prev) })
-	for _, w := range workerCounts {
-		parallel.SetWorkers(w)
-		f(w)
-	}
-}
-
-// coordinateGraphs are the graphs TestAdjacencyMatchesCOOPath builds: 20
-// R-MAT graphs with repeated edges and self-loops added, then three with
-// more than max(2^16, n) edges, which the builder splits into chunks on
-// the pool — an R-MAT graph so treated, three vertices under 150 001 edges
-// (every column and row range but a few empty, each self-loop repeated
-// thousands of times), and a star whose hub column holds more than a
-// chunk, beside isolated vertices.
-func coordinateGraphs() []*graph.Graph {
-	rng := rand.New(rand.NewSource(21))
-	// repeat adds fewer than maxRepeats copies of drawn edges, then fewer
-	// than maxLoops self-loops.
-	repeat := func(g *graph.Graph, maxRepeats, maxLoops int) *graph.Graph {
-		n := g.NumVertices
-		for range rng.Intn(maxRepeats) {
-			e := g.Edges[rng.Intn(len(g.Edges))]
-			g.AddEdge(e[0], e[1])
+	for _, workers := range []int{1, 2, runtime.NumCPU()} {
+		parallel.SetWorkers(workers)
+		rng := rand.New(rand.NewSource(21))
+		for k := 0; k < 20; k++ {
+			g := graph.RMAT(4+rng.Intn(5), 1+rng.Intn(12), graph.DefaultRMAT, rng)
+			n := g.NumVertices
+			for range rng.Intn(4 * n) {
+				e := g.Edges[rng.Intn(len(g.Edges))]
+				g.AddEdge(e[0], e[1])
+			}
+			for range rng.Intn(n) {
+				v := rng.Intn(n)
+				g.AddEdge(v, v)
+			}
+			name := fmt.Sprintf("rmat-%d (n=%d, %d edges) at %d workers", k, n, g.NumEdges(), workers)
+			adj := oracleCOOAdjacency(g)
+			requireSameBits(t, name+"/Adjacency", g.Adjacency(), adj)
+			requireSameBits(t, name+"/NormalizedAdjacency", g.NormalizedAdjacency(), sparse.NormalizeSymmetric(adj))
 		}
-		for range rng.Intn(maxLoops) {
-			v := rng.Intn(n)
-			g.AddEdge(v, v)
-		}
-		return g
 	}
-	var gs []*graph.Graph
-	for range 20 {
-		g := graph.RMAT(4+rng.Intn(5), 1+rng.Intn(12), graph.DefaultRMAT, rng)
-		gs = append(gs, repeat(g, 4*g.NumVertices, g.NumVertices))
-	}
-	gs = append(gs, repeat(graph.RMAT(12, 40, graph.DefaultRMAT, rng), 20000, 3000))
-	few := graph.New(3)
-	for range 150001 {
-		few.AddEdge(rng.Intn(3), rng.Intn(3))
-	}
-	star := graph.New(70010)
-	for v := 1; v < 70000; v++ {
-		star.AddUndirectedEdge(0, v)
-	}
-	return append(gs, few, repeat(star, 5000, 50))
-}
-
-// TestAdjacencyMatchesCOOPath: on every coordinateGraphs graph, Adjacency
-// is bit for bit the coordinate-list path it replaced, and
-// NormalizedAdjacency — built without A or A + I — is NormalizeSymmetric
-// over it, at every worker count.
-func TestAdjacencyMatchesCOOPath(t *testing.T) {
-	gs := coordinateGraphs()
-	oracles := make([]*sparse.CSR, len(gs))
-	for k, g := range gs {
-		oracles[k] = oracleCOOAdjacency(g)
-	}
-	atWorkerCounts(t, func(workers int) {
-		for k, g := range gs {
-			name := fmt.Sprintf("graph %d (n=%d, %d edges) at %d workers", k, g.NumVertices, g.NumEdges(), workers)
-			requireSameBits(t, name+"/Adjacency", g.Adjacency(), oracles[k])
-			requireSameBits(t, name+"/NormalizedAdjacency", g.NormalizedAdjacency(), sparse.NormalizeSymmetric(oracles[k]))
-		}
-	})
 }
 
 // TestExtractBlockMatchesAppendPath: every block of random matrices —
