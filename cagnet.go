@@ -605,10 +605,9 @@ var Partitioners = partition.Partitioners
 // at min(f^{l-1}, f^l), so a steady-state epoch moves less (see
 // costmodel/analytic.go).
 func PredictWords(ds *graph.Dataset, p int) map[string]float64 {
-	a := ds.Graph.Adjacency()
 	w := costmodel.Workload{
 		N:      ds.Graph.NumVertices,
-		NNZ:    int64(a.NNZ()),
+		NNZ:    int64(ds.Graph.NNZ()),
 		F:      (float64(ds.FeatureLen()) + float64(ds.Hidden) + float64(ds.NumLabels)) / 3,
 		Layers: 3,
 	}

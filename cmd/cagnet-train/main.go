@@ -388,9 +388,9 @@ func (cfg *config) build(banner string, show bool) (*graph.Dataset, error) {
 	}
 	ds := spec.Build()
 	if show {
-		a := ds.Graph.Adjacency()
+		n, nnz := ds.Graph.NumVertices, ds.Graph.NNZ()
 		fmt.Printf("dataset %s: n=%d nnz=%d d=%.1f f=%d labels=%d\n",
-			ds.Name, ds.Graph.NumVertices, a.NNZ(), a.AvgDegree(), ds.FeatureLen(), ds.NumLabels)
+			ds.Name, n, nnz, float64(nnz)/float64(n), ds.FeatureLen(), ds.NumLabels)
 		fmt.Printf("%s epochs=%d lr=%g optimizer=%s machine=%s\n\n",
 			banner, cfg.Epochs, cfg.LR, cfg.Optimizer, cfg.Machine)
 	}

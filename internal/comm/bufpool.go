@@ -14,12 +14,18 @@ import (
 // transport's arena. Buffers are keyed by capacity class (dense.CapClass,
 // the Workspace's eight classes per octave, so a buffer is at most 1/8
 // larger than the largest payload it carried), checked out under a mutex
-// (a rank and its reader goroutines may allocate at once), and recycled
-// all at once by Comm.Recycle — the point where every rank has agreed, via
-// barrier, that no buffer handed out since the last recycle is still
-// referenced.
+// (a rank and its reader goroutines may allocate at once) by the
+// Workspace's bounded best fit (dense.TakeIdle: its own class, else the
+// smallest idle one of at most twice its class — so the input layer's
+// wide exchanges serve the epochs' narrower ones instead of staying
+// resident beside them), and recycled all at once by Comm.Recycle — the
+// point where every rank has agreed, via barrier, that no buffer handed
+// out since the last recycle is still referenced. Unlike the workspace,
+// the pool has no per-buffer release: a received payload's lifetime is
+// its reader's business, so the fabric holds an epoch's payloads until its
+// boundary.
 //
-// Steady state is allocation-free: after the first epoch has sized the
+// Steady state is allocation-free: after the first epochs have sized the
 // free lists, every checkout pops an existing buffer and every recycle
 // pushes it back within the lists' existing capacity.
 //
@@ -54,13 +60,11 @@ func (b *bufPool) getFloats(n int) []float64 {
 	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if list := b.freeF[k]; len(list) > 0 {
-		buf := list[len(list)-1][:n]
-		b.freeF[k] = list[:len(list)-1]
-		b.usedF = append(b.usedF, buf)
-		return buf
+	buf, ok := dense.TakeIdle(b.freeF, k)
+	if !ok {
+		buf = make([]float64, 0, k)
 	}
-	buf := make([]float64, n, k)
+	buf = buf[:n]
 	b.usedF = append(b.usedF, buf)
 	return buf
 }
@@ -73,13 +77,11 @@ func (b *bufPool) getInts(n int) []int {
 	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if list := b.freeI[k]; len(list) > 0 {
-		buf := list[len(list)-1][:n]
-		b.freeI[k] = list[:len(list)-1]
-		b.usedI = append(b.usedI, buf)
-		return buf
+	buf, ok := dense.TakeIdle(b.freeI, k)
+	if !ok {
+		buf = make([]int, 0, k)
 	}
-	buf := make([]int, n, k)
+	buf = buf[:n]
 	b.usedI = append(b.usedI, buf)
 	return buf
 }
@@ -93,13 +95,11 @@ func (b *bufPool) getPayloads(n int) []Payload {
 	k := dense.CapClass(n)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var buf []Payload
-	if list := b.freeP[k]; len(list) > 0 {
-		buf = list[len(list)-1][:n]
-		b.freeP[k] = list[:len(list)-1]
-	} else {
-		buf = make([]Payload, n, k)
+	buf, ok := dense.TakeIdle(b.freeP, k)
+	if !ok {
+		buf = make([]Payload, 0, k)
 	}
+	buf = buf[:n]
 	for i := range buf {
 		buf[i] = Payload{}
 	}

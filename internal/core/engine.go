@@ -103,7 +103,16 @@ type layerOpsOf[T dense.Elem] interface {
 	// Called only for l > 1, always after weightGrad(·, g, l).
 	inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T]
 
-	// endEpoch charges per-epoch overhead after the optimizer step.
+	// release hands back a temporary the engine has read for the last time:
+	// one an earlier method returned this epoch, at its last reader (see
+	// epoch). It returns the matrix's buffer to the rank's workspace —
+	// with whatever the implementation derived from it and cached, such as
+	// the mesh's gathered full rows — and does nothing for storage the
+	// workspace does not hand out (T¹, H⁰, a fabric payload's data).
+	release(m *dense.Of[T])
+
+	// endEpoch charges per-epoch overhead after the optimizer step and
+	// returns every buffer the epoch still holds.
 	endEpoch()
 
 	// correctCounts returns, per mask (nil = all vertices), this rank's
@@ -137,9 +146,16 @@ type layerOps = layerOpsOf[float64]
 //
 // The per-epoch activation/gradient bookkeeping slices live on the engine
 // and are reused across epochs: together with the layerOps drawing their
-// matrix temporaries from a dense.Workspace (released at endEpoch) and the
-// comm fabric recycling its payload buffers at the same boundary, the
-// steady-state epoch loop performs zero heap allocations after epoch one.
+// matrix temporaries from a dense.Workspace and the comm fabric recycling
+// its payload buffers at the epoch boundary, the steady-state epoch loop
+// performs zero heap allocations once the arenas are sized. The engine
+// hands each temporary back (release) after its last reader — the
+// dataflow is the same on every rank and every trainer, so the release
+// points are written once, in layerForward and epoch — and the
+// implementations release their own scratch likewise, so a rank's
+// workspace holds the epoch's live set, not the sum of its draws; endEpoch
+// returns the rest: H^L, which the accuracy reads, and the weight
+// gradients, which the optimizer reads.
 type engine[T dense.Elem] struct {
 	ops  layerOpsOf[T]
 	cfg  nn.Config
@@ -338,6 +354,7 @@ func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.
 			dense.TMulNZ(yt, g, hPrev)
 		}
 		yt.TransposeInto(dst)
+		ws.Release(yt)
 	case ref:
 		dense.RefTMul(dst, hPrev, g)
 	case f == sparseLeft:
@@ -350,6 +367,10 @@ func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.
 // layerForward returns H^l = σ(Aᵀ·H^{l-1}·W^l) in layer l's product order
 // and the aggregate T^l when that order forms one (nil otherwise). A fused
 // layer's multiply applies the ReLU itself.
+//
+// It releases what it formed and read last: H^{l-1}·W^l after its
+// aggregation, Z^l after its activation. hPrev and T^l stay with the
+// caller, which reads them again in the backward pass.
 func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T]) {
 	var z *dense.Of[T]
 	form := forwardForm(e.cfg, l)
@@ -360,12 +381,16 @@ func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T
 		}
 		z = e.ops.multiplyWeight(t, w, l, form)
 	} else {
-		z = e.ops.forwardAggregate(e.ops.multiplyWeight(hPrev, w, l, form), l)
+		x := e.ops.multiplyWeight(hPrev, w, l, form)
+		z = e.ops.forwardAggregate(x, l)
+		e.ops.release(x)
 	}
 	if form == fusedReLU {
 		return z, t
 	}
-	return e.ops.activationForward(e.cfg.Activation(l), z, l), t
+	h = e.ops.activationForward(e.cfg.Activation(l), z, l)
+	e.ops.release(z)
+	return h, t
 }
 
 // epoch runs one forward pass, loss reduction, backward recursion, and
@@ -396,24 +421,42 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
 	// layer hands back G^{l-1} itself, the mask applied in its last product.
 	// The recursion ends at l = 1, where no input gradient is wanted: the
 	// widest layer is never aggregated.
+	//
+	// Every temporary is released after its last reader: ∂L/∂H^l after its
+	// activation's backward, G^l, A·G^l, T^l (l > 1) and G^l·(W^l)ᵀ after
+	// their last product, and H^l (l < L) at the end of step l — step l+1
+	// read it as H^{l-1} or a mask before. H^L stays for the accuracy, T¹
+	// for the next epoch, and dW for the optimizer.
 	for l := L; l >= 1; l-- {
 		w, g := W[l-1], dH
 		if l == L || !fusesBackward(e.cfg, l+1) {
 			g = e.ops.activationBackward(e.cfg.Activation(l), dH, H[l], l)
+			e.ops.release(dH)
 		}
 		if aggregatesFirst(e.cfg.Widths, l) {
 			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l, weightGradForm(e.cfg, l)))
 			if l > 1 {
-				dH = e.ops.backwardAggregate(e.ops.inputGrad(g, w, l, nil), l)
+				e.ops.release(aggs[l])
+				gw := e.ops.inputGrad(g, w, l, nil)
+				e.ops.release(g)
+				dH = e.ops.backwardAggregate(gw, l)
+				e.ops.release(gw)
+			} else {
+				e.ops.release(g)
 			}
 		} else {
 			ag := e.ops.backwardAggregate(g, l)
+			e.ops.release(g)
 			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l, weightGradForm(e.cfg, l)))
 			var mask *dense.Of[T]
 			if fusesBackward(e.cfg, l) {
 				mask = H[l-1]
 			}
 			dH = e.ops.inputGrad(ag, w, l, mask)
+			e.ops.release(ag)
+		}
+		if l < L {
+			e.ops.release(H[l])
 		}
 	}
 
@@ -429,7 +472,12 @@ func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
 	W := e.weightsInT(weights)
 	var out *dense.Of[T]
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		out, _ = e.layerForward(out, W[l-1], l)
+		h, t := e.layerForward(out, W[l-1], l)
+		if l > 1 {
+			e.ops.release(t)
+		}
+		e.ops.release(out)
+		out = h
 	}
 	return out
 }

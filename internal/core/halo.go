@@ -66,18 +66,20 @@ func exchangeHaloPlan(g *comm.Group, need [][]int) (sendIdx [][]int, recvFrom []
 // with no remote dependencies in the meantime. Payloads carry bare floats;
 // receivers reshape them from the plan's row counts.
 //
-// The outbound row gathers draw from ws and the parts list is the caller's
+// The outbound row gathers draw from ws, and sent[i] is left holding the
+// one for peer i (nil where nothing is sent), for the caller to release
+// once the request is waited on; parts and sent are the caller's
 // persistent scratch (len g.Size()), so steady-state exchanges allocate
 // nothing.
-func haloFetchAsync(g *comm.Group, x *dense.Matrix, sendIdx [][]int, recvFrom []bool, ws *dense.Workspace, parts []comm.Payload) *comm.Request {
+func haloFetchAsync(g *comm.Group, x *dense.Matrix, sendIdx [][]int, recvFrom []bool, ws *dense.Workspace, parts []comm.Payload, sent []*dense.Matrix) *comm.Request {
 	for i := range parts {
-		parts[i] = comm.Payload{}
+		parts[i], sent[i] = comm.Payload{}, nil
 	}
 	for i, idx := range sendIdx {
 		if len(idx) > 0 {
 			rows := ws.GetUninit(len(idx), x.Cols)
 			dense.GatherRowsInto(rows, x, idx)
-			parts[i] = comm.Payload{Floats: rows.Data}
+			parts[i], sent[i] = comm.Payload{Floats: rows.Data}, rows
 		}
 	}
 	return g.IExchangeIndexed(parts, recvFrom, comm.CatDenseComm)

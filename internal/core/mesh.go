@@ -126,8 +126,10 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 // meshRank holds one rank's state during 2D or 3D training and implements
 // layerOps with the SUMMA collective choreography, pipelined: each SUMMA
 // issues stage k+1's panel broadcasts before it multiplies stage k.
-// Per-epoch temporaries come from ws, reset at endEpoch together with the
-// fabric's payload pool.
+// Per-epoch temporaries come from ws: each step hands back its own scratch
+// once it is consumed, the engine every result after its last reader
+// (release, which also drops the full rows gathered from it), and
+// endEpoch the rest, together with the fabric's payload pool.
 type meshRank struct {
 	comm   *comm.Comm
 	mach   costmodel.Machine
@@ -160,13 +162,15 @@ type meshRank struct {
 	// outBlk splits the rows of my sub-slice (pi, pk) q ways: the output
 	// layer's layout, in which I hold rows outBlk(pj) — global rows from
 	// outLo — with all f^L columns. parts is the all-to-all's outbound
-	// scratch, one payload per member of the process row.
+	// scratch, one payload per member of the process row, and sent the
+	// column blocks fromRows copies into them.
 	outBlk partition.Block1D
 	outLo  int
 	parts  []comm.Payload
+	sent   []*dense.Matrix
 
 	// tRows is my output-layer row sub-slice of T^L when layer L aggregates
-	// first: multiplyWeight forms it, weightGrad reads it. Epoch-scoped.
+	// first: multiplyWeight forms it, weightGrad reads and releases it.
 	tRows *dense.Matrix
 
 	// t1Rows holds this rank's full rows of T¹ (n/(q·d) x f⁰), gathered along
@@ -176,7 +180,9 @@ type meshRank struct {
 
 	// rows holds the full rows of the block rowsOf: what the
 	// weightGrad/inputGrad pair reads (§IV-C-4, §IV-D-4 gather once for both
-	// products); fullRows gathers them on first use. Cleared at endEpoch.
+	// products); fullRows gathers them on first use. The cache is keyed by
+	// the block's header, which the workspace hands out again once the block
+	// is released, so release drops both; so does endEpoch.
 	rowsOf, rows *dense.Matrix
 }
 
@@ -266,6 +272,7 @@ func (r *meshRank) setup(at *sparse.CSR, directed bool, features *dense.Matrix) 
 	r.outBlk = partition.NewBlock1D(rHi-rLo, r.mesh.C)
 	r.outLo, _ = r.outRows(r.pi, r.pj, r.pk)
 	r.parts = make([]comm.Payload, r.mesh.C)
+	r.sent = make([]*dense.Matrix, r.mesh.C)
 	r.memBase = csrWords(r.at.blk) + matWords(r.h0) + cfgWeightWords(r.cfg)
 	r.recordMem(0)
 }
@@ -350,6 +357,7 @@ func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 		r.recordMem(matWords(out) + matWords(xK))
 		sparse.SpMMAdd(out, aK, xK)
 		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(aK.NNZ()), aK.Rows, xK.Cols))
+		r.ws.Release(xK)
 	}
 	if r.mesh.D == 1 {
 		return out
@@ -361,8 +369,9 @@ func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 		r.rsCounts[k] = (hi - lo) * x.Cols
 	}
 	myLo, myHi := r.subRange(r.pi, r.pk)
-	return r.ws.Wrap(myHi-myLo, x.Cols,
-		r.fiberGroup.ReduceScatter(out.Data, r.rsCounts, comm.CatDenseComm))
+	mine := r.ws.Wrap(myHi-myLo, x.Cols, r.fiberGroup.ReduceScatter(out.Data, r.rsCounts, comm.CatDenseComm))
+	r.ws.Release(out)
+	return mine
 }
 
 // summaStage issues stage k's panel broadcasts: the dense panel
@@ -429,6 +438,8 @@ func (r *meshRank) partialSumma(xBlk *dense.Matrix, w *dense.Matrix, f productFo
 		}
 		weightMul(out, xK, wSlice, stage, true)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(xK.Rows, xK.Cols, wSlice.Cols))
+		r.ws.Release(wSlice)
+		r.ws.Release(xK)
 	}
 	return out
 }
@@ -456,7 +467,9 @@ func (r *meshRank) gatherRows(x *dense.Matrix) *dense.Matrix {
 	out := r.ws.GetUninit(x.Rows, f)
 	c0 := 0
 	for _, part := range parts {
-		out.SetSubMatrix(0, c0, wrapMat(r.ws, part))
+		block := wrapMat(r.ws, part)
+		out.SetSubMatrix(0, c0, block)
+		r.ws.Release(block)
 		c0 += part.Ints[1]
 	}
 	r.recordMem(matWords(out))
@@ -486,7 +499,9 @@ func (r *meshRank) toRows(x *dense.Matrix, f int) *dense.Matrix {
 	fB := r.fBlk(f)
 	out := r.ws.GetUninit(r.outBlk.Size(r.pj), f)
 	for j, part := range got {
-		out.SetSubMatrix(0, fB.Lo(j), r.ws.Wrap(out.Rows, fB.Size(j), part.Floats))
+		block := r.ws.Wrap(out.Rows, fB.Size(j), part.Floats)
+		out.SetSubMatrix(0, fB.Lo(j), block)
+		r.ws.Release(block)
 	}
 	r.recordMem(matWords(out))
 	return out
@@ -495,18 +510,23 @@ func (r *meshRank) toRows(x *dense.Matrix, f int) *dense.Matrix {
 // fromRows is toRows' inverse: x holds my output-layer rows with all their
 // columns, and the result is my block (sub-slice (pi, pk), column block
 // pj). Member j's part is column block j of my rows; the parts received
-// are row ranges of my block, stacked in member order.
+// are row ranges of my block, stacked in member order. My own part comes
+// back in place, so the parts are released only once out is filled.
 func (r *meshRank) fromRows(x *dense.Matrix) *dense.Matrix {
 	fB := r.fBlk(x.Cols)
 	for j := range r.parts {
 		part := r.ws.GetUninit(x.Rows, fB.Size(j))
 		x.SubMatrixInto(part, 0, x.Rows, fB.Lo(j), fB.Hi(j))
-		r.parts[j] = comm.Payload{Floats: part.Data}
+		r.parts[j], r.sent[j] = comm.Payload{Floats: part.Data}, part
 	}
 	got := r.rowGroup.AllToAll(r.parts, comm.CatDenseComm)
 	out := r.ws.GetUninit(r.outBlk.Items(), fB.Size(r.pj))
 	for j, part := range got {
 		copy(out.Data[r.outBlk.Lo(j)*out.Cols:r.outBlk.Hi(j)*out.Cols], part.Floats)
+	}
+	for j, part := range r.sent {
+		r.ws.Release(part)
+		r.sent[j] = nil
 	}
 	return out
 }
@@ -559,6 +579,7 @@ func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *den
 	w.SubMatrixInto(wCols, 0, w.Rows, colsB.Lo(r.pj), colsB.Hi(r.pj))
 	z := r.ws.GetUninit(r.t1Rows.Rows, wCols.Cols)
 	weightMul(z, r.t1Rows, wCols, f, false)
+	r.ws.Release(wCols)
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(z.Rows, w.Rows, z.Cols))
 	return z
 }
@@ -567,11 +588,15 @@ func (r *meshRank) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *den
 // element-wise, and the output layer's rows are whole — a multiply-first
 // output layer's Z^L crosses into that layout here.
 func (r *meshRank) activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix {
-	if r.rowsLayer(l, false) {
-		z = r.toRows(z, r.cfg.Widths[l])
+	if !r.rowsLayer(l, false) {
+		h := r.ws.GetUninit(z.Rows, z.Cols)
+		act.Forward(h, z)
+		return h
 	}
-	h := r.ws.GetUninit(z.Rows, z.Cols)
-	act.Forward(h, z)
+	zRows := r.toRows(z, r.cfg.Widths[l])
+	h := r.ws.GetUninit(zRows.Rows, zRows.Cols)
+	act.Forward(h, zRows)
+	r.ws.Release(zRows)
 	return h
 }
 
@@ -588,7 +613,9 @@ func (r *meshRank) activationBackward(act dense.Activation, dH, h *dense.Matrix,
 	g := r.ws.GetUninit(h.Rows, h.Cols)
 	act.Backward(g, dH, h)
 	if r.rowsLayer(l, false) {
-		g = r.fromRows(g)
+		gRows := g
+		g = r.fromRows(gRows)
+		r.ws.Release(gRows)
 	}
 	return g
 }
@@ -619,7 +646,11 @@ func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *den
 		partial := r.ws.GetUninit(r.tRows.Cols, g.Cols)
 		weightProduct(r.ws, partial, r.tRows, g, f, false)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(partial.Rows, g.Rows, partial.Cols))
-		return r.ws.Wrap(partial.Rows, partial.Cols, r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
+		r.ws.Release(r.tRows)
+		r.tRows = nil
+		y := r.ws.Wrap(partial.Rows, partial.Cols, r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
+		r.ws.Release(partial)
+		return y
 	}
 	gRow := r.fullRows(g)
 	partial := r.ws.GetUninit(hPrev.Cols, gRow.Cols)
@@ -627,13 +658,16 @@ func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *den
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(hPrev.Cols, hPrev.Rows, gRow.Cols))
 	planeSum := r.planeGroup.AllReduce(partial.Data, comm.CatDenseComm)
 	r.dims[0], r.dims[1] = partial.Rows, partial.Cols
+	r.ws.Release(partial)
 	yParts := r.rowGroup.AllGather(
 		comm.Payload{Floats: planeSum, Ints: r.dims[:2]},
 		comm.CatDenseComm)
 	fPB := r.fBlk(r.cfg.Widths[l-1]) // W^l's rows: the same in either product order
 	dW := r.ws.GetUninit(fPB.Items(), gRow.Cols)
 	for j, part := range yParts {
-		dW.SetSubMatrix(fPB.Lo(j), 0, wrapMat(r.ws, part))
+		block := wrapMat(r.ws, part)
+		dW.SetSubMatrix(fPB.Lo(j), 0, block)
+		r.ws.Release(block)
 	}
 	return dW
 }
@@ -648,7 +682,9 @@ func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *den
 		dT := r.ws.GetUninit(g.Rows, w.Rows)
 		dense.MulT(dT, g, w)
 		r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
-		return r.fromRows(dT)
+		out := r.fromRows(dT)
+		r.ws.Release(dT)
+		return out
 	}
 	gRow := r.fullRows(g)
 	fPB := r.fBlk(w.Rows)
@@ -661,7 +697,19 @@ func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *den
 		dense.MulT(dH, gRow, wRowBlk)
 	}
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(gRow.Rows, w.Cols, wRowBlk.Rows))
+	r.ws.Release(wRowBlk)
 	return dH
+}
+
+// release hands m back to the workspace, and with it the full rows gathered
+// from it: m was the weightGrad/inputGrad pair's operand, and its header
+// may key a later block's gather once the workspace hands it out again.
+func (r *meshRank) release(m *dense.Matrix) {
+	if m != nil && m == r.rowsOf {
+		r.ws.Release(r.rows)
+		r.rowsOf, r.rows = nil, nil
+	}
+	r.ws.Release(m)
 }
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped

@@ -131,8 +131,10 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 // both aggregations — M = Aᵀ forward, M = A backward — with its exchange
 // in flight behind local SpMM (stageProduct).
 //
-// Per-epoch temporaries come from ws (reset at endEpoch, together with the
-// fabric's payload pool).
+// Per-epoch temporaries come from ws: each product hands back its own
+// scratch as soon as it is consumed, the engine every result after its
+// last reader (release), and endEpoch the rest, together with the
+// fabric's payload pool.
 type rowRank struct {
 	comm   *comm.Comm
 	mach   costmodel.Machine
@@ -169,9 +171,11 @@ type rowRank struct {
 	stages    []int
 
 	// fwd holds the stage blocks of Aᵀ, bwd those of A — the same plan when
-	// A = Aᵀ. haloParts is the outbound scratch of either's exchange.
+	// A = Aᵀ. haloParts and haloSent are the outbound scratch of either's
+	// exchange: the payloads and the gathered rows they carry.
 	fwd, bwd  *stagePlan
 	haloParts []comm.Payload
+	haloSent  []*dense.Matrix
 }
 
 // stagePlan is one direction of the stage product: the blocks of M = Aᵀ or
@@ -238,6 +242,7 @@ func (r *rowRank) setup(at, a *sparse.CSR, features *dense.Matrix, order []int) 
 	}
 	if r.halo {
 		r.haloParts = make([]comm.Payload, teams)
+		r.haloSent = make([]*dense.Matrix, teams)
 	}
 
 	f0 := features.Cols
@@ -370,8 +375,9 @@ func (r *rowRank) blockMul(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 	if r.c == 1 {
 		return partial
 	}
-	return r.ws.Wrap(partial.Rows, x.Cols,
-		r.teamGroup.AllReduce(partial.Data, comm.CatDenseComm))
+	sum := r.ws.Wrap(partial.Rows, x.Cols, r.teamGroup.AllReduce(partial.Data, comm.CatDenseComm))
+	r.ws.Release(partial)
+	return sum
 }
 
 // stageProduct computes Σ_{s ∈ stages} M_{own,s}·X_s over pl's blocks of M,
@@ -391,7 +397,7 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 	rows, f := r.hi-r.lo, x.Cols
 	T := r.ws.Get(rows, f)
 	if r.halo {
-		req := haloFetchAsync(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts)
+		req := haloFetchAsync(r.group, x, pl.sendIdx, pl.recvFrom, r.ws, r.haloParts, r.haloSent)
 		// Interior rows touch only the own block; their product is complete
 		// before any fetched row arrives. Each stage is charged its SpMMTime,
 		// the own block's apportioned to the two passes by nnz share, so the
@@ -408,15 +414,23 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 			r.comm.ChargeTime(comm.CatSpMM, interiorShare)
 		}
 		recvd := req.WaitAll()
+		for i, sent := range r.haloSent {
+			r.ws.Release(sent)
+			r.haloSent[i] = nil
+		}
 		for _, s := range r.stages {
-			blk, xs := pl.blocks[s], r.fetched(pl, s, x, recvd)
+			blk := pl.blocks[s]
+			if s == r.own {
+				r.recordMem(matWords(T) + matWords(x))
+				sparse.SpMMAddRowList(T, blk, x, pl.frontier)
+				r.comm.ChargeTime(comm.CatSpMM, ownTime-interiorShare)
+				continue
+			}
+			xs := r.ws.Wrap(len(pl.need[s]), f, recvd[s].Floats)
 			r.recordMem(matWords(T) + matWords(xs))
 			sparse.SpMMAddRowList(T, blk, xs, pl.frontier)
-			if s == r.own {
-				r.comm.ChargeTime(comm.CatSpMM, ownTime-interiorShare)
-			} else {
-				r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
-			}
+			r.ws.Release(xs)
+			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 		}
 		return T
 	}
@@ -434,18 +448,10 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 		}
 		r.recordMem(matWords(T) + matWords(xs))
 		sparse.SpMMAdd(T, pl.blocks[s], xs)
+		r.ws.Release(xs)
 		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(pl.blocks[s].NNZ()), rows, f))
 	}
 	return T
-}
-
-// fetched returns block s of X after a halo exchange: x itself for the own
-// block (uncompacted, so no gather), the rows member s sent otherwise.
-func (r *rowRank) fetched(pl *stagePlan, s int, x *dense.Matrix, recvd []comm.Payload) *dense.Matrix {
-	if s == r.own {
-		return x
-	}
-	return r.ws.Wrap(len(pl.need[s]), x.Cols, recvd[s].Floats)
 }
 
 // bcastStage issues stage s's dense broadcast (root: member s of group).
@@ -528,8 +534,9 @@ func (r *rowRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dens
 	} else {
 		partial.Zero()
 	}
-	return r.ws.Wrap(fPrev, fl,
-		r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
+	y := r.ws.Wrap(fPrev, fl, r.comm.World().AllReduce(partial.Data, comm.CatDenseComm))
+	r.ws.Release(partial)
+	return y
 }
 
 // inputGrad computes g·(W^l)ᵀ: local (W replicated), masked in the GEMM's
@@ -544,6 +551,8 @@ func (r *rowRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dens
 	r.comm.ChargeTime(comm.CatMisc, r.mach.GEMMTime(g.Rows, w.Cols, w.Rows))
 	return dH
 }
+
+func (r *rowRank) release(m *dense.Matrix) { r.ws.Release(m) }
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped
 // buffer: the rank's workspace, then (collectively) the fabric's payload

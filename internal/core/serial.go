@@ -60,8 +60,9 @@ func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T
 // engine's) and every row reduction (log-sum-exp, loss: the kernels') stay
 // float64.
 //
-// Per-layer temporaries come from the workspace (released at endEpoch), so
-// a steady-state epoch allocates nothing.
+// Per-layer temporaries come from the workspace, each handed back after
+// its last reader (release) and the rest at endEpoch, so a steady-state
+// epoch allocates nothing and the workspace holds the epoch's live set.
 type serialOps[T dense.Elem] struct {
 	// at and a are Aᵀ for the forward aggregation and A for the backward
 	// one — one matrix when A is symmetric, as on every dataset the repo
@@ -187,6 +188,8 @@ func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *d
 	}
 	return dH
 }
+
+func (s *serialOps[T]) release(m *dense.Of[T]) { s.ws.Release(m) }
 
 func (s *serialOps[T]) endEpoch() { s.ws.Reset() }
 

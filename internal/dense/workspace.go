@@ -1,32 +1,43 @@
 package dense
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // WorkspaceOf is a per-rank arena of reusable matrix buffers for the
 // steady-state training loop, generic over the element type so the
 // float32 mixed-precision path gets the same 0-alloc guarantees as the
 // default float64 path. Trainers check temporaries out with Get (or wrap
-// foreign buffers with Wrap) during an epoch and return everything at once
-// with Reset at the epoch boundary; after the first epoch has populated the
-// free lists, Get/Wrap/Reset perform zero heap allocations, so an epoch
-// that draws all its temporaries from the workspace runs allocation-free.
+// foreign buffers with Wrap) and hand each one back with Release after its
+// last reader, so the arena holds the live set of the epoch — the most
+// temporaries alive at once — rather than the sum of its draws; Reset at
+// the epoch boundary returns whatever is still checked out. After the
+// first epochs have populated the free lists, Get/Wrap/Release/Reset
+// perform zero heap allocations, so an epoch that draws all its
+// temporaries from the workspace runs allocation-free.
 //
 // Buffers are keyed by capacity class (CapClass of the element count:
 // eight classes per octave), so shapes that differ by a few elements —
 // layers of different widths, row blocks of different heights — reuse the
 // same backing arrays instead of growing a free list per exact shape, and
 // no buffer above 16 elements is more than 1/8 larger than the largest
-// checkout it served.
+// checkout it served. A checkout that finds no idle buffer of its class
+// takes the smallest idle one of a class at most twice its own (TakeIdle),
+// so a wide buffer that once served a set-up product or an ended layer
+// serves the narrower draws after it instead of staying resident beside
+// them.
 //
 // A workspace is owned by a single goroutine (one simulated rank); it is
 // not safe for concurrent use. All methods are nil-safe: a nil workspace
-// degrades to plain allocation (Get = New, Wrap = FromSlice, Reset = no-op)
-// so call sites need no branching when no arena is configured.
+// degrades to plain allocation (Get = New, Wrap = FromSlice, Release and
+// Reset = no-op) so call sites need no branching when no arena is
+// configured.
 type WorkspaceOf[T Elem] struct {
 	free    map[int][]*Of[T] // capacity class -> idle buffers
-	used    []*Of[T]         // checked out by Get this epoch
+	used    []*Of[T]         // checked out by Get, not yet released
 	hdrFree []*Of[T]         // idle headers for Wrap (no owned data)
-	wrapped []*Of[T]         // checked out by Wrap this epoch
+	wrapped []*Of[T]         // checked out by Wrap, not yet released
 	minCols int              // see Widen
 }
 
@@ -70,9 +81,25 @@ func (w *WorkspaceOf[T]) Widen(c int) {
 	}
 }
 
+// TakeIdle pops an idle buffer for a checkout of capacity class k from
+// free lists keyed by class: one of class k when there is one, else the
+// smallest of a class at most 2k. ok is false when none fits. Every arena
+// of the repo checks out through it, so a buffer serves requests down to
+// half its size and never one larger.
+func TakeIdle[E any](free map[int][]E, k int) (e E, ok bool) {
+	for c := k; c <= 2*k; c = CapClass(c + 1) {
+		if list := free[c]; len(list) > 0 {
+			e = list[len(list)-1]
+			free[c] = list[:len(list)-1]
+			return e, true
+		}
+	}
+	return e, false
+}
+
 // Get checks out a zeroed r-by-c matrix, exactly like New but drawing the
 // header and backing array from the arena when a large-enough buffer is
-// free. The matrix is valid until the next Reset.
+// free. The matrix is valid until it is released, or the next Reset.
 func (w *WorkspaceOf[T]) Get(r, c int) *Of[T] {
 	m := w.GetUninit(r, c)
 	if w != nil { // a nil workspace returned a fresh, already-zeroed New
@@ -97,14 +124,10 @@ func (w *WorkspaceOf[T]) GetUninit(r, c int) *Of[T] {
 	}
 	n := r * c
 	k := CapClass(r * max(c, w.minCols))
-	list := w.free[k]
-	if len(list) == 0 {
-		m := &Of[T]{Rows: r, Cols: c, Data: make([]T, n, k)}
-		w.used = append(w.used, m)
-		return m
+	m, ok := TakeIdle(w.free, k)
+	if !ok {
+		m = &Of[T]{Data: make([]T, 0, k)}
 	}
-	m := list[len(list)-1]
-	w.free[k] = list[:len(list)-1]
 	m.Rows, m.Cols, m.Data = r, c, m.Data[:n]
 	w.used = append(w.used, m)
 	return m
@@ -112,7 +135,7 @@ func (w *WorkspaceOf[T]) GetUninit(r, c int) *Of[T] {
 
 // Wrap checks out a header-only r-by-c matrix around data (not copied),
 // exactly like FromSlice but reusing headers from the arena. The caller
-// retains ownership of data; Reset reclaims only the header.
+// retains ownership of data; Release and Reset reclaim only the header.
 func (w *WorkspaceOf[T]) Wrap(r, c int, data []T) *Of[T] {
 	if w == nil {
 		return FromSliceOf(r, c, data)
@@ -139,21 +162,62 @@ func (w *WorkspaceOf[T]) Wrap(r, c int, data []T) *Of[T] {
 // else (a Wrap header around foreign data, such as a fabric payload its
 // pool will recycle) is copied.
 func (w *WorkspaceOf[T]) Keep(m *Of[T]) *Of[T] {
-	if w != nil {
-		for i, u := range w.used {
-			if u == m {
-				last := len(w.used) - 1
-				w.used[i], w.used[last] = w.used[last], nil
-				w.used = w.used[:last]
-				return m
-			}
-		}
+	if w != nil && checkIn(&w.used, m) {
+		return m
 	}
 	return m.Clone()
 }
 
-// Reset returns every matrix checked out since the previous Reset to the
-// arena. Callers must not touch previously checked-out matrices afterwards:
+// Release returns m to the arena before Reset: a buffer checked out by Get
+// or GetUninit goes back to its free list — the next checkout of its class
+// takes it — and a Wrap header to the header list, detached from its data.
+// Any other matrix — one that was never checked out, was kept, or was
+// already released — is left alone, so a second Release of a matrix that
+// no checkout has taken since is a no-op. The caller must not touch m
+// afterwards. In a race-detector build the released buffer is filled with
+// NaN, so a read after its release — or a GetUninit reader that reads
+// before it writes — shows in every result it reaches. It allocates
+// nothing once the free lists are sized.
+func (w *WorkspaceOf[T]) Release(m *Of[T]) {
+	if w == nil || m == nil {
+		return
+	}
+	if checkIn(&w.used, m) {
+		d := m.Data[:cap(m.Data)]
+		if poisonReleased {
+			nan := T(math.NaN())
+			for i := range d {
+				d[i] = nan
+			}
+		}
+		k := CapClass(cap(d))
+		w.free[k] = append(w.free[k], m)
+		return
+	}
+	if checkIn(&w.wrapped, m) {
+		m.Data = nil
+		w.hdrFree = append(w.hdrFree, m)
+	}
+}
+
+// checkIn removes m from the checked-out list *out, reporting whether it
+// was there. The list is searched from its end, where the most recent
+// checkouts — the likeliest to be handed back — sit.
+func checkIn[T Elem](out *[]*Of[T], m *Of[T]) bool {
+	list := *out
+	for i := len(list) - 1; i >= 0; i-- {
+		if list[i] == m {
+			last := len(list) - 1
+			list[i], list[last] = list[last], nil
+			*out = list[:last]
+			return true
+		}
+	}
+	return false
+}
+
+// Reset returns every matrix still checked out to the arena. Callers must
+// not touch previously checked-out matrices afterwards:
 // Get buffers will be recycled (and re-zeroed) for later checkouts, and
 // Wrap headers are detached from their data.
 func (w *WorkspaceOf[T]) Reset() {

@@ -1,6 +1,7 @@
 package dense
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -73,21 +74,132 @@ func TestCapClass(t *testing.T) {
 	}
 }
 
-// TestWorkspaceWiden: a narrower checkout under Widen reuses the full
-// width's buffer; without it, it draws a class of its own.
+// TestWorkspaceWiden: a narrower checkout under Widen draws the full
+// width's class, so it reuses that buffer even when a buffer of its own
+// class is idle beside it; after Widen(0) it draws its own class — the idle
+// full-width buffer when none of its own is idle, since that is at most
+// twice its class (best fit), and a class of its own when the full width
+// is more than twice it.
 func TestWorkspaceWiden(t *testing.T) {
 	ws := NewWorkspace()
-	a := ws.Get(16, 8) // 128 elements
+	a := ws.Get(16, 8)   // 128 elements
+	own := ws.Get(16, 5) // 80 elements
 	ws.Reset()
 	ws.Widen(8)
 	b := ws.Get(16, 5) // 80 elements, drawn as 16×8
 	ws.Widen(0)
 	if &a.Data[0] != &b.Data[0] || b.Rows != 16 || b.Cols != 5 || len(b.Data) != 80 {
-		t.Fatalf("a widened 16x5 checkout should reuse the 16x8 buffer resliced")
+		t.Fatalf("a widened 16x5 checkout should reuse the 16x8 buffer resliced, not its own class's")
 	}
 	ws.Reset()
-	if c := ws.Get(16, 5); &a.Data[0] == &c.Data[0] || cap(c.Data) != 80 {
+	if c := ws.Get(16, 5); &c.Data[0] != &own.Data[0] {
 		t.Fatalf("after Widen(0) a 16x5 checkout should draw its own 80-element class, got cap %d", cap(c.Data))
+	}
+	if c := ws.Get(16, 5); &c.Data[0] != &a.Data[0] {
+		t.Fatalf("with its own class taken, a 16x5 checkout should take the idle 128-element buffer, got cap %d", cap(c.Data))
+	}
+	ws.Reset()
+	ws.Get(16, 8)
+	ws.Get(16, 5)
+	if c := ws.Get(16, 3); cap(c.Data) != 48 {
+		t.Fatalf("a 16x3 checkout (class 48) must not take a buffer over twice its class, got cap %d", cap(c.Data))
+	}
+}
+
+// TestWorkspaceBestFit: a checkout with no idle buffer of its class takes
+// the smallest idle one of a class at most twice its own, and never a
+// larger one — checked class by class against a brute-force scan.
+func TestWorkspaceBestFit(t *testing.T) {
+	idle := []int{16, 36, 64, 72, 144, 288}
+	for n := 1; n <= 400; n++ {
+		ws := NewWorkspace()
+		for _, k := range idle {
+			ws.GetUninit(1, k)
+		}
+		ws.Reset()
+		k, want := CapClass(n), 0
+		for _, c := range idle {
+			if c >= k && c <= 2*k && (want == 0 || c < want) {
+				want = c
+			}
+		}
+		if want == 0 {
+			want = k // nothing fits: a fresh buffer of its own class
+		}
+		if got := cap(ws.GetUninit(1, n).Data); got != want {
+			t.Fatalf("a %d-element checkout (class %d) over idle %v took cap %d, want %d", n, k, idle, got, want)
+		}
+	}
+}
+
+// TestWorkspaceRelease: a released Get buffer is the next checkout of its
+// class, a released Wrap header the next Wrap; a kept or New'd matrix is
+// left alone, and a second Release is a no-op — as is Release on a nil
+// workspace or a nil matrix. In a race-detector build the released buffer
+// reads NaN. A steady checkout/release cycle allocates nothing.
+func TestWorkspaceRelease(t *testing.T) {
+	ws := NewWorkspace()
+	m := ws.Get(4, 8)
+	m.Fill(3)
+	ws.Release(m)
+	for _, v := range m.Data {
+		if poisonReleased != math.IsNaN(v) {
+			t.Fatalf("released buffer reads %v (NaN fill %v)", v, poisonReleased)
+		}
+	}
+	if next := ws.GetUninit(8, 4); next != m {
+		t.Fatal("a released Get buffer should be the next checkout of its class")
+	}
+	if ws.FootprintWords() != 32 {
+		t.Fatalf("footprint %d after release and checkout, want the one 32-word buffer", ws.FootprintWords())
+	}
+
+	data := []float64{1, 2, 3, 4}
+	h := ws.Wrap(2, 2, data)
+	ws.Release(h)
+	if h.Data != nil || data[3] != 4 {
+		t.Fatal("a released Wrap header must drop its data and leave the data untouched")
+	}
+	if h2 := ws.Wrap(1, 1, data[:1]); h2 != h {
+		t.Fatal("a released Wrap header should be the next Wrap's")
+	}
+
+	kept := ws.Keep(ws.Get(2, 2))
+	kept.Fill(5)
+	fresh := New(2, 2)
+	ws.Release(kept)
+	ws.Release(fresh)
+	if kept.At(1, 1) != 5 || len(kept.Data) != 4 || fresh.At(1, 1) != 0 {
+		t.Fatal("Release must leave a kept or New'd matrix alone")
+	}
+	if c := ws.Get(2, 2); c == kept || c == fresh {
+		t.Fatal("a kept or New'd matrix must never be handed out")
+	}
+
+	twice := ws.Get(3, 3)
+	ws.Release(twice)
+	ws.Release(twice)
+	a, b := ws.Get(3, 3), ws.Get(3, 3)
+	if a != twice || b == twice {
+		t.Fatal("a second Release must not put the buffer on the free list twice")
+	}
+
+	var none *Workspace
+	none.Release(New(1, 1))
+	ws.Release(nil)
+
+	ws.Reset()
+	cycle := func() {
+		x := ws.Get(16, 16)
+		y := ws.Wrap(2, 2, data)
+		z := ws.GetUninit(7, 3)
+		ws.Release(y)
+		ws.Release(x)
+		ws.Release(z)
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(10, cycle); avg != 0 {
+		t.Fatalf("a checkout/release cycle allocates %.1f times, want 0", avg)
 	}
 }
 

@@ -60,6 +60,47 @@ func (g *Graph) Adjacency() *sparse.CSR {
 	return g.adjacency(false)
 }
 
+// NNZ returns the number of distinct entries of the unit adjacency A —
+// Adjacency().NNZ(), self-loops counted once and duplicate edges collapsed —
+// without building A: one counting pass buckets the edges' targets by
+// source, and each row counts the targets it has not stamped yet. It
+// allocates two int32 arrays over the vertices and one over the edges, and
+// no column indices or values.
+func (g *Graph) NNZ() int {
+	n, edges := g.NumVertices, g.Edges
+	if int64(len(edges))+int64(n) >= math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d edges over %d vertices overflow the counter's int32 indices", len(edges), n))
+	}
+	// start[i+2] counts row i's edges; after the prefix sum start[i+1] is
+	// row i's first slot, and the scatter advances it to row i's end.
+	start := make([]int32, n+2)
+	for _, e := range edges {
+		if uint(e[0]) >= uint(n) || uint(e[1]) >= uint(n) {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for %d vertices", e[0], e[1], n))
+		}
+		start[e[0]+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		start[i] += start[i-1]
+	}
+	dst := make([]int32, len(edges))
+	for _, e := range edges {
+		dst[start[e[0]+1]] = int32(e[1])
+		start[e[0]+1]++
+	}
+	// stamp[j] = i+1 once row i has counted column j.
+	stamp, nnz := make([]int32, n), 0
+	for i := 0; i < n; i++ {
+		for _, j := range dst[start[i]:start[i+1]] {
+			if stamp[j] != int32(i+1) {
+				stamp[j] = int32(i + 1)
+				nnz++
+			}
+		}
+	}
+	return nnz
+}
+
 // NormalizedAdjacency returns D^{-1/2}(A+I)D^{-1/2}, the matrix the paper
 // trains with, built straight from the edge list: A + I comes out of the
 // counting sort at its final size, and each entry is scaled as it is

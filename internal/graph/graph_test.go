@@ -22,6 +22,37 @@ func TestAddEdgeAndAdjacency(t *testing.T) {
 	}
 }
 
+// TestNNZMatchesAdjacency: Graph.NNZ counts what Adjacency stores, on every
+// generator's graph and on a hand-built one with duplicates, self-loops
+// (one repeated) and an isolated vertex.
+func TestNNZMatchesAdjacency(t *testing.T) {
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(7)) }
+	hand := New(5)
+	for _, e := range [][2]int{{0, 1}, {0, 1}, {2, 2}, {2, 2}, {1, 0}, {3, 3}, {1, 2}, {2, 1}, {0, 3}} {
+		hand.AddEdge(e[0], e[1])
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"empty", New(0)},
+		{"hand", hand},
+		{"ring", Ring(9)},
+		{"grid", Grid2D(4, 6)},
+		{"erdos-renyi", ErdosRenyi(300, 6, rng())},
+		{"rmat", RMAT(9, 8, DefaultRMAT, rng())},
+		{"community-rmat", CommunityRMAT(8, 5, 6, 2, rng())},
+		{"analog", Analogs[0].Quick().Build().Graph},
+	} {
+		if got, want := tc.g.NNZ(), tc.g.Adjacency().NNZ(); got != want {
+			t.Errorf("%s: NNZ() = %d, Adjacency().NNZ() = %d", tc.name, got, want)
+		}
+	}
+	if got := hand.NNZ(); got != 7 {
+		t.Errorf("hand-built graph: NNZ() = %d, want 7", got)
+	}
+}
+
 func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	g := New(2)
 	defer func() {

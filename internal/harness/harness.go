@@ -287,16 +287,16 @@ func TableVI(o Options) ([]TableVIRow, error) {
 			return nil, err
 		}
 		ds := spec.Build()
-		a := ds.Graph.Adjacency()
+		n, nnz := ds.Graph.NumVertices, ds.Graph.NNZ()
 		out = append(out, TableVIRow{
 			Name:          name,
 			PaperVertices: spec.Paper.Vertices,
 			PaperEdges:    spec.Paper.Edges,
 			PaperFeatures: spec.Paper.Features,
 			PaperLabels:   spec.Paper.Labels,
-			SimVertices:   ds.Graph.NumVertices,
-			SimEdges:      int64(a.NNZ()),
-			SimAvgDegree:  a.AvgDegree(),
+			SimVertices:   n,
+			SimEdges:      int64(nnz),
+			SimAvgDegree:  float64(nnz) / float64(n),
 			SimFeatures:   ds.FeatureLen(),
 			SimLabels:     ds.NumLabels,
 		})
