@@ -170,29 +170,6 @@ func (l *Ledger) TotalWords() int64 {
 	return s
 }
 
-// Reset clears all accumulated counts.
-func (l *Ledger) Reset() {
-	for k := range l.ModelTime {
-		delete(l.ModelTime, k)
-	}
-	for k := range l.ModelWords {
-		delete(l.ModelWords, k)
-	}
-	for k := range l.ModelMsgs {
-		delete(l.ModelMsgs, k)
-	}
-	l.PhysWordsSent = 0
-	l.PhysMsgsSent = 0
-	l.PhysWordsRecv = 0
-	l.PhysMsgsRecv = 0
-	l.PeakMemWords = 0
-	l.bulk = 0
-	l.clock = 0
-	l.netBusy = 0
-	l.hidden = 0
-	l.compTime = 0
-}
-
 // Cluster is the ranks this process hosts and the one launcher that runs
 // them; the transport is only what they talk over. NewCluster hosts all p
 // ranks of a world on the channel fabric, ClusterOf over LocalTCPComms'
@@ -219,7 +196,7 @@ func NewCluster(p int, cost CostParams) *Cluster {
 	f := newChanFabric(p)
 	comms := make([]*Comm, p)
 	for r := range comms {
-		comms[r] = NewTransportComm(&inprocTransport{fabric: f, rank: r, arena: newBufPool()}, cost)
+		comms[r] = NewTransportComm(f.endpoint(r), cost)
 	}
 	return &Cluster{comms: comms}
 }
@@ -359,13 +336,6 @@ func (c *Cluster) TotalWords() int64 {
 	return s
 }
 
-// ResetLedgers clears all rank ledgers (e.g., to discard a warmup epoch).
-func (c *Cluster) ResetLedgers() {
-	for _, cm := range c.comms {
-		cm.ledger.Reset()
-	}
-}
-
 // Close tears down every hosted endpoint's transport — sockets, reader and
 // heartbeat goroutines; the channel fabric has nothing to release — and
 // returns the first error.
@@ -483,9 +453,9 @@ func (c *Comm) Ledger() *Ledger { return c.ledger }
 
 // sendRaw moves a payload through the transport without model charging
 // (collectives charge analytically). The caller keeps ownership of p's
-// backing arrays: the transport copies — into the sender's arena on the
+// backing arrays: the transport copies — into the receiver's arena on the
 // channel fabric, onto the wire for TCP — so sender and receiver never
-// share memory, and received buffers stay valid until the next Recycle.
+// share memory, and received buffers stay valid until Release or Recycle.
 func (c *Comm) sendRaw(dst int, p Payload) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: rank %d sending to invalid rank %d", c.rank, dst))
@@ -588,17 +558,18 @@ func (c *Comm) EpochDone() {
 }
 
 // Recycle returns every payload buffer handed out since the last recycle
-// without ending an epoch: all ranks synchronize, every rank recycles its
-// payload buffers — the Comm's own pool and the transport's arena (the
-// channel fabric's send clones, the TCP fabric's received frames) — and all
-// ranks synchronize again before continuing. It is a collective, like
+// and not yet released or kept, without ending an epoch: all ranks
+// synchronize, every rank recycles its payload buffers — the Comm's own
+// pool and the transport's receive arena — dropping those the round never
+// took, and all ranks synchronize again before continuing. It is a collective, like
 // Barrier. The block-row trainers call it between the column panels of the
 // input layer, which are not epochs, so an epoch-triggered fault still
 // counts training epochs.
 //
 // After Recycle returns, payloads received earlier — including the float
 // slices of collective results — must not be read again: their buffers are
-// reused for later traffic. It also recycles the rank's Request arena;
+// reused for later traffic, and in a race-detector build read NaN. Only a
+// payload the caller took with Keep survives it. It also recycles the rank's Request arena;
 // every request issued since the last recycle must have been waited on by
 // now (an unwaited request would silently drop its communication span from
 // the timeline, so it panics instead).
@@ -610,6 +581,28 @@ func (c *Comm) Recycle() {
 		er.EpochRecycle()
 	}
 	c.tr.Barrier()
+}
+
+// Release hands p's buffers back to the fabric before the next Recycle:
+// p is a payload this rank received, or a collective's result, that its
+// last reader is done with. Whichever of the rank's two arenas — its
+// Comm's pool or its transport's receive arena — handed a side out takes
+// it back onto its free list, where the next payload of its class lands;
+// a side neither handed out (the caller's own data, a kept or already
+// released buffer) is left alone, so a second Release of a payload that no
+// checkout has taken since is a no-op. Nothing may read p afterwards: in a
+// race-detector build its floats read NaN. It allocates nothing once the
+// free lists are sized.
+func (c *Comm) Release(p Payload) {
+	c.pool.release(c.arena().release(p))
+}
+
+// Keep hands p's buffers over to the caller for good: the fabric forgets
+// them, so neither Release nor Recycle reuses them, and they stay valid for
+// as long as the caller holds them, without a copy. Sides the fabric did
+// not hand out are left alone. It allocates nothing.
+func (c *Comm) Keep(p Payload) {
+	c.pool.keep(c.arena().keep(p))
 }
 
 // LargestBufferWords returns the capacity, in words, of the largest payload
@@ -630,7 +623,7 @@ func (c *Comm) HeldWords() int64 {
 }
 
 // arena returns the transport's receive arena (nil when it has none).
-func (c *Comm) arena() *bufPool {
+func (c *Comm) arena() *recvArena {
 	if ah, ok := c.tr.(arenaHolder); ok {
 		return ah.recvArena()
 	}

@@ -21,15 +21,17 @@ import (
 type epochTicker interface{ EpochTick() }
 
 // epochRecycler is implemented by transports that hand Recv's callers
-// pooled buffers (the channel fabric's send clones, the TCP fabric's
-// receive arena); Comm.Recycle calls it between its two barriers, when
-// no rank still reads a payload handed out before them. A wrapper that
-// does not forward it leaves the arena growing.
+// buffers of a receive arena (the channel fabric's clones, the TCP
+// fabric's decoded frames); Comm.Recycle calls it between its two
+// barriers, when no rank still reads a payload handed out before them. A
+// wrapper that does not forward it leaves the arena growing.
 type epochRecycler interface{ EpochRecycle() }
 
 // arenaHolder is implemented by the transports that are epochRecyclers:
-// recvArena is the pool their Recv draws from (nil when there is none).
-type arenaHolder interface{ recvArena() *bufPool }
+// recvArena is the pool their Recv draws from (nil when there is none),
+// which Comm.Release and Comm.Keep hand received payloads back to. A
+// wrapper that does not forward it leaves them checked out until Recycle.
+type arenaHolder interface{ recvArena() *recvArena }
 
 // aborter is implemented by transports that can broadcast a failure
 // announcement to every peer (the channel fabric's abort latch, the TCP
@@ -193,7 +195,7 @@ func (t *FaultTransport) EpochRecycle() {
 }
 
 // recvArena forwards to the wrapped transport.
-func (t *FaultTransport) recvArena() *bufPool {
+func (t *FaultTransport) recvArena() *recvArena {
 	if ah, ok := t.inner.(arenaHolder); ok {
 		return ah.recvArena()
 	}
@@ -253,3 +255,11 @@ func (t *FaultTransport) Abort(reason string) {
 		a.Abort(reason)
 	}
 }
+
+// Every fabric's endpoint has a receive arena, reachable through a
+// FaultTransport.
+var (
+	_ arenaHolder = (*inprocTransport)(nil)
+	_ arenaHolder = (*TCPTransport)(nil)
+	_ arenaHolder = (*FaultTransport)(nil)
+)

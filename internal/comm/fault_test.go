@@ -182,7 +182,7 @@ func TestFaultTransportDelayAndForwarding(t *testing.T) {
 // EpochDone's.
 func TestRecycleLeavesFaultEpoch(t *testing.T) {
 	plan, _ := ParseFaultPlan("crash@epoch=1")
-	ft := NewFaultTransport(&inprocTransport{fabric: newChanFabric(1), rank: 0, arena: newBufPool()}, plan)
+	ft := NewFaultTransport(newChanFabric(1).endpoint(0), plan)
 	c := NewTransportComm(ft, testCost)
 	round := func() (pooled, received *float64) {
 		ft.Send(0, Payload{Floats: make([]float64, 100)}) // cloned into the arena

@@ -82,8 +82,10 @@ func (g *Group) Broadcast(root int, p Payload, cat Category) Payload {
 // and Gropp 2005): ⌈lg q⌉ swaps of the whole vector, each member adding its
 // partner's partial to its own as lower half + upper half — the order of a
 // binomial reduce onto member 0, so every member ends with that reduce's
-// bits. It is charged as the Reduce and Broadcast it replaced, in two
-// steps, α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
+// bits. Each received partial goes back to the fabric once it is added;
+// the result is a buffer of the rank's pool, for the caller to Release. It
+// is charged as the Reduce and Broadcast it replaced, in two steps,
+// α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
 // (costmodel.OneDHaloDenseWords carries the factor 2).
 func (g *Group) AllReduce(x []float64, cat Category) []float64 {
 	defer g.comm.meterDone(g.comm.meterStart())
@@ -123,7 +125,9 @@ func (g *Group) allReduce(x []float64) []float64 {
 			}
 			src = g.me - m
 		}
-		addHalves(acc, g.comm.recvRaw(g.ranks[src]).Floats, g.me < hi)
+		recv := g.comm.recvRaw(g.ranks[src])
+		addHalves(acc, recv.Floats, g.me < hi)
+		g.comm.Release(recv)
 	}
 	return acc
 }
@@ -196,7 +200,9 @@ func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64
 			}
 		}
 		g.comm.sendRaw(g.ranks[peer], Payload{Floats: send})
-		recv := g.comm.recvRaw(g.ranks[peer]).Floats
+		g.comm.Release(Payload{Floats: send})
+		got := g.comm.recvRaw(g.ranks[peer])
+		recv := got.Floats
 		if len(recv) != keepN {
 			panic(fmt.Sprintf("comm: reduce length mismatch: %d vs %d", len(recv), keepN))
 		}
@@ -207,6 +213,7 @@ func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64
 				at += counts[k]
 			}
 		}
+		g.comm.Release(got)
 	}
 	return acc[off : off+counts[g.me]]
 }

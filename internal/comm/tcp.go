@@ -52,11 +52,16 @@ import (
 // hands the kernel the header and the caller's two slices in one writev,
 // and the reader, after taking the header from its bufio buffer, reads
 // each side with io.ReadFull straight into a buffer drawn from the rank's
-// receive arena — a bufPool that Comm.Recycle recycles between its two
-// barriers. Each side makes one kernel copy of the words and no per-word
+// receive arena (recvArena: one bufPool per sending peer), which
+// Comm.Release takes one payload back to at its last reader and
+// Comm.Recycle recycles whole between its two barriers. Each side makes one kernel copy of the words and no per-word
 // pass; only what the bufio buffer already holds, or a tail shorter than
 // it, is copied once more. Steady-state epochs allocate no payload memory,
-// and a received payload stays valid until the next Recycle.
+// and a received payload stays valid until Release or Recycle.
+//
+// A released buffer may take a later frame of the same round at once: the
+// rank released it because it reads it no more. The argument below covers
+// the buffers still checked out at the round's end.
 //
 // Why no round-N+1 frame (a round: the traffic between two Recycles) can
 // land in a buffer still referenced from round N: collectives are SPMD, so every frame a peer sent this rank during
@@ -81,9 +86,12 @@ import (
 //
 // Frames (all integers little-endian):
 //
-//	'D' u32 nFloats, u32 nInts, then nFloats float64 bit patterns and
-//	    nInts int64 values — one Payload, bit-exact. nFloats + nInts may
-//	    not exceed maxFrameWords.
+//	'D' u32 nFloats, u32 nInts, u32 acked, then nFloats float64 bit
+//	    patterns and nInts int64 values — one Payload, bit-exact. nFloats
+//	    + nInts may not exceed maxFrameWords. acked is the number of data
+//	    frames the sender had received from the receiver since the last
+//	    Recycle: the receiver's arena reuses for the sender's frames only
+//	    the buffers it had released before sending those (recvArena).
 //	'B' barrier token, no body.
 //	'V' heartbeat, no body — refreshes the peer's last-heard clock.
 //	'A' u16 reasonLen, reason — the sending rank is failing; reason is
@@ -204,7 +212,8 @@ type TCPTransport struct {
 	readErr     []chan error    // readErr[peer], posted once when reader exits
 	lastHeard   []atomic.Int64  // lastHeard[peer], UnixNano of last frame
 	frame       frameVec        // the data frame Send is writing
-	arena       *bufPool        // received payload buffers; see EpochRecycle
+	arena       *recvArena      // received payload buffers; see EpochRecycle
+	recvd       []int           // recvd[peer]: data frames received from peer this round
 	watchdog    *time.Timer     // ProgressTimeout timer, nil when disabled
 
 	hbStop    chan struct{}
@@ -231,8 +240,9 @@ func (t *TCPTransport) Send(dst int, p Payload) {
 	if err := checkFrameWords(uint64(len(p.Floats)), uint64(len(p.Ints))); err != nil {
 		panic(fmt.Sprintf("comm: rank %d sending to rank %d: %v", t.rank, dst, err))
 	}
+	t.arena.from[dst].noteSend()
 	t.wmu[dst].Lock()
-	err := t.frame.write(t.conns[dst], p)
+	err := t.frame.write(t.conns[dst], p, uint32(t.recvd[dst]))
 	t.wmu[dst].Unlock()
 	if err != nil {
 		panic(t.failure("send", dst, err))
@@ -249,11 +259,15 @@ func (t *TCPTransport) writeFrame(dst int, frame []byte) error {
 }
 
 // EpochRecycle returns every payload buffer handed out by Recv since the
-// previous call to the receive arena. Comm.Recycle calls it between its
-// two barriers; see the header comment for why that is safe.
-func (t *TCPTransport) EpochRecycle() { t.arena.recycle() }
+// previous call to the receive arena and starts a new round of frame
+// counts. Comm.Recycle calls it between its two barriers; see the header
+// comment for why that is safe.
+func (t *TCPTransport) EpochRecycle() {
+	t.arena.recycle()
+	clear(t.recvd)
+}
 
-func (t *TCPTransport) recvArena() *bufPool { return t.arena }
+func (t *TCPTransport) recvArena() *recvArena { return t.arena }
 
 // failure builds the *PeerError for a failed operation on peer. If some
 // rank already broadcast an abort, its root cause wins over the local
@@ -340,7 +354,11 @@ func (t *TCPTransport) checkProgress(op string, peer int) *PeerError {
 }
 
 // Recv blocks for the next payload from src.
-func (t *TCPTransport) Recv(src int) Payload { return await(t, t.inbox[src], "recv", src) }
+func (t *TCPTransport) Recv(src int) Payload {
+	p := await(t, t.inbox[src], "recv", src)
+	t.recvd[src]++
+	return p
+}
 
 // Barrier runs a dissemination barrier over the data connections.
 func (t *TCPTransport) Barrier() {
@@ -466,7 +484,7 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 			}
 			t.raiseAbort(peer, reason)
 		case frameData:
-			p, err := readDataFrame(r, t.arena)
+			p, err := readDataFrame(r, t.arena.from[peer])
 			if err != nil {
 				t.readErr[peer] <- err
 				return
@@ -492,17 +510,19 @@ func checkFrameWords(nFloats, nInts uint64) error {
 // payload's two sides. It is kept in the transport, not on Send's stack,
 // because net.Buffers.WriteTo makes the vector escape.
 type frameVec struct {
-	hdr  [9]byte
+	hdr  [13]byte
 	iov  [3][]byte
 	bufs net.Buffers
 }
 
-// write sends p to w as one 'D' frame, the words straight from p's slices.
-// The caller has checked the frame size and holds the peer's write mutex.
-func (v *frameVec) write(w io.Writer, p Payload) error {
+// write sends p to w as one 'D' frame, the words straight from p's slices,
+// with the count of frames acked. The caller has checked the frame size
+// and holds the peer's write mutex.
+func (v *frameVec) write(w io.Writer, p Payload, acked uint32) error {
 	v.hdr[0] = frameData
 	binary.LittleEndian.PutUint32(v.hdr[1:5], uint32(len(p.Floats)))
 	binary.LittleEndian.PutUint32(v.hdr[5:9], uint32(len(p.Ints)))
+	binary.LittleEndian.PutUint32(v.hdr[9:13], acked)
 	v.iov = [3][]byte{v.hdr[:], wordBytes(p.Floats), wordBytes(p.Ints)}
 	v.bufs = v.iov[:]
 	_, err := v.bufs.WriteTo(w)
@@ -510,21 +530,24 @@ func (v *frameVec) write(w io.Writer, p Payload) error {
 }
 
 // readDataFrame reads the rest of a data frame (the type byte is already
-// consumed) into buffers from arena. Zero-length sides read as nil,
-// preserving Payload nil-ness conventions. The header is checked against
-// maxFrameWords before anything is drawn from the arena.
-func readDataFrame(r *bufio.Reader, arena *bufPool) (Payload, error) {
-	hdr, err := r.Peek(8)
+// consumed) into buffers from pool, the receive arena's pool for the
+// frame's sender, after promoting what the frame acks. Zero-length sides
+// read as nil, preserving Payload nil-ness conventions. The header is
+// checked against maxFrameWords before anything is drawn from the pool.
+func readDataFrame(r *bufio.Reader, pool *bufPool) (Payload, error) {
+	hdr, err := r.Peek(12)
 	if err != nil {
 		return Payload{}, midFrame(err)
 	}
 	nf := binary.LittleEndian.Uint32(hdr[0:4])
 	ni := binary.LittleEndian.Uint32(hdr[4:8])
-	r.Discard(8)
+	acked := binary.LittleEndian.Uint32(hdr[8:12])
+	r.Discard(12)
 	if err := checkFrameWords(uint64(nf), uint64(ni)); err != nil {
 		return Payload{}, err
 	}
-	p := Payload{Floats: arena.getFloats(int(nf)), Ints: arena.getInts(int(ni))}
+	pool.promote(int(acked))
+	p := Payload{Floats: pool.getFloats(int(nf)), Ints: pool.getInts(int(ni))}
 	if _, err := io.ReadFull(r, wordBytes(p.Floats)); err != nil {
 		return Payload{}, midFrame(err)
 	}
@@ -739,7 +762,8 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 	t.barrierCh = make([]chan struct{}, world)
 	t.readErr = make([]chan error, world)
 	t.lastHeard = make([]atomic.Int64, world)
-	t.arena = newBufPool()
+	t.arena = newRecvArena(world)
+	t.recvd = make([]int, world)
 	if t.opts.ProgressTimeout > 0 {
 		t.watchdog = time.NewTimer(t.opts.ProgressTimeout)
 		t.watchdog.Stop()

@@ -25,13 +25,13 @@ func BenchmarkTCPFrameCodec(b *testing.B) {
 				p.Ints[i] = -i
 			}
 			var pipe bytes.Buffer
-			pipe.Grow(9 + 8*words)
+			pipe.Grow(13 + 8*words)
 			var vec frameVec
 			r := bufio.NewReaderSize(&pipe, frameChunk)
 			arena := newBufPool()
 			frame := func() {
 				pipe.Reset() // drained, but a short write would append past the old frame
-				if err := vec.write(&pipe, p); err != nil {
+				if err := vec.write(&pipe, p, 0); err != nil {
 					b.Fatal(err)
 				}
 				r.ReadByte() // the type byte readLoop dispatches on
@@ -42,7 +42,7 @@ func BenchmarkTCPFrameCodec(b *testing.B) {
 				arena.recycle()
 			}
 			frame() // size the arena
-			b.SetBytes(int64(9 + 8*words))
+			b.SetBytes(int64(13 + 8*words))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -13,11 +13,18 @@ import (
 	"testing"
 )
 
-// encodeFrame returns p's 'D' frame as Send would put it on the wire.
+// encodeFrame returns p's 'D' frame as Send would put it on the wire, with
+// an acked count of 0.
 func encodeFrame(t testing.TB, p Payload) []byte {
 	t.Helper()
+	return encodeFrameAcked(t, p, 0)
+}
+
+// encodeFrameAcked is encodeFrame with the given acked count.
+func encodeFrameAcked(t testing.TB, p Payload, acked uint32) []byte {
+	t.Helper()
 	var out bytes.Buffer
-	if err := new(frameVec).write(&out, p); err != nil {
+	if err := new(frameVec).write(&out, p, acked); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
@@ -60,7 +67,7 @@ func samePayload(a, b Payload) bool {
 // awkwardPayloads are the values a careless codec would canonicalize,
 // truncate or mis-sign, plus the length shapes that matter: empty sides
 // (which must stay nil) and a frame whose words straddle the reader's
-// buffer boundary (the body starts 9 bytes into the stream, so word
+// buffer boundary (the body starts 13 bytes into the stream, so word
 // frameChunk/8 − 1 is split across two fills).
 func awkwardPayloads() []Payload {
 	straddle := Payload{Floats: make([]float64, frameChunk/8+3), Ints: make([]int, 5)}
@@ -96,12 +103,13 @@ func TestFrameGoldenBytes(t *testing.T) {
 		'D',
 		2, 0, 0, 0, // u32 nFloats
 		2, 0, 0, 0, // u32 nInts
+		3, 1, 0, 0, // u32 acked
 		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // 1.5
 		0, 0, 0, 0, 0, 0, 0, 0x80, // −0
 		0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, // −2
 		0, 0, 0, 0, 0, 1, 0, 0, // 1<<40
 	}
-	if got := encodeFrame(t, p); !bytes.Equal(got, golden) {
+	if got := encodeFrameAcked(t, p, 259); !bytes.Equal(got, golden) {
 		t.Fatalf("frame bytes drifted:\n got %x\nwant %x", got, golden)
 	}
 	got, err := decodeFrame(bytes.NewReader(golden), newBufPool())
@@ -192,16 +200,17 @@ func (r *trickle) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// rawHeader is the 9 bytes that open a data frame of the given counts.
+// rawHeader is the 13 bytes that open a data frame of the given counts
+// (acked 0).
 func rawHeader(nFloats, nInts uint32) []byte {
-	h := []byte{frameData, 0, 0, 0, 0, 0, 0, 0, 0}
+	h := []byte{frameData, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	binary.LittleEndian.PutUint32(h[1:5], nFloats)
 	binary.LittleEndian.PutUint32(h[5:9], nInts)
 	return h
 }
 
 // TestTCPFrameLimitOnReceive: a header demanding more than maxFrameWords
-// — one corrupt or hostile 9-byte write — must cost the receiver a typed
+// — one corrupt or hostile 13-byte write — must cost the receiver a typed
 // *PeerError, not a 32 GiB allocation.
 func TestTCPFrameLimitOnReceive(t *testing.T) {
 	for _, tc := range []struct {
@@ -224,7 +233,7 @@ func TestTCPFrameLimitOnReceive(t *testing.T) {
 			if pe.Peer != 1 || pe.Rank != 0 || !strings.Contains(pe.Error(), "maxFrameWords") {
 				t.Fatalf("PeerError %v; want rank 0 blaming peer 1 for an over-limit frame", pe)
 			}
-			if n := len(trs[0].arena.usedF) + len(trs[0].arena.usedI); n != 0 {
+			if n := len(trs[0].arena.from[1].usedF) + len(trs[0].arena.from[1].usedI); n != 0 {
 				t.Fatalf("receiver took %d arena buffers for a frame it rejected", n)
 			}
 		})
@@ -272,7 +281,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(rawHeader(3, 0)) // body missing
 	f.Add([]byte{frameData, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 9 || data[0] != frameData {
+		if len(data) < 13 || data[0] != frameData {
 			decodeFrame(bytes.NewReader(data), newBufPool()) // must not panic
 			return
 		}
@@ -297,7 +306,7 @@ func FuzzFrameDecode(f *testing.F) {
 		if (len(p.Floats) == 0) != (p.Floats == nil) || (len(p.Ints) == 0) != (p.Ints == nil) {
 			t.Fatalf("empty side not nil: %d floats (nil %v), %d ints (nil %v)", len(p.Floats), p.Floats == nil, len(p.Ints), p.Ints == nil)
 		}
-		if again := encodeFrame(t, p); !bytes.Equal(again, data[:len(again)]) {
+		if again := encodeFrameAcked(t, p, binary.LittleEndian.Uint32(data[9:13])); !bytes.Equal(again, data[:len(again)]) {
 			t.Fatalf("decoded frame re-encodes differently (%d bytes)", len(again))
 		}
 	})

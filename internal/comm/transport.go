@@ -13,9 +13,9 @@ import (
 //
 // Two implementations ship with the package:
 //
-//   - the channel fabric (NewCluster): P goroutines exchanging pooled
-//     payload clones through buffered channels — the simulated α–β testbed
-//     every test and benchmark uses, and
+//   - the channel fabric (NewCluster): P goroutines exchanging payload
+//     clones, pooled in the receiver's arena, through buffered channels —
+//     the simulated α–β testbed every test and benchmark uses, and
 //   - the TCP fabric (DialTCP): length-prefixed frames over persistent
 //     per-peer connections, rendezvous through a coordinator listener —
 //     one OS process per rank (cagnet-train -spawn) or every rank in this one
@@ -38,13 +38,16 @@ import (
 // then panic with a *PeerError carrying that reason. Both fabrics do;
 // Cluster.Run is the caller.
 //
-// Buffer lifetime: the payload handed to Recv's caller is valid until the
-// next Comm.Recycle (which Comm.EpochDone runs) and not after. Both fabrics
-// hand out pooled buffers — the channel fabric clones into the sender's
-// arena, the TCP fabric decodes into the receiver's — and Recycle returns
-// them between its two barriers through the optional EpochRecycle method
-// (see epochRecycler), which a wrapping transport must forward. A caller
-// that never recycles keeps its payloads valid indefinitely.
+// Buffer lifetime: the payload handed to Recv's caller is valid until its
+// Comm.Release or the next Comm.Recycle (which Comm.EpochDone runs) and not
+// after — or for good once Comm.Keep has taken it. Both fabrics hand out
+// buffers of the receiver's arena — the channel fabric clones into it, the
+// TCP fabric decodes into it — so every payload a rank reads is its own
+// arena's, which Release and Keep reach through the optional recvArena
+// method (see arenaHolder) and Recycle returns between its two barriers
+// through the optional EpochRecycle method (see epochRecycler); a wrapping
+// transport must forward both. A caller that never releases or recycles
+// keeps its payloads valid indefinitely.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -67,6 +70,7 @@ type Transport interface {
 // barrier, and the abort latch that wakes every blocked endpoint.
 type chanFabric struct {
 	mailbox [][]chan Payload // mailbox[src][dst]
+	arenas  []*recvArena     // arenas[dst]: dst's receive arena, which senders clone into
 	barrier *centralBarrier
 
 	abortOnce sync.Once
@@ -78,7 +82,9 @@ type chanFabric struct {
 func newChanFabric(p int) *chanFabric {
 	f := &chanFabric{barrier: newCentralBarrier(p), abortCh: make(chan struct{})}
 	f.mailbox = make([][]chan Payload, p)
+	f.arenas = make([]*recvArena, p)
 	for i := range f.mailbox {
+		f.arenas[i] = newRecvArena(p)
 		f.mailbox[i] = make([]chan Payload, p)
 		for j := range f.mailbox[i] {
 			f.mailbox[i][j] = make(chan Payload, mailboxDepth)
@@ -88,13 +94,20 @@ func newChanFabric(p int) *chanFabric {
 }
 
 // inprocTransport is one rank's endpoint on a chanFabric. Sends deep-copy
-// into the sender's arena, so received payloads stay valid until Recycle
-// recycles it (EpochRecycle) — the same lifetime the TCP transport
-// provides with its receive arena.
+// into the receiver's arena, so a received payload is the receiver's to
+// release, and stays valid until it does or Recycle recycles the arena
+// (EpochRecycle) — the same ownership the TCP transport provides with its
+// receive arena. recvd[s] counts the payloads received from s this round:
+// what this rank's next send to s tells s's arena it knows (recvArena).
 type inprocTransport struct {
 	fabric *chanFabric
 	rank   int
-	arena  *bufPool
+	recvd  []int
+}
+
+// endpoint returns rank's endpoint on the fabric.
+func (f *chanFabric) endpoint(rank int) *inprocTransport {
+	return &inprocTransport{fabric: f, rank: rank, recvd: make([]int, len(f.mailbox))}
 }
 
 func (t *inprocTransport) Rank() int { return t.rank }
@@ -102,7 +115,10 @@ func (t *inprocTransport) Size() int { return len(t.fabric.mailbox) }
 
 // Send blocks only when dst's mailbox is full, and then wakes on Abort.
 func (t *inprocTransport) Send(dst int, p Payload) {
-	clone := Payload{Floats: t.arena.cloneFloats(p.Floats), Ints: t.arena.cloneInts(p.Ints)}
+	into := t.fabric.arenas[dst].from[t.rank]
+	into.promote(t.recvd[dst])
+	clone := Payload{Floats: into.cloneFloats(p.Floats), Ints: into.cloneInts(p.Ints)}
+	t.recvArena().from[dst].noteSend()
 	select {
 	case t.fabric.mailbox[t.rank][dst] <- clone:
 	case <-t.fabric.abortCh:
@@ -114,17 +130,18 @@ func (t *inprocTransport) Send(dst int, p Payload) {
 // the TCP endpoint: what a failing peer sent before it failed still counts.
 func (t *inprocTransport) Recv(src int) Payload {
 	mb := t.fabric.mailbox[src][t.rank]
+	var p Payload
 	select {
-	case p := <-mb:
-		return p
+	case p = <-mb:
 	default:
+		select {
+		case p = <-mb:
+		case <-t.fabric.abortCh:
+			panic(t.aborted("recv"))
+		}
 	}
-	select {
-	case p := <-mb:
-		return p
-	case <-t.fabric.abortCh:
-		panic(t.aborted("recv"))
-	}
+	t.recvd[src]++
+	return p
 }
 
 func (t *inprocTransport) Barrier() {
@@ -135,11 +152,14 @@ func (t *inprocTransport) Barrier() {
 
 func (t *inprocTransport) Close() error { return nil }
 
-// EpochRecycle returns this rank's send clones to its arena; see
-// epochRecycler.
-func (t *inprocTransport) EpochRecycle() { t.arena.recycle() }
+// EpochRecycle returns the payloads this rank received to its arena and
+// starts a new round of counts; see epochRecycler.
+func (t *inprocTransport) EpochRecycle() {
+	t.recvArena().recycle()
+	clear(t.recvd)
+}
 
-func (t *inprocTransport) recvArena() *bufPool { return t.arena }
+func (t *inprocTransport) recvArena() *recvArena { return t.fabric.arenas[t.rank] }
 
 // Abort latches the fabric's first abort and wakes every endpoint blocked
 // in Send, Recv or Barrier; see aborter.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -192,9 +193,12 @@ func checkEquivalence(t *testing.T, trainer Trainer, p Problem) *Result {
 // requireNear requires outputs, losses and weights of got, the named run,
 // within tol of want's, a serial run of the same problem, and the
 // accuracies — per epoch too, when the problem has a ValMask — within
-// 1e-12: the paper's §V-A verification.
+// 1e-12: the paper's §V-A verification. Both runs must be finite
+// throughout: a distance to NaN is NaN, which no "> tol" test catches.
 func requireNear(t *testing.T, name string, got, want *Result, tol float64) {
 	t.Helper()
+	requireFinite(t, name, got)
+	requireFinite(t, name+"'s serial reference", want)
 	if d := dense.MaxAbsDiff(got.Output, want.Output); d > tol {
 		t.Fatalf("%s output deviates from serial by %v", name, d)
 	}
@@ -224,6 +228,25 @@ func requireNear(t *testing.T, name string, got, want *Result, tol float64) {
 				e, got.TrainAccuracy[e], got.ValAccuracy[e], want.TrainAccuracy[e], want.ValAccuracy[e])
 		}
 	}
+}
+
+// requireFinite fails unless every output element, weight and per-epoch
+// loss of the named run is finite.
+func requireFinite(t *testing.T, name string, r *Result) {
+	t.Helper()
+	finite := func(what string, xs []float64) {
+		t.Helper()
+		for i, v := range xs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%s: %s[%d] = %v", name, what, i, v)
+			}
+		}
+	}
+	finite("output", r.Output.Data)
+	for l, w := range r.Weights {
+		finite(fmt.Sprintf("W[%d]", l), w.Data)
+	}
+	finite("loss", r.Losses)
 }
 
 func TestOneDUnevenBlocks(t *testing.T) {

@@ -107,8 +107,10 @@ type layerOpsOf[T dense.Elem] interface {
 	// one an earlier method returned this epoch, at its last reader (see
 	// epoch). It returns the matrix's buffer to the rank's workspace —
 	// with whatever the implementation derived from it and cached, such as
-	// the mesh's gathered full rows — and does nothing for storage the
-	// workspace does not hand out (T¹, H⁰, a fabric payload's data).
+	// the mesh's gathered full rows — or, when the matrix wraps a fabric
+	// payload (a team all-reduce or fiber reduce-scatter result), the
+	// payload to the fabric, and does nothing for storage neither hands out
+	// (T¹, H⁰).
 	release(m *dense.Of[T])
 
 	// endEpoch charges per-epoch overhead after the optimizer step and
@@ -146,14 +148,14 @@ type layerOps = layerOpsOf[float64]
 //
 // The per-epoch activation/gradient bookkeeping slices live on the engine
 // and are reused across epochs: together with the layerOps drawing their
-// matrix temporaries from a dense.Workspace and the comm fabric recycling
-// its payload buffers at the epoch boundary, the steady-state epoch loop
-// performs zero heap allocations once the arenas are sized. The engine
-// hands each temporary back (release) after its last reader — the
-// dataflow is the same on every rank and every trainer, so the release
-// points are written once, in layerForward and epoch — and the
-// implementations release their own scratch likewise, so a rank's
-// workspace holds the epoch's live set, not the sum of its draws; endEpoch
+// matrix temporaries from a dense.Workspace and their payloads from the
+// comm fabric's arenas, the steady-state epoch loop performs zero heap
+// allocations once the arenas are sized. The engine hands each temporary
+// back (release) after its last reader — the dataflow is the same on every
+// rank and every trainer, so the release points are written once, in
+// layerForward and epoch — and the implementations release their own
+// scratch and received payloads likewise, so a rank's workspace and fabric
+// hold the epoch's live set, not the sum of its draws; endEpoch
 // returns the rest: H^L, which the accuracy reads, and the weight
 // gradients, which the optimizer reads.
 type engine[T dense.Elem] struct {

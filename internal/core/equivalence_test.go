@@ -416,7 +416,9 @@ func (m *matrixRuns) check(t *testing.T, c cell) {
 		requireSameRun(t, fmt.Sprintf("%s vs %v", name, k), got.res, m.train(t, k).res)
 	}
 	if c.tol > 0 {
-		requireNear(t, name, got.res, m.train(t, c.serialRef()).res, c.tol)
+		ref := m.train(t, c.serialRef()).res
+		requireLearns(t, c.serialRef().String(), ref)
+		requireNear(t, name, got.res, ref, c.tol)
 	}
 	if c.later != (trainCfg{}) {
 		if fast, late := m.train(t, c.later).cl.MaxElapsed(), got.cl.MaxElapsed(); !(late > fast) {
@@ -431,6 +433,20 @@ func (m *matrixRuns) check(t *testing.T, c cell) {
 				t.Fatalf("%v rank %d moved no dense words: the comparison would prove nothing", c.ledgers, r)
 			}
 		}
+	}
+}
+
+// requireLearns fails unless the named run is finite and, when it trained
+// more than one epoch, its last epoch's loss is below its first: a
+// reference that did not train — garbage from a buffer read after its
+// release, say — would pass every comparison with runs garbled the same
+// way. (The randomized sweep draws some one-epoch problems, whose single
+// loss has no trend.)
+func requireLearns(t *testing.T, name string, r *Result) {
+	t.Helper()
+	requireFinite(t, name, r)
+	if first, last := r.Losses[0], r.Losses[len(r.Losses)-1]; len(r.Losses) > 1 && !(last < first) {
+		t.Fatalf("%s: loss went %v → %v over %d epochs, did not decrease", name, first, last, len(r.Losses))
 	}
 }
 

@@ -126,10 +126,11 @@ func (t *meshTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layer
 // meshRank holds one rank's state during 2D or 3D training and implements
 // layerOps with the SUMMA collective choreography, pipelined: each SUMMA
 // issues stage k+1's panel broadcasts before it multiplies stage k.
-// Per-epoch temporaries come from ws: each step hands back its own scratch
-// once it is consumed, the engine every result after its last reader
-// (release, which also drops the full rows gathered from it), and
-// endEpoch the rest, together with the fabric's payload pool.
+// Per-epoch temporaries come from ws and the fabric: each step hands back
+// its own scratch and every payload it received once it is consumed, the
+// engine every result after its last reader (release, which also drops the
+// full rows gathered from it), and endEpoch the rest, together with the
+// fabric's payload pool.
 type meshRank struct {
 	comm   *comm.Comm
 	mach   costmodel.Machine
@@ -291,8 +292,7 @@ func (r *meshRank) setup(at *sparse.CSR, directed bool, features *dense.Matrix) 
 // work. A is static, so it runs once per run, before the first backward
 // SUMMA, and only on a directed graph: from then on the rank holds its A
 // block beside its Aᵀ block. The parts are transposed into storage of the
-// rank's own, which must outlive the payloads: the fabric recycles those at
-// the epoch boundary.
+// rank's own, and each received payload goes back to the fabric.
 func (r *meshRank) transposeExchange() {
 	d, lo := r.mesh.D, r.vBlk.Lo(r.pi)
 	parts := make([]*sparse.CSR, d)
@@ -301,11 +301,14 @@ func (r *meshRank) transposeExchange() {
 		k := (s - r.pk + d) % d
 		rLo, rHi := r.subRange(r.pi, k)
 		send := r.at.blk.ExtractBlock(rLo-lo, rHi-lo, 0, r.at.blk.Cols)
+		var got comm.Payload
 		if peer := r.mesh.Rank(r.pj, r.pi, k); peer != r.comm.Rank() {
-			send = payloadCSR(r.comm.Exchange(peer, csrPayload(send), comm.CatTranspose))
+			got = r.comm.Exchange(peer, csrPayload(send), comm.CatTranspose)
+			send = payloadCSR(got)
 		}
 		parts[k] = send.Transpose()
 		nnz += send.NNZ()
+		r.comm.Release(got)
 	}
 	r.comm.ChargeTime(comm.CatTranspose, float64(nnz)*4/r.mach.SpMMRate)
 	r.a.blk = stackRows(parts)
@@ -337,9 +340,9 @@ func stackRows(parts []*sparse.CSR) *sparse.CSR {
 // the result lands in the same n/(q·d) x f/q layout as X (§IV-D-1).
 //
 // Stage k+1's panels are issued asynchronously before stage k's local SpMM
-// runs, double-buffering the in-flight panels (the fabric pool holds the
-// incoming buffers, ws the wrapping headers), so on the timeline a stage
-// costs max(comm, comp).
+// runs, double-buffering the in-flight panels (the fabric's receive arena
+// holds the incoming buffers until their SpMM has read them, ws the
+// wrapping headers), so on the timeline a stage costs max(comm, comp).
 func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 	// On a deep mesh out is the layer's pre-reduction sum: the
 	// P^{1/3}-replicated intermediate of §IV-D-1.
@@ -350,7 +353,8 @@ func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 			r.holdPanel(a, k, aReq.Wait())
 		}
 		aK := a.held[k]
-		xK := wrapMat(r.ws, xReq.Wait())
+		got := xReq.Wait()
+		xK := wrapMat(r.ws, got)
 		if k+1 < r.mesh.C {
 			aReq, xReq = r.summaStage(k+1, a, x)
 		}
@@ -358,6 +362,9 @@ func (r *meshRank) summaSpMM(a *sparseOperand, x *dense.Matrix) *dense.Matrix {
 		sparse.SpMMAdd(out, aK, xK)
 		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(aK.NNZ()), aK.Rows, xK.Cols))
 		r.ws.Release(xK)
+		if k != r.pi { // stage pi's payload is x itself
+			r.comm.Release(got)
+		}
 	}
 	if r.mesh.D == 1 {
 		return out
@@ -401,15 +408,16 @@ func (r *meshRank) summaStage(k int, a *sparseOperand, x *dense.Matrix) (aReq, x
 }
 
 // holdPanel keeps stage k's sparse row panel for the rest of the run: the
-// rank's own block where it was the root, otherwise a copy out of the
-// received payload — whose buffers the fabric recycles at the epoch
-// boundary — counted as resident from here on.
+// rank's own block where it was the root, otherwise the received payload
+// itself, which Keep takes out of the fabric's arena without a copy —
+// counted as resident from here on.
 func (r *meshRank) holdPanel(a *sparseOperand, k int, got comm.Payload) {
 	if k == r.pj {
 		a.held[k] = a.blk
 		return
 	}
-	a.held[k] = payloadCSR(got).Clone()
+	r.comm.Keep(got)
+	a.held[k] = payloadCSR(got)
 	r.memBase += csrWords(a.held[k])
 }
 
@@ -466,11 +474,14 @@ func (r *meshRank) gatherRows(x *dense.Matrix) *dense.Matrix {
 	}
 	out := r.ws.GetUninit(x.Rows, f)
 	c0 := 0
-	for _, part := range parts {
+	for j, part := range parts {
 		block := wrapMat(r.ws, part)
 		out.SetSubMatrix(0, c0, block)
 		r.ws.Release(block)
 		c0 += part.Ints[1]
+		if j != r.pj { // my own part is x itself
+			r.comm.Release(part)
+		}
 	}
 	r.recordMem(matWords(out))
 	return out
@@ -502,6 +513,9 @@ func (r *meshRank) toRows(x *dense.Matrix, f int) *dense.Matrix {
 		block := r.ws.Wrap(out.Rows, fB.Size(j), part.Floats)
 		out.SetSubMatrix(0, fB.Lo(j), block)
 		r.ws.Release(block)
+		if j != r.pj { // my own part is a row range of x
+			r.comm.Release(part)
+		}
 	}
 	r.recordMem(matWords(out))
 	return out
@@ -523,6 +537,9 @@ func (r *meshRank) fromRows(x *dense.Matrix) *dense.Matrix {
 	out := r.ws.GetUninit(r.outBlk.Items(), fB.Size(r.pj))
 	for j, part := range got {
 		copy(out.Data[r.outBlk.Lo(j)*out.Cols:r.outBlk.Hi(j)*out.Cols], part.Floats)
+		if j != r.pj {
+			r.comm.Release(part)
+		}
 	}
 	for j, part := range r.sent {
 		r.ws.Release(part)
@@ -543,8 +560,10 @@ func (r *meshRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 		// T¹ outlives endEpoch: the engine reuses it every epoch — the block
 		// in weightGrad, its full rows in multiplyWeight. On a deep mesh the
 		// block arrives in the reduce-scatter's payload, so Keep copies it
-		// out.
-		t = r.ws.Keep(t)
+		// out and the payload goes back to the fabric.
+		kept := r.ws.Keep(t)
+		r.comm.Release(comm.Payload{Floats: t.Data})
+		t = kept
 		r.t1Rows = r.ws.Keep(r.gatherRows(t))
 		r.memBase += matWords(t) + matWords(r.t1Rows)
 	}
@@ -668,6 +687,7 @@ func (r *meshRank) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *den
 		block := wrapMat(r.ws, part)
 		dW.SetSubMatrix(fPB.Lo(j), 0, block)
 		r.ws.Release(block)
+		r.comm.Release(part) // my own part is planeSum, the all-reduce's result
 	}
 	return dW
 }
@@ -704,11 +724,17 @@ func (r *meshRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *den
 // release hands m back to the workspace, and with it the full rows gathered
 // from it: m was the weightGrad/inputGrad pair's operand, and its header
 // may key a later block's gather once the workspace hands it out again.
+// When m wraps a fabric payload (the 3D mesh's reduce-scatter result), the
+// payload goes back to the fabric.
 func (r *meshRank) release(m *dense.Matrix) {
-	if m != nil && m == r.rowsOf {
+	if m == nil {
+		return
+	}
+	if m == r.rowsOf {
 		r.ws.Release(r.rows)
 		r.rowsOf, r.rows = nil, nil
 	}
+	r.comm.Release(comm.Payload{Floats: m.Data})
 	r.ws.Release(m)
 }
 

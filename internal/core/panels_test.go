@@ -141,16 +141,16 @@ func checkInputPanels(t *testing.T, tr *rowTrainer, p Problem) {
 //	workspace  9·C(R·w)   H¹, T², Z², H², ∂L/∂H², G², G²(W²)ᵀ, A·G²(W²)ᵀ, G¹
 //	           2·X        the forward and backward halo gathers
 //	           C(f¹f²) + 2·C(f⁰f¹)   ∂W² and ∂W¹ with its transposed scratch
-//	fabric     2·X        the send clones of both exchanges
+//	fabric     2·Y        the rows both exchanges receive
 //	           3·(1 + C(f¹f²) + C(f⁰f¹))   each all-reduce's accumulator and two sends
 //	           C(R·w) + 2 + Σ_j C(|need_j|) + 3·8   the output gather, the halo
 //	                                         plan's index lists, the final count reduce
 //
-// with R the rank's rows and X = Σ_i C(|sendIdx_i|·w) one exchange's row
-// sets. The input layer's panels draw a subset of the same classes (a
-// panel, its stage sum, one exchange), so they add nothing — as long as
-// each panel's fabric buffers are recycled before the next: without the
-// per-panel Comm.Recycle the arena keeps four exchanges' send clones.
+// with R the rank's rows, X = Σ_i C(|sendIdx_i|·w) the row sets one
+// exchange sends and Y = Σ_i C(|need_i|·w) those it receives. The input layer's panels draw a subset of the same classes (a
+// panel, its stage sum, one exchange), so they add nothing: each panel's
+// payloads go back to the fabric at their last reader, and the per-panel
+// Comm.Recycle returns whatever is left.
 // HeldWords allocates nothing.
 func TestHeldWordsWithinPanelBound(t *testing.T) {
 	const ranks, epochs, n = 4, 2, 256
@@ -177,14 +177,15 @@ func TestHeldWordsWithinPanelBound(t *testing.T) {
 	f0, f1, f2, w := widths[0], widths[1], widths[2], widths[1]
 	for _, r := range rks {
 		R := r.hi - r.lo
-		var x, plan int64
+		var x, y, plan int64
 		for i, idx := range r.fwd.sendIdx {
 			x += C(len(idx) * w)
+			y += C(len(r.fwd.need[i]) * w)
 			plan += C(len(r.fwd.need[i]))
 		}
 		weights := 1 + C(f1*f2) + C(f0*f1)
 		bound := 9*C(R*w) + 2*x + C(f1*f2) + 2*C(f0*f1) +
-			2*x + 3*weights + C(R*w) + 2 + plan + 3*8
+			2*y + 3*weights + C(R*w) + 2 + plan + 3*8
 		ws, held := r.ws.FootprintWords(), r.comm.HeldWords()
 		t.Logf("rank %d: workspace %d + fabric %d = %d words, bound %d", r.rank(), ws, held, ws+held, bound)
 		if ws+held > bound {

@@ -131,10 +131,10 @@ func (t *rowTrainer) newRanks(p Problem, cfg nn.Config) (func(*comm.Comm) layerO
 // both aggregations — M = Aᵀ forward, M = A backward — with its exchange
 // in flight behind local SpMM (stageProduct).
 //
-// Per-epoch temporaries come from ws: each product hands back its own
-// scratch as soon as it is consumed, the engine every result after its
-// last reader (release), and endEpoch the rest, together with the
-// fabric's payload pool.
+// Per-epoch temporaries come from ws and the fabric: each product hands
+// back its own scratch and every payload it received as soon as it is
+// consumed, the engine every result after its last reader (release), and
+// endEpoch the rest, together with the fabric's payload pool.
 type rowRank struct {
 	comm   *comm.Comm
 	mach   costmodel.Machine
@@ -307,10 +307,11 @@ func (r *rowRank) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 // features when h0rows lists the block's rows. T¹ itself is the only
 // f⁰-wide buffer: every one the product draws — the panel, the stage sum,
 // the broadcast payloads or halo gathers, the team all-reduce — is at most
-// w wide, and the workspace and the fabric take them back (Reset, Recycle)
-// before the next panel starts, so the arenas the epochs reuse never hold
-// an f⁰-wide buffer. A ragged last panel draws its workspace buffers at the
-// full panels' width (Widen), so it reuses theirs. Recycle is not
+// w wide, and the workspace and the fabric take them back — at their last
+// reader, and whatever is left by Reset and Recycle — before the next
+// panel starts, so the arenas the epochs reuse never hold an f⁰-wide
+// buffer. A ragged last panel draws its workspace buffers at the full
+// panels' width (Widen), so it reuses theirs. Recycle is not
 // EpochDone: a panel is not an epoch, and epoch-triggered faults count
 // training epochs. The panel count is a function of the configured widths,
 // so every rank issues the same collectives, and each element of T¹ sums
@@ -339,6 +340,7 @@ func (r *rowRank) aggregateInput(h0 *dense.Matrix) *dense.Matrix {
 			t1 = r.keepInput(t)
 		} else {
 			t1.SetSubMatrix(0, c0, t)
+			r.release(t)
 		}
 		r.ws.Widen(0)
 		r.ws.Reset()
@@ -430,6 +432,7 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 			r.recordMem(matWords(T) + matWords(xs))
 			sparse.SpMMAddRowList(T, blk, xs, pl.frontier)
 			r.ws.Release(xs)
+			r.comm.Release(recvd[s])
 			r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(blk.NNZ()), rows, f))
 		}
 		return T
@@ -442,13 +445,17 @@ func (r *rowRank) stageProduct(pl *stagePlan, x *dense.Matrix) *dense.Matrix {
 		req = r.bcastStage(r.stages[0], x)
 	}
 	for i, s := range r.stages {
-		xs := wrapMat(r.ws, req.Wait())
+		got := req.Wait()
+		xs := wrapMat(r.ws, got)
 		if i+1 < len(r.stages) {
 			req = r.bcastStage(r.stages[i+1], x)
 		}
 		r.recordMem(matWords(T) + matWords(xs))
 		sparse.SpMMAdd(T, pl.blocks[s], xs)
 		r.ws.Release(xs)
+		if s != r.own { // the own stage's payload is x itself
+			r.comm.Release(got)
+		}
 		r.comm.ChargeTime(comm.CatSpMM, r.mach.SpMMTime(int64(pl.blocks[s].NNZ()), rows, f))
 	}
 	return T
@@ -467,13 +474,15 @@ func (r *rowRank) bcastStage(s int, x *dense.Matrix) *comm.Request {
 
 // keepInput takes a one-panel T¹ out of the epoch scope: it outlives
 // endEpoch, since the engine reuses it every epoch. A product that arrived
-// in a fabric payload (1.5D's team all-reduce) is copied out by Keep; a
-// workspace buffer is handed over in place. A T¹ of several panels is
-// storage of its own from the start (aggregateInput).
+// in a fabric payload (1.5D's team all-reduce) is copied out by Keep, and
+// the payload goes back to the fabric; a workspace buffer is handed over
+// in place. A T¹ of several panels is storage of its own from the start
+// (aggregateInput).
 func (r *rowRank) keepInput(t *dense.Matrix) *dense.Matrix {
-	t = r.ws.Keep(t)
-	r.memBase += matWords(t)
-	return t
+	kept := r.ws.Keep(t)
+	r.comm.Release(comm.Payload{Floats: t.Data})
+	r.memBase += matWords(kept)
+	return kept
 }
 
 func (r *rowRank) rank() int { return r.comm.Rank() }
@@ -552,7 +561,14 @@ func (r *rowRank) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dens
 	return dH
 }
 
-func (r *rowRank) release(m *dense.Matrix) { r.ws.Release(m) }
+// release hands m back to the workspace and, when it wraps a fabric
+// payload (1.5D's team all-reduce result), the payload to the fabric.
+func (r *rowRank) release(m *dense.Matrix) {
+	if m != nil {
+		r.comm.Release(comm.Payload{Floats: m.Data})
+	}
+	r.ws.Release(m)
+}
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped
 // buffer: the rank's workspace, then (collectively) the fabric's payload

@@ -386,8 +386,8 @@ func payloadMat(p comm.Payload) *dense.Matrix {
 
 // wrapMat is payloadMat drawing the matrix header from a workspace, for
 // per-epoch deserialization on the hot path. The returned matrix aliases
-// the payload's float buffer and is valid until the epoch boundary (both
-// the header and, for received payloads, the buffer are recycled there).
+// the payload's float buffer and is valid until the header's release and
+// the payload's (Comm.Release), or the epoch boundary, which recycles both.
 func wrapMat(ws *dense.Workspace, p comm.Payload) *dense.Matrix {
 	return ws.Wrap(p.Ints[0], p.Ints[1], p.Floats)
 }

@@ -2,6 +2,6 @@
 
 package dense
 
-// poisonReleased is off outside race-detector builds: Release then costs
+// PoisonReleased is off outside race-detector builds: a release then costs
 // no pass over the buffer.
-const poisonReleased = false
+const PoisonReleased = false

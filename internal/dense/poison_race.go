@@ -2,7 +2,8 @@
 
 package dense
 
-// poisonReleased makes WorkspaceOf.Release fill what it takes back with
-// NaN in a race-detector build, where a read after release then changes
-// every result it reaches.
-const poisonReleased = true
+// PoisonReleased makes every arena's release — WorkspaceOf.Release and the
+// fabric's payload pools — fill what it takes back with NaN in a
+// race-detector build, where a read after release then changes every
+// result it reaches.
+const PoisonReleased = true

@@ -184,7 +184,7 @@ func (w *WorkspaceOf[T]) Release(m *Of[T]) {
 	}
 	if checkIn(&w.used, m) {
 		d := m.Data[:cap(m.Data)]
-		if poisonReleased {
+		if PoisonReleased {
 			nan := T(math.NaN())
 			for i := range d {
 				d[i] = nan

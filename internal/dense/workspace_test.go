@@ -143,8 +143,8 @@ func TestWorkspaceRelease(t *testing.T) {
 	m.Fill(3)
 	ws.Release(m)
 	for _, v := range m.Data {
-		if poisonReleased != math.IsNaN(v) {
-			t.Fatalf("released buffer reads %v (NaN fill %v)", v, poisonReleased)
+		if PoisonReleased != math.IsNaN(v) {
+			t.Fatalf("released buffer reads %v (NaN fill %v)", v, PoisonReleased)
 		}
 	}
 	if next := ws.GetUninit(8, 4); next != m {
