@@ -230,15 +230,14 @@ func BenchmarkEpochSerial(b *testing.B) { benchmarkEpochs(b, "serial", 1) }
 // BenchmarkEpochSerialWide measures the serial epoch on the wide-feature
 // R-MAT analog (f = 256) on each kernel path: reference is the
 // pre-optimization scalar baseline, default adds the register tiles and the
-// fused and routed ReLU products, f32 the mixed-precision storage.
+// fused and routed ReLU products.
 func BenchmarkEpochSerialWide(b *testing.B) {
 	configs := []struct {
-		name string
-		o    core.KernelOptions
+		name      string
+		reference bool
 	}{
-		{"reference", core.KernelOptions{Reference: true}},
-		{"default", core.KernelOptions{}},
-		{"f32", core.KernelOptions{Precision: core.PrecisionF32}},
+		{"reference", true},
+		{"default", false},
 	}
 	spec := graph.AnalogSpec{
 		Name: "rmat-wide", Scale: 12, EdgeFactor: 16,
@@ -258,10 +257,7 @@ func BenchmarkEpochSerialWide(b *testing.B) {
 					Widths: ds.LayerWidths(), LR: 0.01, Seed: 1, Epochs: b.N,
 				},
 			}
-			tr := core.NewSerial()
-			if err := core.SetKernelOptions(tr, tc.o); err != nil {
-				b.Fatal(err)
-			}
+			tr := &core.Serial{Reference: tc.reference}
 			b.ReportAllocs()
 			b.ResetTimer()
 			if _, err := tr.Train(problem); err != nil {

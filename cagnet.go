@@ -156,15 +156,6 @@ type TrainOptions struct {
 	// fills in HiddenCommSeconds. Rejected for "serial", which has
 	// nothing to overlap.
 	Overlap bool
-	// Precision selects the arithmetic precision of the training kernels:
-	// "f64" (default, "" accepted) keeps every matrix double precision and
-	// is bit-identical across worker counts and decompositions; "f32" runs
-	// mixed-precision training — float32 storage and compute for the large
-	// per-vertex matrices, float64 master weights, optimizer state, and row
-	// reductions (log-sum-exp, loss). Tolerance-validated, not
-	// bit-identical. It is the serial trainer's element type, so serial
-	// only; distributed trainers reject it.
-	Precision string
 	// Transport selects the fabric the ranks communicate over: "" or
 	// "inproc" (default) runs them as goroutines on the simulated channel
 	// fabric; "tcp" runs each rank's collectives over real loopback TCP
@@ -229,9 +220,6 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Machine == "" {
 		o.Machine = costmodel.Summit.Name
 	}
-	if o.Precision == "" {
-		o.Precision = core.PrecisionF64
-	}
 	return o
 }
 
@@ -293,10 +281,6 @@ type TrainReport struct {
 	FittedBeta  float64
 	// WireSamples counts the per-collective measurements behind the fit.
 	WireSamples int
-	// Precision is the arithmetic precision the run trained in: the
-	// TrainOptions.Precision it was given, "f64" when that was empty.
-	// Distributed runs always report "f64".
-	Precision string
 	// KernelISA names the instruction set the multiply kernels'
 	// accumulation loops ran on in this process: "avx2" (the amd64
 	// assembly routines) or "go" (the portable loops: another GOARCH, a
@@ -318,7 +302,7 @@ func (r *TrainReport) Digest() string { return r.result.Digest() }
 // Validate returns the error Train would give the options before it looks
 // at a dataset, or nil. It needs no dataset and does no work: it applies
 // every rule about the options alone — the algorithm, rank count,
-// replication factor, partitioner, halo exchange, precision, optimizer,
+// replication factor, partitioner, halo exchange, optimizer,
 // learning rate, epoch count, machine, checkpoint knobs, overlap and
 // transport — and names the option it rejects. Train runs the same checks
 // first, so the two cannot disagree. What only the data decides (the masks,
@@ -331,9 +315,9 @@ func (o TrainOptions) Validate() error {
 
 // trainer builds the trainer the options name and applies to it every
 // option that needs no dataset. Each rule is written once, where the option
-// is applied: the algorithm, ranks, replication, row options and precision
-// in core, the training settings in nn, the machine in costmodel, the
-// snapshot knobs in checkpoint; overlap and transport are this package's.
+// is applied: the algorithm, ranks, replication and row options in core,
+// the training settings in nn, the machine in costmodel, the snapshot knobs
+// in checkpoint; overlap and transport are this package's.
 func (o TrainOptions) trainer() (core.Trainer, costmodel.Machine, error) {
 	mach, err := costmodel.ProfileByName(o.Machine)
 	if err != nil {
@@ -348,9 +332,6 @@ func (o TrainOptions) trainer() (core.Trainer, costmodel.Machine, error) {
 	}
 	if o.Overlap && o.Algorithm == "serial" {
 		return nil, mach, fmt.Errorf("cagnet: overlap applies to the distributed algorithms, not %q", o.Algorithm)
-	}
-	if err := core.SetKernelOptions(trainer, core.KernelOptions{Precision: o.Precision}); err != nil {
-		return nil, mach, err
 	}
 	switch o.Transport {
 	case "", "inproc":
@@ -476,7 +457,6 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 		ValAccuracy:   res.ValAccuracy,
 		ResumedEpoch:  res.ResumedEpoch,
 		DrainedEpoch:  res.DrainedEpoch,
-		Precision:     opts.Precision,
 		KernelISA:     dense.KernelISA(),
 		result:        res,
 	}

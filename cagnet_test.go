@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dense"
-	"repro/internal/tolerance"
 )
 
 func TestDatasetByName(t *testing.T) {
@@ -131,12 +130,6 @@ func TestTrainOptionValidation(t *testing.T) {
 		{"1d negative replication", TrainOptions{Algorithm: "1d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
 		{"2d negative replication", TrainOptions{Algorithm: "2d", Ranks: 4, ReplicationFactor: -1}, "replication factor"},
 		{"overlap on serial", TrainOptions{Algorithm: "serial", Overlap: true}, "overlap"},
-		{"unknown precision", TrainOptions{Algorithm: "serial", Precision: "f16"}, "precision"},
-		{"1d f32 over tcp", TrainOptions{Algorithm: "1d", Ranks: 4, Transport: "tcp", Precision: "f32"}, "precision"},
-		{"1d f32", TrainOptions{Algorithm: "1d", Ranks: 4, Precision: "f32"}, "precision"},
-		{"1.5d f32", TrainOptions{Algorithm: "1.5d", Ranks: 4, Precision: "f32"}, "precision"},
-		{"2d f32", TrainOptions{Algorithm: "2d", Ranks: 4, Precision: "f32"}, "precision"},
-		{"3d f32", TrainOptions{Algorithm: "3d", Ranks: 8, Precision: "f32"}, "precision"},
 		// Checkpoint knobs without a directory used to be ignored silently.
 		{"serial Every without Dir", TrainOptions{Algorithm: "serial", Checkpoint: CheckpointOptions{Every: 1}}, "Dir"},
 		{"1d Every without Dir", TrainOptions{Algorithm: "1d", Ranks: 4, Checkpoint: CheckpointOptions{Every: 1}}, "Dir"},
@@ -498,14 +491,10 @@ func TestTrainOverlap(t *testing.T) {
 	}
 }
 
-// TestTrainPrecision pins TrainOptions.Precision end to end: "f32" trains
-// the serial algorithm within the mixed-precision tolerances of "f64" and
-// is rejected by every distributed algorithm on either transport
-// (TestTrainOptionValidation);
-// "" and "f64" are the default everywhere. Every report also says which
+// TestTrainReportsKernelISA: every algorithm's report says which
 // instruction set the kernels ran on: "avx2" or "go", and "go" when the
 // test binary was built with -tags purego.
-func TestTrainPrecision(t *testing.T) {
+func TestTrainReportsKernelISA(t *testing.T) {
 	ds := RandomDataset(7, 5, 8, 4, 3, 13)
 	ranks := map[string]int{"serial": 1, "1d": 4, "1.5d": 4, "2d": 4, "3d": 8}
 	purego := false
@@ -514,36 +503,14 @@ func TestTrainPrecision(t *testing.T) {
 			purego = purego || s.Key == "-tags" && slices.Contains(strings.Split(s.Value, ","), "purego")
 		}
 	}
-	var f64 *TrainReport
 	for _, algo := range Algorithms {
-		for _, precision := range []string{"", "f64"} {
-			rep, err := Train(ds, TrainOptions{Algorithm: algo, Ranks: ranks[algo], Epochs: 3, Precision: precision})
-			if err != nil {
-				t.Fatalf("%s with Precision %q: %v", algo, precision, err)
-			}
-			if rep.Precision != "f64" {
-				t.Fatalf("%s with Precision %q reports %q, want f64", algo, precision, rep.Precision)
-			}
-			if isa := rep.KernelISA; isa != "avx2" && isa != "go" || purego && isa != "go" {
-				t.Fatalf("%s reports KernelISA %q (built with -tags purego: %v)", algo, isa, purego)
-			}
-			if algo == "serial" {
-				f64 = rep
-			}
+		rep, err := Train(ds, TrainOptions{Algorithm: algo, Ranks: ranks[algo], Epochs: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
 		}
-	}
-
-	f32, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 3, Precision: "f32"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f32.Precision != "f32" {
-		t.Fatalf("serial f32 run reports precision %q", f32.Precision)
-	}
-	tolerance.AssertCloseSlice(t, "f32 losses", f32.Losses, f64.Losses, 1e-3, 1e-3)
-	tolerance.AssertClose(t, "f32 output", f32.Result().Output, f64.Result().Output, 5e-2, 5e-2)
-	if math.Abs(f32.Accuracy-f64.Accuracy) > 0.05 {
-		t.Fatalf("f32 accuracy %v vs f64 %v", f32.Accuracy, f64.Accuracy)
+		if isa := rep.KernelISA; isa != "avx2" && isa != "go" || purego && isa != "go" {
+			t.Fatalf("%s reports KernelISA %q (built with -tags purego: %v)", algo, isa, purego)
+		}
 	}
 }
 

@@ -8,18 +8,17 @@
 //	cagnet-train [-dataset reddit-sim] [-algo 2d] [-ranks 16] [-epochs 10]
 //	             [-lr 0.01] [-optimizer sgd] [-replication 0] [-seed 1]
 //	             [-val 0] [-halo] [-partitioner block] [-overlap]
-//	             [-machine summit-v100] [-precision f64] [-transport inproc]
+//	             [-machine summit-v100] [-transport inproc]
 //	             [-workers 0] [-quick] [-checkpoint-dir DIR]
 //	             [-checkpoint-every N] [-checkpoint-keep N]
 //
 // Flag combinations that would have no effect are rejected up front —
 // before the dataset build — rather than silently ignored: the flags become
 // a cagnet.TrainOptions whose Validate gives the library's verdict (-halo
-// and -partitioner need the row decompositions 1d and 1.5d, -precision f32
-// needs -algo serial, -overlap and -transport tcp a distributed algorithm),
-// after the few checks only the command line adds. -workers sets the kernel
-// worker pool: 1 runs every kernel single-threaded, and every count trains
-// the same bits.
+// and -partitioner need the row decompositions 1d and 1.5d, -overlap and
+// -transport tcp a distributed algorithm), after the few checks only the
+// command line adds. -workers sets the kernel worker pool: 1 runs every
+// kernel single-threaded, and every count trains the same bits.
 //
 // # One process per rank
 //
@@ -160,7 +159,6 @@ func main() {
 	flag.BoolVar(&cfg.HaloExchange, "halo", false, "1d/1.5d: fetch only the rows each rank's adjacency block touches instead of broadcasting dense blocks")
 	flag.StringVar(&cfg.Partitioner, "partitioner", "", "1d/1.5d vertex partitioner: block (default), random, ldg")
 	flag.BoolVar(&cfg.Overlap, "overlap", false, "report the overlapped modeled time (critical path) and the communication it hides instead of the bulk-synchronous sum")
-	flag.StringVar(&cfg.Precision, "precision", "", "kernel precision: f64 (default) or f32 mixed precision (serial algo only)")
 	flag.Float64Var(&cfg.val, "val", 0, "fraction of vertices held out for validation tracking (0 disables)")
 	flag.StringVar(&cfg.Transport, "transport", "", "in-process rank fabric: inproc (default; simulated channels) or tcp (real loopback sockets with wall-clock timing and a wire-fitted alpha/beta)")
 	flag.StringVar(&cfg.Checkpoint.Dir, "checkpoint-dir", "", "directory for atomic training-state snapshots; resumes from the latest one when present (empty disables)")
@@ -478,9 +476,10 @@ func (cfg config) printReport(report *cagnet.TrainReport, ranks string) error {
 }
 
 // kernelsLine says which kernels produced the run: a wall-clock number
-// without the instruction set cannot be compared across hosts.
+// without the instruction set cannot be compared across hosts. Every run
+// trains in float64.
 func kernelsLine(r *cagnet.TrainReport) string {
-	return fmt.Sprintf("kernels: precision=%s isa=%s", r.Precision, r.KernelISA)
+	return "kernels: precision=f64 isa=" + r.KernelISA
 }
 
 // perEpoch is a total's share per epoch this run trained; a run resumed at

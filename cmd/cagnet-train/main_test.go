@@ -166,10 +166,6 @@ func TestRejectedBeforeDataset(t *testing.T) {
 		{"halo with serial", "halo", []string{"-algo", "serial", "-halo"}},
 		{"partitioner with 2d", "partitioner", []string{"-algo", "2d", "-partitioner", "ldg"}},
 		{"overlap with serial", "overlap", []string{"-algo", "serial", "-overlap"}},
-		{"f32 with 1d", "precision", []string{"-algo", "1d", "-precision", "f32"}},
-		{"f32 with 1.5d", "precision", []string{"-algo", "1.5d", "-precision", "f32"}},
-		{"f32 with 2d", "precision", []string{"-algo", "2d", "-precision", "f32"}},
-		{"f32 with 3d", "precision", []string{"-algo", "3d", "-ranks", "8", "-precision", "f32"}},
 		{"tcp with serial", "tcp", []string{"-algo", "serial", "-transport", "tcp"}},
 		{"unknown transport", "quic", []string{"-algo", "2d", "-transport", "quic"}},
 		{"checkpoint-every without dir", "Dir", []string{"-algo", "1d", "-ranks", "2", "-checkpoint-every", "1"}},
@@ -211,10 +207,6 @@ func TestValidateFlagsAccepts(t *testing.T) {
 		"defaults":            {Algorithm: "2d"},
 		"row options on 1d":   {Algorithm: "1d", HaloExchange: true, Partitioner: "ldg", Overlap: true},
 		"row options on 1.5d": {Algorithm: "1.5d", HaloExchange: true, Overlap: true},
-		"f32 on serial":       {Algorithm: "serial", Precision: "f32"},
-		"f64 on serial":       {Algorithm: "serial", Precision: "f64"},
-		"f64 on 1d":           {Algorithm: "1d", Precision: "f64"},
-		"f64 on 2d":           {Algorithm: "2d", Precision: "f64"},
 		"tcp on 2d":           {Algorithm: "2d", Transport: "tcp"},
 		"inproc explicit":     {Algorithm: "3d", Ranks: 8, Transport: "inproc"},
 	}
@@ -230,8 +222,8 @@ func TestValidateFlagsAccepts(t *testing.T) {
 
 // TestKernelsLine pins the line that says which kernels ran.
 func TestKernelsLine(t *testing.T) {
-	got := kernelsLine(&cagnet.TrainReport{Precision: "f32", KernelISA: "avx2"})
-	if want := "kernels: precision=f32 isa=avx2"; got != want {
+	got := kernelsLine(&cagnet.TrainReport{KernelISA: "avx2"})
+	if want := "kernels: precision=f64 isa=avx2"; got != want {
 		t.Errorf("got %q, want %q", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/comm"
-	"repro/internal/dense"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 )
@@ -84,20 +83,12 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 	return avg
 }
 
-// warmSerialEpoch builds the serial engine o selects for p, warms it as
-// run() would — T¹, then two epochs to size the workspace and, at float32,
-// the engine's weight and gradient copies — and returns one steady-state
-// epoch.
-func warmSerialEpoch(p Problem, o KernelOptions) (epoch func()) {
-	if o.Precision == PrecisionF32 {
-		return warmSerialEpochIn[float32](p, o.Reference)
-	}
-	return warmSerialEpochIn[float64](p, o.Reference)
-}
-
-func warmSerialEpochIn[T dense.Elem](p Problem, ref bool) func() {
+// warmSerialEpoch builds the serial engine for p, on the reference kernels
+// when ref is set, warms it as run() would — T¹, then two epochs to size
+// the workspace — and returns one steady-state epoch.
+func warmSerialEpoch(p Problem, ref bool) func() {
 	cfg := p.Config.WithDefaults()
-	eng := newSerialEngine[T](cfg, p, ref)
+	eng := newSerialEngine[float64](cfg, p, ref)
 	eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 	weights := nn.InitWeights(cfg)
 	epoch := func() {
@@ -125,24 +116,22 @@ func allocProblem(t *testing.T, widths []int, seed int64) Problem {
 }
 
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
-// nothing once the workspace is warm — on each of the three kernel paths:
-// default, float32 mixed precision, and reference.
+// nothing once the workspace is warm — on both kernel paths, default and
+// reference.
 func TestSteadyStateAllocsSerial(t *testing.T) {
 	useWorkers(t, 1)
 	cases := []struct {
-		name   string
-		o      KernelOptions
-		widths []int
+		name      string
+		reference bool
+		widths    []int
 	}{
-		{"default", KernelOptions{}, nil},
-		{"f32", KernelOptions{Precision: PrecisionF32}, nil},
-		{"reference", KernelOptions{Reference: true}, nil},
-		{"multiply-first", KernelOptions{}, multiplyFirst},
-		{"multiply-first-f32", KernelOptions{Precision: PrecisionF32}, multiplyFirst},
+		{"default", false, nil},
+		{"reference", true, nil},
+		{"multiply-first", false, multiplyFirst},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			epoch := warmSerialEpoch(allocProblem(t, tc.widths, 71), tc.o)
+			epoch := warmSerialEpoch(allocProblem(t, tc.widths, 71), tc.reference)
 			if avg := testing.AllocsPerRun(5, epoch); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times, want 0", tc.name, avg)
 			}

@@ -10,16 +10,13 @@ import (
 	"repro/internal/tolerance"
 )
 
-// resumeTrainers are the five trainers the resume properties run over, the
-// serial one in both precisions: at f32 the engine's float32 weights and T¹
-// are derived from the float64 state a snapshot carries, never part of it.
+// resumeTrainers are the five trainers the resume properties run over.
 var resumeTrainers = map[string]func() Trainer{
-	"serial":     func() Trainer { return NewSerial() },
-	"serial-f32": func() Trainer { return &Serial{Kernel: KernelOptions{Precision: PrecisionF32}} },
-	"1d":         func() Trainer { return NewOneD(4, testMach) },
-	"1.5d":       func() Trainer { return NewOneFiveD(4, 2, testMach) },
-	"2d":         func() Trainer { return NewTwoD(4, testMach) },
-	"3d":         func() Trainer { return NewThreeD(8, testMach) },
+	"serial": func() Trainer { return NewSerial() },
+	"1d":     func() Trainer { return NewOneD(4, testMach) },
+	"1.5d":   func() Trainer { return NewOneFiveD(4, 2, testMach) },
+	"2d":     func() Trainer { return NewTwoD(4, testMach) },
+	"3d":     func() Trainer { return NewThreeD(8, testMach) },
 }
 
 // TestCheckpointResumeNoop: resuming a run whose checkpoint already

@@ -24,8 +24,8 @@ import (
 // dense.Of[T], so an implementation computes in T throughout and the
 // compiler checks what it is handed. The float64 master weights and the
 // optimizer stay with the engine (see engine.epoch). There are three
-// implementations: serialOps[T] (float64, and float32 for -precision f32),
-// rowRank (1D, 1.5D) and meshRank (2D, 3D), the last two over float64.
+// implementations: serialOps[T], rowRank (1D, 1.5D) and meshRank (2D, 3D),
+// all three instantiated at float64.
 type layerOpsOf[T dense.Elem] interface {
 	// rank returns this rank's id (0 for the serial layouts). The engine
 	// uses it to write checkpoints on rank 0 only — the state is

@@ -22,7 +22,7 @@ var benchWorkers = []struct {
 
 func benchEngineEpochSerial(b *testing.B, workers int) {
 	useWorkers(b, workers)
-	epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), KernelOptions{})
+	epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,22 +39,21 @@ func BenchmarkEngineEpochSerial(b *testing.B) {
 }
 
 // BenchmarkEngineEpochKernels measures the warmed steady-state epoch on
-// each kernel path (the reference scalar baseline, the default, f32). Every
+// each kernel path (the reference scalar baseline, the default). Every
 // sub-benchmark must report 0 B/op — the 0-alloc guarantee covers each
 // path, not just the default.
 func BenchmarkEngineEpochKernels(b *testing.B) {
 	configs := []struct {
-		name string
-		o    KernelOptions
+		name      string
+		reference bool
 	}{
-		{"reference", KernelOptions{Reference: true}},
-		{"default", KernelOptions{}},
-		{"f32", KernelOptions{Precision: PrecisionF32}},
+		{"reference", true},
+		{"default", false},
 	}
 	useWorkers(b, 1)
 	for _, tc := range configs {
 		b.Run(tc.name, func(b *testing.B) {
-			epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), tc.o)
+			epoch := warmSerialEpoch(testProblem(b, 2048, 32, 32, 8, 1, 81), tc.reference)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -19,7 +19,7 @@ import (
 
 // trainCfg is one training run: everything that decides its result. The
 // zero value of each field is the plain run — in-process on testMach, block
-// layout, the pool's worker count, fresh start, fused ReLU, float64.
+// layout, the pool's worker count, fresh start, fused ReLU.
 type trainCfg struct {
 	problem string // key into the matrix's problems
 	opt     string // optimizer ("" = the problem's)
@@ -31,8 +31,7 @@ type trainCfg struct {
 	slow    bool   // slowNetMach: every collective lands later on the timeline
 	workers int    // kernel workers for this run
 	resume  int    // train this many epochs checkpointing each, then resume to the end
-	unfused bool   // hidden layers unfusedReLU (serial f32: every product a plain GEMM)
-	f32     bool   // serial in float32
+	unfused bool   // hidden layers unfusedReLU
 }
 
 func (k trainCfg) String() string {
@@ -50,7 +49,7 @@ func (k trainCfg) String() string {
 	for _, tag := range []struct {
 		on   bool
 		name string
-	}{{k.halo, "halo"}, {k.part != "", k.part}, {k.tcp, "tcp"}, {k.slow, "slow-net"}, {k.unfused, "unfused"}, {k.f32, "f32"}} {
+	}{{k.halo, "halo"}, {k.part != "", k.part}, {k.tcp, "tcp"}, {k.slow, "slow-net"}, {k.unfused, "unfused"}} {
 		if tag.on {
 			s += "-" + tag.name
 		}
@@ -263,20 +262,20 @@ func equivalenceMatrix() ([]cell, map[string]func(*testing.T) (Problem, *graph.G
 		add(cell{trainCfg: tcp, same: []trainCfg{k}, ids: []string{fmt.Sprintf("TestTrainTCPBitIdentical/%s-p%d", k.algo, k.p)}})
 	}
 
-	// Every trainer, serial in both precisions: resumed from the epoch-3
-	// snapshot of a checkpointed run (Adam: step count and both moment
-	// buffers round-trip), it ends as the uninterrupted run; and a hidden
-	// ReLU fused into the GEMM epilogues ({8, 6, 12, 4}: forward at l = 1,
-	// through the mesh's partial SUMMA at l = 2, the backward mask at
-	// l = 3), or one whose nonzeros the products run over ({8, 12, 6, 4}:
-	// Y¹ over G¹'s, then the multiply-first H^{l-1}·W^l and
-	// (H^{l-1})ᵀ·(A·G^l) over H^{l-1}'s, in every partial SUMMA stage), is
-	// the run with unfusedReLU as separate passes and dense products.
+	// Every trainer: resumed from the epoch-3 snapshot of a checkpointed
+	// run (Adam: step count and both moment buffers round-trip), it ends as
+	// the uninterrupted run; and a hidden ReLU fused into the GEMM
+	// epilogues ({8, 6, 12, 4}: forward at l = 1, through the mesh's partial
+	// SUMMA at l = 2, the backward mask at l = 3), or one whose nonzeros the
+	// products run over ({8, 12, 6, 4}: Y¹ over G¹'s, then the
+	// multiply-first H^{l-1}·W^l and (H^{l-1})ᵀ·(A·G^l) over H^{l-1}'s, in
+	// every partial SUMMA stage), is the run with unfusedReLU as separate
+	// passes and dense products.
 	trainers := []struct {
 		name string
 		k    trainCfg
 	}{
-		{"serial", trainCfg{algo: "serial"}}, {"serial-f32", trainCfg{algo: "serial", f32: true}},
+		{"serial", trainCfg{algo: "serial"}},
 		{"1d", plain("1d", 4)}, {"1d-halo-overlap", row("1d", 4, 0, true)}, {"1.5d-c2", row("1.5d", 4, 2, false)},
 		{"2d", plain("2d", 4)}, {"2d-overlap", plain("2d", 4)}, {"3d", plain("3d", 8)},
 	}
@@ -333,7 +332,7 @@ func (m *matrixRuns) train(t *testing.T, k trainCfg) *trained {
 	if k.opt != "" {
 		prob.Config.Optimizer = k.opt
 	}
-	if k.unfused && !k.f32 {
+	if k.unfused {
 		prob.Config.Hidden = unfusedReLU{}
 	}
 	mach := testMach
@@ -346,9 +345,6 @@ func (m *matrixRuns) train(t *testing.T, k trainCfg) *trained {
 		defer parallel.SetWorkers(prev)
 	}
 	build := func() Trainer {
-		if k.f32 {
-			return &Serial{Kernel: KernelOptions{Precision: PrecisionF32}}
-		}
 		tr, err := NewTrainerReplicated(k.algo, k.p, k.c, mach)
 		if err != nil {
 			t.Fatal(err)
@@ -372,9 +368,6 @@ func (m *matrixRuns) train(t *testing.T, k trainCfg) *trained {
 		var res *Result
 		var err error
 		switch {
-		case k.f32 && k.unfused:
-			p = p.normalized()
-			res, err = newEngine(plainProducts[float32]{newSerialOps[float32](p)}, p.Config.WithDefaults(), p).run()
 		case k.tcp:
 			res = trainOn(t, tr, tcpCluster(t, k.p), p)
 		default:

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -19,31 +18,28 @@ import (
 // no backward aggregation.
 
 // countingOps counts one rank's aggregation calls per layer.
-type countingOps[T dense.Elem] struct {
-	layerOpsOf[T]
+type countingOps struct {
+	layerOps
 	fwd, bwd []int
 }
 
-func (c *countingOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+func (c *countingOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	c.fwd[l]++
-	return c.layerOpsOf.forwardAggregate(x, l)
+	return c.layerOps.forwardAggregate(x, l)
 }
 
-func (c *countingOps[T]) backwardAggregate(g *dense.Of[T], l int) *dense.Of[T] {
+func (c *countingOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 	c.bwd[l]++
-	return c.layerOpsOf.backwardAggregate(g, l)
+	return c.layerOps.backwardAggregate(g, l)
 }
 
 // everyTrainer returns, by name, one runner per trainer and exchange mode —
-// serial, serial-f32, 1d/1.5d × {plain, halo}, 2d/3d — each executing body
-// on every rank of p; serial-f32, the one float32 instantiation, executes
-// body32.
-func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error,
-	body32 func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error) map[string]func() error {
+// serial, 1d/1.5d × {plain, halo}, 2d/3d — each executing body on every
+// rank of p.
+func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) map[string]func() error {
 	cfg := p.Config.WithDefaults()
 	cases := map[string]func() error{
-		"serial":     func() error { return body(newSerialOps[float64](p), cfg, p) },
-		"serial-f32": func() error { return body32(newSerialOps[float32](p), cfg, p) },
+		"serial": func() error { return body(newSerialOps[float64](p), cfg, p) },
 	}
 	for _, halo := range []bool{false, true} {
 		suffix := ""
@@ -65,9 +61,9 @@ func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem
 type aggCounts struct{ fwd, bwd []int }
 
 // runCounted runs the engine over ops and hands the rank's counts to keep.
-func runCounted[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, prob Problem, keep func(aggCounts)) error {
+func runCounted(ops layerOps, cfg nn.Config, prob Problem, keep func(aggCounts)) error {
 	L := cfg.Layers()
-	c := &countingOps[T]{layerOpsOf: ops, fwd: make([]int, L+1), bwd: make([]int, L+1)}
+	c := &countingOps{layerOps: ops, fwd: make([]int, L+1), bwd: make([]int, L+1)}
 	_, err := newEngine(c, cfg, prob).run()
 	keep(aggCounts{c.fwd, c.bwd})
 	return err
@@ -91,10 +87,7 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 		mu.Unlock()
 	}
 	counted := func(ops layerOps, cfg nn.Config, prob Problem) error { return runCounted(ops, cfg, prob, keep) }
-	counted32 := func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error {
-		return runCounted(ops, cfg, prob, keep)
-	}
-	for name, run := range everyTrainer(p, counted, counted32) {
+	for name, run := range everyTrainer(p, counted) {
 		t.Run(name, func(t *testing.T) {
 			ranks = nil
 			if err := run(); err != nil {
@@ -122,36 +115,36 @@ func TestInputAggregatedOncePerRun(t *testing.T) {
 // scheduleOps records one rank's layerOps calls over a run, in order, as
 // "method layer" — with the operand's column count appended for the two
 // aggregations, whose width is the point.
-type scheduleOps[T dense.Elem] struct {
-	layerOpsOf[T]
+type scheduleOps struct {
+	layerOps
 	calls []string
 }
 
-func (s *scheduleOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
-	out := s.layerOpsOf.forwardAggregate(x, l)
+func (s *scheduleOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	out := s.layerOps.forwardAggregate(x, l)
 	s.calls = append(s.calls, fmt.Sprintf("fwdAgg %d @%d", l, out.Cols))
 	return out
 }
 
-func (s *scheduleOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
-	out := s.layerOpsOf.backwardAggregate(x, l)
+func (s *scheduleOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
+	out := s.layerOps.backwardAggregate(x, l)
 	s.calls = append(s.calls, fmt.Sprintf("bwdAgg %d @%d", l, out.Cols))
 	return out
 }
 
-func (s *scheduleOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T] {
+func (s *scheduleOps) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
 	s.calls = append(s.calls, fmt.Sprintf("mulW %d", l))
-	return s.layerOpsOf.multiplyWeight(x, w, l, f)
+	return s.layerOps.multiplyWeight(x, w, l, f)
 }
 
-func (s *scheduleOps[T]) weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T] {
+func (s *scheduleOps) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
 	s.calls = append(s.calls, fmt.Sprintf("wGrad %d", l))
-	return s.layerOpsOf.weightGrad(hPrev, g, l, f)
+	return s.layerOps.weightGrad(hPrev, g, l, f)
 }
 
-func (s *scheduleOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T] {
+func (s *scheduleOps) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
 	s.calls = append(s.calls, fmt.Sprintf("inGrad %d", l))
-	return s.layerOpsOf.inputGrad(g, w, l, mask)
+	return s.layerOps.inputGrad(g, w, l, mask)
 }
 
 // schedule is one rank's recorded calls and the ops that made them.
@@ -161,8 +154,8 @@ type schedule struct {
 }
 
 // runRecorded runs the engine over ops and hands the rank's schedule to keep.
-func runRecorded[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, prob Problem, keep func(schedule)) error {
-	s := &scheduleOps[T]{layerOpsOf: ops}
+func runRecorded(ops layerOps, cfg nn.Config, prob Problem, keep func(schedule)) error {
+	s := &scheduleOps{layerOps: ops}
 	_, err := newEngine(s, cfg, prob).run()
 	keep(schedule{ops, s.calls})
 	return err
@@ -245,19 +238,7 @@ func TestAggregationScheduleFollowsWidths(t *testing.T) {
 			mu.Unlock()
 		}
 		recorded := func(ops layerOps, cfg nn.Config, prob Problem) error { return runRecorded(ops, cfg, prob, keep) }
-		recorded32 := func(ops layerOpsOf[float32], cfg nn.Config, prob Problem) error {
-			return runRecorded(ops, cfg, prob, keep)
-		}
-		runs := everyTrainer(p, recorded, recorded32)
-		// Each distributed runner also runs under its "-overlap" name, the id
-		// it had when it chose the pipelined schedule every trainer now runs,
-		// over trainers of its own.
-		for name, run := range everyTrainer(p, recorded, recorded32) {
-			if !strings.HasPrefix(name, "serial") {
-				runs[name+"-overlap"] = run
-			}
-		}
-		for name, run := range runs {
+		for name, run := range everyTrainer(p, recorded) {
 			t.Run(shape+"/"+name, func(t *testing.T) {
 				ranks = nil
 				if err := run(); err != nil {

@@ -76,7 +76,7 @@ func TestOneFiveDAtOneReplicaIsOneDForward(t *testing.T) {
 		err := tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
 			led := tr.Cluster().Ledger(ops.rank())
 			before := led.ModelWords[comm.CatDenseComm]
-			c := &countingOps[float64]{layerOpsOf: ops, fwd: make([]int, 2), bwd: make([]int, 2)}
+			c := &countingOps{layerOps: ops, fwd: make([]int, 2), bwd: make([]int, 2)}
 			t1 := c.forwardAggregate(ops.input(), 1)
 			if c.fwd[1] != 1 {
 				return fmt.Errorf("rank %d aggregated the input %d times, want 1", ops.rank(), c.fwd[1])

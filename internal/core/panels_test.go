@@ -197,3 +197,53 @@ func TestHeldWordsWithinPanelBound(t *testing.T) {
 		t.Errorf("HeldWords allocates %v objects per call", a)
 	}
 }
+
+// TestInputPanelsHoldOnePanel: in the 1d broadcast at P = 4, in-process and
+// over TCP, each rank's fabric holds no more words right after the input
+// layer at f⁰ = 8w (eight column panels) than at f⁰ = 2w (two). Releasing a
+// stage payload at its last reader does not return it to its sender's pool
+// while the sender has heard nothing from this rank since, so a peer pair
+// with one-way traffic reuses nothing from panel to panel; the per-panel
+// Comm.Recycle in rowRank.aggregateInput returns those payloads before the
+// next panel draws. Without it, what a rank holds grows with the panel
+// count.
+func TestInputPanelsHoldOnePanel(t *testing.T) {
+	const ranks, n, w = 4, 256, 8
+	for _, fabric := range []string{"inproc", "tcp"} {
+		t.Run(fabric, func(t *testing.T) {
+			held := map[int][]int64{}
+			for _, f0 := range []int{2 * w, 8 * w} {
+				p := testProblem(t, n, f0, w, 4, 1, 95)
+				tr := NewOneD(ranks, testMach)
+				if fabric == "tcp" {
+					if err := SetCluster(tr, tcpCluster(t, ranks)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				words := make([]int64, ranks)
+				err := tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
+					r := ops.(*rowRank)
+					newEngine(r, cfg, prob).aggregateInput()
+					words[r.rank()] = r.comm.HeldWords()
+					r.comm.Barrier() // every rank measures before any leaves
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				held[f0] = words
+			}
+			two, eight := held[2*w], held[8*w]
+			for r := range ranks {
+				t.Logf("rank %d: %d words after two panels, %d after eight", r, two[r], eight[r])
+				if two[r] == 0 {
+					t.Fatalf("rank %d holds nothing after two panels: the comparison would prove nothing", r)
+				}
+				if eight[r] > two[r] {
+					t.Errorf("rank %d holds %d words after eight input panels, %d after two: the panels' payloads accumulate",
+						r, eight[r], two[r])
+				}
+			}
+		})
+	}
+}

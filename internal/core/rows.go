@@ -344,6 +344,11 @@ func (r *rowRank) aggregateInput(h0 *dense.Matrix) *dense.Matrix {
 		}
 		r.ws.Widen(0)
 		r.ws.Reset()
+		// Not redundant with the releases: a released payload goes back to
+		// its sender's pool only once the sender has heard from this rank
+		// since, so a peer pair with one-way traffic reuses nothing from
+		// panel to panel and the fabric would grow by a panel's payloads per
+		// panel (TestInputPanelsHoldOnePanel).
 		r.comm.Recycle()
 	}
 	return t1

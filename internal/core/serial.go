@@ -10,13 +10,12 @@ import (
 // correctness for every distributed trainer (the paper verifies its
 // parallel implementation produces "the same embeddings up to floating
 // point accumulation errors" as serial PyTorch, §V-A).
-//
-// It is also the only trainer that accepts non-default KernelOptions —
-// float32 precision, the reference kernels, or both — via SetKernelOptions.
 type Serial struct {
-	// Kernel selects the compute kernels; the zero value is the default
-	// f64 configuration. Set via SetKernelOptions.
-	Kernel KernelOptions
+	// Reference runs the pre-optimization scalar kernels (one source per
+	// accumulation sweep, the ReLU as a separate pass after the multiply,
+	// log-softmax a row at a time, always on the Go loops): the oracle the
+	// tests hold the default kernels to, bit for bit.
+	Reference bool
 }
 
 // NewSerial returns the serial reference trainer.
@@ -25,21 +24,13 @@ func NewSerial() *Serial { return &Serial{} }
 // Name implements Trainer.
 func (*Serial) Name() string { return "serial" }
 
-// Train implements Trainer. Precision is the element type the trainer is
-// instantiated in, nothing more.
+// Train implements Trainer.
 func (s *Serial) Train(p Problem) (*Result, error) {
 	p = p.normalized()
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.Kernel.Validate(); err != nil {
-		return nil, err
-	}
-	cfg := p.Config.WithDefaults()
-	if s.Kernel.Precision == PrecisionF32 {
-		return newSerialEngine[float32](cfg, p, s.Kernel.Reference).run()
-	}
-	return newSerialEngine[float64](cfg, p, s.Kernel.Reference).run()
+	return newSerialEngine[float64](p.Config.WithDefaults(), p, s.Reference).run()
 }
 
 // newSerialEngine builds the serial trainer in element type T: the engine
@@ -52,13 +43,6 @@ func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T
 
 // serialOps implements layerOps for the single-process trainer in element
 // type T: every matrix is whole, every "collective" is the identity.
-//
-// At float32 it is mixed-precision training: the large per-vertex matrices
-// (activations, gradients, aggregations) and the adjacency are stored and
-// multiplied in float32 — half the memory traffic of the bandwidth-bound
-// SpMM and GEMM sweeps — while the master weights and the optimizer (the
-// engine's) and every row reduction (log-sum-exp, loss: the kernels') stay
-// float64.
 //
 // Per-layer temporaries come from the workspace, each handed back after
 // its last reader (release) and the rest at endEpoch, so a steady-state
@@ -78,7 +62,7 @@ type serialOps[T dense.Elem] struct {
 	// ref swaps every multiply for the pre-optimization reference kernels,
 	// followed by a separate ReLU pass where the engine asks for a fused
 	// one, and the reoriented weight gradient where it asks for sparseRight,
-	// and runs log-softmax on its Go loops (see KernelOptions.Reference).
+	// and runs log-softmax on its Go loops (see Serial.Reference).
 	ref bool
 }
 

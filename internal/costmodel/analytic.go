@@ -217,18 +217,12 @@ func OneFiveD(w Workload, p, c int) CommCost {
 	}
 }
 
-// TwoDOverOneDWordRatio returns the predicted ratio of words moved by the
-// 2D algorithm to the 1D algorithm under the paper's simplifying
-// assumptions (§IV-C-5: random partitioning so edgecut ≈ n, nnz ≈ nf,
-// f ≪ n): the 2D algorithm moves (5/√P)× the 1D words, so the crossover
-// where 2D wins is √P ≥ 5 (§VI-d).
-func TwoDOverOneDWordRatio(p int) float64 {
-	return 5 / math.Sqrt(float64(p))
-}
-
-// TwoDOverOneDSteadyWordRatio is TwoDOverOneDWordRatio for a steady-state
-// epoch of an L-layer network, under the same assumptions (one width f, so
-// the per-layer product order changes no aggregation's width). Per layer the
+// TwoDOverOneDSteadyWordRatio is the paper's ratio of the words the 2D
+// algorithm moves to the 1D ones — 5/√P under its simplifying assumptions
+// (§IV-C-5: random partitioning so edgecut ≈ n, nnz ≈ nf, f ≪ n), a
+// crossover at √P ≥ 5 (§VI-d) — for a steady-state epoch of an L-layer
+// network, under the same assumptions (one width f, so the per-layer
+// product order changes no aggregation's width). Per layer the
 // paper has 2nf words for 1D and 10nf/√P for 2D, of which each of the two
 // SUMMA SpMMs is 2nf/√P: nf/√P of dense panels and nnz/√P ≈ nf/√P of sparse
 // ones. Aggregating the input layer once per run takes a whole layer off

@@ -167,6 +167,15 @@ func TestTwoDBeats1DAtScale(t *testing.T) {
 	}
 }
 
+// TwoDOverOneDWordRatio returns the predicted ratio of words moved by the
+// 2D algorithm to the 1D algorithm under the paper's simplifying
+// assumptions (§IV-C-5: random partitioning so edgecut ≈ n, nnz ≈ nf,
+// f ≪ n): the 2D algorithm moves (5/√P)× the 1D words, so the crossover
+// where 2D wins is √P ≥ 5 (§VI-d).
+func TwoDOverOneDWordRatio(p int) float64 {
+	return 5 / math.Sqrt(float64(p))
+}
+
 func TestTwoDOverOneDWordRatio(t *testing.T) {
 	if r := TwoDOverOneDWordRatio(25); math.Abs(r-1) > 1e-12 {
 		t.Fatalf("ratio at P=25 = %v, want 1 (the crossover)", r)

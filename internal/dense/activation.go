@@ -38,9 +38,9 @@ func activationInline[T Elem](z *Of[T]) bool {
 // no communication while rowwise ones (log_softmax) force an all-gather
 // along process rows (§IV-C-2).
 //
-// The interface is fixed to the default float64 matrices; the row kernels
-// behind it (ReLUForwardOf, LogSoftmaxForwardOf, ...) are generic, and
-// ForwardOf / BackwardOf apply an Activation in either element type.
+// The interface is fixed to float64 matrices; the row kernels behind it
+// (ReLUForwardOf, LogSoftmaxForwardOf, ...) are generic, and ForwardOf /
+// BackwardOf apply an Activation for a trainer typed in its element.
 type Activation interface {
 	// Name identifies the activation in configs and logs.
 	Name() string
@@ -117,22 +117,13 @@ func reluBackwardRows[T Elem](dst, grad, z *Of[T], lo, hi int) {
 // unsigned integers — +0 wraps to the top, every negative value and −0 carry
 // the sign bit, every NaN lies above +Inf — and the result is b ANDed with
 // the all-ones-or-zero mask that comparison yields.
-const (
-	inf64Bits = 0x7FF0000000000000
-	inf32Bits = 0x7F800000
-)
+const inf64Bits = 0x7FF0000000000000
 
 // positive64 is all ones where the float64 with bits b is > 0, zero
 // otherwise: the borrow out of (b − 1) − bits(+Inf), negated.
 func positive64(b uint64) uint64 {
 	_, borrow := bits.Sub64(b-1, inf64Bits, 0)
 	return -borrow
-}
-
-// positive32 is positive64 for float32 bits: the 64-bit difference of two
-// 32-bit values is negative exactly when the first is below the second.
-func positive32(b uint32) uint32 {
-	return uint32(int64(uint64(b-1)-inf32Bits) >> 63)
 }
 
 func reluRowF64(dst, z []float64) {
@@ -143,14 +134,6 @@ func reluRowF64(dst, z []float64) {
 	}
 }
 
-func reluRowF32(dst, z []float32) {
-	z = z[:len(dst)]
-	for i, v := range z {
-		b := math.Float32bits(v)
-		dst[i] = math.Float32frombits(b & positive32(b))
-	}
-}
-
 func reluMaskRowF64(dst, grad, z []float64) {
 	grad, z = grad[:len(dst)], z[:len(dst)]
 	for i, v := range z {
@@ -158,19 +141,10 @@ func reluMaskRowF64(dst, grad, z []float64) {
 	}
 }
 
-func reluMaskRowF32(dst, grad, z []float32) {
-	grad, z = grad[:len(dst)], z[:len(dst)]
-	for i, v := range z {
-		dst[i] = math.Float32frombits(math.Float32bits(grad[i]) & positive32(math.Float32bits(v)))
-	}
-}
-
 // reluRow writes relu(z) into dst under the ReLU rule. dst may alias z; z
 // must be at least as long as dst.
 func reluRow[T Elem](dst, z []T) {
 	if f, ok := any(reluRowF64).(func(dst, z []T)); ok {
-		f(dst, z)
-	} else if f, ok := any(reluRowF32).(func(dst, z []T)); ok {
 		f(dst, z)
 	} else {
 		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
@@ -181,8 +155,6 @@ func reluRow[T Elem](dst, z []T) {
 // alias grad or z; both must be at least as long as dst.
 func reluMaskRow[T Elem](dst, grad, z []T) {
 	if f, ok := any(reluMaskRowF64).(func(dst, grad, z []T)); ok {
-		f(dst, grad, z)
-	} else if f, ok := any(reluMaskRowF32).(func(dst, grad, z []T)); ok {
 		f(dst, grad, z)
 	} else {
 		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
@@ -238,10 +210,8 @@ func (LogSoftmax) RowWise() bool { return true }
 // computed with the max-subtraction trick for numerical stability.
 func (LogSoftmax) Forward(dst, z *Matrix) { LogSoftmaxForwardOf(dst, z) }
 
-// LogSoftmaxForwardOf is the generic log-softmax forward sweep. The
-// log-sum-exp reduction always accumulates in float64 — for float32 inputs
-// the exponentials sum in double precision (the "f64 loss accumulation"
-// half of mixed precision); for float64 inputs the arithmetic is unchanged.
+// LogSoftmaxForwardOf is the generic log-softmax forward sweep, its
+// log-sum-exp reduction accumulated in float64.
 func LogSoftmaxForwardOf[T Elem](dst, z *Of[T]) {
 	sameShape2(dst, z, "LogSoftmax.Forward")
 	if activationInline(z) {
@@ -271,9 +241,6 @@ type rowLanes[T Elem] struct {
 // chooses.
 func rowLanesFor[T Elem]() rowLanes[T] {
 	if l, ok := any(&lanesF64).(*rowLanes[T]); ok {
-		return *l
-	}
-	if l, ok := any(&lanesF32).(*rowLanes[T]); ok {
 		return *l
 	}
 	return rowLanes[T]{}
@@ -336,9 +303,7 @@ func logSumExp[T Elem](z []T) float64 {
 func (LogSoftmax) Backward(dst, grad, y *Matrix) { LogSoftmaxBackwardOf(dst, grad, y) }
 
 // LogSoftmaxBackwardOf is the generic log-softmax backward sweep over the
-// forward output y, with the gradient row sum accumulated in float64. For
-// float32 the stored y carries one more rounding than z − lse in double,
-// so the result moves by an ulp of y against a recomputation from z.
+// forward output y, with the gradient row sum accumulated in float64.
 func LogSoftmaxBackwardOf[T Elem](dst, grad, y *Of[T]) {
 	sameShape3(dst, grad, y, "LogSoftmax.Backward")
 	if activationInline(y) {
@@ -381,44 +346,17 @@ func logSoftmaxBackwardRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
 	}
 }
 
-// ForwardOf writes act(z) into dst in element type T. Float64 goes through
-// the interface, so any Activation works there; another element type is
-// served by the generic kernel registered under act.Name(), and panics when
-// there is none.
+// ForwardOf writes act(z) into dst through the Activation interface, for a
+// trainer typed in its element T; T is float64, the only element the
+// interface takes.
 func ForwardOf[T Elem](act Activation, dst, z *Of[T]) {
-	if d, ok := any(dst).(*Matrix); ok {
-		act.Forward(d, any(z).(*Matrix))
-		return
-	}
-	switch act.Name() {
-	case "relu":
-		ReLUForwardOf(dst, z)
-	case "log_softmax":
-		LogSoftmaxForwardOf(dst, z)
-	case "identity":
-		dst.CopyFrom(z)
-	default:
-		panic(fmt.Sprintf("dense: activation %q has no %T kernel", act.Name(), *new(T)))
-	}
+	act.Forward(any(dst).(*Matrix), any(z).(*Matrix))
 }
 
 // BackwardOf writes the gradient of act into dst given the upstream grad and
-// the forward output y, in element type T; see ForwardOf for the dispatch.
+// the forward output y, as ForwardOf applies the forward.
 func BackwardOf[T Elem](act Activation, dst, grad, y *Of[T]) {
-	if d, ok := any(dst).(*Matrix); ok {
-		act.Backward(d, any(grad).(*Matrix), any(y).(*Matrix))
-		return
-	}
-	switch act.Name() {
-	case "relu":
-		ReLUBackwardOf(dst, grad, y)
-	case "log_softmax":
-		LogSoftmaxBackwardOf(dst, grad, y)
-	case "identity":
-		dst.CopyFrom(grad)
-	default:
-		panic(fmt.Sprintf("dense: activation %q has no %T kernel", act.Name(), *new(T)))
-	}
+	act.Backward(any(dst).(*Matrix), any(grad).(*Matrix), any(y).(*Matrix))
 }
 
 func sameShape2[T Elem](a, b *Of[T], op string) {

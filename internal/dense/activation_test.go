@@ -168,9 +168,8 @@ func logSoftmaxBackwardFromZ[T Elem](dst, grad, z *Of[T]) {
 // TestLogSoftmaxBackwardFromOutputExact: the backward sweep over the forward
 // output y is bit-for-bit the recomputation from z in float64 — y[j] is the
 // rounded z[j] − lse, the very number the old kernel passed to exp — over
-// benign, large-magnitude, wide-spread and constant rows; it allocates
-// nothing; and in float32, where y carries one extra rounding, it stays
-// within an ulp-scale relative distance of the old kernel.
+// benign, large-magnitude, wide-spread and constant rows; and it allocates
+// nothing.
 func TestLogSoftmaxBackwardFromOutputExact(t *testing.T) {
 	useWorkers(t, 1)
 	rng := rand.New(rand.NewSource(21))
@@ -200,19 +199,6 @@ func TestLogSoftmaxBackwardFromOutputExact(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("LogSoftmax.Backward allocates %.1f times per call, want 0", avg)
 	}
-
-	z32, g32 := NewOf[float32](40, 9), NewOf[float32](40, 9)
-	Convert(z32, z.RowSlice(0, 40))
-	Convert(g32, grad.RowSlice(0, 40))
-	y32, got32, want32 := NewOf[float32](40, 9), NewOf[float32](40, 9), NewOf[float32](40, 9)
-	LogSoftmaxForwardOf(y32, z32)
-	LogSoftmaxBackwardOf(got32, g32, y32)
-	logSoftmaxBackwardFromZ(want32, g32, z32)
-	for i := range got32.Data {
-		if d := math.Abs(float64(got32.Data[i] - want32.Data[i])); d > 1e-5*(1+math.Abs(float64(want32.Data[i]))) {
-			t.Fatalf("float32 element %d: backward from y = %v, from z = %v", i, got32.Data[i], want32.Data[i])
-		}
-	}
 }
 
 // TestActivationsAllocFreeSerial: every activation kernel must be
@@ -232,22 +218,17 @@ func TestActivationsAllocFreeSerial(t *testing.T) {
 	}
 }
 
-// opaque is an Activation only the interface knows: no generic kernel is
-// registered under its name.
+// opaque is an Activation only the interface knows: no kernel of this
+// package carries its name.
 type opaque struct{ ReLU }
 
 func (opaque) Name() string { return "opaque" }
 
-// TestForwardBackwardOf: float64 goes through the interface, so any
-// Activation works there; float32 is served by the generic kernel of the
-// same name — equal to converting the float64 result for the two
-// element-wise ones — and an activation without one panics.
+// TestForwardBackwardOf: ForwardOf and BackwardOf go through the interface,
+// so any Activation works there.
 func TestForwardBackwardOf(t *testing.T) {
 	z := FromRows([][]float64{{-1, 0.5, 2}, {3, -0.25, 0}})
 	grad := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	var z32, grad32 *Of[float32]
-	As(&z32, z)
-	As(&grad32, grad)
 	for _, act := range []Activation{ReLU{}, Identity{}, LogSoftmax{}, opaque{}} {
 		y, want := New(2, 3), New(2, 3)
 		ForwardOf(act, y, z)
@@ -260,29 +241,6 @@ func TestForwardBackwardOf(t *testing.T) {
 		act.Backward(want, grad, y)
 		if MaxAbsDiff(g, want) != 0 {
 			t.Fatalf("%s: BackwardOf differs from Backward at float64", act.Name())
-		}
-		if act.Name() == "opaque" {
-			func() {
-				defer mustPanic(t, "ForwardOf float32 opaque")
-				ForwardOf(act, NewOf[float32](2, 3), z32)
-			}()
-			func() {
-				defer mustPanic(t, "BackwardOf float32 opaque")
-				BackwardOf(act, NewOf[float32](2, 3), grad32, z32)
-			}()
-			continue
-		}
-		y32, g32 := NewOf[float32](2, 3), NewOf[float32](2, 3)
-		ForwardOf(act, y32, z32)
-		BackwardOf(act, g32, grad32, y32)
-		if act.RowWise() {
-			continue // log-softmax at float32 rounds differently; its kernels have their own tests
-		}
-		var y64, g64 *Matrix
-		As(&y64, y32)
-		As(&g64, g32)
-		if MaxAbsDiff(y64, y) != 0 || MaxAbsDiff(g64, g) != 0 {
-			t.Fatalf("%s: float32 result is not the float64 one", act.Name())
 		}
 	}
 }
@@ -368,34 +326,31 @@ func testReLURowsMatchRule[T Elem](t *testing.T) {
 
 func TestReLURowsMatchRule(t *testing.T) {
 	t.Run("float64", testReLURowsMatchRule[float64])
-	t.Run("float32", testReLURowsMatchRule[float32])
 }
 
-// FuzzReLURow reads z from raw bytes, for each element width, takes grad as
-// z rotated by one element, and holds the row kernels to the oracles.
+// FuzzReLURow reads z from raw bytes, takes grad as z rotated by one
+// element, and holds the row kernels to the oracles.
 func FuzzReLURow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 1, 0, 0x80, 0x7f, 0, 0, 0x80, 0xff})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		z64, grad64 := fuzzRow[float64](data, 8)
-		compareReLURows(t, "float64", z64, grad64)
-		z32, grad32 := fuzzRow[float32](data, 4)
-		compareReLURows(t, "float32", z32, grad32)
+		z, grad := fuzzRow(data)
+		compareReLURows(t, "float64", z, grad)
 	})
 }
 
-// fuzzRow reads len(data)/width elements of width bytes each, little-endian,
+// fuzzRow reads len(data)/8 elements of eight bytes each, little-endian,
 // and returns them with their rotation by one.
-func fuzzRow[T Elem](data []byte, width int) (z, grad []T) {
-	z = make([]T, len(data)/width)
+func fuzzRow(data []byte) (z, grad []float64) {
+	z = make([]float64, len(data)/8)
 	for i := range z {
 		var b uint64
-		for j := 0; j < width; j++ {
-			b |= uint64(data[i*width+j]) << (8 * j)
+		for j := 0; j < 8; j++ {
+			b |= uint64(data[i*8+j]) << (8 * j)
 		}
-		z[i] = fromBits[T](b)
+		z[i] = math.Float64frombits(b)
 	}
 	if len(z) == 0 {
 		return z, z

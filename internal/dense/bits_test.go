@@ -2,47 +2,17 @@ package dense
 
 import "math"
 
-// Helpers for the exact-bits tests of the vector bodies: element bits in
-// either type, the special values they are fed, and where x86's NaN rule
-// lets the compiled Go loops disagree with themselves.
+// Helpers for the exact-bits tests of the vector bodies: element bits, the
+// special values they are fed, and where x86's NaN rule lets the compiled
+// Go loops disagree with themselves.
 
-func toBits[T Elem](v T) uint64 {
-	switch x := any(v).(type) {
-	case float32:
-		return uint64(math.Float32bits(x))
-	case float64:
-		return math.Float64bits(x)
-	}
-	panic("toBits: element type is neither float32 nor float64")
-}
+func toBits[T Elem](v T) uint64 { return math.Float64bits(float64(v)) }
 
-func fromBits[T Elem](b uint64) T {
-	var v T
-	switch p := any(&v).(type) {
-	case *float32:
-		*p = math.Float32frombits(uint32(b))
-	case *float64:
-		*p = math.Float64frombits(b)
-	default:
-		panic("fromBits: element type is neither float32 nor float64")
-	}
-	return v
-}
-
-func isFloat32[T Elem]() bool {
-	var v T
-	_, ok := any(v).(float32)
-	return ok
-}
+func fromBits[T Elem](b uint64) T { return T(math.Float64frombits(b)) }
 
 // quietBit is the mantissa bit that turns a signalling NaN into the quiet
 // NaN an arithmetic instruction returns for it.
-func quietBit[T Elem]() uint64 {
-	if isFloat32[T]() {
-		return 1 << 22
-	}
-	return 1 << 51
-}
+const quietBit = 1 << 51
 
 // specialBits lists the values arithmetic treats specially: both zeros,
 // both infinities, quiet and signalling NaNs of either sign with distinct
@@ -51,18 +21,6 @@ func quietBit[T Elem]() uint64 {
 // (whose products and sums overflow), and a few ordinary values for them to
 // meet.
 func specialBits[T Elem]() []uint64 {
-	if isFloat32[T]() {
-		b := []uint64{
-			0x00000000, 0x80000000, 0x7f800000, 0xff800000,
-			0x7fc00001, 0xffc00002, 0x7f800003, 0xff900004, 0x7f800001, 0xff800001,
-			0x00000001, 0x80000001, 0x807fffff, 0x00800000,
-			0x7f7fffff, 0xff7fffff,
-		}
-		for _, f := range []float32{1, -1, 2, 0.5, -3.25, 1e-20, 1e20} {
-			b = append(b, uint64(math.Float32bits(f)))
-		}
-		return b
-	}
 	b := []uint64{
 		0x0000000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
 		0x7ff8000000000001, 0xfff8000000000002, 0x7ff0000000000003, 0xfff2000000000004,
@@ -100,6 +58,5 @@ func twoNaNsMeet[T Elem](d T, v, x []T) bool {
 
 // nansDiffer reports whether a and b are both NaN and differ after quieting.
 func nansDiffer[T Elem](a, b T) bool {
-	q := quietBit[T]()
-	return a != a && b != b && toBits(a)|q != toBits(b)|q
+	return a != a && b != b && toBits(a)|quietBit != toBits(b)|quietBit
 }

@@ -8,13 +8,9 @@ package dense
 var (
 	kernelISA = "go"
 	tileF64   = tileFunc[float64](gemmTile[float64])
-	tileF32   = tileFunc[float32](gemmTile[float32])
 	csrF64    = csrTileFunc[float64](csrTile[float64])
-	csrF32    = csrTileFunc[float32](csrTile[float32])
 	compact64 = compactFunc[float64](compactNZGo[float64])
-	compact32 = compactFunc[float32](compactNZGo[float32])
 	lanesF64  rowLanes[float64]
-	lanesF32  rowLanes[float32]
 )
 
 // KernelISA names the instruction set the kernels run on in this process:

@@ -14,11 +14,7 @@ func init() {
 	}
 	kernelISA = "avx2"
 	tileF64 = tileF64AVX2
-	tileF32 = tileF32AVX2
 	csrF64 = csrTileF64AVX2
-	csrF32 = csrTileF32AVX2
 	compact64 = compactNZF64AVX2
-	compact32 = compactNZF32AVX2
 	lanesF64 = rowLanes[float64]{forward: forwardF64AVX2, backward: backwardF64AVX2}
-	lanesF32 = rowLanes[float32]{forward: forwardF32AVX2, backward: backwardF32AVX2}
 }

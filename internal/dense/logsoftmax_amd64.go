@@ -11,13 +11,7 @@ package dense
 func lanesForwardF64(dst *float64, z *float64, cols int, groups int) int
 
 //go:noescape
-func lanesForwardF32(dst *float32, z *float32, cols int, groups int) int
-
-//go:noescape
 func lanesBackwardF64(dst *float64, grad *float64, y *float64, cols int, groups int) int
-
-//go:noescape
-func lanesBackwardF32(dst *float32, grad *float32, y *float32, cols int, groups int) int
 
 // expLanes and logLanes run the lanes' exp and log on x in place and return
 // the mask of lanes off math's fast path, for the tests.
@@ -32,16 +26,8 @@ func forwardF64AVX2(dst, z []float64, cols int) int {
 	return forwardGroups(lanesForwardF64, dst, z, cols)
 }
 
-func forwardF32AVX2(dst, z []float32, cols int) int {
-	return forwardGroups(lanesForwardF32, dst, z, cols)
-}
-
 func backwardF64AVX2(dst, grad, y []float64, cols int) int {
 	return backwardGroups(lanesBackwardF64, dst, grad, y, cols)
-}
-
-func backwardF32AVX2(dst, grad, y []float32, cols int) int {
-	return backwardGroups(lanesBackwardF32, dst, grad, y, cols)
 }
 
 // forwardGroups runs body over the whole groups of z. A dst shorter than

@@ -11,8 +11,7 @@
 // multiply rounded before the subtract. Each add and multiply takes its
 // operands in the order the plain build of the Go loops gives them, which
 // decides the payload where two NaNs meet (the backward's gsum; a -race
-// build adds the other way round, see twoNaNsMeet). float32 rows widen to
-// float64 lanes on load and narrow on store, as the Go loops convert.
+// build adds the other way round, see twoNaNsMeet).
 //
 // exp and log are math.Exp and math.Log bit for bit, not approximations:
 // EXP replays the FMA path of math's archExp (exp_amd64.s) and LOG math's
@@ -197,8 +196,7 @@ CONST4(logKBias, $0x43300000000003fe)
 	VSUBPD    Y6, Y1, Y0
 
 // Column j of the group's four rows, from p at row 0, into the float64 lanes
-// of y (x its low half, t scratch), and back: GATHERD/SCATTERD for float64
-// rows, GATHERS/SCATTERS for float32 ones, widened and narrowed.
+// of y (x its low half, t scratch), and back.
 #define GATHERD(p, y, x, t) \
 	VMOVSD      (p), x; \
 	VMOVHPD     (p)(R8*1), x, x; \
@@ -212,20 +210,6 @@ CONST4(logKBias, $0x43300000000003fe)
 	VEXTRACTF128 $1, y, t; \
 	VMOVSD       t, (p)(R8*2); \
 	VMOVHPD      t, (p)(R9*1)
-
-#define GATHERS(p, y, x, t) \
-	VMOVSS    (p), x; \
-	VINSERTPS $0x10, (p)(R8*1), x, x; \
-	VINSERTPS $0x20, (p)(R8*2), x, x; \
-	VINSERTPS $0x30, (p)(R9*1), x, x; \
-	VCVTPS2PD x, y
-
-#define SCATTERS(p, y, x, t) \
-	VCVTPD2PSY y, x; \
-	VMOVSS     x, (p); \
-	VEXTRACTPS $1, x, (p)(R8*1); \
-	VEXTRACTPS $2, x, (p)(R8*2); \
-	VEXTRACTPS $3, x, (p)(R9*1)
 
 // The strides, the column count and the group count; ELEM the element size.
 #define STRIDES(ELEM, colsArg, groupsArg) \
@@ -353,17 +337,9 @@ done: \
 TEXT ·lanesForwardF64(SB), NOSPLIT, $0-40
 	FORWARD(GATHERD, SCATTERD, 8)
 
-// func lanesForwardF32(dst *float32, z *float32, cols int, groups int) int
-TEXT ·lanesForwardF32(SB), NOSPLIT, $0-40
-	FORWARD(GATHERS, SCATTERS, 4)
-
 // func lanesBackwardF64(dst *float64, grad *float64, y *float64, cols int, groups int) int
 TEXT ·lanesBackwardF64(SB), NOSPLIT, $0-48
 	BACKWARD(GATHERD, SCATTERD, 8)
-
-// func lanesBackwardF32(dst *float32, grad *float32, y *float32, cols int, groups int) int
-TEXT ·lanesBackwardF32(SB), NOSPLIT, $0-48
-	BACKWARD(GATHERS, SCATTERS, 4)
 
 // func expLanes(x *[4]float64) int
 //

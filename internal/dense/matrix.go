@@ -1,14 +1,12 @@
 // Package dense implements row-major dense matrices and the dense kernels
 // (GEMM, elementwise operations, activations) used by GNN training.
 //
-// The matrix core is generic over the element type: Of[T] stores float32 or
-// float64 values in row-major order with stride equal to the number of
-// columns, and Matrix is an alias for the float64 instantiation every
-// existing caller uses. The float32 instantiation backs the mixed-precision
-// training path (f32 storage and compute, f64 loss/optimizer accumulation).
-// The package favors explicit, allocation-conscious APIs: most kernels write
-// into a caller-supplied destination so that training loops can reuse
-// buffers across epochs.
+// The matrix core is generic over the element type: Of[T] stores its values
+// in row-major order with stride equal to the number of columns, and Matrix
+// is an alias for the float64 instantiation every caller uses. The package
+// favors explicit, allocation-conscious APIs: most kernels write into a
+// caller-supplied destination so that training loops can reuse buffers
+// across epochs.
 package dense
 
 import (
@@ -17,10 +15,10 @@ import (
 	"math/rand"
 )
 
-// Elem constrains the matrix element types: the default float64 path and
-// the float32 storage/compute path of mixed-precision training.
+// Elem constrains the matrix element types. Training is float64 throughout:
+// its contract is bit-identity across trainers, worker counts and builds.
 type Elem interface {
-	~float32 | ~float64
+	~float64
 }
 
 // Of is a dense row-major matrix of T values.
@@ -74,19 +72,8 @@ func FromSliceOf[T Elem](r, c int, data []T) *Of[T] {
 	return &Of[T]{Rows: r, Cols: c, Data: data}
 }
 
-// Eye returns the n-by-n identity matrix.
-func Eye(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// Convert writes src into dst element by element, rounding through the
-// destination type. It is the boundary crossing of the mixed-precision
-// path: f64 master weights down to the f32 compute replicas, and f32
-// results up to f64 reports. Shapes must match.
+// Convert writes src into dst element by element, converting through the
+// destination type. Shapes must match.
 func Convert[D, S Elem](dst *Of[D], src *Of[S]) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("dense: Convert shape mismatch: %dx%d vs %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))
@@ -97,10 +84,9 @@ func Convert[D, S Elem](dst *Of[D], src *Of[S]) {
 }
 
 // As makes *dst hold src in element type D. When D is S's own type that is
-// src itself: no copy. Otherwise src is rounded through D (Convert) into
+// src itself: no copy. Otherwise src is converted through D (Convert) into
 // the matrix *dst already points at, allocated here the first time. It is
-// how a trainer typed in its element meets the float64 masters — one
-// expression serves both instantiations, and the float64 one pays nothing.
+// how a trainer typed in its element meets the float64 masters.
 func As[D, S Elem](dst **Of[D], src *Of[S]) {
 	if same, ok := any(src).(*Of[D]); ok {
 		*dst = same

@@ -54,6 +54,15 @@ func TestFromSliceLengthPanics(t *testing.T) {
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
 
+// Eye returns the n-by-n identity matrix.
+func Eye(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] = 1
+	}
+	return m
+}
+
 func TestEye(t *testing.T) {
 	m := Eye(3)
 	for i := 0; i < 3; i++ {
@@ -252,8 +261,12 @@ func mustPanic(t *testing.T, what string) {
 	}
 }
 
+// named is an element type of its own: As converts into it.
+type named float64
+
 // TestAs: the same element type is the same pointer, whatever the slot held;
-// another one is a rounding copy into the slot's own matrix, allocated once.
+// another one is a converting copy into the slot's own matrix, allocated
+// once.
 func TestAs(t *testing.T) {
 	src := FromRows([][]float64{{1, 2.5}, {1e-9, -3}})
 	var same *Matrix
@@ -261,20 +274,20 @@ func TestAs(t *testing.T) {
 	if same != src {
 		t.Fatal("float64 → float64 copied")
 	}
-	var f32 *Of[float32]
-	As(&f32, src)
-	first := f32
-	if f32.Rows != 2 || f32.Cols != 2 || f32.At(0, 1) != 2.5 || f32.At(1, 0) != float32(1e-9) {
-		t.Fatalf("float64 → float32 = %v", f32)
+	var n *Of[named]
+	As(&n, src)
+	first := n
+	if n.Rows != 2 || n.Cols != 2 || n.At(0, 1) != 2.5 || n.At(1, 0) != 1e-9 {
+		t.Fatalf("float64 → named = %v", n)
 	}
 	src.Set(0, 0, 7)
-	As(&f32, src)
-	if f32 != first || f32.At(0, 0) != 7 {
+	As(&n, src)
+	if n != first || n.At(0, 0) != 7 {
 		t.Fatal("second conversion did not reuse the slot's matrix")
 	}
-	var up *Matrix
-	As(&up, f32)
-	if up.At(1, 0) != float64(float32(1e-9)) {
-		t.Fatalf("float32 → float64 = %v", up.At(1, 0))
+	var back *Matrix
+	As(&back, n)
+	if back == src || back.At(1, 0) != 1e-9 {
+		t.Fatalf("named → float64 = %v", back)
 	}
 }

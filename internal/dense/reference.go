@@ -12,7 +12,7 @@ package dense
 // TestDefaultBitIdenticalToReference compares assembly with Go and a
 // failure localizes the divergence to a single kernel
 // (TestGemmTileMatchesReference holds each GEMM to them alone).
-// KernelOptions.Reference trains on them end to end
+// core.Serial's Reference field trains on them end to end
 // (BenchmarkEngineEpochKernels' reference row).
 //
 // They always run serially (no worker-pool dispatch): what they

@@ -35,12 +35,9 @@ func gemmTile[T Elem](dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, row
 }
 
 // tileFor returns the tile entry for element type T: the process-wide choice
-// for float64 and float32, the Go body for any other Elem.
+// for float64, the Go body for any other Elem.
 func tileFor[T Elem]() tileFunc[T] {
 	if t, ok := any(tileF64).(tileFunc[T]); ok {
-		return t
-	}
-	if t, ok := any(tileF32).(tileFunc[T]); ok {
 		return t
 	}
 	return gemmTile[T]
@@ -79,9 +76,6 @@ func csrTileFor[T Elem]() csrTileFunc[T] {
 	if t, ok := any(csrF64).(csrTileFunc[T]); ok {
 		return t
 	}
-	if t, ok := any(csrF32).(csrTileFunc[T]); ok {
-		return t
-	}
 	return csrTile[T]
 }
 
@@ -106,16 +100,10 @@ type packPool[T Elem] struct {
 	free [][]T
 }
 
-var (
-	packF64 packPool[float64]
-	packF32 packPool[float32]
-)
+var packF64 packPool[float64]
 
 func packFor[T Elem]() *packPool[T] {
 	if p, ok := any(&packF64).(*packPool[T]); ok {
-		return p
-	}
-	if p, ok := any(&packF32).(*packPool[T]); ok {
 		return p
 	}
 	return new(packPool[T])
@@ -163,16 +151,10 @@ type blockPool[T Elem] struct {
 	free []*csrBlock[T]
 }
 
-var (
-	blocksF64 blockPool[float64]
-	blocksF32 blockPool[float32]
-)
+var blocksF64 blockPool[float64]
 
 func blocksFor[T Elem]() *blockPool[T] {
 	if p, ok := any(&blocksF64).(*blockPool[T]); ok {
-		return p
-	}
-	if p, ok := any(&blocksF32).(*blockPool[T]); ok {
 		return p
 	}
 	return new(blockPool[T])
@@ -224,8 +206,6 @@ func compactNZGo[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStr
 // chooses.
 func compactNZ[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
 	if f, ok := any(compact64).(compactFunc[T]); ok {
-		f(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
-	} else if f, ok := any(compact32).(compactFunc[T]); ok {
 		f(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
 	} else {
 		compactNZGo(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)

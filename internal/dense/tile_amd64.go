@@ -3,7 +3,7 @@
 package dense
 
 // The strip routines of tile_amd64.s: one column strip of at most four
-// vectors (16 float64, 32 float32) over every row. They take pointers, not
+// vectors (16 float64) over every row. They take pointers, not
 // slices; tileStrips and csrStrips check the bounds first and never call
 // them with rows or w zero.
 
@@ -11,28 +11,14 @@ package dense
 func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool)
 
 //go:noescape
-func tileStripF32(dst *float32, ldd int, s *float32, sRow int, sK int, b *float32, ldb int, rows int, w int, k int, load bool, skip bool)
-
-//go:noescape
 func csrStripF64(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
-
-//go:noescape
-func csrStripF32(dst *float32, ldd int, ptr *int, idx *int, val *float32, b *float32, ldb int, rows int, w int, lim int, bRows int, load bool) bool
 
 func tileF64AVX2(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
 	tileStrips(tileStripF64, 16, dst, ldd, s, sRow, sK, b, ldb, rows, cols, k, load, skip)
 }
 
-func tileF32AVX2(dst []float32, ldd int, s []float32, sRow, sK int, b []float32, ldb int, rows, cols, k int, load, skip bool) {
-	tileStrips(tileStripF32, 32, dst, ldd, s, sRow, sK, b, ldb, rows, cols, k, load, skip)
-}
-
 func csrTileF64AVX2(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
 	csrStrips(csrStripF64, 16, dst, ldd, ptr, idx, val, b, ldb, cols, load)
-}
-
-func csrTileF32AVX2(dst []float32, ldd int, ptr, idx []int, val, b []float32, ldb, cols int, load bool) {
-	csrStrips(csrStripF32, 32, dst, ldd, ptr, idx, val, b, ldb, cols, load)
 }
 
 // tileStrips is the tile entry over strip: the columns in strips of width,
@@ -90,18 +76,14 @@ func csrStrips[T Elem](strip func(dst *T, ldd int, ptr, idx *int, val, b *T, ldb
 //go:noescape
 func compactF64(ptr *int, idx *int, val *float64, data *float64, rowStride int, colStride int, rows int, cols int, first int) int
 
-//go:noescape
-func compactF32(ptr *int, idx *int, val *float32, data *float32, rowStride int, colStride int, rows int, cols int, first int) int
-
-// compactEntry is what the compaction bodies need for one mask of four
+// compactEntry is what the compaction body needs for one mask of four
 // lanes: the set lanes in order, as the pairs of 32-bit halves VPERMPS and
-// VPERMD move four 64-bit lanes by and as VPERMILPS's four 32-bit lanes,
-// and how many are set.
+// VPERMD move four 64-bit lanes by, and how many are set. The padding makes
+// an entry 64 bytes, so the body finds it at mask<<6.
 type compactEntry struct {
 	pairs [8]int32
-	lanes [4]int32
 	count int64
-	_     int64
+	_     [3]int64
 }
 
 var compactTable [16]compactEntry
@@ -112,7 +94,6 @@ func init() {
 		for l := 0; l < 4; l++ {
 			if m&(1<<l) != 0 {
 				t.pairs[2*t.count], t.pairs[2*t.count+1] = int32(2*l), int32(2*l+1)
-				t.lanes[t.count] = int32(l)
 				t.count++
 			}
 		}
@@ -121,10 +102,6 @@ func init() {
 
 func compactNZF64AVX2(ptr, idx []int, val, data []float64, start, rowStride, colStride, rows, cols, first int) {
 	compactWindow(compactF64, ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
-}
-
-func compactNZF32AVX2(ptr, idx []int, val, data []float32, start, rowStride, colStride, rows, cols, first int) {
-	compactWindow(compactF32, ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
 }
 
 // compactWindow is compactNZ over body. The window is checked before any

@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // AVX2 bodies of the two register tiles (tile.go), one column strip per
-// call, w ≤ 16 float64 (32 float32) columns held in four YMM registers per
+// call, w ≤ 16 float64 columns held in four YMM registers per
 // row from the first term to the store, so each output element is loaded
 // and stored once per call. Every element receives the IEEE operations of
 // the Go body in its order: one multiply and one add per term, never a
@@ -64,7 +64,7 @@ DATA tileMask<>+48(SB)/8, $0
 DATA tileMask<>+56(SB)/8, $0
 GLOBL tileMask<>(SB), RODATA|NOPTR, $64
 
-// Both tiles take the strip width at w+64(FP). DISPATCHD and DISPATCHS jump
+// Both tiles take the strip width at w+64(FP). DISPATCHD jumps
 // to the variant for it: v1–v4 for one to four whole vectors, v1m–v4m with
 // the last vector under the mask they leave in Y14. BX, CX and DX are
 // scratch.
@@ -94,7 +94,6 @@ whole: \
 	JMP     v4
 
 #define DISPATCHD DISPATCH(4, $2, 8)
-#define DISPATCHS DISPATCH(8, $3, 4)
 
 // The zero test: falls through to the term unless skip is set and the scale
 // at addr is ±0 (its bits shifted left by one are zero).
@@ -104,30 +103,16 @@ whole: \
 	ORQ  R14, R8; \
 	JZ   skiplbl
 
-#define TESTS(addr, skiplbl) \
-	MOVL addr, R8; \
-	ADDL R8, R8; \
-	ORL  R14, R8; \
-	JZ   skiplbl
-
 // One B vector times the broadcast scale, added into a running sum.
 #define MADD(bv, acc) \
 	VMULPD Y12, bv, Y13; \
 	VADDPD acc, Y13, acc
-
-#define MADS(bv, acc) \
-	VMULPS Y12, bv, Y13; \
-	VADDPS acc, Y13, acc
 
 // One row's term, one to four vectors wide.
 #define ROWD1(a0, a1, a2, a3) MADD(Y8, a0)
 #define ROWD2(a0, a1, a2, a3) ROWD1(a0, a1, a2, a3); MADD(Y9, a1)
 #define ROWD3(a0, a1, a2, a3) ROWD2(a0, a1, a2, a3); MADD(Y10, a2)
 #define ROWD4(a0, a1, a2, a3) ROWD3(a0, a1, a2, a3); MADD(Y11, a3)
-#define ROWS1(a0, a1, a2, a3) MADS(Y8, a0)
-#define ROWS2(a0, a1, a2, a3) ROWS1(a0, a1, a2, a3); MADS(Y9, a1)
-#define ROWS3(a0, a1, a2, a3) ROWS2(a0, a1, a2, a3); MADS(Y10, a2)
-#define ROWS4(a0, a1, a2, a3) ROWS3(a0, a1, a2, a3); MADS(Y11, a3)
 
 // The term's B vectors from BX; the M forms load the last one under the
 // mask.
@@ -139,14 +124,6 @@ whole: \
 #define BD2M BD1; VMASKMOVPD 32(BX), Y14, Y9
 #define BD3M BD2; VMASKMOVPD 64(BX), Y14, Y10
 #define BD4M BD3; VMASKMOVPD 96(BX), Y14, Y11
-#define BS1 VMOVUPS (BX), Y8
-#define BS2 BS1; VMOVUPS 32(BX), Y9
-#define BS3 BS2; VMOVUPS 64(BX), Y10
-#define BS4 BS3; VMOVUPS 96(BX), Y11
-#define BS1M VMASKMOVPS (BX), Y14, Y8
-#define BS2M BS1; VMASKMOVPS 32(BX), Y14, Y9
-#define BS3M BS2; VMASKMOVPS 64(BX), Y14, Y10
-#define BS4M BS3; VMASKMOVPS 96(BX), Y14, Y11
 
 // A row's running sums from dst at r.
 #define LDD1(r, a0, a1, a2, a3) VMOVUPD (r), a0
@@ -157,14 +134,6 @@ whole: \
 #define LDD2M(r, a0, a1, a2, a3) LDD1(r, a0, a1, a2, a3); VMASKMOVPD 32(r), Y14, a1
 #define LDD3M(r, a0, a1, a2, a3) LDD2(r, a0, a1, a2, a3); VMASKMOVPD 64(r), Y14, a2
 #define LDD4M(r, a0, a1, a2, a3) LDD3(r, a0, a1, a2, a3); VMASKMOVPD 96(r), Y14, a3
-#define LDS1(r, a0, a1, a2, a3) VMOVUPS (r), a0
-#define LDS2(r, a0, a1, a2, a3) LDS1(r, a0, a1, a2, a3); VMOVUPS 32(r), a1
-#define LDS3(r, a0, a1, a2, a3) LDS2(r, a0, a1, a2, a3); VMOVUPS 64(r), a2
-#define LDS4(r, a0, a1, a2, a3) LDS3(r, a0, a1, a2, a3); VMOVUPS 96(r), a3
-#define LDS1M(r, a0, a1, a2, a3) VMASKMOVPS (r), Y14, a0
-#define LDS2M(r, a0, a1, a2, a3) LDS1(r, a0, a1, a2, a3); VMASKMOVPS 32(r), Y14, a1
-#define LDS3M(r, a0, a1, a2, a3) LDS2(r, a0, a1, a2, a3); VMASKMOVPS 64(r), Y14, a2
-#define LDS4M(r, a0, a1, a2, a3) LDS3(r, a0, a1, a2, a3); VMASKMOVPS 96(r), Y14, a3
 
 // A row's running sums back to dst at r.
 #define STD1(r, a0, a1, a2, a3) VMOVUPD a0, (r)
@@ -175,16 +144,8 @@ whole: \
 #define STD2M(r, a0, a1, a2, a3) STD1(r, a0, a1, a2, a3); VMASKMOVPD a1, Y14, 32(r)
 #define STD3M(r, a0, a1, a2, a3) STD2(r, a0, a1, a2, a3); VMASKMOVPD a2, Y14, 64(r)
 #define STD4M(r, a0, a1, a2, a3) STD3(r, a0, a1, a2, a3); VMASKMOVPD a3, Y14, 96(r)
-#define STS1(r, a0, a1, a2, a3) VMOVUPS a0, (r)
-#define STS2(r, a0, a1, a2, a3) STS1(r, a0, a1, a2, a3); VMOVUPS a1, 32(r)
-#define STS3(r, a0, a1, a2, a3) STS2(r, a0, a1, a2, a3); VMOVUPS a2, 64(r)
-#define STS4(r, a0, a1, a2, a3) STS3(r, a0, a1, a2, a3); VMOVUPS a3, 96(r)
-#define STS1M(r, a0, a1, a2, a3) VMASKMOVPS a0, Y14, (r)
-#define STS2M(r, a0, a1, a2, a3) STS1(r, a0, a1, a2, a3); VMASKMOVPS a1, Y14, 32(r)
-#define STS3M(r, a0, a1, a2, a3) STS2(r, a0, a1, a2, a3); VMASKMOVPS a2, Y14, 64(r)
-#define STS4M(r, a0, a1, a2, a3) STS3(r, a0, a1, a2, a3); VMASKMOVPS a3, Y14, 96(r)
 
-// A row's running sums at +0 (all bits clear in either element type).
+// A row's running sums at +0 (all bits clear).
 #define Z1(a0, a1, a2, a3) VXORPS a0, a0, a0
 #define Z2(a0, a1, a2, a3) Z1(a0, a1, a2, a3); VXORPS a1, a1, a1
 #define Z3(a0, a1, a2, a3) Z2(a0, a1, a2, a3); VXORPS a2, a2, a2
@@ -299,7 +260,6 @@ next: \
 	JMP     ok
 
 #define VALD VBROADCASTSD (R9)(CX*8), Y12
-#define VALS VBROADCASTSS (R9)(CX*4), Y12
 
 // The registers every CSR variant starts from (see above); SH is log2 of
 // the element size.
@@ -317,9 +277,9 @@ next: \
 	MOVQ    lim+72(FP), R13; \
 	MOVQ    bRows+80(FP), R14
 
-// The compaction bodies (compactNZ in tile.go), row by row of the window:
+// The compaction body (compactNZ in tile.go), row by row of the window:
 // ptr[ρ] = n, then the row's elements four a step — colStride bytes apart
-// from the row's first, into one vector; the v != 0 lanes of it (VCMPP*
+// from the row's first, into one vector; the v != 0 lanes of it (VCMPPD
 // predicate 4, not-equal-or-unordered, against +0: clear for ±0, set for
 // NaN) moved to its bottom by the permutation compactTable holds for that
 // lane mask, and the elements' indices with them; all four lanes stored at
@@ -370,7 +330,7 @@ next: \
 	VMOVDQU (AX)(BX*1), Y3; \
 	VPERMD  Y5, Y3, Y6; \
 	VMOVDQU Y6, (R8)(DX*8); \
-	ADDQ    48(AX)(BX*1), DX; \
+	ADDQ    32(AX)(BX*1), DX; \
 	VPADDQ  Y7, Y5, Y5; \
 	LEAQ    (SI)(R10*4), SI
 
@@ -431,32 +391,6 @@ done:
 	VZEROUPPER
 	RET
 
-// func tileStripF32(dst *float32, ldd int, s *float32, sRow int, sK int, b *float32, ldb int, rows int, w int, k int, load bool, skip bool)
-TEXT ·tileStripF32(SB), NOSPLIT, $0-82
-	PROLOGUE($2)
-	DISPATCHS
-
-v1:
-	STRIP($2, TESTS, VBROADCASTSS, BS1, LDS1, Z1, ROWS1, STS1, pair1, kinit1, kloop1, skipa1, skipb1, store1)
-v2:
-	STRIP($2, TESTS, VBROADCASTSS, BS2, LDS2, Z2, ROWS2, STS2, pair2, kinit2, kloop2, skipa2, skipb2, store2)
-v3:
-	STRIP($2, TESTS, VBROADCASTSS, BS3, LDS3, Z3, ROWS3, STS3, pair3, kinit3, kloop3, skipa3, skipb3, store3)
-v4:
-	STRIP($2, TESTS, VBROADCASTSS, BS4, LDS4, Z4, ROWS4, STS4, pair4, kinit4, kloop4, skipa4, skipb4, store4)
-v1m:
-	STRIP($2, TESTS, VBROADCASTSS, BS1M, LDS1M, Z1, ROWS1, STS1M, pair1m, kinit1m, kloop1m, skipa1m, skipb1m, store1m)
-v2m:
-	STRIP($2, TESTS, VBROADCASTSS, BS2M, LDS2M, Z2, ROWS2, STS2M, pair2m, kinit2m, kloop2m, skipa2m, skipb2m, store2m)
-v3m:
-	STRIP($2, TESTS, VBROADCASTSS, BS3M, LDS3M, Z3, ROWS3, STS3M, pair3m, kinit3m, kloop3m, skipa3m, skipb3m, store3m)
-v4m:
-	STRIP($2, TESTS, VBROADCASTSS, BS4M, LDS4M, Z4, ROWS4, STS4M, pair4m, kinit4m, kloop4m, skipa4m, skipb4m, store4m)
-
-done:
-	VZEROUPPER
-	RET
-
 // func csrStripF64(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
 TEXT ·csrStripF64(SB), NOSPLIT, $0-97
 	CSRPROLOGUE($3)
@@ -478,38 +412,6 @@ v3m:
 	CSRSTRIP(VALD, BD3M, LDD3M, Z3, ROWD3, STD3M, row3m, first3m, entry3m, store3m, next3m)
 v4m:
 	CSRSTRIP(VALD, BD4M, LDD4M, Z4, ROWD4, STD4M, row4m, first4m, entry4m, store4m, next4m)
-
-ok:
-	MOVB $1, ret+96(FP)
-	VZEROUPPER
-	RET
-
-bad:
-	MOVB $0, ret+96(FP)
-	VZEROUPPER
-	RET
-
-// func csrStripF32(dst *float32, ldd int, ptr *int, idx *int, val *float32, b *float32, ldb int, rows int, w int, lim int, bRows int, load bool) bool
-TEXT ·csrStripF32(SB), NOSPLIT, $0-97
-	CSRPROLOGUE($2)
-	DISPATCHS
-
-v1:
-	CSRSTRIP(VALS, BS1, LDS1, Z1, ROWS1, STS1, row1, first1, entry1, store1, next1)
-v2:
-	CSRSTRIP(VALS, BS2, LDS2, Z2, ROWS2, STS2, row2, first2, entry2, store2, next2)
-v3:
-	CSRSTRIP(VALS, BS3, LDS3, Z3, ROWS3, STS3, row3, first3, entry3, store3, next3)
-v4:
-	CSRSTRIP(VALS, BS4, LDS4, Z4, ROWS4, STS4, row4, first4, entry4, store4, next4)
-v1m:
-	CSRSTRIP(VALS, BS1M, LDS1M, Z1, ROWS1, STS1M, row1m, first1m, entry1m, store1m, next1m)
-v2m:
-	CSRSTRIP(VALS, BS2M, LDS2M, Z2, ROWS2, STS2M, row2m, first2m, entry2m, store2m, next2m)
-v3m:
-	CSRSTRIP(VALS, BS3M, LDS3M, Z3, ROWS3, STS3M, row3m, first3m, entry3m, store3m, next3m)
-v4m:
-	CSRSTRIP(VALS, BS4M, LDS4M, Z4, ROWS4, STS4M, row4m, first4m, entry4m, store4m, next4m)
 
 ok:
 	MOVB $1, ret+96(FP)
@@ -547,37 +449,6 @@ step64:
 
 	COMPACTTAIL(MOVQ, SHLQ, NEGQ, 8, row64tail, row64one, row64next)
 	JNZ row64
-
-	MOVQ DX, (R12)
-	MOVQ DX, ret+72(FP)
-	VZEROUPPER
-	RET
-
-// func compactF32(ptr *int, idx *int, val *float32, data *float32, rowStride int, colStride int, rows int, cols int, first int) int
-TEXT ·compactF32(SB), NOSPLIT, $0-80
-	COMPACTINIT($2)
-
-row32:
-	COMPACTROW
-	JZ row32tail
-
-step32:
-	VMOVSS    (SI), X0
-	VINSERTPS $0x10, (SI)(R10*1), X0, X0
-	VINSERTPS $0x20, (SI)(R10*2), X0, X0
-	VINSERTPS $0x30, (SI)(R11*1), X0, X0
-	VCMPPS    $4, X15, X0, X2
-	VMOVMSKPS X2, BX
-	SHLQ      $6, BX
-	VMOVDQU   32(AX)(BX*1), X3
-	VPERMILPS X3, X0, X4
-	VMOVUPS   X4, (R9)(DX*4)
-	COMPACTIDX
-	DECQ      CX
-	JNZ       step32
-
-	COMPACTTAIL(MOVL, SHLL, NEGL, 4, row32tail, row32one, row32next)
-	JNZ row32
 
 	MOVQ DX, (R12)
 	MOVQ DX, ret+72(FP)

@@ -252,7 +252,6 @@ func testGemmTile[T Elem](t *testing.T) {
 
 func TestGemmTileMatchesReference(t *testing.T) {
 	t.Run("float64", func(t *testing.T) { eachWorkerCount(t, testGemmTile[float64]) })
-	t.Run("float32", func(t *testing.T) { eachWorkerCount(t, testGemmTile[float32]) })
 }
 
 // TestTileWindowOutsideOperandsPanics pins the bounds check of whichever
@@ -286,16 +285,12 @@ func fuzzGemmOperands[T Elem](kn gemmKernel[T], n, k, m int, data []byte) (*gemm
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	width := 8
-	if isFloat32[T]() {
-		width = 4
-	}
 	pos := 0
 	fill := func(r, c int) *Of[T] {
 		x := NewOf[T](r, c)
 		for i := range x.Data {
 			var b uint64
-			for j := 0; j < width; j++ {
+			for j := 0; j < 8; j++ {
 				b |= uint64(data[pos%len(data)]) << (8 * j)
 				pos++
 			}
@@ -319,10 +314,6 @@ func FuzzGemmTile(f *testing.F) {
 			o, before := fuzzGemmOperands(kn, rows, inner, cols, data)
 			compareGemm(t, "float64", kn, o, before)
 		}
-		for _, kn := range gemmKernels[float32]() {
-			o, before := fuzzGemmOperands(kn, rows, inner, cols, data)
-			compareGemm(t, "float32", kn, o, before)
-		}
 	})
 }
 
@@ -339,9 +330,9 @@ func FuzzGemmTile(f *testing.F) {
 func x86Op[T Elem](x, y T, op func(x, y T) T) T {
 	switch {
 	case x != x:
-		return fromBits[T](toBits(x) | quietBit[T]())
+		return fromBits[T](toBits(x) | quietBit)
 	case y != y:
-		return fromBits[T](toBits(y) | quietBit[T]())
+		return fromBits[T](toBits(y) | quietBit)
 	}
 	return op(x, y)
 }
@@ -489,7 +480,6 @@ func testTileCSR[T Elem](t *testing.T) {
 
 func TestTileCSRMatchesGo(t *testing.T) {
 	t.Run("float64", testTileCSR[float64])
-	t.Run("float32", testTileCSR[float32])
 }
 
 // fuzzCSRCase builds a CSR tile call from raw fuzz input: the shape from
@@ -499,10 +489,6 @@ func fuzzCSRCase[T Elem](rows, cols, bRows int, load bool, data []byte) csrCase[
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	width := 8
-	if isFloat32[T]() {
-		width = 4
-	}
 	pos := 0
 	next := func() byte {
 		b := data[pos%len(data)]
@@ -511,7 +497,7 @@ func fuzzCSRCase[T Elem](rows, cols, bRows int, load bool, data []byte) csrCase[
 	}
 	value := func() T {
 		var b uint64
-		for j := 0; j < width; j++ {
+		for j := 0; j < 8; j++ {
 			b |= uint64(next()) << (8 * j)
 		}
 		return fromBits[T](b)
@@ -543,6 +529,5 @@ func FuzzTileCSR(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols, bRows uint8, load bool, data []byte) {
 		n, m, k := int(rows%9), int(cols%70)+1, int(bRows%12)+1
 		compareCSR(t, "float64", fuzzCSRCase[float64](n, m, k, load, data))
-		compareCSR(t, "float32", fuzzCSRCase[float32](n, m, k, load, data))
 	})
 }

@@ -6,16 +6,15 @@ import (
 )
 
 // WorkspaceOf is a per-rank arena of reusable matrix buffers for the
-// steady-state training loop, generic over the element type so the
-// float32 mixed-precision path gets the same 0-alloc guarantees as the
-// default float64 path. Trainers check temporaries out with Get (or wrap
-// foreign buffers with Wrap) and hand each one back with Release after its
-// last reader, so the arena holds the live set of the epoch — the most
-// temporaries alive at once — rather than the sum of its draws; Reset at
-// the epoch boundary returns whatever is still checked out. After the
-// first epochs have populated the free lists, Get/Wrap/Release/Reset
-// perform zero heap allocations, so an epoch that draws all its
-// temporaries from the workspace runs allocation-free.
+// steady-state training loop, generic over the element type. Trainers
+// check temporaries out with Get (or wrap foreign buffers with Wrap) and
+// hand each one back with Release after its last reader, so the arena
+// holds the live set of the epoch — the most temporaries alive at once —
+// rather than the sum of its draws; Reset at the epoch boundary returns
+// whatever is still checked out. After the first epochs have populated
+// the free lists, Get/Wrap/Release/Reset perform zero heap allocations, so
+// an epoch that draws all its temporaries from the workspace runs
+// allocation-free.
 //
 // Buffers are keyed by capacity class (CapClass of the element count:
 // eight classes per octave), so shapes that differ by a few elements —

@@ -133,9 +133,7 @@ func NLLLossMaskedInto(grad, logp *dense.Matrix, labels []int, mask []bool, rowO
 }
 
 // NLLLossMaskedIntoOf is the generic element-type form of NLLLossMaskedInto.
-// The loss always accumulates in float64 — for the float32 mixed-precision
-// path only the stored log-probabilities and gradient are single precision;
-// for float64 the arithmetic is unchanged.
+// The loss accumulates in float64.
 func NLLLossMaskedIntoOf[T dense.Elem](grad, logp *dense.Of[T], labels []int, mask []bool, rowOffset, normalizer int) float64 {
 	if normalizer <= 0 {
 		panic(fmt.Sprintf("nn: loss normalizer = %d", normalizer))

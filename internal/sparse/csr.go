@@ -22,8 +22,7 @@ type Coord struct {
 }
 
 // CSROf is a sparse matrix in compressed sparse row format, generic over
-// the value type so the float32 mixed-precision path can reuse every kernel
-// and converter.
+// the value type as dense.Of is.
 //
 // RowPtr has length Rows+1; the column indices and values of row i occupy
 // ColIdx[RowPtr[i]:RowPtr[i+1]] and Val[RowPtr[i]:RowPtr[i+1]]. Column
@@ -40,9 +39,8 @@ type CSR = CSROf[float64]
 
 // As returns a in element type T: a itself when T is float64, otherwise a
 // matrix over a's own RowPtr and ColIdx — a CSR is never modified once
-// built, so the structure is shared, not copied — with the values rounded
-// through T. It is where a float32 trainer downcasts the adjacency, once
-// at set-up.
+// built, so the structure is shared, not copied — with the values converted
+// through T. It is how a trainer typed in its element takes the adjacency.
 func As[T dense.Elem](a *CSR) *CSROf[T] {
 	if same, ok := any(a).(*CSROf[T]); ok {
 		return same
@@ -132,18 +130,6 @@ func (m *CSROf[T]) At(i, j int) T {
 	return 0
 }
 
-// Entries returns all nonzeros in row-major order as coordinate entries
-// (values widened to float64).
-func (m *CSROf[T]) Entries() []Coord {
-	out := make([]Coord, 0, m.NNZ())
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out = append(out, Coord{Row: i, Col: m.ColIdx[k], Val: float64(m.Val[k])})
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *CSROf[T]) Clone() *CSROf[T] {
 	out := &CSROf[T]{
@@ -217,18 +203,6 @@ func (m *CSROf[T]) Scale(alpha T) {
 	for i := range m.Val {
 		m.Val[i] *= alpha
 	}
-}
-
-// ToDense materializes m as a dense matrix (test/debug helper; avoid on
-// large inputs).
-func (m *CSROf[T]) ToDense() *dense.Of[T] {
-	out := dense.NewOf[T](m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out.Set(i, m.ColIdx[k], m.Val[k])
-		}
-	}
-	return out
 }
 
 // RowNNZ returns the number of nonzeros in row i.

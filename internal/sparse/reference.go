@@ -7,8 +7,8 @@ import "repro/internal/dense"
 // the same loop over a.Transpose(), so there is one. Like the dense
 // reference kernels it calls the Go loop dense.AxpyRow directly, never the
 // routines the tiles select, so it is the bit-identity oracle for the
-// default path on every platform and in both precisions, and it always runs
-// serially regardless of the worker count.
+// default path on every platform, and it always runs serially regardless of
+// the worker count.
 
 // RefSpMM computes dst = a * x with the reference kernel: per CSR row, one
 // AxpyRow per stored entry. dst is overwritten.

@@ -1,8 +1,9 @@
 // Package tolerance provides the shared comparison helper for
 // tolerance-validated kernel variants: paths that are numerically
-// equivalent but not bit-identical to the float64 CSR reference (float32
-// mixed precision, elastic resumes across a repartition). Bit-identical
-// paths don't use this package — they compare with exact equality.
+// equivalent but not bit-identical to the float64 CSR reference (elastic
+// resumes across a repartition, the direct-formula gradient checks).
+// Bit-identical paths don't use this package — they compare with exact
+// equality.
 package tolerance
 
 import (

@@ -12,12 +12,12 @@ import (
 
 // TestOptionMatrix runs every combination of the options that pick a member
 // of the CAGNET family — decomposition and rank count, replication factor,
-// halo exchange, partitioner, overlap, precision, transport — with and
+// halo exchange, partitioner, overlap, transport — with and
 // without a checkpoint knob that has no directory. For each one Validate
 // and Train give the same verdict: both accept, or both reject with the
 // same error, which names an option the combination sets and never comes
 // from a started rank ("tcp rank"). Every accepted combination trains two
-// epochs to the serial losses at its precision, and the invariances hold
+// epochs to the serial losses, and the invariances hold
 // across them (checkInvariance): combinations that differ only in
 // transport, overlap, halo, or partitioner "" against "block" share a
 // digest; across transports, the modeled time too; and only a tcp run
@@ -32,17 +32,13 @@ func TestOptionMatrix(t *testing.T) {
 		{"2d", 5}, {"3d", 9}, // not a square, not a cube
 	}
 	partitioners := []string{"", "block", "random", "ldg"}
-	precisions := []string{"", "f32"}
 	checkpoints := []CheckpointOptions{{}, {Every: 1}}
 
-	serial := map[string][]float64{}
-	for _, precision := range precisions {
-		rep, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 2, Precision: precision})
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[precision] = rep.Losses
+	ref, err := Train(ds, TrainOptions{Algorithm: "serial", Epochs: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	serial := ref.Losses
 
 	digests, modeled := map[string]string{}, map[string]float64{}
 	var accepted, rejected int
@@ -51,34 +47,32 @@ func TestOptionMatrix(t *testing.T) {
 			for _, halo := range []bool{false, true} {
 				for _, partitioner := range partitioners {
 					for _, overlap := range []bool{false, true} {
-						for _, precision := range precisions {
-							for _, transport := range []string{"", "tcp"} {
-								for _, ckpt := range checkpoints {
-									o := TrainOptions{
-										Algorithm: w.algo, Ranks: w.ranks, Epochs: 2,
-										ReplicationFactor: c, HaloExchange: halo, Partitioner: partitioner,
-										Overlap: overlap, Precision: precision, Transport: transport,
-										Checkpoint: ckpt,
+						for _, transport := range []string{"", "tcp"} {
+							for _, ckpt := range checkpoints {
+								o := TrainOptions{
+									Algorithm: w.algo, Ranks: w.ranks, Epochs: 2,
+									ReplicationFactor: c, HaloExchange: halo, Partitioner: partitioner,
+									Overlap: overlap, Transport: transport,
+									Checkpoint: ckpt,
+								}
+								rep, err := checkVerdict(ds, o, serial)
+								if rep != nil && err == nil {
+									part := partitioner
+									if part == "block" {
+										part = ""
 									}
-									rep, err := checkVerdict(ds, o, serial[precision])
-									if rep != nil && err == nil {
-										part := partitioner
-										if part == "block" {
-											part = ""
-										}
-										err = errors.Join(
-											agree(digests, fmt.Sprint(w, c, part, precision, ckpt), rep.Digest(), "digest"),
-											agree(modeled, fmt.Sprint(w, c, halo, partitioner, overlap, precision, ckpt), rep.ModeledSeconds, "modeled time"),
-											wireMeasured(o, rep))
-									}
-									switch {
-									case err != nil:
-										t.Errorf("%+v: %v", o, err)
-									case rep != nil:
-										accepted++
-									default:
-										rejected++
-									}
+									err = errors.Join(
+										agree(digests, fmt.Sprint(w, c, part, ckpt), rep.Digest(), "digest"),
+										agree(modeled, fmt.Sprint(w, c, halo, partitioner, overlap, ckpt), rep.ModeledSeconds, "modeled time"),
+										wireMeasured(o, rep))
+								}
+								switch {
+								case err != nil:
+									t.Errorf("%+v: %v", o, err)
+								case rep != nil:
+									accepted++
+								default:
+									rejected++
 								}
 							}
 						}
@@ -116,9 +110,6 @@ func checkVerdict(ds *graph.Dataset, o TrainOptions, serial []float64) (*TrainRe
 	}
 	if o.Overlap {
 		named = append(named, "overlap")
-	}
-	if o.Precision != "" {
-		named = append(named, "precision")
 	}
 	if o.Transport != "" {
 		named = append(named, "transport")
