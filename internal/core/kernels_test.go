@@ -37,8 +37,10 @@ func trainWith(t *testing.T, p Problem, ref bool) *Result {
 // the one-source reference loops, and each lane the log-softmax loops'
 // operations, math.Exp and math.Log included.
 func TestDefaultBitIdenticalToReference(t *testing.T) {
-	p := deepProblem(t, 6, 47)
-	requireSameRun(t, "default-vs-reference", trainWith(t, p, false), trainWith(t, p, true))
+	t.Run("f64", func(t *testing.T) {
+		p := deepProblem(t, 6, 47)
+		requireSameRun(t, "default-vs-reference", trainWith(t, p, false), trainWith(t, p, true))
+	})
 }
 
 // unfusedReLU is ReLU under another name: the same Forward and Backward,
