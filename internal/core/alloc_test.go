@@ -88,7 +88,7 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 // the workspace — and returns one steady-state epoch.
 func warmSerialEpoch(p Problem, ref bool) func() {
 	cfg := p.Config.WithDefaults()
-	eng := newSerialEngine[float64](cfg, p, ref)
+	eng := newSerialEngine(cfg, p, ref)
 	eng.aggregateInput() // T¹, as run() obtains it: warm-up, never a measured epoch
 	weights := nn.InitWeights(cfg)
 	epoch := func() {

@@ -283,9 +283,7 @@ func TestThreeDNonCubeRankCountRejected(t *testing.T) {
 // rowTrainerModes returns the block-row trainer at P = 4 in every
 // {1d, 1.5d c = 1, 1.5d c = 2} × {halo} combination, keyed by a subtest
 // name: the algorithm alone for the plain broadcast mode, with "/halo"
-// appended otherwise. Each mode also appears with "overlap" in its name,
-// the id it had when it chose the pipelined schedule every trainer now
-// runs.
+// appended otherwise.
 func rowTrainerModes() map[string]func() *rowTrainer {
 	modes := map[string]func() *rowTrainer{}
 	for name, mk := range map[string]func() *rowTrainer{
@@ -293,9 +291,7 @@ func rowTrainerModes() map[string]func() *rowTrainer {
 		"1.5d/c=1": func() *rowTrainer { return NewOneFiveD(4, 1, testMach) },
 		"1.5d/c=2": func() *rowTrainer { return NewOneFiveD(4, 2, testMach) },
 	} {
-		for suffix, halo := range map[string]bool{
-			"": false, "/halo": true, "/overlap": false, "/halo+overlap": true,
-		} {
+		for suffix, halo := range map[string]bool{"": false, "/halo": true} {
 			modes[name+suffix] = func() *rowTrainer {
 				tr := mk()
 				tr.Halo = halo

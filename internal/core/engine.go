@@ -18,15 +18,9 @@ import (
 //
 // Methods are called in a fixed order on every rank (the engine code is
 // identical everywhere), which keeps the simulated collectives aligned.
-//
-// The contract is typed in its element T: every matrix that crosses it —
-// activations, aggregates, gradients, the replicated weights — is a
-// dense.Of[T], so an implementation computes in T throughout and the
-// compiler checks what it is handed. The float64 master weights and the
-// optimizer stay with the engine (see engine.epoch). There are three
-// implementations: serialOps[T], rowRank (1D, 1.5D) and meshRank (2D, 3D),
-// all three instantiated at float64.
-type layerOpsOf[T dense.Elem] interface {
+// There are three implementations: serialOps, rowRank (1D, 1.5D) and
+// meshRank (2D, 3D).
+type layerOps interface {
 	// rank returns this rank's id (0 for the serial layouts). The engine
 	// uses it to write checkpoints on rank 0 only — the state is
 	// replicated, so one copy is the whole world's.
@@ -36,7 +30,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// rank's block of the input features, except on a block-row rank of a
 	// relabeled problem, which reads its rows out of the whole matrix
 	// (rowRank.aggregateInput).
-	input() *dense.Of[T]
+	input() *dense.Matrix
 
 	// forwardAggregate returns this rank's block of Aᵀ·X, where x is this
 	// rank's block of X: H^{l-1} when layer l aggregates first, H^{l-1}·W^l
@@ -50,7 +44,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// endEpoch does not recycle (Workspace.Keep, or a matrix of its own) and
 	// counts it as resident; for l > 1 the result is epoch-scoped like every
 	// other temporary.
-	forwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
+	forwardAggregate(x *dense.Matrix, l int) *dense.Matrix
 
 	// multiplyWeight returns this rank's block of X·W for the replicated
 	// weight matrix w of layer l, in form f: x is T^l = Aᵀ·H^{l-1} when the
@@ -60,30 +54,30 @@ type layerOpsOf[T dense.Elem] interface {
 	// dense.ReLU applied to the finished product: an implementation applies
 	// it to each element once that element's sum is complete (see
 	// fusesForward).
-	multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T]
+	multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix
 
 	// activationForward applies act to z, returning this rank's H block.
 	// Every layout applies it locally: a row-wise act runs only at the output
 	// layer, whose rows each rank holds whole (on the 2D/3D mesh, z crosses
 	// into that layout here when the layer multiplies first). The engine
 	// skips it for a layer whose multiplyWeight applied the ReLU.
-	activationForward(act dense.Activation, z *dense.Of[T], l int) *dense.Of[T]
+	activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix
 
 	// lossGrad returns this rank's loss contribution and its block of
 	// ∂L/∂H^L, both normalized by the global supervised-vertex count.
-	lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T])
+	lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix)
 
 	// activationBackward returns G^l = act'(∂L/∂H^l) from the layer's
 	// forward output h = H^l (dense.Activation.Backward reads the output).
 	// The engine skips it for a layer whose ReLU mask inputGrad(·, l+1)
 	// applied.
-	activationBackward(act dense.Activation, dH, h *dense.Of[T], l int) *dense.Of[T]
+	activationBackward(act dense.Activation, dH, h *dense.Matrix, l int) *dense.Matrix
 
 	// backwardAggregate returns this rank's block of A·X at width x.Cols:
 	// X is G^l in a multiply-first layer (the result feeds weightGrad and
 	// inputGrad), G^l·(W^l)ᵀ in an aggregate-first one (the result is
 	// ∂L/∂H^{l-1}). Never called at l = 1.
-	backwardAggregate(x *dense.Of[T], l int) *dense.Of[T]
+	backwardAggregate(x *dense.Matrix, l int) *dense.Matrix
 
 	// weightGrad returns the fully replicated Y^l = hPrevᵀ·g, in form f. The
 	// operands are (H^{l-1}, A·G^l) after a backwardAggregate in a
@@ -93,7 +87,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// full rows of g (2D, 3D) gathers them here unless it already holds them
 	// — the mesh's output layer holds whole rows — and inputGrad(g) reuses
 	// that gather.
-	weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T]
+	weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix
 
 	// inputGrad returns this rank's block of g·(W^l)ᵀ for the replicated w:
 	// ∂L/∂H^{l-1} when g is A·G^l, its pre-aggregation form when g is G^l.
@@ -101,7 +95,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// (g·(W^l)ᵀ) ⊙ 1[mask > 0] — G^{l-1} of a ReLU layer, bit-identical to
 	// dense.ReLU's backward on the finished product (see fusesBackward).
 	// Called only for l > 1, always after weightGrad(·, g, l).
-	inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T]
+	inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix
 
 	// release hands back a temporary the engine has read for the last time:
 	// one an earlier method returned this epoch, at its last reader (see
@@ -111,7 +105,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// payload (a team all-reduce or fiber reduce-scatter result), the
 	// payload to the fabric, and does nothing for storage neither hands out
 	// (T¹, H⁰).
-	release(m *dense.Of[T])
+	release(m *dense.Matrix)
 
 	// endEpoch charges per-epoch overhead after the optimizer step and
 	// returns every buffer the epoch still holds.
@@ -121,7 +115,7 @@ type layerOpsOf[T dense.Elem] interface {
 	// count of vertices whose output argmax matches the label, counting
 	// every global row on exactly one rank. Every layout holds whole output
 	// rows, so it is local.
-	correctCounts(hOut *dense.Of[T], masks ...[]bool) []float64
+	correctCounts(hOut *dense.Matrix, masks ...[]bool) []float64
 
 	// reduce sums per-rank scalar contributions across all ranks
 	// (identity for serial).
@@ -129,22 +123,11 @@ type layerOpsOf[T dense.Elem] interface {
 
 	// gatherOutput assembles the global output matrix on rank 0 and
 	// returns nil on every other rank.
-	gatherOutput(hOut *dense.Of[T]) *dense.Of[T]
+	gatherOutput(hOut *dense.Matrix) *dense.Matrix
 }
 
-// layerOps is the float64 contract the distributed ranks implement.
-type layerOps = layerOpsOf[float64]
-
-// engine runs per-rank GCN training over a layerOps implementation in its
-// element type T. One engine instance executes on every rank; all five
-// trainers share it.
-//
-// The master weights, the optimizer and the Result are float64 whatever T
-// is. They meet the ops' element in three places, each a dense.As — the
-// same pointer when T is float64, a rounding copy into a buffer the engine
-// keeps when it is not: W goes down before the forward pass, each dW comes
-// up before the optimizer step, the gathered output comes up at the end.
-// Everything else the engine touches stays in T.
+// engine runs per-rank GCN training over a layerOps implementation. One
+// engine instance executes on every rank; all five trainers share it.
 //
 // The per-epoch activation/gradient bookkeeping slices live on the engine
 // and are reused across epochs: together with the layerOps drawing their
@@ -158,8 +141,8 @@ type layerOps = layerOpsOf[float64]
 // hold the epoch's live set, not the sum of its draws; endEpoch
 // returns the rest: H^L, which the accuracy reads, and the weight
 // gradients, which the optimizer reads.
-type engine[T dense.Elem] struct {
-	ops  layerOpsOf[T]
+type engine struct {
+	ops  layerOps
 	cfg  nn.Config
 	opt  nn.Optimizer
 	ckpt checkpoint.Options
@@ -179,15 +162,13 @@ type engine[T dense.Elem] struct {
 
 	// t1 is this rank's block of T¹ = Aᵀ·H⁰, set by aggregateInput. H⁰ is
 	// the input, so T¹ is a constant of the run, not of the epoch.
-	t1 *dense.Of[T]
+	t1 *dense.Matrix
 
-	// Reused per-epoch bookkeeping: the weights in T, activations, the
-	// aggregates T^l of the aggregate-first layers, float64 weight
-	// gradients, the 1-slot loss-reduction buffer, the drain-vote buffer,
-	// and the accuracy mask list.
-	w        []*dense.Of[T]
-	h        []*dense.Of[T]
-	t        []*dense.Of[T]
+	// Reused per-epoch bookkeeping: activations, the aggregates T^l of the
+	// aggregate-first layers, weight gradients, the 1-slot loss-reduction
+	// buffer, the drain-vote buffer, and the accuracy mask list.
+	h        []*dense.Matrix
+	t        []*dense.Matrix
 	dW       []*dense.Matrix
 	scalar   []float64
 	drainBuf []float64
@@ -195,9 +176,9 @@ type engine[T dense.Elem] struct {
 }
 
 // newEngine builds the engine for one full training run of p.
-func newEngine[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, p Problem) *engine[T] {
+func newEngine(ops layerOps, cfg nn.Config, p Problem) *engine {
 	L := cfg.Layers()
-	return &engine[T]{
+	return &engine{
 		ops:       ops,
 		cfg:       cfg,
 		opt:       cfg.NewOptimizer(),
@@ -206,9 +187,8 @@ func newEngine[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, p Problem) *engin
 		labels:    p.Labels,
 		trainMask: p.TrainMask,
 		valMask:   p.ValMask,
-		w:         make([]*dense.Of[T], L),
-		h:         make([]*dense.Of[T], L+1),
-		t:         make([]*dense.Of[T], L+1),
+		h:         make([]*dense.Matrix, L+1),
+		t:         make([]*dense.Matrix, L+1),
 		dW:        make([]*dense.Matrix, L),
 		scalar:    make([]float64, 1),
 	}
@@ -217,7 +197,7 @@ func newEngine[T dense.Elem](ops layerOpsOf[T], cfg nn.Config, p Problem) *engin
 // meta records the algorithm name and world size for snapshot metadata.
 // Trainers call it between newEngine and run; the zero values are legal
 // (snapshots then just carry no provenance).
-func (e *engine[T]) meta(algo string, world int) *engine[T] {
+func (e *engine) meta(algo string, world int) *engine {
 	e.algo, e.world = algo, world
 	return e
 }
@@ -246,19 +226,8 @@ func aggregatesFirst(widths []int, l int) bool {
 // aggregateInput computes T¹ = Aᵀ·H⁰. Every epoch and the final forward
 // pass read it, so whoever drives epoch or forward calls this first; run
 // does, once.
-func (e *engine[T]) aggregateInput() {
+func (e *engine) aggregateInput() {
 	e.t1 = e.ops.forwardAggregate(e.ops.input(), 1)
-}
-
-// weightsInT returns the master weights as the ops compute on them: the
-// masters themselves when T is float64, otherwise their rounding into the
-// engine's own T copies — taken afresh at every call, since the optimizer
-// has stepped the masters since the last one.
-func (e *engine[T]) weightsInT(weights []*dense.Matrix) []*dense.Of[T] {
-	for l, w := range weights {
-		dense.As(&e.w[l], w)
-	}
-	return e.w
 }
 
 // reluOutput reports whether H^l is a ReLU output. About half of it is then
@@ -322,7 +291,7 @@ func weightGradForm(cfg nn.Config, l int) productForm {
 
 // weightMul computes dst = x·w in form f (plainGEMM, fusedReLU or
 // sparseLeft), or dst += x·w when load is set.
-func weightMul[T dense.Elem](dst, x, w *dense.Of[T], f productForm, load bool) {
+func weightMul(dst, x, w *dense.Matrix, f productForm, load bool) {
 	switch {
 	case f == fusedReLU && load:
 		dense.MulAddBiasReLU(dst, x, w, nil)
@@ -346,7 +315,7 @@ func weightMul[T dense.Elem](dst, x, w *dense.Of[T], f productForm, load bool) {
 // differs only by ±0·x terms — nothing, to a sum started at +0, when x is
 // finite — so the bits are TMul's wherever hPrev is finite. The reference
 // computes the same reoriented product.
-func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.Of[T], f productForm, ref bool) {
+func weightProduct(ws *dense.Workspace, dst, hPrev, g *dense.Matrix, f productForm, ref bool) {
 	switch {
 	case f == sparseRight:
 		yt := ws.GetUninit(g.Cols, hPrev.Cols)
@@ -373,8 +342,8 @@ func weightProduct[T dense.Elem](ws *dense.WorkspaceOf[T], dst, hPrev, g *dense.
 // It releases what it formed and read last: H^{l-1}·W^l after its
 // aggregation, Z^l after its activation. hPrev and T^l stay with the
 // caller, which reads them again in the backward pass.
-func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T]) {
-	var z *dense.Of[T]
+func (e *engine) layerForward(hPrev, w *dense.Matrix, l int) (h, t *dense.Matrix) {
+	var z *dense.Matrix
 	form := forwardForm(e.cfg, l)
 	if aggregatesFirst(e.cfg.Widths, l) {
 		t = e.t1
@@ -399,9 +368,9 @@ func (e *engine[T]) layerForward(hPrev, w *dense.Of[T], l int) (h, t *dense.Of[T
 // optimizer step, updating weights in place. It returns the global loss
 // and the output-layer activation block (for accuracy tracking).
 // aggregateInput must have run.
-func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
+func (e *engine) epoch(weights []*dense.Matrix) (float64, *dense.Matrix) {
 	L := e.cfg.Layers()
-	W, H, aggs, dW := e.weightsInT(weights), e.h, e.t, e.dW
+	W, H, aggs, dW := weights, e.h, e.t, e.dW
 
 	// Forward: Z^l = Aᵀ H^{l-1} W^l, H^l = σ(Z^l). Activations — and T^l
 	// where the layer forms it — are retained for backpropagation: the
@@ -436,7 +405,7 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
 			e.ops.release(dH)
 		}
 		if aggregatesFirst(e.cfg.Widths, l) {
-			dense.As(&dW[l-1], e.ops.weightGrad(aggs[l], g, l, weightGradForm(e.cfg, l)))
+			dW[l-1] = e.ops.weightGrad(aggs[l], g, l, weightGradForm(e.cfg, l))
 			if l > 1 {
 				e.ops.release(aggs[l])
 				gw := e.ops.inputGrad(g, w, l, nil)
@@ -449,8 +418,8 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
 		} else {
 			ag := e.ops.backwardAggregate(g, l)
 			e.ops.release(g)
-			dense.As(&dW[l-1], e.ops.weightGrad(H[l-1], ag, l, weightGradForm(e.cfg, l)))
-			var mask *dense.Of[T]
+			dW[l-1] = e.ops.weightGrad(H[l-1], ag, l, weightGradForm(e.cfg, l))
+			var mask *dense.Matrix
 			if fusesBackward(e.cfg, l) {
 				mask = H[l-1]
 			}
@@ -470,11 +439,10 @@ func (e *engine[T]) epoch(weights []*dense.Matrix) (float64, *dense.Of[T]) {
 
 // forward runs inference with fixed weights and returns this rank's block
 // of H^L. Like epoch, it starts from the T¹ aggregateInput left.
-func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
-	W := e.weightsInT(weights)
-	var out *dense.Of[T]
+func (e *engine) forward(weights []*dense.Matrix) *dense.Matrix {
+	var out *dense.Matrix
 	for l := 1; l <= e.cfg.Layers(); l++ {
-		h, t := e.layerForward(out, W[l-1], l)
+		h, t := e.layerForward(out, weights[l-1], l)
 		if l > 1 {
 			e.ops.release(t)
 		}
@@ -491,7 +459,7 @@ func (e *engine[T]) forward(weights []*dense.Matrix) *dense.Of[T] {
 // one every Checkpoint.Every epochs plus one at the end; the resumed run
 // replays the identical deterministic schedule, so its losses and weights
 // are bit-for-bit the ones the uninterrupted run would have produced.
-func (e *engine[T]) run() (*Result, error) {
+func (e *engine) run() (*Result, error) {
 	weights := nn.InitWeights(e.cfg)
 	losses := make([]float64, 0, e.cfg.Epochs)
 	var trainAcc, valAcc []float64
@@ -551,12 +519,10 @@ func (e *engine[T]) run() (*Result, error) {
 		}
 	}
 
-	gathered := e.ops.gatherOutput(e.forward(weights))
-	if gathered == nil {
+	full := e.ops.gatherOutput(e.forward(weights))
+	if full == nil {
 		return nil, nil
 	}
-	var full *dense.Matrix
-	dense.As(&full, gathered)
 	return &Result{
 		Weights:       weights,
 		Output:        full,
@@ -575,7 +541,7 @@ func (e *engine[T]) run() (*Result, error) {
 // rank that was not signalled drains anyway the moment any peer was. The
 // collective only runs when a drain hook is installed, keeping default
 // runs' communication ledgers and allocation counts untouched.
-func (e *engine[T]) drainRequested() bool {
+func (e *engine) drainRequested() bool {
 	if e.drain == nil {
 		return false
 	}
@@ -596,7 +562,7 @@ func (e *engine[T]) drainRequested() bool {
 // this run — different seed, optimizer, or weight shapes — is a hard
 // error: silently training on from mismatched state would be far worse
 // than failing.
-func (e *engine[T]) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, error) {
+func (e *engine) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, error) {
 	path, err := checkpoint.Latest(e.ckpt.Dir)
 	if err != nil || path == "" {
 		return nil, err
@@ -635,7 +601,7 @@ func (e *engine[T]) loadLatest(weights []*dense.Matrix) (*checkpoint.Snapshot, e
 // would deadlock in the next collective), but a panic follows the same
 // path as a wire failure — the launcher recovers it, broadcasts an abort,
 // and every rank exits promptly with the root cause.
-func (e *engine[T]) save(epoch int, weights []*dense.Matrix, losses, trainAcc, valAcc []float64) {
+func (e *engine) save(epoch int, weights []*dense.Matrix, losses, trainAcc, valAcc []float64) {
 	step, state := e.opt.Snapshot()
 	_, err := checkpoint.Save(e.ckpt.Dir, &checkpoint.Snapshot{
 		Epoch:     epoch,
@@ -664,7 +630,7 @@ func (e *engine[T]) save(epoch int, weights []*dense.Matrix, losses, trainAcc, v
 // i to global vertex rowOffset+i. It is the shared per-block accuracy
 // kernel behind correctCounts; ranks pass a persistent buffer so the
 // accuracy path stays allocation-free.
-func argmaxCorrectInto[T dense.Elem](counts []float64, logp *dense.Of[T], labels []int, rowOffset int, masks [][]bool) {
+func argmaxCorrectInto(counts []float64, logp *dense.Matrix, labels []int, rowOffset int, masks [][]bool) {
 	for i := 0; i < logp.Rows; i++ {
 		row := logp.Row(i)
 		best := 0

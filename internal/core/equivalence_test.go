@@ -215,23 +215,18 @@ func equivalenceMatrix() ([]cell, map[string]func(*testing.T) (Problem, *graph.G
 			plain("1d", oneD), row("1.5d", 2*c, c, false), plain("2d", square), plain("3d", cube))
 	}
 	// A directed A: the row trainers' backward runs over its own plan, the
-	// mesh's over the blocks its transpose exchange builds. The "overlap"
-	// ids name the runs that once chose the pipelined schedule.
+	// mesh's over the blocks its transpose exchange builds.
 	for _, m := range []struct {
 		name string
 		k    trainCfg
 	}{{"1d", plain("1d", 4)}, {"1.5d/c=1", row("1.5d", 4, 1, false)}, {"1.5d/c=2", row("1.5d", 4, 2, false)}} {
-		for _, mode := range []struct {
-			halo bool
-			ids  []string
-		}{{false, []string{"", "/overlap"}}, {true, []string{"/halo", "/halo+overlap"}}} {
-			k := m.k
-			k.problem, k.halo = "directed", mode.halo
-			c := cell{trainCfg: k, tol: equivTol}
-			for _, id := range mode.ids {
-				c.ids = append(c.ids, "TestDirectedGraphTrainers/"+m.name+id)
+		for _, halo := range []bool{false, true} {
+			k, id := m.k, "TestDirectedGraphTrainers/"+m.name
+			if halo {
+				id += "/halo"
 			}
-			add(c)
+			k.problem, k.halo = "directed", halo
+			add(cell{trainCfg: k, tol: equivTol, ids: []string{id}})
 		}
 	}
 	matches("TestDirectedGraphTrainers", "directed", equivTol, false, plain("2d", 4), plain("3d", 8))
@@ -243,8 +238,8 @@ func equivalenceMatrix() ([]cell, map[string]func(*testing.T) (Problem, *graph.G
 		for _, halo := range []bool{false, true} {
 			oneD, oneFiveD := row("1d", 4, 0, halo), row("1.5d", 4, 1, halo)
 			oneD.problem, oneFiveD.problem = g, g
-			id := fmt.Sprintf("TestOneDIsOneFiveDAtOneReplica/%s/halo=%v/overlap=", map[string]string{"er96": "symmetric", "er96-directed": "directed"}[g], halo)
-			add(cell{trainCfg: oneFiveD, same: []trainCfg{oneD}, ledgers: oneD, ids: []string{id + "false", id + "true"}})
+			id := fmt.Sprintf("TestOneDIsOneFiveDAtOneReplica/%s/halo=%v/overlap=false", map[string]string{"er96": "symmetric", "er96-directed": "directed"}[g], halo)
+			add(cell{trainCfg: oneFiveD, same: []trainCfg{oneD}, ledgers: oneD, ids: []string{id}})
 		}
 	}
 	// The halo exchange with no partitioner, uneven blocks and one rank.
@@ -277,7 +272,7 @@ func equivalenceMatrix() ([]cell, map[string]func(*testing.T) (Problem, *graph.G
 	}{
 		{"serial", trainCfg{algo: "serial"}},
 		{"1d", plain("1d", 4)}, {"1d-halo-overlap", row("1d", 4, 0, true)}, {"1.5d-c2", row("1.5d", 4, 2, false)},
-		{"2d", plain("2d", 4)}, {"2d-overlap", plain("2d", 4)}, {"3d", plain("3d", 8)},
+		{"2d", plain("2d", 4)}, {"3d", plain("3d", 8)},
 	}
 	for _, tr := range trainers {
 		for _, relu := range [][2]string{
@@ -291,7 +286,7 @@ func equivalenceMatrix() ([]cell, map[string]func(*testing.T) (Problem, *graph.G
 			unfused.unfused = true
 			add(cell{trainCfg: k, same: []trainCfg{unfused}, ids: []string{id + tr.name}})
 		}
-		if tr.name == "1d-halo-overlap" || tr.name == "2d-overlap" {
+		if tr.name == "1d-halo-overlap" {
 			continue
 		}
 		clean := tr.k

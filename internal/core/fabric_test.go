@@ -108,7 +108,7 @@ func TestFabricHoldsLiveSet(t *testing.T) {
 				// Between epochs every rank waits in lockstep: nothing is in
 				// flight, so the fabric and the ledger are safe to read.
 				comms := make([]*comm.Comm, tc.ranks)
-				opsOf := make([]layerOps, tc.ranks)
+				rankOps := make([]layerOps, tc.ranks)
 				body, oneEpoch := lockstep(tc.ranks, 3)
 				errCh := make(chan error, 1)
 				go func() {
@@ -120,7 +120,7 @@ func TestFabricHoldsLiveSet(t *testing.T) {
 						case *meshRank:
 							c = r.comm
 						}
-						comms[c.Rank()], opsOf[c.Rank()] = c, ops
+						comms[c.Rank()], rankOps[c.Rank()] = c, ops
 						return body(ops, cfg, prob)
 					})
 				}()
@@ -138,7 +138,7 @@ func TestFabricHoldsLiveSet(t *testing.T) {
 				held := make([]int64, tc.ranks)
 				for r, c := range comms {
 					held[r] = c.HeldWords()
-					live, pool, rounding := band(opsOf[r])
+					live, pool, rounding := band(rankOps[r])
 					draw := c.Ledger().PhysWordsRecv - recv2[r] + rounding + pool
 					t.Logf("%s rank %d: fabric holds %d words, band [%d, %d)", fabric, r, held[r], live, draw)
 					if held[r] != held2[r] {

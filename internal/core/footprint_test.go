@@ -68,10 +68,10 @@ func TestWorkspaceHoldsLiveSet(t *testing.T) {
 
 	t.Run("serial", func(t *testing.T) {
 		cfg := p.Config.WithDefaults()
-		eng := newSerialEngine[float64](cfg, p.normalized(), false)
+		eng := newSerialEngine(cfg, p.normalized(), false)
 		twoEpochs(eng, eng.ops, cfg)
 		live := 4*C(n*w2) + 3*C(n*w3) + C(w2*w3) + 3*C(w2*w2)
-		check(t, 0, eng.ops.(*serialOps[float64]).ws.FootprintWords(), live, live)
+		check(t, 0, eng.ops.(*serialOps).ws.FootprintWords(), live, live)
 	})
 
 	rowCases := []struct {

@@ -39,7 +39,7 @@ func (c *countingOps) backwardAggregate(g *dense.Matrix, l int) *dense.Matrix {
 func everyTrainer(p Problem, body func(ops layerOps, cfg nn.Config, prob Problem) error) map[string]func() error {
 	cfg := p.Config.WithDefaults()
 	cases := map[string]func() error{
-		"serial": func() error { return body(newSerialOps[float64](p), cfg, p) },
+		"serial": func() error { return body(newSerialOps(p), cfg, p) },
 	}
 	for _, halo := range []bool{false, true} {
 		suffix := ""
@@ -299,7 +299,7 @@ func TestInputLayerGradientMatchesDirectFormula(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/L=%d", name, len(widths)-1), func(t *testing.T) {
 				p.Config = nn.Config{Widths: widths, LR: 0.05, Epochs: 1, Seed: 74}
 				cfg := p.Config.WithDefaults()
-				probe := &gradProbe{layerOps: newSerialOps[float64](p)}
+				probe := &gradProbe{layerOps: newSerialOps(p)}
 				eng := newEngine(probe, cfg, p)
 				eng.aggregateInput()
 				eng.epoch(nn.InitWeights(cfg))
@@ -430,7 +430,7 @@ func TestHiddenLayerGradientsMatchDirectFormula(t *testing.T) {
 		}
 		for graphName, p := range map[string]Problem{"symmetric": sym, "directed": directed} {
 			cfg := p.Config.WithDefaults()
-			serialOps := newSerialOps[float64](p)
+			serialOps := newSerialOps(p)
 			var rec *backwardRecord
 			probed := func(ops layerOps, cfg nn.Config, prob Problem) error {
 				eng := newEngine(&backwardProbe{layerOps: ops, rec: rec}, cfg, prob)

@@ -133,72 +133,69 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 		{"3d", 8, "symmetric", sym}, {"3d", 8, "directed", directed},
 		{"3d", 27, "directed", directed},
 	} {
-		// overlap=true keeps the ids of the runs that once chose the
-		// pipelined schedule every trainer now runs; they repeat the others.
-		for _, overlap := range []bool{false, true} {
-			for _, fabric := range []string{"inproc", "tcp"} {
-				t.Run(fmt.Sprintf("%s-p%d/%s/overlap=%v/%s", tc.algo, tc.ranks, tc.graph, overlap, fabric), func(t *testing.T) {
-					// train runs p on a fresh trainer and fabric and returns
-					// the result with the cluster holding the run's ledgers.
-					train := func(p Problem) (*Result, *comm.Cluster) {
-						tr, err := NewTrainer(tc.algo, tc.ranks, testMach)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cl := comm.NewCluster(tc.ranks, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta})
-						if fabric == "tcp" {
-							cl = tcpCluster(t, tc.ranks)
-						}
-						return trainOn(t, tr, cl, p), cl
+		// The ids keep their overlap=false segment: a renamed id is a lost one.
+		for _, fabric := range []string{"inproc", "tcp"} {
+			t.Run(fmt.Sprintf("%s-p%d/%s/overlap=false/%s", tc.algo, tc.ranks, tc.graph, fabric), func(t *testing.T) {
+				// train runs p on a fresh trainer and fabric and returns
+				// the result with the cluster holding the run's ledgers.
+				train := func(p Problem) (*Result, *comm.Cluster) {
+					tr, err := NewTrainer(tc.algo, tc.ranks, testMach)
+					if err != nil {
+						t.Fatal(err)
 					}
-					sameStatic := func(what string, got, want *comm.Cluster) {
-						t.Helper()
-						for r := 0; r < tc.ranks; r++ {
-							g, w := got.Ledger(r), want.Ledger(r)
-							for _, cat := range static {
-								if g.ModelMsgs[cat] != w.ModelMsgs[cat] || g.ModelWords[cat] != w.ModelWords[cat] {
-									t.Fatalf("rank %d %s: %s charged %d msgs / %d words, a 1-epoch run %d / %d",
-										r, cat, what, g.ModelMsgs[cat], g.ModelWords[cat], w.ModelMsgs[cat], w.ModelWords[cat])
-								}
+					cl := comm.NewCluster(tc.ranks, comm.CostParams{Alpha: testMach.Alpha, Beta: testMach.Beta})
+					if fabric == "tcp" {
+						cl = tcpCluster(t, tc.ranks)
+					}
+					return trainOn(t, tr, cl, p), cl
+				}
+				sameStatic := func(what string, got, want *comm.Cluster) {
+					t.Helper()
+					for r := 0; r < tc.ranks; r++ {
+						g, w := got.Ledger(r), want.Ledger(r)
+						for _, cat := range static {
+							if g.ModelMsgs[cat] != w.ModelMsgs[cat] || g.ModelWords[cat] != w.ModelWords[cat] {
+								t.Fatalf("rank %d %s: %s charged %d msgs / %d words, a 1-epoch run %d / %d",
+									r, cat, what, g.ModelMsgs[cat], g.ModelWords[cat], w.ModelMsgs[cat], w.ModelWords[cat])
 							}
 						}
 					}
+				}
 
-					short := tc.p
-					short.Config.Epochs = 1
-					_, one := train(short)
-					clean, full := train(tc.p)
-					sameStatic(fmt.Sprintf("a %d-epoch run", epochs), full, one)
+				short := tc.p
+				short.Config.Epochs = 1
+				_, one := train(short)
+				clean, full := train(tc.p)
+				sameStatic(fmt.Sprintf("a %d-epoch run", epochs), full, one)
 
-					for r := 0; r < tc.ranks; r++ {
-						want, l := meshWant(t, tc.algo, tc.ranks, tc.p, r), full.Ledger(r)
-						if got := l.ModelWords[comm.CatSparseComm]; got != want.scomm {
-							t.Fatalf("rank %d: %d scomm words over the run, its row panels counted once are %d", r, got, want.scomm)
-						}
-						if got := l.ModelWords[comm.CatTranspose]; got != want.trpose {
-							t.Fatalf("rank %d: %d trpose words over the run, its transpose exchange sends %d", r, got, want.trpose)
-						}
-						if l.PeakMemWords != want.resident+want.live {
-							t.Fatalf("rank %d: peak %d words, want %d resident (blocks, held panels, H⁰, T¹ and its row panels, weights) + %d live",
-								r, l.PeakMemWords, want.resident, want.live)
-						}
+				for r := 0; r < tc.ranks; r++ {
+					want, l := meshWant(t, tc.algo, tc.ranks, tc.p, r), full.Ledger(r)
+					if got := l.ModelWords[comm.CatSparseComm]; got != want.scomm {
+						t.Fatalf("rank %d: %d scomm words over the run, its row panels counted once are %d", r, got, want.scomm)
 					}
-
-					dir := t.TempDir()
-					half := tc.p
-					half.Config.Epochs = 2
-					half.Checkpoint = checkpoint.Options{Dir: dir, Every: 1}
-					train(half)
-					rest := tc.p
-					rest.Checkpoint = half.Checkpoint
-					resumed, resumedOn := train(rest)
-					if resumed.ResumedEpoch != 2 {
-						t.Fatalf("resumed from epoch %d, want 2", resumed.ResumedEpoch)
+					if got := l.ModelWords[comm.CatTranspose]; got != want.trpose {
+						t.Fatalf("rank %d: %d trpose words over the run, its transpose exchange sends %d", r, got, want.trpose)
 					}
-					sameStatic("a run resumed at epoch 2", resumedOn, one)
-					requireSameRun(t, "resumed at epoch 2", resumed, clean)
-				})
-			}
+					if l.PeakMemWords != want.resident+want.live {
+						t.Fatalf("rank %d: peak %d words, want %d resident (blocks, held panels, H⁰, T¹ and its row panels, weights) + %d live",
+							r, l.PeakMemWords, want.resident, want.live)
+					}
+				}
+
+				dir := t.TempDir()
+				half := tc.p
+				half.Config.Epochs = 2
+				half.Checkpoint = checkpoint.Options{Dir: dir, Every: 1}
+				train(half)
+				rest := tc.p
+				rest.Checkpoint = half.Checkpoint
+				resumed, resumedOn := train(rest)
+				if resumed.ResumedEpoch != 2 {
+					t.Fatalf("resumed from epoch %d, want 2", resumed.ResumedEpoch)
+				}
+				sameStatic("a run resumed at epoch 2", resumedOn, one)
+				requireSameRun(t, "resumed at epoch 2", resumed, clean)
+			})
 		}
 	}
 }

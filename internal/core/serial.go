@@ -30,33 +30,33 @@ func (s *Serial) Train(p Problem) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return newSerialEngine[float64](p.Config.WithDefaults(), p, s.Reference).run()
+	return newSerialEngine(p.Config.WithDefaults(), p, s.Reference).run()
 }
 
-// newSerialEngine builds the serial trainer in element type T: the engine
-// over serialOps[T], on the reference kernels when ref is set.
-func newSerialEngine[T dense.Elem](cfg nn.Config, p Problem, ref bool) *engine[T] {
-	ops := newSerialOps[T](p)
+// newSerialEngine builds the serial trainer: the engine over serialOps, on
+// the reference kernels when ref is set.
+func newSerialEngine(cfg nn.Config, p Problem, ref bool) *engine {
+	ops := newSerialOps(p)
 	ops.ref = ref
 	return newEngine(ops, cfg, p).meta("serial", 1)
 }
 
-// serialOps implements layerOps for the single-process trainer in element
-// type T: every matrix is whole, every "collective" is the identity.
+// serialOps implements layerOps for the single-process trainer: every
+// matrix is whole, every "collective" is the identity.
 //
 // Per-layer temporaries come from the workspace, each handed back after
 // its last reader (release) and the rest at endEpoch, so a steady-state
 // epoch allocates nothing and the workspace holds the epoch's live set.
-type serialOps[T dense.Elem] struct {
+type serialOps struct {
 	// at and a are Aᵀ for the forward aggregation and A for the backward
 	// one — one matrix when A is symmetric, as on every dataset the repo
 	// generates.
-	at, a  *sparse.CSROf[T]
-	h0     *dense.Of[T]
+	at, a  *sparse.CSR
+	h0     *dense.Matrix
 	labels []int
 	mask   []bool
 	norm   int
-	ws     *dense.WorkspaceOf[T]
+	ws     *dense.Workspace
 	cnt    []float64
 
 	// ref swaps every multiply for the pre-optimization reference kernels,
@@ -68,26 +68,24 @@ type serialOps[T dense.Elem] struct {
 
 // newSerialOps builds the serial layerOps for p with a fresh workspace. The
 // transpose is taken only when A ≠ Aᵀ (symmetric, as every trainer decides
-// it), and each operand is converted to T once, here.
-func newSerialOps[T dense.Elem](p Problem) *serialOps[T] {
-	s := &serialOps[T]{
-		a:      sparse.As[T](p.A),
+// it).
+func newSerialOps(p Problem) *serialOps {
+	s := &serialOps{
+		at: p.A, a: p.A, h0: p.features(),
 		labels: p.Labels, mask: p.TrainMask, norm: p.lossNormalizer(),
-		ws: dense.NewWorkspaceOf[T](), cnt: make([]float64, 8),
+		ws: dense.NewWorkspace(), cnt: make([]float64, 8),
 	}
-	s.at = s.a
 	if !symmetric(p.A) {
-		s.at = sparse.As[T](p.A.Transpose())
+		s.at = p.A.Transpose()
 	}
-	dense.As(&s.h0, p.features())
 	return s
 }
 
-func (s *serialOps[T]) rank() int { return 0 }
+func (s *serialOps) rank() int { return 0 }
 
-func (s *serialOps[T]) input() *dense.Of[T] { return s.h0 }
+func (s *serialOps) input() *dense.Matrix { return s.h0 }
 
-func (s *serialOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps) forwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	t := s.ws.GetUninit(s.at.Rows, x.Cols)
 	s.spmm(t, s.at, x)
 	if l == 1 {
@@ -96,7 +94,7 @@ func (s *serialOps[T]) forwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 	return t
 }
 
-func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *dense.Of[T] {
+func (s *serialOps) multiplyWeight(x, w *dense.Matrix, l int, f productForm) *dense.Matrix {
 	z := s.ws.GetUninit(x.Rows, w.Cols)
 	if !s.ref {
 		weightMul(z, x, w, f, false)
@@ -104,37 +102,37 @@ func (s *serialOps[T]) multiplyWeight(x, w *dense.Of[T], l int, f productForm) *
 	}
 	dense.RefMul(z, x, w)
 	if f == fusedReLU {
-		dense.ReLUForwardOf(z, z)
+		dense.ReLU{}.Forward(z, z)
 	}
 	return z
 }
 
-func (s *serialOps[T]) activationForward(act dense.Activation, z *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps) activationForward(act dense.Activation, z *dense.Matrix, l int) *dense.Matrix {
 	h := s.ws.GetUninit(z.Rows, z.Cols)
 	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
 		dense.RefLogSoftmaxForward(h, z)
 	} else {
-		dense.ForwardOf(act, h, z)
+		act.Forward(h, z)
 	}
 	return h
 }
 
-func (s *serialOps[T]) lossGrad(hOut *dense.Of[T]) (float64, *dense.Of[T]) {
+func (s *serialOps) lossGrad(hOut *dense.Matrix) (float64, *dense.Matrix) {
 	grad := s.ws.Get(hOut.Rows, hOut.Cols)
-	return nn.NLLLossMaskedIntoOf(grad, hOut, s.labels, s.mask, 0, s.norm), grad
+	return nn.NLLLossMaskedInto(grad, hOut, s.labels, s.mask, 0, s.norm), grad
 }
 
-func (s *serialOps[T]) activationBackward(act dense.Activation, dH, h *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps) activationBackward(act dense.Activation, dH, h *dense.Matrix, l int) *dense.Matrix {
 	g := s.ws.GetUninit(h.Rows, h.Cols)
 	if _, ok := act.(dense.LogSoftmax); ok && s.ref {
 		dense.RefLogSoftmaxBackward(g, dH, h)
 	} else {
-		dense.BackwardOf(act, g, dH, h)
+		act.Backward(g, dH, h)
 	}
 	return g
 }
 
-func (s *serialOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
+func (s *serialOps) backwardAggregate(x *dense.Matrix, l int) *dense.Matrix {
 	// A·G^l is reused for both Y and ∂L/∂H (§IV-A-4); A·(G^l(W^l)ᵀ) is
 	// ∂L/∂H^{l-1} itself.
 	ax := s.ws.GetUninit(s.a.Rows, x.Cols)
@@ -143,7 +141,7 @@ func (s *serialOps[T]) backwardAggregate(x *dense.Of[T], l int) *dense.Of[T] {
 }
 
 // spmm is dst = m·x on the kernel the options select.
-func (s *serialOps[T]) spmm(dst *dense.Of[T], m *sparse.CSROf[T], x *dense.Of[T]) {
+func (s *serialOps) spmm(dst *dense.Matrix, m *sparse.CSR, x *dense.Matrix) {
 	if s.ref {
 		sparse.RefSpMM(dst, m, x)
 	} else {
@@ -151,19 +149,19 @@ func (s *serialOps[T]) spmm(dst *dense.Of[T], m *sparse.CSROf[T], x *dense.Of[T]
 	}
 }
 
-func (s *serialOps[T]) weightGrad(hPrev, g *dense.Of[T], l int, f productForm) *dense.Of[T] {
+func (s *serialOps) weightGrad(hPrev, g *dense.Matrix, l int, f productForm) *dense.Matrix {
 	dW := s.ws.GetUninit(hPrev.Cols, g.Cols)
 	weightProduct(s.ws, dW, hPrev, g, f, s.ref)
 	return dW
 }
 
-func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *dense.Of[T] {
+func (s *serialOps) inputGrad(g, w *dense.Matrix, l int, mask *dense.Matrix) *dense.Matrix {
 	dH := s.ws.GetUninit(g.Rows, w.Rows)
 	switch {
 	case s.ref:
 		dense.RefMulT(dH, g, w)
 		if mask != nil {
-			dense.ReLUBackwardOf(dH, dH, mask)
+			dense.ReLU{}.Backward(dH, dH, mask)
 		}
 	case mask != nil:
 		dense.MulTReLUMask(dH, g, w, mask)
@@ -173,16 +171,16 @@ func (s *serialOps[T]) inputGrad(g, w *dense.Of[T], l int, mask *dense.Of[T]) *d
 	return dH
 }
 
-func (s *serialOps[T]) release(m *dense.Of[T]) { s.ws.Release(m) }
+func (s *serialOps) release(m *dense.Matrix) { s.ws.Release(m) }
 
-func (s *serialOps[T]) endEpoch() { s.ws.Reset() }
+func (s *serialOps) endEpoch() { s.ws.Reset() }
 
-func (s *serialOps[T]) correctCounts(hOut *dense.Of[T], masks ...[]bool) []float64 {
+func (s *serialOps) correctCounts(hOut *dense.Matrix, masks ...[]bool) []float64 {
 	counts := countBuf(s.cnt, len(masks))
 	argmaxCorrectInto(counts, hOut, s.labels, 0, masks)
 	return counts
 }
 
-func (s *serialOps[T]) reduce(vals []float64) []float64 { return vals }
+func (s *serialOps) reduce(vals []float64) []float64 { return vals }
 
-func (s *serialOps[T]) gatherOutput(hOut *dense.Of[T]) *dense.Of[T] { return hOut }
+func (s *serialOps) gatherOutput(hOut *dense.Matrix) *dense.Matrix { return hOut }

@@ -15,12 +15,12 @@ import (
 // Kernels call their row-range helper directly when parallel.Inline reports
 // the sweep would run inline anyway; the func literal here escapes to the
 // pool workers and would otherwise heap-allocate on every call.
-func activationRows[T Elem](z *Of[T], fn func(lo, hi int)) {
+func activationRows(z *Matrix, fn func(lo, hi int)) {
 	parallel.Rows(z.Rows, int64(len(z.Data)), fn)
 }
 
 // activationInline reports whether a sweep over z runs inline.
-func activationInline[T Elem](z *Of[T]) bool {
+func activationInline(z *Matrix) bool {
 	return parallel.Inline(z.Rows, int64(len(z.Data)))
 }
 
@@ -37,10 +37,6 @@ func activationInline[T Elem](z *Of[T]) bool {
 // communication analysis distinguishes the two: elementwise activations need
 // no communication while rowwise ones (log_softmax) force an all-gather
 // along process rows (§IV-C-2).
-//
-// The interface is fixed to float64 matrices; the row kernels behind it
-// (ReLUForwardOf, LogSoftmaxForwardOf, ...) are generic, and ForwardOf /
-// BackwardOf apply an Activation for a trainer typed in its element.
 type Activation interface {
 	// Name identifies the activation in configs and logs.
 	Name() string
@@ -63,12 +59,8 @@ func (ReLU) Name() string { return "relu" }
 // RowWise implements Activation: ReLU is elementwise.
 func (ReLU) RowWise() bool { return false }
 
-// Forward implements Activation.
-func (ReLU) Forward(dst, z *Matrix) { ReLUForwardOf(dst, z) }
-
-// ReLUForwardOf writes max(z, 0) into dst for any element type. dst may
-// alias z.
-func ReLUForwardOf[T Elem](dst, z *Of[T]) {
+// Forward implements Activation: dst = max(z, 0). dst may alias z.
+func (ReLU) Forward(dst, z *Matrix) {
 	sameShape2(dst, z, "ReLU.Forward")
 	if activationInline(z) {
 		reluForwardRows(dst, z, 0, z.Rows)
@@ -79,29 +71,26 @@ func ReLUForwardOf[T Elem](dst, z *Of[T]) {
 	})
 }
 
-func reluForwardRows[T Elem](dst, z *Of[T], lo, hi int) {
+func reluForwardRows(dst, z *Matrix, lo, hi int) {
 	i0, i1 := lo*z.Cols, hi*z.Cols
 	reluRow(dst.Data[i0:i1], z.Data[i0:i1])
 }
 
-// Backward implements Activation: dst = grad ⊙ 1[y > 0].
-func (ReLU) Backward(dst, grad, y *Matrix) { ReLUBackwardOf(dst, grad, y) }
-
-// ReLUBackwardOf writes grad ⊙ 1[z > 0] into dst for any element type.
-// Because relu(z) > 0 ⟺ z > 0, the forward output and the pre-activation
-// give bit-identical masks.
-func ReLUBackwardOf[T Elem](dst, grad, z *Of[T]) {
-	sameShape3(dst, grad, z, "ReLU.Backward")
-	if activationInline(z) {
-		reluBackwardRows(dst, grad, z, 0, z.Rows)
+// Backward implements Activation: dst = grad ⊙ 1[y > 0]. Because
+// relu(z) > 0 ⟺ z > 0, y may be the forward output or the pre-activation:
+// the masks are bit-identical.
+func (ReLU) Backward(dst, grad, y *Matrix) {
+	sameShape3(dst, grad, y, "ReLU.Backward")
+	if activationInline(y) {
+		reluBackwardRows(dst, grad, y, 0, y.Rows)
 		return
 	}
-	activationRows(z, func(lo, hi int) {
-		reluBackwardRows(dst, grad, z, lo, hi)
+	activationRows(y, func(lo, hi int) {
+		reluBackwardRows(dst, grad, y, lo, hi)
 	})
 }
 
-func reluBackwardRows[T Elem](dst, grad, z *Of[T], lo, hi int) {
+func reluBackwardRows(dst, grad, z *Matrix, lo, hi int) {
 	i0, i1 := lo*z.Cols, hi*z.Cols
 	reluMaskRow(dst.Data[i0:i1], grad.Data[i0:i1], z.Data[i0:i1])
 }
@@ -126,7 +115,9 @@ func positive64(b uint64) uint64 {
 	return -borrow
 }
 
-func reluRowF64(dst, z []float64) {
+// reluRow writes relu(z) into dst under the ReLU rule. dst may alias z; z
+// must be at least as long as dst.
+func reluRow(dst, z []float64) {
 	z = z[:len(dst)]
 	for i, v := range z {
 		b := math.Float64bits(v)
@@ -134,30 +125,12 @@ func reluRowF64(dst, z []float64) {
 	}
 }
 
-func reluMaskRowF64(dst, grad, z []float64) {
+// reluMaskRow writes grad ⊙ 1[z > 0] into dst under the ReLU rule. dst may
+// alias grad or z; both must be at least as long as dst.
+func reluMaskRow(dst, grad, z []float64) {
 	grad, z = grad[:len(dst)], z[:len(dst)]
 	for i, v := range z {
 		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & positive64(math.Float64bits(v)))
-	}
-}
-
-// reluRow writes relu(z) into dst under the ReLU rule. dst may alias z; z
-// must be at least as long as dst.
-func reluRow[T Elem](dst, z []T) {
-	if f, ok := any(reluRowF64).(func(dst, z []T)); ok {
-		f(dst, z)
-	} else {
-		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
-	}
-}
-
-// reluMaskRow writes grad ⊙ 1[z > 0] into dst under the ReLU rule. dst may
-// alias grad or z; both must be at least as long as dst.
-func reluMaskRow[T Elem](dst, grad, z []T) {
-	if f, ok := any(reluMaskRowF64).(func(dst, grad, z []T)); ok {
-		f(dst, grad, z)
-	} else {
-		panic(fmt.Sprintf("dense: no ReLU kernel for %T", *new(T)))
 	}
 }
 
@@ -208,11 +181,7 @@ func (LogSoftmax) RowWise() bool { return true }
 
 // Forward implements Activation: dst[i,j] = z[i,j] - log(sum_k exp(z[i,k])),
 // computed with the max-subtraction trick for numerical stability.
-func (LogSoftmax) Forward(dst, z *Matrix) { LogSoftmaxForwardOf(dst, z) }
-
-// LogSoftmaxForwardOf is the generic log-softmax forward sweep, its
-// log-sum-exp reduction accumulated in float64.
-func LogSoftmaxForwardOf[T Elem](dst, z *Of[T]) {
+func (LogSoftmax) Forward(dst, z *Matrix) {
 	sameShape2(dst, z, "LogSoftmax.Forward")
 	if activationInline(z) {
 		logSoftmaxLaneRows(dst, z, 0, z.Rows)
@@ -232,25 +201,16 @@ func LogSoftmaxForwardOf[T Elem](dst, z *Of[T]) {
 // a lane off math.Exp's or math.Log's fast path (a NaN, an infinity, a
 // subnormal or overflowing exp) and store nothing of it. Zero functions
 // where the process runs the Go loops alone.
-type rowLanes[T Elem] struct {
-	forward  func(dst, z []T, cols int) int
-	backward func(dst, grad, y []T, cols int) int
-}
-
-// rowLanesFor returns the row lanes for element type T, chosen as tileFor
-// chooses.
-func rowLanesFor[T Elem]() rowLanes[T] {
-	if l, ok := any(&lanesF64).(*rowLanes[T]); ok {
-		return *l
-	}
-	return rowLanes[T]{}
+type rowLanes struct {
+	forward  func(dst, z []float64, cols int) int
+	backward func(dst, grad, y []float64, cols int) int
 }
 
 // logSoftmaxLaneRows is the forward over rows lo…hi-1: whole groups of four
 // on the lanes, and on the Go loop every group the lanes hand back and the
 // rows after the last whole group.
-func logSoftmaxLaneRows[T Elem](dst, z *Of[T], lo, hi int) {
-	c, lanes := z.Cols, rowLanesFor[T]().forward
+func logSoftmaxLaneRows(dst, z *Matrix, lo, hi int) {
+	c, lanes := z.Cols, lanesF64.forward
 	for lanes != nil && c > 0 && hi-lo >= 4 {
 		lo += 4 * lanes(dst.Data[lo*c:hi*c], z.Data[lo*c:hi*c], c)
 		if hi-lo >= 4 {
@@ -262,31 +222,30 @@ func logSoftmaxLaneRows[T Elem](dst, z *Of[T], lo, hi int) {
 }
 
 // logSoftmaxForwardRows is the forward's Go loop over rows lo…hi-1.
-func logSoftmaxForwardRows[T Elem](dst, z *Of[T], lo, hi int) {
+func logSoftmaxForwardRows(dst, z *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		logSoftmaxRow(dst.Row(i), z.Row(i))
 	}
 }
 
-func logSoftmaxRow[T Elem](dst, z []T) {
+func logSoftmaxRow(dst, z []float64) {
 	lse := logSumExp(z)
 	for j, v := range z {
-		dst[j] = T(float64(v) - lse)
+		dst[j] = v - lse
 	}
 }
 
-// logSumExp returns log(sum_j exp(z[j])) with the max-subtraction trick,
-// accumulated in float64 regardless of the element type.
-func logSumExp[T Elem](z []T) float64 {
+// logSumExp returns log(sum_j exp(z[j])) with the max-subtraction trick.
+func logSumExp(z []float64) float64 {
 	mx := math.Inf(-1)
 	for _, v := range z {
-		if fv := float64(v); fv > mx {
-			mx = fv
+		if v > mx {
+			mx = v
 		}
 	}
 	var sum float64
 	for _, v := range z {
-		sum += math.Exp(float64(v) - mx)
+		sum += math.Exp(v - mx)
 	}
 	return mx + math.Log(sum)
 }
@@ -300,11 +259,7 @@ func logSumExp[T Elem](z []T) float64 {
 // log-sum-exp and costs one exp sweep instead of two. Reads of y[i,j] and
 // grad[i,j] happen before the dst[i,j] write, so dst may alias grad (or y)
 // as documented.
-func (LogSoftmax) Backward(dst, grad, y *Matrix) { LogSoftmaxBackwardOf(dst, grad, y) }
-
-// LogSoftmaxBackwardOf is the generic log-softmax backward sweep over the
-// forward output y, with the gradient row sum accumulated in float64.
-func LogSoftmaxBackwardOf[T Elem](dst, grad, y *Of[T]) {
+func (LogSoftmax) Backward(dst, grad, y *Matrix) {
 	sameShape3(dst, grad, y, "LogSoftmax.Backward")
 	if activationInline(y) {
 		logSoftmaxBackwardLaneRows(dst, grad, y, 0, y.Rows)
@@ -318,8 +273,8 @@ func LogSoftmaxBackwardOf[T Elem](dst, grad, y *Of[T]) {
 // logSoftmaxBackwardLaneRows is the backward over rows lo…hi-1, split
 // between the lanes and the Go loop as logSoftmaxLaneRows splits the
 // forward.
-func logSoftmaxBackwardLaneRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
-	c, lanes := y.Cols, rowLanesFor[T]().backward
+func logSoftmaxBackwardLaneRows(dst, grad, y *Matrix, lo, hi int) {
+	c, lanes := y.Cols, lanesF64.backward
 	for lanes != nil && c > 0 && hi-lo >= 4 {
 		lo += 4 * lanes(dst.Data[lo*c:hi*c], grad.Data[lo*c:hi*c], y.Data[lo*c:hi*c], c)
 		if hi-lo >= 4 {
@@ -331,35 +286,22 @@ func logSoftmaxBackwardLaneRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
 }
 
 // logSoftmaxBackwardRows is the backward's Go loop over rows lo…hi-1.
-func logSoftmaxBackwardRows[T Elem](dst, grad, y *Of[T], lo, hi int) {
+func logSoftmaxBackwardRows(dst, grad, y *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		yrow := y.Row(i)
 		grow := grad.Row(i)
 		drow := dst.Row(i)
 		var gsum float64
 		for _, g := range grow {
-			gsum += float64(g)
+			gsum += g
 		}
 		for j := range drow {
-			drow[j] = T(float64(grow[j]) - math.Exp(float64(yrow[j]))*gsum)
+			drow[j] = grow[j] - math.Exp(yrow[j])*gsum
 		}
 	}
 }
 
-// ForwardOf writes act(z) into dst through the Activation interface, for a
-// trainer typed in its element T; T is float64, the only element the
-// interface takes.
-func ForwardOf[T Elem](act Activation, dst, z *Of[T]) {
-	act.Forward(any(dst).(*Matrix), any(z).(*Matrix))
-}
-
-// BackwardOf writes the gradient of act into dst given the upstream grad and
-// the forward output y, as ForwardOf applies the forward.
-func BackwardOf[T Elem](act Activation, dst, grad, y *Of[T]) {
-	act.Backward(any(dst).(*Matrix), any(grad).(*Matrix), any(y).(*Matrix))
-}
-
-func sameShape2[T Elem](a, b *Of[T], op string) {
+func sameShape2(a, b *Matrix, op string) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("dense: %s shape mismatch: %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}

@@ -151,7 +151,7 @@ func TestRowWiseFlags(t *testing.T) {
 // logSoftmaxBackwardFromZ is the backward kernel as it stood before it read
 // the forward output: softmax recomputed from the pre-activation z, one
 // log-sum-exp per row and exp(z − lse) per element. Kept as the oracle.
-func logSoftmaxBackwardFromZ[T Elem](dst, grad, z *Of[T]) {
+func logSoftmaxBackwardFromZ(dst, grad, z *Matrix) {
 	for i := 0; i < z.Rows; i++ {
 		zrow, grow, drow := z.Row(i), grad.Row(i), dst.Row(i)
 		lse := logSumExp(zrow)
@@ -160,7 +160,7 @@ func logSoftmaxBackwardFromZ[T Elem](dst, grad, z *Of[T]) {
 			gsum += float64(g)
 		}
 		for j := range drow {
-			drow[j] = T(float64(grow[j]) - math.Exp(float64(zrow[j])-lse)*gsum)
+			drow[j] = grow[j] - math.Exp(zrow[j]-lse)*gsum
 		}
 	}
 }
@@ -218,36 +218,9 @@ func TestActivationsAllocFreeSerial(t *testing.T) {
 	}
 }
 
-// opaque is an Activation only the interface knows: no kernel of this
-// package carries its name.
-type opaque struct{ ReLU }
-
-func (opaque) Name() string { return "opaque" }
-
-// TestForwardBackwardOf: ForwardOf and BackwardOf go through the interface,
-// so any Activation works there.
-func TestForwardBackwardOf(t *testing.T) {
-	z := FromRows([][]float64{{-1, 0.5, 2}, {3, -0.25, 0}})
-	grad := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	for _, act := range []Activation{ReLU{}, Identity{}, LogSoftmax{}, opaque{}} {
-		y, want := New(2, 3), New(2, 3)
-		ForwardOf(act, y, z)
-		act.Forward(want, z)
-		if MaxAbsDiff(y, want) != 0 {
-			t.Fatalf("%s: ForwardOf differs from Forward at float64", act.Name())
-		}
-		g := New(2, 3)
-		BackwardOf(act, g, grad, y)
-		act.Backward(want, grad, y)
-		if MaxAbsDiff(g, want) != 0 {
-			t.Fatalf("%s: BackwardOf differs from Backward at float64", act.Name())
-		}
-	}
-}
-
 // reluOracle and reluMaskOracle state the ReLU rule as the plain loop does:
 // the definition reluRow and reluMaskRow must reproduce bit for bit.
-func reluOracle[T Elem](dst, z []T) {
+func reluOracle(dst, z []float64) {
 	for i, v := range z {
 		if v > 0 {
 			dst[i] = v
@@ -257,7 +230,7 @@ func reluOracle[T Elem](dst, z []T) {
 	}
 }
 
-func reluMaskOracle[T Elem](dst, grad, z []T) {
+func reluMaskOracle(dst, grad, z []float64) {
 	for i, v := range z {
 		if v > 0 {
 			dst[i] = grad[i]
@@ -271,9 +244,9 @@ func reluMaskOracle[T Elem](dst, grad, z []T) {
 // (equal lengths), into a fresh dst and with dst aliasing z (forward) or
 // grad and z (mask), and fails on the first word whose bits differ. The
 // inputs are left as they were.
-func compareReLURows[T Elem](t testing.TB, label string, z, grad []T) {
+func compareReLURows(t testing.TB, label string, z, grad []float64) {
 	t.Helper()
-	check := func(kernel string, got, want []T) {
+	check := func(kernel string, got, want []float64) {
 		t.Helper()
 		for i := range want {
 			if toBits(got[i]) != toBits(want[i]) {
@@ -283,7 +256,7 @@ func compareReLURows[T Elem](t testing.TB, label string, z, grad []T) {
 		}
 	}
 	n := len(z)
-	want, got := make([]T, n), make([]T, n)
+	want, got := make([]float64, n), make([]float64, n)
 	reluOracle(want, z)
 	reluRow(got, z)
 	check("forward", got, want)
@@ -306,26 +279,26 @@ func compareReLURows[T Elem](t testing.TB, label string, z, grad []T) {
 // testReLURowsMatchRule meets every specialBits value, as z, with every one
 // as grad — ±0, ±Inf, NaNs of both signs with payload 1 and others, the
 // smallest subnormals, ±MaxFloat — and then random-sign normal draws.
-func testReLURowsMatchRule[T Elem](t *testing.T) {
-	special := specialBits[T]()
-	var z, grad []T
+func testReLURowsMatchRule(t *testing.T) {
+	special := specialBits()
+	var z, grad []float64
 	for _, zb := range special {
 		for _, gb := range special {
-			z, grad = append(z, fromBits[T](zb)), append(grad, fromBits[T](gb))
+			z, grad = append(z, fromBits(zb)), append(grad, fromBits(gb))
 		}
 	}
 	compareReLURows(t, "special", z, grad)
 
 	rng := rand.New(rand.NewSource(26))
-	z, grad = make([]T, 1000), make([]T, 1000)
+	z, grad = make([]float64, 1000), make([]float64, 1000)
 	for i := range z {
-		z[i], grad[i] = T(rng.NormFloat64()), T(rng.NormFloat64())
+		z[i], grad[i] = rng.NormFloat64(), rng.NormFloat64()
 	}
 	compareReLURows(t, "random", z, grad)
 }
 
 func TestReLURowsMatchRule(t *testing.T) {
-	t.Run("float64", testReLURowsMatchRule[float64])
+	t.Run("float64", testReLURowsMatchRule)
 }
 
 // FuzzReLURow reads z from raw bytes, takes grad as z rotated by one

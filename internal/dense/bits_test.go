@@ -6,9 +6,9 @@ import "math"
 // special values they are fed, and where x86's NaN rule lets the compiled
 // Go loops disagree with themselves.
 
-func toBits[T Elem](v T) uint64 { return math.Float64bits(float64(v)) }
+func toBits(v float64) uint64 { return math.Float64bits(v) }
 
-func fromBits[T Elem](b uint64) T { return T(math.Float64frombits(b)) }
+func fromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // quietBit is the mantissa bit that turns a signalling NaN into the quiet
 // NaN an arithmetic instruction returns for it.
@@ -20,7 +20,7 @@ const quietBit = 1 << 51
 // subnormal of either sign and the largest, the smallest normal, ±MaxFloat
 // (whose products and sums overflow), and a few ordinary values for them to
 // meet.
-func specialBits[T Elem]() []uint64 {
+func specialBits() []uint64 {
 	b := []uint64{
 		0x0000000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
 		0x7ff8000000000001, 0xfff8000000000002, 0x7ff0000000000003, 0xfff2000000000004,
@@ -42,7 +42,7 @@ func specialBits[T Elem]() []uint64 {
 // loop does not define that payload, so no routine can be held to it;
 // everywhere else the result is independent of operand order and must match
 // to the bit.
-func twoNaNsMeet[T Elem](d T, v, x []T) bool {
+func twoNaNsMeet(d float64, v, x []float64) bool {
 	for i := range v {
 		if nansDiffer(v[i], x[i]) {
 			return true
@@ -57,6 +57,6 @@ func twoNaNsMeet[T Elem](d T, v, x []T) bool {
 }
 
 // nansDiffer reports whether a and b are both NaN and differ after quieting.
-func nansDiffer[T Elem](a, b T) bool {
+func nansDiffer(a, b float64) bool {
 	return a != a && b != b && toBits(a)|quietBit != toBits(b)|quietBit
 }

@@ -7,10 +7,10 @@ package dense
 // runs.
 var (
 	kernelISA = "go"
-	tileF64   = tileFunc[float64](gemmTile[float64])
-	csrF64    = csrTileFunc[float64](csrTile[float64])
-	compact64 = compactFunc[float64](compactNZGo[float64])
-	lanesF64  rowLanes[float64]
+	tileF64   = tileFunc(gemmTile)
+	csrF64    = csrTileFunc(csrTile)
+	compact64 = compactFunc(compactNZGo)
+	lanesF64  rowLanes
 )
 
 // KernelISA names the instruction set the kernels run on in this process:

@@ -16,5 +16,5 @@ func init() {
 	tileF64 = tileF64AVX2
 	csrF64 = csrTileF64AVX2
 	compact64 = compactNZF64AVX2
-	lanesF64 = rowLanes[float64]{forward: forwardF64AVX2, backward: backwardF64AVX2}
+	lanesF64 = rowLanes{forward: forwardF64AVX2, backward: backwardF64AVX2}
 }

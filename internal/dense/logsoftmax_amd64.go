@@ -22,33 +22,25 @@ func expLanes(x *[4]float64) int
 //go:noescape
 func logLanes(x *[4]float64) int
 
+// forwardF64AVX2 runs lanesForwardF64 over the whole groups of z. A dst
+// shorter than them panics before any assembly runs.
 func forwardF64AVX2(dst, z []float64, cols int) int {
-	return forwardGroups(lanesForwardF64, dst, z, cols)
-}
-
-func backwardF64AVX2(dst, grad, y []float64, cols int) int {
-	return backwardGroups(lanesBackwardF64, dst, grad, y, cols)
-}
-
-// forwardGroups runs body over the whole groups of z. A dst shorter than
-// them panics before any assembly runs.
-func forwardGroups[T Elem](body func(dst, z *T, cols, groups int) int, dst, z []T, cols int) int {
 	groups := len(z) / (4 * cols)
 	if groups == 0 {
 		return 0
 	}
 	_ = dst[4*groups*cols-1]
-	return body(&dst[0], &z[0], cols, groups)
+	return lanesForwardF64(&dst[0], &z[0], cols, groups)
 }
 
-// backwardGroups runs body over the whole groups of y. A dst or grad shorter
-// than them panics before any assembly runs.
-func backwardGroups[T Elem](body func(dst, grad, y *T, cols, groups int) int, dst, grad, y []T, cols int) int {
+// backwardF64AVX2 runs lanesBackwardF64 over the whole groups of y. A dst or
+// grad shorter than them panics before any assembly runs.
+func backwardF64AVX2(dst, grad, y []float64, cols int) int {
 	groups := len(y) / (4 * cols)
 	if groups == 0 {
 		return 0
 	}
 	n := 4 * groups * cols
 	_, _ = dst[n-1], grad[n-1]
-	return body(&dst[0], &grad[0], &y[0], cols, groups)
+	return lanesBackwardF64(&dst[0], &grad[0], &y[0], cols, groups)
 }

@@ -77,7 +77,7 @@ func TestExpLanesMatchMath(t *testing.T) {
 	for i := 0; i < 1<<20; i++ {
 		xs = append(xs, 1500*rng.Float64()-750)
 	}
-	for _, b := range specialBits[float64]() {
+	for _, b := range specialBits() {
 		xs = append(xs, math.Float64frombits(b))
 	}
 	on, off := compareLanes(t, "exp", expLanes, expFast, math.Exp, xs)
@@ -105,7 +105,7 @@ func TestLogLanesMatchMath(t *testing.T) {
 	for k := -1074; k <= 1023; k++ {
 		xs = append(xs, math.Ldexp(1, k), math.Ldexp(hsqrt2, k))
 	}
-	for _, b := range specialBits[float64]() {
+	for _, b := range specialBits() {
 		xs = append(xs, math.Float64frombits(b))
 	}
 	fast := func(x float64) bool { return x > 0 && x < math.Inf(1) }

@@ -29,7 +29,7 @@ func expFast(x float64) bool {
 // whole group of four from row 0 whose exp arguments all take math.Exp's
 // normal path — the forward's v − max (the log argument is then in
 // [1, cols]), the backward's y.
-func laneGroups[T Elem](rows, cols int, args func(r int) []float64) []bool {
+func laneGroups(rows, cols int, args func(r int) []float64) []bool {
 	lane := make([]bool, rows)
 	if KernelISA() == "go" {
 		return lane
@@ -53,14 +53,14 @@ func laneGroups[T Elem](rows, cols int, args func(r int) []float64) []bool {
 // payload where two NaNs meet, which in the Go loop is the compiler's choice
 // (see twoNaNsMeet; a -race build adds them the other way round). It
 // reports whether two NaNs met there.
-func backwardModel[T Elem](drow, grow, yrow []T) (twoNaNs bool) {
+func backwardModel(drow, grow, yrow []float64) (twoNaNs bool) {
 	var gsum float64
 	for _, g := range grow {
 		twoNaNs = twoNaNs || nansDiffer(gsum, float64(g))
 		gsum = x86Op(gsum, float64(g), func(s, g float64) float64 { return s + g })
 	}
 	for j := range drow {
-		drow[j] = T(float64(grow[j]) - math.Exp(float64(yrow[j]))*gsum)
+		drow[j] = grow[j] - math.Exp(yrow[j])*gsum
 	}
 	return twoNaNs
 }
@@ -70,20 +70,19 @@ type lsmCounts struct {
 	laneRows, goRows, nanRows int // backward rows on each path; lane rows where two NaNs met in gsum
 }
 
-// compareLogSoftmax runs LogSoftmaxForwardOf on z and LogSoftmaxBackwardOf
-// on grad and y (rows × cols) on one worker, into a
-// sentinel-padded dst and with dst aliasing z, grad and y, and fails unless
+// compareLogSoftmax runs LogSoftmax.Forward on z and LogSoftmax.Backward on
+// grad and y (rows × cols) on one worker, into a sentinel-padded dst and with dst aliasing z, grad and y, and fails unless
 // every result word is the Go loops' (RefLogSoftmax*) — on a lane row where
 // two NaNs meet in gsum, the model's — nothing outside dst is written and
 // no source changes.
-func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, grad, y []T) (n lsmCounts) {
+func compareLogSoftmax(t testing.TB, label string, rows, cols int, z, grad, y []float64) (n lsmCounts) {
 	t.Helper()
 	useWorkers(t, 1)
 	const pad = 5
-	sentinel := fromBits[T](0x7ff4_dead_beef_0001)
-	of := func(data []T) *Of[T] { return FromSliceOf(rows, cols, append([]T(nil), data...)) }
+	sentinel := fromBits(0x7ff4_dead_beef_0001)
+	of := func(data []float64) *Matrix { return FromSlice(rows, cols, append([]float64(nil), data...)) }
 	zm, gm, ym := of(z), of(grad), of(y)
-	check := func(kernel string, got, want *Of[T]) {
+	check := func(kernel string, got, want *Matrix) {
 		t.Helper()
 		for i := range want.Data {
 			if toBits(got.Data[i]) != toBits(want.Data[i]) {
@@ -92,14 +91,14 @@ func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, gr
 			}
 		}
 	}
-	padded := func() (*Of[T], []T) {
-		buf := make([]T, pad+rows*cols+pad)
+	padded := func() (*Matrix, []float64) {
+		buf := make([]float64, pad+rows*cols+pad)
 		for i := range buf {
 			buf[i] = sentinel
 		}
-		return FromSliceOf(rows, cols, buf[pad:pad+rows*cols]), buf
+		return FromSlice(rows, cols, buf[pad:pad+rows*cols]), buf
 	}
-	checkPad := func(kernel string, buf []T) {
+	checkPad := func(kernel string, buf []float64) {
 		t.Helper()
 		for i := range buf {
 			if (i < pad || i >= pad+rows*cols) && toBits(buf[i]) != toBits(sentinel) {
@@ -108,18 +107,18 @@ func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, gr
 		}
 	}
 
-	want := NewOf[T](rows, cols)
+	want := New(rows, cols)
 	RefLogSoftmaxForward(want, zm)
 	got, buf := padded()
-	LogSoftmaxForwardOf(got, zm)
+	LogSoftmax{}.Forward(got, zm)
 	check("forward", got, want)
 	checkPad("forward", buf)
 	got = of(z)
-	LogSoftmaxForwardOf(got, got)
+	LogSoftmax{}.Forward(got, got)
 	check("forward, dst = z", got, want)
 
 	RefLogSoftmaxBackward(want, gm, ym)
-	lane := laneGroups[T](rows, cols, func(r int) []float64 {
+	lane := laneGroups(rows, cols, func(r int) []float64 {
 		args := make([]float64, cols)
 		for j, v := range ym.Row(r) {
 			args[j] = float64(v)
@@ -132,26 +131,26 @@ func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, gr
 			continue
 		}
 		n.laneRows++
-		model := make([]T, cols)
+		model := make([]float64, cols)
 		if backwardModel(model, gm.Row(r), ym.Row(r)) {
 			n.nanRows++
 			copy(want.Row(r), model)
 		}
 	}
 	got, buf = padded()
-	LogSoftmaxBackwardOf(got, gm, ym)
+	LogSoftmax{}.Backward(got, gm, ym)
 	check("backward", got, want)
 	checkPad("backward", buf)
 	got = of(grad)
-	LogSoftmaxBackwardOf(got, got, ym)
+	LogSoftmax{}.Backward(got, got, ym)
 	check("backward, dst = grad", got, want)
 	got = of(y)
-	LogSoftmaxBackwardOf(got, gm, got)
+	LogSoftmax{}.Backward(got, gm, got)
 	check("backward, dst = y", got, want)
 
 	for _, src := range []struct {
 		name      string
-		got, want []T
+		got, want []float64
 	}{{"z", zm.Data, z}, {"grad", gm.Data, grad}, {"y", ym.Data, y}} {
 		for i := range src.want {
 			if toBits(src.got[i]) != toBits(src.want[i]) {
@@ -164,8 +163,8 @@ func compareLogSoftmax[T Elem](t testing.TB, label string, rows, cols int, z, gr
 
 // randomNaN is a NaN of either sign with a random nonzero payload, quiet or
 // signalling.
-func randomNaN[T Elem](rng *rand.Rand) T {
-	return fromBits[T](uint64(rng.Intn(2))<<63 | 0x7ff0000000000000 | uint64(1+rng.Int63n(1<<52-1)))
+func randomNaN(rng *rand.Rand) float64 {
+	return fromBits(uint64(rng.Intn(2))<<63 | 0x7ff0000000000000 | uint64(1+rng.Int63n(1<<52-1)))
 }
 
 // testLogSoftmaxRows draws each row of z in one of four kinds — N(0, 3²)
@@ -174,46 +173,46 @@ func randomNaN[T Elem](rng *rand.Rand) T {
 // the max shift — and grad half from specialBits and random NaNs, so that
 // NaN payloads meet in gsum. y is the forward's output of z, or z itself in
 // alternate cases (positive arguments, and exps past Overflow).
-func testLogSoftmaxRows[T Elem](t *testing.T) {
+func testLogSoftmaxRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	special := specialBits[T]()
-	odd := func() T {
+	special := specialBits()
+	odd := func() float64 {
 		if rng.Intn(4) == 0 {
-			return randomNaN[T](rng)
+			return randomNaN(rng)
 		}
-		return fromBits[T](special[rng.Intn(len(special))])
+		return fromBits(special[rng.Intn(len(special))])
 	}
 	var total lsmCounts
 	c := 0
 	for cols := 1; cols <= 70; cols++ {
 		for rows := 1; rows <= 9; rows++ {
 			c++
-			z, grad := make([]T, rows*cols), make([]T, rows*cols)
+			z, grad := make([]float64, rows*cols), make([]float64, rows*cols)
 			for r := 0; r < rows; r++ {
 				kind := rng.Intn(10)
 				for j := 0; j < cols; j++ {
-					v := T(3 * rng.NormFloat64())
+					v := 3 * rng.NormFloat64()
 					switch {
 					case kind == 0 && rng.Intn(2) == 0:
 						v = odd()
 					case kind == 1:
-						v = T(-745*float64(j) + rng.Float64())
+						v = -745*float64(j) + rng.Float64()
 					case kind == 2:
-						v = T(700 + float64(j))
+						v = 700 + float64(j)
 					}
 					z[r*cols+j] = v
 				}
 			}
 			for i := range grad {
-				grad[i] = T(rng.NormFloat64())
+				grad[i] = rng.NormFloat64()
 				if rng.Intn(2) == 0 {
 					grad[i] = odd()
 				}
 			}
 			y := z
 			if c%2 == 0 {
-				ym := NewOf[T](rows, cols)
-				RefLogSoftmaxForward(ym, FromSliceOf(rows, cols, z))
+				ym := New(rows, cols)
+				RefLogSoftmaxForward(ym, FromSlice(rows, cols, z))
 				y = ym.Data
 			}
 			n := compareLogSoftmax(t, fmt.Sprintf("rows=%d cols=%d", rows, cols), rows, cols, z, grad, y)
@@ -231,7 +230,7 @@ func testLogSoftmaxRows[T Elem](t *testing.T) {
 }
 
 func TestLogSoftmaxRowsMatchGo(t *testing.T) {
-	t.Run("float64", testLogSoftmaxRows[float64])
+	t.Run("float64", testLogSoftmaxRows)
 }
 
 // FuzzLogSoftmaxRows reads z, grad and y from raw bits, cyclically from
@@ -244,17 +243,17 @@ func FuzzLogSoftmaxRows(f *testing.F) {
 	f.Add(uint8(8), uint8(15), []byte{0, 0, 0, 0, 0, 0x28, 0x86, 0x40, 0, 0, 0, 0, 0, 0, 0, 0x80, 3})
 	f.Fuzz(func(t *testing.T, rows, cols uint8, data []byte) {
 		n, m := int(rows%10), int(cols%71)+1
-		compareLogSoftmax(t, "float64", n, m, fuzzRows[float64](data, 0, n*m), fuzzRows[float64](data, 1, n*m), fuzzRows[float64](data, 2, n*m))
+		compareLogSoftmax(t, "float64", n, m, fuzzRows(data, 0, n*m), fuzzRows(data, 1, n*m), fuzzRows(data, 2, n*m))
 	})
 }
 
 // fuzzRows reads n elements from data, little-endian and cyclically,
 // starting at element skip·n.
-func fuzzRows[T Elem](data []byte, skip, n int) []T {
+func fuzzRows(data []byte, skip, n int) []float64 {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
-	s := make([]T, n)
+	s := make([]float64, n)
 	pos := skip * n * 8
 	for i := range s {
 		var b uint64
@@ -262,7 +261,7 @@ func fuzzRows[T Elem](data []byte, skip, n int) []T {
 			b |= uint64(data[pos%len(data)]) << (8 * j)
 			pos++
 		}
-		s[i] = fromBits[T](b)
+		s[i] = fromBits(b)
 	}
 	return s
 }

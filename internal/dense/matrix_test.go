@@ -260,34 +260,3 @@ func mustPanic(t *testing.T, what string) {
 		t.Fatalf("expected panic: %s", what)
 	}
 }
-
-// named is an element type of its own: As converts into it.
-type named float64
-
-// TestAs: the same element type is the same pointer, whatever the slot held;
-// another one is a converting copy into the slot's own matrix, allocated
-// once.
-func TestAs(t *testing.T) {
-	src := FromRows([][]float64{{1, 2.5}, {1e-9, -3}})
-	var same *Matrix
-	As(&same, src)
-	if same != src {
-		t.Fatal("float64 → float64 copied")
-	}
-	var n *Of[named]
-	As(&n, src)
-	first := n
-	if n.Rows != 2 || n.Cols != 2 || n.At(0, 1) != 2.5 || n.At(1, 0) != 1e-9 {
-		t.Fatalf("float64 → named = %v", n)
-	}
-	src.Set(0, 0, 7)
-	As(&n, src)
-	if n != first || n.At(0, 0) != 7 {
-		t.Fatal("second conversion did not reuse the slot's matrix")
-	}
-	var back *Matrix
-	As(&back, n)
-	if back == src || back.At(1, 0) != 1e-9 {
-		t.Fatalf("named → float64 = %v", back)
-	}
-}

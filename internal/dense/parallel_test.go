@@ -191,33 +191,33 @@ func eachWorkerCount(t *testing.T, body func(t *testing.T)) {
 	}
 }
 
-// randOf fills an r×c matrix with normal draws, a few of them replaced by
-// exact zeros (the GEMM sweeps skip zero scales; the ReLU mask treats 0 as
-// dead).
-func randOf[T Elem](rng *rand.Rand, r, c int) *Of[T] {
-	m := NewOf[T](r, c)
+// randWithZeros fills an r×c matrix with normal draws, a few of them
+// replaced by exact zeros (the GEMM sweeps skip zero scales; the ReLU mask
+// treats 0 as dead).
+func randWithZeros(rng *rand.Rand, r, c int) *Matrix {
+	m := New(r, c)
 	for i := range m.Data {
 		if rng.Intn(9) == 0 {
 			continue
 		}
-		m.Data[i] = T(rng.NormFloat64())
+		m.Data[i] = rng.NormFloat64()
 	}
 	return m
 }
 
 // setRowSign makes row i of m all negative (sign < 0) or all positive.
-func setRowSign[T Elem](m *Of[T], i int, sign float64) {
+func setRowSign(m *Matrix, i int, sign float64) {
 	if i >= m.Rows {
 		return
 	}
 	for j, v := range m.Row(i) {
-		m.Row(i)[j] = T(sign * (math.Abs(float64(v)) + 1))
+		m.Row(i)[j] = sign * (math.Abs(v) + 1)
 	}
 }
 
 // requireSameBits fails unless got and want match bit for bit, signed
 // zeros included.
-func requireSameBits[T Elem](t *testing.T, got, want *Of[T]) {
+func requireSameBits(t *testing.T, got, want *Matrix) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
@@ -232,38 +232,38 @@ func requireSameBits[T Elem](t *testing.T, got, want *Of[T]) {
 // TestMulBiasReLUMatchesSeparatePasses: the fused forward epilogue is
 // Mul, then the bias broadcast, then ReLU.Forward, bit for bit.
 func TestMulBiasReLUMatchesSeparatePasses(t *testing.T) {
-	t.Run("float64", testMulBiasReLU[float64])
+	t.Run("float64", testMulBiasReLU)
 }
 
-func testMulBiasReLU[T Elem](t *testing.T) {
+func testMulBiasReLU(t *testing.T) {
 	eachWorkerCount(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(53))
 		for _, s := range fusedShapes {
 			for _, withBias := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%dx%dx%d/bias=%v", s.n, s.k, s.m, withBias), func(t *testing.T) {
-					a, b := randOf[T](rng, s.n, s.k), randOf[T](rng, s.k, s.m)
+					a, b := randWithZeros(rng, s.n, s.k), randWithZeros(rng, s.k, s.m)
 					// Against a nonnegative b, row 0 of a·b is all dead and
 					// row 1 all live (before the bias moves them).
 					for i := range b.Data {
-						b.Data[i] = T(math.Abs(float64(b.Data[i])))
+						b.Data[i] = math.Abs(b.Data[i])
 					}
 					setRowSign(a, 0, -1)
 					setRowSign(a, 1, +1)
-					var bias []T
+					var bias []float64
 					if withBias {
-						bias = randOf[T](rng, 1, s.m).Data
+						bias = randWithZeros(rng, 1, s.m).Data
 					}
 
-					want := NewOf[T](s.n, s.m)
+					want := New(s.n, s.m)
 					Mul(want, a, b)
 					for i := 0; i < s.n && bias != nil; i++ {
 						for j := range bias {
 							want.Row(i)[j] += bias[j]
 						}
 					}
-					ReLUForwardOf(want, want)
+					ReLU{}.Forward(want, want)
 
-					got := NewOf[T](s.n, s.m)
+					got := New(s.n, s.m)
 					got.Fill(7) // MulBiasReLU overwrites dst
 					MulBiasReLU(got, a, b, bias)
 					requireSameBits(t, got, want)
@@ -277,25 +277,25 @@ func testMulBiasReLU[T Elem](t *testing.T) {
 // MulT followed by ReLU.Backward masked on h, bit for bit — for rows of h
 // that are all dead (≤ 0, exact zeros included), all live, and mixed.
 func TestMulTReLUMaskMatchesSeparatePasses(t *testing.T) {
-	t.Run("float64", testMulTReLUMask[float64])
+	t.Run("float64", testMulTReLUMask)
 }
 
-func testMulTReLUMask[T Elem](t *testing.T) {
+func testMulTReLUMask(t *testing.T) {
 	eachWorkerCount(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(59))
 		for _, s := range fusedShapes {
 			t.Run(fmt.Sprintf("%dx%dx%d", s.n, s.k, s.m), func(t *testing.T) {
-				g, w, h := randOf[T](rng, s.n, s.k), randOf[T](rng, s.m, s.k), randOf[T](rng, s.n, s.m)
+				g, w, h := randWithZeros(rng, s.n, s.k), randWithZeros(rng, s.m, s.k), randWithZeros(rng, s.n, s.m)
 				setRowSign(h, 0, -1)
 				h.Row(0)[0] = 0 // a zero is dead too
 				setRowSign(h, 1, +1)
 
-				full := NewOf[T](s.n, s.m)
+				full := New(s.n, s.m)
 				MulT(full, g, w)
-				want := NewOf[T](s.n, s.m)
-				ReLUBackwardOf(want, full, h)
+				want := New(s.n, s.m)
+				ReLU{}.Backward(want, full, h)
 
-				got := NewOf[T](s.n, s.m)
+				got := New(s.n, s.m)
 				got.Fill(7) // dead units must be written, not skipped
 				MulTReLUMask(got, g, w, h)
 				requireSameBits(t, got, want)

@@ -2,7 +2,7 @@
 
 package dense
 
-// PoisonReleased makes every arena's release — WorkspaceOf.Release and the
+// PoisonReleased makes every arena's release — Workspace.Release and the
 // fabric's payload pools — fill what it takes back with NaN in a
 // race-detector build, where a read after release then changes every
 // result it reaches.

@@ -2,7 +2,7 @@ package dense
 
 // Reference kernels: the one-source-at-a-time loops that the register tiles
 // replaced, running on the Go loop AxpyRow itself rather than on whatever
-// tileFor or csrTileFor selects, the scalar dot loop of RefMulT, and the Go
+// tileF64 or csrF64 holds, the scalar dot loop of RefMulT, and the Go
 // loops of log-softmax the row lanes replay (RefLogSoftmax*). RefMul
 // and RefTMul are also the references of MulNZ and TMulNZ, which keep their
 // terms and order. They are the oracle of the bit-identity tests: the
@@ -20,7 +20,7 @@ package dense
 
 // RefMul computes dst = a * b with the reference kernel. dst must not alias
 // a or b and is overwritten.
-func RefMul[T Elem](dst, a, b *Of[T]) {
+func RefMul(dst, a, b *Matrix) {
 	checkMul(dst, a, b, "RefMul")
 	dst.Zero()
 	RefMulAdd(dst, a, b)
@@ -29,7 +29,7 @@ func RefMul[T Elem](dst, a, b *Of[T]) {
 // RefMulAdd computes dst += a * b: the ikj loop with one AxpyRow per nonzero
 // a[i,k], in ascending k — exactly the accumulation MulAdd keeps in its
 // register tiles.
-func RefMulAdd[T Elem](dst, a, b *Of[T]) {
+func RefMulAdd(dst, a, b *Matrix) {
 	checkMul(dst, a, b, "RefMulAdd")
 	k, m := a.Cols, b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -45,7 +45,7 @@ func RefMulAdd[T Elem](dst, a, b *Of[T]) {
 // RefMulT computes dst = a * bᵀ with the reference dot loop: each element
 // summed from +0 over ascending k, no term skipped — the accumulation MulT
 // reproduces over its packed bᵀ.
-func RefMulT[T Elem](dst, a, b *Of[T]) {
+func RefMulT(dst, a, b *Matrix) {
 	checkMulT(dst, a, b, "RefMulT")
 	k := a.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -53,7 +53,7 @@ func RefMulT[T Elem](dst, a, b *Of[T]) {
 		drow := dst.Data[i*b.Rows : (i+1)*b.Rows]
 		for j := range drow {
 			brow := b.Data[j*k : (j+1)*k]
-			var s T
+			var s float64
 			for kk, av := range arow {
 				s += av * brow[kk]
 			}
@@ -63,17 +63,17 @@ func RefMulT[T Elem](dst, a, b *Of[T]) {
 }
 
 // RefLogSoftmaxForward writes log_softmax(z) into dst on the Go loop
-// logSoftmaxRow, row by row: what LogSoftmaxForwardOf computes, whichever
+// logSoftmaxRow, row by row: what LogSoftmax.Forward computes, whichever
 // kernel runs it. dst may alias z.
-func RefLogSoftmaxForward[T Elem](dst, z *Of[T]) {
+func RefLogSoftmaxForward(dst, z *Matrix) {
 	sameShape2(dst, z, "RefLogSoftmaxForward")
 	logSoftmaxForwardRows(dst, z, 0, z.Rows)
 }
 
 // RefLogSoftmaxBackward writes the log-softmax gradient into dst on the Go
-// loop logSoftmaxBackwardRows: what LogSoftmaxBackwardOf computes. dst may
+// loop logSoftmaxBackwardRows: what LogSoftmax.Backward computes. dst may
 // alias grad or y.
-func RefLogSoftmaxBackward[T Elem](dst, grad, y *Of[T]) {
+func RefLogSoftmaxBackward(dst, grad, y *Matrix) {
 	sameShape3(dst, grad, y, "RefLogSoftmaxBackward")
 	logSoftmaxBackwardRows(dst, grad, y, 0, y.Rows)
 }
@@ -81,7 +81,7 @@ func RefLogSoftmaxBackward[T Elem](dst, grad, y *Of[T]) {
 // RefTMul computes dst = aᵀ * b with the reference scatter: ascending rows
 // of a, one AxpyRow per nonzero a[r,i] — the accumulation order the blocked
 // TMul preserves.
-func RefTMul[T Elem](dst, a, b *Of[T]) {
+func RefTMul(dst, a, b *Matrix) {
 	checkTMul(dst, a, b, "RefTMul")
 	dst.Zero()
 	k, m := a.Cols, b.Cols

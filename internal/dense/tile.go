@@ -12,15 +12,15 @@ import "sync"
 // exactly where its scale != 0 is false (±0 is skipped, NaN is not). The
 // scale address has a row and a k stride, so one entry serves a·b (s = a,
 // sRow = a.Cols, sK = 1) and aᵀ·b (sRow = 1, sK = a.Cols). The kernels
-// resolve it once per entry with tileFor.
-type tileFunc[T Elem] func(dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, rows, cols, k int, load, skip bool)
+// call the entry chosen at package init, tileF64 (cpu.go).
+type tileFunc func(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool)
 
 // gemmTile is the tile entry in portable Go: one AxpyRow per term, a row at
 // a time. It is the entry on every platform without the vector routines and,
 // like AxpyRow, the definition the vector body reproduces bit for bit: each
 // output element receives one multiply and one add per unskipped term, in
 // ascending kk.
-func gemmTile[T Elem](dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, rows, cols, k int, load, skip bool) {
+func gemmTile(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
 	for r := 0; r < rows; r++ {
 		drow := dst[r*ldd : r*ldd+cols]
 		if !load {
@@ -34,15 +34,6 @@ func gemmTile[T Elem](dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, row
 	}
 }
 
-// tileFor returns the tile entry for element type T: the process-wide choice
-// for float64, the Go body for any other Elem.
-func tileFor[T Elem]() tileFunc[T] {
-	if t, ok := any(tileF64).(tileFunc[T]); ok {
-		return t
-	}
-	return gemmTile[T]
-}
-
 // csrTileFunc is the register tile over a sparse operand: the SpMM kernels
 // of internal/sparse and the products over a dense operand's nonzeros
 // (MulNZ, MulAddNZ, TMulNZ) bottom out in it. For every row ρ < len(ptr)-1
@@ -54,11 +45,11 @@ func tileFor[T Elem]() tileFunc[T] {
 // of them applied (a stored zero adds its +0·b). ptr holds absolute
 // positions in idx and val, as a CSR row pointer does; idx[e] is a row of b,
 // whose stride ldb is positive.
-type csrTileFunc[T Elem] func(dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool)
+type csrTileFunc func(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool)
 
 // csrTile is the CSR tile entry in portable Go, one AxpyRow per entry, and
 // like gemmTile the definition its vector body reproduces bit for bit.
-func csrTile[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
+func csrTile(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
 	for r := 0; r+1 < len(ptr); r++ {
 		drow := dst[r*ldd : r*ldd+cols]
 		if !load {
@@ -70,15 +61,6 @@ func csrTile[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int
 	}
 }
 
-// csrTileFor returns the CSR tile entry for element type T, chosen as
-// tileFor chooses.
-func csrTileFor[T Elem]() csrTileFunc[T] {
-	if t, ok := any(csrF64).(csrTileFunc[T]); ok {
-		return t
-	}
-	return csrTile[T]
-}
-
 // SpMMRows is the CSR tile for internal/sparse: dst (+)= the product of the
 // CSR rows (ptr, idx, val) — ptr[ρ] … ptr[ρ+1] the entries of row ρ, idx
 // their columns, absolute positions in idx and val — with the dense b of row
@@ -86,8 +68,8 @@ func csrTileFor[T Elem]() csrTileFunc[T] {
 // dst[ρ·ldd:]. Each output element receives one multiply and one add per
 // stored entry of its row, in entry order, starting from +0 unless load is
 // set: the loop of one AxpyRow per entry, bit for bit.
-func SpMMRows[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
-	csrTileFor[T]()(dst, ldd, ptr, idx, val, b, ldb, cols, load)
+func SpMMRows(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
+	csrF64(dst, ldd, ptr, idx, val, b, ldb, cols, load)
 }
 
 // packPool is a free list of the scratch MulT packs Wᵀ into: one slice per
@@ -95,23 +77,16 @@ func SpMMRows[T Elem](dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols in
 // nothing. Not a sync.Pool: that one may drop what it is given (the GC
 // empties it, and under -race it discards a quarter of all puts), and the
 // 0 allocs/epoch pins run under -race too.
-type packPool[T Elem] struct {
+type packPool struct {
 	mu   sync.Mutex
-	free [][]T
+	free [][]float64
 }
 
-var packF64 packPool[float64]
-
-func packFor[T Elem]() *packPool[T] {
-	if p, ok := any(&packF64).(*packPool[T]); ok {
-		return p
-	}
-	return new(packPool[T])
-}
+var packs packPool
 
 // get returns n elements of scratch, from the free list when a slice there
 // is large enough.
-func (p *packPool[T]) get(n int) []T {
+func (p *packPool) get(n int) []float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, buf := range p.free {
@@ -122,10 +97,10 @@ func (p *packPool[T]) get(n int) []T {
 			return buf[:n]
 		}
 	}
-	return make([]T, n, CapClass(n))
+	return make([]float64, n, CapClass(n))
 }
 
-func (p *packPool[T]) put(buf []T) {
+func (p *packPool) put(buf []float64) {
 	p.mu.Lock()
 	p.free = append(p.free, buf)
 	p.mu.Unlock()
@@ -138,29 +113,22 @@ const nzBlock = 1 << 12
 
 // csrBlock is the scratch a window is compacted into: a CSR of up to nzBlock
 // rows and nzBlock entries.
-type csrBlock[T Elem] struct {
+type csrBlock struct {
 	ptr, idx []int
-	val      []T
+	val      []float64
 }
 
 // blockPool is a free list of csrBlocks, one per product chunk in flight,
 // kept as packPool keeps its slices. Every block has the same size, so any
 // block serves any chunk and a warmed epoch allocates none.
-type blockPool[T Elem] struct {
+type blockPool struct {
 	mu   sync.Mutex
-	free []*csrBlock[T]
+	free []*csrBlock
 }
 
-var blocksF64 blockPool[float64]
+var nzBlocks blockPool
 
-func blocksFor[T Elem]() *blockPool[T] {
-	if p, ok := any(&blocksF64).(*blockPool[T]); ok {
-		return p
-	}
-	return new(blockPool[T])
-}
-
-func (p *blockPool[T]) get() *csrBlock[T] {
+func (p *blockPool) get() *csrBlock {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.free); n > 0 {
@@ -168,10 +136,10 @@ func (p *blockPool[T]) get() *csrBlock[T] {
 		p.free[n-1], p.free = nil, p.free[:n-1]
 		return blk
 	}
-	return &csrBlock[T]{ptr: make([]int, nzBlock+1), idx: make([]int, nzBlock), val: make([]T, nzBlock)}
+	return &csrBlock{ptr: make([]int, nzBlock+1), idx: make([]int, nzBlock), val: make([]float64, nzBlock)}
 }
 
-func (p *blockPool[T]) put(blk *csrBlock[T]) {
+func (p *blockPool) put(blk *csrBlock) {
 	p.mu.Lock()
 	p.free = append(p.free, blk)
 	p.mu.Unlock()
@@ -184,11 +152,11 @@ func (p *blockPool[T]) put(blk *csrBlock[T]) {
 // nonzero is v != 0: ±0 is dropped and NaN kept — exactly the terms the
 // dense tile skips. idx and val need room for rows·cols entries, ptr for
 // rows+1; colStride is positive.
-type compactFunc[T Elem] func(ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int)
+type compactFunc func(ptr, idx []int, val, data []float64, start, rowStride, colStride, rows, cols, first int)
 
 // compactNZGo is the compaction in portable Go, the definition its vector
 // body (tile_amd64.go) reproduces.
-func compactNZGo[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
+func compactNZGo(ptr, idx []int, val, data []float64, start, rowStride, colStride, rows, cols, first int) {
 	e := 0
 	for r := 0; r < rows; r++ {
 		ptr[r] = e
@@ -200,14 +168,4 @@ func compactNZGo[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStr
 		}
 	}
 	ptr[rows] = e
-}
-
-// compactNZ is the compaction for element type T, chosen as tileFor
-// chooses.
-func compactNZ[T Elem](ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
-	if f, ok := any(compact64).(compactFunc[T]); ok {
-		f(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
-	} else {
-		compactNZGo(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
-	}
 }

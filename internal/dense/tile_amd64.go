@@ -4,8 +4,8 @@ package dense
 
 // The strip routines of tile_amd64.s: one column strip of at most four
 // vectors (16 float64) over every row. They take pointers, not
-// slices; tileStrips and csrStrips check the bounds first and never call
-// them with rows or w zero.
+// slices; tileF64AVX2 and csrTileF64AVX2 check the bounds first and never
+// call them with rows or w zero.
 
 //go:noescape
 func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool)
@@ -13,40 +13,31 @@ func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float6
 //go:noescape
 func csrStripF64(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
 
-func tileF64AVX2(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
-	tileStrips(tileStripF64, 16, dst, ldd, s, sRow, sK, b, ldb, rows, cols, k, load, skip)
-}
-
-func csrTileF64AVX2(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
-	csrStrips(csrStripF64, 16, dst, ldd, ptr, idx, val, b, ldb, cols, load)
-}
-
-// tileStrips is the tile entry over strip: the columns in strips of width,
-// each one call. A window that does not fit its slices panics before any
+// tileF64AVX2 is the tile entry over tileStripF64: the columns in strips of
+// 16, each one call. A window that does not fit its slices panics before any
 // assembly runs, as the slicing in gemmTile would.
-func tileStrips[T Elem](strip func(dst *T, ldd int, s *T, sRow, sK int, b *T, ldb int, rows, w, k int, load, skip bool),
-	width int, dst []T, ldd int, s []T, sRow, sK int, b []T, ldb int, rows, cols, k int, load, skip bool) {
+func tileF64AVX2(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
 	if rows == 0 || cols == 0 {
 		return
 	}
 	if (rows-1)*ldd+cols > len(dst) || k > 0 && ((rows-1)*sRow+(k-1)*sK >= len(s) || (k-1)*ldb+cols > len(b)) {
 		panic("dense: tile window outside its operands")
 	}
-	var sp, bp *T
-	for c0 := 0; c0 < cols; c0 += width {
+	var sp, bp *float64
+	for c0 := 0; c0 < cols; c0 += 16 {
 		if k > 0 {
 			sp, bp = &s[0], &b[c0]
 		}
-		strip(&dst[c0], ldd, sp, sRow, sK, bp, ldb, rows, min(width, cols-c0), k, load, skip)
+		tileStripF64(&dst[c0], ldd, sp, sRow, sK, bp, ldb, rows, min(16, cols-c0), k, load, skip)
 	}
 }
 
-// csrStrips is the CSR tile entry over strip, the columns in strips of
-// width. The dst window is checked here; each entry's index and source row
-// are checked by the strip as it reaches them (against lim and bRows), and
-// an entry outside its operands panics as the slicing in csrTile would.
-func csrStrips[T Elem](strip func(dst *T, ldd int, ptr, idx *int, val, b *T, ldb, rows, w, lim, bRows int, load bool) bool,
-	width int, dst []T, ldd int, ptr, idx []int, val, b []T, ldb, cols int, load bool) {
+// csrTileF64AVX2 is the CSR tile entry over csrStripF64, the columns in
+// strips of 16. The dst window is checked here; each entry's index and
+// source row are checked by the strip as it reaches them (against lim and
+// bRows), and an entry outside its operands panics as the slicing in csrTile
+// would.
+func csrTileF64AVX2(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
 	rows := len(ptr) - 1
 	if rows <= 0 || cols == 0 {
 		return
@@ -56,18 +47,18 @@ func csrStrips[T Elem](strip func(dst *T, ldd int, ptr, idx *int, val, b *T, ldb
 	}
 	lim, bRows := min(len(idx), len(val)), 0
 	var ip *int
-	var vp, bp *T
+	var vp, bp *float64
 	if lim > 0 {
 		ip, vp = &idx[0], &val[0]
 	}
 	if ldb > 0 && len(b) >= cols {
 		bRows = (len(b)-cols)/ldb + 1
 	}
-	for c0 := 0; c0 < cols; c0 += width {
+	for c0 := 0; c0 < cols; c0 += 16 {
 		if bRows > 0 {
 			bp = &b[c0]
 		}
-		if !strip(&dst[c0], ldd, &ptr[0], ip, vp, bp, ldb, rows, min(width, cols-c0), lim, bRows, load) {
+		if !csrStripF64(&dst[c0], ldd, &ptr[0], ip, vp, bp, ldb, rows, min(16, cols-c0), lim, bRows, load) {
 			panic("dense: CSR tile entry outside its operands")
 		}
 	}
@@ -100,15 +91,10 @@ func init() {
 	}
 }
 
+// compactNZF64AVX2 is the compaction over compactF64. The window is checked
+// before any assembly runs, as the Go body's indexing would: room for rows+1
+// row pointers and rows·cols entries, and its last element inside data.
 func compactNZF64AVX2(ptr, idx []int, val, data []float64, start, rowStride, colStride, rows, cols, first int) {
-	compactWindow(compactF64, ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
-}
-
-// compactWindow is compactNZ over body. The window is checked before any
-// assembly runs, as the Go body's indexing would: room for rows+1 row
-// pointers and rows·cols entries, and its last element inside data.
-func compactWindow[T Elem](body func(ptr, idx *int, val, data *T, rowStride, colStride, rows, cols, first int) int,
-	ptr, idx []int, val, data []T, start, rowStride, colStride, rows, cols, first int) {
 	if rows < 1 || cols < 1 {
 		compactNZGo(ptr, idx, val, data, start, rowStride, colStride, rows, cols, first)
 		return
@@ -117,5 +103,5 @@ func compactWindow[T Elem](body func(ptr, idx *int, val, data *T, rowStride, col
 	if rows+1 > len(ptr) || rows*cols > min(len(idx), len(val)) || rowStride < 0 || colStride < 1 || start < 0 || last >= len(data) {
 		panic("dense: compaction window outside its operands")
 	}
-	body(&ptr[0], &idx[0], &val[0], &data[start], rowStride, colStride, rows, cols, first)
+	compactF64(&ptr[0], &idx[0], &val[0], &data[start], rowStride, colStride, rows, cols, first)
 }

@@ -28,72 +28,72 @@ const (
 	layoutABT                   // a is n×k, b m×k: a·bᵀ, no term skipped
 )
 
-type gemmOperands[T Elem] struct {
+type gemmOperands struct {
 	n, k, m int
-	a, b    *Of[T]
-	h       *Of[T] // the ReLU mask, n×m
-	bias    []T
+	a, b    *Matrix
+	h       *Matrix // the ReLU mask, n×m
+	bias    []float64
 }
 
-type gemmKernel[T Elem] struct {
+type gemmKernel struct {
 	name   string
 	layout gemmLayout
 	load   bool // dst's values before the call are part of the result
 	bias   bool // the epilogue adds o.bias
-	run    func(dst *Of[T], o *gemmOperands[T])
-	ref    func(dst *Of[T], o *gemmOperands[T]) // into dst holding the values before the call
+	run    func(dst *Matrix, o *gemmOperands)
+	ref    func(dst *Matrix, o *gemmOperands) // into dst holding the values before the call
 }
 
 // reluPass is the separate forward epilogue: the bias broadcast, then
 // ReLU.Forward.
-func reluPass[T Elem](dst *Of[T], bias []T) {
+func reluPass(dst *Matrix, bias []float64) {
 	for i := 0; i < dst.Rows; i++ {
 		for j := range bias {
 			dst.Row(i)[j] += bias[j]
 		}
 	}
-	ReLUForwardOf(dst, dst)
+	ReLU{}.Forward(dst, dst)
 }
 
-func gemmKernels[T Elem]() []gemmKernel[T] {
-	return []gemmKernel[T]{
+func gemmKernels() []gemmKernel {
+	return []gemmKernel{
 		{name: "Mul", layout: layoutAB,
-			run: func(d *Of[T], o *gemmOperands[T]) { Mul(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMul(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { Mul(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMul(d, o.a, o.b) }},
 		{name: "MulAdd", layout: layoutAB, load: true,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulAdd(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulAdd(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { MulAdd(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMulAdd(d, o.a, o.b) }},
 		{name: "MulBiasReLU", layout: layoutAB, bias: true,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulBiasReLU(d, o.a, o.b, o.bias) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMul(d, o.a, o.b); reluPass(d, o.bias) }},
+			run: func(d *Matrix, o *gemmOperands) { MulBiasReLU(d, o.a, o.b, o.bias) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMul(d, o.a, o.b); reluPass(d, o.bias) }},
 		{name: "MulAddBiasReLU", layout: layoutAB, load: true, bias: true,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulAddBiasReLU(d, o.a, o.b, o.bias) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulAdd(d, o.a, o.b); reluPass(d, o.bias) }},
+			run: func(d *Matrix, o *gemmOperands) { MulAddBiasReLU(d, o.a, o.b, o.bias) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMulAdd(d, o.a, o.b); reluPass(d, o.bias) }},
 		{name: "TMul", layout: layoutATB,
-			run: func(d *Of[T], o *gemmOperands[T]) { TMul(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefTMul(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { TMul(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefTMul(d, o.a, o.b) }},
 		// Over a's nonzeros: compacted, then on the CSR tile — the same
 		// terms in the same order as the reference loops.
 		{name: "MulNZ", layout: layoutAB,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulNZ(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMul(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { MulNZ(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMul(d, o.a, o.b) }},
 		{name: "MulAddNZ", layout: layoutAB, load: true,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulAddNZ(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulAdd(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { MulAddNZ(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMulAdd(d, o.a, o.b) }},
 		{name: "TMulNZ", layout: layoutATB,
-			run: func(d *Of[T], o *gemmOperands[T]) { TMulNZ(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefTMul(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { TMulNZ(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefTMul(d, o.a, o.b) }},
 		{name: "MulT", layout: layoutABT,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulT(d, o.a, o.b) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulT(d, o.a, o.b) }},
+			run: func(d *Matrix, o *gemmOperands) { MulT(d, o.a, o.b) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMulT(d, o.a, o.b) }},
 		{name: "MulTReLUMask", layout: layoutABT,
-			run: func(d *Of[T], o *gemmOperands[T]) { MulTReLUMask(d, o.a, o.b, o.h) },
-			ref: func(d *Of[T], o *gemmOperands[T]) { RefMulT(d, o.a, o.b); ReLUBackwardOf(d, d, o.h) }},
+			run: func(d *Matrix, o *gemmOperands) { MulTReLUMask(d, o.a, o.b, o.h) },
+			ref: func(d *Matrix, o *gemmOperands) { RefMulT(d, o.a, o.b); ReLU{}.Backward(d, d, o.h) }},
 	}
 }
 
 // shapes returns the kernel's a and b dimensions for an n×m output over k.
-func (kn gemmKernel[T]) shapes(n, k, m int) (ar, ac, br, bc int) {
+func (kn gemmKernel) shapes(n, k, m int) (ar, ac, br, bc int) {
 	switch kn.layout {
 	case layoutATB:
 		return k, n, k, m
@@ -104,7 +104,7 @@ func (kn gemmKernel[T]) shapes(n, k, m int) (ar, ac, br, bc int) {
 }
 
 // term returns the scale and B value of output (i, j) at k-step kk.
-func (kn gemmKernel[T]) term(o *gemmOperands[T], i, kk, j int) (s, x T) {
+func (kn gemmKernel) term(o *gemmOperands, i, kk, j int) (s, x float64) {
 	switch kn.layout {
 	case layoutATB:
 		return o.a.At(kk, i), o.b.At(kk, j)
@@ -119,11 +119,11 @@ func (kn gemmKernel[T]) term(o *gemmOperands[T], i, kk, j int) (s, x T) {
 // runs them from d, then the bias add — where the payload x86 returns
 // depends on operand order the reference loop does not fix (see
 // twoNaNsMeet).
-func (kn gemmKernel[T]) twoNaNs(o *gemmOperands[T], d T, i, j int) bool {
+func (kn gemmKernel) twoNaNs(o *gemmOperands, d float64, i, j int) bool {
 	if !kn.load {
 		d = 0
 	}
-	var v, x []T
+	var v, x []float64
 	for kk := 0; kk < o.k; kk++ {
 		if s, bx := kn.term(o, i, kk, j); s != 0 || kn.layout == layoutABT {
 			v, x = append(v, s), append(x, bx)
@@ -146,18 +146,18 @@ func (kn gemmKernel[T]) twoNaNs(o *gemmOperands[T], d T, i, j int) bool {
 // padded buffer matches — exact bits, NaN-ness only where twoNaNs — and the
 // sources are unchanged. It returns how many NaN results matched payload
 // for payload.
-func compareGemm[T Elem](t testing.TB, label string, kn gemmKernel[T], o *gemmOperands[T], before []T) (exactNaNs int) {
+func compareGemm(t testing.TB, label string, kn gemmKernel, o *gemmOperands, before []float64) (exactNaNs int) {
 	t.Helper()
 	const pad = 9
-	sentinel := fromBits[T](0x7ff4_dead_beef_0001)
-	buf := make([]T, pad+len(before)+pad)
+	sentinel := fromBits(0x7ff4_dead_beef_0001)
+	buf := make([]float64, pad+len(before)+pad)
 	for i := range buf {
 		buf[i] = sentinel
 	}
 	copy(buf[pad:], before)
-	dst := FromSliceOf(o.n, o.m, buf[pad:pad+len(before)])
-	want := FromSliceOf(o.n, o.m, append([]T(nil), before...))
-	a, b, h, bias := o.a.Clone(), o.b.Clone(), o.h.Clone(), append([]T(nil), o.bias...)
+	dst := FromSlice(o.n, o.m, buf[pad:pad+len(before)])
+	want := FromSlice(o.n, o.m, append([]float64(nil), before...))
+	a, b, h, bias := o.a.Clone(), o.b.Clone(), o.h.Clone(), append([]float64(nil), o.bias...)
 
 	kn.run(dst, o)
 	kn.ref(want, o)
@@ -186,7 +186,7 @@ func compareGemm[T Elem](t testing.TB, label string, kn gemmKernel[T], o *gemmOp
 	}
 	for _, src := range []struct {
 		name      string
-		got, want []T
+		got, want []float64
 	}{{"a", o.a.Data, a.Data}, {"b", o.b.Data, b.Data}, {"h", o.h.Data, h.Data}, {"bias", o.bias, bias}} {
 		for w := range src.want {
 			if toBits(src.got[w]) != toBits(src.want[w]) {
@@ -209,20 +209,20 @@ var (
 // ordinary values, where a NaN cannot hide a change of order. In both the
 // rest are normal draws with one in eight an exact ±0. An operand is the
 // pool read from a random offset.
-func testGemmTile[T Elem](t *testing.T) {
+func testGemmTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	special := specialBits[T]()
-	var pools [2][]T
+	special := specialBits()
+	var pools [2][]float64
 	for p := range pools {
-		pools[p] = make([]T, 1<<17)
+		pools[p] = make([]float64, 1<<17)
 		for i := range pools[p] {
 			switch {
 			case p == 1 && rng.Intn(2) == 0:
-				pools[p][i] = fromBits[T](special[rng.Intn(len(special))])
+				pools[p][i] = fromBits(special[rng.Intn(len(special))])
 			case rng.Intn(8) == 0:
-				pools[p][i] = fromBits[T](special[rng.Intn(2)]) // ±0
+				pools[p][i] = fromBits(special[rng.Intn(2)]) // ±0
 			default:
-				pools[p][i] = T(rng.NormFloat64())
+				pools[p][i] = rng.NormFloat64()
 			}
 		}
 	}
@@ -232,14 +232,14 @@ func testGemmTile[T Elem](t *testing.T) {
 			for _, m := range tileCols {
 				c++
 				pool := pools[c%2]
-				fill := func(r, cols int) *Of[T] {
-					x := NewOf[T](r, cols)
+				fill := func(r, cols int) *Matrix {
+					x := New(r, cols)
 					copy(x.Data, pool[rng.Intn(len(pool)-len(x.Data)):])
 					return x
 				}
-				for _, kn := range gemmKernels[T]() {
+				for _, kn := range gemmKernels() {
 					ar, ac, br, bc := kn.shapes(n, k, m)
-					o := &gemmOperands[T]{n: n, k: k, m: m, a: fill(ar, ac), b: fill(br, bc), h: fill(n, m), bias: fill(1, m).Data}
+					o := &gemmOperands{n: n, k: k, m: m, a: fill(ar, ac), b: fill(br, bc), h: fill(n, m), bias: fill(1, m).Data}
 					exactNaNs += compareGemm(t, fmt.Sprintf("n=%d k=%d m=%d", n, k, m), kn, o, fill(n, m).Data)
 				}
 			}
@@ -251,7 +251,7 @@ func testGemmTile[T Elem](t *testing.T) {
 }
 
 func TestGemmTileMatchesReference(t *testing.T) {
-	t.Run("float64", func(t *testing.T) { eachWorkerCount(t, testGemmTile[float64]) })
+	t.Run("float64", func(t *testing.T) { eachWorkerCount(t, testGemmTile) })
 }
 
 // TestTileWindowOutsideOperandsPanics pins the bounds check of whichever
@@ -259,7 +259,7 @@ func TestGemmTileMatchesReference(t *testing.T) {
 // as the slicing in the Go bodies does, instead of reaching past the slice —
 // for the CSR tile also an entry past idx or val, or naming a row past b.
 func TestTileWindowOutsideOperandsPanics(t *testing.T) {
-	tile, csr := tileFor[float64](), csrTileFor[float64]()
+	tile, csr := tileF64, csrF64
 	dst, s, b := make([]float64, 2*5), make([]float64, 2*3), make([]float64, 3*5)
 	ptr, idx, val := []int{0, 2, 3}, []int{0, 2, 1}, []float64{1, 2, 3}
 	for name, call := range map[string]func(){
@@ -281,25 +281,25 @@ func TestTileWindowOutsideOperandsPanics(t *testing.T) {
 
 // fuzzGemmOperands builds a kernel's operands from raw fuzz input, every
 // element's bits read cyclically from data.
-func fuzzGemmOperands[T Elem](kn gemmKernel[T], n, k, m int, data []byte) (*gemmOperands[T], []T) {
+func fuzzGemmOperands(kn gemmKernel, n, k, m int, data []byte) (*gemmOperands, []float64) {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
 	pos := 0
-	fill := func(r, c int) *Of[T] {
-		x := NewOf[T](r, c)
+	fill := func(r, c int) *Matrix {
+		x := New(r, c)
 		for i := range x.Data {
 			var b uint64
 			for j := 0; j < 8; j++ {
 				b |= uint64(data[pos%len(data)]) << (8 * j)
 				pos++
 			}
-			x.Data[i] = fromBits[T](b)
+			x.Data[i] = fromBits(b)
 		}
 		return x
 	}
 	ar, ac, br, bc := kn.shapes(n, k, m)
-	o := &gemmOperands[T]{n: n, k: k, m: m, a: fill(ar, ac), b: fill(br, bc), h: fill(n, m), bias: fill(1, m).Data}
+	o := &gemmOperands{n: n, k: k, m: m, a: fill(ar, ac), b: fill(br, bc), h: fill(n, m), bias: fill(1, m).Data}
 	return o, fill(n, m).Data
 }
 
@@ -310,7 +310,7 @@ func FuzzGemmTile(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(33), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
 		rows, inner, cols := int(n%10), int(k%140), int(m%70)+1
-		for _, kn := range gemmKernels[float64]() {
+		for _, kn := range gemmKernels() {
 			o, before := fuzzGemmOperands(kn, rows, inner, cols, data)
 			compareGemm(t, "float64", kn, o, before)
 		}
@@ -327,42 +327,42 @@ func FuzzGemmTile(f *testing.F) {
 // NaNs meet is the compiler's choice (see twoNaNsMeet).
 
 // x86Op is one multiply or add as an SSE instruction computes it.
-func x86Op[T Elem](x, y T, op func(x, y T) T) T {
+func x86Op(x, y float64, op func(x, y float64) float64) float64 {
 	switch {
 	case x != x:
-		return fromBits[T](toBits(x) | quietBit)
+		return fromBits(toBits(x) | quietBit)
 	case y != y:
-		return fromBits[T](toBits(y) | quietBit)
+		return fromBits(toBits(y) | quietBit)
 	}
 	return op(x, y)
 }
 
 // csrModel returns element (r, c) of the CSR tile's result from its value
 // d before the call.
-func csrModel[T Elem](c csrCase[T], r, col int, d T) (sum T, twoNaNs bool) {
+func csrModel(c csrCase, r, col int, d float64) (sum float64, twoNaNs bool) {
 	if !c.load {
 		d = 0
 	}
-	var v, x []T
+	var v, x []float64
 	for e := c.ptr[r]; e < c.ptr[r+1]; e++ {
 		v, x = append(v, c.val[e]), append(x, c.b[c.idx[e]*c.ldb+col])
 	}
 	twoNaNs = twoNaNsMeet(d, v, x)
 	for i := range v {
-		p := x86Op(x[i], v[i], func(x, v T) T { return x * v })
-		d = x86Op(p, d, func(p, d T) T { return p + d })
+		p := x86Op(x[i], v[i], func(x, v float64) float64 { return x * v })
+		d = x86Op(p, d, func(p, d float64) float64 { return p + d })
 	}
 	return d, twoNaNs
 }
 
 // csrCase is one CSR tile call: rows of ptr over b (ldb wide, cols used),
 // into a dst of stride ldd = cols + 3 inside a sentinel-padded buffer.
-type csrCase[T Elem] struct {
+type csrCase struct {
 	ptr, idx    []int
-	val, b      []T
+	val, b      []float64
 	ldb, cols   int
 	load        bool
-	dst         []T // the values before the call, rows × ldd
+	dst         []float64 // the values before the call, rows × ldd
 	ldd, padded int
 }
 
@@ -371,26 +371,26 @@ type csrCase[T Elem] struct {
 // payload where two NaNs meet — and neither writes outside its window (the
 // gaps between rows included) or to a source. It returns how many NaN
 // results matched payload for payload.
-func compareCSR[T Elem](t testing.TB, label string, c csrCase[T]) (exactNaNs int) {
+func compareCSR(t testing.TB, label string, c csrCase) (exactNaNs int) {
 	t.Helper()
 	const pad = 5
-	sentinel := fromBits[T](0x7ff4_dead_beef_0001)
+	sentinel := fromBits(0x7ff4_dead_beef_0001)
 	rows := len(c.ptr) - 1
-	idx, val, b := append([]int(nil), c.idx...), append([]T(nil), c.val...), append([]T(nil), c.b...)
+	idx, val, b := append([]int(nil), c.idx...), append([]float64(nil), c.val...), append([]float64(nil), c.b...)
 	bodies := []struct {
 		name   string
-		tile   csrTileFunc[T]
+		tile   csrTileFunc
 		strict bool
-	}{{"Go body", csrTile[T], false}}
+	}{{"Go body", csrTile, false}}
 	if KernelISA() != "go" {
 		bodies = append(bodies, struct {
 			name   string
-			tile   csrTileFunc[T]
+			tile   csrTileFunc
 			strict bool
-		}{"vector body", csrTileFor[T](), true})
+		}{"vector body", csrF64, true})
 	}
 	for _, body := range bodies {
-		buf := make([]T, pad+len(c.dst)+pad)
+		buf := make([]float64, pad+len(c.dst)+pad)
 		for i := range buf {
 			buf[i] = sentinel
 		}
@@ -435,14 +435,14 @@ func compareCSR[T Elem](t testing.TB, label string, c csrCase[T]) (exactNaNs int
 // vectors, whole strips, two strips) and 64 and 256, rows of 0, 1, 3, 4, 5
 // and 70 entries, load on and off, with half the values from specialBits:
 // ±0 (applied, not skipped), ±Inf, NaN payloads, subnormals, ±MaxFloat.
-func testTileCSR[T Elem](t *testing.T) {
+func testTileCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	special := specialBits[T]()
-	value := func() T {
+	special := specialBits()
+	value := func() float64 {
 		if rng.Intn(2) == 0 {
-			return fromBits[T](special[rng.Intn(len(special))])
+			return fromBits(special[rng.Intn(len(special))])
 		}
-		return T(rng.NormFloat64())
+		return rng.NormFloat64()
 	}
 	entries := []int{0, 1, 3, 4, 5, 70, 0, 4}
 	widths := []int{64, 256}
@@ -452,9 +452,9 @@ func testTileCSR[T Elem](t *testing.T) {
 	exactNaNs := 0
 	for _, cols := range widths {
 		for _, load := range []bool{false, true} {
-			c := csrCase[T]{ldb: cols + rng.Intn(3), cols: cols, load: load, ldd: cols + 3}
+			c := csrCase{ldb: cols + rng.Intn(3), cols: cols, load: load, ldd: cols + 3}
 			const bRows = 80
-			c.b = make([]T, (bRows-1)*c.ldb+cols)
+			c.b = make([]float64, (bRows-1)*c.ldb+cols)
 			for i := range c.b {
 				c.b[i] = value()
 			}
@@ -466,7 +466,7 @@ func testTileCSR[T Elem](t *testing.T) {
 				}
 				c.ptr = append(c.ptr, len(c.idx))
 			}
-			c.dst = make([]T, (len(entries)-1)*c.ldd+cols)
+			c.dst = make([]float64, (len(entries)-1)*c.ldd+cols)
 			for i := range c.dst {
 				c.dst[i] = value()
 			}
@@ -479,13 +479,13 @@ func testTileCSR[T Elem](t *testing.T) {
 }
 
 func TestTileCSRMatchesGo(t *testing.T) {
-	t.Run("float64", testTileCSR[float64])
+	t.Run("float64", testTileCSR)
 }
 
 // fuzzCSRCase builds a CSR tile call from raw fuzz input: the shape from
 // the small arguments, then every entry's source row, every row's entry
 // count and every value's bits read cyclically from data.
-func fuzzCSRCase[T Elem](rows, cols, bRows int, load bool, data []byte) csrCase[T] {
+func fuzzCSRCase(rows, cols, bRows int, load bool, data []byte) csrCase {
 	if len(data) == 0 {
 		data = []byte{0}
 	}
@@ -495,14 +495,14 @@ func fuzzCSRCase[T Elem](rows, cols, bRows int, load bool, data []byte) csrCase[
 		pos++
 		return b
 	}
-	value := func() T {
+	value := func() float64 {
 		var b uint64
 		for j := 0; j < 8; j++ {
 			b |= uint64(next()) << (8 * j)
 		}
-		return fromBits[T](b)
+		return fromBits(b)
 	}
-	c := csrCase[T]{ldb: cols, cols: cols, load: load, ldd: cols + 3, ptr: []int{0}}
+	c := csrCase{ldb: cols, cols: cols, load: load, ldd: cols + 3, ptr: []int{0}}
 	for r := 0; r < rows; r++ {
 		for e := int(next() % 9); e > 0; e-- {
 			c.idx = append(c.idx, int(next())%bRows)
@@ -510,11 +510,11 @@ func fuzzCSRCase[T Elem](rows, cols, bRows int, load bool, data []byte) csrCase[
 		}
 		c.ptr = append(c.ptr, len(c.idx))
 	}
-	c.b = make([]T, bRows*cols)
+	c.b = make([]float64, bRows*cols)
 	for i := range c.b {
 		c.b[i] = value()
 	}
-	c.dst = make([]T, max(rows-1, 0)*c.ldd+cols)
+	c.dst = make([]float64, max(rows-1, 0)*c.ldd+cols)
 	for i := range c.dst {
 		c.dst[i] = value()
 	}
@@ -528,6 +528,6 @@ func FuzzTileCSR(f *testing.F) {
 	f.Add(uint8(2), uint8(40), uint8(7), true, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, rows, cols, bRows uint8, load bool, data []byte) {
 		n, m, k := int(rows%9), int(cols%70)+1, int(bRows%12)+1
-		compareCSR(t, "float64", fuzzCSRCase[float64](n, m, k, load, data))
+		compareCSR(t, "float64", fuzzCSRCase(n, m, k, load, data))
 	})
 }

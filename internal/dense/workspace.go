@@ -5,13 +5,12 @@ import (
 	"math/bits"
 )
 
-// WorkspaceOf is a per-rank arena of reusable matrix buffers for the
-// steady-state training loop, generic over the element type. Trainers
-// check temporaries out with Get (or wrap foreign buffers with Wrap) and
-// hand each one back with Release after its last reader, so the arena
-// holds the live set of the epoch — the most temporaries alive at once —
-// rather than the sum of its draws; Reset at the epoch boundary returns
-// whatever is still checked out. After the first epochs have populated
+// Workspace is a per-rank arena of reusable matrix buffers for the
+// steady-state training loop. Trainers check temporaries out with Get (or
+// wrap foreign buffers with Wrap) and hand each one back with Release after
+// its last reader, so the arena holds the live set of the epoch — the most
+// temporaries alive at once — rather than the sum of its draws; Reset at
+// the epoch boundary returns whatever is still checked out. After the first epochs have populated
 // the free lists, Get/Wrap/Release/Reset perform zero heap allocations, so
 // an epoch that draws all its temporaries from the workspace runs
 // allocation-free.
@@ -32,23 +31,17 @@ import (
 // degrades to plain allocation (Get = New, Wrap = FromSlice, Release and
 // Reset = no-op) so call sites need no branching when no arena is
 // configured.
-type WorkspaceOf[T Elem] struct {
-	free    map[int][]*Of[T] // capacity class -> idle buffers
-	used    []*Of[T]         // checked out by Get, not yet released
-	hdrFree []*Of[T]         // idle headers for Wrap (no owned data)
-	wrapped []*Of[T]         // checked out by Wrap, not yet released
-	minCols int              // see Widen
+type Workspace struct {
+	free    map[int][]*Matrix // capacity class -> idle buffers
+	used    []*Matrix         // checked out by Get, not yet released
+	hdrFree []*Matrix         // idle headers for Wrap (no owned data)
+	wrapped []*Matrix         // checked out by Wrap, not yet released
+	minCols int               // see Widen
 }
 
-// Workspace is the float64 arena used by the default training path.
-type Workspace = WorkspaceOf[float64]
-
-// NewWorkspace returns an empty float64 arena.
-func NewWorkspace() *Workspace { return NewWorkspaceOf[float64]() }
-
-// NewWorkspaceOf returns an empty arena of T buffers.
-func NewWorkspaceOf[T Elem]() *WorkspaceOf[T] {
-	return &WorkspaceOf[T]{free: make(map[int][]*Of[T])}
+// NewWorkspace returns an empty arena.
+func NewWorkspace() *Workspace {
+	return &Workspace{free: make(map[int][]*Matrix)}
 }
 
 // CapClass returns the capacity class of an n-element buffer: the smallest
@@ -74,7 +67,7 @@ func CapClass(n int) int {
 // in column panels of width c calls it around its ragged last panel, so
 // that panel reuses the full panels' buffers instead of adding its own
 // class of every one of them.
-func (w *WorkspaceOf[T]) Widen(c int) {
+func (w *Workspace) Widen(c int) {
 	if w != nil {
 		w.minCols = c
 	}
@@ -99,7 +92,7 @@ func TakeIdle[E any](free map[int][]E, k int) (e E, ok bool) {
 // Get checks out a zeroed r-by-c matrix, exactly like New but drawing the
 // header and backing array from the arena when a large-enough buffer is
 // free. The matrix is valid until it is released, or the next Reset.
-func (w *WorkspaceOf[T]) Get(r, c int) *Of[T] {
+func (w *Workspace) Get(r, c int) *Matrix {
 	m := w.GetUninit(r, c)
 	if w != nil { // a nil workspace returned a fresh, already-zeroed New
 		for i := range m.Data {
@@ -117,15 +110,15 @@ func (w *WorkspaceOf[T]) Get(r, c int) *Of[T] {
 // Accumulating kernels (SpMMAdd and friends) and sparse writers (the loss
 // gradient) need Get. Skipping the fill matters on the bandwidth-bound
 // epoch path: it is one full pass over the largest temporaries per layer.
-func (w *WorkspaceOf[T]) GetUninit(r, c int) *Of[T] {
+func (w *Workspace) GetUninit(r, c int) *Matrix {
 	if w == nil {
-		return NewOf[T](r, c)
+		return New(r, c)
 	}
 	n := r * c
 	k := CapClass(r * max(c, w.minCols))
 	m, ok := TakeIdle(w.free, k)
 	if !ok {
-		m = &Of[T]{Data: make([]T, 0, k)}
+		m = &Matrix{Data: make([]float64, 0, k)}
 	}
 	m.Rows, m.Cols, m.Data = r, c, m.Data[:n]
 	w.used = append(w.used, m)
@@ -135,19 +128,19 @@ func (w *WorkspaceOf[T]) GetUninit(r, c int) *Of[T] {
 // Wrap checks out a header-only r-by-c matrix around data (not copied),
 // exactly like FromSlice but reusing headers from the arena. The caller
 // retains ownership of data; Release and Reset reclaim only the header.
-func (w *WorkspaceOf[T]) Wrap(r, c int, data []T) *Of[T] {
+func (w *Workspace) Wrap(r, c int, data []float64) *Matrix {
 	if w == nil {
-		return FromSliceOf(r, c, data)
+		return FromSlice(r, c, data)
 	}
 	if len(data) != r*c {
-		return FromSliceOf(r, c, data) // delegate for the panic message
+		return FromSlice(r, c, data) // delegate for the panic message
 	}
-	var m *Of[T]
+	var m *Matrix
 	if n := len(w.hdrFree); n > 0 {
 		m = w.hdrFree[n-1]
 		w.hdrFree = w.hdrFree[:n-1]
 	} else {
-		m = &Of[T]{}
+		m = &Matrix{}
 	}
 	m.Rows, m.Cols, m.Data = r, c, data
 	w.wrapped = append(w.wrapped, m)
@@ -160,7 +153,7 @@ func (w *WorkspaceOf[T]) Wrap(r, c int, data []T) *Of[T] {
 // and the caller holds exactly the memory the arena held — while anything
 // else (a Wrap header around foreign data, such as a fabric payload its
 // pool will recycle) is copied.
-func (w *WorkspaceOf[T]) Keep(m *Of[T]) *Of[T] {
+func (w *Workspace) Keep(m *Matrix) *Matrix {
 	if w != nil && checkIn(&w.used, m) {
 		return m
 	}
@@ -177,14 +170,14 @@ func (w *WorkspaceOf[T]) Keep(m *Of[T]) *Of[T] {
 // NaN, so a read after its release — or a GetUninit reader that reads
 // before it writes — shows in every result it reaches. It allocates
 // nothing once the free lists are sized.
-func (w *WorkspaceOf[T]) Release(m *Of[T]) {
+func (w *Workspace) Release(m *Matrix) {
 	if w == nil || m == nil {
 		return
 	}
 	if checkIn(&w.used, m) {
 		d := m.Data[:cap(m.Data)]
 		if PoisonReleased {
-			nan := T(math.NaN())
+			nan := math.NaN()
 			for i := range d {
 				d[i] = nan
 			}
@@ -202,7 +195,7 @@ func (w *WorkspaceOf[T]) Release(m *Of[T]) {
 // checkIn removes m from the checked-out list *out, reporting whether it
 // was there. The list is searched from its end, where the most recent
 // checkouts — the likeliest to be handed back — sit.
-func checkIn[T Elem](out *[]*Of[T], m *Of[T]) bool {
+func checkIn(out *[]*Matrix, m *Matrix) bool {
 	list := *out
 	for i := len(list) - 1; i >= 0; i-- {
 		if list[i] == m {
@@ -219,7 +212,7 @@ func checkIn[T Elem](out *[]*Of[T], m *Of[T]) bool {
 // not touch previously checked-out matrices afterwards:
 // Get buffers will be recycled (and re-zeroed) for later checkouts, and
 // Wrap headers are detached from their data.
-func (w *WorkspaceOf[T]) Reset() {
+func (w *Workspace) Reset() {
 	if w == nil {
 		return
 	}
@@ -239,7 +232,7 @@ func (w *WorkspaceOf[T]) Reset() {
 
 // LargestWords returns the element capacity of the largest buffer the arena
 // owns (free or checked out by Get), for tests and memory accounting.
-func (w *WorkspaceOf[T]) LargestWords() int64 {
+func (w *Workspace) LargestWords() int64 {
 	if w == nil {
 		return 0
 	}
@@ -257,7 +250,7 @@ func (w *WorkspaceOf[T]) LargestWords() int64 {
 
 // FootprintWords returns the total element capacity owned by the arena
 // (free and checked-out Get buffers), for tests and memory accounting.
-func (w *WorkspaceOf[T]) FootprintWords() int64 {
+func (w *Workspace) FootprintWords() int64 {
 	if w == nil {
 		return 0
 	}

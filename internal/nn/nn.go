@@ -129,12 +129,6 @@ func NLLLossMasked(logp *dense.Matrix, labels []int, mask []bool, rowOffset, nor
 // gradient is written into grad, which must be zeroed and shaped like logp
 // (training loops draw it from a dense.Workspace). It returns the loss.
 func NLLLossMaskedInto(grad, logp *dense.Matrix, labels []int, mask []bool, rowOffset, normalizer int) float64 {
-	return NLLLossMaskedIntoOf(grad, logp, labels, mask, rowOffset, normalizer)
-}
-
-// NLLLossMaskedIntoOf is the generic element-type form of NLLLossMaskedInto.
-// The loss accumulates in float64.
-func NLLLossMaskedIntoOf[T dense.Elem](grad, logp *dense.Of[T], labels []int, mask []bool, rowOffset, normalizer int) float64 {
 	if normalizer <= 0 {
 		panic(fmt.Sprintf("nn: loss normalizer = %d", normalizer))
 	}
@@ -148,8 +142,8 @@ func NLLLossMaskedIntoOf[T dense.Elem](grad, logp *dense.Of[T], labels []int, ma
 		if lab < 0 || lab >= logp.Cols {
 			panic(fmt.Sprintf("nn: label %d out of range for %d classes", lab, logp.Cols))
 		}
-		loss -= float64(logp.At(i, lab)) * inv
-		grad.Set(i, lab, T(-inv))
+		loss -= logp.At(i, lab) * inv
+		grad.Set(i, lab, -inv)
 	}
 	return loss
 }

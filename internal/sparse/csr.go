@@ -11,8 +11,6 @@ package sparse
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/dense"
 )
 
 // Coord is a single nonzero in coordinate (COO) format.
@@ -21,35 +19,16 @@ type Coord struct {
 	Val      float64
 }
 
-// CSROf is a sparse matrix in compressed sparse row format, generic over
-// the value type as dense.Of is.
+// CSR is a sparse matrix in compressed sparse row format.
 //
 // RowPtr has length Rows+1; the column indices and values of row i occupy
 // ColIdx[RowPtr[i]:RowPtr[i+1]] and Val[RowPtr[i]:RowPtr[i+1]]. Column
 // indices are strictly increasing within each row.
-type CSROf[T dense.Elem] struct {
+type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
 	ColIdx     []int
-	Val        []T
-}
-
-// CSR is the float64 CSR matrix used by the default training path.
-type CSR = CSROf[float64]
-
-// As returns a in element type T: a itself when T is float64, otherwise a
-// matrix over a's own RowPtr and ColIdx — a CSR is never modified once
-// built, so the structure is shared, not copied — with the values converted
-// through T. It is how a trainer typed in its element takes the adjacency.
-func As[T dense.Elem](a *CSR) *CSROf[T] {
-	if same, ok := any(a).(*CSROf[T]); ok {
-		return same
-	}
-	out := &CSROf[T]{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: make([]T, len(a.Val))}
-	for i, v := range a.Val {
-		out.Val[i] = T(v)
-	}
-	return out
+	Val        []float64
 }
 
 // NewCSR builds a CSR matrix from coordinate entries in O(len(entries) +
@@ -115,10 +94,10 @@ func cursors(ptr []int) []int {
 }
 
 // NNZ returns the number of stored nonzeros.
-func (m *CSROf[T]) NNZ() int { return len(m.Val) }
+func (m *CSR) NNZ() int { return len(m.Val) }
 
 // At returns element (i, j) with a binary search within row i.
-func (m *CSROf[T]) At(i, j int) T {
+func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range for %dx%d", i, j, m.Rows, m.Cols))
 	}
@@ -131,26 +110,26 @@ func (m *CSROf[T]) At(i, j int) T {
 }
 
 // Clone returns a deep copy of m.
-func (m *CSROf[T]) Clone() *CSROf[T] {
-	out := &CSROf[T]{
+func (m *CSR) Clone() *CSR {
+	out := &CSR{
 		Rows:   m.Rows,
 		Cols:   m.Cols,
 		RowPtr: append([]int(nil), m.RowPtr...),
 		ColIdx: append([]int(nil), m.ColIdx...),
-		Val:    append([]T(nil), m.Val...),
+		Val:    append([]float64(nil), m.Val...),
 	}
 	return out
 }
 
 // Transpose returns mᵀ in CSR format using a counting pass (the classic
 // CSR→CSC conversion, reinterpreted).
-func (m *CSROf[T]) Transpose() *CSROf[T] {
-	out := &CSROf[T]{
+func (m *CSR) Transpose() *CSR {
+	out := &CSR{
 		Rows:   m.Cols,
 		Cols:   m.Rows,
 		RowPtr: make([]int, m.Cols+1),
 		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]T, m.NNZ()),
+		Val:    make([]float64, m.NNZ()),
 	}
 	for _, c := range m.ColIdx {
 		out.RowPtr[c+1]++
@@ -172,11 +151,11 @@ func (m *CSROf[T]) Transpose() *CSROf[T] {
 // [c0, c1) re-indexed to local coordinates, as used when distributing a
 // matrix onto a process grid. It counts each row's share first, so the
 // block is allocated once at its final size.
-func (m *CSROf[T]) ExtractBlock(r0, r1, c0, c1 int) *CSROf[T] {
+func (m *CSR) ExtractBlock(r0, r1, c0, c1 int) *CSR {
 	if r0 < 0 || r1 > m.Rows || c0 < 0 || c1 > m.Cols || r0 > r1 || c0 > c1 {
 		panic(fmt.Sprintf("sparse: ExtractBlock [%d:%d, %d:%d] out of range for %dx%d", r0, r1, c0, c1, m.Rows, m.Cols))
 	}
-	out := &CSROf[T]{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int, r1-r0+1)}
+	out := &CSR{Rows: r1 - r0, Cols: c1 - c0, RowPtr: make([]int, r1-r0+1)}
 	span := func(i int) (int, int) {
 		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 		return lo + sort.SearchInts(m.ColIdx[lo:hi], c0), lo + sort.SearchInts(m.ColIdx[lo:hi], c1)
@@ -186,7 +165,7 @@ func (m *CSROf[T]) ExtractBlock(r0, r1, c0, c1 int) *CSROf[T] {
 		out.RowPtr[i-r0+1] = out.RowPtr[i-r0] + end - start
 	}
 	nnz := out.RowPtr[r1-r0]
-	out.ColIdx, out.Val = make([]int, nnz), make([]T, nnz)
+	out.ColIdx, out.Val = make([]int, nnz), make([]float64, nnz)
 	for i := r0; i < r1; i++ {
 		start, end := span(i)
 		p := out.RowPtr[i-r0]
@@ -199,18 +178,18 @@ func (m *CSROf[T]) ExtractBlock(r0, r1, c0, c1 int) *CSROf[T] {
 }
 
 // Scale multiplies all values by alpha in place.
-func (m *CSROf[T]) Scale(alpha T) {
+func (m *CSR) Scale(alpha float64) {
 	for i := range m.Val {
 		m.Val[i] *= alpha
 	}
 }
 
 // RowNNZ returns the number of nonzeros in row i.
-func (m *CSROf[T]) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
+func (m *CSR) RowNNZ(i int) int { return m.RowPtr[i+1] - m.RowPtr[i] }
 
 // AvgDegree returns NNZ/Rows, the average number of nonzeros per row
 // (written d in the paper).
-func (m *CSROf[T]) AvgDegree() float64 {
+func (m *CSR) AvgDegree() float64 {
 	if m.Rows == 0 {
 		return 0
 	}
@@ -219,7 +198,7 @@ func (m *CSROf[T]) AvgDegree() float64 {
 
 // Equal reports whether a and b have identical shape and nonzero structure
 // with values equal within tol.
-func Equal[T dense.Elem](a, b *CSROf[T], tol float64) bool {
+func Equal(a, b *CSR, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols || a.NNZ() != b.NNZ() {
 		return false
 	}
@@ -232,7 +211,7 @@ func Equal[T dense.Elem](a, b *CSROf[T], tol float64) bool {
 		if a.ColIdx[k] != b.ColIdx[k] {
 			return false
 		}
-		d := float64(a.Val[k]) - float64(b.Val[k])
+		d := a.Val[k] - b.Val[k]
 		if d < -tol || d > tol {
 			return false
 		}

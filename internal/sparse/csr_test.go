@@ -10,19 +10,19 @@ import (
 )
 
 // Entries returns all nonzeros in row-major order as coordinate entries.
-func (m *CSROf[T]) Entries() []Coord {
+func (m *CSR) Entries() []Coord {
 	out := make([]Coord, 0, m.NNZ())
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out = append(out, Coord{Row: i, Col: m.ColIdx[k], Val: float64(m.Val[k])})
+			out = append(out, Coord{Row: i, Col: m.ColIdx[k], Val: m.Val[k]})
 		}
 	}
 	return out
 }
 
 // ToDense materializes m as a dense matrix.
-func (m *CSROf[T]) ToDense() *dense.Of[T] {
-	out := dense.NewOf[T](m.Rows, m.Cols)
+func (m *CSR) ToDense() *dense.Matrix {
+	out := dense.New(m.Rows, m.Cols)
 	for i := 0; i < m.Rows; i++ {
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			out.Set(i, m.ColIdx[k], m.Val[k])

@@ -13,7 +13,7 @@ import (
 // occur (the self-loop guarantees degree ≥ 1).
 //
 // It is one O(nnz + n) merge pass over a's rows (whose columns ascend, as
-// CSROf promises): each row is copied with its diagonal entry incremented,
+// CSR promises): each row is copied with its diagonal entry incremented,
 // or inserted in column order where a has none, and then scaled.
 func NormalizeSymmetric(a *CSR) *CSR {
 	if a.Rows != a.Cols {

@@ -16,7 +16,7 @@ import (
 // across the shared worker pool (parallel.SetWorkers; one worker runs it
 // inline), with each output row owned by exactly one worker so the result
 // is bit-identical at every worker count.
-func SpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
+func SpMM(dst *dense.Matrix, a *CSR, x *dense.Matrix) {
 	checkSpMM(dst, a, x, "SpMM")
 	spMM(dst, a, x, false)
 }
@@ -32,12 +32,12 @@ func SpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
 // in the first half of the 8 192-vertex R-MAT analog — so an even row split
 // leaves one worker with most of the product. Rows stay whole, so each
 // output row is still written by one worker in nonzero order.
-func SpMMAdd[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T]) {
+func SpMMAdd(dst *dense.Matrix, a *CSR, x *dense.Matrix) {
 	checkSpMM(dst, a, x, "SpMMAdd")
 	spMM(dst, a, x, true)
 }
 
-func spMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], load bool) {
+func spMM(dst *dense.Matrix, a *CSR, x *dense.Matrix, load bool) {
 	work := SpMMFlops(a, x.Cols)
 	chunks := min(parallel.Workers(), a.Rows)
 	if parallel.Inline(chunks, work) {
@@ -69,7 +69,7 @@ func chunkStart(rowPtr []int, c, chunks int) int {
 // strip of x at a time over the whole range: each output element receives
 // its row's entries in nonzero order — the one-AxpyRow-per-entry loop
 // (RefSpMM), bit for bit, whatever the split.
-func spMMRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, hi int, load bool) {
+func spMMRows(dst *dense.Matrix, a *CSR, x *dense.Matrix, lo, hi int, load bool) {
 	f := x.Cols
 	dense.SpMMRows(dst.Data[lo*f:], f, a.RowPtr[lo:hi+1], a.ColIdx, a.Val, x.Data, f, f, load)
 }
@@ -84,7 +84,7 @@ func spMMRows[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], lo, h
 // This is the kernel behind the overlapped halo trainers' interior/frontier
 // split: interior rows (no remote dependencies) multiply while the halo
 // exchange is in flight, frontier rows after its Wait.
-func SpMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], rows []int) {
+func SpMMAddRowList(dst *dense.Matrix, a *CSR, x *dense.Matrix, rows []int) {
 	checkSpMM(dst, a, x, "SpMMAddRowList")
 	if len(rows) == 0 {
 		return
@@ -102,7 +102,7 @@ func SpMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T],
 // spMMAddRowList is the serial row-list loop, one tile call per run of
 // consecutive listed rows; each listed output row is owned by exactly one
 // worker, so the parallel split stays bit-identical.
-func spMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], rows []int) {
+func spMMAddRowList(dst *dense.Matrix, a *CSR, x *dense.Matrix, rows []int) {
 	for len(rows) > 0 {
 		n := 1
 		for n < len(rows) && rows[n] == rows[0]+n {
@@ -115,7 +115,7 @@ func spMMAddRowList[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T],
 
 // RowListNNZ returns the nonzero count of a restricted to the listed rows —
 // the flop basis the cost model charges for a row-list SpMM.
-func RowListNNZ[T dense.Elem](a *CSROf[T], rows []int) int64 {
+func RowListNNZ(a *CSR, rows []int) int64 {
 	var nnz int64
 	for _, i := range rows {
 		nnz += int64(a.RowPtr[i+1] - a.RowPtr[i])
@@ -125,11 +125,11 @@ func RowListNNZ[T dense.Elem](a *CSROf[T], rows []int) int64 {
 
 // SpMMFlops returns the floating-point operation count of SpMM(a, x): one
 // multiply and one add per (nonzero, dense column) pair.
-func SpMMFlops[T dense.Elem](a *CSROf[T], denseCols int) int64 {
+func SpMMFlops(a *CSR, denseCols int) int64 {
 	return 2 * int64(a.NNZ()) * int64(denseCols)
 }
 
-func checkSpMM[T dense.Elem](dst *dense.Of[T], a *CSROf[T], x *dense.Of[T], op string) {
+func checkSpMM(dst *dense.Matrix, a *CSR, x *dense.Matrix, op string) {
 	if a.Cols != x.Rows {
 		panic(fmt.Sprintf("sparse: %s inner dimension mismatch: %dx%d * %dx%d", op, a.Rows, a.Cols, x.Rows, x.Cols))
 	}

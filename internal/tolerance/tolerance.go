@@ -22,13 +22,13 @@ import (
 // a tolerance bump is never chosen blind. Non-runtime callers usually want
 // AssertClose; Close exists for runtime verdicts (the fault experiment's
 // elastic-resume check) that have no testing.TB.
-func Close[T dense.Elem](name string, got, want *dense.Of[T], maxAbs, maxRel float64) error {
+func Close(name string, got, want *dense.Matrix, maxAbs, maxRel float64) error {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		return fmt.Errorf("%s: shape %dx%d, want %dx%d", name, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	worstI, worstAbs, worstRel := -1, 0.0, 0.0
 	for i := range want.Data {
-		g, w := float64(got.Data[i]), float64(want.Data[i])
+		g, w := got.Data[i], want.Data[i]
 		// Non-finite values satisfy no tolerance: they must match exactly
 		// (same NaN-ness or the same infinity). They also cannot go
 		// through the worst-element tracking — a NaN delta fails every
@@ -76,7 +76,7 @@ func CloseSlice(name string, got, want []float64, maxAbs, maxRel float64) error 
 
 // AssertClose is Close as a test assertion: it fails t with the worst
 // element's report unless got matches want within the bounds.
-func AssertClose[T dense.Elem](t testing.TB, name string, got, want *dense.Of[T], maxAbs, maxRel float64) {
+func AssertClose(t testing.TB, name string, got, want *dense.Matrix, maxAbs, maxRel float64) {
 	t.Helper()
 	if err := Close(name, got, want, maxAbs, maxRel); err != nil {
 		t.Fatalf("%v", err)
