@@ -282,11 +282,11 @@ type TrainReport struct {
 	// WireSamples counts the per-collective measurements behind the fit.
 	WireSamples int
 	// KernelISA names the instruction set the multiply kernels'
-	// accumulation loops ran on in this process: "avx2" (the amd64
-	// assembly routines) or "go" (the portable loops: another GOARCH, a
-	// CPU without AVX2, a build with -tags purego). The two are
-	// bit-identical, so it explains a wall-clock number and nothing else;
-	// it is detected, not selectable.
+	// accumulation loops ran on in this process: "avx512" or "avx2" (the
+	// amd64 assembly routines, the tiles at 512 or 256 bits) or "go" (the
+	// portable loops: another GOARCH, a CPU without AVX2, a build with
+	// -tags purego). All are bit-identical, so it explains a wall-clock
+	// number and nothing else; it is detected, not selectable.
 	KernelISA string
 
 	result *core.Result

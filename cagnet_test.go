@@ -491,10 +491,49 @@ func TestTrainOverlap(t *testing.T) {
 	}
 }
 
+// kernelISAs is every instruction set a TrainReport may name, with
+// whether a build with -tags purego may name it. Any other name is unknown,
+// and fails TestTrainReportsKernelISA.
+var kernelISAs = []struct {
+	isa    string
+	purego bool
+}{
+	{"avx512", false},
+	{"avx2", false},
+	{"go", true},
+}
+
+// kernelISAVerdict judges a reported instruction set against kernelISAs:
+// "ok", "unknown", or "assembly in a purego build".
+func kernelISAVerdict(isa string, purego bool) string {
+	for _, k := range kernelISAs {
+		if k.isa == isa {
+			if purego && !k.purego {
+				return "assembly in a purego build"
+			}
+			return "ok"
+		}
+	}
+	return "unknown"
+}
+
 // TestTrainReportsKernelISA: every algorithm's report says which
-// instruction set the kernels ran on: "avx2" or "go", and "go" when the
-// test binary was built with -tags purego.
+// instruction set the kernels ran on, one kernelISAs knows, and "go" when
+// the test binary was built with -tags purego.
 func TestTrainReportsKernelISA(t *testing.T) {
+	for _, c := range []struct {
+		isa     string
+		purego  bool
+		verdict string
+	}{
+		{"avx512", false, "ok"}, {"avx2", false, "ok"}, {"go", false, "ok"}, {"go", true, "ok"},
+		{"avx512", true, "assembly in a purego build"}, {"avx2", true, "assembly in a purego build"},
+		{"sse2", false, "unknown"}, {"", false, "unknown"},
+	} {
+		if got := kernelISAVerdict(c.isa, c.purego); got != c.verdict {
+			t.Errorf("verdict on %q (purego %v) = %q, want %q", c.isa, c.purego, got, c.verdict)
+		}
+	}
 	ds := RandomDataset(7, 5, 8, 4, 3, 13)
 	ranks := map[string]int{"serial": 1, "1d": 4, "1.5d": 4, "2d": 4, "3d": 8}
 	purego := false
@@ -508,8 +547,8 @@ func TestTrainReportsKernelISA(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		if isa := rep.KernelISA; isa != "avx2" && isa != "go" || purego && isa != "go" {
-			t.Fatalf("%s reports KernelISA %q (built with -tags purego: %v)", algo, isa, purego)
+		if v := kernelISAVerdict(rep.KernelISA, purego); v != "ok" {
+			t.Fatalf("%s reports KernelISA %q: %s (built with -tags purego: %v)", algo, rep.KernelISA, v, purego)
 		}
 	}
 }

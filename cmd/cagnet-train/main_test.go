@@ -220,11 +220,14 @@ func TestValidateFlagsAccepts(t *testing.T) {
 	}
 }
 
-// TestKernelsLine pins the line that says which kernels ran.
+// TestKernelsLine pins the line that says which kernels ran, for each
+// instruction set a report may name.
 func TestKernelsLine(t *testing.T) {
-	got := kernelsLine(&cagnet.TrainReport{KernelISA: "avx2"})
-	if want := "kernels: precision=f64 isa=avx2"; got != want {
-		t.Errorf("got %q, want %q", got, want)
+	for _, isa := range []string{"avx512", "avx2", "go"} {
+		got := kernelsLine(&cagnet.TrainReport{KernelISA: isa})
+		if want := "kernels: precision=f64 isa=" + isa; got != want {
+			t.Errorf("got %q, want %q", got, want)
+		}
 	}
 }
 

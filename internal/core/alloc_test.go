@@ -9,16 +9,16 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file asserts the PR-4 tentpole: after a warm-up epoch has populated
-// the workspaces and the fabric's payload pool, one engine
-// epoch of every trainer performs zero heap allocations.
+// This file asserts that after a warm-up epoch has populated the workspaces
+// and the fabric's payload pool, one engine epoch of every trainer performs
+// zero heap allocations.
 //
-// The tests run on a one-worker pool: a partitioned kernel's pool dispatch
-// heap-allocates its task closures (a bounded handful per kernel call),
-// which is precisely what the parallel.Inline fast paths avoid on one
-// worker. GOMAXPROCS is pinned to 1 by AllocsPerRun
-// itself; the simulated ranks still run as goroutines and exercise the
-// full collective choreography.
+// The distributed tests run on a one-worker pool, where every rank's
+// kernels run inline; the serial test also at two and NumCPU workers, where
+// the pool splits every product (parallel.Dispatcher: no allocation either
+// way). GOMAXPROCS is pinned to 1 by AllocsPerRun itself; the simulated
+// ranks still run as goroutines and exercise the full collective
+// choreography.
 
 // useWorkers sets the shared pool to n workers for the rest of the test or
 // benchmark, restoring the previous count when it ends.
@@ -117,20 +117,26 @@ func allocProblem(t *testing.T, widths []int, seed int64) Problem {
 
 // TestSteadyStateAllocsSerial: the serial trainer's epoch must allocate
 // nothing once the workspace is warm — on both kernel paths, default and
-// reference.
+// reference, and at every worker count: with more than one, every product
+// of the problem is large enough for the pool to split it.
 func TestSteadyStateAllocsSerial(t *testing.T) {
-	useWorkers(t, 1)
 	cases := []struct {
 		name      string
 		reference bool
 		widths    []int
+		workers   int
 	}{
-		{"default", false, nil},
-		{"reference", true, nil},
-		{"multiply-first", false, multiplyFirst},
+		{"default", false, nil, 1},
+		{"reference", true, nil, 1},
+		{"multiply-first", false, multiplyFirst, 1},
+		{"workers-2", false, nil, 2},
+		{"workers-NumCPU", false, nil, runtime.NumCPU()},
+		{"multiply-first-workers-2", false, multiplyFirst, 2},
+		{"multiply-first-workers-NumCPU", false, multiplyFirst, runtime.NumCPU()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			useWorkers(t, tc.workers)
 			epoch := warmSerialEpoch(allocProblem(t, tc.widths, 71), tc.reference)
 			if avg := testing.AllocsPerRun(5, epoch); avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times, want 0", tc.name, avg)

@@ -8,20 +8,28 @@ import (
 	"repro/internal/parallel"
 )
 
-// activationRows dispatches a rowwise activation sweep over z through the
-// shared worker pool. Each row is written by exactly one worker, so parallel
-// execution stays bit-identical to the serial sweep.
-//
-// Kernels call their row-range helper directly when parallel.Inline reports
-// the sweep would run inline anyway; the func literal here escapes to the
-// pool workers and would otherwise heap-allocate on every call.
-func activationRows(z *Matrix, fn func(lo, hi int)) {
-	parallel.Rows(z.Rows, int64(len(z.Data)), fn)
+// activationJob is one activation sweep: sweep(dst, src, z, lo, hi)
+// writes rows [lo, hi) of dst from those of src and z, z of the sweep's
+// shape.
+type activationJob struct {
+	sweep       func(dst, src, z *Matrix, lo, hi int)
+	dst, src, z *Matrix
 }
 
-// activationInline reports whether a sweep over z runs inline.
-func activationInline(z *Matrix) bool {
-	return parallel.Inline(z.Rows, int64(len(z.Data)))
+func (j *activationJob) Rows(lo, hi int) { j.sweep(j.dst, j.src, j.z, lo, hi) }
+
+var activationJobs parallel.Dispatcher[activationJob, *activationJob]
+
+// activationRows runs an activation sweep over z's rows through the shared
+// worker pool. Each row is written by exactly one worker, so parallel
+// execution stays bit-identical to the serial sweep.
+func activationRows(sweep func(dst, src, z *Matrix, lo, hi int), dst, src, z *Matrix) {
+	activationJobs.Run(z.Rows, int64(len(z.Data)), activationJob{sweep, dst, src, z})
+}
+
+// copyRows copies rows [lo, hi) of src, z's shape, into dst.
+func copyRows(dst, src, z *Matrix, lo, hi int) {
+	copy(dst.Data[lo*z.Cols:hi*z.Cols], src.Data[lo*z.Cols:hi*z.Cols])
 }
 
 // Activation is a differentiable elementwise-or-rowwise nonlinearity used
@@ -62,16 +70,10 @@ func (ReLU) RowWise() bool { return false }
 // Forward implements Activation: dst = max(z, 0). dst may alias z.
 func (ReLU) Forward(dst, z *Matrix) {
 	sameShape2(dst, z, "ReLU.Forward")
-	if activationInline(z) {
-		reluForwardRows(dst, z, 0, z.Rows)
-		return
-	}
-	activationRows(z, func(lo, hi int) {
-		reluForwardRows(dst, z, lo, hi)
-	})
+	activationRows(reluForwardRows, dst, z, z)
 }
 
-func reluForwardRows(dst, z *Matrix, lo, hi int) {
+func reluForwardRows(dst, _, z *Matrix, lo, hi int) {
 	i0, i1 := lo*z.Cols, hi*z.Cols
 	reluRow(dst.Data[i0:i1], z.Data[i0:i1])
 }
@@ -81,13 +83,7 @@ func reluForwardRows(dst, z *Matrix, lo, hi int) {
 // the masks are bit-identical.
 func (ReLU) Backward(dst, grad, y *Matrix) {
 	sameShape3(dst, grad, y, "ReLU.Backward")
-	if activationInline(y) {
-		reluBackwardRows(dst, grad, y, 0, y.Rows)
-		return
-	}
-	activationRows(y, func(lo, hi int) {
-		reluBackwardRows(dst, grad, y, lo, hi)
-	})
+	activationRows(reluBackwardRows, dst, grad, y)
 }
 
 func reluBackwardRows(dst, grad, z *Matrix, lo, hi int) {
@@ -147,25 +143,13 @@ func (Identity) RowWise() bool { return false }
 // Forward implements Activation.
 func (Identity) Forward(dst, z *Matrix) {
 	sameShape2(dst, z, "Identity.Forward")
-	if activationInline(z) {
-		copy(dst.Data, z.Data)
-		return
-	}
-	activationRows(z, func(lo, hi int) {
-		copy(dst.Data[lo*z.Cols:hi*z.Cols], z.Data[lo*z.Cols:hi*z.Cols])
-	})
+	activationRows(copyRows, dst, z, z)
 }
 
 // Backward implements Activation.
 func (Identity) Backward(dst, grad, y *Matrix) {
 	sameShape3(dst, grad, y, "Identity.Backward")
-	if activationInline(y) {
-		copy(dst.Data, grad.Data)
-		return
-	}
-	activationRows(y, func(lo, hi int) {
-		copy(dst.Data[lo*y.Cols:hi*y.Cols], grad.Data[lo*y.Cols:hi*y.Cols])
-	})
+	activationRows(copyRows, dst, grad, y)
 }
 
 // LogSoftmax applies log(softmax) along each row, the standard output
@@ -183,13 +167,7 @@ func (LogSoftmax) RowWise() bool { return true }
 // computed with the max-subtraction trick for numerical stability.
 func (LogSoftmax) Forward(dst, z *Matrix) {
 	sameShape2(dst, z, "LogSoftmax.Forward")
-	if activationInline(z) {
-		logSoftmaxLaneRows(dst, z, 0, z.Rows)
-		return
-	}
-	activationRows(z, func(lo, hi int) {
-		logSoftmaxLaneRows(dst, z, lo, hi)
-	})
+	activationRows(logSoftmaxLaneRows, dst, z, z)
 }
 
 // rowLanes is the row-lane log-softmax: four rows at a time, one per vector
@@ -209,7 +187,7 @@ type rowLanes struct {
 // logSoftmaxLaneRows is the forward over rows lo…hi-1: whole groups of four
 // on the lanes, and on the Go loop every group the lanes hand back and the
 // rows after the last whole group.
-func logSoftmaxLaneRows(dst, z *Matrix, lo, hi int) {
+func logSoftmaxLaneRows(dst, _, z *Matrix, lo, hi int) {
 	c, lanes := z.Cols, lanesF64.forward
 	for lanes != nil && c > 0 && hi-lo >= 4 {
 		lo += 4 * lanes(dst.Data[lo*c:hi*c], z.Data[lo*c:hi*c], c)
@@ -261,13 +239,7 @@ func logSumExp(z []float64) float64 {
 // as documented.
 func (LogSoftmax) Backward(dst, grad, y *Matrix) {
 	sameShape3(dst, grad, y, "LogSoftmax.Backward")
-	if activationInline(y) {
-		logSoftmaxBackwardLaneRows(dst, grad, y, 0, y.Rows)
-		return
-	}
-	activationRows(y, func(lo, hi int) {
-		logSoftmaxBackwardLaneRows(dst, grad, y, lo, hi)
-	})
+	activationRows(logSoftmaxBackwardLaneRows, dst, grad, y)
 }
 
 // logSoftmaxBackwardLaneRows is the backward over rows lo…hi-1, split

@@ -13,7 +13,21 @@ var (
 	lanesF64  rowLanes
 )
 
+// tileBody is one implementation of the two register tiles, named by the
+// instruction set it runs on.
+type tileBody struct {
+	isa  string
+	tile tileFunc
+	csr  csrTileFunc
+}
+
+// tileBodies are the tile bodies this process can run: the Go one, then
+// whichever vector bodies the platform file adds for this CPU, widest last.
+// The last one is the one installed.
+var tileBodies = []tileBody{{"go", gemmTile, csrTile}}
+
 // KernelISA names the instruction set the kernels run on in this process:
+// "avx512" (the tiles' AVX-512 bodies beside the other AVX2 routines),
 // "avx2" (the assembly routines) or "go" (the portable loops — every GOARCH
 // but amd64, an x86 without AVX2 and FMA, and any build with -tags purego).
 func KernelISA() string { return kernelISA }

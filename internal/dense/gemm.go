@@ -74,14 +74,7 @@ func MulAddBiasReLU(dst, a, b *Matrix, bias []float64) {
 // mul is the Mul family: dst (+)= a·b, zero scales skipped, then the
 // epilogue.
 func mul(dst, a, b *Matrix, load bool, epi epilogue) {
-	work := gemmFlops(a.Rows, a.Cols, b.Cols)
-	if parallel.Inline(a.Rows, work) {
-		mulRows(dst, a, b.Data, 0, a.Rows, load, true, epi)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulRows(dst, a, b.Data, lo, hi, load, true, epi)
-	})
+	mulJobs.Run(a.Rows, gemmFlops(a.Rows, a.Cols, b.Cols), mulJob{dst, a, b.Data, load, true, epi})
 }
 
 // Blocking of the GEMM drivers around the tile entry: a block of rowBlock
@@ -123,18 +116,30 @@ func (e epilogue) apply(dst *Matrix, lo, hi int) {
 	}
 }
 
-// mulRows computes rows [lo, hi) of dst (+)= a·b through the tile entry,
-// with b given as its a.Cols × dst.Cols row-major data (b itself for Mul,
-// the packed Wᵀ for MulT), then the epilogue of each row block.
-func mulRows(dst, a *Matrix, b []float64, lo, hi int, load, skip bool, epi epilogue) {
+// mulJob is a Mul-family product, dst (+)= a·b, with b given as its
+// a.Cols × dst.Cols row-major data (b itself for Mul, the packed Wᵀ for
+// MulT), scales that are ±0 skipped where skip is set.
+type mulJob struct {
+	dst, a     *Matrix
+	b          []float64
+	load, skip bool
+	epi        epilogue
+}
+
+var mulJobs parallel.Dispatcher[mulJob, *mulJob]
+
+// Rows computes rows [lo, hi) of the product through the tile entry, then
+// the epilogue of each row block.
+func (j *mulJob) Rows(lo, hi int) {
+	dst, a, b := j.dst, j.a, j.b
 	k, m := a.Cols, dst.Cols
 	for i0 := lo; i0 < hi; i0 += rowBlock {
 		i1 := min(i0+rowBlock, hi)
 		for k0 := 0; k0 == 0 || k0 < k; k0 += kBlock {
 			tileF64(dst.Data[i0*m:], m, a.Data[i0*k+k0:], k, 1, b[k0*m:], m,
-				i1-i0, m, min(kBlock, k-k0), load || k0 > 0, skip)
+				i1-i0, m, min(kBlock, k-k0), j.load || k0 > 0, j.skip)
 		}
-		epi.apply(dst, i0, i1)
+		j.epi.apply(dst, i0, i1)
 	}
 }
 
@@ -169,14 +174,7 @@ func mulT(dst, a, b *Matrix, epi epilogue) {
 			bt[kk*b.Rows+j] = v
 		}
 	}
-	work := gemmFlops(a.Rows, a.Cols, b.Rows)
-	if parallel.Inline(a.Rows, work) {
-		mulRows(dst, a, bt, 0, a.Rows, false, false, epi)
-	} else {
-		parallel.Rows(a.Rows, work, func(lo, hi int) {
-			mulRows(dst, a, bt, lo, hi, false, false, epi)
-		})
-	}
+	mulJobs.Run(a.Rows, gemmFlops(a.Rows, a.Cols, b.Rows), mulJob{dst, a, bt, false, false, epi})
 	packs.put(bt)
 }
 
@@ -185,20 +183,19 @@ func mulT(dst, a, b *Matrix, epi epilogue) {
 // and every element takes its terms in ascending row order of a (RefTMul).
 func TMul(dst, a, b *Matrix) {
 	checkTMul(dst, a, b, "TMul")
-	work := gemmFlops(a.Rows, a.Cols, b.Cols)
-	if parallel.Inline(a.Cols, work) {
-		tMulRows(dst, a, b, 0, a.Cols)
-		return
-	}
-	parallel.Rows(a.Cols, work, func(lo, hi int) {
-		tMulRows(dst, a, b, lo, hi)
-	})
+	tMulJobs.Run(a.Cols, gemmFlops(a.Rows, a.Cols, b.Cols), tMulJob{dst, a, b})
 }
 
-// tMulRows computes rows [lo, hi) of dst = aᵀ·b through the tile entry:
-// output row i takes its scales down column i of a (row stride 1, k stride
+// tMulJob is the product dst = aᵀ·b.
+type tMulJob struct{ dst, a, b *Matrix }
+
+var tMulJobs parallel.Dispatcher[tMulJob, *tMulJob]
+
+// Rows computes rows [lo, hi) of dst = aᵀ·b through the tile entry: output
+// row i takes its scales down column i of a (row stride 1, k stride
 // a.Cols), the rows of a and b in blocks of kBlock, each adding to the last.
-func tMulRows(dst, a, b *Matrix, lo, hi int) {
+func (j *tMulJob) Rows(lo, hi int) {
+	dst, a, b := j.dst, j.a, j.b
 	n, m := a.Cols, b.Cols
 	for r0 := 0; r0 == 0 || r0 < a.Rows; r0 += kBlock {
 		tileF64(dst.Data[lo*m:], m, a.Data[r0*n+lo:], 1, n, b.Data[r0*m:], m,
@@ -225,15 +222,16 @@ func MulAddNZ(dst, a, b *Matrix) {
 }
 
 func mulNZ(dst, a, b *Matrix, load bool) {
-	work := gemmFlops(a.Rows, a.Cols, b.Cols)
-	if parallel.Inline(a.Rows, work) {
-		mulNZRows(dst, a, b, 0, a.Rows, load)
-		return
-	}
-	parallel.Rows(a.Rows, work, func(lo, hi int) {
-		mulNZRows(dst, a, b, lo, hi, load)
-	})
+	mulNZJobs.Run(a.Rows, gemmFlops(a.Rows, a.Cols, b.Cols), mulNZJob{dst, a, b, load})
 }
+
+// mulNZJob is the product dst (+)= a·b over a's nonzeros.
+type mulNZJob struct {
+	dst, a, b *Matrix
+	load      bool
+}
+
+var mulNZJobs parallel.Dispatcher[mulNZJob, *mulNZJob]
 
 // nzPanel is how many rows of b, m wide, a product over a's nonzeros
 // multiplies per compacted window: kBlock, or fewer where m is wide, so the
@@ -243,10 +241,11 @@ func mulNZ(dst, a, b *Matrix, load bool) {
 // other.
 func nzPanel(m int) int { return max(1, min(kBlock, nzBlock/max(1, m))) }
 
-// mulNZRows computes rows [lo, hi) of dst (+)= a·b over a's nonzeros with
-// mulRows' k blocking: each panel of columns of a block of rows is
+// Rows computes rows [lo, hi) of dst (+)= a·b over a's nonzeros with
+// mulJob's k blocking: each panel of columns of a block of rows is
 // compacted, then multiplied, the block as tall as one csrBlock holds.
-func mulNZRows(dst, a, b *Matrix, lo, hi int, load bool) {
+func (j *mulNZJob) Rows(lo, hi int) {
+	dst, a, b, load := j.dst, j.a, j.b, j.load
 	blk := nzBlocks.get()
 	k, m := a.Cols, b.Cols
 	panel := nzPanel(m)
@@ -267,20 +266,19 @@ func mulNZRows(dst, a, b *Matrix, lo, hi int, load bool) {
 // dst must not alias a or b and is overwritten.
 func TMulNZ(dst, a, b *Matrix) {
 	checkTMul(dst, a, b, "TMulNZ")
-	work := gemmFlops(a.Rows, a.Cols, b.Cols)
-	if parallel.Inline(a.Cols, work) {
-		tMulNZRows(dst.Data, a, b, 0, a.Cols)
-		return
-	}
-	parallel.Rows(a.Cols, work, func(lo, hi int) {
-		tMulNZRows(dst.Data, a, b, lo, hi)
-	})
+	tMulNZJobs.Run(a.Cols, gemmFlops(a.Rows, a.Cols, b.Cols), tMulNZJob{dst, a, b})
 }
 
-// tMulNZRows computes rows [lo, hi) of aᵀ·b over a's nonzeros into dst,
-// b.Cols wide: output row i takes the entries of column i of a, the rows of
-// a in ascending panels, each compacted into one csrBlock.
-func tMulNZRows(dst []float64, a, b *Matrix, lo, hi int) {
+// tMulNZJob is the product dst = aᵀ·b over a's nonzeros.
+type tMulNZJob struct{ dst, a, b *Matrix }
+
+var tMulNZJobs parallel.Dispatcher[tMulNZJob, *tMulNZJob]
+
+// Rows computes rows [lo, hi) of aᵀ·b over a's nonzeros into dst, b.Cols
+// wide: output row i takes the entries of column i of a, the rows of a in
+// ascending panels, each compacted into one csrBlock.
+func (j *tMulNZJob) Rows(lo, hi int) {
+	dst, a, b := j.dst.Data, j.a, j.b
 	blk := nzBlocks.get()
 	n, m := a.Cols, b.Cols
 	for c0 := lo; c0 < hi; c0 += nzBlock {

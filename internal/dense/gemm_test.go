@@ -193,7 +193,12 @@ func benchOperand(rng *rand.Rand, r, c int, reluZeros bool) *Matrix {
 // nonzeros (a multiply-first layer after a ReLU), TMulByNZ Tᵀ·G over G's
 // nonzeros, transposed from Gᵀ·T (an aggregate-first ReLU layer), each
 // beside the dense product it replaces on the same operands. Every one is
-// 2nkm flops counting the zeros; each must report 0 B/op.
+// 2nkm flops counting the zeros; each must report 0 B/op. It times the
+// installed tile bodies, the ones KernelISA names; to compare two bodies,
+// run it from two builds that install each. This sweep, with 32- and
+// 64-column strips at -test.cpu 1, picked 64 columns for the AVX-512
+// bodies: the same time at widths ≤ 32, where both run the same code, and
+// faster above.
 func BenchmarkGEMM(b *testing.B) {
 	useWorkers(b, 1)
 	for _, s := range gemmBenchShapes {

@@ -2,10 +2,11 @@
 
 package dense
 
-// The strip routines of tile_amd64.s: one column strip of at most four
-// vectors (16 float64) over every row. They take pointers, not
-// slices; tileF64AVX2 and csrTileF64AVX2 check the bounds first and never
-// call them with rows or w zero.
+// The strip routines of tile_amd64.s: one column strip over every row, at
+// most four vectors (16 float64 columns) with AVX2 and eight (64) with
+// AVX-512.
+// They take pointers, not slices; stripTile and stripCSRTile check the
+// bounds first and never call them with rows or w zero.
 
 //go:noescape
 func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool)
@@ -13,53 +14,64 @@ func tileStripF64(dst *float64, ldd int, s *float64, sRow int, sK int, b *float6
 //go:noescape
 func csrStripF64(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
 
-// tileF64AVX2 is the tile entry over tileStripF64: the columns in strips of
-// 16, each one call. A window that does not fit its slices panics before any
-// assembly runs, as the slicing in gemmTile would.
-func tileF64AVX2(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
-	if rows == 0 || cols == 0 {
-		return
-	}
-	if (rows-1)*ldd+cols > len(dst) || k > 0 && ((rows-1)*sRow+(k-1)*sK >= len(s) || (k-1)*ldb+cols > len(b)) {
-		panic("dense: tile window outside its operands")
-	}
-	var sp, bp *float64
-	for c0 := 0; c0 < cols; c0 += 16 {
-		if k > 0 {
-			sp, bp = &s[0], &b[c0]
+//go:noescape
+func tileStripF64AVX512(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool)
+
+//go:noescape
+func csrStripF64AVX512(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool
+
+// stripTile returns the tile entry over a dense strip routine that takes
+// strips of up to width columns: the columns in strips of width, each one
+// call. A window that does not fit its slices panics before any assembly
+// runs, as the slicing in gemmTile would.
+func stripTile(strip func(dst *float64, ldd int, s *float64, sRow int, sK int, b *float64, ldb int, rows int, w int, k int, load bool, skip bool), width int) tileFunc {
+	return func(dst []float64, ldd int, s []float64, sRow, sK int, b []float64, ldb int, rows, cols, k int, load, skip bool) {
+		if rows == 0 || cols == 0 {
+			return
 		}
-		tileStripF64(&dst[c0], ldd, sp, sRow, sK, bp, ldb, rows, min(16, cols-c0), k, load, skip)
+		if (rows-1)*ldd+cols > len(dst) || k > 0 && ((rows-1)*sRow+(k-1)*sK >= len(s) || (k-1)*ldb+cols > len(b)) {
+			panic("dense: tile window outside its operands")
+		}
+		var sp, bp *float64
+		for c0 := 0; c0 < cols; c0 += width {
+			if k > 0 {
+				sp, bp = &s[0], &b[c0]
+			}
+			strip(&dst[c0], ldd, sp, sRow, sK, bp, ldb, rows, min(width, cols-c0), k, load, skip)
+		}
 	}
 }
 
-// csrTileF64AVX2 is the CSR tile entry over csrStripF64, the columns in
-// strips of 16. The dst window is checked here; each entry's index and
-// source row are checked by the strip as it reaches them (against lim and
-// bRows), and an entry outside its operands panics as the slicing in csrTile
-// would.
-func csrTileF64AVX2(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
-	rows := len(ptr) - 1
-	if rows <= 0 || cols == 0 {
-		return
-	}
-	if (rows-1)*ldd+cols > len(dst) {
-		panic("dense: CSR tile window outside its operands")
-	}
-	lim, bRows := min(len(idx), len(val)), 0
-	var ip *int
-	var vp, bp *float64
-	if lim > 0 {
-		ip, vp = &idx[0], &val[0]
-	}
-	if ldb > 0 && len(b) >= cols {
-		bRows = (len(b)-cols)/ldb + 1
-	}
-	for c0 := 0; c0 < cols; c0 += 16 {
-		if bRows > 0 {
-			bp = &b[c0]
+// stripCSRTile returns the CSR tile entry over a CSR strip routine, the
+// columns in strips of width. The dst window is checked here; each entry's
+// index and source row are checked by the strip as it reaches them (against
+// lim and bRows), and an entry outside its operands panics as the slicing
+// in csrTile would.
+func stripCSRTile(strip func(dst *float64, ldd int, ptr *int, idx *int, val *float64, b *float64, ldb int, rows int, w int, lim int, bRows int, load bool) bool, width int) csrTileFunc {
+	return func(dst []float64, ldd int, ptr, idx []int, val, b []float64, ldb, cols int, load bool) {
+		rows := len(ptr) - 1
+		if rows <= 0 || cols == 0 {
+			return
 		}
-		if !csrStripF64(&dst[c0], ldd, &ptr[0], ip, vp, bp, ldb, rows, min(16, cols-c0), lim, bRows, load) {
-			panic("dense: CSR tile entry outside its operands")
+		if (rows-1)*ldd+cols > len(dst) {
+			panic("dense: CSR tile window outside its operands")
+		}
+		lim, bRows := min(len(idx), len(val)), 0
+		var ip *int
+		var vp, bp *float64
+		if lim > 0 {
+			ip, vp = &idx[0], &val[0]
+		}
+		if ldb > 0 && len(b) >= cols {
+			bRows = (len(b)-cols)/ldb + 1
+		}
+		for c0 := 0; c0 < cols; c0 += width {
+			if bRows > 0 {
+				bp = &b[c0]
+			}
+			if !strip(&dst[c0], ldd, &ptr[0], ip, vp, bp, ldb, rows, min(width, cols-c0), lim, bRows, load) {
+				panic("dense: CSR tile entry outside its operands")
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dense
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -14,9 +15,10 @@ import (
 // drivers' k block of 64), and columns 1–21, 31–33, 64, 67 and 256 (every
 // masked tail of one to four vectors, whole strips, several strips). dst
 // sits inside a sentinel-padded buffer; nothing outside it may be written
-// and no source may change. They run on whatever the platform selects — the
-// assembly on an AVX2 host, the Go bodies elsewhere — so a purego build
-// checks the Go bodies against the reference loops.
+// and no source may change. They run once per tile body this process has
+// (eachBody): the Go bodies everywhere, and on amd64 the AVX2 bodies and,
+// where the CPU has AVX-512, the AVX-512 ones, each installed in turn as
+// the kernels' tile entries.
 
 // gemmLayout says where a kernel's scales and B values live for output
 // element (i, j) and k-step kk.
@@ -203,13 +205,14 @@ var (
 	tileCols = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 31, 32, 33, 64, 67, 256}
 )
 
-// testGemmTile runs every kernel at every shape. Alternate cases draw their
+// testGemmTile runs every kernel at every shape of the three lists: n rows,
+// k inner and m columns. Alternate cases draw their
 // operands from a pool half of whose values come from specialBits (±0
 // scales, ±Inf, NaN payloads, subnormals, ±MaxFloat); the others from one of
 // ordinary values, where a NaN cannot hide a change of order. In both the
 // rest are normal draws with one in eight an exact ±0. An operand is the
 // pool read from a random offset.
-func testGemmTile(t *testing.T) {
+func testGemmTile(t *testing.T, rows, ks, cols []int) {
 	rng := rand.New(rand.NewSource(25))
 	special := specialBits()
 	var pools [2][]float64
@@ -227,9 +230,9 @@ func testGemmTile(t *testing.T) {
 		}
 	}
 	c, exactNaNs := 0, 0
-	for _, n := range tileRows {
-		for _, k := range tileKs {
-			for _, m := range tileCols {
+	for _, n := range rows {
+		for _, k := range ks {
+			for _, m := range cols {
 				c++
 				pool := pools[c%2]
 				fill := func(r, cols int) *Matrix {
@@ -251,32 +254,74 @@ func testGemmTile(t *testing.T) {
 }
 
 func TestGemmTileMatchesReference(t *testing.T) {
-	t.Run("float64", func(t *testing.T) { eachWorkerCount(t, testGemmTile) })
+	t.Run("float64", func(t *testing.T) {
+		eachWorkerCount(t, func(t *testing.T) {
+			eachBody(t, func(t *testing.T, _ tileBody) { testGemmTile(t, tileRows, tileKs, tileCols) })
+		})
+	})
 }
 
-// TestTileWindowOutsideOperandsPanics pins the bounds check of whichever
-// tile entries run: a window one element past dst, the scales or B panics,
-// as the slicing in the Go bodies does, instead of reaching past the slice —
-// for the CSR tile also an entry past idx or val, or naming a row past b.
-func TestTileWindowOutsideOperandsPanics(t *testing.T) {
+// tileISAs is the closed table of tile bodies: every instruction set a
+// tileBody of this repository is written for. cpuReports (cpu_*_test.go)
+// says which of them this CPU and build must run.
+var tileISAs = []string{"go", "avx2", "avx512"}
+
+// useBody installs body as the kernels' tile entries until the returned
+// function restores the ones before it.
+func useBody(body tileBody) (restore func()) {
 	tile, csr := tileF64, csrF64
-	dst, s, b := make([]float64, 2*5), make([]float64, 2*3), make([]float64, 3*5)
-	ptr, idx, val := []int{0, 2, 3}, []int{0, 2, 1}, []float64{1, 2, 3}
-	for name, call := range map[string]func(){
-		"dst":        func() { tile(dst[:9:9], 5, s, 3, 1, b, 5, 2, 5, 3, true, false) },
-		"scales":     func() { tile(dst, 5, s[:5:5], 3, 1, b, 5, 2, 5, 3, true, false) },
-		"b":          func() { tile(dst, 5, s, 3, 1, b[:14:14], 5, 2, 5, 3, true, false) },
-		"csr dst":    func() { csr(dst[:9:9], 5, ptr, idx, val, b, 5, 5, true) },
-		"csr idx":    func() { csr(dst, 5, []int{0, 2, 4}, idx, val, b, 5, 5, true) },
-		"csr val":    func() { csr(dst, 5, ptr, idx, val[:2:2], b, 5, 5, true) },
-		"csr b row":  func() { csr(dst, 5, ptr, idx, val, b[:14:14], 5, 5, true) },
-		"csr b rows": func() { csr(dst, 5, ptr, []int{0, 3, 1}, val, b, 5, 5, true) },
-	} {
-		func() {
-			defer mustPanic(t, name)
-			call()
-		}()
+	tileF64, csrF64 = body.tile, body.csr
+	return func() { tileF64, csrF64 = tile, csr }
+}
+
+// eachBody runs test once per tile body this process has, installed as the
+// kernels' tile entries, as a subtest named by its instruction set. It fails
+// if a body outside tileISAs is there, or if the CPU reports an instruction
+// set whose body did not run.
+func eachBody(t *testing.T, test func(t *testing.T, body tileBody)) {
+	t.Helper()
+	ran := map[string]bool{}
+	for _, body := range tileBodies {
+		if !slices.Contains(tileISAs, body.isa) {
+			t.Fatalf("tile body %q is not in the closed table %v", body.isa, tileISAs)
+		}
+		restore := useBody(body)
+		t.Run(body.isa, func(t *testing.T) { test(t, body) })
+		ran[body.isa] = true
+		restore()
 	}
+	for _, isa := range tileISAs {
+		if cpuReports(isa) && !ran[isa] {
+			t.Errorf("the CPU reports %s, but its tile body did not run", isa)
+		}
+	}
+}
+
+// TestTileWindowOutsideOperandsPanics pins the bounds check of every tile
+// body: a window one element past dst, the scales or B panics, as the
+// slicing in the Go bodies does, instead of reaching past the slice — for
+// the CSR tile also an entry past idx or val, or naming a row past b.
+func TestTileWindowOutsideOperandsPanics(t *testing.T) {
+	eachBody(t, func(t *testing.T, body tileBody) {
+		tile, csr := body.tile, body.csr
+		dst, s, b := make([]float64, 2*5), make([]float64, 2*3), make([]float64, 3*5)
+		ptr, idx, val := []int{0, 2, 3}, []int{0, 2, 1}, []float64{1, 2, 3}
+		for name, call := range map[string]func(){
+			"dst":        func() { tile(dst[:9:9], 5, s, 3, 1, b, 5, 2, 5, 3, true, false) },
+			"scales":     func() { tile(dst, 5, s[:5:5], 3, 1, b, 5, 2, 5, 3, true, false) },
+			"b":          func() { tile(dst, 5, s, 3, 1, b[:14:14], 5, 2, 5, 3, true, false) },
+			"csr dst":    func() { csr(dst[:9:9], 5, ptr, idx, val, b, 5, 5, true) },
+			"csr idx":    func() { csr(dst, 5, []int{0, 2, 4}, idx, val, b, 5, 5, true) },
+			"csr val":    func() { csr(dst, 5, ptr, idx, val[:2:2], b, 5, 5, true) },
+			"csr b row":  func() { csr(dst, 5, ptr, idx, val, b[:14:14], 5, 5, true) },
+			"csr b rows": func() { csr(dst, 5, ptr, []int{0, 3, 1}, val, b, 5, 5, true) },
+		} {
+			func() {
+				defer mustPanic(t, name)
+				call()
+			}()
+		}
+	})
 }
 
 // fuzzGemmOperands builds a kernel's operands from raw fuzz input, every
@@ -310,9 +355,13 @@ func FuzzGemmTile(f *testing.F) {
 	f.Add(uint8(2), uint8(2), uint8(33), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, n, k, m uint8, data []byte) {
 		rows, inner, cols := int(n%10), int(k%140), int(m%70)+1
-		for _, kn := range gemmKernels() {
-			o, before := fuzzGemmOperands(kn, rows, inner, cols, data)
-			compareGemm(t, "float64", kn, o, before)
+		for _, body := range tileBodies {
+			restore := useBody(body)
+			for _, kn := range gemmKernels() {
+				o, before := fuzzGemmOperands(kn, rows, inner, cols, data)
+				compareGemm(t, body.isa, kn, o, before)
+			}
+			restore()
 		}
 	})
 }
@@ -366,57 +415,44 @@ type csrCase struct {
 	ldd, padded int
 }
 
-// compareCSR runs the Go body and the selected tile on c and fails unless
-// both match the model — the vector body exactly, the Go body up to the
-// payload where two NaNs meet — and neither writes outside its window (the
-// gaps between rows included) or to a source. It returns how many NaN
-// results matched payload for payload.
-func compareCSR(t testing.TB, label string, c csrCase) (exactNaNs int) {
+// compareCSR runs body's CSR tile on c and fails unless it matches the
+// model — a vector body exactly, the Go body up to the payload where two
+// NaNs meet — and writes nothing outside its window (the gaps between rows
+// included) or to a source. It returns how many NaN results matched
+// payload for payload.
+func compareCSR(t testing.TB, label string, body tileBody, c csrCase) (exactNaNs int) {
 	t.Helper()
 	const pad = 5
 	sentinel := fromBits(0x7ff4_dead_beef_0001)
 	rows := len(c.ptr) - 1
 	idx, val, b := append([]int(nil), c.idx...), append([]float64(nil), c.val...), append([]float64(nil), c.b...)
-	bodies := []struct {
-		name   string
-		tile   csrTileFunc
-		strict bool
-	}{{"Go body", csrTile, false}}
-	if KernelISA() != "go" {
-		bodies = append(bodies, struct {
-			name   string
-			tile   csrTileFunc
-			strict bool
-		}{"vector body", csrF64, true})
+	strict := body.isa != "go"
+	buf := make([]float64, pad+len(c.dst)+pad)
+	for i := range buf {
+		buf[i] = sentinel
 	}
-	for _, body := range bodies {
-		buf := make([]float64, pad+len(c.dst)+pad)
-		for i := range buf {
-			buf[i] = sentinel
+	copy(buf[pad:], c.dst)
+	body.csr(buf[pad:pad+len(c.dst)], c.ldd, c.ptr, c.idx, c.val, c.b, c.ldb, c.cols, c.load)
+	for w, got := range buf {
+		e := w - pad
+		r, col := e/max(c.ldd, 1), e%max(c.ldd, 1)
+		if e < 0 || e >= len(c.dst) || col >= c.cols || r >= rows {
+			if toBits(got) != toBits(sentinel) && (e < 0 || e >= len(c.dst) || toBits(got) != toBits(c.dst[e])) {
+				t.Fatalf("%s %s: wrote %v at word %d, outside the window", label, body.isa, got, w)
+			}
+			continue
 		}
-		copy(buf[pad:], c.dst)
-		body.tile(buf[pad:pad+len(c.dst)], c.ldd, c.ptr, c.idx, c.val, c.b, c.ldb, c.cols, c.load)
-		for w, got := range buf {
-			e := w - pad
-			r, col := e/max(c.ldd, 1), e%max(c.ldd, 1)
-			if e < 0 || e >= len(c.dst) || col >= c.cols || r >= rows {
-				if toBits(got) != toBits(sentinel) && (e < 0 || e >= len(c.dst) || toBits(got) != toBits(c.dst[e])) {
-					t.Fatalf("%s %s: wrote %v at word %d, outside the window", label, body.name, got, w)
-				}
-				continue
+		want, twoNaNs := csrModel(c, r, col, c.dst[e])
+		if toBits(got) == toBits(want) {
+			if got != got {
+				exactNaNs++
 			}
-			want, twoNaNs := csrModel(c, r, col, c.dst[e])
-			if toBits(got) == toBits(want) {
-				if got != got {
-					exactNaNs++
-				}
-				continue
-			}
-			if !body.strict && twoNaNs && got != got && want != want {
-				continue
-			}
-			t.Fatalf("%s %s: dst(%d,%d) = %#x (%v), model %#x (%v)", label, body.name, r, col, toBits(got), got, toBits(want), want)
+			continue
 		}
+		if !strict && twoNaNs && got != got && want != want {
+			continue
+		}
+		t.Fatalf("%s %s: dst(%d,%d) = %#x (%v), model %#x (%v)", label, body.isa, r, col, toBits(got), got, toBits(want), want)
 	}
 	for i := range idx {
 		if idx[i] != c.idx[i] || toBits(val[i]) != toBits(c.val[i]) {
@@ -435,7 +471,16 @@ func compareCSR(t testing.TB, label string, c csrCase) (exactNaNs int) {
 // vectors, whole strips, two strips) and 64 and 256, rows of 0, 1, 3, 4, 5
 // and 70 entries, load on and off, with half the values from specialBits:
 // ±0 (applied, not skipped), ±Inf, NaN payloads, subnormals, ±MaxFloat.
-func testTileCSR(t *testing.T) {
+func testTileCSR(t *testing.T, body tileBody) {
+	widths := []int{64, 256}
+	for w := 1; w <= 40; w++ {
+		widths = append(widths, w)
+	}
+	testTileCSRWidths(t, body, widths)
+}
+
+// testTileCSRWidths is testTileCSR at the given widths.
+func testTileCSRWidths(t *testing.T, body tileBody, widths []int) {
 	rng := rand.New(rand.NewSource(28))
 	special := specialBits()
 	value := func() float64 {
@@ -445,10 +490,6 @@ func testTileCSR(t *testing.T) {
 		return rng.NormFloat64()
 	}
 	entries := []int{0, 1, 3, 4, 5, 70, 0, 4}
-	widths := []int{64, 256}
-	for w := 1; w <= 40; w++ {
-		widths = append(widths, w)
-	}
 	exactNaNs := 0
 	for _, cols := range widths {
 		for _, load := range []bool{false, true} {
@@ -470,7 +511,7 @@ func testTileCSR(t *testing.T) {
 			for i := range c.dst {
 				c.dst[i] = value()
 			}
-			exactNaNs += compareCSR(t, fmt.Sprintf("cols=%d load=%v", cols, load), c)
+			exactNaNs += compareCSR(t, fmt.Sprintf("cols=%d load=%v", cols, load), body, c)
 		}
 	}
 	if exactNaNs == 0 {
@@ -479,7 +520,24 @@ func testTileCSR(t *testing.T) {
 }
 
 func TestTileCSRMatchesGo(t *testing.T) {
-	t.Run("float64", testTileCSR)
+	t.Run("float64", func(t *testing.T) { eachBody(t, testTileCSR) })
+}
+
+// TestTileWideStripsMatchReference covers the strips of five to eight
+// vectors the AVX-512 bodies add (64 columns to a strip), which the two
+// tests above reach only at 33–40 columns and whole 64-column strips: every
+// width 41–63 and 65–66 (a second strip), for both tiles, on every body.
+func TestTileWideStripsMatchReference(t *testing.T) {
+	var cols []int
+	for m := 41; m <= 66; m++ {
+		if m != 64 {
+			cols = append(cols, m)
+		}
+	}
+	eachBody(t, func(t *testing.T, body tileBody) {
+		testGemmTile(t, []int{1, 2, 3}, []int{0, 1, 5, 65}, cols)
+		testTileCSRWidths(t, body, cols)
+	})
 }
 
 // fuzzCSRCase builds a CSR tile call from raw fuzz input: the shape from
@@ -528,6 +586,9 @@ func FuzzTileCSR(f *testing.F) {
 	f.Add(uint8(2), uint8(40), uint8(7), true, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, rows, cols, bRows uint8, load bool, data []byte) {
 		n, m, k := int(rows%9), int(cols%70)+1, int(bRows%12)+1
-		compareCSR(t, "float64", fuzzCSRCase(n, m, k, load, data))
+		c := fuzzCSRCase(n, m, k, load, data)
+		for _, body := range tileBodies {
+			compareCSR(t, "float64", body, c)
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 )
 
@@ -52,29 +53,65 @@ func EnterRanks(p int) (leave func()) {
 	return func() { activeRanks.Add(-int64(p)) }
 }
 
-// Inline reports whether a Rows call with the same arguments would run its
-// function inline on the calling goroutine (a one-worker pool, tiny
-// kernels, or a pool fully divided among simulated ranks).
-//
-// Hot kernels check Inline first and call their row-range helper directly
-// when it returns true: a func literal passed to Rows escapes to the pool
-// workers and is therefore heap-allocated at every call site, even when the
-// dispatch ends up inline. The explicit fast path keeps the steady-state
-// training epoch allocation-free on one worker.
+// Inline reports whether a Run call with the same arguments would run its
+// kernel inline on the calling goroutine (a one-worker pool, tiny kernels,
+// or a pool fully divided among simulated ranks).
 func Inline(rows int, work int64) bool {
 	return rows <= 1 || work < minParallelWork || pool.Load().effective() <= 1
 }
 
-// Rows runs fn over row ranges covering [0, rows). Unless Inline holds, the
+// Run runs k over row ranges covering [0, rows). Unless Inline holds, the
 // range is split into contiguous chunks across the shared pool; otherwise
-// fn(0, rows) runs inline. Each row belongs to exactly one chunk, so a
+// k.Rows(0, rows) runs inline. Each row belongs to exactly one chunk, so a
 // kernel whose per-row computation order matches its serial loop produces
-// bit-identical output at every worker count.
-func Rows(rows int, work int64, fn func(lo, hi int)) {
+// bit-identical output at every worker count. The dispatch allocates
+// nothing; a k that is a pointer converts to a Kernel without allocating.
+func Run(rows int, work int64, k Kernel) {
 	if Inline(rows, work) {
-		fn(0, rows)
+		k.Rows(0, rows)
 		return
 	}
 	p := pool.Load()
-	p.For(rows, p.effective(), fn)
+	p.For(rows, p.effective(), k)
+}
+
+// Rows is Run over a function. A func literal that captures variables is
+// heap-allocated wherever it is passed to Rows, inline or not; the hot
+// kernels use a Dispatcher instead.
+func Rows(rows int, work int64, fn func(lo, hi int)) {
+	Run(rows, work, RowFunc(fn))
+}
+
+// Dispatcher runs one kind of kernel over the shared pool, a K describing
+// each call: its arguments, with Rows (on *K) the kernel. Run copies them
+// into a descriptor from the Dispatcher's free list and returns it there
+// afterwards, so a kernel run through a package-level Dispatcher allocates
+// nothing once as many descriptors exist as calls were ever in flight at
+// once. The zero value is ready to use.
+type Dispatcher[K any, P interface {
+	*K
+	Kernel
+}] struct {
+	mu   sync.Mutex
+	free []*K
+}
+
+// Run runs the kernel args describes over row ranges covering [0, rows),
+// as the package-level Run does.
+func (d *Dispatcher[K, P]) Run(rows int, work int64, args K) {
+	d.mu.Lock()
+	var k *K
+	if n := len(d.free); n > 0 {
+		k, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		k = new(K)
+	}
+	d.mu.Unlock()
+	*k = args
+	Run(rows, work, P(k))
+	var zero K
+	*k = zero
+	d.mu.Lock()
+	d.free = append(d.free, k)
+	d.mu.Unlock()
 }

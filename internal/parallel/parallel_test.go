@@ -21,14 +21,14 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 		p := NewPool(w)
 		for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 			visits := make([]int32, n)
-			p.For(n, w, func(lo, hi int) {
+			p.For(n, w, RowFunc(func(lo, hi int) {
 				if lo > hi || lo < 0 || hi > n {
 					t.Errorf("w=%d n=%d: bad chunk [%d,%d)", w, n, lo, hi)
 				}
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&visits[i], 1)
 				}
-			})
+			}))
 			for i, v := range visits {
 				if v != 1 {
 					t.Fatalf("w=%d n=%d: item %d visited %d times", w, n, i, v)
@@ -40,18 +40,18 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 }
 
 // TestNestedForCompletes checks that For calls issued from inside pool tasks
-// complete without deadlock (the waiter helps drain the queue).
+// complete without deadlock (a call runs the chunks no idle worker takes).
 func TestNestedForCompletes(t *testing.T) {
 	p := NewPool(4)
 	defer p.stop()
 	var count atomic.Int64
-	p.For(8, 4, func(lo, hi int) {
+	p.For(8, 4, RowFunc(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.For(100, 4, func(nlo, nhi int) {
+			p.For(100, 4, RowFunc(func(nlo, nhi int) {
 				count.Add(int64(nhi - nlo))
-			})
+			}))
 		}
-	})
+	}))
 	if got := count.Load(); got != 800 {
 		t.Fatalf("nested For visited %d items, want 800", got)
 	}
@@ -165,16 +165,16 @@ func TestForPanicPropagates(t *testing.T) {
 					t.Fatalf("unexpected panic value %v", r)
 				}
 			}()
-			p.For(100, 4, func(lo, hi int) {
+			p.For(100, 4, RowFunc(func(lo, hi int) {
 				if lo >= 50 {
 					panic("kernel blew up")
 				}
-			})
+			}))
 		}()
 	}
 	// The pool must still complete normal work after a panicking call.
 	var count atomic.Int64
-	p.For(100, 4, func(lo, hi int) { count.Add(int64(hi - lo)) })
+	p.For(100, 4, RowFunc(func(lo, hi int) { count.Add(int64(hi - lo)) }))
 	if count.Load() != 100 {
 		t.Fatalf("pool broken after panic: visited %d items, want 100", count.Load())
 	}

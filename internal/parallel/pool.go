@@ -23,19 +23,42 @@
 // existed.
 package parallel
 
-import (
-	"sync/atomic"
-)
+// Kernel is a computation over the rows of its output: Rows(lo, hi)
+// computes rows [lo, hi) and writes no other row.
+type Kernel interface {
+	Rows(lo, hi int)
+}
 
-// Pool is a reusable fixed-size worker pool executing row-range tasks.
+// RowFunc is a function as a Kernel.
+type RowFunc func(lo, hi int)
+
+// Rows calls f.
+func (f RowFunc) Rows(lo, hi int) { f(lo, hi) }
+
+// Pool is a reusable fixed-size worker pool executing row-range chunks.
 //
-// The pool never deadlocks on nested For calls: a goroutine waiting for its
-// chunks to finish helps drain the shared task queue, so queued work always
-// has at least one goroutine able to run it.
+// Every background worker has one slot, allocated with the pool: a For call
+// claims idle slots, places a chunk in each and wakes its worker, so
+// dispatch allocates nothing. A chunk no idle worker can take runs on the
+// calling goroutine, so For never waits for a busy worker and nested For
+// calls cannot deadlock.
 type Pool struct {
 	workers int
-	tasks   chan func()
-	quit    chan struct{}
+	slots   []slot
+}
+
+// slot is one background worker's hand-off. idle holds a token while no For
+// call has claimed the slot; the claimer sets k, lo and hi and sends on
+// wake, the worker runs the chunk and sends on done what it panicked with
+// (nil if nothing), and the claimer, having received it, puts the token
+// back. next links the slots one For call has claimed.
+type slot struct {
+	idle   chan struct{}
+	wake   chan struct{}
+	done   chan any
+	k      Kernel
+	lo, hi int
+	next   *slot
 }
 
 // NewPool returns a pool that executes up to workers chunks concurrently.
@@ -45,13 +68,12 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{
-		workers: workers,
-		tasks:   make(chan func(), 4*workers),
-		quit:    make(chan struct{}),
-	}
-	for i := 0; i < workers-1; i++ {
-		go p.worker()
+	p := &Pool{workers: workers, slots: make([]slot, workers-1)}
+	for i := range p.slots {
+		s := &p.slots[i]
+		s.idle, s.wake, s.done = make(chan struct{}, 1), make(chan struct{}, 1), make(chan any, 1)
+		s.idle <- struct{}{}
+		go s.serve()
 	}
 	return p
 }
@@ -59,20 +81,31 @@ func NewPool(workers int) *Pool {
 // Workers returns the pool's concurrency, including the calling goroutine.
 func (p *Pool) Workers() int { return p.workers }
 
-func (p *Pool) worker() {
-	for {
-		select {
-		case t := <-p.tasks:
-			t()
-		case <-p.quit:
-			return
-		}
+func (s *slot) serve() {
+	for range s.wake {
+		s.done <- run(s.k, s.lo, s.hi)
 	}
 }
 
-// stop signals background workers to exit once idle. Tasks still queued are
-// drained by the For callers that own them, so no work is lost.
-func (p *Pool) stop() { close(p.quit) }
+// run runs k over [lo, hi) and returns what it panicked with, or nil.
+func run(k Kernel, lo, hi int) (panicked any) {
+	defer func() { panicked = recover() }()
+	k.Rows(lo, hi)
+	return nil
+}
+
+// stop ends the background workers without waiting for them: each ends
+// once the For call holding its slot, if any, has finished with it. For
+// calls that find no idle slot run their chunks themselves, so calls still
+// in flight on a stopped pool complete.
+func (p *Pool) stop() {
+	go func() {
+		for i := range p.slots {
+			<-p.slots[i].idle
+			close(p.slots[i].wake)
+		}
+	}()
+}
 
 // effective returns how many chunks a For call should use given the number
 // of concurrently simulated ranks registered via EnterRanks.
@@ -94,59 +127,59 @@ func chunkRange(n, w, c int) (lo, hi int) {
 	return c * n / w, (c + 1) * n / w
 }
 
-// For partitions [0, n) into w contiguous chunks (capped at n) and runs fn
-// on each, returning when all chunks are done. fn must treat its range as
+// For partitions [0, n) into w contiguous chunks (capped at n) and runs k
+// on each, returning when all chunks are done. k must treat its range as
 // exclusively owned; chunks for distinct ranges run concurrently.
 //
-// The caller executes chunk 0 itself and then helps drain the shared queue
-// while waiting, so For is safe to call from inside a pool task. A panic in
-// any chunk is captured and re-raised on the calling goroutine once all
-// chunks have finished, so callers (e.g. the per-rank recover in
-// comm.Cluster.Run) observe it exactly as they would from a serial kernel.
-func (p *Pool) For(n, w int, fn func(lo, hi int)) {
+// Chunks 1 … w-1 go to idle workers as far as there are any; the caller
+// runs chunk 0 and every chunk left over, then waits for the workers it
+// woke. A panic in any chunk is captured and re-raised on the calling
+// goroutine once all chunks have finished, so callers (e.g. the per-rank
+// recover in comm.Cluster.Run) observe it exactly as they would from a
+// serial kernel.
+func (p *Pool) For(n, w int, k Kernel) {
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
-		fn(0, n)
+		k.Rows(0, n)
 		return
 	}
-	var pending atomic.Int32
-	pending.Store(int32(w))
-	var panicked atomic.Pointer[any]
-	done := make(chan struct{})
-	runChunk := func(lo, hi int) {
-		defer func() {
-			if r := recover(); r != nil {
-				panicked.CompareAndSwap(nil, &r)
-			}
-			if pending.Add(-1) == 0 {
-				close(done)
-			}
-		}()
-		fn(lo, hi)
-	}
-	for c := 1; c < w; c++ {
-		lo, hi := chunkRange(n, w, c)
-		task := func() { runChunk(lo, hi) }
-		select {
-		case p.tasks <- task:
-		default:
-			// Queue full: run the chunk inline rather than block.
-			task()
+	var claimed *slot
+	c := 1
+	for i := range p.slots {
+		if c == w {
+			break
 		}
+		s := &p.slots[i]
+		select {
+		case <-s.idle:
+		default:
+			continue
+		}
+		s.k, s.next, claimed = k, claimed, s
+		s.lo, s.hi = chunkRange(n, w, c)
+		s.wake <- struct{}{}
+		c++
 	}
 	lo, hi := chunkRange(n, w, 0)
-	runChunk(lo, hi)
-	for {
-		select {
-		case t := <-p.tasks:
-			t()
-		case <-done:
-			if r := panicked.Load(); r != nil {
-				panic(*r)
-			}
-			return
+	first := run(k, lo, hi)
+	for ; c < w; c++ {
+		lo, hi = chunkRange(n, w, c)
+		if r := run(k, lo, hi); first == nil {
+			first = r
 		}
+	}
+	for s := claimed; s != nil; {
+		r, next := <-s.done, s.next
+		if first == nil {
+			first = r
+		}
+		s.k, s.next = nil, nil
+		s.idle <- struct{}{}
+		s = next
+	}
+	if first != nil {
+		panic(first)
 	}
 }

@@ -38,15 +38,25 @@ func SpMMAdd(dst *dense.Matrix, a *CSR, x *dense.Matrix) {
 }
 
 func spMM(dst *dense.Matrix, a *CSR, x *dense.Matrix, load bool) {
-	work := SpMMFlops(a, x.Cols)
 	chunks := min(parallel.Workers(), a.Rows)
-	if parallel.Inline(chunks, work) {
-		spMMRows(dst, a, x, 0, a.Rows, load)
-		return
-	}
-	parallel.Rows(chunks, work, func(lo, hi int) {
-		spMMRows(dst, a, x, chunkStart(a.RowPtr, lo, chunks), chunkStart(a.RowPtr, hi, chunks), load)
-	})
+	spMMJobs.Run(chunks, SpMMFlops(a, x.Cols), spMMJob{dst, a, x, load, chunks})
+}
+
+// spMMJob is the product dst (+)= a·x over chunks near-equal shares of a's
+// nonzeros.
+type spMMJob struct {
+	dst    *dense.Matrix
+	a      *CSR
+	x      *dense.Matrix
+	load   bool
+	chunks int
+}
+
+var spMMJobs parallel.Dispatcher[spMMJob, *spMMJob]
+
+// Rows computes the rows of chunks [lo, hi).
+func (j *spMMJob) Rows(lo, hi int) {
+	spMMRows(j.dst, j.a, j.x, chunkStart(j.a.RowPtr, lo, j.chunks), chunkStart(j.a.RowPtr, hi, j.chunks), j.load)
 }
 
 // chunkStart returns the first row of chunk c when the rows of a matrix
@@ -89,20 +99,24 @@ func SpMMAddRowList(dst *dense.Matrix, a *CSR, x *dense.Matrix, rows []int) {
 	if len(rows) == 0 {
 		return
 	}
-	work := 2 * RowListNNZ(a, rows) * int64(x.Cols)
-	if parallel.Inline(len(rows), work) {
-		spMMAddRowList(dst, a, x, rows)
-		return
-	}
-	parallel.Rows(len(rows), work, func(lo, hi int) {
-		spMMAddRowList(dst, a, x, rows[lo:hi])
-	})
+	rowListJobs.Run(len(rows), 2*RowListNNZ(a, rows)*int64(x.Cols), rowListJob{dst, a, x, rows})
 }
 
-// spMMAddRowList is the serial row-list loop, one tile call per run of
-// consecutive listed rows; each listed output row is owned by exactly one
-// worker, so the parallel split stays bit-identical.
-func spMMAddRowList(dst *dense.Matrix, a *CSR, x *dense.Matrix, rows []int) {
+// rowListJob is the product dst[i] += (a·x)[i] over the listed rows.
+type rowListJob struct {
+	dst  *dense.Matrix
+	a    *CSR
+	x    *dense.Matrix
+	rows []int
+}
+
+var rowListJobs parallel.Dispatcher[rowListJob, *rowListJob]
+
+// Rows is the serial row-list loop over the listed rows [lo, hi), one tile
+// call per run of consecutive listed rows; each listed output row is owned
+// by exactly one worker, so the parallel split stays bit-identical.
+func (j *rowListJob) Rows(lo, hi int) {
+	dst, a, x, rows := j.dst, j.a, j.x, j.rows[lo:hi]
 	for len(rows) > 0 {
 		n := 1
 		for n < len(rows) && rows[n] == rows[0]+n {
