@@ -272,14 +272,16 @@ type TrainReport struct {
 	// machine profile.
 	MeasuredSeconds float64
 	// FittedAlpha and FittedBeta are the per-message and per-word costs
-	// least-squares-fitted from the measured per-collective wire samples
-	// (t ≈ α·msgs + β·words, costmodel.FitAlphaBeta) over the "tcp"
-	// transport. They describe the fabric the run actually experienced —
-	// including synchronization skew — and stay zero when the transport
-	// records no samples or the fit is degenerate.
+	// least-squares-fitted (t ≈ α·msgs + β·words, comm.WireSums.Fit) over
+	// the "tcp" transport from the sums Σm², Σw², Σmw, Σmt and Σwt of every
+	// rank's wire samples: per collective call, the messages m and words w
+	// it moved and its wall seconds t. They describe the fabric the run
+	// actually experienced — including synchronization skew — and stay
+	// zero when the fit is degenerate (too few or collinear samples).
 	FittedAlpha float64
 	FittedBeta  float64
-	// WireSamples counts the per-collective measurements behind the fit.
+	// WireSamples is the sample count n behind those sums: the collective
+	// calls that moved data, summed over every rank.
 	WireSamples int
 	// KernelISA names the instruction set the multiply kernels'
 	// accumulation loops ran on in this process: "avx512" or "avx2" (the
@@ -371,9 +373,9 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	}
 	// The transport chooses which cluster hosts the ranks, not how they are
 	// trained: the trainer builds its own channel fabric unless handed a
-	// world of loopback-socket endpoints, which also meter the wire.
+	// world of loopback-socket endpoints.
 	if opts.Transport != "tcp" {
-		return train(opts, trainer, problem, order, nil, nil)
+		return train(opts, trainer, problem, order, nil)
 	}
 	comms, err := comm.LocalTCPComms(opts.Ranks, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
 	if err != nil {
@@ -381,11 +383,7 @@ func Train(ds *graph.Dataset, opts TrainOptions) (*TrainReport, error) {
 	}
 	cl := comm.ClusterOf(comms...)
 	defer cl.Close()
-	meters := make([]*comm.Meter, len(comms))
-	for i, c := range comms {
-		meters[i] = c.EnableMetering()
-	}
-	return train(opts, trainer, problem, order, cl, meters)
+	return train(opts, trainer, problem, order, cl)
 }
 
 // TrainRank runs this process's one rank of a multi-process world over tr,
@@ -413,8 +411,7 @@ func TrainRank(ds *graph.Dataset, opts TrainOptions, tr comm.Transport) (*TrainR
 		return nil, err
 	}
 	c := comm.NewTransportComm(tr, comm.CostParams{Alpha: mach.Alpha, Beta: mach.Beta})
-	meter := c.EnableMetering()
-	return train(opts, trainer, problem, order, comm.ClusterOf(c), []*comm.Meter{meter})
+	return train(opts, trainer, problem, order, comm.ClusterOf(c))
 }
 
 // problem is the training problem the options make of ds, with the row
@@ -437,8 +434,8 @@ func (o TrainOptions) problem(ds *graph.Dataset, trainer core.Trainer) (problem 
 
 // train is Train's and TrainRank's one body: cl is the cluster that hosts
 // this process's ranks (nil: the trainer's own channel fabric of all of
-// them) and meters time their wire.
-func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order []int, cl *comm.Cluster, meters []*comm.Meter) (*TrainReport, error) {
+// them).
+func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order []int, cl *comm.Cluster) (*TrainReport, error) {
 	if cl != nil {
 		if err := core.SetCluster(trainer, cl); err != nil {
 			return nil, err
@@ -472,10 +469,10 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 		return report, nil
 	}
 	cl = dt.Cluster()
-	r := readCosts(cl, wall, meters)
+	r := readCosts(cl, wall)
 	if cl.Hosted() < cl.Size() {
 		// The rest of the world is in other processes: rank 0 takes the
-		// maximum of every process's reading and all of their wire samples.
+		// maximum of every process's reading and their wire sums added.
 		if r, err = r.gather(cl); err != nil {
 			return nil, err
 		}
@@ -492,13 +489,13 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 	for k, v := range r.words {
 		report.WordsByCategory[string(k)] = v
 	}
-	if meters != nil {
+	if opts.Transport == "tcp" {
 		report.MeasuredSeconds = r.wall
-		report.WireSamples = len(r.secs)
+		report.WireSamples = int(r.wire.Samples)
 		// A degenerate fit (too few or collinear samples) leaves α/β zero;
 		// the measured wall time still stands on its own.
-		if a, b, err := costmodel.FitAlphaBeta(r.msgs, r.wireWords, r.secs); err == nil {
-			report.FittedAlpha, report.FittedBeta = a, b
+		if fit, err := r.wire.Fit(); err == nil {
+			report.FittedAlpha, report.FittedBeta = fit.Alpha, fit.Beta
 		}
 	}
 	return report, nil
@@ -506,43 +503,34 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 
 // costs is what a process knows of a run's cost once its ranks return:
 // its wall time, the maxima over the ranks it hosts of each ledger reading,
-// and their wire samples.
+// and their wire sums added together.
 type costs struct {
 	wall, bulk, critical, hidden float64
 	time                         map[comm.Category]float64
 	words                        map[comm.Category]int64
-	msgs, wireWords, secs        []float64
+	wire                         comm.WireSums
 }
 
-// readCosts reads a finished run's costs off the cluster and the meters.
-func readCosts(cl *comm.Cluster, wall float64, meters []*comm.Meter) costs {
-	r := costs{
+// readCosts reads a finished run's costs off the cluster.
+func readCosts(cl *comm.Cluster, wall float64) costs {
+	return costs{
 		wall: wall, bulk: cl.MaxTotalTime(), critical: cl.MaxElapsed(), hidden: cl.MaxHiddenCommTime(),
-		time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(),
+		time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(), wire: cl.SumWire(),
 	}
-	for _, m := range meters {
-		sm, sw, ss := m.Samples()
-		r.msgs = append(r.msgs, sm...)
-		r.wireWords = append(r.wireWords, sw...)
-		r.secs = append(r.secs, ss...)
-	}
-	return r
 }
 
 // gather sends this process's reading to rank 0 in one Gather and
 // returns, where rank 0 is hosted, the world's: the maximum of each reading
-// and every process's wire samples. Elsewhere it returns r unchanged. A
+// and the wire sums added together. Elsewhere it returns r unchanged. A
 // reading travels as [wall, bulk, critical, hidden, (seconds, words) per
-// category, then (msgs, words, secs) per wire sample]; Gather keeps the
-// payloads' differing lengths apart.
+// category, the eight fields of comm.WireSums].
 func (r costs) gather(cl *comm.Cluster) (costs, error) {
 	mine := []float64{r.wall, r.bulk, r.critical, r.hidden}
 	for _, cat := range comm.AllCategories {
 		mine = append(mine, r.time[cat], float64(r.words[cat]))
 	}
-	for i := range r.secs {
-		mine = append(mine, r.msgs[i], r.wireWords[i], r.secs[i])
-	}
+	w := r.wire
+	mine = append(mine, float64(w.Samples), w.Msgs, w.Words, w.MM, w.WW, w.MW, w.MT, w.WT)
 	err := cl.Run(func(c *comm.Comm) error {
 		all := c.World().Gather(0, comm.Payload{Floats: mine}, comm.CatMisc)
 		if all == nil {
@@ -564,9 +552,7 @@ func (r costs) gather(cl *comm.Cluster) (costs, error) {
 				}
 				s = s[2:]
 			}
-			for ; len(s) >= 3; s = s[3:] {
-				r.msgs, r.wireWords, r.secs = append(r.msgs, s[0]), append(r.wireWords, s[1]), append(r.secs, s[2])
-			}
+			r.wire.Add(comm.WireSums{Samples: int64(s[0]), Msgs: s[1], Words: s[2], MM: s[3], WW: s[4], MW: s[5], MT: s[6], WT: s[7]})
 		}
 		return nil
 	})

@@ -101,6 +101,9 @@ type Ledger struct {
 	// reported by the algorithm via RecordMem — the basis for the paper's
 	// §IV-D replication-factor comparison.
 	PeakMemWords int64
+	// Wire is the rank's wire meter: one sample per collective call that
+	// moved data, on every fabric.
+	Wire WireSums
 
 	// bulk is every charge's span length summed in charge order: TotalTime.
 	bulk float64
@@ -318,6 +321,15 @@ func (c *Cluster) SumWordsByCategory() map[Category]int64 {
 	return out
 }
 
+// SumWire returns the hosted ranks' wire sums added together.
+func (c *Cluster) SumWire() WireSums {
+	var s WireSums
+	for _, cm := range c.comms {
+		s.Add(cm.ledger.Wire)
+	}
+	return s
+}
+
 // MaxPeakMemWords returns the largest per-rank peak resident word count.
 func (c *Cluster) MaxPeakMemWords() int64 {
 	var mx int64
@@ -433,7 +445,6 @@ type Comm struct {
 	pool   *bufPool
 	ledger *Ledger
 	world  *Group // lazily built, cached: World is called on every epoch
-	meter  *Meter // wire metering, nil unless EnableMetering
 
 	// reqs is the rank's Request arena: requests are checked out in issue
 	// order and recycled all at once by Recycle, so the steady-state

@@ -210,31 +210,48 @@ func TestTCPBarrier(t *testing.T) {
 	})
 }
 
-// TestTCPMetering checks wire samples are recorded with plausible counts:
-// the summed sample words equal the rank's physical sent+received totals.
+// TestTCPMetering checks every word lands in exactly one wire sample, on
+// both fabrics: the summed sample words and messages equal the rank's
+// physical sent+received totals. A collective on a one-member group moves
+// nothing and adds no sample.
 func TestTCPMetering(t *testing.T) {
 	const p = 3
-	meters := make([]*Meter, p)
-	tcp := runTCP(t, p, func(c *Comm) error {
-		meters[c.Rank()] = c.EnableMetering()
-		_, err := exerciseCollectives(c, 2)
-		return err
-	})
-	for r, m := range meters {
-		if m.Len() == 0 {
-			t.Fatalf("rank %d: no wire samples", r)
-		}
-		l := tcp.Ledger(r)
-		wantWords := float64(l.PhysWordsSent + l.PhysWordsRecv)
-		if got := m.TotalWords(); got != wantWords {
-			t.Errorf("rank %d: metered %v words, ledger has %v", r, got, wantWords)
-		}
-		_, _, secs := m.Samples()
-		for i, s := range secs {
-			if s < 0 {
-				t.Errorf("rank %d sample %d: negative wall time %v", r, i, s)
+	fabrics := []struct {
+		name string
+		run  func(*testing.T, int, func(*Comm) error) *Cluster
+	}{{"tcp", runTCP}, {"chan", runCluster}}
+	for _, fab := range fabrics {
+		t.Run(fab.name, func(t *testing.T) {
+			cl := fab.run(t, p, func(c *Comm) error {
+				if _, err := exerciseCollectives(c, 2); err != nil {
+					return err
+				}
+				before := c.Ledger().Wire
+				solo := c.NewGroup([]int{c.Rank()})
+				solo.AllReduce([]float64{1, 2}, CatDenseComm)
+				solo.Broadcast(0, Payload{Floats: []float64{3}}, CatDenseComm)
+				if got := c.Ledger().Wire; got != before {
+					return fmt.Errorf("rank %d: one-member collectives changed the meter from %+v to %+v", c.Rank(), before, got)
+				}
+				return nil
+			})
+			for r := 0; r < p; r++ {
+				l := cl.Ledger(r)
+				w := l.Wire
+				if w.Samples == 0 {
+					t.Fatalf("rank %d: no wire samples", r)
+				}
+				if want := float64(l.PhysWordsSent + l.PhysWordsRecv); w.Words != want {
+					t.Errorf("rank %d: metered %v words, ledger has %v", r, w.Words, want)
+				}
+				if want := float64(l.PhysMsgsSent + l.PhysMsgsRecv); w.Msgs != want {
+					t.Errorf("rank %d: metered %v messages, ledger has %v", r, w.Msgs, want)
+				}
+				if w.MT < 0 || w.WT < 0 {
+					t.Errorf("rank %d: negative wall time in Σmt %v or Σwt %v", r, w.MT, w.WT)
+				}
 			}
-		}
+		})
 	}
 }
 

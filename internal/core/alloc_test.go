@@ -64,7 +64,8 @@ func lockstep(ranks, total int) (body func(ops layerOps, cfg nn.Config, prob Pro
 
 // steadyStateAllocs drives warmup+measured epochs across all ranks of tr
 // in lockstep and returns the average allocations of one full epoch
-// (epoch + endEpoch on every rank).
+// (epoch + endEpoch on every rank). It fails unless the ranks' wire meter
+// recorded samples during the measured epochs, so the count covers it.
 func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float64 {
 	t.Helper()
 	const warmup = 3
@@ -76,11 +77,25 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 	for i := 0; i < warmup; i++ {
 		oneEpoch()
 	}
+	// Between epochs every rank waits in lockstep, so its ledger is safe
+	// to read.
+	cl := tr.(DistTrainer).Cluster()
+	samples := cl.SumWire().Samples
 	avg := testing.AllocsPerRun(runs, oneEpoch)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
+	requireMetered(t, cl, samples)
 	return avg
+}
+
+// requireMetered fails unless the hosted ranks' wire sums count more
+// samples than before.
+func requireMetered(t *testing.T, cl *comm.Cluster, before int64) {
+	t.Helper()
+	if after := cl.SumWire().Samples; after <= before {
+		t.Fatalf("wire sums count %d samples after the measured epochs, %d before", after, before)
+	}
 }
 
 // warmSerialEpoch builds the serial engine for p, on the reference kernels
@@ -146,8 +161,9 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 }
 
 // TestSteadyStateAllocsDistributed: every distributed trainer's epoch —
-// collectives, halo exchanges, SUMMA broadcasts, transpose exchange and
-// all — must allocate nothing in steady state across all simulated ranks.
+// collectives, halo exchanges, SUMMA broadcasts, transpose exchange, wire
+// meter and all — must allocate nothing in steady state across all
+// simulated ranks.
 // Every trainer pipelines its collectives: the double buffers come from the
 // workspace/payload arenas, and Request objects are pooled and recycled by
 // EpochDone.
@@ -246,7 +262,7 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 					return n
 				}
 				var before, after runtime.MemStats
-				framesBefore := framesSent()
+				framesBefore, samples := framesSent(), cl.SumWire().Samples
 				runtime.ReadMemStats(&before)
 				for i := 0; i < runs; i++ {
 					oneEpoch()
@@ -256,6 +272,7 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 				if err := <-errCh; err != nil {
 					t.Fatal(err)
 				}
+				requireMetered(t, cl, samples)
 				if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > maxBytesPerEpoch {
 					t.Fatalf("%s steady-state epoch allocates %d bytes across %d ranks over TCP, want ≤ %d",
 						name, perEpoch, ranks, maxBytesPerEpoch)
