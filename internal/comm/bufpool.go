@@ -24,19 +24,19 @@ import (
 // Comm.Keep hands one over to its reader for good, so the pools hold the
 // largest set of payloads live at once rather than everything an epoch
 // received. Comm.Recycle returns whatever is still checked out, all at
-// once — the point where every rank has agreed, via barrier, that no
-// buffer handed out since the last recycle is still referenced — and
-// drops the buffers the round between two recycles never took, so what
-// only the run's set-up drew — an input-layer exchange more than twice as
-// wide as any an epoch draws — leaves the arena once an epoch has passed
-// without it.
+// once — its rank has read its last payload of the round by then, and
+// its one barrier keeps the next round's payloads out until it is done —
+// and drops the buffers the round between two recycles never took, so
+// what only the run's set-up drew — an input-layer exchange more than
+// twice as wide as any an epoch draws — leaves the arena once an epoch
+// has passed without it.
 //
 // Steady state is allocation-free, and which checkouts allocate is a
 // function of the program, never of goroutine timing: a Comm's pool is
 // checked out and released by its rank alone, and a receive arena's pool
 // for peer s is checked out only for s's payloads, in the order s sent
 // them, and gets a released buffer back only once s knows of the release
-// (stashing; see promote). After the first epoch has sized the free lists,
+// (stashing; see recvArena). After the first epoch has sized the free lists,
 // every checkout pops an existing buffer, and every release, promotion or
 // recycle pushes it back within the lists' existing capacity. The
 // checked-out lists keep a released or kept buffer's slot (nil) until the
@@ -64,11 +64,14 @@ type bufPool struct {
 	// releases: stash lists the released buffers (one Payload per
 	// Release) since the last recycle, in release order, of which
 	// stash[:promoted] are back on the free lists; marks[k] is len(stash)
-	// when the rank sent the peer its (k+1)-th payload of the round.
+	// when the rank sent the peer its (k+1)-th payload of the round, and
+	// recvd counts the payloads the rank received from the peer this
+	// round.
 	stashing bool
 	stash    []Payload
 	promoted int
 	marks    []int
+	recvd    int
 }
 
 func newBufPool() *bufPool {
@@ -84,14 +87,16 @@ func newBufPool() *bufPool {
 
 // recvArena is a rank's receive arena: every payload the rank receives is
 // drawn from from[s], s its sender — cloned into it by the channel fabric's
-// sender, read into it by the TCP fabric's reader goroutine for s. A
+// sender, read into it by the TCP fabric's reader goroutine for s — and
+// every fabric runs its ack protocol through the arena's three steps. A
 // released buffer goes back to from[s]'s free lists only once s knows of
 // the release — it has received a payload this rank sent after releasing
 // it — so from[s] is checked out and refilled in the order of s's own
-// sends and receives: the transport calls noteSend at each of its rank's
-// sends to s, and promote, with the number of this rank's payloads s had
-// received, before each checkout for s's payload. A buffer released after
-// the rank's last send to s in a round waits for the round's recycle.
+// sends and receives: at each send to s the rank notes it and attaches
+// the count of s's payloads it has received (sent), it counts each
+// payload from s (received), and each payload from s lands in from[s]
+// after promoting what its ack covers (land). A buffer released after the
+// rank's last send to s in a round waits for the round's recycle.
 type recvArena struct {
 	from []*bufPool // from[s]: the buffers of payloads from peer s
 }
@@ -115,16 +120,6 @@ func (b *bufPool) getFloats(n int) []float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return take(b.freeF, b.lowF, &b.usedF, n)
-}
-
-// getInts checks out a length-n int buffer with unspecified contents.
-func (b *bufPool) getInts(n int) []int {
-	if n == 0 {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return take(b.freeI, b.lowI, &b.usedI, n)
 }
 
 // take checks out a length-n buffer from free by best fit, lowering the
@@ -167,22 +162,9 @@ func (b *bufPool) cloneFloats(x []float64) []float64 {
 	return out
 }
 
-// cloneInts checks out a copy of x (nil stays nil).
-func (b *bufPool) cloneInts(x []int) []int {
-	if x == nil {
-		return nil
-	}
-	out := b.getInts(len(x))
-	copy(out, x)
-	return out
-}
-
 // largestWords returns the capacity of the largest float or int buffer the
-// pool holds, free, stashed or checked out (0 for a nil pool).
+// pool holds, free, stashed or checked out.
 func (b *bufPool) largestWords() int64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var mx int
@@ -191,12 +173,8 @@ func (b *bufPool) largestWords() int64 {
 }
 
 // heldWords returns the summed capacity of the float and int buffers the
-// pool holds, free, stashed or checked out (0 for a nil pool). It
-// allocates nothing.
+// pool holds, free, stashed or checked out. It allocates nothing.
 func (b *bufPool) heldWords() int64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var s int64
@@ -247,9 +225,6 @@ func (b *bufPool) eachHeld(fn func(words int)) {
 // from their end, where the latest checkouts sit; it allocates nothing
 // once the lists are sized.
 func (b *bufPool) release(p Payload) Payload {
-	if b == nil {
-		return p
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var back Payload
@@ -276,9 +251,6 @@ func (b *bufPool) release(p Payload) Payload {
 // recycle sees them again. Like release it returns the sides this pool did
 // not hand out, and allocates nothing.
 func (b *bufPool) keep(p Payload) Payload {
-	if b == nil {
-		return p
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if _, ok := checkIn(b.usedF, p.Floats); ok {
@@ -290,22 +262,11 @@ func (b *bufPool) keep(p Payload) Payload {
 	return p
 }
 
-// noteSend marks the stash at the rank's next send to the pool's peer:
-// what it has released so far, the peer will know of once it has received
-// that send.
-func (b *bufPool) noteSend() {
-	b.mu.Lock()
-	b.marks = append(b.marks, len(b.stash))
-	b.mu.Unlock()
-}
-
 // promote returns to the free lists the stashed buffers the peer knows
 // were released: those released before the rank's acked-th send to it of
 // the round. An ack beyond the sends noted (a corrupt frame) counts as all
-// of them.
+// of them. The caller holds mu.
 func (b *bufPool) promote(acked int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	acked = min(acked, len(b.marks))
 	if acked <= 0 {
 		return
@@ -362,12 +323,13 @@ func pushFree[E any](free map[int][][]E, buf []E) {
 // recycle drops the buffers no checkout of the round needed — per class,
 // as many as its free list never fell below (low) — then returns every
 // checked-out and stashed buffer to the free lists and starts a new round
-// of marks. Rounds repeat — every epoch draws what the one before it drew
-// — so a round needs no buffer a dropped one would have served, and what
-// only the run's set-up drew (an input-layer exchange beyond best fit's
-// reach, the transpose exchange) leaves the arena after the first epoch
-// that does not draw it. The caller must guarantee no checked-out buffer is still
-// referenced — Recycle establishes this with its surrounding barriers.
+// of marks and counts. Rounds repeat — every epoch draws what the one
+// before it drew — so a round needs no buffer a dropped one would have
+// served, and what only the run's set-up drew (an input-layer exchange
+// beyond best fit's reach, the transpose exchange) leaves the arena after
+// the first epoch that does not draw it. The caller must guarantee no
+// checked-out buffer is still referenced and none is drawn meanwhile; see
+// Comm.Recycle.
 func (b *bufPool) recycle() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -375,7 +337,7 @@ func (b *bufPool) recycle() {
 		b.putFree(p)
 		b.stash[b.promoted+i] = Payload{}
 	}
-	b.stash, b.promoted, b.marks = b.stash[:0], 0, b.marks[:0]
+	b.stash, b.promoted, b.marks, b.recvd = b.stash[:0], 0, b.marks[:0], 0
 	b.usedF = restock(b.freeF, b.lowF, b.usedF, math.NaN())
 	b.usedI = restock(b.freeI, b.lowI, b.usedI, -1)
 	b.usedP = restock(b.freeP, b.lowP, b.usedP, Payload{})
@@ -417,12 +379,48 @@ func restock[E any](free map[int][][]E, low map[int]int, used [][]E, v E) [][]E 
 	return used[:0]
 }
 
-// release takes p's sides back into whichever peer's pool handed them out
-// and returns the sides none did (nil-safe, like every recvArena method).
-func (a *recvArena) release(p Payload) Payload {
-	if a == nil {
-		return p
+// sent notes the rank's send to dst and returns the ack the payload
+// carries: the number of dst's payloads the rank has received this round.
+// What the rank has released of dst's buffers so far, dst knows of once it
+// has received this send.
+func (a *recvArena) sent(dst int) int {
+	b := a.from[dst]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.marks = append(b.marks, len(b.stash))
+	return b.recvd
+}
+
+// received counts a payload the rank received from src.
+func (a *recvArena) received(src int) {
+	b := a.from[src]
+	b.mu.Lock()
+	b.recvd++
+	b.mu.Unlock()
+}
+
+// land checks out the buffers of a payload from src of nFloats floats and
+// nInts ints (a zero-length side is nil), after promoting the buffers src
+// knew were released when it sent the payload: acked is the ack sent
+// returned there.
+func (a *recvArena) land(src, acked, nFloats, nInts int) Payload {
+	b := a.from[src]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.promote(acked)
+	var p Payload
+	if nFloats > 0 {
+		p.Floats = take(b.freeF, b.lowF, &b.usedF, nFloats)
 	}
+	if nInts > 0 {
+		p.Ints = take(b.freeI, b.lowI, &b.usedI, nInts)
+	}
+	return p
+}
+
+// release takes p's sides back into whichever peer's pool handed them out
+// and returns the sides none did.
+func (a *recvArena) release(p Payload) Payload {
 	for _, b := range a.from {
 		if p.Floats == nil && p.Ints == nil {
 			break
@@ -434,9 +432,6 @@ func (a *recvArena) release(p Payload) Payload {
 
 // keep hands p's sides over to the caller; see bufPool.keep.
 func (a *recvArena) keep(p Payload) Payload {
-	if a == nil {
-		return p
-	}
 	for _, b := range a.from {
 		if p.Floats == nil && p.Ints == nil {
 			break
@@ -446,7 +441,7 @@ func (a *recvArena) keep(p Payload) Payload {
 	return p
 }
 
-// recycle recycles every peer's pool.
+// recycle recycles every peer's pool, clearing its marks and its count.
 func (a *recvArena) recycle() {
 	for _, b := range a.from {
 		b.recycle()
@@ -455,9 +450,6 @@ func (a *recvArena) recycle() {
 
 // largestWords returns the largest buffer any peer's pool holds.
 func (a *recvArena) largestWords() int64 {
-	if a == nil {
-		return 0
-	}
 	var mx int64
 	for _, b := range a.from {
 		mx = max(mx, b.largestWords())
@@ -468,9 +460,6 @@ func (a *recvArena) largestWords() int64 {
 // heldWords returns the words every peer's pool holds. It allocates
 // nothing.
 func (a *recvArena) heldWords() int64 {
-	if a == nil {
-		return 0
-	}
 	var s int64
 	for _, b := range a.from {
 		s += b.heldWords()

@@ -14,12 +14,12 @@ func pair() (a, b *Comm) {
 	return cl.comms[0], cl.comms[1]
 }
 
-// endRound recycles both endpoints' fabric without Recycle's barriers,
+// endRound recycles both endpoints' fabric without Recycle's barrier,
 // which one goroutine cannot enter for two ranks.
 func endRound(cs ...*Comm) {
 	for _, c := range cs {
 		c.pool.recycle()
-		c.tr.(epochRecycler).EpochRecycle()
+		c.tr.recvArena().recycle()
 	}
 }
 

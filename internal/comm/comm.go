@@ -411,9 +411,7 @@ func (c *Cluster) Run(fn func(*Comm) error) error {
 					cause = err
 				}
 				mu.Unlock()
-				if a, ok := cm.tr.(aborter); ok {
-					a.Abort(reason)
-				}
+				cm.tr.Abort(reason)
 			}()
 			errs[i] = fn(cm)
 		}()
@@ -569,13 +567,22 @@ func (c *Comm) EpochDone() {
 }
 
 // Recycle returns every payload buffer handed out since the last recycle
-// and not yet released or kept, without ending an epoch: all ranks
-// synchronize, every rank recycles its payload buffers — the Comm's own
-// pool and the transport's receive arena — dropping those the round never
-// took, and all ranks synchronize again before continuing. It is a collective, like
-// Barrier. The block-row trainers call it between the column panels of the
-// input layer, which are not epochs, so an epoch-triggered fault still
-// counts training epochs.
+// and not yet released or kept, without ending an epoch: the rank recycles
+// its payload buffers — the Comm's own pool and the transport's receive
+// arena — dropping those the round never took, then enters one barrier.
+// It is a collective, like Barrier. The block-row trainers call it between
+// the column panels of the input layer, which are not epochs, so an
+// epoch-triggered fault still counts training epochs.
+//
+// The recycle needs no barrier before it. A rank recycles only its own
+// pool and arena, after its own last Recv of the round; every send has a
+// matching Recv, so every payload of the round sent to this rank has
+// landed and been read by then. The barrier after it is what keeps the
+// next round out: a peer sends its first payload of the next round only
+// once it leaves the barrier, which is after this rank has recycled and
+// entered it. Without it, such a payload — or the ack count it carries —
+// could reach this rank's arena before the recycle, which would then hand
+// its buffer out again or clear its count.
 //
 // After Recycle returns, payloads received earlier — including the float
 // slices of collective results — must not be read again: their buffers are
@@ -586,11 +593,8 @@ func (c *Comm) EpochDone() {
 // the timeline, so it panics instead).
 func (c *Comm) Recycle() {
 	c.recycleRequests()
-	c.tr.Barrier()
 	c.pool.recycle()
-	if er, ok := c.tr.(epochRecycler); ok {
-		er.EpochRecycle()
-	}
+	c.tr.recvArena().recycle()
 	c.tr.Barrier()
 }
 
@@ -605,7 +609,7 @@ func (c *Comm) Recycle() {
 // race-detector build its floats read NaN. It allocates nothing once the
 // free lists are sized.
 func (c *Comm) Release(p Payload) {
-	c.pool.release(c.arena().release(p))
+	c.pool.release(c.tr.recvArena().release(p))
 }
 
 // Keep hands p's buffers over to the caller for good: the fabric forgets
@@ -613,7 +617,7 @@ func (c *Comm) Release(p Payload) {
 // as long as the caller holds them, without a copy. Sides the fabric did
 // not hand out are left alone. It allocates nothing.
 func (c *Comm) Keep(p Payload) {
-	c.pool.keep(c.arena().keep(p))
+	c.pool.keep(c.tr.recvArena().keep(p))
 }
 
 // LargestBufferWords returns the capacity, in words, of the largest payload
@@ -622,7 +626,7 @@ func (c *Comm) Keep(p Payload) {
 // gives a buffer back to the heap, so it is the widest transient the rank
 // has drawn since it started.
 func (c *Comm) LargestBufferWords() int64 {
-	return max(c.pool.largestWords(), c.arena().largestWords())
+	return max(c.pool.largestWords(), c.tr.recvArena().largestWords())
 }
 
 // HeldWords returns the summed capacity, in words, of every payload buffer
@@ -630,15 +634,7 @@ func (c *Comm) LargestBufferWords() int64 {
 // free or handed out: what the fabric adds to the rank's footprint. It
 // allocates nothing, so it may be read at any epoch boundary.
 func (c *Comm) HeldWords() int64 {
-	return c.pool.heldWords() + c.arena().heldWords()
-}
-
-// arena returns the transport's receive arena (nil when it has none).
-func (c *Comm) arena() *recvArena {
-	if ah, ok := c.tr.(arenaHolder); ok {
-		return ah.recvArena()
-	}
-	return nil
+	return c.pool.heldWords() + c.tr.recvArena().heldWords()
 }
 
 // Barrier blocks until every rank in the cluster has entered the barrier.

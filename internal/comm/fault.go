@@ -20,24 +20,6 @@ import (
 // Comm.Recycle alone does not.
 type epochTicker interface{ EpochTick() }
 
-// epochRecycler is implemented by transports that hand Recv's callers
-// buffers of a receive arena (the channel fabric's clones, the TCP
-// fabric's decoded frames); Comm.Recycle calls it between its two
-// barriers, when no rank still reads a payload handed out before them. A
-// wrapper that does not forward it leaves the arena growing.
-type epochRecycler interface{ EpochRecycle() }
-
-// arenaHolder is implemented by the transports that are epochRecyclers:
-// recvArena is the pool their Recv draws from (nil when there is none),
-// which Comm.Release and Comm.Keep hand received payloads back to. A
-// wrapper that does not forward it leaves them checked out until Recycle.
-type arenaHolder interface{ recvArena() *recvArena }
-
-// aborter is implemented by transports that can broadcast a failure
-// announcement to every peer (the channel fabric's abort latch, the TCP
-// fabric's abort frame); Cluster.Run calls it for a rank that panicked.
-type aborter interface{ Abort(reason string) }
-
 // FaultEvent is one scheduled failure. Exactly one of AtOp/AtEpoch is
 // positive: AtOp counts transport operations (sends, recvs, barriers —
 // the counter increments before each, so AtOp=1 fires before the first
@@ -187,20 +169,8 @@ func (t *FaultTransport) EpochTick() {
 	}
 }
 
-// EpochRecycle forwards the arena recycle to the wrapped transport.
-func (t *FaultTransport) EpochRecycle() {
-	if er, ok := t.inner.(epochRecycler); ok {
-		er.EpochRecycle()
-	}
-}
-
 // recvArena forwards to the wrapped transport.
-func (t *FaultTransport) recvArena() *recvArena {
-	if ah, ok := t.inner.(arenaHolder); ok {
-		return ah.recvArena()
-	}
-	return nil
-}
+func (t *FaultTransport) recvArena() *recvArena { return t.inner.recvArena() }
 
 // fire injects one event.
 func (t *FaultTransport) fire(ev *FaultEvent, where string) {
@@ -250,16 +220,4 @@ func (t *FaultTransport) Close() error { return t.inner.Close() }
 
 // Abort forwards the failure announcement to the wrapped transport, so
 // Cluster.Run treats a FaultTransport exactly like the raw one.
-func (t *FaultTransport) Abort(reason string) {
-	if a, ok := t.inner.(aborter); ok {
-		a.Abort(reason)
-	}
-}
-
-// Every fabric's endpoint has a receive arena, reachable through a
-// FaultTransport.
-var (
-	_ arenaHolder = (*inprocTransport)(nil)
-	_ arenaHolder = (*TCPTransport)(nil)
-	_ arenaHolder = (*FaultTransport)(nil)
-)
+func (t *FaultTransport) Abort(reason string) { t.inner.Abort(reason) }

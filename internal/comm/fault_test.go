@@ -71,13 +71,14 @@ type countTransport struct {
 	aborts                 []string
 }
 
-func (c *countTransport) Rank() int           { return 1 }
-func (c *countTransport) Size() int           { return 4 }
-func (c *countTransport) Send(int, Payload)   { c.sends++ }
-func (c *countTransport) Recv(int) Payload    { c.recvs++; return Payload{} }
-func (c *countTransport) Barrier()            { c.barriers++ }
-func (c *countTransport) Close() error        { c.closed.Store(true); return nil }
-func (c *countTransport) Abort(reason string) { c.aborts = append(c.aborts, reason) }
+func (c *countTransport) Rank() int             { return 1 }
+func (c *countTransport) Size() int             { return 4 }
+func (c *countTransport) Send(int, Payload)     { c.sends++ }
+func (c *countTransport) Recv(int) Payload      { c.recvs++; return Payload{} }
+func (c *countTransport) Barrier()              { c.barriers++ }
+func (c *countTransport) Close() error          { c.closed.Store(true); return nil }
+func (c *countTransport) Abort(reason string)   { c.aborts = append(c.aborts, reason) }
+func (c *countTransport) recvArena() *recvArena { return nil }
 
 func TestFaultTransportCrashAtOp(t *testing.T) {
 	inner := &countTransport{}
@@ -205,4 +206,29 @@ func TestRecycleLeavesFaultEpoch(t *testing.T) {
 		}
 	}()
 	c.EpochDone()
+}
+
+// barrierCounter counts the Barrier calls that reach the transport it
+// wraps.
+type barrierCounter struct {
+	Transport
+	barriers int
+}
+
+func (b *barrierCounter) Barrier() { b.barriers++; b.Transport.Barrier() }
+
+// TestRecycleEntersOneBarrier: one Recycle, and one EpochDone, enter the
+// world barrier once — after the rank's recycle, to keep the next round's
+// payloads out of its arena until the recycle is done.
+func TestRecycleEntersOneBarrier(t *testing.T) {
+	bc := &barrierCounter{Transport: newChanFabric(1).endpoint(0)}
+	c := NewTransportComm(bc, testCost)
+	c.Recycle()
+	if bc.barriers != 1 {
+		t.Fatalf("Recycle entered %d barriers, want 1", bc.barriers)
+	}
+	c.EpochDone()
+	if bc.barriers != 2 {
+		t.Fatalf("EpochDone entered %d barriers, want 1", bc.barriers-1)
+	}
 }

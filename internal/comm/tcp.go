@@ -54,7 +54,7 @@ import (
 // each side with io.ReadFull straight into a buffer drawn from the rank's
 // receive arena (recvArena: one bufPool per sending peer), which
 // Comm.Release takes one payload back to at its last reader and
-// Comm.Recycle recycles whole between its two barriers. Each side makes one kernel copy of the words and no per-word
+// Comm.Recycle recycles whole. Each side makes one kernel copy of the words and no per-word
 // pass; only what the bufio buffer already holds, or a tail shorter than
 // it, is copied once more. Steady-state epochs allocate no payload memory,
 // and a received payload stays valid until Release or Recycle.
@@ -64,15 +64,15 @@ import (
 // the buffers still checked out at the round's end.
 //
 // Why no round-N+1 frame (a round: the traffic between two Recycles) can
-// land in a buffer still referenced from round N: collectives are SPMD, so every frame a peer sent this rank during
-// round N was consumed by a matching Recv — and so fully read — before
-// this rank entered Recycle's first barrier. The arena is recycled after
-// that barrier and before this rank enters the second; a peer leaves the
-// second barrier only after this rank entered it, and only then sends its
-// first round-N+1 frame. Every round-N+1 frame is therefore read after
-// the recycle (never into a buffer the recycle would hand out twice), and
-// the recycle runs only once every rank has entered Recycle, i.e. has
-// finished reading its round-N payloads.
+// land in a buffer still referenced from round N, or be counted in round
+// N's acks: collectives are SPMD, so every frame a peer sent this rank
+// during round N was consumed by a matching Recv — and so fully read —
+// before this rank entered Recycle. The rank recycles its own arena first
+// and only then enters Recycle's one barrier; a peer leaves that barrier
+// only after this rank entered it, and only then sends its first round-N+1
+// frame. Every round-N+1 frame is therefore read after the recycle, into
+// a buffer the recycle has already handed back, against counts the
+// recycle has already cleared.
 //
 // Failure model: a heartbeat goroutine sends a 'V' frame to every peer at
 // HeartbeatInterval, and every blocked Recv/Barrier enforces
@@ -212,8 +212,7 @@ type TCPTransport struct {
 	readErr     []chan error    // readErr[peer], posted once when reader exits
 	lastHeard   []atomic.Int64  // lastHeard[peer], UnixNano of last frame
 	frame       frameVec        // the data frame Send is writing
-	arena       *recvArena      // received payload buffers; see EpochRecycle
-	recvd       []int           // recvd[peer]: data frames received from peer this round
+	arena       *recvArena      // received payload buffers and their acks
 	watchdog    *time.Timer     // ProgressTimeout timer, nil when disabled
 
 	hbStop    chan struct{}
@@ -240,9 +239,9 @@ func (t *TCPTransport) Send(dst int, p Payload) {
 	if err := checkFrameWords(uint64(len(p.Floats)), uint64(len(p.Ints))); err != nil {
 		panic(fmt.Sprintf("comm: rank %d sending to rank %d: %v", t.rank, dst, err))
 	}
-	t.arena.from[dst].noteSend()
+	acked := t.arena.sent(dst)
 	t.wmu[dst].Lock()
-	err := t.frame.write(t.conns[dst], p, uint32(t.recvd[dst]))
+	err := t.frame.write(t.conns[dst], p, uint32(acked))
 	t.wmu[dst].Unlock()
 	if err != nil {
 		panic(t.failure("send", dst, err))
@@ -256,15 +255,6 @@ func (t *TCPTransport) writeFrame(dst int, frame []byte) error {
 	defer t.wmu[dst].Unlock()
 	_, err := t.conns[dst].Write(frame)
 	return err
-}
-
-// EpochRecycle returns every payload buffer handed out by Recv since the
-// previous call to the receive arena and starts a new round of frame
-// counts. Comm.Recycle calls it between its two barriers; see the header
-// comment for why that is safe.
-func (t *TCPTransport) EpochRecycle() {
-	t.arena.recycle()
-	clear(t.recvd)
 }
 
 func (t *TCPTransport) recvArena() *recvArena { return t.arena }
@@ -356,7 +346,7 @@ func (t *TCPTransport) checkProgress(op string, peer int) *PeerError {
 // Recv blocks for the next payload from src.
 func (t *TCPTransport) Recv(src int) Payload {
 	p := await(t, t.inbox[src], "recv", src)
-	t.recvd[src]++
+	t.arena.received(src)
 	return p
 }
 
@@ -484,7 +474,7 @@ func (t *TCPTransport) readLoop(peer int, conn net.Conn) {
 			}
 			t.raiseAbort(peer, reason)
 		case frameData:
-			p, err := readDataFrame(r, t.arena.from[peer])
+			p, err := readDataFrame(r, t.arena, peer)
 			if err != nil {
 				t.readErr[peer] <- err
 				return
@@ -529,12 +519,11 @@ func (v *frameVec) write(w io.Writer, p Payload, acked uint32) error {
 	return err
 }
 
-// readDataFrame reads the rest of a data frame (the type byte is already
-// consumed) into buffers from pool, the receive arena's pool for the
-// frame's sender, after promoting what the frame acks. Zero-length sides
+// readDataFrame reads the rest of a data frame from src (the type byte is
+// already consumed) into buffers the arena lands it in. Zero-length sides
 // read as nil, preserving Payload nil-ness conventions. The header is
-// checked against maxFrameWords before anything is drawn from the pool.
-func readDataFrame(r *bufio.Reader, pool *bufPool) (Payload, error) {
+// checked against maxFrameWords before anything is drawn from the arena.
+func readDataFrame(r *bufio.Reader, a *recvArena, src int) (Payload, error) {
 	hdr, err := r.Peek(12)
 	if err != nil {
 		return Payload{}, midFrame(err)
@@ -546,8 +535,7 @@ func readDataFrame(r *bufio.Reader, pool *bufPool) (Payload, error) {
 	if err := checkFrameWords(uint64(nf), uint64(ni)); err != nil {
 		return Payload{}, err
 	}
-	pool.promote(int(acked))
-	p := Payload{Floats: pool.getFloats(int(nf)), Ints: pool.getInts(int(ni))}
+	p := a.land(src, int(acked), int(nf), int(ni))
 	if _, err := io.ReadFull(r, wordBytes(p.Floats)); err != nil {
 		return Payload{}, midFrame(err)
 	}
@@ -763,7 +751,6 @@ func DialTCPOpts(coordAddr string, rank, world int, opts TCPOptions) (*TCPTransp
 	t.readErr = make([]chan error, world)
 	t.lastHeard = make([]atomic.Int64, world)
 	t.arena = newRecvArena(world)
-	t.recvd = make([]int, world)
 	if t.opts.ProgressTimeout > 0 {
 		t.watchdog = time.NewTimer(t.opts.ProgressTimeout)
 		t.watchdog.Stop()

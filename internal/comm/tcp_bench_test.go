@@ -28,14 +28,14 @@ func BenchmarkTCPFrameCodec(b *testing.B) {
 			pipe.Grow(13 + 8*words)
 			var vec frameVec
 			r := bufio.NewReaderSize(&pipe, frameChunk)
-			arena := newBufPool()
+			arena := newRecvArena(1)
 			frame := func() {
 				pipe.Reset() // drained, but a short write would append past the old frame
 				if err := vec.write(&pipe, p, 0); err != nil {
 					b.Fatal(err)
 				}
 				r.ReadByte() // the type byte readLoop dispatches on
-				got, err := readDataFrame(r, arena)
+				got, err := readDataFrame(r, arena, 0)
 				if err != nil || len(got.Floats) != len(p.Floats) || len(got.Ints) != len(p.Ints) {
 					b.Fatalf("decoded %d floats, %d ints, err %v", len(got.Floats), len(got.Ints), err)
 				}

@@ -36,12 +36,12 @@ func decodeFrame(r io.Reader, arena *bufPool) (Payload, error) {
 }
 
 // nextFrame decodes the next whole 'D' frame from br, type byte included,
-// as readLoop does.
+// as readLoop does, landing it in arena as peer 0's pool.
 func nextFrame(br *bufio.Reader, arena *bufPool) (Payload, error) {
 	if typ, err := br.ReadByte(); err != nil || typ != frameData {
 		return Payload{}, errors.New("not a data frame")
 	}
-	return readDataFrame(br, arena)
+	return readDataFrame(br, &recvArena{from: []*bufPool{arena}}, 0)
 }
 
 // samePayload reports whether two payloads agree bit for bit, nil-ness

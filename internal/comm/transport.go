@@ -33,21 +33,18 @@ import (
 //
 // Failure: the interface has no error returns. An endpoint whose peer is
 // gone panics with a *PeerError out of the blocked Send, Recv or Barrier,
-// and an endpoint that can tell its peers why it is leaving implements
-// Abort(reason) (see aborter): every peer's blocked and future operations
-// then panic with a *PeerError carrying that reason. Both fabrics do;
-// Cluster.Run is the caller.
+// and Abort(reason) tells every peer why this endpoint is leaving: their
+// blocked and future operations then panic with a *PeerError carrying
+// that reason. Cluster.Run calls it for a rank that panicked.
 //
 // Buffer lifetime: the payload handed to Recv's caller is valid until its
 // Comm.Release or the next Comm.Recycle (which Comm.EpochDone runs) and not
-// after — or for good once Comm.Keep has taken it. Both fabrics hand out
-// buffers of the receiver's arena — the channel fabric clones into it, the
-// TCP fabric decodes into it — so every payload a rank reads is its own
-// arena's, which Release and Keep reach through the optional recvArena
-// method (see arenaHolder) and Recycle returns between its two barriers
-// through the optional EpochRecycle method (see epochRecycler); a wrapping
-// transport must forward both. A caller that never releases or recycles
-// keeps its payloads valid indefinitely.
+// after — or for good once Comm.Keep has taken it. Every payload a rank
+// reads is a buffer of its own receive arena (recvArena) — the channel
+// fabric clones into it, the TCP fabric decodes into it — which Release,
+// Keep and Recycle reach through the transport; a wrapping transport
+// forwards it. A caller that never releases or recycles keeps its
+// payloads valid indefinitely.
 type Transport interface {
 	// Rank returns this endpoint's rank in [0, Size).
 	Rank() int
@@ -63,6 +60,11 @@ type Transport interface {
 	// Close tears the fabric down. Only the rank that is done with the
 	// transport calls it; calling twice is safe.
 	Close() error
+	// Abort announces this rank's failure, with its root cause, to every
+	// peer.
+	Abort(reason string)
+	// recvArena returns the arena Recv's payloads are drawn from.
+	recvArena() *recvArena
 }
 
 // chanFabric is the channel fabric the P inprocTransport endpoints of a
@@ -95,19 +97,16 @@ func newChanFabric(p int) *chanFabric {
 
 // inprocTransport is one rank's endpoint on a chanFabric. Sends deep-copy
 // into the receiver's arena, so a received payload is the receiver's to
-// release, and stays valid until it does or Recycle recycles the arena
-// (EpochRecycle) — the same ownership the TCP transport provides with its
-// receive arena. recvd[s] counts the payloads received from s this round:
-// what this rank's next send to s tells s's arena it knows (recvArena).
+// release, and stays valid until it does or Recycle recycles the arena —
+// the same ownership the TCP transport provides with its receive arena.
 type inprocTransport struct {
 	fabric *chanFabric
 	rank   int
-	recvd  []int
 }
 
 // endpoint returns rank's endpoint on the fabric.
 func (f *chanFabric) endpoint(rank int) *inprocTransport {
-	return &inprocTransport{fabric: f, rank: rank, recvd: make([]int, len(f.mailbox))}
+	return &inprocTransport{fabric: f, rank: rank}
 }
 
 func (t *inprocTransport) Rank() int { return t.rank }
@@ -115,10 +114,10 @@ func (t *inprocTransport) Size() int { return len(t.fabric.mailbox) }
 
 // Send blocks only when dst's mailbox is full, and then wakes on Abort.
 func (t *inprocTransport) Send(dst int, p Payload) {
-	into := t.fabric.arenas[dst].from[t.rank]
-	into.promote(t.recvd[dst])
-	clone := Payload{Floats: into.cloneFloats(p.Floats), Ints: into.cloneInts(p.Ints)}
-	t.recvArena().from[dst].noteSend()
+	acked := t.recvArena().sent(dst)
+	clone := t.fabric.arenas[dst].land(t.rank, acked, len(p.Floats), len(p.Ints))
+	copy(clone.Floats, p.Floats)
+	copy(clone.Ints, p.Ints)
 	select {
 	case t.fabric.mailbox[t.rank][dst] <- clone:
 	case <-t.fabric.abortCh:
@@ -140,7 +139,7 @@ func (t *inprocTransport) Recv(src int) Payload {
 			panic(t.aborted("recv"))
 		}
 	}
-	t.recvd[src]++
+	t.recvArena().received(src)
 	return p
 }
 
@@ -152,17 +151,10 @@ func (t *inprocTransport) Barrier() {
 
 func (t *inprocTransport) Close() error { return nil }
 
-// EpochRecycle returns the payloads this rank received to its arena and
-// starts a new round of counts; see epochRecycler.
-func (t *inprocTransport) EpochRecycle() {
-	t.recvArena().recycle()
-	clear(t.recvd)
-}
-
 func (t *inprocTransport) recvArena() *recvArena { return t.fabric.arenas[t.rank] }
 
 // Abort latches the fabric's first abort and wakes every endpoint blocked
-// in Send, Recv or Barrier; see aborter.
+// in Send, Recv or Barrier.
 func (t *inprocTransport) Abort(reason string) {
 	f := t.fabric
 	f.abortOnce.Do(func() {

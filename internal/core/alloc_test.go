@@ -65,7 +65,8 @@ func lockstep(ranks, total int) (body func(ops layerOps, cfg nn.Config, prob Pro
 // steadyStateAllocs drives warmup+measured epochs across all ranks of tr
 // in lockstep and returns the average allocations of one full epoch
 // (epoch + endEpoch on every rank). It fails unless the ranks' wire meter
-// recorded samples during the measured epochs, so the count covers it.
+// recorded samples during the measured epochs, so the count covers it, and
+// if those epochs allocated more than maxEpochBytes in all.
 func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float64 {
 	t.Helper()
 	const warmup = 3
@@ -81,12 +82,48 @@ func steadyStateAllocs(t *testing.T, tr rankRunner, p Problem, ranks int) float6
 	// to read.
 	cl := tr.(DistTrainer).Cluster()
 	samples := cl.SumWire().Samples
-	avg := testing.AllocsPerRun(runs, oneEpoch)
+	avg, bytes := epochAllocs(runs, oneEpoch)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
 	requireMetered(t, cl, samples)
+	requireEpochBytes(t, runs, bytes)
 	return avg
+}
+
+// maxEpochBytes bounds the bytes an allocation test's measured epochs
+// allocate in all. testing.AllocsPerRun divides mallocs by runs as
+// integers, so a buffer that grows by amortised doubling — a few objects
+// over the runs — reads 0 per epoch; its bytes do not. The simulated ranks'
+// goroutines may still draw one small runtime object now and then (48 or
+// 96 bytes, in a few runs of fifty), which the bound leaves room for.
+const maxEpochBytes = 512
+
+// epochAllocs runs epoch under testing.AllocsPerRun(runs, epoch), returns
+// its average, and the bytes the runs it measures — every call but the
+// first — allocated in all.
+func epochAllocs(runs int, epoch func()) (avg float64, bytes uint64) {
+	var before, after runtime.MemStats
+	calls := 0
+	avg = testing.AllocsPerRun(runs, func() {
+		if calls == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		epoch()
+		if calls++; calls == runs+1 {
+			runtime.ReadMemStats(&after)
+		}
+	})
+	return avg, after.TotalAlloc - before.TotalAlloc
+}
+
+// requireEpochBytes fails if the runs measured epochs allocated more than
+// maxEpochBytes.
+func requireEpochBytes(t *testing.T, runs int, bytes uint64) {
+	t.Helper()
+	if bytes > maxEpochBytes {
+		t.Fatalf("%d steady-state epochs allocate %d bytes in all, want ≤ %d", runs, bytes, maxEpochBytes)
+	}
 }
 
 // requireMetered fails unless the hosted ranks' wire sums count more
@@ -152,10 +189,13 @@ func TestSteadyStateAllocsSerial(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			useWorkers(t, tc.workers)
+			const runs = 5
 			epoch := warmSerialEpoch(allocProblem(t, tc.widths, 71), tc.reference)
-			if avg := testing.AllocsPerRun(5, epoch); avg != 0 {
+			avg, bytes := epochAllocs(runs, epoch)
+			if avg != 0 {
 				t.Fatalf("%s steady-state epoch allocates %.1f times, want 0", tc.name, avg)
 			}
+			requireEpochBytes(t, runs, bytes)
 		})
 	}
 }
