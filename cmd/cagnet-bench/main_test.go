@@ -110,15 +110,21 @@ func TestRunJSONDocument(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic: stdout is a pure function of the flags.
-func TestRunDeterministic(t *testing.T) {
-	var first, second bytes.Buffer
-	for _, out := range []*bytes.Buffer{&first, &second} {
-		if err := run([]string{"-exp", "crossover", "-quick"}, out); err != nil {
-			t.Fatal(err)
-		}
+// TestQuickGolden: stdout is a pure function of the flags, and every
+// number -quick prints — all seven experiments — is the one in
+// testdata/quick.golden. After an intended change to a table, regenerate it
+// with go run ./cmd/cagnet-bench -quick > cmd/cagnet-bench/testdata/quick.golden
+// and say in the commit which numbers moved and why.
+func TestQuickGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "quick.golden"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first.Len() == 0 || !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Errorf("two runs of -exp crossover -quick differ:\n%s---\n%s", first.String(), second.String())
+	var got bytes.Buffer
+	if err := run([]string{"-quick"}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("-quick drifted from testdata/quick.golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
