@@ -477,16 +477,16 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 			return nil, err
 		}
 	}
-	report.ModeledSeconds = r.bulk
+	report.ModeledSeconds = r.Bulk
 	if opts.Overlap {
-		report.ModeledSeconds, report.HiddenCommSeconds = r.critical, r.hidden
+		report.ModeledSeconds, report.HiddenCommSeconds = r.Elapsed, r.Hidden
 	}
 	report.TimeByCategory = make(map[string]float64)
-	for k, v := range r.time {
+	for k, v := range r.Time {
 		report.TimeByCategory[string(k)] = v
 	}
 	report.WordsByCategory = make(map[string]int64)
-	for k, v := range r.words {
+	for k, v := range r.Words {
 		report.WordsByCategory[string(k)] = v
 	}
 	if opts.Transport == "tcp" {
@@ -502,32 +502,28 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 }
 
 // costs is what a process knows of a run's cost once its ranks return:
-// its wall time, the maxima over the ranks it hosts of each ledger reading,
-// and their wire sums added together.
+// its wall time, the maximum over the ranks it hosts of their ledgers'
+// readings, and their wire sums added together.
 type costs struct {
-	wall, bulk, critical, hidden float64
-	time                         map[comm.Category]float64
-	words                        map[comm.Category]int64
-	wire                         comm.WireSums
+	wall float64
+	comm.Reading
+	wire comm.WireSums
 }
 
 // readCosts reads a finished run's costs off the cluster.
 func readCosts(cl *comm.Cluster, wall float64) costs {
-	return costs{
-		wall: wall, bulk: cl.MaxTotalTime(), critical: cl.MaxElapsed(), hidden: cl.MaxHiddenCommTime(),
-		time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(), wire: cl.SumWire(),
-	}
+	return costs{wall: wall, Reading: cl.Max((*comm.Ledger).Reading), wire: cl.SumWire()}
 }
 
 // gather sends this process's reading to rank 0 in one Gather and
 // returns, where rank 0 is hosted, the world's: the maximum of each reading
 // and the wire sums added together. Elsewhere it returns r unchanged. A
-// reading travels as [wall, bulk, critical, hidden, (seconds, words) per
-// category, the eight fields of comm.WireSums].
+// reading travels as [wall, bulk, elapsed, hidden, peak words, (seconds,
+// words, msgs) per category, the eight fields of comm.WireSums].
 func (r costs) gather(cl *comm.Cluster) (costs, error) {
-	mine := []float64{r.wall, r.bulk, r.critical, r.hidden}
+	mine := []float64{r.wall, r.Bulk, r.Elapsed, r.Hidden, float64(r.PeakMemWords)}
 	for _, cat := range comm.AllCategories {
-		mine = append(mine, r.time[cat], float64(r.words[cat]))
+		mine = append(mine, r.Time[cat], float64(r.Words[cat]), float64(r.Msgs[cat]))
 	}
 	w := r.wire
 	mine = append(mine, float64(w.Samples), w.Msgs, w.Words, w.MM, w.WW, w.MW, w.MT, w.WT)
@@ -536,22 +532,20 @@ func (r costs) gather(cl *comm.Cluster) (costs, error) {
 		if all == nil {
 			return nil
 		}
-		r = costs{time: make(map[comm.Category]float64), words: make(map[comm.Category]int64)}
+		r = costs{}
 		for _, p := range all {
 			s := p.Floats
-			r.wall, r.bulk, r.critical, r.hidden = max(r.wall, s[0]), max(r.bulk, s[1]), max(r.critical, s[2]), max(r.hidden, s[3])
-			s = s[4:]
+			theirs := comm.Reading{Bulk: s[1], Elapsed: s[2], Hidden: s[3], PeakMemWords: int64(s[4]),
+				Time: map[comm.Category]float64{}, Words: map[comm.Category]int64{}, Msgs: map[comm.Category]int64{}}
+			r.wall = max(r.wall, s[0])
+			s = s[5:]
 			for _, cat := range comm.AllCategories {
-				// Only a category some rank charged gets a key, as on a
-				// cluster that hosts every rank.
-				if s[0] > r.time[cat] {
-					r.time[cat] = s[0]
-				}
-				if w := int64(s[1]); w > r.words[cat] {
-					r.words[cat] = w
-				}
-				s = s[2:]
+				theirs.Time[cat], theirs.Words[cat], theirs.Msgs[cat] = s[0], int64(s[1]), int64(s[2])
+				s = s[3:]
 			}
+			// Max keys only the categories some rank charged, as on a
+			// cluster that hosts every rank.
+			r.Reading = r.Max(theirs)
 			r.wire.Add(comm.WireSums{Samples: int64(s[0]), Msgs: s[1], Words: s[2], MM: s[3], WW: s[4], MW: s[5], MT: s[6], WT: s[7]})
 		}
 		return nil

@@ -77,10 +77,10 @@ func (p Payload) Words() int64 { return int64(len(p.Floats)) + int64(len(p.Ints)
 // span; asynchronous charges (the I-collectives) only reserve
 // the network and advance the clock when their Request is waited on, so
 // compute issued between initiation and Wait overlaps the in-flight span.
-// Elapsed is therefore the critical path max(comp, comm) of the pipeline
-// the rank actually executed, and TotalTime the bulk-synchronous reading of
-// the same run: every span's length summed in charge order, as if nothing
-// overlapped.
+// The clock is therefore the critical path max(comp, comm) of the pipeline
+// the rank actually executed, and the bulk sum the bulk-synchronous reading
+// of the same run: every span's length summed in charge order, as if nothing
+// overlapped. Reading returns both, and LastEpoch both over the last epoch.
 type Ledger struct {
 	// ModelTime is modeled seconds per category (α–β charges plus compute
 	// charges from ChargeTime).
@@ -105,7 +105,7 @@ type Ledger struct {
 	// moved data, on every fabric.
 	Wire WireSums
 
-	// bulk is every charge's span length summed in charge order: TotalTime.
+	// bulk is every charge's span length summed in charge order.
 	bulk float64
 	// clock is the rank's timeline position: the end of the last span the
 	// rank synchronously completed or waited for.
@@ -124,6 +124,11 @@ type Ledger struct {
 	// initiation so Wait can tell compute-covered span from span covered
 	// by other transfers dragging the clock.
 	compTime float64
+
+	// epochs holds the running totals as the last two EpochDone calls left
+	// them, the later at epochs[closed%2]; closed counts the calls.
+	epochs [2]Reading
+	closed int
 }
 
 // RecordMem reports the current modeled resident word count; the ledger
@@ -139,38 +144,8 @@ func newLedger() *Ledger {
 		ModelTime:  make(map[Category]float64),
 		ModelWords: make(map[Category]int64),
 		ModelMsgs:  make(map[Category]int64),
+		epochs:     [2]Reading{newReading(), newReading()},
 	}
-}
-
-// TotalTime returns the bulk-synchronous modeled time, as if no
-// communication overlapped compute: every charge summed in the order it was
-// made, so a run's total has one value, bit for bit.
-func (l *Ledger) TotalTime() float64 { return l.bulk }
-
-// Elapsed returns the rank's timeline clock: the critical-path modeled
-// time of everything charged so far. When every charge was synchronous it
-// equals TotalTime exactly — the same additions in the same order;
-// asynchronous charges waited on after intervening compute shrink it by the
-// hidden overlap.
-func (l *Ledger) Elapsed() float64 { return l.clock }
-
-// HiddenCommTime returns the asynchronous communication seconds that were
-// hidden behind compute: the total span length of waited requests minus
-// their exposed remainders. It is the overlap headroom actually realized.
-func (l *Ledger) HiddenCommTime() float64 { return l.hidden }
-
-// CommTime returns modeled time in communication categories only.
-func (l *Ledger) CommTime() float64 {
-	return l.ModelTime[CatSparseComm] + l.ModelTime[CatDenseComm] + l.ModelTime[CatTranspose]
-}
-
-// TotalWords returns the sum of modeled words across categories.
-func (l *Ledger) TotalWords() int64 {
-	var s int64
-	for _, v := range l.ModelWords {
-		s += v
-	}
-	return s
 }
 
 // Cluster is the ranks this process hosts and the one launcher that runs
@@ -178,7 +153,7 @@ func (l *Ledger) TotalWords() int64 {
 // ranks of a world on the channel fabric, ClusterOf over LocalTCPComms'
 // endpoints all p over loopback sockets, ClusterOf over one DialTCP
 // endpoint the one rank a process has of a multi-process world.
-// Ledger and the Max*/Sum* reductions cover the hosted ranks.
+// Ledger, Max, Sum and SumWire cover the hosted ranks.
 type Cluster struct {
 	comms []*Comm // the hosted endpoints
 	// failed is the root cause of the Run that aborted the fabric; an
@@ -235,115 +210,11 @@ func (c *Cluster) Ledger(rank int) *Ledger {
 	panic(fmt.Sprintf("comm: rank %d is not hosted by this cluster", rank))
 }
 
-// MaxTotalTime returns the bulk-synchronous modeled run time: the maximum
-// over ranks of TotalTime, the per-rank sum of all charges.
-func (c *Cluster) MaxTotalTime() float64 {
-	var mx float64
-	for _, cm := range c.comms {
-		mx = max(mx, cm.ledger.TotalTime())
-	}
-	return mx
-}
-
-// MaxElapsed returns the overlapped modeled run time: the maximum over
-// ranks of the critical-path timeline clock, where in-flight collective
-// spans hide behind compute.
-func (c *Cluster) MaxElapsed() float64 {
-	var mx float64
-	for _, cm := range c.comms {
-		mx = max(mx, cm.ledger.Elapsed())
-	}
-	return mx
-}
-
-// MaxHiddenCommTime returns the largest per-rank hidden communication
-// time: the async collective seconds that overlapped compute.
-func (c *Cluster) MaxHiddenCommTime() float64 {
-	var mx float64
-	for _, cm := range c.comms {
-		mx = max(mx, cm.ledger.HiddenCommTime())
-	}
-	return mx
-}
-
-// MaxTimeByCategory returns, per category, the maximum modeled time across
-// ranks (the paper's per-category breakdown is per-process maxima under
-// bulk-synchronous execution).
-func (c *Cluster) MaxTimeByCategory() map[Category]float64 {
-	out := make(map[Category]float64)
-	for _, cm := range c.comms {
-		for k, v := range cm.ledger.ModelTime {
-			if v > out[k] {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
-// MaxWordsByCategory returns per-category maximum modeled words across
-// ranks.
-func (c *Cluster) MaxWordsByCategory() map[Category]int64 {
-	out := make(map[Category]int64)
-	for _, cm := range c.comms {
-		for k, v := range cm.ledger.ModelWords {
-			if v > out[k] {
-				out[k] = v
-			}
-		}
-	}
-	return out
-}
-
-// MaxMsgsByCategory returns per-category maximum α-term message counts
-// across ranks.
-func (c *Cluster) MaxMsgsByCategory() map[Category]int64 {
-	out := make(map[Category]int64)
-	for _, cm := range c.comms {
-		for k, v := range cm.ledger.ModelMsgs {
-			out[k] = max(out[k], v)
-		}
-	}
-	return out
-}
-
-// SumWordsByCategory returns per-category modeled words summed over all
-// ranks: the total communication volume, as opposed to the per-rank
-// maximum that bounds bulk-synchronous runtime — the §IV-A-8 distinction
-// between total and max edgecut.
-func (c *Cluster) SumWordsByCategory() map[Category]int64 {
-	out := make(map[Category]int64)
-	for _, cm := range c.comms {
-		for k, v := range cm.ledger.ModelWords {
-			out[k] += v
-		}
-	}
-	return out
-}
-
 // SumWire returns the hosted ranks' wire sums added together.
 func (c *Cluster) SumWire() WireSums {
 	var s WireSums
 	for _, cm := range c.comms {
 		s.Add(cm.ledger.Wire)
-	}
-	return s
-}
-
-// MaxPeakMemWords returns the largest per-rank peak resident word count.
-func (c *Cluster) MaxPeakMemWords() int64 {
-	var mx int64
-	for _, cm := range c.comms {
-		mx = max(mx, cm.ledger.PeakMemWords)
-	}
-	return mx
-}
-
-// TotalWords sums modeled words over all ranks and categories.
-func (c *Cluster) TotalWords() int64 {
-	var s int64
-	for _, cm := range c.comms {
-		s += cm.ledger.TotalWords()
 	}
 	return s
 }
@@ -553,13 +424,15 @@ func (c *Comm) Exchange(peer int, p Payload, cat Category) Payload {
 	return c.recvRaw(peer)
 }
 
-// EpochDone marks a cluster-wide epoch boundary: it advances the
-// transport's epoch count (the one FaultTransport's epoch-triggered events
-// read), then Recycles. Every rank must call it at the same point (it is a
-// collective, like Barrier). The training engine calls it at the end of
-// every epoch, after all epoch state has been consumed, which is what makes
-// the steady-state epoch loop allocation-free.
+// EpochDone marks a cluster-wide epoch boundary: it keeps the ledger's
+// running totals for LastEpoch, advances the transport's epoch count (the
+// one FaultTransport's epoch-triggered events read), then Recycles. Every
+// rank must call it at the same point (it is a collective, like Barrier).
+// The training engine calls it at the end of every epoch, after all epoch
+// state has been consumed, which is what makes the steady-state epoch loop
+// allocation-free.
 func (c *Comm) EpochDone() {
+	c.ledger.closeEpoch()
 	if et, ok := c.tr.(epochTicker); ok {
 		et.EpochTick()
 	}

@@ -489,14 +489,14 @@ func TestChargeAccounting(t *testing.T) {
 	if l.ModelTime[CatSpMM] != 0.5 {
 		t.Fatalf("compute charge = %v", l.ModelTime[CatSpMM])
 	}
-	if math.Abs(l.TotalTime()-(wantTime+0.5)) > 1e-12 {
-		t.Fatalf("TotalTime = %v", l.TotalTime())
+	if math.Abs(l.Reading().Bulk-(wantTime+0.5)) > 1e-12 {
+		t.Fatalf("bulk = %v", l.Reading().Bulk)
 	}
 }
 
-// TestTotalTimeIsChargeOrderSum: TotalTime adds the charges in the order
-// they were made, whatever categories hold them, so one ledger reads the
-// same bits on every call. A large first charge makes the order visible:
+// TestTotalTimeIsChargeOrderSum: the bulk reading adds the charges in the
+// order they were made, whatever categories hold them, so one ledger reads
+// the same bits on every call. A large first charge makes the order visible:
 // each later 1-second span rounds away against 1e16, while the four summed
 // first would survive.
 func TestTotalTimeIsChargeOrderSum(t *testing.T) {
@@ -514,8 +514,8 @@ func TestTotalTimeIsChargeOrderSum(t *testing.T) {
 		want += ch.sec
 	}
 	for i := 0; i < 200; i++ {
-		if got := l.TotalTime(); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("call %d: TotalTime = %v, want the charge-order sum %v", i, got, want)
+		if got := l.Reading().Bulk; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: bulk = %v, want the charge-order sum %v", i, got, want)
 		}
 	}
 }
@@ -582,8 +582,8 @@ func TestSingleMemberCollectivesChargeNothing(t *testing.T) {
 						p, r, cat, l.ModelMsgs[cat], l.ModelWords[cat], l.ModelTime[cat])
 				}
 			}
-			if l.Elapsed() != 0 {
-				t.Errorf("P=%d rank %d: clock at %g s, want 0", p, r, l.Elapsed())
+			if l.Reading().Elapsed != 0 {
+				t.Errorf("P=%d rank %d: clock at %g s, want 0", p, r, l.Reading().Elapsed)
 			}
 		}
 	}
@@ -595,18 +595,19 @@ func TestLedgerResetAndAggregates(t *testing.T) {
 		c.Charge(CatSparseComm, 1, 5)
 		return nil
 	})
-	if cl.TotalWords() != 30 {
-		t.Fatalf("TotalWords = %d, want 30", cl.TotalWords())
+	sum := cl.Sum((*Ledger).Reading).Words
+	if sum[CatDenseComm] != 20 || sum[CatSparseComm] != 10 {
+		t.Fatalf("summed words = %v, want 20 dcomm and 10 scomm", sum)
 	}
-	byCat := cl.MaxWordsByCategory()
-	if byCat[CatDenseComm] != 10 || byCat[CatSparseComm] != 5 {
-		t.Fatalf("MaxWordsByCategory = %v", byCat)
+	mx := cl.Max((*Ledger).Reading)
+	if mx.Words[CatDenseComm] != 10 || mx.Words[CatSparseComm] != 5 {
+		t.Fatalf("max words = %v", mx.Words)
 	}
-	if cl.MaxTotalTime() <= 0 {
-		t.Fatal("MaxTotalTime should be positive")
+	if mx.Bulk <= 0 {
+		t.Fatal("max bulk time should be positive")
 	}
 	cl.ResetLedgers()
-	if cl.TotalWords() != 0 || cl.MaxTotalTime() != 0 {
+	if r := cl.Max((*Ledger).Reading); len(r.Words) != 0 || r.Bulk != 0 {
 		t.Fatal("ResetLedgers did not clear")
 	}
 }
@@ -620,8 +621,8 @@ func TestCommTimeExcludesCompute(t *testing.T) {
 	})
 	l := cl.Ledger(0)
 	wantComm := 1500 * testCost.Beta
-	if math.Abs(l.CommTime()-wantComm) > 1e-15 {
-		t.Fatalf("CommTime = %v, want %v", l.CommTime(), wantComm)
+	if math.Abs(commTime(l)-wantComm) > 1e-15 || l.ModelTime[CatSpMM] != 42 {
+		t.Fatalf("comm time = %v, spmm %v; want %v and 42", commTime(l), l.ModelTime[CatSpMM], wantComm)
 	}
 }
 
@@ -711,15 +712,15 @@ func TestAccessorsAndMemTracking(t *testing.T) {
 	if cl.Size() != 3 {
 		t.Fatalf("cluster Size = %d", cl.Size())
 	}
-	if cl.MaxPeakMemWords() != 300 {
-		t.Fatalf("MaxPeakMemWords = %d, want 300", cl.MaxPeakMemWords())
+	mx := cl.Max((*Ledger).Reading)
+	if mx.PeakMemWords != 300 {
+		t.Fatalf("max peak = %d, want 300", mx.PeakMemWords)
 	}
-	byCat := cl.MaxTimeByCategory()
-	if byCat[CatSpMM] != 2 {
-		t.Fatalf("MaxTimeByCategory[spmm] = %v, want 2", byCat[CatSpMM])
+	if mx.Time[CatSpMM] != 2 {
+		t.Fatalf("max spmm time = %v, want 2", mx.Time[CatSpMM])
 	}
 	cl.ResetLedgers()
-	if cl.MaxPeakMemWords() != 0 {
+	if cl.Max((*Ledger).Reading).PeakMemWords != 0 {
 		t.Fatal("ResetLedgers must clear peak memory")
 	}
 }

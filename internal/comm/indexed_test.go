@@ -142,8 +142,8 @@ func TestExchangeIndexedAllPairs(t *testing.T) {
 	}
 }
 
-// TestSumWordsByCategory: totals accumulate across all ranks, unlike the
-// per-rank max.
+// TestSumWordsByCategory: Cluster.Sum accumulates across all ranks, unlike
+// the per-rank Max.
 func TestSumWordsByCategory(t *testing.T) {
 	const p = 3
 	cl := NewCluster(p, CostParams{Alpha: 1, Beta: 1})
@@ -154,10 +154,10 @@ func TestSumWordsByCategory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.SumWordsByCategory()[CatDenseComm]; got != 60 {
+	if got := cl.Sum((*Ledger).Reading).Words[CatDenseComm]; got != 60 {
 		t.Fatalf("summed words = %d, want 60", got)
 	}
-	if got := cl.MaxWordsByCategory()[CatDenseComm]; got != 30 {
+	if got := cl.Max((*Ledger).Reading).Words[CatDenseComm]; got != 30 {
 		t.Fatalf("max words = %d, want 30", got)
 	}
 }

@@ -10,17 +10,18 @@ import (
 // programs of IBroadcast/IAllGather/ChargeTime/Wait interleavings are
 // executed twice — once asynchronously as generated, once with every
 // collective waited immediately (bulk-synchronous) — and the resulting
-// ledgers must satisfy the timeline algebra:
+// ledgers must satisfy the timeline algebra, in the terms of a rank's
+// Reading:
 //
-//	Elapsed  == critical path: ≥ compute, ≥ comm, ≤ TotalTime
-//	Elapsed + HiddenCommTime ≥ TotalTime (every span second is on the
+//	Elapsed  == critical path: ≥ compute, ≥ comm, ≤ Bulk
+//	Elapsed + Hidden ≥ Bulk (every span second is on the
 //	    clock or credited as hidden; the credit can over-count — the
 //	    per-request cap is compute-since-issue, not the exact interval
 //	    intersection — but never under-counts, so Elapsed never exceeds
 //	    the bulk-synchronous sum minus what was genuinely hidden)
-//	0 ≤ HiddenCommTime ≤ CommTime
+//	0 ≤ Hidden ≤ comm time (the comm categories' seconds)
 //	async Elapsed ≤ sync Elapsed (pipelining never loses)
-//	sync twin: Elapsed == TotalTime, HiddenCommTime == 0
+//	sync twin: Elapsed == Bulk, Hidden == 0
 //	traffic (words, msgs) and payload contents identical in both modes
 //
 // All quantities are modeled α–β arithmetic — no wall clock — so every
@@ -154,8 +155,8 @@ func TestTimelinePropertyRandomPrograms(t *testing.T) {
 
 				for rank := 0; rank < p; rank++ {
 					al, sl := async.Ledger(rank), sync.Ledger(rank)
-					elapsed, total := al.Elapsed(), al.TotalTime()
-					hidden, commT := al.HiddenCommTime(), al.CommTime()
+					elapsed, total := al.Reading().Elapsed, al.Reading().Bulk
+					hidden, commT := al.Reading().Hidden, commTime(al)
 
 					// The critical path dominates both resources...
 					if elapsed < comp[rank]-eps {
@@ -181,16 +182,16 @@ func TestTimelinePropertyRandomPrograms(t *testing.T) {
 					// The synchronous twin realizes no overlap: its clock is
 					// the bulk sum to the bit — the same additions in the
 					// same order.
-					if sl.Elapsed() != sl.TotalTime() {
+					if sl.Reading().Elapsed != sl.Reading().Bulk {
 						t.Fatalf("rank %d sync: elapsed %g != total %g",
-							rank, sl.Elapsed(), sl.TotalTime())
+							rank, sl.Reading().Elapsed, sl.Reading().Bulk)
 					}
-					if sl.HiddenCommTime() != 0 {
-						t.Fatalf("rank %d sync: hidden %g != 0", rank, sl.HiddenCommTime())
+					if sl.Reading().Hidden != 0 {
+						t.Fatalf("rank %d sync: hidden %g != 0", rank, sl.Reading().Hidden)
 					}
 					// Overlap reorders arrival times, never traffic or cost:
 					// per-category words, messages, and modeled seconds match
-					// exactly (TotalTime sums in charge order, which the two
+					// exactly (Bulk sums in charge order, which the two
 					// modes do not share, so only the per-category scalars
 					// are compared).
 					for _, cat := range AllCategories {
@@ -206,9 +207,9 @@ func TestTimelinePropertyRandomPrograms(t *testing.T) {
 						}
 					}
 					// And pipelining must not be slower than bulk-synchronous.
-					if elapsed > sl.Elapsed()+eps {
+					if elapsed > sl.Reading().Elapsed+eps {
 						t.Fatalf("rank %d: async elapsed %g > sync elapsed %g",
-							rank, elapsed, sl.Elapsed())
+							rank, elapsed, sl.Reading().Elapsed)
 					}
 					// Payload contents are mode-independent.
 					if asyncSum[rank] != syncSum[rank] {
@@ -230,7 +231,7 @@ func TestTimelinePropertySecondEpochIdentical(t *testing.T) {
 	first, _, _ := runProgram(t, ops, 4, false)
 	want := make([]float64, 4)
 	for r := range want {
-		want[r] = first.Ledger(r).Elapsed()
+		want[r] = first.Ledger(r).Reading().Elapsed
 	}
 
 	cluster := NewCluster(4, CostParams{Alpha: 1e-6, Beta: 2e-9})
@@ -238,7 +239,7 @@ func TestTimelinePropertySecondEpochIdentical(t *testing.T) {
 		cluster.ResetLedgers()
 		runProgramOn(t, cluster, ops, false)
 		for r := 0; r < 4; r++ {
-			if got := cluster.Ledger(r).Elapsed(); got != want[r] {
+			if got := cluster.Ledger(r).Reading().Elapsed; got != want[r] {
 				t.Fatalf("epoch %d rank %d: elapsed %g, want %g (first run)", epoch, r, got, want[r])
 			}
 		}

@@ -173,12 +173,12 @@ func TestTCPModelLedgerMatchesInProcess(t *testing.T) {
 			if got.ModelMsgs[cat] != want.ModelMsgs[cat] {
 				t.Errorf("rank %d %s: modeled msgs %d over TCP, %d in-process", r, cat, got.ModelMsgs[cat], want.ModelMsgs[cat])
 			}
+			if got.ModelWords[cat] != want.ModelWords[cat] {
+				t.Errorf("rank %d %s: modeled words %d over TCP, %d in-process", r, cat, got.ModelWords[cat], want.ModelWords[cat])
+			}
 		}
-		if got.TotalWords() != want.TotalWords() {
-			t.Errorf("rank %d: modeled words %d over TCP, %d in-process", r, got.TotalWords(), want.TotalWords())
-		}
-		if got.Elapsed() != want.Elapsed() {
-			t.Errorf("rank %d: elapsed %v over TCP, %v in-process", r, got.Elapsed(), want.Elapsed())
+		if got.Reading().Elapsed != want.Reading().Elapsed {
+			t.Errorf("rank %d: elapsed %v over TCP, %v in-process", r, got.Reading().Elapsed, want.Reading().Elapsed)
 		}
 		if got.PhysMsgsSent != want.PhysMsgsSent || got.PhysWordsSent != want.PhysWordsSent {
 			t.Errorf("rank %d: phys sent (%d msgs, %d words) over TCP, (%d, %d) in-process",

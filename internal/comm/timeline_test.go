@@ -26,14 +26,14 @@ func TestTimelineFullyHiddenSpan(t *testing.T) {
 		c.ChargeTime(CatSpMM, 10*commCost)
 		req.Wait()
 	})
-	if got, want := l.Elapsed(), 10*commCost; got != want {
+	if got, want := l.Reading().Elapsed, 10*commCost; got != want {
 		t.Fatalf("Elapsed = %v, want compute-only %v", got, want)
 	}
-	if got := l.HiddenCommTime(); got != commCost {
+	if got := l.Reading().Hidden; got != commCost {
 		t.Fatalf("hidden = %v, want the whole span %v", got, commCost)
 	}
-	if got := l.TotalTime(); got != 11*commCost {
-		t.Fatalf("TotalTime = %v, want bulk sum %v", got, 11*commCost)
+	if got := l.Reading().Bulk; got != 11*commCost {
+		t.Fatalf("bulk = %v, want the sum of the spans %v", got, 11*commCost)
 	}
 }
 
@@ -47,10 +47,10 @@ func TestTimelinePartiallyHiddenSpan(t *testing.T) {
 		c.ChargeTime(CatSpMM, comp)
 		req.Wait()
 	})
-	if got := l.Elapsed(); got != commCost {
+	if got := l.Reading().Elapsed; got != commCost {
 		t.Fatalf("Elapsed = %v, want comm-bound %v", got, commCost)
 	}
-	if got := l.HiddenCommTime(); got != comp {
+	if got := l.Reading().Hidden; got != comp {
 		t.Fatalf("hidden = %v, want the compute length %v", got, comp)
 	}
 }
@@ -66,10 +66,10 @@ func TestTimelineZeroDurationCompute(t *testing.T) {
 		c.ChargeTime(CatSpMM, 0)
 		req.Wait()
 	})
-	if got := l.Elapsed(); got != commCost {
+	if got := l.Reading().Elapsed; got != commCost {
 		t.Fatalf("Elapsed = %v, want %v", got, commCost)
 	}
-	if got := l.HiddenCommTime(); got != 0 {
+	if got := l.Reading().Hidden; got != 0 {
 		t.Fatalf("hidden = %v, want 0", got)
 	}
 }
@@ -90,10 +90,10 @@ func TestTimelineTwoOverlappingSpans(t *testing.T) {
 	})
 	// Critical path: the spans occupy [0, c1] and [c1, c1+c2]; compute
 	// covers [0, comp] with comp < c1, so the clock lands on c1+c2.
-	if got, want := l.Elapsed(), c1+c2; got != want {
+	if got, want := l.Reading().Elapsed, c1+c2; got != want {
 		t.Fatalf("Elapsed = %v, want queued spans %v", got, want)
 	}
-	if got := l.HiddenCommTime(); got != comp {
+	if got := l.Reading().Hidden; got != comp {
 		t.Fatalf("hidden = %v, want %v", got, comp)
 	}
 }
@@ -109,7 +109,7 @@ func TestTimelineNestedWaits(t *testing.T) {
 		r2.Wait() // out of order: r2's span ends at c1+c2
 		r1.Wait() // already covered; no-op
 	})
-	if got, want := l.Elapsed(), c1+c2; got != want {
+	if got, want := l.Reading().Elapsed, c1+c2; got != want {
 		t.Fatalf("Elapsed = %v, want %v", got, want)
 	}
 }
@@ -126,10 +126,10 @@ func TestTimelineSyncQueuesBehindAsync(t *testing.T) {
 		c.Charge(CatSparseComm, 1, 700) // queues behind the in-flight span
 		req.Wait()
 	})
-	if got, want := l.Elapsed(), c1+c2; got != want {
+	if got, want := l.Reading().Elapsed, c1+c2; got != want {
 		t.Fatalf("Elapsed = %v, want %v", got, want)
 	}
-	if got := l.HiddenCommTime(); got != 0 {
+	if got := l.Reading().Hidden; got != 0 {
 		t.Fatalf("hidden = %v, want 0: the clock advanced on transfers, not compute", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestTimelineHiddenCappedByCompute(t *testing.T) {
 		c.Charge(CatSparseComm, 1, 1000) // drags clock past the span's end
 		req.Wait()
 	})
-	if got := l.HiddenCommTime(); got != comp {
+	if got := l.Reading().Hidden; got != comp {
 		t.Fatalf("hidden = %v, want only the compute %v", got, comp)
 	}
 }
@@ -163,11 +163,11 @@ func TestTimelineWaitIdempotent(t *testing.T) {
 			panic("repeated Wait changed the result")
 		}
 	})
-	if got := l.Elapsed(); got != 1.0 {
+	if got := l.Reading().Elapsed; got != 1.0 {
 		t.Fatalf("Elapsed = %v, want 1 (span fully hidden)", got)
 	}
 	want := 1*testCost.Alpha + 100*testCost.Beta
-	if got := l.HiddenCommTime(); got != want {
+	if got := l.Reading().Hidden; got != want {
 		t.Fatalf("hidden = %v, want %v (counted once)", got, want)
 	}
 }
@@ -182,10 +182,10 @@ func TestTimelineSyncElapsedEqualsTotal(t *testing.T) {
 		c.ChargeTime(CatMisc, 0.5)
 	})
 	want := 3*testCost.Alpha + 1000*testCost.Beta + 0.25 + 1*testCost.Alpha + 10*testCost.Beta + 0.5
-	if got := l.Elapsed(); got != want {
+	if got := l.Reading().Elapsed; got != want {
 		t.Fatalf("Elapsed = %v, want chronological sum %v", got, want)
 	}
-	if l.HiddenCommTime() != 0 {
+	if l.Reading().Hidden != 0 {
 		t.Fatal("synchronous schedule must hide nothing")
 	}
 }
@@ -226,7 +226,7 @@ func TestIBroadcastMatchesBroadcast(t *testing.T) {
 					s.ModelMsgs[CatDenseComm] != a.ModelMsgs[CatDenseComm] {
 					t.Fatalf("rank %d: charges differ sync %+v async %+v", r, s, a)
 				}
-				if s.Elapsed() != a.Elapsed() {
+				if s.Reading().Elapsed != a.Reading().Elapsed {
 					t.Fatalf("rank %d: immediate wait must match sync elapsed", r)
 				}
 			}
@@ -269,7 +269,7 @@ func TestIExchangeIndexedMatchesSync(t *testing.T) {
 		if s.ModelWords[CatDenseComm] != a.ModelWords[CatDenseComm] {
 			t.Fatalf("rank %d: words differ", r)
 		}
-		if a.HiddenCommTime() <= 0 {
+		if a.Reading().Hidden <= 0 {
 			t.Fatalf("rank %d: exchange span was not hidden behind compute", r)
 		}
 	}

@@ -10,40 +10,33 @@ import (
 )
 
 // perEpochWords measures the per-epoch modeled communication words of a
-// trainer, per-rank maximum by category, by differencing a 2-epoch and a
-// 1-epoch run (subtracting away setup, the once-per-run input aggregation
-// T¹ with its 2D/3D row-panel gather, 2D/3D's sparse row panels and
-// transpose, the final forward pass, and the output gather) — the
-// steady-state epoch.
+// trainer, per-rank maximum by category: the steady-state epoch, without
+// set-up, the once-per-run input aggregation T¹ with its 2D/3D row-panel
+// gather, 2D/3D's sparse row panels and transpose, the final forward pass
+// and the output gather.
 func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Category]int64 {
 	t.Helper()
-	steady, _ := runWordsBy(t, mk, p, (*comm.Cluster).MaxWordsByCategory)
+	steady, _ := runWordsBy(t, mk, p, (*comm.Cluster).Max)
 	return steady
 }
 
-// runWordsBy splits a run's words by category, under the cluster-wide
-// statistic the caller chooses (per-rank maximum, or sum over ranks), into
-// the steady-state epoch, run(2) − run(1), and the part a run of any length
-// pays once, 2·run(1) − run(2).
-func runWordsBy(t *testing.T, mk func() DistTrainer, p Problem, stat func(*comm.Cluster) map[comm.Category]int64) (steady, once map[comm.Category]int64) {
+// runWordsBy trains one 2-epoch run and splits its words by category, under
+// the cluster-wide statistic the caller chooses ((*comm.Cluster).Max or
+// Sum), into the steady-state epoch and the part a run of any length pays
+// once. Each rank's run less its last epoch (comm.Ledger.LastEpoch) is what
+// a 1-epoch run charges it, so the split is that of a 1-epoch and a 2-epoch
+// run: the epoch run(2) − run(1), the once-per-run part 2·run(1) − run(2).
+func runWordsBy(t *testing.T, mk func() DistTrainer, p Problem, stat func(*comm.Cluster, func(*comm.Ledger) comm.Reading) comm.Reading) (steady, once map[comm.Category]int64) {
 	t.Helper()
-	run := func(epochs int) map[comm.Category]int64 {
-		pp := p
-		pp.Config.Epochs = epochs
-		tr := mk()
-		if _, err := tr.Train(pp); err != nil {
-			t.Fatal(err)
-		}
-		return stat(tr.Cluster())
+	pp := p
+	pp.Config.Epochs = 2
+	tr := mk()
+	if _, err := tr.Train(pp); err != nil {
+		t.Fatal(err)
 	}
-	one := run(1)
-	two := run(2)
-	steady, once = make(map[comm.Category]int64), make(map[comm.Category]int64)
-	for k, v := range two {
-		steady[k] = v - one[k]
-		once[k] = 2*one[k] - v
-	}
-	return steady, once
+	two := stat(tr.Cluster(), (*comm.Ledger).Reading)
+	one := stat(tr.Cluster(), func(l *comm.Ledger) comm.Reading { return l.Reading().Sub(l.LastEpoch()) })
+	return two.Sub(one).Words, one.Add(one).Sub(two).Words
 }
 
 func commWorkload(p Problem) costmodel.Workload {
@@ -249,7 +242,7 @@ func TestSparseCommStructure(t *testing.T) {
 	p := testProblem(t, 320, 12, 8, 6, 1, 48)
 	directed := p
 	directed.A = sparse.RowStochastic(p.A)
-	maxWords := (*comm.Cluster).MaxWordsByCategory
+	maxWords := (*comm.Cluster).Max
 	steady, once := runWordsBy(t, func() DistTrainer { return NewOneD(4, testMach) }, p, maxWords)
 	if steady[comm.CatSparseComm] != 0 || once[comm.CatSparseComm] != 0 {
 		t.Fatalf("1D should move no sparse words, got %d per epoch and %d once", steady[comm.CatSparseComm], once[comm.CatSparseComm])
@@ -451,7 +444,7 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 				rowSplit(8, 2, func(f int64) int64 { return panels3(2, f)[dcomm] })},
 		}
 		for _, tc := range cases {
-			got, once := runWordsBy(t, tc.mk, p, (*comm.Cluster).SumWordsByCategory)
+			got, once := runWordsBy(t, tc.mk, p, (*comm.Cluster).Sum)
 			before := tc.before[narrowing]
 			want := sub(sub(sub(sub(before, tc.input), tc.order), tc.static), tc.rows)
 			for _, cat := range []comm.Category{dcomm, scomm, trpose, misc} {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/costmodel"
 	"repro/internal/dense"
 	"repro/internal/graph"
@@ -416,15 +417,15 @@ func TestLedgersPopulated(t *testing.T) {
 	if _, err := tr.Train(p); err != nil {
 		t.Fatal(err)
 	}
-	cl := tr.Cluster()
-	if cl.MaxTotalTime() <= 0 {
+	r := tr.Cluster().Max((*comm.Ledger).Reading)
+	if r.Bulk <= 0 {
 		t.Fatal("no modeled time recorded")
 	}
-	words := cl.MaxWordsByCategory()
+	words := r.Words
 	if words["scomm"] == 0 || words["dcomm"] == 0 || words["trpose"] == 0 {
 		t.Fatalf("expected traffic in all comm categories, got %v", words)
 	}
-	times := cl.MaxTimeByCategory()
+	times := r.Time
 	if times["spmm"] <= 0 {
 		t.Fatalf("expected SpMM compute charges, got %v", times)
 	}

@@ -409,7 +409,8 @@ func (m *matrixRuns) check(t *testing.T, c cell) {
 		requireNear(t, name, got.res, ref, c.tol)
 	}
 	if c.later != (trainCfg{}) {
-		if fast, late := m.train(t, c.later).cl.MaxElapsed(), got.cl.MaxElapsed(); !(late > fast) {
+		elapsed := func(cl *comm.Cluster) float64 { return cl.Max((*comm.Ledger).Reading).Elapsed }
+		if fast, late := elapsed(m.train(t, c.later).cl), elapsed(got.cl); !(late > fast) {
 			t.Fatalf("%s: timeline %v not behind %v's %v", name, late, c.later, fast)
 		}
 	}
@@ -455,7 +456,7 @@ func requireSameLedgers(t *testing.T, name string, got, want *comm.Cluster) {
 		}
 		if g.PeakMemWords != w.PeakMemWords || g.PhysWordsSent != w.PhysWordsSent || g.PhysMsgsSent != w.PhysMsgsSent ||
 			g.PhysWordsRecv != w.PhysWordsRecv || g.PhysMsgsRecv != w.PhysMsgsRecv ||
-			g.Elapsed() != w.Elapsed() || g.HiddenCommTime() != w.HiddenCommTime() {
+			g.Reading().Elapsed != w.Reading().Elapsed || g.Reading().Hidden != w.Reading().Hidden {
 			t.Fatalf("%s: rank %d's peak memory, physical traffic or timeline %+v, want %+v", name, r, *g, *w)
 		}
 	}

@@ -105,7 +105,7 @@ func TestHaloLedgerMatchesEdgecutBound(t *testing.T) {
 						tc.name, ranks, maxGot, fwd.MaxRecvRows, want)
 				}
 			}
-			if got := tr.Cluster().SumWordsByCategory()[comm.CatDenseComm]; got != predTotal || total != predTotal {
+			if got := tr.Cluster().Sum((*comm.Ledger).Reading).Words[comm.CatDenseComm]; got != predTotal || total != predTotal {
 				t.Fatalf("%s P=%d: total dcomm %d words, prediction %d", tc.name, ranks, got, predTotal)
 			}
 
@@ -190,7 +190,7 @@ func TestHaloSmartPartitionShrinksHalo(t *testing.T) {
 		if _, err := tr.Train(p); err != nil {
 			t.Fatal(err)
 		}
-		return tr.Cluster().SumWordsByCategory()[comm.CatDenseComm]
+		return tr.Cluster().Sum((*comm.Ledger).Reading).Words[comm.CatDenseComm]
 	}
 	rng := rand.New(rand.NewSource(8))
 	smart := words(partition.BlockAssignment(n, 8))

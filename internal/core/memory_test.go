@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/sparse"
 )
 
@@ -14,7 +15,7 @@ func peakMem(t *testing.T, tr DistTrainer, p Problem) int64 {
 	if _, err := tr.Train(pp); err != nil {
 		t.Fatal(err)
 	}
-	return tr.Cluster().MaxPeakMemWords()
+	return tr.Cluster().Max((*comm.Ledger).Reading).PeakMemWords
 }
 
 // TestMemoryOrderingAcrossAlgorithms: no rank of any trainer holds an n x f

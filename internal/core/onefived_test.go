@@ -39,7 +39,7 @@ func TestOneFiveDReducesDenseTraffic(t *testing.T) {
 		if _, err := tr.Train(p); err != nil {
 			t.Fatal(err)
 		}
-		words[c] = tr.Cluster().MaxWordsByCategory()["dcomm"]
+		words[c] = tr.Cluster().Max((*comm.Ledger).Reading).Words["dcomm"]
 	}
 	if words[2] >= words[1] {
 		t.Fatalf("dense words should fall with replication when P >> c²: %v", words)

@@ -92,24 +92,24 @@ func TestOverlapWordCountsUnchanged(t *testing.T) {
 		if _, err := slowTr.Train(p); err != nil {
 			t.Fatalf("%s slow network: %v", tc.name, err)
 		}
-		fastCl, slowCl := fastTr.(DistTrainer).Cluster(), slowTr.(DistTrainer).Cluster()
-		fastWords, slowWords := fastCl.MaxWordsByCategory(), slowCl.MaxWordsByCategory()
+		fast := fastTr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
+		slow := slowTr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
 		for _, cat := range comm.AllCategories {
-			if fastWords[cat] != slowWords[cat] {
+			if fast.Words[cat] != slow.Words[cat] {
 				t.Fatalf("%s %s words: fast %d vs slow %d",
-					tc.name, cat, fastWords[cat], slowWords[cat])
+					tc.name, cat, fast.Words[cat], slow.Words[cat])
 			}
 		}
-		if fastCl.MaxHiddenCommTime() == slowCl.MaxHiddenCommTime() && fastCl.MaxHiddenCommTime() > 0 {
-			t.Fatalf("%s: hidden time %v did not move with the network", tc.name, fastCl.MaxHiddenCommTime())
+		if fast.Hidden == slow.Hidden && fast.Hidden > 0 {
+			t.Fatalf("%s: hidden time %v did not move with the network", tc.name, fast.Hidden)
 		}
 	}
 }
 
 // TestOverlapStrictlyImprovesEpochTime is the headline acceptance check:
-// within one run, the overlapped reading of the ledger (the critical-path
-// MaxElapsed) must be strictly below its bulk-synchronous reading
-// (MaxTotalTime) for every pipelined broadcast configuration, and the
+// within one run, the overlapped reading of the ledgers (the critical path,
+// Reading.Elapsed, max over ranks) must be strictly below their
+// bulk-synchronous reading (Reading.Bulk) for every pipelined broadcast configuration, and the
 // hidden communication time must be positive. (The halo modes hide the
 // fetch behind interior rows, which a random graph barely has; see
 // TestOverlapHaloImprovesWithPartitioner.)
@@ -124,11 +124,11 @@ func TestOverlapStrictlyImprovesEpochTime(t *testing.T) {
 			if _, err := tr.Train(p); err != nil {
 				t.Fatal(err)
 			}
-			cl := tr.(DistTrainer).Cluster()
-			if elapsed, bulk := cl.MaxElapsed(), cl.MaxTotalTime(); !(elapsed < bulk) {
+			r := tr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
+			if elapsed, bulk := r.Elapsed, r.Bulk; !(elapsed < bulk) {
 				t.Fatalf("overlapped %v not strictly below bulk-synchronous %v", elapsed, bulk)
 			}
-			if hidden := cl.MaxHiddenCommTime(); hidden <= 0 {
+			if hidden := r.Hidden; hidden <= 0 {
 				t.Fatalf("no communication was hidden (hidden=%v)", hidden)
 			}
 		})
@@ -155,11 +155,11 @@ func TestOverlapHaloImprovesWithPartitioner(t *testing.T) {
 			if _, err := tr.Train(prob); err != nil {
 				t.Fatal(err)
 			}
-			cl := tr.(DistTrainer).Cluster()
-			if elapsed, bulk := cl.MaxElapsed(), cl.MaxTotalTime(); !(elapsed < bulk) {
+			r := tr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
+			if elapsed, bulk := r.Elapsed, r.Bulk; !(elapsed < bulk) {
 				t.Fatalf("halo overlapped %v not strictly below bulk-synchronous %v", elapsed, bulk)
 			}
-			if hidden := cl.MaxHiddenCommTime(); hidden <= 0 {
+			if hidden := r.Hidden; hidden <= 0 {
 				t.Fatalf("no communication was hidden (hidden=%v)", hidden)
 			}
 		})
@@ -179,16 +179,17 @@ func TestOverlapTimelineNeverBelowLowerBounds(t *testing.T) {
 		}
 		cl := tr.(DistTrainer).Cluster()
 		for rank := 0; rank < cl.Size(); rank++ {
-			l := cl.Ledger(rank)
-			comp := l.TotalTime() - l.CommTime()
-			if l.Elapsed() < comp {
-				t.Fatalf("%s rank %d: elapsed %v below compute %v", tc.name, rank, l.Elapsed(), comp)
+			l := cl.Ledger(rank).Reading()
+			commT := l.Time[comm.CatSparseComm] + l.Time[comm.CatDenseComm] + l.Time[comm.CatTranspose]
+			comp := l.Bulk - commT
+			if l.Elapsed < comp {
+				t.Fatalf("%s rank %d: elapsed %v below compute %v", tc.name, rank, l.Elapsed, comp)
 			}
-			if l.Elapsed() < l.CommTime() {
-				t.Fatalf("%s rank %d: elapsed %v below comm %v", tc.name, rank, l.Elapsed(), l.CommTime())
+			if l.Elapsed < commT {
+				t.Fatalf("%s rank %d: elapsed %v below comm %v", tc.name, rank, l.Elapsed, commT)
 			}
-			if l.Elapsed() > l.TotalTime()+1e-12*l.TotalTime() {
-				t.Fatalf("%s rank %d: elapsed %v above bulk-synchronous %v", tc.name, rank, l.Elapsed(), l.TotalTime())
+			if l.Elapsed > l.Bulk+1e-12*l.Bulk {
+				t.Fatalf("%s rank %d: elapsed %v above bulk-synchronous %v", tc.name, rank, l.Elapsed, l.Bulk)
 			}
 		}
 	}

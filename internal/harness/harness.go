@@ -69,15 +69,15 @@ func problemFor(ds *graph.Dataset, epochs int) core.Problem {
 }
 
 // EpochMeasurement is the cost of one (dataset, algorithm, P, halo)
-// configuration, split by differencing 2-epoch and 1-epoch runs into the
-// steady-state epoch, run(2) − run(1), and the part a run of any length pays
-// exactly once, 2·run(1) − run(2): set-up, the input aggregation T¹ with
-// 2D/3D's row-panel gather, 2D/3D's sparse row panels in both directions and
-// 2D's transpose exchange (static operands cross the network once), the
-// final forward pass and the output gather. The paper's epoch (§IV-C,
-// Figure 3) charges the sparse panels and the transpose every epoch; here
-// they are charged in the same categories at the same α–β cost, once, so the
-// Once fields are where Figure 3's scomm and trpose bars are read from.
+// configuration, read off one 2-epoch run (MeasureEpoch) and split into the
+// steady-state epoch and the part a run of any length pays exactly once:
+// set-up, the input aggregation T¹ with 2D/3D's row-panel gather, 2D/3D's
+// sparse row panels in both directions and 2D's transpose exchange (static
+// operands cross the network once), the final forward pass and the output
+// gather. The paper's epoch (§IV-C, Figure 3) charges the sparse panels and
+// the transpose every epoch; here they are charged in the same categories at
+// the same α–β cost, once, so the Once fields are where Figure 3's scomm and
+// trpose bars are read from.
 type EpochMeasurement struct {
 	Dataset   string
 	Algorithm string
@@ -94,10 +94,10 @@ type EpochMeasurement struct {
 	WordsByCat map[comm.Category]int64
 	MsgsByCat  map[comm.Category]int64
 	// EpochTime is the bulk-synchronous modeled seconds per steady-state
-	// epoch, Cluster.MaxTotalTime: every charge paid in turn.
+	// epoch, comm.Reading.Bulk: every charge paid in turn.
 	EpochTime float64
-	// CriticalPathTime is the same runs' timeline reading,
-	// Cluster.MaxElapsed: the pipelined collectives (double-buffered SUMMA
+	// CriticalPathTime is the same run's timeline reading,
+	// comm.Reading.Elapsed: the pipelined collectives (double-buffered SUMMA
 	// panels, interior/frontier halo splits) hide behind compute, as the
 	// paper's asynchronous collectives do (§V–VI).
 	CriticalPathTime float64
@@ -109,11 +109,12 @@ type EpochMeasurement struct {
 	OnceTimeByCat  map[comm.Category]float64
 	OnceWordsByCat map[comm.Category]int64
 	OnceTime       float64
-	// PeakMemWords is the 1-epoch run's per-rank peak resident footprint
-	// (max across ranks). For 2D and 3D it includes the sparse row panels a
-	// rank holds for the whole run — nnz/√P words per direction (one set,
-	// nnz/P^{2/3}, in 3D) where the paper's layout has nnz/P: the memory the
-	// mesh spends so that A crosses the network once (core/mesh.go).
+	// PeakMemWords is the run's per-rank peak resident footprint (max
+	// across ranks); the second epoch does not raise it. For 2D and 3D it
+	// includes the sparse row panels a rank holds for the whole run —
+	// nnz/√P words per direction (one set, nnz/P^{2/3}, in 3D) where the
+	// paper's layout has nnz/P: the memory the mesh spends so that A
+	// crosses the network once (core/mesh.go).
 	PeakMemWords int64
 }
 
@@ -158,72 +159,42 @@ func (m EpochMeasurement) Replication() float64 {
 	return 1
 }
 
-// runCost is what the ledgers hold after one whole run, max across ranks.
-type runCost struct {
-	time                  map[comm.Category]float64
-	words, msgs           map[comm.Category]int64
-	bulk, elapsed, hidden float64
-	peak                  int64
-}
-
-// split differences per-category totals of a 1-epoch and a 2-epoch run into
-// the steady-state epoch and the once-per-run part.
-func split[V int64 | float64](one, two map[comm.Category]V) (epoch, once map[comm.Category]V) {
-	epoch, once = make(map[comm.Category]V), make(map[comm.Category]V)
-	for k, v := range two {
-		epoch[k] = v - one[k]
-		once[k] = 2*one[k] - v
-	}
-	return epoch, once
-}
-
 // MeasureEpoch trains algo on P ranks — over the sparsity-aware halo
-// exchange if halo, which only the row decompositions (1d, 1.5d) take — in a
-// 1-epoch and a 2-epoch run, and returns the steady-state epoch's and the
-// once-per-run costs with every reading of the runs' ledgers.
+// exchange if halo, which only the row decompositions (1d, 1.5d) take — for
+// two epochs, and returns the steady-state epoch's and the once-per-run
+// costs with every reading of the run's ledgers.
+//
+// The second epoch, which each ledger keeps (comm.Ledger.LastEpoch), is the
+// steady-state one; each rank's run less it is what a 1-epoch run charges
+// that rank. The figures are then the maxima over the ranks differenced as
+// two runs would be: the epoch max(run(2)) − max(run(1)), the once-per-run
+// part 2·max(run(1)) − max(run(2)).
 func MeasureEpoch(ds *graph.Dataset, algo string, p int, halo bool, mach costmodel.Machine) (EpochMeasurement, error) {
-	run := func(epochs int) (runCost, error) {
-		tr, err := core.NewTrainer(algo, p, mach)
-		if err != nil {
-			return runCost{}, err
-		}
-		dt, ok := tr.(core.DistTrainer)
-		if !ok {
-			return runCost{}, fmt.Errorf("harness: %q is not a distributed trainer", algo)
-		}
-		if _, err := core.ConfigureRowDecomposition(tr, nil, nil, "", halo, 0); err != nil {
-			return runCost{}, err
-		}
-		if _, err := tr.Train(problemFor(ds, epochs)); err != nil {
-			return runCost{}, err
-		}
-		cl := dt.Cluster()
-		return runCost{
-			time: cl.MaxTimeByCategory(), words: cl.MaxWordsByCategory(), msgs: cl.MaxMsgsByCategory(),
-			bulk: cl.MaxTotalTime(), elapsed: cl.MaxElapsed(), hidden: cl.MaxHiddenCommTime(),
-			peak: cl.MaxPeakMemWords(),
-		}, nil
-	}
-	one, err := run(1)
+	tr, err := core.NewTrainer(algo, p, mach)
 	if err != nil {
 		return EpochMeasurement{}, err
 	}
-	two, err := run(2)
-	if err != nil {
+	dt, ok := tr.(core.DistTrainer)
+	if !ok {
+		return EpochMeasurement{}, fmt.Errorf("harness: %q is not a distributed trainer", algo)
+	}
+	if _, err := core.ConfigureRowDecomposition(tr, nil, nil, "", halo, 0); err != nil {
 		return EpochMeasurement{}, err
 	}
-	m := EpochMeasurement{
+	if _, err := tr.Train(problemFor(ds, 2)); err != nil {
+		return EpochMeasurement{}, err
+	}
+	cl := dt.Cluster()
+	two := cl.Max((*comm.Ledger).Reading)
+	one := cl.Max(func(l *comm.Ledger) comm.Reading { return l.Reading().Sub(l.LastEpoch()) })
+	epoch, once := two.Sub(one), one.Add(one).Sub(two)
+	return EpochMeasurement{
 		Dataset: ds.Name, Algorithm: algo, P: p, Halo: halo,
-		EpochTime:        two.bulk - one.bulk,
-		CriticalPathTime: two.elapsed - one.elapsed,
-		HiddenCommTime:   two.hidden - one.hidden,
-		OnceTime:         2*one.bulk - two.bulk,
-		PeakMemWords:     one.peak,
-	}
-	m.TimeByCat, m.OnceTimeByCat = split(one.time, two.time)
-	m.WordsByCat, m.OnceWordsByCat = split(one.words, two.words)
-	m.MsgsByCat, _ = split(one.msgs, two.msgs)
-	return m, nil
+		TimeByCat: epoch.Time, WordsByCat: epoch.Words, MsgsByCat: epoch.Msgs,
+		EpochTime: epoch.Bulk, CriticalPathTime: epoch.Elapsed, HiddenCommTime: epoch.Hidden,
+		OnceTimeByCat: once.Time, OnceWordsByCat: once.Words, OnceTime: once.Bulk,
+		PeakMemWords: two.PeakMemWords,
+	}, nil
 }
 
 // Fig2Sweeps lists the paper's Figure 2 GPU counts per dataset. Amazon and
@@ -381,37 +352,27 @@ func PartitionExperiment(o Options) (PartitionResult, error) {
 		MaxReduction:   1 - float64(greedy.MaxCut)/float64(random.MaxCut),
 	}
 
-	// Train a real 1D GCN on the same graph: per-epoch dense words by
-	// 2-epoch minus 1-epoch differencing, per-rank max and total.
+	// Train a real 1D GCN on the same graph for two epochs: the second
+	// epoch's dense words, per-rank max and total.
 	ds := graph.Synthetic(res.Dataset, g, 16, 16, 8, 9)
 	widths := ds.LayerWidths()
 	measure := func(assign *partition.Assignment, halo bool) (maxW, totalW int64, err error) {
-		run := func(epochs int) (int64, int64, error) {
-			problem := problemFor(ds, epochs)
-			tr := core.NewOneD(p, o.Machine)
-			tr.Halo = halo
-			if assign != nil {
-				relabeled, layout, _, err := core.PartitionProblem(problem, *assign)
-				if err != nil {
-					return 0, 0, err
-				}
-				problem, tr.Layout = relabeled, layout
-			}
-			if _, err := tr.Train(problem); err != nil {
+		problem := problemFor(ds, 2)
+		tr := core.NewOneD(p, o.Machine)
+		tr.Halo = halo
+		if assign != nil {
+			relabeled, layout, _, err := core.PartitionProblem(problem, *assign)
+			if err != nil {
 				return 0, 0, err
 			}
-			return tr.Cluster().MaxWordsByCategory()[comm.CatDenseComm],
-				tr.Cluster().SumWordsByCategory()[comm.CatDenseComm], nil
+			problem, tr.Layout = relabeled, layout
 		}
-		m1, t1, err := run(1)
-		if err != nil {
+		if _, err := tr.Train(problem); err != nil {
 			return 0, 0, err
 		}
-		m2, t2, err := run(2)
-		if err != nil {
-			return 0, 0, err
-		}
-		return m2 - m1, t2 - t1, nil
+		cl := tr.Cluster()
+		return cl.Max((*comm.Ledger).LastEpoch).Words[comm.CatDenseComm],
+			cl.Sum((*comm.Ledger).LastEpoch).Words[comm.CatDenseComm], nil
 	}
 	var err error
 	if res.BroadcastMaxWords, res.BroadcastTotalWords, err = measure(nil, false); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -75,6 +76,89 @@ func TestModeledEpochGolden(t *testing.T) {
 		}
 	}
 	compareGolden(t, "modeled_epoch.golden", b.String())
+}
+
+// referenceEpoch is the measurement as two runs make it: a 1-epoch and a
+// 2-epoch run of the configuration, their ledgers' maxima over the ranks
+// differenced into the epoch, run(2) − run(1), and the once-per-run part,
+// 2·run(1) − run(2), with the 1-epoch run's peak.
+func referenceEpoch(t *testing.T, ds *graph.Dataset, algo string, p int, halo bool, mach costmodel.Machine) EpochMeasurement {
+	t.Helper()
+	var runs [2]comm.Reading
+	for e := range runs {
+		tr, err := core.NewTrainer(algo, p, mach)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.ConfigureRowDecomposition(tr, nil, nil, "", halo, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Train(problemFor(ds, e+1)); err != nil {
+			t.Fatal(err)
+		}
+		runs[e] = tr.(core.DistTrainer).Cluster().Max((*comm.Ledger).Reading)
+	}
+	one, two := runs[0], runs[1]
+	m := EpochMeasurement{
+		EpochTime: two.Bulk - one.Bulk, CriticalPathTime: two.Elapsed - one.Elapsed,
+		HiddenCommTime: two.Hidden - one.Hidden, OnceTime: 2*one.Bulk - two.Bulk, PeakMemWords: one.PeakMemWords,
+		TimeByCat: map[comm.Category]float64{}, OnceTimeByCat: map[comm.Category]float64{},
+		WordsByCat: map[comm.Category]int64{}, OnceWordsByCat: map[comm.Category]int64{}, MsgsByCat: map[comm.Category]int64{},
+	}
+	for _, cat := range comm.AllCategories {
+		m.TimeByCat[cat], m.OnceTimeByCat[cat] = two.Time[cat]-one.Time[cat], 2*one.Time[cat]-two.Time[cat]
+		m.WordsByCat[cat], m.OnceWordsByCat[cat] = two.Words[cat]-one.Words[cat], 2*one.Words[cat]-two.Words[cat]
+		m.MsgsByCat[cat] = two.Msgs[cat] - one.Msgs[cat]
+	}
+	return m
+}
+
+// TestMeasureEpochMatchesTwoRuns: the one 2-epoch run MeasureEpoch trains
+// reads what a 1-epoch and a 2-epoch run differenced read, on the golden's
+// configurations and the halo row decompositions: words, messages and the
+// peak exactly, seconds to a relative 1e-12 (the last epoch is a difference
+// of running sums).
+func TestMeasureEpochMatchesTwoRuns(t *testing.T) {
+	o := Options{Quick: true}.WithDefaults()
+	spec, err := o.dataset("reddit-sim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := spec.Build()
+	for _, cfg := range []struct {
+		algo string
+		p    int
+		halo bool
+	}{{"1d", 4, false}, {"1.5d", 4, false}, {"2d", 4, false}, {"3d", 8, false}, {"1d", 4, true}, {"1.5d", 4, true}} {
+		name := fmt.Sprintf("%s P=%d halo=%v", cfg.algo, cfg.p, cfg.halo)
+		got, err := MeasureEpoch(ds, cfg.algo, cfg.p, cfg.halo, o.Machine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceEpoch(t, ds, cfg.algo, cfg.p, cfg.halo, o.Machine)
+		near := func(what string, g, w float64) {
+			if math.Abs(g-w) > 1e-12*math.Abs(w) {
+				t.Errorf("%s %s: %v s, two runs read %v", name, what, g, w)
+			}
+		}
+		near("bulk", got.EpochTime, want.EpochTime)
+		near("critical path", got.CriticalPathTime, want.CriticalPathTime)
+		near("hidden", got.HiddenCommTime, want.HiddenCommTime)
+		near("once", got.OnceTime, want.OnceTime)
+		for _, cat := range comm.AllCategories {
+			near(string(cat), got.TimeByCat[cat], want.TimeByCat[cat])
+			near(string(cat)+" once", got.OnceTimeByCat[cat], want.OnceTimeByCat[cat])
+			if got.WordsByCat[cat] != want.WordsByCat[cat] || got.OnceWordsByCat[cat] != want.OnceWordsByCat[cat] ||
+				got.MsgsByCat[cat] != want.MsgsByCat[cat] {
+				t.Errorf("%s %s: %d words, %d once, %d msgs; two runs read %d, %d, %d", name, cat,
+					got.WordsByCat[cat], got.OnceWordsByCat[cat], got.MsgsByCat[cat],
+					want.WordsByCat[cat], want.OnceWordsByCat[cat], want.MsgsByCat[cat])
+			}
+		}
+		if got.PeakMemWords != want.PeakMemWords {
+			t.Errorf("%s: peak %d words, the 1-epoch run's %d", name, got.PeakMemWords, want.PeakMemWords)
+		}
+	}
 }
 
 func TestOptionsDefaults(t *testing.T) {
