@@ -343,6 +343,108 @@ func TestThreeDTrainsDirectedGraphs(t *testing.T) {
 	}
 }
 
+// symmetricByTranspose is symmetric's definition: A and Aᵀ hold the same
+// entries, and each pair of values agrees within symmetric's tolerance.
+func symmetricByTranspose(a *sparse.CSR) bool {
+	at := a.Transpose()
+	for i := range a.RowPtr {
+		if a.RowPtr[i] != at.RowPtr[i] {
+			return false
+		}
+	}
+	for k := range a.ColIdx {
+		v, w := a.Val[k], at.Val[k]
+		if a.ColIdx[k] != at.ColIdx[k] || math.Abs(v-w) > 1e-12*math.Max(math.Abs(v), math.Abs(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSymmetricMatchesTranspose: symmetric, which reads only the entries
+// above the diagonal and their mirrors, gives symmetricByTranspose's
+// verdict on the edge cases — 0×0, diagonal only, empty rows, an entry
+// below the diagonal in the last row with no mirror (no entry above the
+// diagonal leads to it: a scan that skipped the entries below the diagonal
+// instead of starting at its row's first unread entry would miss it), one
+// above the diagonal with no mirror, a mirror 1e-14 off (symmetric) and 1e-10 off (not), a directed
+// and a symmetrised Erdős–Rényi graph — and on random matrices of up to 7
+// rows, where each off-diagonal pair is mirrored, one-sided either way, or
+// mirrored off by 1e-14 or 1e-10.
+func TestSymmetricMatchesTranspose(t *testing.T) {
+	square := func(n int, entries ...sparse.Coord) *sparse.CSR { return sparse.NewCSR(n, n, entries) }
+	er := graph.ErdosRenyi(40, 3, rand.New(rand.NewSource(19)))
+	sym := graph.New(er.NumVertices)
+	for _, e := range er.Edges {
+		sym.AddUndirectedEdge(e[0], e[1])
+	}
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+		want bool
+	}{
+		{"0x0", square(0), true},
+		{"diagonal only", square(3, sparse.Coord{Row: 0, Col: 0, Val: 1}, sparse.Coord{Row: 1, Col: 1, Val: 2}, sparse.Coord{Row: 2, Col: 2, Val: 3}), true},
+		{"empty rows", square(5, sparse.Coord{Row: 0, Col: 3, Val: 1}, sparse.Coord{Row: 3, Col: 0, Val: 1}, sparse.Coord{Row: 2, Col: 2, Val: 4}), true},
+		{"unmatched below the diagonal in the last row", square(4, sparse.Coord{Row: 0, Col: 1, Val: 1}, sparse.Coord{Row: 1, Col: 0, Val: 1}, sparse.Coord{Row: 3, Col: 2, Val: 1}), false},
+		{"unmatched above the diagonal", square(4, sparse.Coord{Row: 0, Col: 1, Val: 1}, sparse.Coord{Row: 1, Col: 0, Val: 1}, sparse.Coord{Row: 1, Col: 3, Val: 1}), false},
+		{"mirror off by 1e-14", square(3, sparse.Coord{Row: 0, Col: 2, Val: 0.3}, sparse.Coord{Row: 2, Col: 0, Val: 0.3 * (1 + 1e-14)}), true},
+		{"mirror off by 1e-10", square(3, sparse.Coord{Row: 0, Col: 2, Val: 0.3}, sparse.Coord{Row: 2, Col: 0, Val: 0.3 * (1 + 1e-10)}), false},
+		{"directed ErdosRenyi", er.Adjacency(), false},
+		{"symmetrised ErdosRenyi", sym.NormalizedAdjacency(), true},
+	} {
+		if got, def := symmetric(tc.a), symmetricByTranspose(tc.a); got != tc.want || def != tc.want {
+			t.Errorf("%s: symmetric %v, by transpose %v; want %v", tc.name, got, def, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(23))
+	var verdicts [2]int
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(8)
+		var entries []sparse.Coord
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				if rng.Intn(3) != 0 {
+					continue
+				}
+				v := float64(1 + rng.Intn(4))
+				if i == j {
+					entries = append(entries, sparse.Coord{Row: i, Col: i, Val: v})
+					continue
+				}
+				upper, lower := sparse.Coord{Row: i, Col: j, Val: v}, sparse.Coord{Row: j, Col: i, Val: v}
+				switch rng.Intn(16) {
+				case 0:
+					entries = append(entries, upper)
+				case 1:
+					entries = append(entries, lower)
+				case 2:
+					lower.Val *= 1 + 1e-10
+					entries = append(entries, upper, lower)
+				case 3:
+					lower.Val *= 1 + 1e-14
+					entries = append(entries, upper, lower)
+				default:
+					entries = append(entries, upper, lower)
+				}
+			}
+		}
+		a := square(n, entries...)
+		want := symmetricByTranspose(a)
+		if got := symmetric(a); got != want {
+			t.Fatalf("trial %d, %d×%d with entries %v: symmetric %v, by transpose %v", trial, n, n, entries, got, want)
+		}
+		if want {
+			verdicts[1]++
+		} else {
+			verdicts[0]++
+		}
+	}
+	if verdicts[0] < 300 || verdicts[1] < 300 {
+		t.Fatalf("random matrices: %d not symmetric, %d symmetric; each verdict needs at least 300 of 3000", verdicts[0], verdicts[1])
+	}
+}
+
 // TestTrainersWithIdentityOutput exercises the element-wise-output path
 // (no all-gather needed anywhere).
 func TestTrainersElementwiseOutput(t *testing.T) {

@@ -184,16 +184,20 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// symmetric reports whether A = Aᵀ (up to rounding). One pass over the
-// nonzeros: rows are visited in order and every row's columns ascend, so
-// entry (i, j) must meet the next unread entry of row j, and that entry must
-// be (j, i) with the same value. Every trainer uses it to decide whether it
-// needs the global Aᵀ, and the mesh also whether it runs the transpose
-// exchange.
+// symmetric reports whether A = Aᵀ (up to rounding), reading only the
+// entries on and above the diagonal and their mirrors. Rows are visited in
+// order and every row's columns ascend, so entry (i, j) must meet the next
+// unread entry of row j, and that entry must be (j, i) with the same value;
+// it is then read. The entries of row i below the diagonal are so read, in
+// order, as the mirrors of the entries (j, i) in the rows j < i, and row i's
+// scan starts at its first unread entry. An entry below the diagonal left
+// unread has no mirror, and the scan checks it like one above, which fails.
+// Every trainer uses it to decide whether it needs the global Aᵀ, and the
+// mesh also whether it runs the transpose exchange.
 func symmetric(a *sparse.CSR) bool {
 	next := append([]int(nil), a.RowPtr[:a.Rows]...)
 	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+		for k := next[i]; k < a.RowPtr[i+1]; k++ {
 			j, v := a.ColIdx[k], a.Val[k]
 			m := next[j]
 			if m == a.RowPtr[j+1] || a.ColIdx[m] != i {

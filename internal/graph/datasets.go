@@ -98,9 +98,6 @@ func AnalogByName(name string) (AnalogSpec, error) {
 	return AnalogSpec{}, fmt.Errorf("graph: unknown dataset analog %q", name)
 }
 
-// Build synthesizes the dataset: an R-MAT graph symmetrized to undirected
-// form, random features (the paper itself randomly generates features for
-// Amazon and Protein, §V-C), and uniform random labels.
 // Quick returns the spec shrunk for a fast run — the one definition of the
 // CLIs' -quick, the bench harness's Quick and `go test -short`: an eighth of
 // the vertices, and a quarter of the edge factor where the graph is dense.
@@ -112,24 +109,23 @@ func (s AnalogSpec) Quick() AnalogSpec {
 	return s
 }
 
+// Build synthesizes the dataset: a DefaultRMAT graph in undirected form
+// (GNN adjacencies are undirected in all three datasets), random features
+// (the paper itself randomly generates features for Amazon and Protein,
+// §V-C), and uniform random labels, all from one RNG seeded with s.Seed.
+// Each R-MAT edge is stored in both directions as it is drawn.
 func (s AnalogSpec) Build() *Dataset {
 	rng := rand.New(rand.NewSource(s.Seed))
-	g := RMAT(s.Scale, s.EdgeFactor, DefaultRMAT, rng)
-	// Symmetrize: GNN adjacencies are undirected in all three datasets.
-	sym := New(g.NumVertices)
-	sym.Edges = make([][2]int, 0, 2*len(g.Edges))
-	for _, e := range g.Edges {
-		sym.AddUndirectedEdge(e[0], e[1])
-	}
-	feats := dense.New(sym.NumVertices, s.Features)
+	g := undirectedRMAT(s.Scale, s.EdgeFactor, rng)
+	feats := dense.New(g.NumVertices, s.Features)
 	feats.RandomInit(rng, 1.0)
-	labels := make([]int, sym.NumVertices)
+	labels := make([]int, g.NumVertices)
 	for i := range labels {
 		labels[i] = rng.Intn(s.Labels)
 	}
 	return &Dataset{
 		Name:      s.Name,
-		Graph:     sym,
+		Graph:     g,
 		Features:  feats,
 		Labels:    labels,
 		NumLabels: s.Labels,

@@ -74,30 +74,51 @@ type RMATConfig struct {
 // DefaultRMAT is the standard Graph500 parameterization.
 var DefaultRMAT = RMATConfig{A: 0.57, B: 0.19, C: 0.19, Noise: 0.1}
 
-// rmatChunkDraws is the most R-MAT draws one buffer holds, 64 KiB of
+// rmatChunkDraws is the most R-MAT draws one buffer holds, 256 KiB of
 // float64s; rmatBuffers buffers circulate between the producer and the
-// caller, so the draws in flight never grow with the edge count. Four, not
-// two or three: with fewer, one side waits at nearly every handoff, and
-// waking it costs about as much as a chunk's work (RMAT(13, 50) took ≈ 270
-// ms with two, ≈ 200 with three and ≈ 135 with four on a 2-vCPU x86-64 VM,
-// against ≈ 270 on one goroutine).
+// caller, so the draws in flight never grow with the edge count. The
+// producer (rng.Float64) is the slower side, and each handoff at which one
+// side waits costs a wake-up, so fewer, larger chunks are faster, up to a
+// point. BenchmarkRandomDataset's summa2d_dense recipe (RMAT(13, 50)) at two
+// workers on a 2-vCPU x86-64 VM, minimum / median of 16 interleaved runs of
+// 10 syntheses: with four buffers, 8 192 draws 120 / 147 ms, 32 768 105 /
+// 128 ms and 65 536 86 / 124 ms; with three, 32 768 91 / 122 ms and 65 536
+// 89 / 125 ms. 32 768 and 65 536 draws are within that noise; in 10
+// alternating runs of the summa2d_dense benchmark, 32 768 set up faster than
+// 65 536 in 7, with half the memory.
 const (
-	rmatChunkDraws = 8192
+	rmatChunkDraws = 32768
 	rmatBuffers    = 4
 )
 
 // RMAT generates a directed scale-free graph with 2^scale vertices and
 // approximately edgeFactor * 2^scale edges, drawn as rmat draws them.
 func RMAT(scale int, edgeFactor int, cfg RMATConfig, rng *rand.Rand) *Graph {
-	if scale < 0 || scale > 30 {
-		panic(fmt.Sprintf("graph: RMAT scale %d out of range [0, 30]", scale))
-	}
-	n := 1 << uint(scale)
-	g := New(n)
-	edges := edgeFactor * n
+	g := New(rmatVertices(scale))
+	edges := edgeFactor * g.NumVertices
 	g.Edges = make([][2]int, 0, max(edges, 0))
 	rmat(scale, edges, cfg, rng, func(_, u, v int) { g.AddEdge(u, v) })
 	return g
+}
+
+// undirectedRMAT is RMAT(scale, edgeFactor, DefaultRMAT, rng) with every
+// edge (u, v) followed by (v, u), the pair appended as rmat places it.
+func undirectedRMAT(scale, edgeFactor int, rng *rand.Rand) *Graph {
+	g := New(rmatVertices(scale))
+	edges := edgeFactor * g.NumVertices
+	g.Edges = make([][2]int, 0, max(2*edges, 0))
+	rmat(scale, edges, DefaultRMAT, rng, func(_, u, v int) {
+		g.Edges = append(g.Edges, [2]int{u, v}, [2]int{v, u})
+	})
+	return g
+}
+
+// rmatVertices is the vertex count of an R-MAT of the given scale, 2^scale.
+func rmatVertices(scale int) int {
+	if scale < 0 || scale > 30 {
+		panic(fmt.Sprintf("graph: RMAT scale %d out of range [0, 30]", scale))
+	}
+	return 1 << uint(scale)
 }
 
 // rmat draws edges R-MAT edges over 2^scale vertices and calls place(e, u,
@@ -154,34 +175,40 @@ func rmat(scale, edges int, cfg RMATConfig, rng *rand.Rand, place func(e, u, v i
 
 // rmatEdges places the edges whose draws d holds, 4·scale per edge, the
 // first of them edge e: at each level the perturbed quadrant weights a, b,
-// c, then the draw that picks the quadrant. A self-loop is dropped.
+// c, then the draw r that picks the quadrant. A self-loop is dropped.
+//
+// The quadrant is the first of top-left (r < a), top-right (r < a+b),
+// bottom-left (r < a+b+c) and bottom-right whose test holds, computed as
+// two bits rather than a branch per level, which the CPU mispredicts: the
+// row bit is ¬(r<a) ∧ ¬(r<a+b) and the column bit ¬(r<a) ∧ ((r<a+b) ∨
+// ¬(r<a+b+c)). The comparisons are those of the first-match rule, so a NaN
+// or a negative weight picks the quadrant that rule picks.
 func rmatEdges(scale int, cfg RMATConfig, e int, d []float64, place func(e, u, v int)) {
 	for ; len(d) > 0; d, e = d[4*scale:], e+1 {
 		u, v := 0, 0
-		for level := 0; level < scale; level++ {
-			x := d[4*level : 4*level+4]
+		for x := d[:4*scale]; len(x) > 0; x = x[4:] {
 			a := cfg.A * (1 + cfg.Noise*(x[0]-0.5))
 			b := cfg.B * (1 + cfg.Noise*(x[1]-0.5))
 			c := cfg.C * (1 + cfg.Noise*(x[2]-0.5))
 			sum := a + b + c + (1 - cfg.A - cfg.B - cfg.C)
 			r := x[3] * sum
-			half := 1 << uint(scale-level-1)
-			switch {
-			case r < a:
-				// top-left: no bit set
-			case r < a+b:
-				v += half
-			case r < a+b+c:
-				u += half
-			default:
-				u += half
-				v += half
-			}
+			inA, inAB, inABC := bit(r < a), bit(r < a+b), bit(r < a+b+c)
+			u = u<<1 | (1^inA)&(1^inAB)
+			v = v<<1 | (1^inA)&(inAB|(1^inABC))
 		}
 		if u != v {
 			place(e, u, v)
 		}
 	}
+}
+
+// bit is 1 if t holds and 0 otherwise; the compiler turns it into a flag
+// read (SETcc), not a branch.
+func bit(t bool) int {
+	if t {
+		return 1
+	}
+	return 0
 }
 
 // Ring returns the undirected cycle over n vertices — a convenient
