@@ -469,7 +469,7 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 		return report, nil
 	}
 	cl = dt.Cluster()
-	r := readCosts(cl, wall)
+	r := costs{wall: wall, Reading: cl.Max((*comm.Ledger).Reading), wire: cl.SumWire()}
 	if cl.Hosted() < cl.Size() {
 		// The rest of the world is in other processes: rank 0 takes the
 		// maximum of every process's reading and their wire sums added.
@@ -481,13 +481,14 @@ func train(opts TrainOptions, trainer core.Trainer, problem core.Problem, order 
 	if opts.Overlap {
 		report.ModeledSeconds, report.HiddenCommSeconds = r.Elapsed, r.Hidden
 	}
-	report.TimeByCategory = make(map[string]float64)
-	for k, v := range r.Time {
-		report.TimeByCategory[string(k)] = v
-	}
-	report.WordsByCategory = make(map[string]int64)
-	for k, v := range r.Words {
-		report.WordsByCategory[string(k)] = v
+	report.TimeByCategory, report.WordsByCategory = map[string]float64{}, map[string]int64{}
+	for cat := range comm.NumCategories {
+		if r.Time[cat] > 0 {
+			report.TimeByCategory[cat.String()] = r.Time[cat]
+		}
+		if r.Words[cat] > 0 {
+			report.WordsByCategory[cat.String()] = r.Words[cat]
+		}
 	}
 	if opts.Transport == "tcp" {
 		report.MeasuredSeconds = r.wall
@@ -510,11 +511,6 @@ type costs struct {
 	wire comm.WireSums
 }
 
-// readCosts reads a finished run's costs off the cluster.
-func readCosts(cl *comm.Cluster, wall float64) costs {
-	return costs{wall: wall, Reading: cl.Max((*comm.Ledger).Reading), wire: cl.SumWire()}
-}
-
 // gather sends this process's reading to rank 0 in one Gather and
 // returns, where rank 0 is hosted, the world's: the maximum of each reading
 // and the wire sums added together. Elsewhere it returns r unchanged. A
@@ -522,11 +518,10 @@ func readCosts(cl *comm.Cluster, wall float64) costs {
 // words, msgs) per category, the eight fields of comm.WireSums].
 func (r costs) gather(cl *comm.Cluster) (costs, error) {
 	mine := []float64{r.wall, r.Bulk, r.Elapsed, r.Hidden, float64(r.PeakMemWords)}
-	for _, cat := range comm.AllCategories {
+	for cat := range comm.NumCategories {
 		mine = append(mine, r.Time[cat], float64(r.Words[cat]), float64(r.Msgs[cat]))
 	}
-	w := r.wire
-	mine = append(mine, float64(w.Samples), w.Msgs, w.Words, w.MM, w.WW, w.MW, w.MT, w.WT)
+	mine = append(mine, float64(r.wire.Samples), r.wire.Msgs, r.wire.Words, r.wire.MM, r.wire.WW, r.wire.MW, r.wire.MT, r.wire.WT)
 	err := cl.Run(func(c *comm.Comm) error {
 		all := c.World().Gather(0, comm.Payload{Floats: mine}, comm.CatMisc)
 		if all == nil {
@@ -535,16 +530,13 @@ func (r costs) gather(cl *comm.Cluster) (costs, error) {
 		r = costs{}
 		for _, p := range all {
 			s := p.Floats
-			theirs := comm.Reading{Bulk: s[1], Elapsed: s[2], Hidden: s[3], PeakMemWords: int64(s[4]),
-				Time: map[comm.Category]float64{}, Words: map[comm.Category]int64{}, Msgs: map[comm.Category]int64{}}
+			theirs := comm.Reading{Bulk: s[1], Elapsed: s[2], Hidden: s[3], PeakMemWords: int64(s[4])}
 			r.wall = max(r.wall, s[0])
 			s = s[5:]
-			for _, cat := range comm.AllCategories {
+			for cat := range comm.NumCategories {
 				theirs.Time[cat], theirs.Words[cat], theirs.Msgs[cat] = s[0], int64(s[1]), int64(s[2])
 				s = s[3:]
 			}
-			// Max keys only the categories some rank charged, as on a
-			// cluster that hosts every rank.
 			r.Reading = r.Max(theirs)
 			r.wire.Add(comm.WireSums{Samples: int64(s[0]), Msgs: s[1], Words: s[2], MM: s[3], WW: s[4], MW: s[5], MT: s[6], WT: s[7]})
 		}
@@ -582,9 +574,9 @@ func PredictWords(ds *graph.Dataset, p int) map[string]float64 {
 
 // CommCategories lists the Figure 3 cost categories in display order.
 func CommCategories() []string {
-	out := make([]string, len(comm.AllCategories))
-	for i, c := range comm.AllCategories {
-		out[i] = string(c)
+	out := make([]string, comm.NumCategories)
+	for c := range comm.NumCategories {
+		out[c] = c.String()
 	}
 	return out
 }

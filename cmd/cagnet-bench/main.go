@@ -225,8 +225,8 @@ func (b *bench) fig3() (any, error) {
 		return nil, err
 	}
 	header := []string{"dataset", "P"}
-	for _, cat := range comm.AllCategories {
-		header = append(header, string(cat))
+	for cat := range comm.NumCategories {
+		header = append(header, cat.String())
 	}
 	header = append(header, "total")
 	for _, part := range []struct {
@@ -243,7 +243,7 @@ func (b *bench) fig3() (any, error) {
 				byCat, total = m.OnceTimeByCat, m.OnceTime
 			}
 			row := []string{m.Dataset, strconv.Itoa(m.P)}
-			for _, cat := range comm.AllCategories {
+			for cat := range comm.NumCategories {
 				row = append(row, harness.FormatFloat(byCat[cat]))
 			}
 			cells = append(cells, append(row, harness.FormatFloat(total)))

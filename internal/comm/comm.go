@@ -2,17 +2,12 @@
 // hosts run as goroutines (Cluster) and exchange messages over a Transport —
 // channels in-process, or TCP sockets within or across processes.
 //
-// The package substitutes for the paper's Summit + NCCL testbed. It keeps
-// two ledgers per rank:
-//
-//   - a *physical* ledger counting the words actually moved through the
-//     fabric (useful for debugging the algorithms), and
-//   - a *model* ledger charging each operation its α–β cost exactly as the
-//     paper's analysis does (§III-A): a message of n words costs α + βn,
-//     collectives cost their Chan-et-al. bounds. Model time, words, and
-//     message counts are broken down by category (sparse comm, dense comm,
-//     transposes, local SpMM, ...) so that the paper's Figure 3 breakdown
-//     can be regenerated.
+// The package substitutes for the paper's Summit + NCCL testbed. Each
+// rank's Ledger records its plan: one step per collective call or compute
+// charge, with its α–β *model* charges (§III-A: a message of n words costs
+// α + βn, collectives their Chan-et-al. bounds) under one Figure 3
+// category, the words it *physically* moved and its wall seconds. Every
+// total — the paper's Figure 3 breakdown included — is a fold of the plan.
 //
 // Every collective is SPMD: all members of a group must call the same
 // operation in the same order, as in MPI.
@@ -27,23 +22,28 @@ import (
 )
 
 // Category labels where time and traffic are spent, matching the legend of
-// the paper's Figure 3.
-type Category string
+// the paper's Figure 3. It indexes every per-category array, so ranging
+// over NumCategories visits the categories in Figure 3's display order.
+type Category uint8
 
-// Categories used by the trainers. CatSparseComm and CatDenseComm split
-// communication by payload type; CatTranspose covers redistribution for
-// explicit transposes; CatSpMM and CatMisc are compute categories charged by
-// trainers via ChargeTime.
+// Categories used by the trainers, in Figure 3's display order.
+// CatSparseComm and CatDenseComm split communication by payload type;
+// CatTranspose covers redistribution for explicit transposes; CatSpMM and
+// CatMisc are compute categories charged by trainers via ChargeTime.
 const (
-	CatSparseComm Category = "scomm"
-	CatDenseComm  Category = "dcomm"
-	CatTranspose  Category = "trpose"
-	CatSpMM       Category = "spmm"
-	CatMisc       Category = "misc"
+	CatMisc Category = iota
+	CatTranspose
+	CatDenseComm
+	CatSparseComm
+	CatSpMM
+	// NumCategories is the length of every per-category array.
+	NumCategories
 )
 
-// AllCategories lists every category in Figure 3's display order.
-var AllCategories = []Category{CatMisc, CatTranspose, CatDenseComm, CatSparseComm, CatSpMM}
+// String returns the category's name in Figure 3's legend.
+func (c Category) String() string {
+	return [NumCategories]string{"misc", "trpose", "dcomm", "scomm", "spmm"}[c]
+}
 
 // CostParams holds the α–β machine constants used for model-time charging.
 type CostParams struct {
@@ -70,40 +70,32 @@ func (p Payload) Words() int64 { return int64(len(p.Floats)) + int64(len(p.Ints)
 // exclusively during Run, so no locking is needed; read it after Run
 // returns.
 //
-// Besides the per-category scalar totals, the ledger keeps an interval
-// *timeline*: every charge occupies a span of modeled time on one of two
-// per-rank resources — the compute core (ChargeTime) or the network link
-// (α–β charges). Synchronous charges advance the rank's clock past their
-// span; asynchronous charges (the I-collectives) only reserve
-// the network and advance the clock when their Request is waited on, so
-// compute issued between initiation and Wait overlaps the in-flight span.
-// The clock is therefore the critical path max(comp, comm) of the pipeline
-// the rank actually executed, and the bulk sum the bulk-synchronous reading
-// of the same run: every span's length summed in charge order, as if nothing
-// overlapped. Reading returns both, and LastEpoch both over the last epoch.
+// Besides the plan it keeps an interval *timeline*: every charge occupies a
+// span of modeled time on one of two per-rank resources — the compute core
+// (ChargeTime) or the network link (α–β charges). Synchronous charges
+// advance the rank's clock past their span; asynchronous charges (the
+// I-collectives) only reserve the network and advance the clock when their
+// Request is waited on, so compute issued between initiation and Wait
+// overlaps the in-flight span. The clock is therefore the critical path
+// max(comp, comm) of the pipeline the rank actually executed, and the bulk
+// sum the bulk-synchronous reading of the same run: every span's length
+// summed in charge order, as if nothing overlapped. Reading returns both,
+// and LastEpoch both over the last epoch.
 type Ledger struct {
-	// ModelTime is modeled seconds per category (α–β charges plus compute
-	// charges from ChargeTime).
-	ModelTime map[Category]float64
-	// ModelWords is the β-term word count charged per category.
-	ModelWords map[Category]int64
-	// ModelMsgs is the α-term message count charged per category.
-	ModelMsgs map[Category]int64
-	// PhysWordsSent counts words physically pushed into the fabric.
-	PhysWordsSent int64
-	// PhysMsgsSent counts messages physically pushed into the fabric.
-	PhysMsgsSent int64
-	// PhysWordsRecv counts words physically pulled out of the fabric.
-	PhysWordsRecv int64
-	// PhysMsgsRecv counts messages physically pulled out of the fabric.
-	PhysMsgsRecv int64
 	// PeakMemWords is the high-water mark of modeled resident matrix words
 	// reported by the algorithm via RecordMem — the basis for the paper's
 	// §IV-D replication-factor comparison.
 	PeakMemWords int64
-	// Wire is the rank's wire meter: one sample per collective call that
-	// moved data, on every fabric.
-	Wire WireSums
+
+	rank int
+	// steps is the plan (see record) and steps[segLo:segHi] its epoch
+	// segment; next is the slot the round's next step should match. cur is
+	// the step the open collective call fills, left the first step of the
+	// round that matched no slot, drift the first round that left the plan.
+	steps              []step
+	segLo, segHi, next int
+	cur, left          stepKey
+	drift              error
 
 	// bulk is every charge's span length summed in charge order.
 	bulk float64
@@ -125,9 +117,10 @@ type Ledger struct {
 	// by other transfers dragging the clock.
 	compTime float64
 
-	// epochs holds the running totals as the last two EpochDone calls left
-	// them, the later at epochs[closed%2]; closed counts the calls.
-	epochs [2]Reading
+	// bounds holds the timeline readings (Bulk, Elapsed, Hidden,
+	// PeakMemWords) as the last two EpochDone calls left them, the later
+	// at bounds[closed%2]; closed counts the calls.
+	bounds [2]Reading
 	closed int
 }
 
@@ -136,15 +129,6 @@ type Ledger struct {
 func (l *Ledger) RecordMem(words int64) {
 	if words > l.PeakMemWords {
 		l.PeakMemWords = words
-	}
-}
-
-func newLedger() *Ledger {
-	return &Ledger{
-		ModelTime:  make(map[Category]float64),
-		ModelWords: make(map[Category]int64),
-		ModelMsgs:  make(map[Category]int64),
-		epochs:     [2]Reading{newReading(), newReading()},
 	}
 }
 
@@ -214,7 +198,7 @@ func (c *Cluster) Ledger(rank int) *Ledger {
 func (c *Cluster) SumWire() WireSums {
 	var s WireSums
 	for _, cm := range c.comms {
-		s.Add(cm.ledger.Wire)
+		s.Add(cm.ledger.wire())
 	}
 	return s
 }
@@ -343,8 +327,7 @@ func (c *Comm) sendRaw(dst int, p Payload) {
 	if dst == c.rank {
 		panic(fmt.Sprintf("comm: rank %d sending to itself", c.rank))
 	}
-	c.ledger.PhysWordsSent += p.Words()
-	c.ledger.PhysMsgsSent++
+	c.ledger.cur.sent.add(p)
 	c.tr.Send(dst, p)
 }
 
@@ -357,43 +340,37 @@ func (c *Comm) recvRaw(src int) Payload {
 		panic(fmt.Sprintf("comm: rank %d receiving from itself", c.rank))
 	}
 	p := c.tr.Recv(src)
-	c.ledger.PhysWordsRecv += p.Words()
-	c.ledger.PhysMsgsRecv++
+	c.ledger.cur.recv.add(p)
 	return p
 }
 
-// Charge adds an explicit synchronous α–β charge: msgs α-units and words
-// β-units under cat. The span occupies the network link and the clock
+// charge adds a synchronous α–β charge to the open step: msgs α-units and
+// words β-units under cat. The span occupies the network link and the clock
 // advances past it — the rank blocks until the transfer completes.
-func (c *Comm) Charge(cat Category, msgs int64, words int64) {
-	l := c.ledger
-	cost := c.chargeStats(cat, msgs, words)
-	start := l.clock
-	if l.netBusy > start {
-		start = l.netBusy
-	}
-	l.netBusy = start + cost
-	l.clock = l.netBusy
+func (c *Comm) charge(cat Category, msgs int64, words int64) {
+	c.chargeLink(cat, msgs, words)
+	c.ledger.clock = c.ledger.netBusy
 }
 
-// chargeStats updates the per-category scalar totals for an α–β charge and
-// returns its span length. Timeline placement is the caller's business:
-// Charge blocks the clock on it, chargeAsync hands it to a Request.
-func (c *Comm) chargeStats(cat Category, msgs, words int64) float64 {
-	cost := float64(msgs)*c.cost.Alpha + float64(words)*c.cost.Beta
-	c.ledger.ModelMsgs[cat] += msgs
-	c.ledger.ModelWords[cat] += words
-	c.ledger.ModelTime[cat] += cost
-	c.ledger.bulk += cost
-	return cost
+// chargeLink adds an α–β charge to the open step and the bulk sum, queues
+// its span on the network link behind any other, and returns the span's
+// start. The clock is the caller's business: charge blocks it until the
+// span ends, chargeAsync hands the span to a Request.
+func (c *Comm) chargeLink(cat Category, msgs, words int64) (start float64) {
+	l, cost := c.ledger, float64(msgs)*c.cost.Alpha+float64(words)*c.cost.Beta
+	l.cur.cat, l.cur.msgs, l.cur.words, l.cur.secs = cat, l.cur.msgs+msgs, l.cur.words+words, l.cur.secs+cost
+	l.bulk += cost
+	start = max(l.clock, l.netBusy)
+	l.netBusy = start + cost
+	return start
 }
 
 // ChargeTime adds modeled compute seconds under cat (used for local SpMM /
-// GEMM work, which has no α–β decomposition). Compute occupies the rank's
-// core, not its network link: it runs concurrently with any in-flight
-// asynchronous collective.
+// GEMM work, which has no α–β decomposition) as a step of its own. Compute
+// occupies the rank's core, not its network link: it runs concurrently
+// with any in-flight asynchronous collective.
 func (c *Comm) ChargeTime(cat Category, seconds float64) {
-	c.ledger.ModelTime[cat] += seconds
+	c.ledger.record(stepKey{op: "ChargeTime", cat: cat, size: 1, secs: seconds}, 0)
 	c.ledger.bulk += seconds
 	c.ledger.clock += seconds
 	c.ledger.compTime += seconds
@@ -401,15 +378,15 @@ func (c *Comm) ChargeTime(cat Category, seconds float64) {
 
 // Send transmits a payload point-to-point and charges α + β·words.
 func (c *Comm) Send(dst int, p Payload, cat Category) {
-	defer c.meterDone(c.meterStart())
-	c.Charge(cat, 1, p.Words())
+	defer c.meterDone(c.meterStart("Send", 2))
+	c.charge(cat, 1, p.Words())
 	c.sendRaw(dst, p)
 }
 
 // Recv receives the next payload from src. Reception is not charged; the
 // α–β model charges the critical path at the sender.
 func (c *Comm) Recv(src int) Payload {
-	defer c.meterDone(c.meterStart())
+	defer c.meterDone(c.meterStart("Recv", 2))
 	return c.recvRaw(src)
 }
 
@@ -418,16 +395,17 @@ func (c *Comm) Recv(src int) Payload {
 // receiving cannot rendezvous-deadlock and no helper goroutine is needed
 // (one message per direction per call, well under the mailbox depth).
 func (c *Comm) Exchange(peer int, p Payload, cat Category) Payload {
-	defer c.meterDone(c.meterStart())
-	c.Charge(cat, 1, p.Words())
+	defer c.meterDone(c.meterStart("Exchange", 2))
+	c.charge(cat, 1, p.Words())
 	c.sendRaw(peer, p)
 	return c.recvRaw(peer)
 }
 
-// EpochDone marks a cluster-wide epoch boundary: it keeps the ledger's
-// running totals for LastEpoch, advances the transport's epoch count (the
-// one FaultTransport's epoch-triggered events read), then Recycles. Every
-// rank must call it at the same point (it is a collective, like Barrier).
+// EpochDone marks a cluster-wide epoch boundary: it closes the ledger's
+// round (see Drift) and keeps its timeline readings for LastEpoch, advances
+// the transport's epoch count (the one FaultTransport's epoch-triggered
+// events read), then Recycles. Every rank must call it at the same point
+// (it is a collective, like Barrier).
 // The training engine calls it at the end of every epoch, after all epoch
 // state has been consumed, which is what makes the steady-state epoch loop
 // allocation-free.

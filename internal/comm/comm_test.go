@@ -367,9 +367,9 @@ func TestCollectivePhysicalTraffic(t *testing.T) {
 					func() { g.AllReduce(make([]float64, m), CatDenseComm) },
 					func() { g.ReduceScatter(make([]float64, total), counts, CatDenseComm) },
 				} {
-					msgs, words := l.PhysMsgsSent, l.PhysWordsSent
+					msgs, words := l.Reading().Sent.Msgs, l.Reading().Sent.Words
 					op()
-					got[i][c.Rank()] = traffic{l.PhysMsgsSent - msgs, l.PhysWordsSent - words}
+					got[i][c.Rank()] = traffic{l.Reading().Sent.Msgs - msgs, l.Reading().Sent.Words - words}
 				}
 				return nil
 			})
@@ -479,15 +479,15 @@ func TestChargeAccounting(t *testing.T) {
 		return nil
 	})
 	l := cl.Ledger(0)
-	if l.ModelMsgs[CatSparseComm] != 3 || l.ModelWords[CatSparseComm] != 100 {
+	if l.Reading().Msgs[CatSparseComm] != 3 || l.Reading().Words[CatSparseComm] != 100 {
 		t.Fatalf("charge not recorded: %+v", l)
 	}
 	wantTime := 3*testCost.Alpha + 100*testCost.Beta
-	if math.Abs(l.ModelTime[CatSparseComm]-wantTime) > 1e-15 {
-		t.Fatalf("model time = %v, want %v", l.ModelTime[CatSparseComm], wantTime)
+	if math.Abs(l.Reading().Time[CatSparseComm]-wantTime) > 1e-15 {
+		t.Fatalf("model time = %v, want %v", l.Reading().Time[CatSparseComm], wantTime)
 	}
-	if l.ModelTime[CatSpMM] != 0.5 {
-		t.Fatalf("compute charge = %v", l.ModelTime[CatSpMM])
+	if l.Reading().Time[CatSpMM] != 0.5 {
+		t.Fatalf("compute charge = %v", l.Reading().Time[CatSpMM])
 	}
 	if math.Abs(l.Reading().Bulk-(wantTime+0.5)) > 1e-12 {
 		t.Fatalf("bulk = %v", l.Reading().Bulk)
@@ -532,11 +532,11 @@ func TestBroadcastChargesModel(t *testing.T) {
 	})
 	for r := 0; r < 8; r++ {
 		l := cl.Ledger(r)
-		if l.ModelWords[CatDenseComm] != 1000 {
-			t.Fatalf("rank %d charged %d words, want 1000", r, l.ModelWords[CatDenseComm])
+		if l.Reading().Words[CatDenseComm] != 1000 {
+			t.Fatalf("rank %d charged %d words, want 1000", r, l.Reading().Words[CatDenseComm])
 		}
-		if l.ModelMsgs[CatDenseComm] != 3 { // lg 8
-			t.Fatalf("rank %d charged %d msgs, want 3", r, l.ModelMsgs[CatDenseComm])
+		if l.Reading().Msgs[CatDenseComm] != 3 { // lg 8
+			t.Fatalf("rank %d charged %d msgs, want 3", r, l.Reading().Msgs[CatDenseComm])
 		}
 	}
 }
@@ -576,10 +576,10 @@ func TestSingleMemberCollectivesChargeNothing(t *testing.T) {
 		})
 		for r := 0; r < p; r++ {
 			l := cl.Ledger(r)
-			for _, cat := range AllCategories {
-				if l.ModelMsgs[cat] != 0 || l.ModelWords[cat] != 0 || l.ModelTime[cat] != 0 {
+			for cat := range NumCategories {
+				if l.Reading().Msgs[cat] != 0 || l.Reading().Words[cat] != 0 || l.Reading().Time[cat] != 0 {
 					t.Errorf("P=%d rank %d %s: charged %d msgs, %d words, %g s; want nothing",
-						p, r, cat, l.ModelMsgs[cat], l.ModelWords[cat], l.ModelTime[cat])
+						p, r, cat, l.Reading().Msgs[cat], l.Reading().Words[cat], l.Reading().Time[cat])
 				}
 			}
 			if l.Reading().Elapsed != 0 {
@@ -607,7 +607,7 @@ func TestLedgerResetAndAggregates(t *testing.T) {
 		t.Fatal("max bulk time should be positive")
 	}
 	cl.ResetLedgers()
-	if r := cl.Max((*Ledger).Reading); len(r.Words) != 0 || r.Bulk != 0 {
+	if r := cl.Max((*Ledger).Reading); r != (Reading{}) {
 		t.Fatal("ResetLedgers did not clear")
 	}
 }
@@ -621,8 +621,8 @@ func TestCommTimeExcludesCompute(t *testing.T) {
 	})
 	l := cl.Ledger(0)
 	wantComm := 1500 * testCost.Beta
-	if math.Abs(commTime(l)-wantComm) > 1e-15 || l.ModelTime[CatSpMM] != 42 {
-		t.Fatalf("comm time = %v, spmm %v; want %v and 42", commTime(l), l.ModelTime[CatSpMM], wantComm)
+	if math.Abs(commTime(l)-wantComm) > 1e-15 || l.Reading().Time[CatSpMM] != 42 {
+		t.Fatalf("comm time = %v, spmm %v; want %v and 42", commTime(l), l.Reading().Time[CatSpMM], wantComm)
 	}
 }
 
@@ -669,10 +669,10 @@ func TestPhysicalAccounting(t *testing.T) {
 		}
 		return nil
 	})
-	if cl.Ledger(0).PhysWordsSent != 7 || cl.Ledger(0).PhysMsgsSent != 1 {
+	if cl.Ledger(0).Reading().Sent.Words != 7 || cl.Ledger(0).Reading().Sent.Msgs != 1 {
 		t.Fatalf("phys ledger = %+v", cl.Ledger(0))
 	}
-	if cl.Ledger(1).PhysWordsSent != 0 {
+	if cl.Ledger(1).Reading().Sent.Words != 0 {
 		t.Fatal("receiver should not record sent words")
 	}
 }

@@ -21,9 +21,10 @@ import (
 type epochTicker interface{ EpochTick() }
 
 // FaultEvent is one scheduled failure. Exactly one of AtOp/AtEpoch is
-// positive: AtOp counts transport operations (sends, recvs, barriers —
-// the counter increments before each, so AtOp=1 fires before the first
-// op), AtEpoch counts completed epochs.
+// positive. AtOp counts every Send, Recv and Barrier the transport sees —
+// a collective's messages, and the one barrier of each Comm.Recycle, which
+// runs at every EpochDone and every input panel — and fires before the
+// Nth (AtOp=1 before the first op); AtEpoch counts completed epochs.
 type FaultEvent struct {
 	// Kind is "crash", "sever", or "delay".
 	Kind string

@@ -232,3 +232,7 @@ func TestRecycleEntersOneBarrier(t *testing.T) {
 		t.Fatalf("EpochDone entered %d barriers, want 1", bc.barriers-1)
 	}
 }
+
+// Ops returns the transport operations the FaultTransport has counted: the
+// index its AtOp events are matched against.
+func (t *FaultTransport) Ops() int { return t.ops }

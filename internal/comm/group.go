@@ -65,7 +65,7 @@ func (g *Group) charge(cat Category, msgs, words int64) {
 	if len(g.ranks) == 1 {
 		return
 	}
-	g.comm.Charge(cat, msgs, words)
+	g.comm.charge(cat, msgs, words)
 }
 
 // Broadcast distributes root's payload to all members and returns it.
@@ -88,8 +88,8 @@ func (g *Group) Broadcast(root int, p Payload, cat Category) Payload {
 // α·2⌈lg q⌉ + β·2m — twice the α lg P + β m the paper's bounds use
 // (costmodel.OneDHaloDenseWords carries the factor 2).
 func (g *Group) AllReduce(x []float64, cat Category) []float64 {
-	defer g.comm.meterDone(g.comm.meterStart())
 	q := len(g.ranks)
+	defer g.comm.meterDone(g.comm.meterStart("AllReduce", q))
 	g.charge(cat, lg2(q), int64(len(x)))
 	g.charge(cat, lg2(q), int64(len(x)))
 	return g.allReduce(x)
@@ -176,7 +176,7 @@ func (g *Group) ReduceScatter(x []float64, counts []int, cat Category) []float64
 	if total != len(x) {
 		panic(fmt.Sprintf("comm: ReduceScatter counts sum to %d, data has %d", total, len(x)))
 	}
-	defer g.comm.meterDone(g.comm.meterStart())
+	defer g.comm.meterDone(g.comm.meterStart("ReduceScatter", q))
 	g.charge(cat, lg2(q), int64(len(x)))
 	if q&(q-1) != 0 {
 		return g.allReduce(x)[off : off+counts[g.me]]
@@ -229,8 +229,8 @@ func (g *Group) AllGather(p Payload, cat Category) []Payload {
 // Gather collects payloads onto root, ordered by group index (nil
 // elsewhere). Every member is charged α·⌈lg q⌉ + β·(its contribution).
 func (g *Group) Gather(root int, p Payload, cat Category) []Payload {
-	defer g.comm.meterDone(g.comm.meterStart())
 	q := len(g.ranks)
+	defer g.comm.meterDone(g.comm.meterStart("Gather", q))
 	g.charge(cat, lg2(q), p.Words())
 	if g.me != root {
 		g.comm.sendRaw(g.ranks[root], p)
@@ -254,7 +254,7 @@ func (g *Group) AllToAll(parts []Payload, cat Category) []Payload {
 	if len(parts) != q {
 		panic(fmt.Sprintf("comm: AllToAll needs %d parts, got %d", q, len(parts)))
 	}
-	defer g.comm.meterDone(g.comm.meterStart())
+	defer g.comm.meterDone(g.comm.meterStart("AllToAll", q))
 	var sendWords int64
 	for i, p := range parts {
 		if i != g.me {

@@ -13,8 +13,8 @@ package comm
 // is charged α·(messages it receives) + β·(words it receives): with
 // row-payloads of f words per row that is α·msgs + β·rows·f, the inbound
 // critical path, matching the §IV-A-1 convention that edgecut_P(A) counts
-// the rows a process must fetch. (Outbound traffic still shows up in the
-// sender's physical ledger via PhysWordsSent.)
+// the rows a process must fetch. (Outbound traffic still shows in the
+// sender's plan, as its step's physical sent words: Reading.Sent.)
 //
 // The pattern must agree across the group: from[i] is true at member j
 // exactly when member i passes a non-empty parts[j]. Callers typically

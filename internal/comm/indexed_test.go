@@ -44,11 +44,11 @@ func TestExchangeIndexedRing(t *testing.T) {
 	for r := 0; r < p; r++ {
 		l := cl.Ledger(r)
 		prev := (r - 1 + p) % p
-		if l.ModelMsgs[CatDenseComm] != 1 {
-			t.Fatalf("rank %d charged %d msgs, want 1", r, l.ModelMsgs[CatDenseComm])
+		if l.Reading().Msgs[CatDenseComm] != 1 {
+			t.Fatalf("rank %d charged %d msgs, want 1", r, l.Reading().Msgs[CatDenseComm])
 		}
-		if want := int64(prev + 1); l.ModelWords[CatDenseComm] != want {
-			t.Fatalf("rank %d charged %d words, want %d", r, l.ModelWords[CatDenseComm], want)
+		if want := int64(prev + 1); l.Reading().Words[CatDenseComm] != want {
+			t.Fatalf("rank %d charged %d words, want %d", r, l.Reading().Words[CatDenseComm], want)
 		}
 	}
 }
@@ -92,16 +92,16 @@ func TestExchangeIndexedSparsePattern(t *testing.T) {
 		if r == 2 {
 			wantWords, wantMsgs = 3, 1
 		}
-		if l.ModelWords[CatDenseComm] != wantWords || l.ModelMsgs[CatDenseComm] != wantMsgs {
+		if l.Reading().Words[CatDenseComm] != wantWords || l.Reading().Msgs[CatDenseComm] != wantMsgs {
 			t.Fatalf("rank %d charged %d msgs / %d words, want %d / %d",
-				r, l.ModelMsgs[CatDenseComm], l.ModelWords[CatDenseComm], wantMsgs, wantWords)
+				r, l.Reading().Msgs[CatDenseComm], l.Reading().Words[CatDenseComm], wantMsgs, wantWords)
 		}
-		if r != 0 && l.PhysWordsSent != 0 {
-			t.Fatalf("rank %d physically sent %d words", r, l.PhysWordsSent)
+		if r != 0 && l.Reading().Sent.Words != 0 {
+			t.Fatalf("rank %d physically sent %d words", r, l.Reading().Sent.Words)
 		}
 	}
-	if cl.Ledger(0).PhysWordsSent != 3 {
-		t.Fatalf("rank 0 physically sent %d words, want 3", cl.Ledger(0).PhysWordsSent)
+	if cl.Ledger(0).Reading().Sent.Words != 3 {
+		t.Fatalf("rank 0 physically sent %d words, want 3", cl.Ledger(0).Reading().Sent.Words)
 	}
 }
 

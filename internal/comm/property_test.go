@@ -194,16 +194,16 @@ func TestTimelinePropertyRandomPrograms(t *testing.T) {
 					// exactly (Bulk sums in charge order, which the two
 					// modes do not share, so only the per-category scalars
 					// are compared).
-					for _, cat := range AllCategories {
-						if al.ModelWords[cat] != sl.ModelWords[cat] ||
-							al.ModelMsgs[cat] != sl.ModelMsgs[cat] {
+					for cat := range NumCategories {
+						if al.Reading().Words[cat] != sl.Reading().Words[cat] ||
+							al.Reading().Msgs[cat] != sl.Reading().Msgs[cat] {
 							t.Fatalf("rank %d cat %s: traffic differs async %d/%d sync %d/%d",
-								rank, cat, al.ModelWords[cat], al.ModelMsgs[cat],
-								sl.ModelWords[cat], sl.ModelMsgs[cat])
+								rank, cat, al.Reading().Words[cat], al.Reading().Msgs[cat],
+								sl.Reading().Words[cat], sl.Reading().Msgs[cat])
 						}
-						if al.ModelTime[cat] != sl.ModelTime[cat] {
+						if al.Reading().Time[cat] != sl.Reading().Time[cat] {
 							t.Fatalf("rank %d cat %s: modeled time differs async %g sync %g",
-								rank, cat, al.ModelTime[cat], sl.ModelTime[cat])
+								rank, cat, al.Reading().Time[cat], sl.Reading().Time[cat])
 						}
 					}
 					// And pipelining must not be slower than bulk-synchronous.
@@ -242,6 +242,116 @@ func TestTimelinePropertySecondEpochIdentical(t *testing.T) {
 			if got := cluster.Ledger(r).Reading().Elapsed; got != want[r] {
 				t.Fatalf("epoch %d rank %d: elapsed %g, want %g (first run)", epoch, r, got, want[r])
 			}
+		}
+	}
+}
+
+// countingTransport counts what reaches the transport beneath a Comm: the
+// test's own tally of the physical traffic.
+type countingTransport struct {
+	Transport
+	sent, recv Traffic
+}
+
+func (t *countingTransport) Send(dst int, p Payload) { t.sent.add(p); t.Transport.Send(dst, p) }
+
+func (t *countingTransport) Recv(src int) Payload {
+	p := t.Transport.Recv(src)
+	t.recv.add(p)
+	return p
+}
+
+// TestPlanFoldsRandomPrograms runs each random program for E rounds, an
+// EpochDone after each, on ranks whose transports count every payload.
+// Every fold of the plan must equal the test's tally: Reading's words,
+// messages and physical counts exactly and its seconds to a relative
+// 1e-12; LastEpoch one round's tally; the wire sums' Samples, Msgs, Words,
+// MM, WW and MW exactly, a sample per collective call that moved data; and
+// no rank drifts.
+func TestPlanFoldsRandomPrograms(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, p := range []int{2, 3, 4} {
+			ops := genProgram(seed, p)
+			rounds := 1 + int(seed)%5
+			t.Run(fmt.Sprintf("seed%d_p%d_E%d", seed, p, rounds), func(t *testing.T) {
+				f := newChanFabric(p)
+				counters, comms := make([]*countingTransport, p), make([]*Comm, p)
+				for r := range comms {
+					counters[r] = &countingTransport{Transport: f.endpoint(r)}
+					comms[r] = NewTransportComm(counters[r], testCost)
+				}
+				runOn(t, ClusterOf(comms...), func(c *Comm) error {
+					me, world, ct := c.Rank(), c.World(), counters[c.Rank()]
+					var run, round tally
+					var wire WireSums
+					// moved runs one collective call and tallies what
+					// reached the transport inside it.
+					moved := func(call func() *Request) *Request {
+						sent, recv := ct.sent, ct.recv
+						req := call()
+						m := float64(ct.sent.Msgs - sent.Msgs + ct.recv.Msgs - recv.Msgs)
+						w := float64(ct.sent.Words - sent.Words + ct.recv.Words - recv.Words)
+						if m != 0 || w != 0 {
+							wire.Add(WireSums{Samples: 1, Msgs: m, Words: w, MM: m * m, WW: w * w, MW: m * w})
+						}
+						return req
+					}
+					lg := lg2(p)
+					for range rounds {
+						round = tally{}
+						sent, recv := ct.sent, ct.recv
+						var outstanding []*Request
+						for _, op := range ops {
+							switch op.kind {
+							case 0:
+								payload := Payload{}
+								if me == op.root {
+									payload.Floats = make([]float64, op.size)
+								}
+								outstanding = append(outstanding, moved(func() *Request { return world.IBroadcast(op.root, payload, op.cat) }))
+								round.charge(op.cat, lg, int64(op.size))
+							case 1:
+								outstanding = append(outstanding, moved(func() *Request {
+									return world.IAllGather(Payload{Floats: []float64{op.value, float64(me)}}, op.cat)
+								}))
+								round.charge(op.cat, lg, int64(2*p))
+							case 2:
+								c.ChargeTime(CatSpMM, op.dt)
+								round.r.Time[CatSpMM] += op.dt
+							case 3:
+								if len(outstanding) > 0 {
+									i := op.pick % len(outstanding)
+									outstanding[i].WaitAll()
+									outstanding = append(outstanding[:i], outstanding[i+1:]...)
+								}
+							}
+						}
+						for _, r := range outstanding {
+							r.Wait()
+						}
+						c.EpochDone()
+						round.r.Sent = Traffic{ct.sent.Msgs - sent.Msgs, ct.sent.Words - sent.Words}
+						round.r.Recv = Traffic{ct.recv.Msgs - recv.Msgs, ct.recv.Words - recv.Words}
+						run.r = run.r.Add(round.r)
+					}
+					l := c.Ledger()
+					if err := l.Drift(); err != nil {
+						return err
+					}
+					if err := sameFold(l.Reading(), run.r); err != nil {
+						return fmt.Errorf("rank %d reading: %v", me, err)
+					}
+					if err := sameFold(l.LastEpoch(), round.r); err != nil {
+						return fmt.Errorf("rank %d last epoch: %v", me, err)
+					}
+					got := l.wire()
+					got.MT, got.WT = 0, 0
+					if got != wire {
+						return fmt.Errorf("rank %d wire sums %+v, tally %+v", me, got, wire)
+					}
+					return nil
+				})
+			})
 		}
 	}
 }

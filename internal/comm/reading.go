@@ -1,6 +1,10 @@
 package comm
 
-import "maps"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // Reading is one rank's modeled readings over a stretch of a run — the
 // whole run so far (Ledger.Reading) or the last epoch (Ledger.LastEpoch) —
@@ -21,123 +25,192 @@ type Reading struct {
 	Hidden float64
 	// Time, Words and Msgs are modeled seconds, β-term words and α-term
 	// messages per category.
-	Time        map[Category]float64
-	Words, Msgs map[Category]int64
+	Time        [NumCategories]float64
+	Words, Msgs [NumCategories]int64
+	// Sent and Recv are what the rank physically pushed into and pulled
+	// out of the fabric.
+	Sent, Recv Traffic
 	// PeakMemWords is the high-water mark of modeled resident words; over an
 	// epoch, how far the epoch raised it.
 	PeakMemWords int64
 }
 
-// Reading returns the ledger's running totals. Its maps are the ledger's
-// own: read them before the rank charges again.
-func (l *Ledger) Reading() Reading {
-	return Reading{
-		Bulk: l.bulk, Elapsed: l.clock, Hidden: l.hidden,
-		Time: l.ModelTime, Words: l.ModelWords, Msgs: l.ModelMsgs,
-		PeakMemWords: l.PeakMemWords,
-	}
+// Traffic counts messages and the words they carried.
+type Traffic struct{ Msgs, Words int64 }
+
+func (t *Traffic) add(p Payload) { t.Msgs, t.Words = t.Msgs+1, t.Words+p.Words() }
+
+// step is one record of a rank's plan — a collective call (its α–β charges,
+// the payloads it physically moved, its wall seconds) or a compute charge —
+// made n times. Calls with equal keys made the same charges and moved the
+// same traffic; secs is modeled seconds per call, size the group's.
+type step struct {
+	stepKey
+	n    int64
+	wall float64
 }
+
+type stepKey struct {
+	op          string
+	cat         Category
+	size        int
+	secs        float64
+	msgs, words int64
+	sent, recv  Traffic
+}
+
+func (k stepKey) String() string {
+	if k.op == "" {
+		return "none"
+	}
+	return fmt.Sprintf("%s %v over %d: %d msgs, %d words, %g s; sent %+v, received %+v",
+		k.op, k.cat, k.size, k.msgs, k.words, k.secs, k.sent, k.recv)
+}
+
+// meterStart opens the step of one collective call, op over size members:
+// its charges and payloads fill the step until meterDone closes it.
+func (c *Comm) meterStart(op string, size int) time.Time {
+	c.ledger.cur = stepKey{op: op, size: size}
+	return time.Now()
+}
+
+// meterDone closes the open step, adding the call's wall seconds.
+func (c *Comm) meterDone(start time.Time) {
+	c.ledger.record(c.ledger.cur, time.Since(start).Seconds())
+}
+
+// record adds one step to the plan. Until the second EpochDone it appends
+// (set-up and the first epoch, then the epoch segment); after it each round
+// walks the segment: a step equal to its slot adds into it, allocating
+// nothing, and one that is not is appended with the rest of its round.
+func (l *Ledger) record(k stepKey, wall float64) {
+	if l.closed >= 2 && l.left.op == "" {
+		if l.next < l.segHi && l.steps[l.next].stepKey == k {
+			l.steps[l.next].n++
+			l.steps[l.next].wall += wall
+			l.next++
+			return
+		}
+		l.left = k
+	}
+	l.steps = append(l.steps, step{stepKey: k, n: 1, wall: wall})
+}
+
+// closeEpoch ends a round. The first two make steps[segLo:segHi] the round
+// just recorded; every later one checks that the round repeated the
+// segment, step for step, and keeps the first that did not as the drift.
+func (l *Ledger) closeEpoch() {
+	var want stepKey
+	if l.next < l.segHi {
+		want = l.steps[l.next].stepKey
+	}
+	if l.closed < 2 {
+		l.segLo, l.segHi = l.segHi, len(l.steps)
+	} else if l.drift == nil && want != l.left {
+		l.drift = fmt.Errorf("comm: rank %d left its plan in epoch %d at step %d: want %v, got %v",
+			l.rank, l.closed+1, l.next-l.segLo, want, l.left)
+	}
+	l.next, l.left = l.segLo, stepKey{}
+	l.closed++
+	l.bounds[l.closed%2] = l.timeline()
+}
+
+// Drift returns nil, or the first epoch from the third on that did not
+// repeat the second step for step: its rank and epoch, the step index, the
+// step expected there and the one made. What follows the last EpochDone
+// (the final forward pass, the output gather) is never checked.
+func (l *Ledger) Drift() error { return l.drift }
+
+// timeline returns the ledger's running timeline readings.
+func (l *Ledger) timeline() Reading {
+	return Reading{Bulk: l.bulk, Elapsed: l.clock, Hidden: l.hidden, PeakMemWords: l.PeakMemWords}
+}
+
+// Reading returns the ledger's totals: every step folded, each as often as
+// it was made, with the timeline's running readings.
+func (l *Ledger) Reading() Reading { return fold(l.steps, math.MaxInt64).Add(l.timeline()) }
 
 // LastEpoch returns the reading of the last epoch that EpochDone closed: the
-// running totals at that call less those at the call before it. When only
-// one epoch has closed it is the reading from the start of the run to its
-// close, set-up included; when none has, the zero reading.
+// epoch segment's steps folded once each, with the timeline readings at
+// that call less those at the call before it. When only one epoch has
+// closed it is the reading from the start of the run to its close, set-up
+// included; when none has, the zero reading.
 func (l *Ledger) LastEpoch() Reading {
-	return l.epochs[l.closed%2].Sub(l.epochs[(l.closed+1)%2])
+	return fold(l.steps[l.segLo:l.segHi], 1).Add(l.bounds[l.closed%2].Sub(l.bounds[(l.closed+1)%2]))
 }
 
-// closeEpoch copies the running totals over the older of the ledger's two
-// epoch-boundary readings, which becomes the newer. Each of its maps already
-// holds every category charged before the previous boundary, so once the
-// first epochs have charged every category the copy allocates nothing.
-func (l *Ledger) closeEpoch() {
-	l.closed++
-	s := &l.epochs[l.closed%2]
-	s.Bulk, s.Elapsed, s.Hidden, s.PeakMemWords = l.bulk, l.clock, l.hidden, l.PeakMemWords
-	maps.Copy(s.Time, l.ModelTime)
-	maps.Copy(s.Words, l.ModelWords)
-	maps.Copy(s.Msgs, l.ModelMsgs)
+// fold sums steps per category, each as often as it was made, at most most.
+func fold(steps []step, most int64) Reading {
+	var r Reading
+	for _, s := range steps {
+		var one Reading
+		one.Time[s.cat], one.Words[s.cat], one.Msgs[s.cat], one.Sent, one.Recv = s.secs, s.words, s.msgs, s.sent, s.recv
+		r = r.plus(one, min(s.n, most))
+	}
+	return r
 }
 
-// newReading returns a zero reading with its maps made.
-func newReading() Reading {
-	return Reading{Time: make(map[Category]float64), Words: make(map[Category]int64), Msgs: make(map[Category]int64)}
+// wire folds the steps that moved data into the wire meter's sums: a step
+// of m messages and w words made n times in Σt wall seconds is n samples.
+func (l *Ledger) wire() WireSums {
+	var s WireSums
+	for _, st := range l.steps {
+		m, w, n := float64(st.sent.Msgs+st.recv.Msgs), float64(st.sent.Words+st.recv.Words), float64(st.n)
+		if m != 0 || w != 0 {
+			s.Add(WireSums{Samples: st.n, Msgs: n * m, Words: n * w, MM: n * m * m, WW: n * w * w, MW: n * m * w, MT: m * st.wall, WT: w * st.wall})
+		}
+	}
+	return s
 }
 
 // Add returns r + o, field by field and category by category.
-func (r Reading) Add(o Reading) Reading {
-	return Reading{
-		Bulk: r.Bulk + o.Bulk, Elapsed: r.Elapsed + o.Elapsed, Hidden: r.Hidden + o.Hidden,
-		Time: merge(r.Time, o.Time, plus), Words: merge(r.Words, o.Words, plus),
-		Msgs: merge(r.Msgs, o.Msgs, plus), PeakMemWords: r.PeakMemWords + o.PeakMemWords,
-	}
-}
+func (r Reading) Add(o Reading) Reading { return r.plus(o, 1) }
 
 // Sub returns r − o, field by field and category by category.
-func (r Reading) Sub(o Reading) Reading {
-	return Reading{
-		Bulk: r.Bulk - o.Bulk, Elapsed: r.Elapsed - o.Elapsed, Hidden: r.Hidden - o.Hidden,
-		Time: merge(r.Time, o.Time, minus), Words: merge(r.Words, o.Words, minus),
-		Msgs: merge(r.Msgs, o.Msgs, minus), PeakMemWords: r.PeakMemWords - o.PeakMemWords,
+func (r Reading) Sub(o Reading) Reading { return r.plus(o, -1) }
+
+// plus returns r + n·o; at n = −1 each float is r − o, bit for bit.
+func (r Reading) plus(o Reading, n int64) Reading {
+	f := float64(n)
+	r.Bulk, r.Elapsed, r.Hidden = r.Bulk+f*o.Bulk, r.Elapsed+f*o.Elapsed, r.Hidden+f*o.Hidden
+	for c := range r.Time {
+		r.Time[c] += f * o.Time[c]
+		r.Words[c] += n * o.Words[c]
+		r.Msgs[c] += n * o.Msgs[c]
 	}
+	r.Sent = Traffic{r.Sent.Msgs + n*o.Sent.Msgs, r.Sent.Words + n*o.Sent.Words}
+	r.Recv = Traffic{r.Recv.Msgs + n*o.Recv.Msgs, r.Recv.Words + n*o.Recv.Words}
+	r.PeakMemWords += n * o.PeakMemWords
+	return r
 }
 
 // Max returns the larger of r and o, field by field and category by
-// category. Only a category whose maximum is positive keeps a key, so the
-// maximum of the ranks' readings has the same keys however they are
-// grouped into processes.
+// category.
 func (r Reading) Max(o Reading) Reading {
-	return Reading{
-		Bulk: max(r.Bulk, o.Bulk), Elapsed: max(r.Elapsed, o.Elapsed), Hidden: max(r.Hidden, o.Hidden),
-		Time: positive(merge(r.Time, o.Time, larger)), Words: positive(merge(r.Words, o.Words, larger)),
-		Msgs: positive(merge(r.Msgs, o.Msgs, larger)), PeakMemWords: max(r.PeakMemWords, o.PeakMemWords),
+	r.Bulk, r.Elapsed, r.Hidden = max(r.Bulk, o.Bulk), max(r.Elapsed, o.Elapsed), max(r.Hidden, o.Hidden)
+	for c := range r.Time {
+		r.Time[c], r.Words[c], r.Msgs[c] = max(r.Time[c], o.Time[c]), max(r.Words[c], o.Words[c]), max(r.Msgs[c], o.Msgs[c])
 	}
-}
-
-func plus[V int64 | float64](x, y V) V   { return x + y }
-func minus[V int64 | float64](x, y V) V  { return x - y }
-func larger[V int64 | float64](x, y V) V { return max(x, y) }
-
-// merge returns a new map holding f(a[k], b[k]) for every key of a or b; a
-// key one of them lacks reads 0 there.
-func merge[V int64 | float64](a, b map[Category]V, f func(x, y V) V) map[Category]V {
-	out := make(map[Category]V, len(a))
-	for k, v := range a {
-		out[k] = f(v, b[k])
-	}
-	for k, v := range b {
-		if _, ok := a[k]; !ok {
-			out[k] = f(0, v)
-		}
-	}
-	return out
-}
-
-// positive drops m's keys whose value is not positive, and returns m.
-func positive[V int64 | float64](m map[Category]V) map[Category]V {
-	maps.DeleteFunc(m, func(_ Category, v V) bool { return v <= 0 })
-	return m
+	r.Sent = Traffic{max(r.Sent.Msgs, o.Sent.Msgs), max(r.Sent.Words, o.Sent.Words)}
+	r.Recv = Traffic{max(r.Recv.Msgs, o.Recv.Msgs), max(r.Recv.Words, o.Recv.Words)}
+	r.PeakMemWords = max(r.PeakMemWords, o.PeakMemWords)
+	return r
 }
 
 // Max returns the maximum over the hosted ranks of what read reads off each
 // rank's ledger: per field and per category, the paper's per-process
 // maximum (read it only after Run returns).
-func (c *Cluster) Max(read func(*Ledger) Reading) Reading {
-	var out Reading
-	for _, cm := range c.comms {
-		out = out.Max(read(cm.ledger))
-	}
-	return out
-}
+func (c *Cluster) Max(read func(*Ledger) Reading) Reading { return c.reduce(read, Reading.Max) }
 
 // Sum returns the sum over the hosted ranks of what read reads off each
 // rank's ledger: the total volume, as opposed to the per-rank maximum that
 // bounds bulk-synchronous runtime — §IV-A-8's distinction between total and
 // max edgecut.
-func (c *Cluster) Sum(read func(*Ledger) Reading) Reading {
-	var out Reading
+func (c *Cluster) Sum(read func(*Ledger) Reading) Reading { return c.reduce(read, Reading.Add) }
+
+func (c *Cluster) reduce(read func(*Ledger) Reading, op func(Reading, Reading) Reading) (out Reading) {
 	for _, cm := range c.comms {
-		out = out.Add(read(cm.ledger))
+		out = op(out, read(cm.ledger))
 	}
 	return out
 }

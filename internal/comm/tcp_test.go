@@ -166,23 +166,23 @@ func TestTCPModelLedgerMatchesInProcess(t *testing.T) {
 	})
 	for r := 0; r < p; r++ {
 		want, got := cluster.Ledger(r), tcp.Ledger(r)
-		for _, cat := range AllCategories {
-			if got.ModelTime[cat] != want.ModelTime[cat] {
-				t.Errorf("rank %d %s: modeled time %v over TCP, %v in-process", r, cat, got.ModelTime[cat], want.ModelTime[cat])
+		for cat := range NumCategories {
+			if got.Reading().Time[cat] != want.Reading().Time[cat] {
+				t.Errorf("rank %d %s: modeled time %v over TCP, %v in-process", r, cat, got.Reading().Time[cat], want.Reading().Time[cat])
 			}
-			if got.ModelMsgs[cat] != want.ModelMsgs[cat] {
-				t.Errorf("rank %d %s: modeled msgs %d over TCP, %d in-process", r, cat, got.ModelMsgs[cat], want.ModelMsgs[cat])
+			if got.Reading().Msgs[cat] != want.Reading().Msgs[cat] {
+				t.Errorf("rank %d %s: modeled msgs %d over TCP, %d in-process", r, cat, got.Reading().Msgs[cat], want.Reading().Msgs[cat])
 			}
-			if got.ModelWords[cat] != want.ModelWords[cat] {
-				t.Errorf("rank %d %s: modeled words %d over TCP, %d in-process", r, cat, got.ModelWords[cat], want.ModelWords[cat])
+			if got.Reading().Words[cat] != want.Reading().Words[cat] {
+				t.Errorf("rank %d %s: modeled words %d over TCP, %d in-process", r, cat, got.Reading().Words[cat], want.Reading().Words[cat])
 			}
 		}
 		if got.Reading().Elapsed != want.Reading().Elapsed {
 			t.Errorf("rank %d: elapsed %v over TCP, %v in-process", r, got.Reading().Elapsed, want.Reading().Elapsed)
 		}
-		if got.PhysMsgsSent != want.PhysMsgsSent || got.PhysWordsSent != want.PhysWordsSent {
+		if got.Reading().Sent.Msgs != want.Reading().Sent.Msgs || got.Reading().Sent.Words != want.Reading().Sent.Words {
 			t.Errorf("rank %d: phys sent (%d msgs, %d words) over TCP, (%d, %d) in-process",
-				r, got.PhysMsgsSent, got.PhysWordsSent, want.PhysMsgsSent, want.PhysWordsSent)
+				r, got.Reading().Sent.Msgs, got.Reading().Sent.Words, want.Reading().Sent.Msgs, want.Reading().Sent.Words)
 		}
 	}
 }
@@ -226,25 +226,25 @@ func TestTCPMetering(t *testing.T) {
 				if _, err := exerciseCollectives(c, 2); err != nil {
 					return err
 				}
-				before := c.Ledger().Wire
+				before := c.Ledger().wire()
 				solo := c.NewGroup([]int{c.Rank()})
 				solo.AllReduce([]float64{1, 2}, CatDenseComm)
 				solo.Broadcast(0, Payload{Floats: []float64{3}}, CatDenseComm)
-				if got := c.Ledger().Wire; got != before {
+				if got := c.Ledger().wire(); got != before {
 					return fmt.Errorf("rank %d: one-member collectives changed the meter from %+v to %+v", c.Rank(), before, got)
 				}
 				return nil
 			})
 			for r := 0; r < p; r++ {
 				l := cl.Ledger(r)
-				w := l.Wire
+				w := l.wire()
 				if w.Samples == 0 {
 					t.Fatalf("rank %d: no wire samples", r)
 				}
-				if want := float64(l.PhysWordsSent + l.PhysWordsRecv); w.Words != want {
+				if want := float64(l.Reading().Sent.Words + l.Reading().Recv.Words); w.Words != want {
 					t.Errorf("rank %d: metered %v words, ledger has %v", r, w.Words, want)
 				}
-				if want := float64(l.PhysMsgsSent + l.PhysMsgsRecv); w.Msgs != want {
+				if want := float64(l.Reading().Sent.Msgs + l.Reading().Recv.Msgs); w.Msgs != want {
 					t.Errorf("rank %d: metered %v messages, ledger has %v", r, w.Msgs, want)
 				}
 				if w.MT < 0 || w.WT < 0 {

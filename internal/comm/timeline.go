@@ -114,20 +114,12 @@ func (c *Comm) recycleRequests() {
 	c.reqNext = 0
 }
 
-// chargeAsync records an α–β charge whose span overlaps subsequent compute:
-// category statistics (msgs, words, per-category time) are charged exactly
-// as Charge does, but the clock does not advance until the returned
-// Request is waited on. The span is queued on the rank's network link
-// behind any other in-flight charge.
+// chargeAsync adds an α–β charge to the open step exactly as charge does,
+// but its span overlaps subsequent compute: the clock does not advance
+// until the returned Request is waited on.
 func (c *Comm) chargeAsync(cat Category, msgs, words int64) *Request {
-	l := c.ledger
-	cost := c.chargeStats(cat, msgs, words)
-	start := l.clock
-	if l.netBusy > start {
-		start = l.netBusy
-	}
-	l.netBusy = start + cost
-	return c.takeRequest(start, l.netBusy)
+	start := c.chargeLink(cat, msgs, words)
+	return c.takeRequest(start, c.ledger.netBusy)
 }
 
 // completedRequest returns a request whose span is empty: operations that
@@ -152,7 +144,7 @@ func (g *Group) IBroadcast(root int, p Payload, cat Category) *Request {
 		r.payload = p
 		return r
 	}
-	defer g.comm.meterDone(g.comm.meterStart())
+	defer g.comm.meterDone(g.comm.meterStart("IBroadcast", q))
 	// Binomial tree rooted at root: receive from the parent, then send to
 	// the children, farthest first.
 	vrank := (g.me - root + q) % q
@@ -188,7 +180,7 @@ func (g *Group) IAllGather(p Payload, cat Category) *Request {
 		r.payloads = out
 		return r
 	}
-	defer g.comm.meterDone(g.comm.meterStart())
+	defer g.comm.meterDone(g.comm.meterStart("IAllGather", q))
 	right, left := g.ranks[(g.me+1)%q], g.ranks[(g.me-1+q)%q]
 	for s := 0; s < q-1; s++ {
 		g.comm.sendRaw(right, out[(g.me-s+q)%q])
@@ -214,7 +206,7 @@ func (g *Group) IExchangeIndexed(parts []Payload, from []bool, cat Category) *Re
 	if parts[g.me].Words() != 0 || from[g.me] {
 		panic(fmt.Sprintf("comm: ExchangeIndexed member %d exchanging with itself", g.me))
 	}
-	defer g.comm.meterDone(g.comm.meterStart())
+	defer g.comm.meterDone(g.comm.meterStart("IExchangeIndexed", q))
 	out := g.comm.pool.getPayloads(q)
 	// All sends complete before the receives (as in AllToAll): each pair
 	// moves at most one message per call, well under the buffered mailbox

@@ -222,8 +222,8 @@ func TestIBroadcastMatchesBroadcast(t *testing.T) {
 			})
 			for r := 0; r < p; r++ {
 				s, a := syncC.Ledger(r), asyncC.Ledger(r)
-				if s.ModelWords[CatDenseComm] != a.ModelWords[CatDenseComm] ||
-					s.ModelMsgs[CatDenseComm] != a.ModelMsgs[CatDenseComm] {
+				if s.Reading().Words[CatDenseComm] != a.Reading().Words[CatDenseComm] ||
+					s.Reading().Msgs[CatDenseComm] != a.Reading().Msgs[CatDenseComm] {
 					t.Fatalf("rank %d: charges differ sync %+v async %+v", r, s, a)
 				}
 				if s.Reading().Elapsed != a.Reading().Elapsed {
@@ -266,7 +266,7 @@ func TestIExchangeIndexedMatchesSync(t *testing.T) {
 	})
 	for r := 0; r < 4; r++ {
 		s, a := syncC.Ledger(r), asyncC.Ledger(r)
-		if s.ModelWords[CatDenseComm] != a.ModelWords[CatDenseComm] {
+		if s.Reading().Words[CatDenseComm] != a.Reading().Words[CatDenseComm] {
 			t.Fatalf("rank %d: words differ", r)
 		}
 		if a.Reading().Hidden <= 0 {

@@ -184,6 +184,6 @@ func NewTransportComm(tr Transport, cost CostParams) *Comm {
 		size:   tr.Size(),
 		cost:   cost,
 		pool:   newBufPool(),
-		ledger: newLedger(),
+		ledger: &Ledger{rank: tr.Rank()},
 	}
 }

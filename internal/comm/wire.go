@@ -3,15 +3,14 @@ package comm
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
-// WireSums is a rank's wire meter, kept in its Ledger on every fabric: the
-// running sums a least-squares fit of the α–β model t ≈ α·m + β·w reads
-// (Fit). A sample is one collective call that moved data — an AllReduce is
-// one sample — with m and w the messages and words the rank moved inside
-// it and t the call's wall seconds. Only the sums are kept, so the meter
-// allocates nothing.
+// WireSums is the wire meter: the sums a least-squares fit of the α–β model
+// t ≈ α·m + β·w reads (Fit), folded off a rank's plan on every fabric
+// (Cluster.SumWire). A sample is one collective call that moved data — an
+// AllReduce is one sample — with m and w the messages and words the rank
+// moved inside it and t the call's wall seconds: a step made n times is n
+// samples of the same m and w, whose t add up to the step's wall seconds.
 //
 // A sample's message/word counts are the rank's combined sent+received
 // deltas — a NIC-load proxy, not a directional count — and its wall time
@@ -26,18 +25,6 @@ type WireSums struct {
 	Msgs, Words float64
 	// MM, WW and MW are Σm², Σw² and Σmw; MT and WT are Σmt and Σwt.
 	MM, WW, MW, MT, WT float64
-}
-
-// add records one sample.
-func (s *WireSums) add(m, w, t float64) {
-	s.Samples++
-	s.Msgs += m
-	s.Words += w
-	s.MM += m * m
-	s.WW += w * w
-	s.MW += m * w
-	s.MT += m * t
-	s.WT += w * t
 }
 
 // Add folds o into s, which then holds the sums of both sets of samples.
@@ -83,33 +70,4 @@ func (s WireSums) Fit() (CostParams, error) {
 		return CostParams{}, fmt.Errorf("comm: α/β fit diverged (NaN)")
 	}
 	return p, nil
-}
-
-// meterMark snapshots the rank's physical counters and the wall clock at
-// collective entry.
-type meterMark struct {
-	msgs  int64
-	words int64
-	start time.Time
-}
-
-// meterStart begins a sample.
-func (c *Comm) meterStart() meterMark {
-	return meterMark{
-		msgs:  c.ledger.PhysMsgsSent + c.ledger.PhysMsgsRecv,
-		words: c.ledger.PhysWordsSent + c.ledger.PhysWordsRecv,
-		start: time.Now(),
-	}
-}
-
-// meterDone closes a sample. Calls that moved nothing (single-member
-// groups, all-empty exchanges) record no sample: a zero row carries no
-// information for the fit.
-func (c *Comm) meterDone(mk meterMark) {
-	dm := c.ledger.PhysMsgsSent + c.ledger.PhysMsgsRecv - mk.msgs
-	dw := c.ledger.PhysWordsSent + c.ledger.PhysWordsRecv - mk.words
-	if dm == 0 && dw == 0 {
-		return
-	}
-	c.ledger.Wire.add(float64(dm), float64(dw), time.Since(mk.start).Seconds())
 }

@@ -50,7 +50,8 @@ func TestWireFit(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var s WireSums
 			for i := range tc.t {
-				s.add(tc.m[i], tc.w[i], tc.t[i])
+				m, w, t := tc.m[i], tc.w[i], tc.t[i]
+				s.Add(WireSums{Samples: 1, Msgs: m, Words: w, MM: m * m, WW: w * w, MW: m * w, MT: m * t, WT: w * t})
 			}
 			got, err := s.Fit()
 			if tc.wantErr != "" {

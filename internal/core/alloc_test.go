@@ -297,7 +297,7 @@ func TestSteadyStateAllocsTCP(t *testing.T) {
 				// is safe to read.
 				framesSent := func() (n int64) {
 					for r := 0; r < ranks; r++ {
-						n += cl.Ledger(r).PhysMsgsSent
+						n += cl.Ledger(r).Reading().Sent.Msgs
 					}
 					return n
 				}

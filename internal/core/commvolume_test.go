@@ -14,7 +14,7 @@ import (
 // set-up, the once-per-run input aggregation T¹ with its 2D/3D row-panel
 // gather, 2D/3D's sparse row panels and transpose, the final forward pass
 // and the output gather.
-func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Category]int64 {
+func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) [comm.NumCategories]int64 {
 	t.Helper()
 	steady, _ := runWordsBy(t, mk, p, (*comm.Cluster).Max)
 	return steady
@@ -26,7 +26,7 @@ func perEpochWords(t *testing.T, mk func() DistTrainer, p Problem) map[comm.Cate
 // once. Each rank's run less its last epoch (comm.Ledger.LastEpoch) is what
 // a 1-epoch run charges it, so the split is that of a 1-epoch and a 2-epoch
 // run: the epoch run(2) − run(1), the once-per-run part 2·run(1) − run(2).
-func runWordsBy(t *testing.T, mk func() DistTrainer, p Problem, stat func(*comm.Cluster, func(*comm.Ledger) comm.Reading) comm.Reading) (steady, once map[comm.Category]int64) {
+func runWordsBy(t *testing.T, mk func() DistTrainer, p Problem, stat func(*comm.Cluster, func(*comm.Ledger) comm.Reading) comm.Reading) (steady, once [comm.NumCategories]int64) {
 	t.Helper()
 	pp := p
 	pp.Config.Epochs = 2
@@ -169,7 +169,7 @@ func TestTwoDBeatsOneDPastCrossover(t *testing.T) {
 	// Use a workload shaped like the paper's assumption nnz ≈ nf: degree
 	// comparable to average feature width.
 	p := testProblem(t, 450, 12, 12, 9, 1, 45)
-	total := func(words map[comm.Category]int64) int64 {
+	total := func(words [comm.NumCategories]int64) int64 {
 		return words[comm.CatDenseComm] + words[comm.CatSparseComm] + words[comm.CatTranspose]
 	}
 	oneD := perEpochWords(t, func() DistTrainer { return NewOneD(25, testMach) }, p)
@@ -220,7 +220,7 @@ func TestThreeDVolumeMatchesAnalytic(t *testing.T) {
 // asymptotically fewer words than 2D at the same rank count.
 func TestThreeDBeatsTwoDWordsAtEqualP(t *testing.T) {
 	p := testProblem(t, 729, 12, 12, 9, 1, 47)
-	total := func(words map[comm.Category]int64) int64 {
+	total := func(words [comm.NumCategories]int64) int64 {
 		return words[comm.CatDenseComm] + words[comm.CatSparseComm] + words[comm.CatTranspose]
 	}
 	twoD := perEpochWords(t, func() DistTrainer { return NewTwoD(64, testMach) }, p)
@@ -319,7 +319,7 @@ func TestSparseCommStructure(t *testing.T) {
 // all-to-all charges every member the words it sends, which carry no shape
 // header.
 func TestSteadyStateWordsDropInputLayer(t *testing.T) {
-	type words = map[comm.Category]int64
+	type words = [comm.NumCategories]int64
 	const dcomm, scomm, trpose, misc = comm.CatDenseComm, comm.CatSparseComm, comm.CatTranspose, comm.CatMisc
 	sub := func(a, b words) words {
 		out := words{}
@@ -404,11 +404,11 @@ func TestSteadyStateWordsDropInputLayer(t *testing.T) {
 			{"1d", func() DistTrainer { return NewOneD(4, testMach) },
 				map[bool]words{true: {dcomm: 6784 + 2*2*4*4, misc: 8}, false: {dcomm: 6784 + 2*2*4*4, misc: 8}},
 				words{dcomm: blockMul(4, 1, f0)[dcomm] + blockMul(4, 1, f1)[dcomm]},
-				narrower(func(f int64) words { return blockMul(4, 1, f) }), nil, nil, nil},
+				narrower(func(f int64) words { return blockMul(4, 1, f) }), words{}, words{}, words{}},
 			{"1.5d", func() DistTrainer { return NewOneFiveD(4, 2, testMach) },
 				map[bool]words{true: {dcomm: 9824, misc: 8}, false: {dcomm: 9824, misc: 8}},
 				words{dcomm: blockMul(2, 2, f0)[dcomm] + blockMul(2, 2, f1)[dcomm]},
-				narrower(func(f int64) words { return blockMul(2, 2, f) }), nil, nil, nil},
+				narrower(func(f int64) words { return blockMul(2, 2, f) }), words{}, words{}, words{}},
 			{"2d", func() DistTrainer { return NewTwoD(4, testMach) },
 				map[bool]words{
 					true:  {dcomm: 7936, scomm: 11680, trpose: 642, misc: 8},
@@ -475,10 +475,10 @@ func TestSingleRankWorldMovesNothing(t *testing.T) {
 	} {
 		checkEquivalence(t, tr, p)
 		l := tr.Cluster().Ledger(0)
-		for _, cat := range comm.AllCategories {
-			if l.ModelMsgs[cat] != 0 || l.ModelWords[cat] != 0 {
+		for cat := range comm.NumCategories {
+			if l.Reading().Msgs[cat] != 0 || l.Reading().Words[cat] != 0 {
 				t.Errorf("%s %s: %d msgs, %d words at P=1, want 0",
-					tr.Name(), cat, l.ModelMsgs[cat], l.ModelWords[cat])
+					tr.Name(), cat, l.Reading().Msgs[cat], l.Reading().Words[cat])
 			}
 		}
 	}

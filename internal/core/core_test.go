@@ -524,11 +524,11 @@ func TestLedgersPopulated(t *testing.T) {
 		t.Fatal("no modeled time recorded")
 	}
 	words := r.Words
-	if words["scomm"] == 0 || words["dcomm"] == 0 || words["trpose"] == 0 {
+	if words[comm.CatSparseComm] == 0 || words[comm.CatDenseComm] == 0 || words[comm.CatTranspose] == 0 {
 		t.Fatalf("expected traffic in all comm categories, got %v", words)
 	}
 	times := r.Time
-	if times["spmm"] <= 0 {
+	if times[comm.CatSpMM] <= 0 {
 		t.Fatalf("expected SpMM compute charges, got %v", times)
 	}
 }

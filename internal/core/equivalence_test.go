@@ -418,7 +418,7 @@ func (m *matrixRuns) check(t *testing.T, c cell) {
 		want := m.train(t, c.ledgers).cl
 		requireSameLedgers(t, fmt.Sprintf("%s vs %v", name, c.ledgers), got.cl, want)
 		for r := 0; r < want.Size(); r++ {
-			if want.Ledger(r).ModelWords[comm.CatDenseComm] == 0 {
+			if want.Ledger(r).Reading().Words[comm.CatDenseComm] == 0 {
 				t.Fatalf("%v rank %d moved no dense words: the comparison would prove nothing", c.ledgers, r)
 			}
 		}
@@ -447,15 +447,15 @@ func requireSameLedgers(t *testing.T, name string, got, want *comm.Cluster) {
 	t.Helper()
 	for r := 0; r < want.Size(); r++ {
 		g, w := got.Ledger(r), want.Ledger(r)
-		for _, cat := range comm.AllCategories {
-			if g.ModelMsgs[cat] != w.ModelMsgs[cat] || g.ModelWords[cat] != w.ModelWords[cat] ||
-				math.Float64bits(g.ModelTime[cat]) != math.Float64bits(w.ModelTime[cat]) {
+		for cat := range comm.NumCategories {
+			if g.Reading().Msgs[cat] != w.Reading().Msgs[cat] || g.Reading().Words[cat] != w.Reading().Words[cat] ||
+				math.Float64bits(g.Reading().Time[cat]) != math.Float64bits(w.Reading().Time[cat]) {
 				t.Fatalf("%s: rank %d %s charged %d msgs, %d words, %v s, want %d, %d, %v", name, r, cat,
-					g.ModelMsgs[cat], g.ModelWords[cat], g.ModelTime[cat], w.ModelMsgs[cat], w.ModelWords[cat], w.ModelTime[cat])
+					g.Reading().Msgs[cat], g.Reading().Words[cat], g.Reading().Time[cat], w.Reading().Msgs[cat], w.Reading().Words[cat], w.Reading().Time[cat])
 			}
 		}
-		if g.PeakMemWords != w.PeakMemWords || g.PhysWordsSent != w.PhysWordsSent || g.PhysMsgsSent != w.PhysMsgsSent ||
-			g.PhysWordsRecv != w.PhysWordsRecv || g.PhysMsgsRecv != w.PhysMsgsRecv ||
+		if g.PeakMemWords != w.PeakMemWords || g.Reading().Sent.Words != w.Reading().Sent.Words || g.Reading().Sent.Msgs != w.Reading().Sent.Msgs ||
+			g.Reading().Recv.Words != w.Reading().Recv.Words || g.Reading().Recv.Msgs != w.Reading().Recv.Msgs ||
 			g.Reading().Elapsed != w.Reading().Elapsed || g.Reading().Hidden != w.Reading().Hidden {
 			t.Fatalf("%s: rank %d's peak memory, physical traffic or timeline %+v, want %+v", name, r, *g, *w)
 		}

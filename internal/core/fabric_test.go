@@ -129,7 +129,7 @@ func TestFabricHoldsLiveSet(t *testing.T) {
 				held2 := make([]int64, tc.ranks)
 				recv2 := make([]int64, tc.ranks)
 				for r, c := range comms {
-					held2[r], recv2[r] = c.HeldWords(), c.Ledger().PhysWordsRecv
+					held2[r], recv2[r] = c.HeldWords(), c.Ledger().Reading().Recv.Words
 				}
 				oneEpoch()
 				if err := <-errCh; err != nil {
@@ -139,7 +139,7 @@ func TestFabricHoldsLiveSet(t *testing.T) {
 				for r, c := range comms {
 					held[r] = c.HeldWords()
 					live, pool, rounding := band(rankOps[r])
-					draw := c.Ledger().PhysWordsRecv - recv2[r] + rounding + pool
+					draw := c.Ledger().Reading().Recv.Words - recv2[r] + rounding + pool
 					t.Logf("%s rank %d: fabric holds %d words, band [%d, %d)", fabric, r, held[r], live, draw)
 					if held[r] != held2[r] {
 						t.Errorf("%s rank %d: fabric held %d words after epoch 2, %d after epoch 3", fabric, r, held2[r], held[r])

@@ -83,7 +83,7 @@ func TestHaloLedgerMatchesEdgecutBound(t *testing.T) {
 
 			var total, predTotal, maxGot, predMax int64
 			for r := 0; r < ranks; r++ {
-				got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm]
+				got := tr.Cluster().Ledger(r).Reading().Words[comm.CatDenseComm]
 				want := costmodel.OneDHaloDenseWords(widths, ranks, fwd.PerPartRecvRows[r], bwd.PerPartRecvRows[r], epochs)
 				if got != want {
 					t.Fatalf("%s P=%d rank %d: ledger dcomm %d words, edgecut bound predicts %d (r_i=%d forward, %d backward)",
@@ -121,7 +121,7 @@ func TestHaloLedgerMatchesEdgecutBound(t *testing.T) {
 				return (costmodel.OneDSymmetric(w, ranks, float64(ri)).Words - costmodel.OneDSymmetric(w, ranks, 0).Words) / float64(2*w.Layers)
 			}
 			for r := 0; r < ranks; r++ {
-				got := tr.Cluster().Ledger(r).ModelWords[comm.CatDenseComm] -
+				got := tr.Cluster().Ledger(r).Reading().Words[comm.CatDenseComm] -
 					costmodel.OneDHaloDenseWords(widths, ranks, 0, 0, epochs)
 				want := int64(math.Round(float64(1+(epochs+1)*(w.Layers-1))*half(fwd.PerPartRecvRows[r]) +
 					float64(epochs*(w.Layers-1))*half(bwd.PerPartRecvRows[r])))

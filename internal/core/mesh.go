@@ -740,12 +740,15 @@ func (r *meshRank) release(m *dense.Matrix) {
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped
 // buffer: the rank's workspace, then (collectively) the fabric's payload
-// pool.
+// pool. A rank whose epoch left its plan (comm.Ledger.Drift) fails the run.
 func (r *meshRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
 	r.rowsOf, r.rows, r.tRows = nil, nil, nil
 	r.comm.EpochDone()
+	if err := r.comm.Ledger().Drift(); err != nil {
+		panic(err)
+	}
 }
 
 // correctCounts counts my output rows: every rank holds its own.

@@ -154,9 +154,9 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 					for r := 0; r < tc.ranks; r++ {
 						g, w := got.Ledger(r), want.Ledger(r)
 						for _, cat := range static {
-							if g.ModelMsgs[cat] != w.ModelMsgs[cat] || g.ModelWords[cat] != w.ModelWords[cat] {
+							if g.Reading().Msgs[cat] != w.Reading().Msgs[cat] || g.Reading().Words[cat] != w.Reading().Words[cat] {
 								t.Fatalf("rank %d %s: %s charged %d msgs / %d words, a 1-epoch run %d / %d",
-									r, cat, what, g.ModelMsgs[cat], g.ModelWords[cat], w.ModelMsgs[cat], w.ModelWords[cat])
+									r, cat, what, g.Reading().Msgs[cat], g.Reading().Words[cat], w.Reading().Msgs[cat], w.Reading().Words[cat])
 							}
 						}
 					}
@@ -170,10 +170,10 @@ func TestMeshStaticOperandsCrossOnce(t *testing.T) {
 
 				for r := 0; r < tc.ranks; r++ {
 					want, l := meshWant(t, tc.algo, tc.ranks, tc.p, r), full.Ledger(r)
-					if got := l.ModelWords[comm.CatSparseComm]; got != want.scomm {
+					if got := l.Reading().Words[comm.CatSparseComm]; got != want.scomm {
 						t.Fatalf("rank %d: %d scomm words over the run, its row panels counted once are %d", r, got, want.scomm)
 					}
-					if got := l.ModelWords[comm.CatTranspose]; got != want.trpose {
+					if got := l.Reading().Words[comm.CatTranspose]; got != want.trpose {
 						t.Fatalf("rank %d: %d trpose words over the run, its transpose exchange sends %d", r, got, want.trpose)
 					}
 					if l.PeakMemWords != want.resident+want.live {
@@ -285,10 +285,10 @@ func TestMeshTransposesIffAsymmetric(t *testing.T) {
 				res, ranks := meshRun(t, tc.algo, tc.ranks, cl, tc.p)
 				for rank, r := range ranks {
 					want, l := meshWant(t, tc.algo, tc.ranks, tc.p, rank), cl.Ledger(rank)
-					if got := l.ModelWords[comm.CatSparseComm]; got != want.scomm {
+					if got := l.Reading().Words[comm.CatSparseComm]; got != want.scomm {
 						t.Fatalf("rank %d: %d scomm words, its row panels counted once are %d", rank, got, want.scomm)
 					}
-					if got := l.ModelWords[comm.CatTranspose]; got != want.trpose {
+					if got := l.Reading().Words[comm.CatTranspose]; got != want.trpose {
 						t.Fatalf("rank %d: %d trpose words, its transpose exchange sends %d", rank, got, want.trpose)
 					}
 					if !tc.directed {

@@ -39,7 +39,7 @@ func TestOneFiveDReducesDenseTraffic(t *testing.T) {
 		if _, err := tr.Train(p); err != nil {
 			t.Fatal(err)
 		}
-		words[c] = tr.Cluster().Max((*comm.Ledger).Reading).Words["dcomm"]
+		words[c] = tr.Cluster().Max((*comm.Ledger).Reading).Words[comm.CatDenseComm]
 	}
 	if words[2] >= words[1] {
 		t.Fatalf("dense words should fall with replication when P >> c²: %v", words)
@@ -75,13 +75,13 @@ func TestOneFiveDAtOneReplicaIsOneDForward(t *testing.T) {
 		out := make([]product, ranks)
 		err := tr.runRanks(p, func(ops layerOps, cfg nn.Config, prob Problem) error {
 			led := tr.Cluster().Ledger(ops.rank())
-			before := led.ModelWords[comm.CatDenseComm]
+			before := led.Reading().Words[comm.CatDenseComm]
 			c := &countingOps{layerOps: ops, fwd: make([]int, 2), bwd: make([]int, 2)}
 			t1 := c.forwardAggregate(ops.input(), 1)
 			if c.fwd[1] != 1 {
 				return fmt.Errorf("rank %d aggregated the input %d times, want 1", ops.rank(), c.fwd[1])
 			}
-			out[ops.rank()] = product{t1.Clone(), led.ModelWords[comm.CatDenseComm] - before}
+			out[ops.rank()] = product{t1.Clone(), led.Reading().Words[comm.CatDenseComm] - before}
 			return nil
 		})
 		if err != nil {

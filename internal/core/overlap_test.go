@@ -94,7 +94,7 @@ func TestOverlapWordCountsUnchanged(t *testing.T) {
 		}
 		fast := fastTr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
 		slow := slowTr.(DistTrainer).Cluster().Max((*comm.Ledger).Reading)
-		for _, cat := range comm.AllCategories {
+		for cat := range comm.NumCategories {
 			if fast.Words[cat] != slow.Words[cat] {
 				t.Fatalf("%s %s words: fast %d vs slow %d",
 					tc.name, cat, fast.Words[cat], slow.Words[cat])

@@ -577,11 +577,14 @@ func (r *rowRank) release(m *dense.Matrix) {
 
 // endEpoch charges the per-epoch overhead and releases every epoch-scoped
 // buffer: the rank's workspace, then (collectively) the fabric's payload
-// pool.
+// pool. A rank whose epoch left its plan (comm.Ledger.Drift) fails the run.
 func (r *rowRank) endEpoch() {
 	r.comm.ChargeTime(comm.CatMisc, r.mach.MiscOverhead)
 	r.ws.Reset()
 	r.comm.EpochDone()
+	if err := r.comm.Ledger().Drift(); err != nil {
+		panic(err)
+	}
 }
 
 // correctCounts: the primary of each row block counts it.

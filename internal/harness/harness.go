@@ -88,11 +88,11 @@ type EpochMeasurement struct {
 	// Figure 3 category (max across ranks). The categories carry their full
 	// charges, so they sum to more than CriticalPathTime — the difference is
 	// the communication hidden behind compute.
-	TimeByCat map[comm.Category]float64
+	TimeByCat [comm.NumCategories]float64
 	// WordsByCat and MsgsByCat are modeled words and α-term messages per
 	// steady-state epoch (max across ranks).
-	WordsByCat map[comm.Category]int64
-	MsgsByCat  map[comm.Category]int64
+	WordsByCat [comm.NumCategories]int64
+	MsgsByCat  [comm.NumCategories]int64
 	// EpochTime is the bulk-synchronous modeled seconds per steady-state
 	// epoch, comm.Reading.Bulk: every charge paid in turn.
 	EpochTime float64
@@ -106,8 +106,8 @@ type EpochMeasurement struct {
 	HiddenCommTime float64
 	// OnceTimeByCat, OnceWordsByCat and OnceTime are TimeByCat, WordsByCat
 	// and EpochTime for the once-per-run part.
-	OnceTimeByCat  map[comm.Category]float64
-	OnceWordsByCat map[comm.Category]int64
+	OnceTimeByCat  [comm.NumCategories]float64
+	OnceWordsByCat [comm.NumCategories]int64
 	OnceTime       float64
 	// PeakMemWords is the run's per-rank peak resident footprint (max
 	// across ranks); the second epoch does not raise it. For 2D and 3D it

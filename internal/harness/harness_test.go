@@ -70,7 +70,7 @@ func TestModeledEpochGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s P=%d: bulk %.6g s, critical path %.6g s, hidden %.6g s\n",
 			cfg.algo, cfg.p, m.EpochTime, m.CriticalPathTime, m.HiddenCommTime)
-		for _, cat := range comm.AllCategories {
+		for cat := range comm.NumCategories {
 			fmt.Fprintf(&b, "  %-6s %4d msgs %8d words %.6g s\n",
 				cat, m.MsgsByCat[cat], m.WordsByCat[cat], m.TimeByCat[cat])
 		}
@@ -102,10 +102,8 @@ func referenceEpoch(t *testing.T, ds *graph.Dataset, algo string, p int, halo bo
 	m := EpochMeasurement{
 		EpochTime: two.Bulk - one.Bulk, CriticalPathTime: two.Elapsed - one.Elapsed,
 		HiddenCommTime: two.Hidden - one.Hidden, OnceTime: 2*one.Bulk - two.Bulk, PeakMemWords: one.PeakMemWords,
-		TimeByCat: map[comm.Category]float64{}, OnceTimeByCat: map[comm.Category]float64{},
-		WordsByCat: map[comm.Category]int64{}, OnceWordsByCat: map[comm.Category]int64{}, MsgsByCat: map[comm.Category]int64{},
 	}
-	for _, cat := range comm.AllCategories {
+	for cat := range comm.NumCategories {
 		m.TimeByCat[cat], m.OnceTimeByCat[cat] = two.Time[cat]-one.Time[cat], 2*one.Time[cat]-two.Time[cat]
 		m.WordsByCat[cat], m.OnceWordsByCat[cat] = two.Words[cat]-one.Words[cat], 2*one.Words[cat]-two.Words[cat]
 		m.MsgsByCat[cat] = two.Msgs[cat] - one.Msgs[cat]
@@ -145,9 +143,9 @@ func TestMeasureEpochMatchesTwoRuns(t *testing.T) {
 		near("critical path", got.CriticalPathTime, want.CriticalPathTime)
 		near("hidden", got.HiddenCommTime, want.HiddenCommTime)
 		near("once", got.OnceTime, want.OnceTime)
-		for _, cat := range comm.AllCategories {
-			near(string(cat), got.TimeByCat[cat], want.TimeByCat[cat])
-			near(string(cat)+" once", got.OnceTimeByCat[cat], want.OnceTimeByCat[cat])
+		for cat := range comm.NumCategories {
+			near(cat.String(), got.TimeByCat[cat], want.TimeByCat[cat])
+			near(cat.String()+" once", got.OnceTimeByCat[cat], want.OnceTimeByCat[cat])
 			if got.WordsByCat[cat] != want.WordsByCat[cat] || got.OnceWordsByCat[cat] != want.OnceWordsByCat[cat] ||
 				got.MsgsByCat[cat] != want.MsgsByCat[cat] {
 				t.Errorf("%s %s: %d words, %d once, %d msgs; two runs read %d, %d, %d", name, cat,
